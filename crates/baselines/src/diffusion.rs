@@ -101,21 +101,21 @@ pub fn run_diffusion(
     {
         let outcome = Arc::clone(&outcome);
         let slave_ids = slave_ids.clone();
-        sim.spawn(c_node, "coordinator", move |ctx| {
+        sim.spawn_mail(c_node, "coordinator", move |ctx| async move {
             let mut done = 0u64;
             while done < n_units as u64 {
-                match ctx.recv().msg {
+                match ctx.recv().await.msg {
                     DiffMsg::Progress { delta } => done += delta,
                     other => panic!("coordinator: unexpected {other:?}"),
                 }
             }
             for &s in &slave_ids {
-                ctx.send(s, DiffMsg::Stop, 32);
+                ctx.send(s, DiffMsg::Stop, 32).await;
             }
             let mut results = Vec::with_capacity(n_units);
             let mut got = 0;
             while got < slave_ids.len() {
-                match ctx.recv().msg {
+                match ctx.recv().await.msg {
                     DiffMsg::Results { units } => {
                         results.extend(units);
                         got += 1;
@@ -135,7 +135,7 @@ pub fn run_diffusion(
         let kernel = Arc::clone(&kernel);
         let slave_ids = slave_ids.clone();
         let range = ranges[i];
-        sim.spawn(node, format!("diff-slave{i}"), move |ctx| {
+        sim.spawn_mail(node, format!("diff-slave{i}"), move |ctx| async move {
             let mut queue: VecDeque<(usize, UnitData)> = (range.0..range.1)
                 .map(|id| (id, kernel.init_unit(id)))
                 .collect();
@@ -152,7 +152,10 @@ pub fn run_diffusion(
             let mut pending: Option<dlb_sim::Envelope<DiffMsg>> = None;
             loop {
                 // Handle everything queued.
-                while let Some(env) = pending.take().or_else(|| ctx.try_recv()) {
+                while let Some(env) = match pending.take() {
+                    Some(env) => Some(env),
+                    None => ctx.try_recv().await,
+                } {
                     match env.msg {
                         DiffMsg::LoadInfo { qlen } => {
                             let mine = queue.len() as u64;
@@ -161,7 +164,7 @@ pub fn run_diffusion(
                                 let units: Vec<_> = queue.split_off(queue.len() - give).into();
                                 let msg = DiffMsg::Work { units };
                                 let bytes = msg.wire_bytes();
-                                ctx.send(ActorId(env.src), msg, bytes);
+                                ctx.send(ActorId(env.src), msg, bytes).await;
                             }
                         }
                         DiffMsg::Work { units } => queue.extend(units),
@@ -169,7 +172,7 @@ pub fn run_diffusion(
                             finished.extend(queue.drain(..));
                             let msg = DiffMsg::Results { units: finished };
                             let bytes = msg.wire_bytes();
-                            ctx.send(coordinator, msg, bytes);
+                            ctx.send(coordinator, msg, bytes).await;
                             return;
                         }
                         other => panic!("diff slave: unexpected {other:?}"),
@@ -184,7 +187,8 @@ pub fn run_diffusion(
                                 qlen: queue.len() as u64,
                             },
                             32,
-                        );
+                        )
+                        .await;
                     }
                     if progress_since > 0 {
                         ctx.send(
@@ -193,14 +197,15 @@ pub fn run_diffusion(
                                 delta: progress_since,
                             },
                             32,
-                        );
+                        )
+                        .await;
                         progress_since = 0;
                     }
                     next_exchange = ctx.now() + cfg.exchange_period;
                 }
                 // Compute one unit or wait for messages.
                 if let Some((id, mut data)) = queue.pop_front() {
-                    ctx.advance_work(kernel.unit_cost());
+                    ctx.advance_work(kernel.unit_cost()).await;
                     kernel.compute(id, &mut data, 0);
                     finished.push((id, data));
                     progress_since += 1;
@@ -212,12 +217,13 @@ pub fn run_diffusion(
                                 delta: progress_since,
                             },
                             32,
-                        );
+                        )
+                        .await;
                         progress_since = 0;
                     }
                     // Sleep until the next exchange or the next message,
                     // whichever comes first.
-                    pending = ctx.recv_deadline(next_exchange);
+                    pending = ctx.recv_deadline(next_exchange).await;
                 }
             }
         });

@@ -90,16 +90,17 @@ pub fn run_self_scheduled(
         let kernel = Arc::clone(&kernel);
         let outcome = Arc::clone(&outcome);
         let policy = policy.clone();
-        sim.spawn(m_node, "queue-master", move |ctx| {
+        sim.spawn_mail(m_node, "queue-master", move |ctx| async move {
             // Build the queue; charge a nominal setup cost.
             let mut queue: VecDeque<(usize, UnitData)> =
                 (0..n_units).map(|i| (i, kernel.init_unit(i))).collect();
-            ctx.advance_work(CpuWork::from_micros(10) * n_units as u64);
+            ctx.advance_work(CpuWork::from_micros(10) * n_units as u64)
+                .await;
             let mut state = policy.start(n_units as u64, n_slaves as u64);
             let mut done: Vec<(usize, UnitData)> = Vec::with_capacity(n_units);
             let mut active = n_slaves;
             while active > 0 {
-                let env = ctx.recv();
+                let env = ctx.recv().await;
                 match env.msg {
                     SsMsg::Request { slave: _ } => {
                         let from = ActorId(env.src);
@@ -109,10 +110,10 @@ pub fn run_self_scheduled(
                                     queue.drain(..size as usize).collect();
                                 let msg = SsMsg::Chunk { units };
                                 let bytes = msg.wire_bytes();
-                                ctx.send(from, msg, bytes);
+                                ctx.send(from, msg, bytes).await;
                             }
                             None => {
-                                ctx.send(from, SsMsg::Empty, 32);
+                                ctx.send(from, SsMsg::Empty, 32).await;
                                 active -= 1;
                             }
                         }
@@ -123,7 +124,7 @@ pub fn run_self_scheduled(
             }
             // Wait for any result messages still in flight.
             while done.len() < n_units {
-                match ctx.recv().msg {
+                match ctx.recv().await.msg {
                     SsMsg::Results { units } => done.extend(units),
                     other => panic!("queue master drain: unexpected {other:?}"),
                 }
@@ -139,21 +140,23 @@ pub fn run_self_scheduled(
 
     for (i, node) in s_nodes.into_iter().enumerate() {
         let kernel = Arc::clone(&kernel);
-        sim.spawn(node, format!("ss-slave{i}"), move |ctx| loop {
-            ctx.send(master_id, SsMsg::Request { slave: i }, 32);
-            let env = ctx.recv();
-            match env.msg {
-                SsMsg::Chunk { mut units } => {
-                    for (id, data) in &mut units {
-                        ctx.advance_work(kernel.unit_cost());
-                        kernel.compute(*id, data, 0);
+        sim.spawn_mail(node, format!("ss-slave{i}"), move |ctx| async move {
+            loop {
+                ctx.send(master_id, SsMsg::Request { slave: i }, 32).await;
+                let env = ctx.recv().await;
+                match env.msg {
+                    SsMsg::Chunk { mut units } => {
+                        for (id, data) in &mut units {
+                            ctx.advance_work(kernel.unit_cost()).await;
+                            kernel.compute(*id, data, 0);
+                        }
+                        let msg = SsMsg::Results { units };
+                        let bytes = msg.wire_bytes();
+                        ctx.send(master_id, msg, bytes).await;
                     }
-                    let msg = SsMsg::Results { units };
-                    let bytes = msg.wire_bytes();
-                    ctx.send(master_id, msg, bytes);
+                    SsMsg::Empty => break,
+                    other => panic!("ss slave: unexpected {other:?}"),
                 }
-                SsMsg::Empty => break,
-                other => panic!("ss slave: unexpected {other:?}"),
             }
         });
     }

@@ -14,8 +14,10 @@
 //! Results are printed as a table and written to `BENCH_kernel.json`
 //! (hand-rolled JSON; the container has no serde). With
 //! `--gate <baseline.json>` the run additionally compares each case's
-//! ops/s against the committed baseline and exits non-zero if any case
-//! regresses by more than 20% — the CI merge gate for kernel performance.
+//! deterministic counters (`polls`, `wakeups`, `events`) against the
+//! committed baseline for exact equality and exits non-zero on any
+//! difference — the CI merge gate for kernel work per op. ops/s is printed
+//! as information only: it measures the host, not the code.
 //!
 //! Run with `cargo bench -p dlb-bench --bench kernel`.
 
@@ -26,8 +28,6 @@ use std::time::Instant;
 const WIDTHS: [usize; 3] = [16, 64, 256];
 /// Best-of-N timing to damp scheduler noise on shared runners.
 const RUNS: usize = 3;
-/// Allowed slowdown vs. the committed baseline before the gate fails.
-const GATE_TOLERANCE: f64 = 0.20;
 
 struct Case {
     name: &'static str,
@@ -165,22 +165,26 @@ fn json(cases: &[Case]) -> String {
     s
 }
 
-/// Pull `"name"`, `"width"`, and `"ops_per_sec"` triples back out of a
-/// baseline file this binary wrote earlier. Format-coupled by design: it
-/// reads exactly what [`json`] writes.
-fn parse_baseline(text: &str) -> Vec<(String, f64)> {
+/// The gated counters of one case: `[polls, wakeups, events]`.
+type Counters = [u64; 3];
+
+/// Pull each case's key and gated counters back out of a baseline file this
+/// binary wrote earlier. Format-coupled by design: it reads exactly what
+/// [`json`] writes.
+fn parse_baseline(text: &str) -> Vec<(String, Counters)> {
     let mut out = Vec::new();
     for line in text.lines() {
-        let Some(name) = field_str(line, "name") else {
+        let (Some(name), Some(width)) = (field_str(line, "name"), field_num(line, "width")) else {
             continue;
         };
-        let Some(width) = field_num(line, "width") else {
+        let (Some(polls), Some(wakeups), Some(events)) = (
+            field_num(line, "polls"),
+            field_num(line, "wakeups"),
+            field_num(line, "events"),
+        ) else {
             continue;
         };
-        let Some(ops) = field_num(line, "ops_per_sec") else {
-            continue;
-        };
-        out.push((format!("{name}/w{width}"), ops));
+        out.push((format!("{name}/w{width}"), [polls, wakeups, events]));
     }
     out
 }
@@ -190,7 +194,7 @@ fn field_str<'a>(line: &'a str, key: &str) -> Option<&'a str> {
     tail.split('"').next()
 }
 
-fn field_num(line: &str, key: &str) -> Option<f64> {
+fn field_num(line: &str, key: &str) -> Option<u64> {
     let tail = line.split(&format!("\"{key}\": ")).nth(1)?;
     tail.split([',', '}']).next()?.trim().parse().ok()
 }
@@ -209,24 +213,15 @@ fn gate(cases: &[Case], baseline_path: &str) -> Result<(), String> {
             println!("gate: {key} has no baseline entry (new case, skipped)");
             continue;
         };
-        let ratio = c.ops_per_sec / base;
-        let verdict = if ratio < 1.0 - GATE_TOLERANCE {
+        let got: Counters = [c.polls, c.wakeups, c.events];
+        let ok = got == *base;
+        let verdict = if ok { "ok" } else { "FAIL" };
+        println!("gate: {key:<16} polls/wakeups/events {got:?}  {verdict}");
+        if !ok {
             failures.push(format!(
-                "{key}: {:.0} ops/s is {:.0}% below baseline {:.0}",
-                c.ops_per_sec,
-                (1.0 - ratio) * 100.0,
-                base
+                "{key}: polls/wakeups/events {got:?} != baseline {base:?}"
             ));
-            "FAIL"
-        } else {
-            "ok"
-        };
-        println!(
-            "gate: {key:<16} {:>10.0} vs baseline {:>10.0} ({:+.1}%)  {verdict}",
-            c.ops_per_sec,
-            base,
-            (ratio - 1.0) * 100.0
-        );
+        }
     }
     if failures.is_empty() {
         Ok(())
@@ -259,9 +254,9 @@ fn main() {
 
     if let Some(baseline_path) = baseline {
         match gate(&cases, &baseline_path) {
-            Ok(()) => println!("gate: all cases within {:.0}%", GATE_TOLERANCE * 100.0),
+            Ok(()) => println!("gate: all counters equal the baseline"),
             Err(msg) => {
-                eprintln!("kernel bench regression:\n{msg}");
+                eprintln!("kernel bench counters moved:\n{msg}");
                 std::process::exit(1);
             }
         }

@@ -707,7 +707,7 @@ async fn execute_moves(
             }
         };
         total += units.len() as u64;
-        if std::env::var_os("DLB_TRACE").is_some() {
+        if crate::dlb_trace() {
             eprintln!(
                 "[slave{} t={}] move {} cols {:?} -> slave{} at phase {phase} sweep {}",
                 common.idx,
@@ -781,7 +781,7 @@ async fn accept_transfer(
     if !common.accept_transfer(ctx, &t).await {
         return Ok(()); // stale epoch, dead sender, or duplicate — fenced
     }
-    if std::env::var_os("DLB_TRACE").is_some() {
+    if crate::dlb_trace() {
         eprintln!(
             "[slave{} t={}] accept transfer from {} eff {} units {:?} (my_phase {my_phase}, sweep {})",
             st.idx, ctx.now(), t.from, t.effective_block,

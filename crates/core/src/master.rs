@@ -284,7 +284,7 @@ pub async fn run_takeover(
     seed: TakeoverSeed,
     me: usize,
 ) -> Result<(), ProtocolError> {
-    if std::env::var_os("DLB_TRACE").is_some() {
+    if crate::dlb_trace() {
         eprintln!(
             "[takeover t={}] slave {me} won term {} (replica inv {})",
             ctx.now(),
@@ -497,7 +497,7 @@ async fn run_plain(
                 break;
             }
             let env = ctx.recv().await;
-            if std::env::var_os("DLB_TRACE").is_some() {
+            if crate::dlb_trace() {
                 eprintln!(
                     "[master t={} inv={inv}] got {:?} (done {done_sum}/{expected}, idle {idle:?})",
                     ctx.now(),
@@ -1268,7 +1268,7 @@ async fn run_recoverable(
                     // Declare dead, fence off its channels, and wait for the
                     // survivors' ownership reports before re-scattering.
                     memb.evict(s);
-                    if std::env::var_os("DLB_TRACE").is_some() {
+                    if crate::dlb_trace() {
                         eprintln!("[master t={now}] declaring slave {s} dead (inv {inv})");
                     }
                     sc.recovery.slaves_declared_dead += 1;
@@ -1426,7 +1426,7 @@ async fn run_recoverable(
     let mut seen: BTreeMap<usize, UnitData> = BTreeMap::new();
     let mut got = vec![false; n];
     let now0 = ctx.now();
-    if std::env::var_os("DLB_TRACE").is_some() {
+    if crate::dlb_trace() {
         eprintln!(
             "[master t={now0}] recoverable gather begins, alive {:?}",
             memb.alive

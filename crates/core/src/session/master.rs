@@ -477,7 +477,7 @@ mod tests {
         let slave_ids: Vec<ActorId> = slave_nodes
             .into_iter()
             .enumerate()
-            .map(|(i, node)| sim.spawn(node, format!("slave{i}"), |_ctx| {}))
+            .map(|(i, node)| sim.spawn_mail(node, format!("slave{i}"), |_ctx| async {}))
             .collect();
         sim.spawn_mail(master_node, "master", move |ctx| body(ctx, slave_ids));
         sim.run();

@@ -489,7 +489,7 @@ impl SlaveCommon {
                     .as_mut()
                     .map(|d| d.on_candidacy(*term, *candidate, *fresh))
                     .unwrap_or_default();
-                if std::env::var_os("DLB_TRACE").is_some() {
+                if crate::dlb_trace() {
                     eprintln!(
                         "[slave{} t={}] candidacy term {term} from {candidate} fresh {fresh} -> {}",
                         self.idx,
@@ -540,7 +540,7 @@ impl SlaveCommon {
             return Ok(());
         };
         let candidacies = d.tick(ctx.now(), &ft);
-        if !candidacies.is_empty() && std::env::var_os("DLB_TRACE").is_some() {
+        if !candidacies.is_empty() && crate::dlb_trace() {
             eprintln!(
                 "[slave{} t={}] standing for term {} (fresh {})",
                 self.idx,
@@ -681,7 +681,7 @@ impl SlaveCommon {
                                 self.resend_stalled_transfers(ctx).await;
                                 self.deputy_tick(ctx).await?;
                                 if ping_until.is_some_and(|p| ctx.now() < p) {
-                                    if std::env::var_os("DLB_TRACE").is_some() {
+                                    if crate::dlb_trace() {
                                         eprintln!(
                                             "[slave{} t={}] ping while waiting for {waiting_for}",
                                             self.idx,
@@ -891,7 +891,7 @@ impl SlaveCommon {
             move_cost_sample: self.move_cost_sample.take(),
             interaction_cost_sample: self.interaction_cost_sample.take(),
         };
-        if std::env::var_os("DLB_TRACE").is_some() {
+        if crate::dlb_trace() {
             eprintln!(
                 "[slave{} t={}] fire inv={invocation} delta={} busy={} active={active_units}",
                 self.idx,

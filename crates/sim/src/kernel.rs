@@ -1,17 +1,17 @@
 //! Deterministic discrete-event kernel.
 //!
-//! Actors are ordinary blocking Rust closures, each run on its own OS
-//! thread, but the kernel only ever lets **one** actor run at a time and
-//! hands control back and forth explicitly, so a simulation is a
+//! Actors are `async` state machines. The kernel thread owns the event
+//! queues and the virtual clock; it polls actors whose wake time has come
+//! and applies what they did in one fixed order, so a simulation is a
 //! deterministic sequential program: same inputs ⇒ same event order ⇒ same
-//! results, regardless of host scheduling.
+//! results, regardless of host scheduling or worker-pool size.
 //!
-//! An actor interacts with virtual time through its [`ActorCtx`]:
-//! [`ActorCtx::advance_work`] charges CPU work to the node's quantum
-//! scheduler, [`ActorCtx::send`]/[`ActorCtx::recv`] exchange messages over
-//! the simulated network, and [`ActorCtx::sleep`] waits for virtual time to
-//! pass. All blocking calls *yield* to the kernel, which advances the
-//! virtual clock to the next event.
+//! An actor interacts with virtual time through its [`MailCtx`]:
+//! [`MailCtx::advance_work`] charges CPU work to the node's quantum
+//! scheduler, [`MailCtx::send`]/[`MailCtx::recv`] exchange messages over
+//! the simulated network, and [`MailCtx::sleep`] waits for virtual time to
+//! pass. Every such call *parks* the actor and returns control to the
+//! kernel, which advances the virtual clock to the next event.
 //!
 //! A [`crate::fault::FaultPlan`] attached via [`SimBuilder::fault_plan`]
 //! injects message drops/duplicates/jitter and node crashes/freezes at
@@ -26,13 +26,12 @@ use crate::time::{SimDuration, SimTime};
 use crate::timer::{TimerEntry, TimerWheel};
 use crate::trace::{TraceEvent, TraceKind};
 use crate::work::CpuWork;
-use std::cell::Cell;
 use std::collections::{BinaryHeap, VecDeque};
 use std::future::Future;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::pin::Pin;
-use std::sync::mpsc::{channel, sync_channel, Receiver, Sender, SyncSender};
-use std::sync::{Arc, Mutex, MutexGuard, Once};
+use std::sync::mpsc::{channel, Sender};
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::task::{Context, Poll, Wake, Waker};
 
 /// Identifies an actor within a simulation.
@@ -65,9 +64,9 @@ pub struct NodeMetrics {
 /// observational — none of these feed back into virtual time or the trace.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct SchedStats {
-    /// State-machine polls executed (mailbox actors only).
+    /// State-machine polls executed.
     pub polls: u64,
-    /// Live wakes dispatched (mailbox + blocking actors).
+    /// Live wakes dispatched.
     pub wakeups: u64,
     /// Wakes popped whose park epoch had already moved on.
     pub stale_wakes: u64,
@@ -77,11 +76,8 @@ pub struct SchedStats {
     pub max_batch: usize,
     /// Worker-pool threads spawned for this run.
     pub pool_workers: usize,
-    /// Upper bound on OS threads alive at once: kernel + pool + one thread
-    /// per *blocking* actor. Mailbox actors contribute zero here.
+    /// OS threads alive at once: kernel + pool. Actors contribute zero.
     pub os_threads_peak: usize,
-    /// Blocking-actor threads explicitly torn down by crash faults.
-    pub threads_reaped: u64,
 }
 
 /// Everything measured during a run.
@@ -162,45 +158,11 @@ enum ActorState {
         epoch: u64,
         wake_on_msg: bool,
     },
-    /// Currently holding the execution token.
+    /// Woken and being polled in the current batch.
     Running,
     Done,
-    Panicked,
     /// The node fail-stopped; the actor never runs again.
     Crashed,
-}
-
-// ---------------------------------------------------------------------------
-// Quiet shutdown unwind: when the kernel tears down (simulation finished or
-// a crash fault orphaned a parked actor), still-parked actor threads see
-// their control channel close. They must exit their blocking closure, and
-// unwinding is the only way out of arbitrary user code — but that unwind is
-// expected, not an error. A thread-local flag plus a sentinel payload keeps
-// it silent and stops it from masking real panics at join time.
-// ---------------------------------------------------------------------------
-
-thread_local! {
-    static SHUTDOWN_UNWIND: Cell<bool> = const { Cell::new(false) };
-}
-
-struct ShutdownUnwind;
-
-fn shutdown_unwind() -> ! {
-    SHUTDOWN_UNWIND.with(|c| c.set(true));
-    std::panic::panic_any(ShutdownUnwind)
-}
-
-fn install_quiet_panic_hook() {
-    static HOOK: Once = Once::new();
-    HOOK.call_once(|| {
-        let prev = std::panic::take_hook();
-        std::panic::set_hook(Box::new(move |info| {
-            if SHUTDOWN_UNWIND.with(|c| c.get()) {
-                return; // expected teardown unwind; stay quiet
-            }
-            prev(info);
-        }));
-    });
 }
 
 /// Message tagger for traced sends/deliveries: maps a message to the
@@ -244,7 +206,6 @@ struct Inner<M> {
     /// All `Wake` timers (parks, sleeps, deadlines), ordered by the same
     /// global `(time, seq)` key and merged with the heap at pop time.
     wheel: TimerWheel,
-    mailboxes: Vec<VecDeque<Envelope<M>>>,
     states: Vec<ActorState>,
     epochs: Vec<u64>,
     nodes: Vec<NodeConfig>,
@@ -263,7 +224,6 @@ struct Inner<M> {
     node_metrics: Vec<NodeMetrics>,
     events_processed: u64,
     max_events: u64,
-    panicked: Option<ActorId>,
     fault: Option<FaultRuntime>,
     trace_hash: u64,
     tracer: Tracer<M>,
@@ -363,9 +323,9 @@ impl<M> Inner<M> {
 
 impl<M: Send + Clone + 'static> Inner<M> {
     /// Hand a message (post-marshalling) to the network: link occupancy,
-    /// fault draws, FIFO clamp, delivery scheduling. Shared by the blocking
-    /// [`ActorCtx::send`] and the mailbox actors' buffered send effects, so
-    /// both paths draw from the fault RNG in the identical event order.
+    /// fault draws, FIFO clamp, delivery scheduling. Called only while
+    /// applying buffered send effects, in wake-seq order, so the fault RNG
+    /// is drawn in the identical event order at any pool size.
     fn enqueue_send(&mut self, src: ActorId, dst: ActorId, msg: M, bytes: u64) {
         let now = self.now;
         let start = now.max(self.link_free[src.0]);
@@ -465,251 +425,23 @@ impl<M: Send + Clone + 'static> Inner<M> {
     }
 }
 
-struct Shared<M> {
-    inner: Mutex<Inner<M>>,
-}
-
-impl<M> Shared<M> {
-    /// Lock, shrugging off poison: an actor panic mid-critical-section is
-    /// already recorded via `panicked`, and the kernel still needs the state
-    /// to shut down cleanly.
-    fn lock(&self) -> MutexGuard<'_, Inner<M>> {
-        self.inner.lock().unwrap_or_else(|e| e.into_inner())
-    }
-}
-
-/// Handle an actor uses to interact with the simulation.
-pub struct ActorCtx<M: Send + Clone + 'static> {
-    id: ActorId,
-    node: NodeId,
-    shared: Arc<Shared<M>>,
-    go_rx: Receiver<()>,
-    yield_tx: Sender<ActorId>,
-}
-
-impl<M: Send + Clone + 'static> ActorCtx<M> {
-    /// This actor's id (assigned in spawn order, starting at 0).
-    pub fn id(&self) -> ActorId {
-        self.id
-    }
-
-    /// The node this actor runs on.
-    pub fn node(&self) -> NodeId {
-        self.node
-    }
-
-    /// Current virtual time.
-    pub fn now(&self) -> SimTime {
-        self.shared.lock().now
-    }
-
-    /// The OS scheduling quantum of this actor's node. The runtime is
-    /// allowed to know this (it is an OS parameter, not a load measurement);
-    /// the paper's frequency rule requires the period to be ≥ 5 quanta.
-    pub fn os_quantum(&self) -> SimDuration {
-        self.shared.lock().nodes[self.node.0].quantum
-    }
-
-    /// Number of actors in the simulation.
-    pub fn actor_count(&self) -> usize {
-        self.shared.lock().states.len()
-    }
-
-    fn park(&self, wake_on_msg: bool, wake_at: Option<SimTime>) {
-        {
-            let mut inner = self.shared.lock();
-            let epoch = self.epoch_bump(&mut inner);
-            inner.states[self.id.0] = ActorState::Waiting { epoch, wake_on_msg };
-            if let Some(t) = wake_at {
-                inner.schedule_wake(t, self.id, epoch);
-            }
-        }
-        if self.yield_tx.send(self.id).is_err() {
-            shutdown_unwind();
-        }
-        if self.go_rx.recv().is_err() {
-            shutdown_unwind();
-        }
-    }
-
-    fn epoch_bump(&self, inner: &mut Inner<M>) -> u64 {
-        inner.epochs[self.id.0] += 1;
-        inner.epochs[self.id.0]
-    }
-
-    /// Consume `work` of CPU on this actor's node, advancing virtual time
-    /// according to the node's speed, quantum, and competing load.
-    pub fn advance_work(&self, work: CpuWork) {
-        if work.is_zero() {
-            return;
-        }
-        let finish = {
-            let mut inner = self.shared.lock();
-            let cfg = inner.nodes[self.node.0].clone();
-            let adv = cpu::advance(&cfg, inner.now, work);
-            let nm = &mut inner.node_metrics[self.node.0];
-            nm.app_cpu += work.dedicated_duration(cfg.speed);
-            nm.app_cpu_while_loaded += adv.cpu_while_loaded;
-            adv.finish
-        };
-        self.park(false, Some(finish));
-        // A freeze window may defer the wake past `finish`; time never runs
-        // backwards, so the actor simply resumes late.
-        debug_assert!(self.now() >= finish);
-    }
-
-    /// Wait for `d` of virtual time to pass without consuming CPU.
-    pub fn sleep(&self, d: SimDuration) {
-        if d.is_zero() {
-            return;
-        }
-        let wake = self.now() + d;
-        self.park(false, Some(wake));
-    }
-
-    /// Send `msg` (`bytes` on the wire) to `dst`. Charges the configured
-    /// marshalling CPU to this actor, then hands the message to the network.
-    /// Delivery is asynchronous; per-(src,dst) order is FIFO — including
-    /// under jitter and duplication faults.
-    pub fn send(&self, dst: ActorId, msg: M, bytes: u64) {
-        let send_cpu = {
-            let inner = self.shared.lock();
-            assert!(dst.0 < inner.states.len(), "send to unknown actor");
-            inner.net.send_cpu(bytes)
-        };
-        self.advance_work(send_cpu);
-        self.shared.lock().enqueue_send(self.id, dst, msg, bytes);
-    }
-
-    fn take_from_mailbox(
-        &self,
-        inner: &mut Inner<M>,
-        pred: &mut dyn FnMut(&M) -> bool,
-    ) -> Option<Envelope<M>> {
-        let mb = &mut inner.mailboxes[self.id.0];
-        let idx = mb.iter().position(|env| pred(&env.msg))?;
-        let env = mb.remove(idx).expect("index valid");
-        inner.actor_metrics[self.id.0].msgs_received += 1;
-        inner.actor_metrics[self.id.0].bytes_received += env.bytes;
-        Some(env)
-    }
-
-    fn charge_recv(&self) {
-        let cost = self.shared.lock().net.recv_cpu_per_msg;
-        self.advance_work(cost);
-    }
-
-    /// Receive the next message (FIFO per sender), blocking in virtual time.
-    pub fn recv(&self) -> Envelope<M> {
-        self.recv_match(|_| true)
-    }
-
-    /// Receive the first queued message matching `pred`, blocking until one
-    /// arrives.
-    pub fn recv_match(&self, mut pred: impl FnMut(&M) -> bool) -> Envelope<M> {
-        loop {
-            let got = {
-                let mut inner = self.shared.lock();
-                self.take_from_mailbox(&mut inner, &mut pred)
-            };
-            if let Some(env) = got {
-                self.charge_recv();
-                return env;
-            }
-            self.park(true, None);
-        }
-    }
-
-    /// Non-blocking receive of the first queued message matching `pred`.
-    pub fn try_recv_match(&self, mut pred: impl FnMut(&M) -> bool) -> Option<Envelope<M>> {
-        let got = {
-            let mut inner = self.shared.lock();
-            self.take_from_mailbox(&mut inner, &mut pred)
-        };
-        if got.is_some() {
-            self.charge_recv();
-        }
-        got
-    }
-
-    /// Non-blocking receive.
-    pub fn try_recv(&self) -> Option<Envelope<M>> {
-        self.try_recv_match(|_| true)
-    }
-
-    /// Receive a message matching `pred`, or return `None` once virtual time
-    /// reaches `deadline`.
-    pub fn recv_match_deadline(
-        &self,
-        mut pred: impl FnMut(&M) -> bool,
-        deadline: SimTime,
-    ) -> Option<Envelope<M>> {
-        loop {
-            let (got, now) = {
-                let mut inner = self.shared.lock();
-                let got = self.take_from_mailbox(&mut inner, &mut pred);
-                (got, inner.now)
-            };
-            if let Some(env) = got {
-                self.charge_recv();
-                return Some(env);
-            }
-            if now >= deadline {
-                return None;
-            }
-            self.park(true, Some(deadline));
-        }
-    }
-
-    /// Receive any message or time out at `deadline`.
-    pub fn recv_deadline(&self, deadline: SimTime) -> Option<Envelope<M>> {
-        self.recv_match_deadline(|_| true, deadline)
-    }
-}
-
-/// Drops a "panicked" notification to the kernel if the actor unwinds, so
-/// the kernel can stop and propagate the panic instead of hanging. Quiet
-/// shutdown unwinds (kernel teardown, crashed nodes) are not panics.
-struct PanicGuard<M: Send + Clone + 'static> {
-    id: ActorId,
-    shared: Arc<Shared<M>>,
-    yield_tx: Sender<ActorId>,
-}
-
-impl<M: Send + Clone + 'static> Drop for PanicGuard<M> {
-    fn drop(&mut self) {
-        let panicking = std::thread::panicking();
-        let quiet = SHUTDOWN_UNWIND.with(|c| c.get());
-        {
-            let mut inner = self.shared.lock();
-            if panicking && !quiet {
-                inner.states[self.id.0] = ActorState::Panicked;
-                inner.panicked = Some(self.id);
-            } else if !panicking {
-                inner.states[self.id.0] = ActorState::Done;
-            }
-            // Quiet unwind: leave the state (Waiting/Crashed) as recorded.
-        }
-        let _ = self.yield_tx.send(self.id);
-    }
-}
-
 // ---------------------------------------------------------------------------
-// Mailbox actors: resumable state machines instead of parked OS threads.
+// Mailbox actors: resumable state machines, not OS threads.
 //
-// A mailbox actor is an `async fn` driven by the kernel as a compiler-built
-// state machine. Every `MailCtx` operation parks at *exactly* the points the
-// blocking `ActorCtx` equivalent would (same wake events, same seq draws),
-// so a simulation produces the identical `(time, seq)` event stream — and
-// therefore the identical trace hash — whichever API its actors use.
+// An actor is an `async fn` driven by the kernel as a compiler-built state
+// machine. Every `MailCtx` operation parks at a fixed set of points (one
+// wake event and one seq draw per park), so an actor body determines its
+// `(time, seq)` event stream — and therefore the trace hash — exactly.
 //
-// During a poll an actor touches only its own `ActorLocal` (mailbox, clock
-// snapshot, effect buffer). All globally-ordered side effects — network
-// sends, metrics, the park itself — are buffered as `LocalEffect`s and
-// applied by the kernel thread afterwards, in wake-sequence order. Polls
-// are therefore pure with respect to kernel state, which is what makes it
-// safe to run a batch of same-timestamp polls on the worker pool in
-// parallel: the observable outcome is the same as polling them one by one.
+// Ownership rule: the kernel thread owns `Inner` (clock, queues, metrics,
+// fault RNG) as a plain value; during a poll an actor touches only its own
+// `ActorLocal` (mailbox, clock snapshot, effect buffer). All globally-ordered
+// side effects — network sends, metrics, the park itself — are buffered as
+// `LocalEffect`s and applied by the kernel thread afterwards, in
+// wake-sequence order. Polls are therefore pure with respect to kernel
+// state, which is what makes it safe to run a batch of same-timestamp polls
+// on the worker pool in parallel: the observable outcome is the same as
+// polling them one by one.
 // ---------------------------------------------------------------------------
 
 /// Lock an actor-local, shrugging off poison (a panicked poll is already
@@ -738,7 +470,7 @@ struct ParkReq {
     wake_at: Option<SimTime>,
 }
 
-/// State owned by one mailbox actor, shared between its `MailCtx` and the
+/// State owned by one actor, shared between its `MailCtx` and the
 /// kernel. The kernel writes `now` and `mailbox` only while the actor is
 /// parked; the actor writes `effects` and `park` only while being polled.
 struct ActorLocal<M> {
@@ -777,11 +509,10 @@ impl<M> Future for ParkOnce<M> {
     }
 }
 
-/// Handle a mailbox actor uses to interact with the simulation: the async
-/// mirror of [`ActorCtx`], with identical virtual-time semantics. Await
-/// only futures returned by this context — foreign futures have no way to
-/// park in virtual time, and the kernel treats a `Pending` without a park
-/// request as a bug.
+/// Handle an actor uses to interact with the simulation. Await only
+/// futures returned by this context — foreign futures have no way to park
+/// in virtual time, and the kernel treats a `Pending` without a park request
+/// as a bug.
 pub struct MailCtx<M: Send + Clone + 'static> {
     local: Arc<Mutex<ActorLocal<M>>>,
 }
@@ -851,11 +582,11 @@ impl<M: Send + Clone + 'static> MailCtx<M> {
             return;
         }
         let finish = {
-            let mut local = self.lock();
-            let cfg = local.node_cfg.clone();
-            let adv = cpu::advance(&cfg, local.now, work);
+            let mut guard = self.lock();
+            let local = &mut *guard;
+            let adv = cpu::advance(&local.node_cfg, local.now, work);
             local.effects.push(LocalEffect::Cpu {
-                app: work.dedicated_duration(cfg.speed),
+                app: work.dedicated_duration(local.node_cfg.speed),
                 loaded: adv.cpu_while_loaded,
             });
             adv.finish
@@ -965,13 +696,10 @@ impl<M: Send + Clone + 'static> MailCtx<M> {
     }
 }
 
-/// A mailbox actor's kernel-side cell: its state machine plus the local
-/// state the machine runs against. Shipped to a pool worker for polling and
-/// shipped back with the outcome.
-struct MailCell<M> {
-    future: Pin<Box<dyn Future<Output = ()> + Send>>,
-    local: Arc<Mutex<ActorLocal<M>>>,
-}
+/// An actor's state machine. Shipped to a pool worker for polling and
+/// shipped back with the outcome; the `ActorLocal` it runs against stays
+/// reachable from the kernel thread throughout.
+type ActorFuture = Pin<Box<dyn Future<Output = ()> + Send>>;
 
 enum PollOutcome {
     Ready,
@@ -987,44 +715,36 @@ impl Wake for NoopWake {
     fn wake(self: Arc<Self>) {}
 }
 
-fn poll_cell<M>(cell: &mut MailCell<M>, waker: &Waker) -> PollOutcome {
+fn poll_actor(future: &mut ActorFuture, waker: &Waker) -> PollOutcome {
     let mut cx = Context::from_waker(waker);
-    match catch_unwind(AssertUnwindSafe(|| cell.future.as_mut().poll(&mut cx))) {
+    match catch_unwind(AssertUnwindSafe(|| future.as_mut().poll(&mut cx))) {
         Ok(Poll::Ready(())) => PollOutcome::Ready,
         Ok(Poll::Pending) => PollOutcome::Pending,
         Err(p) => PollOutcome::Panicked(p),
     }
 }
 
-struct PoolJob<M> {
+struct PoolJob {
     slot: usize,
-    cell: MailCell<M>,
+    future: ActorFuture,
 }
 
-struct PoolDone<M> {
+struct PoolDone {
     slot: usize,
-    cell: MailCell<M>,
+    future: ActorFuture,
     outcome: PollOutcome,
 }
 
-type ActorFn<M> = Box<dyn FnOnce(ActorCtx<M>) + Send + 'static>;
-
-/// Eagerly-constructed mailbox actor body: called once at spawn time to
+/// Eagerly-constructed actor body: called once at spawn time to
 /// build the state machine (an `async fn` body runs no user code until its
 /// first poll, which the kernel issues at the t = 0 seed wake).
-type MailFn<M> =
-    Box<dyn FnOnce(MailCtx<M>) -> Pin<Box<dyn Future<Output = ()> + Send>> + Send + 'static>;
-
-enum ActorKind<M: Send + Clone + 'static> {
-    Blocking(ActorFn<M>),
-    Mail(MailFn<M>),
-}
+type MailFn<M> = Box<dyn FnOnce(MailCtx<M>) -> ActorFuture + Send + 'static>;
 
 /// Builder for a simulation: declare nodes, spawn actors, then [`SimBuilder::run`].
 pub struct SimBuilder<M: Send + Clone + 'static> {
     nodes: Vec<NodeConfig>,
     net: NetConfig,
-    actors: Vec<(NodeId, String, ActorKind<M>)>,
+    actors: Vec<(NodeId, String, MailFn<M>)>,
     node_used: Vec<bool>,
     max_events: u64,
     fault: Option<FaultPlan>,
@@ -1054,7 +774,7 @@ impl<M: Send + Clone + 'static> SimBuilder<M> {
         }
     }
 
-    /// Size of the worker pool that polls mailbox actors (default
+    /// Size of the worker pool that polls actors (default
     /// `min(8, available cores)`; `0` polls inline on the kernel thread).
     /// Pool size never affects results — only wall-clock time.
     pub fn worker_threads(mut self, n: usize) -> Self {
@@ -1113,36 +833,17 @@ impl<M: Send + Clone + 'static> SimBuilder<M> {
         self.node_used[node.0] = true;
     }
 
-    /// Spawn a blocking actor on `node` (one dedicated OS thread). Exactly
-    /// one actor may run per node: the CPU model charges all of a node's
-    /// application CPU to a single process.
-    pub fn spawn(
-        &mut self,
-        node: NodeId,
-        name: impl Into<String>,
-        f: impl FnOnce(ActorCtx<M>) + Send + 'static,
-    ) -> ActorId {
-        self.claim_node(node);
-        self.actors
-            .push((node, name.into(), ActorKind::Blocking(Box::new(f))));
-        ActorId(self.actors.len() - 1)
-    }
-
-    /// Spawn a mailbox actor on `node`: an async state machine multiplexed
-    /// over the bounded worker pool instead of a dedicated OS thread. Same
-    /// virtual-time semantics as [`SimBuilder::spawn`] — a simulation
-    /// produces the identical event trace whichever flavor its actors use.
+    /// Spawn an actor on `node`: an async state machine multiplexed over the
+    /// bounded worker pool. Exactly one actor may run per node: the CPU
+    /// model charges all of a node's application CPU to a single process.
     pub fn spawn_mail<F, Fut>(&mut self, node: NodeId, name: impl Into<String>, f: F) -> ActorId
     where
         F: FnOnce(MailCtx<M>) -> Fut + Send + 'static,
         Fut: Future<Output = ()> + Send + 'static,
     {
         self.claim_node(node);
-        self.actors.push((
-            node,
-            name.into(),
-            ActorKind::Mail(Box::new(move |ctx| Box::pin(f(ctx)))),
-        ));
+        self.actors
+            .push((node, name.into(), Box::new(move |ctx| Box::pin(f(ctx)))));
         ActorId(self.actors.len() - 1)
     }
 
@@ -1151,32 +852,49 @@ impl<M: Send + Clone + 'static> SimBuilder<M> {
     /// Panics if an actor panics (the panic is propagated), if the
     /// simulation deadlocks (all actors blocked with no pending events), or
     /// if the event budget is exhausted. Crashed nodes do not count as
-    /// deadlocked or panicked: their actors are torn down quietly.
+    /// deadlocked or panicked: their actors are dropped quietly.
     pub fn run(self) -> SimReport {
-        install_quiet_panic_hook();
         let n_actors = self.actors.len();
         assert!(n_actors > 0, "no actors spawned");
-        let names: Vec<String> = self.actors.iter().map(|(_, n, _)| n.clone()).collect();
-        let is_mail: Vec<bool> = self
-            .actors
-            .iter()
-            .map(|(_, _, k)| matches!(k, ActorKind::Mail(_)))
-            .collect();
-        let n_blocking = is_mail.iter().filter(|&&m| !m).count();
+        let n_nodes = self.nodes.len();
         let actor_nodes: Vec<NodeId> = self.actors.iter().map(|(n, _, _)| *n).collect();
-        let mut node_actor: Vec<Option<ActorId>> = vec![None; self.nodes.len()];
-        for (i, (n, _, _)) in self.actors.iter().enumerate() {
+        let mut node_actor: Vec<Option<ActorId>> = vec![None; n_nodes];
+        for (i, n) in actor_nodes.iter().enumerate() {
             node_actor[n.0] = Some(ActorId(i));
         }
-        let node_cfgs = self.nodes.clone();
-        let net_cfg = self.net.clone();
 
+        let mut names: Vec<String> = Vec::with_capacity(n_actors);
+        let mut futures: Vec<Option<ActorFuture>> = Vec::with_capacity(n_actors);
+        let mut locals: Vec<Arc<Mutex<ActorLocal<M>>>> = Vec::with_capacity(n_actors);
+        for (i, (node, name, f)) in self.actors.into_iter().enumerate() {
+            let local = Arc::new(Mutex::new(ActorLocal {
+                id: ActorId(i),
+                node,
+                n_actors,
+                now: SimTime::ZERO,
+                node_cfg: self.nodes[node.0].clone(),
+                net: self.net.clone(),
+                mailbox: VecDeque::new(),
+                effects: Vec::new(),
+                park: None,
+            }));
+            // Building the future runs no user code (async bodies are
+            // inert until polled); the t = 0 seed wake issues the first
+            // poll.
+            futures.push(Some(f(MailCtx {
+                local: Arc::clone(&local),
+            })));
+            locals.push(local);
+            names.push(name);
+        }
+
+        // Owned by this (the kernel) thread alone: actors reach it only
+        // through the effects they buffer in their `ActorLocal`.
         let mut inner = Inner {
             now: SimTime::ZERO,
             seq: 0,
             heap: BinaryHeap::new(),
             wheel: TimerWheel::new(),
-            mailboxes: (0..n_actors).map(|_| VecDeque::new()).collect(),
             states: vec![
                 ActorState::Waiting {
                     epoch: 0,
@@ -1191,12 +909,11 @@ impl<M: Send + Clone + 'static> SimBuilder<M> {
             last_arrival: vec![SimTime::ZERO; n_actors * n_actors],
             actor_nodes,
             node_actor,
-            crashed_nodes: vec![false; node_cfgs.len()],
+            crashed_nodes: vec![false; n_nodes],
             actor_metrics: vec![ActorMetrics::default(); n_actors],
-            node_metrics: vec![NodeMetrics::default(); node_cfgs.len()],
+            node_metrics: vec![NodeMetrics::default(); n_nodes],
             events_processed: 0,
             max_events: self.max_events,
-            panicked: None,
             fault: self.fault.map(FaultRuntime::new),
             trace_hash: FNV_OFFSET,
             tracer: Tracer {
@@ -1214,103 +931,25 @@ impl<M: Send + Clone + 'static> SimBuilder<M> {
         if let Some(f) = &inner.fault {
             let crashes = f.plan.crashes();
             for (node, t) in crashes {
-                assert!(
-                    node < node_cfgs.len(),
-                    "fault plan crashes unknown node {node}"
-                );
+                assert!(node < n_nodes, "fault plan crashes unknown node {node}");
                 inner.push_event(t, EventKind::Crash { node: NodeId(node) });
             }
         }
-        let shared = Arc::new(Shared {
-            inner: Mutex::new(inner),
-        });
 
-        let (yield_tx, yield_rx) = channel::<ActorId>();
-        let mut go_txs: Vec<Option<SyncSender<()>>> = (0..n_actors).map(|_| None).collect();
-        let mut handles: Vec<Option<std::thread::JoinHandle<()>>> =
-            (0..n_actors).map(|_| None).collect();
-        let mut cells: Vec<Option<MailCell<M>>> = (0..n_actors).map(|_| None).collect();
-        let mut locals: Vec<Option<Arc<Mutex<ActorLocal<M>>>>> =
-            (0..n_actors).map(|_| None).collect();
-        for (i, (node, name, kind)) in self.actors.into_iter().enumerate() {
-            match kind {
-                ActorKind::Blocking(f) => {
-                    let (go_tx, go_rx) = sync_channel::<()>(1);
-                    go_txs[i] = Some(go_tx);
-                    let ctx = ActorCtx {
-                        id: ActorId(i),
-                        node,
-                        shared: Arc::clone(&shared),
-                        go_rx,
-                        yield_tx: yield_tx.clone(),
-                    };
-                    let guard_shared = Arc::clone(&shared);
-                    let guard_tx = yield_tx.clone();
-                    let builder = std::thread::Builder::new().name(format!("sim-{i}-{name}"));
-                    handles[i] = Some(
-                        builder
-                            .spawn(move || {
-                                let _guard = PanicGuard {
-                                    id: ActorId(i),
-                                    shared: guard_shared,
-                                    yield_tx: guard_tx,
-                                };
-                                // Wait for the first wake.
-                                if ctx.go_rx.recv().is_err() {
-                                    shutdown_unwind();
-                                }
-                                f(ctx);
-                            })
-                            .expect("spawn actor thread"),
-                    );
-                }
-                ActorKind::Mail(f) => {
-                    let local = Arc::new(Mutex::new(ActorLocal {
-                        id: ActorId(i),
-                        node,
-                        n_actors,
-                        now: SimTime::ZERO,
-                        node_cfg: node_cfgs[node.0].clone(),
-                        net: net_cfg.clone(),
-                        mailbox: VecDeque::new(),
-                        effects: Vec::new(),
-                        park: None,
-                    }));
-                    let ctx = MailCtx {
-                        local: Arc::clone(&local),
-                    };
-                    // Building the future runs no user code (async bodies
-                    // are inert until polled); the t = 0 seed wake issues
-                    // the first poll.
-                    cells[i] = Some(MailCell {
-                        future: f(ctx),
-                        local: Arc::clone(&local),
-                    });
-                    locals[i] = Some(local);
-                }
-            }
-        }
-        drop(yield_tx);
-
-        // Bounded worker pool for mailbox polls. Per-worker job channels
+        // Bounded worker pool for actor polls. Per-worker job channels
         // (round-robin dispatch) keep job pickup unserialized; one shared
         // results channel funnels outcomes back to the kernel thread.
-        let n_mail = n_actors - n_blocking;
-        let pool_size = if n_mail == 0 {
-            0
-        } else {
-            self.worker_threads.unwrap_or_else(|| {
-                std::thread::available_parallelism()
-                    .map(|n| n.get())
-                    .unwrap_or(8)
-                    .min(8)
-            })
-        };
-        let (pool_res_tx, pool_res_rx) = channel::<PoolDone<M>>();
-        let mut pool_job_txs: Vec<Sender<PoolJob<M>>> = Vec::with_capacity(pool_size);
+        let pool_size = self.worker_threads.unwrap_or_else(|| {
+            std::thread::available_parallelism()
+                .map(|n| n.get())
+                .unwrap_or(8)
+                .min(8)
+        });
+        let (pool_res_tx, pool_res_rx) = channel::<PoolDone>();
+        let mut pool_job_txs: Vec<Sender<PoolJob>> = Vec::with_capacity(pool_size);
         let mut pool_handles = Vec::with_capacity(pool_size);
         for w in 0..pool_size {
-            let (job_tx, job_rx) = channel::<PoolJob<M>>();
+            let (job_tx, job_rx) = channel::<PoolJob>();
             pool_job_txs.push(job_tx);
             let res_tx = pool_res_tx.clone();
             pool_handles.push(
@@ -1319,11 +958,11 @@ impl<M: Send + Clone + 'static> SimBuilder<M> {
                     .spawn(move || {
                         let waker = Waker::from(Arc::new(NoopWake));
                         while let Ok(mut job) = job_rx.recv() {
-                            let outcome = poll_cell(&mut job.cell, &waker);
+                            let outcome = poll_actor(&mut job.future, &waker);
                             if res_tx
                                 .send(PoolDone {
                                     slot: job.slot,
-                                    cell: job.cell,
+                                    future: job.future,
                                     outcome,
                                 })
                                 .is_err()
@@ -1340,394 +979,273 @@ impl<M: Send + Clone + 'static> SimBuilder<M> {
         let waker = Waker::from(Arc::new(NoopWake));
         let mut sched = SchedStats {
             pool_workers: pool_size,
-            os_threads_peak: 1 + pool_size + n_blocking,
+            os_threads_peak: 1 + pool_size,
             ..SchedStats::default()
         };
-        let mut async_panic: Option<Box<dyn std::any::Any + Send>> = None;
-        let mut thread_panic: Option<Box<dyn std::any::Any + Send>> = None;
+        let mut panic: Option<Box<dyn std::any::Any + Send>> = None;
 
-        enum Dispatch {
-            /// Same-timestamp mailbox polls, applied in wake-seq order.
-            Batch(Vec<usize>, SimTime),
-            /// Hand the execution token to a blocking actor.
-            Go(usize),
-            /// Tear down a crashed blocking actor's parked thread.
-            Reap(usize),
-            /// Simulation over (all done, deadlock assert, or panic).
-            Stop,
-        }
-
-        // Kernel loop: under the lock, collect the next dispatch — either a
-        // batch of same-timestamp mailbox polls or a single blocking-actor
-        // handoff — then execute it outside the lock (the blocking handoff
-        // and thread teardown both need actor threads to take the lock).
-        loop {
-            let dispatch = {
-                let mut inner = shared.lock();
-                if inner.panicked.is_some() {
-                    Dispatch::Stop
-                } else if inner
-                    .states
-                    .iter()
-                    .all(|s| matches!(s, ActorState::Done | ActorState::Crashed))
-                {
-                    // Once every actor has finished (or crashed), stop
-                    // without draining stale events (e.g. deadline wakes
-                    // scheduled past the end of the run) so they cannot
-                    // inflate `end_time`.
-                    Dispatch::Stop
-                } else {
-                    let mut batch: Vec<usize> = Vec::new();
-                    let mut batch_time = SimTime::ZERO;
-                    let mut single: Option<Dispatch> = None;
-                    loop {
-                        // Merge the wheel (wakes) and the heap (deliveries,
-                        // crashes) by the shared `(time, seq)` key.
-                        let wheel_key = inner.wheel.peek_key();
-                        let heap_key = inner.heap.peek().map(|e| (e.time, e.seq));
-                        let from_wheel = match (wheel_key, heap_key) {
-                            (None, None) => break,
-                            (Some(_), None) => true,
-                            (None, Some(_)) => false,
-                            (Some(w), Some(h)) => w < h,
-                        };
-                        if from_wheel {
-                            let entry = inner.wheel.peek_entry().expect("non-empty wheel");
-                            if !batch.is_empty() && entry.time != batch_time {
-                                break;
-                            }
-                            // Freeze windows: wakes targeting a frozen node
-                            // are deferred to the thaw, preserving order.
-                            let tnode = inner.actor_nodes[entry.actor].0;
-                            let thaw = inner
-                                .fault
-                                .as_ref()
-                                .and_then(|f| f.plan.thaw_time(tnode, entry.time));
-                            if let Some(t) = thaw {
-                                if !batch.is_empty() {
-                                    // The re-push consumes a seq; pending
-                                    // batch effects must claim theirs first.
-                                    break;
-                                }
-                                let e = inner.wheel.pop_min().expect("non-empty wheel");
-                                if let Some(f) = inner.fault.as_mut() {
-                                    f.stats.freeze_deferrals += 1;
-                                }
-                                inner.schedule_wake(t, ActorId(e.actor), e.epoch);
-                                continue;
-                            }
-                            // A batched actor's park must be applied before
-                            // a second wake of it can be judged for
-                            // staleness.
-                            if batch.contains(&entry.actor) {
-                                break;
-                            }
-                            let live = matches!(
-                                inner.states[entry.actor],
-                                ActorState::Waiting { epoch, .. } if epoch == entry.epoch
-                            );
-                            if live && !is_mail[entry.actor] && !batch.is_empty() {
-                                // A blocking actor takes the token alone.
-                                break;
-                            }
-                            let e = inner.wheel.pop_min().expect("non-empty wheel");
-                            inner.process_wake_meta(e.time, ActorId(e.actor));
-                            if !live {
-                                // Superseded park epoch (or crashed actor):
-                                // a pure pop — counted and hashed like the
-                                // sequential kernel, no state touched — so
-                                // consuming it mid-batch is safe.
-                                sched.stale_wakes += 1;
-                                continue;
-                            }
-                            sched.wakeups += 1;
-                            inner.states[e.actor] = ActorState::Running;
-                            if is_mail[e.actor] {
-                                batch_time = e.time;
-                                batch.push(e.actor);
-                                continue;
-                            }
-                            single = Some(Dispatch::Go(e.actor));
-                            break;
-                        }
-                        // Heap events mutate shared state (mailboxes, node
-                        // liveness), so they are a batch barrier.
+        // Kernel loop: collect the next batch of same-timestamp polls, run
+        // it (inline or on the pool), then apply its buffered effects.
+        'run: loop {
+            if inner
+                .states
+                .iter()
+                .all(|s| matches!(s, ActorState::Done | ActorState::Crashed))
+            {
+                // Once every actor has finished (or crashed), stop without
+                // draining stale events (e.g. deadline wakes scheduled past
+                // the end of the run) so they cannot inflate `end_time`.
+                break;
+            }
+            let mut batch: Vec<usize> = Vec::new();
+            let mut batch_time = SimTime::ZERO;
+            loop {
+                // Merge the wheel (wakes) and the heap (deliveries,
+                // crashes) by the shared `(time, seq)` key.
+                let wheel_key = inner.wheel.peek_key();
+                let heap_key = inner.heap.peek().map(|e| (e.time, e.seq));
+                let from_wheel = match (wheel_key, heap_key) {
+                    (None, None) => break,
+                    (Some(_), None) => true,
+                    (None, Some(_)) => false,
+                    (Some(w), Some(h)) => w < h,
+                };
+                if from_wheel {
+                    let entry = inner.wheel.peek_entry().expect("non-empty wheel");
+                    if !batch.is_empty() && entry.time != batch_time {
+                        break;
+                    }
+                    // Freeze windows: wakes targeting a frozen node are
+                    // deferred to the thaw, preserving order.
+                    let tnode = inner.actor_nodes[entry.actor].0;
+                    let thaw = inner
+                        .fault
+                        .as_ref()
+                        .and_then(|f| f.plan.thaw_time(tnode, entry.time));
+                    if let Some(t) = thaw {
                         if !batch.is_empty() {
+                            // The re-push consumes a seq; pending batch
+                            // effects must claim theirs first.
                             break;
                         }
-                        let ev_time = inner.heap.peek().expect("non-empty heap").time;
-                        let target_node = match &inner.heap.peek().expect("non-empty heap").kind {
-                            EventKind::Deliver { dst, .. } => Some(inner.actor_nodes[dst.0].0),
-                            EventKind::Crash { .. } => None,
-                        };
-                        let thaw = target_node.and_then(|n| {
-                            inner
-                                .fault
-                                .as_ref()
-                                .and_then(|f| f.plan.thaw_time(n, ev_time))
-                        });
-                        if let Some(t) = thaw {
-                            let ev = inner.heap.pop().expect("non-empty heap");
+                        let e = inner.wheel.pop_min().expect("non-empty wheel");
+                        if let Some(f) = inner.fault.as_mut() {
+                            f.stats.freeze_deferrals += 1;
+                        }
+                        inner.schedule_wake(t, ActorId(e.actor), e.epoch);
+                        continue;
+                    }
+                    // A batched actor's park must be applied before a
+                    // second wake of it can be judged for staleness.
+                    if batch.contains(&entry.actor) {
+                        break;
+                    }
+                    let live = matches!(
+                        inner.states[entry.actor],
+                        ActorState::Waiting { epoch, .. } if epoch == entry.epoch
+                    );
+                    let e = inner.wheel.pop_min().expect("non-empty wheel");
+                    inner.process_wake_meta(e.time, ActorId(e.actor));
+                    if !live {
+                        // Superseded park epoch (or crashed actor): a pure
+                        // pop — counted and hashed like any wake, no state
+                        // touched — so consuming it mid-batch is safe.
+                        sched.stale_wakes += 1;
+                        continue;
+                    }
+                    sched.wakeups += 1;
+                    inner.states[e.actor] = ActorState::Running;
+                    batch_time = e.time;
+                    batch.push(e.actor);
+                    continue;
+                }
+                // Heap events mutate shared state (mailboxes, node
+                // liveness), so they are a batch barrier.
+                if !batch.is_empty() {
+                    break;
+                }
+                let ev_time = inner.heap.peek().expect("non-empty heap").time;
+                let target_node = match &inner.heap.peek().expect("non-empty heap").kind {
+                    EventKind::Deliver { dst, .. } => Some(inner.actor_nodes[dst.0].0),
+                    EventKind::Crash { .. } => None,
+                };
+                let thaw = target_node.and_then(|n| {
+                    inner
+                        .fault
+                        .as_ref()
+                        .and_then(|f| f.plan.thaw_time(n, ev_time))
+                });
+                if let Some(t) = thaw {
+                    let ev = inner.heap.pop().expect("non-empty heap");
+                    if let Some(f) = inner.fault.as_mut() {
+                        f.stats.freeze_deferrals += 1;
+                    }
+                    inner.push_event(t, ev.kind);
+                    continue;
+                }
+                let ev = inner.heap.pop().expect("non-empty heap");
+                inner.process_heap_meta(&ev);
+                match ev.kind {
+                    EventKind::Deliver { dst, env } => {
+                        if inner.crashed_nodes[inner.actor_nodes[dst.0].0] {
                             if let Some(f) = inner.fault.as_mut() {
-                                f.stats.freeze_deferrals += 1;
+                                f.stats.deliveries_to_crashed += 1;
                             }
-                            inner.push_event(t, ev.kind);
                             continue;
                         }
-                        let ev = inner.heap.pop().expect("non-empty heap");
-                        inner.process_heap_meta(&ev);
-                        match ev.kind {
-                            EventKind::Deliver { dst, env } => {
-                                if inner.crashed_nodes[inner.actor_nodes[dst.0].0] {
-                                    if let Some(f) = inner.fault.as_mut() {
-                                        f.stats.deliveries_to_crashed += 1;
-                                    }
-                                    continue;
-                                }
-                                if is_mail[dst.0] {
-                                    let local = locals[dst.0].as_ref().expect("mail local");
-                                    lock_local(local).mailbox.push_back(env);
-                                } else {
-                                    inner.mailboxes[dst.0].push_back(env);
-                                }
-                                if let ActorState::Waiting {
-                                    epoch,
-                                    wake_on_msg: true,
-                                } = inner.states[dst.0]
-                                {
-                                    let now = inner.now;
-                                    inner.schedule_wake(now, dst, epoch);
-                                }
+                        lock_local(&locals[dst.0]).mailbox.push_back(env);
+                        if let ActorState::Waiting {
+                            epoch,
+                            wake_on_msg: true,
+                        } = inner.states[dst.0]
+                        {
+                            let now = inner.now;
+                            inner.schedule_wake(now, dst, epoch);
+                        }
+                    }
+                    EventKind::Crash { node } => {
+                        inner.crashed_nodes[node.0] = true;
+                        if let Some(f) = inner.fault.as_mut() {
+                            f.stats.crashed_nodes.push(node.0);
+                        }
+                        if let Some(a) = inner.node_actor[node.0] {
+                            if !matches!(inner.states[a.0], ActorState::Done) {
+                                inner.states[a.0] = ActorState::Crashed;
                             }
-                            EventKind::Crash { node } => {
-                                inner.crashed_nodes[node.0] = true;
-                                if let Some(f) = inner.fault.as_mut() {
-                                    f.stats.crashed_nodes.push(node.0);
-                                }
-                                if let Some(a) = inner.node_actor[node.0] {
-                                    let was_parked =
-                                        matches!(inner.states[a.0], ActorState::Waiting { .. });
-                                    if !matches!(inner.states[a.0], ActorState::Done) {
-                                        inner.states[a.0] = ActorState::Crashed;
-                                    }
-                                    // Anything queued for it will never be
-                                    // read.
-                                    inner.mailboxes[a.0].clear();
-                                    if is_mail[a.0] {
-                                        // Dropping the cell drops the state
-                                        // machine: no thread to unwedge.
-                                        cells[a.0] = None;
-                                        if let Some(l) = locals[a.0].as_ref() {
-                                            lock_local(l).mailbox.clear();
-                                        }
-                                    } else if was_parked && handles[a.0].is_some() {
-                                        // Its OS thread is parked mid-call;
-                                        // tear it down explicitly (outside
-                                        // the lock) instead of leaking it
-                                        // until end-of-run teardown.
-                                        single = Some(Dispatch::Reap(a.0));
-                                        break;
-                                    }
-                                }
-                            }
-                        }
-                    }
-                    match single {
-                        Some(d) => d,
-                        None if !batch.is_empty() => {
-                            sched.batches += 1;
-                            sched.max_batch = sched.max_batch.max(batch.len());
-                            sched.polls += batch.len() as u64;
-                            Dispatch::Batch(batch, batch_time)
-                        }
-                        None => {
-                            // Nothing pending: everyone must be done (or
-                            // crashed), otherwise the simulation deadlocked.
-                            let stuck: Vec<String> = inner
-                                .states
-                                .iter()
-                                .enumerate()
-                                .filter(|(_, s)| {
-                                    !matches!(s, ActorState::Done | ActorState::Crashed)
-                                })
-                                .map(|(i, s)| format!("{} ({:?})", names[i], s))
-                                .collect();
-                            assert!(
-                                stuck.is_empty(),
-                                "simulation deadlock at {}: no events pending but actors blocked: {}",
-                                inner.now,
-                                stuck.join(", ")
-                            );
-                            Dispatch::Stop
+                            // Dropping the future drops the state machine;
+                            // anything queued for it will never be read.
+                            futures[a.0] = None;
+                            lock_local(&locals[a.0]).mailbox.clear();
                         }
                     }
                 }
-            };
-            match dispatch {
-                Dispatch::Stop => break,
-                Dispatch::Go(a) => {
-                    go_txs[a]
-                        .as_ref()
-                        .expect("blocking actor has a control channel")
-                        .send(())
-                        .expect("actor thread gone");
-                    // Wait for the actor to yield, finish, or panic.
-                    yield_rx.recv().expect("all actors gone");
-                }
-                Dispatch::Reap(a) => {
-                    // The thread is parked in `go_rx.recv()`. Closing its
-                    // channel makes it unwind quietly; the PanicGuard posts
-                    // a final yield on the way out, which we consume before
-                    // joining so the yield channel stays in sync.
-                    drop(go_txs[a].take());
-                    let h = handles[a].take().expect("reap checked the handle");
-                    let yielded = yield_rx.recv().expect("crashed actor must yield");
-                    debug_assert_eq!(yielded, ActorId(a));
-                    if let Err(p) = h.join() {
-                        if !p.is::<ShutdownUnwind>() && thread_panic.is_none() {
-                            thread_panic = Some(p);
-                        }
-                    }
-                    sched.threads_reaped += 1;
-                }
-                Dispatch::Batch(batch, batch_time) => {
-                    let mut results: Vec<(usize, MailCell<M>, PollOutcome)> =
-                        Vec::with_capacity(batch.len());
-                    if batch.len() == 1 || pool_job_txs.is_empty() {
-                        // Polls are pure, so polling inline is semantically
-                        // identical to a pool round trip — just cheaper.
-                        for &a in &batch {
-                            let mut cell = cells[a].take().expect("batched mail cell");
-                            lock_local(&cell.local).now = batch_time;
-                            let outcome = poll_cell(&mut cell, &waker);
-                            results.push((a, cell, outcome));
-                        }
-                    } else {
-                        for (slot, &a) in batch.iter().enumerate() {
-                            let cell = cells[a].take().expect("batched mail cell");
-                            lock_local(&cell.local).now = batch_time;
-                            pool_job_txs[slot % pool_job_txs.len()]
-                                .send(PoolJob { slot, cell })
-                                .expect("pool worker gone");
-                        }
-                        let mut slots: Vec<Option<(MailCell<M>, PollOutcome)>> =
-                            (0..batch.len()).map(|_| None).collect();
-                        for _ in 0..batch.len() {
-                            let done = pool_res_rx.recv().expect("pool worker gone");
-                            slots[done.slot] = Some((done.cell, done.outcome));
-                        }
-                        for (slot, got) in slots.into_iter().enumerate() {
-                            let (cell, outcome) = got.expect("every slot reports back");
-                            results.push((batch[slot], cell, outcome));
-                        }
-                    }
+            }
+            if batch.is_empty() {
+                // Nothing pending: everyone must be done (or crashed),
+                // otherwise the simulation deadlocked.
+                let stuck: Vec<String> = inner
+                    .states
+                    .iter()
+                    .enumerate()
+                    .filter(|(_, s)| !matches!(s, ActorState::Done | ActorState::Crashed))
+                    .map(|(i, s)| format!("{} ({:?})", names[i], s))
+                    .collect();
+                assert!(
+                    stuck.is_empty(),
+                    "simulation deadlock at {}: no events pending but actors blocked: {}",
+                    inner.now,
+                    stuck.join(", ")
+                );
+                break;
+            }
+            sched.batches += 1;
+            sched.max_batch = sched.max_batch.max(batch.len());
+            sched.polls += batch.len() as u64;
 
-                    // Apply buffered effects in wake-seq order — the step
-                    // that makes a parallel batch observationally identical
-                    // to polling its members one at a time.
-                    let mut inner = shared.lock();
-                    for (a, cell, outcome) in results {
-                        let mut local = lock_local(&cell.local);
-                        for eff in local.effects.drain(..) {
-                            match eff {
-                                LocalEffect::Send { dst, msg, bytes } => {
-                                    inner.enqueue_send(ActorId(a), dst, msg, bytes);
-                                }
-                                LocalEffect::Recv { bytes } => {
-                                    inner.actor_metrics[a].msgs_received += 1;
-                                    inner.actor_metrics[a].bytes_received += bytes;
-                                }
-                                LocalEffect::Cpu { app, loaded } => {
-                                    let n = inner.actor_nodes[a].0;
-                                    inner.node_metrics[n].app_cpu += app;
-                                    inner.node_metrics[n].app_cpu_while_loaded += loaded;
-                                }
-                            }
+            let mut results: Vec<(usize, ActorFuture, PollOutcome)> =
+                Vec::with_capacity(batch.len());
+            if batch.len() == 1 || pool_job_txs.is_empty() {
+                // Polls are pure, so polling inline is semantically
+                // identical to a pool round trip — just cheaper.
+                for &a in &batch {
+                    let mut future = futures[a].take().expect("batched actor future");
+                    lock_local(&locals[a]).now = batch_time;
+                    let outcome = poll_actor(&mut future, &waker);
+                    results.push((a, future, outcome));
+                }
+            } else {
+                for (slot, &a) in batch.iter().enumerate() {
+                    let future = futures[a].take().expect("batched actor future");
+                    lock_local(&locals[a]).now = batch_time;
+                    pool_job_txs[slot % pool_job_txs.len()]
+                        .send(PoolJob { slot, future })
+                        .expect("pool worker gone");
+                }
+                let mut slots: Vec<Option<(ActorFuture, PollOutcome)>> =
+                    (0..batch.len()).map(|_| None).collect();
+                for _ in 0..batch.len() {
+                    let done = pool_res_rx.recv().expect("pool worker gone");
+                    slots[done.slot] = Some((done.future, done.outcome));
+                }
+                for (slot, got) in slots.into_iter().enumerate() {
+                    let (future, outcome) = got.expect("every slot reports back");
+                    results.push((batch[slot], future, outcome));
+                }
+            }
+
+            // Apply buffered effects in wake-seq order — the step that
+            // makes a parallel batch observationally identical to polling
+            // its members one at a time.
+            for (a, future, outcome) in results {
+                let mut local = lock_local(&locals[a]);
+                for eff in local.effects.drain(..) {
+                    match eff {
+                        LocalEffect::Send { dst, msg, bytes } => {
+                            inner.enqueue_send(ActorId(a), dst, msg, bytes);
                         }
-                        match outcome {
-                            PollOutcome::Ready => {
-                                drop(local);
-                                inner.states[a] = ActorState::Done;
-                                // Cell — and its state machine — drop here.
-                            }
-                            PollOutcome::Pending => {
-                                let park = local.park.take().expect(
-                                    "mail actor returned Pending without parking: \
-                                     only dlb-sim futures may be awaited",
-                                );
-                                drop(local);
-                                inner.epochs[a] += 1;
-                                let epoch = inner.epochs[a];
-                                inner.states[a] = ActorState::Waiting {
-                                    epoch,
-                                    wake_on_msg: park.wake_on_msg,
-                                };
-                                if let Some(t) = park.wake_at {
-                                    inner.schedule_wake(t, ActorId(a), epoch);
-                                }
-                                cells[a] = Some(cell);
-                            }
-                            PollOutcome::Panicked(p) => {
-                                drop(local);
-                                inner.states[a] = ActorState::Panicked;
-                                inner.panicked = Some(ActorId(a));
-                                if async_panic.is_none() {
-                                    async_panic = Some(p);
-                                }
-                                // Under the sequential order the members
-                                // after a panic never ran; drop their
-                                // effects along with their cells.
-                                break;
-                            }
+                        LocalEffect::Recv { bytes } => {
+                            inner.actor_metrics[a].msgs_received += 1;
+                            inner.actor_metrics[a].bytes_received += bytes;
                         }
+                        LocalEffect::Cpu { app, loaded } => {
+                            let n = inner.actor_nodes[a].0;
+                            inner.node_metrics[n].app_cpu += app;
+                            inner.node_metrics[n].app_cpu_while_loaded += loaded;
+                        }
+                    }
+                }
+                match outcome {
+                    PollOutcome::Ready => {
+                        inner.states[a] = ActorState::Done;
+                        // The future — the state machine — drops here.
+                    }
+                    PollOutcome::Pending => {
+                        let park = local.park.take().expect(
+                            "actor returned Pending without parking: \
+                             only dlb-sim futures may be awaited",
+                        );
+                        inner.epochs[a] += 1;
+                        let epoch = inner.epochs[a];
+                        inner.states[a] = ActorState::Waiting {
+                            epoch,
+                            wake_on_msg: park.wake_on_msg,
+                        };
+                        if let Some(t) = park.wake_at {
+                            inner.schedule_wake(t, ActorId(a), epoch);
+                        }
+                        futures[a] = Some(future);
+                    }
+                    PollOutcome::Panicked(p) => {
+                        // Under the sequential order the members after a
+                        // panic never ran; drop their effects along with
+                        // their futures and stop.
+                        panic = Some(p);
+                        break 'run;
                     }
                 }
             }
         }
 
-        // Drop remaining go senders so any still-parked blocking actor
-        // unwinds quietly instead of hanging, join every thread (actor and
-        // pool), then propagate the first real panic (shutdown unwinds are
-        // filtered out).
-        for tx in go_txs.iter_mut() {
-            tx.take();
-        }
-        for h in handles.iter_mut() {
-            if let Some(h) = h.take() {
-                if let Err(p) = h.join() {
-                    if !p.is::<ShutdownUnwind>() && thread_panic.is_none() {
-                        thread_panic = Some(p);
-                    }
-                }
-            }
-        }
+        // Join the pool, then propagate the actor's panic, if any.
         drop(pool_job_txs);
         for h in pool_handles {
             if let Err(p) = h.join() {
-                if thread_panic.is_none() {
-                    thread_panic = Some(p);
-                }
+                panic.get_or_insert(p);
             }
         }
-        if let Some(p) = thread_panic.or(async_panic) {
+        if let Some(p) = panic {
             std::panic::resume_unwind(p);
         }
 
-        let mut inner = shared.lock();
-        let trace = std::mem::take(&mut inner.tracer.events);
         SimReport {
             end_time: inner.now,
-            actors: inner.actor_metrics.clone(),
-            nodes: inner.node_metrics.clone(),
-            node_configs: inner.nodes.clone(),
+            actors: inner.actor_metrics,
+            nodes: inner.node_metrics,
+            node_configs: inner.nodes,
             events_processed: inner.events_processed,
-            fault: inner
-                .fault
-                .as_ref()
-                .map(|f| f.stats.clone())
-                .unwrap_or_default(),
+            fault: inner.fault.map(|f| f.stats).unwrap_or_default(),
             trace_hash: inner.trace_hash,
-            trace,
+            trace: inner.tracer.events,
             sched,
         }
     }
@@ -1750,22 +1268,25 @@ mod tests {
     fn ping_pong() {
         let (mut b, n0, n1) = two_node_builder();
         let a1 = ActorId(1);
-        b.spawn(n0, "ping", move |ctx| {
-            ctx.send(a1, 42, 8);
-            let reply = ctx.recv();
+        b.spawn_mail(n0, "ping", move |ctx| async move {
+            ctx.send(a1, 42, 8).await;
+            let reply = ctx.recv().await;
             assert_eq!(reply.msg, 43);
             assert_eq!(reply.src, 1);
         });
-        b.spawn(n1, "pong", move |ctx| {
-            let m = ctx.recv();
+        b.spawn_mail(n1, "pong", move |ctx| async move {
+            let m = ctx.recv().await;
             assert_eq!(m.msg, 42);
-            ctx.send(ActorId(m.src), m.msg + 1, 8);
+            ctx.send(ActorId(m.src), m.msg + 1, 8).await;
         });
         let report = b.run();
         assert_eq!(report.actors[0].msgs_sent, 1);
         assert_eq!(report.actors[0].msgs_received, 1);
         assert_eq!(report.actors[1].msgs_received, 1);
         assert!(!report.fault.any());
+        assert!(report.sched.polls > 0);
+        // No per-actor threads: kernel + pool only.
+        assert!(report.sched.os_threads_peak <= 1 + report.sched.pool_workers);
     }
 
     #[test]
@@ -1775,13 +1296,13 @@ mod tests {
         b = b
             .record_trace(true)
             .trace_tag(|m: &u64| (*m == 42).then(|| "answer".to_string()));
-        b.spawn(n0, "ping", move |ctx| {
-            ctx.send(a1, 42, 8);
-            let _ = ctx.recv();
+        b.spawn_mail(n0, "ping", move |ctx| async move {
+            ctx.send(a1, 42, 8).await;
+            let _ = ctx.recv().await;
         });
-        b.spawn(n1, "pong", move |ctx| {
-            let m = ctx.recv();
-            ctx.send(ActorId(m.src), m.msg + 1, 8);
+        b.spawn_mail(n1, "pong", move |ctx| async move {
+            let m = ctx.recv().await;
+            ctx.send(ActorId(m.src), m.msg + 1, 8).await;
         });
         let report = b.run();
         let sends: Vec<_> = report
@@ -1811,9 +1332,11 @@ mod tests {
     fn trace_off_by_default() {
         let (mut b, n0, n1) = two_node_builder();
         let a1 = ActorId(1);
-        b.spawn(n0, "src", move |ctx| ctx.send(a1, 1, 8));
-        b.spawn(n1, "dst", |ctx| {
-            ctx.recv();
+        b.spawn_mail(n0, "src", move |ctx| async move {
+            ctx.send(a1, 1, 8).await;
+        });
+        b.spawn_mail(n1, "dst", |ctx| async move {
+            ctx.recv().await;
         });
         assert!(b.run().trace.is_empty());
     }
@@ -1822,9 +1345,9 @@ mod tests {
     fn advance_work_advances_time() {
         let mut b = SimBuilder::<()>::new().net(NetConfig::ideal());
         let n = b.add_node(NodeConfig::default());
-        b.spawn(n, "worker", |ctx| {
+        b.spawn_mail(n, "worker", |ctx| async move {
             assert_eq!(ctx.now(), SimTime::ZERO);
-            ctx.advance_work(CpuWork::from_secs_f64(2.0));
+            ctx.advance_work(CpuWork::from_secs_f64(2.0)).await;
             assert_eq!(ctx.now(), SimTime(2_000_000));
         });
         let report = b.run();
@@ -1836,8 +1359,8 @@ mod tests {
     fn competing_load_stretches_time() {
         let mut b = SimBuilder::<()>::new().net(NetConfig::ideal());
         let n = b.add_node(NodeConfig::with_load(LoadModel::Constant(1)));
-        b.spawn(n, "worker", |ctx| {
-            ctx.advance_work(CpuWork::from_secs_f64(1.0));
+        b.spawn_mail(n, "worker", |ctx| async move {
+            ctx.advance_work(CpuWork::from_secs_f64(1.0)).await;
         });
         let report = b.run();
         // 1 s of CPU at 50% availability: finishes during slot at ~1.9s
@@ -1858,8 +1381,8 @@ mod tests {
     fn sleep_passes_time_without_cpu() {
         let mut b = SimBuilder::<()>::new().net(NetConfig::ideal());
         let n = b.add_node(NodeConfig::default());
-        b.spawn(n, "sleeper", |ctx| {
-            ctx.sleep(SimDuration::from_secs(5));
+        b.spawn_mail(n, "sleeper", |ctx| async move {
+            ctx.sleep(SimDuration::from_secs(5)).await;
             assert_eq!(ctx.now(), SimTime(5_000_000));
         });
         let report = b.run();
@@ -1878,11 +1401,11 @@ mod tests {
         let n0 = b.add_node(NodeConfig::default());
         let n1 = b.add_node(NodeConfig::default());
         let a1 = ActorId(1);
-        b.spawn(n0, "src", move |ctx| {
-            ctx.send(a1, 7, 1000); // 1000 us transfer + 1000 us latency
+        b.spawn_mail(n0, "src", move |ctx| async move {
+            ctx.send(a1, 7, 1000).await; // 1000 us transfer + 1000 us latency
         });
-        b.spawn(n1, "dst", |ctx| {
-            let env = ctx.recv();
+        b.spawn_mail(n1, "dst", |ctx| async move {
+            let env = ctx.recv().await;
             assert_eq!(env.msg, 7);
             assert_eq!(ctx.now(), SimTime(2_000));
         });
@@ -1893,14 +1416,14 @@ mod tests {
     fn fifo_per_pair() {
         let (mut b, n0, n1) = two_node_builder();
         let a1 = ActorId(1);
-        b.spawn(n0, "src", move |ctx| {
+        b.spawn_mail(n0, "src", move |ctx| async move {
             for i in 0..10u64 {
-                ctx.send(a1, i, 1);
+                ctx.send(a1, i, 1).await;
             }
         });
-        b.spawn(n1, "dst", |ctx| {
+        b.spawn_mail(n1, "dst", |ctx| async move {
             for i in 0..10u64 {
-                assert_eq!(ctx.recv().msg, i);
+                assert_eq!(ctx.recv().await.msg, i);
             }
         });
         b.run();
@@ -1910,16 +1433,16 @@ mod tests {
     fn selective_receive() {
         let (mut b, n0, n1) = two_node_builder();
         let a1 = ActorId(1);
-        b.spawn(n0, "src", move |ctx| {
-            ctx.send(a1, 1, 1);
-            ctx.send(a1, 2, 1);
-            ctx.send(a1, 3, 1);
+        b.spawn_mail(n0, "src", move |ctx| async move {
+            ctx.send(a1, 1, 1).await;
+            ctx.send(a1, 2, 1).await;
+            ctx.send(a1, 3, 1).await;
         });
-        b.spawn(n1, "dst", |ctx| {
+        b.spawn_mail(n1, "dst", |ctx| async move {
             // Pull out-of-order by predicate; the rest stays queued.
-            assert_eq!(ctx.recv_match(|&m| m == 2).msg, 2);
-            assert_eq!(ctx.recv().msg, 1);
-            assert_eq!(ctx.recv().msg, 3);
+            assert_eq!(ctx.recv_match(|&m| m == 2).await.msg, 2);
+            assert_eq!(ctx.recv().await.msg, 1);
+            assert_eq!(ctx.recv().await.msg, 3);
         });
         b.run();
     }
@@ -1928,10 +1451,11 @@ mod tests {
     fn recv_deadline_times_out() {
         let mut b = SimBuilder::<()>::new().net(NetConfig::ideal());
         let n = b.add_node(NodeConfig::default());
-        b.spawn(n, "waiter", |ctx| {
-            let got = ctx.recv_deadline(SimTime(500));
+        b.spawn_mail(n, "waiter", |ctx| async move {
+            let got = ctx.recv_deadline(SimTime(500)).await;
             assert!(got.is_none());
             assert_eq!(ctx.now(), SimTime(500));
+            assert!(ctx.try_recv().await.is_none());
         });
         b.run();
     }
@@ -1940,12 +1464,12 @@ mod tests {
     fn recv_deadline_gets_message_first() {
         let (mut b, n0, n1) = two_node_builder();
         let a1 = ActorId(1);
-        b.spawn(n0, "src", move |ctx| {
-            ctx.sleep(SimDuration::from_micros(100));
-            ctx.send(a1, 9, 1);
+        b.spawn_mail(n0, "src", move |ctx| async move {
+            ctx.sleep(SimDuration::from_micros(100)).await;
+            ctx.send(a1, 9, 1).await;
         });
-        b.spawn(n1, "dst", |ctx| {
-            let got = ctx.recv_deadline(SimTime(1_000_000));
+        b.spawn_mail(n1, "dst", |ctx| async move {
+            let got = ctx.recv_deadline(SimTime(1_000_000)).await;
             assert_eq!(got.unwrap().msg, 9);
             assert!(ctx.now() < SimTime(1_000_000));
         });
@@ -1956,8 +1480,8 @@ mod tests {
     fn try_recv_nonblocking() {
         let mut b = SimBuilder::<u8>::new().net(NetConfig::ideal());
         let n = b.add_node(NodeConfig::default());
-        b.spawn(n, "solo", |ctx| {
-            assert!(ctx.try_recv().is_none());
+        b.spawn_mail(n, "solo", |ctx| async move {
+            assert!(ctx.try_recv().await.is_none());
         });
         b.run();
     }
@@ -1976,19 +1500,20 @@ mod tests {
                 }));
                 slaves.push(n);
             }
-            let master = b.spawn(master_node, "master", move |ctx| {
+            let master = b.spawn_mail(master_node, "master", move |ctx| async move {
                 for _ in 0..4 {
-                    let env = ctx.recv();
-                    ctx.send(ActorId(env.src), env.msg * 2, 16);
+                    let env = ctx.recv().await;
+                    ctx.send(ActorId(env.src), env.msg * 2, 16).await;
                 }
             });
             for (i, n) in slaves.into_iter().enumerate() {
-                b.spawn(n, format!("slave{i}"), move |ctx| {
-                    ctx.advance_work(CpuWork::from_millis(50 * (i as u64 + 1)));
-                    ctx.send(master, i as u64, 16);
-                    let env = ctx.recv();
+                b.spawn_mail(n, format!("slave{i}"), move |ctx| async move {
+                    ctx.advance_work(CpuWork::from_millis(50 * (i as u64 + 1)))
+                        .await;
+                    ctx.send(master, i as u64, 16).await;
+                    let env = ctx.recv().await;
                     assert_eq!(env.msg, i as u64 * 2);
-                    ctx.advance_work(CpuWork::from_millis(10));
+                    ctx.advance_work(CpuWork::from_millis(10)).await;
                 });
             }
             let r = b.run();
@@ -2002,7 +1527,7 @@ mod tests {
     fn actor_panic_propagates() {
         let mut b = SimBuilder::<()>::new();
         let n = b.add_node(NodeConfig::default());
-        b.spawn(n, "bomb", |_ctx| panic!("boom"));
+        b.spawn_mail(n, "bomb", |_ctx| async move { panic!("boom") });
         b.run();
     }
 
@@ -2011,8 +1536,8 @@ mod tests {
     fn deadlock_detected() {
         let mut b = SimBuilder::<()>::new();
         let n = b.add_node(NodeConfig::default());
-        b.spawn(n, "hung", |ctx| {
-            let _ = ctx.recv(); // nobody will ever send
+        b.spawn_mail(n, "hung", |ctx| async move {
+            let _ = ctx.recv().await; // nobody will ever send
         });
         b.run();
     }
@@ -2022,8 +1547,8 @@ mod tests {
     fn one_actor_per_node() {
         let mut b = SimBuilder::<()>::new();
         let n = b.add_node(NodeConfig::default());
-        b.spawn(n, "a", |_| {});
-        b.spawn(n, "b", |_| {});
+        b.spawn_mail(n, "a", |_| async {});
+        b.spawn_mail(n, "b", |_| async {});
     }
 
     #[test]
@@ -2038,12 +1563,12 @@ mod tests {
         let n0 = b.add_node(NodeConfig::default());
         let n1 = b.add_node(NodeConfig::default());
         let a1 = ActorId(1);
-        b.spawn(n0, "src", move |ctx| {
-            ctx.send(a1, (), 0);
+        b.spawn_mail(n0, "src", move |ctx| async move {
+            ctx.send(a1, (), 0).await;
             assert_eq!(ctx.now(), SimTime(500));
         });
-        b.spawn(n1, "dst", |ctx| {
-            ctx.recv();
+        b.spawn_mail(n1, "dst", |ctx| async move {
+            ctx.recv().await;
         });
         let report = b.run();
         assert_eq!(report.nodes[0].app_cpu, SimDuration::from_micros(500));
@@ -2055,11 +1580,11 @@ mod tests {
     fn drop_fault_loses_message() {
         let (mut b, n0, n1) = two_node_builder();
         let a1 = ActorId(1);
-        b.spawn(n0, "src", move |ctx| {
-            ctx.send(a1, 5, 8);
+        b.spawn_mail(n0, "src", move |ctx| async move {
+            ctx.send(a1, 5, 8).await;
         });
-        b.spawn(n1, "dst", |ctx| {
-            assert!(ctx.recv_deadline(SimTime(1_000_000)).is_none());
+        b.spawn_mail(n1, "dst", |ctx| async move {
+            assert!(ctx.recv_deadline(SimTime(1_000_000)).await.is_none());
         });
         let report = b.fault_plan(FaultPlan::new(1).drop_all(1.0)).run();
         assert_eq!(report.fault.msgs_dropped, 1);
@@ -2071,12 +1596,12 @@ mod tests {
     fn dup_fault_delivers_twice() {
         let (mut b, n0, n1) = two_node_builder();
         let a1 = ActorId(1);
-        b.spawn(n0, "src", move |ctx| {
-            ctx.send(a1, 5, 8);
+        b.spawn_mail(n0, "src", move |ctx| async move {
+            ctx.send(a1, 5, 8).await;
         });
-        b.spawn(n1, "dst", |ctx| {
-            assert_eq!(ctx.recv().msg, 5);
-            assert_eq!(ctx.recv().msg, 5);
+        b.spawn_mail(n1, "dst", |ctx| async move {
+            assert_eq!(ctx.recv().await.msg, 5);
+            assert_eq!(ctx.recv().await.msg, 5);
         });
         let report = b.fault_plan(FaultPlan::new(1).dup_all(1.0)).run();
         assert_eq!(report.fault.msgs_duplicated, 1);
@@ -2087,14 +1612,14 @@ mod tests {
     fn jitter_preserves_fifo() {
         let (mut b, n0, n1) = two_node_builder();
         let a1 = ActorId(1);
-        b.spawn(n0, "src", move |ctx| {
+        b.spawn_mail(n0, "src", move |ctx| async move {
             for i in 0..20u64 {
-                ctx.send(a1, i, 1);
+                ctx.send(a1, i, 1).await;
             }
         });
-        b.spawn(n1, "dst", |ctx| {
+        b.spawn_mail(n1, "dst", |ctx| async move {
             for i in 0..20u64 {
-                assert_eq!(ctx.recv().msg, i, "jitter must not reorder a pair");
+                assert_eq!(ctx.recv().await.msg, i, "jitter must not reorder a pair");
             }
         });
         let report = b
@@ -2107,14 +1632,16 @@ mod tests {
     fn crash_stops_actor_and_discards_mail() {
         let (mut b, n0, n1) = two_node_builder();
         let a1 = ActorId(1);
-        b.spawn(n0, "survivor", move |ctx| {
-            ctx.advance_work(CpuWork::from_millis(100));
+        b.spawn_mail(n0, "survivor", move |ctx| async move {
+            ctx.advance_work(CpuWork::from_millis(100)).await;
             // Sent after the crash: discarded, not delivered.
-            ctx.send(a1, 1, 8);
-            ctx.advance_work(CpuWork::from_millis(100));
+            ctx.send(a1, 1, 8).await;
+            ctx.advance_work(CpuWork::from_millis(100)).await;
         });
-        b.spawn(n1, "victim", |ctx| loop {
-            ctx.sleep(SimDuration::from_millis(10));
+        b.spawn_mail(n1, "victim", |ctx| async move {
+            loop {
+                ctx.sleep(SimDuration::from_millis(10)).await;
+            }
         });
         let report = b
             .fault_plan(FaultPlan::new(0).crash(1, SimTime(50_000)))
@@ -2128,12 +1655,12 @@ mod tests {
     fn freeze_defers_delivery() {
         let (mut b, n0, n1) = two_node_builder();
         let a1 = ActorId(1);
-        b.spawn(n0, "src", move |ctx| {
-            ctx.sleep(SimDuration::from_millis(15));
-            ctx.send(a1, 3, 8);
+        b.spawn_mail(n0, "src", move |ctx| async move {
+            ctx.sleep(SimDuration::from_millis(15)).await;
+            ctx.send(a1, 3, 8).await;
         });
-        b.spawn(n1, "dst", |ctx| {
-            let env = ctx.recv();
+        b.spawn_mail(n1, "dst", |ctx| async move {
+            let env = ctx.recv().await;
             assert_eq!(env.msg, 3);
             assert!(ctx.now() >= SimTime(50_000), "delivery deferred to thaw");
         });
@@ -2150,15 +1677,16 @@ mod tests {
             let n0 = b.add_node(NodeConfig::default());
             let n1 = b.add_node(NodeConfig::default());
             let a1 = ActorId(1);
-            b.spawn(n0, "src", move |ctx| {
+            b.spawn_mail(n0, "src", move |ctx| async move {
                 for i in 0..50u64 {
-                    ctx.send(a1, i, 16);
-                    ctx.advance_work(CpuWork::from_micros(200));
+                    ctx.send(a1, i, 16).await;
+                    ctx.advance_work(CpuWork::from_micros(200)).await;
                 }
             });
-            b.spawn(n1, "dst", |ctx| {
+            b.spawn_mail(n1, "dst", |ctx| async move {
                 while ctx
                     .recv_deadline(ctx.now() + SimDuration::from_millis(20))
+                    .await
                     .is_some()
                 {}
             });
@@ -2182,15 +1710,15 @@ mod tests {
         let n1 = b.add_node(NodeConfig::default());
         let n2 = b.add_node(NodeConfig::default());
         let (a1, a2) = (ActorId(1), ActorId(2));
-        b.spawn(n0, "src", move |ctx| {
-            ctx.send(a1, 1, 8); // link 0->1 drops everything
-            ctx.send(a2, 2, 8); // default link is clean
+        b.spawn_mail(n0, "src", move |ctx| async move {
+            ctx.send(a1, 1, 8).await; // link 0->1 drops everything
+            ctx.send(a2, 2, 8).await; // default link is clean
         });
-        b.spawn(n1, "lossy", |ctx| {
-            assert!(ctx.recv_deadline(SimTime(1_000_000)).is_none());
+        b.spawn_mail(n1, "lossy", |ctx| async move {
+            assert!(ctx.recv_deadline(SimTime(1_000_000)).await.is_none());
         });
-        b.spawn(n2, "clean", |ctx| {
-            assert_eq!(ctx.recv().msg, 2);
+        b.spawn_mail(n2, "clean", |ctx| async move {
+            assert_eq!(ctx.recv().await.msg, 2);
         });
         let plan = FaultPlan::new(3).link(
             0,
@@ -2204,70 +1732,10 @@ mod tests {
         assert_eq!(report.fault.msgs_dropped, 1);
     }
 
-    // --- mailbox actors ----------------------------------------------------
-
-    #[test]
-    fn mail_ping_pong() {
-        let (mut b, n0, n1) = two_node_builder();
-        let a1 = ActorId(1);
-        b.spawn_mail(n0, "ping", move |ctx| async move {
-            ctx.send(a1, 42, 8).await;
-            let reply = ctx.recv().await;
-            assert_eq!(reply.msg, 43);
-            assert_eq!(reply.src, 1);
-        });
-        b.spawn_mail(n1, "pong", |ctx| async move {
-            let m = ctx.recv().await;
-            assert_eq!(m.msg, 42);
-            ctx.send(ActorId(m.src), m.msg + 1, 8).await;
-        });
-        let report = b.run();
-        assert_eq!(report.actors[0].msgs_sent, 1);
-        assert_eq!(report.actors[0].msgs_received, 1);
-        assert_eq!(report.actors[1].msgs_received, 1);
-        assert!(report.sched.polls > 0);
-        assert_eq!(report.sched.threads_reaped, 0);
-        // No per-actor threads: kernel + pool only.
-        assert!(report.sched.os_threads_peak <= 1 + report.sched.pool_workers);
-    }
-
-    #[test]
-    fn mail_recv_deadline_times_out() {
-        let mut b = SimBuilder::<u64>::new().net(NetConfig::ideal());
-        let n = b.add_node(NodeConfig::default());
-        b.spawn_mail(n, "waiter", |ctx| async move {
-            let got = ctx.recv_deadline(SimTime(500)).await;
-            assert!(got.is_none());
-            assert_eq!(ctx.now(), SimTime(500));
-            assert!(ctx.try_recv().await.is_none());
-        });
-        b.run();
-    }
-
-    #[test]
-    fn mixed_blocking_and_mail_actors_interoperate() {
-        let (mut b, n0, n1) = two_node_builder();
-        let a1 = ActorId(1);
-        b.spawn(n0, "blocking", move |ctx| {
-            ctx.send(a1, 1, 8);
-            assert_eq!(ctx.recv().msg, 2);
-        });
-        b.spawn_mail(n1, "mail", |ctx| async move {
-            let m = ctx.recv().await;
-            assert_eq!(m.msg, 1);
-            ctx.send(ActorId(m.src), 2, 8).await;
-        });
-        let report = b.run();
-        assert_eq!(report.actors[0].msgs_received, 1);
-        assert_eq!(report.actors[1].msgs_received, 1);
-    }
-
-    /// The same fault-ridden master/slave scenario, once with blocking
-    /// actors and once with mailbox actors: every event — wakes, deliveries,
-    /// fault draws — must line up, so the trace hashes must be identical.
-    /// Runs over the *default* (non-ideal) network so every send and recv
-    /// charges CPU and parks, exercising the full op-future footprint.
-    fn cross_check_scenario(mail: bool, seed: u64) -> (SimTime, u64, u64) {
+    /// A fault-ridden master/slave scenario over the *default* (non-ideal)
+    /// network, so every send and recv charges CPU and parks, exercising
+    /// the full op-future footprint: wakes, deliveries, fault draws.
+    fn cross_check_scenario(seed: u64) -> (SimTime, u64, u64) {
         let plan = FaultPlan::new(seed)
             .drop_all(0.15)
             .dup_all(0.15)
@@ -2282,53 +1750,45 @@ mod tests {
                 LoadModel::Dedicated
             })));
         }
-        if mail {
-            b.spawn_mail(mn, "master", |ctx| async move {
-                while let Some(env) = ctx
-                    .recv_deadline(ctx.now() + SimDuration::from_millis(50))
-                    .await
-                {
-                    ctx.send(ActorId(env.src), env.msg * 2, 16).await;
-                }
-            });
-            for (i, n) in slave_nodes.into_iter().enumerate() {
-                b.spawn_mail(n, format!("slave{i}"), move |ctx| async move {
-                    ctx.advance_work(CpuWork::from_millis(5 * (i as u64 + 1)))
-                        .await;
-                    ctx.send(ActorId(0), i as u64, 16).await;
-                    let _ = ctx
-                        .recv_deadline(ctx.now() + SimDuration::from_millis(30))
-                        .await;
-                    ctx.sleep(SimDuration::from_millis(2)).await;
-                    ctx.advance_work(CpuWork::from_millis(1)).await;
-                });
+        b.spawn_mail(mn, "master", |ctx| async move {
+            while let Some(env) = ctx
+                .recv_deadline(ctx.now() + SimDuration::from_millis(50))
+                .await
+            {
+                ctx.send(ActorId(env.src), env.msg * 2, 16).await;
             }
-        } else {
-            b.spawn(mn, "master", |ctx| {
-                while let Some(env) = ctx.recv_deadline(ctx.now() + SimDuration::from_millis(50)) {
-                    ctx.send(ActorId(env.src), env.msg * 2, 16);
-                }
+        });
+        for (i, n) in slave_nodes.into_iter().enumerate() {
+            b.spawn_mail(n, format!("slave{i}"), move |ctx| async move {
+                ctx.advance_work(CpuWork::from_millis(5 * (i as u64 + 1)))
+                    .await;
+                ctx.send(ActorId(0), i as u64, 16).await;
+                let _ = ctx
+                    .recv_deadline(ctx.now() + SimDuration::from_millis(30))
+                    .await;
+                ctx.sleep(SimDuration::from_millis(2)).await;
+                ctx.advance_work(CpuWork::from_millis(1)).await;
             });
-            for (i, n) in slave_nodes.into_iter().enumerate() {
-                b.spawn(n, format!("slave{i}"), move |ctx| {
-                    ctx.advance_work(CpuWork::from_millis(5 * (i as u64 + 1)));
-                    ctx.send(ActorId(0), i as u64, 16);
-                    let _ = ctx.recv_deadline(ctx.now() + SimDuration::from_millis(30));
-                    ctx.sleep(SimDuration::from_millis(2));
-                    ctx.advance_work(CpuWork::from_millis(1));
-                });
-            }
         }
         let r = b.run();
         (r.end_time, r.events_processed, r.trace_hash)
     }
 
+    /// The reference values are what the thread-per-actor kernel this one
+    /// replaced produced for the same scenario (recorded at its last
+    /// commit): the event stream of an actor body must never drift from it.
     #[test]
     fn mail_actors_trace_identical_to_blocking() {
-        for seed in [3u64, 11, 42] {
-            let blocking = cross_check_scenario(false, seed);
-            let mail = cross_check_scenario(true, seed);
-            assert_eq!(blocking, mail, "seed {seed}");
+        for (seed, end, events, hash) in [
+            (3u64, 71_363, 54, 0x4dc2_2ecb_dcd6_bcfc),
+            (11, 65_702, 43, 0x616f_2992_9149_8ab8),
+            (42, 70_781, 59, 0x0d51_1456_4406_cb5e),
+        ] {
+            assert_eq!(
+                cross_check_scenario(seed),
+                (SimTime(end), events, hash),
+                "seed {seed}"
+            );
         }
     }
 
@@ -2407,57 +1867,32 @@ mod tests {
     }
 
     #[test]
-    fn crash_reaps_parked_blocking_thread() {
-        let (mut b, n0, n1) = two_node_builder();
-        b.spawn(n0, "survivor", |ctx| {
-            ctx.advance_work(CpuWork::from_millis(100));
-        });
-        // Parked mid-`recv` forever: only the crash teardown can free its
-        // thread before end-of-run.
-        b.spawn(n1, "victim", |ctx| {
-            let _ = ctx.recv();
-        });
-        let report = b
-            .fault_plan(FaultPlan::new(0).crash(1, SimTime(50_000)))
-            .run();
-        assert_eq!(report.fault.crashed_nodes, vec![1]);
-        assert_eq!(
-            report.sched.threads_reaped, 1,
-            "crashed actor's thread must be reaped at crash time"
-        );
-        assert_eq!(report.end_time, SimTime(100_000));
-    }
-
-    #[test]
-    fn crash_drops_mail_actor_state_machine() {
-        let (mut b, n0, n1) = two_node_builder();
-        b.spawn_mail(n0, "survivor", |ctx| async move {
+    fn crash_drops_actor_state_machine() {
+        let mut b = SimBuilder::<u64>::new().net(NetConfig::ideal());
+        let nodes: Vec<NodeId> = (0..3).map(|_| b.add_node(NodeConfig::default())).collect();
+        b.spawn_mail(nodes[0], "survivor", |ctx| async move {
             ctx.advance_work(CpuWork::from_millis(100)).await;
         });
-        b.spawn_mail(n1, "victim", |ctx| async move {
+        b.spawn_mail(nodes[1], "sleeper", |ctx| async move {
             loop {
                 ctx.sleep(SimDuration::from_millis(10)).await;
             }
         });
-        let report = b
-            .fault_plan(FaultPlan::new(0).crash(1, SimTime(50_000)))
-            .run();
-        assert_eq!(report.fault.crashed_nodes, vec![1]);
-        assert_eq!(report.end_time, SimTime(100_000));
-        // No thread existed, so nothing to reap; the victim's pending sleep
-        // wake pops stale.
-        assert_eq!(report.sched.threads_reaped, 0);
-        assert!(report.sched.stale_wakes >= 1);
-    }
-
-    #[test]
-    #[should_panic(expected = "boom")]
-    fn mail_actor_panic_propagates() {
-        let mut b = SimBuilder::<u64>::new();
-        let n = b.add_node(NodeConfig::default());
-        b.spawn_mail(n, "bomb", |_ctx| async move {
-            panic!("boom");
+        // Parked mid-`recv` forever, with no timer pending: only the crash
+        // can retire it, or the run would end in the deadlock assert.
+        b.spawn_mail(nodes[2], "parked", |ctx| async move {
+            let _ = ctx.recv().await;
         });
-        b.run();
+        let report = b
+            .fault_plan(
+                FaultPlan::new(0)
+                    .crash(1, SimTime(50_000))
+                    .crash(2, SimTime(50_000)),
+            )
+            .run();
+        assert_eq!(report.fault.crashed_nodes, vec![1, 2]);
+        assert_eq!(report.end_time, SimTime(100_000));
+        // The sleeper's pending wake pops stale.
+        assert!(report.sched.stale_wakes >= 1);
     }
 }

@@ -12,9 +12,10 @@
 //!   or oscillating background tasks, as in the paper's Figures 7–9.
 //! * **A crossbar network** ([`NetConfig`]) with latency, bandwidth, FIFO
 //!   per-pair delivery, and marshalling CPU costs.
-//! * **Actors** — master and slave processes — written as plain blocking
-//!   closures, scheduled one-at-a-time by the [`SimBuilder`] kernel so every
-//!   run is deterministic.
+//! * **Actors** — master and slave processes — written as `async` bodies
+//!   against a [`MailCtx`] and polled by the [`SimBuilder`] kernel, which
+//!   alone owns the clock and event queues and applies what each poll did in
+//!   one fixed order, so every run is deterministic.
 //!
 //! Computation is charged in units of [`CpuWork`]; the quantum scheduler
 //! stretches CPU work into elapsed time exactly as time-sharing does, which
@@ -27,13 +28,13 @@
 //! let mut sim = SimBuilder::<&'static str>::new();
 //! let n0 = sim.add_node(NodeConfig::default());
 //! let n1 = sim.add_node(NodeConfig::with_load(LoadModel::Constant(1)));
-//! let worker = sim.spawn(n1, "worker", |ctx| {
-//!     ctx.advance_work(CpuWork::from_secs_f64(1.0)); // shares CPU with 1 task
-//!     let m = ctx.recv();
+//! let worker = sim.spawn_mail(n1, "worker", |ctx| async move {
+//!     ctx.advance_work(CpuWork::from_secs_f64(1.0)).await; // shares CPU with 1 task
+//!     let m = ctx.recv().await;
 //!     assert_eq!(m.msg, "hello");
 //! });
-//! sim.spawn(n0, "coordinator", move |ctx| {
-//!     ctx.send(worker, "hello", 5);
+//! sim.spawn_mail(n0, "coordinator", move |ctx| async move {
+//!     ctx.send(worker, "hello", 5).await;
 //! });
 //! let report = sim.run();
 //! assert!(report.end_time.as_secs_f64() >= 1.0);
@@ -58,8 +59,7 @@ pub use cpu::{advance, Advance, NodeConfig};
 pub use explore::{explore, random_walks, Exploration, TransitionSystem, Verdict};
 pub use fault::{FaultPlan, FaultStats, LinkFaults, NodeFaults, Partition};
 pub use kernel::{
-    ActorCtx, ActorId, ActorMetrics, MailCtx, NodeId, NodeMetrics, SchedStats, SimBuilder,
-    SimReport,
+    ActorId, ActorMetrics, MailCtx, NodeId, NodeMetrics, SchedStats, SimBuilder, SimReport,
 };
 pub use load::LoadModel;
 pub use net::{Envelope, NetConfig};

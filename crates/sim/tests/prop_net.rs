@@ -25,14 +25,14 @@ fn fifo_with_mixed_sizes() {
         let n0 = b.add_node(NodeConfig::default());
         let n1 = b.add_node(NodeConfig::default());
         let dst = ActorId(1);
-        b.spawn(n0, "src", move |ctx| {
+        b.spawn_mail(n0, "src", move |ctx| async move {
             for (i, sz) in sizes.iter().enumerate() {
-                ctx.send(dst, i as u64, *sz);
+                ctx.send(dst, i as u64, *sz).await;
             }
         });
-        b.spawn(n1, "dst", move |ctx| {
+        b.spawn_mail(n1, "dst", move |ctx| async move {
             for i in 0..n {
-                let env = ctx.recv();
+                let env = ctx.recv().await;
                 assert_eq!(env.msg, i, "message overtook an earlier one");
             }
         });
@@ -79,14 +79,14 @@ fn message_conservation() {
         // sent.
         for (i, node) in nodes.into_iter().enumerate() {
             let next = ActorId((i + 1) % n_actors);
-            b.spawn(node, format!("a{i}"), move |ctx| {
+            b.spawn_mail(node, format!("a{i}"), move |ctx| async move {
                 let mine = (seed as usize + i) % n_msgs + 1;
                 let preds = (seed as usize + (i + n_actors - 1) % n_actors) % n_msgs + 1;
                 for k in 0..mine {
-                    ctx.send(next, k as u32, 64);
+                    ctx.send(next, k as u32, 64).await;
                 }
                 for _ in 0..preds {
-                    ctx.recv();
+                    ctx.recv().await;
                 }
             });
         }
