@@ -6,8 +6,8 @@
 //!
 //! * `messages` — hub-and-spoke ping-pong: every op is a send landing in
 //!   a peer mailbox plus the recv that drains it.
-//! * `wakeups`  — sleeping actors only: every op is a timer-wheel insert
-//!   and the wake that pops it.
+//! * `wakeups`  — sleeping actors only: every op is a push onto the wake
+//!   heap and the wake that pops it.
 //! * `steps`    — compute/sleep alternation: every op parks the actor's
 //!   state machine and polls it back to life.
 //!
@@ -74,8 +74,8 @@ fn bench_messages(width: usize) -> (u64, dlb_sim::SimReport) {
     (2 * total, b.run())
 }
 
-/// Timer-wheel stress: `width` actors each sleep `naps` staggered
-/// durations. One op = one timer insert + the wake that pops it.
+/// Wake-heap stress: `width` actors each sleep `naps` staggered
+/// durations. One op = one wake-heap push + the wake that pops it.
 fn bench_wakeups(width: usize) -> (u64, dlb_sim::SimReport) {
     let naps: u64 = 1_000;
     let mut b = SimBuilder::<()>::new().net(NetConfig::ideal());
@@ -84,7 +84,7 @@ fn bench_wakeups(width: usize) -> (u64, dlb_sim::SimReport) {
         let n = b.add_node(NodeConfig::default());
         b.spawn_mail(n, format!("sleeper{i}"), move |ctx| async move {
             for k in 0..naps {
-                // Staggered periods spread entries across wheel levels.
+                // 17 staggered periods: same-time batches of ~width/17 polls.
                 ctx.sleep(SimDuration::from_micros((i as u64 % 17) * 61 + k % 13 + 1))
                     .await;
             }

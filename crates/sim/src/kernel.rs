@@ -23,9 +23,9 @@ use crate::cpu::{self, NodeConfig};
 use crate::fault::{FaultPlan, FaultRuntime, FaultStats};
 use crate::net::{Envelope, NetConfig};
 use crate::time::{SimDuration, SimTime};
-use crate::timer::{TimerEntry, TimerWheel};
 use crate::trace::{TraceEvent, TraceKind};
 use crate::work::CpuWork;
+use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
 use std::future::Future;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -120,8 +120,10 @@ impl SimReport {
     }
 }
 
-/// Heap-resident events. `Wake`s are not here: they live in the timer
-/// wheel ([`crate::timer`]) and are merged back in by `(time, seq)`.
+/// Deliveries and crash faults. `Wake`s are not here: they are most of the
+/// event stream and 32 bytes whatever `M` is, so they sit in a heap of their
+/// own (`Inner::wakes`), where a sift never moves a message, and are merged
+/// back in by `(time, seq)`.
 enum EventKind<M> {
     Deliver { dst: ActorId, env: Envelope<M> },
     Crash { node: NodeId },
@@ -149,6 +151,17 @@ impl<M> Ord for Event<M> {
         // BinaryHeap is a max-heap; reverse so the earliest event pops first.
         (other.time, other.seq).cmp(&(self.time, self.seq))
     }
+}
+
+/// One pending wake (sleep, deadline, CPU-advance completion): the target
+/// actor and the park epoch that must still be current for the wake to be
+/// live when it pops. `seq` is unique, so the derived order is `(time, seq)`.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
+struct WakeEntry {
+    time: SimTime,
+    seq: u64,
+    actor: usize,
+    epoch: u64,
 }
 
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -204,8 +217,8 @@ struct Inner<M> {
     /// Deliveries and crash faults, ordered by `(time, seq)`.
     heap: BinaryHeap<Event<M>>,
     /// All `Wake` timers (parks, sleeps, deadlines), ordered by the same
-    /// global `(time, seq)` key and merged with the heap at pop time.
-    wheel: TimerWheel,
+    /// global `(time, seq)` key and merged with `heap` at pop time.
+    wakes: BinaryHeap<Reverse<WakeEntry>>,
     states: Vec<ActorState>,
     epochs: Vec<u64>,
     nodes: Vec<NodeConfig>,
@@ -240,22 +253,22 @@ impl<M> Inner<M> {
     }
 
     /// Schedule a `Wake` for `actor` at `time`, consuming the next global
-    /// sequence number — wheel timers and heap events share one seq stream,
-    /// so the merged pop order is exactly what a single heap would produce.
+    /// sequence number — both queues share one seq stream, so the merged
+    /// pop order is exactly what a single heap would produce.
     fn schedule_wake(&mut self, time: SimTime, actor: ActorId, epoch: u64) {
         debug_assert!(time >= self.now);
         let seq = self.seq;
         self.seq += 1;
-        self.wheel.insert(TimerEntry {
+        self.wakes.push(Reverse(WakeEntry {
             time,
             seq,
             actor: actor.0,
             epoch,
-        });
+        }));
     }
 
-    /// Event-processing bookkeeping shared by wheel and heap pops: count it
-    /// against the budget, advance the clock (and the wheel cursor with it).
+    /// Event-processing bookkeeping shared by both queues' pops: count it
+    /// against the budget, advance the clock.
     fn meta_common(&mut self, time: SimTime) {
         self.events_processed += 1;
         assert!(
@@ -265,7 +278,6 @@ impl<M> Inner<M> {
         );
         debug_assert!(time >= self.now, "time went backwards");
         self.now = self.now.max(time);
-        self.wheel.advance_to(self.now);
     }
 
     fn process_wake_meta(&mut self, time: SimTime, actor: ActorId) {
@@ -485,27 +497,35 @@ struct ActorLocal<M> {
     park: Option<ParkReq>,
 }
 
-/// The one-poll park primitive: first poll records the park request and
-/// returns `Pending`; the kernel applies it (epoch bump + wake schedule) and
-/// re-polls on wake, where it completes.
-struct ParkOnce<M> {
-    local: Arc<Mutex<ActorLocal<M>>>,
-    req: Option<ParkReq>,
+impl<M> ActorLocal<M> {
+    /// Record how this poll wants to be resumed — under the lock the caller
+    /// already holds — and return the future that hands control back.
+    fn park(&mut self, wake_on_msg: bool, wake_at: Option<SimTime>) -> ParkOnce {
+        debug_assert!(self.park.is_none(), "double park in one poll");
+        self.park = Some(ParkReq {
+            wake_on_msg,
+            wake_at,
+        });
+        ParkOnce { parked: false }
+    }
 }
 
-impl<M> Future for ParkOnce<M> {
+/// The one-poll park primitive: the first poll returns `Pending`; the kernel
+/// applies the recorded request (epoch bump + wake schedule) and re-polls on
+/// wake, where it completes.
+struct ParkOnce {
+    parked: bool,
+}
+
+impl Future for ParkOnce {
     type Output = ();
 
     fn poll(mut self: Pin<&mut Self>, _cx: &mut Context<'_>) -> Poll<()> {
-        match self.req.take() {
-            Some(req) => {
-                let mut local = lock_local(&self.local);
-                debug_assert!(local.park.is_none(), "double park in one poll");
-                local.park = Some(req);
-                Poll::Pending
-            }
-            None => Poll::Ready(()),
+        if self.parked {
+            return Poll::Ready(());
         }
+        self.parked = true;
+        Poll::Pending
     }
 }
 
@@ -555,14 +575,8 @@ impl<M: Send + Clone + 'static> MailCtx<M> {
         self.lock().n_actors
     }
 
-    fn park(&self, wake_on_msg: bool, wake_at: Option<SimTime>) -> ParkOnce<M> {
-        ParkOnce {
-            local: Arc::clone(&self.local),
-            req: Some(ParkReq {
-                wake_on_msg,
-                wake_at,
-            }),
-        }
+    fn park(&self, wake_on_msg: bool, wake_at: Option<SimTime>) -> ParkOnce {
+        self.lock().park(wake_on_msg, wake_at)
     }
 
     fn take_local(
@@ -581,7 +595,7 @@ impl<M: Send + Clone + 'static> MailCtx<M> {
         if work.is_zero() {
             return;
         }
-        let finish = {
+        let (finish, parked) = {
             let mut guard = self.lock();
             let local = &mut *guard;
             let adv = cpu::advance(&local.node_cfg, local.now, work);
@@ -589,9 +603,9 @@ impl<M: Send + Clone + 'static> MailCtx<M> {
                 app: work.dedicated_duration(local.node_cfg.speed),
                 loaded: adv.cpu_while_loaded,
             });
-            adv.finish
+            (adv.finish, local.park(false, Some(adv.finish)))
         };
-        self.park(false, Some(finish)).await;
+        parked.await;
         // A freeze window may defer the wake past `finish`; time never runs
         // backwards, so the actor simply resumes late.
         debug_assert!(self.now() >= finish);
@@ -894,7 +908,7 @@ impl<M: Send + Clone + 'static> SimBuilder<M> {
             now: SimTime::ZERO,
             seq: 0,
             heap: BinaryHeap::new(),
-            wheel: TimerWheel::new(),
+            wakes: BinaryHeap::new(),
             states: vec![
                 ActorState::Waiting {
                     epoch: 0,
@@ -984,34 +998,32 @@ impl<M: Send + Clone + 'static> SimBuilder<M> {
         };
         let mut panic: Option<Box<dyn std::any::Any + Send>> = None;
 
+        // Actors neither `Done` nor `Crashed`.
+        let mut live = n_actors;
+        // The batch's actors, and what each one's poll returned, by batch
+        // slot; both buffers are reused from batch to batch.
+        let mut batch: Vec<usize> = Vec::new();
+        let mut results: Vec<Option<(ActorFuture, PollOutcome)>> = Vec::new();
+
         // Kernel loop: collect the next batch of same-timestamp polls, run
-        // it (inline or on the pool), then apply its buffered effects.
-        'run: loop {
-            if inner
-                .states
-                .iter()
-                .all(|s| matches!(s, ActorState::Done | ActorState::Crashed))
-            {
-                // Once every actor has finished (or crashed), stop without
-                // draining stale events (e.g. deadline wakes scheduled past
-                // the end of the run) so they cannot inflate `end_time`.
-                break;
-            }
-            let mut batch: Vec<usize> = Vec::new();
+        // it (inline or on the pool), then apply its buffered effects. Once
+        // every actor has finished (or crashed), stop without draining stale
+        // events (e.g. deadline wakes scheduled past the end of the run) so
+        // they cannot inflate `end_time`.
+        'run: while live > 0 {
+            batch.clear();
             let mut batch_time = SimTime::ZERO;
             loop {
-                // Merge the wheel (wakes) and the heap (deliveries,
-                // crashes) by the shared `(time, seq)` key.
-                let wheel_key = inner.wheel.peek_key();
+                // Merge the wakes and the heap (deliveries, crashes) by the
+                // shared `(time, seq)` key, which no two events share.
                 let heap_key = inner.heap.peek().map(|e| (e.time, e.seq));
-                let from_wheel = match (wheel_key, heap_key) {
+                let next_wake = match (inner.wakes.peek(), heap_key) {
                     (None, None) => break,
-                    (Some(_), None) => true,
-                    (None, Some(_)) => false,
-                    (Some(w), Some(h)) => w < h,
+                    (Some(&Reverse(w)), None) => Some(w),
+                    (Some(&Reverse(w)), Some(h)) if (w.time, w.seq) < h => Some(w),
+                    _ => None,
                 };
-                if from_wheel {
-                    let entry = inner.wheel.peek_entry().expect("non-empty wheel");
+                if let Some(entry) = next_wake {
                     if !batch.is_empty() && entry.time != batch_time {
                         break;
                     }
@@ -1028,25 +1040,25 @@ impl<M: Send + Clone + 'static> SimBuilder<M> {
                             // effects must claim theirs first.
                             break;
                         }
-                        let e = inner.wheel.pop_min().expect("non-empty wheel");
+                        inner.wakes.pop();
                         if let Some(f) = inner.fault.as_mut() {
                             f.stats.freeze_deferrals += 1;
                         }
-                        inner.schedule_wake(t, ActorId(e.actor), e.epoch);
+                        inner.schedule_wake(t, ActorId(entry.actor), entry.epoch);
                         continue;
                     }
-                    // A batched actor's park must be applied before a
-                    // second wake of it can be judged for staleness.
-                    if batch.contains(&entry.actor) {
+                    // A batched (`Running`) actor's park must be applied
+                    // before a second wake of it can be judged for staleness.
+                    if inner.states[entry.actor] == ActorState::Running {
                         break;
                     }
-                    let live = matches!(
+                    let fresh = matches!(
                         inner.states[entry.actor],
                         ActorState::Waiting { epoch, .. } if epoch == entry.epoch
                     );
-                    let e = inner.wheel.pop_min().expect("non-empty wheel");
-                    inner.process_wake_meta(e.time, ActorId(e.actor));
-                    if !live {
+                    inner.wakes.pop();
+                    inner.process_wake_meta(entry.time, ActorId(entry.actor));
+                    if !fresh {
                         // Superseded park epoch (or crashed actor): a pure
                         // pop — counted and hashed like any wake, no state
                         // touched — so consuming it mid-batch is safe.
@@ -1054,9 +1066,9 @@ impl<M: Send + Clone + 'static> SimBuilder<M> {
                         continue;
                     }
                     sched.wakeups += 1;
-                    inner.states[e.actor] = ActorState::Running;
-                    batch_time = e.time;
-                    batch.push(e.actor);
+                    inner.states[entry.actor] = ActorState::Running;
+                    batch_time = entry.time;
+                    batch.push(entry.actor);
                     continue;
                 }
                 // Heap events mutate shared state (mailboxes, node
@@ -1109,8 +1121,10 @@ impl<M: Send + Clone + 'static> SimBuilder<M> {
                             f.stats.crashed_nodes.push(node.0);
                         }
                         if let Some(a) = inner.node_actor[node.0] {
-                            if !matches!(inner.states[a.0], ActorState::Done) {
+                            if !matches!(inner.states[a.0], ActorState::Done | ActorState::Crashed)
+                            {
                                 inner.states[a.0] = ActorState::Crashed;
+                                live -= 1;
                             }
                             // Dropping the future drops the state machine;
                             // anything queued for it will never be read.
@@ -1142,8 +1156,6 @@ impl<M: Send + Clone + 'static> SimBuilder<M> {
             sched.max_batch = sched.max_batch.max(batch.len());
             sched.polls += batch.len() as u64;
 
-            let mut results: Vec<(usize, ActorFuture, PollOutcome)> =
-                Vec::with_capacity(batch.len());
             if batch.len() == 1 || pool_job_txs.is_empty() {
                 // Polls are pure, so polling inline is semantically
                 // identical to a pool round trip — just cheaper.
@@ -1151,7 +1163,7 @@ impl<M: Send + Clone + 'static> SimBuilder<M> {
                     let mut future = futures[a].take().expect("batched actor future");
                     lock_local(&locals[a]).now = batch_time;
                     let outcome = poll_actor(&mut future, &waker);
-                    results.push((a, future, outcome));
+                    results.push(Some((future, outcome)));
                 }
             } else {
                 for (slot, &a) in batch.iter().enumerate() {
@@ -1161,22 +1173,18 @@ impl<M: Send + Clone + 'static> SimBuilder<M> {
                         .send(PoolJob { slot, future })
                         .expect("pool worker gone");
                 }
-                let mut slots: Vec<Option<(ActorFuture, PollOutcome)>> =
-                    (0..batch.len()).map(|_| None).collect();
+                results.resize_with(batch.len(), || None);
                 for _ in 0..batch.len() {
                     let done = pool_res_rx.recv().expect("pool worker gone");
-                    slots[done.slot] = Some((done.future, done.outcome));
-                }
-                for (slot, got) in slots.into_iter().enumerate() {
-                    let (future, outcome) = got.expect("every slot reports back");
-                    results.push((batch[slot], future, outcome));
+                    results[done.slot] = Some((done.future, done.outcome));
                 }
             }
 
             // Apply buffered effects in wake-seq order — the step that
             // makes a parallel batch observationally identical to polling
             // its members one at a time.
-            for (a, future, outcome) in results {
+            for (&a, polled) in batch.iter().zip(results.drain(..)) {
+                let (future, outcome) = polled.expect("every slot reports back");
                 let mut local = lock_local(&locals[a]);
                 for eff in local.effects.drain(..) {
                     match eff {
@@ -1197,6 +1205,7 @@ impl<M: Send + Clone + 'static> SimBuilder<M> {
                 match outcome {
                     PollOutcome::Ready => {
                         inner.states[a] = ActorState::Done;
+                        live -= 1;
                         // The future — the state machine — drops here.
                     }
                     PollOutcome::Pending => {
@@ -1831,6 +1840,93 @@ mod tests {
         let pooled = run_with(8);
         assert_eq!(run_with(1), pooled, "pool of 1 vs 8");
         assert_eq!(run_with(0), pooled, "inline vs pool of 8");
+    }
+
+    /// Timed wakes at every distance the wake queue has to order: 1 µs,
+    /// either side of 64 µs and 4 096 µs, 2¹⁸ µs, 2³⁰ µs and one past
+    /// 64⁶ µs (≈ 19.1 h), as relative sleeps and as absolute deadlines;
+    /// four-way equal-time ties that only `seq` can break; deadline wakes
+    /// that go stale at each of those distances; a freeze window that
+    /// re-pushes a wake. The ideal network puts deliveries on the same
+    /// microsecond as the wakes they race.
+    fn wake_order_scenario(workers: usize) -> (SimTime, u64, u64, u64) {
+        const HORIZON: u64 = 1 << 36; // 64⁶ µs
+        const LADDER: [u64; 9] = [1, 63, 64, 65, 4_095, 4_096, 1 << 18, 1 << 30, HORIZON + 7];
+        // Node 6 is frozen over the wake it has scheduled at t = 200.
+        let plan = FaultPlan::new(0).freeze(6, SimTime(150), SimTime(5_000));
+        let mut b = SimBuilder::<u64>::new()
+            .net(NetConfig::ideal())
+            .worker_threads(workers)
+            .fault_plan(plan);
+        let nodes: Vec<NodeId> = (0..8).map(|_| b.add_node(NodeConfig::default())).collect();
+        b.spawn_mail(nodes[0], "ladder", |ctx| async move {
+            for d in LADDER {
+                ctx.sleep(SimDuration::from_micros(d)).await;
+            }
+        });
+        b.spawn_mail(nodes[1], "absolute", |ctx| async move {
+            for t in LADDER {
+                assert!(ctx.recv_deadline(SimTime(t)).await.is_none());
+                assert_eq!(ctx.now(), SimTime(t));
+            }
+        });
+        // Land on t = 64, 200, 4 096 and 2¹⁸ together with `absolute`.
+        for (i, node) in nodes[2..5].iter().enumerate() {
+            b.spawn_mail(*node, format!("tie{i}"), |ctx| async move {
+                for d in [64, 136, 3_896, (1 << 18) - 4_096] {
+                    ctx.sleep(SimDuration::from_micros(d)).await;
+                }
+            });
+        }
+        // Every message beats its deadline, which then pops stale.
+        b.spawn_mail(nodes[5], "waiter", |ctx| async move {
+            for d in [4_096, 1 << 18, 1 << 30, HORIZON + 3] {
+                let got = ctx
+                    .recv_deadline(ctx.now() + SimDuration::from_micros(d))
+                    .await;
+                assert!(got.is_some());
+            }
+        });
+        b.spawn_mail(nodes[6], "frozen", |ctx| async move {
+            for _ in 0..4 {
+                ctx.sleep(SimDuration::from_micros(100)).await;
+            }
+            assert_eq!(
+                ctx.now(),
+                SimTime(5_200),
+                "wake at 200 deferred to the thaw"
+            );
+            ctx.sleep(SimDuration::from_micros(1 << 18)).await;
+        });
+        b.spawn_mail(nodes[7], "pinger", |ctx| async move {
+            for i in 0..4 {
+                ctx.sleep(SimDuration::from_micros(65)).await;
+                ctx.send(ActorId(5), i, 8).await;
+            }
+        });
+        let r = b.run();
+        assert_eq!(r.fault.freeze_deferrals, 1);
+        (
+            r.end_time,
+            r.events_processed,
+            r.trace_hash,
+            r.sched.stale_wakes,
+        )
+    }
+
+    /// The constants were recorded from the hierarchical timer wheel that
+    /// held the wakes before the binary heap did (at its last commit): the
+    /// merged `(time, seq)` pop order must never drift from it, whatever the
+    /// pool size.
+    #[test]
+    fn wake_order_pinned_across_time_scales() {
+        for workers in [0, 1, 8] {
+            assert_eq!(
+                wake_order_scenario(workers),
+                (SimTime(69_793_489_095), 59, 0x31b7_62bc_4af4_ac42, 4),
+                "pool of {workers}"
+            );
+        }
     }
 
     #[test]

@@ -51,7 +51,6 @@ pub mod net;
 pub mod reduce;
 pub mod rng;
 pub mod time;
-mod timer;
 pub mod trace;
 pub mod work;
 
