@@ -1,0 +1,542 @@
+//! Golden event streams for the fault-mode master.
+//!
+//! The chaos files assert bit-exact *results*; this file pins the *event
+//! stream* of the same shapes, so a refactor of the master's control loop
+//! cannot move a message without a diff here. One row per cell:
+//! `(elapsed µs, sim.events_processed, sim.trace_hash, {recovery:?})`, the
+//! last with its zero fields elided.
+//! The matrix is {MM, SOR, LU} — the re-scatter and the rollback recovery
+//! policies — × {armed and quiet; drop + dup + jitter + slave crash; a
+//! frozen slave that thaws before suspicion; master crash mid-invocation,
+//! mid-rollback, mid-transfer, and twice; slave crash during the gather and
+//! overlapping crashes; late join, partition → evict → heal → rejoin, and a
+//! master crash with a join in flight}, at 4–16 slaves, each run at worker
+//! pool sizes 0 and 8.
+//!
+//! A diff here means an event moved. Re-record (the failure message prints
+//! paste-ready rows) only if the change meant it to.
+
+use dlb::apps::{Calibration, Lu, MatMul, Sor};
+use dlb::compiler::ParallelPlan;
+use dlb::core::driver::{try_run, AppSpec, RunConfig, RunReport};
+use dlb::core::kernels::IndependentKernel;
+use dlb::core::msg::UnitData;
+use dlb::sim::{CpuWork, FaultPlan, SimDuration, SimTime};
+use std::sync::Arc;
+
+/// Node 0 is the master; node `i + 1` is slave `i`.
+const MASTER: usize = 0;
+
+fn node(slave: usize) -> usize {
+    slave + 1
+}
+
+/// A kernel, its plan, and its bit-exactness check against the sequential
+/// reference.
+#[derive(Clone)]
+struct Prog {
+    spec: AppSpec,
+    plan: ParallelPlan,
+    exact: Arc<dyn Fn(&RunReport) -> bool>,
+}
+
+impl Prog {
+    fn mm(n: usize, reps: u64) -> Prog {
+        let k = Arc::new(MatMul::new(n, reps, 7, &Calibration::new(0.05)));
+        Prog {
+            plan: dlb::compiler::compile(&k.program()).unwrap(),
+            spec: AppSpec::Independent(k.clone()),
+            exact: Arc::new(move |r| MatMul::result_c(&r.result) == k.sequential()),
+        }
+    }
+
+    /// MM whose WHILE test ends the run after `stop` of `reps` repetitions.
+    fn mm_stopping_after(n: usize, reps: u64, stop: u64) -> Prog {
+        let cal = Calibration::new(0.05);
+        let k = Arc::new(StopsEarly {
+            mm: MatMul::new(n, reps, 7, &cal),
+            stop,
+        });
+        let reference = MatMul::new(n, stop, 7, &cal).sequential();
+        Prog {
+            plan: dlb::compiler::compile(&k.mm.program()).unwrap(),
+            spec: AppSpec::Independent(k),
+            exact: Arc::new(move |r| MatMul::result_c(&r.result) == reference),
+        }
+    }
+
+    fn sor(n: usize, sweeps: u64, mflops: f64) -> Prog {
+        let k = Arc::new(Sor::new(n, sweeps, 7, &Calibration::new(mflops)));
+        Prog {
+            plan: dlb::compiler::compile(&k.program()).unwrap(),
+            spec: AppSpec::Pipelined(k.clone()),
+            exact: Arc::new(move |r| k.result_grid(&r.result) == k.sequential()),
+        }
+    }
+
+    fn lu(n: usize) -> Prog {
+        let k = Arc::new(Lu::new(n, 7, &Calibration::new(0.002)));
+        Prog {
+            plan: dlb::compiler::compile(&k.program()).unwrap(),
+            spec: AppSpec::Shrinking(k.clone()),
+            exact: Arc::new(move |r| Lu::result_cols(&r.result) == k.sequential()),
+        }
+    }
+
+    fn run(&self, label: &str, cfg: RunConfig) -> RunReport {
+        let report = try_run(self.spec.clone(), &self.plan, cfg)
+            .unwrap_or_else(|e| panic!("{label}: {}", e.error));
+        assert!((self.exact)(&report), "{label}: result must be exact");
+        report
+    }
+}
+
+struct StopsEarly {
+    mm: MatMul,
+    stop: u64,
+}
+
+impl IndependentKernel for StopsEarly {
+    fn n_units(&self) -> usize {
+        self.mm.n_units()
+    }
+    fn invocations(&self) -> u64 {
+        self.mm.invocations()
+    }
+    fn init_unit(&self, idx: usize) -> UnitData {
+        self.mm.init_unit(idx)
+    }
+    fn compute(&self, idx: usize, unit: &mut UnitData, invocation: u64) {
+        self.mm.compute(idx, unit, invocation)
+    }
+    fn unit_cost(&self) -> CpuWork {
+        self.mm.unit_cost()
+    }
+    fn converged(&self, invocation: u64, _metric: f64) -> bool {
+        invocation + 1 >= self.stop
+    }
+}
+
+/// The three kernels at one cluster width, named for the row labels. The
+/// `long` variants leave barriers for re-admissions after a partition heals
+/// (SOR needs none: its heal lands inside the ordinary run).
+struct Apps {
+    slaves: usize,
+    apps: [(&'static str, Prog, Prog); 3],
+}
+
+impl Apps {
+    /// `tests/chaos.rs` sizes.
+    fn small() -> Apps {
+        let (mm, sor, lu) = (Prog::mm(24, 3), Prog::sor(18, 4, 0.002), Prog::lu(20));
+        Apps {
+            slaves: 4,
+            apps: [
+                ("mm", mm.clone(), mm),
+                ("sor", sor.clone(), sor),
+                ("lu", lu.clone(), lu),
+            ],
+        }
+    }
+
+    /// `tests/chaos_{scale,failover,join}.rs` sizes.
+    fn wide() -> Apps {
+        let sor = Prog::sor(36, 4, 0.002);
+        Apps {
+            slaves: 16,
+            apps: [
+                ("mm", Prog::mm(32, 3), Prog::mm(32, 12)),
+                ("sor", sor.clone(), sor),
+                ("lu", Prog::lu(24), Prog::lu(40)),
+            ],
+        }
+    }
+
+    fn cfg(&self, pool: usize, plan: FaultPlan) -> RunConfig {
+        let mut cfg = RunConfig::homogeneous(self.slaves);
+        cfg.balancer.enabled = true;
+        cfg.fault_plan = Some(plan);
+        cfg.worker_threads = Some(pool);
+        cfg
+    }
+
+    /// `tests/chaos_join.rs`: tolerances tightened so evictions, heals and
+    /// rejoins fit inside a short run, elastic membership on.
+    fn join_cfg(&self, pool: usize, plan: FaultPlan, windows_ms: [u64; 5]) -> RunConfig {
+        let [suspicion, speculate_after, nudge, heartbeat, backoff] =
+            windows_ms.map(SimDuration::from_millis);
+        let mut cfg = self.cfg(pool, plan);
+        let ft = &mut cfg.fault_tolerance;
+        ft.suspicion = suspicion;
+        ft.speculate_after = speculate_after;
+        ft.nudge = nudge;
+        ft.slave_heartbeat = heartbeat;
+        ft.rejoin_attempts = 10;
+        ft.rejoin_backoff = backoff;
+        cfg
+    }
+}
+
+/// `[suspicion, speculate_after, nudge, slave_heartbeat, rejoin_backoff]` in
+/// ms: the join cells, the MM/LU partition cells (eviction, heal and rejoin
+/// must all land inside a short run), and the SOR partition cell (its
+/// compute chunks outlast a 500 ms suspicion window).
+const JOIN_MS: [u64; 5] = [1000, 600, 300, 200, 300];
+const PARTITION_MS: [u64; 5] = [500, 400, 200, 100, 200];
+const SOR_PARTITION_MS: [u64; 5] = [2000, 1600, 800, 200, 400];
+
+type Row = (String, u64, u64, u64, String);
+
+/// `format!("{:?}", r.recovery)` minus the fields that are `0` or `None`
+/// (three quarters of them in any one cell): nothing is lost, and a moved
+/// counter stands out in the diff.
+fn row(label: String, r: &RunReport) -> Row {
+    let debug = format!("{:?}", r.recovery);
+    let fields = debug
+        .strip_prefix("RecoveryStats { ")
+        .and_then(|d| d.strip_suffix(" }"))
+        .expect("derived Debug of a struct");
+    let nonzero: Vec<&str> = fields
+        .split(", ")
+        .filter(|f| !f.ends_with(": 0") && !f.ends_with(": None"))
+        .collect();
+    (
+        label,
+        r.elapsed.0,
+        r.sim.events_processed,
+        r.sim.trace_hash,
+        nonzero.join(", "),
+    )
+}
+
+/// Every cell of the matrix at one pool size, in table order.
+fn matrix(pool: usize) -> Vec<Row> {
+    let mut rows = Vec::new();
+    let small = Apps::small();
+    let wide = Apps::wide();
+
+    for (i, (name, app, _)) in small.apps.iter().enumerate() {
+        let seed = 100 + i as u64;
+        // Per-engine crash instant (µs) that lands mid-run.
+        let at = [200_000, 300_000, 200_000][i];
+
+        let label = format!("quiet4/{name}");
+        let r = app.run(&label, small.cfg(pool, FaultPlan::new(seed)));
+        rows.push(row(label, &r));
+
+        let label = format!("wire_crash4/{name}");
+        let plan = FaultPlan::new(seed + 10)
+            .drop_all(0.05)
+            .dup_all(0.02)
+            .jitter_all(0.1, SimDuration::from_millis(20))
+            .crash(node(1), SimTime(at));
+        let r = app.run(&label, small.cfg(pool, plan));
+        rows.push(row(label, &r));
+
+        // Adaptive checkpoint cadence (`examples/ckpt_cadence.rs`): the
+        // stride in `InvocationStart`/`Rollback` follows the invocation-time
+        // EMA under the rollback policy and stays 1 under re-scatter.
+        let label = format!("adaptive_stride4/{name}");
+        let plan = FaultPlan::new(seed + 30).crash(node(2), SimTime(at + 100_000));
+        let mut cfg = small.cfg(pool, plan);
+        cfg.fault_tolerance.ckpt_max_skip = 2;
+        cfg.fault_tolerance.ckpt_loss_budget = SimDuration::from_secs(60);
+        let r = app.run(&label, cfg);
+        rows.push(row(label, &r));
+
+        // Frozen past `speculate_after` (4 s), thawed before `suspicion`
+        // (8 s): a speculation is launched and then cancelled.
+        let label = format!("freeze4/{name}");
+        let plan = FaultPlan::new(seed + 20).freeze(node(2), SimTime(at), SimTime(at + 6_000_000));
+        let r = app.run(&label, small.cfg(pool, plan));
+        rows.push(row(label, &r));
+    }
+
+    for (i, (name, app, long)) in wide.apps.iter().enumerate() {
+        let seed = 200 + 10 * i as u64;
+        let at = [200_000, 300_000, 200_000][i];
+
+        let label = format!("master_mid_invocation/{name}");
+        let plan = FaultPlan::new(seed).crash(MASTER, SimTime(at));
+        let r = app.run(&label, wide.cfg(pool, plan));
+        rows.push(row(label, &r));
+
+        // The master is only frozen: a deputy is elected meanwhile, and the
+        // thawed master must retire silently on the winner's `Promoted`.
+        let label = format!("master_frozen_then_superseded/{name}");
+        let plan = FaultPlan::new(seed).freeze(MASTER, SimTime(at), SimTime(at + 14_000_000));
+        let r = app.run(&label, wide.cfg(pool, plan));
+        rows.push(row(label, &r));
+
+        // `tests/chaos_scale.rs` wire faults, one flavour per cell.
+        let wire = [
+            ("drop", FaultPlan::new(seed + 8).drop_all(0.05)),
+            ("dup", FaultPlan::new(seed + 8).dup_all(0.05)),
+            (
+                "jitter",
+                FaultPlan::new(seed + 8).jitter_all(0.2, SimDuration::from_millis(20)),
+            ),
+        ];
+        for (fault, plan) in wire {
+            let label = format!("{fault}16/{name}");
+            let r = app.run(&label, wide.cfg(pool, plan));
+            rows.push(row(label, &r));
+        }
+
+        // Probe runs pin the instant to aim the next fault at: a fault plan
+        // is invisible until its first fault fires.
+        let first = FaultPlan::new(seed + 1).crash(node(3), SimTime(at));
+        let probe = app.run("probe", wide.cfg(pool, first.clone()));
+        let death = probe
+            .recovery
+            .first_death
+            .expect("probe declares a death")
+            .0;
+
+        // The master dies right after declaring the slave dead: with its
+        // rollback (or its eviction fence) unacknowledged.
+        let label = format!("master_mid_rollback/{name}");
+        let plan = first.clone().crash(MASTER, SimTime(death + 300));
+        let r = app.run(&label, wide.cfg(pool, plan));
+        rows.push(row(label, &r));
+
+        // A second slave dies with the recovery for the first in flight.
+        let label = format!("overlapping_crashes/{name}");
+        let plan = first.crash(node(9), SimTime(death + 300));
+        let r = app.run(&label, wide.cfg(pool, plan));
+        rows.push(row(label, &r));
+
+        // Two slow slaves keep the balancer moving units; the master dies
+        // just after its first decision, with migrations in flight.
+        let slow = |plan| {
+            let mut cfg = wide.cfg(pool, plan);
+            cfg.slave_nodes[2].speed = 0.3;
+            cfg.slave_nodes[9].speed = 0.3;
+            cfg.record_timeline = true;
+            cfg
+        };
+        let probe = app.run("probe", slow(FaultPlan::new(seed + 2)));
+        let decided = probe.timeline.first().expect("a balancing decision").t.0;
+        let label = format!("master_mid_transfer/{name}");
+        let plan = FaultPlan::new(seed + 2).crash(MASTER, SimTime(decided + 200));
+        let r = app.run(&label, slow(plan));
+        rows.push(row(label, &r));
+
+        // The election winner (deputy 0) dies mid-reign: second failover.
+        let first = FaultPlan::new(seed + 3).crash(MASTER, SimTime(at));
+        let probe = app.run("probe", wide.cfg(pool, first.clone()));
+        let latency = probe.recovery.takeover_latency.expect("probe fails over");
+        let mid_reign = (at + latency.0 + probe.elapsed.0) / 2;
+        let label = format!("double_failover/{name}");
+        let plan = first.crash(node(0), SimTime(mid_reign));
+        let r = app.run(&label, wide.cfg(pool, plan));
+        rows.push(row(label, &r));
+
+        // A slave dies just after the master sends `Gather` — on a clean
+        // wire, then on one that drops, duplicates and reorders.
+        let probe = app.run("probe", wide.cfg(pool, FaultPlan::new(seed + 4)));
+        let label = format!("crash_in_gather/{name}");
+        let plan = FaultPlan::new(seed + 4).crash(node(4), SimTime(probe.compute_time.0 + 50));
+        let r = app.run(&label, wide.cfg(pool, plan));
+        rows.push(row(label, &r));
+
+        let lossy = |plan: FaultPlan| {
+            plan.drop_all(0.02)
+                .dup_all(0.05)
+                .jitter_all(0.2, SimDuration::from_millis(20))
+        };
+        let label = format!("crash_in_gather_lossy/{name}");
+        let probe = app.run("probe", wide.cfg(pool, lossy(FaultPlan::new(seed + 4))));
+        let plan =
+            lossy(FaultPlan::new(seed + 4)).crash(node(4), SimTime(probe.compute_time.0 + 50));
+        let r = app.run(&label, wide.cfg(pool, plan));
+        rows.push(row(label, &r));
+
+        let joiner = 5 + 2 * i;
+        let label = format!("late_join/{name}");
+        let mut cfg = wide.join_cfg(pool, FaultPlan::new(seed + 5), JOIN_MS);
+        cfg.late_joiners = vec![(joiner, SimTime(at - 50_000))];
+        let r = app.run(&label, cfg);
+        rows.push(row(label, &r));
+
+        let label = format!("master_crash_join_in_flight/{name}");
+        let plan = FaultPlan::new(seed + 6).crash(MASTER, SimTime(at - 40_000));
+        let mut cfg = wide.join_cfg(pool, plan, JOIN_MS);
+        cfg.late_joiners = vec![(joiner, SimTime(at - 50_000))];
+        let r = app.run(&label, cfg);
+        rows.push(row(label, &r));
+
+        // The same two shapes on the lossy wire: stale-epoch and
+        // previous-life reports straggle in.
+        let label = format!("late_join_lossy/{name}");
+        let mut cfg = wide.join_cfg(pool, lossy(FaultPlan::new(seed + 5)), JOIN_MS);
+        cfg.late_joiners = vec![(joiner, SimTime(at - 50_000))];
+        let r = app.run(&label, cfg);
+        rows.push(row(label, &r));
+
+        let label = format!("master_crash_join_in_flight_lossy/{name}");
+        let plan = lossy(FaultPlan::new(seed + 6)).crash(MASTER, SimTime(at - 40_000));
+        let mut cfg = wide.join_cfg(pool, plan, JOIN_MS);
+        cfg.late_joiners = vec![(joiner, SimTime(at - 50_000))];
+        let r = app.run(&label, cfg);
+        rows.push(row(label, &r));
+
+        // Slaves 12..15 are cut off (the deputies stay with the master),
+        // evicted by the quorum side, and rejoin after the heal.
+        let minority: Vec<usize> = (12..16).map(node).collect();
+        let (from, until, windows) = if *name == "sor" {
+            (200_000, 3_000_000, SOR_PARTITION_MS)
+        } else {
+            (150_000, 1_200_000, PARTITION_MS)
+        };
+        let label = format!("partition_heal_rejoin/{name}");
+        let plan = FaultPlan::new(seed + 7).partition(
+            SimTime(from),
+            SimTime(until),
+            vec![minority.clone()],
+        );
+        let r = long.run(&label, wide.join_cfg(pool, plan.clone(), windows));
+        rows.push(row(label, &r));
+
+        let label = format!("crash_inside_partition/{name}");
+        let plan = plan.crash(node(4), SimTime(400_000));
+        let r = long.run(&label, wide.join_cfg(pool, plan, windows));
+        rows.push(row(label, &r));
+
+        let label = format!("partition_heal_rejoin_lossy/{name}");
+        let plan = lossy(FaultPlan::new(seed + 7)).partition(
+            SimTime(from),
+            SimTime(until),
+            vec![minority],
+        );
+        let r = long.run(&label, wide.join_cfg(pool, plan, windows));
+        rows.push(row(label, &r));
+    }
+
+    // Data-dependent WHILE termination under the re-scatter policy (the
+    // driver wires no convergence test for the other two engines): the run
+    // stops after two of three repetitions, through a slave crash.
+    let label = "converges_early4/mm".to_string();
+    let plan = FaultPlan::new(130).crash(node(1), SimTime(200_000));
+    let r = Prog::mm_stopping_after(24, 3, 2).run(&label, small.cfg(pool, plan));
+    rows.push(row(label, &r));
+
+    // Armed, quiet, and wide enough that a pipelined slave waiting on its
+    // left neighbour "has never spoken" when the nudge timer fires: the
+    // master re-sends it Start + InvocationStart with no fault anywhere.
+    // Pins `start_resends` / `invocation_start_resends` by name.
+    let label = format!("quiet{QUIET_SOR_SLAVES}/sor");
+    let sor = Prog::sor(QUIET_SOR_SLAVES + 12, 3, 0.02 * 76.0 / 300.0);
+    let mut cfg = RunConfig::homogeneous(QUIET_SOR_SLAVES);
+    cfg.fault_plan = Some(FaultPlan::new(300));
+    cfg.worker_threads = Some(pool);
+    let r = sor.run(&label, cfg);
+    assert!(r.recovery.start_resends > 0, "{label}: {:?}", r.recovery);
+    assert!(!r.sim.fault.any(), "{label}: no fault fired");
+    rows.push(row(label, &r));
+
+    rows
+}
+
+/// Narrowest quiet armed SOR cluster whose pipeline fill outlasts the
+/// default nudge timer.
+const QUIET_SOR_SLAVES: usize = 31;
+
+#[test]
+fn event_streams_match_the_recorded_constants() {
+    for pool in [0, 8] {
+        let rows = matrix(pool);
+        let matches = rows.len() == GOLDEN.len()
+            && rows.iter().zip(GOLDEN).all(|(r, g)| {
+                (r.0.as_str(), r.1, r.2, r.3, r.4.as_str()) == (g.0, g.1, g.2, g.3, g.4)
+            });
+        if !matches {
+            let mut table = String::new();
+            for (i, r) in rows.iter().enumerate() {
+                let moved = GOLDEN.get(i).is_none_or(|g| {
+                    (r.0.as_str(), r.1, r.2, r.3, r.4.as_str()) != (g.0, g.1, g.2, g.3, g.4)
+                });
+                let mark = if moved { " // MOVED" } else { "" };
+                table.push_str(&format!(
+                    "    ({:?}, {}, {}, {:#018x}, {:?}),{mark}\n",
+                    r.0, r.1, r.2, r.3, r.4
+                ));
+            }
+            panic!("pool {pool}: the event stream moved; actual rows:\n{table}");
+        }
+    }
+}
+
+/// `(cell, elapsed µs, events processed, trace hash, recovery counters)`,
+/// recorded at the commit before the two fault-mode loops were merged.
+#[rustfmt::skip]
+const GOLDEN: &[(&str, u64, u64, u64, &str)] = &[
+    ("quiet4/mm", 435544, 604, 0xfbad34e7133c8371, "replicas_published: 9, replication_bytes: 3780"),
+    ("wire_crash4/mm", 13102864, 1010, 0x9183ca763fad2b69, "slaves_declared_dead: 1, first_death: Some(t=8.297802s), restore_resends: 3, start_resends: 1, invocation_start_resends: 1, gather_resends: 1, status_dups_ignored: 1, done_dups_ignored: 3, speculations_launched: 1, speculations_committed: 1, units_speculated: 6, speculations_computed: 1, replicas_published: 8, replication_bytes: 4720"),
+    ("adaptive_stride4/mm", 8440571, 928, 0x04820c85d96c29a8, "slaves_declared_dead: 1, first_death: Some(t=8.433595s), restore_resends: 3, done_dups_ignored: 3, speculations_launched: 1, speculations_committed: 1, units_speculated: 6, speculations_computed: 1, replicas_published: 9, replication_bytes: 4740"),
+    ("freeze4/mm", 6439238, 854, 0x0a4b8e281e32230d, "instr_resends: 1, invocation_start_resends: 1, done_dups_ignored: 1, speculations_launched: 1, speculations_cancelled: 1, speculations_computed: 1, replicas_published: 9, replication_bytes: 4500"),
+    ("quiet4/sor", 2660925, 854, 0xec8bdef9d725364c, "checkpoints_banked: 3, checkpoints_sent: 16, replicas_published: 12, replication_bytes: 19920"),
+    ("wire_crash4/sor", 25133146, 1571, 0xf0ccfad5a6a73d5c, "slaves_declared_dead: 2, first_death: Some(t=8.014336s), start_resends: 9, invocation_start_resends: 9, checkpoints_banked: 3, rollbacks: 3, units_rolled_back: 48, speculations_launched: 3, speculations_committed: 3, units_speculated: 38, stale_epoch_dropped: 3, rollbacks_applied: 6, checkpoints_sent: 42, speculations_computed: 3, replicas_published: 13, replication_bytes: 22340"),
+    ("adaptive_stride4/sor", 10032123, 966, 0xa04fc81ab35a1532, "slaves_declared_dead: 1, first_death: Some(t=8.010717s), start_resends: 6, invocation_start_resends: 6, checkpoints_banked: 3, rollbacks: 1, units_rolled_back: 16, speculations_launched: 1, speculations_committed: 1, units_speculated: 16, stale_epoch_dropped: 1, rollbacks_applied: 3, checkpoints_sent: 21, speculations_computed: 1, replicas_published: 9, replication_bytes: 14580"),
+    ("freeze4/sor", 8646072, 1136, 0x35f16bf4b8701961, "start_resends: 6, invocation_start_resends: 6, checkpoints_banked: 3, speculations_launched: 1, speculations_committed: 1, units_speculated: 16, checkpoints_sent: 25, speculations_computed: 1, replicas_published: 12, replication_bytes: 20640"),
+    ("quiet4/lu", 854194, 2760, 0x52fdbc717fbe6f1d, "checkpoints_banked: 18, checkpoints_sent: 96, replicas_published: 57, replication_bytes: 162028"),
+    ("wire_crash4/lu", 26529568, 3097, 0xaf3182032545fe28, "slaves_declared_dead: 2, first_death: Some(t=8.243589s), instr_resends: 3, invocation_start_resends: 3, done_dups_ignored: 6, checkpoints_banked: 16, rollbacks: 2, units_rolled_back: 40, speculations_launched: 3, speculations_committed: 3, units_speculated: 50, transfer_dups_dropped: 1, rollbacks_applied: 4, checkpoints_sent: 99, speculations_computed: 3, replicas_published: 28, replication_bytes: 61232"),
+    ("adaptive_stride4/lu", 8981182, 2558, 0xc89ada37317caafd, "slaves_declared_dead: 1, first_death: Some(t=8.382831s), checkpoints_banked: 8, rollbacks: 1, units_rolled_back: 20, speculations_launched: 1, speculations_committed: 1, units_speculated: 20, rollbacks_applied: 3, checkpoints_sent: 26, speculations_computed: 1, replicas_published: 42, replication_bytes: 69120"),
+    ("freeze4/lu", 6880477, 3100, 0xa470b57a883e0ff0, "checkpoints_banked: 19, speculations_launched: 3, speculations_committed: 3, units_speculated: 30, checkpoints_sent: 110, speculations_computed: 3, replicas_published: 57, replication_bytes: 149276"),
+    ("master_mid_invocation/mm", 8461536, 2544, 0x401aaad6390de8d7, "rollbacks: 1, units_rolled_back: 32, rollbacks_applied: 15, elections_held: 1, takeover_latency: Some(8.047046s), replicas_published: 7, replication_bytes: 3696"),
+    ("master_frozen_then_superseded/mm", 14285400, 3361, 0xe721aab66a72f065, "rollbacks: 1, units_rolled_back: 32, rollbacks_applied: 15, elections_held: 1, takeover_latency: Some(8.047046s), replicas_published: 7, replication_bytes: 3696"),
+    ("drop16/mm", 15288590, 2148, 0x55dbe3f09998c25f, "instr_resends: 4, start_resends: 1, invocation_start_resends: 5, gather_resends: 1, done_dups_ignored: 5, replicas_published: 9, replication_bytes: 5472"),
+    ("dup16/mm", 322491, 1740, 0x97b1089860e7eb2d, "status_dups_ignored: 2, done_dups_ignored: 2, replicas_published: 9, replication_bytes: 4752"),
+    ("jitter16/mm", 374360, 1727, 0xf3514e92540c0c29, "replicas_published: 9, replication_bytes: 4752"),
+    ("master_mid_rollback/mm", 24184335, 4253, 0x999b24dbb84f4108, "slaves_declared_dead: 1, first_death: Some(t=24.157431s), restore_resends: 17, done_dups_ignored: 14, rollbacks: 1, units_rolled_back: 32, speculations_launched: 1, speculations_committed: 1, units_speculated: 2, rollbacks_applied: 14, speculations_computed: 1, elections_held: 1, takeover_latency: Some(8.002530s), replicas_published: 8, replication_bytes: 4864"),
+    ("overlapping_crashes/mm", 15456566, 3812, 0xb82ce492ea77b273, "slaves_declared_dead: 2, first_death: Some(t=8.302646s), units_restored: 2, restore_resends: 32, done_dups_ignored: 28, speculations_launched: 1, speculations_committed: 1, units_speculated: 2, speculations_computed: 1, replicas_published: 9, replication_bytes: 6552"),
+    ("master_mid_transfer/mm", 9212492, 2418, 0xbc0d77d6e1f9ff37, "done_dups_ignored: 1, rollbacks: 1, units_rolled_back: 32, rollbacks_applied: 15, elections_held: 1, takeover_latency: Some(8.044109s), replicas_published: 6, replication_bytes: 3248"),
+    ("double_failover/mm", 18594779, 3359, 0x5639130218eb7dca, "rollbacks: 2, units_rolled_back: 64, rollbacks_applied: 28, elections_held: 2, takeover_latency: Some(10.085385s), replicas_published: 6, replication_bytes: 3168"),
+    ("crash_in_gather/mm", 8324987, 1924, 0x4d0f9b0142a01b65, "slaves_declared_dead: 1, first_death: Some(t=8.324787s), units_recomputed: 2, gather_resends: 3, gathers_interrupted: 1, replicas_published: 9, replication_bytes: 5712"),
+    ("crash_in_gather_lossy/mm", 10331743, 2135, 0xc039411f4f448e85, "slaves_declared_dead: 1, first_death: Some(t=10.330943s), units_recomputed: 2, gather_resends: 4, status_dups_ignored: 3, done_dups_ignored: 3, gather_dups_ignored: 3, gathers_interrupted: 1, replicas_published: 9, replication_bytes: 5952"),
+    ("late_join/mm", 362559, 1692, 0xdf53f1ec7d972300, "rollbacks: 1, units_rolled_back: 32, joins_admitted: 1, join_snapshot_bytes: 1200, rollbacks_applied: 16, replicas_published: 9, replication_bytes: 4752"),
+    ("master_crash_join_in_flight/mm", 8531039, 3990, 0x9469ebabc0e779a8, "rollbacks: 2, units_rolled_back: 64, joins_admitted: 1, join_snapshot_bytes: 1192, rollbacks_applied: 29, elections_held: 1, takeover_latency: Some(8.091372s), replicas_published: 7, replication_bytes: 3696"),
+    ("late_join_lossy/mm", 1109733, 2293, 0xa86e6ebd042a06c0, "restore_resends: 2, start_resends: 1, invocation_start_resends: 1, status_dups_ignored: 12, rollbacks: 1, units_rolled_back: 32, joins_admitted: 1, join_snapshot_bytes: 1200, stale_epoch_dropped: 4, rollbacks_applied: 16, replicas_published: 9, replication_bytes: 4872"),
+    ("master_crash_join_in_flight_lossy/mm", 9183677, 4338, 0x52649385a0afc272, "restore_resends: 2, status_dups_ignored: 6, gather_dups_ignored: 1, rollbacks: 2, units_rolled_back: 64, joins_admitted: 1, join_snapshot_bytes: 1192, stale_epoch_dropped: 2, rollbacks_applied: 29, elections_held: 1, takeover_latency: Some(8.103306s), replicas_published: 7, replication_bytes: 3696"),
+    ("partition_heal_rejoin/mm", 1921166, 6312, 0x2d7ef04aa1cb41d3, "slaves_declared_dead: 4, first_death: Some(t=0.607051s), units_restored: 6, restore_resends: 15, instr_resends: 1, invocation_start_resends: 1, done_dups_ignored: 20, rollbacks: 1, units_rolled_back: 32, speculations_launched: 1, speculations_committed: 1, units_speculated: 2, joins_admitted: 4, rejoins_after_eviction: 4, join_snapshot_bytes: 4800, partitions_healed: 1, rollbacks_applied: 16, speculations_computed: 1, replicas_published: 36, replication_bytes: 19128"),
+    ("crash_inside_partition/mm", 2226702, 6885, 0x603463684fc5f3d3, "slaves_declared_dead: 5, first_death: Some(t=0.607051s), units_restored: 8, restore_resends: 26, instr_resends: 1, invocation_start_resends: 1, done_dups_ignored: 30, rollbacks: 1, units_rolled_back: 32, speculations_launched: 1, speculations_committed: 1, units_speculated: 2, joins_admitted: 4, rejoins_after_eviction: 4, join_snapshot_bytes: 4768, partitions_healed: 1, rollbacks_applied: 15, speculations_computed: 1, replicas_published: 36, replication_bytes: 19248"),
+    ("partition_heal_rejoin_lossy/mm", 3030077, 7115, 0xd40f5262865c4988, "slaves_declared_dead: 4, first_death: Some(t=0.597431s), units_restored: 6, restore_resends: 19, instr_resends: 10, start_resends: 2, invocation_start_resends: 12, gather_resends: 1, status_dups_ignored: 13, done_dups_ignored: 31, gather_dups_ignored: 1, rollbacks: 1, units_rolled_back: 32, speculations_launched: 1, speculations_committed: 1, units_speculated: 2, joins_admitted: 4, rejoins_after_eviction: 4, join_snapshot_bytes: 4800, partitions_healed: 1, stale_epoch_dropped: 3, rollbacks_applied: 16, speculations_computed: 1, replicas_published: 36, replication_bytes: 19248"),
+    ("master_mid_invocation/sor", 18785686, 4919, 0x33ee62679e01ca97, "restore_resends: 4, checkpoints_banked: 3, rollbacks: 1, units_rolled_back: 34, stale_epoch_dropped: 4, rollbacks_applied: 15, checkpoints_sent: 204, elections_held: 1, takeover_latency: Some(8.086125s), replicas_published: 8, replication_bytes: 45312"),
+    ("master_frozen_then_superseded/sor", 24540623, 5811, 0x070335a3dec39d40, "slaves_declared_dead: 1, first_death: Some(t=21.917963s), restore_resends: 9, checkpoints_banked: 3, rollbacks: 2, units_rolled_back: 68, stale_epoch_dropped: 23, rollbacks_applied: 28, checkpoints_sent: 186, elections_held: 1, takeover_latency: Some(8.086125s), replicas_published: 9, replication_bytes: 56232"),
+    ("drop16/sor", 55033970, 9192, 0xdb960d48f3f649f8, "slaves_declared_dead: 4, first_death: Some(t=15.252935s), restore_resends: 428, start_resends: 141, invocation_start_resends: 141, gather_dups_ignored: 10, checkpoints_banked: 4, rollbacks: 5, units_rolled_back: 170, speculations_launched: 9, speculations_committed: 9, units_speculated: 120, stale_epoch_dropped: 353, rollbacks_applied: 59, checkpoints_sent: 120, speculations_computed: 9, replicas_published: 11, replication_bytes: 71080"),
+    ("dup16/sor", 10472091, 4065, 0x28ab09926280b0c6, "start_resends: 4, invocation_start_resends: 4, status_dups_ignored: 7, checkpoints_banked: 3, checkpoints_sent: 104, replicas_published: 12, replication_bytes: 67968"),
+    ("jitter16/sor", 52160313, 9162, 0xa7a7f3e27acc8495, "slaves_declared_dead: 3, first_death: Some(t=17.771740s), restore_resends: 383, start_resends: 4, invocation_start_resends: 4, gather_dups_ignored: 11, checkpoints_banked: 4, rollbacks: 7, units_rolled_back: 238, speculations_launched: 2, speculations_committed: 2, units_speculated: 68, stale_epoch_dropped: 346, rollbacks_applied: 91, checkpoints_sent: 123, speculations_computed: 2, replicas_published: 27, replication_bytes: 121096"),
+    ("master_mid_rollback/sor", 32104453, 5794, 0xfb57684b054cd2fa, "slaves_declared_dead: 1, first_death: Some(t=24.253318s), restore_resends: 47, checkpoints_banked: 3, rollbacks: 3, units_rolled_back: 102, speculations_launched: 1, speculations_committed: 1, units_speculated: 3, stale_epoch_dropped: 44, rollbacks_applied: 42, checkpoints_sent: 100, speculations_computed: 1, elections_held: 1, takeover_latency: Some(8.004202s), replicas_published: 10, replication_bytes: 46768"),
+    ("overlapping_crashes/sor", 22602919, 5325, 0xb7237201869538a4, "slaves_declared_dead: 2, first_death: Some(t=8.017993s), restore_resends: 7, start_resends: 64, invocation_start_resends: 64, checkpoints_banked: 3, rollbacks: 3, units_rolled_back: 102, speculations_launched: 5, speculations_committed: 5, units_speculated: 77, stale_epoch_dropped: 2, rollbacks_applied: 42, checkpoints_sent: 101, speculations_computed: 5, replicas_published: 15, replication_bytes: 70992"),
+    ("master_mid_transfer/sor", 21946762, 5285, 0x3a605c2bbbea0dfa, "restore_resends: 8, checkpoints_banked: 3, rollbacks: 1, units_rolled_back: 34, transfer_resends: 1, transfer_dups_dropped: 1, stale_epoch_dropped: 8, rollbacks_applied: 15, checkpoints_sent: 201, elections_held: 1, takeover_latency: Some(8.085925s), replicas_published: 8, replication_bytes: 45552"),
+    ("double_failover/sor", 31714187, 6768, 0x27c3683e26d839a3, "restore_resends: 9, checkpoints_banked: 3, rollbacks: 2, units_rolled_back: 68, stale_epoch_dropped: 9, rollbacks_applied: 28, checkpoints_sent: 339, elections_held: 2, takeover_latency: Some(10.086746s), replicas_published: 7, replication_bytes: 24520"),
+    ("crash_in_gather/sor", 21097573, 5183, 0x495e699d677493be, "slaves_declared_dead: 1, first_death: Some(t=18.473787s), restore_resends: 5, start_resends: 4, invocation_start_resends: 4, gather_resends: 3, gathers_interrupted: 1, checkpoints_banked: 3, rollbacks: 1, units_rolled_back: 34, stale_epoch_dropped: 5, rollbacks_applied: 15, checkpoints_sent: 215, replicas_published: 15, replication_bytes: 100968"),
+    ("crash_in_gather_lossy/sor", 50172456, 9333, 0x6167f9faeaf19480, "slaves_declared_dead: 3, first_death: Some(t=18.823559s), restore_resends: 358, start_resends: 4, invocation_start_resends: 4, status_dups_ignored: 1, gather_dups_ignored: 9, checkpoints_banked: 4, rollbacks: 6, units_rolled_back: 204, speculations_launched: 3, speculations_committed: 2, speculations_cancelled: 1, units_speculated: 68, stale_epoch_dropped: 316, rollbacks_applied: 78, checkpoints_sent: 208, speculations_computed: 3, replicas_published: 21, replication_bytes: 147784"),
+    ("late_join/sor", 23600569, 42291, 0xc9bb0b46bac510b3, "slaves_declared_dead: 15, first_death: Some(t=1.810356s), restore_resends: 6089, start_resends: 56, invocation_start_resends: 56, done_dups_ignored: 28, gather_dups_ignored: 12, checkpoints_banked: 4, rollbacks: 30, units_rolled_back: 1020, speculations_launched: 15, speculations_committed: 1, speculations_cancelled: 11, units_speculated: 3, joins_admitted: 13, rejoins_after_eviction: 12, join_snapshot_bytes: 12048, partitions_healed: 9, stale_epoch_dropped: 5683, rollbacks_applied: 348, checkpoints_sent: 56, speculations_computed: 1, replicas_published: 41, replication_bytes: 134360"),
+    ("master_crash_join_in_flight/sor", 52870492, 41208, 0x418c2b2ea5a1ec5e, "slaves_declared_dead: 13, first_death: Some(t=10.245239s), restore_resends: 5187, done_dups_ignored: 33, checkpoints_banked: 4, rollbacks: 28, units_rolled_back: 952, speculations_launched: 15, speculations_committed: 2, speculations_cancelled: 8, units_speculated: 6, joins_admitted: 12, rejoins_after_eviction: 11, join_snapshot_bytes: 11472, partitions_healed: 8, stale_epoch_dropped: 4642, rollbacks_applied: 280, checkpoints_sent: 306, speculations_computed: 4, elections_held: 1, takeover_latency: Some(8.099309s), replicas_published: 19, replication_bytes: 91488"),
+    ("late_join_lossy/sor", 47351163, 43702, 0xe0c6fd57ab300e1e, "slaves_declared_dead: 18, first_death: Some(t=1.823423s), restore_resends: 6762, start_resends: 54, invocation_start_resends: 54, status_dups_ignored: 10, done_dups_ignored: 41, gather_dups_ignored: 13, checkpoints_banked: 4, rollbacks: 36, units_rolled_back: 1224, speculations_launched: 18, speculations_committed: 7, speculations_cancelled: 2, units_speculated: 21, joins_admitted: 16, rejoins_after_eviction: 15, join_snapshot_bytes: 14856, partitions_healed: 12, stale_epoch_dropped: 6231, rollbacks_applied: 376, checkpoints_sent: 52, replicas_published: 47, replication_bytes: 268424"),
+    ("master_crash_join_in_flight_lossy/sor", 41923745, 46421, 0x835384eb0bc6df3f, "slaves_declared_dead: 11, first_death: Some(t=10.293491s), restore_resends: 6962, done_dups_ignored: 19, gather_dups_ignored: 14, checkpoints_banked: 4, rollbacks: 30, units_rolled_back: 1020, speculations_launched: 6, speculations_cancelled: 2, joins_admitted: 11, rejoins_after_eviction: 10, join_snapshot_bytes: 11048, partitions_healed: 9, stale_epoch_dropped: 6970, rollbacks_applied: 343, checkpoints_sent: 331, elections_held: 1, takeover_latency: Some(8.099309s), replicas_published: 23, replication_bytes: 113984"),
+    ("partition_heal_rejoin/sor", 48225271, 11582, 0x7097d748e8f1a0e3, "slaves_declared_dead: 2, first_death: Some(t=2.016622s), restore_resends: 117, instr_resends: 2, start_resends: 37, invocation_start_resends: 39, done_dups_ignored: 4, checkpoints_banked: 3, rollbacks: 3, units_rolled_back: 102, speculations_launched: 5, speculations_committed: 4, units_speculated: 10, joins_admitted: 1, rejoins_after_eviction: 1, join_snapshot_bytes: 1040, partitions_healed: 1, stale_epoch_dropped: 112, rollbacks_applied: 40, checkpoints_sent: 440, speculations_computed: 4, replicas_published: 17, replication_bytes: 71168"),
+    ("crash_inside_partition/sor", 48225271, 9885, 0x26cc098d7c3eaa9d, "slaves_declared_dead: 3, first_death: Some(t=2.059375s), restore_resends: 61, instr_resends: 2, start_resends: 85, invocation_start_resends: 87, done_dups_ignored: 4, checkpoints_banked: 3, rollbacks: 5, units_rolled_back: 170, speculations_launched: 4, speculations_committed: 4, units_speculated: 10, joins_admitted: 1, rejoins_after_eviction: 1, join_snapshot_bytes: 1032, partitions_healed: 1, stale_epoch_dropped: 56, rollbacks_applied: 64, checkpoints_sent: 245, speculations_computed: 3, replicas_published: 20, replication_bytes: 72592"),
+    ("partition_heal_rejoin_lossy/sor", 56918280, 25533, 0x73823f78ae7c664f, "slaves_declared_dead: 9, first_death: Some(t=2.017641s), restore_resends: 2176, start_resends: 43, invocation_start_resends: 43, status_dups_ignored: 7, done_dups_ignored: 11, gather_dups_ignored: 12, checkpoints_banked: 4, rollbacks: 22, units_rolled_back: 748, speculations_launched: 5, speculations_committed: 3, units_speculated: 9, joins_admitted: 7, rejoins_after_eviction: 7, join_snapshot_bytes: 6648, partitions_healed: 7, stale_epoch_dropped: 2044, rollbacks_applied: 260, checkpoints_sent: 142, speculations_computed: 1, replicas_published: 38, replication_bytes: 194568"),
+    ("master_mid_invocation/lu", 8849197, 11215, 0x9095f4792728621b, "checkpoints_banked: 22, rollbacks: 1, units_rolled_back: 24, rollbacks_applied: 15, checkpoints_sent: 480, elections_held: 1, takeover_latency: Some(8.004933s), replicas_published: 51, replication_bytes: 233672"),
+    ("master_frozen_then_superseded/lu", 14260769, 12605, 0xb7072e97b5212ad5, "checkpoints_banked: 22, rollbacks: 1, units_rolled_back: 24, rollbacks_applied: 15, checkpoints_sent: 480, elections_held: 1, takeover_latency: Some(8.004933s), replicas_published: 51, replication_bytes: 233672"),
+    ("drop16/lu", 395681848, 45836, 0x77c155d4ecd8c89f, "slaves_declared_dead: 13, first_death: Some(t=19.052012s), restore_resends: 132, instr_resends: 8, start_resends: 2, invocation_start_resends: 10, done_dups_ignored: 12, checkpoints_banked: 23, rollbacks: 15, units_rolled_back: 360, speculations_launched: 34, speculations_committed: 33, speculations_cancelled: 1, units_speculated: 326, stale_epoch_dropped: 249, rollbacks_applied: 44, checkpoints_sent: 1128, speculations_computed: 5, replicas_published: 39, replication_bytes: 184904"),
+    ("dup16/lu", 777369, 9999, 0xf5e9074f5e01fca0, "status_dups_ignored: 23, gather_dups_ignored: 2, checkpoints_banked: 22, checkpoints_sent: 368, replicas_published: 69, replication_bytes: 339336"),
+    ("jitter16/lu", 1163427, 10370, 0xef17f2fdeba9563a, "checkpoints_banked: 22, checkpoints_sent: 368, replicas_published: 69, replication_bytes: 339456"),
+    ("master_mid_rollback/lu", 24865635, 13429, 0x69850be82c1f959e, "slaves_declared_dead: 1, first_death: Some(t=24.243045s), restore_resends: 3, checkpoints_banked: 22, rollbacks: 2, units_rolled_back: 48, speculations_launched: 3, speculations_committed: 3, units_speculated: 28, stale_epoch_dropped: 4, rollbacks_applied: 28, checkpoints_sent: 662, speculations_computed: 6, elections_held: 1, takeover_latency: Some(8.004162s), replicas_published: 51, replication_bytes: 243928"),
+    ("overlapping_crashes/lu", 16750738, 11934, 0x31e961e8b533b92e, "slaves_declared_dead: 2, first_death: Some(t=8.204363s), restore_resends: 3, checkpoints_banked: 22, rollbacks: 2, units_rolled_back: 48, speculations_launched: 8, speculations_committed: 8, units_speculated: 60, stale_epoch_dropped: 6, rollbacks_applied: 28, checkpoints_sent: 521, speculations_computed: 8, replicas_published: 69, replication_bytes: 341256"),
+    ("master_mid_transfer/lu", 10006176, 10558, 0xbaf6a78326685b50, "checkpoints_banked: 22, rollbacks: 1, units_rolled_back: 24, rollbacks_applied: 15, checkpoints_sent: 472, elections_held: 1, takeover_latency: Some(8.004471s), replicas_published: 46, replication_bytes: 226304"),
+    ("double_failover/lu", 18910019, 13105, 0x692d202442076076, "checkpoints_banked: 22, rollbacks: 2, units_rolled_back: 48, rollbacks_applied: 28, checkpoints_sent: 603, elections_held: 2, takeover_latency: Some(10.005598s), replicas_published: 38, replication_bytes: 159496"),
+    ("crash_in_gather/lu", 8802827, 11699, 0xe0d1b84396df00f9, "slaves_declared_dead: 1, first_death: Some(t=8.774263s), gather_resends: 3, gathers_interrupted: 1, checkpoints_banked: 22, rollbacks: 1, units_rolled_back: 24, rollbacks_applied: 15, checkpoints_sent: 705, replicas_published: 72, replication_bytes: 356304"),
+    ("crash_in_gather_lossy/lu", 125929790, 23666, 0x18ac7f75c2f03d37, "slaves_declared_dead: 8, first_death: Some(t=17.074781s), restore_resends: 99, instr_resends: 9, start_resends: 1, invocation_start_resends: 10, gather_resends: 1, status_dups_ignored: 16, done_dups_ignored: 10, checkpoints_banked: 21, rollbacks: 8, units_rolled_back: 192, speculations_launched: 14, speculations_committed: 14, units_speculated: 205, stale_epoch_dropped: 76, rollbacks_applied: 64, checkpoints_sent: 946, speculations_computed: 5, replicas_published: 46, replication_bytes: 205448"),
+    ("late_join/lu", 828019, 11155, 0x7b27b59b613fee10, "checkpoints_banked: 22, rollbacks: 1, units_rolled_back: 24, joins_admitted: 1, join_snapshot_bytes: 360, rollbacks_applied: 16, checkpoints_sent: 381, replicas_published: 72, replication_bytes: 350536"),
+    ("master_crash_join_in_flight/lu", 8925858, 14598, 0x7aec726403a4fe62, "checkpoints_banked: 22, rollbacks: 2, units_rolled_back: 48, joins_admitted: 1, join_snapshot_bytes: 552, rollbacks_applied: 29, checkpoints_sent: 932, elections_held: 1, takeover_latency: Some(8.017957s), replicas_published: 52, replication_bytes: 234200"),
+    ("late_join_lossy/lu", 70208611, 51398, 0x91a516f268e14037, "slaves_declared_dead: 21, first_death: Some(t=2.148950s), restore_resends: 406, status_dups_ignored: 29, gather_dups_ignored: 9, checkpoints_banked: 23, rollbacks: 41, units_rolled_back: 984, speculations_launched: 27, speculations_committed: 24, speculations_cancelled: 1, units_speculated: 312, joins_admitted: 20, rejoins_after_eviction: 19, join_snapshot_bytes: 9272, partitions_healed: 19, stale_epoch_dropped: 509, rollbacks_applied: 313, checkpoints_sent: 1566, speculations_computed: 9, replicas_published: 74, replication_bytes: 333472"),
+    ("master_crash_join_in_flight_lossy/lu", 109116642, 83727, 0x6b816a145256f464, "slaves_declared_dead: 19, first_death: Some(t=10.097259s), restore_resends: 3114, status_dups_ignored: 33, gather_dups_ignored: 1, checkpoints_banked: 22, rollbacks: 38, units_rolled_back: 912, speculations_launched: 25, speculations_committed: 24, units_speculated: 356, joins_admitted: 17, rejoins_after_eviction: 17, join_snapshot_bytes: 8632, partitions_healed: 16, stale_epoch_dropped: 2793, rollbacks_applied: 284, checkpoints_sent: 3167, speculations_computed: 14, elections_held: 1, takeover_latency: Some(8.052168s), replicas_published: 48, replication_bytes: 228712"),
+    ("partition_heal_rejoin/lu", 4040846, 20483, 0x6125ec28f40a2e2a, "slaves_declared_dead: 2, first_death: Some(t=0.618641s), restore_resends: 38, done_dups_ignored: 4, checkpoints_banked: 38, rollbacks: 4, units_rolled_back: 160, speculations_launched: 1, joins_admitted: 2, rejoins_after_eviction: 2, join_snapshot_bytes: 1952, partitions_healed: 2, stale_epoch_dropped: 36, rollbacks_applied: 56, checkpoints_sent: 748, replicas_published: 121, replication_bytes: 1534544"),
+    ("crash_inside_partition/lu", 4308864, 19814, 0x8d7c6485f23d91ac, "slaves_declared_dead: 3, first_death: Some(t=0.618641s), restore_resends: 42, instr_resends: 2, invocation_start_resends: 2, done_dups_ignored: 4, checkpoints_banked: 38, rollbacks: 5, units_rolled_back: 200, speculations_launched: 1, joins_admitted: 2, rejoins_after_eviction: 2, join_snapshot_bytes: 2264, partitions_healed: 2, stale_epoch_dropped: 38, rollbacks_applied: 65, checkpoints_sent: 722, replicas_published: 123, replication_bytes: 1535720"),
+    ("partition_heal_rejoin_lossy/lu", 72315373, 110850, 0xbfb7362512dd9ce0, "slaves_declared_dead: 51, first_death: Some(t=0.610509s), restore_resends: 843, instr_resends: 10, start_resends: 8, invocation_start_resends: 18, status_dups_ignored: 53, done_dups_ignored: 27, gather_dups_ignored: 14, checkpoints_banked: 39, rollbacks: 99, units_rolled_back: 3960, speculations_launched: 33, speculations_committed: 11, units_speculated: 218, joins_admitted: 49, rejoins_after_eviction: 49, join_snapshot_bytes: 52584, partitions_healed: 47, stale_epoch_dropped: 871, rollbacks_applied: 423, checkpoints_sent: 2558, speculations_computed: 5, replicas_published: 188, replication_bytes: 1707120"),
+    ("converges_early4/mm", 8298050, 796, 0xf4390f20a01ad864, "slaves_declared_dead: 1, first_death: Some(t=8.291074s), restore_resends: 3, done_dups_ignored: 3, speculations_launched: 1, speculations_committed: 1, units_speculated: 6, speculations_computed: 1, replicas_published: 6, replication_bytes: 3480"),
+    ("quiet31/sor", 6053941, 5032, 0x45ccaa902554824a, "start_resends: 1, invocation_start_resends: 1, checkpoints_banked: 2, checkpoints_sent: 123, replicas_published: 9, replication_bytes: 50007"),
+];
