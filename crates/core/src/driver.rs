@@ -12,7 +12,7 @@ use crate::engine_shrinking::ShrinkingSlave;
 use crate::error::{FaultToleranceConfig, ProtocolError, RunError};
 use crate::kernels::{IndependentKernel, PipelinedKernel, ShrinkingKernel};
 use crate::master::{
-    run_master, MasterConfig, MasterFt, MasterOutcome, TakeoverKit, TimelineSample,
+    run_master, MasterConfig, MasterFt, MasterOutcome, Recovery, TakeoverKit, TimelineSample,
 };
 use crate::msg::{Msg, UnitData};
 use crate::recovery::RecoveryStats;
@@ -389,58 +389,41 @@ pub fn try_run(
                 }
                 _ => Box::new(|_, _| false),
             };
-            // Fault mode wires the master's failure detector. The
-            // independent pattern gets the unit-reconstruction closures that
-            // enable in-place recovery; pipelined/shrinking get the
-            // epoch-zero snapshot closure that seeds checkpoint rollback.
-            let ft = if fault_mode {
-                use crate::master::{InitUnitFn, RecomputeUnitFn};
-                let (init_unit, recompute_unit, checkpoint_init): (
-                    Option<InitUnitFn>,
-                    Option<RecomputeUnitFn>,
-                    Option<InitUnitFn>,
-                ) = match &app {
+            // Fault mode wires the master's failure detector, and the
+            // pattern picks its recovery policy: the independent pattern
+            // gets the unit-reconstruction closures that enable in-place
+            // recovery; pipelined/shrinking get the epoch-zero snapshot
+            // closure that seeds checkpoint rollback.
+            let ft = fault_mode.then(|| MasterFt {
+                tolerance: tol.clone(),
+                recovery: match &app {
                     AppSpec::Independent(k) => {
-                        let ki = Arc::clone(k);
-                        let kr = Arc::clone(k);
-                        (
-                            Some(Box::new(move |id| ki.init_unit(id))),
-                            Some(Box::new(move |id, invs| {
+                        let (ki, kr) = (Arc::clone(k), Arc::clone(k));
+                        Recovery::Rescatter {
+                            init_unit: Box::new(move |id| ki.init_unit(id)),
+                            recompute_unit: Box::new(move |id, invs| {
                                 let mut d = kr.init_unit(id);
                                 for i in 0..invs {
                                     kr.compute(id, &mut d, i);
                                 }
                                 d
-                            })),
-                            None,
-                        )
+                            }),
+                        }
                     }
                     AppSpec::Pipelined(k) => {
-                        let kp = Arc::clone(k);
-                        (
-                            None,
-                            None,
-                            Some(Box::new(move |id| vec![kp.init_unit(id)]) as InitUnitFn),
-                        )
+                        let k = Arc::clone(k);
+                        Recovery::Rollback {
+                            checkpoint_init: Box::new(move |id| vec![k.init_unit(id)]),
+                        }
                     }
                     AppSpec::Shrinking(k) => {
-                        let kp = Arc::clone(k);
-                        (
-                            None,
-                            None,
-                            Some(Box::new(move |id| vec![kp.init_unit(id)]) as InitUnitFn),
-                        )
+                        let k = Arc::clone(k);
+                        Recovery::Rollback {
+                            checkpoint_init: Box::new(move |id| vec![k.init_unit(id)]),
+                        }
                     }
-                };
-                Some(MasterFt {
-                    tolerance: tol.clone(),
-                    init_unit,
-                    recompute_unit,
-                    checkpoint_init,
-                })
-            } else {
-                None
-            };
+                },
+            });
             MasterConfig {
                 balancer,
                 invocations,

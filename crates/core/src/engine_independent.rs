@@ -432,7 +432,7 @@ async fn apply_restore(
 
 /// Apply a `Speculate`: compute the suspect's units *through* the current
 /// barrier into a side buffer; the master later commits or cancels it.
-#[allow(clippy::too_many_arguments)]
+#[expect(clippy::too_many_arguments)]
 async fn apply_speculate(
     ctx: &MailCtx<Msg>,
     common: &mut SlaveCommon,
@@ -468,7 +468,6 @@ async fn apply_speculate(
 /// Handle the windowed master-channel messages (`Restore` / `Speculate` /
 /// commit / cancel). Returns whether ownership may have changed (new local
 /// work or new owned ids).
-#[allow(clippy::too_many_arguments)]
 async fn apply_master_chan(
     ctx: &MailCtx<Msg>,
     common: &mut SlaveCommon,
@@ -697,7 +696,6 @@ enum Idle {
 /// master-channel watermark) is re-sent whenever nothing arrives for one
 /// heartbeat period, bounded by `give_up_tries`; unacked transfers are
 /// re-sent on the same trigger.
-#[allow(clippy::too_many_arguments)]
 async fn idle_until_work_or_barrier(
     ctx: &MailCtx<Msg>,
     common: &mut SlaveCommon,

@@ -151,11 +151,11 @@ pub struct ReplicaMsg {
     /// Membership as the master believes it (`alive[i]` per slave).
     pub alive: Vec<bool>,
     /// Replica freshness: the invocation a takeover from this replica can
-    /// resume at (the banked checkpoint's invocation for the checkpointed
-    /// loop, the current invocation for the recoverable loop). Candidates
+    /// resume at (the banked checkpoint's invocation under the rollback
+    /// policy, the current invocation under re-scatter). Candidates
     /// advertise it; voters refuse staler candidates.
     pub fresh: u64,
-    /// Newest complete checkpoint snapshot (checkpointed loop only), sent
+    /// Newest complete checkpoint snapshot (rollback policy only), sent
     /// when this deputy has not yet confirmed holding it.
     pub snapshot: Option<(u64, Vec<(usize, UnitData)>)>,
     /// The newest complete checkpoint invocation in the master's bank —

@@ -1,22 +1,25 @@
-//! Master-side session kernel: the state and transitions shared by both
-//! fault-mode control loops (recoverable and checkpointed).
+//! Master-side session kernel: the state and transitions of a fault-mode
+//! run.
 //!
 //! `master.rs` drives the protocol — receive arms, timer sweeps, the
-//! gather — but every structural transition lives here: membership and
-//! eviction ([`Membership`]), the eviction fence and unit re-scatter
-//! ([`Eviction`], [`resolve_evictions`]), speculation bookkeeping
-//! ([`RestartSpec`], [`SnapshotSpec`]), and the checkpointed session
-//! ([`CkSession`]) with its bank, epoch lifecycle, and rollback
-//! orchestration.
+//! gather — over one [`Session`]; every structural transition lives here:
+//! membership and eviction ([`Membership`], [`Session::evict`]), admission
+//! ([`Session::admit`]), the windowed re-range that is takeover seeding,
+//! admission and rollback at once ([`Session::rerange`]), speculation
+//! ([`Session::speculate`]), control-plane replication ([`Failover`]).
+//! What differs between recovering in place and rolling back to a
+//! checkpoint is the [`Policy`]: the state only that policy keeps, and the
+//! `match` arms on it below.
 
 use crate::balancer::Balancer;
 use crate::error::{FaultToleranceConfig, ProtocolError};
-use crate::master::InitUnitFn;
-use crate::msg::{Instructions, Msg, UnitData};
+use crate::master::{InitUnitFn, MasterFt, RecomputeUnitFn, Recovery};
+use crate::msg::{Instructions, Msg, ReplicaMsg, UnitData};
 use crate::protocol::SenderWindow;
 use crate::recovery::{redistribute, RecoveryStats};
 use crate::session::checkpoint::{checkpoint_stride, CheckpointBank};
 use crate::session::membership::Membership;
+use crate::session::replica::TakeoverSeed;
 use crate::session::speculation::{RestartSpec, SnapshotSpec};
 use dlb_sim::{ActorId, MailCtx, SimDuration, SimTime};
 use std::collections::BTreeSet;
@@ -57,144 +60,99 @@ pub(crate) struct Eviction {
     pub dead_owned: Vec<usize>,
 }
 
-/// Cancel the in-flight restart speculation (the suspect proved alive).
-pub(crate) async fn cancel_spec(
-    ctx: &MailCtx<Msg>,
-    slaves: &[ActorId],
-    win: &mut [SenderWindow<Msg>],
-    spec: &mut Option<RestartSpec>,
-    rec: &mut RecoveryStats,
-) {
-    if let Some(sp) = spec.take() {
-        let msg = win[sp.executor]
-            .send_with(|seq| Msg::SpecCancel {
-                seq,
-                spec_seq: sp.spec_seq,
-            })
-            .clone();
-        send(ctx, slaves[sp.executor], msg).await;
-        rec.speculations_cancelled += 1;
+/// Master-side failover state: this reign's term, the deputy set, the
+/// replica freshness each deputy has confirmed (piggybacked on
+/// `InvocationDone::replica_inv`), and the heartbeat timer.
+pub(crate) struct Failover {
+    pub term: u64,
+    deputies: usize,
+    /// Replica freshness confirmed by each deputy.
+    acked: Vec<u64>,
+    next_ping: SimTime,
+}
+
+impl Failover {
+    /// Record a deputy's piggybacked replica confirmation.
+    pub fn note_ack(&mut self, slave: usize, replica_inv: u64) {
+        if slave < self.deputies {
+            self.acked[slave] = self.acked[slave].max(replica_inv);
+        }
     }
 }
 
-/// All pending evictions are fully reported: compute the set of units no
-/// survivor owns (directly or in an unacknowledged master message still in
-/// flight), adopt speculation results for whatever they cover, and
-/// re-scatter the rest from initial data.
-#[allow(clippy::too_many_arguments)]
-pub(crate) async fn resolve_evictions(
-    ctx: &MailCtx<Msg>,
-    slaves: &[ActorId],
-    n_units: usize,
-    inv: u64,
-    memb: &mut Membership,
-    owned: &mut [BTreeSet<usize>],
-    win: &mut [SenderWindow<Msg>],
-    evictions: &mut Vec<Eviction>,
-    spec: &mut Option<RestartSpec>,
-    init_unit: &InitUnitFn,
-    rec: &mut RecoveryStats,
-) {
-    let n = slaves.len();
-    // Units accounted for: owned by a survivor, or inside an unacknowledged
-    // Restore/SpecCommit payload (the owner's `owned_ids` cannot reflect
-    // those yet — `restore_seq` and `owned_ids` travel atomically in
-    // InvocationDone, so once the window is acked the report includes them).
-    let mut assigned: BTreeSet<usize> = BTreeSet::new();
-    for s in 0..n {
-        if !memb.alive[s] {
-            continue;
-        }
-        assigned.extend(owned[s].iter().copied());
-        for (_, m) in win[s].unacked() {
-            match m {
-                Msg::Restore { units, .. } => {
-                    assigned.extend(units.iter().map(|(id, _)| *id));
-                }
-                Msg::SpecCommit { ids, .. } => assigned.extend(ids.iter().copied()),
-                _ => {}
-            }
-        }
-    }
-    // In-flight units the survivors re-owned by closing channels with the
-    // dead peers (a proxy count: everything the dead slave was believed to
-    // own that a survivor now accounts for).
-    for ev in evictions.iter() {
-        rec.units_reowned += ev
-            .dead_owned
-            .iter()
-            .filter(|u| assigned.contains(u))
-            .count() as u64;
-    }
-    let mut missing: Vec<usize> = (0..n_units).filter(|u| !assigned.contains(u)).collect();
-
-    // Speculation first: if the suspect is among the dead, its units were
-    // already recomputed on the executor — adopt them without replay.
-    if spec.as_ref().is_some_and(|sp| !memb.alive[sp.suspect]) {
-        let sp = spec.take().expect("checked above");
-        let commit: Vec<usize> = missing
-            .iter()
-            .copied()
-            .filter(|u| sp.ids.contains(u))
-            .collect();
-        if commit.is_empty() {
-            let msg = win[sp.executor]
-                .send_with(|seq| Msg::SpecCancel {
-                    seq,
-                    spec_seq: sp.spec_seq,
-                })
-                .clone();
-            send(ctx, slaves[sp.executor], msg).await;
-            rec.speculations_cancelled += 1;
-        } else {
-            missing.retain(|u| !commit.contains(u));
-            owned[sp.executor].extend(commit.iter().copied());
-            rec.units_speculated += commit.len() as u64;
-            rec.speculations_committed += 1;
-            memb.done[sp.executor] = false;
-            let msg = win[sp.executor]
-                .send_with(|seq| Msg::SpecCommit {
-                    seq,
-                    spec_seq: sp.spec_seq,
-                    ids: commit,
-                })
-                .clone();
-            send(ctx, slaves[sp.executor], msg).await;
-        }
-    }
-
-    let survivors = memb.survivors();
-    for (t, units) in redistribute(&missing, &survivors) {
-        let payload: Vec<(usize, UnitData)> = units.iter().map(|&u| (u, init_unit(u))).collect();
-        rec.units_restored += payload.len() as u64;
-        owned[t].extend(units.iter().copied());
-        memb.done[t] = false;
-        let msg = win[t]
-            .send_with(|seq| Msg::Restore {
-                seq,
-                invocation: inv,
-                units: payload,
-            })
-            .clone();
-        send(ctx, slaves[t], msg).await;
-    }
-    evictions.clear();
+/// The recovery policy of a session together with the state only that
+/// policy keeps. Built from the driver's [`Recovery`] wiring; the two
+/// variants are contrasted point by point in `master.rs`'s module doc.
+pub(crate) enum Policy {
+    /// Independent pattern: recover in place. Dead slaves are fenced off
+    /// with [`Msg::Evicted`] / [`Msg::OwnReport`] and exactly the units no
+    /// survivor reports are re-scattered from initial data.
+    Rescatter {
+        init_unit: InitUnitFn,
+        recompute_unit: RecomputeUnitFn,
+        /// Ownership as the master believes it: refreshed from every
+        /// InvocationDone (`owned_ids`) and authoritative OwnReports. With
+        /// the balancer live this map can lag a transfer in flight; the
+        /// eviction protocol never trusts it alone (see
+        /// [`Session::resolve_evictions`]).
+        owned: Vec<BTreeSet<usize>>,
+        evictions: Vec<Eviction>,
+        /// In-flight restart speculation, at most one.
+        spec: Option<RestartSpec>,
+    },
+    /// Pipelined/shrinking patterns: carried dependences rule out in-place
+    /// recovery, so slaves ship checkpoints at barriers and any loss rolls
+    /// every survivor back to the newest complete one.
+    Rollback {
+        checkpoint_init: InitUnitFn,
+        /// Checkpoint fragments and the newest complete snapshot.
+        bank: CheckpointBank,
+        /// In-flight snapshot speculation, at most one.
+        spec: Option<SnapshotSpec>,
+        /// Checkpoint cadence currently in force (broadcast with each
+        /// barrier release; always 1 when the adaptation is disabled).
+        ckpt_stride: u64,
+        /// Exponential moving average of the invocation wall time
+        /// (seconds), for the restart-cost estimate fed to the balancer.
+        ema_s: f64,
+        inv_started: SimTime,
+        /// Per-slave window-acknowledgement floor. Reports from epochs
+        /// below the reign floor (`term << 32`) acknowledge the *crashed*
+        /// master's window, never ours; admission raises a rejoined slot's
+        /// floor to the admission epoch so the previous life's in-flight
+        /// reports cannot acknowledge its fresh window (E112 guards the
+        /// same boundary on the snapshot side).
+        join_epoch: Vec<u64>,
+    },
 }
 
-/// Mutable state of the checkpointed session: membership, epoch lifecycle,
-/// the checkpoint bank, speculation, and the per-slave control windows.
-/// `run_checkpointed` in `master.rs` drives it; the structural transitions
-/// (eviction, rollback, speculation launch/commit/cancel, stride choice)
-/// are methods here.
-pub(crate) struct CkSession {
+/// Mutable state of one fault-mode run: membership, epoch lifecycle, the
+/// per-slave control windows, the admission queue, failover, the recovery
+/// counters, and the [`Policy`]. The single fault-mode driver in
+/// `master.rs` owns exactly one.
+pub(crate) struct Session {
+    pub tol: FaultToleranceConfig,
+    pub slaves: Vec<ActorId>,
+    pub n_units: usize,
+    /// Liveness state (suspicion, nudge rate-limiting, barrier flags).
     pub memb: Membership,
     pub last_hook_seq: Vec<u64>,
     pub metrics: Vec<f64>,
+    /// Per-channel transfer settlement matrices (monotone max-merged).
     pub sent: Vec<Vec<u64>>,
     pub recv: Vec<Vec<u64>>,
+    /// One sender window per destination for all recovery messages
+    /// (Restore / Speculate / SpecCommit / SpecCancel / Rollback),
+    /// acknowledged via InvocationDone::restore_seq. The transition rules
+    /// live in `protocol::SenderWindow`, where the model checker in
+    /// `dlb-analyze` exercises them exhaustively.
     pub win: Vec<SenderWindow<Msg>>,
+    /// Bounded instruction retry: (seq, message, re-sends so far), cleared
+    /// when a status acknowledges the sequence number.
     pub unacked_instr: Vec<Option<(u64, Instructions, u32)>>,
-    /// Current rollback epoch; all protocol state is fenced by it.
+    /// Epoch in force; all protocol state is fenced by it. 0 for an
+    /// original reign; a takeover fences its reign behind `term << 32` so
+    /// every pre-promotion epoch is strictly older.
     pub epoch: u64,
     /// Invocation being settled.
     pub inv: u64,
@@ -202,22 +160,60 @@ pub(crate) struct CkSession {
     /// as the barrier release), so the head of the loop must not broadcast
     /// another `InvocationStart`.
     pub released: bool,
-    /// Checkpoint fragments and the newest complete snapshot.
-    pub bank: CheckpointBank,
-    /// In-flight snapshot speculation, at most one.
-    pub spec: Option<SnapshotSpec>,
-    /// Checkpoint cadence currently in force (broadcast with each barrier
-    /// release; always 1 when the adaptation is disabled).
-    pub ckpt_stride: u64,
-    /// Exponential moving average of the invocation wall time (seconds),
-    /// for the restart-cost estimate fed to the balancer.
-    pub ema_s: f64,
-    pub inv_started: SimTime,
+    /// Mid-run admission queue: (slave, incarnation) of joiners waiting for
+    /// the next settled barrier. Admission never races an open eviction —
+    /// settlement requires the eviction set to be empty.
+    pub pending_joins: Vec<(usize, u64)>,
+    /// Slots whose initial assignment is empty are *deferred*: reserved for
+    /// latecomers. They start evicted (no death counted, no channel fence
+    /// broadcast — peers simply never hear from them) and enter through the
+    /// same admission path as a rejoiner.
+    pub deferred: Vec<bool>,
+    pub fo: Failover,
+    /// Recovery actions taken so far (seeded from the replica on takeover).
+    pub rec: RecoveryStats,
+    pub policy: Policy,
 }
 
-impl CkSession {
-    pub fn new(now: SimTime, n: usize, tol: &FaultToleranceConfig) -> CkSession {
-        CkSession {
+impl Session {
+    pub fn new(
+        now: SimTime,
+        ft: MasterFt,
+        slaves: &[ActorId],
+        assignment: &[(usize, usize)],
+        term: u64,
+        rec: RecoveryStats,
+    ) -> Session {
+        let n = slaves.len();
+        let tol = ft.tolerance;
+        let deputies = tol.deputies.min(n);
+        let policy = match ft.recovery {
+            Recovery::Rescatter {
+                init_unit,
+                recompute_unit,
+            } => Policy::Rescatter {
+                init_unit,
+                recompute_unit,
+                owned: assignment
+                    .iter()
+                    .map(|&(lo, hi)| (lo..hi).collect())
+                    .collect(),
+                evictions: Vec::new(),
+                spec: None,
+            },
+            Recovery::Rollback { checkpoint_init } => Policy::Rollback {
+                checkpoint_init,
+                bank: CheckpointBank::new(),
+                spec: None,
+                ckpt_stride: 1,
+                ema_s: 0.0,
+                inv_started: now,
+                join_epoch: vec![term << 32; n],
+            },
+        };
+        Session {
+            slaves: slaves.to_vec(),
+            n_units: assignment.iter().map(|&(_, hi)| hi).max().unwrap_or(0),
             memb: Membership::new(n, now, tol.nudge),
             last_hook_seq: vec![0u64; n],
             metrics: vec![0.0; n],
@@ -225,215 +221,742 @@ impl CkSession {
             recv: vec![vec![0u64; n]; n],
             win: vec![SenderWindow::new(); n],
             unacked_instr: (0..n).map(|_| None).collect(),
-            epoch: 0,
+            epoch: term << 32,
             inv: 0,
             released: false,
-            bank: CheckpointBank::new(),
-            spec: None,
-            ckpt_stride: 1,
-            ema_s: 0.0,
-            inv_started: now,
+            pending_joins: Vec::new(),
+            deferred: assignment.iter().map(|&(lo, hi)| lo >= hi).collect(),
+            fo: Failover {
+                term,
+                deputies,
+                acked: vec![0; deputies],
+                next_ping: now + tol.master_heartbeat,
+            },
+            rec,
+            policy,
+            tol,
         }
     }
 
+    pub fn rollback_policy(&self) -> bool {
+        matches!(self.policy, Policy::Rollback { .. })
+    }
+
+    /// Checkpoint cadence to announce with a barrier release.
+    pub fn ckpt_stride(&self) -> u64 {
+        match &self.policy {
+            Policy::Rescatter { .. } => 1,
+            Policy::Rollback { ckpt_stride, .. } => *ckpt_stride,
+        }
+    }
+
+    /// The barrier release for the invocation being settled.
+    pub fn release_msg(&self) -> Msg {
+        Msg::InvocationStart {
+            invocation: self.inv,
+            ckpt_stride: self.ckpt_stride(),
+        }
+    }
+
+    /// Lowest report epoch whose `restore_seq` may acknowledge `slave`'s
+    /// window: under re-scatter only the epoch in force (a stale report —
+    /// pre-takeover, or a rejoiner's previous life — acknowledges an older
+    /// window); under rollback the slot's floor, because the
+    /// master-channel watermark is not epoch-scoped within a reign and a
+    /// stale report still proves what the slave applied.
+    pub fn ack_floor(&self, slave: usize) -> u64 {
+        match &self.policy {
+            Policy::Rescatter { .. } => self.epoch,
+            Policy::Rollback { join_epoch, .. } => join_epoch[slave],
+        }
+    }
+
+    /// Slave `s` owes the current barrier nothing more. Under re-scatter a
+    /// settled slave is still unsettled while a pending eviction waits on
+    /// its OwnReport: a survivor that dies *after* settling would otherwise
+    /// stall the eviction forever — nothing re-arms its suspicion timer,
+    /// and the awaiting set never drains.
+    pub fn slave_settled(&self, s: usize) -> bool {
+        let awaited = match &self.policy {
+            Policy::Rescatter { evictions, .. } => {
+                evictions.iter().any(|ev| ev.awaiting.contains(&s))
+            }
+            Policy::Rollback { .. } => false,
+        };
+        self.memb.done[s] && self.win[s].fully_acked() && !awaited
+    }
+
+    /// The invocation can be released: every live slave is settled (which
+    /// rules out an open eviction — one always awaits a live slave's
+    /// report), every transfer channel has settled and the balancer has no
+    /// movement order outstanding.
     pub fn settled(&self, balancer: &Balancer) -> bool {
-        let n = self.memb.n();
-        (0..n).all(|s| !self.memb.alive[s] || (self.memb.done[s] && self.win[s].fully_acked()))
+        (0..self.memb.n()).all(|s| !self.memb.alive[s] || self.slave_settled(s))
             && channels_settled(&self.memb.alive, &self.sent, &self.recv)
             && balancer.outstanding_orders() == 0
     }
 
-    /// Fold a settled invocation's wall time into the EMA and pick the
-    /// checkpoint stride for the next barrier release.
-    pub fn fold_invocation_time(&mut self, now: SimTime, tol: &FaultToleranceConfig) {
-        let dur = now.saturating_since(self.inv_started).as_secs_f64();
-        self.ema_s = if self.ema_s == 0.0 {
-            dur
-        } else {
-            0.5 * self.ema_s + 0.5 * dur
-        };
-        self.ckpt_stride = checkpoint_stride(tol.ckpt_max_skip, tol.ckpt_loss_budget, self.ema_s);
-    }
-
-    /// Declare a slave dead. The caller must follow up with `rollback` —
-    /// pipelined/shrinking state cannot be recovered in place. A
-    /// speculation involving the dead slave (as suspect or executor) is
-    /// abandoned without ceremony: its checkpoint either already banked or
-    /// never will.
-    pub async fn evict(
+    /// Open a reign: evict the deferred slots and leave the rest to the
+    /// driver's `Start` broadcast, or — on a takeover — seed the session
+    /// from the replica. The survivors are mid-run: evict the dead, evict
+    /// ourselves (the winner computes no units), and re-range everyone.
+    /// Re-scatter resumes at the replicated invocation watermark with
+    /// recomputed unit state; rollback restarts from the newest replicated
+    /// checkpoint.
+    pub async fn open(
         &mut self,
         ctx: &MailCtx<Msg>,
-        slaves: &[ActorId],
         balancer: &mut Balancer,
-        s: usize,
-        rec: &mut RecoveryStats,
-    ) {
-        self.memb.evict(s);
-        rec.slaves_declared_dead += 1;
-        rec.first_death.get_or_insert(ctx.now());
-        send(ctx, slaves[s], Msg::Evict).await;
-        balancer.mark_dead(s);
-        self.metrics[s] = 0.0;
-        self.unacked_instr[s] = None;
-        if self.spec.as_ref().is_some_and(|sp| sp.involves(s)) {
-            self.spec = None;
+        takeover: Option<(&TakeoverSeed, usize)>,
+    ) -> Result<(), ProtocolError> {
+        let Some((seed, me)) = takeover else {
+            for i in 0..self.memb.n() {
+                if self.deferred[i] {
+                    self.memb.evict(i);
+                    balancer.mark_dead(i);
+                }
+            }
+            return Ok(());
+        };
+        for i in 0..self.memb.n() {
+            if !seed.replica.alive[i] || i == me {
+                self.memb.evict(i);
+                balancer.mark_dead(i);
+            }
+            if seed.replica.alive[i] {
+                // Admitted before the crash: a later rejoin is a rejoin,
+                // not a first-time (deferred) admission.
+                self.deferred[i] = false;
+            }
+        }
+        // Incarnation fencing survives the failover: the replica carries
+        // the admitted-life table, so a pre-crash zombie stays fenced.
+        self.memb.incarnation.clone_from(&seed.replica.incarnations);
+        match &mut self.policy {
+            Policy::Rescatter { .. } => self.inv = seed.replica.invocation,
+            Policy::Rollback { bank, .. } => {
+                if let Some((ck_inv, units)) = seed.replica.snapshot.clone() {
+                    bank.offer(ck_inv, units, self.n_units);
+                }
+                // How much further back the run restarts because our
+                // replica lagged the old master's bank (0 = we resume from
+                // its newest checkpoint).
+                self.rec.checkpoints_lost_to_stale_replica = seed
+                    .replica
+                    .best_banked
+                    .saturating_sub(bank.best_invocation().unwrap_or(0));
+            }
+        }
+        self.rerange(ctx, balancer, &[]).await
+    }
+
+    /// Publish the control-plane replica for this barrier to every live
+    /// deputy: membership, the invocation watermark, the cumulative
+    /// counters. Under re-scatter the watermark alone is the whole state (a
+    /// takeover restarts from `recompute_unit`). Under rollback the
+    /// freshness a deputy can take over from is the newest complete banked
+    /// checkpoint, and its snapshot rides only to deputies whose confirmed
+    /// freshness lags it — once a deputy acknowledges holding it
+    /// (`InvocationDone::replica_inv`), further publishes shrink to the
+    /// cheap scalar core. A lost replica self-heals at the next cadence
+    /// point (the lagging ack keeps the snapshot riding along).
+    pub async fn publish_replica(&mut self, ctx: &MailCtx<Msg>) {
+        let (fresh, bank) = match &self.policy {
+            Policy::Rescatter { .. } => (self.inv, None),
+            Policy::Rollback { bank, .. } => (bank.best_invocation().unwrap_or(0), Some(bank)),
+        };
+        let core = ReplicaMsg {
+            term: self.fo.term,
+            epoch: self.epoch,
+            invocation: self.inv,
+            ckpt_stride: self.ckpt_stride(),
+            alive: self.memb.alive.clone(),
+            incarnations: self.memb.incarnation.clone(),
+            fresh,
+            snapshot: None,
+            best_banked: if bank.is_some() { fresh } else { 0 },
+            recovery: self.rec.clone(),
+        };
+        for d in 0..self.fo.deputies {
+            if !self.memb.alive[d] {
+                continue;
+            }
+            let mut replica = core.clone();
+            if self.fo.acked[d] < fresh {
+                replica.snapshot = bank.and_then(CheckpointBank::best_snapshot);
+            }
+            let msg = Msg::Replica(Box::new(replica));
+            self.rec.replicas_published += 1;
+            self.rec.replication_bytes += msg.wire_bytes();
+            send(ctx, self.slaves[d], msg).await;
         }
     }
 
-    /// Roll the survivors back to the newest complete checkpoint (or the
-    /// initial data when none was banked yet): bump the epoch, re-partition
-    /// the snapshot contiguously over the survivors, and release the
-    /// resumed invocation through the windowed `Rollback` itself. The
-    /// estimated re-execution cost is handed to the balancer so marginal
-    /// moves stop looking profitable while the run is catching up.
-    #[allow(clippy::too_many_arguments)]
-    pub async fn rollback(
+    /// Heartbeat the live deputies so their election trigger stays quiet
+    /// between barriers. Runs from every timer sweep; rate-limited to the
+    /// configured cadence.
+    pub async fn ping_deputies(&mut self, ctx: &MailCtx<Msg>) {
+        let now = ctx.now();
+        if now < self.fo.next_ping {
+            return;
+        }
+        self.fo.next_ping = now + self.tol.master_heartbeat;
+        let msg = Msg::MasterPing { term: self.fo.term };
+        for d in 0..self.fo.deputies {
+            if self.memb.alive[d] {
+                self.rec.replication_bytes += msg.wire_bytes();
+                send(ctx, self.slaves[d], msg.clone()).await;
+            }
+        }
+    }
+
+    /// Replay everything unacknowledged in `s`'s window: it was lost in
+    /// flight.
+    pub async fn replay_window(&mut self, ctx: &MailCtx<Msg>, s: usize) {
+        for (_, msg) in self.win[s].unacked() {
+            send(ctx, self.slaves[s], msg.clone()).await;
+            self.rec.restore_resends += 1;
+        }
+    }
+
+    /// Admit every queued joiner into a settled session: the exact inverse
+    /// of an eviction. Each joiner is readmitted with its announced
+    /// incarnation (fresh two-clock state, fresh sender window — the
+    /// previous life's contiguous-ack watermark died with it), the
+    /// balancer's accounting for its slot is zeroed, and the whole unit set
+    /// is re-ranged over the enlarged survivor set — which doubles as the
+    /// joiners' state transfer *and* the barrier release. The epoch bump
+    /// fences every pre-admission message (including the joiners'
+    /// previous-life traffic) as stale.
+    pub async fn admit(
         &mut self,
         ctx: &MailCtx<Msg>,
-        slaves: &[ActorId],
         balancer: &mut Balancer,
-        ck_init: &InitUnitFn,
-        n_units: usize,
-        tol: &FaultToleranceConfig,
-        rec: &mut RecoveryStats,
+    ) -> Result<(), ProtocolError> {
+        let mut joined: Vec<usize> = Vec::new();
+        let mut rejoined_any = false;
+        for (j, jinc) in std::mem::take(&mut self.pending_joins) {
+            if self.memb.alive[j] || jinc < self.memb.incarnation[j] {
+                continue; // raced an earlier admission, or a newer life exists
+            }
+            self.memb.readmit(j, jinc, ctx.now(), self.tol.nudge);
+            balancer.admit(j);
+            self.win[j] = SenderWindow::new();
+            self.unacked_instr[j] = None;
+            self.last_hook_seq[j] = 0;
+            self.rec.joins_admitted += 1;
+            if self.deferred[j] {
+                self.deferred[j] = false;
+            } else {
+                self.rec.rejoins_after_eviction += 1;
+                rejoined_any = true;
+            }
+            joined.push(j);
+        }
+        if joined.is_empty() {
+            return Ok(());
+        }
+        if rejoined_any {
+            self.rec.partitions_healed += 1;
+        }
+        self.rerange(ctx, balancer, &joined).await?;
+        if let Policy::Rollback { join_epoch, .. } = &mut self.policy {
+            for &j in &joined {
+                join_epoch[j] = self.epoch;
+            }
+        }
+        Ok(())
+    }
+
+    /// Re-range the whole unit set contiguously over the survivors under a
+    /// new epoch: one windowed `Rollback` per survivor — state transfer,
+    /// epoch fence and barrier release in one message — then
+    /// `balancer.rebase`. This is takeover seeding, admission, and rollback;
+    /// the policy decides where unit state comes from. Re-scatter recomputes
+    /// each unit through the completed invocations (the state at the start
+    /// of `inv`, bit-identical to what the survivors would have held) and
+    /// stays at `inv`. Rollback ships the newest complete checkpoint (or
+    /// the initial data when none was banked yet), restarts there, and
+    /// hands the estimated re-execution cost to the balancer so marginal
+    /// moves stop looking profitable while the run is catching up. The
+    /// bytes shipped to `joined` slots are metered as join snapshots.
+    pub async fn rerange(
+        &mut self,
+        ctx: &MailCtx<Msg>,
+        balancer: &mut Balancer,
+        joined: &[usize],
     ) -> Result<(), ProtocolError> {
         let n = self.memb.n();
         let survivors = self.memb.survivors();
         if survivors.is_empty() {
             return Err(ProtocolError::AllSlavesDead);
         }
-        let (ck_inv, snapshot) = self.bank.rollback_snapshot(n_units, &|id| ck_init(id));
-        rec.rollbacks += 1;
-        rec.units_rolled_back += snapshot.len() as u64;
         self.epoch += 1;
-        self.spec = None;
-        // Restart cost: invocations lost since the checkpoint (including
-        // the partially-done one), priced at the running per-invocation
-        // average. `ck_inv` can exceed `inv` when a complete checkpoint for
-        // the *next* barrier arrived before this one settled — then nothing
-        // is lost. (In that corner the convergence test for the skipped
-        // settlement is never evaluated; acceptable for a WHILE loop, which
-        // only ever runs a bounded number of extra invocations.)
-        let lost_invs = (self.inv + 1).saturating_sub(ck_inv);
-        balancer.set_restart_cost(SimDuration::from_secs_f64(self.ema_s * lost_invs as f64));
-        self.ckpt_stride = checkpoint_stride(tol.ckpt_max_skip, tol.ckpt_loss_budget, self.ema_s);
-        let ranges = crate::driver::block_ranges(n_units, survivors.len());
+        let (invocation, ckpt_stride, snapshot) = match &mut self.policy {
+            Policy::Rescatter {
+                recompute_unit,
+                owned,
+                ..
+            } => {
+                owned.iter_mut().for_each(BTreeSet::clear);
+                let inv = self.inv;
+                let units: Vec<(usize, UnitData)> = (0..self.n_units)
+                    .map(|u| (u, recompute_unit(u, inv)))
+                    .collect();
+                (inv, 1, units)
+            }
+            Policy::Rollback {
+                checkpoint_init,
+                bank,
+                spec,
+                ckpt_stride,
+                ema_s,
+                ..
+            } => {
+                let (ck_inv, snapshot) =
+                    bank.rollback_snapshot(self.n_units, &|id| checkpoint_init(id));
+                *spec = None;
+                // Restart cost: invocations lost since the checkpoint
+                // (including the partially-done one), priced at the running
+                // per-invocation average. `ck_inv` can exceed `inv` when a
+                // complete checkpoint for the *next* barrier arrived before
+                // this one settled — then nothing is lost. (In that corner
+                // the convergence test for the skipped settlement is never
+                // evaluated; acceptable for a WHILE loop, which only ever
+                // runs a bounded number of extra invocations.)
+                let lost_invs = (self.inv + 1).saturating_sub(ck_inv);
+                balancer.set_restart_cost(SimDuration::from_secs_f64(*ema_s * lost_invs as f64));
+                *ckpt_stride =
+                    checkpoint_stride(self.tol.ckpt_max_skip, self.tol.ckpt_loss_budget, *ema_s);
+                // Old-epoch instructions must never be replayed. (A
+                // re-scatter keeps the survivors': it resumes the same
+                // invocation, and only the joiners' slots were reset.)
+                self.unacked_instr.iter_mut().for_each(|u| *u = None);
+                (ck_inv, *ckpt_stride, snapshot)
+            }
+        };
+        let ranges = crate::driver::block_ranges(self.n_units, survivors.len());
         let mut counts = vec![0u64; n];
+        let mut rest = snapshot.into_iter();
         let epoch = self.epoch;
-        let ckpt_stride = self.ckpt_stride;
-        for (k, &sv) in survivors.iter().enumerate() {
-            let (lo, hi) = ranges[k];
+        for (&sv, &(lo, hi)) in survivors.iter().zip(&ranges) {
             counts[sv] = (hi - lo) as u64;
-            let units: Vec<(usize, UnitData)> = snapshot[lo..hi].to_vec();
+            if let Policy::Rescatter { owned, .. } = &mut self.policy {
+                owned[sv] = (lo..hi).collect();
+            }
+            let units: Vec<(usize, UnitData)> = rest.by_ref().take(hi - lo).collect();
             let msg = self.win[sv]
                 .send_with(|seq| Msg::Rollback {
                     seq,
                     epoch,
-                    invocation: ck_inv,
+                    invocation,
                     survivors: survivors.clone(),
                     ckpt_stride,
                     units,
                 })
                 .clone();
-            send(ctx, slaves[sv], msg).await;
+            if joined.contains(&sv) {
+                self.rec.join_snapshot_bytes += msg.wire_bytes();
+            }
+            send(ctx, self.slaves[sv], msg).await;
         }
+        self.rec.rollbacks += 1;
+        self.rec.units_rolled_back += self.n_units as u64;
         balancer.rebase(self.epoch, counts);
-        // Everything tracked under the old epoch is void: the slaves reset
-        // their channels on rebase, so the settlement matrices restart from
-        // zero, and old-epoch instructions must never be replayed.
+        // The slaves reset their channels when they rebase onto the new
+        // epoch, so the settlement matrices restart from zero; everything
+        // tracked under the old epoch is void (stale reports are
+        // epoch-fenced before they can re-merge old maxima).
         for row in self.sent.iter_mut().chain(self.recv.iter_mut()) {
             row.iter_mut().for_each(|v| *v = 0);
         }
-        self.unacked_instr.iter_mut().for_each(|u| *u = None);
-        self.inv = ck_inv;
+        self.inv = invocation;
         self.released = true;
-        let now = ctx.now();
-        for &sv in &survivors {
-            self.memb.last_heard[sv] = now;
-            self.memb.next_nudge[sv] = now + tol.nudge;
-            self.memb.done[sv] = false;
+        if self.rollback_policy() {
+            // A rolled-back survivor restarts its wavefront: its silence
+            // and nudge clocks restart with it. (Re-scattered survivors
+            // keep computing, so theirs keep running.)
+            let now = ctx.now();
+            for &sv in &survivors {
+                self.memb.last_heard[sv] = now;
+                self.memb.next_nudge[sv] = now + self.tol.nudge;
+                self.memb.done[sv] = false;
+            }
         }
         Ok(())
     }
 
-    /// Try to launch a snapshot speculation for the silent `suspect`: hand
-    /// the banked snapshot to an idle, fully settled survivor, which
-    /// advances it by one invocation and returns it as an ordinary
-    /// checkpoint. If the suspect is then evicted, the rollback restarts
-    /// one invocation further ahead; if it speaks, the race is cancelled
-    /// master-side at zero wire cost.
-    pub async fn speculate(
+    /// Declare slave `s` dead as of `now`. Under rollback the caller must
+    /// follow up with [`Session::rerange`] — pipelined/shrinking state
+    /// cannot be recovered in place — and a speculation involving the dead
+    /// slave (as suspect or executor) is abandoned without ceremony: its
+    /// checkpoint either already banked or never will. Under re-scatter
+    /// the dead slave's channels are fenced off with `Evicted` and its
+    /// units are re-scattered once every survivor has reported ownership.
+    pub async fn evict(
         &mut self,
         ctx: &MailCtx<Msg>,
-        slaves: &[ActorId],
-        ck_init: &InitUnitFn,
-        n_units: usize,
-        suspect: usize,
-        rec: &mut RecoveryStats,
-    ) {
-        if self.spec.is_some() || self.memb.done[suspect] {
-            return;
+        balancer: &mut Balancer,
+        s: usize,
+        now: SimTime,
+    ) -> Result<(), ProtocolError> {
+        self.memb.evict(s);
+        if crate::dlb_trace() {
+            let inv = self.inv;
+            eprintln!("[master t={now}] declaring slave {s} dead (inv {inv})");
         }
-        let (ck_inv, snapshot) = self.bank.rollback_snapshot(n_units, &|id| ck_init(id));
-        // Speculating past the invocation being settled would race work the
-        // run has not reached; the corner where a complete checkpoint for
-        // the next barrier already banked needs no race at all.
-        if ck_inv > self.inv {
-            return;
+        self.rec.slaves_declared_dead += 1;
+        self.rec.first_death.get_or_insert(now);
+        send(ctx, self.slaves[s], Msg::Evict).await;
+        balancer.mark_dead(s);
+        // Its per-invocation metric no longer counts: survivors recompute
+        // its units and contribute their metric.
+        self.metrics[s] = 0.0;
+        self.unacked_instr[s] = None;
+        match &mut self.policy {
+            Policy::Rollback { spec, .. } => {
+                if spec.as_ref().is_some_and(|sp| sp.involves(s)) {
+                    *spec = None;
+                }
+            }
+            Policy::Rescatter {
+                owned,
+                evictions,
+                spec,
+                ..
+            } => {
+                let dead_owned: Vec<usize> = std::mem::take(&mut owned[s]).into_iter().collect();
+                if spec.as_ref().is_some_and(|sp| sp.executor == s) {
+                    // The speculation died with its executor.
+                    *spec = None;
+                }
+                for ev in evictions.iter_mut() {
+                    ev.awaiting.remove(&s);
+                }
+                let survivors = self.memb.survivors();
+                if survivors.is_empty() {
+                    return Err(ProtocolError::AllSlavesDead);
+                }
+                for &v in &survivors {
+                    send(ctx, self.slaves[v], Msg::Evicted { slave: s }).await;
+                }
+                evictions.push(Eviction {
+                    dead: s,
+                    awaiting: survivors.into_iter().collect(),
+                    dead_owned,
+                });
+            }
         }
-        let n = self.memb.n();
-        let Some(e) = (0..n).find(|&e| {
-            e != suspect && self.memb.alive[e] && self.memb.done[e] && self.win[e].fully_acked()
-        }) else {
+        Ok(())
+    }
+
+    /// A lost Evicted (or a lost OwnReport) stalls an eviction; the
+    /// awaiting survivors are re-notified on the nudge timer. The slave-side
+    /// dedup makes the re-broadcast idempotent.
+    pub async fn renotify_evictions(&mut self, ctx: &MailCtx<Msg>, now: SimTime) {
+        let Policy::Rescatter { evictions, .. } = &self.policy else {
             return;
         };
-        let msg = self.win[e]
-            .send_with(|seq| Msg::Speculate {
-                seq,
-                invocation: ck_inv,
-                units: snapshot,
-            })
-            .clone();
-        send(ctx, slaves[e], msg).await;
-        self.spec = Some(SnapshotSpec {
-            suspect,
-            executor: e,
-            invocation: ck_inv,
-        });
-        rec.speculations_launched += 1;
-    }
-
-    /// The suspect spoke: cancel the in-flight snapshot speculation, if it
-    /// was about `speaker`. Master-local — the executor's checkpoint, if it
-    /// still arrives, banks as a redundant fragment.
-    pub fn cancel_speculation_for(&mut self, speaker: usize, rec: &mut RecoveryStats) {
-        if self
-            .spec
-            .as_ref()
-            .is_some_and(|sp| sp.cancelled_by(speaker))
-        {
-            self.spec = None;
-            rec.speculations_cancelled += 1;
+        for ev in evictions {
+            for &v in &ev.awaiting {
+                if self.memb.nudge_due(v, now, self.tol.nudge) {
+                    send(ctx, self.slaves[v], Msg::Evicted { slave: ev.dead }).await;
+                    self.rec.restore_resends += 1;
+                }
+            }
         }
     }
 
-    /// A checkpoint arrived: if it is the speculative result, account the
-    /// commit. The caller banks the units normally either way.
-    pub fn note_speculative_checkpoint(
+    /// A survivor's authoritative ownership report about an evicted peer
+    /// (re-scatter only). When the last one is in, the evictions resolve.
+    pub async fn on_own_report(
         &mut self,
-        slave: usize,
-        invocation: u64,
-        units: usize,
-        rec: &mut RecoveryStats,
+        ctx: &MailCtx<Msg>,
+        v: usize,
+        about: usize,
+        ids: Vec<usize>,
     ) {
-        if self
-            .spec
-            .as_ref()
-            .is_some_and(|sp| sp.committed_by(slave, invocation))
+        let Policy::Rescatter {
+            owned, evictions, ..
+        } = &mut self.policy
+        else {
+            return;
+        };
+        let mut matched = false;
+        for ev in evictions.iter_mut() {
+            if ev.dead == about && ev.awaiting.remove(&v) {
+                matched = true;
+            }
+        }
+        if !matched {
+            // Late duplicate (its eviction already resolved): the ids are
+            // stale — never adopt them.
+            self.rec.done_dups_ignored += 1;
+            return;
+        }
+        owned[v] = ids.into_iter().collect();
+        self.memb.done[v] = false;
+        if evictions.iter().all(|e| e.awaiting.is_empty()) {
+            self.resolve_evictions(ctx).await;
+        }
+    }
+
+    /// All pending evictions are fully reported: compute the set of units
+    /// no survivor owns (directly or in an unacknowledged master message
+    /// still in flight), adopt speculation results for whatever they cover,
+    /// and re-scatter the rest from initial data.
+    async fn resolve_evictions(&mut self, ctx: &MailCtx<Msg>) {
+        let Policy::Rescatter {
+            init_unit,
+            owned,
+            evictions,
+            spec,
+            ..
+        } = &mut self.policy
+        else {
+            return;
+        };
+        // Units accounted for: owned by a survivor, or inside an
+        // unacknowledged Restore/SpecCommit payload (the owner's
+        // `owned_ids` cannot reflect those yet — `restore_seq` and
+        // `owned_ids` travel atomically in InvocationDone, so once the
+        // window is acked the report includes them).
+        let mut assigned: BTreeSet<usize> = BTreeSet::new();
+        for s in self.memb.survivors() {
+            assigned.extend(owned[s].iter().copied());
+            for (_, m) in self.win[s].unacked() {
+                match m {
+                    Msg::Restore { units, .. } => {
+                        assigned.extend(units.iter().map(|(id, _)| *id));
+                    }
+                    Msg::SpecCommit { ids, .. } => assigned.extend(ids.iter().copied()),
+                    _ => {}
+                }
+            }
+        }
+        // In-flight units the survivors re-owned by closing channels with
+        // the dead peers (a proxy count: everything the dead slave was
+        // believed to own that a survivor now accounts for).
+        for ev in evictions.iter() {
+            self.rec.units_reowned += ev
+                .dead_owned
+                .iter()
+                .filter(|u| assigned.contains(u))
+                .count() as u64;
+        }
+        let mut missing: Vec<usize> = (0..self.n_units)
+            .filter(|u| !assigned.contains(u))
+            .collect();
+
+        // Speculation first: if the suspect is among the dead, its units
+        // were already recomputed on the executor — adopt them without
+        // replay.
+        if let Some(sp) = spec.take_if(|sp| !self.memb.alive[sp.suspect]) {
+            let commit: Vec<usize> = missing
+                .iter()
+                .copied()
+                .filter(|u| sp.ids.contains(u))
+                .collect();
+            let spec_seq = sp.spec_seq;
+            let msg = if commit.is_empty() {
+                self.rec.speculations_cancelled += 1;
+                self.win[sp.executor].send_with(|seq| Msg::SpecCancel { seq, spec_seq })
+            } else {
+                missing.retain(|u| !commit.contains(u));
+                owned[sp.executor].extend(commit.iter().copied());
+                self.rec.units_speculated += commit.len() as u64;
+                self.rec.speculations_committed += 1;
+                self.memb.done[sp.executor] = false;
+                self.win[sp.executor].send_with(|seq| Msg::SpecCommit {
+                    seq,
+                    spec_seq,
+                    ids: commit,
+                })
+            };
+            send(ctx, self.slaves[sp.executor], msg.clone()).await;
+        }
+
+        let survivors = self.memb.survivors();
+        for (t, units) in redistribute(&missing, &survivors) {
+            let payload: Vec<(usize, UnitData)> =
+                units.iter().map(|&u| (u, init_unit(u))).collect();
+            self.rec.units_restored += payload.len() as u64;
+            owned[t].extend(units.iter().copied());
+            self.memb.done[t] = false;
+            let inv = self.inv;
+            let msg = self.win[t]
+                .send_with(|seq| Msg::Restore {
+                    seq,
+                    invocation: inv,
+                    units: payload,
+                })
+                .clone();
+            send(ctx, self.slaves[t], msg).await;
+        }
+        evictions.clear();
+    }
+
+    /// Suspicion of `suspect` is building: race its work on an idle, fully
+    /// settled survivor, at most one race at a time. Re-scatter re-seeds
+    /// the suspect's units from their initial state, so an eviction commits
+    /// finished results instead of replaying — never while an eviction is
+    /// being resolved, never for a slave that owns nothing. Rollback hands
+    /// the executor the banked snapshot, which it advances by one
+    /// invocation and returns as an ordinary checkpoint, so an eviction
+    /// rolls back one invocation less — never for a suspect that is done
+    /// (only its window lags), never past the invocation being settled
+    /// (that would race work the run has not reached; the corner where a
+    /// complete checkpoint for the next barrier already banked needs no
+    /// race at all).
+    pub async fn speculate(&mut self, ctx: &MailCtx<Msg>, suspect: usize) {
+        let n = self.memb.n();
+        let (memb, win) = (&self.memb, &self.win);
+        let idle_survivor = || {
+            (0..n).find(|&e| e != suspect && memb.alive[e] && memb.done[e] && win[e].fully_acked())
+        };
+        match &mut self.policy {
+            Policy::Rescatter {
+                init_unit,
+                owned,
+                evictions,
+                spec,
+                ..
+            } => {
+                if spec.is_some() || !evictions.is_empty() || owned[suspect].is_empty() {
+                    return;
+                }
+                let Some(e) = idle_survivor() else {
+                    return;
+                };
+                let ids: Vec<usize> = owned[suspect].iter().copied().collect();
+                let units: Vec<(usize, UnitData)> =
+                    ids.iter().map(|&u| (u, init_unit(u))).collect();
+                let invocation = self.inv;
+                let msg = self.win[e]
+                    .send_with(|seq| Msg::Speculate {
+                        seq,
+                        invocation,
+                        units,
+                    })
+                    .clone();
+                send(ctx, self.slaves[e], msg).await;
+                *spec = Some(RestartSpec {
+                    suspect,
+                    executor: e,
+                    spec_seq: self.win[e].seq_sent(),
+                    ids,
+                });
+            }
+            Policy::Rollback {
+                checkpoint_init,
+                bank,
+                spec,
+                ..
+            } => {
+                if spec.is_some() || self.memb.done[suspect] {
+                    return;
+                }
+                let (ck_inv, snapshot) =
+                    bank.rollback_snapshot(self.n_units, &|id| checkpoint_init(id));
+                if ck_inv > self.inv {
+                    return;
+                }
+                let Some(e) = idle_survivor() else {
+                    return;
+                };
+                let msg = self.win[e]
+                    .send_with(|seq| Msg::Speculate {
+                        seq,
+                        invocation: ck_inv,
+                        units: snapshot,
+                    })
+                    .clone();
+                send(ctx, self.slaves[e], msg).await;
+                *spec = Some(SnapshotSpec {
+                    suspect,
+                    executor: e,
+                    invocation: ck_inv,
+                });
+            }
+        }
+        self.rec.speculations_launched += 1;
+    }
+
+    /// `speaker` spoke: if it is the suspect of the in-flight speculation,
+    /// the race is moot. Under re-scatter the executor holds speculative
+    /// results it must discard, so the cancel is a windowed `SpecCancel`;
+    /// under rollback it is master-local — the executor's checkpoint, if
+    /// it still arrives, banks as a redundant fragment.
+    pub async fn cancel_speculation_for(&mut self, ctx: &MailCtx<Msg>, speaker: usize) {
+        match &mut self.policy {
+            Policy::Rescatter { spec, .. } => {
+                let Some(sp) = spec.take_if(|sp| sp.suspect == speaker) else {
+                    return;
+                };
+                let spec_seq = sp.spec_seq;
+                let msg = self.win[sp.executor]
+                    .send_with(|seq| Msg::SpecCancel { seq, spec_seq })
+                    .clone();
+                send(ctx, self.slaves[sp.executor], msg).await;
+            }
+            Policy::Rollback { spec, .. } => {
+                if spec.take_if(|sp| sp.cancelled_by(speaker)).is_none() {
+                    return;
+                }
+            }
+        }
+        self.rec.speculations_cancelled += 1;
+    }
+
+    /// A checkpoint fragment arrived (rollback only). If it is the
+    /// speculative result, account the commit; it banks like any other
+    /// either way. Checkpoints carry no epoch on purpose: the state after k
+    /// invocations is deterministic regardless of which distribution
+    /// computed it, so contributions bank from any epoch.
+    pub fn on_checkpoint(&mut self, slave: usize, invocation: u64, units: Vec<(usize, UnitData)>) {
+        let Policy::Rollback { bank, spec, .. } = &mut self.policy else {
+            return;
+        };
+        if spec
+            .take_if(|sp| sp.committed_by(slave, invocation))
+            .is_some()
         {
-            self.spec = None;
-            rec.speculations_committed += 1;
-            rec.units_speculated += units as u64;
+            self.rec.speculations_committed += 1;
+            self.rec.units_speculated += units.len() as u64;
+        }
+        if bank.offer(invocation, units, self.n_units) {
+            self.rec.checkpoints_banked += 1;
+        }
+    }
+
+    /// Open the barrier for the next invocation.
+    pub fn begin_invocation(&mut self, now: SimTime) {
+        self.memb.done.iter_mut().for_each(|d| *d = false);
+        self.metrics.iter_mut().for_each(|m| *m = 0.0);
+        if let Policy::Rollback { inv_started, .. } = &mut self.policy {
+            *inv_started = now;
+        }
+    }
+
+    /// An invocation settled at `now` (rollback only): fold its wall time
+    /// into the restart-cost EMA and pick the checkpoint stride for the
+    /// next barrier release.
+    pub fn fold_invocation_time(&mut self, now: SimTime) {
+        if let Policy::Rollback {
+            ckpt_stride,
+            ema_s,
+            inv_started,
+            ..
+        } = &mut self.policy
+        {
+            let dur = now.saturating_since(*inv_started).as_secs_f64();
+            *ema_s = if *ema_s == 0.0 {
+                dur
+            } else {
+                0.5 * *ema_s + 0.5 * dur
+            };
+            *ckpt_stride =
+                checkpoint_stride(self.tol.ckpt_max_skip, self.tol.ckpt_loss_budget, *ema_s);
         }
     }
 }
@@ -462,6 +985,58 @@ mod tests {
         )
     }
 
+    fn rollback() -> Recovery {
+        Recovery::Rollback {
+            checkpoint_init: Box::new(|id| unit(id as f64)),
+        }
+    }
+
+    fn rescatter() -> Recovery {
+        Recovery::Rescatter {
+            init_unit: Box::new(|id| unit(id as f64)),
+            recompute_unit: Box::new(|id, invs| unit(id as f64 + invs as f64)),
+        }
+    }
+
+    /// A fresh original-reign session over `slaves`, one unit per slave.
+    fn session(ctx: &MailCtx<Msg>, slaves: &[ActorId], recovery: Recovery) -> Session {
+        let ft = MasterFt {
+            tolerance: FaultToleranceConfig::default(),
+            recovery,
+        };
+        let assignment: Vec<(usize, usize)> = (0..slaves.len()).map(|i| (i, i + 1)).collect();
+        let rec = RecoveryStats::default();
+        Session::new(ctx.now(), ft, slaves, &assignment, 0, rec)
+    }
+
+    fn bank(sess: &mut Session) -> &mut CheckpointBank {
+        match &mut sess.policy {
+            Policy::Rollback { bank, .. } => bank,
+            Policy::Rescatter { .. } => panic!("rollback session expected"),
+        }
+    }
+
+    fn snapshot_spec(sess: &Session) -> Option<SnapshotSpec> {
+        match &sess.policy {
+            Policy::Rollback { spec, .. } => spec.clone(),
+            Policy::Rescatter { .. } => panic!("rollback session expected"),
+        }
+    }
+
+    fn owned(sess: &Session, s: usize) -> Vec<usize> {
+        match &sess.policy {
+            Policy::Rescatter { owned, .. } => owned[s].iter().copied().collect(),
+            Policy::Rollback { .. } => panic!("re-scatter session expected"),
+        }
+    }
+
+    fn open_evictions(sess: &Session) -> usize {
+        match &sess.policy {
+            Policy::Rescatter { evictions, .. } => evictions.len(),
+            Policy::Rollback { .. } => panic!("re-scatter session expected"),
+        }
+    }
+
     /// Run `body` inside a real master actor with `n` inert slave actors,
     /// so session methods can send on genuine `MailCtx` channels.
     fn in_actor<F, Fut>(n: usize, body: F)
@@ -486,23 +1061,17 @@ mod tests {
     #[test]
     fn eviction_during_rollback_rolls_back_again_cleanly() {
         in_actor(3, |ctx, slaves| async move {
-            let (ctx, slaves) = (&ctx, &slaves[..]);
-            let tol = FaultToleranceConfig::default();
-            let mut sess = CkSession::new(ctx.now(), 3, &tol);
+            let ctx = &ctx;
+            let mut sess = session(ctx, &slaves, rollback());
             let mut bal = balancer(3);
-            let mut rec = RecoveryStats::default();
-            let ck_init: InitUnitFn = Box::new(|id| unit(id as f64));
 
             // Bank a complete checkpoint for invocation 2, then lose slave 0.
             sess.inv = 2;
             sess.sent[0][1] = 5;
-            assert!(sess.bank.offer(
-                2,
-                (0..3).map(|id| (id, unit(id as f64 + 10.0))).collect(),
-                3
-            ));
-            sess.evict(ctx, slaves, &mut bal, 0, &mut rec).await;
-            sess.rollback(ctx, slaves, &mut bal, &ck_init, 3, &tol, &mut rec)
+            let ckpt = (0..3).map(|id| (id, unit(id as f64 + 10.0))).collect();
+            assert!(bank(&mut sess).offer(2, ckpt, 3));
+            sess.evict(ctx, &mut bal, 0, ctx.now()).await.unwrap();
+            sess.rerange(ctx, &mut bal, &[])
                 .await
                 .expect("two survivors remain");
             assert_eq!(sess.epoch, 1);
@@ -515,23 +1084,22 @@ mod tests {
             // supersedes the first (higher epoch), the dead slaves get no
             // message, and the remaining survivor's window holds both
             // rollbacks until acked.
-            sess.evict(ctx, slaves, &mut bal, 1, &mut rec).await;
-            sess.rollback(ctx, slaves, &mut bal, &ck_init, 3, &tol, &mut rec)
+            sess.evict(ctx, &mut bal, 1, ctx.now()).await.unwrap();
+            sess.rerange(ctx, &mut bal, &[])
                 .await
                 .expect("one survivor remains");
             assert_eq!(sess.epoch, 2);
-            assert_eq!(rec.rollbacks, 2);
-            assert_eq!(rec.slaves_declared_dead, 2);
+            assert_eq!(sess.rec.rollbacks, 2);
+            assert_eq!(sess.rec.slaves_declared_dead, 2);
             assert_eq!(sess.memb.survivors(), vec![2]);
             assert_eq!(sess.win[2].unacked().count(), 2);
             // Settlement matrices were voided.
             assert!(sess.sent.iter().flatten().all(|&v| v == 0));
 
             // Last survivor dies: nothing left to roll back onto.
-            sess.evict(ctx, slaves, &mut bal, 2, &mut rec).await;
+            sess.evict(ctx, &mut bal, 2, ctx.now()).await.unwrap();
             assert_eq!(
-                sess.rollback(ctx, slaves, &mut bal, &ck_init, 3, &tol, &mut rec)
-                    .await,
+                sess.rerange(ctx, &mut bal, &[]).await,
                 Err(ProtocolError::AllSlavesDead)
             );
         });
@@ -540,67 +1108,149 @@ mod tests {
     #[test]
     fn speculation_commits_via_banked_checkpoint_and_cancels_on_heartbeat() {
         in_actor(3, |ctx, slaves| async move {
-            let (ctx, slaves) = (&ctx, &slaves[..]);
-            let tol = FaultToleranceConfig::default();
-            let mut sess = CkSession::new(ctx.now(), 3, &tol);
-            let mut rec = RecoveryStats::default();
-            let ck_init: InitUnitFn = Box::new(|id| unit(id as f64));
+            let ctx = &ctx;
+            let mut sess = session(ctx, &slaves, rollback());
+            let ckpt = |v: f64| (0..3).map(|id| (id, unit(v))).collect::<Vec<_>>();
 
             // Slave 1 is parked done; slave 0 goes silent at invocation 0.
             sess.memb.done[1] = true;
-            sess.speculate(ctx, slaves, &ck_init, 3, 0, &mut rec).await;
-            assert_eq!(rec.speculations_launched, 1);
-            let sp = sess.spec.clone().expect("speculation in flight");
+            sess.speculate(ctx, 0).await;
+            assert_eq!(sess.rec.speculations_launched, 1);
+            let sp = snapshot_spec(&sess).expect("speculation in flight");
             assert_eq!(sp.executor, 1);
             assert_eq!(sp.invocation, 0, "no checkpoint banked: seeds from init");
             assert_eq!(sess.win[1].unacked().count(), 1);
 
             // A second launch attempt is refused while one is in flight.
-            sess.speculate(ctx, slaves, &ck_init, 3, 0, &mut rec).await;
-            assert_eq!(rec.speculations_launched, 1);
+            sess.speculate(ctx, 0).await;
+            assert_eq!(sess.rec.speculations_launched, 1);
 
             // The executor's speculative checkpoint arrives: commit.
-            sess.note_speculative_checkpoint(1, 1, 3, &mut rec);
-            assert_eq!(rec.speculations_committed, 1);
-            assert_eq!(rec.units_speculated, 3);
-            assert!(sess.spec.is_none());
+            sess.on_checkpoint(1, 1, ckpt(1.0));
+            assert_eq!(sess.rec.speculations_committed, 1);
+            assert_eq!(sess.rec.units_speculated, 3);
+            assert_eq!(sess.rec.checkpoints_banked, 1, "it banks like any other");
+            assert!(snapshot_spec(&sess).is_none());
 
             // The executor's refreshed done report acks the Speculate —
             // until then its window is not settled and no further
             // speculation may target it.
-            sess.speculate(ctx, slaves, &ck_init, 3, 0, &mut rec).await;
-            assert_eq!(rec.speculations_launched, 1, "executor not yet acked");
+            sess.inv = 1;
+            sess.speculate(ctx, 0).await;
+            assert_eq!(sess.rec.speculations_launched, 1, "executor not yet acked");
             let spec_seq = sess.win[1].seq_sent();
             sess.win[1].ack(spec_seq);
 
             // Second round: this time the suspect heartbeats first.
-            sess.speculate(ctx, slaves, &ck_init, 3, 0, &mut rec).await;
-            assert_eq!(rec.speculations_launched, 2);
-            sess.cancel_speculation_for(0, &mut rec);
-            assert_eq!(rec.speculations_cancelled, 1);
-            assert!(sess.spec.is_none());
+            sess.speculate(ctx, 0).await;
+            assert_eq!(sess.rec.speculations_launched, 2);
+            sess.cancel_speculation_for(ctx, 0).await;
+            assert_eq!(sess.rec.speculations_cancelled, 1);
+            assert!(snapshot_spec(&sess).is_none());
             // The executor's late checkpoint now commits nothing.
-            sess.note_speculative_checkpoint(1, 1, 3, &mut rec);
-            assert_eq!(rec.speculations_committed, 1);
+            sess.on_checkpoint(1, 2, ckpt(2.0));
+            assert_eq!(sess.rec.speculations_committed, 1);
         });
     }
 
     #[test]
     fn speculation_requires_an_idle_settled_executor() {
         in_actor(2, |ctx, slaves| async move {
-            let (ctx, slaves) = (&ctx, &slaves[..]);
-            let tol = FaultToleranceConfig::default();
-            let mut sess = CkSession::new(ctx.now(), 2, &tol);
-            let mut rec = RecoveryStats::default();
-            let ck_init: InitUnitFn = Box::new(|id| unit(id as f64));
+            let ctx = &ctx;
+            let mut sess = session(ctx, &slaves, rollback());
             // Nobody is done: no executor, no launch.
-            sess.speculate(ctx, slaves, &ck_init, 2, 0, &mut rec).await;
-            assert_eq!(rec.speculations_launched, 0);
-            assert!(sess.spec.is_none());
+            sess.speculate(ctx, 0).await;
+            assert_eq!(sess.rec.speculations_launched, 0);
+            assert!(snapshot_spec(&sess).is_none());
             // The only candidate is the suspect itself.
             sess.memb.done[0] = true;
-            sess.speculate(ctx, slaves, &ck_init, 2, 0, &mut rec).await;
-            assert_eq!(rec.speculations_launched, 0);
+            sess.speculate(ctx, 0).await;
+            assert_eq!(sess.rec.speculations_launched, 0);
+        });
+    }
+
+    /// The `awaited` exemption: a survivor that dies *after* settling,
+    /// while an eviction still waits for its OwnReport, stays suspectable;
+    /// evicting it drains the first eviction's awaiting set and both
+    /// resolve on the last survivor's reports. A late duplicate OwnReport
+    /// after resolution is never adopted.
+    #[test]
+    fn settled_survivor_awaited_by_an_eviction_is_suspected_again() {
+        in_actor(3, |ctx, slaves| async move {
+            let ctx = &ctx;
+            let mut sess = session(ctx, &slaves, rescatter());
+            let mut bal = balancer(3);
+            for s in 0..3 {
+                sess.memb.done[s] = true;
+            }
+            assert!(sess.slave_settled(1) && sess.slave_settled(2));
+
+            sess.evict(ctx, &mut bal, 0, ctx.now()).await.unwrap();
+            assert!(
+                !sess.settled(&bal),
+                "an open eviction keeps the barrier shut"
+            );
+            assert!(sess.memb.done[2] && sess.win[2].fully_acked());
+            assert!(
+                !sess.slave_settled(2),
+                "awaited: its timer must keep running"
+            );
+
+            sess.on_own_report(ctx, 1, 0, vec![1]).await;
+            assert_eq!(open_evictions(&sess), 1, "slave 2 has not reported");
+
+            // Slave 2 never reports: the sweep suspects and evicts it too.
+            sess.evict(ctx, &mut bal, 2, ctx.now()).await.unwrap();
+            assert_eq!(open_evictions(&sess), 2);
+            sess.on_own_report(ctx, 1, 2, vec![1]).await;
+            assert_eq!(open_evictions(&sess), 0, "both evictions resolved");
+            assert_eq!(owned(&sess, 1), vec![0, 1, 2]);
+            assert_eq!(sess.rec.units_restored, 2);
+            assert_eq!(sess.win[1].unacked().count(), 1, "one Restore, windowed");
+            assert!(!sess.memb.done[1], "the restored units reopen its barrier");
+
+            // A duplicated delivery of an already-matched report: stale ids.
+            let dups = sess.rec.done_dups_ignored;
+            sess.on_own_report(ctx, 1, 0, vec![]).await;
+            assert_eq!(sess.rec.done_dups_ignored, dups + 1);
+            assert_eq!(owned(&sess, 1), vec![0, 1, 2], "never overwritten");
+        });
+    }
+
+    /// Admission under either policy: a joiner announcing an incarnation
+    /// older than the slot's is a zombie and stays out; one round that
+    /// readmits several evicted slaves is one healed partition.
+    #[test]
+    fn admit_fences_older_incarnations_and_counts_one_heal_per_round() {
+        in_actor(4, |ctx, slaves| async move {
+            let ctx = &ctx;
+            for recovery in [rescatter(), rollback()] {
+                let mut sess = session(ctx, &slaves, recovery);
+                let mut bal = balancer(4);
+                for s in 1..4 {
+                    sess.evict(ctx, &mut bal, s, ctx.now()).await.unwrap();
+                }
+                sess.memb.incarnation[2] = 5;
+                sess.pending_joins = vec![(1, 1), (2, 3), (3, 1)];
+                sess.admit(ctx, &mut bal).await.unwrap();
+
+                assert_eq!(sess.memb.survivors(), vec![0, 1, 3]);
+                assert_eq!(sess.memb.incarnation[2], 5, "the zombie changed nothing");
+                assert_eq!(sess.rec.joins_admitted, 2);
+                assert_eq!(sess.rec.rejoins_after_eviction, 2);
+                assert_eq!(sess.rec.partitions_healed, 1, "per round, not per joiner");
+                assert!(sess.pending_joins.is_empty());
+                assert!(sess.released, "the re-range releases the barrier");
+                assert!(sess.rec.join_snapshot_bytes > 0);
+                let floor = sess.epoch;
+                assert_eq!(sess.ack_floor(1), floor, "a previous life never acks");
+
+                // Nothing but the zombie queued: no re-range, no heal.
+                sess.pending_joins = vec![(2, 4)];
+                sess.admit(ctx, &mut bal).await.unwrap();
+                assert_eq!(sess.epoch, floor);
+                assert_eq!(sess.rec.partitions_healed, 1);
+            }
         });
     }
 }

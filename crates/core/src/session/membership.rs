@@ -1,10 +1,9 @@
 //! The membership table: per-slave liveness, suspicion timers, nudge
 //! scheduling, and barrier-completion flags.
 //!
-//! Both fault-mode master loops (recoverable and checkpointed) used to keep
-//! four parallel `Vec`s of this state inline; the table factors them into
-//! one place with the timer arithmetic — silence measurement, nudge
-//! re-arming, eviction — expressed once.
+//! One table under both recovery policies of the fault-mode master, with
+//! the timer arithmetic — silence measurement, nudge re-arming, eviction —
+//! expressed once.
 
 use dlb_sim::{SimDuration, SimTime};
 

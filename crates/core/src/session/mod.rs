@@ -14,8 +14,10 @@
 //!     adaptive checkpoint cadence;
 //!   - [`speculation`]: racing a suspect's work on an idle survivor,
 //!     commit-or-cancel before suspicion expires;
-//!   - [`master`]: the master-side session ([`master::CkSession`]) tying
-//!     those together with epoch fencing and per-slave control windows;
+//!   - `master`: the master-side `Session` tying those together with epoch
+//!     fencing, per-slave control windows, admission and failover, plus
+//!     the `Policy` (re-scatter in place vs. roll back to a checkpoint)
+//!     that is all the two recovery modes differ in;
 //!   - [`slave`]: the generic checkpointed slave runner (restart loop,
 //!     barrier protocol, gather reply) driven through a
 //!     [`strategy::DistributionStrategy`];
