@@ -1,4 +1,4 @@
-//! Golden event streams for the fault-mode master.
+//! Golden event streams for the fault-mode master and the slave runner.
 //!
 //! The chaos files assert bit-exact *results*; this file pins the *event
 //! stream* of the same shapes, so a refactor of the master's control loop
@@ -11,7 +11,9 @@
 //! mid-rollback, mid-transfer, and twice; slave crash during the gather and
 //! overlapping crashes; late join, partition → evict → heal → rejoin, and a
 //! master crash with a join in flight}, at 4–16 slaves, each run at worker
-//! pool sizes 0 and 8.
+//! pool sizes 0 and 8. The master is only armed in fault mode, so the
+//! slave's *unarmed* path — and its first-release wait on a slow wire — get
+//! rows of their own (`slave_rows`).
 //!
 //! A diff here means an event moved. Re-record (the failure message prints
 //! paste-ready rows) only if the change meant it to.
@@ -21,7 +23,8 @@ use dlb::compiler::ParallelPlan;
 use dlb::core::driver::{try_run, AppSpec, RunConfig, RunReport};
 use dlb::core::kernels::IndependentKernel;
 use dlb::core::msg::UnitData;
-use dlb::sim::{CpuWork, FaultPlan, SimDuration, SimTime};
+use dlb::core::InteractionMode;
+use dlb::sim::{CpuWork, FaultPlan, LinkFaults, LoadModel, SimDuration, SimTime};
 use std::sync::Arc;
 
 /// Node 0 is the master; node `i + 1` is slave `i`.
@@ -435,7 +438,87 @@ fn matrix(pool: usize) -> Vec<Row> {
     assert!(!r.sim.fault.any(), "{label}: no fault fired");
     rows.push(row(label, &r));
 
+    slave_rows(pool, &small, &wide, &mut rows);
     rows
+}
+
+/// Cells aimed at the *slave* runner rather than the master's fault loop:
+/// the unarmed path every `results/*.txt` table rides (blocking receives,
+/// no heartbeats), and the armed first-release wait under a wire slow
+/// enough to reorder the start-up traffic.
+fn slave_rows(pool: usize, small: &Apps, wide: &Apps, rows: &mut Vec<Row>) {
+    // A competing task lands on slave 1 mid-run, so movement orders execute
+    // and `TransferAck`s reach slaves already parked at the barrier.
+    let plain = |slaves: usize, mode: InteractionMode, at_ms: u64| {
+        let mut cfg = RunConfig::homogeneous(slaves);
+        cfg.balancer.mode = mode;
+        cfg.slave_nodes[1].load = LoadModel::Trace(vec![(SimTime(at_ms * 1000), 2)]);
+        cfg.worker_threads = Some(pool);
+        cfg
+    };
+    let modes = [
+        ("sync", InteractionMode::Synchronous),
+        ("pipe", InteractionMode::Pipelined),
+    ];
+    let mms = [(4, Prog::mm(24, 6)), (16, Prog::mm(64, 4))];
+    for (slaves, mm) in &mms {
+        for (tag, mode) in modes {
+            let label = format!("plain_load{slaves}/mm/{tag}");
+            let r = mm.run(&label, plain(*slaves, mode, 100));
+            assert!(r.stats.units_moved > 0, "{label}: {:?}", r.stats);
+            rows.push(row(label, &r));
+        }
+    }
+    for (name, app, _) in &small.apps[1..] {
+        let label = format!("plain_load4/{name}");
+        let r = app.run(&label, plain(4, InteractionMode::Pipelined, 100));
+        assert!(r.stats.units_moved > 0, "{label}: {:?}", r.stats);
+        rows.push(row(label, &r));
+    }
+
+    // The master's WHILE test ends an unarmed run at a non-final barrier.
+    let label = "plain_converges_early4/mm".to_string();
+    let r =
+        Prog::mm_stopping_after(24, 3, 2).run(&label, plain(4, InteractionMode::Pipelined, 100));
+    rows.push(row(label, &r));
+
+    // Armed MM on a wire that delays and duplicates half of everything by
+    // up to 400 ms: start-up traffic (`Start`, the first `InvocationStart`,
+    // early instructions) reaches the first-release wait out of step.
+    for (slaves, mm) in [(4, &small.apps[0].1), (wide.slaves, &wide.apps[0].1)] {
+        let label = format!("slow_wire{slaves}/mm");
+        let plan = FaultPlan::new(140 + slaves as u64)
+            .dup_all(0.5)
+            .jitter_all(0.5, SimDuration::from_millis(400));
+        let mut cfg = RunConfig::homogeneous(slaves);
+        cfg.slave_nodes[1].speed = 0.3;
+        cfg.fault_plan = Some(plan);
+        cfg.worker_threads = Some(pool);
+        let r = mm.run(&label, cfg);
+        rows.push(row(label, &r));
+    }
+
+    // A `Gather` from a master that dies right after sending it, in flight
+    // on a link slower than the election (per-pair FIFO cannot order it
+    // against the *successor's* traffic), reaches a survivor parked at a
+    // non-final barrier after the takeover rollback. `GatherData` carries no
+    // epoch to fence a reply, so a checkpointed slave must treat it as a
+    // protocol violation: report, and be rescued by a second rollback.
+    let label = "stale_gather4/sor".to_string();
+    let sor = &small.apps[1].1;
+    let slow = |plan: FaultPlan| {
+        let faults = LinkFaults {
+            jitter_p: 1.0,
+            max_jitter: SimDuration::from_secs(12),
+            ..Default::default()
+        };
+        plan.link(MASTER, node(3), faults)
+    };
+    let probe = sor.run("probe", small.cfg(pool, slow(FaultPlan::new(4))));
+    let plan = slow(FaultPlan::new(4)).crash(MASTER, SimTime(probe.compute_time.0 + 2000));
+    let r = sor.run(&label, small.cfg(pool, plan));
+    assert_eq!(r.recovery.rollbacks, 2, "{label}: takeover, then rescue");
+    rows.push(row(label, &r));
 }
 
 /// Narrowest quiet armed SOR cluster whose pipeline fill outlasts the
@@ -468,7 +551,9 @@ fn event_streams_match_the_recorded_constants() {
 }
 
 /// `(cell, elapsed µs, events processed, trace hash, recovery counters)`,
-/// recorded at the commit before the two fault-mode loops were merged.
+/// recorded at the commit before the two fault-mode loops were merged; the
+/// `plain_*`, `slow_wire*` and `stale_gather*` rows at the commit before the independent
+/// engine moved under the shared slave runner.
 #[rustfmt::skip]
 const GOLDEN: &[(&str, u64, u64, u64, &str)] = &[
     ("quiet4/mm", 435544, 604, 0xfbad34e7133c8371, "replicas_published: 9, replication_bytes: 3780"),
@@ -539,4 +624,14 @@ const GOLDEN: &[(&str, u64, u64, u64, &str)] = &[
     ("partition_heal_rejoin_lossy/lu", 72315373, 110850, 0xbfb7362512dd9ce0, "slaves_declared_dead: 51, first_death: Some(t=0.610509s), restore_resends: 843, instr_resends: 10, start_resends: 8, invocation_start_resends: 18, status_dups_ignored: 53, done_dups_ignored: 27, gather_dups_ignored: 14, checkpoints_banked: 39, rollbacks: 99, units_rolled_back: 3960, speculations_launched: 33, speculations_committed: 11, units_speculated: 218, joins_admitted: 49, rejoins_after_eviction: 49, join_snapshot_bytes: 52584, partitions_healed: 47, stale_epoch_dropped: 871, rollbacks_applied: 423, checkpoints_sent: 2558, speculations_computed: 5, replicas_published: 188, replication_bytes: 1707120"),
     ("converges_early4/mm", 8298050, 796, 0xf4390f20a01ad864, "slaves_declared_dead: 1, first_death: Some(t=8.291074s), restore_resends: 3, done_dups_ignored: 3, speculations_launched: 1, speculations_committed: 1, units_speculated: 6, speculations_computed: 1, replicas_published: 6, replication_bytes: 3480"),
     ("quiet31/sor", 6053941, 5032, 0x45ccaa902554824a, "start_resends: 1, invocation_start_resends: 1, checkpoints_banked: 2, checkpoints_sent: 123, replicas_published: 9, replication_bytes: 50007"),
+    ("plain_load4/mm/sync", 1672999, 939, 0xdbcb800b21f443a6, ""),
+    ("plain_load4/mm/pipe", 1643553, 929, 0xfeaa37cc3d83d307, ""),
+    ("plain_load16/mm/sync", 5232675, 2401, 0x07b2bdd8f3958a48, ""),
+    ("plain_load16/mm/pipe", 4666588, 2312, 0xb19ce50d862ebd22, ""),
+    ("plain_load4/sor", 4000759, 752, 0x78328ebd12b86607, ""),
+    ("plain_load4/lu", 1955089, 2251, 0x72e5b0551b9a565f, ""),
+    ("plain_converges_early4/mm", 489319, 446, 0xbd6423d12f3f3977, ""),
+    ("slow_wire4/mm", 3337926, 975, 0x3a061311ab6784c3, "status_dups_ignored: 21, done_dups_ignored: 2, gather_dups_ignored: 5, replicas_published: 9, replication_bytes: 4140"),
+    ("slow_wire16/mm", 2841982, 2588, 0x56a485d04c4915d4, "status_dups_ignored: 60, done_dups_ignored: 1, gather_dups_ignored: 20, replicas_published: 9, replication_bytes: 4992"),
+    ("stale_gather4/sor", 42539748, 2815, 0xd4f6c65724b838e3, "instr_resends: 6, start_resends: 2, invocation_start_resends: 10, done_dups_ignored: 16, checkpoints_banked: 3, rollbacks: 2, units_rolled_back: 32, rollbacks_applied: 6, checkpoints_sent: 78, speculations_computed: 1, elections_held: 1, takeover_latency: Some(8.003292s), replicas_published: 15, replication_bytes: 25860"),
 ];
