@@ -6,9 +6,9 @@
 //! panicking wrapper for fault-free callers.
 
 use crate::balancer::{Balancer, BalancerConfig, InteractionMode};
-use crate::engine_independent::IndependentSlave;
-use crate::engine_pipelined::PipelinedSlave;
-use crate::engine_shrinking::ShrinkingSlave;
+use crate::engine_independent::IndependentStrategy;
+use crate::engine_pipelined::PipelinedStrategy;
+use crate::engine_shrinking::ShrinkingStrategy;
 use crate::error::{FaultToleranceConfig, ProtocolError, RunError};
 use crate::kernels::{IndependentKernel, PipelinedKernel, ShrinkingKernel};
 use crate::master::{
@@ -16,6 +16,7 @@ use crate::master::{
 };
 use crate::msg::{Msg, UnitData};
 use crate::recovery::RecoveryStats;
+use crate::session::slave::{run_slave, SlaveSpec};
 use dlb_compiler::{grain_iterations, GrainPolicy, ParallelPlan, Pattern};
 use dlb_sim::{
     CpuWork, FaultPlan, NetConfig, NodeConfig, SimBuilder, SimDuration, SimReport, SimTime,
@@ -488,49 +489,32 @@ pub fn try_run(
 
     let slave_ft = fault_mode.then(|| cfg.fault_tolerance.clone());
     for (i, node) in slave_nodes.into_iter().enumerate() {
-        let mode = slave_mode;
-        let hook_cpu = cfg.hook_check_cpu;
-        let ft = slave_ft.clone();
-        let takeover = takeover_kit.clone();
+        let spec = SlaveSpec {
+            idx: i,
+            master: master_id,
+            mode: slave_mode,
+            hook_check_cpu: cfg.hook_check_cpu,
+            ft: slave_ft.clone(),
+            takeover: takeover_kit.clone(),
+            join_at: late_at[i],
+        };
+        let name = format!("slave{i}");
+        // One shell for every slave; the pattern only picks the strategy.
         match &app {
             AppSpec::Independent(k) => {
-                let slave = IndependentSlave {
-                    idx: i,
-                    master: master_id,
-                    mode,
-                    hook_check_cpu: hook_cpu,
-                    kernel: Arc::clone(k),
-                    ft,
-                    takeover,
-                    join_at: late_at[i],
-                };
-                sim.spawn_mail(node, format!("slave{i}"), move |ctx| slave.run(ctx));
+                let k = Arc::clone(k);
+                let make = move |spec: &_, start: &_| Ok(IndependentStrategy::new(k, spec, start));
+                sim.spawn_mail(node, name, move |ctx| run_slave(spec, make, ctx));
             }
             AppSpec::Pipelined(k) => {
-                let slave = PipelinedSlave {
-                    idx: i,
-                    master: master_id,
-                    mode,
-                    hook_check_cpu: hook_cpu,
-                    kernel: Arc::clone(k),
-                    ft,
-                    takeover,
-                    join_at: late_at[i],
-                };
-                sim.spawn_mail(node, format!("slave{i}"), move |ctx| slave.run(ctx));
+                let k = Arc::clone(k);
+                let make = move |spec: &_, start: &_| PipelinedStrategy::new(k, spec, start);
+                sim.spawn_mail(node, name, move |ctx| run_slave(spec, make, ctx));
             }
             AppSpec::Shrinking(k) => {
-                let slave = ShrinkingSlave {
-                    idx: i,
-                    master: master_id,
-                    mode,
-                    hook_check_cpu: hook_cpu,
-                    kernel: Arc::clone(k),
-                    ft,
-                    takeover,
-                    join_at: late_at[i],
-                };
-                sim.spawn_mail(node, format!("slave{i}"), move |ctx| slave.run(ctx));
+                let k = Arc::clone(k);
+                let make = move |spec: &_, start: &_| Ok(ShrinkingStrategy::new(k, spec, start));
+                sim.spawn_mail(node, name, move |ctx| run_slave(spec, make, ctx));
             }
         }
     }

@@ -1,4 +1,5 @@
-//! Slave engine for pipelined distributed loops (SOR-shaped programs).
+//! Distribution strategy for pipelined distributed loops (SOR-shaped
+//! programs).
 //!
 //! Columns are block-distributed; each sweep updates all interior rows in
 //! strip-mined blocks (§4.4). Within a block the slave computes its columns
@@ -16,24 +17,23 @@
 //! result is bit-identical to sequential execution no matter when moves
 //! happen — the property tests in `tests/` rely on that.
 //!
-//! The fault-tolerant life cycle (checkpoint cadence, rollback, snapshot
-//! speculation, rescue, gather) lives in [`crate::session::slave`]; this
-//! module supplies the pipelined [`DistributionStrategy`]: the sweep body,
-//! set-aside/catch-up transfer integration, neighbour derivation on
-//! rollback, and the sequential one-sweep snapshot advance used to race a
-//! silent suspect. Boundary and sweep-old values are pure functions of
+//! The slave's life cycle (first release, barrier, checkpoint cadence,
+//! rollback, snapshot speculation, rescue, gather, election and rejoin)
+//! lives in [`crate::session::slave`]; this module supplies the pipelined
+//! [`DistributionStrategy`]: the sweep body, set-aside/catch-up transfer
+//! integration, neighbour derivation on rollback, and the sequential
+//! one-sweep snapshot advance used to race a silent suspect. Boundary and sweep-old values are pure functions of
 //! sweep-start state, so messages surviving from before a rollback are
 //! bit-identical to their replayed versions and need no fencing; transfers
 //! and balancing instructions are epoch-fenced.
 
-use crate::balancer::InteractionMode;
-use crate::error::{FaultToleranceConfig, ProtocolError};
+use crate::error::ProtocolError;
 use crate::kernels::PipelinedKernel;
-use crate::msg::{Edge, MoveOrder, MovedUnit, Msg, TransferMsg, UnitData};
-use crate::session::slave as session_slave;
-use crate::session::strategy::DistributionStrategy;
-use crate::slave_common::{recv_start, RollbackInfo, SlaveCommon};
-use dlb_sim::{ActorId, CpuWork, MailCtx};
+use crate::msg::{column, Edge, MoveOrder, MovedUnit, Msg, TransferMsg, UnitData};
+use crate::session::slave::SlaveSpec;
+use crate::session::strategy::{BarrierMsg, DistributionStrategy};
+use crate::slave_common::{RollbackInfo, SlaveCommon, StartInfo};
+use dlb_sim::MailCtx;
 use std::ops::Range;
 use std::sync::Arc;
 
@@ -46,23 +46,6 @@ struct PCol {
     old: Vec<f64>,
     /// Blocks completed this sweep.
     phase: u64,
-}
-
-/// Static configuration for one pipelined-engine slave.
-pub struct PipelinedSlave {
-    pub idx: usize,
-    pub master: ActorId,
-    pub mode: InteractionMode,
-    pub hook_check_cpu: CpuWork,
-    pub kernel: Arc<dyn PipelinedKernel>,
-    pub ft: Option<FaultToleranceConfig>,
-    /// Master-failover kit (fault mode): lets this slave rebuild the master
-    /// role in place if it wins a deputy election.
-    pub takeover: Option<Arc<crate::master::TakeoverKit>>,
-    /// Latecomer start time: when set, this slave starts with no columns,
-    /// idles until the given instant, then joins the running pool via the
-    /// [`Msg::Join`] handshake.
-    pub join_at: Option<dlb_sim::SimTime>,
 }
 
 struct State {
@@ -124,6 +107,13 @@ impl State {
         Ok(())
     }
 
+    fn snapshot(&self) -> Vec<(usize, UnitData)> {
+        self.cols
+            .iter()
+            .map(|c| (c.id, vec![c.data.clone()]))
+            .collect()
+    }
+
     fn inconsistent(&self, detail: String) -> ProtocolError {
         ProtocolError::Inconsistent {
             detail: format!("slave {}: {detail}", self.idx),
@@ -131,26 +121,20 @@ impl State {
     }
 }
 
-impl PipelinedSlave {
-    /// Actor body. Never panics on protocol trouble: fatal errors are
-    /// shipped to the master as [`Msg::SlaveError`].
-    pub async fn run(self, ctx: MailCtx<Msg>) {
-        let (idx, master) = (self.idx, self.master);
-        match self.run_inner(&ctx).await {
-            Ok(())
-            | Err(ProtocolError::Aborted)
-            | Err(ProtocolError::Evicted { .. })
-            | Err(ProtocolError::JoinRefused { .. }) => {}
-            Err(error) => {
-                let msg = Msg::SlaveError { slave: idx, error };
-                let bytes = msg.wire_bytes();
-                ctx.send(master, msg, bytes).await;
-            }
-        }
-    }
+/// The pipelined distribution pattern plugged into the slave runner.
+pub struct PipelinedStrategy {
+    st: State,
+    kernel: Arc<dyn PipelinedKernel>,
+}
 
-    async fn run_inner(self, ctx: &MailCtx<Msg>) -> Result<(), ProtocolError> {
-        let (slaves, assignment, block_rows) = recv_start(ctx, self.idx, self.ft.as_ref()).await?;
+impl PipelinedStrategy {
+    /// The strategy for the block of columns the `Start` message assigns to
+    /// `spec.idx`; only a latecomer may start with none.
+    pub fn new(
+        kernel: Arc<dyn PipelinedKernel>,
+        spec: &SlaveSpec,
+        (_, assignment, block_rows): &StartInfo,
+    ) -> Result<PipelinedStrategy, ProtocolError> {
         // Pipeline neighbours skip deferred (latecomer) slots — an empty
         // range marks a slave that is not part of the pool yet.
         let live: Vec<usize> = assignment
@@ -159,26 +143,13 @@ impl PipelinedSlave {
             .filter(|(_, r)| r.0 < r.1)
             .map(|(i, _)| i)
             .collect();
-        let pos = live.iter().position(|&s| s == self.idx);
-        let range = assignment[self.idx];
-        let kernel = self.kernel;
-        let mut common = SlaveCommon::new(
-            self.idx,
-            self.master,
-            slaves,
-            self.mode,
-            self.hook_check_cpu,
-            self.ft.clone(),
-            ctx.now(),
-        );
-        // Checkpointed engines measure replica freshness by the held
-        // snapshot: a takeover restarts from it.
-        common.enable_deputy(true, ctx.now());
+        let pos = live.iter().position(|&s| s == spec.idx);
+        let range = assignment[spec.idx];
         let col_len = kernel.col_len();
         let interior = (col_len - 2) as u64;
-        let nblocks = interior.div_ceil(block_rows.max(1));
+        let block_rows = (*block_rows).max(1);
         let st = State {
-            idx: self.idx,
+            idx: spec.idx,
             cols: (range.0..range.1)
                 .map(|i| PCol {
                     id: i,
@@ -191,83 +162,19 @@ impl PipelinedSlave {
             right_old: Vec::new(),
             left_wall: kernel.left_wall(),
             right_wall: kernel.right_wall(),
-            block_rows: block_rows.max(1),
-            nblocks,
+            block_rows,
+            nblocks: interior.div_ceil(block_rows),
             col_len,
             left_halo: vec![0.0; col_len],
             sweep: 0,
             left: pos.and_then(|p| p.checked_sub(1)).map(|p| live[p]),
             right: pos.and_then(|p| live.get(p + 1).copied()),
         };
-        if st.cols.is_empty() && self.join_at.is_none() {
+        if st.cols.is_empty() && spec.join_at.is_none() {
             return Err(st.inconsistent("started with zero columns".into()));
         }
-        let mut strategy = PipelinedStrategy { st, kernel };
-        if let Some(at) = self.join_at {
-            // Latecomer: the parked Start taught us the topology; idle to
-            // the join instant, then announce. The admission rollback lands
-            // in `pending_rollback` and is adopted by the session runner.
-            common.park_then_join(ctx, at).await?;
-        }
-        loop {
-            match session_slave::run(ctx, &mut common, &mut strategy).await {
-                Err(ProtocolError::Elected { .. }) => {
-                    // This deputy won the master election: drop the slave role
-                    // and rebuild the master in place from the replicated seed.
-                    let seed =
-                        common
-                            .takeover
-                            .take()
-                            .ok_or_else(|| ProtocolError::Inconsistent {
-                                detail: format!(
-                                    "slave {}: elected with no takeover seed",
-                                    common.idx
-                                ),
-                            })?;
-                    let kit =
-                        self.takeover
-                            .as_deref()
-                            .ok_or_else(|| ProtocolError::Inconsistent {
-                                detail: format!(
-                                    "slave {}: elected with no takeover kit",
-                                    common.idx
-                                ),
-                            })?;
-                    return crate::master::run_takeover(ctx, kit, seed, common.idx).await;
-                }
-                Err(ProtocolError::Evicted { .. })
-                    if self.ft.as_ref().is_some_and(|ft| ft.rejoin_attempts > 0) =>
-                {
-                    // Eviction is no longer the end of the line: come back
-                    // as a fresh incarnation and ask to be re-admitted. The
-                    // rebuilt common starts with clean channel/epoch state;
-                    // the old life's windows and clocks die with it.
-                    let incarnation = common.incarnation + 1;
-                    let (master, slaves) = (common.master, common.slaves.clone());
-                    common = SlaveCommon::new(
-                        self.idx,
-                        master,
-                        slaves,
-                        self.mode,
-                        self.hook_check_cpu,
-                        self.ft.clone(),
-                        ctx.now(),
-                    );
-                    common.incarnation = incarnation;
-                    common.enable_deputy(true, ctx.now());
-                    common.join_handshake(ctx).await?;
-                }
-                r => return r,
-            }
-        }
+        Ok(PipelinedStrategy { st, kernel })
     }
-}
-
-/// The pipelined distribution pattern plugged into the shared checkpointed
-/// slave runner.
-struct PipelinedStrategy {
-    st: State,
-    kernel: Arc<dyn PipelinedKernel>,
 }
 
 impl DistributionStrategy for PipelinedStrategy {
@@ -314,48 +221,49 @@ impl DistributionStrategy for PipelinedStrategy {
         Ok(())
     }
 
-    async fn on_barrier_transfer(
+    async fn on_barrier_msg(
         &mut self,
         ctx: &MailCtx<Msg>,
         common: &mut SlaveCommon,
-        inv: u64,
-        t: TransferMsg,
-    ) -> Result<(), ProtocolError> {
+        inv: Option<u64>,
+        msg: Msg,
+    ) -> Result<BarrierMsg, ProtocolError> {
         let st = &mut self.st;
         let nblocks = st.nblocks;
-        accept_transfer(ctx, common, st, &*self.kernel, t, nblocks).await?;
-        let moves = common.fire(ctx, inv, st.active_units()).await?;
-        execute_moves(ctx, common, st, moves, nblocks).await
+        match (inv, msg) {
+            (Some(inv), Msg::Transfer(t)) => {
+                // Catch-up work done while incorporating counts toward this
+                // sweep: flush it, and execute any movement the reply orders.
+                accept_transfer(ctx, common, st, &*self.kernel, t, nblocks).await?;
+                let moves = common.fire(ctx, inv, st.active_units()).await?;
+                execute_moves(ctx, common, st, moves, nblocks).await?;
+            }
+            (Some(_), Msg::Instructions(instr)) => {
+                // Barrier-time moves keep the next sweep balanced.
+                let moves = common.instructions_out_of_band(instr);
+                if moves.is_empty() {
+                    return Ok(BarrierMsg::Consumed);
+                }
+                execute_moves(ctx, common, st, moves, nblocks).await?;
+            }
+            (_, other) => return Ok(BarrierMsg::Pass(other)),
+        }
+        Ok(BarrierMsg::Refresh)
     }
 
-    async fn on_barrier_moves(
-        &mut self,
-        ctx: &MailCtx<Msg>,
-        common: &mut SlaveCommon,
-        _inv: u64,
-        moves: Vec<MoveOrder>,
-    ) -> Result<(), ProtocolError> {
-        let nblocks = self.st.nblocks;
-        execute_moves(ctx, common, &mut self.st, moves, nblocks).await
+    fn report(&self) -> (Vec<usize>, f64) {
+        (self.st.cols.iter().map(|c| c.id).collect(), 0.0)
     }
 
-    fn owned_ids(&self) -> Vec<usize> {
-        self.st.cols.iter().map(|c| c.id).collect()
-    }
-
-    fn checkpoint_units(&self) -> Vec<(usize, UnitData)> {
-        self.st
-            .cols
-            .iter()
-            .map(|c| (c.id, vec![c.data.clone()]))
-            .collect()
+    fn checkpoint_units(&self) -> Option<Vec<(usize, UnitData)>> {
+        Some(self.st.snapshot())
     }
 
     fn gather_units(&self) -> Result<Vec<(usize, UnitData)>, ProtocolError> {
         if !self.st.set_aside.is_empty() {
             return Err(self.st.inconsistent("set-aside columns at gather".into()));
         }
-        Ok(self.checkpoint_units())
+        Ok(self.st.snapshot())
     }
 
     /// Discard all engine state, install the re-partitioned columns, derive
@@ -377,13 +285,9 @@ impl DistributionStrategy for PipelinedStrategy {
         units.sort_by_key(|(id, _)| *id);
         st.cols = units
             .into_iter()
-            .map(|(id, mut d)| PCol {
+            .map(|(id, d)| PCol {
                 id,
-                data: if d.is_empty() {
-                    Vec::new()
-                } else {
-                    d.swap_remove(0)
-                },
+                data: column(d),
                 old: Vec::new(),
                 phase: 0,
             })
@@ -405,28 +309,19 @@ impl DistributionStrategy for PipelinedStrategy {
     /// the sweep-start snapshot — exactly the distributed dataflow, so the
     /// speculative state is bit-identical to what the suspect would have
     /// produced.
-    async fn advance_snapshot(
+    async fn speculate(
         &mut self,
         ctx: &MailCtx<Msg>,
         _common: &mut SlaveCommon,
+        _inv: u64,
+        _seq: u64,
         _invocation: u64,
         units: Vec<(usize, UnitData)>,
-    ) -> Result<Vec<(usize, UnitData)>, ProtocolError> {
+    ) -> Result<Option<Vec<(usize, UnitData)>>, ProtocolError> {
         let st = &self.st;
         let kernel = &*self.kernel;
-        let mut cols: Vec<(usize, Vec<f64>)> = units
-            .into_iter()
-            .map(|(id, mut d)| {
-                (
-                    id,
-                    if d.is_empty() {
-                        Vec::new()
-                    } else {
-                        d.swap_remove(0)
-                    },
-                )
-            })
-            .collect();
+        let mut cols: Vec<(usize, Vec<f64>)> =
+            units.into_iter().map(|(id, d)| (id, column(d))).collect();
         cols.sort_by_key(|(id, _)| *id);
         let olds: Vec<Vec<f64>> = cols.iter().map(|(_, d)| d.clone()).collect();
         for b in 0..st.nblocks {
@@ -447,7 +342,9 @@ impl DistributionStrategy for PipelinedStrategy {
                 kernel.compute_block(&mut me.1, left, right, rows.clone());
             }
         }
-        Ok(cols.into_iter().map(|(id, d)| (id, vec![d])).collect())
+        Ok(Some(
+            cols.into_iter().map(|(id, d)| (id, vec![d])).collect(),
+        ))
     }
 }
 
@@ -806,18 +703,11 @@ async fn accept_transfer(
     let mut cols: Vec<PCol> = t
         .units
         .into_iter()
-        .map(|mu| {
-            let mut data: UnitData = mu.data;
-            PCol {
-                id: mu.id,
-                data: if data.is_empty() {
-                    Vec::new()
-                } else {
-                    data.swap_remove(0)
-                },
-                old: mu.old.unwrap_or_default(),
-                phase: mu.updated_through,
-            }
+        .map(|mu| PCol {
+            id: mu.id,
+            data: column(mu.data),
+            old: mu.old.unwrap_or_default(),
+            phase: mu.updated_through,
         })
         .collect();
     if cols.is_empty() {

@@ -1,4 +1,5 @@
-//! Slave engine for shrinking distributed loops (LU-shaped programs, §4.7).
+//! Distribution strategy for shrinking distributed loops (LU-shaped
+//! programs, §4.7).
 //!
 //! At step `k` the owner of column `k` finalizes it, broadcasts its pivot
 //! payload to every other slave, and retires it — data slices with no
@@ -7,23 +8,23 @@
 //! direct (no carried dependences) and only ships active columns; a column
 //! arriving one step behind is caught up with the retained pivot history.
 //!
-//! The fault-tolerant life cycle (checkpoint cadence, rollback, snapshot
-//! speculation, rescue, gather) lives in [`crate::session::slave`]; this
-//! module supplies the shrinking [`DistributionStrategy`]: the pivot/update
-//! step body, active/retired bookkeeping on rollback, and the sequential
-//! one-step snapshot advance used to race a silent suspect. Pivot payloads
+//! The slave's life cycle (first release, barrier, checkpoint cadence,
+//! rollback, snapshot speculation, rescue, gather, election and rejoin)
+//! lives in [`crate::session::slave`]; this module supplies the shrinking
+//! [`DistributionStrategy`]: the pivot/update step body, active/retired
+//! bookkeeping on rollback, and the sequential one-step snapshot advance
+//! used to race a silent suspect. Pivot payloads
 //! are pure functions of step-start state, so pivot broadcasts surviving
 //! from before a rollback are bit-identical to their replayed versions;
 //! transfers and balancing instructions are epoch-fenced.
 
-use crate::balancer::InteractionMode;
-use crate::error::{FaultToleranceConfig, ProtocolError};
+use crate::error::ProtocolError;
 use crate::kernels::ShrinkingKernel;
-use crate::msg::{Edge, MoveOrder, MovedUnit, Msg, TransferMsg, UnitData};
-use crate::session::slave as session_slave;
-use crate::session::strategy::DistributionStrategy;
-use crate::slave_common::{recv_start, RollbackInfo, SlaveCommon};
-use dlb_sim::{ActorId, CpuWork, MailCtx};
+use crate::msg::{column, Edge, MoveOrder, MovedUnit, Msg, TransferMsg, UnitData};
+use crate::session::slave::SlaveSpec;
+use crate::session::strategy::{BarrierMsg, DistributionStrategy};
+use crate::slave_common::{RollbackInfo, SlaveCommon, StartInfo};
+use dlb_sim::MailCtx;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -33,64 +34,39 @@ struct SCol {
     updated_through: i64,
 }
 
-/// Static configuration for one shrinking-engine slave.
-pub struct ShrinkingSlave {
-    pub idx: usize,
-    pub master: ActorId,
-    pub mode: InteractionMode,
-    pub hook_check_cpu: CpuWork,
-    pub kernel: Arc<dyn ShrinkingKernel>,
-    pub ft: Option<FaultToleranceConfig>,
-    /// Master-failover kit (fault mode): lets this slave rebuild the master
-    /// role in place if it wins a deputy election.
-    pub takeover: Option<Arc<crate::master::TakeoverKit>>,
-    /// Latecomer start time: when set, this slave starts with no columns,
-    /// idles until the given instant, then joins the running pool via the
-    /// [`Msg::Join`] handshake.
-    pub join_at: Option<dlb_sim::SimTime>,
-}
-
 struct State {
     active: BTreeMap<usize, SCol>,
     retired: Vec<(usize, Vec<f64>)>,
     pivots: Vec<Option<Vec<f64>>>,
 }
 
-impl ShrinkingSlave {
-    /// Actor body. Never panics on protocol trouble: fatal errors are
-    /// shipped to the master as [`Msg::SlaveError`].
-    pub async fn run(self, ctx: MailCtx<Msg>) {
-        let (idx, master) = (self.idx, self.master);
-        match self.run_inner(&ctx).await {
-            Ok(())
-            | Err(ProtocolError::Aborted)
-            | Err(ProtocolError::Evicted { .. })
-            | Err(ProtocolError::JoinRefused { .. }) => {}
-            Err(error) => {
-                let msg = Msg::SlaveError { slave: idx, error };
-                let bytes = msg.wire_bytes();
-                ctx.send(master, msg, bytes).await;
-            }
-        }
+impl State {
+    /// Every column held here, retired ones first.
+    fn snapshot(&self) -> Vec<(usize, UnitData)> {
+        let retired = self.retired.iter().map(|(id, d)| (*id, vec![d.clone()]));
+        let active = self
+            .active
+            .iter()
+            .map(|(&id, c)| (id, vec![c.data.clone()]));
+        retired.chain(active).collect()
     }
+}
 
-    async fn run_inner(self, ctx: &MailCtx<Msg>) -> Result<(), ProtocolError> {
-        let (slaves, assignment, _block_rows) = recv_start(ctx, self.idx, self.ft.as_ref()).await?;
-        let range = assignment[self.idx];
-        let kernel = self.kernel;
-        let n = kernel.n_units();
-        let mut common = SlaveCommon::new(
-            self.idx,
-            self.master,
-            slaves,
-            self.mode,
-            self.hook_check_cpu,
-            self.ft.clone(),
-            ctx.now(),
-        );
-        // Checkpointed engines measure replica freshness by the held
-        // snapshot: a takeover restarts from it.
-        common.enable_deputy(true, ctx.now());
+/// The shrinking distribution pattern plugged into the slave runner.
+pub struct ShrinkingStrategy {
+    st: State,
+    kernel: Arc<dyn ShrinkingKernel>,
+}
+
+impl ShrinkingStrategy {
+    /// The strategy for the block of columns the `Start` message assigns to
+    /// `spec.idx` (empty for a latecomer).
+    pub fn new(
+        kernel: Arc<dyn ShrinkingKernel>,
+        spec: &SlaveSpec,
+        (_, assignment, _): &StartInfo,
+    ) -> ShrinkingStrategy {
+        let range = assignment[spec.idx];
         let st = State {
             active: (range.0..range.1)
                 .map(|i| {
@@ -104,74 +80,10 @@ impl ShrinkingSlave {
                 })
                 .collect(),
             retired: Vec::new(),
-            pivots: vec![None; n],
+            pivots: vec![None; kernel.n_units()],
         };
-        let mut strategy = ShrinkingStrategy { st, kernel };
-        if let Some(at) = self.join_at {
-            // Latecomer: the parked Start taught us the topology; idle to
-            // the join instant, then announce. The admission rollback lands
-            // in `pending_rollback` and is adopted by the session runner.
-            common.park_then_join(ctx, at).await?;
-        }
-        loop {
-            match session_slave::run(ctx, &mut common, &mut strategy).await {
-                Err(ProtocolError::Elected { .. }) => {
-                    // This deputy won the master election: drop the slave role
-                    // and rebuild the master in place from the replicated seed.
-                    let seed =
-                        common
-                            .takeover
-                            .take()
-                            .ok_or_else(|| ProtocolError::Inconsistent {
-                                detail: format!(
-                                    "slave {}: elected with no takeover seed",
-                                    common.idx
-                                ),
-                            })?;
-                    let kit =
-                        self.takeover
-                            .as_deref()
-                            .ok_or_else(|| ProtocolError::Inconsistent {
-                                detail: format!(
-                                    "slave {}: elected with no takeover kit",
-                                    common.idx
-                                ),
-                            })?;
-                    return crate::master::run_takeover(ctx, kit, seed, common.idx).await;
-                }
-                Err(ProtocolError::Evicted { .. })
-                    if self.ft.as_ref().is_some_and(|ft| ft.rejoin_attempts > 0) =>
-                {
-                    // Eviction is no longer the end of the line: come back
-                    // as a fresh incarnation and ask to be re-admitted. The
-                    // rebuilt common starts with clean channel/epoch state;
-                    // the old life's windows and clocks die with it.
-                    let incarnation = common.incarnation + 1;
-                    let (master, slaves) = (common.master, common.slaves.clone());
-                    common = SlaveCommon::new(
-                        self.idx,
-                        master,
-                        slaves,
-                        self.mode,
-                        self.hook_check_cpu,
-                        self.ft.clone(),
-                        ctx.now(),
-                    );
-                    common.incarnation = incarnation;
-                    common.enable_deputy(true, ctx.now());
-                    common.join_handshake(ctx).await?;
-                }
-                r => return r,
-            }
-        }
+        ShrinkingStrategy { st, kernel }
     }
-}
-
-/// The shrinking distribution pattern plugged into the shared checkpointed
-/// slave runner.
-struct ShrinkingStrategy {
-    st: State,
-    kernel: Arc<dyn ShrinkingKernel>,
 }
 
 impl DistributionStrategy for ShrinkingStrategy {
@@ -214,85 +126,68 @@ impl DistributionStrategy for ShrinkingStrategy {
         execute_moves(ctx, common, st, k, moves).await
     }
 
-    async fn on_barrier_transfer(
+    async fn on_barrier_msg(
         &mut self,
         ctx: &MailCtx<Msg>,
         common: &mut SlaveCommon,
-        inv: u64,
-        t: TransferMsg,
-    ) -> Result<(), ProtocolError> {
+        inv: Option<u64>,
+        msg: Msg,
+    ) -> Result<BarrierMsg, ProtocolError> {
         let st = &mut self.st;
         let kernel = &*self.kernel;
-        let k = inv as usize;
-        if common.accept_transfer(ctx, &t).await {
-            incorporate(common, st, t, k)?;
-            // Arrivals may still need this step's update.
-            loop {
-                let next = st
-                    .active
-                    .iter()
-                    .find(|(_, c)| c.updated_through < k as i64)
-                    .map(|(&id, _)| id);
-                let Some(j) = next else { break };
-                update_column(ctx, common, st, kernel, j, k).await?;
+        match (inv, msg) {
+            (Some(inv), Msg::Transfer(t)) => {
+                let k = inv as usize;
+                if common.accept_transfer(ctx, &t).await {
+                    incorporate(common, st, t, k)?;
+                    // Arrivals may still need this step's update; the work
+                    // counts toward this step, so flush it and execute any
+                    // movement the reply orders.
+                    loop {
+                        let next = st
+                            .active
+                            .iter()
+                            .find(|(_, c)| c.updated_through < k as i64)
+                            .map(|(&id, _)| id);
+                        let Some(j) = next else { break };
+                        update_column(ctx, common, st, kernel, j, k).await?;
+                    }
+                    let active = st.active.len() as u64;
+                    let moves = common.fire(ctx, inv, active).await?;
+                    execute_moves(ctx, common, st, k, moves).await?;
+                }
             }
-            let active = st.active.len() as u64;
-            let moves = common.fire(ctx, inv, active).await?;
-            execute_moves(ctx, common, st, k, moves).await?;
+            (Some(inv), Msg::Instructions(instr)) => {
+                // Barrier-time moves keep the next step balanced.
+                let moves = common.instructions_out_of_band(instr);
+                if moves.is_empty() {
+                    return Ok(BarrierMsg::Consumed);
+                }
+                execute_moves(ctx, common, st, inv as usize, moves).await?;
+            }
+            (Some(_), Msg::Pivot { step, values }) => {
+                // A pivot broadcast racing ahead of the release; bank it
+                // (idempotent — pivot payloads are value-deterministic).
+                st.pivots[step as usize] = Some(values);
+                return Ok(BarrierMsg::Consumed);
+            }
+            (_, other) => return Ok(BarrierMsg::Pass(other)),
         }
-        Ok(())
+        Ok(BarrierMsg::Refresh)
     }
 
-    async fn on_barrier_moves(
-        &mut self,
-        ctx: &MailCtx<Msg>,
-        common: &mut SlaveCommon,
-        inv: u64,
-        moves: Vec<MoveOrder>,
-    ) -> Result<(), ProtocolError> {
-        execute_moves(ctx, common, &mut self.st, inv as usize, moves).await
-    }
-
-    async fn on_barrier_misc(
-        &mut self,
-        _ctx: &MailCtx<Msg>,
-        _common: &mut SlaveCommon,
-        _inv: u64,
-        msg: Msg,
-    ) -> Result<Option<Msg>, ProtocolError> {
-        if let Msg::Pivot { step, values } = msg {
-            // A pivot broadcast racing ahead of the release; bank it
-            // (idempotent — pivot payloads are value-deterministic).
-            self.st.pivots[step as usize] = Some(values);
-            return Ok(None);
-        }
-        Ok(Some(msg))
-    }
-
-    fn owned_ids(&self) -> Vec<usize> {
+    fn report(&self) -> (Vec<usize>, f64) {
         let mut owned: Vec<usize> = self.st.retired.iter().map(|(id, _)| *id).collect();
         owned.extend(self.st.active.keys().copied());
-        owned
+        (owned, 0.0)
     }
 
-    fn checkpoint_units(&self) -> Vec<(usize, UnitData)> {
-        let mut units: Vec<(usize, UnitData)> = self
-            .st
-            .retired
-            .iter()
-            .map(|(id, data)| (*id, vec![data.clone()]))
-            .collect();
-        units.extend(
-            self.st
-                .active
-                .iter()
-                .map(|(&id, c)| (id, vec![c.data.clone()])),
-        );
-        units
+    fn checkpoint_units(&self) -> Option<Vec<(usize, UnitData)>> {
+        Some(self.st.snapshot())
     }
 
     fn gather_units(&self) -> Result<Vec<(usize, UnitData)>, ProtocolError> {
-        Ok(self.checkpoint_units())
+        Ok(self.st.snapshot())
     }
 
     /// Ids below the resumed step are retired (their data is final), the
@@ -308,12 +203,8 @@ impl DistributionStrategy for ShrinkingStrategy {
         st.active.clear();
         st.retired.clear();
         st.pivots = vec![None; n];
-        for (id, mut d) in rb.units {
-            let data = if d.is_empty() {
-                Vec::new()
-            } else {
-                d.swap_remove(0)
-            };
+        for (id, d) in rb.units {
+            let data = column(d);
             if (id as u64) < k {
                 st.retired.push((id, data));
             } else {
@@ -335,28 +226,19 @@ impl DistributionStrategy for ShrinkingStrategy {
     /// dataflow, so the speculative state is bit-identical to what the
     /// suspect would have produced. Columns at or below the step are final
     /// in the snapshot and pass through unchanged.
-    async fn advance_snapshot(
+    async fn speculate(
         &mut self,
         ctx: &MailCtx<Msg>,
         common: &mut SlaveCommon,
+        _inv: u64,
+        _seq: u64,
         invocation: u64,
         units: Vec<(usize, UnitData)>,
-    ) -> Result<Vec<(usize, UnitData)>, ProtocolError> {
+    ) -> Result<Option<Vec<(usize, UnitData)>>, ProtocolError> {
         let kernel = &*self.kernel;
         let k = invocation as usize;
-        let mut cols: Vec<(usize, Vec<f64>)> = units
-            .into_iter()
-            .map(|(id, mut d)| {
-                (
-                    id,
-                    if d.is_empty() {
-                        Vec::new()
-                    } else {
-                        d.swap_remove(0)
-                    },
-                )
-            })
-            .collect();
+        let mut cols: Vec<(usize, Vec<f64>)> =
+            units.into_iter().map(|(id, d)| (id, column(d))).collect();
         cols.sort_by_key(|(id, _)| *id);
         let payload = {
             let col_k = cols.iter().find(|(id, _)| *id == k).ok_or_else(|| {
@@ -375,7 +257,9 @@ impl DistributionStrategy for ShrinkingStrategy {
                 kernel.update(*id, data, &payload, k);
             }
         }
-        Ok(cols.into_iter().map(|(id, d)| (id, vec![d])).collect())
+        Ok(Some(
+            cols.into_iter().map(|(id, d)| (id, vec![d])).collect(),
+        ))
     }
 }
 
@@ -544,15 +428,10 @@ fn incorporate(
         } else {
             k as i64 - 1
         };
-        let mut data: UnitData = mu.data;
         let prev = st.active.insert(
             mu.id,
             SCol {
-                data: if data.is_empty() {
-                    Vec::new()
-                } else {
-                    data.swap_remove(0)
-                },
+                data: column(mu.data),
                 updated_through: ut,
             },
         );

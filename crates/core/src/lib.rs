@@ -12,10 +12,11 @@
 //! * [`master`] — the master process: program control mimicking the
 //!   application's loop structure (§4.1), status/instruction exchange
 //!   (pipelined or synchronous, Fig. 2), invocation settlement, gather.
-//! * Engines — compiler patterns from `dlb-compiler`:
-//!   [`engine_independent`] (MM), [`engine_pipelined`] (SOR, with
-//!   set-aside/catch-up work movement, §4.5), [`engine_shrinking`] (LU,
-//!   active/inactive slices, §4.7).
+//! * Engines — compiler patterns from `dlb-compiler`, each a
+//!   [`session::strategy::DistributionStrategy`] under the one slave runner
+//!   ([`session::slave`]): [`engine_independent`] (MM), [`engine_pipelined`]
+//!   (SOR, with set-aside/catch-up work movement, §4.5),
+//!   [`engine_shrinking`] (LU, active/inactive slices, §4.7).
 //! * [`driver`] — one-call execution: [`driver::run`] builds the simulated
 //!   cluster, wires everything, and returns a [`driver::RunReport`] with
 //!   timings, the paper's efficiency metric, the balancing timeline

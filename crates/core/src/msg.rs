@@ -15,6 +15,12 @@ use dlb_sim::SimDuration;
 /// `[a_row, c_row]`; for SOR `[b_column]`; for LU `[a_column]`.
 pub type UnitData = Vec<Vec<f64>>;
 
+/// The one array a column-structured unit (SOR, LU) carries; empty when
+/// the payload is.
+pub fn column(unit: UnitData) -> Vec<f64> {
+    unit.into_iter().next().unwrap_or_default()
+}
+
 /// Which end of a slave's contiguous block a move takes units from.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Edge {

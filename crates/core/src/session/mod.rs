@@ -18,9 +18,9 @@
 //!     fencing, per-slave control windows, admission and failover, plus
 //!     the `Policy` (re-scatter in place vs. roll back to a checkpoint)
 //!     that is all the two recovery modes differ in;
-//!   - [`slave`]: the generic checkpointed slave runner (restart loop,
-//!     barrier protocol, gather reply) driven through a
-//!     [`strategy::DistributionStrategy`];
+//!   - [`slave`]: the slave actor shell and the one slave runner (restart
+//!     loop, first release, barrier protocol, gather reply) every engine
+//!     runs under, driven through a [`strategy::DistributionStrategy`];
 //!   - [`replica`]: the deputy role — control-plane replica absorption,
 //!     master-silence watch, and the epoch-fenced election state machine
 //!     behind master failover;

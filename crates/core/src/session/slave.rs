@@ -1,25 +1,164 @@
-//! The generic checkpointed slave runner: the engine-independent half of
-//! every checkpointed slave, driven through a
-//! [`DistributionStrategy`](crate::session::strategy::DistributionStrategy).
+//! The slave runner and the slave actor shell: the engine-independent half
+//! of every slave, driven through a [`DistributionStrategy`].
 //!
-//! [`run`] owns the restart loop (run → gather → rollback → run again), the
-//! per-invocation barrier protocol (done reports, stride-gated checkpoints,
-//! heartbeat re-sends, barrier-time transfers and instructions), snapshot
-//! speculation (racing a suspect's next invocation from the banked
-//! snapshot), the rescue wait after a reported wedge, and the acknowledged
+//! The paper generates one slave skeleton per program — compute a unit,
+//! pass a hook, apply the master's instructions, idle at the invocation
+//! barrier until released or gathered (§4.1–4.2) — and only the
+//! work-movement routines differ by dependence structure (§4.5, Table 2).
+//! [`run_slave`] is the actor body of every slave: it waits for `Start`,
+//! builds the strategy from the assignment, and wraps the life cycle
+//! around [`run`] — an election win turns the slave into the new master,
+//! an eviction into a rejoin, anything else fatal into a `SlaveError`.
+//! [`run`] owns the restart loop (run → gather → rollback → run again),
+//! the wait for the first release, the per-invocation barrier protocol
+//! (done reports, stride-gated checkpoints, heartbeat re-sends,
+//! barrier-time transfers and instructions), speculation on a suspect's
+//! behalf, the rescue wait after a reported wedge, and the acknowledged
 //! gather reply. The strategy supplies only the dependence-structure
 //! specifics: the invocation body, transfer integration, snapshot layout,
 //! and rollback restoration.
+//!
+//! ## Where the independent strategy differs
+//!
+//! Nothing here tests which strategy it serves. Each row is a trait method
+//! whose default is the checkpointed (pipelined, shrinking) behaviour, and
+//! this table is the single place the two are contrasted.
+//!
+//! | # | point | independent | pipelined / shrinking |
+//! |---|-------|-------------|-----------------------|
+//! | a | rollback adoption (`restore`, after the shared fence in `apply_rollback`) | the unit map is replaced wholesale, nothing computed for any invocation; speculation buffers dropped | re-partitioned snapshot installed, neighbours / retired set re-derived |
+//! | b | a wedged slave (`recoverable`) | never recoverable: the error is shipped and fatal to the run | timeouts, missing pivots, torn state: reported, then rescued by rollback (`rescue_wait`) |
+//! | c | first-release wait (`consumes_before_release`) | drains the mailbox in arrival order: a `Transfer` is acknowledged and adopted, the windowed master channel applied, a duplicate `Start` dropped, evictions settled after each | only the release and instructions leave the mailbox; everything else is keyed to a step and stays queued for it |
+//! | d | done report (`report`, and the `run_invocation` / `Refresh` contract) | carries the summed `local_metric`; re-owned units are reintegrated and `OwnReport`s sent first | metric 0 |
+//! | e | barrier checkpoint (`checkpoint_units`) | none, ever: recovery is by re-scatter | shipped when the adaptive stride says so, re-sent with every refreshed report |
+//! | f | what refreshes the done report (`on_barrier_msg` → `Refresh`) | also every `TransferAck`, every `Evicted` (after re-owning, which may bring work), every `Restore` / `SpecCommit` / `SpecCancel`, and a stale `InvocationStart` in fault mode | `Transfer` and executed movement orders only; acks and evictions go through `SlaveCommon::control`, a stale release is dropped silently, the master-channel three are protocol violations |
+//! | g | `speculate` | the suspect's units, computed through the tagged invocation into a side buffer, heartbeating; nothing shipped | the banked snapshot advanced one invocation, shipped as a checkpoint |
+//! | h | `Gather` (`may_end_after`) | ends the run at any barrier — the master's WHILE test decides (§4.1) | only at the last barrier; anywhere else it is a stray from a superseded master and a protocol violation |
+//! | i | deputy freshness (`checkpoint_units` is `None` / `Some`) | the replicated invocation watermark | the invocation of the snapshot the deputy holds |
+//!
+//! Rollback adoption fences the channels one way for all three: `dead[]`
+//! is rewritten from the survivor list and only the survivors' channels
+//! are reset. (The independent engine used to `close()` a non-survivor's
+//! channel first; that only freed retained payloads — sends, accepts and
+//! re-sends all gate on `dead[]`, and a rejoiner's channel is reset either
+//! way.)
 
-use crate::error::{slave_who, ProtocolError};
+use crate::balancer::InteractionMode;
+use crate::error::{slave_who, FaultToleranceConfig, ProtocolError};
+use crate::master::{run_takeover, TakeoverKit};
 use crate::msg::Msg;
-use crate::session::strategy::DistributionStrategy;
-use crate::slave_common::{RollbackInfo, SlaveCommon};
-use dlb_sim::MailCtx;
+use crate::session::strategy::{BarrierMsg, DistributionStrategy};
+use crate::slave_common::{recv_start, RollbackInfo, SlaveCommon, StartInfo};
+use dlb_sim::{ActorId, CpuWork, MailCtx, SimTime};
+use std::sync::Arc;
 
-/// Execute the whole checkpointed slave life cycle. Returns when the run
-/// completes (gather acknowledged) or with a fatal error; recoverable
-/// trouble is reported to the master and survived by rollback.
+/// Static configuration for one slave, whatever its engine.
+pub struct SlaveSpec {
+    pub idx: usize,
+    pub master: ActorId,
+    pub mode: InteractionMode,
+    pub hook_check_cpu: CpuWork,
+    pub ft: Option<FaultToleranceConfig>,
+    /// Everything a promoted deputy needs to rebuild the master role
+    /// (config factory, outcome slot, topology). `None` outside fault mode.
+    pub takeover: Option<Arc<TakeoverKit>>,
+    /// Latecomer start time: when set, this slave starts with no units,
+    /// idles until the given instant, then joins the running pool via the
+    /// [`Msg::Join`] handshake.
+    pub join_at: Option<SimTime>,
+}
+
+impl SlaveSpec {
+    /// The shared state of one life of this slave. `checkpointed` tells a
+    /// deputy how to measure its replica's freshness.
+    fn common(
+        &self,
+        ctx: &MailCtx<Msg>,
+        master: ActorId,
+        slaves: Vec<ActorId>,
+        incarnation: u64,
+        checkpointed: bool,
+    ) -> SlaveCommon {
+        let ft = self.ft.clone();
+        let mut common =
+            SlaveCommon::new(self.idx, master, slaves, self.mode, self.hook_check_cpu, ft);
+        common.incarnation = incarnation;
+        common.enable_deputy(checkpointed, ctx.now());
+        common
+    }
+}
+
+/// Actor body of every slave. Never panics on protocol trouble: fatal
+/// errors are shipped to the master as [`Msg::SlaveError`].
+pub async fn run_slave<S: DistributionStrategy>(
+    spec: SlaveSpec,
+    make_strategy: impl FnOnce(&SlaveSpec, &StartInfo) -> Result<S, ProtocolError>,
+    ctx: MailCtx<Msg>,
+) {
+    match slave_life(&spec, make_strategy, &ctx).await {
+        Ok(())
+        | Err(ProtocolError::Aborted)
+        | Err(ProtocolError::Evicted { .. })
+        | Err(ProtocolError::JoinRefused { .. }) => {}
+        Err(error) => {
+            let msg = Msg::SlaveError {
+                slave: spec.idx,
+                error,
+            };
+            let bytes = msg.wire_bytes();
+            ctx.send(spec.master, msg, bytes).await;
+        }
+    }
+}
+
+async fn slave_life<S: DistributionStrategy>(
+    spec: &SlaveSpec,
+    make_strategy: impl FnOnce(&SlaveSpec, &StartInfo) -> Result<S, ProtocolError>,
+    ctx: &MailCtx<Msg>,
+) -> Result<(), ProtocolError> {
+    let start = recv_start(ctx, spec.idx, spec.ft.as_ref()).await?;
+    let mut strategy = make_strategy(spec, &start)?;
+    // A pattern that ships snapshots restarts a takeover from the one the
+    // deputy holds; one that does not, from the invocation watermark.
+    let checkpointed = strategy.checkpoint_units().is_some();
+    let mut common = spec.common(ctx, spec.master, start.0, 0, checkpointed);
+    if let Some(at) = spec.join_at {
+        // Latecomer: the parked Start taught us the topology; idle to the
+        // join instant, then announce. The admission rollback lands in
+        // `pending_rollback` and is adopted by the runner.
+        common.park_then_join(ctx, at).await?;
+    }
+    loop {
+        match run(ctx, &mut common, &mut strategy).await {
+            Err(ProtocolError::Elected { .. }) => {
+                // This deputy won the master election: drop the slave role
+                // and rebuild the master in place from the replicated seed.
+                let missing = |what| ProtocolError::Inconsistent {
+                    detail: format!("slave {}: elected with no takeover {what}", spec.idx),
+                };
+                let seed = common.takeover.take().ok_or_else(|| missing("seed"))?;
+                let kit = spec.takeover.as_deref().ok_or_else(|| missing("kit"))?;
+                return run_takeover(ctx, kit, seed, spec.idx).await;
+            }
+            Err(ProtocolError::Evicted { .. })
+                if spec.ft.as_ref().is_some_and(|ft| ft.rejoin_attempts > 0) =>
+            {
+                // Eviction is no longer the end of the line: come back
+                // as a fresh incarnation and ask to be re-admitted. The
+                // rebuilt common starts with clean channel/epoch state;
+                // the old life's windows and clocks die with it.
+                let (master, slaves) = (common.master, common.slaves.clone());
+                common = spec.common(ctx, master, slaves, common.incarnation + 1, checkpointed);
+                common.join_handshake(ctx).await?;
+            }
+            r => return r,
+        }
+    }
+}
+
+/// Execute one life of the slave. Returns when the run completes (gather
+/// acknowledged) or with a fatal error; recoverable trouble is reported to
+/// the master and survived by rollback.
 pub async fn run<S: DistributionStrategy>(
     ctx: &MailCtx<Msg>,
     common: &mut SlaveCommon,
@@ -28,14 +167,15 @@ pub async fn run<S: DistributionStrategy>(
     let total = strategy.invocations();
     let mut start = 0u64;
     let mut need_release = true;
-    // Rejoin entry: a rejoiner arrives with the admission rollback already
-    // stashed by the join handshake — adopt it instead of waiting for the
-    // (never-sent) initial release.
-    if let Some(rb) = common.pending_rollback.take() {
-        start = apply_rollback(common, strategy, rb)?;
-        need_release = false;
-    }
     loop {
+        // A rejoiner arrives with the admission rollback already stashed by
+        // the join handshake; every later pass adopts the one that unwound
+        // the previous. Either way the rollback itself releases the resumed
+        // invocation: no InvocationStart follows.
+        if let Some(rb) = common.pending_rollback.take() {
+            start = apply_rollback(common, strategy, rb)?;
+            need_release = false;
+        }
         // The gather reply lives *inside* the restart loop: a peer can die
         // while the master is collecting results, and the resulting
         // rollback must re-run the lost invocations on the survivors — so
@@ -46,10 +186,10 @@ pub async fn run<S: DistributionStrategy>(
             Ok(()) => reply_gather(ctx, common, strategy).await,
             Err(e) => Err(e),
         };
-        match result {
-            Ok(()) => return Ok(()),
-            Err(ProtocolError::RolledBack) => {}
-            Err(e) if common.ft.is_some() && strategy.recoverable(&e) => {
+        match (result, common.ft.clone()) {
+            (Ok(()), _) => return Ok(()),
+            (Err(ProtocolError::RolledBack), _) => {}
+            (Err(e), Some(ft)) if strategy.recoverable(&e) => {
                 // Wedged (lost halo, torn protocol state): report and wait
                 // to be rolled back rather than dying — the master answers
                 // a SlaveError with a rollback, not an eviction.
@@ -58,30 +198,26 @@ pub async fn run<S: DistributionStrategy>(
                     error: e,
                 };
                 common.send_master(ctx, msg).await;
-                rescue_wait(ctx, common).await?;
+                rescue_wait(ctx, common, &ft).await?;
             }
-            Err(e) => return Err(e),
+            (Err(e), _) => return Err(e),
         }
-        let rb = common
-            .pending_rollback
-            .take()
-            .ok_or_else(|| ProtocolError::Inconsistent {
-                detail: format!(
-                    "slave {}: rollback unwound with no pending payload",
-                    common.idx
-                ),
-            })?;
-        start = apply_rollback(common, strategy, rb)?;
-        // The rollback itself releases the resumed invocation; no
-        // InvocationStart follows.
-        need_release = false;
+        if common.pending_rollback.is_none() {
+            let idx = common.idx;
+            return Err(ProtocolError::Inconsistent {
+                detail: format!("slave {idx}: rollback unwound with no pending payload"),
+            });
+        }
     }
 }
 
 /// After shipping a `SlaveError`, wait for the master's rollback (stashed
 /// in `pending_rollback`), an abort, or an eviction.
-async fn rescue_wait(ctx: &MailCtx<Msg>, common: &mut SlaveCommon) -> Result<(), ProtocolError> {
-    let ft = common.ft.clone().expect("rescue_wait requires fault mode");
+async fn rescue_wait(
+    ctx: &MailCtx<Msg>,
+    common: &mut SlaveCommon,
+    ft: &FaultToleranceConfig,
+) -> Result<(), ProtocolError> {
     let mut tries = 0u32;
     loop {
         match ctx.recv_deadline(ctx.now() + ft.slave_heartbeat).await {
@@ -142,6 +278,9 @@ fn apply_rollback<S: DistributionStrategy>(
     for s in 0..common.dead.len() {
         common.dead[s] = !rb.survivors.contains(&s);
     }
+    // The rollback re-partitions (or re-scatters) every unit from the
+    // master's side: nothing reclaimed from closed channels, and no
+    // ownership report, survives it.
     common.reclaimed.clear();
     common.own_report_due.clear();
     common.rebase_epoch(rb.epoch);
@@ -161,14 +300,12 @@ async fn run_invocations<S: DistributionStrategy>(
         // Initial release: the end-of-invocation barrier consumes every
         // later InvocationStart.
         loop {
-            let env = common
-                .recv_blocking(
-                    ctx,
-                    |m| matches!(m, Msg::InvocationStart { .. } | Msg::Instructions(_)),
-                    strategy.first_release_context(),
-                )
-                .await?;
-            match env.msg {
+            let context = strategy.first_release_context();
+            let pred = |m: &Msg| {
+                matches!(m, Msg::InvocationStart { .. } | Msg::Instructions(_))
+                    || S::consumes_before_release(m)
+            };
+            match common.recv_blocking(ctx, pred, context).await?.msg {
                 Msg::InvocationStart {
                     invocation: 0,
                     ckpt_stride,
@@ -176,27 +313,22 @@ async fn run_invocations<S: DistributionStrategy>(
                     common.ckpt_stride = ckpt_stride.max(1);
                     break;
                 }
-                Msg::InvocationStart {
-                    invocation,
-                    ckpt_stride,
-                } => {
-                    return Err(common.unexpected(
-                        strategy.first_release_context(),
-                        &Msg::InvocationStart {
-                            invocation,
-                            ckpt_stride,
-                        },
-                    ));
-                }
-                Msg::Instructions(_) => {}
-                _ => unreachable!(),
+                m @ Msg::InvocationStart { .. } => return Err(common.unexpected(context, &m)),
+                m => match strategy.on_barrier_msg(ctx, common, None, m).await? {
+                    // Orders that predate the release have nothing to move.
+                    BarrierMsg::Pass(Msg::Instructions(_)) => {}
+                    BarrierMsg::Pass(m) => return Err(common.unexpected(context, &m)),
+                    BarrierMsg::Consumed | BarrierMsg::Refresh => {}
+                },
             }
         }
     }
 
     for inv in start..total {
         strategy.run_invocation(ctx, common, inv).await?;
-        barrier(ctx, common, strategy, inv, inv + 1 == total).await?;
+        if barrier(ctx, common, strategy, inv, inv + 1 == total).await? == Released::Gather {
+            break;
+        }
     }
     Ok(())
 }
@@ -207,15 +339,16 @@ async fn send_done<S: DistributionStrategy>(
     strategy: &S,
     inv: u64,
 ) {
+    let (owned_ids, metric) = strategy.report();
     let msg = Msg::InvocationDone {
         slave: common.idx,
         invocation: inv,
         epoch: common.epoch,
         sent_to: common.sent_to_vec(),
         received_from: common.recv_watermarks(),
-        metric: 0.0,
+        metric,
         restore_seq: common.master_chan.watermark(),
-        owned_ids: strategy.owned_ids(),
+        owned_ids,
         replica_inv: common.replica_inv(),
     };
     common.send_master(ctx, msg).await;
@@ -237,33 +370,51 @@ async fn send_checkpoint<S: DistributionStrategy>(
     if !(inv + 1).is_multiple_of(common.ckpt_stride.max(1)) {
         return;
     }
+    let Some(units) = strategy.checkpoint_units() else {
+        return;
+    };
     let msg = Msg::Checkpoint {
         slave: common.idx,
         invocation: inv + 1,
-        units: strategy.checkpoint_units(),
+        units,
     };
     common.fault_stats.checkpoints_sent += 1;
     common.send_master(ctx, msg).await;
 }
 
+/// How a barrier wait ended.
+#[derive(PartialEq)]
+enum Released {
+    /// The master released the next invocation.
+    Next,
+    /// The master requested the gather: the run is over.
+    Gather,
+}
+
+/// Park at the barrier of `inv`: report done, then service messages until
+/// the master releases the next invocation or requests the gather.
+///
+/// In fault mode the slave heartbeats: its `InvocationDone` (carrying the
+/// master-channel watermark) and the barrier checkpoint are re-sent
+/// whenever nothing arrives for one heartbeat period, bounded by
+/// `give_up_tries`; unacked transfers are re-sent on the same trigger.
 async fn barrier<S: DistributionStrategy>(
     ctx: &MailCtx<Msg>,
     common: &mut SlaveCommon,
     strategy: &mut S,
     inv: u64,
     is_final: bool,
-) -> Result<(), ProtocolError> {
+) -> Result<Released, ProtocolError> {
     send_done(ctx, common, strategy, inv).await;
     send_checkpoint(ctx, common, strategy, inv).await;
-    let fault_mode = common.ft.is_some();
+    let ft = common.ft.clone();
     let mut silent = 0u32;
     loop {
-        let env = match common.ft.clone() {
-            None => {
-                common
-                    .recv_blocking(ctx, |_| true, strategy.barrier_context())
-                    .await?
-            }
+        let env = match &ft {
+            // Every arm below routes what it is not to `control` /
+            // `election`, as `recv_blocking` would — but a strategy that
+            // refreshes on a `TransferAck` must see it.
+            None => ctx.recv().await,
             Some(ft) => match ctx.recv_deadline(ctx.now() + ft.slave_heartbeat).await {
                 Some(env) => {
                     silent = 0;
@@ -289,53 +440,44 @@ async fn barrier<S: DistributionStrategy>(
                 }
             },
         };
-        match env.msg {
-            Msg::Transfer(t) => {
-                // Catch-up work done while incorporating counts toward this
-                // invocation; the strategy flushes it (and any movement the
-                // reply requests) before we refresh the done report.
-                strategy.on_barrier_transfer(ctx, common, inv, t).await?;
+        let msg = match strategy
+            .on_barrier_msg(ctx, common, Some(inv), env.msg)
+            .await?
+        {
+            BarrierMsg::Pass(msg) => msg,
+            BarrierMsg::Consumed => continue,
+            BarrierMsg::Refresh => {
                 send_done(ctx, common, strategy, inv).await;
                 send_checkpoint(ctx, common, strategy, inv).await;
+                continue;
             }
-            Msg::Instructions(instr) => {
-                // Barrier-time moves keep the next invocation balanced. The
-                // master cannot settle (and so cannot start the next
-                // invocation or the gather) until these transfers are
-                // acknowledged, so executing them here is always safe —
-                // routed through the shared epoch/sequence fences so a
-                // duplicated delivery cannot double-execute the moves.
-                let moves = common.instructions_out_of_band(instr);
-                if !moves.is_empty() {
-                    strategy.on_barrier_moves(ctx, common, inv, moves).await?;
-                    send_done(ctx, common, strategy, inv).await;
-                    send_checkpoint(ctx, common, strategy, inv).await;
-                }
-            }
+        };
+        match msg {
             Msg::Speculate {
                 seq,
                 invocation,
                 units,
-            } if fault_mode => {
-                // Race a silent suspect: advance the banked full-grid
-                // snapshot by one invocation and ship the result as a
-                // checkpoint for `invocation + 1`. The master commits by
-                // rolling back onto the advanced snapshot (or simply by
+            } if ft.is_some() => {
+                // Race a silent suspect. A pattern with snapshots ships the
+                // advanced one as a checkpoint for `invocation + 1`: the
+                // master commits by rolling back onto it (or simply by
                 // banking it) and cancels by discarding it — either way the
                 // speculative checkpoint is value-deterministic, so a
                 // cancelled speculation leaves nothing to fence.
                 if common.master_chan.fresh(seq) {
                     let advanced = strategy
-                        .advance_snapshot(ctx, common, invocation, units)
+                        .speculate(ctx, common, inv, seq, invocation, units)
                         .await?;
                     common.fault_stats.speculations_computed += 1;
-                    let msg = Msg::Checkpoint {
-                        slave: common.idx,
-                        invocation: invocation + 1,
-                        units: advanced,
-                    };
-                    common.fault_stats.checkpoints_sent += 1;
-                    common.send_master(ctx, msg).await;
+                    if let Some(units) = advanced {
+                        let msg = Msg::Checkpoint {
+                            slave: common.idx,
+                            invocation: invocation + 1,
+                            units,
+                        };
+                        common.fault_stats.checkpoints_sent += 1;
+                        common.send_master(ctx, msg).await;
+                    }
                 }
                 // The refreshed done report carries the new master-channel
                 // watermark: the master's settlement waits for this ack.
@@ -344,54 +486,30 @@ async fn barrier<S: DistributionStrategy>(
             Msg::InvocationStart {
                 invocation,
                 ckpt_stride,
-            } => {
-                if invocation == inv + 1 && !is_final {
-                    common.ckpt_stride = ckpt_stride.max(1);
-                    return Ok(());
-                }
-                if fault_mode && invocation <= inv {
-                    // Stale duplicate of an earlier release.
-                    continue;
-                }
-                return Err(common.unexpected(
-                    strategy.barrier_context(),
-                    &Msg::InvocationStart {
-                        invocation,
-                        ckpt_stride,
-                    },
-                ));
+            } if invocation == inv + 1 && !is_final => {
+                common.ckpt_stride = ckpt_stride.max(1);
+                return Ok(Released::Next);
             }
-            Msg::Gather => {
-                if is_final {
-                    return Ok(());
-                }
-                return Err(common.unexpected(strategy.barrier_context(), &Msg::Gather));
-            }
+            // Stale duplicate of an earlier release.
+            Msg::InvocationStart { invocation, .. } if ft.is_some() && invocation <= inv => {}
+            Msg::Gather if strategy.may_end_after(inv) => return Ok(Released::Gather),
             Msg::Abort => return Err(ProtocolError::Aborted),
             Msg::Evict => return Err(ProtocolError::Evicted { slave: common.idx }),
-            Msg::Start { .. } | Msg::GatherAck if fault_mode => {} // duplicate deliveries
-            m @ (Msg::TransferAck { .. } | Msg::Evicted { .. } | Msg::Rollback { .. }) => {
-                common.control(&m)?;
+            Msg::Start { .. } | Msg::GatherAck if ft.is_some() => {} // duplicate deliveries
+            // Failover traffic, channel control (a rollback unwinds from
+            // here), or a message the protocol cannot accept at a barrier.
+            m => {
+                if !common.election(ctx, &m).await? && !common.control(&m)? {
+                    return Err(common.unexpected(strategy.barrier_context(), &m));
+                }
             }
-            m @ (Msg::Replica(_)
-            | Msg::MasterPing { .. }
-            | Msg::Candidacy { .. }
-            | Msg::Vote { .. }
-            | Msg::Promoted { .. }) => {
-                common.election(ctx, &m).await?;
-            }
-            other => match strategy.on_barrier_misc(ctx, common, inv, other).await? {
-                None => {}
-                Some(m) => return Err(common.unexpected(strategy.barrier_context(), &m)),
-            },
         }
     }
 }
 
-/// The final barrier consumed the Gather message; reply with the local
-/// units. In fault mode, wait for the master's acknowledgement (re-sending
-/// on duplicate `Gather` requests) so a dropped reply cannot lose the
-/// result.
+/// The barrier consumed the Gather message; reply with the local units. In
+/// fault mode, wait for the master's acknowledgement (re-sending on
+/// duplicate `Gather` requests) so a dropped reply cannot lose the result.
 async fn reply_gather<S: DistributionStrategy>(
     ctx: &MailCtx<Msg>,
     common: &mut SlaveCommon,
@@ -413,7 +531,8 @@ async fn reply_gather<S: DistributionStrategy>(
             None => {
                 tries += 1;
                 if tries > ft.gather_patience {
-                    // Assume the data arrived and the ack was lost.
+                    // Assume the data arrived and the ack was lost; the
+                    // master recomputes locally if it really did not.
                     return Ok(());
                 }
                 // The ack may be missing because the master died: a deputy
@@ -432,25 +551,230 @@ async fn reply_gather<S: DistributionStrategy>(
                 }
                 Msg::GatherAck | Msg::Abort => return Ok(()),
                 Msg::Evict => return Err(ProtocolError::Evicted { slave: common.idx }),
-                // A peer died while the master was collecting results: the
-                // rollback (or the transfer-ack bookkeeping that precedes
-                // it) unwinds through the shared control path so the
-                // restart loop re-runs the lost invocations.
-                m @ (Msg::TransferAck { .. } | Msg::Evicted { .. } | Msg::Rollback { .. }) => {
-                    common.control(&m)?;
-                }
-                m @ (Msg::Replica(_)
-                | Msg::MasterPing { .. }
-                | Msg::Candidacy { .. }
-                | Msg::Vote { .. }
-                | Msg::Promoted { .. }) => {
+                m => {
                     // A re-gather request from a newly promoted master must
                     // reach us at the new address, so promotions (and any
                     // election a master death here triggers) are serviced.
-                    common.election(ctx, &m).await?;
+                    // And a peer may have died while the master was
+                    // collecting results: the rollback (or the transfer-ack
+                    // bookkeeping that precedes it) unwinds through the
+                    // shared control path so the restart loop re-runs the
+                    // lost invocations. Anything else is stale traffic.
+                    if !common.election(ctx, &m).await? {
+                        common.control(&m)?;
+                    }
                 }
-                _ => {} // stale traffic
             },
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::msg::UnitData;
+    use dlb_sim::{NodeConfig, SimBuilder};
+    use std::sync::Mutex;
+
+    type Units = Vec<(usize, UnitData)>;
+
+    /// The smallest strategy the runner accepts: three invocations that
+    /// compute nothing, every barrier message passed back.
+    struct Toy {
+        ends_anywhere: bool,
+    }
+
+    impl DistributionStrategy for Toy {
+        fn invocations(&self) -> u64 {
+            3
+        }
+        fn first_release_context(&self) -> &'static str {
+            "toy release"
+        }
+        fn barrier_context(&self) -> &'static str {
+            "toy barrier"
+        }
+        fn recoverable(&self, _: &ProtocolError) -> bool {
+            false
+        }
+        async fn run_invocation(
+            &mut self,
+            _: &MailCtx<Msg>,
+            _: &mut SlaveCommon,
+            _: u64,
+        ) -> Result<(), ProtocolError> {
+            Ok(())
+        }
+        async fn on_barrier_msg(
+            &mut self,
+            _: &MailCtx<Msg>,
+            _: &mut SlaveCommon,
+            _: Option<u64>,
+            msg: Msg,
+        ) -> Result<BarrierMsg, ProtocolError> {
+            Ok(BarrierMsg::Pass(msg))
+        }
+        fn report(&self) -> (Vec<usize>, f64) {
+            (Vec::new(), 0.0)
+        }
+        fn may_end_after(&self, inv: u64) -> bool {
+            self.ends_anywhere || inv == 2
+        }
+        fn checkpoint_units(&self) -> Option<Units> {
+            None
+        }
+        fn gather_units(&self) -> Result<Units, ProtocolError> {
+            Ok(Vec::new())
+        }
+        fn restore(&mut self, _: &mut SlaveCommon, _: RollbackInfo) -> Result<u64, ProtocolError> {
+            panic!("no test here rolls a survivor back")
+        }
+        async fn speculate(
+            &mut self,
+            _: &MailCtx<Msg>,
+            _: &mut SlaveCommon,
+            _: u64,
+            _: u64,
+            _: u64,
+            _: Units,
+        ) -> Result<Option<Units>, ProtocolError> {
+            Ok(None)
+        }
+    }
+
+    /// Run slave 0 through the whole shell against an inert master stub that
+    /// plays `Start` and then `script` (`(send time in ms, message)`), and
+    /// return what the stub was sent within a virtual minute.
+    fn against_stub(
+        ft: Option<FaultToleranceConfig>,
+        toy: Toy,
+        script: Vec<(u64, Msg)>,
+    ) -> Vec<Msg> {
+        let spec = SlaveSpec {
+            idx: 0,
+            master: ActorId(1),
+            mode: InteractionMode::Pipelined,
+            hook_check_cpu: CpuWork::from_micros(10),
+            ft,
+            takeover: None,
+            join_at: None,
+        };
+        let mut sim = SimBuilder::<Msg>::new();
+        let nodes = [(); 2].map(|()| sim.add_node(NodeConfig::default()));
+        let make = move |_: &_, _: &_| Ok(toy);
+        let slave = sim.spawn_mail(nodes[0], "slave0", move |ctx| run_slave(spec, make, ctx));
+        let heard = Arc::new(Mutex::new(Vec::new()));
+        let sink = Arc::clone(&heard);
+        sim.spawn_mail(nodes[1], "master", move |ctx| async move {
+            let start = Msg::Start {
+                slaves: vec![slave],
+                assignment: vec![(0, 1)],
+                block_rows: 1,
+            };
+            let script = [(0, start)].into_iter().chain(script);
+            for (at_ms, msg) in script.chain([(60_000, Msg::Abort)]) {
+                while let Some(env) = ctx.recv_deadline(SimTime(at_ms * 1000)).await {
+                    sink.lock().unwrap().push(env.msg);
+                }
+                let bytes = msg.wire_bytes();
+                ctx.send(slave, msg, bytes).await;
+            }
+        });
+        sim.run();
+        let heard = heard.lock().unwrap();
+        heard.clone()
+    }
+
+    /// What the stub heard, by kind (a `SlaveError` by its error's kind).
+    fn kinds(heard: &[Msg]) -> Vec<&'static str> {
+        let kind = |m: &Msg| match m {
+            Msg::InvocationDone { .. } => "done",
+            Msg::GatherData { .. } => "data",
+            Msg::SlaveError { error, .. } => match error {
+                ProtocolError::UnexpectedMessage { .. } => "unexpected",
+                ProtocolError::Inconsistent { .. } => "inconsistent",
+                _ => "error",
+            },
+            _ => "other",
+        };
+        heard.iter().map(kind).collect()
+    }
+
+    /// Fault mode, with this slave as the lone deputy.
+    fn armed() -> Option<FaultToleranceConfig> {
+        Some(FaultToleranceConfig {
+            deputies: 1,
+            ..FaultToleranceConfig::default()
+        })
+    }
+
+    fn release(invocation: u64) -> Msg {
+        Msg::InvocationStart {
+            invocation,
+            ckpt_stride: 1,
+        }
+    }
+
+    const FINAL: Toy = Toy {
+        ends_anywhere: false,
+    };
+    const ANYWHERE: Toy = Toy {
+        ends_anywhere: true,
+    };
+
+    #[test]
+    fn rollback_that_omits_this_slave_evicts_it_before_restore() {
+        let rollback = Msg::Rollback {
+            seq: 1,
+            epoch: 1,
+            invocation: 1,
+            survivors: vec![1],
+            ckpt_stride: 1,
+            units: Vec::new(),
+        };
+        let heard = against_stub(armed(), FINAL, vec![(0, release(0)), (10, rollback)]);
+        // `Toy::restore` panics; eviction is a silent exit, not an error.
+        assert_eq!(kinds(&heard), ["done"]);
+    }
+
+    #[test]
+    fn gather_at_a_non_final_barrier_asks_the_strategy() {
+        let script = || vec![(0, release(0)), (10, Msg::Gather)];
+        let heard = against_stub(None, FINAL, script());
+        assert_eq!(kinds(&heard), ["done", "unexpected"]);
+        let heard = against_stub(None, ANYWHERE, script());
+        assert_eq!(kinds(&heard), ["done", "data"]);
+    }
+
+    #[test]
+    fn election_win_without_a_takeover_kit_is_one_typed_error() {
+        // The master falls silent; the lone deputy heartbeats its done
+        // report until it elects itself.
+        let heard = against_stub(armed(), FINAL, vec![(0, release(0))]);
+        let mut kinds = kinds(&heard);
+        kinds.retain(|k| *k != "done");
+        assert_eq!(kinds, ["inconsistent"]);
+    }
+
+    #[test]
+    fn stale_release_in_fault_mode_neither_releases_nor_errors() {
+        let stale = [(0, release(0)), (10, release(0))];
+        let gather = [(20, Msg::Gather), (30, Msg::GatherAck)];
+        let heard = against_stub(armed(), ANYWHERE, stale.into_iter().chain(gather).collect());
+        // Still parked after invocation 0 when the gather arrives.
+        assert_eq!(kinds(&heard), ["done", "data"]);
+    }
+
+    #[test]
+    fn a_strategy_without_snapshots_never_checkpoints() {
+        let gather = [(3_500, Msg::Gather), (3_510, Msg::GatherAck)];
+        let script = [(0, release(0))].into_iter().chain(gather).collect();
+        let heard = against_stub(armed(), ANYWHERE, script);
+        // One report and three heartbeat refreshes, no checkpoint with any.
+        assert_eq!(kinds(&heard), ["done", "done", "done", "done", "data"]);
+        let Some(Msg::GatherData { fault_stats, .. }) = heard.last() else {
+            unreachable!();
+        };
+        assert_eq!(fault_stats.checkpoints_sent, 0);
     }
 }

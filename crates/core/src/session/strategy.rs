@@ -1,36 +1,56 @@
-//! The strategy interface between the shared checkpointed slave runner
+//! The strategy interface between the slave runner
 //! ([`crate::session::slave`]) and the per-dependence-structure engines.
 //!
-//! The runner owns everything that keeps a checkpointed slave *alive* —
-//! the restart loop, barrier protocol, checkpoint cadence, speculation,
-//! rescue wait, gather reply. A [`DistributionStrategy`] supplies only
-//! what differs between dependence structures: how an invocation is
-//! computed, how mid-protocol transfers and movement orders integrate,
-//! what a snapshot looks like, and how to resume from one.
+//! The runner owns everything that keeps a slave *alive* — the restart
+//! loop, the first-release wait, the barrier protocol, checkpoint cadence,
+//! speculation, rescue wait, gather reply. A [`DistributionStrategy`]
+//! supplies only what differs between dependence structures (§4.5,
+//! Table 2): how an invocation is computed, how mid-protocol transfers and
+//! movement orders integrate, what a snapshot looks like (if the pattern
+//! has one), and how to resume from a rollback. Where the independent
+//! pattern deliberately departs from the two checkpointed ones, the
+//! departure is a method here with the checkpointed behaviour as its
+//! default; the runner's module doc lists them in one table.
 
 use crate::error::ProtocolError;
-use crate::msg::{MoveOrder, Msg, TransferMsg, UnitData};
+use crate::msg::{Msg, UnitData};
 use crate::slave_common::{RollbackInfo, SlaveCommon};
 use dlb_sim::MailCtx;
 
-/// One distribution pattern (pipelined sweeps, shrinking steps) plugged
-/// into the generic checkpointed slave runner.
+/// What a strategy did with a message it was offered while parked (see
+/// [`DistributionStrategy::on_barrier_msg`]).
+pub enum BarrierMsg {
+    /// Not this strategy's: the runner applies its own arm (and reports a
+    /// message it has none for as a protocol violation).
+    Pass(Msg),
+    /// Handled; nothing the master tracks changed.
+    Consumed,
+    /// Handled, and ownership, watermarks or the master-channel ack moved:
+    /// the runner refreshes the done report (and the barrier checkpoint)
+    /// so the master's settlement can observe it.
+    Refresh,
+}
+
+/// One distribution pattern (independent units, pipelined sweeps, shrinking
+/// steps) plugged into the slave runner.
 ///
 /// Invariants the runner relies on:
 ///
 /// * [`run_invocation`](DistributionStrategy::run_invocation) leaves the
 ///   strategy at the barrier of `inv`: all local work done, final hook
-///   fired, pending movement executed.
-/// * [`checkpoint_units`](DistributionStrategy::checkpoint_units) is the
-///   state from which invocation `inv + 1` starts — value-deterministic,
-///   so snapshots bank across epochs.
-/// * [`advance_snapshot`](DistributionStrategy::advance_snapshot) is a
-///   *pure* function of its snapshot argument: it must not read or write
-///   live engine state, and must not hook, move work, or message peers —
-///   it races a whole invocation on one idle slave.
+///   fired, pending movement executed, evictions settled. A
+///   [`BarrierMsg::Refresh`] promises the same.
+/// * [`checkpoint_units`](DistributionStrategy::checkpoint_units), when the
+///   pattern has one, is the state from which invocation `inv + 1` starts —
+///   value-deterministic, so snapshots bank across epochs.
+/// * A [`speculate`](DistributionStrategy::speculate) that returns a
+///   checkpoint is a *pure* function of its snapshot argument: it must not
+///   read or write live engine state, and must not hook, move work, or
+///   message peers — it races a whole invocation on one idle slave.
 #[allow(async_fn_in_trait)] // used generically within the crate; Send is checked at spawn
 pub trait DistributionStrategy {
-    /// Total number of invocations (sweeps, steps) the run executes.
+    /// Upper bound on the invocations (repetitions, sweeps, steps) the run
+    /// executes.
     fn invocations(&self) -> u64;
 
     /// Wait context for the initial barrier release (timeout diagnostics).
@@ -53,49 +73,51 @@ pub trait DistributionStrategy {
         inv: u64,
     ) -> Result<(), ProtocolError>;
 
-    /// A work transfer arrived while parked at the barrier of `inv`. The
-    /// strategy routes it through the shared dedup/epoch fences itself
-    /// (via [`SlaveCommon::accept_transfer`]) and does whatever follow-up
-    /// its pattern needs (catch-up computation, hook firing, counter
-    /// moves). The runner refreshes the done report and checkpoint after.
-    async fn on_barrier_transfer(
-        &mut self,
-        ctx: &MailCtx<Msg>,
-        common: &mut SlaveCommon,
-        inv: u64,
-        t: TransferMsg,
-    ) -> Result<(), ProtocolError>;
-
-    /// Execute movement orders received at the barrier of `inv` (already
-    /// fenced by sequence/epoch). The runner refreshes done + checkpoint.
-    async fn on_barrier_moves(
-        &mut self,
-        ctx: &MailCtx<Msg>,
-        common: &mut SlaveCommon,
-        inv: u64,
-        moves: Vec<MoveOrder>,
-    ) -> Result<(), ProtocolError>;
-
-    /// A message the runner's barrier does not understand. Return `None`
-    /// when consumed (e.g. a pivot broadcast racing ahead), or give it
-    /// back to be reported as a protocol violation.
-    async fn on_barrier_misc(
-        &mut self,
-        ctx: &MailCtx<Msg>,
-        common: &mut SlaveCommon,
-        inv: u64,
-        msg: Msg,
-    ) -> Result<Option<Msg>, ProtocolError> {
-        let _ = (ctx, common, inv);
-        Ok(Some(msg))
+    /// Whether the wait for the first release takes `msg` out of the
+    /// mailbox (it is then offered to
+    /// [`on_barrier_msg`](DistributionStrategy::on_barrier_msg) with no
+    /// invocation). The default leaves everything but the release itself
+    /// queued: halos, pivots and transfers are keyed to a step and are
+    /// drained, selectively, by the invocation they belong to.
+    fn consumes_before_release(msg: &Msg) -> bool {
+        let _ = msg;
+        false
     }
 
-    /// Unit ids this slave currently owns (for `InvocationDone`).
-    fn owned_ids(&self) -> Vec<usize>;
+    /// First refusal on a message that arrived while parked at the barrier
+    /// of `inv` (`None`: still waiting for the first release). Transfers
+    /// go through the shared dedup/epoch fences
+    /// ([`SlaveCommon::accept_transfer`]), movement orders through
+    /// [`SlaveCommon::instructions_out_of_band`] — the master cannot settle
+    /// until their transfers are acknowledged, so executing them here is
+    /// always safe, and the fences keep a duplicated delivery from
+    /// double-executing them — followed by whatever the pattern needs
+    /// (catch-up computation, hook firing, counter moves).
+    async fn on_barrier_msg(
+        &mut self,
+        ctx: &MailCtx<Msg>,
+        common: &mut SlaveCommon,
+        inv: Option<u64>,
+        msg: Msg,
+    ) -> Result<BarrierMsg, ProtocolError>;
+
+    /// This slave's part of `InvocationDone`: the unit ids it owns, and its
+    /// share of the reduction the master's WHILE test reads (§4.1) — zero
+    /// for a pattern that runs a fixed number of invocations.
+    fn report(&self) -> (Vec<usize>, f64);
+
+    /// May the master end the run at the barrier of `inv`? By default only
+    /// at the last one: a `Gather` anywhere else is a stray from an earlier
+    /// reign, and `GatherData` carries no epoch that could fence the reply.
+    fn may_end_after(&self, inv: u64) -> bool {
+        inv + 1 == self.invocations()
+    }
 
     /// Snapshot of the local state at the current barrier — the state from
-    /// which the next invocation starts.
-    fn checkpoint_units(&self) -> Vec<(usize, UnitData)>;
+    /// which the next invocation starts. `None`: this pattern recovers by
+    /// re-scatter, so no checkpoint is ever shipped and a deputy's replica
+    /// is as fresh as its invocation watermark.
+    fn checkpoint_units(&self) -> Option<Vec<(usize, UnitData)>>;
 
     /// The final result payload. May fail when local state is torn (e.g.
     /// columns still set aside) — the runner then reports and parks for
@@ -110,16 +132,23 @@ pub trait DistributionStrategy {
     fn restore(&mut self, common: &mut SlaveCommon, rb: RollbackInfo)
         -> Result<u64, ProtocolError>;
 
-    /// Speculation: advance the full-grid snapshot (the state at
-    /// `invocation`) by one invocation, sequentially and without any
-    /// communication, and return the state at `invocation + 1`. Charges
-    /// CPU via [`MailCtx::advance_work`] directly so the raced work never
-    /// distorts this slave's measured work rate.
-    async fn advance_snapshot(
+    /// Race a silent suspect on the master's behalf (`Speculate` number
+    /// `seq`, already deduplicated) while parked at the barrier of `inv`.
+    /// A checkpointed pattern advances the full-grid snapshot `units` (the
+    /// state at `invocation`) by one invocation, sequentially and without
+    /// communication, and returns the state at `invocation + 1` for the
+    /// runner to ship as a checkpoint; it charges CPU via
+    /// [`MailCtx::advance_work`] directly so the raced work never distorts
+    /// this slave's measured work rate. A pattern without snapshots keeps
+    /// the result to itself until the master commits or cancels it, and
+    /// returns `None`.
+    async fn speculate(
         &mut self,
         ctx: &MailCtx<Msg>,
         common: &mut SlaveCommon,
+        inv: u64,
+        seq: u64,
         invocation: u64,
         units: Vec<(usize, UnitData)>,
-    ) -> Result<Vec<(usize, UnitData)>, ProtocolError>;
+    ) -> Result<Option<Vec<(usize, UnitData)>>, ProtocolError>;
 }

@@ -35,8 +35,8 @@ use dlb_sim::{ActorId, CpuWork, Envelope, MailCtx, SimDuration, SimTime};
 /// and rows per block.
 pub type StartInfo = (Vec<ActorId>, Vec<(usize, usize)>, u64);
 
-/// A stashed [`Msg::Rollback`] payload, surfaced to the checkpointed
-/// engines' restart loops via [`ProtocolError::RolledBack`].
+/// A stashed [`Msg::Rollback`] payload, surfaced to the slave runner's
+/// restart loop via [`ProtocolError::RolledBack`].
 #[derive(Clone, Debug)]
 pub struct RollbackInfo {
     pub epoch: u64,
@@ -111,7 +111,6 @@ pub struct SlaveCommon {
     /// Hooks to skip between firings (updated by instructions).
     skip: u64,
     since_fire: u64,
-    last_fire_time: SimTime,
     /// Monotone count of hook firings (dedups duplicated statuses).
     hook_seq: u64,
     /// Work units completed since the last firing.
@@ -126,14 +125,14 @@ pub struct SlaveCommon {
     channels: Vec<TransferWindow<TransferMsg>>,
     /// Peers known to be evicted (their channels are closed).
     pub dead: Vec<bool>,
-    /// Rollback epoch this slave operates in (checkpointed engines).
+    /// Rollback epoch this slave operates in.
     pub epoch: u64,
     /// Receiver tracker for the windowed master → slave channel
     /// (`Restore` / `Rollback` / `Speculate` / commit / cancel); its
     /// watermark is reported as `InvocationDone::restore_seq`.
     pub master_chan: AckTracker,
     /// A rollback that arrived inside a blocking receive, waiting for the
-    /// engine's restart loop (paired with [`ProtocolError::RolledBack`]).
+    /// runner's restart loop (paired with [`ProtocolError::RolledBack`]).
     pub pending_rollback: Option<RollbackInfo>,
     /// Units re-owned from channels closed by peer eviction; the engine
     /// reintegrates these at its next drain point.
@@ -175,7 +174,6 @@ impl SlaveCommon {
         mode: InteractionMode,
         hook_check_cpu: CpuWork,
         ft: Option<FaultToleranceConfig>,
-        now: SimTime,
     ) -> SlaveCommon {
         let n = slaves.len();
         SlaveCommon {
@@ -188,7 +186,6 @@ impl SlaveCommon {
             hook_check_cpu,
             skip: 0,
             since_fire: 0,
-            last_fire_time: now,
             hook_seq: 0,
             done_delta: 0,
             busy_delta: SimDuration::ZERO,
@@ -213,8 +210,8 @@ impl SlaveCommon {
 
     /// Take on the deputy role when this slave's rank is inside the deputy
     /// set (fault mode only). `checkpointed` tells the election how to
-    /// measure replica freshness: checkpointed engines restart from a held
-    /// snapshot, the independent engine from the invocation watermark.
+    /// measure replica freshness: a pattern that ships checkpoints restarts
+    /// from a held snapshot, one that does not from the invocation watermark.
     pub fn enable_deputy(&mut self, checkpointed: bool, now: SimTime) {
         if let Some(ft) = &self.ft {
             let nd = ft.deputies.min(self.slaves.len());
@@ -365,14 +362,6 @@ impl SlaveCommon {
                 self.send_slave(ctx, to, m).await;
             }
         }
-    }
-
-    /// True once every transfer this slave originated has been
-    /// acknowledged (closed channels count as settled).
-    pub fn transfers_settled(&self) -> bool {
-        self.channels
-            .iter()
-            .all(|c| !c.is_open() || c.fully_acked())
     }
 
     /// The named peer was evicted: close both channel halves, re-own the
@@ -932,9 +921,7 @@ impl SlaveCommon {
             }
         }
 
-        let now = ctx.now();
-        self.interaction_cost_sample = Some(now.saturating_since(t0));
-        self.last_fire_time = now;
+        self.interaction_cost_sample = Some(ctx.now().saturating_since(t0));
         Ok(moves)
     }
 }
