@@ -30,7 +30,7 @@
 
 use crate::error::ProtocolError;
 use crate::kernels::IndependentKernel;
-use crate::msg::{Edge, MoveOrder, MovedUnit, Msg, TransferMsg, UnitData};
+use crate::msg::{Edge, MoveOrder, MovedUnit, Msg, SharedUnits, TransferMsg, UnitData};
 use crate::session::slave::SlaveSpec;
 use crate::session::strategy::{BarrierMsg, DistributionStrategy};
 use crate::slave_common::{RollbackInfo, SlaveCommon, StartInfo};
@@ -153,12 +153,13 @@ impl IndependentStrategy {
         common: &mut SlaveCommon,
         inv: u64,
         seq: u64,
-        restored: Vec<(usize, UnitData)>,
+        restored: SharedUnits,
     ) -> Result<bool, ProtocolError> {
         if !common.master_chan.fresh(seq) {
             return Ok(false); // duplicate delivery
         }
-        for (id, mut data) in restored {
+        for (id, data) in restored {
+            let mut data = Arc::unwrap_or_clone(data);
             // Replay: identical compute calls in identical order reproduce the
             // dead slave's unit state bit-for-bit up to the current barrier.
             for i in 0..inv {
@@ -405,6 +406,9 @@ impl IndependentStrategy {
 }
 
 impl DistributionStrategy for IndependentStrategy {
+    /// Recovery is by re-scatter from initial data: nothing is checkpointed.
+    const SNAPSHOTS: bool = false;
+
     fn invocations(&self) -> u64 {
         self.kernel.invocations()
     }
@@ -528,8 +532,8 @@ impl DistributionStrategy for IndependentStrategy {
         true
     }
 
-    fn checkpoint_units(&self) -> Option<Vec<(usize, UnitData)>> {
-        None
+    fn checkpoint_units(&self) -> SharedUnits {
+        Vec::new() // never called: `SNAPSHOTS` is false
     }
 
     fn gather_units(&self) -> Result<Vec<(usize, UnitData)>, ProtocolError> {
@@ -548,7 +552,8 @@ impl DistributionStrategy for IndependentStrategy {
         rb: RollbackInfo,
     ) -> Result<u64, ProtocolError> {
         self.spec.clear();
-        self.units = fresh(rb.units);
+        let adopt = |(id, d)| (id, Arc::unwrap_or_clone(d));
+        self.units = fresh(rb.units.into_iter().map(adopt));
         Ok(rb.invocation)
     }
 
@@ -561,10 +566,11 @@ impl DistributionStrategy for IndependentStrategy {
         inv: u64,
         seq: u64,
         invocation: u64,
-        suspects: Vec<(usize, UnitData)>,
-    ) -> Result<Option<Vec<(usize, UnitData)>>, ProtocolError> {
+        suspects: SharedUnits,
+    ) -> Result<Option<SharedUnits>, ProtocolError> {
         let mut computed = Vec::with_capacity(suspects.len());
-        for (id, mut data) in suspects {
+        for (id, data) in suspects {
+            let mut data = Arc::unwrap_or_clone(data);
             for i in 0..=invocation {
                 common.compute(ctx, self.kernel.unit_cost_for(id, i)).await;
                 self.kernel.compute(id, &mut data, i);

@@ -29,7 +29,7 @@
 
 use crate::error::ProtocolError;
 use crate::kernels::PipelinedKernel;
-use crate::msg::{column, Edge, MoveOrder, MovedUnit, Msg, TransferMsg, UnitData};
+use crate::msg::{column, Edge, MoveOrder, MovedUnit, Msg, SharedUnits, TransferMsg, UnitData};
 use crate::session::slave::SlaveSpec;
 use crate::session::strategy::{BarrierMsg, DistributionStrategy};
 use crate::slave_common::{RollbackInfo, SlaveCommon, StartInfo};
@@ -255,8 +255,9 @@ impl DistributionStrategy for PipelinedStrategy {
         (self.st.cols.iter().map(|c| c.id).collect(), 0.0)
     }
 
-    fn checkpoint_units(&self) -> Option<Vec<(usize, UnitData)>> {
-        Some(self.st.snapshot())
+    fn checkpoint_units(&self) -> SharedUnits {
+        let shared = |(id, d)| (id, Arc::new(d));
+        self.st.snapshot().into_iter().map(shared).collect()
     }
 
     fn gather_units(&self) -> Result<Vec<(usize, UnitData)>, ProtocolError> {
@@ -287,7 +288,7 @@ impl DistributionStrategy for PipelinedStrategy {
             .into_iter()
             .map(|(id, d)| PCol {
                 id,
-                data: column(d),
+                data: column(Arc::unwrap_or_clone(d)),
                 old: Vec::new(),
                 phase: 0,
             })
@@ -316,12 +317,14 @@ impl DistributionStrategy for PipelinedStrategy {
         _inv: u64,
         _seq: u64,
         _invocation: u64,
-        units: Vec<(usize, UnitData)>,
-    ) -> Result<Option<Vec<(usize, UnitData)>>, ProtocolError> {
+        units: SharedUnits,
+    ) -> Result<Option<SharedUnits>, ProtocolError> {
         let st = &self.st;
         let kernel = &*self.kernel;
-        let mut cols: Vec<(usize, Vec<f64>)> =
-            units.into_iter().map(|(id, d)| (id, column(d))).collect();
+        let mut cols: Vec<(usize, Vec<f64>)> = units
+            .into_iter()
+            .map(|(id, d)| (id, column(Arc::unwrap_or_clone(d))))
+            .collect();
         cols.sort_by_key(|(id, _)| *id);
         let olds: Vec<Vec<f64>> = cols.iter().map(|(_, d)| d.clone()).collect();
         for b in 0..st.nblocks {
@@ -343,7 +346,9 @@ impl DistributionStrategy for PipelinedStrategy {
             }
         }
         Ok(Some(
-            cols.into_iter().map(|(id, d)| (id, vec![d])).collect(),
+            cols.into_iter()
+                .map(|(id, d)| (id, Arc::new(vec![d])))
+                .collect(),
         ))
     }
 }

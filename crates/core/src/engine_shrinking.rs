@@ -20,7 +20,7 @@
 
 use crate::error::ProtocolError;
 use crate::kernels::ShrinkingKernel;
-use crate::msg::{column, Edge, MoveOrder, MovedUnit, Msg, TransferMsg, UnitData};
+use crate::msg::{column, Edge, MoveOrder, MovedUnit, Msg, SharedUnits, TransferMsg, UnitData};
 use crate::session::slave::SlaveSpec;
 use crate::session::strategy::{BarrierMsg, DistributionStrategy};
 use crate::slave_common::{RollbackInfo, SlaveCommon, StartInfo};
@@ -182,8 +182,9 @@ impl DistributionStrategy for ShrinkingStrategy {
         (owned, 0.0)
     }
 
-    fn checkpoint_units(&self) -> Option<Vec<(usize, UnitData)>> {
-        Some(self.st.snapshot())
+    fn checkpoint_units(&self) -> SharedUnits {
+        let shared = |(id, d)| (id, Arc::new(d));
+        self.st.snapshot().into_iter().map(shared).collect()
     }
 
     fn gather_units(&self) -> Result<Vec<(usize, UnitData)>, ProtocolError> {
@@ -204,7 +205,7 @@ impl DistributionStrategy for ShrinkingStrategy {
         st.retired.clear();
         st.pivots = vec![None; n];
         for (id, d) in rb.units {
-            let data = column(d);
+            let data = column(Arc::unwrap_or_clone(d));
             if (id as u64) < k {
                 st.retired.push((id, data));
             } else {
@@ -233,12 +234,14 @@ impl DistributionStrategy for ShrinkingStrategy {
         _inv: u64,
         _seq: u64,
         invocation: u64,
-        units: Vec<(usize, UnitData)>,
-    ) -> Result<Option<Vec<(usize, UnitData)>>, ProtocolError> {
+        units: SharedUnits,
+    ) -> Result<Option<SharedUnits>, ProtocolError> {
         let kernel = &*self.kernel;
         let k = invocation as usize;
-        let mut cols: Vec<(usize, Vec<f64>)> =
-            units.into_iter().map(|(id, d)| (id, column(d))).collect();
+        let mut cols: Vec<(usize, Vec<f64>)> = units
+            .into_iter()
+            .map(|(id, d)| (id, column(Arc::unwrap_or_clone(d))))
+            .collect();
         cols.sort_by_key(|(id, _)| *id);
         let payload = {
             let col_k = cols.iter().find(|(id, _)| *id == k).ok_or_else(|| {
@@ -258,7 +261,9 @@ impl DistributionStrategy for ShrinkingStrategy {
             }
         }
         Ok(Some(
-            cols.into_iter().map(|(id, d)| (id, vec![d])).collect(),
+            cols.into_iter()
+                .map(|(id, d)| (id, Arc::new(vec![d])))
+                .collect(),
         ))
     }
 }

@@ -6,14 +6,43 @@
 //! halo values — so the runtime's gather/scatter and pipeline catch-up
 //! logic is exercised for real and results can be verified bit-for-bit
 //! against sequential execution.
+//!
+//! ## Who copies a payload, and when
+//!
+//! What a payload costs the *modelled* cluster is [`Msg::wire_bytes`],
+//! charged to the virtual network on every send. A host-side deep copy on
+//! top of that is simulator overhead the virtual clock never sees, so the
+//! snapshot plane — checkpoints, the master's bank, rollbacks, snapshot
+//! speculation, restores, replicas — carries [`SharedUnits`]: each unit's
+//! data sits behind an `Arc`, is immutable from the moment it is built, and
+//! every hop below hands out the same allocation.
+//!
+//! | hop | before | now |
+//! |-----|--------|-----|
+//! | slave `checkpoint_units()` at a barrier | a fresh copy of the live state per `Checkpoint` sent, heartbeat re-sends included | **one copy per barrier state**: re-sends reuse it, only a `BarrierMsg::Refresh` rebuilds it |
+//! | window retention (`send_with(..).clone()`), `replay_window`, the sim kernel's duplicate-fault `msg.clone()` | deep copy each | refcount |
+//! | `CheckpointBank::offer` | move | move |
+//! | `rollback_snapshot` for `rerange` and `speculate`; `best_snapshot` per deputy per `publish_replica` | whole-snapshot deep copy each | refcount (`rerange`'s per-survivor split moves the same `Arc`s) |
+//! | slave `control` stashing a `Rollback`, deputy `absorb`, takeover seed, the successor's bank | deep copy each | refcount / move |
+//! | **the receiver adopting units into mutable engine state** (`restore`, `speculate`, `apply_restore`) | move | **the one real copy** (`Arc::unwrap_or_clone`: free when every other holder has let go) |
+//!
+//! Deliberately owned, not shared: `TransferMsg` / `MovedUnit` (ownership
+//! *moves* slave → slave and a transfer is a few units), the `Boundary` /
+//! `SweepOld` / `Pivot` columns (built per send from live state), and
+//! `GatherData` (one-shot, unique owner).
 
 use crate::recovery::{RecoveryStats, SlaveFaultStats};
 use dlb_sim::SimDuration;
+use std::sync::Arc;
 
 /// The per-unit application payload: one `Vec<f64>` per moved array (in the
 /// order given by the compiler's `MovedArray` descriptors). For MM a unit is
 /// `[a_row, c_row]`; for SOR `[b_column]`; for LU `[a_column]`.
 pub type UnitData = Vec<Vec<f64>>;
+
+/// A unit list of the snapshot plane: ids with shared, immutable payloads
+/// (see the module doc's hop table). Cloning one copies no `f64`.
+pub type SharedUnits = Vec<(usize, Arc<UnitData>)>;
 
 /// The one array a column-structured unit (SOR, LU) carries; empty when
 /// the payload is.
@@ -163,7 +192,7 @@ pub struct ReplicaMsg {
     pub fresh: u64,
     /// Newest complete checkpoint snapshot (rollback policy only), sent
     /// when this deputy has not yet confirmed holding it.
-    pub snapshot: Option<(u64, Vec<(usize, UnitData)>)>,
+    pub snapshot: Option<(u64, SharedUnits)>,
     /// The newest complete checkpoint invocation in the master's bank —
     /// lets a promoted deputy count checkpoints lost to a stale replica.
     pub best_banked: u64,
@@ -283,7 +312,7 @@ pub enum Msg {
     Restore {
         seq: u64,
         invocation: u64,
-        units: Vec<(usize, UnitData)>,
+        units: SharedUnits,
     },
     /// Master → slave: you were declared dead; terminate quietly. Protects a
     /// falsely-suspected slave from double-computing units that were already
@@ -312,7 +341,7 @@ pub enum Msg {
     Checkpoint {
         slave: usize,
         invocation: u64,
-        units: Vec<(usize, UnitData)>,
+        units: SharedUnits,
     },
     /// Master → slave (checkpointed engines): discard all engine state,
     /// adopt these units, and resume computing from invocation
@@ -329,7 +358,7 @@ pub enum Msg {
         /// Checkpoint cadence in force after the restart (see
         /// [`Msg::InvocationStart`]).
         ckpt_stride: u64,
-        units: Vec<(usize, UnitData)>,
+        units: SharedUnits,
     },
     /// Master → idle survivor: speculatively re-execute a silent suspect's
     /// work, holding the results aside until the master commits or
@@ -341,7 +370,7 @@ pub enum Msg {
     Speculate {
         seq: u64,
         invocation: u64,
-        units: Vec<(usize, UnitData)>,
+        units: SharedUnits,
     },
     /// Master → survivor: the suspect was evicted — adopt the named units
     /// from the speculation buffer of `spec_seq` and drop the rest.
@@ -437,12 +466,8 @@ impl Msg {
     pub fn wire_bytes(&self) -> u64 {
         const HDR: u64 = 32;
         let f64s = |v: &Vec<f64>| 8 * v.len() as u64;
-        let unit_list = |units: &Vec<(usize, UnitData)>| {
-            units
-                .iter()
-                .map(|(_, d)| 8 + d.iter().map(f64s).sum::<u64>())
-                .sum::<u64>()
-        };
+        let unit = |d: &UnitData| 8 + d.iter().map(f64s).sum::<u64>();
+        let shared = |units: &SharedUnits| units.iter().map(|(_, d)| unit(d)).sum::<u64>();
         match self {
             Msg::Start { assignment, .. } => HDR + 16 * assignment.len() as u64,
             Msg::Instructions(i) => HDR + 24 * i.moves.len() as u64,
@@ -455,7 +480,9 @@ impl Msg {
                 ..
             } => HDR + 8 * (sent_to.len() + received_from.len() + owned_ids.len()) as u64,
             Msg::Status(st) => HDR + 64 + 8 * (st.sent_to.len() + st.received_from.len()) as u64,
-            Msg::GatherData { units, .. } => HDR + 48 + unit_list(units),
+            Msg::GatherData { units, .. } => {
+                HDR + 48 + units.iter().map(|(_, d)| unit(d)).sum::<u64>()
+            }
             Msg::Transfer(t) => {
                 HDR + t.right_old.as_ref().map(f64s).unwrap_or(0)
                     + t.units
@@ -471,10 +498,10 @@ impl Msg {
             | Msg::Pivot { values, .. } => HDR + f64s(values),
             Msg::Restore { units, .. }
             | Msg::Checkpoint { units, .. }
-            | Msg::Speculate { units, .. } => HDR + unit_list(units),
+            | Msg::Speculate { units, .. } => HDR + shared(units),
             Msg::Rollback {
                 survivors, units, ..
-            } => HDR + 8 * survivors.len() as u64 + unit_list(units),
+            } => HDR + 8 * survivors.len() as u64 + shared(units),
             Msg::OwnReport { ids, .. } | Msg::SpecCommit { ids, .. } => HDR + 8 * ids.len() as u64,
             Msg::Evict
             | Msg::Evicted { .. }
@@ -494,7 +521,7 @@ impl Msg {
                     + RecoveryStats::WIRE_BYTES
                     + r.snapshot
                         .as_ref()
-                        .map(|(_, units)| 8 + unit_list(units))
+                        .map(|(_, units)| 8 + shared(units))
                         .unwrap_or(0)
             }
             Msg::MasterPing { .. } => HDR + 8,
@@ -651,7 +678,10 @@ mod tests {
             fresh: 2,
             snapshot: Some((
                 2,
-                vec![(0, vec![vec![0.0; 100]]), (1, vec![vec![0.0; 100]])],
+                vec![
+                    (0, Arc::new(vec![vec![0.0; 100]])),
+                    (1, Arc::new(vec![vec![0.0; 100]])),
+                ],
             )),
             best_banked: 2,
             recovery: RecoveryStats::default(),
@@ -662,6 +692,112 @@ mod tests {
             with_snap.wire_bytes(),
             bare.wire_bytes() + 8 + 2 * (8 + 800)
         );
+    }
+
+    /// Two units of one and two arrays: 8 + 800 and 8 + 1600 wire bytes.
+    fn two_units() -> SharedUnits {
+        vec![
+            (3, Arc::new(vec![vec![0.0; 100]])),
+            (4, Arc::new(vec![vec![0.0; 100], vec![0.0; 100]])),
+        ]
+    }
+
+    /// One message of every variant that carries [`SharedUnits`].
+    fn unit_carriers(units: &SharedUnits) -> Vec<Msg> {
+        let units = || units.clone();
+        vec![
+            Msg::Restore {
+                seq: 1,
+                invocation: 2,
+                units: units(),
+            },
+            Msg::Checkpoint {
+                slave: 0,
+                invocation: 2,
+                units: units(),
+            },
+            Msg::Speculate {
+                seq: 1,
+                invocation: 2,
+                units: units(),
+            },
+            Msg::Rollback {
+                seq: 1,
+                epoch: 1,
+                invocation: 2,
+                survivors: vec![0, 1, 2],
+                ckpt_stride: 1,
+                units: units(),
+            },
+            Msg::Replica(Box::new(ReplicaMsg {
+                term: 0,
+                epoch: 0,
+                invocation: 3,
+                ckpt_stride: 1,
+                alive: vec![true; 16],
+                fresh: 2,
+                snapshot: Some((2, units())),
+                best_banked: 2,
+                recovery: RecoveryStats::default(),
+                incarnations: vec![0; 16],
+            })),
+        ]
+    }
+
+    #[test]
+    fn shared_units_cost_the_wire_what_owned_ones_did() {
+        // The virtual network is charged for the content, whoever holds it.
+        let wire: Vec<u64> = unit_carriers(&two_units())
+            .iter()
+            .map(Msg::wire_bytes)
+            .collect();
+        let payload = (8 + 800) + (8 + 1600);
+        let replica_core = 32 + 48 + 16 + 8 * 16 + RecoveryStats::WIRE_BYTES;
+        assert_eq!(
+            wire,
+            [
+                32 + payload,
+                32 + payload,
+                32 + payload,
+                32 + 8 * 3 + payload,
+                replica_core + 8 + payload,
+            ]
+        );
+        // The owned list a gather carries prices a unit the same way.
+        let owned = two_units()
+            .into_iter()
+            .map(|(id, d)| (id, Arc::unwrap_or_clone(d)))
+            .collect();
+        let gather = Msg::GatherData {
+            slave: 0,
+            units: owned,
+            fault_stats: SlaveFaultStats::default(),
+        };
+        assert_eq!(gather.wire_bytes(), 32 + 48 + payload);
+    }
+
+    #[test]
+    fn cloning_a_unit_carrier_shares_its_units() {
+        let units = two_units();
+        let carried = |m: &Msg| -> SharedUnits {
+            match m {
+                Msg::Restore { units, .. }
+                | Msg::Checkpoint { units, .. }
+                | Msg::Speculate { units, .. }
+                | Msg::Rollback { units, .. } => units.clone(),
+                Msg::Replica(r) => r.snapshot.clone().expect("snapshot rides along").1,
+                other => unreachable!("{other:?} carries no shared units"),
+            }
+        };
+        for msg in unit_carriers(&units) {
+            // Window retention, a replay, a duplicate fault: all `clone`.
+            let copy = msg.clone();
+            for (mine, theirs) in units.iter().zip(carried(&copy)) {
+                assert!(Arc::ptr_eq(&mine.1, &theirs.1), "{msg:?}");
+            }
+        }
+        // `units` itself is the only holder left: nothing was copied aside.
+        assert!(units.iter().all(|(_, d)| Arc::strong_count(d) == 1));
     }
 
     #[test]

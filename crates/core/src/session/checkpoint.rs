@@ -8,18 +8,23 @@
 //! Snapshots carry **no epoch**: unit values at a given invocation are
 //! deterministic, so a snapshot banked before an eviction is still valid
 //! after it — this is also what makes speculation from the bank sound.
+//! They are also **immutable and shared once complete**: the bank keeps the
+//! `Arc`s its fragments arrived in, and every hand-out (rollback, snapshot
+//! speculation, a deputy's replica) is a refcount on the same unit storage,
+//! never a copy (the hop table in [`crate::msg`]).
 
-use crate::msg::UnitData;
+use crate::msg::{SharedUnits, UnitData};
 use dlb_sim::SimDuration;
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 /// Master-side bank of checkpoint fragments, keyed by invocation.
 #[derive(Clone, Debug, Default)]
 pub struct CheckpointBank {
     /// Partial snapshots still being assembled: invocation → unit id → data.
-    bank: BTreeMap<u64, BTreeMap<usize, UnitData>>,
-    /// The newest *complete* snapshot: every unit id present.
-    best: Option<(u64, BTreeMap<usize, UnitData>)>,
+    bank: BTreeMap<u64, BTreeMap<usize, Arc<UnitData>>>,
+    /// The newest *complete* snapshot: every unit id present, ids ascending.
+    best: Option<(u64, SharedUnits)>,
 }
 
 impl CheckpointBank {
@@ -40,22 +45,15 @@ impl CheckpointBank {
 
     /// The best complete snapshot as a unit list (ids ascending), for
     /// replication to a deputy. `None` until a snapshot completes.
-    pub fn best_snapshot(&self) -> Option<(u64, Vec<(usize, UnitData)>)> {
-        self.best
-            .as_ref()
-            .map(|(inv, units)| (*inv, units.iter().map(|(&id, d)| (id, d.clone())).collect()))
+    pub fn best_snapshot(&self) -> Option<(u64, SharedUnits)> {
+        self.best.clone()
     }
 
     /// Bank a snapshot fragment from one slave. Returns `true` exactly when
     /// this fragment completed the snapshot for `invocation` (it was
     /// promoted to best and older fragments were discarded) — the caller
     /// counts `checkpoints_banked` on `true`.
-    pub fn offer(
-        &mut self,
-        invocation: u64,
-        units: Vec<(usize, UnitData)>,
-        n_units: usize,
-    ) -> bool {
+    pub fn offer(&mut self, invocation: u64, units: SharedUnits, n_units: usize) -> bool {
         if self.covered(invocation) {
             return false;
         }
@@ -65,7 +63,7 @@ impl CheckpointBank {
         }
         if entry.len() == n_units {
             let full = self.bank.remove(&invocation).expect("entry just filled");
-            self.best = Some((invocation, full));
+            self.best = Some((invocation, full.into_iter().collect()));
             self.bank.retain(|&i, _| i > invocation);
             true
         } else {
@@ -80,11 +78,9 @@ impl CheckpointBank {
         &self,
         n_units: usize,
         init: &dyn Fn(usize) -> UnitData,
-    ) -> (u64, Vec<(usize, UnitData)>) {
-        match &self.best {
-            Some((inv, units)) => (*inv, units.iter().map(|(&id, d)| (id, d.clone())).collect()),
-            None => (0, (0..n_units).map(|id| (id, init(id))).collect()),
-        }
+    ) -> (u64, SharedUnits) {
+        self.best_snapshot()
+            .unwrap_or_else(|| (0, (0..n_units).map(|id| (id, Arc::new(init(id)))).collect()))
     }
 }
 
@@ -106,8 +102,16 @@ pub fn checkpoint_stride(max_skip: u64, loss_budget: SimDuration, ema_s: f64) ->
 mod tests {
     use super::*;
 
-    fn unit(v: f64) -> UnitData {
-        vec![vec![v]]
+    fn unit(v: f64) -> Arc<UnitData> {
+        Arc::new(vec![vec![v]])
+    }
+
+    /// Every unit of `a` is the same allocation as its counterpart in `b`.
+    fn same_storage(a: &SharedUnits, b: &SharedUnits) -> bool {
+        a.len() == b.len()
+            && a.iter()
+                .zip(b)
+                .all(|((ia, da), (ib, db))| ia == ib && Arc::ptr_eq(da, db))
     }
 
     #[test]
@@ -135,7 +139,7 @@ mod tests {
     #[test]
     fn rollback_snapshot_falls_back_to_initial_state() {
         let b = CheckpointBank::new();
-        let (inv, units) = b.rollback_snapshot(2, &|id| unit(id as f64));
+        let (inv, units) = b.rollback_snapshot(2, &|id| vec![vec![id as f64]]);
         assert_eq!(inv, 0);
         assert_eq!(units, vec![(0, unit(0.0)), (1, unit(1.0))]);
 
@@ -144,6 +148,32 @@ mod tests {
         let (inv, units) = b.rollback_snapshot(2, &|_| unreachable!());
         assert_eq!(inv, 3);
         assert_eq!(units, vec![(0, unit(20.0)), (1, unit(10.0))]);
+    }
+
+    #[test]
+    fn a_complete_snapshot_is_handed_out_shared_and_never_rewritten() {
+        let mut b = CheckpointBank::new();
+        let fragment = vec![(1, unit(10.0)), (0, unit(20.0))];
+        let sent = fragment.clone();
+        assert!(b.offer(3, fragment, 2));
+        // The bank kept the very allocations the fragment arrived in.
+        let (_, first) = b.rollback_snapshot(2, &|_| unreachable!());
+        assert!(Arc::ptr_eq(&first[0].1, &sent[1].1) && Arc::ptr_eq(&first[1].1, &sent[0].1));
+        // Every hand-out is one more holder of them, beside the bank and
+        // `sent`: `first`, `second`, `replica`.
+        let (_, second) = b.rollback_snapshot(2, &|_| unreachable!());
+        let (inv, replica) = b.best_snapshot().expect("complete");
+        assert_eq!(inv, 3);
+        assert!(same_storage(&first, &second) && same_storage(&first, &replica));
+        assert_eq!(Arc::strong_count(&first[0].1), 5);
+        // A late fragment for a covered invocation is dropped whole: the
+        // shared snapshot keeps its storage and its values.
+        assert!(!b.offer(3, vec![(0, unit(-1.0))], 2));
+        assert!(!b.offer(2, vec![(0, unit(-1.0)), (1, unit(-1.0))], 2));
+        let (inv, after) = b.rollback_snapshot(2, &|_| unreachable!());
+        assert_eq!(inv, 3);
+        assert!(same_storage(&first, &after));
+        assert_eq!(after, vec![(0, unit(20.0)), (1, unit(10.0))]);
     }
 
     #[test]

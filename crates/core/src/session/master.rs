@@ -14,7 +14,7 @@
 use crate::balancer::Balancer;
 use crate::error::{FaultToleranceConfig, ProtocolError};
 use crate::master::{InitUnitFn, MasterFt, RecomputeUnitFn, Recovery};
-use crate::msg::{Instructions, Msg, ReplicaMsg, UnitData};
+use crate::msg::{Instructions, Msg, ReplicaMsg, SharedUnits};
 use crate::protocol::SenderWindow;
 use crate::recovery::{redistribute, RecoveryStats};
 use crate::session::checkpoint::{checkpoint_stride, CheckpointBank};
@@ -23,6 +23,7 @@ use crate::session::replica::TakeoverSeed;
 use crate::session::speculation::{RestartSpec, SnapshotSpec};
 use dlb_sim::{ActorId, MailCtx, SimDuration, SimTime};
 use std::collections::BTreeSet;
+use std::sync::Arc;
 
 /// Send with the model's wire-size accounting.
 pub(crate) async fn send(ctx: &MailCtx<Msg>, to: ActorId, msg: Msg) {
@@ -500,8 +501,8 @@ impl Session {
             } => {
                 owned.iter_mut().for_each(BTreeSet::clear);
                 let inv = self.inv;
-                let units: Vec<(usize, UnitData)> = (0..self.n_units)
-                    .map(|u| (u, recompute_unit(u, inv)))
+                let units: SharedUnits = (0..self.n_units)
+                    .map(|u| (u, Arc::new(recompute_unit(u, inv))))
                     .collect();
                 (inv, 1, units)
             }
@@ -544,7 +545,7 @@ impl Session {
             if let Policy::Rescatter { owned, .. } = &mut self.policy {
                 owned[sv] = (lo..hi).collect();
             }
-            let units: Vec<(usize, UnitData)> = rest.by_ref().take(hi - lo).collect();
+            let units: SharedUnits = rest.by_ref().take(hi - lo).collect();
             let msg = self.win[sv]
                 .send_with(|seq| Msg::Rollback {
                     seq,
@@ -778,8 +779,7 @@ impl Session {
 
         let survivors = self.memb.survivors();
         for (t, units) in redistribute(&missing, &survivors) {
-            let payload: Vec<(usize, UnitData)> =
-                units.iter().map(|&u| (u, init_unit(u))).collect();
+            let payload: SharedUnits = units.iter().map(|&u| (u, Arc::new(init_unit(u)))).collect();
             self.rec.units_restored += payload.len() as u64;
             owned[t].extend(units.iter().copied());
             self.memb.done[t] = false;
@@ -829,8 +829,7 @@ impl Session {
                     return;
                 };
                 let ids: Vec<usize> = owned[suspect].iter().copied().collect();
-                let units: Vec<(usize, UnitData)> =
-                    ids.iter().map(|&u| (u, init_unit(u))).collect();
+                let units: SharedUnits = ids.iter().map(|&u| (u, Arc::new(init_unit(u)))).collect();
                 let invocation = self.inv;
                 let msg = self.win[e]
                     .send_with(|seq| Msg::Speculate {
@@ -853,17 +852,22 @@ impl Session {
                 spec,
                 ..
             } => {
-                if spec.is_some() || self.memb.done[suspect] {
-                    return;
-                }
-                let (ck_inv, snapshot) =
-                    bank.rollback_snapshot(self.n_units, &|id| checkpoint_init(id));
-                if ck_inv > self.inv {
+                // Decide whether to race before sourcing anything: this
+                // runs on every timer sweep while a suspect is past
+                // `speculate_after`, and mostly finds nobody idle.
+                if spec.is_some()
+                    || self.memb.done[suspect]
+                    || bank
+                        .best_invocation()
+                        .is_some_and(|ck_inv| ck_inv > self.inv)
+                {
                     return;
                 }
                 let Some(e) = idle_survivor() else {
                     return;
                 };
+                let (ck_inv, snapshot) =
+                    bank.rollback_snapshot(self.n_units, &|id| checkpoint_init(id));
                 let msg = self.win[e]
                     .send_with(|seq| Msg::Speculate {
                         seq,
@@ -913,7 +917,7 @@ impl Session {
     /// either way. Checkpoints carry no epoch on purpose: the state after k
     /// invocations is deterministic regardless of which distribution
     /// computed it, so contributions bank from any epoch.
-    pub fn on_checkpoint(&mut self, slave: usize, invocation: u64, units: Vec<(usize, UnitData)>) {
+    pub fn on_checkpoint(&mut self, slave: usize, invocation: u64, units: SharedUnits) {
         let Policy::Rollback { bank, spec, .. } = &mut self.policy else {
             return;
         };
@@ -965,10 +969,23 @@ impl Session {
 mod tests {
     use super::*;
     use crate::balancer::{Balancer, BalancerConfig};
+    use crate::msg::UnitData;
     use dlb_sim::{NodeConfig, SimBuilder};
 
     fn unit(v: f64) -> UnitData {
         vec![vec![v]]
+    }
+
+    /// A complete `n`-unit checkpoint (unit `id` holds `id + base`).
+    fn checkpoint(n: usize, base: f64) -> SharedUnits {
+        (0..n)
+            .map(|id| (id, Arc::new(unit(id as f64 + base))))
+            .collect()
+    }
+
+    /// Holders of each unit's storage, the caller's own handle included.
+    fn refs(units: &SharedUnits) -> Vec<usize> {
+        units.iter().map(|(_, d)| Arc::strong_count(d)).collect()
     }
 
     fn balancer(n: usize) -> Balancer {
@@ -1038,7 +1055,9 @@ mod tests {
     }
 
     /// Run `body` inside a real master actor with `n` inert slave actors,
-    /// so session methods can send on genuine `MailCtx` channels.
+    /// so session methods can send on genuine `MailCtx` channels. The
+    /// slaves outlive `body` without ever reading their mail: whatever was
+    /// sent stays alive in a mailbox, so payload refcounts are exact.
     fn in_actor<F, Fut>(n: usize, body: F)
     where
         F: FnOnce(MailCtx<Msg>, Vec<ActorId>) -> Fut + Send + 'static,
@@ -1052,7 +1071,12 @@ mod tests {
         let slave_ids: Vec<ActorId> = slave_nodes
             .into_iter()
             .enumerate()
-            .map(|(i, node)| sim.spawn_mail(node, format!("slave{i}"), |_ctx| async {}))
+            .map(|(i, node)| {
+                let idle = |ctx: MailCtx<Msg>| async move {
+                    ctx.sleep(SimDuration::from_secs(3_600)).await;
+                };
+                sim.spawn_mail(node, format!("slave{i}"), idle)
+            })
             .collect();
         sim.spawn_mail(master_node, "master", move |ctx| body(ctx, slave_ids));
         sim.run();
@@ -1068,8 +1092,7 @@ mod tests {
             // Bank a complete checkpoint for invocation 2, then lose slave 0.
             sess.inv = 2;
             sess.sent[0][1] = 5;
-            let ckpt = (0..3).map(|id| (id, unit(id as f64 + 10.0))).collect();
-            assert!(bank(&mut sess).offer(2, ckpt, 3));
+            assert!(bank(&mut sess).offer(2, checkpoint(3, 10.0), 3));
             sess.evict(ctx, &mut bal, 0, ctx.now()).await.unwrap();
             sess.rerange(ctx, &mut bal, &[])
                 .await
@@ -1110,7 +1133,7 @@ mod tests {
         in_actor(3, |ctx, slaves| async move {
             let ctx = &ctx;
             let mut sess = session(ctx, &slaves, rollback());
-            let ckpt = |v: f64| (0..3).map(|id| (id, unit(v))).collect::<Vec<_>>();
+            let ckpt = |v: f64| checkpoint(3, v);
 
             // Slave 1 is parked done; slave 0 goes silent at invocation 0.
             sess.memb.done[1] = true;
@@ -1166,6 +1189,85 @@ mod tests {
             sess.memb.done[0] = true;
             sess.speculate(ctx, 0).await;
             assert_eq!(sess.rec.speculations_launched, 0);
+        });
+    }
+
+    /// `speculate` runs on every timer sweep while a suspect is past
+    /// `speculate_after`: every way it declines must decline before it
+    /// sources a snapshot, and a launch must share the bank's storage.
+    #[test]
+    fn a_declined_speculation_sources_nothing_and_a_launch_shares_the_bank() {
+        in_actor(3, |ctx, slaves| async move {
+            let ctx = &ctx;
+            let mut sess = session(ctx, &slaves, rollback());
+            let held = checkpoint(3, 10.0);
+            assert!(bank(&mut sess).offer(2, held.clone(), 3));
+            let banked = vec![2; 3]; // `held` and the bank
+            sess.inv = 2;
+
+            // No idle survivor.
+            sess.speculate(ctx, 0).await;
+            assert_eq!(refs(&held), banked);
+            // An executor is idle, but the bank is already past the
+            // invocation being settled: nothing to race.
+            sess.memb.done[1] = true;
+            sess.inv = 1;
+            sess.speculate(ctx, 0).await;
+            assert_eq!(refs(&held), banked);
+            // The suspect itself is done; only its window lags.
+            sess.inv = 2;
+            sess.memb.done[0] = true;
+            sess.speculate(ctx, 0).await;
+            assert_eq!(refs(&held), banked);
+            assert_eq!(sess.rec.speculations_launched, 0);
+
+            // A launch: the window's retained copy and the one on the wire
+            // are two more holders of the same storage.
+            sess.memb.done[0] = false;
+            sess.speculate(ctx, 0).await;
+            assert_eq!(sess.rec.speculations_launched, 1);
+            assert_eq!(refs(&held), vec![4; 3]);
+            // One race at a time: declined while that one is in flight.
+            sess.speculate(ctx, 0).await;
+            assert_eq!(sess.rec.speculations_launched, 1);
+            assert_eq!(refs(&held), vec![4; 3]);
+        });
+    }
+
+    /// Window retention and replay are refcounts: `k` unacknowledged
+    /// rollbacks, replayed, are `3k` more holders of the banked units and
+    /// not one new unit.
+    #[test]
+    fn replaying_unacked_rollbacks_copies_no_unit() {
+        in_actor(2, |ctx, slaves| async move {
+            let ctx = &ctx;
+            let mut sess = session(ctx, &slaves, rollback());
+            let mut bal = balancer(2);
+            let held = checkpoint(2, 10.0);
+            assert!(bank(&mut sess).offer(2, held.clone(), 2));
+            sess.inv = 2;
+
+            let k = 3;
+            for _ in 0..k {
+                sess.rerange(ctx, &mut bal, &[]).await.unwrap();
+            }
+            // `held`, the bank, and per rollback one retained + one sent.
+            assert_eq!(refs(&held), vec![2 + 2 * k; 2]);
+            for s in 0..2 {
+                assert_eq!(sess.win[s].unacked().count(), k);
+                sess.replay_window(ctx, s).await;
+            }
+            assert_eq!(sess.rec.restore_resends, 2 * k as u64);
+            assert_eq!(refs(&held), vec![2 + 3 * k; 2]);
+            for (win, (_, banked)) in sess.win.iter().zip(&held) {
+                for (_, msg) in win.unacked() {
+                    let Msg::Rollback { units, .. } = msg else {
+                        unreachable!("only rollbacks were windowed");
+                    };
+                    assert_eq!(units.len(), 1, "one unit per survivor");
+                    assert!(Arc::ptr_eq(&units[0].1, banked));
+                }
+            }
         });
     }
 

@@ -278,6 +278,7 @@ impl DeputyState {
 mod tests {
     use super::*;
     use dlb_sim::SimDuration;
+    use std::sync::Arc;
 
     fn t(ms: u64) -> SimTime {
         SimTime::ZERO + SimDuration::from_millis(ms)
@@ -299,7 +300,7 @@ mod tests {
             ckpt_stride: 1,
             alive: vec![true; 16],
             fresh: snapshot.unwrap_or(invocation),
-            snapshot: snapshot.map(|inv| (inv, vec![(0, vec![vec![1.0]])])),
+            snapshot: snapshot.map(|inv| (inv, vec![(0, Arc::new(vec![vec![1.0]]))])),
             best_banked: snapshot.unwrap_or(0),
             recovery: RecoveryStats::default(),
             incarnations: vec![0; 16],
@@ -491,11 +492,15 @@ mod tests {
     #[test]
     fn seed_carries_the_replica_and_blackout_start() {
         let mut d = deputy(0, 3, true);
-        d.absorb(replica(0, 4, Some(4)), t(1_000));
+        let shipped = replica(0, 4, Some(4));
+        d.absorb(shipped.clone(), t(1_000));
         d.master_ping(0, t(2_000));
         let seed = d.seed(3);
         assert_eq!(seed.term, 3);
         assert_eq!(seed.replica.invocation, 4);
         assert_eq!(seed.last_heard, t(2_000), "later of the two clocks");
+        // Absorbing and seeding hand the shipped snapshot on, uncopied.
+        let unit = |r: &ReplicaMsg| Arc::clone(&r.snapshot.as_ref().expect("snapshot").1[0].1);
+        assert!(Arc::ptr_eq(&unit(&shipped), &unit(&seed.replica)));
     }
 }

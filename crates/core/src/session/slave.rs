@@ -20,9 +20,10 @@
 //!
 //! ## Where the independent strategy differs
 //!
-//! Nothing here tests which strategy it serves. Each row is a trait method
-//! whose default is the checkpointed (pipelined, shrinking) behaviour, and
-//! this table is the single place the two are contrasted.
+//! Nothing here tests which strategy it serves. Each row is a trait item —
+//! a method, or the `SNAPSHOTS` constant — whose default is the checkpointed
+//! (pipelined, shrinking) behaviour, and this table is the single place the
+//! two are contrasted.
 //!
 //! | # | point | independent | pipelined / shrinking |
 //! |---|-------|-------------|-----------------------|
@@ -30,11 +31,11 @@
 //! | b | a wedged slave (`recoverable`) | never recoverable: the error is shipped and fatal to the run | timeouts, missing pivots, torn state: reported, then rescued by rollback (`rescue_wait`) |
 //! | c | first-release wait (`consumes_before_release`) | drains the mailbox in arrival order: a `Transfer` is acknowledged and adopted, the windowed master channel applied, a duplicate `Start` dropped, evictions settled after each | only the release and instructions leave the mailbox; everything else is keyed to a step and stays queued for it |
 //! | d | done report (`report`, and the `run_invocation` / `Refresh` contract) | carries the summed `local_metric`; re-owned units are reintegrated and `OwnReport`s sent first | metric 0 |
-//! | e | barrier checkpoint (`checkpoint_units`) | none, ever: recovery is by re-scatter | shipped when the adaptive stride says so, re-sent with every refreshed report |
+//! | e | barrier checkpoint (`SNAPSHOTS`, `checkpoint_units`) | none, ever: recovery is by re-scatter | shipped when the adaptive stride says so, re-sent with every refreshed report; one snapshot per barrier state, rebuilt only after a `Refresh` |
 //! | f | what refreshes the done report (`on_barrier_msg` → `Refresh`) | also every `TransferAck`, every `Evicted` (after re-owning, which may bring work), every `Restore` / `SpecCommit` / `SpecCancel`, and a stale `InvocationStart` in fault mode | `Transfer` and executed movement orders only; acks and evictions go through `SlaveCommon::control`, a stale release is dropped silently, the master-channel three are protocol violations |
 //! | g | `speculate` | the suspect's units, computed through the tagged invocation into a side buffer, heartbeating; nothing shipped | the banked snapshot advanced one invocation, shipped as a checkpoint |
 //! | h | `Gather` (`may_end_after`) | ends the run at any barrier — the master's WHILE test decides (§4.1) | only at the last barrier; anywhere else it is a stray from a superseded master and a protocol violation |
-//! | i | deputy freshness (`checkpoint_units` is `None` / `Some`) | the replicated invocation watermark | the invocation of the snapshot the deputy holds |
+//! | i | deputy freshness (`SNAPSHOTS`) | the replicated invocation watermark | the invocation of the snapshot the deputy holds |
 //!
 //! Rollback adoption fences the channels one way for all three: `dead[]`
 //! is rewritten from the survivor list and only the survivors' channels
@@ -46,7 +47,7 @@
 use crate::balancer::InteractionMode;
 use crate::error::{slave_who, FaultToleranceConfig, ProtocolError};
 use crate::master::{run_takeover, TakeoverKit};
-use crate::msg::Msg;
+use crate::msg::{Msg, SharedUnits};
 use crate::session::strategy::{BarrierMsg, DistributionStrategy};
 use crate::slave_common::{recv_start, RollbackInfo, SlaveCommon, StartInfo};
 use dlb_sim::{ActorId, CpuWork, MailCtx, SimTime};
@@ -70,7 +71,9 @@ pub struct SlaveSpec {
 
 impl SlaveSpec {
     /// The shared state of one life of this slave. `checkpointed` tells a
-    /// deputy how to measure its replica's freshness.
+    /// deputy how to measure its replica's freshness: a pattern that ships
+    /// snapshots restarts a takeover from the one the deputy holds; one
+    /// that does not, from the invocation watermark.
     fn common(
         &self,
         ctx: &MailCtx<Msg>,
@@ -118,10 +121,7 @@ async fn slave_life<S: DistributionStrategy>(
 ) -> Result<(), ProtocolError> {
     let start = recv_start(ctx, spec.idx, spec.ft.as_ref()).await?;
     let mut strategy = make_strategy(spec, &start)?;
-    // A pattern that ships snapshots restarts a takeover from the one the
-    // deputy holds; one that does not, from the invocation watermark.
-    let checkpointed = strategy.checkpoint_units().is_some();
-    let mut common = spec.common(ctx, spec.master, start.0, 0, checkpointed);
+    let mut common = spec.common(ctx, spec.master, start.0, 0, S::SNAPSHOTS);
     if let Some(at) = spec.join_at {
         // Latecomer: the parked Start taught us the topology; idle to the
         // join instant, then announce. The admission rollback lands in
@@ -148,7 +148,7 @@ async fn slave_life<S: DistributionStrategy>(
                 // rebuilt common starts with clean channel/epoch state;
                 // the old life's windows and clocks die with it.
                 let (master, slaves) = (common.master, common.slaves.clone());
-                common = spec.common(ctx, master, slaves, common.incarnation + 1, checkpointed);
+                common = spec.common(ctx, master, slaves, common.incarnation + 1, S::SNAPSHOTS);
                 common.join_handshake(ctx).await?;
             }
             r => return r,
@@ -357,22 +357,25 @@ async fn send_done<S: DistributionStrategy>(
 /// Ship the barrier checkpoint — the state from which invocation `inv + 1`
 /// starts — when the adaptive cadence says this barrier is a checkpoint
 /// barrier. Best-effort: a dropped (or skipped) checkpoint only means the
-/// master rolls back to an older complete snapshot.
+/// master rolls back to an older complete snapshot. `snapshot` is the
+/// barrier's copy of the live state: taken on first use, shared by every
+/// re-send, and cleared by the caller whenever the state moved.
 async fn send_checkpoint<S: DistributionStrategy>(
     ctx: &MailCtx<Msg>,
     common: &mut SlaveCommon,
     strategy: &S,
     inv: u64,
+    snapshot: &mut Option<SharedUnits>,
 ) {
-    if common.ft.is_none() {
+    if !S::SNAPSHOTS || common.ft.is_none() {
         return;
     }
     if !(inv + 1).is_multiple_of(common.ckpt_stride.max(1)) {
         return;
     }
-    let Some(units) = strategy.checkpoint_units() else {
-        return;
-    };
+    let units = snapshot
+        .get_or_insert_with(|| strategy.checkpoint_units())
+        .clone();
     let msg = Msg::Checkpoint {
         slave: common.idx,
         invocation: inv + 1,
@@ -405,8 +408,9 @@ async fn barrier<S: DistributionStrategy>(
     inv: u64,
     is_final: bool,
 ) -> Result<Released, ProtocolError> {
+    let mut snapshot = None;
     send_done(ctx, common, strategy, inv).await;
-    send_checkpoint(ctx, common, strategy, inv).await;
+    send_checkpoint(ctx, common, strategy, inv, &mut snapshot).await;
     let ft = common.ft.clone();
     let mut silent = 0u32;
     loop {
@@ -435,7 +439,7 @@ async fn barrier<S: DistributionStrategy>(
                     common.resend_stalled_transfers(ctx).await;
                     common.deputy_tick(ctx).await?;
                     send_done(ctx, common, strategy, inv).await;
-                    send_checkpoint(ctx, common, strategy, inv).await;
+                    send_checkpoint(ctx, common, strategy, inv, &mut snapshot).await;
                     continue;
                 }
             },
@@ -447,8 +451,10 @@ async fn barrier<S: DistributionStrategy>(
             BarrierMsg::Pass(msg) => msg,
             BarrierMsg::Consumed => continue,
             BarrierMsg::Refresh => {
+                // Ownership moved: the barrier's snapshot is stale.
+                snapshot = None;
                 send_done(ctx, common, strategy, inv).await;
-                send_checkpoint(ctx, common, strategy, inv).await;
+                send_checkpoint(ctx, common, strategy, inv, &mut snapshot).await;
                 continue;
             }
         };
@@ -576,15 +582,16 @@ mod tests {
     use dlb_sim::{NodeConfig, SimBuilder};
     use std::sync::Mutex;
 
-    type Units = Vec<(usize, UnitData)>;
-
     /// The smallest strategy the runner accepts: three invocations that
-    /// compute nothing, every barrier message passed back.
-    struct Toy {
+    /// compute nothing, every barrier message passed back — except a stale
+    /// release, which a snapshotting toy answers with a `Refresh`.
+    struct Toy<const SNAPSHOTS: bool> {
         ends_anywhere: bool,
     }
 
-    impl DistributionStrategy for Toy {
+    impl<const SNAPSHOTS: bool> DistributionStrategy for Toy<SNAPSHOTS> {
+        const SNAPSHOTS: bool = SNAPSHOTS;
+
         fn invocations(&self) -> u64 {
             3
         }
@@ -612,7 +619,10 @@ mod tests {
             _: Option<u64>,
             msg: Msg,
         ) -> Result<BarrierMsg, ProtocolError> {
-            Ok(BarrierMsg::Pass(msg))
+            match msg {
+                Msg::InvocationStart { invocation: 0, .. } if SNAPSHOTS => Ok(BarrierMsg::Refresh),
+                msg => Ok(BarrierMsg::Pass(msg)),
+            }
         }
         fn report(&self) -> (Vec<usize>, f64) {
             (Vec::new(), 0.0)
@@ -620,10 +630,11 @@ mod tests {
         fn may_end_after(&self, inv: u64) -> bool {
             self.ends_anywhere || inv == 2
         }
-        fn checkpoint_units(&self) -> Option<Units> {
-            None
+        fn checkpoint_units(&self) -> SharedUnits {
+            assert!(SNAPSHOTS, "the runner asked a pattern without snapshots");
+            vec![(0, Arc::new(vec![vec![1.0; 4]]))]
         }
-        fn gather_units(&self) -> Result<Units, ProtocolError> {
+        fn gather_units(&self) -> Result<Vec<(usize, UnitData)>, ProtocolError> {
             Ok(Vec::new())
         }
         fn restore(&mut self, _: &mut SlaveCommon, _: RollbackInfo) -> Result<u64, ProtocolError> {
@@ -636,8 +647,8 @@ mod tests {
             _: u64,
             _: u64,
             _: u64,
-            _: Units,
-        ) -> Result<Option<Units>, ProtocolError> {
+            _: SharedUnits,
+        ) -> Result<Option<SharedUnits>, ProtocolError> {
             Ok(None)
         }
     }
@@ -645,9 +656,9 @@ mod tests {
     /// Run slave 0 through the whole shell against an inert master stub that
     /// plays `Start` and then `script` (`(send time in ms, message)`), and
     /// return what the stub was sent within a virtual minute.
-    fn against_stub(
+    fn against_stub<const SNAPSHOTS: bool>(
         ft: Option<FaultToleranceConfig>,
-        toy: Toy,
+        toy: Toy<SNAPSHOTS>,
         script: Vec<(u64, Msg)>,
     ) -> Vec<Msg> {
         let spec = SlaveSpec {
@@ -689,6 +700,7 @@ mod tests {
     fn kinds(heard: &[Msg]) -> Vec<&'static str> {
         let kind = |m: &Msg| match m {
             Msg::InvocationDone { .. } => "done",
+            Msg::Checkpoint { .. } => "ckpt",
             Msg::GatherData { .. } => "data",
             Msg::SlaveError { error, .. } => match error {
                 ProtocolError::UnexpectedMessage { .. } => "unexpected",
@@ -715,10 +727,13 @@ mod tests {
         }
     }
 
-    const FINAL: Toy = Toy {
+    const FINAL: Toy<false> = Toy {
         ends_anywhere: false,
     };
-    const ANYWHERE: Toy = Toy {
+    const ANYWHERE: Toy<false> = Toy {
+        ends_anywhere: true,
+    };
+    const SNAPSHOTTING: Toy<true> = Toy {
         ends_anywhere: true,
     };
 
@@ -776,5 +791,33 @@ mod tests {
             unreachable!();
         };
         assert_eq!(fault_stats.checkpoints_sent, 0);
+    }
+
+    /// The barrier's snapshot is one copy of the live state per barrier
+    /// state: heartbeat re-sends share it, a `Refresh` retakes it.
+    #[test]
+    fn heartbeat_resends_share_one_snapshot_and_a_refresh_rebuilds_it() {
+        let payloads = |script: Vec<(u64, Msg)>| -> Vec<Arc<UnitData>> {
+            let gather = [(3_500, Msg::Gather), (3_510, Msg::GatherAck)];
+            let script = [(0, release(0))].into_iter().chain(script).chain(gather);
+            let heard = against_stub(armed(), SNAPSHOTTING, script.collect());
+            let unit = |m: &Msg| match m {
+                Msg::Checkpoint { units, .. } => Some(Arc::clone(&units[0].1)),
+                _ => None,
+            };
+            heard.iter().filter_map(unit).collect()
+        };
+        // The barrier report and three silent heartbeats: one payload.
+        let quiet = payloads(Vec::new());
+        assert_eq!(quiet.len(), 4);
+        assert!(quiet.iter().all(|p| Arc::ptr_eq(p, &quiet[0])));
+        // A stale release at 1.1 s makes the toy `Refresh` after the first
+        // heartbeat: the two checkpoints before it share one payload, the
+        // refreshed one and the two heartbeats after it another.
+        let refreshed = payloads(vec![(1_100, release(0))]);
+        assert_eq!(refreshed.len(), 5);
+        assert!(Arc::ptr_eq(&refreshed[0], &refreshed[1]));
+        assert!(!Arc::ptr_eq(&refreshed[1], &refreshed[2]));
+        assert!(refreshed[2..].iter().all(|p| Arc::ptr_eq(p, &refreshed[2])));
     }
 }

@@ -13,7 +13,7 @@
 //! default; the runner's module doc lists them in one table.
 
 use crate::error::ProtocolError;
-use crate::msg::{Msg, UnitData};
+use crate::msg::{Msg, SharedUnits, UnitData};
 use crate::slave_common::{RollbackInfo, SlaveCommon};
 use dlb_sim::MailCtx;
 
@@ -41,14 +41,22 @@ pub enum BarrierMsg {
 ///   fired, pending movement executed, evictions settled. A
 ///   [`BarrierMsg::Refresh`] promises the same.
 /// * [`checkpoint_units`](DistributionStrategy::checkpoint_units), when the
-///   pattern has one, is the state from which invocation `inv + 1` starts —
-///   value-deterministic, so snapshots bank across epochs.
+///   pattern [has one](DistributionStrategy::SNAPSHOTS), is the state from
+///   which invocation `inv + 1` starts — value-deterministic, so snapshots
+///   bank across epochs.
 /// * A [`speculate`](DistributionStrategy::speculate) that returns a
 ///   checkpoint is a *pure* function of its snapshot argument: it must not
 ///   read or write live engine state, and must not hook, move work, or
 ///   message peers — it races a whole invocation on one idle slave.
 #[allow(async_fn_in_trait)] // used generically within the crate; Send is checked at spawn
 pub trait DistributionStrategy {
+    /// Whether this pattern ships barrier snapshots. `false`: it recovers
+    /// by re-scatter, so no checkpoint is ever shipped and a deputy's
+    /// replica is as fresh as its invocation watermark. A constant of the
+    /// pattern, so the runner can tell a deputy how to measure freshness
+    /// without materialising a snapshot to look at.
+    const SNAPSHOTS: bool = true;
+
     /// Upper bound on the invocations (repetitions, sweeps, steps) the run
     /// executes.
     fn invocations(&self) -> u64;
@@ -114,10 +122,10 @@ pub trait DistributionStrategy {
     }
 
     /// Snapshot of the local state at the current barrier — the state from
-    /// which the next invocation starts. `None`: this pattern recovers by
-    /// re-scatter, so no checkpoint is ever shipped and a deputy's replica
-    /// is as fresh as its invocation watermark.
-    fn checkpoint_units(&self) -> Option<Vec<(usize, UnitData)>>;
+    /// which the next invocation starts: the one copy of the live state the
+    /// runner takes per barrier state (re-sends share it). Never called
+    /// when the pattern has no [`SNAPSHOTS`](DistributionStrategy::SNAPSHOTS).
+    fn checkpoint_units(&self) -> SharedUnits;
 
     /// The final result payload. May fail when local state is torn (e.g.
     /// columns still set aside) — the runner then reports and parks for
@@ -149,6 +157,6 @@ pub trait DistributionStrategy {
         inv: u64,
         seq: u64,
         invocation: u64,
-        units: Vec<(usize, UnitData)>,
-    ) -> Result<Option<Vec<(usize, UnitData)>>, ProtocolError>;
+        units: SharedUnits,
+    ) -> Result<Option<SharedUnits>, ProtocolError>;
 }

@@ -25,7 +25,7 @@
 
 use crate::balancer::InteractionMode;
 use crate::error::{slave_who, FaultToleranceConfig, ProtocolError};
-use crate::msg::{Instructions, MoveOrder, MovedUnit, Msg, Status, TransferMsg, UnitData};
+use crate::msg::{Instructions, MoveOrder, MovedUnit, Msg, SharedUnits, Status, TransferMsg};
 use crate::protocol::{AckTracker, TransferWindow};
 use crate::recovery::SlaveFaultStats;
 use crate::session::replica::{DeputyState, TakeoverSeed};
@@ -43,7 +43,7 @@ pub struct RollbackInfo {
     pub invocation: u64,
     pub survivors: Vec<usize>,
     pub ckpt_stride: u64,
-    pub units: Vec<(usize, UnitData)>,
+    pub units: SharedUnits,
 }
 
 /// Wait for the initial `Start` message (before a [`SlaveCommon`] exists).

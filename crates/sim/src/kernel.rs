@@ -447,6 +447,7 @@ impl<M: Send + Clone + 'static> Inner<M> {
 //
 // Ownership rule: the kernel thread owns `Inner` (clock, queues, metrics,
 // fault RNG) as a plain value; during a poll an actor touches only its own
+// `ActorCell`: constants it reads freely, and behind the cell's mutex its
 // `ActorLocal` (mailbox, clock snapshot, effect buffer). All globally-ordered
 // side effects — network sends, metrics, the park itself — are buffered as
 // `LocalEffect`s and applied by the kernel thread afterwards, in
@@ -482,16 +483,23 @@ struct ParkReq {
     wake_at: Option<SimTime>,
 }
 
-/// State owned by one actor, shared between its `MailCtx` and the
-/// kernel. The kernel writes `now` and `mailbox` only while the actor is
-/// parked; the actor writes `effects` and `park` only while being polled.
-struct ActorLocal<M> {
+/// One actor's side of the kernel, shared between its `MailCtx` and the
+/// kernel thread: what never changes after spawn, readable without a lock,
+/// beside the mutable [`ActorLocal`].
+struct ActorCell<M> {
     id: ActorId,
     node: NodeId,
     n_actors: usize,
-    now: SimTime,
     node_cfg: NodeConfig,
     net: NetConfig,
+    local: Mutex<ActorLocal<M>>,
+}
+
+/// Mutable state owned by one actor. The kernel writes `now` and `mailbox`
+/// only while the actor is parked; the actor writes `effects` and `park`
+/// only while being polled.
+struct ActorLocal<M> {
+    now: SimTime,
     mailbox: VecDeque<Envelope<M>>,
     effects: Vec<LocalEffect<M>>,
     park: Option<ParkReq>,
@@ -534,30 +542,30 @@ impl Future for ParkOnce {
 /// in virtual time, and the kernel treats a `Pending` without a park request
 /// as a bug.
 pub struct MailCtx<M: Send + Clone + 'static> {
-    local: Arc<Mutex<ActorLocal<M>>>,
+    cell: Arc<ActorCell<M>>,
 }
 
 impl<M: Send + Clone + 'static> Clone for MailCtx<M> {
     fn clone(&self) -> Self {
         MailCtx {
-            local: Arc::clone(&self.local),
+            cell: Arc::clone(&self.cell),
         }
     }
 }
 
 impl<M: Send + Clone + 'static> MailCtx<M> {
     fn lock(&self) -> MutexGuard<'_, ActorLocal<M>> {
-        lock_local(&self.local)
+        lock_local(&self.cell.local)
     }
 
     /// This actor's id (assigned in spawn order, starting at 0).
     pub fn id(&self) -> ActorId {
-        self.lock().id
+        self.cell.id
     }
 
     /// The node this actor runs on.
     pub fn node(&self) -> NodeId {
-        self.lock().node
+        self.cell.node
     }
 
     /// Current virtual time (constant within one poll segment).
@@ -567,12 +575,12 @@ impl<M: Send + Clone + 'static> MailCtx<M> {
 
     /// The OS scheduling quantum of this actor's node.
     pub fn os_quantum(&self) -> SimDuration {
-        self.lock().node_cfg.quantum
+        self.cell.node_cfg.quantum
     }
 
     /// Number of actors in the simulation.
     pub fn actor_count(&self) -> usize {
-        self.lock().n_actors
+        self.cell.n_actors
     }
 
     fn park(&self, wake_on_msg: bool, wake_at: Option<SimTime>) -> ParkOnce {
@@ -595,12 +603,12 @@ impl<M: Send + Clone + 'static> MailCtx<M> {
         if work.is_zero() {
             return;
         }
+        let node_cfg = &self.cell.node_cfg;
         let (finish, parked) = {
-            let mut guard = self.lock();
-            let local = &mut *guard;
-            let adv = cpu::advance(&local.node_cfg, local.now, work);
+            let mut local = self.lock();
+            let adv = cpu::advance(node_cfg, local.now, work);
             local.effects.push(LocalEffect::Cpu {
-                app: work.dedicated_duration(local.node_cfg.speed),
+                app: work.dedicated_duration(node_cfg.speed),
                 loaded: adv.cpu_while_loaded,
             });
             (adv.finish, local.park(false, Some(adv.finish)))
@@ -623,20 +631,15 @@ impl<M: Send + Clone + 'static> MailCtx<M> {
     /// Send `msg` (`bytes` on the wire) to `dst`: charge marshalling CPU,
     /// then buffer the network handoff for the kernel to apply in order.
     pub async fn send(&self, dst: ActorId, msg: M, bytes: u64) {
-        let send_cpu = {
-            let local = self.lock();
-            assert!(dst.0 < local.n_actors, "send to unknown actor");
-            local.net.send_cpu(bytes)
-        };
-        self.advance_work(send_cpu).await;
+        assert!(dst.0 < self.cell.n_actors, "send to unknown actor");
+        self.advance_work(self.cell.net.send_cpu(bytes)).await;
         self.lock()
             .effects
             .push(LocalEffect::Send { dst, msg, bytes });
     }
 
     async fn charge_recv(&self) {
-        let cost = self.lock().net.recv_cpu_per_msg;
-        self.advance_work(cost).await;
+        self.advance_work(self.cell.net.recv_cpu_per_msg).await;
     }
 
     /// Receive the next message (FIFO per sender), blocking in virtual time.
@@ -879,26 +882,28 @@ impl<M: Send + Clone + 'static> SimBuilder<M> {
 
         let mut names: Vec<String> = Vec::with_capacity(n_actors);
         let mut futures: Vec<Option<ActorFuture>> = Vec::with_capacity(n_actors);
-        let mut locals: Vec<Arc<Mutex<ActorLocal<M>>>> = Vec::with_capacity(n_actors);
+        let mut cells: Vec<Arc<ActorCell<M>>> = Vec::with_capacity(n_actors);
         for (i, (node, name, f)) in self.actors.into_iter().enumerate() {
-            let local = Arc::new(Mutex::new(ActorLocal {
+            let cell = Arc::new(ActorCell {
                 id: ActorId(i),
                 node,
                 n_actors,
-                now: SimTime::ZERO,
                 node_cfg: self.nodes[node.0].clone(),
                 net: self.net.clone(),
-                mailbox: VecDeque::new(),
-                effects: Vec::new(),
-                park: None,
-            }));
+                local: Mutex::new(ActorLocal {
+                    now: SimTime::ZERO,
+                    mailbox: VecDeque::new(),
+                    effects: Vec::new(),
+                    park: None,
+                }),
+            });
             // Building the future runs no user code (async bodies are
             // inert until polled); the t = 0 seed wake issues the first
             // poll.
             futures.push(Some(f(MailCtx {
-                local: Arc::clone(&local),
+                cell: Arc::clone(&cell),
             })));
-            locals.push(local);
+            cells.push(cell);
             names.push(name);
         }
 
@@ -1105,7 +1110,7 @@ impl<M: Send + Clone + 'static> SimBuilder<M> {
                             }
                             continue;
                         }
-                        lock_local(&locals[dst.0]).mailbox.push_back(env);
+                        lock_local(&cells[dst.0].local).mailbox.push_back(env);
                         if let ActorState::Waiting {
                             epoch,
                             wake_on_msg: true,
@@ -1129,7 +1134,7 @@ impl<M: Send + Clone + 'static> SimBuilder<M> {
                             // Dropping the future drops the state machine;
                             // anything queued for it will never be read.
                             futures[a.0] = None;
-                            lock_local(&locals[a.0]).mailbox.clear();
+                            lock_local(&cells[a.0].local).mailbox.clear();
                         }
                     }
                 }
@@ -1161,14 +1166,14 @@ impl<M: Send + Clone + 'static> SimBuilder<M> {
                 // identical to a pool round trip — just cheaper.
                 for &a in &batch {
                     let mut future = futures[a].take().expect("batched actor future");
-                    lock_local(&locals[a]).now = batch_time;
+                    lock_local(&cells[a].local).now = batch_time;
                     let outcome = poll_actor(&mut future, &waker);
                     results.push(Some((future, outcome)));
                 }
             } else {
                 for (slot, &a) in batch.iter().enumerate() {
                     let future = futures[a].take().expect("batched actor future");
-                    lock_local(&locals[a]).now = batch_time;
+                    lock_local(&cells[a].local).now = batch_time;
                     pool_job_txs[slot % pool_job_txs.len()]
                         .send(PoolJob { slot, future })
                         .expect("pool worker gone");
@@ -1185,7 +1190,7 @@ impl<M: Send + Clone + 'static> SimBuilder<M> {
             // its members one at a time.
             for (&a, polled) in batch.iter().zip(results.drain(..)) {
                 let (future, outcome) = polled.expect("every slot reports back");
-                let mut local = lock_local(&locals[a]);
+                let mut local = lock_local(&cells[a].local);
                 for eff in local.effects.drain(..) {
                     match eff {
                         LocalEffect::Send { dst, msg, bytes } => {

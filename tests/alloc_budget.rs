@@ -1,0 +1,107 @@
+//! Allocation budget: heap bytes requested per delivered message, as a
+//! deterministic gate on host-side payload copying.
+//!
+//! A message's *modelled* cost is `Msg::wire_bytes`, charged to the virtual
+//! network; every host-side deep copy of a unit payload on top of that is
+//! simulator overhead the virtual clock never sees. This file counts it: a
+//! counting `#[global_allocator]` (an integration test is a crate of its
+//! own, so the library crates' `#![forbid(unsafe_code)]` is untouched)
+//! around whole runs polled inline (`worker_threads = Some(0)`), in ONE
+//! `#[test]` so nothing else in the process allocates beside it. Same seed,
+//! same allocations, on any host — the ceilings below are the figures
+//! measured when the snapshot plane became shared (CHANGES.md, PR 17) plus
+//! 10 %.
+
+use dlb::apps::{Calibration, Lu};
+use dlb::core::driver::{try_run, AppSpec, RunConfig};
+use dlb::sim::{FaultPlan, SimDuration, SimTime};
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
+
+/// Ceilings in bytes per delivered message: measured + 10 %.
+const REJOIN16_CEILING: u64 = 8_520; // measured 7 745 (parent commit: 129 787)
+const ARMED64_CEILING: u64 = 812; // measured 738 (parent commit: 1 270)
+
+/// Bytes requested from the allocator so far (a statistic: `Relaxed`).
+static REQUESTED: AtomicU64 = AtomicU64::new(0);
+
+struct Counting;
+
+// SAFETY: every method forwards its arguments unchanged to `System`, which
+// upholds the `GlobalAlloc` contract; the counter touches no allocator state.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        REQUESTED.fetch_add(layout.size() as u64, Ordering::Relaxed);
+        // SAFETY: the caller's obligations are passed through as given.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` came from `System` through this allocator.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        let grown = new_size.saturating_sub(layout.size());
+        REQUESTED.fetch_add(grown as u64, Ordering::Relaxed);
+        // SAFETY: `ptr` came from `System` through this allocator.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static ALLOC: Counting = Counting;
+
+/// An armed LU run, polled inline; the `tests/chaos_wide.rs` shrinking
+/// windows (suspicion 12 s).
+fn lu_cfg(slaves: usize, plan: FaultPlan, rejoin_attempts: u32) -> RunConfig {
+    let suspicion_ms = 12_000;
+    let mut cfg = RunConfig::homogeneous(slaves);
+    cfg.balancer.enabled = true;
+    cfg.fault_plan = Some(plan);
+    cfg.worker_threads = Some(0);
+    cfg.max_events = Some(50_000_000);
+    let ft = &mut cfg.fault_tolerance;
+    ft.suspicion = SimDuration::from_millis(suspicion_ms);
+    ft.speculate_after = SimDuration::from_millis(suspicion_ms * 5 / 8);
+    ft.nudge = SimDuration::from_millis(suspicion_ms / 4);
+    ft.slave_heartbeat = SimDuration::from_millis(suspicion_ms / 8);
+    ft.rejoin_attempts = rejoin_attempts;
+    ft.rejoin_backoff = SimDuration::from_millis(suspicion_ms / 4);
+    cfg
+}
+
+/// Run one LU cell and return heap bytes requested per delivered message.
+fn bytes_per_delivery(label: &str, lu: &Arc<Lu>, cfg: RunConfig) -> u64 {
+    let plan = dlb::compiler::compile(&lu.program()).unwrap();
+    let before = REQUESTED.load(Ordering::Relaxed);
+    let report = try_run(AppSpec::Shrinking(lu.clone()), &plan, cfg).expect("the run completes");
+    let requested = REQUESTED.load(Ordering::Relaxed) - before;
+    assert_eq!(Lu::result_cols(&report.result), lu.sequential(), "{label}");
+    let delivered: u64 = report.sim.actors.iter().map(|a| a.msgs_received).sum();
+    let per = requested / delivered;
+    println!(
+        "alloc_budget {label}: {requested} B requested / {delivered} delivered = {per} B per \
+         delivered message ({} rollbacks)",
+        report.recovery.rollbacks
+    );
+    per
+}
+
+#[test]
+fn allocation_per_delivered_message_stays_in_budget() {
+    // The `rejoin_w16` shape: LU n=260 over 16 slaves, slave 0 crashes at
+    // 0.5 s and is re-admitted, and the shrinking engine's evict / readmit /
+    // rollback flap ships the banked 260-column snapshot again and again.
+    let lu = Arc::new(Lu::new(260, 7, &Calibration::new(0.1)));
+    let crash = FaultPlan::new(7).crash(1, SimTime(500_000));
+    let rejoin = bytes_per_delivery("rejoin16", &lu, lu_cfg(16, crash, 2));
+    assert!(rejoin <= REJOIN16_CEILING, "rejoin16: {rejoin} B/msg");
+
+    // Armed and quiet at 64 slaves: checkpoints at every barrier, replicas
+    // to three deputies, acks and heartbeats — and no recovery at all.
+    let lu = Arc::new(Lu::new(68, 7, &Calibration::new(0.1 * 68.0 / 260.0)));
+    let armed = bytes_per_delivery("armed64", &lu, lu_cfg(64, FaultPlan::new(7), 10));
+    assert!(armed <= ARMED64_CEILING, "armed64: {armed} B/msg");
+}
