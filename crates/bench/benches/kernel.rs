@@ -14,7 +14,7 @@
 //! Results are printed as a table and written to `BENCH_kernel.json`
 //! (hand-rolled JSON; the container has no serde). With
 //! `--gate <baseline.json>` the run additionally compares each case's
-//! deterministic counters (`polls`, `wakeups`, `events`) against the
+//! deterministic counters (`polls`, `wakeups`, `events`, `locks`) against the
 //! committed baseline for exact equality and exits non-zero on any
 //! difference — the CI merge gate for kernel work per op. ops/s is printed
 //! as information only: it measures the host, not the code.
@@ -38,11 +38,17 @@ struct Case {
     polls: u64,
     wakeups: u64,
     events: u64,
+    /// Actor-mutex acquisitions (`SchedStats::local_locks`).
+    locks: u64,
 }
 
 impl Case {
     fn key(&self) -> String {
         format!("{}/w{}", self.name, self.width)
+    }
+
+    fn counters(&self) -> Counters {
+        [self.polls, self.wakeups, self.events, self.locks]
     }
 }
 
@@ -129,6 +135,7 @@ fn measure(name: &'static str, width: usize, f: fn(usize) -> (u64, dlb_sim::SimR
             polls: report.sched.polls,
             wakeups: report.sched.wakeups,
             events: report.events_processed,
+            locks: report.sched.local_locks,
         };
         if best.as_ref().is_none_or(|b| case.millis < b.millis) {
             best = Some(case);
@@ -139,7 +146,8 @@ fn measure(name: &'static str, width: usize, f: fn(usize) -> (u64, dlb_sim::SimR
 
 fn report_line(c: &Case) {
     println!(
-        "{:<16} {:>10.0} ops/s {:>9.1} ms  {:>9} ops {:>9} polls {:>9} wakeups {:>9} events",
+        "{:<16} {:>10.0} ops/s {:>9.1} ms  {:>9} ops {:>9} polls {:>9} wakeups {:>9} events \
+         {:>9} locks {:>5.2} locks/op",
         c.key(),
         c.ops_per_sec,
         c.millis,
@@ -147,6 +155,8 @@ fn report_line(c: &Case) {
         c.polls,
         c.wakeups,
         c.events,
+        c.locks,
+        c.locks as f64 / c.ops as f64,
     );
 }
 
@@ -156,8 +166,9 @@ fn json(cases: &[Case]) -> String {
         let _ = write!(
             s,
             "    {{\"name\": \"{}\", \"width\": {}, \"ops\": {}, \"millis\": {:.3}, \
-             \"ops_per_sec\": {:.1}, \"polls\": {}, \"wakeups\": {}, \"events\": {}}}",
-            c.name, c.width, c.ops, c.millis, c.ops_per_sec, c.polls, c.wakeups, c.events,
+             \"ops_per_sec\": {:.1}, \"polls\": {}, \"wakeups\": {}, \"events\": {}, \
+             \"locks\": {}}}",
+            c.name, c.width, c.ops, c.millis, c.ops_per_sec, c.polls, c.wakeups, c.events, c.locks,
         );
         s.push_str(if i + 1 < cases.len() { ",\n" } else { "\n" });
     }
@@ -165,8 +176,8 @@ fn json(cases: &[Case]) -> String {
     s
 }
 
-/// The gated counters of one case: `[polls, wakeups, events]`.
-type Counters = [u64; 3];
+/// The gated counters of one case: `[polls, wakeups, events, locks]`.
+type Counters = [u64; 4];
 
 /// Pull each case's key and gated counters back out of a baseline file this
 /// binary wrote earlier. Format-coupled by design: it reads exactly what
@@ -177,14 +188,15 @@ fn parse_baseline(text: &str) -> Vec<(String, Counters)> {
         let (Some(name), Some(width)) = (field_str(line, "name"), field_num(line, "width")) else {
             continue;
         };
-        let (Some(polls), Some(wakeups), Some(events)) = (
+        let (Some(polls), Some(wakeups), Some(events), Some(locks)) = (
             field_num(line, "polls"),
             field_num(line, "wakeups"),
             field_num(line, "events"),
+            field_num(line, "locks"),
         ) else {
             continue;
         };
-        out.push((format!("{name}/w{width}"), [polls, wakeups, events]));
+        out.push((format!("{name}/w{width}"), [polls, wakeups, events, locks]));
     }
     out
 }
@@ -213,13 +225,13 @@ fn gate(cases: &[Case], baseline_path: &str) -> Result<(), String> {
             println!("gate: {key} has no baseline entry (new case, skipped)");
             continue;
         };
-        let got: Counters = [c.polls, c.wakeups, c.events];
+        let got = c.counters();
         let ok = got == *base;
         let verdict = if ok { "ok" } else { "FAIL" };
-        println!("gate: {key:<16} polls/wakeups/events {got:?}  {verdict}");
+        println!("gate: {key:<16} polls/wakeups/events/locks {got:?}  {verdict}");
         if !ok {
             failures.push(format!(
-                "{key}: polls/wakeups/events {got:?} != baseline {base:?}"
+                "{key}: polls/wakeups/events/locks {got:?} != baseline {base:?}"
             ));
         }
     }

@@ -38,9 +38,24 @@ struct State {
     active: BTreeMap<usize, SCol>,
     retired: Vec<(usize, Vec<f64>)>,
     pivots: Vec<Option<Vec<f64>>>,
+    /// Every active column with an id below this is updated through the step
+    /// in progress: where [`State::next_behind`] resumes its scan. Zero when
+    /// a step starts or a rollback replaces the columns; [`incorporate`]
+    /// lowers it to an arriving id.
+    cursor: usize,
 }
 
 impl State {
+    /// The lowest active column not yet updated through step `k`.
+    fn next_behind(&mut self, k: usize) -> Option<usize> {
+        let (&id, _) = self
+            .active
+            .range(self.cursor..)
+            .find(|(_, c)| c.updated_through < k as i64)?;
+        self.cursor = id;
+        Some(id)
+    }
+
     /// Every column held here, retired ones first.
     fn snapshot(&self) -> Vec<(usize, UnitData)> {
         let retired = self.retired.iter().map(|(id, d)| (*id, vec![d.clone()]));
@@ -81,6 +96,7 @@ impl ShrinkingStrategy {
                 .collect(),
             retired: Vec::new(),
             pivots: vec![None; kernel.n_units()],
+            cursor: 0,
         };
         ShrinkingStrategy { st, kernel }
     }
@@ -139,17 +155,11 @@ impl DistributionStrategy for ShrinkingStrategy {
             (Some(inv), Msg::Transfer(t)) => {
                 let k = inv as usize;
                 if common.accept_transfer(ctx, &t).await {
-                    incorporate(common, st, t, k)?;
+                    incorporate(common.idx, st, t, k)?;
                     // Arrivals may still need this step's update; the work
                     // counts toward this step, so flush it and execute any
                     // movement the reply orders.
-                    loop {
-                        let next = st
-                            .active
-                            .iter()
-                            .find(|(_, c)| c.updated_through < k as i64)
-                            .map(|(&id, _)| id);
-                        let Some(j) = next else { break };
+                    while let Some(j) = st.next_behind(k) {
                         update_column(ctx, common, st, kernel, j, k).await?;
                     }
                     let active = st.active.len() as u64;
@@ -204,6 +214,7 @@ impl DistributionStrategy for ShrinkingStrategy {
         st.active.clear();
         st.retired.clear();
         st.pivots = vec![None; n];
+        st.cursor = 0;
         for (id, d) in rb.units {
             let data = column(Arc::unwrap_or_clone(d));
             if (id as u64) < k {
@@ -311,16 +322,12 @@ async fn step(
         }
     }
 
-    // Update phase: bring every active column through step k, hooking after
-    // each column update.
+    // Update phase: bring every active column through step k, lowest id
+    // first, hooking after each column update.
+    st.cursor = 0;
     loop {
         drain_transfers(ctx, common, st, kernel, k).await?;
-        let next = st
-            .active
-            .iter()
-            .find(|(_, c)| c.updated_through < k as i64)
-            .map(|(&id, _)| id);
-        let Some(j) = next else { break };
+        let Some(j) = st.next_behind(k) else { break };
         update_column(ctx, common, st, kernel, j, k).await?;
         let active = st.active.len() as u64;
         let moves = common.hook(ctx, k as u64, active).await?;
@@ -411,8 +418,9 @@ async fn execute_moves(
     Ok(())
 }
 
+/// Take the columns of a transfer accepted by slave `slave` during step `k`.
 fn incorporate(
-    common: &mut SlaveCommon,
+    slave: usize,
     st: &mut State,
     t: TransferMsg,
     k: usize,
@@ -420,9 +428,10 @@ fn incorporate(
     for mu in t.units {
         if mu.id <= k {
             return Err(ProtocolError::Inconsistent {
-                detail: format!("slave {}: inactive column {} moved", common.idx, mu.id),
+                detail: format!("slave {slave}: inactive column {} moved", mu.id),
             });
         }
+        st.cursor = st.cursor.min(mu.id);
         // `updated_through` is only meaningful when the column is done for
         // the tagged step (it is >= k >= 0). An undone column is exactly one
         // step behind — per-step settlement guarantees it was updated
@@ -442,7 +451,7 @@ fn incorporate(
         );
         if prev.is_some() {
             return Err(ProtocolError::Inconsistent {
-                detail: format!("slave {}: column {} duplicated by move", common.idx, mu.id),
+                detail: format!("slave {slave}: column {} duplicated by move", mu.id),
             });
         }
     }
@@ -461,7 +470,7 @@ async fn drain_transfers(
     while let Some(env) = ctx.try_recv_match(|m| matches!(m, Msg::Transfer(_))).await {
         if let Msg::Transfer(t) = env.msg {
             if common.accept_transfer(ctx, &t).await {
-                incorporate(common, st, t, k)?;
+                incorporate(common.idx, st, t, k)?;
             }
         }
     }
@@ -485,4 +494,70 @@ async fn drain_transfers(
         }
     }
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn moved(id: usize, done: bool, k: usize) -> MovedUnit {
+        MovedUnit {
+            id,
+            done,
+            updated_through: k as u64,
+            data: vec![vec![0.0]],
+            old: None,
+        }
+    }
+
+    /// The step loop's choice is "lowest active id not yet through step k"
+    /// whatever the cursor has passed: a column that arrives mid-step below
+    /// it is updated in the same step, before the higher ids still waiting.
+    #[test]
+    fn transfer_below_the_cursor_is_updated_in_the_same_step_in_id_order() {
+        let k = 1;
+        let behind = |id| {
+            let col = SCol {
+                data: vec![0.0],
+                updated_through: k as i64 - 1,
+            };
+            (id, col)
+        };
+        let mut st = State {
+            active: [2, 3, 6, 8].map(behind).into(),
+            retired: Vec::new(),
+            pivots: Vec::new(),
+            cursor: 0,
+        };
+        let mut order = Vec::new();
+        let mut update_next = |st: &mut State| {
+            let j = st.next_behind(k)?;
+            st.active.get_mut(&j).expect("picked id").updated_through = k as i64;
+            order.push(j);
+            Some(j)
+        };
+        for want in [2, 3, 6] {
+            assert_eq!(update_next(&mut st), Some(want));
+        }
+        // Arrives with the cursor at 6: 4 and 5 one step behind, 9 already
+        // through step k, 10 behind.
+        let t = TransferMsg {
+            from: 1,
+            seq: 0,
+            epoch: 0,
+            invocation: k as u64,
+            effective_block: 0,
+            units: vec![
+                moved(5, false, k),
+                moved(4, false, k),
+                moved(9, true, k),
+                moved(10, false, k),
+            ],
+            right_old: None,
+        };
+        incorporate(0, &mut st, t, k).unwrap();
+        while update_next(&mut st).is_some() {}
+        assert_eq!(order, [2, 3, 6, 4, 5, 8, 10]);
+        assert!(st.active.values().all(|c| c.updated_through == k as i64));
+    }
 }

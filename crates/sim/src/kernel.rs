@@ -30,6 +30,7 @@ use std::collections::{BinaryHeap, VecDeque};
 use std::future::Future;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::pin::Pin;
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering::Relaxed};
 use std::sync::mpsc::{channel, Sender};
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::task::{Context, Poll, Wake, Waker};
@@ -74,6 +75,10 @@ pub struct SchedStats {
     pub batches: u64,
     /// Largest single batch.
     pub max_batch: usize,
+    /// Acquisitions of an actor's mutex (mailbox, effect buffer, park
+    /// request), by the kernel and by `MailCtx` calls together. Exact and the
+    /// same at any pool size: it is a function of the event stream.
+    pub local_locks: u64,
     /// Worker-pool threads spawned for this run.
     pub pool_workers: usize,
     /// OS threads alive at once: kernel + pool. Actors contribute zero.
@@ -447,20 +452,49 @@ impl<M: Send + Clone + 'static> Inner<M> {
 //
 // Ownership rule: the kernel thread owns `Inner` (clock, queues, metrics,
 // fault RNG) as a plain value; during a poll an actor touches only its own
-// `ActorCell`: constants it reads freely, and behind the cell's mutex its
-// `ActorLocal` (mailbox, clock snapshot, effect buffer). All globally-ordered
-// side effects — network sends, metrics, the park itself — are buffered as
-// `LocalEffect`s and applied by the kernel thread afterwards, in
-// wake-sequence order. Polls are therefore pure with respect to kernel
-// state, which is what makes it safe to run a batch of same-timestamp polls
-// on the worker pool in parallel: the observable outcome is the same as
-// polling them one by one.
+// `ActorCell`. All globally-ordered side effects — network sends, metrics,
+// the park itself — are buffered as `LocalEffect`s and applied by the kernel
+// thread afterwards, in wake-sequence order. Polls are therefore pure with
+// respect to kernel state, which is what makes it safe to run a batch of
+// same-timestamp polls on the worker pool in parallel: the observable
+// outcome is the same as polling them one by one.
+//
+// A cell is never touched by both sides at once — the kernel hands it to a
+// poll and gets it back — so the cell is split by who writes what, when:
+//
+//   field      kernel, actor parked              actor, being polled
+//   ---------  --------------------------------  ----------------------------
+//   constants  -                                 reads, no lock
+//   `now`      stores before each poll           loads, no lock
+//   `queued`   stores after deliver / crash      loads to skip an empty
+//              clear, under the guard            mailbox, no lock; stores
+//                                                after a take, under the guard
+//   mailbox    push on deliver, clear on crash   scan + remove (guard)
+//   effects    drain after the poll (guard)      push (guard)
+//   park       take after the poll (guard)       set (guard)
+//
+// Memory ordering: `now` and `queued` are written only by the side that has
+// the cell, and the cell changes sides either on one thread (inline polls) or
+// through the pool's job / result channels, whose send→recv edge orders
+// everything the sender wrote before everything the receiver reads; the
+// atomics exist for `Sync`, not for ordering, so `Relaxed` is enough. Neither
+// publishes other data: the mailbox a non-zero `queued` points at is still
+// read under the mutex.
+//
+// What is left under the mutex is what moves data: one acquisition per
+// mutating `MailCtx` call (`advance_work`, the send handoff, a park, a take
+// from a non-empty mailbox), one per delivery, one per kernel apply.
+// `SchedStats::local_locks` counts them; `tests/lock_budget.rs` holds the
+// per-event figure.
 // ---------------------------------------------------------------------------
 
-/// Lock an actor-local, shrugging off poison (a panicked poll is already
-/// recorded; the kernel still drains the local to shut down cleanly).
-fn lock_local<M>(m: &Mutex<ActorLocal<M>>) -> MutexGuard<'_, ActorLocal<M>> {
-    m.lock().unwrap_or_else(|e| e.into_inner())
+/// Lock an actor's mutable half, shrugging off poison (a panicked poll is
+/// already recorded; the kernel still drains the local to shut down cleanly).
+fn lock_local<M>(cell: &ActorCell<M>) -> MutexGuard<'_, ActorLocal<M>> {
+    let mut local = cell.local.lock().unwrap_or_else(|e| e.into_inner());
+    debug_assert_eq!(cell.queued.load(Relaxed), local.mailbox.len());
+    local.locks += 1;
+    local
 }
 
 /// A side effect buffered during a poll, applied on the kernel thread in
@@ -484,25 +518,31 @@ struct ParkReq {
 }
 
 /// One actor's side of the kernel, shared between its `MailCtx` and the
-/// kernel thread: what never changes after spawn, readable without a lock,
-/// beside the mutable [`ActorLocal`].
+/// kernel thread: what never changes after spawn and the two values a poll
+/// only reads, all reachable without a lock, beside the mutable
+/// [`ActorLocal`].
 struct ActorCell<M> {
     id: ActorId,
     node: NodeId,
     n_actors: usize,
     node_cfg: NodeConfig,
     net: NetConfig,
+    /// Virtual time of the poll in progress, in microseconds.
+    now: AtomicU64,
+    /// `mailbox.len()`, so that a receive on an empty mailbox takes no lock.
+    queued: AtomicUsize,
     local: Mutex<ActorLocal<M>>,
 }
 
-/// Mutable state owned by one actor. The kernel writes `now` and `mailbox`
-/// only while the actor is parked; the actor writes `effects` and `park`
-/// only while being polled.
+/// What the two sides hand each other through the cell's mutex: the kernel
+/// fills `mailbox` while the actor is parked and empties `effects` and `park`
+/// after its poll; the actor does the reverse while being polled.
 struct ActorLocal<M> {
-    now: SimTime,
     mailbox: VecDeque<Envelope<M>>,
     effects: Vec<LocalEffect<M>>,
     park: Option<ParkReq>,
+    /// Times this mutex was taken ([`SchedStats::local_locks`]).
+    locks: u64,
 }
 
 impl<M> ActorLocal<M> {
@@ -555,7 +595,7 @@ impl<M: Send + Clone + 'static> Clone for MailCtx<M> {
 
 impl<M: Send + Clone + 'static> MailCtx<M> {
     fn lock(&self) -> MutexGuard<'_, ActorLocal<M>> {
-        lock_local(&self.cell.local)
+        lock_local(&self.cell)
     }
 
     /// This actor's id (assigned in spawn order, starting at 0).
@@ -570,7 +610,7 @@ impl<M: Send + Clone + 'static> MailCtx<M> {
 
     /// Current virtual time (constant within one poll segment).
     pub fn now(&self) -> SimTime {
-        self.lock().now
+        SimTime(self.cell.now.load(Relaxed))
     }
 
     /// The OS scheduling quantum of this actor's node.
@@ -587,12 +627,16 @@ impl<M: Send + Clone + 'static> MailCtx<M> {
         self.lock().park(wake_on_msg, wake_at)
     }
 
-    fn take_local(
-        local: &mut ActorLocal<M>,
-        pred: &mut dyn FnMut(&M) -> bool,
-    ) -> Option<Envelope<M>> {
+    /// Take the first queued message matching `pred`. An empty mailbox is
+    /// answered from the `queued` mirror, without the lock.
+    fn take(&self, pred: &mut dyn FnMut(&M) -> bool) -> Option<Envelope<M>> {
+        if self.cell.queued.load(Relaxed) == 0 {
+            return None;
+        }
+        let mut local = self.lock();
         let idx = local.mailbox.iter().position(|env| pred(&env.msg))?;
         let env = local.mailbox.remove(idx).expect("index valid");
+        self.cell.queued.store(local.mailbox.len(), Relaxed);
         local.effects.push(LocalEffect::Recv { bytes: env.bytes });
         Some(env)
     }
@@ -604,19 +648,20 @@ impl<M: Send + Clone + 'static> MailCtx<M> {
             return;
         }
         let node_cfg = &self.cell.node_cfg;
-        let (finish, parked) = {
+        let adv = cpu::advance(node_cfg, self.now(), work);
+        let cpu = LocalEffect::Cpu {
+            app: work.dedicated_duration(node_cfg.speed),
+            loaded: adv.cpu_while_loaded,
+        };
+        let parked = {
             let mut local = self.lock();
-            let adv = cpu::advance(node_cfg, local.now, work);
-            local.effects.push(LocalEffect::Cpu {
-                app: work.dedicated_duration(node_cfg.speed),
-                loaded: adv.cpu_while_loaded,
-            });
-            (adv.finish, local.park(false, Some(adv.finish)))
+            local.effects.push(cpu);
+            local.park(false, Some(adv.finish))
         };
         parked.await;
         // A freeze window may defer the wake past `finish`; time never runs
         // backwards, so the actor simply resumes late.
-        debug_assert!(self.now() >= finish);
+        debug_assert!(self.now() >= adv.finish);
     }
 
     /// Wait for `d` of virtual time to pass without consuming CPU.
@@ -651,11 +696,7 @@ impl<M: Send + Clone + 'static> MailCtx<M> {
     /// arrives.
     pub async fn recv_match(&self, mut pred: impl FnMut(&M) -> bool + Send) -> Envelope<M> {
         loop {
-            let got = {
-                let mut local = self.lock();
-                Self::take_local(&mut local, &mut pred)
-            };
-            if let Some(env) = got {
+            if let Some(env) = self.take(&mut pred) {
                 self.charge_recv().await;
                 return env;
             }
@@ -668,10 +709,7 @@ impl<M: Send + Clone + 'static> MailCtx<M> {
         &self,
         mut pred: impl FnMut(&M) -> bool + Send,
     ) -> Option<Envelope<M>> {
-        let got = {
-            let mut local = self.lock();
-            Self::take_local(&mut local, &mut pred)
-        };
+        let got = self.take(&mut pred);
         if got.is_some() {
             self.charge_recv().await;
         }
@@ -691,16 +729,11 @@ impl<M: Send + Clone + 'static> MailCtx<M> {
         deadline: SimTime,
     ) -> Option<Envelope<M>> {
         loop {
-            let (got, now) = {
-                let mut local = self.lock();
-                let got = Self::take_local(&mut local, &mut pred);
-                (got, local.now)
-            };
-            if let Some(env) = got {
+            if let Some(env) = self.take(&mut pred) {
                 self.charge_recv().await;
                 return Some(env);
             }
-            if now >= deadline {
+            if self.now() >= deadline {
                 return None;
             }
             self.park(true, Some(deadline)).await;
@@ -890,11 +923,13 @@ impl<M: Send + Clone + 'static> SimBuilder<M> {
                 n_actors,
                 node_cfg: self.nodes[node.0].clone(),
                 net: self.net.clone(),
+                now: AtomicU64::new(0),
+                queued: AtomicUsize::new(0),
                 local: Mutex::new(ActorLocal {
-                    now: SimTime::ZERO,
                     mailbox: VecDeque::new(),
                     effects: Vec::new(),
                     park: None,
+                    locks: 0,
                 }),
             });
             // Building the future runs no user code (async bodies are
@@ -1110,7 +1145,12 @@ impl<M: Send + Clone + 'static> SimBuilder<M> {
                             }
                             continue;
                         }
-                        lock_local(&cells[dst.0].local).mailbox.push_back(env);
+                        {
+                            let cell = &cells[dst.0];
+                            let mut local = lock_local(cell);
+                            local.mailbox.push_back(env);
+                            cell.queued.store(local.mailbox.len(), Relaxed);
+                        }
                         if let ActorState::Waiting {
                             epoch,
                             wake_on_msg: true,
@@ -1134,7 +1174,10 @@ impl<M: Send + Clone + 'static> SimBuilder<M> {
                             // Dropping the future drops the state machine;
                             // anything queued for it will never be read.
                             futures[a.0] = None;
-                            lock_local(&cells[a.0].local).mailbox.clear();
+                            let cell = &cells[a.0];
+                            let mut local = lock_local(cell);
+                            local.mailbox.clear();
+                            cell.queued.store(0, Relaxed);
                         }
                     }
                 }
@@ -1161,19 +1204,13 @@ impl<M: Send + Clone + 'static> SimBuilder<M> {
             sched.max_batch = sched.max_batch.max(batch.len());
             sched.polls += batch.len() as u64;
 
-            if batch.len() == 1 || pool_job_txs.is_empty() {
-                // Polls are pure, so polling inline is semantically
-                // identical to a pool round trip — just cheaper.
-                for &a in &batch {
-                    let mut future = futures[a].take().expect("batched actor future");
-                    lock_local(&cells[a].local).now = batch_time;
-                    let outcome = poll_actor(&mut future, &waker);
-                    results.push(Some((future, outcome)));
-                }
-            } else {
+            // Polls are pure, so polling inline is semantically identical
+            // to a pool round trip — just cheaper.
+            let inline = batch.len() == 1 || pool_job_txs.is_empty();
+            if !inline {
                 for (slot, &a) in batch.iter().enumerate() {
                     let future = futures[a].take().expect("batched actor future");
-                    lock_local(&cells[a].local).now = batch_time;
+                    cells[a].now.store(batch_time.0, Relaxed);
                     pool_job_txs[slot % pool_job_txs.len()]
                         .send(PoolJob { slot, future })
                         .expect("pool worker gone");
@@ -1187,10 +1224,19 @@ impl<M: Send + Clone + 'static> SimBuilder<M> {
 
             // Apply buffered effects in wake-seq order — the step that
             // makes a parallel batch observationally identical to polling
-            // its members one at a time.
-            for (&a, polled) in batch.iter().zip(results.drain(..)) {
-                let (future, outcome) = polled.expect("every slot reports back");
-                let mut local = lock_local(&cells[a].local);
+            // its members one at a time. An inline member is polled here,
+            // right before its effects are applied: nothing an apply touches
+            // is visible to a later member's poll.
+            for (slot, &a) in batch.iter().enumerate() {
+                let (future, outcome) = if inline {
+                    let mut future = futures[a].take().expect("batched actor future");
+                    cells[a].now.store(batch_time.0, Relaxed);
+                    let outcome = poll_actor(&mut future, &waker);
+                    (future, outcome)
+                } else {
+                    results[slot].take().expect("every slot reports back")
+                };
+                let mut local = lock_local(&cells[a]);
                 for eff in local.effects.drain(..) {
                     match eff {
                         LocalEffect::Send { dst, msg, bytes } => {
@@ -1250,6 +1296,8 @@ impl<M: Send + Clone + 'static> SimBuilder<M> {
         if let Some(p) = panic {
             std::panic::resume_unwind(p);
         }
+        // Reading a tally is itself an acquisition, which the run did not make.
+        sched.local_locks = cells.iter().map(|c| lock_local(c).locks - 1).sum();
 
         SimReport {
             end_time: inner.now,
@@ -1931,6 +1979,99 @@ mod tests {
                 (SimTime(69_793_489_095), 59, 0x31b7_62bc_4af4_ac42, 4),
                 "pool of {workers}"
             );
+        }
+    }
+
+    /// The receive paths that answer from the `queued` mirror, each at the
+    /// point where a stale mirror would show: mail that lands while its
+    /// reader sleeps with `wake_on_msg = false`; a predicate that misses
+    /// (the message must stay, and stay visible); a node that crashes with
+    /// mail queued (the end-of-run tally re-checks every mirror under its
+    /// guard, and the cleared mailbox must not read as non-empty).
+    fn read_paths_scenario(workers: usize) -> (SimTime, u64, u64, u64) {
+        let mut b = SimBuilder::<u64>::new()
+            .net(NetConfig::ideal())
+            .worker_threads(workers)
+            .fault_plan(FaultPlan::new(0).crash(2, SimTime(50)));
+        let nodes: Vec<NodeId> = (0..3).map(|_| b.add_node(NodeConfig::default())).collect();
+        b.spawn_mail(nodes[0], "src", |ctx| async move {
+            ctx.sleep(SimDuration::from_micros(10)).await;
+            for m in [1, 2] {
+                ctx.send(ActorId(1), m, 8).await;
+                ctx.send(ActorId(2), m, 8).await;
+            }
+        });
+        b.spawn_mail(nodes[1], "sleeper", |ctx| async move {
+            assert!(ctx.try_recv().await.is_none());
+            // Both messages land at t = 10 and wake nobody.
+            ctx.sleep(SimDuration::from_micros(100)).await;
+            assert_eq!(ctx.now(), SimTime(100));
+            assert!(ctx.try_recv_match(|&m| m == 9).await.is_none());
+            assert_eq!(ctx.try_recv_match(|&m| m == 2).await.unwrap().msg, 2);
+            assert!(ctx.try_recv_match(|&m| m == 2).await.is_none());
+            assert_eq!(ctx.try_recv().await.unwrap().msg, 1);
+            assert!(ctx.try_recv().await.is_none());
+            assert!(ctx.recv_deadline(SimTime(100)).await.is_none());
+        });
+        // Never reads its mail; crashes at t = 50 with two messages queued.
+        b.spawn_mail(nodes[2], "victim", |ctx| async move {
+            ctx.sleep(SimDuration::from_secs(1)).await;
+        });
+        let r = b.run();
+        assert_eq!(r.fault.crashed_nodes, vec![2]);
+        assert_eq!(r.actors[1].msgs_received, 2);
+        assert_eq!(r.actors[2].msgs_received, 0);
+        (
+            r.end_time,
+            r.events_processed,
+            r.trace_hash,
+            r.sched.local_locks,
+        )
+    }
+
+    #[test]
+    fn lock_free_read_paths_see_what_the_kernel_queued() {
+        for workers in [0, 1, 8] {
+            assert_eq!(
+                read_paths_scenario(workers),
+                (SimTime(100), 10, 0xdbc6_d6ce_f431_d75d, 21),
+                "pool of {workers}"
+            );
+        }
+    }
+
+    /// Looking costs no lock: `now`, a receive on an empty mailbox and a
+    /// deadline receive whose deadline has passed leave `local_locks` (and
+    /// the event stream) where a run without them has it.
+    #[test]
+    fn looking_at_an_empty_mailbox_takes_no_lock() {
+        let run_with = |looks: usize, workers: usize| {
+            let mut b = SimBuilder::<u64>::new()
+                .net(NetConfig::ideal())
+                .worker_threads(workers);
+            let n = b.add_node(NodeConfig::default());
+            b.spawn_mail(n, "solo", move |ctx| async move {
+                ctx.advance_work(CpuWork::from_micros(500)).await;
+                for _ in 0..looks {
+                    assert_eq!(ctx.now(), SimTime(500));
+                    assert!(ctx.try_recv().await.is_none());
+                    assert!(ctx.try_recv_match(|&m| m == 1).await.is_none());
+                    assert!(ctx.recv_deadline(SimTime(500)).await.is_none());
+                    assert!(ctx
+                        .recv_match_deadline(|&m| m == 1, SimTime(0))
+                        .await
+                        .is_none());
+                }
+                ctx.sleep(SimDuration::from_micros(1)).await;
+            });
+            let r = b.run();
+            (r.events_processed, r.trace_hash, r.sched.local_locks)
+        };
+        let quiet = run_with(0, 0);
+        // One lock per park (two parks) and one per kernel apply (three polls).
+        assert_eq!(quiet.2, 5);
+        for workers in [0, 1, 8] {
+            assert_eq!(run_with(100, workers), quiet, "pool of {workers}");
         }
     }
 

@@ -1,0 +1,83 @@
+//! Lock budget: acquisitions of an actor's mutex per processed event, as a
+//! deterministic gate on what one simulator event costs the host below the
+//! event count.
+//!
+//! The kernel and an actor's `MailCtx` hand each other the mailbox, the
+//! effect buffer and the park request through one mutex per actor
+//! (`crates/sim/src/kernel.rs`, "Ownership rule"); everything a poll only
+//! reads — the clock, whether the mailbox is empty — is lock-free.
+//! `SchedStats::local_locks` counts the acquisitions that remain. The count
+//! is a function of the event stream: same seed, same figure, in debug and
+//! release, on any host and at any pool size — so every cell runs inline and
+//! on a pool of 8 and the two must agree. The ceiling is the figures measured
+//! when the read paths stopped locking (CHANGES.md, PR 18) plus 10 %.
+
+use dlb::apps::{Calibration, Lu};
+use dlb::core::driver::{try_run, AppSpec, RunConfig};
+use dlb::sim::{FaultPlan, LoadModel, NodeConfig, SimDuration};
+use std::sync::Arc;
+
+/// Ceiling in locks per event for both cells: measured 2.04 (LU n=512 × 4,
+/// plain) and 2.06 (LU n=68 × 64, armed), + 10 % and + 9 %. The parent
+/// commit's release build took 5.21 and 4.05; its debug build also locked for
+/// a `debug_assert` on `now()` (6.15 and 4.60).
+const CEILING: f64 = 2.25;
+
+/// The two cells' cluster: balancer on, polled by `workers` pool threads.
+fn cluster(slaves: usize, workers: usize) -> RunConfig {
+    let mut cfg = RunConfig::homogeneous(slaves);
+    cfg.balancer.enabled = true;
+    cfg.worker_threads = Some(workers);
+    cfg
+}
+
+/// Locks per event of one LU cell, the same inline and on a pool of 8.
+fn locks_per_event(label: &str, lu: &Arc<Lu>, cfg: impl Fn(usize) -> RunConfig) -> f64 {
+    let plan = dlb::compiler::compile(&lu.program()).unwrap();
+    let [inline, pooled] = [0, 8].map(|workers| {
+        let report = try_run(AppSpec::Shrinking(lu.clone()), &plan, cfg(workers))
+            .expect("the run completes");
+        assert_eq!(Lu::result_cols(&report.result), lu.sequential(), "{label}");
+        (report.sim.sched.local_locks, report.sim.events_processed)
+    });
+    assert_eq!(pooled, inline, "{label}: pool of 8 vs inline");
+    let (locks, events) = inline;
+    let per = locks as f64 / events as f64;
+    println!(
+        "lock_budget {label}: {locks} actor-local locks / {events} events = {per:.2} per event"
+    );
+    per
+}
+
+#[test]
+fn locks_per_event_stay_in_budget() {
+    // The LU cell of `events_w4`: n=512 over 4 slaves, one constant competing
+    // task on slave 0, no fault plan — a park, a wake and a few mailbox peeks
+    // per column update.
+    let lu = Arc::new(Lu::new(512, 7, &Calibration::default()));
+    let plain = locks_per_event("plain4", &lu, |workers| {
+        let mut cfg = cluster(4, workers);
+        cfg.slave_nodes[0] = NodeConfig::with_load(LoadModel::Constant(1));
+        cfg
+    });
+    assert!(plain <= CEILING, "plain4: {plain:.2} locks/event");
+
+    // Armed and quiet at 64 slaves (the `tests/alloc_budget.rs` cell):
+    // checkpoints, replicas, acks and heartbeats on top, batches up to 65.
+    let lu = Arc::new(Lu::new(68, 7, &Calibration::new(0.1 * 68.0 / 260.0)));
+    let armed = locks_per_event("armed64", &lu, |workers| {
+        let suspicion_ms = 12_000;
+        let mut cfg = cluster(64, workers);
+        cfg.fault_plan = Some(FaultPlan::new(7));
+        cfg.max_events = Some(50_000_000);
+        let ft = &mut cfg.fault_tolerance;
+        ft.suspicion = SimDuration::from_millis(suspicion_ms);
+        ft.speculate_after = SimDuration::from_millis(suspicion_ms * 5 / 8);
+        ft.nudge = SimDuration::from_millis(suspicion_ms / 4);
+        ft.slave_heartbeat = SimDuration::from_millis(suspicion_ms / 8);
+        ft.rejoin_attempts = 10;
+        ft.rejoin_backoff = SimDuration::from_millis(suspicion_ms / 4);
+        cfg
+    });
+    assert!(armed <= CEILING, "armed64: {armed:.2} locks/event");
+}

@@ -2,14 +2,45 @@
 """Turn a hostprof dump into tables of sample shares by source line.
 
 usage: sym.py DUMP BINARY [--path SUBSTR] [--top N]
+              [--by {line,fn,file,kind}] [--within FN]
 
 SELF is the interrupted line, INCLUSIVE every function on the stack (once
 per sample), and with --path FIRST is, per sample, the innermost frame whose
 source file contains SUBSTR: which of OUR lines was running, std and alloc
 frames skipped over. Only frames inside BINARY are symbolised (`addr2line
 -f -C -i`: inlined callers count as frames); others show as their mapping.
+
+--by rolls the SELF and FIRST rows up: all lines of a function, all lines of
+a file, or a frame's kind (KINDS below) - "how much is the mutex" is one row,
+not eight futex.rs lines. --within FN keeps only the samples with FN
+(substring) somewhere on the stack, e.g. `try_run` to leave set-up out.
 """
 import argparse, collections, os, subprocess  # noqa: E401
+
+# A frame's kind: the first row with a substring in "function file:line".
+KINDS = [
+    ("mutex", ("futex", "sync/mutex", "sync::mutex", "sync::poison")),
+    ("allocator+memcpy", ("libc.so", "alloc::alloc", "alloc/src/alloc.rs", "raw_vec",
+                          "__rust_alloc", "__rust_dealloc", "__rust_realloc", "__rdl_")),
+    ("heap sift", ("binary_heap",)),
+    ("apps", ("crates/apps/",)),
+    ("sim", ("crates/sim/",)),
+    ("core", ("crates/core/",)),
+    ("other std", ("/rustc/", "/library/")),
+]
+
+
+def rollup(by):
+    """The table key of a frame under --by."""
+    def kind(fr):
+        text = " ".join(fr)
+        return next((k for k, subs in KINDS if any(s in text for s in subs)), "other")
+    return {
+        "line": lambda fr: fr,
+        "fn": lambda fr: (fr[0], ""),
+        "file": lambda fr: ("", fr[1].rsplit(":", 1)[0]) if fr[1] else fr,
+        "kind": lambda fr: (kind(fr), ""),
+    }[by]
 
 
 def load(dump):
@@ -52,7 +83,10 @@ def main():
     ap.add_argument("binary")
     ap.add_argument("--path", help="source-path substring for the FIRST table")
     ap.add_argument("--top", type=int, default=10)
+    ap.add_argument("--by", choices=["line", "fn", "file", "kind"], default="line")
+    ap.add_argument("--within", metavar="FN", help="keep only samples with FN on the stack")
     opt = ap.parse_args()
+    key = rollup(opt.by)
     maps, samples = load(opt.dump)
     real = os.path.realpath(opt.binary)
     base = min((lo - off for lo, _, off, p in maps if p == real), default=None)
@@ -74,21 +108,26 @@ def main():
         return table.get(pc - base) or [("?", "?")]
 
     self_t, incl_t, first_t = (collections.Counter() for _ in range(3))
+    kept = 0
     for stack in stacks:
         flat = [fr for pc in stack for fr in frames(pc)]
-        self_t[flat[0] if flat else ("?", "?")] += 1
+        if opt.within and not any(opt.within in fn for fn, _ in flat):
+            continue
+        kept += 1
+        self_t[key(flat[0] if flat else ("?", "?"))] += 1
         incl_t.update({fn for fn, _ in flat})
         if opt.path:
             hit = next((fr for fr in flat if opt.path in fr[1]), None)
-            first_t[hit or ("(no frame under " + opt.path + ")", "")] += 1
+            first_t[key(hit) if hit else ("(no frame under " + opt.path + ")", "")] += 1
 
     def show(title, table):
-        print(f"\n{title} ({len(stacks)} samples)")
-        for key, n in table.most_common(opt.top):
-            fn, where = key if isinstance(key, tuple) else (key, "")
+        scope = f"{kept} samples" + (f" within {opt.within}" if opt.within else "")
+        print(f"\n{title} ({scope} of {len(stacks)})")
+        for row, n in table.most_common(opt.top):
+            fn, where = row if isinstance(row, tuple) else (row, "")
             if opt.path and opt.path in where:
                 where = where[where.index(opt.path):]
-            print(f"{100.0 * n / len(stacks):6.1f}%  {where:<44} {fn}")
+            print(f"{100.0 * n / max(kept, 1):6.1f}%  {where:<44} {fn}")
 
     show("SELF", self_t)
     show("INCLUSIVE", incl_t)
