@@ -162,6 +162,31 @@ mod tests {
         }
     }
 
+    /// FNV-1a over the little-endian bytes of every element's `to_bits`,
+    /// row-major: one number for "the same C, to the last bit".
+    fn fnv1a_bits(c: &[Vec<f64>]) -> u64 {
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        for byte in c.iter().flatten().flat_map(|v| v.to_bits().to_le_bytes()) {
+            h = (h ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+        h
+    }
+
+    /// The values themselves, pinned: recorded with the column-major,
+    /// one-accumulator `row_step` this crate shipped through PR 18. Any
+    /// kernel layout must reproduce it - in debug, in release, and with
+    /// any `target-cpu` (CI job `apps-isa`). n = 50 is ragged for every
+    /// panel width >= 4.
+    #[test]
+    fn sequential_bits_are_pinned() {
+        let c = MatMul::new(50, 3, 7, &Calibration::default()).sequential();
+        assert_eq!(
+            fnv1a_bits(&c),
+            0xfd36_f9d3_66ef_e065,
+            "C moved by at least one bit"
+        );
+    }
+
     #[test]
     fn cost_calibration() {
         // n=500 at 1 MFLOP/s: unit = 2*500^2 flops = 0.5 s; 500 units = 250 s.
