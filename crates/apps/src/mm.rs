@@ -5,6 +5,39 @@
 //! count models MM embedded in an outer loop (each rep accumulates another
 //! `A×B` into `C`), which is how the paper's Fig. 9 keeps MM running across
 //! several load oscillations.
+//!
+//! # Operation order is the contract, layout is not
+//!
+//! Every run is verified bit for bit against [`MatMul::sequential`], and a
+//! test below pins the values themselves (a hash over `f64::to_bits` of C).
+//! What fixes them is the sequence of floating-point operations behind each
+//! element: `acc = 0.0`, then `acc += A[i][k] * B[k][j]` for `k` ascending,
+//! then `C[i][j] += acc`, once per repetition. How B is stored, and how many
+//! elements of C are in flight at once, is free.
+//!
+//! B is stored packed in panels of `PANEL` = 16 columns (`pack_panels`: one
+//! flat `Vec<f64>`, panel `p` laid out `[k][w]` for column `16 p + w`, the
+//! last panel zero-padded), and `row_step` carries one accumulator per column
+//! of a panel through a single walk over `k`. Each accumulator still receives
+//! exactly the operands above in exactly that order - the sixteen chains
+//! never mix - and Rust never contracts `a * b + c` into a fused
+//! multiply-add, so every rounding step is the one the column-at-a-time dot
+//! product made, at any vector width (CI job `apps-isa` rebuilds this crate's
+//! tests with `-C target-cpu=native`).
+//!
+//! What it buys is host time. One add chain per element runs at the
+//! floating-point adder's latency and cannot be vectorised without
+//! reassociating it; sixteen independent chains fill the adder's pipeline and
+//! adjacent lanes pair up in SSE2 registers on a baseline x86-64 build. On
+//! the 2-core reference box `compute_w4/wall_s` (n = 640, 4 reps) went
+//! 0.80 -> 0.47 s at the median of ten alternating pairs and
+//! `apps/mm_row/640` of the components bench 371 -> 149 us per row; sampled
+//! with `tools/hostprof/`, `row_step` is the first in-repo frame of 95 % of
+//! `try_run`'s samples before and 92 % after. What is left is the stream of B
+//! itself: 3.3 MB (more than that box's L2) read once per row of C, ~20 GB/s
+//! at the new speed. Reusing a panel across several rows would cut that, but
+//! a unit *is* one row: the engines charge virtual time and move work between
+//! slaves per unit, mid-invocation, so a batched kernel call is not on offer.
 
 use crate::calibration::{seeded_matrix, Calibration};
 use dlb_core::kernels::IndependentKernel;
@@ -17,9 +50,8 @@ pub struct MatMul {
     reps: u64,
     /// Row-major A (rows move with units).
     a: Vec<Vec<f64>>,
-    /// Column-major B (replicated), `b[j][k] = B[k][j]` for cache-friendly
-    /// dot products.
-    b_cols: Vec<Vec<f64>>,
+    /// B (replicated), packed by [`pack_panels`] for [`row_step`].
+    b_panels: Vec<f64>,
     unit_cost: CpuWork,
 }
 
@@ -28,20 +60,14 @@ impl MatMul {
     pub fn new(n: usize, reps: u64, seed: u64, cal: &Calibration) -> MatMul {
         assert!(n > 0 && reps > 0);
         let a = seeded_matrix(n, n, seed ^ 0xA);
-        let b = seeded_matrix(n, n, seed ^ 0xB);
-        let mut b_cols = vec![vec![0.0; n]; n];
-        for (k, row) in b.iter().enumerate() {
-            for (j, &v) in row.iter().enumerate() {
-                b_cols[j][k] = v;
-            }
-        }
+        let b_panels = pack_panels(&seeded_matrix(n, n, seed ^ 0xB));
         // One unit = one row of C = 2n^2 flops.
         let unit_cost = cal.work_for_flops(2.0 * (n as f64) * (n as f64));
         MatMul {
             n,
             reps,
             a,
-            b_cols,
+            b_panels,
             unit_cost,
         }
     }
@@ -56,7 +82,7 @@ impl MatMul {
         let mut c = vec![vec![0.0; self.n]; self.n];
         for _rep in 0..self.reps {
             for i in 0..self.n {
-                row_step(&self.a[i], &self.b_cols, &mut c[i]);
+                row_step(&self.a[i], &self.b_panels, &mut c[i]);
             }
         }
         c
@@ -78,15 +104,49 @@ impl MatMul {
     }
 }
 
-/// One invocation's work for one row: `c_row += a_row × B`.
-fn row_step(a_row: &[f64], b_cols: &[Vec<f64>], c_row: &mut [f64]) {
-    for (j, c) in c_row.iter_mut().enumerate() {
-        let col = &b_cols[j];
-        let mut acc = 0.0;
-        for (av, bv) in a_row.iter().zip(col) {
-            acc += av * bv;
+/// Columns of B per panel, hence independent accumulators in [`row_step`].
+/// Sixteen `f64`s are eight SSE2 registers, half the file; 8 and 32 were no
+/// faster on the `apps/mm_row` probe, so this is a constant, not a knob.
+const PANEL: usize = 16;
+
+/// Pack row-major `b` (n × n) into `ceil(n / PANEL)` panels of `PANEL`
+/// columns each: panel `p` is `n * PANEL` consecutive values laid out
+/// `[k][w]`, holding `b[k][p * PANEL + w]`. The last panel's columns past
+/// `n` are zero padding that [`row_step`] computes on and throws away.
+fn pack_panels(b: &[Vec<f64>]) -> Vec<f64> {
+    let n = b.len();
+    let mut packed = Vec::with_capacity(n.div_ceil(PANEL) * n * PANEL);
+    for first in (0..n).step_by(PANEL) {
+        for row in b {
+            let cols = &row[first..n.min(first + PANEL)];
+            packed.extend_from_slice(cols);
+            packed.resize(packed.len() + PANEL - cols.len(), 0.0);
         }
-        *c += acc;
+    }
+    packed
+}
+
+/// One invocation's work for one row: `c_row += a_row × B`.
+///
+/// Each `c_row[j]` receives `0.0 + a[0]·B[0][j] + a[1]·B[1][j] + …` in
+/// ascending `k`, then one `+=` - the order the module doc fixes. The
+/// `PANEL` sums of a panel advance together, one `k` at a time: they are
+/// independent add chains, so the adder pipeline stays full and adjacent
+/// lanes vectorise, without any of them being reassociated.
+fn row_step(a_row: &[f64], b_panels: &[f64], c_row: &mut [f64]) {
+    let panels = b_panels.chunks_exact(a_row.len() * PANEL);
+    for (panel, c_cols) in panels.zip(c_row.chunks_mut(PANEL)) {
+        let mut acc = [0.0; PANEL];
+        for (av, b_k) in a_row.iter().zip(panel.chunks_exact(PANEL)) {
+            for (sum, bv) in acc.iter_mut().zip(b_k) {
+                *sum += av * bv;
+            }
+        }
+        // A ragged last panel has fewer than PANEL columns of C: the zip
+        // stops there and the padded lanes' sums are dropped.
+        for (c, sum) in c_cols.iter_mut().zip(acc) {
+            *c += sum;
+        }
     }
 }
 
@@ -108,7 +168,7 @@ impl IndependentKernel for MatMul {
             let (first, rest) = unit.split_first_mut().expect("unit has [a, c]");
             (first, &mut rest[0])
         };
-        row_step(a_row, &self.b_cols, c_row);
+        row_step(a_row, &self.b_panels, c_row);
     }
 
     fn unit_cost(&self) -> CpuWork {
@@ -120,20 +180,58 @@ impl IndependentKernel for MatMul {
 mod tests {
     use super::*;
 
+    /// Order, not just agreement: every element against a plain in-order
+    /// dot product, `to_bits`-equal, at sizes below, at, and either side of
+    /// one and two panels.
     #[test]
-    fn sequential_matches_naive() {
+    fn row_step_is_the_in_order_dot_product() {
         let cal = Calibration::default();
-        let mm = MatMul::new(8, 1, 42, &cal);
-        let c = mm.sequential();
-        // Naive triple loop.
-        for i in 0..8 {
-            for j in 0..8 {
-                let mut acc = 0.0;
-                for k in 0..8 {
-                    acc += mm.a[i][k] * mm.b_cols[j][k];
+        for n in [1, 2, 15, 16, 17, 31, 33, 64, 100] {
+            for reps in [1, 3] {
+                let mm = MatMul::new(n, reps, 42, &cal);
+                let b = seeded_matrix(n, n, 42 ^ 0xB);
+                let c = mm.sequential();
+                for i in 0..n {
+                    for j in 0..n {
+                        let mut want = 0.0f64;
+                        for _rep in 0..reps {
+                            let mut acc = 0.0;
+                            for k in 0..n {
+                                acc += mm.a[i][k] * b[k][j];
+                            }
+                            want += acc;
+                        }
+                        assert_eq!(
+                            c[i][j].to_bits(),
+                            want.to_bits(),
+                            "n={n} reps={reps} C[{i}][{j}]"
+                        );
+                    }
                 }
-                assert!((c[i][j] - acc).abs() < 1e-12);
             }
+        }
+    }
+
+    /// The last panel's padded lanes are computed on but must never reach
+    /// C: poison them and nothing may change.
+    #[test]
+    fn padded_lanes_never_reach_c() {
+        let cal = Calibration::default();
+        for n in [1, 17, 50] {
+            let clean = MatMul::new(n, 2, 9, &cal);
+            assert_eq!(clean.b_panels.len(), n.div_ceil(PANEL) * n * PANEL);
+            let mut poisoned = MatMul::new(n, 2, 9, &cal);
+            let last = poisoned.b_panels.len() - n * PANEL;
+            let mut padding = 0;
+            for b_k in poisoned.b_panels[last..].chunks_exact_mut(PANEL) {
+                for lane in &mut b_k[n % PANEL..] {
+                    assert_eq!(lane.to_bits(), 0, "padding is +0.0");
+                    *lane = f64::NAN;
+                    padding += 1;
+                }
+            }
+            assert_eq!(padding, n * (PANEL - n % PANEL));
+            assert_eq!(poisoned.sequential(), clean.sequential(), "n={n}");
         }
     }
 

@@ -1,15 +1,20 @@
 //! Plain-harness micro-benchmarks of the runtime's pure components: the
 //! quantum-scheduler CPU model, rate filtering, allocation and shift
-//! planning, chunk policies, and full balancer decisions.
+//! planning, chunk policies, full balancer decisions, and the three
+//! applications' compute kernels (`apps/*`: ns per call and Mflop/s through
+//! the public kernel traits - the apps-layer counterpart of the end-to-end
+//! bench's `sim.kernel.bare_*_ns`, printed, never gated).
 //!
 //! No external benchmarking dependency: each case runs a fixed iteration
 //! count under `std::time::Instant` and prints ns/iter. Run with
 //! `cargo bench -p dlb-bench --bench components`.
 
 use dlb_analyze::{check_protocol_with, lint, CheckConfig};
+use dlb_apps::{Calibration, Lu, MatMul, Sor};
 use dlb_baselines::ChunkPolicy;
 use dlb_compiler::{compile, programs};
 use dlb_core::alloc::{plan_adjacent_shifts, plan_direct_moves, proportional_allocation};
+use dlb_core::kernels::{IndependentKernel, PipelinedKernel, ShrinkingKernel};
 use dlb_core::msg::Status;
 use dlb_core::RestoreModel;
 use dlb_core::{Balancer, BalancerConfig, RateFilter};
@@ -18,15 +23,26 @@ use dlb_sim::{CpuWork, LoadModel, SimDuration, SimTime};
 use std::hint::black_box;
 use std::time::Instant;
 
-fn bench<R>(name: &str, iters: u64, mut f: impl FnMut() -> R) {
-    // One warm-up pass, then the timed loop.
+/// Mean ns per call of `f`: one warm-up pass, then the timed loop.
+fn time_ns<R>(iters: u64, mut f: impl FnMut() -> R) -> f64 {
     black_box(f());
     let t0 = Instant::now();
     for _ in 0..iters {
         black_box(f());
     }
-    let per = t0.elapsed().as_nanos() as f64 / iters as f64;
+    t0.elapsed().as_nanos() as f64 / iters as f64
+}
+
+fn bench<R>(name: &str, iters: u64, f: impl FnMut() -> R) {
+    let per = time_ns(iters, f);
     println!("{name:<40} {per:>12.1} ns/iter   ({iters} iters)");
+}
+
+/// A compute kernel doing `flops` floating-point operations per call.
+fn bench_kernel<R>(name: &str, iters: u64, flops: f64, f: impl FnMut() -> R) {
+    let per = time_ns(iters, f);
+    let mflops = flops / per * 1e3;
+    println!("{name:<40} {per:>12.1} ns/call   {mflops:>8.0} Mflop/s   ({iters} iters)");
 }
 
 fn bench_cpu_advance() {
@@ -164,7 +180,43 @@ fn bench_analyzer() {
     });
 }
 
+/// One unit of each application's inner work, as the engines call it. The
+/// same buffers are updated over and over (a unit's state between calls is
+/// the previous call's output, as in a run); each stays finite: MM's C grows
+/// linearly, SOR relaxes towards a fixed point between fixed neighbours, and
+/// LU gets its multiplier's numerator back before every call.
+fn bench_apps() {
+    let cal = Calibration::default();
+    for (n, iters) in [(64, 200_000), (640, 2_000)] {
+        let mm = MatMul::new(n, 1, 7, &cal);
+        let mut unit = mm.init_unit(0);
+        let flops = 2.0 * (n * n) as f64;
+        bench_kernel(&format!("apps/mm_row/{n}"), iters, flops, || {
+            mm.compute(0, black_box(&mut unit), 0)
+        });
+    }
+
+    let n = 512;
+    let lu = Lu::new(n, 7, &cal);
+    let (pivot, mut col) = (lu.init_unit(0), lu.init_unit(1));
+    let numerator = col[0];
+    let flops = 1.0 + 2.0 * (n - 1) as f64;
+    bench_kernel(&format!("apps/lu_update/{n}"), 1_000_000, flops, || {
+        col[0] = numerator;
+        lu.update(1, black_box(&mut col), black_box(&pivot), 0)
+    });
+
+    let n = 514;
+    let sor = Sor::new(n, 1, 7, &cal);
+    let (left, mut col, right) = (sor.init_unit(0), sor.init_unit(1), sor.init_unit(2));
+    let flops = 6.0 * (n - 2) as f64;
+    bench_kernel(&format!("apps/sor_block/{n}"), 500_000, flops, || {
+        sor.compute_block(black_box(&mut col), &left, &right, 1..n - 1)
+    });
+}
+
 fn main() {
+    bench_apps();
     bench_cpu_advance();
     bench_rate_filter();
     bench_allocation();

@@ -62,6 +62,10 @@ impl NodeConfig {
 pub struct Advance {
     /// Virtual time at which the requested work completes.
     pub finish: SimTime,
+    /// The work's duration on this node with nothing competing
+    /// (`work.dedicated_duration(cfg.speed)`): the application CPU time the
+    /// advance consumes, whatever the load stretches `finish` to.
+    pub dedicated: SimDuration,
     /// Application CPU time consumed while competing tasks were runnable
     /// (used for `getrusage`-style accounting of competing CPU time).
     pub cpu_while_loaded: SimDuration,
@@ -201,7 +205,8 @@ fn advance_unbounded(t: SimTime, need: u64, anchor: SimTime, tasks: u32, q: u64)
 pub fn advance(cfg: &NodeConfig, start: SimTime, work: CpuWork) -> Advance {
     let q = cfg.quantum.micros();
     assert!(q > 0, "quantum must be positive");
-    let mut need = work.dedicated_duration(cfg.speed).micros();
+    let dedicated = work.dedicated_duration(cfg.speed);
+    let mut need = dedicated.micros();
     let mut t = start;
     let mut loaded = 0u64;
     while need > 0 {
@@ -250,6 +255,7 @@ pub fn advance(cfg: &NodeConfig, start: SimTime, work: CpuWork) -> Advance {
     }
     Advance {
         finish: t,
+        dedicated,
         cpu_while_loaded: SimDuration::from_micros(loaded),
     }
 }
@@ -284,6 +290,29 @@ mod tests {
         };
         let a = advance(&cfg, SimTime::ZERO, CpuWork::from_micros(1_000));
         assert_eq!(a.finish, SimTime(500));
+    }
+
+    /// `dedicated` is the one `dedicated_duration` the advance computed -
+    /// what `MailCtx::advance_work` charges as application CPU time - at any
+    /// speed (rounded up to a whole microsecond) and under any load.
+    #[test]
+    fn advance_reports_the_dedicated_duration_it_used() {
+        for speed in [1.0, 2.0, 0.7, 3.3] {
+            for load in [LoadModel::Dedicated, LoadModel::Constant(2)] {
+                let cfg = NodeConfig {
+                    speed,
+                    ..node(load)
+                };
+                for micros in [1, 999, 3 * Q + 1] {
+                    let work = CpuWork::from_micros(micros);
+                    let a = advance(&cfg, SimTime(17), work);
+                    assert_eq!(a.dedicated, work.dedicated_duration(speed));
+                    if matches!(cfg.load, LoadModel::Dedicated) {
+                        assert_eq!(a.finish, SimTime(17) + a.dedicated);
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -650,7 +650,7 @@ impl<M: Send + Clone + 'static> MailCtx<M> {
         let node_cfg = &self.cell.node_cfg;
         let adv = cpu::advance(node_cfg, self.now(), work);
         let cpu = LocalEffect::Cpu {
-            app: work.dedicated_duration(node_cfg.speed),
+            app: adv.dedicated,
             loaded: adv.cpu_while_loaded,
         };
         let parked = {

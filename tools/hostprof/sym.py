@@ -12,8 +12,13 @@ frames skipped over. Only frames inside BINARY are symbolised (`addr2line
 
 --by rolls the SELF and FIRST rows up: all lines of a function, all lines of
 a file, or a frame's kind (KINDS below) - "how much is the mutex" is one row,
-not eight futex.rs lines. --within FN keeps only the samples with FN
-(substring) somewhere on the stack, e.g. `try_run` to leave set-up out.
+not eight futex.rs lines. Under --by kind, a SELF frame that is `other std`
+and inlined straight into this repo's code takes that code's kind: `f64::mul`
+or `Zip::next` inlined into a kernel loop is that kernel's arithmetic, not
+the library's. The mutex, allocator and heap rows stay "the interrupted line
+is theirs".
+--within FN keeps only the samples with FN (substring) somewhere on the
+stack, e.g. `try_run` to leave set-up out.
 """
 import argparse, collections, os, subprocess  # noqa: E401
 
@@ -28,13 +33,17 @@ KINDS = [
     ("core", ("crates/core/",)),
     ("other std", ("/rustc/", "/library/")),
 ]
+# The kinds that are this repo's code: what inlined std arithmetic is charged to.
+OURS = ("apps", "sim", "core")
+
+
+def kind(fr):
+    text = " ".join(fr)
+    return next((k for k, subs in KINDS if any(s in text for s in subs)), "other")
 
 
 def rollup(by):
     """The table key of a frame under --by."""
-    def kind(fr):
-        text = " ".join(fr)
-        return next((k for k, subs in KINDS if any(s in text for s in subs)), "other")
     return {
         "line": lambda fr: fr,
         "fn": lambda fr: (fr[0], ""),
@@ -114,7 +123,14 @@ def main():
         if opt.within and not any(opt.within in fn for fn, _ in flat):
             continue
         kept += 1
-        self_t[key(flat[0] if flat else ("?", "?"))] += 1
+        top = flat[0] if flat else ("?", "?")
+        if opt.by == "kind":
+            # The interrupted pc's own inline chain, innermost first.
+            chain = (fr for pc in stack[:1] for fr in frames(pc))
+            host = next((fr for fr in chain if kind(fr) != "other std"), top)
+            if kind(host) in OURS:
+                top = host
+        self_t[key(top)] += 1
         incl_t.update({fn for fn, _ in flat})
         if opt.path:
             hit = next((fr for fr in flat if opt.path in fr[1]), None)
