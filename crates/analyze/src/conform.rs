@@ -28,8 +28,8 @@
 
 use crate::diag::{Code, Diagnostic, Report};
 use dlb_compiler::Span;
-use dlb_core::session::model::{EStep, EWire, ElectionModel, ElectionState};
-use dlb_sim::{parse_trace, TraceEvent, TraceKind, TransitionSystem};
+use dlb_core::session::model::{EWire, ElectionLocal, ElectionModel, ElectionState};
+use dlb_sim::{parse_trace, Step, TraceEvent, TraceKind, TransitionSystem};
 use std::collections::BTreeSet;
 
 /// What one conformance replay established.
@@ -136,23 +136,11 @@ fn parse_tag(tag: &str) -> Result<Option<(ETag, u64)>, String> {
     Ok(Some((tag, fresh)))
 }
 
-/// Normalized identity of a model wire message — `fresh` excluded, so a
-/// candidacy matches even if the model's static freshness assignment
-/// differs from the (time-varying) runtime value.
-type WireKey = (u8, usize, u64, usize);
-
-fn key_of(w: &EWire) -> WireKey {
-    match w {
-        EWire::Candidacy {
-            to,
-            term,
-            candidate,
-            ..
-        } => (0, *to, *term, *candidate),
-        EWire::Vote { to, term, voter } => (1, *to, *term, *voter),
-        EWire::Promoted { to, term, winner } => (2, *to, *term, *winner),
-    }
-}
+/// Normalized identity of a model wire message, as [`EWire::parts`] renders
+/// it: `(kind, to, from, term)` — `fresh` excluded, so a candidacy matches
+/// even if the model's static freshness assignment differs from the
+/// (time-varying) runtime value.
+type WireKey = (u8, usize, usize, u64);
 
 struct Replay {
     model: ElectionModel,
@@ -167,7 +155,7 @@ struct Replay {
 
 impl Replay {
     fn wire_pos(&self, key: WireKey) -> Option<usize> {
-        self.state.wire.iter().position(|m| key_of(m) == key)
+        self.state.net.wire.iter().position(|m| m.parts() == key)
     }
 
     /// A runtime send of `key`: fine if the model has it in flight (or
@@ -185,7 +173,7 @@ impl Replay {
     fn deliver(&mut self, key: WireKey) -> Result<(), String> {
         match self.wire_pos(key) {
             Some(i) => {
-                self.state = self.model.apply(&self.state, &EStep::Deliver(i));
+                self.state = self.model.apply(&self.state, &Step::Deliver(i));
                 self.delivered.insert(key);
                 Ok(())
             }
@@ -218,7 +206,7 @@ impl Replay {
                     if !self
                         .model
                         .actions(&self.state)
-                        .contains(&EStep::Stand(*cand))
+                        .contains(&Step::Local(ElectionLocal::Stand(*cand)))
                     {
                         return Err(format!(
                             "deputy {cand} stood in term {term}, but Stand({cand}) is not \
@@ -230,30 +218,33 @@ impl Replay {
                     // untagged channels (master pings, replica messages).
                     // Model that learning, then stand.
                     self.state.deps[*cand].term_seen = term - 1;
-                    self.state = self.model.apply(&self.state, &EStep::Stand(*cand));
+                    self.state = self
+                        .model
+                        .apply(&self.state, &Step::Local(ElectionLocal::Stand(*cand)));
                     self.stands_seen.insert((*term, *cand));
                 }
                 match dep_of(dst) {
-                    Some(to) => self.expect_sent((0, to, *term, *cand)),
+                    Some(to) => self.expect_sent((EWire::CANDIDACY, to, *cand, *term)),
                     None => Ok(()), // candidacy to a non-deputy: out of model scope
                 }
             }
             (true, ETag::Vote { term, voter, cand }) => {
                 // The teeth: the model must itself have granted this vote
                 // (candidacy delivered, term unspent, freshness rule held).
-                self.expect_sent((1, *cand, *term, *voter)).map_err(|_| {
-                    format!(
-                        "deputy {voter} granted term {term} to deputy {cand}, but the \
+                self.expect_sent((EWire::VOTE, *cand, *voter, *term))
+                    .map_err(|_| {
+                        format!(
+                            "deputy {voter} granted term {term} to deputy {cand}, but the \
                          model's voting rules did not produce that vote"
-                    )
-                })
+                        )
+                    })
             }
             (true, ETag::Promoted { term, winner }) => {
                 if !self.wins_seen.contains(&(*term, *winner)) {
                     if !self
                         .model
                         .actions(&self.state)
-                        .contains(&EStep::Win(*winner))
+                        .contains(&Step::Local(ElectionLocal::Win(*winner)))
                         || self.state.deps[*winner].standing != *term
                     {
                         let votes = self.state.deps[*winner].votes.len();
@@ -263,16 +254,18 @@ impl Replay {
                             n
                         ));
                     }
-                    self.state = self.model.apply(&self.state, &EStep::Win(*winner));
+                    self.state = self
+                        .model
+                        .apply(&self.state, &Step::Local(ElectionLocal::Win(*winner)));
                     self.wins_seen.insert((*term, *winner));
                 }
                 match dep_of(dst) {
-                    Some(to) => self.expect_sent((2, to, *term, *winner)),
+                    Some(to) => self.expect_sent((EWire::PROMOTED, to, *winner, *term)),
                     None => Ok(()), // cluster-wide broadcast beyond the deputy set
                 }
             }
             (false, ETag::Candidacy { term, cand }) => match dep_of(dst) {
-                Some(to) => self.deliver((0, to, *term, *cand)),
+                Some(to) => self.deliver((EWire::CANDIDACY, to, *cand, *term)),
                 None => Ok(()),
             },
             (
@@ -283,11 +276,11 @@ impl Replay {
                     cand: _,
                 },
             ) => match dep_of(dst) {
-                Some(to) => self.deliver((1, to, *term, *voter)),
+                Some(to) => self.deliver((EWire::VOTE, to, *voter, *term)),
                 None => Ok(()),
             },
             (false, ETag::Promoted { term, winner }) => match dep_of(dst) {
-                Some(to) => self.deliver((2, to, *term, *winner)),
+                Some(to) => self.deliver((EWire::PROMOTED, to, *winner, *term)),
                 None => Ok(()),
             },
         }

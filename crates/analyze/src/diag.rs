@@ -197,6 +197,9 @@ impl std::fmt::Display for Diagnostic {
 pub struct Report {
     pub target: String,
     pub diagnostics: Vec<Diagnostic>,
+    /// What a clean pass covered (states, depth, actions pruned), printed
+    /// after `clean` so a log shows a check getting weaker, not only slower.
+    pub tally: Option<String>,
 }
 
 impl Report {
@@ -204,6 +207,7 @@ impl Report {
         Report {
             target: target.into(),
             diagnostics: Vec::new(),
+            tally: None,
         }
     }
 
@@ -239,7 +243,8 @@ impl Report {
             .filter(|d| d.severity == Severity::Warning)
             .count();
         if self.diagnostics.is_empty() {
-            let _ = writeln!(out, "{}: clean", self.target);
+            let tally = self.tally.as_ref().map(|t| format!(" ({t})"));
+            let _ = writeln!(out, "{}: clean{}", self.target, tally.unwrap_or_default());
         } else {
             let _ = writeln!(
                 out,

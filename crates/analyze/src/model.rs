@@ -73,70 +73,6 @@ impl Default for CheckConfig {
     }
 }
 
-/// Run the exhaustive pass with or without reductions, per `cfg`.
-fn run_exhaustive<S>(model: &S, cfg: &CheckConfig) -> (Exploration, Option<ReduceStats>)
-where
-    S: Symmetric + Ample,
-    S::State: std::hash::Hash,
-{
-    if cfg.reduce {
-        let (ex, stats) = explore_reduced(
-            model,
-            &ReduceConfig {
-                max_depth: cfg.max_depth,
-                max_states: cfg.max_states,
-                symmetry: true,
-                ample: true,
-                fingerprint: !cfg.exact,
-            },
-        );
-        (ex, Some(stats))
-    } else {
-        (explore(model, cfg.max_depth, cfg.max_states), None)
-    }
-}
-
-fn exhaustive_label(cfg: &CheckConfig) -> &'static str {
-    if cfg.reduce {
-        "reduced exhaustive exploration"
-    } else {
-        "exhaustive exploration"
-    }
-}
-
-fn reduction_notes(stats: &Option<ReduceStats>) -> Vec<String> {
-    match stats {
-        Some(st) => vec![format!(
-            "reduction: {} states expanded, {} actions pruned, visited set {} bytes",
-            st.expanded, st.pruned_actions, st.visited_bytes
-        )],
-        None => Vec::new(),
-    }
-}
-
-fn span_for(model: &RestoreModel) -> Span {
-    // The protocol has no loop-nest location; encode the model shape as the
-    // pseudo-program so the diagnostic names what was checked.
-    Span::program(&format!(
-        "restore-protocol(survivors={}, waves={:?}, drops={}, dups={}, dedup={})",
-        model.survivors, model.waves, model.max_drops, model.max_dups, model.dedup_acks
-    ))
-}
-
-fn span_for_transfer(model: &TransferModel) -> Span {
-    Span::program(&format!(
-        "transfer-protocol(units={}, receivers={}, moves={:?}, drops={}, dups={}, evicts={}, \
-         dedup={})",
-        model.units.len(),
-        model.receivers,
-        model.moves,
-        model.max_drops,
-        model.max_dups,
-        model.max_evicts,
-        model.dedup_transfers
-    ))
-}
-
 /// Which diagnostic each class of verdict maps to — the restore, transfer,
 /// and election models share the explorer but report distinct codes.
 #[derive(Clone, Copy)]
@@ -200,80 +136,97 @@ fn push_exploration(
         notes.push(format!("counterexample ({} steps):", trace.steps.len()));
         notes.extend(trace.steps.iter().map(|s| format!("  {s}")));
     }
-    match ex.verdict {
-        Verdict::Ok => {
-            if ex.truncated {
-                report.push(
-                    Diagnostic::new(
-                        Code::W102,
-                        span,
-                        format!(
-                            "{how} was truncated by its bounds; the Ok verdict is bounded, \
-                             not exhaustive"
-                        ),
-                    )
-                    .with_notes(notes),
-                );
-            }
-        }
+    let (code, message) = match ex.verdict {
+        Verdict::Ok if !ex.truncated => return,
+        Verdict::Ok => (
+            Code::W102,
+            format!("{how} was truncated by its bounds; the Ok verdict is bounded, not exhaustive"),
+        ),
         Verdict::Violation => {
-            let detail = ex.trace.as_ref().map(|t| t.detail.as_str()).unwrap_or("");
-            let code = if detail.contains(codes.lost_marker) {
-                codes.lost
-            } else {
-                codes.duplicate
-            };
-            report.push(
-                Diagnostic::new(code, span, format!("{how} found a safety violation"))
-                    .with_notes(notes),
-            );
+            let detail = ex.trace.as_ref().map_or("", |t| t.detail.as_str());
+            let lost = detail.contains(codes.lost_marker);
+            let code = if lost { codes.lost } else { codes.duplicate };
+            (code, format!("{how} found a safety violation"))
         }
-        Verdict::Deadlock => {
-            report.push(
-                Diagnostic::new(
-                    codes.deadlock,
-                    span,
-                    format!("{how} reached a non-quiescent state with no enabled action"),
-                )
-                .with_notes(notes),
-            );
-        }
-    }
+        Verdict::Deadlock => (
+            codes.deadlock,
+            format!("{how} reached a non-quiescent state with no enabled action"),
+        ),
+    };
+    report.push(Diagnostic::new(code, span, message).with_notes(notes));
 }
 
-/// Exhaustively check `model`, then (if still clean) run seeded random
-/// walks past the exhaustive horizon.
-pub fn check_protocol_with(model: &RestoreModel, cfg: CheckConfig) -> Report {
-    let mut report = Report::new(format!(
-        "restore-protocol{}",
-        if model.dedup_acks { "" } else { " (no dedup)" }
-    ));
-    let span = span_for(model);
-    let (ex, stats) = run_exhaustive(model, &cfg);
-    push_exploration(
-        span.clone(),
-        RESTORE_CODES,
-        &ex,
-        exhaustive_label(&cfg),
-        reduction_notes(&stats),
-        &mut report,
-    );
+/// The one check body: explore `model` exhaustively (reduced or full, per
+/// `cfg`), then — if still clean — run seeded random walks past the
+/// exhaustive horizon. The report is named `{name}{tag}`; the protocol has
+/// no loop-nest location, so the span encodes the model's `shape` as the
+/// pseudo-program and the diagnostic names what was checked. An untruncated
+/// clean pass records its tallies in [`Report::tally`].
+fn check_model<S>(
+    model: &S,
+    name: &str,
+    tag: &str,
+    shape: String,
+    codes: CodeMap,
+    cfg: CheckConfig,
+) -> Report
+where
+    S: Symmetric + Ample,
+    S::State: std::hash::Hash,
+{
+    let mut report = Report::new(format!("{name}{tag}"));
+    let span = Span::program(&format!("{name}({shape})"));
+    let (ex, stats): (Exploration, Option<ReduceStats>) = if cfg.reduce {
+        let (ex, stats) = explore_reduced(
+            model,
+            &ReduceConfig {
+                max_depth: cfg.max_depth,
+                max_states: cfg.max_states,
+                symmetry: true,
+                ample: true,
+                fingerprint: !cfg.exact,
+            },
+        );
+        (ex, Some(stats))
+    } else {
+        (explore(model, cfg.max_depth, cfg.max_states), None)
+    };
+    let (how, notes, pruned) = match &stats {
+        Some(st) => (
+            "reduced exhaustive exploration",
+            vec![format!(
+                "reduction: {} states expanded, {} actions pruned, visited set {} bytes",
+                st.expanded, st.pruned_actions, st.visited_bytes
+            )],
+            format!(", {} actions pruned", st.pruned_actions),
+        ),
+        None => ("exhaustive exploration", Vec::new(), String::new()),
+    };
+    push_exploration(span.clone(), codes, &ex, how, notes, &mut report);
+    if ex.ok() && !ex.truncated {
+        report.tally = Some(format!("{} states, depth {}{pruned}", ex.states, ex.depth));
+    }
     if !report.has_errors() && cfg.walks > 0 {
         let walked = random_walks(model, cfg.seed, cfg.walks, cfg.walk_depth);
         // Walks only add findings: a clean sample after a clean exhaustive
         // pass is the expected quiet outcome.
         if walked.verdict != Verdict::Ok {
-            push_exploration(
-                span,
-                RESTORE_CODES,
-                &walked,
-                &format!("random walks (seed {:#x})", cfg.seed),
-                Vec::new(),
-                &mut report,
-            );
+            let how = format!("random walks (seed {:#x})", cfg.seed);
+            push_exploration(span, codes, &walked, &how, Vec::new(), &mut report);
         }
     }
     report
+}
+
+/// Exhaustively check `model`, then (if still clean) run seeded random
+/// walks past the exhaustive horizon.
+pub fn check_protocol_with(m: &RestoreModel, cfg: CheckConfig) -> Report {
+    let tag = if m.dedup_acks { "" } else { " (no dedup)" };
+    let shape = format!(
+        "survivors={}, waves={:?}, drops={}, dups={}, dedup={}",
+        m.survivors, m.waves, m.max_drops, m.max_dups, m.dedup_acks
+    );
+    check_model(m, "restore-protocol", tag, shape, RESTORE_CODES, cfg)
 }
 
 /// Check the standard protocol configuration with default bounds — what
@@ -286,39 +239,19 @@ pub fn check_protocol() -> Report {
 /// seeded random walks past the exhaustive horizon. Duplicated units map
 /// to [`Code::E104`], lost units to [`Code::E105`], a wedged migration to
 /// [`Code::E106`].
-pub fn check_transfer_protocol_with(model: &TransferModel, cfg: CheckConfig) -> Report {
-    let mut report = Report::new(format!(
-        "transfer-protocol{}",
-        if model.dedup_transfers {
-            ""
-        } else {
-            " (no dedup)"
-        }
-    ));
-    let span = span_for_transfer(model);
-    let (ex, stats) = run_exhaustive(model, &cfg);
-    push_exploration(
-        span.clone(),
-        TRANSFER_CODES,
-        &ex,
-        exhaustive_label(&cfg),
-        reduction_notes(&stats),
-        &mut report,
+pub fn check_transfer_protocol_with(m: &TransferModel, cfg: CheckConfig) -> Report {
+    let tag = if m.dedup_transfers { "" } else { " (no dedup)" };
+    let shape = format!(
+        "units={}, receivers={}, moves={:?}, drops={}, dups={}, evicts={}, dedup={}",
+        m.units.len(),
+        m.receivers,
+        m.moves,
+        m.max_drops,
+        m.max_dups,
+        m.max_evicts,
+        m.dedup_transfers
     );
-    if !report.has_errors() && cfg.walks > 0 {
-        let walked = random_walks(model, cfg.seed, cfg.walks, cfg.walk_depth);
-        if walked.verdict != Verdict::Ok {
-            push_exploration(
-                span,
-                TRANSFER_CODES,
-                &walked,
-                &format!("random walks (seed {:#x})", cfg.seed),
-                Vec::new(),
-                &mut report,
-            );
-        }
-    }
-    report
+    check_model(m, "transfer-protocol", tag, shape, TRANSFER_CODES, cfg)
 }
 
 /// Check the standard transfer-protocol configuration with default bounds
@@ -327,55 +260,28 @@ pub fn check_transfer_protocol() -> Report {
     check_transfer_protocol_with(&TransferModel::standard(), CheckConfig::default())
 }
 
-fn span_for_election(model: &ElectionModel) -> Span {
-    Span::program(&format!(
-        "election-protocol(deputies={}, fresh={:?}, stands={}, drops={}, dups={}, \
-         one_vote_per_term={}, fresh_guard={})",
-        model.deputies,
-        model.fresh,
-        model.max_stands,
-        model.max_drops,
-        model.max_dups,
-        model.one_vote_per_term,
-        model.fresh_guard
-    ))
-}
-
 /// Exhaustively check a master-failover election model, then run seeded
 /// random walks past the exhaustive horizon. Two masters promoted in one
 /// term map to [`Code::E107`], a winner elected by a strictly fresher
 /// quorum member to [`Code::E108`], a wedged election to [`Code::E109`].
-pub fn check_election_protocol_with(model: &ElectionModel, cfg: CheckConfig) -> Report {
-    let tag = match (model.one_vote_per_term, model.fresh_guard) {
+pub fn check_election_protocol_with(m: &ElectionModel, cfg: CheckConfig) -> Report {
+    let tag = match (m.one_vote_per_term, m.fresh_guard) {
         (true, true) => "",
         (false, _) => " (forgetful voters)",
         (_, false) => " (freshness-blind voters)",
     };
-    let mut report = Report::new(format!("election-protocol{tag}"));
-    let span = span_for_election(model);
-    let (ex, stats) = run_exhaustive(model, &cfg);
-    push_exploration(
-        span.clone(),
-        ELECTION_CODES,
-        &ex,
-        exhaustive_label(&cfg),
-        reduction_notes(&stats),
-        &mut report,
+    let shape = format!(
+        "deputies={}, fresh={:?}, stands={}, drops={}, dups={}, one_vote_per_term={}, \
+         fresh_guard={}",
+        m.deputies,
+        m.fresh,
+        m.max_stands,
+        m.max_drops,
+        m.max_dups,
+        m.one_vote_per_term,
+        m.fresh_guard
     );
-    if !report.has_errors() && cfg.walks > 0 {
-        let walked = random_walks(model, cfg.seed, cfg.walks, cfg.walk_depth);
-        if walked.verdict != Verdict::Ok {
-            push_exploration(
-                span,
-                ELECTION_CODES,
-                &walked,
-                &format!("random walks (seed {:#x})", cfg.seed),
-                Vec::new(),
-                &mut report,
-            );
-        }
-    }
-    report
+    check_model(m, "election-protocol", tag, shape, ELECTION_CODES, cfg)
 }
 
 /// Check the standard election configuration with default bounds — what
@@ -384,56 +290,28 @@ pub fn check_election_protocol() -> Report {
     check_election_protocol_with(&ElectionModel::standard(), CheckConfig::default())
 }
 
-fn span_for_join(model: &JoinModel) -> Span {
-    Span::program(&format!(
-        "join-protocol(slots={}, evicts={}, rejoins={}, drops={}, dups={}, \
-         incarnation_fence={}, ack_floor={})",
-        model.slots,
-        model.max_evicts,
-        model.max_rejoins,
-        model.max_drops,
-        model.max_dups,
-        model.fence_incarnation,
-        model.fence_epoch
-    ))
-}
-
 /// Exhaustively check a mid-run join/rejoin model, then run seeded random
 /// walks past the exhaustive horizon. A zombie incarnation credited after
 /// a newer life was admitted maps to [`Code::E111`], a checkpoint ack
 /// credited below the admission ack floor to [`Code::E112`], a wedged
 /// join handshake to [`Code::E113`].
-pub fn check_join_protocol_with(model: &JoinModel, cfg: CheckConfig) -> Report {
-    let tag = match (model.fence_incarnation, model.fence_epoch) {
+pub fn check_join_protocol_with(m: &JoinModel, cfg: CheckConfig) -> Report {
+    let tag = match (m.fence_incarnation, m.fence_epoch) {
         (true, true) => "",
         (false, _) => " (no incarnation fence)",
         (_, false) => " (no ack floor)",
     };
-    let mut report = Report::new(format!("join-protocol{tag}"));
-    let span = span_for_join(model);
-    let (ex, stats) = run_exhaustive(model, &cfg);
-    push_exploration(
-        span.clone(),
-        JOIN_CODES,
-        &ex,
-        exhaustive_label(&cfg),
-        reduction_notes(&stats),
-        &mut report,
+    let shape = format!(
+        "slots={}, evicts={}, rejoins={}, drops={}, dups={}, incarnation_fence={}, ack_floor={}",
+        m.slots,
+        m.max_evicts,
+        m.max_rejoins,
+        m.max_drops,
+        m.max_dups,
+        m.fence_incarnation,
+        m.fence_epoch
     );
-    if !report.has_errors() && cfg.walks > 0 {
-        let walked = random_walks(model, cfg.seed, cfg.walks, cfg.walk_depth);
-        if walked.verdict != Verdict::Ok {
-            push_exploration(
-                span,
-                JOIN_CODES,
-                &walked,
-                &format!("random walks (seed {:#x})", cfg.seed),
-                Vec::new(),
-                &mut report,
-            );
-        }
-    }
-    report
+    check_model(m, "join-protocol", tag, shape, JOIN_CODES, cfg)
 }
 
 /// Check the standard join configuration with default bounds — what
@@ -615,68 +493,6 @@ mod tests {
                 !report.has(Code::W102),
                 "wide model must exhaust under reduction: {}",
                 report.render()
-            );
-        }
-    }
-
-    #[test]
-    fn reduction_does_not_change_any_verdict() {
-        // Same models through the public API with reduction on and off:
-        // identical diagnostic codes either way (the soundness contract,
-        // checked end-to-end rather than per-explorer).
-        let on = CheckConfig {
-            walks: 0,
-            ..CheckConfig::default()
-        };
-        let off = CheckConfig {
-            reduce: false,
-            ..on
-        };
-        let codes = |r: &crate::diag::Report| -> Vec<Code> {
-            r.diagnostics.iter().map(|d| d.code).collect()
-        };
-        for model in [
-            RestoreModel::standard(),
-            RestoreModel::broken_no_dedup(),
-            RestoreModel::wide(2),
-        ] {
-            assert_eq!(
-                codes(&check_protocol_with(&model, on)),
-                codes(&check_protocol_with(&model, off)),
-                "restore codes diverged under reduction"
-            );
-        }
-        for model in [
-            TransferModel::standard(),
-            TransferModel::broken_no_dedup(),
-            TransferModel::wide(2),
-        ] {
-            assert_eq!(
-                codes(&check_transfer_protocol_with(&model, on)),
-                codes(&check_transfer_protocol_with(&model, off)),
-                "transfer codes diverged under reduction"
-            );
-        }
-        for model in [
-            ElectionModel::standard(),
-            ElectionModel::broken_split_brain(),
-            ElectionModel::broken_fresh_blind(),
-        ] {
-            assert_eq!(
-                codes(&check_election_protocol_with(&model, on)),
-                codes(&check_election_protocol_with(&model, off)),
-                "election codes diverged under reduction"
-            );
-        }
-        for model in [
-            JoinModel::standard(),
-            JoinModel::broken_double_incarnation(),
-            JoinModel::broken_stale_snapshot(),
-        ] {
-            assert_eq!(
-                codes(&check_join_protocol_with(&model, on)),
-                codes(&check_join_protocol_with(&model, off)),
-                "join codes diverged under reduction"
             );
         }
     }

@@ -1,6 +1,6 @@
 //! Explorer-throughput benchmark for the protocol model checker: full
-//! vs reduced exploration of the restore, transfer, and election models at
-//! the standard fixture size and at runtime widths.
+//! vs reduced exploration of the restore, transfer, election and join models
+//! at the standard fixture size and at runtime widths.
 //!
 //! For each case it reports wall time, states visited, states/second, the
 //! peak visited-set footprint, and — where both runs exist — the
@@ -12,7 +12,7 @@
 //! argument substring-filters the cases (e.g.
 //! `cargo bench -p dlb-bench --bench analyze -- election`).
 
-use dlb_core::{ElectionModel, RestoreModel, TransferModel};
+use dlb_core::{ElectionModel, JoinModel, RestoreModel, TransferModel};
 use dlb_sim::{explore, explore_reduced, Ample, ReduceConfig, Symmetric, Verdict};
 use std::fmt::Write as _;
 use std::time::Instant;
@@ -205,6 +205,13 @@ fn main() {
         measure(&mut cases, "election-wide4", &ElectionModel::wide(4), true);
     }
 
+    if wanted("join-standard") {
+        measure(&mut cases, "join-standard", &JoinModel::standard(), true);
+    }
+    if wanted("join-wide4") {
+        measure(&mut cases, "join-wide4", &JoinModel::wide(4), true);
+    }
+
     // Runtime widths: reduced only — the whole point of the reductions is
     // that the full space here is unreachable.
     if wanted("election-wide6") {
@@ -239,6 +246,10 @@ fn main() {
             &ElectionModel::wide(16),
             false,
         );
+    }
+
+    if wanted("join-wide16") {
+        measure(&mut cases, "join-wide16", &JoinModel::wide(16), false);
     }
 
     let path = "BENCH_analyze.json";

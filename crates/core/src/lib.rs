@@ -100,8 +100,8 @@ pub use protocol::{AckTracker, SenderWindow, TransferWindow};
 pub use rate::RateFilter;
 pub use recovery::{RecoveryStats, SlaveFaultStats};
 pub use session::model::{
-    DeputyModel, EStep, EWire, ElectionModel, ElectionState, JStep, JWire, JoinModel, JoinPhase,
-    JoinSlotMaster, JoinSlotSlave, JoinState, ReceiverSlot, RestoreModel, RestoreState, Step,
-    TStep, TWire, TransferModel, TransferState, Wire,
+    DeputyModel, EWire, ElectionLocal, ElectionModel, ElectionState, JWire, JoinLocal, JoinModel,
+    JoinPhase, JoinSlotMaster, JoinSlotSlave, JoinState, ReceiverSlot, RestoreLocal, RestoreModel,
+    RestoreState, SeqWire, TransferLocal, TransferModel, TransferState,
 };
 pub use session::replica::{DeputyState, TakeoverSeed};

@@ -1,0 +1,522 @@
+//! Deputy election after a master crash ([`ElectionModel`]).
+
+use dlb_sim::{class_sort, classes_by, LossyProtocol, Net};
+use std::collections::BTreeSet;
+
+/// A message in flight in the [`ElectionModel`]'s network. Every variant
+/// carries its recipient so delivery is well-defined under reordering.
+#[derive(Clone, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
+pub enum EWire {
+    /// Candidate → peer deputy: stand for `term` with replica freshness
+    /// `fresh` (the runtime's [`crate::msg::Msg::Candidacy`]).
+    Candidacy {
+        to: usize,
+        term: u64,
+        candidate: usize,
+        fresh: u64,
+    },
+    /// Voter → candidate: vote granted in `term`
+    /// ([`crate::msg::Msg::Vote`]).
+    Vote { to: usize, term: u64, voter: usize },
+    /// Winner → peer deputy: takeover announcement
+    /// ([`crate::msg::Msg::Promoted`]).
+    Promoted { to: usize, term: u64, winner: usize },
+}
+
+impl EWire {
+    /// [`EWire::parts`] kind of a `Candidacy`.
+    pub const CANDIDACY: u8 = 0;
+    /// [`EWire::parts`] kind of a `Vote`.
+    pub const VOTE: u8 = 1;
+    /// [`EWire::parts`] kind of a `Promoted`.
+    pub const PROMOTED: u8 = 2;
+
+    /// `(kind, to, from, term)` — the message's identity with `fresh`
+    /// excluded, so a candidacy matches even if the model's static
+    /// freshness assignment differs from a (time-varying) runtime value.
+    pub fn parts(&self) -> (u8, usize, usize, u64) {
+        match *self {
+            EWire::Candidacy {
+                to,
+                term,
+                candidate,
+                ..
+            } => (EWire::CANDIDACY, to, candidate, term),
+            EWire::Vote { to, term, voter } => (EWire::VOTE, to, voter, term),
+            EWire::Promoted { to, term, winner } => (EWire::PROMOTED, to, winner, term),
+        }
+    }
+
+    /// The same message between the relabeled ends `sigma[to]`, `sigma[from]`.
+    fn between(&self, sigma: &[usize]) -> EWire {
+        let mut m = self.clone();
+        match &mut m {
+            EWire::Candidacy {
+                to,
+                candidate: from,
+                ..
+            }
+            | EWire::Vote {
+                to, voter: from, ..
+            }
+            | EWire::Promoted {
+                to, winner: from, ..
+            } => {
+                *to = sigma[*to];
+                *from = sigma[*from];
+            }
+        }
+        m
+    }
+
+    /// `(candidate, peer)`: the candidate or winner the message is about,
+    /// and the deputy on the other end of it.
+    fn candidate_and_peer(&self) -> (usize, usize) {
+        let (kind, to, from, _) = self.parts();
+        if kind == EWire::VOTE {
+            (to, from)
+        } else {
+            (from, to)
+        }
+    }
+}
+
+/// A local action of the [`ElectionModel`].
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum ElectionLocal {
+    /// Deputy `d`'s master-silence timer fires: it stands in a fresh term
+    /// (re-standing abandons any stalled candidacy, as the runtime's
+    /// rate-limited retry does). Bounded by the stand budget.
+    Stand(usize),
+    /// Deputy `d`'s candidacy reached quorum: it promotes itself and
+    /// announces the takeover.
+    Win(usize),
+}
+
+/// Per-deputy election state in the model — the pure subset of
+/// [`crate::session::replica::DeputyState`] that decides votes.
+#[derive(Clone, Debug, Default, PartialEq, Eq, PartialOrd, Ord, Hash)]
+pub struct DeputyModel {
+    pub term_seen: u64,
+    /// Highest term voted in (including self-votes when standing). The
+    /// broken variant never consults it — the split-brain bug.
+    pub voted_in: u64,
+    /// Term of the live candidacy (0 = not standing).
+    pub standing: u64,
+    /// Voters collected for the live candidacy (includes self).
+    pub votes: BTreeSet<usize>,
+    /// This deputy won and became master; it takes no further part.
+    pub promoted_self: bool,
+}
+
+/// Full [`ElectionModel`] state.
+#[derive(Clone, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
+pub struct ElectionState {
+    pub deps: Vec<DeputyModel>,
+    pub net: Net<EWire>,
+    /// Every promotion announced so far, as `(term, winner)` — the
+    /// split-brain invariant reads this.
+    pub promoted: Vec<(u64, usize)>,
+    /// Set when a winner's electing quorum contained a voter with a
+    /// strictly fresher replica: `(term, winner, fresher_voter)`.
+    pub stale_win: Option<(u64, usize, usize)>,
+    pub stands_used: u32,
+}
+
+/// The abstracted deputy-set/network system around the election rules of
+/// [`crate::session::replica::DeputyState`].
+///
+/// Every deputy suspects the master (it is dead in this model) and may
+/// stand; the network may drop or duplicate a bounded number of messages;
+/// votes follow the production rules: one vote per term, never for a
+/// candidate whose replica is staler than the voter's, majority of the
+/// *full* deputy set to win. `one_vote_per_term = false` is the
+/// deliberately broken variant whose voters forget which terms they voted
+/// in — the model checker must find the two-winners-one-term counterexample
+/// (`dlb-analyze` maps it to E107). `fresh_guard = false` drops the
+/// newest-replica rule instead, electing a quorum that out-freshes its
+/// winner (E108).
+#[derive(Clone, Debug)]
+pub struct ElectionModel {
+    /// Size of the full deputy set (quorum denominator).
+    pub deputies: usize,
+    /// Per-deputy replica freshness (the election's comparison scale).
+    pub fresh: Vec<u64>,
+    /// Total stands allowed across all deputies (bounds the term space).
+    pub max_stands: u32,
+    pub max_drops: u32,
+    pub max_dups: u32,
+    /// True = the real protocol (a voter spends its vote for the term).
+    pub one_vote_per_term: bool,
+    /// True = the real protocol (no vote for a staler candidate).
+    pub fresh_guard: bool,
+}
+
+impl ElectionModel {
+    /// The standard checked configuration: three deputies with distinct
+    /// replica freshness, three stands, one drop and one duplication
+    /// budget.
+    pub fn standard() -> ElectionModel {
+        ElectionModel {
+            deputies: 3,
+            fresh: vec![2, 1, 0],
+            max_stands: 3,
+            max_drops: 1,
+            max_dups: 1,
+            one_vote_per_term: true,
+            fresh_guard: true,
+        }
+    }
+
+    /// The broken variant: voters forget which terms they voted in, so one
+    /// term can promote two masters (split brain).
+    pub fn broken_split_brain() -> ElectionModel {
+        ElectionModel {
+            one_vote_per_term: false,
+            ..ElectionModel::standard()
+        }
+    }
+
+    /// The broken variant that ignores replica freshness when voting: a
+    /// stale deputy can win while a quorum member holds newer state.
+    pub fn broken_fresh_blind() -> ElectionModel {
+        ElectionModel {
+            fresh_guard: false,
+            ..ElectionModel::standard()
+        }
+    }
+
+    /// A runtime-width configuration: `n` deputies with *equal* replica
+    /// freshness (the common case right after a checkpoint broadcast),
+    /// which makes the whole deputy set one symmetry class. Two stands
+    /// keep the term space bounded.
+    pub fn wide(n: usize) -> ElectionModel {
+        ElectionModel {
+            deputies: n,
+            fresh: vec![1; n],
+            max_stands: 2,
+            ..ElectionModel::standard()
+        }
+    }
+
+    fn quorum(&self) -> usize {
+        self.deputies / 2 + 1
+    }
+
+    /// Every deputy but `d` — the recipients of `d`'s broadcasts.
+    fn peers(&self, d: usize) -> impl Iterator<Item = usize> {
+        (0..self.deputies).filter(move |&to| to != d)
+    }
+
+    fn deputy_sig(&self, s: &ElectionState, d: usize) -> DeputySig {
+        let dep = &s.deps[d];
+        let mut wire_in = Vec::new();
+        let mut wire_out = Vec::new();
+        for m in &s.net.wire {
+            let (kind, to, from, term) = m.parts();
+            if to == d {
+                wire_in.push((kind, term));
+            }
+            if from == d {
+                wire_out.push((kind, term));
+            }
+        }
+        wire_in.sort_unstable();
+        wire_out.sort_unstable();
+        DeputySig {
+            term_seen: dep.term_seen,
+            voted_in: dep.voted_in,
+            standing: dep.standing,
+            promoted_self: dep.promoted_self,
+            votes: dep.votes.len(),
+            wire_in,
+            wire_out,
+            promoted_terms: s
+                .promoted
+                .iter()
+                .filter(|&&(_, w)| w == d)
+                .map(|&(t, _)| t)
+                .collect(),
+            stale_role: match s.stale_win {
+                Some((_, w, v)) => (w == d, v == d),
+                None => (false, false),
+            },
+        }
+    }
+
+    /// Deputies the rest of the state can point at: candidates, winners,
+    /// and vote targets. Ranked by local signature so the ranking itself
+    /// is label-free (ties keep index order — a dedup loss, never a
+    /// soundness one).
+    fn anchors(&self, s: &ElectionState) -> Vec<usize> {
+        let mut out: Vec<usize> = (0..self.deputies)
+            .filter(|&d| {
+                s.deps[d].standing != 0
+                    || s.deps[d].promoted_self
+                    || s.promoted.iter().any(|&(_, w)| w == d)
+                    || s.net.wire.iter().any(|m| m.candidate_and_peer().0 == d)
+            })
+            .collect();
+        out.sort_by_cached_key(|&a| self.deputy_sig(s, a));
+        out
+    }
+
+    /// How deputy `d` relates to anchor `a`, with labels erased: vote-set
+    /// membership plus the terms of each directed in-flight message kind
+    /// between them (candidacy `a → d`, vote `d → a`, promotion `a → d`).
+    /// This is what [`DeputySig`] alone cannot express — *which* candidate
+    /// a voter's references point at — and recovering it is what keeps
+    /// orbit-equivalent wide states merging instead of multiplying through
+    /// voter-membership patterns.
+    fn relation(&self, s: &ElectionState, d: usize, a: usize) -> Relation {
+        let mut terms: [Vec<u64>; 3] = Default::default();
+        for m in s
+            .net
+            .wire
+            .iter()
+            .filter(|m| m.candidate_and_peer() == (a, d))
+        {
+            let (kind, _, _, term) = m.parts();
+            terms[kind as usize].push(term);
+        }
+        (s.deps[a].votes.contains(&d), terms)
+    }
+}
+
+/// Permutation-covariant summary of one deputy's situation: local election
+/// state plus its wire involvement and promotion record, with peer indices
+/// erased. Election state references other deputies (vote sets, message
+/// addressing), so equal signatures do not guarantee interchangeability —
+/// the sort is a canonicalization heuristic, never a soundness condition.
+#[derive(PartialEq, Eq, PartialOrd, Ord)]
+pub struct DeputySig {
+    term_seen: u64,
+    voted_in: u64,
+    standing: u64,
+    promoted_self: bool,
+    votes: usize,
+    wire_in: Vec<(u8, u64)>,
+    wire_out: Vec<(u8, u64)>,
+    promoted_terms: Vec<u64>,
+    stale_role: (bool, bool),
+}
+
+/// `(voted for the anchor, in-flight terms per message kind)` — see
+/// [`ElectionModel::relation`].
+type Relation = (bool, [Vec<u64>; 3]);
+
+impl LossyProtocol for ElectionModel {
+    type State = ElectionState;
+    type Wire = EWire;
+    type Local = ElectionLocal;
+    /// Local signature extended with the relations to each anchor, in
+    /// anchor-rank order.
+    type Sig = (DeputySig, Vec<Relation>);
+
+    fn start(&self) -> ElectionState {
+        ElectionState {
+            deps: vec![DeputyModel::default(); self.deputies],
+            net: Net::default(),
+            promoted: Vec::new(),
+            stale_win: None,
+            stands_used: 0,
+        }
+    }
+
+    fn net(s: &ElectionState) -> &Net<EWire> {
+        &s.net
+    }
+
+    fn net_mut(s: &mut ElectionState) -> &mut Net<EWire> {
+        &mut s.net
+    }
+
+    fn budgets(&self) -> (u32, u32) {
+        (self.max_drops, self.max_dups)
+    }
+
+    fn locals(&self, s: &ElectionState) -> Vec<ElectionLocal> {
+        let mut out = Vec::new();
+        for d in (0..self.deputies).filter(|&d| !s.deps[d].promoted_self) {
+            if s.stands_used < self.max_stands {
+                out.push(ElectionLocal::Stand(d));
+            }
+            if s.deps[d].standing != 0 && s.deps[d].votes.len() >= self.quorum() {
+                out.push(ElectionLocal::Win(d));
+            }
+        }
+        out
+    }
+
+    fn apply_local(&self, n: &mut ElectionState, local: &ElectionLocal) {
+        match *local {
+            ElectionLocal::Stand(d) => {
+                let dep = &mut n.deps[d];
+                let term = dep.term_seen + 1;
+                dep.term_seen = term;
+                dep.voted_in = term; // self-vote spends the term
+                dep.standing = term;
+                dep.votes = BTreeSet::from([d]);
+                n.stands_used += 1;
+                for to in self.peers(d) {
+                    n.net.send(EWire::Candidacy {
+                        to,
+                        term,
+                        candidate: d,
+                        fresh: self.fresh[d],
+                    });
+                }
+            }
+            ElectionLocal::Win(d) => {
+                let term = n.deps[d].standing;
+                if let Some(fresher) = n.deps[d]
+                    .votes
+                    .iter()
+                    .find(|&&v| self.fresh[v] > self.fresh[d])
+                {
+                    n.stale_win = Some((term, d, *fresher));
+                }
+                n.promoted.push((term, d));
+                n.promoted.sort_unstable();
+                let dep = &mut n.deps[d];
+                dep.promoted_self = true;
+                dep.standing = 0;
+                dep.votes.clear();
+                for to in self.peers(d) {
+                    n.net.send(EWire::Promoted {
+                        to,
+                        term,
+                        winner: d,
+                    });
+                }
+            }
+        }
+    }
+
+    fn deliver(&self, n: &mut ElectionState, msg: EWire) {
+        match msg {
+            EWire::Candidacy {
+                to,
+                term,
+                candidate,
+                fresh,
+            } => {
+                let dep = &mut n.deps[to];
+                dep.term_seen = dep.term_seen.max(term);
+                if dep.promoted_self {
+                    return; // Now a master; election traffic is inert.
+                }
+                let spent = self.one_vote_per_term && term <= dep.voted_in;
+                let staler = self.fresh_guard && fresh < self.fresh[to];
+                if spent || staler {
+                    return;
+                }
+                dep.voted_in = dep.voted_in.max(term);
+                n.net.send(EWire::Vote {
+                    to: candidate,
+                    term,
+                    voter: to,
+                });
+            }
+            EWire::Vote { to, term, voter } => {
+                let dep = &mut n.deps[to];
+                dep.term_seen = dep.term_seen.max(term);
+                // Counted only while standing in exactly that term (late
+                // votes for abandoned candidacies are inert).
+                if !dep.promoted_self && dep.standing == term {
+                    dep.votes.insert(voter);
+                }
+            }
+            EWire::Promoted { to, term, .. } => {
+                let dep = &mut n.deps[to];
+                dep.term_seen = dep.term_seen.max(term);
+                // Stand down any candidacy the promotion outranks.
+                if dep.standing != 0 && dep.standing <= term {
+                    dep.standing = 0;
+                    dep.votes.clear();
+                }
+            }
+        }
+    }
+
+    fn invariant(&self, s: &ElectionState) -> Option<String> {
+        for pair in s.promoted.windows(2) {
+            if pair[0].0 == pair[1].0 && pair[0].1 != pair[1].1 {
+                return Some(format!(
+                    "split brain: deputies {} and {} both promoted in term {}",
+                    pair[0].1, pair[1].1, pair[0].0
+                ));
+            }
+        }
+        if let Some((term, winner, voter)) = s.stale_win {
+            return Some(format!(
+                "stale replica won term {term}: deputy {winner} (fresh {}) elected by \
+                 fresher voter {voter} (fresh {})",
+                self.fresh[winner], self.fresh[voter]
+            ));
+        }
+        None
+    }
+
+    /// Bounded model: liveness (someone eventually wins) is out of scope;
+    /// any drained-wire terminal state is a legitimate end.
+    fn quiescent(&self, s: &ElectionState) -> bool {
+        s.net.wire.is_empty()
+    }
+
+    /// A delivery touches only its recipient's local state (plus set-valued
+    /// wire appends); deliveries to the *same* deputy do conflict — the
+    /// first candidacy wins its vote.
+    fn lane(&self, msg: &EWire) -> usize {
+        msg.parts().1
+    }
+
+    /// Deputies with equal replica freshness. Freshness is the only
+    /// per-deputy model parameter, so any relabeling within a class maps
+    /// the model onto itself.
+    fn classes(&self, _: &ElectionState) -> Vec<Vec<usize>> {
+        classes_by(self.deputies, |d| self.fresh[d])
+    }
+
+    fn signer<'a>(&'a self, s: &'a ElectionState) -> impl Fn(usize) -> Self::Sig + 'a {
+        let anchors = self.anchors(s);
+        move |d| {
+            let relations = anchors.iter().map(|&a| self.relation(s, d, a)).collect();
+            (self.deputy_sig(s, d), relations)
+        }
+    }
+
+    /// `sigma` must map each deputy to one with equal freshness.
+    fn permute(&self, s: &ElectionState, sigma: &[usize]) -> ElectionState {
+        let mut n = s.clone();
+        for (d, dep) in s.deps.iter().enumerate() {
+            n.deps[sigma[d]] = DeputyModel {
+                votes: dep.votes.iter().map(|&v| sigma[v]).collect(),
+                ..dep.clone()
+            };
+        }
+        n.net.wire = s.net.wire.iter().map(|m| m.between(sigma)).collect();
+        n.net.wire.sort();
+        n.promoted = s.promoted.iter().map(|&(t, w)| (t, sigma[w])).collect();
+        n.promoted.sort_unstable();
+        n.stale_win = s.stale_win.map(|(t, w, v)| (t, sigma[w], sigma[v]));
+        n
+    }
+
+    /// Iterate the class-sort pass to a deterministic representative.
+    /// Relabeling can shuffle the anchor ranking, so a single pass is not
+    /// always a fixpoint; iterating until the state repeats — and taking
+    /// the least state of the final cycle — makes the result both stable
+    /// (idempotent) and independent of the starting labels' incidental
+    /// order. In practice the loop exits after one or two passes.
+    fn representative(&self, s: &ElectionState) -> ElectionState {
+        let mut seen: Vec<ElectionState> = vec![s.clone()];
+        loop {
+            let next = class_sort(self, seen.last().expect("nonempty"));
+            if let Some(pos) = seen.iter().position(|t| *t == next) {
+                return seen[pos..].iter().min().expect("nonempty").clone();
+            }
+            seen.push(next);
+        }
+    }
+}

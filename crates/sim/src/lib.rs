@@ -47,6 +47,7 @@ pub mod explore;
 pub mod fault;
 pub mod kernel;
 pub mod load;
+pub mod lossy;
 pub mod net;
 pub mod reduce;
 pub mod rng;
@@ -61,6 +62,7 @@ pub use kernel::{
     ActorId, ActorMetrics, MailCtx, NodeId, NodeMetrics, SchedStats, SimBuilder, SimReport,
 };
 pub use load::LoadModel;
+pub use lossy::{class_sort, classes_by, Lead, LossyProtocol, Net, Step};
 pub use net::{Envelope, NetConfig};
 pub use reduce::{explore_reduced, fingerprint, Ample, ReduceConfig, ReduceStats, Symmetric};
 pub use rng::Pcg32;
