@@ -69,6 +69,18 @@ fn lu_cfg(slaves: usize, plan: FaultPlan, rejoin_attempts: u32) -> RunConfig {
     ft.slave_heartbeat = SimDuration::from_millis(suspicion_ms / 8);
     ft.rejoin_attempts = rejoin_attempts;
     ft.rejoin_backoff = SimDuration::from_millis(suspicion_ms / 4);
+    // The 12 s row of `tests/chaos_wide.rs::detector_windows_are_pinned`.
+    let ft = &cfg.fault_tolerance;
+    assert_eq!(
+        [
+            ft.suspicion,
+            ft.speculate_after,
+            ft.nudge,
+            ft.slave_heartbeat,
+            ft.rejoin_backoff
+        ],
+        [12_000, 7_500, 3_000, 1_500, 3_000].map(SimDuration::from_millis)
+    );
     cfg
 }
 

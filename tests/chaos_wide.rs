@@ -59,6 +59,36 @@ fn shrink_cfg(plan: FaultPlan) -> RunConfig {
     wide_cfg(plan, 12_000)
 }
 
+/// The five windows each engine's config carries, written out in
+/// milliseconds (suspicion, speculate_after, nudge, slave_heartbeat,
+/// rejoin_backoff). The 300 ms heartbeat and 500 ms backoff floors bind only
+/// under the independent engine's 2 s; `tests/lock_budget.rs` and
+/// `tests/alloc_budget.rs` pin the 12 s row for their own cells.
+#[test]
+fn detector_windows_are_pinned() {
+    let windows = |cfg: RunConfig| {
+        let ft = cfg.fault_tolerance;
+        [
+            ft.suspicion,
+            ft.speculate_after,
+            ft.nudge,
+            ft.slave_heartbeat,
+            ft.rejoin_backoff,
+        ]
+    };
+    let ms = |v: [u64; 5]| v.map(SimDuration::from_millis);
+    let quiet = || FaultPlan::new(0);
+    assert_eq!(windows(ind_cfg(quiet())), ms([2_000, 1_250, 500, 300, 500]));
+    assert_eq!(
+        windows(shrink_cfg(quiet())),
+        ms([12_000, 7_500, 3_000, 1_500, 3_000])
+    );
+    assert_eq!(
+        windows(pipe_cfg(quiet())),
+        ms([16_000, 10_000, 4_000, 2_000, 4_000])
+    );
+}
+
 /// Every wide run must stay inside the bounded pool: no thread-per-node.
 fn assert_bounded(report: &RunReport, label: &str) {
     let sched = &report.sim.sched;

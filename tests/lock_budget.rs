@@ -77,6 +77,18 @@ fn locks_per_event_stay_in_budget() {
         ft.slave_heartbeat = SimDuration::from_millis(suspicion_ms / 8);
         ft.rejoin_attempts = 10;
         ft.rejoin_backoff = SimDuration::from_millis(suspicion_ms / 4);
+        // The 12 s row of `tests/chaos_wide.rs::detector_windows_are_pinned`.
+        let ft = &cfg.fault_tolerance;
+        assert_eq!(
+            [
+                ft.suspicion,
+                ft.speculate_after,
+                ft.nudge,
+                ft.slave_heartbeat,
+                ft.rejoin_backoff
+            ],
+            [12_000, 7_500, 3_000, 1_500, 3_000].map(SimDuration::from_millis)
+        );
         cfg
     });
     assert!(armed <= CEILING, "armed64: {armed:.2} locks/event");
