@@ -16,11 +16,10 @@ use crate::master::{
 };
 use crate::msg::{Msg, UnitData};
 use crate::recovery::RecoveryStats;
+use crate::session::replica::ELECTION_STAGGER;
 use crate::session::slave::{run_slave, SlaveSpec};
 use dlb_compiler::{grain_iterations, GrainPolicy, ParallelPlan, Pattern};
-use dlb_sim::{
-    CpuWork, FaultPlan, NetConfig, NodeConfig, SimBuilder, SimDuration, SimReport, SimTime,
-};
+use dlb_sim::{FaultPlan, NetConfig, NodeConfig, SimBuilder, SimDuration, SimReport, SimTime};
 use std::sync::{Arc, Mutex};
 
 /// The application to run: one kernel per compiler pattern.
@@ -89,10 +88,6 @@ pub struct RunConfig {
     pub master_node: NodeConfig,
     pub net: NetConfig,
     pub balancer: BalancerConfig,
-    /// CPU charged per hook check on slaves.
-    pub hook_check_cpu: CpuWork,
-    /// CPU charged per status decision on the master.
-    pub decision_cpu: CpuWork,
     /// Record the master's balancing timeline (Fig. 9).
     pub record_timeline: bool,
     /// Initial block sizing.
@@ -136,8 +131,6 @@ impl RunConfig {
             master_node: NodeConfig::default(),
             net: NetConfig::default(),
             balancer: BalancerConfig::default(),
-            hook_check_cpu: CpuWork::from_micros(10),
-            decision_cpu: CpuWork::from_micros(200),
             record_timeline: false,
             startup: StartupDistribution::Equal,
             fault_plan: None,
@@ -225,6 +218,16 @@ pub fn try_run(
     let n_units = app.n_units();
     assert!(n_units >= n_slaves, "fewer units than slaves");
     let fault_mode = cfg.fault_plan.is_some();
+    if fault_mode {
+        // Deputies check their election timer from heartbeat slices; a
+        // slice coarser than the rank stagger would stand two of them in
+        // the same slice, term after term.
+        let heartbeat = cfg.fault_tolerance.slave_heartbeat;
+        assert!(
+            heartbeat <= ELECTION_STAGGER,
+            "slave_heartbeat {heartbeat:?} exceeds the election stagger {ELECTION_STAGGER:?}"
+        );
+    }
 
     // Latecomer slots: carved out of the initial distribution, parked until
     // their join time, admitted mid-run through the elastic-membership
@@ -354,7 +357,6 @@ pub fn try_run(
     let make_master_cfg: Arc<dyn Fn() -> MasterConfig + Send + Sync> = {
         let app = app.clone();
         let tol = cfg.fault_tolerance.clone();
-        let decision_cpu = cfg.decision_cpu;
         let record_timeline = cfg.record_timeline;
         Arc::new(move || {
             let mut balancer = Balancer::new(
@@ -430,7 +432,6 @@ pub fn try_run(
                 invocations,
                 expected_units,
                 units_per_hook: None,
-                decision_cpu,
                 record_timeline,
                 converged,
                 ft,
@@ -493,7 +494,6 @@ pub fn try_run(
             idx: i,
             master: master_id,
             mode: slave_mode,
-            hook_check_cpu: cfg.hook_check_cpu,
             ft: slave_ft.clone(),
             takeover: takeover_kit.clone(),
             join_at: late_at[i],

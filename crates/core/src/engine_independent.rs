@@ -248,22 +248,16 @@ impl IndependentStrategy {
         let pred = |m: &Msg| {
             matches!(m, Msg::Transfer(_) | Msg::TransferAck { .. })
                 || (fault_mode
-                    && matches!(
-                        m,
-                        Msg::Restore { .. }
-                            | Msg::Speculate { .. }
-                            | Msg::SpecCommit { .. }
-                            | Msg::SpecCancel { .. }
-                            | Msg::Evicted { .. }
-                            | Msg::Abort
-                            | Msg::Evict
-                            | Msg::Rollback { .. }
-                            | Msg::Replica(_)
-                            | Msg::MasterPing { .. }
-                            | Msg::Candidacy { .. }
-                            | Msg::Vote { .. }
-                            | Msg::Promoted { .. }
-                    ))
+                    && (m.is_channel_control()
+                        || matches!(
+                            m,
+                            Msg::Restore { .. }
+                                | Msg::Speculate { .. }
+                                | Msg::SpecCommit { .. }
+                                | Msg::SpecCancel { .. }
+                                | Msg::Abort
+                                | Msg::Evict
+                        )))
         };
         while let Some(env) = ctx.try_recv_match(pred).await {
             match env.msg {
@@ -298,23 +292,14 @@ impl IndependentStrategy {
         common: &mut SlaveCommon,
         inv: u64,
         moves: Vec<MoveOrder>,
-    ) {
-        if moves.is_empty() {
-            return;
-        }
-        let t0 = ctx.now();
-        let mut total_moved = 0;
-        for order in moves {
-            if common.dead[order.to] {
-                // Offer to an evicted slave: refused locally, units stay here.
-                continue;
-            }
+    ) -> Result<(), ProtocolError> {
+        let units = &mut self.units;
+        let detach = |order: &MoveOrder| {
             // Keep at least one unit (the balancer's min_per_slave mirror).
-            let take = (order.count as usize).min(self.units.len().saturating_sub(1));
+            let take = (order.count as usize).min(units.len().saturating_sub(1));
             // Prefer undone units (they still carry work this invocation); among
             // equals, take from the ordered edge.
-            let mut candidates: Vec<(bool, usize)> = self
-                .units
+            let mut candidates: Vec<(bool, usize)> = units
                 .iter()
                 .map(|(&id, u)| (u.done_in == Some(inv), id))
                 .collect();
@@ -329,7 +314,7 @@ impl IndependentStrategy {
                 .into_iter()
                 .take(take)
                 .map(|(done, id)| {
-                    let u = self.units.remove(&id).expect("picked unit");
+                    let u = units.remove(&id).expect("picked unit");
                     MovedUnit {
                         id,
                         done,
@@ -339,23 +324,9 @@ impl IndependentStrategy {
                     }
                 })
                 .collect();
-            total_moved += moved.len() as u64;
-            let from = common.idx;
-            // Always send the transfer — even empty — so the master's pending
-            // accounting and the channel watermarks stay settled.
-            common
-                .send_transfer(ctx, order.to, |_| TransferMsg {
-                    from,
-                    seq: 0,
-                    epoch: 0,
-                    invocation: inv,
-                    effective_block: 0,
-                    units: moved,
-                    right_old: None,
-                })
-                .await;
-        }
-        common.move_cost_sample = Some((total_moved, ctx.now().saturating_since(t0)));
+            Ok((moved, None))
+        };
+        common.execute_moves(ctx, moves, inv, 0, detach).await
     }
 
     /// The per-invocation compute loop, run to exhaustion: every local unit
@@ -381,10 +352,10 @@ impl IndependentStrategy {
             self.metric += self.kernel.local_metric(id, &u.data);
             common.record_done(1);
             let moves = common.hook(ctx, inv, self.active_units(inv)).await?;
-            self.execute_moves(ctx, common, inv, moves).await;
+            self.execute_moves(ctx, common, inv, moves).await?;
         }
         let moves = common.fire(ctx, inv, self.active_units(inv)).await?;
-        self.execute_moves(ctx, common, inv, moves).await;
+        self.execute_moves(ctx, common, inv, moves).await?;
         self.settle_evictions(ctx, common, inv).await
     }
 
@@ -510,7 +481,7 @@ impl DistributionStrategy for IndependentStrategy {
                 if moves.is_empty() {
                     return Ok(BarrierMsg::Consumed);
                 }
-                self.execute_moves(ctx, common, inv, moves).await;
+                self.execute_moves(ctx, common, inv, moves).await?;
                 Ok(BarrierMsg::Refresh)
             }
             // Stale re-broadcast: the master has not yet seen our

@@ -550,23 +550,14 @@ async fn execute_moves(
     moves: Vec<MoveOrder>,
     phase: u64,
 ) -> Result<(), ProtocolError> {
-    if moves.is_empty() {
-        return Ok(());
-    }
-    let t0 = ctx.now();
-    let mut total = 0u64;
-    for order in moves {
-        if common.dead[order.to] {
-            // The peer was evicted after the master planned this move; the
-            // next rollback (or re-plan) supersedes it.
-            continue;
-        }
+    let (me, sweep) = (common.idx, st.sweep);
+    let detach = |order: &MoveOrder| {
         let is_right = st.right == Some(order.to);
         let is_left = st.left == Some(order.to);
         if !is_right && !is_left {
             return Err(st.inconsistent(format!(
-                "pipelined movement must target a pipeline neighbour (got {} -> {})",
-                common.idx, order.to
+                "pipelined movement must target a pipeline neighbour (got {me} -> {})",
+                order.to
             )));
         }
         // Columns still set aside cannot be re-moved, and while any are
@@ -608,16 +599,13 @@ async fn execute_moves(
                 (moved, ro)
             }
         };
-        total += units.len() as u64;
         if crate::dlb_trace() {
             eprintln!(
-                "[slave{} t={}] move {} cols {:?} -> slave{} at phase {phase} sweep {}",
-                common.idx,
+                "[slave{me} t={}] move {} cols {:?} -> slave{} at phase {phase} sweep {sweep}",
                 ctx.now(),
                 units.len(),
                 units.iter().map(|c| c.id).collect::<Vec<_>>(),
                 order.to,
-                st.sweep,
             );
         }
         if let Some(c) = units.iter().find(|c| c.phase != phase) {
@@ -636,22 +624,9 @@ async fn execute_moves(
                 old: Some(c.old),
             })
             .collect();
-        let from = common.idx;
-        let sweep = st.sweep;
-        common
-            .send_transfer(ctx, order.to, |_| TransferMsg {
-                from,
-                seq: 0,
-                epoch: 0,
-                invocation: sweep,
-                effective_block: phase,
-                units: moved_units,
-                right_old,
-            })
-            .await;
-    }
-    common.move_cost_sample = Some((total, ctx.now().saturating_since(t0)));
-    Ok(())
+        Ok((moved_units, right_old))
+    };
+    common.execute_moves(ctx, moves, sweep, phase, detach).await
 }
 
 /// Process queued channel control traffic and transfers. `my_phase` is the

@@ -372,16 +372,7 @@ async fn execute_moves(
     k: usize,
     moves: Vec<MoveOrder>,
 ) -> Result<(), ProtocolError> {
-    if moves.is_empty() {
-        return Ok(());
-    }
-    let t0 = ctx.now();
-    let mut total = 0u64;
-    for order in moves {
-        if common.dead[order.to] {
-            // Planned before the peer's death reached the master.
-            continue;
-        }
+    let detach = |order: &MoveOrder| {
         let take = (order.count as usize).min(st.active.len());
         let ids: Vec<usize> = match order.edge {
             Edge::High => st.active.keys().rev().take(take).copied().collect(),
@@ -400,22 +391,9 @@ async fn execute_moves(
                 }
             })
             .collect();
-        total += units.len() as u64;
-        let from = common.idx;
-        common
-            .send_transfer(ctx, order.to, |_| TransferMsg {
-                from,
-                seq: 0,
-                epoch: 0,
-                invocation: k as u64,
-                effective_block: 0,
-                units,
-                right_old: None,
-            })
-            .await;
-    }
-    common.move_cost_sample = Some((total, ctx.now().saturating_since(t0)));
-    Ok(())
+        Ok((units, None))
+    };
+    common.execute_moves(ctx, moves, k as u64, 0, detach).await
 }
 
 /// Take the columns of a transfer accepted by slave `slave` during step `k`.

@@ -6,8 +6,11 @@
 //! [`RunError`] carrying the partial measurements of the failed run.
 
 use crate::balancer::BalancerStats;
-use crate::master::TimelineSample;
+use crate::master::{TimelineSample, MASTER_TICK};
 use crate::recovery::RecoveryStats;
+use crate::session::master::MASTER_HEARTBEAT;
+use crate::session::replica::{ELECTION_STAGGER, MASTER_SUSPICION};
+use crate::slave_common::OP_TIMEOUT;
 use dlb_sim::{SimDuration, SimReport, SimTime};
 use std::fmt;
 
@@ -167,17 +170,17 @@ pub(crate) fn slave_who(idx: usize) -> String {
     format!("slave {idx}")
 }
 
-/// Timeouts and retry bounds for fault-mode runs.
+/// The windows and cadences of a fault-mode run that someone sets.
 ///
-/// All values are virtual time. The defaults suit the chaos tests (unit
+/// All durations are virtual time. The defaults suit the chaos tests (unit
 /// compute times well under a second); `suspicion` must comfortably exceed
 /// the longest stretch a healthy slave can go without sending anything —
 /// roughly one unit compute plus the balancing period — or healthy slaves
-/// get evicted.
+/// get evicted. Everything no caller ever sized (the master's timer tick,
+/// the per-step deadline, retry bounds, the failover election's windows) is
+/// a constant beside its consumer; DESIGN.md §8 tabulates both sets.
 #[derive(Clone, Debug, PartialEq)]
 pub struct FaultToleranceConfig {
-    /// Master receive granularity: how often it checks timers.
-    pub master_tick: SimDuration,
     /// Silence after which the master declares a slave dead.
     pub suspicion: SimDuration,
     /// Silence after which the master speculatively races the suspect's
@@ -187,20 +190,11 @@ pub struct FaultToleranceConfig {
     /// Silence after which the master re-sends control messages
     /// (Start / InvocationStart / Restore / Gather).
     pub nudge: SimDuration,
-    /// Maximum re-sends of one unacknowledged instruction message.
-    pub instr_retries: u32,
     /// Idle-slave heartbeat: how often an idle slave re-sends its
-    /// `InvocationDone`.
+    /// `InvocationDone`. The failover election's timer is checked from
+    /// these slices, so [`try_run`](crate::driver::try_run) rejects a
+    /// heartbeat coarser than the election stagger.
     pub slave_heartbeat: SimDuration,
-    /// Deadline for any single blocking protocol step on a slave
-    /// (pipelined/shrinking waits, start-up).
-    pub op_timeout: SimDuration,
-    /// Heartbeats an idle slave tolerates with no traffic at all before
-    /// giving up on the master.
-    pub give_up_tries: u32,
-    /// Heartbeats a slave waits for a gather acknowledgement before
-    /// assuming its data arrived and exiting.
-    pub gather_patience: u32,
     /// Adaptive checkpoint cadence: the most consecutive barriers a slave
     /// may skip snapshotting when restarts look cheap. Zero disables the
     /// adaptation (a checkpoint at every barrier — the safest cadence).
@@ -214,21 +208,6 @@ pub struct FaultToleranceConfig {
     /// the master falls silent). Clamped to the slave count; an election
     /// needs a majority of the deputy set, so 3 tolerates one dead deputy.
     pub deputies: usize,
-    /// Master failover: how often the master pings its deputies when it has
-    /// no protocol traffic for them (the master-side analogue of
-    /// `slave_heartbeat`; defers the election trigger only).
-    pub master_heartbeat: SimDuration,
-    /// Master failover: master silence (neither protocol traffic nor pings)
-    /// after which the rank-0 deputy stands for election.
-    pub master_suspicion: SimDuration,
-    /// Master failover: extra silence per deputy rank before standing, so
-    /// the lowest live rank with a fresh replica wins without a vote split.
-    /// Must exceed `slave_heartbeat`: the election timer is checked from
-    /// heartbeat slices, so a finer stagger cannot separate two deputies
-    /// whose timer wakes happen to align — they would stand in the same
-    /// slice, cross candidacies, and each refuse the other (both spent
-    /// their term's vote on themselves) term after term.
-    pub election_stagger: SimDuration,
     /// Master failover: replication cadence — publish a control-plane
     /// replica to the deputies every this-many settled invocations
     /// (1 = every barrier; larger values trade replication bytes for a
@@ -246,27 +225,73 @@ pub struct FaultToleranceConfig {
     pub rejoin_backoff: SimDuration,
 }
 
+const DEFAULTS: FaultToleranceConfig = FaultToleranceConfig {
+    suspicion: SimDuration::from_secs(8),
+    speculate_after: SimDuration::from_secs(4),
+    nudge: SimDuration::from_secs(2),
+    slave_heartbeat: SimDuration::from_secs(1),
+    ckpt_max_skip: 0,
+    ckpt_loss_budget: SimDuration::from_secs(2),
+    deputies: 3,
+    replicate_every: 1,
+    rejoin_attempts: 0,
+    rejoin_backoff: SimDuration::from_secs(2),
+};
+
 impl Default for FaultToleranceConfig {
     fn default() -> Self {
+        DEFAULTS
+    }
+}
+
+// How the defaults and the constants beside their consumers must be ordered
+// (compared in microseconds).
+const _: () = {
+    let t = DEFAULTS;
+    assert!(MASTER_TICK.0 < t.nudge.0);
+    assert!(t.nudge.0 < t.suspicion.0);
+    assert!(t.slave_heartbeat.0 < t.suspicion.0);
+    assert!(t.speculate_after.0 < t.suspicion.0);
+    assert!(t.suspicion.0 < OP_TIMEOUT.0);
+    // Failover: the master's pings must outpace the election trigger by a
+    // wide margin, the per-rank staggers must separate candidacies well
+    // inside one suspicion window, and the whole election must finish long
+    // before blocked slaves give up on the run.
+    let staggers = ELECTION_STAGGER.0 * t.deputies as u64;
+    assert!(MASTER_HEARTBEAT.0 * 4 <= MASTER_SUSPICION.0);
+    assert!(staggers < MASTER_SUSPICION.0);
+    assert!(
+        t.slave_heartbeat.0 <= ELECTION_STAGGER.0,
+        "a heartbeat slice coarser than the stagger cannot separate candidacies"
+    );
+    assert!(
+        MASTER_SUSPICION.0 + staggers < OP_TIMEOUT.0,
+        "an election must complete within one op timeout"
+    );
+    assert!(t.deputies >= 1);
+    assert!(t.replicate_every >= 1);
+    assert!(t.rejoin_attempts == 0, "rejoin is opt-in");
+    assert!(
+        t.rejoin_backoff.0 >= t.nudge.0,
+        "joiners must not out-chatter the master's own nudge cadence"
+    );
+};
+
+impl FaultToleranceConfig {
+    /// The detector sized from one suspicion window `d`, for a cluster whose
+    /// longest legitimate silence is not the default's: speculate at ⅝·d,
+    /// nudge at ¼·d, heartbeat every ⅛·d (never faster than 300 ms) and
+    /// space join attempts ¼·d apart (never closer than 500 ms). Every
+    /// other setting keeps its default. `Default` itself is not an instance
+    /// of this rule: it speculates at ½ of its 8 s.
+    pub fn with_suspicion(d: SimDuration) -> Self {
         FaultToleranceConfig {
-            master_tick: SimDuration::from_millis(250),
-            suspicion: SimDuration::from_secs(8),
-            speculate_after: SimDuration::from_secs(4),
-            nudge: SimDuration::from_secs(2),
-            instr_retries: 3,
-            slave_heartbeat: SimDuration::from_secs(1),
-            op_timeout: SimDuration::from_secs(30),
-            give_up_tries: 90,
-            gather_patience: 10,
-            ckpt_max_skip: 0,
-            ckpt_loss_budget: SimDuration::from_secs(2),
-            deputies: 3,
-            master_heartbeat: SimDuration::from_secs(1),
-            master_suspicion: SimDuration::from_secs(8),
-            election_stagger: SimDuration::from_secs(2),
-            replicate_every: 1,
-            rejoin_attempts: 0,
-            rejoin_backoff: SimDuration::from_secs(2),
+            suspicion: d,
+            speculate_after: d * 5 / 8,
+            nudge: d / 4,
+            slave_heartbeat: (d / 8).max(SimDuration::from_millis(300)),
+            rejoin_backoff: (d / 4).max(SimDuration::from_millis(500)),
+            ..Self::default()
         }
     }
 }
@@ -309,37 +334,6 @@ mod tests {
             error: Box::new(ProtocolError::Aborted),
         };
         assert!(e.to_string().contains("slave 2"));
-    }
-
-    #[test]
-    fn defaults_are_ordered_sanely() {
-        let t = FaultToleranceConfig::default();
-        assert!(t.master_tick < t.nudge);
-        assert!(t.nudge < t.suspicion);
-        assert!(t.slave_heartbeat < t.suspicion);
-        assert!(t.speculate_after < t.suspicion);
-        assert!(t.suspicion < t.op_timeout);
-        // Failover: the master's pings must outpace the election trigger by
-        // a wide margin, the stagger must separate candidacies well inside
-        // one suspicion window, and the whole election must finish long
-        // before blocked slaves give up on the run.
-        assert!(t.master_heartbeat * 4 <= t.master_suspicion);
-        assert!(t.election_stagger * (t.deputies as u64) < t.master_suspicion);
-        assert!(
-            t.election_stagger > t.slave_heartbeat,
-            "a stagger finer than the heartbeat tick cannot separate candidacies"
-        );
-        assert!(
-            t.master_suspicion + t.election_stagger * (t.deputies as u64) < t.op_timeout,
-            "an election must complete within one op timeout"
-        );
-        assert!(t.deputies >= 1);
-        assert!(t.replicate_every >= 1);
-        assert_eq!(t.rejoin_attempts, 0, "rejoin is opt-in");
-        assert!(
-            t.rejoin_backoff >= t.nudge,
-            "joiners must not out-chatter the master's own nudge cadence"
-        );
     }
 
     #[test]

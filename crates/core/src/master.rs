@@ -97,10 +97,17 @@ use crate::msg::{Instructions, Msg, Status, UnitData};
 use crate::recovery::RecoveryStats;
 use crate::session::master::{channels_settled, merge_max, send, Policy, Session};
 use crate::session::replica::TakeoverSeed;
-use dlb_sim::{ActorId, CpuWork, MailCtx, SimTime};
+use dlb_sim::{ActorId, CpuWork, MailCtx, SimDuration, SimTime};
 use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
+
+/// CPU charged on the master per status processed.
+const DECISION_CPU: CpuWork = CpuWork::from_micros(200);
+/// Fault mode: receive granularity — how often the master checks its timers.
+pub(crate) const MASTER_TICK: SimDuration = SimDuration::from_millis(250);
+/// Fault mode: maximum re-sends of one unacknowledged instruction message.
+const INSTR_RETRIES: u32 = 3;
 
 /// One row of the master's balancing log — the raw material for the
 /// paper's Figure 9 (raw rate, adjusted rate, work assignment over time).
@@ -195,8 +202,6 @@ pub struct MasterConfig {
     /// Per-invocation expected units-per-hook override (LU's units shrink;
     /// `None` keeps the initial value).
     pub units_per_hook: Option<Box<dyn Fn(u64) -> f64 + Send + Sync>>,
-    /// CPU charged on the master per status processed.
-    pub decision_cpu: CpuWork,
     pub record_timeline: bool,
     /// Data-dependent WHILE termination (§4.1): called with the invocation
     /// just settled and the reduced convergence metric; `true` ends the
@@ -365,7 +370,7 @@ async fn decide(
     st: &Status,
     inv: u64,
 ) -> Instructions {
-    ctx.advance_work(cfg.decision_cpu).await;
+    ctx.advance_work(DECISION_CPU).await;
     let decision = cfg.balancer.on_status(st);
     if cfg.record_timeline {
         sc.timeline.push(TimelineSample {
@@ -661,7 +666,7 @@ async fn drive(
                 if st.settled(&cfg.balancer) {
                     break;
                 }
-                if let Some(env) = ctx.recv_deadline(ctx.now() + tol.master_tick).await {
+                if let Some(env) = ctx.recv_deadline(ctx.now() + MASTER_TICK).await {
                     match env.msg {
                         Msg::Status(stm) => {
                             let s = stm.slave;
@@ -797,7 +802,7 @@ async fn drive(
                                     // instruction with a newer one; replay
                                     // the unacknowledged one (bounded).
                                     if let Some((_, instr, tries)) = &mut st.unacked_instr[slave] {
-                                        if *tries < tol.instr_retries {
+                                        if *tries < INSTR_RETRIES {
                                             *tries += 1;
                                             st.rec.instr_resends += 1;
                                             let again = Msg::Instructions(instr.clone());
@@ -1076,7 +1081,7 @@ async fn drive(
             if complete {
                 break;
             }
-            if let Some(env) = ctx.recv_deadline(ctx.now() + tol.master_tick).await {
+            if let Some(env) = ctx.recv_deadline(ctx.now() + MASTER_TICK).await {
                 match env.msg {
                     Msg::GatherData {
                         slave,
@@ -1316,7 +1321,6 @@ mod tests {
                 invocations: 1,
                 expected_units: Box::new(|_| 1),
                 units_per_hook: None,
-                decision_cpu: CpuWork::from_micros(1),
                 record_timeline: false,
                 converged: Box::new(|_, _| false),
                 ft: None,

@@ -462,6 +462,24 @@ pub enum Msg {
 }
 
 impl Msg {
+    /// Channel control (transfer acks, peer evictions, rollbacks) and
+    /// failover traffic (replicas, pings, election messages, promotions):
+    /// what every slave receive point services on the side, whatever it is
+    /// waiting for, through `SlaveCommon::{control, election}`.
+    pub(crate) fn is_channel_control(&self) -> bool {
+        matches!(
+            self,
+            Msg::TransferAck { .. }
+                | Msg::Evicted { .. }
+                | Msg::Rollback { .. }
+                | Msg::Replica(_)
+                | Msg::MasterPing { .. }
+                | Msg::Candidacy { .. }
+                | Msg::Vote { .. }
+                | Msg::Promoted { .. }
+        )
+    }
+
     /// Approximate wire size in bytes, used to charge the network model.
     pub fn wire_bytes(&self) -> u64 {
         const HDR: u64 = 32;

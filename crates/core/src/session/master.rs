@@ -25,6 +25,11 @@ use dlb_sim::{ActorId, MailCtx, SimDuration, SimTime};
 use std::collections::BTreeSet;
 use std::sync::Arc;
 
+/// Master failover: how often the master pings its deputies when it has no
+/// protocol traffic for them (the master-side analogue of `slave_heartbeat`;
+/// defers the election trigger only).
+pub(crate) const MASTER_HEARTBEAT: SimDuration = SimDuration::from_secs(1);
+
 /// Send with the model's wire-size accounting.
 pub(crate) async fn send(ctx: &MailCtx<Msg>, to: ActorId, msg: Msg) {
     let bytes = msg.wire_bytes();
@@ -231,7 +236,7 @@ impl Session {
                 term,
                 deputies,
                 acked: vec![0; deputies],
-                next_ping: now + tol.master_heartbeat,
+                next_ping: now + MASTER_HEARTBEAT,
             },
             rec,
             policy,
@@ -394,14 +399,14 @@ impl Session {
     }
 
     /// Heartbeat the live deputies so their election trigger stays quiet
-    /// between barriers. Runs from every timer sweep; rate-limited to the
-    /// configured cadence.
+    /// between barriers. Runs from every timer sweep; rate-limited to
+    /// `MASTER_HEARTBEAT` (1 s).
     pub async fn ping_deputies(&mut self, ctx: &MailCtx<Msg>) {
         let now = ctx.now();
         if now < self.fo.next_ping {
             return;
         }
-        self.fo.next_ping = now + self.tol.master_heartbeat;
+        self.fo.next_ping = now + MASTER_HEARTBEAT;
         let msg = Msg::MasterPing { term: self.fo.term };
         for d in 0..self.fo.deputies {
             if self.memb.alive[d] {

@@ -15,9 +15,9 @@
 //!
 //! * A deputy **stands** when the master has shown no sign of life (neither
 //!   protocol traffic nor [`crate::msg::Msg::MasterPing`]) for
-//!   `master_suspicion + rank × election_stagger`. The stagger makes the
-//!   lowest live rank stand first, so the common case is a one-candidate
-//!   election.
+//!   `MASTER_SUSPICION + rank × ELECTION_STAGGER` (8 s + rank × 2 s). The
+//!   stagger makes the lowest live rank stand first, so the common case is
+//!   a one-candidate election.
 //! * Standing picks the term `term_seen + 1`, votes for itself, and
 //!   broadcasts [`crate::msg::Msg::Candidacy`] to the other deputies.
 //! * A deputy **grants** a vote iff the candidacy's term is newer than any
@@ -35,9 +35,8 @@
 //!   if a round dueled (two deputies standing in the same heartbeat slice,
 //!   each refusing the other because its own vote for the term was spent) —
 //!   without it, dueling candidates stay phase-locked forever. For the same
-//!   reason the stagger must be coarser than the heartbeat slice that
-//!   drives the election timer (see
-//!   [`FaultToleranceConfig::election_stagger`]).
+//!   reason the heartbeat slice that drives the election timer must not
+//!   be coarser than the stagger (`try_run` rejects such a config).
 //!
 //! Exactly one winner can reach quorum in a given term; distinct terms may
 //! each have a winner, and [`crate::msg::Msg::Promoted`] fencing resolves
@@ -48,8 +47,22 @@ use crate::error::FaultToleranceConfig;
 use crate::msg::{Msg, ReplicaMsg};
 use crate::recovery::RecoveryStats;
 use crate::session::membership::Membership;
-use dlb_sim::SimTime;
+use dlb_sim::{SimDuration, SimTime};
 use std::collections::BTreeSet;
+
+/// Master silence (neither protocol traffic nor pings) after which the
+/// rank-0 deputy stands for election.
+pub(crate) const MASTER_SUSPICION: SimDuration = SimDuration::from_secs(8);
+/// Extra silence per deputy rank before standing, so the lowest live rank
+/// with a fresh replica wins without a vote split. The election timer is
+/// checked from `slave_heartbeat` slices, so a heartbeat coarser than the
+/// stagger cannot separate two deputies: their timer wakes would stand them
+/// in the same slice, cross candidacies, and each refuse the other (both
+/// spent their term's vote on themselves) term after term.
+/// [`try_run`](crate::driver::try_run) therefore rejects
+/// `slave_heartbeat > ELECTION_STAGGER`; equality is what the wide SOR
+/// cells run at (16 s / 8 = 2 s) and separates the ranks by one slice.
+pub(crate) const ELECTION_STAGGER: SimDuration = SimDuration::from_secs(2);
 
 /// Everything the election winner needs to take over as master: carried out
 /// of the engine unwind by `SlaveCommon::takeover`.
@@ -124,7 +137,7 @@ impl DeputyState {
             voted_in: 0,
             standing: None,
             votes: BTreeSet::new(),
-            next_stand_ok: now + tol.master_suspicion,
+            next_stand_ok: now + MASTER_SUSPICION,
         }
     }
 
@@ -189,8 +202,8 @@ impl DeputyState {
     /// this rank's staggered threshold. Returns candidacy broadcasts (empty
     /// when not standing). Call [`Self::won`] afterwards — with one deputy
     /// the self-vote wins immediately.
-    pub fn tick(&mut self, now: SimTime, tol: &FaultToleranceConfig) -> Vec<(usize, Msg)> {
-        let threshold = tol.master_suspicion + tol.election_stagger * (self.idx as u64);
+    pub fn tick(&mut self, now: SimTime) -> Vec<(usize, Msg)> {
+        let threshold = MASTER_SUSPICION + ELECTION_STAGGER * (self.idx as u64);
         if self.watch.silent_for(0, now) < threshold || now < self.next_stand_ok {
             return Vec::new();
         }
@@ -203,7 +216,7 @@ impl DeputyState {
         // duels (two candidacies crossing on the wire, each refused because
         // the voter spent its term on itself), the retries separate by rank
         // again instead of staying phase-locked in dueling candidacies.
-        self.next_stand_ok = now + tol.master_suspicion + tol.election_stagger * (self.idx as u64);
+        self.next_stand_ok = now + threshold;
         let fresh = self.effective_fresh();
         (0..self.n_deputies)
             .filter(|&d| d != self.idx)
@@ -312,8 +325,8 @@ mod tests {
         let mut d0 = deputy(0, 3, false);
         let mut d1 = deputy(1, 3, false);
         // Rank 0 stands right at the suspicion threshold…
-        assert!(d0.tick(t(7_999), &tol()).is_empty());
-        let msgs = d0.tick(t(8_000), &tol());
+        assert!(d0.tick(t(7_999)).is_empty());
+        let msgs = d0.tick(t(8_000));
         assert_eq!(msgs.len(), 2, "candidacy goes to the other two deputies");
         assert!(matches!(
             msgs[0],
@@ -327,19 +340,16 @@ mod tests {
             )
         ));
         // …rank 1 must wait one extra stagger.
-        assert!(d1.tick(t(9_999), &tol()).is_empty());
-        assert!(!d1.tick(t(10_000), &tol()).is_empty());
+        assert!(d1.tick(t(9_999)).is_empty());
+        assert!(!d1.tick(t(10_000)).is_empty());
     }
 
     #[test]
     fn master_pings_defer_the_stand_but_not_forever() {
         let mut d = deputy(0, 3, false);
         d.master_ping(0, t(6_000));
-        assert!(d.tick(t(8_000), &tol()).is_empty(), "ping reset the clock");
-        assert!(
-            !d.tick(t(14_000), &tol()).is_empty(),
-            "silence since the ping"
-        );
+        assert!(d.tick(t(8_000)).is_empty(), "ping reset the clock");
+        assert!(!d.tick(t(14_000)).is_empty(), "silence since the ping");
     }
 
     #[test]
@@ -369,7 +379,7 @@ mod tests {
     #[test]
     fn standing_consumes_own_vote_for_the_term() {
         let mut d = deputy(0, 3, false);
-        let msgs = d.tick(t(8_000), &tol());
+        let msgs = d.tick(t(8_000));
         assert_eq!(msgs.len(), 2);
         assert!(
             d.on_candidacy(1, 1, u64::MAX).is_empty(),
@@ -381,20 +391,20 @@ mod tests {
     #[test]
     fn quorum_counts_the_full_deputy_set() {
         let mut d = deputy(0, 3, false);
-        d.tick(t(8_000), &tol());
+        d.tick(t(8_000));
         assert_eq!(d.won(), None, "self-vote alone is 1 of 3");
         d.on_vote(1, 5, 0); // vote for someone else's term? no: term 1, us
         assert_eq!(d.won(), Some(1), "2 of 3 is a majority");
         // A single-deputy set wins on the stand itself.
         let mut solo = deputy(0, 1, false);
-        solo.tick(t(8_000), &tol());
+        solo.tick(t(8_000));
         assert_eq!(solo.won(), Some(1));
     }
 
     #[test]
     fn late_votes_for_other_terms_or_candidates_are_inert() {
         let mut d = deputy(0, 3, false);
-        d.tick(t(8_000), &tol());
+        d.tick(t(8_000));
         d.on_vote(2, 1, 0); // wrong term
         d.on_vote(1, 1, 2); // wrong candidate
         assert_eq!(d.won(), None);
@@ -402,22 +412,21 @@ mod tests {
 
     #[test]
     fn dueling_retry_backoff_restores_rank_order() {
-        let cfg = tol();
         let mut d1 = deputy(1, 3, false);
         let mut d2 = deputy(2, 3, false);
         // Rank 0 is dead and the survivors' timer wakes aligned: both stand
         // in the same heartbeat slice, candidacies cross on the wire, and
         // each refuses the other (its own vote for the term is spent).
-        assert!(!d1.tick(t(12_000), &cfg).is_empty());
-        assert!(!d2.tick(t(12_000), &cfg).is_empty());
+        assert!(!d1.tick(t(12_000)).is_empty());
+        assert!(!d2.tick(t(12_000)).is_empty());
         assert!(d1.on_candidacy(1, 2, 0).is_empty(), "vote spent on self");
         assert!(d2.on_candidacy(1, 1, 0).is_empty(), "vote spent on self");
         // The retry backoff re-applies the stagger: rank 1 re-stands a full
         // stagger before rank 2 is allowed to, so its fresh-term candidacy
         // lands while rank 2 is still rate-limited — and collects the vote.
-        let retry = t(12_000) + cfg.master_suspicion + cfg.election_stagger;
-        assert!(!d1.tick(retry, &cfg).is_empty(), "rank 1 re-stands first");
-        assert!(d2.tick(retry, &cfg).is_empty(), "rank 2 still rate-limited");
+        let retry = t(12_000) + MASTER_SUSPICION + ELECTION_STAGGER;
+        assert!(!d1.tick(retry).is_empty(), "rank 1 re-stands first");
+        assert!(d2.tick(retry).is_empty(), "rank 2 still rate-limited");
         let v = d2.on_candidacy(2, 1, 0);
         assert!(matches!(
             v[0],
@@ -436,11 +445,10 @@ mod tests {
 
     #[test]
     fn restand_is_rate_limited_and_bumps_the_term() {
-        let cfg = tol();
         let mut d = deputy(0, 3, false);
-        assert!(!d.tick(t(8_000), &cfg).is_empty());
-        assert!(d.tick(t(9_000), &cfg).is_empty(), "too soon to re-stand");
-        let again = d.tick(t(16_000), &cfg);
+        assert!(!d.tick(t(8_000)).is_empty());
+        assert!(d.tick(t(9_000)).is_empty(), "too soon to re-stand");
+        let again = d.tick(t(16_000));
         assert!(matches!(again[0].1, Msg::Candidacy { term: 2, .. }));
     }
 
@@ -474,16 +482,15 @@ mod tests {
 
     #[test]
     fn promotion_stands_down_outranked_candidacies_only() {
-        let cfg = tol();
         let mut d = deputy(0, 3, false);
-        d.tick(t(8_000), &cfg); // standing in term 1
+        d.tick(t(8_000)); // standing in term 1
         d.on_promoted(1, t(8_100));
         assert_eq!(d.won(), None, "stood down");
-        assert!(d.tick(t(8_200), &cfg).is_empty(), "new master is live");
+        assert!(d.tick(t(8_200)).is_empty(), "new master is live");
         // A *lower*-term promotion does not cancel a newer candidacy.
         let mut d = deputy(0, 3, false);
         d.term_seen = 4;
-        d.tick(t(8_000), &cfg); // standing in term 5
+        d.tick(t(8_000)); // standing in term 5
         d.on_promoted(3, t(8_001));
         d.on_vote(5, 1, 0);
         assert_eq!(d.won(), Some(5));

@@ -50,15 +50,21 @@ use crate::master::{run_takeover, TakeoverKit};
 use crate::msg::{Msg, SharedUnits};
 use crate::session::strategy::{BarrierMsg, DistributionStrategy};
 use crate::slave_common::{recv_start, RollbackInfo, SlaveCommon, StartInfo};
-use dlb_sim::{ActorId, CpuWork, MailCtx, SimTime};
+use dlb_sim::{ActorId, MailCtx, SimTime};
 use std::sync::Arc;
+
+/// Heartbeats an idle slave tolerates with no traffic at all before giving
+/// up on the master.
+const GIVE_UP_TRIES: u32 = 90;
+/// Heartbeats a slave waits for a gather acknowledgement before assuming its
+/// data arrived and exiting.
+const GATHER_PATIENCE: u32 = 10;
 
 /// Static configuration for one slave, whatever its engine.
 pub struct SlaveSpec {
     pub idx: usize,
     pub master: ActorId,
     pub mode: InteractionMode,
-    pub hook_check_cpu: CpuWork,
     pub ft: Option<FaultToleranceConfig>,
     /// Everything a promoted deputy needs to rebuild the master role
     /// (config factory, outcome slot, topology). `None` outside fault mode.
@@ -82,9 +88,7 @@ impl SlaveSpec {
         incarnation: u64,
         checkpointed: bool,
     ) -> SlaveCommon {
-        let ft = self.ft.clone();
-        let mut common =
-            SlaveCommon::new(self.idx, master, slaves, self.mode, self.hook_check_cpu, ft);
+        let mut common = SlaveCommon::new(self.idx, master, slaves, self.mode, self.ft.clone());
         common.incarnation = incarnation;
         common.enable_deputy(checkpointed, ctx.now());
         common
@@ -119,7 +123,7 @@ async fn slave_life<S: DistributionStrategy>(
     make_strategy: impl FnOnce(&SlaveSpec, &StartInfo) -> Result<S, ProtocolError>,
     ctx: &MailCtx<Msg>,
 ) -> Result<(), ProtocolError> {
-    let start = recv_start(ctx, spec.idx, spec.ft.as_ref()).await?;
+    let start = recv_start(ctx, spec.idx, spec.ft.is_some()).await?;
     let mut strategy = make_strategy(spec, &start)?;
     let mut common = spec.common(ctx, spec.master, start.0, 0, S::SNAPSHOTS);
     if let Some(at) = spec.join_at {
@@ -223,7 +227,7 @@ async fn rescue_wait(
         match ctx.recv_deadline(ctx.now() + ft.slave_heartbeat).await {
             None => {
                 tries += 1;
-                if tries > ft.give_up_tries {
+                if tries > GIVE_UP_TRIES {
                     return Err(ProtocolError::Timeout {
                         who: slave_who(common.idx),
                         waiting_for: "rescue rollback",
@@ -400,7 +404,7 @@ enum Released {
 /// In fault mode the slave heartbeats: its `InvocationDone` (carrying the
 /// master-channel watermark) and the barrier checkpoint are re-sent
 /// whenever nothing arrives for one heartbeat period, bounded by
-/// `give_up_tries`; unacked transfers are re-sent on the same trigger.
+/// [`GIVE_UP_TRIES`]; unacked transfers are re-sent on the same trigger.
 async fn barrier<S: DistributionStrategy>(
     ctx: &MailCtx<Msg>,
     common: &mut SlaveCommon,
@@ -429,7 +433,7 @@ async fn barrier<S: DistributionStrategy>(
                     // may have been lost; refresh it, re-sending stalled
                     // transfers and the checkpoint with it.
                     silent += 1;
-                    if silent > ft.give_up_tries {
+                    if silent > GIVE_UP_TRIES {
                         return Err(ProtocolError::Timeout {
                             who: slave_who(common.idx),
                             waiting_for: strategy.barrier_context(),
@@ -536,7 +540,7 @@ async fn reply_gather<S: DistributionStrategy>(
         match ctx.recv_deadline(ctx.now() + ft.slave_heartbeat).await {
             None => {
                 tries += 1;
-                if tries > ft.gather_patience {
+                if tries > GATHER_PATIENCE {
                     // Assume the data arrived and the ack was lost; the
                     // master recomputes locally if it really did not.
                     return Ok(());
@@ -665,7 +669,6 @@ mod tests {
             idx: 0,
             master: ActorId(1),
             mode: InteractionMode::Pipelined,
-            hook_check_cpu: CpuWork::from_micros(10),
             ft,
             takeover: None,
             join_at: None,

@@ -21,7 +21,7 @@
 //! always also accepts `Abort` / `Evict` (so a master-initiated shutdown can
 //! never deadlock a slave, fault mode or not), transparently services
 //! transfer acks and peer-eviction notices, and, in fault mode, bounds the
-//! wait with the configured operation timeout.
+//! wait with the 30 s operation timeout.
 
 use crate::balancer::InteractionMode;
 use crate::error::{slave_who, FaultToleranceConfig, ProtocolError};
@@ -30,6 +30,12 @@ use crate::protocol::{AckTracker, TransferWindow};
 use crate::recovery::SlaveFaultStats;
 use crate::session::replica::{DeputyState, TakeoverSeed};
 use dlb_sim::{ActorId, CpuWork, Envelope, MailCtx, SimDuration, SimTime};
+
+/// CPU charged per hook check (the counter decrement of a skipped hook).
+const HOOK_CHECK_CPU: CpuWork = CpuWork::from_micros(10);
+/// Fault mode: deadline for any single blocking protocol step on a slave
+/// (pipelined/shrinking waits, start-up).
+pub(crate) const OP_TIMEOUT: SimDuration = SimDuration::from_secs(30);
 
 /// Contents of the `Start` message: slave ids, initial block assignment,
 /// and rows per block.
@@ -46,23 +52,28 @@ pub struct RollbackInfo {
     pub units: SharedUnits,
 }
 
+/// What an engine detaches for one movement order: the units, and — for the
+/// pipelined engine's right-to-left moves — the sweep-start values of the
+/// sender's new first column ([`TransferMsg::right_old`]).
+pub(crate) type Detached = (Vec<MovedUnit>, Option<Vec<f64>>);
+
 /// Wait for the initial `Start` message (before a [`SlaveCommon`] exists).
 pub async fn recv_start(
     ctx: &MailCtx<Msg>,
     idx: usize,
-    ft: Option<&FaultToleranceConfig>,
+    fault_mode: bool,
 ) -> Result<StartInfo, ProtocolError> {
     let pred = |m: &Msg| matches!(m, Msg::Start { .. } | Msg::Abort | Msg::Evict);
-    let env = match ft {
-        None => ctx.recv_match(pred).await,
-        Some(ft) => ctx
-            .recv_match_deadline(pred, ctx.now() + ft.op_timeout)
+    let env = if fault_mode {
+        ctx.recv_match_deadline(pred, ctx.now() + OP_TIMEOUT)
             .await
             .ok_or_else(|| ProtocolError::Timeout {
                 who: slave_who(idx),
                 waiting_for: "start message",
                 at: ctx.now(),
-            })?,
+            })?
+    } else {
+        ctx.recv_match(pred).await
     };
     match env.msg {
         Msg::Start {
@@ -106,8 +117,6 @@ pub struct SlaveCommon {
     pub mode: InteractionMode,
     /// Fault-tolerance timeouts; `None` outside fault mode.
     pub ft: Option<FaultToleranceConfig>,
-    /// CPU cost of the hook *check* itself.
-    pub hook_check_cpu: CpuWork,
     /// Hooks to skip between firings (updated by instructions).
     skip: u64,
     since_fire: u64,
@@ -172,7 +181,6 @@ impl SlaveCommon {
         master: ActorId,
         slaves: Vec<ActorId>,
         mode: InteractionMode,
-        hook_check_cpu: CpuWork,
         ft: Option<FaultToleranceConfig>,
     ) -> SlaveCommon {
         let n = slaves.len();
@@ -183,7 +191,6 @@ impl SlaveCommon {
             slaves,
             mode,
             ft,
-            hook_check_cpu,
             skip: 0,
             since_fire: 0,
             hook_seq: 0,
@@ -276,31 +283,68 @@ impl SlaveCommon {
         self.channels.iter().map(|c| c.recv_watermark()).collect()
     }
 
-    /// Send a sequenced work transfer to `to`. `make` builds the transfer
-    /// for the allocated sequence number (its `seq`/`epoch` fields are
-    /// overwritten). Returns `false` — and sends nothing, keeping the
-    /// units with the caller — when the peer is already evicted.
-    pub async fn send_transfer(
+    /// Execute the master's movement orders: for each order to a live peer,
+    /// `detach` takes the units (and, for the pipelined engine's
+    /// right-to-left moves, the receiver's new right halo) out of the
+    /// engine's state and they leave as one sequenced transfer stamped
+    /// `invocation` / `effective_block`. An order is always answered, with
+    /// an empty transfer if need be, so the master's pending accounting and
+    /// the channel watermarks stay settled; an order to an evicted peer
+    /// (planned before its death reached the master) is refused locally and
+    /// the units stay here. The elapsed time is the next status's movement
+    /// cost sample.
+    pub(crate) async fn execute_moves(
+        &mut self,
+        ctx: &MailCtx<Msg>,
+        moves: Vec<MoveOrder>,
+        invocation: u64,
+        effective_block: u64,
+        mut detach: impl FnMut(&MoveOrder) -> Result<Detached, ProtocolError> + Send,
+    ) -> Result<(), ProtocolError> {
+        if moves.is_empty() {
+            return Ok(());
+        }
+        let t0 = ctx.now();
+        let mut total = 0u64;
+        for order in moves {
+            if self.dead[order.to] {
+                continue;
+            }
+            let (units, right_old) = detach(&order)?;
+            total += units.len() as u64;
+            self.send_transfer(ctx, order.to, invocation, effective_block, units, right_old)
+                .await;
+        }
+        self.move_cost_sample = Some((total, ctx.now().saturating_since(t0)));
+        Ok(())
+    }
+
+    /// Send a sequenced work transfer to the live peer `to`: the channel
+    /// allocates the sequence number and retains the transfer until it is
+    /// acknowledged.
+    async fn send_transfer(
         &mut self,
         ctx: &MailCtx<Msg>,
         to: usize,
-        make: impl FnOnce(u64) -> TransferMsg,
-    ) -> bool {
-        if self.dead[to] {
-            return false;
-        }
-        let epoch = self.epoch;
-        let Some(t) = self.channels[to].send_with(|seq| {
-            let mut t = make(seq);
-            t.seq = seq;
-            t.epoch = epoch;
-            t
-        }) else {
-            return false;
-        };
+        invocation: u64,
+        effective_block: u64,
+        units: Vec<MovedUnit>,
+        right_old: Option<Vec<f64>>,
+    ) {
+        let (from, epoch) = (self.idx, self.epoch);
+        let t = self.channels[to]
+            .send_with(|seq| TransferMsg {
+                from,
+                seq,
+                epoch,
+                invocation,
+                effective_block,
+                units,
+                right_old,
+            })
+            .expect("a live peer's channel is open");
         let msg = Msg::Transfer(t.clone());
         self.send_slave(ctx, to, msg).await;
-        true
     }
 
     /// Accept an inbound transfer: epoch-fence, deduplicate by sequence
@@ -522,13 +566,10 @@ impl SlaveCommon {
     /// heartbeat slice of [`SlaveCommon::recv_blocking`]; with a single
     /// deputy the stand itself reaches quorum and returns `Err(Elected)`.
     pub async fn deputy_tick(&mut self, ctx: &MailCtx<Msg>) -> Result<(), ProtocolError> {
-        let Some(ft) = self.ft.clone() else {
-            return Ok(());
-        };
         let Some(d) = self.deputy.as_mut() else {
             return Ok(());
         };
-        let candidacies = d.tick(ctx.now(), &ft);
+        let candidacies = d.tick(ctx.now());
         if !candidacies.is_empty() && crate::dlb_trace() {
             eprintln!(
                 "[slave{} t={}] standing for term {} (fresh {})",
@@ -581,22 +622,7 @@ impl SlaveCommon {
     /// messages, promotions). Engines call this from their transfer-drain
     /// loops.
     pub async fn drain_control(&mut self, ctx: &MailCtx<Msg>) -> Result<(), ProtocolError> {
-        while let Some(env) = ctx
-            .try_recv_match(|m| {
-                matches!(
-                    m,
-                    Msg::TransferAck { .. }
-                        | Msg::Evicted { .. }
-                        | Msg::Rollback { .. }
-                        | Msg::Replica(_)
-                        | Msg::MasterPing { .. }
-                        | Msg::Candidacy { .. }
-                        | Msg::Vote { .. }
-                        | Msg::Promoted { .. }
-                )
-            })
-            .await
-        {
+        while let Some(env) = ctx.try_recv_match(Msg::is_channel_control).await {
             if !self.election(ctx, &env.msg).await? {
                 self.control(&env.msg)?;
             }
@@ -607,7 +633,7 @@ impl SlaveCommon {
     /// Blocking receive for a protocol step. Also matches `Abort` / `Evict`
     /// (turned into errors) so master-initiated shutdown cannot deadlock,
     /// transparently services channel control traffic, and in fault mode
-    /// bounds the wait with `op_timeout`.
+    /// bounds the wait with `OP_TIMEOUT` (30 s).
     ///
     /// In fault mode the wait is sliced into `slave_heartbeat` intervals:
     /// a slave blocked on a *peer* (a pipeline halo, a pivot broadcast)
@@ -633,25 +659,11 @@ impl SlaveCommon {
         waiting_for: &'static str,
     ) -> Result<Envelope<Msg>, ProtocolError> {
         let ft = self.ft.clone();
-        let deadline = ft.as_ref().map(|ft| ctx.now() + ft.op_timeout);
+        let deadline = ft.as_ref().map(|_| ctx.now() + OP_TIMEOUT);
         let ping_until = ft.as_ref().map(|ft| ctx.now() + ft.suspicion);
         loop {
-            let mut full = |m: &Msg| {
-                pred(m)
-                    || matches!(
-                        m,
-                        Msg::Abort
-                            | Msg::Evict
-                            | Msg::TransferAck { .. }
-                            | Msg::Evicted { .. }
-                            | Msg::Rollback { .. }
-                            | Msg::Replica(_)
-                            | Msg::MasterPing { .. }
-                            | Msg::Candidacy { .. }
-                            | Msg::Vote { .. }
-                            | Msg::Promoted { .. }
-                    )
-            };
+            let mut full =
+                |m: &Msg| pred(m) || matches!(m, Msg::Abort | Msg::Evict) || m.is_channel_control();
             let env = match (&ft, deadline) {
                 (Some(ft), Some(d)) => {
                     let mut got = None;
@@ -836,7 +848,7 @@ impl SlaveCommon {
         invocation: u64,
         active_units: u64,
     ) -> Result<Vec<MoveOrder>, ProtocolError> {
-        ctx.advance_work(self.hook_check_cpu).await;
+        ctx.advance_work(HOOK_CHECK_CPU).await;
         self.since_fire += 1;
         if self.since_fire <= self.skip {
             return Ok(Vec::new());

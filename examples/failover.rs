@@ -8,9 +8,9 @@
 //! epoch, membership, invocation watermark, and (for the checkpointed
 //! engines) the newest banked snapshot — to the lowest-ranked `deputies`
 //! slaves at every `replicate_every`-th barrier. When the master falls
-//! silent past `master_suspicion`, the deputies hold a quorum election
-//! (one vote per term, freshest replica wins, candidacies staggered by
-//! rank); the winner announces its reign, fences it behind a `term << 32`
+//! silent for 8 s (a constant of the election, not a setting), the deputies
+//! hold a quorum election (one vote per term, freshest replica wins,
+//! candidacies staggered by rank); the winner announces its reign, fences it behind a `term << 32`
 //! epoch floor, rolls the survivors back to the replicated restart point,
 //! and finishes the run — bit-identical to the sequential reference.
 //!

@@ -14,6 +14,7 @@
 
 use dlb::apps::{Calibration, Lu};
 use dlb::core::driver::{try_run, AppSpec, RunConfig};
+use dlb::core::FaultToleranceConfig;
 use dlb::sim::{FaultPlan, SimDuration, SimTime};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -56,19 +57,13 @@ static ALLOC: Counting = Counting;
 /// An armed LU run, polled inline; the `tests/chaos_wide.rs` shrinking
 /// windows (suspicion 12 s).
 fn lu_cfg(slaves: usize, plan: FaultPlan, rejoin_attempts: u32) -> RunConfig {
-    let suspicion_ms = 12_000;
     let mut cfg = RunConfig::homogeneous(slaves);
     cfg.balancer.enabled = true;
     cfg.fault_plan = Some(plan);
     cfg.worker_threads = Some(0);
     cfg.max_events = Some(50_000_000);
-    let ft = &mut cfg.fault_tolerance;
-    ft.suspicion = SimDuration::from_millis(suspicion_ms);
-    ft.speculate_after = SimDuration::from_millis(suspicion_ms * 5 / 8);
-    ft.nudge = SimDuration::from_millis(suspicion_ms / 4);
-    ft.slave_heartbeat = SimDuration::from_millis(suspicion_ms / 8);
-    ft.rejoin_attempts = rejoin_attempts;
-    ft.rejoin_backoff = SimDuration::from_millis(suspicion_ms / 4);
+    cfg.fault_tolerance = FaultToleranceConfig::with_suspicion(SimDuration::from_secs(12));
+    cfg.fault_tolerance.rejoin_attempts = rejoin_attempts;
     // The 12 s row of `tests/chaos_wide.rs::detector_windows_are_pinned`.
     let ft = &cfg.fault_tolerance;
     assert_eq!(

@@ -11,6 +11,7 @@
 
 use dlb::apps::{Calibration, Lu, MatMul, Sor};
 use dlb::core::driver::{try_run, AppSpec, RunConfig, RunReport};
+use dlb::core::FaultToleranceConfig;
 use dlb::sim::{FaultPlan, SimDuration, SimTime};
 use std::sync::Arc;
 
@@ -34,12 +35,9 @@ fn wide_cfg(plan: FaultPlan, suspicion_ms: u64) -> RunConfig {
     // Fail fast with a livelock diagnosis instead of burning the kernel's
     // 200M-event default if a protocol regression reintroduces cascades.
     cfg.max_events = Some(20_000_000);
-    cfg.fault_tolerance.suspicion = SimDuration::from_millis(suspicion_ms);
-    cfg.fault_tolerance.speculate_after = SimDuration::from_millis(suspicion_ms * 5 / 8);
-    cfg.fault_tolerance.nudge = SimDuration::from_millis(suspicion_ms / 4);
-    cfg.fault_tolerance.slave_heartbeat = SimDuration::from_millis((suspicion_ms / 8).max(300));
+    cfg.fault_tolerance =
+        FaultToleranceConfig::with_suspicion(SimDuration::from_millis(suspicion_ms));
     cfg.fault_tolerance.rejoin_attempts = 10;
-    cfg.fault_tolerance.rejoin_backoff = SimDuration::from_millis((suspicion_ms / 4).max(500));
     cfg
 }
 

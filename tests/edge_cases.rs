@@ -3,7 +3,7 @@
 
 use dlb::apps::{Calibration, Lu, MatMul, Sor};
 use dlb::core::driver::{run, AppSpec, RunConfig};
-use dlb::sim::{LoadModel, NodeConfig};
+use dlb::sim::{FaultPlan, LoadModel, NodeConfig, SimDuration};
 use std::sync::Arc;
 
 fn cal() -> Calibration {
@@ -118,4 +118,18 @@ fn all_slaves_loaded_equally_no_movement() {
     let r = run(AppSpec::Independent(mm.clone()), &plan, cfg);
     assert_eq!(MatMul::result_c(&r.result), mm.sequential());
     assert_eq!(r.stats.units_moved, 0, "{:?}", r.stats);
+}
+
+/// Deputies check their election timer once per heartbeat slice, so a
+/// fault-mode config whose heartbeat is coarser than the 2 s rank stagger
+/// is refused on entry, naming both values.
+#[test]
+#[should_panic(expected = "slave_heartbeat 5.000000s exceeds the election stagger 2.000000s")]
+fn heartbeat_coarser_than_the_election_stagger_is_rejected() {
+    let mm = Arc::new(MatMul::new(4, 2, 1, &cal()));
+    let plan = dlb::compiler::compile(&mm.program()).unwrap();
+    let mut cfg = RunConfig::homogeneous(4);
+    cfg.fault_plan = Some(FaultPlan::new(1));
+    cfg.fault_tolerance.slave_heartbeat = SimDuration::from_secs(5);
+    run(AppSpec::Independent(mm), &plan, cfg);
 }

@@ -14,6 +14,7 @@
 
 use dlb::apps::{Calibration, Lu};
 use dlb::core::driver::{try_run, AppSpec, RunConfig};
+use dlb::core::FaultToleranceConfig;
 use dlb::sim::{FaultPlan, LoadModel, NodeConfig, SimDuration};
 use std::sync::Arc;
 
@@ -66,17 +67,11 @@ fn locks_per_event_stay_in_budget() {
     // checkpoints, replicas, acks and heartbeats on top, batches up to 65.
     let lu = Arc::new(Lu::new(68, 7, &Calibration::new(0.1 * 68.0 / 260.0)));
     let armed = locks_per_event("armed64", &lu, |workers| {
-        let suspicion_ms = 12_000;
         let mut cfg = cluster(64, workers);
         cfg.fault_plan = Some(FaultPlan::new(7));
         cfg.max_events = Some(50_000_000);
-        let ft = &mut cfg.fault_tolerance;
-        ft.suspicion = SimDuration::from_millis(suspicion_ms);
-        ft.speculate_after = SimDuration::from_millis(suspicion_ms * 5 / 8);
-        ft.nudge = SimDuration::from_millis(suspicion_ms / 4);
-        ft.slave_heartbeat = SimDuration::from_millis(suspicion_ms / 8);
-        ft.rejoin_attempts = 10;
-        ft.rejoin_backoff = SimDuration::from_millis(suspicion_ms / 4);
+        cfg.fault_tolerance = FaultToleranceConfig::with_suspicion(SimDuration::from_secs(12));
+        cfg.fault_tolerance.rejoin_attempts = 10;
         // The 12 s row of `tests/chaos_wide.rs::detector_windows_are_pinned`.
         let ft = &cfg.fault_tolerance;
         assert_eq!(
