@@ -182,8 +182,6 @@ where
             &ReduceConfig {
                 max_depth: cfg.max_depth,
                 max_states: cfg.max_states,
-                symmetry: true,
-                ample: true,
                 fingerprint: !cfg.exact,
             },
         );

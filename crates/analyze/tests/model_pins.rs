@@ -26,8 +26,6 @@ fn reduced_cfg() -> ReduceConfig {
     ReduceConfig {
         max_depth: MAX_DEPTH,
         max_states: MAX_STATES,
-        symmetry: true,
-        ample: true,
         fingerprint: false,
     }
 }

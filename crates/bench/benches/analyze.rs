@@ -71,8 +71,6 @@ where
     let cfg = ReduceConfig {
         max_depth: MAX_DEPTH,
         max_states: MAX_STATES,
-        symmetry: true,
-        ample: true,
         fingerprint: true,
     };
     let t0 = Instant::now();

@@ -42,16 +42,12 @@ pub struct BalancerConfig {
     pub threshold: f64,
     /// Enable the detailed profitability determination phase.
     pub profitability: bool,
-    /// Every slave keeps at least this many units (a pipelined slave with
-    /// zero columns would break the boundary chain).
-    pub min_per_slave: u64,
-    /// Movement restriction from the compiler.
-    pub movement: MovementRule,
-    /// Rate samples over computation windows shorter than this are ignored
-    /// (they are dominated by quantum and catch-up noise; cf. §4.3's
-    /// 5-quanta rule).
-    pub min_sample: SimDuration,
 }
+
+/// Rate samples over computation windows shorter than this are ignored
+/// (they are dominated by quantum and catch-up noise; cf. §4.3's 5-quanta
+/// rule).
+const MIN_SAMPLE: SimDuration = SimDuration::from_millis(100);
 
 impl Default for BalancerConfig {
     fn default() -> Self {
@@ -60,15 +56,12 @@ impl Default for BalancerConfig {
             mode: InteractionMode::Pipelined,
             threshold: 0.10,
             profitability: true,
-            min_per_slave: 1,
-            movement: MovementRule::Direct,
-            min_sample: SimDuration::from_millis(100),
         }
     }
 }
 
 /// Counters for reporting and ablation experiments.
-#[derive(Clone, Copy, Debug, Default)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct BalancerStats {
     pub statuses: u64,
     pub decisions: u64,
@@ -90,8 +83,14 @@ pub struct Decision {
 }
 
 /// The decision engine.
+#[derive(Clone)]
 pub struct Balancer {
     cfg: BalancerConfig,
+    /// Movement restriction from the compiler.
+    movement: MovementRule,
+    /// Every slave keeps at least this many units (a pipelined slave with
+    /// zero columns would break the boundary chain).
+    min_per_slave: u64,
     n: usize,
     filters: Vec<RateFilter>,
     /// Last reported active units per slave (sender-accurate).
@@ -149,6 +148,8 @@ impl Balancer {
         assert!(n > 0);
         Balancer {
             cfg,
+            movement: MovementRule::Direct,
+            min_per_slave: 1,
             n,
             filters: vec![RateFilter::default(); n],
             reported: initial_owned,
@@ -174,11 +175,6 @@ impl Balancer {
     /// boundaries).
     pub fn set_remaining_invocations(&mut self, r: u64) {
         self.remaining_invocations = r.max(1);
-    }
-
-    /// Adjust the expected units per hook (LU's units shrink per step).
-    pub fn set_units_per_hook(&mut self, u: f64) {
-        self.units_per_hook = u;
     }
 
     /// Fold a fixed restart-cost surcharge (checkpoint restore / rollback
@@ -248,6 +244,14 @@ impl Balancer {
     pub fn set_units_scale(&mut self, scale: f64) {
         assert!(scale > 0.0 && scale.is_finite());
         self.units_scale = scale;
+    }
+
+    /// Set what the plan and the pattern fix about placement: the compiler's
+    /// movement restriction, and the per-slave floor (0 for the shrinking
+    /// pattern, whose late steps have fewer active columns than slaves).
+    pub(crate) fn set_placement(&mut self, movement: MovementRule, min_per_slave: u64) {
+        self.movement = movement;
+        self.min_per_slave = min_per_slave;
     }
 
     /// Record one master↔slave interaction cost sample.
@@ -339,11 +343,11 @@ impl Balancer {
         // Rate measurement + filtering. Individual windows can be shorter
         // than the scheduling quantum (catch-up bursts, bootstrap before
         // skip counts arrive); accumulate them until the sample spans at
-        // least `min_sample` of computation, per §4.3's averaging rule.
+        // least `MIN_SAMPLE` of computation, per §4.3's averaging rule.
         let (acc_units, acc_busy) = &mut self.acc[s.slave];
         *acc_units += s.units_done_delta;
         *acc_busy += s.elapsed;
-        let (raw, adjusted) = if *acc_busy >= self.cfg.min_sample {
+        let (raw, adjusted) = if *acc_busy >= MIN_SAMPLE {
             let raw = *acc_units as f64 / (acc_busy.as_secs_f64() * self.units_scale);
             self.acc[s.slave] = (0, SimDuration::ZERO);
             (raw, self.filters[s.slave].update(raw))
@@ -404,7 +408,7 @@ impl Balancer {
         if total == 0 {
             return Vec::new();
         }
-        let target = proportional_allocation(total, &rates, self.cfg.min_per_slave);
+        let target = proportional_allocation(total, &rates, self.min_per_slave);
         if target == owned {
             self.stats.skipped_balanced += 1;
             return Vec::new();
@@ -437,7 +441,7 @@ impl Balancer {
             }
         }
 
-        let all_orders = match self.cfg.movement {
+        let all_orders = match self.movement {
             MovementRule::Direct => plan_direct_moves(&owned, &target),
             MovementRule::AdjacentOnly => plan_adjacent_shifts(&owned, &target),
         };
@@ -668,11 +672,8 @@ mod tests {
 
     #[test]
     fn adjacent_mode_only_moves_to_neighbors() {
-        let cfg = BalancerConfig {
-            movement: MovementRule::AdjacentOnly,
-            ..Default::default()
-        };
-        let mut b = mk(cfg, vec![25; 4]);
+        let mut b = mk(BalancerConfig::default(), vec![25; 4]);
+        b.set_placement(MovementRule::AdjacentOnly, 1);
         warm(&mut b, 4, 25);
         for round in 0..6 {
             for i in 0..4 {

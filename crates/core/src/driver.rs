@@ -11,9 +11,7 @@ use crate::engine_pipelined::PipelinedStrategy;
 use crate::engine_shrinking::ShrinkingStrategy;
 use crate::error::{FaultToleranceConfig, ProtocolError, RunError};
 use crate::kernels::{IndependentKernel, PipelinedKernel, ShrinkingKernel};
-use crate::master::{
-    run_master, MasterConfig, MasterFt, MasterOutcome, Recovery, TakeoverKit, TimelineSample,
-};
+use crate::master::{run_master, MasterConfig, MasterOutcome, TakeoverKit, TimelineSample};
 use crate::msg::{Msg, UnitData};
 use crate::recovery::RecoveryStats;
 use crate::session::replica::ELECTION_STAGGER;
@@ -50,6 +48,9 @@ pub fn engine_for(plan: &ParallelPlan) -> EngineKind {
     }
 }
 
+/// The one description of the program the master mimics (§4.1): every
+/// per-pattern answer the driver, the master and the session need. Outside
+/// this block only the slave-spawn site matches on the pattern.
 impl AppSpec {
     fn pattern(&self) -> Pattern {
         match self {
@@ -65,6 +66,76 @@ impl AppSpec {
             AppSpec::Pipelined(k) => k.n_units(),
             AppSpec::Shrinking(k) => k.n_units(),
         }
+    }
+
+    /// Upper bound on the executions of the distributed loop: MM
+    /// repetitions, SOR sweeps, LU steps.
+    pub fn invocations(&self) -> u64 {
+        match self {
+            AppSpec::Independent(k) => k.invocations(),
+            AppSpec::Pipelined(k) => k.sweeps(),
+            AppSpec::Shrinking(k) => (k.n_units() as u64).saturating_sub(1),
+        }
+    }
+
+    /// Work-unit completions invocation `inv` must report before it can
+    /// settle. The pipelined engine counts column-rows; LU's active set
+    /// shrinks by one column per step.
+    pub fn expected_units(&self, inv: u64) -> u64 {
+        match self {
+            AppSpec::Independent(k) => k.n_units() as u64,
+            AppSpec::Pipelined(k) => k.n_units() as u64 * (k.col_len() - 2) as u64,
+            AppSpec::Shrinking(k) => k.n_units() as u64 - 1 - inv,
+        }
+    }
+
+    /// Data-dependent WHILE termination (§4.1): asked with the invocation
+    /// just settled and the reduced convergence metric; `true` ends the
+    /// program before the [`Self::invocations`] upper bound.
+    pub fn converged(&self, inv: u64, metric: f64) -> bool {
+        match self {
+            AppSpec::Independent(k) => k.converged(inv, metric),
+            AppSpec::Pipelined(_) | AppSpec::Shrinking(_) => false,
+        }
+    }
+
+    /// Unit `id` before any invocation ran, in the form it travels in: what
+    /// a `Restore` or a speculation re-seeds (independent pattern), and the
+    /// epoch-zero snapshot a rollback falls back on while no checkpoint is
+    /// banked (pipelined / shrinking: the one column).
+    pub fn initial_unit(&self, id: usize) -> UnitData {
+        match self {
+            AppSpec::Independent(k) => k.init_unit(id),
+            AppSpec::Pipelined(k) => vec![k.init_unit(id)],
+            AppSpec::Shrinking(k) => vec![k.init_unit(id)],
+        }
+    }
+
+    /// Grain selection (§4.4) as `(block_rows, units_scale,
+    /// units_per_hook)`: the pipelined row-block size from the cost model,
+    /// the OS quantum and the startup distribution; how many reported work
+    /// deltas make one allocation unit; and the expected allocation units
+    /// of progress between two hook firings on a slave. The other two
+    /// patterns hook once per unit.
+    fn grain(&self, plan: &ParallelPlan, n_slaves: usize, quantum: SimDuration) -> (u64, f64, f64) {
+        let AppSpec::Pipelined(k) = self else {
+            return (1, 1.0, 1.0);
+        };
+        let rows = (k.col_len() - 2) as u64;
+        let local_cols = (k.n_units() / n_slaves).max(1) as u64;
+        let per_row = k.elem_cost().dedicated_duration(1.0) * local_cols;
+        let block = match plan.grain {
+            GrainPolicy::FixedBlock { iterations } => iterations.clamp(1, rows),
+            GrainPolicy::AutoBlock { quantum_factor } => {
+                grain_iterations(per_row, quantum, quantum_factor, rows)
+            }
+            GrainPolicy::Unit => 1,
+        };
+        // Work deltas are counted in column-rows, `rows` of which make one
+        // column (the allocation unit); one hook per row block is
+        // local_cols × block column-rows of progress.
+        let per_hook = (k.n_units() as f64 / n_slaves as f64) * block as f64 / rows as f64;
+        (block, rows as f64, per_hook)
     }
 }
 
@@ -289,29 +360,8 @@ pub fn try_run(
     };
     let initial_owned: Vec<u64> = assignment.iter().map(|&(l, h)| (h - l) as u64).collect();
 
-    // Grain selection (§4.4): pipelined block size from the cost model, the
-    // OS quantum, and the startup distribution.
     let quantum = cfg.master_node.quantum;
-    let (block_rows, _nblocks, invocations, units_scale): (u64, u64, u64, f64) = match &app {
-        AppSpec::Independent(k) => (1, 1, k.invocations(), 1.0),
-        AppSpec::Pipelined(k) => {
-            let rows = (k.col_len() - 2) as u64;
-            let local_cols = (n_units / n_slaves).max(1) as u64;
-            let per_row = k.elem_cost().dedicated_duration(1.0) * local_cols;
-            let block = match plan.grain {
-                GrainPolicy::FixedBlock { iterations } => iterations.clamp(1, rows),
-                GrainPolicy::AutoBlock { quantum_factor } => {
-                    grain_iterations(per_row, quantum, quantum_factor, rows)
-                }
-                GrainPolicy::Unit => 1,
-            };
-            let nblocks = rows.div_ceil(block);
-            // Work deltas are counted in column-rows; `rows` of them make
-            // one column (the allocation unit).
-            (block, nblocks, k.sweeps(), rows as f64)
-        }
-        AppSpec::Shrinking(k) => (1, 1, (k.n_units() as u64).saturating_sub(1), 1.0),
-    };
+    let (block_rows, units_scale, units_per_hook) = app.grain(plan, n_slaves, quantum);
 
     // Movement-time estimate per unit: wire + latency from the plan's size.
     let per_unit_move_est = {
@@ -319,124 +369,42 @@ pub fn try_run(
         cfg.net.latency + xfer
     };
 
-    let mut balancer_cfg = cfg.balancer.clone();
-    balancer_cfg.movement = plan.movement;
-    if matches!(app.pattern(), Pattern::Shrinking) {
-        // LU: late steps have fewer active columns than slaves.
-        balancer_cfg.min_per_slave = 0;
-    }
+    // Balancing stays live under fault injection: transfers ride the
+    // sequenced per-channel windows and evictions fence every channel before
+    // units are re-scattered, so movement and crash recovery compose. Only
+    // the interaction mode is forced — a synchronous-mode hook blocking on a
+    // droppable Instructions message could stall a healthy slave forever.
     let slave_mode = if fault_mode {
-        // Balancing stays live under fault injection: transfers ride the
-        // sequenced per-channel windows and evictions fence every channel
-        // before units are re-scattered, so movement and crash recovery
-        // compose. Only the interaction mode is forced — a synchronous-mode
-        // hook blocking on a droppable Instructions message could stall a
-        // healthy slave forever.
-        balancer_cfg.mode = InteractionMode::Pipelined;
         InteractionMode::Pipelined
     } else {
         cfg.balancer.mode
     };
-    // Expected work units (in allocation units) between hook firings: one
-    // hook per unit for the independent/shrinking engines, one hook per row
-    // block (= local_cols / nblocks columns of progress) for the pipelined
-    // engine.
-    let units_per_hook = match &app {
-        AppSpec::Pipelined(k) => {
-            // One hook per row block: local_cols × block_rows column-rows,
-            // i.e. local_cols × block_rows / rows allocation units.
-            let rows = (k.col_len() - 2) as f64;
-            (n_units as f64 / n_slaves as f64) * block_rows as f64 / rows
+    // The master's whole configuration is this one value. In fault mode a
+    // clone of it, taken here before the balancer has seen a status, rides
+    // in every slave's takeover kit.
+    let master_cfg = {
+        let mut balancer = Balancer::new(
+            cfg.balancer.clone(),
+            initial_owned,
+            quantum,
+            per_unit_move_est,
+            app.invocations(),
+            units_per_hook,
+        );
+        balancer.set_units_scale(units_scale);
+        // LU: late steps have fewer active columns than slaves.
+        let min_per_slave = if plan.pattern == Pattern::Shrinking {
+            0
+        } else {
+            1
+        };
+        balancer.set_placement(plan.movement, min_per_slave);
+        MasterConfig {
+            balancer,
+            app: app.clone(),
+            record_timeline: cfg.record_timeline,
+            ft: fault_mode.then(|| cfg.fault_tolerance.clone()),
         }
-        _ => 1.0,
-    };
-    // The whole master configuration is built by a factory so a promoted
-    // deputy can rebuild the master role from scratch mid-run (the balancer
-    // is not replicated — the new reign re-learns rates from the first
-    // statuses it sees).
-    let make_master_cfg: Arc<dyn Fn() -> MasterConfig + Send + Sync> = {
-        let app = app.clone();
-        let tol = cfg.fault_tolerance.clone();
-        let record_timeline = cfg.record_timeline;
-        Arc::new(move || {
-            let mut balancer = Balancer::new(
-                balancer_cfg.clone(),
-                initial_owned.clone(),
-                quantum,
-                per_unit_move_est,
-                invocations,
-                units_per_hook,
-            );
-            balancer.set_units_scale(units_scale);
-
-            // Expected completions per invocation.
-            let expected_units: Box<dyn Fn(u64) -> u64 + Send + Sync> = match &app {
-                AppSpec::Independent(_) => {
-                    let n = n_units as u64;
-                    Box::new(move |_| n)
-                }
-                AppSpec::Pipelined(k) => {
-                    let n = n_units as u64;
-                    let rows = (k.col_len() - 2) as u64;
-                    Box::new(move |_| n * rows)
-                }
-                AppSpec::Shrinking(_) => {
-                    let n = n_units as u64;
-                    Box::new(move |k| n - 1 - k)
-                }
-            };
-            let converged: Box<dyn Fn(u64, f64) -> bool + Send + Sync> = match &app {
-                AppSpec::Independent(k) => {
-                    let k = Arc::clone(k);
-                    Box::new(move |inv, metric| k.converged(inv, metric))
-                }
-                _ => Box::new(|_, _| false),
-            };
-            // Fault mode wires the master's failure detector, and the
-            // pattern picks its recovery policy: the independent pattern
-            // gets the unit-reconstruction closures that enable in-place
-            // recovery; pipelined/shrinking get the epoch-zero snapshot
-            // closure that seeds checkpoint rollback.
-            let ft = fault_mode.then(|| MasterFt {
-                tolerance: tol.clone(),
-                recovery: match &app {
-                    AppSpec::Independent(k) => {
-                        let (ki, kr) = (Arc::clone(k), Arc::clone(k));
-                        Recovery::Rescatter {
-                            init_unit: Box::new(move |id| ki.init_unit(id)),
-                            recompute_unit: Box::new(move |id, invs| {
-                                let mut d = kr.init_unit(id);
-                                for i in 0..invs {
-                                    kr.compute(id, &mut d, i);
-                                }
-                                d
-                            }),
-                        }
-                    }
-                    AppSpec::Pipelined(k) => {
-                        let k = Arc::clone(k);
-                        Recovery::Rollback {
-                            checkpoint_init: Box::new(move |id| vec![k.init_unit(id)]),
-                        }
-                    }
-                    AppSpec::Shrinking(k) => {
-                        let k = Arc::clone(k);
-                        Recovery::Rollback {
-                            checkpoint_init: Box::new(move |id| vec![k.init_unit(id)]),
-                        }
-                    }
-                },
-            });
-            MasterConfig {
-                balancer,
-                invocations,
-                expected_units,
-                units_per_hook: None,
-                record_timeline,
-                converged,
-                ft,
-            }
-        })
     };
 
     let mut sim = SimBuilder::<Msg>::new()
@@ -464,22 +432,11 @@ pub fn try_run(
     let master_id = dlb_sim::ActorId(0);
     let slave_ids: Vec<_> = (1..=n_slaves).map(dlb_sim::ActorId).collect();
 
-    {
-        let outcome = Arc::clone(&outcome);
-        let slave_ids = slave_ids.clone();
-        let assignment = assignment.clone();
-        let master_cfg = make_master_cfg();
-        sim.spawn_mail(master_node, "master", move |ctx| {
-            run_master(ctx, master_cfg, slave_ids, assignment, block_rows, outcome)
-        });
-    }
-
     // In fault mode every slave carries the takeover kit: the election
     // winner uses it to rebuild the master role in place.
     let takeover_kit = fault_mode.then(|| {
-        let make_cfg = Arc::clone(&make_master_cfg);
         Arc::new(TakeoverKit {
-            make_cfg: Box::new(move || make_cfg()),
+            cfg: master_cfg.clone(),
             master: master_id,
             slaves: slave_ids.clone(),
             assignment: assignment.clone(),
@@ -487,6 +444,13 @@ pub fn try_run(
             outcome: Arc::clone(&outcome),
         })
     });
+
+    {
+        let outcome = Arc::clone(&outcome);
+        sim.spawn_mail(master_node, "master", move |ctx| {
+            run_master(ctx, master_cfg, slave_ids, assignment, block_rows, outcome)
+        });
+    }
 
     let slave_ft = fault_mode.then(|| cfg.fault_tolerance.clone());
     for (i, node) in slave_nodes.into_iter().enumerate() {

@@ -107,10 +107,11 @@ pub trait ShrinkingKernel: Send + Sync + 'static {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
 
-    /// A trivial independent kernel: unit i holds [i, 0]; compute doubles.
+    /// A trivial independent kernel: unit i holds [i]; compute doubles.
+    /// Also the application behind the master and session unit tests.
     pub(crate) struct Doubler {
         pub n: usize,
         pub reps: u64,

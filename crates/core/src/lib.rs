@@ -9,14 +9,14 @@
 //!   ([`rate`]), rate-proportional allocation and movement planning
 //!   ([`alloc`]), automatic frequency selection ([`frequency`]), the 10 %
 //!   threshold and profitability refinements (§3.2).
-//! * [`master`] — the master process: program control mimicking the
+//! * `master` — the master process: program control mimicking the
 //!   application's loop structure (§4.1), status/instruction exchange
 //!   (pipelined or synchronous, Fig. 2), invocation settlement, gather.
 //! * Engines — compiler patterns from `dlb-compiler`, each a
-//!   [`session::strategy::DistributionStrategy`] under the one slave runner
-//!   ([`session::slave`]): [`engine_independent`] (MM), [`engine_pipelined`]
+//!   `session::strategy::DistributionStrategy` under the one slave runner
+//!   (`session::slave`): `engine_independent` (MM), `engine_pipelined`
 //!   (SOR, with set-aside/catch-up work movement, §4.5),
-//!   [`engine_shrinking`] (LU, active/inactive slices, §4.7).
+//!   `engine_shrinking` (LU, active/inactive slices, §4.7).
 //! * [`driver`] — one-call execution: [`driver::run`] builds the simulated
 //!   cluster, wires everything, and returns a [`driver::RunReport`] with
 //!   timings, the paper's efficiency metric, the balancing timeline
@@ -64,19 +64,19 @@
 pub mod alloc;
 pub mod balancer;
 pub mod driver;
-pub mod engine_independent;
-pub mod engine_pipelined;
-pub mod engine_shrinking;
+pub(crate) mod engine_independent;
+pub(crate) mod engine_pipelined;
+pub(crate) mod engine_shrinking;
 pub mod error;
 pub mod frequency;
 pub mod kernels;
-pub mod master;
+pub(crate) mod master;
 pub mod msg;
 pub mod protocol;
 pub mod rate;
 pub mod recovery;
 pub mod session;
-pub mod slave_common;
+pub(crate) mod slave_common;
 
 /// Whether `DLB_TRACE` narration (master decisions, slave transfers and
 /// barriers, on stderr) is on. Read once per process: the callers sit on
@@ -94,7 +94,7 @@ pub use driver::{
 pub use error::{FaultToleranceConfig, ProtocolError, RunError};
 pub use frequency::{FrequencyController, PeriodBounds};
 pub use kernels::{IndependentKernel, PipelinedKernel, ShrinkingKernel};
-pub use master::{TakeoverKit, TimelineSample};
+pub use master::TimelineSample;
 pub use msg::{Edge, Instructions, MoveOrder, MovedUnit, Msg, Status, TransferMsg, UnitData};
 pub use protocol::{AckTracker, SenderWindow, TransferWindow};
 pub use rate::RateFilter;

@@ -24,15 +24,15 @@
 //!   (`crate::session::master`): silence-based failure detection, epoch
 //!   fencing, windowed recovery messages, speculation, elastic membership,
 //!   the gather — with the dynamic balancer live throughout. How a loss is
-//!   repaired is the session's [`Recovery`] policy, chosen by the driver
-//!   from the application's pattern:
-//!   - [`Recovery::Rescatter`] (independent pattern) — recover in place.
+//!   repaired is the session's `Policy`, which `Session::new` picks from
+//!   the application's pattern:
+//!   - `Policy::Rescatter` (independent pattern) — recover in place.
 //!     The master evicts a silent slave, fences off its transfer channels
 //!     via [`Msg::Evicted`] / [`Msg::OwnReport`], and re-scatters exactly
 //!     the units no survivor reports. Before a suspect is formally evicted,
 //!     its units may be speculatively re-executed on an idle survivor
 //!     ([`Msg::Speculate`]); a commit adopts the results without replay.
-//!   - [`Recovery::Rollback`] (pipelined/shrinking patterns) — carried
+//!   - `Policy::Rollback` (pipelined/shrinking patterns) — carried
 //!     dependences make in-place recovery impossible, so slaves ship
 //!     best-effort state checkpoints at invocation barriers and the master
 //!     rolls the survivors back to the newest complete checkpoint
@@ -50,7 +50,7 @@
 //! | # | point | `Rescatter` | `Rollback` |
 //! |---|-------|-------------|------------|
 //! | 1 | takeover seeding (`Session::open`) | resume at the replicated invocation watermark, every unit recomputed through it; first epoch `(term << 32) \| 1` | bank the replica's snapshot, roll back to it from `term << 32` (same first epoch) |
-//! | 2 | unit state in a re-range (`Session::rerange`: takeover, admission, rollback) | `recompute_unit(u, inv)`; the survivors' unacknowledged instructions and their silence/nudge clocks are kept | newest banked snapshot; every unacknowledged instruction is dropped, survivors' clocks restart, a joiner's ack floor `join_epoch[j]` is raised to the admission epoch |
+//! | 2 | unit state in a re-range (`Session::rerange`: takeover, admission, rollback) | `recompute(kernel, u, inv)`; the survivors' unacknowledged instructions and their silence/nudge clocks are kept | newest banked snapshot; every unacknowledged instruction is dropped, survivors' clocks restart, a joiner's ack floor `join_epoch[j]` is raised to the admission epoch |
 //! | 3 | `ckpt_stride` in `InvocationStart` / `Rollback` / `ReplicaMsg`; replica freshness | constant 1; `fresh = inv`, no snapshot | adaptive (invocation-time EMA); `fresh` = newest banked checkpoint, whose snapshot rides until the deputy confirms it |
 //! | 4 | `Status` / `InvocationDone` from a stale epoch; cancelling a speculation | never cancels a speculation; "from the future" checks the invocation only; cancel is a windowed `SpecCancel` | cancels it; `epoch >` the epoch in force is also "from the future" (`Status`) or `Inconsistent` (`InvocationDone`); cancel is master-local |
 //! | 5 | window ack floor for `InvocationDone::restore_seq` (`Session::ack_floor`), always applied *before* the epoch fence | the epoch in force — a stale report never acks; `owned_ids` adopted | `join_epoch[slave]` — a stale report of this life still acks; `owned_ids` ignored |
@@ -91,11 +91,12 @@
 //! no one, because exactly one reign per term owns the run.
 
 use crate::balancer::{Balancer, BalancerStats};
+use crate::driver::AppSpec;
 use crate::error::{FaultToleranceConfig, ProtocolError};
 use crate::frequency::PeriodBounds;
 use crate::msg::{Instructions, Msg, Status, UnitData};
 use crate::recovery::RecoveryStats;
-use crate::session::master::{channels_settled, merge_max, send, Policy, Session};
+use crate::session::master::{channels_settled, merge_max, recompute, send, Policy, Session};
 use crate::session::replica::TakeoverSeed;
 use dlb_sim::{ActorId, CpuWork, MailCtx, SimDuration, SimTime};
 use std::collections::btree_map::Entry;
@@ -141,49 +142,14 @@ pub struct MasterOutcome {
     pub completed: bool,
 }
 
-/// Initial data of a unit, for re-scattering a dead slave's block.
-pub type InitUnitFn = Box<dyn Fn(usize) -> UnitData + Send + Sync>;
-/// Recompute a unit end-to-end (init + the given number of completed
-/// invocations).
-pub type RecomputeUnitFn = Box<dyn Fn(usize, u64) -> UnitData + Send + Sync>;
-
-/// How a fault-mode run repairs a loss — the one per-pattern choice in the
-/// master, made by the driver from the application's pattern. The variants
-/// carry the unit-reconstruction closures that repair needs; the module
-/// doc's table lists every place the two behave differently.
-pub enum Recovery {
-    /// Independent pattern: evict, fence, re-scatter the missing units in
-    /// place.
-    Rescatter {
-        /// Initial data of a unit: seeds a `Restore` or a speculation.
-        init_unit: InitUnitFn,
-        /// A unit's state after the given number of completed invocations:
-        /// seeds a takeover or an admission, and backs the gather's safety
-        /// net.
-        recompute_unit: RecomputeUnitFn,
-    },
-    /// Pipelined/shrinking patterns: roll every survivor back to the newest
-    /// banked checkpoint.
-    Rollback {
-        /// Initial unit data: the epoch-zero snapshot.
-        checkpoint_init: InitUnitFn,
-    },
-}
-
-/// Fault-tolerance wiring for the master.
-pub struct MasterFt {
-    pub tolerance: FaultToleranceConfig,
-    pub recovery: Recovery,
-}
-
 /// Everything a promoted deputy needs to rebuild the master role in place:
-/// a factory for a fresh [`MasterConfig`] (balancer included — balancer
-/// state is not replicated, it re-learns rates from the first statuses),
-/// the run topology, and the shared outcome slot. Handed to every slave in
-/// fault mode; used only by the election winner.
+/// the master configuration as it was before the run (balancer state is
+/// not replicated — the new reign re-learns rates from the first statuses
+/// it sees), the run topology, and the shared outcome slot. Handed to
+/// every slave in fault mode; used only by the election winner.
 pub struct TakeoverKit {
-    /// Rebuilds the master configuration from scratch.
-    pub make_cfg: Box<dyn Fn() -> MasterConfig + Send + Sync>,
+    /// Cloned before the original master's balancer saw a status.
+    pub cfg: MasterConfig,
     /// The original master's actor id (fenced with `Promoted` on takeover
     /// in case it is merely slow, not dead).
     pub master: ActorId,
@@ -193,22 +159,17 @@ pub struct TakeoverKit {
     pub outcome: Arc<Mutex<MasterOutcome>>,
 }
 
-/// Master configuration.
+/// Master configuration: plain data, so a takeover starts from a clone.
+#[derive(Clone)]
 pub struct MasterConfig {
     pub balancer: Balancer,
-    pub invocations: u64,
-    /// Expected work-unit completions per invocation (LU shrinks).
-    pub expected_units: Box<dyn Fn(u64) -> u64 + Send + Sync>,
-    /// Per-invocation expected units-per-hook override (LU's units shrink;
-    /// `None` keeps the initial value).
-    pub units_per_hook: Option<Box<dyn Fn(u64) -> f64 + Send + Sync>>,
+    /// The program whose outer loop the master mimics: invocation count,
+    /// expected completions, convergence, and — in fault mode — the unit
+    /// state recovery rebuilds from.
+    pub app: AppSpec,
     pub record_timeline: bool,
-    /// Data-dependent WHILE termination (§4.1): called with the invocation
-    /// just settled and the reduced convergence metric; `true` ends the
-    /// program before the invocation upper bound.
-    pub converged: Box<dyn Fn(u64, f64) -> bool + Send + Sync>,
     /// Fault-mode wiring; `None` selects the plain loop.
-    pub ft: Option<MasterFt>,
+    pub ft: Option<FaultToleranceConfig>,
 }
 
 /// Partial results threaded through the control loops so a failed run
@@ -263,7 +224,7 @@ pub async fn run_takeover(
             seed.replica.invocation
         );
     }
-    let mut cfg = (kit.make_cfg)();
+    let mut cfg = kit.cfg.clone();
     let mut sc = Scratch {
         // Adopt the crashed master's cumulative counters so the final
         // report covers the whole run.
@@ -416,13 +377,10 @@ async fn run_plain(
     let mut recv = vec![vec![0u64; n]; n];
     let all_alive = vec![true; n];
 
+    let invocations = cfg.app.invocations();
     let mut inv = 0;
-    while inv < cfg.invocations {
-        cfg.balancer
-            .set_remaining_invocations(cfg.invocations - inv);
-        if let Some(uph) = &cfg.units_per_hook {
-            cfg.balancer.set_units_per_hook(uph(inv));
-        }
+    while inv < invocations {
+        cfg.balancer.set_remaining_invocations(invocations - inv);
         for &s in slaves {
             send(
                 ctx,
@@ -434,7 +392,7 @@ async fn run_plain(
             )
             .await;
         }
-        let expected = (cfg.expected_units)(inv);
+        let expected = cfg.app.expected_units(inv);
         let mut done_sum = 0u64;
         let mut idle = vec![false; n];
         let mut metrics = vec![0.0f64; n];
@@ -519,7 +477,7 @@ async fn run_plain(
         }
         let reduced: f64 = metrics.iter().sum();
         inv += 1;
-        if (cfg.converged)(inv - 1, reduced) {
+        if cfg.app.converged(inv - 1, reduced) {
             break;
         }
     }
@@ -562,6 +520,94 @@ async fn run_plain(
     Ok(())
 }
 
+/// A `SlaveError` arrived, in the invocation loop or in the gather. A
+/// non-member's dying report (it wedged inside a partition we evicted it
+/// across) is not fatal to the run: repeat the eviction verdict so the
+/// slave exits or rejoins instead of wedging. A member's is fatal under
+/// re-scatter; under rollback, once its window is acknowledged (an error
+/// that predates a rollback already in flight is resolved by that
+/// rollback), the slave is evicted unless it can survive the error — a
+/// recoverable slave parks quietly until its `Rollback` arrives — and the
+/// run restarts from the newest complete checkpoint. `Ok(true)` means it
+/// did: the caller restarts its loop.
+async fn slave_error(
+    ctx: &MailCtx<Msg>,
+    balancer: &mut Balancer,
+    st: &mut Session,
+    slave: usize,
+    error: ProtocolError,
+) -> Result<bool, ProtocolError> {
+    if !st.memb.alive[slave] {
+        send(ctx, st.slaves[slave], Msg::Evict).await;
+        return Ok(false);
+    }
+    if !st.rollback_policy() {
+        return Err(ProtocolError::SlaveFailed {
+            slave,
+            error: Box::new(error),
+        });
+    }
+    if !st.win[slave].fully_acked() {
+        return Ok(false);
+    }
+    if !slave_recoverable(&error) {
+        let now = ctx.now();
+        st.evict(ctx, balancer, slave, now).await?;
+    }
+    st.rerange(ctx, balancer, &[]).await?;
+    Ok(true)
+}
+
+/// An `Alive` ping: a slave blocked on a peer (a halo or pivot from a
+/// crashed neighbour — not the master) pings so the suspicion timer cannot
+/// mistake the stall for a crash. Pings are incarnation-stamped: a rejoined
+/// slot only credits its *current* life, so a zombie's leftover heartbeats
+/// cannot vouch for the new one (E111). Returns whether the ping was
+/// credited. When instead the latest life of an evicted slot is still
+/// heartbeating, its `Evict` was lost: repeat it so the slave can exit or
+/// rejoin. (Older incarnations are zombies; the `Evict` would reach the
+/// current life, so they get nothing.)
+async fn alive_ping(ctx: &MailCtx<Msg>, st: &mut Session, slave: usize, incarnation: u64) -> bool {
+    let alive = st.memb.alive[slave];
+    if alive && incarnation == st.memb.incarnation[slave] {
+        st.memb.ping(slave, ctx.now());
+        return true;
+    }
+    if !alive && incarnation >= st.memb.incarnation[slave] {
+        send(ctx, st.slaves[slave], Msg::Evict).await;
+    }
+    false
+}
+
+/// A message no arm expects. A promoted deputy still has a slave's address:
+/// stray peer traffic (late transfers/halos/acks, election chatter,
+/// messages the crashed master had in flight) keeps arriving, all of it
+/// pre-reign — tolerated silently. In an original reign it is a protocol
+/// violation.
+fn stray(takeover: bool, context: &'static str, msg: &Msg) -> Result<(), ProtocolError> {
+    if takeover {
+        Ok(())
+    } else {
+        Err(unexpected(context, msg))
+    }
+}
+
+/// Re-send the `Gather` to a slave that still owes its data.
+async fn resend_gather(ctx: &MailCtx<Msg>, st: &mut Session, s: usize) {
+    send(ctx, st.slaves[s], Msg::Gather).await;
+    st.rec.gather_resends += 1;
+}
+
+/// Live slave `s` spoke during the gather. If it still owes its data it
+/// never received the `Gather` — what it sent is the re-send trigger (it is
+/// chatty, so a silence timer never fires), rate-limited by the nudge
+/// timer.
+async fn nudge_gather(ctx: &MailCtx<Msg>, st: &mut Session, got: &[bool], s: usize) {
+    if !got[s] && st.memb.nudge_due(s, ctx.now(), st.tol.nudge) {
+        resend_gather(ctx, st, s).await;
+    }
+}
+
 /// A fault-mode reign from start (or takeover) to the gathered result:
 /// build the session from the configuration's fault-tolerance wiring, run
 /// [`drive`] over it, and surface the session's recovery counters whether
@@ -575,7 +621,7 @@ async fn run_armed(
     sc: &mut Scratch,
     takeover: Option<(&TakeoverSeed, usize)>,
 ) -> Result<(), ProtocolError> {
-    let Some(ft) = cfg.ft.take() else {
+    let Some(tol) = cfg.ft.clone() else {
         return Err(ProtocolError::Inconsistent {
             detail: "fault-mode master without fault-tolerance wiring (MasterConfig::ft)"
                 .to_string(),
@@ -583,7 +629,7 @@ async fn run_armed(
     };
     let term = takeover.map_or(0, |(seed, _)| seed.term);
     let rec = std::mem::take(&mut sc.recovery);
-    let mut st = Session::new(ctx.now(), ft, slaves, assignment, term, rec);
+    let mut st = Session::new(ctx.now(), &cfg.app, tol, slaves, assignment, term, rec);
     let start = Msg::Start {
         slaves: slaves.to_vec(),
         assignment: assignment.to_vec(),
@@ -636,7 +682,7 @@ async fn drive(
     }
     // Convergence can end the run early; a post-convergence rollback must
     // not run invocations the converged run never executed.
-    let mut target = cfg.invocations;
+    let mut target = cfg.app.invocations();
 
     'run: loop {
         'invocations: while st.inv < target {
@@ -644,9 +690,6 @@ async fn drive(
                 st.admit(ctx, &mut cfg.balancer).await?;
             }
             cfg.balancer.set_remaining_invocations(target - st.inv);
-            if let Some(uph) = &cfg.units_per_hook {
-                cfg.balancer.set_units_per_hook(uph(st.inv));
-            }
             if st.released {
                 // The Rollback message itself released this invocation.
                 st.released = false;
@@ -852,59 +895,16 @@ async fn drive(
                             st.rec.gather_dups_ignored += 1;
                         }
                         Msg::SlaveError { slave, error } => {
-                            if !st.memb.alive[slave] {
-                                // A non-member's dying report (it wedged
-                                // inside a partition we evicted it across):
-                                // not fatal to the run — repeat the eviction
-                                // verdict; the slave exits or rejoins instead
-                                // of wedging.
-                                send(ctx, st.slaves[slave], Msg::Evict).await;
-                                continue;
+                            if slave_error(ctx, &mut cfg.balancer, st, slave, error).await? {
+                                continue 'invocations;
                             }
-                            if !rollback {
-                                return Err(ProtocolError::SlaveFailed {
-                                    slave,
-                                    error: Box::new(error),
-                                });
-                            }
-                            if !st.win[slave].fully_acked() {
-                                // The error predates a rollback already in
-                                // flight to this slave; the rollback will
-                                // resolve it.
-                                continue;
-                            }
-                            if !slave_recoverable(&error) {
-                                // The slave itself failed: evict it first.
-                                let now = ctx.now();
-                                st.evict(ctx, &mut cfg.balancer, slave, now).await?;
-                            }
-                            // Either way the run restarts from the newest
-                            // complete checkpoint; a recoverable slave parks
-                            // quietly until its Rollback arrives.
-                            st.rerange(ctx, &mut cfg.balancer, &[]).await?;
-                            continue 'invocations;
+                            continue;
                         }
-                        // A slave blocked on a peer (a halo or pivot from a
-                        // crashed neighbour — not the master) pings so the
-                        // suspicion timer cannot mistake the stall for a
-                        // crash. Pings are incarnation-stamped: a rejoined
-                        // slot only credits its *current* life, so a zombie's
-                        // leftover heartbeats cannot vouch for the new one
-                        // (E111).
+                        // A credited ping is a sign of life like any other: the
+                        // race against this slave is moot.
                         Msg::Alive { slave, incarnation } => {
-                            if st.memb.alive[slave] && incarnation == st.memb.incarnation[slave] {
-                                st.memb.ping(slave, ctx.now());
+                            if alive_ping(ctx, st, slave, incarnation).await {
                                 st.cancel_speculation_for(ctx, slave).await;
-                            } else if !st.memb.alive[slave]
-                                && incarnation >= st.memb.incarnation[slave]
-                            {
-                                // The latest life of an evicted slot is still
-                                // heartbeating — its Evict was lost. Repeat
-                                // it so the slave can exit or rejoin. (Older
-                                // incarnations are zombies; the Evict would
-                                // reach the current life, so they get
-                                // nothing.)
-                                send(ctx, st.slaves[slave], Msg::Evict).await;
                             }
                         }
                         Msg::Join { slave, incarnation } => {
@@ -932,25 +932,10 @@ async fn drive(
                                 }
                             }
                         }
-                        // A still-newer reign fenced us out: exit silently,
-                        // it owns the run now. Stale or duplicate Promoted
-                        // for our own (or an older) term is ignored.
-                        Msg::Promoted { term, .. } => {
-                            if term > st.fo.term {
-                                return Err(ProtocolError::Superseded { term });
-                            }
-                        }
+                        Msg::Promoted { term, .. } => st.fo.yield_to(term)?,
                         other => {
-                            if takeover.is_some() {
-                                // A promoted deputy still has a slave's
-                                // address: stray peer traffic (late
-                                // transfers/halos/acks, election chatter,
-                                // messages the crashed master had in flight)
-                                // keeps arriving. All of it is pre-reign —
-                                // tolerate silently.
-                                continue;
-                            }
-                            return Err(unexpected(in_invocation, &other));
+                            stray(takeover.is_some(), in_invocation, &other)?;
+                            continue;
                         }
                     }
                 }
@@ -1039,7 +1024,7 @@ async fn drive(
             st.fold_invocation_time(ctx.now());
             let reduced: f64 = st.metrics.iter().sum();
             st.inv += 1;
-            if (cfg.converged)(st.inv - 1, reduced) {
+            if cfg.app.converged(st.inv - 1, reduced) {
                 target = st.inv;
             }
         }
@@ -1124,10 +1109,7 @@ async fn drive(
                         let s = stm.slave;
                         if st.memb.alive[s] {
                             st.memb.last_heard[s] = ctx.now();
-                            if !got[s] && st.memb.nudge_due(s, ctx.now(), tol.nudge) {
-                                send(ctx, st.slaves[s], Msg::Gather).await;
-                                st.rec.gather_resends += 1;
-                            }
+                            nudge_gather(ctx, st, &got, s).await;
                         }
                     }
                     Msg::InvocationDone {
@@ -1143,10 +1125,7 @@ async fn drive(
                             if epoch >= st.ack_floor(slave) {
                                 st.win[slave].ack(restore_seq);
                             }
-                            if !got[slave] && st.memb.nudge_due(slave, ctx.now(), tol.nudge) {
-                                send(ctx, st.slaves[slave], Msg::Gather).await;
-                                st.rec.gather_resends += 1;
-                            }
+                            nudge_gather(ctx, st, &got, slave).await;
                         } else {
                             // Non-member still reporting: its Evict was lost.
                             send(ctx, st.slaves[slave], Msg::Evict).await;
@@ -1158,10 +1137,7 @@ async fn drive(
                     Msg::OwnReport { slave, .. } if !rollback => {
                         if st.memb.alive[slave] {
                             st.memb.last_heard[slave] = ctx.now();
-                            if !got[slave] && st.memb.nudge_due(slave, ctx.now(), tol.nudge) {
-                                send(ctx, st.slaves[slave], Msg::Gather).await;
-                                st.rec.gather_resends += 1;
-                            }
+                            nudge_gather(ctx, st, &got, slave).await;
                         }
                     }
                     // A late checkpoint racing the gather is only a liveness
@@ -1172,52 +1148,24 @@ async fn drive(
                         }
                     }
                     Msg::SlaveError { slave, error } => {
-                        if !st.memb.alive[slave] {
-                            send(ctx, st.slaves[slave], Msg::Evict).await;
-                            continue;
+                        if slave_error(ctx, &mut cfg.balancer, st, slave, error).await? {
+                            continue 'run;
                         }
-                        if !rollback {
-                            return Err(ProtocolError::SlaveFailed {
-                                slave,
-                                error: Box::new(error),
-                            });
-                        }
-                        if !st.win[slave].fully_acked() {
-                            continue;
-                        }
-                        if !slave_recoverable(&error) {
-                            let now = ctx.now();
-                            st.evict(ctx, &mut cfg.balancer, slave, now).await?;
-                        }
-                        st.rerange(ctx, &mut cfg.balancer, &[]).await?;
-                        continue 'run;
+                        continue;
                     }
+                    // Defers suspicion only; the timer sweep below still
+                    // re-sends Gather on protocol silence.
                     Msg::Alive { slave, incarnation } => {
-                        if st.memb.alive[slave] && incarnation == st.memb.incarnation[slave] {
-                            // Defers suspicion only; the timer sweep below
-                            // still re-sends Gather on protocol silence.
-                            st.memb.ping(slave, ctx.now());
-                        } else if !st.memb.alive[slave] && incarnation >= st.memb.incarnation[slave]
-                        {
-                            // Latest life of a non-member: repeat the lost
-                            // Evict so it can exit (joins are refused here).
-                            send(ctx, st.slaves[slave], Msg::Evict).await;
-                        }
+                        alive_ping(ctx, st, slave, incarnation).await;
                     }
                     // The run is gathering: no more admissions this run.
                     Msg::Join { slave, .. } => {
                         send(ctx, st.slaves[slave], Msg::JoinRefuse { slave }).await;
                     }
-                    Msg::Promoted { term, .. } => {
-                        if term > st.fo.term {
-                            return Err(ProtocolError::Superseded { term });
-                        }
-                    }
+                    Msg::Promoted { term, .. } => st.fo.yield_to(term)?,
                     other => {
-                        if takeover.is_some() {
-                            continue; // stray pre-reign traffic (see above)
-                        }
-                        return Err(unexpected(in_gather, &other));
+                        stray(takeover.is_some(), in_gather, &other)?;
+                        continue;
                     }
                 }
             }
@@ -1247,8 +1195,7 @@ async fn drive(
                         // waiting for a GatherAck after its GatherData was
                         // lost (it waits quietly, re-sending only on a
                         // duplicate Gather).
-                        send(ctx, st.slaves[s], Msg::Gather).await;
-                        st.rec.gather_resends += 1;
+                        resend_gather(ctx, st, s).await;
                     } else {
                         // A parked slave still waiting for its Rollback.
                         st.replay_window(ctx, s).await;
@@ -1274,10 +1221,10 @@ async fn drive(
             // Safety net: any unit no survivor delivered is recomputed
             // locally from initial data (deterministic, so bit-identical to
             // the lost copy).
-            Policy::Rescatter { recompute_unit, .. } => {
+            Policy::Rescatter { kernel, .. } => {
                 for u in 0..st.n_units {
                     if let Entry::Vacant(e) = seen.entry(u) {
-                        e.insert(recompute_unit(u, st.inv));
+                        e.insert(recompute(kernel.as_ref(), u, st.inv));
                         st.rec.units_recomputed += 1;
                     }
                 }
@@ -1299,32 +1246,36 @@ async fn drive(
 mod tests {
     use super::*;
     use crate::balancer::BalancerConfig;
+    use crate::kernels::tests::Doubler;
     use crate::session::replica::DeputyState;
     use dlb_sim::{NodeConfig, SimBuilder, SimDuration};
 
-    /// `MasterConfig::ft` is an `Option`, so a takeover kit whose factory
-    /// yields no fault-mode wiring is representable. It must end as a typed
-    /// error in the outcome, not as a panic inside the winner's actor.
+    /// A one-slave, one-unit master configuration with no fault wiring.
+    fn plain_cfg() -> MasterConfig {
+        MasterConfig {
+            balancer: Balancer::new(
+                BalancerConfig::default(),
+                vec![1],
+                SimDuration::from_millis(100),
+                SimDuration::from_millis(1),
+                1,
+                1.0,
+            ),
+            app: AppSpec::Independent(Arc::new(Doubler { n: 1, reps: 1 })),
+            record_timeline: false,
+            ft: None,
+        }
+    }
+
+    /// `MasterConfig::ft` is an `Option`, so a takeover kit whose
+    /// configuration carries no fault-mode wiring is representable. It must
+    /// end as a typed error in the outcome, not as a panic inside the
+    /// winner's actor.
     #[test]
     fn takeover_without_fault_wiring_is_a_typed_error() {
         let outcome = Arc::new(Mutex::new(MasterOutcome::default()));
         let kit = TakeoverKit {
-            make_cfg: Box::new(|| MasterConfig {
-                balancer: Balancer::new(
-                    BalancerConfig::default(),
-                    vec![1],
-                    SimDuration::from_millis(100),
-                    SimDuration::from_millis(1),
-                    1,
-                    1.0,
-                ),
-                invocations: 1,
-                expected_units: Box::new(|_| 1),
-                units_per_hook: None,
-                record_timeline: false,
-                converged: Box::new(|_, _| false),
-                ft: None,
-            }),
+            cfg: plain_cfg(),
             master: ActorId(0),
             slaves: vec![ActorId(0)],
             assignment: vec![(0, 1)],
@@ -1343,5 +1294,33 @@ mod tests {
         assert!(!o.completed);
         let typed = matches!(o.error, Some(ProtocolError::Inconsistent { .. }));
         assert!(typed, "{:?}", o.error);
+    }
+
+    /// What a takeover kit holds: a clone taken before the run shares no
+    /// balancer state with the original, so a promoted deputy starts from
+    /// the configuration as built however far the first reign got.
+    #[test]
+    fn a_config_cloned_before_the_run_stays_pristine() {
+        let mut cfg = plain_cfg();
+        let kit_cfg = cfg.clone();
+        let st = Status {
+            slave: 0,
+            invocation: 0,
+            hook_seq: 1,
+            units_done_delta: 1,
+            elapsed: SimDuration::from_secs(1),
+            active_units: 1,
+            last_applied_seq: 0,
+            epoch: 0,
+            sent_to: Vec::new(),
+            received_from: Vec::new(),
+            move_cost_sample: None,
+            interaction_cost_sample: None,
+        };
+        for _ in 0..3 {
+            cfg.balancer.on_status(&st);
+        }
+        assert_eq!(cfg.balancer.stats().statuses, 3);
+        assert_eq!(kit_cfg.balancer.stats(), BalancerStats::default());
     }
 }

@@ -12,9 +12,10 @@
 //! `match` arms on it below.
 
 use crate::balancer::Balancer;
+use crate::driver::AppSpec;
 use crate::error::{FaultToleranceConfig, ProtocolError};
-use crate::master::{InitUnitFn, MasterFt, RecomputeUnitFn, Recovery};
-use crate::msg::{Instructions, Msg, ReplicaMsg, SharedUnits};
+use crate::kernels::IndependentKernel;
+use crate::msg::{Instructions, Msg, ReplicaMsg, SharedUnits, UnitData};
 use crate::protocol::SenderWindow;
 use crate::recovery::{redistribute, RecoveryStats};
 use crate::session::checkpoint::{checkpoint_stride, CheckpointBank};
@@ -53,6 +54,18 @@ pub(crate) fn channels_settled(alive: &[bool], sent: &[Vec<u64>], recv: &[Vec<u6
     (0..n).all(|a| !alive[a] || (0..n).all(|b| !alive[b] || recv[b][a] >= sent[a][b]))
 }
 
+/// Unit `id` after `invs` completed invocations, recomputed from its initial
+/// data: seeds a takeover or an admission under re-scatter, and backs the
+/// gather's safety net. Value-deterministic, so bit-identical to the state
+/// a survivor would have held.
+pub(crate) fn recompute(kernel: &dyn IndependentKernel, id: usize, invs: u64) -> UnitData {
+    let mut unit = kernel.init_unit(id);
+    for inv in 0..invs {
+        kernel.compute(id, &mut unit, inv);
+    }
+    unit
+}
+
 /// A pending eviction: the master re-scatters the dead slave's units only
 /// after every survivor has fenced off its channels with the dead peer and
 /// reported its authoritative ownership ([`Msg::OwnReport`]). Until then
@@ -84,18 +97,30 @@ impl Failover {
             self.acked[slave] = self.acked[slave].max(replica_inv);
         }
     }
+
+    /// A `Promoted` announcement arrived. A still-newer reign has fenced
+    /// this one out: exit silently, it owns the run now. A stale or
+    /// duplicate announcement for our own (or an older) term is ignored.
+    pub fn yield_to(&self, term: u64) -> Result<(), ProtocolError> {
+        if term > self.term {
+            return Err(ProtocolError::Superseded { term });
+        }
+        Ok(())
+    }
 }
 
 /// The recovery policy of a session together with the state only that
-/// policy keeps. Built from the driver's [`Recovery`] wiring; the two
-/// variants are contrasted point by point in `master.rs`'s module doc.
+/// policy keeps. [`Session::new`] picks the variant from the application's
+/// pattern; the two are contrasted point by point in `master.rs`'s module
+/// doc.
 pub(crate) enum Policy {
     /// Independent pattern: recover in place. Dead slaves are fenced off
     /// with [`Msg::Evicted`] / [`Msg::OwnReport`] and exactly the units no
     /// survivor reports are re-scattered from initial data.
     Rescatter {
-        init_unit: InitUnitFn,
-        recompute_unit: RecomputeUnitFn,
+        /// Rebuilds unit state: `init_unit` seeds a `Restore` or a
+        /// speculation, [`recompute`] everything that resumes mid-run.
+        kernel: Arc<dyn IndependentKernel>,
         /// Ownership as the master believes it: refreshed from every
         /// InvocationDone (`owned_ids`) and authoritative OwnReports. With
         /// the balancer live this map can lag a transfer in flight; the
@@ -110,7 +135,9 @@ pub(crate) enum Policy {
     /// recovery, so slaves ship checkpoints at barriers and any loss rolls
     /// every survivor back to the newest complete one.
     Rollback {
-        checkpoint_init: InitUnitFn,
+        /// Source of the epoch-zero snapshot ([`AppSpec::initial_unit`]),
+        /// rolled back to while no checkpoint is banked.
+        app: AppSpec,
         /// Checkpoint fragments and the newest complete snapshot.
         bank: CheckpointBank,
         /// In-flight snapshot speculation, at most one.
@@ -184,22 +211,18 @@ pub(crate) struct Session {
 impl Session {
     pub fn new(
         now: SimTime,
-        ft: MasterFt,
+        app: &AppSpec,
+        tol: FaultToleranceConfig,
         slaves: &[ActorId],
         assignment: &[(usize, usize)],
         term: u64,
         rec: RecoveryStats,
     ) -> Session {
         let n = slaves.len();
-        let tol = ft.tolerance;
         let deputies = tol.deputies.min(n);
-        let policy = match ft.recovery {
-            Recovery::Rescatter {
-                init_unit,
-                recompute_unit,
-            } => Policy::Rescatter {
-                init_unit,
-                recompute_unit,
+        let policy = match app {
+            AppSpec::Independent(kernel) => Policy::Rescatter {
+                kernel: Arc::clone(kernel),
                 owned: assignment
                     .iter()
                     .map(|&(lo, hi)| (lo..hi).collect())
@@ -207,8 +230,8 @@ impl Session {
                 evictions: Vec::new(),
                 spec: None,
             },
-            Recovery::Rollback { checkpoint_init } => Policy::Rollback {
-                checkpoint_init,
+            AppSpec::Pipelined(_) | AppSpec::Shrinking(_) => Policy::Rollback {
+                app: app.clone(),
                 bank: CheckpointBank::new(),
                 spec: None,
                 ckpt_stride: 1,
@@ -359,7 +382,7 @@ impl Session {
     /// Publish the control-plane replica for this barrier to every live
     /// deputy: membership, the invocation watermark, the cumulative
     /// counters. Under re-scatter the watermark alone is the whole state (a
-    /// takeover restarts from `recompute_unit`). Under rollback the
+    /// takeover restarts from [`recompute`]). Under rollback the
     /// freshness a deputy can take over from is the newest complete banked
     /// checkpoint, and its snapshot rides only to deputies whose confirmed
     /// freshness lags it — once a deputy acknowledges holding it
@@ -499,20 +522,16 @@ impl Session {
         }
         self.epoch += 1;
         let (invocation, ckpt_stride, snapshot) = match &mut self.policy {
-            Policy::Rescatter {
-                recompute_unit,
-                owned,
-                ..
-            } => {
+            Policy::Rescatter { kernel, owned, .. } => {
                 owned.iter_mut().for_each(BTreeSet::clear);
                 let inv = self.inv;
                 let units: SharedUnits = (0..self.n_units)
-                    .map(|u| (u, Arc::new(recompute_unit(u, inv))))
+                    .map(|u| (u, Arc::new(recompute(kernel.as_ref(), u, inv))))
                     .collect();
                 (inv, 1, units)
             }
             Policy::Rollback {
-                checkpoint_init,
+                app,
                 bank,
                 spec,
                 ckpt_stride,
@@ -520,7 +539,7 @@ impl Session {
                 ..
             } => {
                 let (ck_inv, snapshot) =
-                    bank.rollback_snapshot(self.n_units, &|id| checkpoint_init(id));
+                    bank.rollback_snapshot(self.n_units, &|id| app.initial_unit(id));
                 *spec = None;
                 // Restart cost: invocations lost since the checkpoint
                 // (including the partially-done one), priced at the running
@@ -713,11 +732,10 @@ impl Session {
     /// and re-scatter the rest from initial data.
     async fn resolve_evictions(&mut self, ctx: &MailCtx<Msg>) {
         let Policy::Rescatter {
-            init_unit,
+            kernel,
             owned,
             evictions,
             spec,
-            ..
         } = &mut self.policy
         else {
             return;
@@ -784,7 +802,10 @@ impl Session {
 
         let survivors = self.memb.survivors();
         for (t, units) in redistribute(&missing, &survivors) {
-            let payload: SharedUnits = units.iter().map(|&u| (u, Arc::new(init_unit(u)))).collect();
+            let payload: SharedUnits = units
+                .iter()
+                .map(|&u| (u, Arc::new(kernel.init_unit(u))))
+                .collect();
             self.rec.units_restored += payload.len() as u64;
             owned[t].extend(units.iter().copied());
             self.memb.done[t] = false;
@@ -821,11 +842,10 @@ impl Session {
         };
         match &mut self.policy {
             Policy::Rescatter {
-                init_unit,
+                kernel,
                 owned,
                 evictions,
                 spec,
-                ..
             } => {
                 if spec.is_some() || !evictions.is_empty() || owned[suspect].is_empty() {
                     return;
@@ -834,7 +854,10 @@ impl Session {
                     return;
                 };
                 let ids: Vec<usize> = owned[suspect].iter().copied().collect();
-                let units: SharedUnits = ids.iter().map(|&u| (u, Arc::new(init_unit(u)))).collect();
+                let units: SharedUnits = ids
+                    .iter()
+                    .map(|&u| (u, Arc::new(kernel.init_unit(u))))
+                    .collect();
                 let invocation = self.inv;
                 let msg = self.win[e]
                     .send_with(|seq| Msg::Speculate {
@@ -852,10 +875,7 @@ impl Session {
                 });
             }
             Policy::Rollback {
-                checkpoint_init,
-                bank,
-                spec,
-                ..
+                app, bank, spec, ..
             } => {
                 // Decide whether to race before sourcing anything: this
                 // runs on every timer sweep while a suspect is past
@@ -872,7 +892,7 @@ impl Session {
                     return;
                 };
                 let (ck_inv, snapshot) =
-                    bank.rollback_snapshot(self.n_units, &|id| checkpoint_init(id));
+                    bank.rollback_snapshot(self.n_units, &|id| app.initial_unit(id));
                 let msg = self.win[e]
                     .send_with(|seq| Msg::Speculate {
                         seq,
@@ -974,8 +994,9 @@ impl Session {
 mod tests {
     use super::*;
     use crate::balancer::{Balancer, BalancerConfig};
-    use crate::msg::UnitData;
-    use dlb_sim::{NodeConfig, SimBuilder};
+    use crate::kernels::tests::Doubler;
+    use crate::kernels::ShrinkingKernel;
+    use dlb_sim::{CpuWork, NodeConfig, SimBuilder};
 
     fn unit(v: f64) -> UnitData {
         vec![vec![v]]
@@ -1007,28 +1028,40 @@ mod tests {
         )
     }
 
-    fn rollback() -> Recovery {
-        Recovery::Rollback {
-            checkpoint_init: Box::new(|id| unit(id as f64)),
+    /// Column `id` starts at `[id]`, so the epoch-zero snapshot of unit
+    /// `id` is `unit(id)`. A session never computes.
+    struct Cols;
+
+    impl ShrinkingKernel for Cols {
+        fn n_units(&self) -> usize {
+            4
+        }
+        fn init_unit(&self, idx: usize) -> Vec<f64> {
+            vec![idx as f64]
+        }
+        fn pivot_payload(&self, _k: usize, pivot_col: &[f64]) -> Vec<f64> {
+            pivot_col.to_vec()
+        }
+        fn update(&self, _j: usize, _col: &mut [f64], _pivot: &[f64], _k: usize) {}
+        fn step_cost(&self, _k: usize) -> CpuWork {
+            CpuWork::from_millis(10)
         }
     }
 
-    fn rescatter() -> Recovery {
-        Recovery::Rescatter {
-            init_unit: Box::new(|id| unit(id as f64)),
-            recompute_unit: Box::new(|id, invs| unit(id as f64 + invs as f64)),
-        }
+    fn rollback() -> AppSpec {
+        AppSpec::Shrinking(Arc::new(Cols))
+    }
+
+    fn rescatter() -> AppSpec {
+        AppSpec::Independent(Arc::new(Doubler { n: 4, reps: 4 }))
     }
 
     /// A fresh original-reign session over `slaves`, one unit per slave.
-    fn session(ctx: &MailCtx<Msg>, slaves: &[ActorId], recovery: Recovery) -> Session {
-        let ft = MasterFt {
-            tolerance: FaultToleranceConfig::default(),
-            recovery,
-        };
+    fn session(ctx: &MailCtx<Msg>, slaves: &[ActorId], app: AppSpec) -> Session {
+        let tol = FaultToleranceConfig::default();
         let assignment: Vec<(usize, usize)> = (0..slaves.len()).map(|i| (i, i + 1)).collect();
         let rec = RecoveryStats::default();
-        Session::new(ctx.now(), ft, slaves, &assignment, 0, rec)
+        Session::new(ctx.now(), &app, tol, slaves, &assignment, 0, rec)
     }
 
     fn bank(sess: &mut Session) -> &mut CheckpointBank {

@@ -112,11 +112,6 @@ impl Membership {
         self.alive.iter().any(|&a| a)
     }
 
-    /// All living slaves report done.
-    pub fn all_done(&self) -> bool {
-        (0..self.n()).all(|s| !self.alive[s] || self.done[s])
-    }
-
     /// Evict slave `s`: removal from the computation (reversed only by
     /// [`Self::readmit`]).
     pub fn evict(&mut self, s: usize) {
@@ -138,17 +133,6 @@ impl Membership {
         self.last_ping[s] = now;
         self.next_nudge[s] = now + nudge;
         self.done[s] = false;
-    }
-
-    /// Reset barrier-completion flags and timers for a new invocation or
-    /// after a rollback (living slaves only; the dead stay done = false).
-    pub fn reset_barrier(&mut self, now: SimTime, nudge: SimDuration) {
-        for s in 0..self.n() {
-            self.done[s] = false;
-            self.last_heard[s] = now;
-            self.last_ping[s] = now;
-            self.next_nudge[s] = now + nudge;
-        }
     }
 }
 
@@ -281,17 +265,5 @@ mod tests {
         assert_eq!(w.silent_for(0, t(6_000)), SimDuration::from_micros(1_000));
         w.ping(0, t(7_000));
         assert_eq!(w.silent_for(0, t(8_000)), SimDuration::from_micros(1_000));
-    }
-
-    #[test]
-    fn barrier_completion_ignores_the_dead() {
-        let mut m = Membership::new(3, t(0), SimDuration::from_secs(1));
-        m.done[0] = true;
-        m.done[2] = true;
-        assert!(!m.all_done());
-        m.evict(1);
-        assert!(m.all_done(), "the dead do not block the barrier");
-        m.reset_barrier(t(10), SimDuration::from_secs(1));
-        assert!(!m.all_done());
     }
 }

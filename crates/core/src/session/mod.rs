@@ -8,19 +8,19 @@
 //! * [`crate::protocol`] — pure window types (sequence numbers, ack
 //!   watermarks, transfer channels). No policy.
 //! * `session` (this module) — the shared liveness/ownership substrate:
-//!   - [`membership`]: the per-slave liveness table with suspicion timers,
+//!   - `membership`: the per-slave liveness table with suspicion timers,
 //!     nudge scheduling, and eviction;
-//!   - [`checkpoint`]: the checkpoint bank, rollback sourcing, and the
+//!   - `checkpoint`: the checkpoint bank, rollback sourcing, and the
 //!     adaptive checkpoint cadence;
-//!   - [`speculation`]: racing a suspect's work on an idle survivor,
+//!   - `speculation`: racing a suspect's work on an idle survivor,
 //!     commit-or-cancel before suspicion expires;
 //!   - `master`: the master-side `Session` tying those together with epoch
 //!     fencing, per-slave control windows, admission and failover, plus
 //!     the `Policy` (re-scatter in place vs. roll back to a checkpoint)
 //!     that is all the two recovery modes differ in;
-//!   - [`slave`]: the slave actor shell and the one slave runner (restart
+//!   - `slave`: the slave actor shell and the one slave runner (restart
 //!     loop, first release, barrier protocol, gather reply) every engine
-//!     runs under, driven through a [`strategy::DistributionStrategy`];
+//!     runs under, driven through a `strategy::DistributionStrategy`;
 //!   - [`replica`]: the deputy role — control-plane replica absorption,
 //!     master-silence watch, and the epoch-fenced election state machine
 //!     behind master failover;
@@ -30,11 +30,11 @@
 //!   `engine_shrinking`) — per-dependence-structure strategies: hook
 //!   placement, adjacency constraints, and the actual numerics.
 
-pub mod checkpoint;
+pub(crate) mod checkpoint;
 pub(crate) mod master;
-pub mod membership;
+pub(crate) mod membership;
 pub mod model;
 pub mod replica;
-pub mod slave;
-pub mod speculation;
-pub mod strategy;
+pub(crate) mod slave;
+pub(crate) mod speculation;
+pub(crate) mod strategy;

@@ -78,7 +78,7 @@ pub enum JoinLocal {
 }
 
 /// Master-side view of one slot — the pure subset of
-/// [`crate::session::membership::Membership`] plus the checkpointed
+/// `crate::session::membership::Membership` plus the checkpointed
 /// master's per-slave ack floor that decide join admission and fencing.
 #[derive(Clone, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct JoinSlotMaster {

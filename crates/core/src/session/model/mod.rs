@@ -14,7 +14,7 @@
 //! the newest-replica freshness guard, majority quorum over the full deputy
 //! set) and checks that no term ever promotes two masters; the join model
 //! mirrors the incarnation fence and the admission ack floor of
-//! [`crate::session::membership::Membership`] and the checkpointed master.
+//! `crate::session::membership::Membership` and the checkpointed master.
 //! Each model also ships deliberately broken variants (acknowledge without
 //! dedup; a voter that forgets which terms it voted in or ignores
 //! freshness; a master that credits zombie heartbeats or stale checkpoint

@@ -3,7 +3,7 @@
 //!
 //! The lowest-ranked `deputies` slaves each hold a [`DeputyState`]: a copy
 //! of the master's control-plane replica ([`crate::msg::ReplicaMsg`]), a
-//! one-row [`Membership`] table watching the *master's* liveness with the
+//! one-row `Membership` table watching the *master's* liveness with the
 //! same two-clock rules slaves are watched by, and the election bookkeeping
 //! (terms, one vote per term, quorum counting).
 //!
@@ -92,7 +92,7 @@ pub struct DeputyState {
     pub checkpointed: bool,
     /// One-row liveness table watching the master (index 0 = the master),
     /// under the same two-clock rules the master applies to slaves.
-    pub watch: Membership,
+    pub(crate) watch: Membership,
     /// Newest control-plane replica received (term-gated).
     pub replica: ReplicaMsg,
     /// Highest term seen anywhere (candidacies, votes, pings, promotions).

@@ -67,7 +67,8 @@ pub struct SlaveSpec {
     pub mode: InteractionMode,
     pub ft: Option<FaultToleranceConfig>,
     /// Everything a promoted deputy needs to rebuild the master role
-    /// (config factory, outcome slot, topology). `None` outside fault mode.
+    /// (pristine configuration, outcome slot, topology). `None` outside fault
+    /// mode.
     pub takeover: Option<Arc<TakeoverKit>>,
     /// Latecomer start time: when set, this slave starts with no units,
     /// idles until the given instant, then joins the running pool via the

@@ -13,7 +13,7 @@
 //! `dlb-core`'s protocol rules); this module only knows how to walk it.
 
 use crate::rng::Pcg32;
-use std::collections::BTreeMap;
+use std::collections::{BTreeSet, VecDeque};
 
 /// A pure transition system: states, enabled actions, and invariants.
 ///
@@ -91,61 +91,62 @@ impl Exploration {
 /// `max_states` distinct states. The first invariant violation or deadlock
 /// (shallowest, by BFS order) stops the search and yields its trace.
 pub fn explore<S: TransitionSystem>(sys: &S, max_depth: usize, max_states: usize) -> Exploration {
-    // Arena of visited states with back-pointers for trace reconstruction.
+    let mut visited = BTreeSet::new();
+    bfs(
+        sys,
+        max_depth,
+        max_states,
+        |state| state,
+        |_, enabled| enabled,
+        |state| visited.insert(state.clone()),
+    )
+}
+
+/// The one breadth-first loop under [`explore`] and
+/// [`crate::reduce::explore_reduced`]. The caller supplies the three points
+/// a reduction changes: `canon` maps every state to the representative it
+/// is stored and expanded as, `ample` picks the enabled actions to expand
+/// (called once per expanded state), and `admit` inserts into the visited
+/// set, answering whether the state was new.
+pub(crate) fn bfs<S: TransitionSystem>(
+    sys: &S,
+    max_depth: usize,
+    max_states: usize,
+    canon: impl Fn(S::State) -> S::State,
+    mut ample: impl FnMut(&S::State, Vec<S::Action>) -> Vec<S::Action>,
+    mut admit: impl FnMut(&S::State) -> bool,
+) -> Exploration {
+    // Back-pointers for trace reconstruction, one per state ever admitted;
+    // full states live only in the frontier.
     struct NodeRec {
         parent: Option<(usize, String)>,
         depth: usize,
     }
-    let mut arena: Vec<NodeRec> = Vec::new();
-    let mut index: BTreeMap<S::State, usize> = BTreeMap::new();
-    let mut states: Vec<S::State> = Vec::new();
-
-    let init = sys.initial();
-    arena.push(NodeRec {
+    let mut arena: Vec<NodeRec> = vec![NodeRec {
         parent: None,
         depth: 0,
-    });
-    index.insert(init.clone(), 0);
-    states.push(init);
-
-    let rebuild = |arena: &[NodeRec], mut at: usize, detail: String| {
-        let mut steps = Vec::new();
-        while let Some((p, a)) = &arena[at].parent {
-            steps.push(a.clone());
-            at = *p;
-        }
-        steps.reverse();
-        Trace { steps, detail }
-    };
+    }];
+    let mut frontier: VecDeque<(usize, S::State)> = VecDeque::new();
+    let init = canon(sys.initial());
+    admit(&init);
+    frontier.push_back((0, init));
 
     let mut truncated = false;
     let mut max_seen_depth = 0;
-    let mut frontier = 0usize; // BFS by arena order: arena only ever appends.
-    while frontier < states.len() {
-        let at = frontier;
-        frontier += 1;
+    let mut bad: Option<(Verdict, usize, String)> = None;
+    while let Some((at, state)) = frontier.pop_front() {
         let depth = arena[at].depth;
         max_seen_depth = max_seen_depth.max(depth);
 
-        if let Some(detail) = sys.violation(&states[at]) {
-            return Exploration {
-                verdict: Verdict::Violation,
-                states: states.len(),
-                depth: max_seen_depth,
-                truncated,
-                trace: Some(rebuild(&arena, at, detail)),
-            };
+        if let Some(detail) = sys.violation(&state) {
+            bad = Some((Verdict::Violation, at, detail));
+            break;
         }
-        let actions = sys.actions(&states[at]);
+        let actions = sys.actions(&state);
         if actions.is_empty() {
-            if !sys.is_accepting(&states[at]) {
-                return Exploration {
-                    verdict: Verdict::Deadlock,
-                    states: states.len(),
-                    depth: max_seen_depth,
-                    truncated,
-                    trace: Some(rebuild(&arena, at, String::new())),
-                };
+            if !sys.is_accepting(&state) {
+                bad = Some((Verdict::Deadlock, at, String::new()));
+                break;
             }
             continue;
         }
@@ -153,18 +154,18 @@ pub fn explore<S: TransitionSystem>(sys: &S, max_depth: usize, max_states: usize
             truncated = true;
             continue;
         }
+        let actions = ample(&state, actions);
+        debug_assert!(!actions.is_empty(), "ample set must be nonempty");
         for a in actions {
-            let next = sys.apply(&states[at], &a);
-            if index.contains_key(&next) {
+            let next = canon(sys.apply(&state, &a));
+            if !admit(&next) {
                 continue;
             }
-            if states.len() >= max_states {
+            if arena.len() >= max_states {
                 truncated = true;
                 continue;
             }
-            let id = states.len();
-            index.insert(next.clone(), id);
-            states.push(next);
+            frontier.push_back((arena.len(), next));
             arena.push(NodeRec {
                 parent: Some((at, format!("{a:?}"))),
                 depth: depth + 1,
@@ -172,12 +173,24 @@ pub fn explore<S: TransitionSystem>(sys: &S, max_depth: usize, max_states: usize
         }
     }
 
+    let (verdict, trace) = match bad {
+        None => (Verdict::Ok, None),
+        Some((verdict, mut at, detail)) => {
+            let mut steps = Vec::new();
+            while let Some((p, a)) = &arena[at].parent {
+                steps.push(a.clone());
+                at = *p;
+            }
+            steps.reverse();
+            (verdict, Some(Trace { steps, detail }))
+        }
+    };
     Exploration {
-        verdict: Verdict::Ok,
-        states: states.len(),
+        verdict,
+        states: arena.len(),
         depth: max_seen_depth,
         truncated,
-        trace: None,
+        trace,
     }
 }
 

@@ -613,16 +613,6 @@ impl<M: Send + Clone + 'static> MailCtx<M> {
         SimTime(self.cell.now.load(Relaxed))
     }
 
-    /// The OS scheduling quantum of this actor's node.
-    pub fn os_quantum(&self) -> SimDuration {
-        self.cell.node_cfg.quantum
-    }
-
-    /// Number of actors in the simulation.
-    pub fn actor_count(&self) -> usize {
-        self.cell.n_actors
-    }
-
     fn park(&self, wake_on_msg: bool, wake_at: Option<SimTime>) -> ParkOnce {
         self.lock().park(wake_on_msg, wake_at)
     }

@@ -28,8 +28,8 @@
 //! actions valid from each *canonical* state: replay them by applying the
 //! action and then re-canonicalizing after every step.
 
-use crate::explore::{Exploration, Trace, TransitionSystem, Verdict};
-use std::collections::{BTreeSet, HashSet, VecDeque};
+use crate::explore::{bfs, Exploration, TransitionSystem};
+use std::collections::{BTreeSet, HashSet};
 use std::hash::{Hash, Hasher};
 
 /// Deterministic 64-bit FNV-1a [`Hasher`] used for state fingerprints, so
@@ -85,15 +85,13 @@ pub trait Ample: TransitionSystem {
     fn ample(&self, state: &Self::State, enabled: Vec<Self::Action>) -> Vec<Self::Action>;
 }
 
-/// Bounds and toggles for [`explore_reduced`].
+/// Bounds for [`explore_reduced`], and how it remembers what it visited.
+/// Symmetry and ample sets are always on: without both, the search is
+/// [`crate::explore::explore`].
 #[derive(Clone, Copy, Debug)]
 pub struct ReduceConfig {
     pub max_depth: usize,
     pub max_states: usize,
-    /// Canonicalize every state via [`Symmetric::canonical`].
-    pub symmetry: bool,
-    /// Expand only [`Ample::ample`] subsets.
-    pub ample: bool,
     /// Store 64-bit fingerprints in the visited set instead of full states
     /// (exact mode is the collision-free escape hatch).
     pub fingerprint: bool,
@@ -104,8 +102,6 @@ impl Default for ReduceConfig {
         ReduceConfig {
             max_depth: 64,
             max_states: 2_000_000,
-            symmetry: true,
-            ample: true,
             fingerprint: true,
         }
     }
@@ -145,152 +141,43 @@ impl<T: Ord + Hash + Clone> Visited<T> {
     }
 }
 
-/// Exhaustive BFS with the configured reductions applied. Same contract as
-/// [`crate::explore::explore`]: the shallowest violation or deadlock found
-/// stops the search and yields its trace (replay with re-canonicalization
-/// after each step when symmetry is on).
+/// Exhaustive BFS over canonical states, expanding ample subsets. Same
+/// contract as [`crate::explore::explore`] — it is the same loop: the
+/// shallowest violation or deadlock found stops the search and yields its
+/// trace (replay with re-canonicalization after each step).
 pub fn explore_reduced<S>(sys: &S, cfg: &ReduceConfig) -> (Exploration, ReduceStats)
 where
     S: Symmetric + Ample,
     S::State: Hash,
 {
-    struct NodeRec {
-        parent: Option<(usize, String)>,
-        depth: usize,
-    }
-    let canon = |s: S::State| -> S::State {
-        if cfg.symmetry {
-            sys.canonical(&s)
-        } else {
-            s
-        }
-    };
-
     let mut stats = ReduceStats::default();
     let mut visited: Visited<S::State> = if cfg.fingerprint {
         Visited::Finger(HashSet::new())
     } else {
         Visited::Exact(BTreeSet::new())
     };
-    // Arena of back-pointers for every state ever admitted; full states
-    // live only in the BFS frontier (the whole point of fingerprinting).
-    let mut arena: Vec<NodeRec> = vec![NodeRec {
-        parent: None,
-        depth: 0,
-    }];
-    let mut frontier: VecDeque<(usize, S::State)> = VecDeque::new();
-    let init = canon(sys.initial());
-    visited.insert(&init);
-    frontier.push_back((0, init));
-    let mut admitted = 1usize;
-
-    let rebuild = |arena: &[NodeRec], mut at: usize, detail: String| {
-        let mut steps = Vec::new();
-        while let Some((p, a)) = &arena[at].parent {
-            steps.push(a.clone());
-            at = *p;
-        }
-        steps.reverse();
-        Trace { steps, detail }
-    };
-    let done = |verdict,
-                admitted,
-                depth,
-                truncated,
-                trace,
-                mut stats: ReduceStats,
-                v: &Visited<S::State>| {
-        stats.visited_bytes = v.bytes();
-        (
-            Exploration {
-                verdict,
-                states: admitted,
-                depth,
-                truncated,
-                trace,
-            },
-            stats,
-        )
-    };
-
-    let mut truncated = false;
-    let mut max_seen_depth = 0usize;
-    while let Some((at, state)) = frontier.pop_front() {
-        let depth = arena[at].depth;
-        max_seen_depth = max_seen_depth.max(depth);
-
-        if let Some(detail) = sys.violation(&state) {
-            let trace = Some(rebuild(&arena, at, detail));
-            return done(
-                Verdict::Violation,
-                admitted,
-                max_seen_depth,
-                truncated,
-                trace,
-                stats,
-                &visited,
-            );
-        }
-        let mut actions = sys.actions(&state);
-        if actions.is_empty() {
-            if !sys.is_accepting(&state) {
-                let trace = Some(rebuild(&arena, at, String::new()));
-                return done(
-                    Verdict::Deadlock,
-                    admitted,
-                    max_seen_depth,
-                    truncated,
-                    trace,
-                    stats,
-                    &visited,
-                );
-            }
-            continue;
-        }
-        if depth >= cfg.max_depth {
-            truncated = true;
-            continue;
-        }
-        if cfg.ample {
-            let full = actions.len();
-            actions = sys.ample(&state, actions);
-            debug_assert!(!actions.is_empty(), "ample set must be nonempty");
-            stats.pruned_actions += full - actions.len();
-        }
-        stats.expanded += 1;
-        for a in actions {
-            let next = canon(sys.apply(&state, &a));
-            if !visited.insert(&next) {
-                continue;
-            }
-            if admitted >= cfg.max_states {
-                truncated = true;
-                continue;
-            }
-            let id = arena.len();
-            arena.push(NodeRec {
-                parent: Some((at, format!("{a:?}"))),
-                depth: depth + 1,
-            });
-            frontier.push_back((id, next));
-            admitted += 1;
-        }
-    }
-
-    done(
-        Verdict::Ok,
-        admitted,
-        max_seen_depth,
-        truncated,
-        None,
-        stats,
-        &visited,
-    )
+    let ex = bfs(
+        sys,
+        cfg.max_depth,
+        cfg.max_states,
+        |state| sys.canonical(&state),
+        |state, enabled| {
+            let full = enabled.len();
+            let subset = sys.ample(state, enabled);
+            stats.expanded += 1;
+            stats.pruned_actions += full - subset.len();
+            subset
+        },
+        |state| visited.insert(state),
+    );
+    stats.visited_bytes = visited.bytes();
+    (ex, stats)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::explore::{explore, Verdict};
 
     /// Tokens on N symmetric pegs: `Add(p)` places one of a bounded pool on
     /// peg `p`, `Take(p)` removes one. The invariant caps any single peg.
@@ -358,12 +245,10 @@ mod tests {
         }
     }
 
-    fn cfg(symmetry: bool, fingerprint: bool) -> ReduceConfig {
+    fn cfg(fingerprint: bool) -> ReduceConfig {
         ReduceConfig {
             max_depth: 32,
             max_states: 1_000_000,
-            symmetry,
-            ample: true,
             fingerprint,
         }
     }
@@ -375,8 +260,8 @@ mod tests {
             pool: 3,
             cap: 9,
         };
-        let (full, _) = explore_reduced(&sys, &cfg(false, false));
-        let (reduced, _) = explore_reduced(&sys, &cfg(true, false));
+        let full = explore(&sys, 32, 1_000_000);
+        let (reduced, _) = explore_reduced(&sys, &cfg(false));
         assert_eq!(full.verdict, Verdict::Ok);
         assert_eq!(reduced.verdict, Verdict::Ok);
         assert!(
@@ -395,7 +280,7 @@ mod tests {
             cap: 2,
         };
         for fingerprint in [false, true] {
-            let (ex, _) = explore_reduced(&sys, &cfg(true, fingerprint));
+            let (ex, _) = explore_reduced(&sys, &cfg(fingerprint));
             assert_eq!(ex.verdict, Verdict::Violation);
             let t = ex.trace.unwrap();
             assert_eq!(t.steps.len(), 3, "shortest path is three adds");
@@ -409,8 +294,8 @@ mod tests {
             pool: 4,
             cap: 9,
         };
-        let (exact, se) = explore_reduced(&sys, &cfg(true, false));
-        let (finger, sf) = explore_reduced(&sys, &cfg(true, true));
+        let (exact, se) = explore_reduced(&sys, &cfg(false));
+        let (finger, sf) = explore_reduced(&sys, &cfg(true));
         assert_eq!(exact.verdict, finger.verdict);
         assert_eq!(exact.states, finger.states);
         assert!(

@@ -298,3 +298,35 @@ fn speed_proportional_startup_reduces_movement() {
     );
     assert!(proportional.compute_time.as_secs_f64() <= equal.compute_time.as_secs_f64() * 1.02);
 }
+
+/// `AppSpec` is the one description of the program the master mimics: its
+/// answers for one instance of each pattern, against values worked by hand.
+#[test]
+fn app_spec_describes_each_pattern() {
+    use dlb::core::kernels::{IndependentKernel, PipelinedKernel, ShrinkingKernel};
+    let cal = Calibration::new(0.01);
+
+    let mm = Arc::new(MatMul::new(12, 4, 1, &cal));
+    let app = AppSpec::Independent(mm.clone());
+    assert_eq!(app.invocations(), 4);
+    assert_eq!((app.expected_units(0), app.expected_units(3)), (12, 12));
+    assert_eq!(app.initial_unit(5), mm.init_unit(5));
+    assert!(!app.converged(3, 0.0), "fixed trip count");
+
+    // A 10×10 grid: 8 interior columns of 8 interior rows, counted in
+    // column-rows; a unit travels as its one column, walls included.
+    let sor = Arc::new(Sor::new(10, 3, 1, &cal));
+    let app = AppSpec::Pipelined(sor.clone());
+    assert_eq!(app.invocations(), 3);
+    assert_eq!((app.expected_units(0), app.expected_units(2)), (64, 64));
+    assert_eq!(app.initial_unit(2), vec![sor.init_unit(2)]);
+    assert_eq!(app.initial_unit(2)[0].len(), 10);
+
+    // 9 columns: 8 steps, step k updates the n − 1 − k columns right of the
+    // pivot.
+    let lu = Arc::new(Lu::new(9, 1, &cal));
+    let app = AppSpec::Shrinking(lu.clone());
+    assert_eq!(app.invocations(), 8);
+    assert_eq!((app.expected_units(0), app.expected_units(7)), (8, 1));
+    assert_eq!(app.initial_unit(4), vec![lu.init_unit(4)]);
+}

@@ -57,7 +57,6 @@ fn random_balancer(rng: &mut Pcg32) -> BalancerConfig {
         },
         threshold: 0.02 + rng.next_f64() * 0.28,
         profitability: rng.chance(0.5),
-        ..Default::default()
     }
 }
 
