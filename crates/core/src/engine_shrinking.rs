@@ -6,17 +6,46 @@
 //! future work become *inactive* and are never moved by the balancer. All
 //! slaves then update their active columns (`j > k`). Work movement is
 //! direct (no carried dependences) and only ships active columns; a column
-//! arriving one step behind is caught up with the retained pivot history.
+//! arriving one step behind is caught up with the retained pivot window.
 //!
 //! The slave's life cycle (first release, barrier, checkpoint cadence,
 //! rollback, snapshot speculation, rescue, gather, election and rejoin)
 //! lives in [`crate::session::slave`]; this module supplies the shrinking
 //! [`DistributionStrategy`]: the pivot/update step body, active/retired
 //! bookkeeping on rollback, and the sequential one-step snapshot advance
-//! used to race a silent suspect. Pivot payloads
-//! are pure functions of step-start state, so pivot broadcasts surviving
-//! from before a rollback are bit-identical to their replayed versions;
-//! transfers and balancing instructions are epoch-fenced.
+//! used to race a silent suspect.
+//!
+//! ## A pivot is never stale
+//!
+//! Pivot payloads are pure functions of step-start state, so pivot
+//! broadcasts surviving from before a rollback are bit-identical to their
+//! replayed versions; transfers and balancing instructions are
+//! epoch-fenced, pivots are not. That is load-bearing, not a nicety: a
+//! broadcast is sent once, and after a rollback the first survivor to
+//! replay the resumed step broadcasts its pivot while the master is still
+//! shipping the other survivors' `Rollback`s, so the pivot routinely
+//! *overtakes the receiver's own rollback*. A receiver that dropped it then
+//! waits for a broadcast nobody repeats until the failure detector evicts
+//! someone. So [`DistributionStrategy::restore`] keeps what is banked, and
+//! the receives that run without a strategy leave pivots queued
+//! ([`Msg::can_go_stale`]).
+//!
+//! ## What a slave keeps
+//!
+//! *Pivots are a window, not a history* ([`Pivots`]). Every active column
+//! is at most one step behind the step in progress (`restore` and
+//! `incorporate` both say so), so as step `k` starts the payloads below
+//! `k − 1` are dropped — keeping all of them is the whole matrix again on
+//! every slave. One exception: a payload that *arrives* for a step already
+//! below the one in progress is a duplicate or — the case above — a
+//! re-broadcast from a peer that has been rolled back before us. It is
+//! kept until the next `restore`, so pruning cannot re-open the race.
+//!
+//! *Retired columns are shared, not copied.* A retired column is final, so
+//! it moves behind an `Arc` when it retires and every barrier checkpoint,
+//! and every `restore` of an id below the resumed step, is a refcount on
+//! that one allocation. Active columns change every step and are copied
+//! per snapshot.
 
 use crate::error::ProtocolError;
 use crate::kernels::ShrinkingKernel;
@@ -25,7 +54,7 @@ use crate::session::slave::SlaveSpec;
 use crate::session::strategy::{BarrierMsg, DistributionStrategy};
 use crate::slave_common::{RollbackInfo, SlaveCommon, StartInfo};
 use dlb_sim::MailCtx;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
 struct SCol {
@@ -34,10 +63,55 @@ struct SCol {
     updated_through: i64,
 }
 
+/// Pivot payloads by step: the window `k − 1 ..` while step `k` is in
+/// progress, plus whatever arrived for a step already behind it (see the
+/// module doc).
+#[derive(Default)]
+struct Pivots {
+    /// The step in progress (the resumed one after a rollback).
+    step: usize,
+    banked: BTreeMap<usize, Vec<f64>>,
+    /// Steps banked while a later one was in progress: exempt from
+    /// [`Pivots::begin_step`]'s pruning until the next [`Pivots::rewind`].
+    held: BTreeSet<usize>,
+}
+
+impl Pivots {
+    /// Bank a broadcast (idempotent — pivot payloads are
+    /// value-deterministic, so a duplicate or a pre-rollback straggler is
+    /// the same bits).
+    fn bank(&mut self, step: usize, values: Vec<f64>) {
+        if step < self.step {
+            self.held.insert(step);
+        }
+        self.banked.insert(step, values);
+    }
+
+    fn get(&self, step: usize) -> Option<&Vec<f64>> {
+        self.banked.get(&step)
+    }
+
+    /// Step `k` starts: no column here is further behind than `k − 1`.
+    fn begin_step(&mut self, k: usize) {
+        self.step = k;
+        let held = &self.held;
+        self.banked.retain(|s, _| s + 1 >= k || held.contains(s));
+    }
+
+    /// A rollback resumes step `k`. It rewinds columns, never pivot values:
+    /// everything banked stays (the resumed step's pivot may well be here
+    /// already), and what was held for this moment is ordinary again.
+    fn rewind(&mut self, k: usize) {
+        self.step = k;
+        self.held.clear();
+    }
+}
+
 struct State {
     active: BTreeMap<usize, SCol>,
-    retired: Vec<(usize, Vec<f64>)>,
-    pivots: Vec<Option<Vec<f64>>>,
+    /// Final columns, behind the `Arc` every later snapshot shares.
+    retired: SharedUnits,
+    pivots: Pivots,
     /// Every active column with an id below this is updated through the step
     /// in progress: where [`State::next_behind`] resumes its scan. Zero when
     /// a step starts or a rollback replaces the columns; [`incorporate`]
@@ -56,14 +130,11 @@ impl State {
         Some(id)
     }
 
-    /// Every column held here, retired ones first.
-    fn snapshot(&self) -> Vec<(usize, UnitData)> {
-        let retired = self.retired.iter().map(|(id, d)| (*id, vec![d.clone()]));
-        let active = self
-            .active
+    /// A copy of every active column, lowest id first.
+    fn active_units(&self) -> impl Iterator<Item = (usize, UnitData)> + '_ {
+        self.active
             .iter()
-            .map(|(&id, c)| (id, vec![c.data.clone()]));
-        retired.chain(active).collect()
+            .map(|(&id, c)| (id, vec![c.data.clone()]))
     }
 }
 
@@ -95,7 +166,7 @@ impl ShrinkingStrategy {
                 })
                 .collect(),
             retired: Vec::new(),
-            pivots: vec![None; kernel.n_units()],
+            pivots: Pivots::default(),
             cursor: 0,
         };
         ShrinkingStrategy { st, kernel }
@@ -176,9 +247,9 @@ impl DistributionStrategy for ShrinkingStrategy {
                 execute_moves(ctx, common, st, inv as usize, moves).await?;
             }
             (Some(_), Msg::Pivot { step, values }) => {
-                // A pivot broadcast racing ahead of the release; bank it
-                // (idempotent — pivot payloads are value-deterministic).
-                st.pivots[step as usize] = Some(values);
+                // A pivot broadcast racing ahead of the release (or of our
+                // own rollback); bank it.
+                st.pivots.bank(step as usize, values);
                 return Ok(BarrierMsg::Consumed);
             }
             (_, other) => return Ok(BarrierMsg::Pass(other)),
@@ -192,38 +263,40 @@ impl DistributionStrategy for ShrinkingStrategy {
         (owned, 0.0)
     }
 
+    /// Every column held here, retired ones first: a refcount per retired
+    /// column, a copy per active one.
     fn checkpoint_units(&self) -> SharedUnits {
-        let shared = |(id, d)| (id, Arc::new(d));
-        self.st.snapshot().into_iter().map(shared).collect()
+        let active = self.st.active_units().map(|(id, d)| (id, Arc::new(d)));
+        self.st.retired.iter().cloned().chain(active).collect()
     }
 
     fn gather_units(&self) -> Result<Vec<(usize, UnitData)>, ProtocolError> {
-        Ok(self.st.snapshot())
+        let retired = self.st.retired.iter().map(|(id, d)| (*id, (**d).clone()));
+        Ok(retired.chain(self.st.active_units()).collect())
     }
 
-    /// Ids below the resumed step are retired (their data is final), the
-    /// rest are active and updated through the previous step.
+    /// Ids below the resumed step are retired (their data is final and
+    /// stays behind the snapshot's `Arc`), the rest are active and updated
+    /// through the previous step. Banked pivots stay banked.
     fn restore(
         &mut self,
         _common: &mut SlaveCommon,
         rb: RollbackInfo,
     ) -> Result<u64, ProtocolError> {
         let st = &mut self.st;
-        let n = self.kernel.n_units();
         let k = rb.invocation;
         st.active.clear();
         st.retired.clear();
-        st.pivots = vec![None; n];
+        st.pivots.rewind(k as usize);
         st.cursor = 0;
         for (id, d) in rb.units {
-            let data = column(Arc::unwrap_or_clone(d));
             if (id as u64) < k {
-                st.retired.push((id, data));
+                st.retired.push((id, d));
             } else {
                 st.active.insert(
                     id,
                     SCol {
-                        data,
+                        data: column(Arc::unwrap_or_clone(d)),
                         updated_through: k as i64 - 1,
                     },
                 );
@@ -286,6 +359,7 @@ async fn step(
     kernel: &dyn ShrinkingKernel,
     k: usize,
 ) -> Result<(), ProtocolError> {
+    st.pivots.begin_step(k);
     // Pivot phase: the owner finalizes and broadcasts column k.
     if let Some(col) = st.active.remove(&k) {
         if col.updated_through != k as i64 - 1 {
@@ -306,9 +380,9 @@ async fn step(
                 common.send_slave(ctx, to, msg).await;
             }
         }
-        st.pivots[k] = Some(payload);
-        st.retired.push((k, col.data));
-    } else if st.pivots[k].is_none() {
+        st.pivots.bank(k, payload);
+        st.retired.push((k, Arc::new(vec![col.data])));
+    } else if st.pivots.get(k).is_none() {
         let want = k as u64;
         let env = common
             .recv_blocking(
@@ -318,7 +392,7 @@ async fn step(
             )
             .await?;
         if let Msg::Pivot { values, .. } = env.msg {
-            st.pivots[k] = Some(values);
+            st.pivots.bank(k, values);
         }
     }
 
@@ -347,7 +421,7 @@ async fn update_column(
     let col = st.active.get_mut(&j).expect("column present");
     let from = (col.updated_through + 1) as usize;
     for kk in from..=k {
-        let Some(pivot) = st.pivots[kk].as_ref() else {
+        let Some(pivot) = st.pivots.get(kk) else {
             // A caught-up column needs pivot history the protocol should
             // have delivered; its absence means a lost broadcast (or a
             // runtime bug) — either way the step cannot proceed.
@@ -452,12 +526,11 @@ async fn drain_transfers(
             }
         }
     }
-    // Also bank any pivot broadcasts that raced ahead (idempotent under
-    // duplicated deliveries; pivot payloads are value-deterministic, so
-    // even pre-rollback stragglers are safe to bank).
+    // Also bank any pivot broadcasts that raced ahead, or that a peer
+    // rolled back before us has re-broadcast.
     while let Some(env) = ctx.try_recv_match(|m| matches!(m, Msg::Pivot { .. })).await {
         if let Msg::Pivot { step, values } = env.msg {
-            st.pivots[step as usize] = Some(values);
+            st.pivots.bank(step as usize, values);
         }
     }
     if common.ft.is_some() {
@@ -477,6 +550,176 @@ async fn drain_transfers(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::balancer::InteractionMode;
+    use dlb_sim::{ActorId, CpuWork, NodeConfig, SimBuilder};
+    use std::sync::Mutex;
+
+    /// Columns of one number; step `k` adds the pivot's to every later one.
+    struct Adds(usize);
+
+    impl ShrinkingKernel for Adds {
+        fn n_units(&self) -> usize {
+            self.0
+        }
+        fn init_unit(&self, idx: usize) -> Vec<f64> {
+            vec![idx as f64 + 1.0]
+        }
+        fn pivot_payload(&self, _: usize, pivot_col: &[f64]) -> Vec<f64> {
+            pivot_col.to_vec()
+        }
+        fn update(&self, _: usize, col: &mut [f64], pivot: &[f64], _: usize) {
+            col[0] += pivot[0];
+        }
+        fn step_cost(&self, _: usize) -> CpuWork {
+            CpuWork::from_micros(100)
+        }
+    }
+
+    /// A lone slave holding columns `0..n`, nothing computed yet.
+    fn lone(n: usize) -> (ShrinkingStrategy, SlaveCommon) {
+        let (me, master) = (ActorId(0), ActorId(1));
+        let spec = SlaveSpec {
+            idx: 0,
+            master,
+            mode: InteractionMode::Pipelined,
+            ft: None,
+            takeover: None,
+            join_at: None,
+        };
+        let start = (vec![me], vec![(0, n)], 1);
+        let lu = ShrinkingStrategy::new(Arc::new(Adds(n)), &spec, &start);
+        let common = SlaveCommon::new(0, master, start.0, spec.mode, None);
+        (lu, common)
+    }
+
+    fn rollback(invocation: u64, units: SharedUnits) -> RollbackInfo {
+        RollbackInfo {
+            epoch: 1,
+            invocation,
+            survivors: vec![0],
+            ckpt_stride: 1,
+            units,
+        }
+    }
+
+    /// The race behind the rejoin flap: the first survivor to replay the
+    /// resumed step broadcasts its pivot while the master is still shipping
+    /// the others their `Rollback`, so the pivot is banked *before* the
+    /// restore that needs it — and nobody sends it twice.
+    #[test]
+    fn restore_keeps_the_pivots_banked_at_or_after_the_resumed_step() {
+        let (mut lu, mut common) = lone(6);
+        lu.st.pivots.begin_step(4);
+        // Parked at the barrier of step 4; a peer already rolled back to
+        // step 3 re-broadcasts pivot 3, another racing ahead sends 5.
+        lu.st.pivots.bank(3, vec![3.0]);
+        lu.st.pivots.bank(5, vec![5.0]);
+        let units = (0..6).map(|i| (i, Arc::new(vec![vec![0.0]]))).collect();
+        assert_eq!(lu.restore(&mut common, rollback(3, units)).unwrap(), 3);
+        assert_eq!(lu.st.pivots.get(3), Some(&vec![3.0]));
+        assert_eq!(lu.st.pivots.get(5), Some(&vec![5.0]));
+        // The replayed step finds its pivot without a receive.
+        lu.st.pivots.begin_step(3);
+        assert!(lu.st.pivots.get(3).is_some());
+    }
+
+    /// A payload for a step already behind the one in progress is a
+    /// re-broadcast from a peer rolled back before us: the window must not
+    /// prune it before our own rollback arrives.
+    #[test]
+    fn a_pivot_for_a_step_already_behind_survives_the_window_until_restore() {
+        let mut p = Pivots::default();
+        for k in 0..6 {
+            p.begin_step(k);
+            p.bank(k, vec![k as f64]);
+        }
+        assert_eq!(p.get(2), None, "step 2 left the window at step 4");
+        p.bank(2, vec![2.0]);
+        for k in 6..9 {
+            p.begin_step(k);
+            p.bank(k, vec![k as f64]);
+            assert_eq!(p.get(2), Some(&vec![2.0]), "held through step {k}");
+        }
+        p.rewind(2);
+        p.begin_step(2);
+        assert_eq!(p.get(2), Some(&vec![2.0]), "there for the replay");
+        // Ordinary again: it leaves the window like any other.
+        p.begin_step(3);
+        p.begin_step(4);
+        assert_eq!(p.get(2), None);
+        assert!(p.held.is_empty());
+    }
+
+    /// Run a lone slave through every step of an `n`-column problem inside
+    /// a simulation (an inert master swallows its statuses) and return the
+    /// barrier snapshot after each step, with the window's size at the time.
+    fn snapshots_of_a_lone_run(n: usize) -> Vec<(SharedUnits, usize)> {
+        let taken = Arc::new(Mutex::new(Vec::new()));
+        let sink = Arc::clone(&taken);
+        let mut sim = SimBuilder::<Msg>::new();
+        let nodes = [(); 2].map(|()| sim.add_node(NodeConfig::default()));
+        sim.spawn_mail(nodes[0], "slave0", move |ctx| async move {
+            let (mut lu, mut common) = lone(n);
+            for k in 0..lu.invocations() {
+                lu.run_invocation(&ctx, &mut common, k).await.unwrap();
+                let window = lu.st.pivots.banked.len();
+                sink.lock().unwrap().push((lu.checkpoint_units(), window));
+            }
+        });
+        sim.spawn_mail(nodes[1], "master", |ctx| async move {
+            while ctx
+                .recv_deadline(dlb_sim::SimTime(10_000_000))
+                .await
+                .is_some()
+            {}
+        });
+        sim.run();
+        let taken = taken.lock().unwrap();
+        taken.clone()
+    }
+
+    #[test]
+    fn the_pivot_window_holds_a_constant_number_of_payloads() {
+        let steps = snapshots_of_a_lone_run(40);
+        assert_eq!(steps.len(), 39);
+        let widest = steps.iter().map(|(_, window)| *window).max();
+        assert_eq!(widest, Some(2), "steps k - 1 and k, not all 39");
+    }
+
+    /// A retired column is final: the snapshot after it retires and every
+    /// later one hold the same allocation, as does a restore of it. Active
+    /// columns change every step and are copied.
+    #[test]
+    fn a_retired_column_is_one_allocation_across_snapshots_and_restore() {
+        let steps = snapshots_of_a_lone_run(5);
+        let unit = |step: usize, id: usize| {
+            let (units, _) = &steps[step];
+            &units.iter().find(|(i, _)| *i == id).expect("every id").1
+        };
+        // Column 0 retired in step 0, column 1 in step 1.
+        assert!(Arc::ptr_eq(unit(0, 0), unit(1, 0)) && Arc::ptr_eq(unit(1, 0), unit(3, 0)));
+        assert!(Arc::ptr_eq(unit(1, 1), unit(3, 1)));
+        assert!(
+            !Arc::ptr_eq(unit(0, 1), unit(1, 1)),
+            "still active at step 0"
+        );
+        assert!(!Arc::ptr_eq(unit(1, 4), unit(2, 4)), "active throughout");
+        // The values are the dataflow's: columns 1..=5, each step adding
+        // the finished pivot (1, 3, 7, 15) to every later column.
+        assert_eq!(**unit(3, 1), vec![vec![2.0 + 1.0]]);
+        assert_eq!(**unit(3, 4), vec![vec![5.0 + 1.0 + 3.0 + 7.0 + 15.0]]);
+
+        // Rolling back onto that snapshot at step 2 adopts columns 0 and 1
+        // as they are; the next checkpoint hands out the same two again.
+        let (mut lu, mut common) = lone(5);
+        let (snapshot, _) = &steps[1];
+        lu.restore(&mut common, rollback(2, snapshot.clone()))
+            .unwrap();
+        let again = lu.checkpoint_units();
+        assert!(Arc::ptr_eq(&again[0].1, unit(1, 0)) && Arc::ptr_eq(&again[1].1, unit(1, 1)));
+        assert!(!Arc::ptr_eq(&again[2].1, unit(1, 2)));
+        assert_eq!(lu.report().0, [0, 1, 2, 3, 4]);
+    }
 
     fn moved(id: usize, done: bool, k: usize) -> MovedUnit {
         MovedUnit {
@@ -504,7 +747,7 @@ mod tests {
         let mut st = State {
             active: [2, 3, 6, 8].map(behind).into(),
             retired: Vec::new(),
-            pivots: Vec::new(),
+            pivots: Pivots::default(),
             cursor: 0,
         };
         let mut order = Vec::new();

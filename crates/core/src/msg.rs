@@ -20,6 +20,7 @@
 //! | hop | before | now |
 //! |-----|--------|-----|
 //! | slave `checkpoint_units()` at a barrier | a fresh copy of the live state per `Checkpoint` sent, heartbeat re-sends included | **one copy per barrier state**: re-sends reuse it, only a `BarrierMsg::Refresh` rebuilds it |
+//! | a *retired* LU column in that snapshot (`engine_shrinking.rs`) | copied out of the engine and re-wrapped at every barrier, like an active one | **behind its `Arc` from the step it retires**: every later checkpoint, and a `restore` of an id below the resumed step, is a refcount; `gather_units` makes the one copy |
 //! | window retention (`send_with(..).clone()`), `replay_window`, the sim kernel's duplicate-fault `msg.clone()` | deep copy each | refcount |
 //! | `CheckpointBank::offer` | move | move |
 //! | `rollback_snapshot` for `rerange` and `speculate`; `best_snapshot` per deputy per `publish_replica` | whole-snapshot deep copy each | refcount (`rerange`'s per-survivor split moves the same `Arc`s) |
@@ -478,6 +479,17 @@ impl Msg {
                 | Msg::Vote { .. }
                 | Msg::Promoted { .. }
         )
+    }
+
+    /// Everything but a pivot broadcast. A pivot payload is a pure function
+    /// of step-start state, so one sent before a rollback is bit-identical
+    /// to its replay: it carries no epoch, is sent once, and is never stale.
+    /// A receive that runs with no strategy to bank it (the join handshake
+    /// and the park before it, the rescue and gather-ack waits) takes only
+    /// what can go stale and leaves the rest queued for the step that will
+    /// ask for it.
+    pub(crate) fn can_go_stale(&self) -> bool {
+        !matches!(self, Msg::Pivot { .. })
     }
 
     /// Approximate wire size in bytes, used to charge the network model.

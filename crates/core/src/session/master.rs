@@ -625,11 +625,24 @@ impl Session {
         s: usize,
         now: SimTime,
     ) -> Result<(), ProtocolError> {
-        self.memb.evict(s);
         if crate::dlb_trace() {
-            let inv = self.inv;
-            eprintln!("[master t={now}] declaring slave {s} dead (inv {inv})");
+            // Why the detector fired, and how far from settling the barrier
+            // was when it did: the line that tells a dead slave from one
+            // waiting on a peer.
+            let unsettled = (0..self.memb.n())
+                .filter(|&v| self.memb.alive[v] && !self.slave_settled(v))
+                .count();
+            eprintln!(
+                "[master t={now}] declaring slave {s} dead (inv {}): silent_for {} unheard_for {} \
+                 done {} window_acked {}; {unsettled} live slaves unsettled",
+                self.inv,
+                self.memb.silent_for(s, now),
+                self.memb.unheard_for(s, now),
+                self.memb.done[s],
+                self.win[s].fully_acked(),
+            );
         }
+        self.memb.evict(s);
         self.rec.slaves_declared_dead += 1;
         self.rec.first_death.get_or_insert(now);
         send(ctx, self.slaves[s], Msg::Evict).await;

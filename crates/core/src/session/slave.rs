@@ -217,7 +217,10 @@ pub async fn run<S: DistributionStrategy>(
 }
 
 /// After shipping a `SlaveError`, wait for the master's rollback (stashed
-/// in `pending_rollback`), an abort, or an eviction.
+/// in `pending_rollback`), an abort, or an eviction. Only what
+/// [`Msg::can_go_stale`] is received (and, if not handled, dropped): a peer
+/// rescued before us may already be replaying, and its pivot broadcast
+/// stays queued for our own replay.
 async fn rescue_wait(
     ctx: &MailCtx<Msg>,
     common: &mut SlaveCommon,
@@ -225,7 +228,8 @@ async fn rescue_wait(
 ) -> Result<(), ProtocolError> {
     let mut tries = 0u32;
     loop {
-        match ctx.recv_deadline(ctx.now() + ft.slave_heartbeat).await {
+        let slice = ctx.now() + ft.slave_heartbeat;
+        match ctx.recv_match_deadline(Msg::can_go_stale, slice).await {
             None => {
                 tries += 1;
                 if tries > GIVE_UP_TRIES {
@@ -521,6 +525,8 @@ async fn barrier<S: DistributionStrategy>(
 /// The barrier consumed the Gather message; reply with the local units. In
 /// fault mode, wait for the master's acknowledgement (re-sending on
 /// duplicate `Gather` requests) so a dropped reply cannot lose the result.
+/// A rollback can still unwind from here, so — as in [`rescue_wait`] —
+/// what cannot go stale stays queued.
 async fn reply_gather<S: DistributionStrategy>(
     ctx: &MailCtx<Msg>,
     common: &mut SlaveCommon,
@@ -538,7 +544,8 @@ async fn reply_gather<S: DistributionStrategy>(
     };
     let mut tries = 0u32;
     loop {
-        match ctx.recv_deadline(ctx.now() + ft.slave_heartbeat).await {
+        let slice = ctx.now() + ft.slave_heartbeat;
+        match ctx.recv_match_deadline(Msg::can_go_stale, slice).await {
             None => {
                 tries += 1;
                 if tries > GATHER_PATIENCE {
@@ -592,6 +599,10 @@ mod tests {
     /// release, which a snapshotting toy answers with a `Refresh`.
     struct Toy<const SNAPSHOTS: bool> {
         ends_anywhere: bool,
+        /// Wedge (a recoverable error) until a rollback rescues it; every
+        /// invocation after that forwards to the master whatever it finds
+        /// queued that cannot go stale.
+        wedged: Option<bool>,
     }
 
     impl<const SNAPSHOTS: bool> DistributionStrategy for Toy<SNAPSHOTS> {
@@ -607,14 +618,24 @@ mod tests {
             "toy barrier"
         }
         fn recoverable(&self, _: &ProtocolError) -> bool {
-            false
+            self.wedged.is_some()
         }
         async fn run_invocation(
             &mut self,
-            _: &MailCtx<Msg>,
-            _: &mut SlaveCommon,
+            ctx: &MailCtx<Msg>,
+            common: &mut SlaveCommon,
             _: u64,
         ) -> Result<(), ProtocolError> {
+            if self.wedged == Some(true) {
+                return Err(ProtocolError::MissingPivot {
+                    step: 0,
+                    column: 0,
+                    slave: common.idx,
+                });
+            }
+            while let Some(env) = ctx.try_recv_match(|m| !m.can_go_stale()).await {
+                common.send_master(ctx, env.msg).await;
+            }
             Ok(())
         }
         async fn on_barrier_msg(
@@ -642,8 +663,10 @@ mod tests {
         fn gather_units(&self) -> Result<Vec<(usize, UnitData)>, ProtocolError> {
             Ok(Vec::new())
         }
-        fn restore(&mut self, _: &mut SlaveCommon, _: RollbackInfo) -> Result<u64, ProtocolError> {
-            panic!("no test here rolls a survivor back")
+        fn restore(&mut self, _: &mut SlaveCommon, rb: RollbackInfo) -> Result<u64, ProtocolError> {
+            assert!(self.wedged.is_some(), "only a wedged toy is rolled back");
+            self.wedged = Some(false);
+            Ok(rb.invocation)
         }
         async fn speculate(
             &mut self,
@@ -706,6 +729,7 @@ mod tests {
             Msg::InvocationDone { .. } => "done",
             Msg::Checkpoint { .. } => "ckpt",
             Msg::GatherData { .. } => "data",
+            Msg::Pivot { .. } => "pivot",
             Msg::SlaveError { error, .. } => match error {
                 ProtocolError::UnexpectedMessage { .. } => "unexpected",
                 ProtocolError::Inconsistent { .. } => "inconsistent",
@@ -733,27 +757,58 @@ mod tests {
 
     const FINAL: Toy<false> = Toy {
         ends_anywhere: false,
+        wedged: None,
     };
     const ANYWHERE: Toy<false> = Toy {
         ends_anywhere: true,
+        wedged: None,
     };
     const SNAPSHOTTING: Toy<true> = Toy {
         ends_anywhere: true,
+        wedged: None,
     };
+    const WEDGED: Toy<false> = Toy {
+        ends_anywhere: true,
+        wedged: Some(true),
+    };
+
+    fn rollback(invocation: u64, survivors: Vec<usize>) -> Msg {
+        Msg::Rollback {
+            seq: 1,
+            epoch: 1,
+            invocation,
+            survivors,
+            ckpt_stride: 1,
+            units: Vec::new(),
+        }
+    }
 
     #[test]
     fn rollback_that_omits_this_slave_evicts_it_before_restore() {
-        let rollback = Msg::Rollback {
-            seq: 1,
-            epoch: 1,
-            invocation: 1,
-            survivors: vec![1],
-            ckpt_stride: 1,
-            units: Vec::new(),
-        };
-        let heard = against_stub(armed(), FINAL, vec![(0, release(0)), (10, rollback)]);
+        let script = vec![(0, release(0)), (10, rollback(1, vec![1]))];
+        let heard = against_stub(armed(), FINAL, script);
         // `Toy::restore` panics; eviction is a silent exit, not an error.
         assert_eq!(kinds(&heard), ["done"]);
+    }
+
+    /// A peer rolled back before us replays the resumed step and broadcasts
+    /// its pivot while our own `Rollback` is still on the master's link. A
+    /// wedged slave must not take it for the torn epoch's traffic: it is
+    /// the only copy anyone will send.
+    #[test]
+    fn a_pivot_delivered_during_the_rescue_wait_is_there_after_the_rescue() {
+        let pivot = Msg::Pivot {
+            step: 0,
+            values: vec![1.0; 4],
+        };
+        let stale = Msg::Instructions(Default::default());
+        let rescue = [(10, pivot), (15, stale), (20, rollback(0, vec![0]))];
+        let gather = [(30, Msg::Gather), (40, Msg::GatherAck)];
+        let script = [(0, release(0))].into_iter().chain(rescue).chain(gather);
+        let heard = against_stub(armed(), WEDGED, script.collect());
+        // The report of the wedge, then — rescued — the pivot the toy found
+        // still queued; the stale instructions were dropped in the wait.
+        assert_eq!(kinds(&heard), ["error", "pivot", "done", "data"]);
     }
 
     #[test]

@@ -733,6 +733,14 @@ impl SlaveCommon {
     /// the master and re-announces immediately; `Abort` ends the run.
     /// Exhaustion yields [`ProtocolError::JoinRefused`], which engines
     /// treat like an eviction: exit silently, never ship a `SlaveError`.
+    ///
+    /// What stays queued is what cannot go stale ([`Msg::can_go_stale`]):
+    /// pivot broadcasts. The survivors get their admission `Rollback`s one
+    /// after another down the master's link, and the first to replay the
+    /// resumed step broadcasts its pivot at once, so at width that pivot
+    /// reaches the joiner *before* the joiner's own `Rollback`. It is the
+    /// only copy anyone will send; the resumed step takes it from the
+    /// mailbox.
     pub async fn join_handshake(&mut self, ctx: &MailCtx<Msg>) -> Result<(), ProtocolError> {
         let ft = self.ft.clone().ok_or(ProtocolError::JoinRefused {
             slave: self.idx,
@@ -746,11 +754,11 @@ impl SlaveCommon {
             self.send_master(ctx, join.clone()).await;
             let backoff = ft.rejoin_backoff * (1u64 << attempt.min(3));
             let deadline = ctx.now() + backoff + join_jitter(self.idx, attempt, ft.rejoin_backoff);
-            // Catch-all receive until the backoff expires: everything in
-            // the mailbox predates the admission (or is the admission), so
-            // anything not handled below is stale previous-life traffic and
-            // is dropped here.
-            while let Some(env) = ctx.recv_match_deadline(|_| true, deadline).await {
+            // Receive until the backoff expires: everything in the mailbox
+            // that can go stale predates the admission (or is the
+            // admission), so anything not handled below is previous-life
+            // traffic and is dropped here.
+            while let Some(env) = ctx.recv_match_deadline(Msg::can_go_stale, deadline).await {
                 match &env.msg {
                     Msg::Abort => return Err(ProtocolError::Aborted),
                     Msg::JoinRefuse { .. } => break,
@@ -778,7 +786,7 @@ impl SlaveCommon {
     }
 
     /// Latecomer entry: idle until `at` (discarding any traffic that
-    /// predates this slave's existence in the pool), then run
+    /// predates this slave's existence in the pool and can go stale), then run
     /// [`join_handshake`](Self::join_handshake). Promotions are serviced
     /// while parked so the eventual announcement targets whichever master
     /// is current; `Abort` ends the run before it begins.
@@ -788,7 +796,7 @@ impl SlaveCommon {
         at: SimTime,
     ) -> Result<(), ProtocolError> {
         while ctx.now() < at {
-            let Some(env) = ctx.recv_match_deadline(|_| true, at).await else {
+            let Some(env) = ctx.recv_match_deadline(Msg::can_go_stale, at).await else {
                 break;
             };
             match &env.msg {

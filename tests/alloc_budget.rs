@@ -9,8 +9,8 @@
 //! around whole runs polled inline (`worker_threads = Some(0)`), in ONE
 //! `#[test]` so nothing else in the process allocates beside it. Same seed,
 //! same allocations, on any host — the ceilings below are the figures
-//! measured when the snapshot plane became shared (CHANGES.md, PR 17) plus
-//! 10 %.
+//! measured when the shrinking engine stopped copying retired columns and
+//! keeping every pivot (CHANGES.md, PR 23) plus 10 %.
 
 use dlb::apps::{Calibration, Lu};
 use dlb::core::driver::{try_run, AppSpec, RunConfig};
@@ -21,8 +21,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// Ceilings in bytes per delivered message: measured + 10 %.
-const REJOIN16_CEILING: u64 = 8_520; // measured 7 745 (parent commit: 129 787)
-const ARMED64_CEILING: u64 = 812; // measured 738 (parent commit: 1 270)
+const REJOIN16_CEILING: u64 = 4_444; // measured 4 040 (parent commit: 7 745, 63 rollbacks)
+const ARMED64_CEILING: u64 = 753; // measured 685 (parent commit: 738)
 
 /// Bytes requested from the allocator so far (a statistic: `Relaxed`).
 static REQUESTED: AtomicU64 = AtomicU64::new(0);
@@ -99,8 +99,10 @@ fn bytes_per_delivery(label: &str, lu: &Arc<Lu>, cfg: RunConfig) -> u64 {
 #[test]
 fn allocation_per_delivered_message_stays_in_budget() {
     // The `rejoin_w16` shape: LU n=260 over 16 slaves, slave 0 crashes at
-    // 0.5 s and is re-admitted, and the shrinking engine's evict / readmit /
-    // rollback flap ships the banked 260-column snapshot again and again.
+    // 0.5 s with rejoin on. One crash, one eviction, one rollback: what is
+    // left per message is the steady state — a barrier checkpoint that
+    // copies the active columns (retired ones are shared), replicas to the
+    // deputies, and a two-step pivot window per slave.
     let lu = Arc::new(Lu::new(260, 7, &Calibration::new(0.1)));
     let crash = FaultPlan::new(7).crash(1, SimTime(500_000));
     let rejoin = bytes_per_delivery("rejoin16", &lu, lu_cfg(16, crash, 2));

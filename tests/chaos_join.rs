@@ -15,6 +15,7 @@
 
 use dlb::apps::{Calibration, Lu, MatMul, Sor};
 use dlb::core::driver::{try_run, AppSpec, RunConfig, RunReport};
+use dlb::core::FaultToleranceConfig;
 use dlb::sim::{FaultPlan, SimDuration, SimTime};
 use std::sync::Arc;
 
@@ -150,6 +151,72 @@ fn late_join_every_engine_exact() {
         "lu: late-join result must be exact"
     );
     assert_joined(&report, "lu", 1);
+}
+
+/// LU under the `tests/chaos_wide.rs` shrinking windows (suspicion 12 s),
+/// polled inline: the two cells below are about which message overtakes
+/// which, not about the pool.
+fn lu_wide_cfg(slaves: usize, plan: FaultPlan, rejoin_attempts: u32) -> RunConfig {
+    let mut cfg = RunConfig::homogeneous(slaves);
+    cfg.balancer.enabled = true;
+    cfg.fault_plan = Some(plan);
+    cfg.worker_threads = Some(0);
+    cfg.max_events = Some(20_000_000);
+    cfg.fault_tolerance = FaultToleranceConfig::with_suspicion(SimDuration::from_secs(12));
+    cfg.fault_tolerance.rejoin_attempts = rejoin_attempts;
+    cfg
+}
+
+/// One crash is one eviction and one rollback (`e2e_bench`'s `rejoin_w16`:
+/// LU n=260 over 16 slaves, slave 0 dies at 0.5 s, rejoin on). The master
+/// ships the 15 survivors their ~36 KB `Rollback`s one after another; the
+/// first to replay the resumed step broadcasts its 2 KB pivot, which
+/// overtakes the later survivors' own `Rollback`. A survivor that loses it
+/// there waits for a broadcast nobody repeats until someone is evicted —
+/// 63 rollbacks and 36 evictions for this one crash, before pivots were
+/// allowed through the epoch fence.
+#[test]
+fn one_crash_is_one_rollback_when_the_pivot_overtakes_it() {
+    let k = Arc::new(Lu::new(260, 7, &Calibration::new(0.1)));
+    let plan = dlb::compiler::compile(&k.program()).unwrap();
+    let fault = FaultPlan::new(7).crash(slave_node(0), SimTime(500_000));
+    let report = try_run(
+        AppSpec::Shrinking(k.clone()),
+        &plan,
+        lu_wide_cfg(SLAVES, fault, 2),
+    )
+    .expect("lu: one crash must be survivable");
+    assert_eq!(Lu::result_cols(&report.result), k.sequential());
+    let rec = &report.recovery;
+    assert_eq!(
+        (rec.slaves_declared_dead, rec.rollbacks),
+        (1, 1),
+        "lu: the rejoin flap is back: {rec:?}"
+    );
+}
+
+/// The same race on the joiner's side, which needs width: at 96 slaves the
+/// replayed step's pivot reaches the latecomer while it is still waiting
+/// for its admission `Rollback` in the join handshake. Dropped there as
+/// previous-life traffic, the joiner is admitted, wedges, is evicted and
+/// rejoins (2 evictions, 5 rollbacks, 54 virtual seconds); left queued, the
+/// resumed step takes it from the mailbox.
+#[test]
+fn a_joiner_keeps_the_pivot_that_beats_its_admission() {
+    let k = Arc::new(Lu::new(100, 7, &Calibration::new(0.1 * 100.0 / 260.0)));
+    let plan = dlb::compiler::compile(&k.program()).unwrap();
+    let mut cfg = lu_wide_cfg(96, FaultPlan::new(7), 10);
+    cfg.late_joiners = vec![(40, SimTime(300_000))];
+    let report = try_run(AppSpec::Shrinking(k.clone()), &plan, cfg)
+        .expect("lu: wide late join must be survivable");
+    assert_eq!(Lu::result_cols(&report.result), k.sequential());
+    assert_joined(&report, "lu wide", 1);
+    let rec = &report.recovery;
+    assert_eq!(
+        (rec.slaves_declared_dead, rec.rollbacks),
+        (0, 1),
+        "lu: the admission flaps: {rec:?}"
+    );
 }
 
 /// The headline scenario: a 16-slave run is partitioned mid-run. The

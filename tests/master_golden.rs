@@ -604,24 +604,24 @@ const GOLDEN: &[(&str, u64, u64, u64, &str)] = &[
     ("partition_heal_rejoin/sor", 48225271, 11582, 0x7097d748e8f1a0e3, "slaves_declared_dead: 2, first_death: Some(t=2.016622s), restore_resends: 117, instr_resends: 2, start_resends: 37, invocation_start_resends: 39, done_dups_ignored: 4, checkpoints_banked: 3, rollbacks: 3, units_rolled_back: 102, speculations_launched: 5, speculations_committed: 4, units_speculated: 10, joins_admitted: 1, rejoins_after_eviction: 1, join_snapshot_bytes: 1040, partitions_healed: 1, stale_epoch_dropped: 112, rollbacks_applied: 40, checkpoints_sent: 440, speculations_computed: 4, replicas_published: 17, replication_bytes: 71168"),
     ("crash_inside_partition/sor", 48225271, 9885, 0x26cc098d7c3eaa9d, "slaves_declared_dead: 3, first_death: Some(t=2.059375s), restore_resends: 61, instr_resends: 2, start_resends: 85, invocation_start_resends: 87, done_dups_ignored: 4, checkpoints_banked: 3, rollbacks: 5, units_rolled_back: 170, speculations_launched: 4, speculations_committed: 4, units_speculated: 10, joins_admitted: 1, rejoins_after_eviction: 1, join_snapshot_bytes: 1032, partitions_healed: 1, stale_epoch_dropped: 56, rollbacks_applied: 64, checkpoints_sent: 245, speculations_computed: 3, replicas_published: 20, replication_bytes: 72592"),
     ("partition_heal_rejoin_lossy/sor", 56918280, 25533, 0x73823f78ae7c664f, "slaves_declared_dead: 9, first_death: Some(t=2.017641s), restore_resends: 2176, start_resends: 43, invocation_start_resends: 43, status_dups_ignored: 7, done_dups_ignored: 11, gather_dups_ignored: 12, checkpoints_banked: 4, rollbacks: 22, units_rolled_back: 748, speculations_launched: 5, speculations_committed: 3, units_speculated: 9, joins_admitted: 7, rejoins_after_eviction: 7, join_snapshot_bytes: 6648, partitions_healed: 7, stale_epoch_dropped: 2044, rollbacks_applied: 260, checkpoints_sent: 142, speculations_computed: 1, replicas_published: 38, replication_bytes: 194568"),
-    ("master_mid_invocation/lu", 8849197, 11215, 0x9095f4792728621b, "checkpoints_banked: 22, rollbacks: 1, units_rolled_back: 24, rollbacks_applied: 15, checkpoints_sent: 480, elections_held: 1, takeover_latency: Some(8.004933s), replicas_published: 51, replication_bytes: 233672"),
-    ("master_frozen_then_superseded/lu", 14260769, 12605, 0xb7072e97b5212ad5, "checkpoints_banked: 22, rollbacks: 1, units_rolled_back: 24, rollbacks_applied: 15, checkpoints_sent: 480, elections_held: 1, takeover_latency: Some(8.004933s), replicas_published: 51, replication_bytes: 233672"),
-    ("drop16/lu", 395681848, 45836, 0x77c155d4ecd8c89f, "slaves_declared_dead: 13, first_death: Some(t=19.052012s), restore_resends: 132, instr_resends: 8, start_resends: 2, invocation_start_resends: 10, done_dups_ignored: 12, checkpoints_banked: 23, rollbacks: 15, units_rolled_back: 360, speculations_launched: 34, speculations_committed: 33, speculations_cancelled: 1, units_speculated: 326, stale_epoch_dropped: 249, rollbacks_applied: 44, checkpoints_sent: 1128, speculations_computed: 5, replicas_published: 39, replication_bytes: 184904"),
+    ("master_mid_invocation/lu", 8848548, 11187, 0xc27d61ca2fbfa157, "checkpoints_banked: 22, rollbacks: 1, units_rolled_back: 24, rollbacks_applied: 15, checkpoints_sent: 480, elections_held: 1, takeover_latency: Some(8.004933s), replicas_published: 51, replication_bytes: 233672"),
+    ("master_frozen_then_superseded/lu", 14260769, 12549, 0x5e2f4715504943e5, "checkpoints_banked: 22, rollbacks: 1, units_rolled_back: 24, rollbacks_applied: 15, checkpoints_sent: 480, elections_held: 1, takeover_latency: Some(8.004933s), replicas_published: 51, replication_bytes: 233672"),
+    ("drop16/lu", 262585678, 36184, 0xa65f633e3e66f5c4, "slaves_declared_dead: 11, first_death: Some(t=19.052012s), restore_resends: 93, instr_resends: 11, start_resends: 2, invocation_start_resends: 13, done_dups_ignored: 16, checkpoints_banked: 22, rollbacks: 12, units_rolled_back: 288, speculations_launched: 30, speculations_committed: 29, speculations_cancelled: 1, units_speculated: 294, stale_epoch_dropped: 125, rollbacks_applied: 59, checkpoints_sent: 1285, speculations_computed: 16, replicas_published: 47, replication_bytes: 225152"),
     ("dup16/lu", 777369, 9999, 0xf5e9074f5e01fca0, "status_dups_ignored: 23, gather_dups_ignored: 2, checkpoints_banked: 22, checkpoints_sent: 368, replicas_published: 69, replication_bytes: 339336"),
     ("jitter16/lu", 1163427, 10370, 0xef17f2fdeba9563a, "checkpoints_banked: 22, checkpoints_sent: 368, replicas_published: 69, replication_bytes: 339456"),
-    ("master_mid_rollback/lu", 24865635, 13429, 0x69850be82c1f959e, "slaves_declared_dead: 1, first_death: Some(t=24.243045s), restore_resends: 3, checkpoints_banked: 22, rollbacks: 2, units_rolled_back: 48, speculations_launched: 3, speculations_committed: 3, units_speculated: 28, stale_epoch_dropped: 4, rollbacks_applied: 28, checkpoints_sent: 662, speculations_computed: 6, elections_held: 1, takeover_latency: Some(8.004162s), replicas_published: 51, replication_bytes: 243928"),
+    ("master_mid_rollback/lu", 24864806, 13390, 0x34c4ea27361070aa, "slaves_declared_dead: 1, first_death: Some(t=24.242538s), restore_resends: 3, checkpoints_banked: 22, rollbacks: 2, units_rolled_back: 48, speculations_launched: 3, speculations_committed: 3, units_speculated: 28, stale_epoch_dropped: 4, rollbacks_applied: 28, checkpoints_sent: 662, speculations_computed: 6, elections_held: 1, takeover_latency: Some(8.004162s), replicas_published: 51, replication_bytes: 243928"),
     ("overlapping_crashes/lu", 16750738, 11934, 0x31e961e8b533b92e, "slaves_declared_dead: 2, first_death: Some(t=8.204363s), restore_resends: 3, checkpoints_banked: 22, rollbacks: 2, units_rolled_back: 48, speculations_launched: 8, speculations_committed: 8, units_speculated: 60, stale_epoch_dropped: 6, rollbacks_applied: 28, checkpoints_sent: 521, speculations_computed: 8, replicas_published: 69, replication_bytes: 341256"),
-    ("master_mid_transfer/lu", 10006176, 10558, 0xbaf6a78326685b50, "checkpoints_banked: 22, rollbacks: 1, units_rolled_back: 24, rollbacks_applied: 15, checkpoints_sent: 472, elections_held: 1, takeover_latency: Some(8.004471s), replicas_published: 46, replication_bytes: 226304"),
-    ("double_failover/lu", 18910019, 13105, 0x692d202442076076, "checkpoints_banked: 22, rollbacks: 2, units_rolled_back: 48, rollbacks_applied: 28, checkpoints_sent: 603, elections_held: 2, takeover_latency: Some(10.005598s), replicas_published: 38, replication_bytes: 159496"),
-    ("crash_in_gather/lu", 8802827, 11699, 0xe0d1b84396df00f9, "slaves_declared_dead: 1, first_death: Some(t=8.774263s), gather_resends: 3, gathers_interrupted: 1, checkpoints_banked: 22, rollbacks: 1, units_rolled_back: 24, rollbacks_applied: 15, checkpoints_sent: 705, replicas_published: 72, replication_bytes: 356304"),
-    ("crash_in_gather_lossy/lu", 125929790, 23666, 0x18ac7f75c2f03d37, "slaves_declared_dead: 8, first_death: Some(t=17.074781s), restore_resends: 99, instr_resends: 9, start_resends: 1, invocation_start_resends: 10, gather_resends: 1, status_dups_ignored: 16, done_dups_ignored: 10, checkpoints_banked: 21, rollbacks: 8, units_rolled_back: 192, speculations_launched: 14, speculations_committed: 14, units_speculated: 205, stale_epoch_dropped: 76, rollbacks_applied: 64, checkpoints_sent: 946, speculations_computed: 5, replicas_published: 46, replication_bytes: 205448"),
-    ("late_join/lu", 828019, 11155, 0x7b27b59b613fee10, "checkpoints_banked: 22, rollbacks: 1, units_rolled_back: 24, joins_admitted: 1, join_snapshot_bytes: 360, rollbacks_applied: 16, checkpoints_sent: 381, replicas_published: 72, replication_bytes: 350536"),
-    ("master_crash_join_in_flight/lu", 8925858, 14598, 0x7aec726403a4fe62, "checkpoints_banked: 22, rollbacks: 2, units_rolled_back: 48, joins_admitted: 1, join_snapshot_bytes: 552, rollbacks_applied: 29, checkpoints_sent: 932, elections_held: 1, takeover_latency: Some(8.017957s), replicas_published: 52, replication_bytes: 234200"),
-    ("late_join_lossy/lu", 70208611, 51398, 0x91a516f268e14037, "slaves_declared_dead: 21, first_death: Some(t=2.148950s), restore_resends: 406, status_dups_ignored: 29, gather_dups_ignored: 9, checkpoints_banked: 23, rollbacks: 41, units_rolled_back: 984, speculations_launched: 27, speculations_committed: 24, speculations_cancelled: 1, units_speculated: 312, joins_admitted: 20, rejoins_after_eviction: 19, join_snapshot_bytes: 9272, partitions_healed: 19, stale_epoch_dropped: 509, rollbacks_applied: 313, checkpoints_sent: 1566, speculations_computed: 9, replicas_published: 74, replication_bytes: 333472"),
-    ("master_crash_join_in_flight_lossy/lu", 109116642, 83727, 0x6b816a145256f464, "slaves_declared_dead: 19, first_death: Some(t=10.097259s), restore_resends: 3114, status_dups_ignored: 33, gather_dups_ignored: 1, checkpoints_banked: 22, rollbacks: 38, units_rolled_back: 912, speculations_launched: 25, speculations_committed: 24, units_speculated: 356, joins_admitted: 17, rejoins_after_eviction: 17, join_snapshot_bytes: 8632, partitions_healed: 16, stale_epoch_dropped: 2793, rollbacks_applied: 284, checkpoints_sent: 3167, speculations_computed: 14, elections_held: 1, takeover_latency: Some(8.052168s), replicas_published: 48, replication_bytes: 228712"),
-    ("partition_heal_rejoin/lu", 4040846, 20483, 0x6125ec28f40a2e2a, "slaves_declared_dead: 2, first_death: Some(t=0.618641s), restore_resends: 38, done_dups_ignored: 4, checkpoints_banked: 38, rollbacks: 4, units_rolled_back: 160, speculations_launched: 1, joins_admitted: 2, rejoins_after_eviction: 2, join_snapshot_bytes: 1952, partitions_healed: 2, stale_epoch_dropped: 36, rollbacks_applied: 56, checkpoints_sent: 748, replicas_published: 121, replication_bytes: 1534544"),
-    ("crash_inside_partition/lu", 4308864, 19814, 0x8d7c6485f23d91ac, "slaves_declared_dead: 3, first_death: Some(t=0.618641s), restore_resends: 42, instr_resends: 2, invocation_start_resends: 2, done_dups_ignored: 4, checkpoints_banked: 38, rollbacks: 5, units_rolled_back: 200, speculations_launched: 1, joins_admitted: 2, rejoins_after_eviction: 2, join_snapshot_bytes: 2264, partitions_healed: 2, stale_epoch_dropped: 38, rollbacks_applied: 65, checkpoints_sent: 722, replicas_published: 123, replication_bytes: 1535720"),
-    ("partition_heal_rejoin_lossy/lu", 72315373, 110850, 0xbfb7362512dd9ce0, "slaves_declared_dead: 51, first_death: Some(t=0.610509s), restore_resends: 843, instr_resends: 10, start_resends: 8, invocation_start_resends: 18, status_dups_ignored: 53, done_dups_ignored: 27, gather_dups_ignored: 14, checkpoints_banked: 39, rollbacks: 99, units_rolled_back: 3960, speculations_launched: 33, speculations_committed: 11, units_speculated: 218, joins_admitted: 49, rejoins_after_eviction: 49, join_snapshot_bytes: 52584, partitions_healed: 47, stale_epoch_dropped: 871, rollbacks_applied: 423, checkpoints_sent: 2558, speculations_computed: 5, replicas_published: 188, replication_bytes: 1707120"),
+    ("master_mid_transfer/lu", 10006176, 10534, 0x81718072a2c897a9, "checkpoints_banked: 22, rollbacks: 1, units_rolled_back: 24, rollbacks_applied: 15, checkpoints_sent: 472, elections_held: 1, takeover_latency: Some(8.004471s), replicas_published: 46, replication_bytes: 226304"),
+    ("double_failover/lu", 18907509, 13033, 0x4af73e36642426b4, "checkpoints_banked: 22, rollbacks: 2, units_rolled_back: 48, rollbacks_applied: 28, checkpoints_sent: 603, elections_held: 2, takeover_latency: Some(10.005598s), replicas_published: 38, replication_bytes: 159496"),
+    ("crash_in_gather/lu", 8802589, 11700, 0xfe7966cdf6dd8910, "slaves_declared_dead: 1, first_death: Some(t=8.774263s), gather_resends: 3, gathers_interrupted: 1, checkpoints_banked: 23, rollbacks: 1, units_rolled_back: 24, rollbacks_applied: 15, checkpoints_sent: 705, replicas_published: 72, replication_bytes: 356304"),
+    ("crash_in_gather_lossy/lu", 87012738, 22480, 0x67a4afc1f3353bb4, "slaves_declared_dead: 5, first_death: Some(t=17.074781s), restore_resends: 3, instr_resends: 10, start_resends: 1, invocation_start_resends: 11, gather_resends: 2, status_dups_ignored: 22, done_dups_ignored: 13, gather_dups_ignored: 1, checkpoints_banked: 20, rollbacks: 5, units_rolled_back: 120, speculations_launched: 12, speculations_committed: 12, units_speculated: 156, stale_epoch_dropped: 20, rollbacks_applied: 55, checkpoints_sent: 1050, speculations_computed: 12, replicas_published: 69, replication_bytes: 296768"),
+    ("late_join/lu", 827697, 11125, 0xb603648c33d058e2, "checkpoints_banked: 22, rollbacks: 1, units_rolled_back: 24, joins_admitted: 1, join_snapshot_bytes: 360, rollbacks_applied: 16, checkpoints_sent: 381, replicas_published: 72, replication_bytes: 350536"),
+    ("master_crash_join_in_flight/lu", 8925491, 14516, 0x115ea1b50bed1629, "checkpoints_banked: 22, rollbacks: 2, units_rolled_back: 48, joins_admitted: 1, join_snapshot_bytes: 552, rollbacks_applied: 29, checkpoints_sent: 932, elections_held: 1, takeover_latency: Some(8.017957s), replicas_published: 52, replication_bytes: 234200"),
+    ("late_join_lossy/lu", 68799315, 65197, 0xe397e2a4d2f838e6, "slaves_declared_dead: 4, first_death: Some(t=21.649093s), restore_resends: 12, instr_resends: 23, invocation_start_resends: 23, status_dups_ignored: 35, done_dups_ignored: 28, gather_dups_ignored: 3, checkpoints_banked: 21, rollbacks: 11, units_rolled_back: 264, speculations_launched: 8, speculations_committed: 8, units_speculated: 126, joins_admitted: 5, rejoins_after_eviction: 4, join_snapshot_bytes: 2400, partitions_healed: 4, stale_epoch_dropped: 350, rollbacks_applied: 151, checkpoints_sent: 4880, speculations_computed: 6, replicas_published: 80, replication_bytes: 294888"),
+    ("master_crash_join_in_flight_lossy/lu", 17851488, 21179, 0x6fbc09f6c880cf30, "slaves_declared_dead: 3, first_death: Some(t=11.018114s), restore_resends: 18, instr_resends: 20, invocation_start_resends: 20, status_dups_ignored: 23, done_dups_ignored: 24, gather_dups_ignored: 1, checkpoints_banked: 21, rollbacks: 7, units_rolled_back: 168, speculations_launched: 9, speculations_committed: 8, units_speculated: 60, joins_admitted: 3, rejoins_after_eviction: 3, join_snapshot_bytes: 1448, partitions_healed: 3, stale_epoch_dropped: 22, rollbacks_applied: 91, checkpoints_sent: 1271, speculations_computed: 9, elections_held: 1, takeover_latency: Some(8.052168s), replicas_published: 50, replication_bytes: 214632"),
+    ("partition_heal_rejoin/lu", 4397799, 21160, 0xf17db94a0228a8ba, "slaves_declared_dead: 3, first_death: Some(t=0.618641s), restore_resends: 26, done_dups_ignored: 3, checkpoints_banked: 38, rollbacks: 6, units_rolled_back: 240, speculations_launched: 2, joins_admitted: 3, rejoins_after_eviction: 3, join_snapshot_bytes: 3408, partitions_healed: 3, stale_epoch_dropped: 44, rollbacks_applied: 78, checkpoints_sent: 825, replicas_published: 119, replication_bytes: 1481056"),
+    ("crash_inside_partition/lu", 5130317, 21167, 0x845e411603bc5d27, "slaves_declared_dead: 5, first_death: Some(t=0.618641s), restore_resends: 47, instr_resends: 2, invocation_start_resends: 2, done_dups_ignored: 9, checkpoints_banked: 38, rollbacks: 9, units_rolled_back: 360, speculations_launched: 3, joins_admitted: 4, rejoins_after_eviction: 4, join_snapshot_bytes: 4520, partitions_healed: 4, stale_epoch_dropped: 61, rollbacks_applied: 106, checkpoints_sent: 811, replicas_published: 118, replication_bytes: 1467480"),
+    ("partition_heal_rejoin_lossy/lu", 33456577, 63980, 0xd6d4c4035803af4e, "slaves_declared_dead: 20, first_death: Some(t=0.610509s), restore_resends: 125, instr_resends: 12, start_resends: 8, invocation_start_resends: 20, status_dups_ignored: 44, done_dups_ignored: 29, checkpoints_banked: 35, rollbacks: 39, units_rolled_back: 1560, speculations_launched: 18, speculations_committed: 3, speculations_cancelled: 1, units_speculated: 46, joins_admitted: 20, rejoins_after_eviction: 20, join_snapshot_bytes: 22848, partitions_healed: 18, stale_epoch_dropped: 335, rollbacks_applied: 345, checkpoints_sent: 3049, speculations_computed: 6, replicas_published: 153, replication_bytes: 1580336"),
     ("converges_early4/mm", 8298050, 796, 0xf4390f20a01ad864, "slaves_declared_dead: 1, first_death: Some(t=8.291074s), restore_resends: 3, done_dups_ignored: 3, speculations_launched: 1, speculations_committed: 1, units_speculated: 6, speculations_computed: 1, replicas_published: 6, replication_bytes: 3480"),
     ("quiet31/sor", 6053941, 5032, 0x45ccaa902554824a, "start_resends: 1, invocation_start_resends: 1, checkpoints_banked: 2, checkpoints_sent: 123, replicas_published: 9, replication_bytes: 50007"),
     ("plain_load4/mm/sync", 1672999, 939, 0xdbcb800b21f443a6, ""),
