@@ -591,7 +591,7 @@ async fn reply_gather<S: DistributionStrategy>(
 mod tests {
     use super::*;
     use crate::msg::UnitData;
-    use dlb_sim::{NodeConfig, SimBuilder};
+    use dlb_sim::{NodeConfig, SimBuilder, SimDuration};
     use std::sync::Mutex;
 
     /// The smallest strategy the runner accepts: three invocations that
@@ -682,12 +682,13 @@ mod tests {
     }
 
     /// Run slave 0 through the whole shell against an inert master stub that
-    /// plays `Start` and then `script` (`(send time in ms, message)`), and
-    /// return what the stub was sent within a virtual minute.
+    /// plays `Start`, then `script` (`(send time in ms, message)`), then
+    /// `Abort` at `abort_ms`, and return what the stub was sent until then.
     fn against_stub<const SNAPSHOTS: bool>(
         ft: Option<FaultToleranceConfig>,
         toy: Toy<SNAPSHOTS>,
         script: Vec<(u64, Msg)>,
+        abort_ms: u64,
     ) -> Vec<Msg> {
         let spec = SlaveSpec {
             idx: 0,
@@ -710,7 +711,7 @@ mod tests {
                 block_rows: 1,
             };
             let script = [(0, start)].into_iter().chain(script);
-            for (at_ms, msg) in script.chain([(60_000, Msg::Abort)]) {
+            for (at_ms, msg) in script.chain([(abort_ms, Msg::Abort)]) {
                 while let Some(env) = ctx.recv_deadline(SimTime(at_ms * 1000)).await {
                     sink.lock().unwrap().push(env.msg);
                 }
@@ -730,7 +731,9 @@ mod tests {
             Msg::Checkpoint { .. } => "ckpt",
             Msg::GatherData { .. } => "data",
             Msg::Pivot { .. } => "pivot",
+            Msg::Alive { .. } => "alive",
             Msg::SlaveError { error, .. } => match error {
+                ProtocolError::Timeout { .. } => "timeout",
                 ProtocolError::UnexpectedMessage { .. } => "unexpected",
                 ProtocolError::Inconsistent { .. } => "inconsistent",
                 _ => "error",
@@ -739,6 +742,9 @@ mod tests {
         };
         heard.iter().map(kind).collect()
     }
+
+    /// When the stub of the older tests aborts the run, in ms.
+    const MINUTE: u64 = 60_000;
 
     /// Fault mode, with this slave as the lone deputy.
     fn armed() -> Option<FaultToleranceConfig> {
@@ -786,7 +792,7 @@ mod tests {
     #[test]
     fn rollback_that_omits_this_slave_evicts_it_before_restore() {
         let script = vec![(0, release(0)), (10, rollback(1, vec![1]))];
-        let heard = against_stub(armed(), FINAL, script);
+        let heard = against_stub(armed(), FINAL, script, MINUTE);
         // `Toy::restore` panics; eviction is a silent exit, not an error.
         assert_eq!(kinds(&heard), ["done"]);
     }
@@ -805,7 +811,7 @@ mod tests {
         let rescue = [(10, pivot), (15, stale), (20, rollback(0, vec![0]))];
         let gather = [(30, Msg::Gather), (40, Msg::GatherAck)];
         let script = [(0, release(0))].into_iter().chain(rescue).chain(gather);
-        let heard = against_stub(armed(), WEDGED, script.collect());
+        let heard = against_stub(armed(), WEDGED, script.collect(), MINUTE);
         // The report of the wedge, then — rescued — the pivot the toy found
         // still queued; the stale instructions were dropped in the wait.
         assert_eq!(kinds(&heard), ["error", "pivot", "done", "data"]);
@@ -814,9 +820,9 @@ mod tests {
     #[test]
     fn gather_at_a_non_final_barrier_asks_the_strategy() {
         let script = || vec![(0, release(0)), (10, Msg::Gather)];
-        let heard = against_stub(None, FINAL, script());
+        let heard = against_stub(None, FINAL, script(), MINUTE);
         assert_eq!(kinds(&heard), ["done", "unexpected"]);
-        let heard = against_stub(None, ANYWHERE, script());
+        let heard = against_stub(None, ANYWHERE, script(), MINUTE);
         assert_eq!(kinds(&heard), ["done", "data"]);
     }
 
@@ -824,7 +830,7 @@ mod tests {
     fn election_win_without_a_takeover_kit_is_one_typed_error() {
         // The master falls silent; the lone deputy heartbeats its done
         // report until it elects itself.
-        let heard = against_stub(armed(), FINAL, vec![(0, release(0))]);
+        let heard = against_stub(armed(), FINAL, vec![(0, release(0))], MINUTE);
         let mut kinds = kinds(&heard);
         kinds.retain(|k| *k != "done");
         assert_eq!(kinds, ["inconsistent"]);
@@ -834,7 +840,12 @@ mod tests {
     fn stale_release_in_fault_mode_neither_releases_nor_errors() {
         let stale = [(0, release(0)), (10, release(0))];
         let gather = [(20, Msg::Gather), (30, Msg::GatherAck)];
-        let heard = against_stub(armed(), ANYWHERE, stale.into_iter().chain(gather).collect());
+        let heard = against_stub(
+            armed(),
+            ANYWHERE,
+            stale.into_iter().chain(gather).collect(),
+            MINUTE,
+        );
         // Still parked after invocation 0 when the gather arrives.
         assert_eq!(kinds(&heard), ["done", "data"]);
     }
@@ -843,7 +854,7 @@ mod tests {
     fn a_strategy_without_snapshots_never_checkpoints() {
         let gather = [(3_500, Msg::Gather), (3_510, Msg::GatherAck)];
         let script = [(0, release(0))].into_iter().chain(gather).collect();
-        let heard = against_stub(armed(), ANYWHERE, script);
+        let heard = against_stub(armed(), ANYWHERE, script, MINUTE);
         // One report and three heartbeat refreshes, no checkpoint with any.
         assert_eq!(kinds(&heard), ["done", "done", "done", "done", "data"]);
         let Some(Msg::GatherData { fault_stats, .. }) = heard.last() else {
@@ -859,7 +870,7 @@ mod tests {
         let payloads = |script: Vec<(u64, Msg)>| -> Vec<Arc<UnitData>> {
             let gather = [(3_500, Msg::Gather), (3_510, Msg::GatherAck)];
             let script = [(0, release(0))].into_iter().chain(script).chain(gather);
-            let heard = against_stub(armed(), SNAPSHOTTING, script.collect());
+            let heard = against_stub(armed(), SNAPSHOTTING, script.collect(), MINUTE);
             let unit = |m: &Msg| match m {
                 Msg::Checkpoint { units, .. } => Some(Arc::clone(&units[0].1)),
                 _ => None,
@@ -878,5 +889,151 @@ mod tests {
         assert!(Arc::ptr_eq(&refreshed[0], &refreshed[1]));
         assert!(!Arc::ptr_eq(&refreshed[1], &refreshed[2]));
         assert!(refreshed[2..].iter().all(|p| Arc::ptr_eq(p, &refreshed[2])));
+    }
+    // ---- the four blocked waits, pinned by what a silent master hears ----
+
+    /// Fault mode with no deputy role (and so no election to end a silence
+    /// early): the wait alone decides what a silent slice says.
+    fn undeputised() -> Option<FaultToleranceConfig> {
+        Some(FaultToleranceConfig {
+            deputies: 0,
+            ..FaultToleranceConfig::default()
+        })
+    }
+
+    /// The lone deputy under a suspicion window longer than the 8 s of
+    /// master silence it stands after.
+    fn lone_deputy() -> Option<FaultToleranceConfig> {
+        Some(FaultToleranceConfig {
+            deputies: 1,
+            suspicion: SimDuration::from_secs(12),
+            ..FaultToleranceConfig::default()
+        })
+    }
+
+    /// The `Timeout` a run ended in: what the slave was waiting for, and
+    /// when it gave up in tenths of a virtual second (a send takes a
+    /// millisecond or so, so slices drift by hundredths).
+    fn timeout(heard: &[Msg]) -> (&'static str, u64) {
+        match heard.last() {
+            Some(Msg::SlaveError {
+                error:
+                    ProtocolError::Timeout {
+                        waiting_for, at, ..
+                    },
+                ..
+            }) => (waiting_for, (at.0 + 50_000) / 100_000),
+            other => panic!("the run did not end in a timeout: {other:?}"),
+        }
+    }
+
+    /// `heard` is `prefix`, then `n` times `slice`, then `end`.
+    #[track_caller]
+    fn assert_heard(heard: &[Msg], prefix: &[&str], n: usize, slice: &[&str], end: &str) {
+        let mut want = prefix.to_vec();
+        (0..n).for_each(|_| want.extend(slice));
+        want.push(end);
+        assert_eq!(kinds(heard), want);
+    }
+
+    const PING: Msg = Msg::MasterPing { term: 0 };
+
+    fn stale_instructions() -> Msg {
+        Msg::Instructions(Default::default())
+    }
+
+    /// `recv_blocking`, as the armed wait for a first release that never
+    /// comes: `Alive` in the silent slices of one suspicion window (8 s of
+    /// 1 s slices: seven), then silence, then `Timeout` 30 s after the wait
+    /// began — an absolute deadline, which clips the last slice.
+    #[test]
+    fn a_peer_wait_pings_for_one_window_and_times_out_at_the_op_timeout() {
+        let heard = against_stub(undeputised(), FINAL, vec![], MINUTE);
+        assert_heard(&heard, &[], 7, &["alive"], "timeout");
+        assert_eq!(timeout(&heard), ("toy release", 300));
+        // Any delivery restarts the slice, serviced control traffic
+        // included: two pings 0.6 s apart push the later slices to x.2 s,
+        // and only six of those end inside the window. Neither the window
+        // nor the deadline moves with them.
+        let pings = vec![(3_600, PING), (4_200, PING)];
+        let heard = against_stub(undeputised(), FINAL, pings, MINUTE);
+        assert_heard(&heard, &[], 6, &["alive"], "timeout");
+        assert_eq!(timeout(&heard), ("toy release", 300));
+    }
+
+    /// `barrier`: the done report and the checkpoint once on arrival and
+    /// once more per silent slice, `Timeout` at the 91st silent slice in a
+    /// row.
+    #[test]
+    fn a_barrier_wait_reports_every_silent_slice_and_gives_up_after_ninety_in_a_row() {
+        let heard = against_stub(
+            undeputised(),
+            SNAPSHOTTING,
+            vec![(0, release(0))],
+            4 * MINUTE,
+        );
+        assert_heard(&heard, &[], 91, &["done", "ckpt"], "timeout");
+        assert_eq!(timeout(&heard), ("toy barrier", 910));
+        // Any delivery resets the count and restarts the slice, one the
+        // runner only services on the side included.
+        let script = vec![(0, release(0)), (50_500, PING)];
+        let heard = against_stub(undeputised(), SNAPSHOTTING, script, 4 * MINUTE);
+        assert_heard(&heard, &[], 51 + 90, &["done", "ckpt"], "timeout");
+        assert_eq!(timeout(&heard), ("toy barrier", 505 + 910));
+    }
+
+    /// `rescue_wait`: an `Alive` in every silent slice — no window bounds
+    /// them — and `Timeout` at the 91st silent slice in all.
+    #[test]
+    fn a_wedged_slave_pings_every_silent_slice_and_counts_them_all() {
+        let heard = against_stub(undeputised(), WEDGED, vec![(0, release(0))], 4 * MINUTE);
+        assert_heard(&heard, &["error"], 90, &["alive"], "timeout");
+        assert_eq!(timeout(&heard), ("rescue rollback", 910));
+        // A delivery restarts the slice but not the count.
+        let script = vec![(0, release(0)), (40_500, stale_instructions())];
+        let heard = against_stub(undeputised(), WEDGED, script, 4 * MINUTE);
+        assert_heard(&heard, &["error"], 90, &["alive"], "timeout");
+        assert_eq!(timeout(&heard), ("rescue rollback", 915));
+    }
+
+    /// `reply_gather`: nothing is said while silent, and the run ends
+    /// quietly at the 11th silent slice since the last `Gather` — each
+    /// `Gather` is answered again and re-arms the patience, nothing else
+    /// does.
+    #[test]
+    fn a_gather_reply_waits_ten_silent_slices_past_the_last_gather() {
+        let replies = |last_gather_ms: u64| {
+            let gathers = [10, 10_500, 21_000, last_gather_ms].map(|at| (at, Msg::Gather));
+            let script = [(0, release(0)), (25_500, stale_instructions())];
+            let mut script: Vec<_> = script.into_iter().chain(gathers).collect();
+            script.sort_by_key(|(at, _)| *at);
+            let heard = against_stub(undeputised(), ANYWHERE, script, MINUTE);
+            let mut kinds = kinds(&heard);
+            assert_eq!(kinds.remove(0), "done");
+            assert!(kinds.iter().all(|k| *k == "data"), "{kinds:?}");
+            kinds.len()
+        };
+        // The second and third `Gather` each come ten silent slices after
+        // the one before and are answered. Four more have passed when the
+        // stale instructions restart the slice at 25.5 s; the eleventh ends
+        // at 32.5 s.
+        assert_eq!(replies(32_000), 4);
+        assert_eq!(replies(34_000), 3);
+    }
+
+    /// In every wait the deputy's election timer runs before the slave
+    /// vouches for itself: the slice in which the lone deputy stands (8 s
+    /// of master silence, inside the 12 s window) ends the slave's life
+    /// with no `Alive` — and a deputy waiting for the gather
+    /// acknowledgement stands before its patience runs out.
+    #[test]
+    fn a_silent_slice_ticks_the_election_before_it_says_anything() {
+        let heard = against_stub(lone_deputy(), FINAL, vec![], MINUTE);
+        assert_heard(&heard, &[], 7, &["alive"], "inconsistent");
+        let heard = against_stub(lone_deputy(), WEDGED, vec![(0, release(0))], MINUTE);
+        assert_heard(&heard, &["error"], 7, &["alive"], "inconsistent");
+        let script = vec![(0, release(0)), (10, Msg::Gather)];
+        let heard = against_stub(lone_deputy(), ANYWHERE, script, MINUTE);
+        assert_heard(&heard, &["done", "data"], 0, &[], "inconsistent");
     }
 }
