@@ -249,15 +249,8 @@ impl IndependentStrategy {
             matches!(m, Msg::Transfer(_) | Msg::TransferAck { .. })
                 || (fault_mode
                     && (m.is_channel_control()
-                        || matches!(
-                            m,
-                            Msg::Restore { .. }
-                                | Msg::Speculate { .. }
-                                | Msg::SpecCommit { .. }
-                                | Msg::SpecCancel { .. }
-                                | Msg::Abort
-                                | Msg::Evict
-                        )))
+                        || m.is_master_chan()
+                        || matches!(m, Msg::Abort | Msg::Evict)))
         };
         while let Some(env) = ctx.try_recv_match(pred).await {
             match env.msg {
@@ -266,20 +259,14 @@ impl IndependentStrategy {
                         self.incorporate(common, t)?;
                     }
                 }
-                Msg::Abort => return Err(ProtocolError::Aborted),
-                Msg::Evict => return Err(ProtocolError::Evicted { slave: common.idx }),
-                m @ (Msg::Restore { .. }
-                | Msg::Speculate { .. }
-                | Msg::SpecCommit { .. }
-                | Msg::SpecCancel { .. }) => {
+                m if m.is_master_chan() => {
                     self.apply_master_chan(ctx, common, inv, m).await?;
                 }
-                // Acks, eviction notices, and a failover rollback (stash +
-                // unwind to the runner's restart loop) or election traffic.
+                // Shutdown, acks, eviction notices, and a failover rollback
+                // (stash + unwind to the runner's restart loop) or election
+                // traffic.
                 m => {
-                    if !common.election(ctx, &m).await? {
-                        common.control(&m)?;
-                    }
+                    common.service(ctx, &m).await?;
                 }
             }
         }
@@ -431,12 +418,7 @@ impl DistributionStrategy for IndependentStrategy {
                         self.incorporate(common, t)?;
                     }
                 }
-                m @ (Msg::Restore { .. }
-                | Msg::Speculate { .. }
-                | Msg::SpecCommit { .. }
-                | Msg::SpecCancel { .. })
-                    if fault_mode =>
-                {
+                m if fault_mode && m.is_master_chan() => {
                     self.apply_master_chan(ctx, common, 0, m).await?;
                 }
                 Msg::Instructions(_) => {}

@@ -22,10 +22,11 @@
 //! lives in [`crate::session::slave`]; this module supplies the pipelined
 //! [`DistributionStrategy`]: the sweep body, set-aside/catch-up transfer
 //! integration, neighbour derivation on rollback, and the sequential
-//! one-sweep snapshot advance used to race a silent suspect. Boundary and sweep-old values are pure functions of
-//! sweep-start state, so messages surviving from before a rollback are
-//! bit-identical to their replayed versions and need no fencing; transfers
-//! and balancing instructions are epoch-fenced.
+//! one-sweep snapshot advance used to race a silent suspect. Boundary and
+//! sweep-old values are pure functions of sweep-start state, so messages
+//! surviving from before a rollback are bit-identical to their replayed
+//! versions and need no fencing; transfers and balancing instructions are
+//! epoch-fenced.
 
 use crate::error::ProtocolError;
 use crate::kernels::PipelinedKernel;

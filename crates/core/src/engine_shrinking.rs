@@ -208,7 +208,7 @@ impl DistributionStrategy for ShrinkingStrategy {
         step(ctx, common, st, kernel, k).await?;
         // Flush the final partial period (and execute any late moves)
         // before reporting the step done.
-        drain_transfers(ctx, common, st, kernel, k).await?;
+        drain_transfers(ctx, common, st, k).await?;
         let moves = common.fire(ctx, inv, st.active.len() as u64).await?;
         execute_moves(ctx, common, st, k, moves).await
     }
@@ -400,7 +400,7 @@ async fn step(
     // first, hooking after each column update.
     st.cursor = 0;
     loop {
-        drain_transfers(ctx, common, st, kernel, k).await?;
+        drain_transfers(ctx, common, st, k).await?;
         let Some(j) = st.next_behind(k) else { break };
         update_column(ctx, common, st, kernel, j, k).await?;
         let active = st.active.len() as u64;
@@ -514,10 +514,8 @@ async fn drain_transfers(
     ctx: &MailCtx<Msg>,
     common: &mut SlaveCommon,
     st: &mut State,
-    kernel: &dyn ShrinkingKernel,
     k: usize,
 ) -> Result<(), ProtocolError> {
-    let _ = kernel;
     common.drain_control(ctx).await?;
     while let Some(env) = ctx.try_recv_match(|m| matches!(m, Msg::Transfer(_))).await {
         if let Msg::Transfer(t) = env.msg {
@@ -534,14 +532,9 @@ async fn drain_transfers(
         }
     }
     if common.ft.is_some() {
-        if let Some(env) = ctx
-            .try_recv_match(|m| matches!(m, Msg::Abort | Msg::Evict))
-            .await
-        {
-            return match env.msg {
-                Msg::Abort => Err(ProtocolError::Aborted),
-                _ => Err(ProtocolError::Evicted { slave: common.idx }),
-            };
+        let shutdown = |m: &Msg| matches!(m, Msg::Abort | Msg::Evict);
+        if let Some(env) = ctx.try_recv_match(shutdown).await {
+            common.service(ctx, &env.msg).await?;
         }
     }
     Ok(())

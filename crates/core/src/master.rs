@@ -289,8 +289,8 @@ pub async fn run_master(
 }
 
 /// End of a reign: release the slaves if the run failed and write the
-/// outcome. `abort` names the slaves to release — `recv_blocking` always
-/// matches `Abort`, so this cannot deadlock even outside fault mode.
+/// outcome. `abort` names the slaves to release — every blocked wait
+/// receives `Abort`, so this cannot deadlock even outside fault mode.
 async fn conclude(
     ctx: &MailCtx<Msg>,
     cfg: &MasterConfig,

@@ -466,7 +466,7 @@ impl Msg {
     /// Channel control (transfer acks, peer evictions, rollbacks) and
     /// failover traffic (replicas, pings, election messages, promotions):
     /// what every slave receive point services on the side, whatever it is
-    /// waiting for, through `SlaveCommon::{control, election}`.
+    /// waiting for, through `SlaveCommon::service`.
     pub(crate) fn is_channel_control(&self) -> bool {
         matches!(
             self,
@@ -478,6 +478,18 @@ impl Msg {
                 | Msg::Candidacy { .. }
                 | Msg::Vote { .. }
                 | Msg::Promoted { .. }
+        )
+    }
+
+    /// The windowed master → slave messages a strategy applies itself
+    /// (`Rollback`, the fifth on that channel, is channel control).
+    pub(crate) fn is_master_chan(&self) -> bool {
+        matches!(
+            self,
+            Msg::Restore { .. }
+                | Msg::Speculate { .. }
+                | Msg::SpecCommit { .. }
+                | Msg::SpecCancel { .. }
         )
     }
 

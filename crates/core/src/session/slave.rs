@@ -9,14 +9,13 @@
 //! builds the strategy from the assignment, and wraps the life cycle
 //! around [`run`] — an election win turns the slave into the new master,
 //! an eviction into a rejoin, anything else fatal into a `SlaveError`.
-//! [`run`] owns the restart loop (run → gather → rollback → run again),
-//! the wait for the first release, the per-invocation barrier protocol
-//! (done reports, stride-gated checkpoints, heartbeat re-sends,
-//! barrier-time transfers and instructions), speculation on a suspect's
-//! behalf, the rescue wait after a reported wedge, and the acknowledged
-//! gather reply. The strategy supplies only the dependence-structure
-//! specifics: the invocation body, transfer integration, snapshot layout,
-//! and rollback restoration.
+//! [`run`] owns the restart loop (run → gather → rollback → run again) and
+//! the four places a slave blocks — the first release, the barrier, the
+//! rescue after a reported wedge, the acknowledged gather reply — each a
+//! row of the wait table in DESIGN.md §11, waited out in
+//! [`SlaveCommon::wait`]; here is only what each does with a delivery. The
+//! strategy supplies the dependence-structure specifics: the invocation
+//! body, transfer integration, snapshot layout, and rollback restoration.
 //!
 //! ## Where the independent strategy differs
 //!
@@ -45,20 +44,13 @@
 //! way.)
 
 use crate::balancer::InteractionMode;
-use crate::error::{slave_who, FaultToleranceConfig, ProtocolError};
+use crate::error::{FaultToleranceConfig, ProtocolError};
 use crate::master::{run_takeover, TakeoverKit};
 use crate::msg::{Msg, SharedUnits};
 use crate::session::strategy::{BarrierMsg, DistributionStrategy};
-use crate::slave_common::{recv_start, RollbackInfo, SlaveCommon, StartInfo};
+use crate::slave_common::{recv_start, Blocked, RollbackInfo, SlaveCommon, StartInfo, Wait};
 use dlb_sim::{ActorId, MailCtx, SimTime};
 use std::sync::Arc;
-
-/// Heartbeats an idle slave tolerates with no traffic at all before giving
-/// up on the master.
-const GIVE_UP_TRIES: u32 = 90;
-/// Heartbeats a slave waits for a gather acknowledgement before assuming its
-/// data arrived and exiting.
-const GATHER_PATIENCE: u32 = 10;
 
 /// Static configuration for one slave, whatever its engine.
 pub struct SlaveSpec {
@@ -191,10 +183,10 @@ pub async fn run<S: DistributionStrategy>(
             Ok(()) => reply_gather(ctx, common, strategy).await,
             Err(e) => Err(e),
         };
-        match (result, common.ft.clone()) {
-            (Ok(()), _) => return Ok(()),
-            (Err(ProtocolError::RolledBack), _) => {}
-            (Err(e), Some(ft)) if strategy.recoverable(&e) => {
+        match result {
+            Ok(()) => return Ok(()),
+            Err(ProtocolError::RolledBack) => {}
+            Err(e) if common.ft.is_some() && strategy.recoverable(&e) => {
                 // Wedged (lost halo, torn protocol state): report and wait
                 // to be rolled back rather than dying — the master answers
                 // a SlaveError with a rollback, not an eviction.
@@ -203,9 +195,9 @@ pub async fn run<S: DistributionStrategy>(
                     error: e,
                 };
                 common.send_master(ctx, msg).await;
-                rescue_wait(ctx, common, &ft).await?;
+                rescue_wait(ctx, common).await?;
             }
-            (Err(e), _) => return Err(e),
+            Err(e) => return Err(e),
         }
         if common.pending_rollback.is_none() {
             let idx = common.idx;
@@ -217,57 +209,19 @@ pub async fn run<S: DistributionStrategy>(
 }
 
 /// After shipping a `SlaveError`, wait for the master's rollback (stashed
-/// in `pending_rollback`), an abort, or an eviction. Only what
-/// [`Msg::can_go_stale`] is received (and, if not handled, dropped): a peer
+/// in `pending_rollback`), an abort, or an eviction: the [`Blocked::Wedged`]
+/// wait. Only what [`Msg::can_go_stale`] is received (and, if the ladder
+/// does not consume it, dropped as traffic of the torn epoch): a peer
 /// rescued before us may already be replaying, and its pivot broadcast
 /// stays queued for our own replay.
-async fn rescue_wait(
-    ctx: &MailCtx<Msg>,
-    common: &mut SlaveCommon,
-    ft: &FaultToleranceConfig,
-) -> Result<(), ProtocolError> {
-    let mut tries = 0u32;
+async fn rescue_wait(ctx: &MailCtx<Msg>, common: &mut SlaveCommon) -> Result<(), ProtocolError> {
+    let mut wait = Wait::new(Blocked::Wedged, "rescue rollback", ctx.now());
     loop {
-        let slice = ctx.now() + ft.slave_heartbeat;
-        match ctx.recv_match_deadline(Msg::can_go_stale, slice).await {
-            None => {
-                tries += 1;
-                if tries > GIVE_UP_TRIES {
-                    return Err(ProtocolError::Timeout {
-                        who: slave_who(common.idx),
-                        waiting_for: "rescue rollback",
-                        at: ctx.now(),
-                    });
-                }
-                // The master that would rescue us may itself be the casualty:
-                // a deputy wedged here must still be able to stand.
-                common.deputy_tick(ctx).await?;
-                // Keep the suspicion timer fed while waiting to be rescued:
-                // the error report may have been dropped, and a silent wait
-                // here reads as a second death.
-                common
-                    .send_master(
-                        ctx,
-                        Msg::Alive {
-                            slave: common.idx,
-                            incarnation: common.incarnation,
-                        },
-                    )
-                    .await;
-            }
-            Some(env) => match env.msg {
-                Msg::Abort => return Err(ProtocolError::Aborted),
-                Msg::Evict => return Err(ProtocolError::Evicted { slave: common.idx }),
-                m => {
-                    if common.election(ctx, &m).await? {
-                        // Failover traffic (a promotion repoints the master;
-                        // the takeover rollback that follows rescues us).
-                    } else if let Err(ProtocolError::RolledBack) = common.control(&m) {
-                        return Ok(());
-                    }
-                    // anything else is stale traffic of the torn epoch — ignore
-                }
-            },
+        if let Some(env) = common.wait(ctx, &mut wait, |_| false).await? {
+            match common.service(ctx, &env.msg).await {
+                Err(ProtocolError::RolledBack) => return Ok(()),
+                serviced => serviced?,
+            };
         }
     }
 }
@@ -404,12 +358,10 @@ enum Released {
 }
 
 /// Park at the barrier of `inv`: report done, then service messages until
-/// the master releases the next invocation or requests the gather.
-///
-/// In fault mode the slave heartbeats: its `InvocationDone` (carrying the
-/// master-channel watermark) and the barrier checkpoint are re-sent
-/// whenever nothing arrives for one heartbeat period, bounded by
-/// [`GIVE_UP_TRIES`]; unacked transfers are re-sent on the same trigger.
+/// the master releases the next invocation or requests the gather — the
+/// [`Blocked::AtBarrier`] wait. The strategy has first refusal of every
+/// message, channel control included: one that refreshes its report on a
+/// `TransferAck` must see it before the ladder consumes it.
 async fn barrier<S: DistributionStrategy>(
     ctx: &MailCtx<Msg>,
     common: &mut SlaveCommon,
@@ -420,38 +372,15 @@ async fn barrier<S: DistributionStrategy>(
     let mut snapshot = None;
     send_done(ctx, common, strategy, inv).await;
     send_checkpoint(ctx, common, strategy, inv, &mut snapshot).await;
-    let ft = common.ft.clone();
-    let mut silent = 0u32;
+    let fault_mode = common.ft.is_some();
+    let mut wait = Wait::new(Blocked::AtBarrier, strategy.barrier_context(), ctx.now());
     loop {
-        let env = match &ft {
-            // Every arm below routes what it is not to `control` /
-            // `election`, as `recv_blocking` would — but a strategy that
-            // refreshes on a `TransferAck` must see it.
-            None => ctx.recv().await,
-            Some(ft) => match ctx.recv_deadline(ctx.now() + ft.slave_heartbeat).await {
-                Some(env) => {
-                    silent = 0;
-                    env
-                }
-                None => {
-                    // Heartbeat: our done report (or the barrier release)
-                    // may have been lost; refresh it, re-sending stalled
-                    // transfers and the checkpoint with it.
-                    silent += 1;
-                    if silent > GIVE_UP_TRIES {
-                        return Err(ProtocolError::Timeout {
-                            who: slave_who(common.idx),
-                            waiting_for: strategy.barrier_context(),
-                            at: ctx.now(),
-                        });
-                    }
-                    common.resend_stalled_transfers(ctx).await;
-                    common.deputy_tick(ctx).await?;
-                    send_done(ctx, common, strategy, inv).await;
-                    send_checkpoint(ctx, common, strategy, inv, &mut snapshot).await;
-                    continue;
-                }
-            },
+        let Some(env) = common.wait(ctx, &mut wait, |_| false).await? else {
+            // Heartbeat: our done report (or the barrier release) may have
+            // been lost; refresh it, and the checkpoint with it.
+            send_done(ctx, common, strategy, inv).await;
+            send_checkpoint(ctx, common, strategy, inv, &mut snapshot).await;
+            continue;
         };
         let msg = match strategy
             .on_barrier_msg(ctx, common, Some(inv), env.msg)
@@ -472,7 +401,7 @@ async fn barrier<S: DistributionStrategy>(
                 seq,
                 invocation,
                 units,
-            } if ft.is_some() => {
+            } if fault_mode => {
                 // Race a silent suspect. A pattern with snapshots ships the
                 // advanced one as a checkpoint for `invocation + 1`: the
                 // master commits by rolling back onto it (or simply by
@@ -506,15 +435,13 @@ async fn barrier<S: DistributionStrategy>(
                 return Ok(Released::Next);
             }
             // Stale duplicate of an earlier release.
-            Msg::InvocationStart { invocation, .. } if ft.is_some() && invocation <= inv => {}
+            Msg::InvocationStart { invocation, .. } if fault_mode && invocation <= inv => {}
             Msg::Gather if strategy.may_end_after(inv) => return Ok(Released::Gather),
-            Msg::Abort => return Err(ProtocolError::Aborted),
-            Msg::Evict => return Err(ProtocolError::Evicted { slave: common.idx }),
-            Msg::Start { .. } | Msg::GatherAck if ft.is_some() => {} // duplicate deliveries
-            // Failover traffic, channel control (a rollback unwinds from
-            // here), or a message the protocol cannot accept at a barrier.
+            Msg::Start { .. } | Msg::GatherAck if fault_mode => {} // duplicate deliveries
+            // The ladder (a rollback unwinds from here), or a message the
+            // protocol cannot accept at a barrier.
             m => {
-                if !common.election(ctx, &m).await? && !common.control(&m)? {
+                if !common.service(ctx, &m).await? {
                     return Err(common.unexpected(strategy.barrier_context(), &m));
                 }
             }
@@ -523,68 +450,54 @@ async fn barrier<S: DistributionStrategy>(
 }
 
 /// The barrier consumed the Gather message; reply with the local units. In
-/// fault mode, wait for the master's acknowledgement (re-sending on
-/// duplicate `Gather` requests) so a dropped reply cannot lose the result.
-/// A rollback can still unwind from here, so — as in [`rescue_wait`] —
-/// what cannot go stale stays queued.
+/// fault mode, wait for the master's acknowledgement ([`Blocked::GatherAck`],
+/// re-sending on duplicate `Gather` requests) so a dropped reply cannot lose
+/// the result. A rollback can still unwind from here, so — as in
+/// [`rescue_wait`] — what cannot go stale stays queued.
 async fn reply_gather<S: DistributionStrategy>(
     ctx: &MailCtx<Msg>,
     common: &mut SlaveCommon,
     strategy: &S,
 ) -> Result<(), ProtocolError> {
-    let payload = strategy.gather_units()?;
-    let msg = Msg::GatherData {
+    // One message in plain mode; fault mode keeps the payload, since it may
+    // have to send it again.
+    let data = |common: &SlaveCommon, units| Msg::GatherData {
         slave: common.idx,
-        units: payload.clone(),
+        units,
         fault_stats: common.fault_stats.clone(),
     };
-    common.send_master(ctx, msg).await;
-    let Some(ft) = common.ft.clone() else {
+    let payload = strategy.gather_units()?;
+    if common.ft.is_none() {
+        common.send_master(ctx, data(common, payload)).await;
         return Ok(());
-    };
-    let mut tries = 0u32;
-    loop {
-        let slice = ctx.now() + ft.slave_heartbeat;
-        match ctx.recv_match_deadline(Msg::can_go_stale, slice).await {
-            None => {
-                tries += 1;
-                if tries > GATHER_PATIENCE {
-                    // Assume the data arrived and the ack was lost; the
-                    // master recomputes locally if it really did not.
-                    return Ok(());
-                }
-                // The ack may be missing because the master died: a deputy
-                // here must stand before patience runs out.
-                common.deputy_tick(ctx).await?;
+    }
+    common.send_master(ctx, data(common, payload.clone())).await;
+    let waiting = || Wait::new(Blocked::GatherAck, "gather acknowledgement", ctx.now());
+    let mut wait = waiting();
+    // Silence past the row's patience: assume the data arrived and the ack
+    // was lost; the master recomputes locally if it really did not.
+    while let Some(env) = common.wait(ctx, &mut wait, |_| false).await? {
+        match env.msg {
+            // Asked again: answer again, and start the wait over.
+            Msg::Gather => {
+                common.send_master(ctx, data(common, payload.clone())).await;
+                wait = waiting();
             }
-            Some(env) => match env.msg {
-                Msg::Gather => {
-                    tries = 0;
-                    let msg = Msg::GatherData {
-                        slave: common.idx,
-                        units: payload.clone(),
-                        fault_stats: common.fault_stats.clone(),
-                    };
-                    common.send_master(ctx, msg).await;
-                }
-                Msg::GatherAck | Msg::Abort => return Ok(()),
-                Msg::Evict => return Err(ProtocolError::Evicted { slave: common.idx }),
-                m => {
-                    // A re-gather request from a newly promoted master must
-                    // reach us at the new address, so promotions (and any
-                    // election a master death here triggers) are serviced.
-                    // And a peer may have died while the master was
-                    // collecting results: the rollback (or the transfer-ack
-                    // bookkeeping that precedes it) unwinds through the
-                    // shared control path so the restart loop re-runs the
-                    // lost invocations. Anything else is stale traffic.
-                    if !common.election(ctx, &m).await? {
-                        common.control(&m)?;
-                    }
-                }
-            },
+            // An abort ends a finished run quietly.
+            Msg::GatherAck | Msg::Abort => break,
+            // A re-gather request from a newly promoted master must reach
+            // us at the new address, so promotions (and any election a
+            // master death here triggers) are serviced. And a peer may have
+            // died while the master was collecting results: the rollback
+            // (or the transfer-ack bookkeeping that precedes it) unwinds
+            // through the ladder so the restart loop re-runs the lost
+            // invocations. Anything it hands back is stale traffic.
+            m => {
+                common.service(ctx, &m).await?;
+            }
         }
     }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -743,7 +656,7 @@ mod tests {
         heard.iter().map(kind).collect()
     }
 
-    /// When the stub of the older tests aborts the run, in ms.
+    /// The virtual minute after which the stub aborts most runs, in ms.
     const MINUTE: u64 = 60_000;
 
     /// Fault mode, with this slave as the lone deputy.

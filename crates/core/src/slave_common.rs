@@ -17,11 +17,9 @@
 //! the channel closes and the unacknowledged payloads are *re-owned* (they
 //! surface in [`SlaveCommon::reclaimed`] for the engine to reintegrate).
 //!
-//! All blocking receives route through [`SlaveCommon::recv_blocking`], which
-//! always also accepts `Abort` / `Evict` (so a master-initiated shutdown can
-//! never deadlock a slave, fault mode or not), transparently services
-//! transfer acks and peer-eviction notices, and, in fault mode, bounds the
-//! wait with the 30 s operation timeout.
+//! A blocked slave waits in one loop, [`SlaveCommon::wait`], and every
+//! receive point ends in one ladder, [`SlaveCommon::service`]; what the four
+//! waits do differently is the table at [`Blocked`] (DESIGN.md §11).
 
 use crate::balancer::InteractionMode;
 use crate::error::{slave_who, FaultToleranceConfig, ProtocolError};
@@ -36,6 +34,12 @@ const HOOK_CHECK_CPU: CpuWork = CpuWork::from_micros(10);
 /// Fault mode: deadline for any single blocking protocol step on a slave
 /// (pipelined/shrinking waits, start-up).
 pub(crate) const OP_TIMEOUT: SimDuration = SimDuration::from_secs(30);
+/// Heartbeats an idle slave tolerates with no traffic at all before giving
+/// up on the master.
+const GIVE_UP_TRIES: u32 = 90;
+/// Heartbeats a slave waits for a gather acknowledgement before assuming its
+/// data arrived and exiting.
+const GATHER_PATIENCE: u32 = 10;
 
 /// Contents of the `Start` message: slave ids, initial block assignment,
 /// and rows per block.
@@ -67,11 +71,7 @@ pub async fn recv_start(
     let env = if fault_mode {
         ctx.recv_match_deadline(pred, ctx.now() + OP_TIMEOUT)
             .await
-            .ok_or_else(|| ProtocolError::Timeout {
-                who: slave_who(idx),
-                waiting_for: "start message",
-                at: ctx.now(),
-            })?
+            .ok_or_else(|| timed_out(idx, "start message", ctx.now()))?
     } else {
         ctx.recv_match(pred).await
     };
@@ -99,6 +99,91 @@ fn join_jitter(idx: usize, attempt: u32, base: SimDuration) -> SimDuration {
     x = x.wrapping_mul(0x94d0_49bb_1331_11eb);
     x ^= x >> 31;
     SimDuration::from_micros((x % 256) * (base.micros() / 4) / 256)
+}
+
+/// The one constructor of a slave-side wait's `Timeout`.
+fn timed_out(idx: usize, waiting_for: &'static str, at: SimTime) -> ProtocolError {
+    ProtocolError::Timeout {
+        who: slave_who(idx),
+        waiting_for,
+        at,
+    }
+}
+
+/// What a slave is blocked on: a row of the wait table below (with its
+/// reasons, DESIGN.md §11).
+pub(crate) enum Blocked {
+    /// On a peer's (or the master's) message for one protocol step.
+    OnPeer,
+    /// At the invocation barrier, done report sent.
+    AtBarrier,
+    /// Wedged and reported, until the master's rollback.
+    Wedged,
+    /// Result shipped, until the master acknowledges it.
+    GatherAck,
+}
+
+/// What a silent slice says to the master, last of all.
+enum Says {
+    /// [`Msg::Alive`], while inside one `suspicion` window of the wait's start.
+    AliveForOneWindow,
+    /// [`Msg::Alive`].
+    Alive,
+    /// Whatever the caller does with the `None` it is handed.
+    CallersReport,
+    Nothing,
+}
+
+/// When a wait ends for want of traffic (in a `Timeout`, but for `Quietly`).
+enum GivesUp {
+    /// This long after it began; the deadline also clips the last slice.
+    At(SimDuration),
+    /// After more than this many silent slices in a row.
+    InARow(u32),
+    /// After more than this many silent slices in all.
+    InAll(u32),
+    /// After more than this many silent slices in all, with `None`.
+    Quietly(u32),
+}
+
+struct Row {
+    /// What leaves the mailbox beside `Abort`, `Evict` and what `pred` asks for.
+    receives: fn(&Msg) -> bool,
+    says: Says,
+    gives_up: GivesUp,
+}
+
+impl Blocked {
+    #[rustfmt::skip]
+    fn row(&self) -> Row {
+        use {GivesUp::*, Says::*};
+        match self {
+            Blocked::OnPeer    => Row { receives: Msg::is_channel_control, says: AliveForOneWindow, gives_up: At(OP_TIMEOUT) },
+            Blocked::AtBarrier => Row { receives: |_| true,                says: CallersReport,     gives_up: InARow(GIVE_UP_TRIES) },
+            Blocked::Wedged    => Row { receives: Msg::can_go_stale,       says: Alive,             gives_up: InAll(GIVE_UP_TRIES) },
+            Blocked::GatherAck => Row { receives: Msg::can_go_stale,       says: Nothing,           gives_up: Quietly(GATHER_PATIENCE) },
+        }
+    }
+}
+
+/// A blocked wait in progress: its row, the context its `Timeout` would
+/// carry, when it began, and the silent slices counted against it.
+pub(crate) struct Wait {
+    on: Blocked,
+    what: &'static str,
+    since: SimTime,
+    silent: u32,
+}
+
+impl Wait {
+    pub(crate) fn new(on: Blocked, what: &'static str, since: SimTime) -> Wait {
+        Wait {
+            on,
+            what,
+            since,
+            silent: 0,
+        }
+    }
 }
 
 /// Per-slave hook/interaction state.
@@ -385,7 +470,7 @@ impl SlaveCommon {
     /// progress since the last call. Called from heartbeat timers and hook
     /// firings — the progress gate keeps a busy ack path from being
     /// flooded with duplicates.
-    pub async fn resend_stalled_transfers(&mut self, ctx: &MailCtx<Msg>) {
+    async fn resend_stalled_transfers(&mut self, ctx: &MailCtx<Msg>) {
         for to in 0..self.channels.len() {
             if self.dead[to] || to == self.idx {
                 continue;
@@ -440,7 +525,7 @@ impl SlaveCommon {
     /// Handle a control message every receive point must service. Returns
     /// `true` if `msg` was consumed here; `Err(RolledBack)` when a fresh
     /// rollback was stashed for the engine's restart loop.
-    pub fn control(&mut self, msg: &Msg) -> Result<bool, ProtocolError> {
+    fn control(&mut self, msg: &Msg) -> Result<bool, ProtocolError> {
         match msg {
             Msg::TransferAck {
                 from,
@@ -498,7 +583,7 @@ impl SlaveCommon {
     /// way it services [`SlaveCommon::control`] traffic — an election must
     /// be able to proceed no matter what the electorate was doing when the
     /// master died.
-    pub async fn election(&mut self, ctx: &MailCtx<Msg>, msg: &Msg) -> Result<bool, ProtocolError> {
+    async fn election(&mut self, ctx: &MailCtx<Msg>, msg: &Msg) -> Result<bool, ProtocolError> {
         match msg {
             Msg::Replica(r) => {
                 if let Some(d) = self.deputy.as_mut() {
@@ -563,9 +648,9 @@ impl SlaveCommon {
 
     /// Deputy timer: stand for election when the master has been silent
     /// past this rank's staggered threshold. Runs in every silent
-    /// heartbeat slice of [`SlaveCommon::recv_blocking`]; with a single
+    /// heartbeat slice of [`SlaveCommon::wait`]; with a single
     /// deputy the stand itself reaches quorum and returns `Err(Elected)`.
-    pub async fn deputy_tick(&mut self, ctx: &MailCtx<Msg>) -> Result<(), ProtocolError> {
+    async fn deputy_tick(&mut self, ctx: &MailCtx<Msg>) -> Result<(), ProtocolError> {
         let Some(d) = self.deputy.as_mut() else {
             return Ok(());
         };
@@ -617,101 +702,106 @@ impl SlaveCommon {
         }
     }
 
-    /// Non-blocking drain of channel control traffic (acks, peer
-    /// evictions, rollbacks) and failover traffic (replicas, election
-    /// messages, promotions). Engines call this from their transfer-drain
-    /// loops.
+    /// The servicing ladder, the last arm of every slave receive point:
+    /// `Abort` and `Evict` become their typed errors, failover and
+    /// channel-control traffic is consumed — a fresh `Rollback` still
+    /// unwinds as `RolledBack`, a won election as `Elected` — and anything
+    /// else is handed back (`false`).
+    pub(crate) async fn service(
+        &mut self,
+        ctx: &MailCtx<Msg>,
+        msg: &Msg,
+    ) -> Result<bool, ProtocolError> {
+        match msg {
+            Msg::Abort => Err(ProtocolError::Aborted),
+            Msg::Evict => Err(ProtocolError::Evicted { slave: self.idx }),
+            m => Ok(self.election(ctx, m).await? || self.control(m)?),
+        }
+    }
+
+    /// Non-blocking drain of what the ladder consumes. Engines call this
+    /// from their transfer-drain loops.
     pub async fn drain_control(&mut self, ctx: &MailCtx<Msg>) -> Result<(), ProtocolError> {
         while let Some(env) = ctx.try_recv_match(Msg::is_channel_control).await {
-            if !self.election(ctx, &env.msg).await? {
-                self.control(&env.msg)?;
-            }
+            self.service(ctx, &env.msg).await?;
         }
         Ok(())
     }
 
-    /// Blocking receive for a protocol step. Also matches `Abort` / `Evict`
-    /// (turned into errors) so master-initiated shutdown cannot deadlock,
-    /// transparently services channel control traffic, and in fault mode
-    /// bounds the wait with `OP_TIMEOUT` (30 s).
-    ///
-    /// In fault mode the wait is sliced into `slave_heartbeat` intervals:
-    /// a slave blocked on a *peer* (a pipeline halo, a pivot broadcast)
-    /// has no report of its own to re-send, so each silent slice ships an
-    /// [`Msg::Alive`] ping to the master — otherwise a survivor stalled
-    /// on a crashed neighbour looks exactly like a second crash and gets
-    /// evicted by the suspicion timer along with it. The same slice also
-    /// re-sends stalled outbound transfers, since a long local wait is
-    /// evidence the ack path may have lost something.
-    ///
-    /// The pings are *bounded to one suspicion window*: that is exactly
-    /// long enough for the master to evict a genuinely dead peer first
-    /// and rescue this slave with the ensuing rollback. A wait that
-    /// outlives the window is indistinguishable from deadlock (e.g. a
-    /// halo lost on the wire, which no one re-sends), and vouching for
-    /// ourselves forever would stall the whole run — going silent hands
-    /// the stall to the failure detector, whose eviction + rollback is
-    /// the one repair that always exists.
+    /// One slice of a blocked wait: the next delivery that `wait`'s row
+    /// receives or `pred` asks for, or `None` when the silence is the
+    /// caller's to answer — a barrier slice to re-report, a gather
+    /// acknowledgement given up on. Plain mode loses nothing and says
+    /// nothing: it blocks until a delivery. This is the one place a slice
+    /// is computed, and it is computed from *now*: any delivery restarts it,
+    /// serviced control traffic included (ROADMAP 1(b)(ii)).
+    pub(crate) async fn wait(
+        &mut self,
+        ctx: &MailCtx<Msg>,
+        wait: &mut Wait,
+        mut pred: impl FnMut(&Msg) -> bool + Send,
+    ) -> Result<Option<Envelope<Msg>>, ProtocolError> {
+        let row = wait.on.row();
+        // A master-initiated shutdown is received whatever the wait is for,
+        // so it can never deadlock a slave.
+        let mut receives =
+            |m: &Msg| pred(m) || matches!(m, Msg::Abort | Msg::Evict) || (row.receives)(m);
+        let Some(ft) = self.ft.clone() else {
+            return Ok(Some(ctx.recv_match(receives).await));
+        };
+        loop {
+            let mut slice = ctx.now() + ft.slave_heartbeat;
+            if let GivesUp::At(d) = row.gives_up {
+                slice = slice.min(wait.since + d);
+            }
+            if let Some(env) = ctx.recv_match_deadline(&mut receives, slice).await {
+                if let GivesUp::InARow(_) = row.gives_up {
+                    wait.silent = 0;
+                }
+                return Ok(Some(env));
+            }
+            wait.silent += 1;
+            match row.gives_up {
+                GivesUp::At(d) if ctx.now() < wait.since + d => {}
+                GivesUp::InARow(n) | GivesUp::InAll(n) | GivesUp::Quietly(n)
+                    if wait.silent <= n => {}
+                GivesUp::Quietly(_) => return Ok(None),
+                _ => return Err(timed_out(self.idx, wait.what, ctx.now())),
+            }
+            // A long silence is evidence the ack path lost something, and
+            // the master may be the casualty: a deputy must be able to stand.
+            self.resend_stalled_transfers(ctx).await;
+            self.deputy_tick(ctx).await?;
+            match row.says {
+                Says::CallersReport => return Ok(None),
+                Says::Nothing => continue,
+                Says::AliveForOneWindow if ctx.now() >= wait.since + ft.suspicion => continue,
+                Says::AliveForOneWindow | Says::Alive => {}
+            }
+            if crate::dlb_trace() {
+                let (idx, what) = (self.idx, wait.what);
+                eprintln!("[slave{idx} t={}] ping while waiting for {what}", ctx.now());
+            }
+            let (slave, incarnation) = (self.idx, self.incarnation);
+            self.send_master(ctx, Msg::Alive { slave, incarnation })
+                .await;
+        }
+    }
+
+    /// Blocking receive for a protocol step: the [`Blocked::OnPeer`] wait
+    /// for what `pred` asks for, with everything the ladder consumes
+    /// serviced on the side.
     pub async fn recv_blocking(
         &mut self,
         ctx: &MailCtx<Msg>,
         mut pred: impl FnMut(&Msg) -> bool + Send,
         waiting_for: &'static str,
     ) -> Result<Envelope<Msg>, ProtocolError> {
-        let ft = self.ft.clone();
-        let deadline = ft.as_ref().map(|_| ctx.now() + OP_TIMEOUT);
-        let ping_until = ft.as_ref().map(|ft| ctx.now() + ft.suspicion);
+        let mut wait = Wait::new(Blocked::OnPeer, waiting_for, ctx.now());
         loop {
-            let mut full =
-                |m: &Msg| pred(m) || matches!(m, Msg::Abort | Msg::Evict) || m.is_channel_control();
-            let env = match (&ft, deadline) {
-                (Some(ft), Some(d)) => {
-                    let mut got = None;
-                    while got.is_none() {
-                        let slice = (ctx.now() + ft.slave_heartbeat).min(d);
-                        match ctx.recv_match_deadline(&mut full, slice).await {
-                            Some(env) => got = Some(env),
-                            None if ctx.now() >= d => {
-                                return Err(ProtocolError::Timeout {
-                                    who: slave_who(self.idx),
-                                    waiting_for,
-                                    at: ctx.now(),
-                                });
-                            }
-                            None => {
-                                self.resend_stalled_transfers(ctx).await;
-                                self.deputy_tick(ctx).await?;
-                                if ping_until.is_some_and(|p| ctx.now() < p) {
-                                    if crate::dlb_trace() {
-                                        eprintln!(
-                                            "[slave{} t={}] ping while waiting for {waiting_for}",
-                                            self.idx,
-                                            ctx.now(),
-                                        );
-                                    }
-                                    self.send_master(
-                                        ctx,
-                                        Msg::Alive {
-                                            slave: self.idx,
-                                            incarnation: self.incarnation,
-                                        },
-                                    )
-                                    .await;
-                                }
-                            }
-                        }
-                    }
-                    got.expect("loop exits with a message")
-                }
-                _ => ctx.recv_match(full).await,
-            };
-            match &env.msg {
-                Msg::Abort => return Err(ProtocolError::Aborted),
-                Msg::Evict => return Err(ProtocolError::Evicted { slave: self.idx }),
-                m => {
-                    if !self.election(ctx, m).await? && !self.control(m)? {
-                        return Ok(env);
-                    }
+            if let Some(env) = self.wait(ctx, &mut wait, &mut pred).await? {
+                if !self.service(ctx, &env.msg).await? {
+                    return Ok(env);
                 }
             }
         }

@@ -1,0 +1,43 @@
+#!/usr/bin/env python3
+"""The repo's size metric: lines of Rust that are not blank, not a `//`
+comment, and not below a file's top-level `#[cfg(test)]`.
+
+Prints one total per crate under crates/, then `crates/core/src` file by
+file (a file that is nothing but tests, session/model/tests.rs, left out) -
+the figure a simplification PR quotes before and after. Printed, never gated.
+
+    python3 tools/code_lines.py [repo root]
+"""
+import sys
+from pathlib import Path
+
+ALL_TESTS = {"crates/core/src/session/model/tests.rs"}
+
+
+def code_lines(path):
+    n = 0
+    for line in path.read_text().splitlines():
+        if line == "#[cfg(test)]":
+            break
+        s = line.strip()
+        n += bool(s) and not s.startswith("//")
+    return n
+
+
+def main():
+    root = Path(sys.argv[1] if len(sys.argv) > 1 else Path(__file__).parent.parent)
+    crates = root / "crates"
+    files = (f for f in sorted(crates.glob("*/src/**/*.rs")) if f.relative_to(root).as_posix() not in ALL_TESTS)
+    lines = {f.relative_to(crates).as_posix(): code_lines(f) for f in files}
+    for crate in sorted({f.split("/")[0] for f in lines}):
+        total = sum(n for f, n in lines.items() if f.startswith(f"{crate}/src/"))
+        print(f"{total:7}  crates/{crate}/src")
+    print()
+    core = {f[len("core/src/"):]: n for f, n in lines.items() if f.startswith("core/src/")}
+    for f, n in core.items():
+        print(f"{n:7}  {f}")
+    print(f"{sum(core.values()):7}  crates/core/src")
+
+
+if __name__ == "__main__":
+    main()
