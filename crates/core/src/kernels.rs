@@ -135,6 +135,27 @@ pub(crate) mod tests {
         }
     }
 
+    /// A four-column shrinking kernel that never computes: column `id`
+    /// starts at `[id]`, so the epoch-zero snapshot of unit `id` is `[[id]]`.
+    /// The rollback-policy application of the master and session tests.
+    pub(crate) struct Cols;
+
+    impl ShrinkingKernel for Cols {
+        fn n_units(&self) -> usize {
+            4
+        }
+        fn init_unit(&self, idx: usize) -> Vec<f64> {
+            vec![idx as f64]
+        }
+        fn pivot_payload(&self, _k: usize, pivot_col: &[f64]) -> Vec<f64> {
+            pivot_col.to_vec()
+        }
+        fn update(&self, _j: usize, _col: &mut [f64], _pivot: &[f64], _k: usize) {}
+        fn step_cost(&self, _k: usize) -> CpuWork {
+            CpuWork::from_millis(10)
+        }
+    }
+
     #[test]
     fn kernel_traits_are_object_safe() {
         let k: std::sync::Arc<dyn IndependentKernel> =
