@@ -113,7 +113,7 @@ impl AppSpec {
 
     /// Grain selection (§4.4) as `(block_rows, units_scale,
     /// units_per_hook)`: the pipelined row-block size from the cost model,
-    /// the OS quantum and the startup distribution; how many reported work
+    /// the OS quantum and the equal startup blocks; how many reported work
     /// deltas make one allocation unit; and the expected allocation units
     /// of progress between two hook firings on a slave. The other two
     /// patterns hook once per unit.
@@ -139,18 +139,6 @@ impl AppSpec {
     }
 }
 
-/// How the initial block distribution is sized (§3.2 note: the paper
-/// starts equal and lets measured rates correct it; speed-proportional
-/// startup is a natural extension when relative speeds are known).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
-pub enum StartupDistribution {
-    /// Equal block sizes (the paper's choice).
-    #[default]
-    Equal,
-    /// Blocks proportional to configured node speeds.
-    SpeedProportional,
-}
-
 /// Cluster + policy configuration for one run.
 pub struct RunConfig {
     /// One node per slave (speed, quantum, competing load).
@@ -161,8 +149,6 @@ pub struct RunConfig {
     pub balancer: BalancerConfig,
     /// Record the master's balancing timeline (Fig. 9).
     pub record_timeline: bool,
-    /// Initial block sizing.
-    pub startup: StartupDistribution,
     /// Deterministic fault injection. `Some` switches the runtime into
     /// fault mode: the fault-tolerant control loops run on both sides with
     /// the dynamic balancer live — in-flight moves survive drops,
@@ -203,7 +189,6 @@ impl RunConfig {
             net: NetConfig::default(),
             balancer: BalancerConfig::default(),
             record_timeline: false,
-            startup: StartupDistribution::Equal,
             fault_plan: None,
             fault_tolerance: FaultToleranceConfig::default(),
             record_trace: false,
@@ -324,24 +309,10 @@ pub fn try_run(
         "need at least one slave present at start"
     );
 
-    // Initial block distribution over the slaves present at start; late
-    // slots get an empty range at the boundary they sit on.
-    let active_ranges: Vec<(usize, usize)> = match cfg.startup {
-        StartupDistribution::Equal => block_ranges(n_units, active.len()),
-        StartupDistribution::SpeedProportional => {
-            let speeds: Vec<f64> = active.iter().map(|&i| cfg.slave_nodes[i].speed).collect();
-            let shares = crate::alloc::proportional_allocation(n_units as u64, &speeds, 1);
-            let mut lo = 0usize;
-            shares
-                .iter()
-                .map(|&s| {
-                    let r = (lo, lo + s as usize);
-                    lo = r.1;
-                    r
-                })
-                .collect()
-        }
-    };
+    // Initial block distribution over the slaves present at start, equal as
+    // in the paper (measured rates correct it, §3.2); late slots get an
+    // empty range at the boundary they sit on.
+    let active_ranges = block_ranges(n_units, active.len());
     let assignment: Vec<(usize, usize)> = {
         let mut out = Vec::with_capacity(n_slaves);
         let mut k = 0usize;

@@ -191,17 +191,6 @@ impl DistributionStrategy for PipelinedStrategy {
         "sweep barrier"
     }
 
-    fn recoverable(&self, e: &ProtocolError) -> bool {
-        matches!(
-            e,
-            ProtocolError::Timeout { .. }
-                | ProtocolError::MissingPivot { .. }
-                | ProtocolError::NonNeighborTransfer { .. }
-                | ProtocolError::Inconsistent { .. }
-                | ProtocolError::UnexpectedMessage { .. }
-        )
-    }
-
     async fn run_invocation(
         &mut self,
         ctx: &MailCtx<Msg>,

@@ -186,16 +186,6 @@ impl DistributionStrategy for ShrinkingStrategy {
         "step barrier"
     }
 
-    fn recoverable(&self, e: &ProtocolError) -> bool {
-        matches!(
-            e,
-            ProtocolError::Timeout { .. }
-                | ProtocolError::MissingPivot { .. }
-                | ProtocolError::Inconsistent { .. }
-                | ProtocolError::UnexpectedMessage { .. }
-        )
-    }
-
     async fn run_invocation(
         &mut self,
         ctx: &MailCtx<Msg>,

@@ -161,6 +161,22 @@ impl ProtocolError {
             ProtocolError::Inconsistent { detail } => detail.len() as u64,
         }
     }
+
+    /// Whether a slave that hit this error can be rescued by a checkpoint
+    /// rollback — it reports the error and parks until the `Rollback` — as
+    /// opposed to having failed itself. The checkpointed strategies' answer
+    /// (`DistributionStrategy::recoverable`'s default), and the master's
+    /// test of a member's `SlaveError` under the rollback policy.
+    pub(crate) fn survivable(&self) -> bool {
+        matches!(
+            self,
+            ProtocolError::Timeout { .. }
+                | ProtocolError::MissingPivot { .. }
+                | ProtocolError::NonNeighborTransfer { .. }
+                | ProtocolError::Inconsistent { .. }
+                | ProtocolError::UnexpectedMessage { .. }
+        )
+    }
 }
 
 impl std::error::Error for ProtocolError {}
@@ -348,5 +364,73 @@ mod tests {
             error: Box::new(long),
         };
         assert_eq!(nested.payload_bytes(), 308);
+    }
+
+    /// Every variant, and whether a rollback rescues a slave that hit it:
+    /// wedges (lost messages, torn protocol state) yes; the slave's own
+    /// death, verdicts and internal control flow no.
+    #[test]
+    fn survivable_errors_are_the_wedges() {
+        let at = SimTime::ZERO;
+        let who = || "slave 0".to_string();
+        let all = [
+            (
+                ProtocolError::UnexpectedMessage {
+                    who: who(),
+                    context: "c",
+                    message: who(),
+                },
+                true,
+            ),
+            (
+                ProtocolError::Timeout {
+                    who: who(),
+                    waiting_for: "w",
+                    at,
+                },
+                true,
+            ),
+            (
+                ProtocolError::MissingPivot {
+                    step: 0,
+                    column: 1,
+                    slave: 0,
+                },
+                true,
+            ),
+            (
+                ProtocolError::NonNeighborTransfer {
+                    from: 0,
+                    to: 2,
+                    sweep: 0,
+                },
+                true,
+            ),
+            (ProtocolError::Inconsistent { detail: who() }, true),
+            (ProtocolError::SlaveDead { slave: 0, at }, false),
+            (ProtocolError::AllSlavesDead, false),
+            (
+                ProtocolError::SlaveFailed {
+                    slave: 0,
+                    error: Box::new(ProtocolError::AllSlavesDead),
+                },
+                false,
+            ),
+            (ProtocolError::Aborted, false),
+            (ProtocolError::Evicted { slave: 0 }, false),
+            (
+                ProtocolError::JoinRefused {
+                    slave: 0,
+                    attempts: 1,
+                },
+                false,
+            ),
+            (ProtocolError::RolledBack, false),
+            (ProtocolError::Elected { term: 1 }, false),
+            (ProtocolError::Superseded { term: 1 }, false),
+        ];
+        for (e, survivable) in all {
+            assert_eq!(e.survivable(), survivable, "{e:?}");
+        }
     }
 }

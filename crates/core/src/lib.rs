@@ -89,7 +89,6 @@ pub(crate) fn dlb_trace() -> bool {
 pub use balancer::{Balancer, BalancerConfig, BalancerStats, InteractionMode};
 pub use driver::{
     block_ranges, engine_for, run, try_run, AppSpec, EngineKind, RunConfig, RunReport,
-    StartupDistribution,
 };
 pub use error::{FaultToleranceConfig, ProtocolError, RunError};
 pub use frequency::{FrequencyController, PeriodBounds};

@@ -68,8 +68,11 @@ pub trait DistributionStrategy {
     fn barrier_context(&self) -> &'static str;
 
     /// Errors this engine reports and survives (by rollback) instead of
-    /// dying from.
-    fn recoverable(&self, e: &ProtocolError) -> bool;
+    /// dying from: by default every error a rollback can rescue
+    /// ([`ProtocolError::survivable`]).
+    fn recoverable(&self, e: &ProtocolError) -> bool {
+        e.survivable()
+    }
 
     /// Compute invocation `inv` end to end: the loop body, the final
     /// transfer drain, the unconditional end-of-invocation hook firing,

@@ -271,34 +271,6 @@ fn quadrature_irregular_costs_balanced_without_load() {
     );
 }
 
-#[test]
-fn speed_proportional_startup_reduces_movement() {
-    use dlb::core::driver::StartupDistribution;
-    let mm = Arc::new(MatMul::new(60, 3, 5, &slow()));
-    let plan = dlb::compiler::compile(&mm.program()).unwrap();
-    let run_with = |startup: StartupDistribution| {
-        let mut cfg = RunConfig::homogeneous(4);
-        for (i, node) in cfg.slave_nodes.iter_mut().enumerate() {
-            node.speed = 1.0 + i as f64;
-        }
-        cfg.startup = startup;
-        let r = run(AppSpec::Independent(mm.clone()), &plan, cfg);
-        assert_eq!(MatMul::result_c(&r.result), mm.sequential());
-        r
-    };
-    let equal = run_with(StartupDistribution::Equal);
-    let proportional = run_with(StartupDistribution::SpeedProportional);
-    // Knowing the speeds up front means less corrective movement and at
-    // least as fast a finish.
-    assert!(
-        proportional.stats.units_moved < equal.stats.units_moved,
-        "proportional startup moved {} vs equal {}",
-        proportional.stats.units_moved,
-        equal.stats.units_moved
-    );
-    assert!(proportional.compute_time.as_secs_f64() <= equal.compute_time.as_secs_f64() * 1.02);
-}
-
 /// `AppSpec` is the one description of the program the master mimics: its
 /// answers for one instance of each pattern, against values worked by hand.
 #[test]

@@ -4,14 +4,23 @@ comment, and not below a file's top-level `#[cfg(test)]`.
 
 Prints one total per crate under crates/, then `crates/core/src` file by
 file (a file that is nothing but tests, session/model/tests.rs, left out) -
-the figure a simplification PR quotes before and after. Printed, never gated.
+the figure a simplification PR quotes before and after - then the settable
+values: the `pub` fields of the three configuration structs a caller fills
+in, and their sum. Printed, never gated.
 
     python3 tools/code_lines.py [repo root]
 """
+import re
 import sys
 from pathlib import Path
 
 ALL_TESTS = {"crates/core/src/session/model/tests.rs"}
+# The configuration a caller sets, by the file that declares it.
+CONFIGS = {
+    "RunConfig": "crates/core/src/driver.rs",
+    "FaultToleranceConfig": "crates/core/src/error.rs",
+    "BalancerConfig": "crates/core/src/balancer.rs",
+}
 
 
 def code_lines(path):
@@ -22,6 +31,12 @@ def code_lines(path):
         s = line.strip()
         n += bool(s) and not s.startswith("//")
     return n
+
+
+def pub_fields(path, name):
+    """`pub` fields of the struct `name` declared in `path`."""
+    body = re.search(rf"^pub struct {name} \{{\n(.*?)^\}}", path.read_text(), re.M | re.S)
+    return len(re.findall(r"^    pub \w+:", body.group(1), re.M))
 
 
 def main():
@@ -37,6 +52,11 @@ def main():
     for f, n in core.items():
         print(f"{n:7}  {f}")
     print(f"{sum(core.values()):7}  crates/core/src")
+    print()
+    fields = {name: pub_fields(root / path, name) for name, path in CONFIGS.items()}
+    for name, n in fields.items():
+        print(f"{n:7}  {name}")
+    print(f"{sum(fields.values()):7}  settable values")
 
 
 if __name__ == "__main__":
