@@ -67,7 +67,7 @@
 //! |---|-------|-------------|------------|
 //! | 1 | takeover seeding (`Session::open`) | resume at the replicated invocation watermark, every unit recomputed through it; first epoch `(term << 32) \| 1` | bank the replica's snapshot, roll back to it from `term << 32` (same first epoch) |
 //! | 2 | unit state in a re-range (`Session::rerange`: takeover, admission, rollback) | `recompute(kernel, u, inv)`; the survivors' unacknowledged instructions and their silence/nudge clocks are kept | newest banked snapshot; every unacknowledged instruction is dropped, survivors' clocks restart, a joiner's ack floor `join_epoch[j]` is raised to the admission epoch |
-//! | 3 | `ckpt_stride` in `InvocationStart` / `Rollback` / `ReplicaMsg`; replica freshness | constant 1; `fresh = inv`, no snapshot | adaptive (invocation-time EMA); `fresh` = newest banked checkpoint, whose snapshot rides until the deputy confirms it |
+//! | 3 | `ckpt_stride` in `InvocationStart` / `Rollback` / `ReplicaMsg`; replica freshness | constant 1; `fresh = inv`, no snapshot | adaptive (invocation-time EMA); `fresh` = newest banked checkpoint, shipped until the deputy confirms it as a delta against what it confirmed |
 //! | 4 | `Status` / `InvocationDone` from a stale epoch; cancelling a speculation | never cancels a speculation; "from the future" checks the invocation only; cancel is a windowed `SpecCancel` | cancels it; `epoch >` the epoch in force is also "from the future" (`Status`) or `Inconsistent` (`InvocationDone`); cancel is master-local |
 //! | 5 | window ack floor for `InvocationDone::restore_seq` (`Session::ack_floor`), always applied *before* the epoch fence | the epoch in force — a stale report never acks; `owned_ids` adopted | `join_epoch[slave]` — a stale report of this life still acks; `owned_ids` ignored |
 //! | 6 | policy-own messages | `OwnReport` | `Checkpoint`, stray `GatherData`; the other policy's messages end in `UnexpectedMessage` (silently tolerated under a takeover) |
@@ -864,13 +864,7 @@ async fn drive(
                         st.rec.done_dups_ignored += 1;
                         continue;
                     }
-                    st.fo.note_ack(slave, replica_inv);
-                    // Ack before the epoch fence, above the slot's floor;
-                    // below it the watermark belongs to an older window —
-                    // the crashed master's or a previous life's — never ack.
-                    if epoch >= st.ack_floor(slave) {
-                        st.win[slave].ack(restore_seq);
-                    }
+                    st.ack_report(slave, epoch, restore_seq, replica_inv);
                     if st.fenced(ctx, slave, epoch).await {
                         continue;
                     }
@@ -1196,6 +1190,8 @@ mod tests {
     use super::*;
     use crate::balancer::BalancerConfig;
     use crate::kernels::tests::{Cols, Doubler};
+    use crate::session::checkpoint::tests::{bank_step, columns};
+    use crate::session::checkpoint::CheckpointBank;
     use crate::session::replica::DeputyState;
     use dlb_sim::{NodeConfig, SimBuilder, SimDuration};
 
@@ -1276,15 +1272,22 @@ mod tests {
     /// Which messages make the stub slave send its stray first.
     type Trigger = fn(&Msg) -> bool;
 
+    /// The seed of a deputy that never absorbed a replica, elected in term 1.
+    fn empty_seed() -> TakeoverSeed {
+        let tol = FaultToleranceConfig::default();
+        DeputyState::new(0, 2, 2, false, SimTime::ZERO, &tol).seed(1)
+    }
+
     /// A fault-mode reign over a four-unit `app` on two slots, actor 0 its
     /// master: slot 1 is a stub slave holding every unit, slot 0 is idle
-    /// (deferred in an original reign; the winner itself under a
-    /// takeover). The stub answers each release with its done report and
-    /// the `Gather` with every unit — after a stray `MasterPing` when the
-    /// message that asked matches `stray_on`.
-    fn stray_run(app: AppSpec, takeover: bool, stray_on: Trigger) -> MasterOutcome {
+    /// (deferred in an original reign; the winner itself under a takeover
+    /// from `seed`). The stub answers each release with its done report
+    /// and the `Gather` with every unit, as its last `Rollback` shipped
+    /// them (else `[u]`) — after a stray `MasterPing` when the message that
+    /// asked matches `stray_on`.
+    fn stray_run(app: AppSpec, seed: Option<TakeoverSeed>, stray_on: Trigger) -> MasterOutcome {
         let master = ActorId(0);
-        let (slaves, assignment) = if takeover {
+        let (slaves, assignment) = if seed.is_some() {
             (vec![master, ActorId(1)], vec![(0, 2), (2, 4)])
         } else {
             (vec![ActorId(2), ActorId(1)], vec![(0, 0), (0, 4)])
@@ -1306,7 +1309,7 @@ mod tests {
         let out = Arc::clone(&outcome);
         let mut sim = SimBuilder::<Msg>::new();
         let nodes = [(); 3].map(|()| sim.add_node(NodeConfig::default()));
-        if takeover {
+        if let Some(seed) = seed {
             let kit = TakeoverKit {
                 cfg,
                 master: ActorId(2),
@@ -1316,8 +1319,6 @@ mod tests {
                 outcome: out,
             };
             sim.spawn_mail(nodes[0], "winner", move |ctx| async move {
-                let tol = FaultToleranceConfig::default();
-                let seed = DeputyState::new(0, 2, 2, false, ctx.now(), &tol).seed(1);
                 run_takeover(&ctx, &kit, seed, 0).await.unwrap();
             });
         } else {
@@ -1327,6 +1328,8 @@ mod tests {
         }
         sim.spawn_mail(nodes[1], "stub", move |ctx| async move {
             let (mut epoch, mut restore_seq) = (0, 0);
+            let mut held: Vec<(usize, UnitData)> =
+                (0..4).map(|u| (u, vec![vec![u as f64]])).collect();
             loop {
                 let msg = ctx.recv().await.msg;
                 if stray_on(&msg) {
@@ -1337,14 +1340,16 @@ mod tests {
                         seq,
                         epoch: e,
                         invocation,
+                        units,
                         ..
                     } => {
                         (epoch, restore_seq) = (e, seq);
+                        held = units.into_iter().map(|(u, d)| (u, (*d).clone())).collect();
                         invocation
                     }
                     Msg::InvocationStart { invocation, .. } => invocation,
                     Msg::Gather => {
-                        let units = (0..4).map(|u| (u, vec![vec![u as f64]])).collect();
+                        let units = held.clone();
                         let fault_stats = Default::default();
                         let data = Msg::GatherData {
                             slave: 1,
@@ -1394,14 +1399,51 @@ mod tests {
             (&rollback, "checkpointed"),
         ] {
             for (stray_on, phase) in [(release, "invocation loop"), (gather, "gather")] {
-                let o = stray_run(app(), false, stray_on);
+                let o = stray_run(app(), None, stray_on);
                 let Some(ProtocolError::UnexpectedMessage { context, .. }) = o.error else {
                     panic!("{policy} {phase}: {:?}", o.error);
                 };
                 assert_eq!(context, format!("{policy} {phase}"));
-                let o = stray_run(app(), true, stray_on);
+                let o = stray_run(app(), Some(empty_seed()), stray_on);
                 assert!(o.completed, "{policy} {phase}: {:?}", o.error);
             }
         }
+    }
+
+    /// A deputy that absorbed a whole snapshot and then a delta takes over
+    /// from the merge: the new reign banks it, ships it in its `Rollback`,
+    /// and the run ends with the crashed master's best snapshot, bit for
+    /// bit (`Cols` never computes, so that is also the sequential result).
+    #[test]
+    fn a_takeover_from_a_merged_replica_finishes_bit_exact() {
+        let (cols, mut bank) = (columns(), CheckpointBank::new());
+        let tol = FaultToleranceConfig::default();
+        let mut deputy = DeputyState::new(0, 2, 2, true, SimTime::ZERO, &tol);
+        let publish = |bank: &CheckpointBank, deputy: &mut DeputyState| {
+            let (mut r, ack) = (deputy.replica.clone(), deputy.effective_fresh());
+            let inv = bank.best_invocation().expect("banked");
+            (r.invocation, r.fresh, r.best_banked) = (inv, inv, inv);
+            (r.snapshot, r.delta_base) = (bank.best_since(ack), ack);
+            deputy.absorb(r, SimTime::ZERO);
+        };
+        bank_step(&mut bank, 1, &cols, 1);
+        publish(&bank, &mut deputy);
+        for (inv, retired) in [(2, 2), (3, 2)] {
+            bank_step(&mut bank, inv, &cols, retired);
+        }
+        publish(&bank, &mut deputy);
+        let best = bank.best_since(0);
+        assert_eq!(deputy.replica.snapshot, best, "merged at 3 from base 1");
+
+        let app = AppSpec::Shrinking(Arc::new(Cols));
+        let o = stray_run(app, Some(deputy.seed(1)), |_| false);
+        assert!(o.completed, "{:?}", o.error);
+        assert_eq!(o.recovery.checkpoints_lost_to_stale_replica, 0);
+        let mut result = o.result;
+        result.sort_by_key(|(id, _)| *id);
+        let (_, banked) = best.expect("banked");
+        let banked: Vec<_> = banked.iter().map(|(id, d)| (*id, (**d).clone())).collect();
+        assert_eq!(result, banked);
+        assert!(result.iter().all(|(id, col)| *col == [[*id as f64]]));
     }
 }

@@ -23,8 +23,9 @@
 //! | a *retired* LU column in that snapshot (`engine_shrinking.rs`) | copied out of the engine and re-wrapped at every barrier, like an active one | **behind its `Arc` from the step it retires**: every later checkpoint, and a `restore` of an id below the resumed step, is a refcount; `gather_units` makes the one copy |
 //! | window retention (`send_with(..).clone()`), `replay_window`, the sim kernel's duplicate-fault `msg.clone()` | deep copy each | refcount |
 //! | `CheckpointBank::offer` | move | move |
-//! | `rollback_snapshot` for `rerange` and `speculate`; `best_snapshot` per deputy per `publish_replica` | whole-snapshot deep copy each | refcount (`rerange`'s per-survivor split moves the same `Arc`s) |
-//! | slave `control` stashing a `Rollback`, deputy `absorb`, takeover seed, the successor's bank | deep copy each | refcount / move |
+//! | `rollback_snapshot` for `rerange` and `speculate` | whole-snapshot deep copy each | refcount (`rerange`'s per-survivor split moves the same `Arc`s) |
+//! | `best_since` per deputy per `publish_replica` | whole-snapshot deep copy each | refcount of **only the units stamped after the deputy's ack** (a delta; the whole snapshot for ack 0), and the wire is charged for those alone |
+//! | slave `control` stashing a `Rollback`, deputy `absorb` (a delta merged by id onto the held snapshot), takeover seed, the successor's bank | deep copy each | refcount / move |
 //! | **the receiver adopting units into mutable engine state** (`restore`, `speculate`, `apply_restore`) | move | **the one real copy** (`Arc::unwrap_or_clone`: free when every other holder has let go) |
 //!
 //! Deliberately owned, not shared: `TransferMsg` / `MovedUnit` (ownership
@@ -172,8 +173,10 @@ pub struct TransferMsg {
 
 /// Master → deputy: a replica of the master's control-plane state, from
 /// which an elected deputy can rebuild the session after the master dies.
-/// Published at invocation barriers (cadence `replicate_every`) and re-sent
-/// on the nudge timer to deputies whose confirmed snapshot lags the bank.
+/// Published at invocation barriers (cadence `replicate_every`), and
+/// nowhere else. Under the rollback policy a deputy whose confirmed
+/// snapshot lags the bank is shipped a *delta*: only the snapshot units it
+/// cannot already hold (see `delta_base`).
 #[derive(Clone, Debug)]
 pub struct ReplicaMsg {
     /// The publishing master's election term (0 = the original master).
@@ -192,8 +195,14 @@ pub struct ReplicaMsg {
     /// advertise it; voters refuse staler candidates.
     pub fresh: u64,
     /// Newest complete checkpoint snapshot (rollback policy only), sent
-    /// when this deputy has not yet confirmed holding it.
+    /// when this deputy has not yet confirmed holding it: whole when
+    /// `delta_base` is 0, else only its units that changed since.
     pub snapshot: Option<(u64, SharedUnits)>,
+    /// The snapshot invocation this deputy confirmed holding, which
+    /// `snapshot` is a delta against; 0 = `snapshot` is whole. The deputy
+    /// merges a delta by unit id onto a held snapshot at least this fresh
+    /// and keeps only whole snapshots.
+    pub delta_base: u64,
     /// The newest complete checkpoint invocation in the master's bank —
     /// lets a promoted deputy count checkpoints lost to a stale replica.
     pub best_banked: u64,
@@ -258,7 +267,7 @@ pub enum Msg {
         owned_ids: Vec<usize>,
         /// Deputy replica confirmation: the checkpoint generation this
         /// slave's replica could take over from (zero for non-deputies).
-        /// Lets the master stop re-shipping snapshots a deputy holds.
+        /// The base of the next snapshot delta the master ships it.
         replica_inv: u64,
     },
     GatherData {
@@ -556,7 +565,9 @@ impl Msg {
             Msg::SlaveError { error, .. } => HDR + 8 + error.payload_bytes(),
             Msg::Replica(r) => {
                 // Fixed scalars + membership bitmap + incarnation table +
-                // counters block + the snapshot payload when one rides along.
+                // counters block + the snapshot when one rides along: its
+                // `delta_base` (its invocation is `best_banked`) and the
+                // units this message carries, not the whole snapshot.
                 HDR + 48
                     + r.alive.len() as u64
                     + 8 * r.incarnations.len() as u64
@@ -697,43 +708,33 @@ mod tests {
         assert!(nested.wire_bytes() > big.wire_bytes() - 32);
     }
 
+    /// A 16-slave replica at invocation 3 whose bank holds invocation 2.
+    fn replica(snapshot: Option<SharedUnits>, delta_base: u64) -> Msg {
+        Msg::Replica(Box::new(ReplicaMsg {
+            term: 0,
+            epoch: 0,
+            invocation: 3,
+            ckpt_stride: 1,
+            alive: vec![true; 16],
+            fresh: 2,
+            snapshot: snapshot.map(|units| (2, units)),
+            delta_base,
+            best_banked: 2,
+            recovery: RecoveryStats::default(),
+            incarnations: vec![0; 16],
+        }))
+    }
+
     #[test]
     fn replica_wire_cost_counts_snapshot_and_counters() {
-        let bare = Msg::Replica(Box::new(ReplicaMsg {
-            term: 0,
-            epoch: 0,
-            invocation: 3,
-            ckpt_stride: 1,
-            alive: vec![true; 16],
-            fresh: 2,
-            snapshot: None,
-            best_banked: 2,
-            recovery: RecoveryStats::default(),
-            incarnations: vec![0; 16],
-        }));
-        let with_snap = Msg::Replica(Box::new(ReplicaMsg {
-            term: 0,
-            epoch: 0,
-            invocation: 3,
-            ckpt_stride: 1,
-            alive: vec![true; 16],
-            fresh: 2,
-            snapshot: Some((
-                2,
-                vec![
-                    (0, Arc::new(vec![vec![0.0; 100]])),
-                    (1, Arc::new(vec![vec![0.0; 100]])),
-                ],
-            )),
-            best_banked: 2,
-            recovery: RecoveryStats::default(),
-            incarnations: vec![0; 16],
-        }));
+        let col = || Arc::new(vec![vec![0.0; 100]]);
+        let bare = replica(None, 0);
+        let whole = replica(Some(vec![(0, col()), (1, col())]), 0);
         assert!(bare.wire_bytes() >= 32 + 48 + 16 + 128 + RecoveryStats::WIRE_BYTES);
-        assert_eq!(
-            with_snap.wire_bytes(),
-            bare.wire_bytes() + 8 + 2 * (8 + 800)
-        );
+        assert_eq!(whole.wire_bytes(), bare.wire_bytes() + 8 + 2 * (8 + 800));
+        // A delta is charged for the units it carries, not the snapshot.
+        let delta = replica(Some(vec![(1, col())]), 1);
+        assert_eq!(delta.wire_bytes(), bare.wire_bytes() + 8 + (8 + 800));
     }
 
     /// Two units of one and two arrays: 8 + 800 and 8 + 1600 wire bytes.
@@ -771,18 +772,7 @@ mod tests {
                 ckpt_stride: 1,
                 units: units(),
             },
-            Msg::Replica(Box::new(ReplicaMsg {
-                term: 0,
-                epoch: 0,
-                invocation: 3,
-                ckpt_stride: 1,
-                alive: vec![true; 16],
-                fresh: 2,
-                snapshot: Some((2, units())),
-                best_banked: 2,
-                recovery: RecoveryStats::default(),
-                incarnations: vec![0; 16],
-            })),
+            replica(Some(units()), 0),
         ]
     }
 

@@ -85,16 +85,28 @@ pub(crate) struct Eviction {
 pub(crate) struct Failover {
     pub term: u64,
     deputies: usize,
-    /// Replica freshness confirmed by each deputy.
+    /// Replica freshness confirmed by each deputy, the base of the next
+    /// delta it is shipped. It may under-estimate what the deputy holds,
+    /// never over-estimate it: it starts at 0 in every reign and in every
+    /// life of a slot, and only reports of this life raise it.
     acked: Vec<u64>,
     next_ping: SimTime,
 }
 
 impl Failover {
-    /// Record a deputy's piggybacked replica confirmation.
-    pub fn note_ack(&mut self, slave: usize, replica_inv: u64) {
+    /// Record a deputy's piggybacked replica confirmation, from a report at
+    /// or above the slot's [`Session::ack_floor`].
+    fn note_ack(&mut self, slave: usize, replica_inv: u64) {
         if slave < self.deputies {
             self.acked[slave] = self.acked[slave].max(replica_inv);
+        }
+    }
+
+    /// Slot `slave` was evicted or readmitted: a rejoiner's deputy role
+    /// starts empty, so its next replica is whole.
+    fn forget(&mut self, slave: usize) {
+        if slave < self.deputies {
+            self.acked[slave] = 0;
         }
     }
 
@@ -300,6 +312,17 @@ impl Session {
         }
     }
 
+    /// A live member's `InvocationDone`, taken before the epoch fence:
+    /// below the slot's floor it speaks for an older window — the crashed
+    /// master's or a previous life's — and acknowledges nothing, neither
+    /// the window nor a replica (a previous life's snapshot died with it).
+    pub fn ack_report(&mut self, slave: usize, epoch: u64, restore_seq: u64, replica_inv: u64) {
+        if epoch >= self.ack_floor(slave) {
+            self.win[slave].ack(restore_seq);
+            self.fo.note_ack(slave, replica_inv);
+        }
+    }
+
     /// Slave `s` owes the current barrier nothing more. Under re-scatter a
     /// settled slave is still unsettled while a pending eviction waits on
     /// its OwnReport: a survivor that dies *after* settling would otherwise
@@ -364,6 +387,8 @@ impl Session {
         match &mut self.policy {
             Policy::Rescatter { .. } => self.inv = seed.replica.invocation,
             Policy::Rollback { bank, .. } => {
+                // Every unit is stamped `ck_inv` and every deputy's ack
+                // starts at 0: the reign's first replicas are whole.
                 if let Some((ck_inv, units)) = seed.replica.snapshot.clone() {
                     bank.offer(ck_inv, units, self.n_units);
                 }
@@ -384,11 +409,12 @@ impl Session {
     /// counters. Under re-scatter the watermark alone is the whole state (a
     /// takeover restarts from [`recompute`]). Under rollback the
     /// freshness a deputy can take over from is the newest complete banked
-    /// checkpoint, and its snapshot rides only to deputies whose confirmed
-    /// freshness lags it — once a deputy acknowledges holding it
-    /// (`InvocationDone::replica_inv`), further publishes shrink to the
-    /// cheap scalar core. A lost replica self-heals at the next cadence
-    /// point (the lagging ack keeps the snapshot riding along).
+    /// checkpoint, and a deputy whose confirmed freshness
+    /// (`InvocationDone::replica_inv`) lags it is shipped a delta against
+    /// that ack: only the units the bank stamped after it
+    /// ([`CheckpointBank::best_since`]), the whole snapshot for ack 0. A
+    /// lost replica self-heals at the next cadence point: the ack did not
+    /// move, so the next delta re-ships everything since it.
     pub async fn publish_replica(&mut self, ctx: &MailCtx<Msg>) {
         let (fresh, bank) = match &self.policy {
             Policy::Rescatter { .. } => (self.inv, None),
@@ -403,6 +429,7 @@ impl Session {
             incarnations: self.memb.incarnation.clone(),
             fresh,
             snapshot: None,
+            delta_base: 0,
             best_banked: if bank.is_some() { fresh } else { 0 },
             recovery: self.rec.clone(),
         };
@@ -411,8 +438,10 @@ impl Session {
                 continue;
             }
             let mut replica = core.clone();
-            if self.fo.acked[d] < fresh {
-                replica.snapshot = bank.and_then(CheckpointBank::best_snapshot);
+            let ack = self.fo.acked[d];
+            if ack < fresh {
+                replica.snapshot = bank.and_then(|bank| bank.best_since(ack));
+                replica.delta_base = ack;
             }
             let msg = Msg::Replica(Box::new(replica));
             self.rec.replicas_published += 1;
@@ -469,6 +498,7 @@ impl Session {
                 continue; // raced an earlier admission, or a newer life exists
             }
             self.memb.readmit(j, jinc, ctx.now(), self.tol.nudge);
+            self.fo.forget(j);
             balancer.admit(j);
             self.win[j] = SenderWindow::new();
             self.unacked_instr[j] = None;
@@ -643,6 +673,7 @@ impl Session {
             );
         }
         self.memb.evict(s);
+        self.fo.forget(s);
         self.rec.slaves_declared_dead += 1;
         self.rec.first_death.get_or_insert(now);
         send(ctx, self.slaves[s], Msg::Evict).await;
@@ -1137,6 +1168,78 @@ mod tests {
             .collect();
         sim.spawn_mail(master_node, "master", move |ctx| body(ctx, slave_ids));
         sim.run();
+    }
+
+    /// [`in_actor`], except that slave 0 is a stub deputy which reads its
+    /// mail: returns every replica it was sent, in order.
+    fn replicas_to_slave_0<F, Fut>(n: usize, body: F) -> Vec<ReplicaMsg>
+    where
+        F: FnOnce(MailCtx<Msg>, Vec<ActorId>) -> Fut + Send + 'static,
+        Fut: std::future::Future<Output = ()> + Send + 'static,
+    {
+        let seen = Arc::new(std::sync::Mutex::new(Vec::new()));
+        let sink = Arc::clone(&seen);
+        let mut sim = SimBuilder::<Msg>::new();
+        let nodes: Vec<_> = (0..=n)
+            .map(|_| sim.add_node(NodeConfig::default()))
+            .collect();
+        let mut slave_ids = vec![sim.spawn_mail(nodes[1], "deputy0", move |ctx| async move {
+            let end = ctx.now() + SimDuration::from_secs(3_600);
+            while let Some(env) = ctx.recv_deadline(end).await {
+                if let Msg::Replica(r) = env.msg {
+                    sink.lock().unwrap().push(*r);
+                }
+            }
+        })];
+        for (i, &node) in nodes.iter().enumerate().skip(2) {
+            let idle = |ctx: MailCtx<Msg>| async move {
+                ctx.sleep(SimDuration::from_secs(3_600)).await;
+            };
+            slave_ids.push(sim.spawn_mail(node, format!("slave{}", i - 1), idle));
+        }
+        sim.spawn_mail(nodes[0], "master", move |ctx| body(ctx, slave_ids));
+        sim.run();
+        let seen = std::mem::take(&mut *seen.lock().unwrap());
+        seen
+    }
+
+    /// A deputy slot's snapshot dies with its life. Once slot 0 is evicted
+    /// and readmitted, the next publish ships it the whole snapshot, and a
+    /// previous life's report still in flight (below the slot's new ack
+    /// floor) cannot claim otherwise.
+    #[test]
+    fn a_readmitted_deputy_slot_is_shipped_the_whole_snapshot() {
+        let seen = replicas_to_slave_0(3, |ctx, slaves| async move {
+            let ctx = &ctx;
+            let mut sess = session(ctx, &slaves, rollback());
+            let mut bal = balancer(3);
+            assert!(bank(&mut sess).offer(2, checkpoint(3, 10.0), 3));
+            sess.inv = 2;
+            sess.publish_replica(ctx).await;
+            sess.ack_report(0, sess.epoch, 0, 2);
+            sess.publish_replica(ctx).await;
+
+            sess.evict(ctx, &mut bal, 0, ctx.now()).await.unwrap();
+            sess.pending_joins = vec![(0, 1)];
+            sess.admit(ctx, &mut bal).await.unwrap();
+            sess.ack_report(0, 0, 0, 2); // the previous life's, in flight
+            sess.publish_replica(ctx).await;
+            sess.ack_report(0, sess.epoch, 0, 2); // this life's
+            sess.publish_replica(ctx).await;
+        });
+        let shipped: Vec<_> = seen
+            .iter()
+            .map(|r| {
+                r.snapshot
+                    .as_ref()
+                    .map(|(inv, units)| (*inv, r.delta_base, units.len()))
+            })
+            .collect();
+        assert_eq!(
+            shipped,
+            [Some((2, 0, 3)), None, Some((2, 0, 3)), None],
+            "whole, acked; readmitted: whole again, acked"
+        );
     }
 
     #[test]

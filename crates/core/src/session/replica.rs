@@ -44,7 +44,7 @@
 //! ([`crate::error::ProtocolError::Superseded`]).
 
 use crate::error::FaultToleranceConfig;
-use crate::msg::{Msg, ReplicaMsg};
+use crate::msg::{Msg, ReplicaMsg, SharedUnits};
 use crate::recovery::RecoveryStats;
 use crate::session::membership::Membership;
 use dlb_sim::{SimDuration, SimTime};
@@ -129,6 +129,7 @@ impl DeputyState {
                 alive: vec![true; n_slaves],
                 fresh: 0,
                 snapshot: None,
+                delta_base: 0,
                 best_banked: 0,
                 recovery: RecoveryStats::default(),
                 incarnations: vec![0; n_slaves],
@@ -162,24 +163,35 @@ impl DeputyState {
 
     /// Absorb a control-plane replica. Stale terms (an old master still
     /// flushing) are ignored; within the current term the newest message
-    /// wins, but a held snapshot is never discarded just because a newer
-    /// replica chose not to re-ship it.
-    pub fn absorb(&mut self, r: ReplicaMsg, now: SimTime) {
+    /// wins, but the held snapshot only ever moves forward: it is kept when
+    /// a replica ships none, an older one, or a delta it cannot merge.
+    ///
+    /// A whole snapshot (`delta_base` 0) replaces the held one. A delta is
+    /// merged by unit id onto a held snapshot at least as fresh as its base
+    /// — every unit it omits kept one `Arc` in the master's bank from its
+    /// base to its invocation, so the held copy is that value. Anything
+    /// else is dropped: the held snapshot, and so this deputy's ack, stay
+    /// put, and the master re-ships everything since that ack.
+    pub fn absorb(&mut self, mut r: ReplicaMsg, now: SimTime) {
         if r.term < self.replica.term {
             return;
         }
         self.term_seen = self.term_seen.max(r.term);
         self.master_heard(now);
         let held = self.replica.snapshot.take();
-        let keep_held = match (&r.snapshot, &held) {
-            (None, Some(_)) => true,
-            (Some((new_inv, _)), Some((held_inv, _))) => held_inv > new_inv,
-            _ => false,
+        r.snapshot = match (r.snapshot.take(), held) {
+            (Some((inv, _)), Some(held)) if held.0 > inv => Some(held),
+            (Some(whole), _) if r.delta_base == 0 => Some(whole),
+            (Some((inv, delta)), Some((held_inv, held))) if held_inv >= r.delta_base => {
+                match merge(&held, delta) {
+                    Some(merged) => Some((inv, merged)),
+                    None => Some((held_inv, held)),
+                }
+            }
+            (_, held) => held,
         };
+        r.delta_base = 0;
         self.replica = r;
-        if keep_held {
-            self.replica.snapshot = held;
-        }
     }
 
     /// How fresh this deputy's replica is, on the scale the election
@@ -287,9 +299,26 @@ impl DeputyState {
     }
 }
 
+/// Lay a delta's units over the whole snapshot `held`, by id (a whole
+/// snapshot holds unit `id` at index `id`). `None` when a delta id has no
+/// slot in `held`.
+fn merge(held: &SharedUnits, delta: SharedUnits) -> Option<SharedUnits> {
+    let mut merged = held.clone();
+    for (id, data) in delta {
+        merged.get_mut(id).filter(|(slot, _)| *slot == id)?.1 = data;
+    }
+    debug_assert!(
+        merged.iter().enumerate().all(|(i, &(id, _))| i == id),
+        "a merged snapshot covers every unit id"
+    );
+    Some(merged)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::session::checkpoint::tests::{bank_step, columns, same_storage};
+    use crate::session::checkpoint::CheckpointBank;
     use dlb_sim::SimDuration;
     use std::sync::Arc;
 
@@ -314,6 +343,7 @@ mod tests {
             alive: vec![true; 16],
             fresh: snapshot.unwrap_or(invocation),
             snapshot: snapshot.map(|inv| (inv, vec![(0, Arc::new(vec![vec![1.0]]))])),
+            delta_base: 0,
             best_banked: snapshot.unwrap_or(0),
             recovery: RecoveryStats::default(),
             incarnations: vec![0; 16],
@@ -471,6 +501,97 @@ mod tests {
         // …and a newer snapshot replaces the held one.
         d.absorb(replica(1, 7, Some(5)), t(400));
         assert_eq!(d.effective_fresh(), 5);
+    }
+
+    /// What `publish_replica` ships a deputy whose ack is `ack`: the bank's
+    /// units stamped after it, named as the delta's base.
+    fn delta(bank: &CheckpointBank, ack: u64) -> ReplicaMsg {
+        let snapshot = bank.best_since(ack).expect("complete");
+        let mut r = replica(0, snapshot.0, None);
+        (r.snapshot, r.delta_base) = (Some(snapshot), ack);
+        r
+    }
+
+    /// The held snapshot is the bank's best: equal, and the same storage.
+    fn holds_best(d: &DeputyState, bank: &CheckpointBank) -> bool {
+        let (held, best) = (d.replica.snapshot.as_ref(), bank.best_since(0));
+        held == best.as_ref() && same_storage(&held.expect("held").1, &best.expect("banked").1)
+    }
+
+    #[test]
+    fn a_merged_snapshot_is_the_banks_best_and_shares_its_arcs() {
+        let (cols, mut bank) = (columns(), CheckpointBank::new());
+        let mut d = deputy(0, 3, true);
+        bank_step(&mut bank, 1, &cols, 1);
+        d.absorb(delta(&bank, d.effective_fresh()), t(100));
+        assert!(holds_best(&d, &bank), "ack 0: the whole snapshot");
+        for (inv, retired) in [(2, 2), (3, 2), (4, 3)] {
+            bank_step(&mut bank, inv, &cols, retired);
+            let r = delta(&bank, d.effective_fresh());
+            let carried = r.snapshot.as_ref().map_or(0, |(_, units)| units.len());
+            assert!(carried < cols.len(), "inv {inv}: retired units stay home");
+            d.absorb(r, t(100 * inv));
+            assert_eq!(d.effective_fresh(), inv);
+            assert!(holds_best(&d, &bank), "inv {inv}");
+        }
+    }
+
+    /// The master's ack trails what the deputy holds while a replica is
+    /// in flight, and stays put when one is lost: either way the next delta
+    /// is cut against an older base than the deputy's snapshot, and merges.
+    #[test]
+    fn a_delta_merges_onto_a_held_snapshot_newer_than_its_base() {
+        let (cols, mut bank) = (columns(), CheckpointBank::new());
+        let mut d = deputy(1, 3, true);
+        bank_step(&mut bank, 1, &cols, 1);
+        d.absorb(delta(&bank, 0), t(100));
+        // Delivered at 2, but the deputy's ack of it has not reached the
+        // master when it publishes at 3; then the replica at 4 is lost.
+        bank_step(&mut bank, 2, &cols, 2);
+        d.absorb(delta(&bank, 1), t(200));
+        bank_step(&mut bank, 3, &cols, 2);
+        d.absorb(delta(&bank, 1), t(300));
+        assert!(holds_best(&d, &bank), "held 2, base 1");
+        bank_step(&mut bank, 4, &cols, 3);
+        let _lost = delta(&bank, 3);
+        bank_step(&mut bank, 5, &cols, 3);
+        d.absorb(delta(&bank, 3), t(500));
+        assert_eq!(d.effective_fresh(), 5);
+        assert!(holds_best(&d, &bank), "held 3, one replica lost");
+    }
+
+    #[test]
+    fn a_delta_that_cannot_merge_is_dropped_and_the_held_snapshot_kept() {
+        let (cols, mut bank) = (columns(), CheckpointBank::new());
+        bank_step(&mut bank, 1, &cols, 1);
+        let first = bank.best_since(0);
+        let mut d = deputy(1, 3, true);
+        d.absorb(delta(&bank, 0), t(100));
+        bank_step(&mut bank, 2, &cols, 2);
+        // A fresh deputy holds nothing to lay a delta over.
+        let mut fresh = deputy(2, 3, true);
+        fresh.absorb(delta(&bank, 1), t(200));
+        assert_eq!(fresh.effective_fresh(), 0, "no snapshot, no ack");
+        assert_eq!(fresh.replica.invocation, 2, "the scalars still land");
+        // A deputy holding 1 is sent a delta against 2.
+        bank_step(&mut bank, 3, &cols, 2);
+        d.absorb(delta(&bank, 2), t(300));
+        assert_eq!(d.effective_fresh(), 1, "the ack stays, so 2.. re-ships");
+        assert_eq!(d.replica.snapshot, first);
+        assert_eq!(d.replica.invocation, 3);
+        // A delta whose ids the held snapshot has no slot for.
+        let mut alien = delta(&bank, 1);
+        alien
+            .snapshot
+            .as_mut()
+            .expect("delta")
+            .1
+            .push((9, Arc::new(vec![])));
+        d.absorb(alien, t(400));
+        assert_eq!(d.replica.snapshot, first);
+        // The next delta against the deputy's real ack merges.
+        d.absorb(delta(&bank, 1), t(500));
+        assert!(holds_best(&d, &bank));
     }
 
     #[test]

@@ -321,8 +321,8 @@ impl SlaveCommon {
     }
 
     /// The checkpoint generation this deputy could take over from, reported
-    /// on every `InvocationDone` so the master can stop re-shipping
-    /// snapshots the deputy already holds. Zero for non-deputies.
+    /// on every `InvocationDone` so the master ships it only the snapshot
+    /// units it cannot already hold. Zero for non-deputies.
     pub fn replica_inv(&self) -> u64 {
         self.deputy
             .as_ref()

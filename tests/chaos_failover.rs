@@ -13,7 +13,7 @@
 
 use dlb::apps::{Calibration, Lu, MatMul, Sor};
 use dlb::core::driver::{try_run, AppSpec, RunConfig, RunReport};
-use dlb::sim::{FaultPlan, SimTime};
+use dlb::sim::{FaultPlan, LinkFaults, SimTime};
 use std::sync::Arc;
 
 const SLAVES: usize = 16;
@@ -283,6 +283,52 @@ fn second_failover_after_the_winner_dies() {
         "both failovers must have held an election: {:?}",
         report.recovery
     );
+}
+
+/// Delta replicas under loss. The master's links to its three deputies
+/// (slaves 0–2) drop one message in ten, so a deputy misses deltas and the
+/// master's idea of what it holds lags: the next delta is cut against that
+/// older ack and merges onto a newer held snapshot, or re-ships everything
+/// since it. The master dies inside invocation 12. By then it has
+/// published eleven rounds of snapshots to three deputies, whole only
+/// until a deputy's first ack reaches it: at this seed, 29 deltas. The
+/// winner holds invocation 11, merged onto its 10 from a delta against 9;
+/// it takes over from that, and the run ends bit-exact after one election.
+#[test]
+fn lossy_deputy_links_merge_deltas_and_take_over_exact() {
+    let (k, plan) = lu();
+    let lossy = |seed| {
+        let drop = LinkFaults {
+            drop_p: 0.1,
+            ..LinkFaults::default()
+        };
+        (0..3).fold(FaultPlan::new(seed), |p, d| {
+            p.link(MASTER_NODE, slave_node(d), drop)
+        })
+    };
+    let mut probe_cfg = chaos_cfg(lossy(6107));
+    probe_cfg.record_timeline = true;
+    let probe = try_run(AppSpec::Shrinking(k.clone()), &plan, probe_cfg)
+        .expect("the lossy probe must complete");
+    // Identical up to the crash: the first decision inside invocation 12.
+    let crash = probe
+        .timeline
+        .iter()
+        .find(|s| s.invocation >= 12)
+        .expect("the probe must reach invocation 12")
+        .t
+        .0;
+
+    let fault = lossy(6107).crash(MASTER_NODE, SimTime(crash));
+    let report = try_run(AppSpec::Shrinking(k.clone()), &plan, chaos_cfg(fault))
+        .expect("a takeover from merged deltas must be survivable");
+    assert_eq!(
+        Lu::result_cols(&report.result),
+        k.sequential(),
+        "takeover from a merged replica must be exact"
+    );
+    assert_failover(&report, "lu lossy deputies");
+    assert_eq!(report.recovery.elections_held, 1, "{:?}", report.recovery);
 }
 
 /// Failover is part of the deterministic trace: the same crash plan

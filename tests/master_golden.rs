@@ -553,7 +553,8 @@ fn event_streams_match_the_recorded_constants() {
 /// `(cell, elapsed µs, events processed, trace hash, recovery counters)`,
 /// recorded at the commit before the two fault-mode loops were merged; the
 /// `plain_*`, `slow_wire*` and `stale_gather*` rows at the commit before the independent
-/// engine moved under the shared slave runner.
+/// engine moved under the shared slave runner. The armed `/lu` rows and
+/// `late_join_lossy/sor` were re-recorded for delta replicas (CHANGES.md, PR 26).
 #[rustfmt::skip]
 const GOLDEN: &[(&str, u64, u64, u64, &str)] = &[
     ("quiet4/mm", 435544, 604, 0xfbad34e7133c8371, "replicas_published: 9, replication_bytes: 3780"),
@@ -564,10 +565,10 @@ const GOLDEN: &[(&str, u64, u64, u64, &str)] = &[
     ("wire_crash4/sor", 25133146, 1571, 0xf0ccfad5a6a73d5c, "slaves_declared_dead: 2, first_death: Some(t=8.014336s), start_resends: 9, invocation_start_resends: 9, checkpoints_banked: 3, rollbacks: 3, units_rolled_back: 48, speculations_launched: 3, speculations_committed: 3, units_speculated: 38, stale_epoch_dropped: 3, rollbacks_applied: 6, checkpoints_sent: 42, speculations_computed: 3, replicas_published: 13, replication_bytes: 22340"),
     ("adaptive_stride4/sor", 10032123, 966, 0xa04fc81ab35a1532, "slaves_declared_dead: 1, first_death: Some(t=8.010717s), start_resends: 6, invocation_start_resends: 6, checkpoints_banked: 3, rollbacks: 1, units_rolled_back: 16, speculations_launched: 1, speculations_committed: 1, units_speculated: 16, stale_epoch_dropped: 1, rollbacks_applied: 3, checkpoints_sent: 21, speculations_computed: 1, replicas_published: 9, replication_bytes: 14580"),
     ("freeze4/sor", 8646072, 1136, 0x35f16bf4b8701961, "start_resends: 6, invocation_start_resends: 6, checkpoints_banked: 3, speculations_launched: 1, speculations_committed: 1, units_speculated: 16, checkpoints_sent: 25, speculations_computed: 1, replicas_published: 12, replication_bytes: 20640"),
-    ("quiet4/lu", 854194, 2760, 0x52fdbc717fbe6f1d, "checkpoints_banked: 18, checkpoints_sent: 96, replicas_published: 57, replication_bytes: 162028"),
-    ("wire_crash4/lu", 26529568, 3097, 0xaf3182032545fe28, "slaves_declared_dead: 2, first_death: Some(t=8.243589s), instr_resends: 3, invocation_start_resends: 3, done_dups_ignored: 6, checkpoints_banked: 16, rollbacks: 2, units_rolled_back: 40, speculations_launched: 3, speculations_committed: 3, units_speculated: 50, transfer_dups_dropped: 1, rollbacks_applied: 4, checkpoints_sent: 99, speculations_computed: 3, replicas_published: 28, replication_bytes: 61232"),
-    ("adaptive_stride4/lu", 8981182, 2558, 0xc89ada37317caafd, "slaves_declared_dead: 1, first_death: Some(t=8.382831s), checkpoints_banked: 8, rollbacks: 1, units_rolled_back: 20, speculations_launched: 1, speculations_committed: 1, units_speculated: 20, rollbacks_applied: 3, checkpoints_sent: 26, speculations_computed: 1, replicas_published: 42, replication_bytes: 69120"),
-    ("freeze4/lu", 6880477, 3100, 0xa470b57a883e0ff0, "checkpoints_banked: 19, speculations_launched: 3, speculations_committed: 3, units_speculated: 30, checkpoints_sent: 110, speculations_computed: 3, replicas_published: 57, replication_bytes: 149276"),
+    ("quiet4/lu", 853968, 2757, 0x82e39e85ec7308ec, "checkpoints_banked: 18, checkpoints_sent: 96, replicas_published: 57, replication_bytes: 106588"),
+    ("wire_crash4/lu", 26529289, 3097, 0xdaa976ad1e4e4b0e, "slaves_declared_dead: 2, first_death: Some(t=8.243589s), instr_resends: 3, invocation_start_resends: 3, done_dups_ignored: 6, checkpoints_banked: 16, rollbacks: 2, units_rolled_back: 40, speculations_launched: 3, speculations_committed: 3, units_speculated: 50, transfer_dups_dropped: 1, rollbacks_applied: 4, checkpoints_sent: 99, speculations_computed: 3, replicas_published: 28, replication_bytes: 48296"),
+    ("adaptive_stride4/lu", 8981182, 2556, 0xeb4015b797f994ca, "slaves_declared_dead: 1, first_death: Some(t=8.382831s), checkpoints_banked: 8, rollbacks: 1, units_rolled_back: 20, speculations_launched: 1, speculations_committed: 1, units_speculated: 20, rollbacks_applied: 3, checkpoints_sent: 26, speculations_computed: 1, replicas_published: 42, replication_bytes: 53664"),
+    ("freeze4/lu", 6880344, 3101, 0x40106558e40f9849, "checkpoints_banked: 19, speculations_launched: 3, speculations_committed: 3, units_speculated: 30, checkpoints_sent: 110, speculations_computed: 3, replicas_published: 57, replication_bytes: 97868"),
     ("master_mid_invocation/mm", 8461536, 2544, 0x401aaad6390de8d7, "rollbacks: 1, units_rolled_back: 32, rollbacks_applied: 15, elections_held: 1, takeover_latency: Some(8.047046s), replicas_published: 7, replication_bytes: 3696"),
     ("master_frozen_then_superseded/mm", 14285400, 3361, 0xe721aab66a72f065, "rollbacks: 1, units_rolled_back: 32, rollbacks_applied: 15, elections_held: 1, takeover_latency: Some(8.047046s), replicas_published: 7, replication_bytes: 3696"),
     ("drop16/mm", 15288590, 2148, 0x55dbe3f09998c25f, "instr_resends: 4, start_resends: 1, invocation_start_resends: 5, gather_resends: 1, done_dups_ignored: 5, replicas_published: 9, replication_bytes: 5472"),
@@ -599,29 +600,29 @@ const GOLDEN: &[(&str, u64, u64, u64, &str)] = &[
     ("crash_in_gather_lossy/sor", 50172456, 9333, 0x6167f9faeaf19480, "slaves_declared_dead: 3, first_death: Some(t=18.823559s), restore_resends: 358, start_resends: 4, invocation_start_resends: 4, status_dups_ignored: 1, gather_dups_ignored: 9, checkpoints_banked: 4, rollbacks: 6, units_rolled_back: 204, speculations_launched: 3, speculations_committed: 2, speculations_cancelled: 1, units_speculated: 68, stale_epoch_dropped: 316, rollbacks_applied: 78, checkpoints_sent: 208, speculations_computed: 3, replicas_published: 21, replication_bytes: 147784"),
     ("late_join/sor", 23600569, 42291, 0xc9bb0b46bac510b3, "slaves_declared_dead: 15, first_death: Some(t=1.810356s), restore_resends: 6089, start_resends: 56, invocation_start_resends: 56, done_dups_ignored: 28, gather_dups_ignored: 12, checkpoints_banked: 4, rollbacks: 30, units_rolled_back: 1020, speculations_launched: 15, speculations_committed: 1, speculations_cancelled: 11, units_speculated: 3, joins_admitted: 13, rejoins_after_eviction: 12, join_snapshot_bytes: 12048, partitions_healed: 9, stale_epoch_dropped: 5683, rollbacks_applied: 348, checkpoints_sent: 56, speculations_computed: 1, replicas_published: 41, replication_bytes: 134360"),
     ("master_crash_join_in_flight/sor", 52870492, 41208, 0x418c2b2ea5a1ec5e, "slaves_declared_dead: 13, first_death: Some(t=10.245239s), restore_resends: 5187, done_dups_ignored: 33, checkpoints_banked: 4, rollbacks: 28, units_rolled_back: 952, speculations_launched: 15, speculations_committed: 2, speculations_cancelled: 8, units_speculated: 6, joins_admitted: 12, rejoins_after_eviction: 11, join_snapshot_bytes: 11472, partitions_healed: 8, stale_epoch_dropped: 4642, rollbacks_applied: 280, checkpoints_sent: 306, speculations_computed: 4, elections_held: 1, takeover_latency: Some(8.099309s), replicas_published: 19, replication_bytes: 91488"),
-    ("late_join_lossy/sor", 47351163, 43702, 0xe0c6fd57ab300e1e, "slaves_declared_dead: 18, first_death: Some(t=1.823423s), restore_resends: 6762, start_resends: 54, invocation_start_resends: 54, status_dups_ignored: 10, done_dups_ignored: 41, gather_dups_ignored: 13, checkpoints_banked: 4, rollbacks: 36, units_rolled_back: 1224, speculations_launched: 18, speculations_committed: 7, speculations_cancelled: 2, units_speculated: 21, joins_admitted: 16, rejoins_after_eviction: 15, join_snapshot_bytes: 14856, partitions_healed: 12, stale_epoch_dropped: 6231, rollbacks_applied: 376, checkpoints_sent: 52, replicas_published: 47, replication_bytes: 268424"),
+    ("late_join_lossy/sor", 47351163, 43702, 0xac12d5516ec46eda, "slaves_declared_dead: 18, first_death: Some(t=1.823423s), restore_resends: 6762, start_resends: 54, invocation_start_resends: 54, status_dups_ignored: 10, done_dups_ignored: 41, gather_dups_ignored: 13, checkpoints_banked: 4, rollbacks: 36, units_rolled_back: 1224, speculations_launched: 18, speculations_committed: 7, speculations_cancelled: 2, units_speculated: 21, joins_admitted: 16, rejoins_after_eviction: 15, join_snapshot_bytes: 14856, partitions_healed: 12, stale_epoch_dropped: 6231, rollbacks_applied: 376, checkpoints_sent: 52, replicas_published: 47, replication_bytes: 288568"),
     ("master_crash_join_in_flight_lossy/sor", 41923745, 46421, 0x835384eb0bc6df3f, "slaves_declared_dead: 11, first_death: Some(t=10.293491s), restore_resends: 6962, done_dups_ignored: 19, gather_dups_ignored: 14, checkpoints_banked: 4, rollbacks: 30, units_rolled_back: 1020, speculations_launched: 6, speculations_cancelled: 2, joins_admitted: 11, rejoins_after_eviction: 10, join_snapshot_bytes: 11048, partitions_healed: 9, stale_epoch_dropped: 6970, rollbacks_applied: 343, checkpoints_sent: 331, elections_held: 1, takeover_latency: Some(8.099309s), replicas_published: 23, replication_bytes: 113984"),
     ("partition_heal_rejoin/sor", 48225271, 11582, 0x7097d748e8f1a0e3, "slaves_declared_dead: 2, first_death: Some(t=2.016622s), restore_resends: 117, instr_resends: 2, start_resends: 37, invocation_start_resends: 39, done_dups_ignored: 4, checkpoints_banked: 3, rollbacks: 3, units_rolled_back: 102, speculations_launched: 5, speculations_committed: 4, units_speculated: 10, joins_admitted: 1, rejoins_after_eviction: 1, join_snapshot_bytes: 1040, partitions_healed: 1, stale_epoch_dropped: 112, rollbacks_applied: 40, checkpoints_sent: 440, speculations_computed: 4, replicas_published: 17, replication_bytes: 71168"),
     ("crash_inside_partition/sor", 48225271, 9885, 0x26cc098d7c3eaa9d, "slaves_declared_dead: 3, first_death: Some(t=2.059375s), restore_resends: 61, instr_resends: 2, start_resends: 85, invocation_start_resends: 87, done_dups_ignored: 4, checkpoints_banked: 3, rollbacks: 5, units_rolled_back: 170, speculations_launched: 4, speculations_committed: 4, units_speculated: 10, joins_admitted: 1, rejoins_after_eviction: 1, join_snapshot_bytes: 1032, partitions_healed: 1, stale_epoch_dropped: 56, rollbacks_applied: 64, checkpoints_sent: 245, speculations_computed: 3, replicas_published: 20, replication_bytes: 72592"),
     ("partition_heal_rejoin_lossy/sor", 56918280, 25533, 0x73823f78ae7c664f, "slaves_declared_dead: 9, first_death: Some(t=2.017641s), restore_resends: 2176, start_resends: 43, invocation_start_resends: 43, status_dups_ignored: 7, done_dups_ignored: 11, gather_dups_ignored: 12, checkpoints_banked: 4, rollbacks: 22, units_rolled_back: 748, speculations_launched: 5, speculations_committed: 3, units_speculated: 9, joins_admitted: 7, rejoins_after_eviction: 7, join_snapshot_bytes: 6648, partitions_healed: 7, stale_epoch_dropped: 2044, rollbacks_applied: 260, checkpoints_sent: 142, speculations_computed: 1, replicas_published: 38, replication_bytes: 194568"),
-    ("master_mid_invocation/lu", 8848548, 11187, 0xc27d61ca2fbfa157, "checkpoints_banked: 22, rollbacks: 1, units_rolled_back: 24, rollbacks_applied: 15, checkpoints_sent: 480, elections_held: 1, takeover_latency: Some(8.004933s), replicas_published: 51, replication_bytes: 233672"),
-    ("master_frozen_then_superseded/lu", 14260769, 12549, 0x5e2f4715504943e5, "checkpoints_banked: 22, rollbacks: 1, units_rolled_back: 24, rollbacks_applied: 15, checkpoints_sent: 480, elections_held: 1, takeover_latency: Some(8.004933s), replicas_published: 51, replication_bytes: 233672"),
-    ("drop16/lu", 262585678, 36184, 0xa65f633e3e66f5c4, "slaves_declared_dead: 11, first_death: Some(t=19.052012s), restore_resends: 93, instr_resends: 11, start_resends: 2, invocation_start_resends: 13, done_dups_ignored: 16, checkpoints_banked: 22, rollbacks: 12, units_rolled_back: 288, speculations_launched: 30, speculations_committed: 29, speculations_cancelled: 1, units_speculated: 294, stale_epoch_dropped: 125, rollbacks_applied: 59, checkpoints_sent: 1285, speculations_computed: 16, replicas_published: 47, replication_bytes: 225152"),
-    ("dup16/lu", 777369, 9999, 0xf5e9074f5e01fca0, "status_dups_ignored: 23, gather_dups_ignored: 2, checkpoints_banked: 22, checkpoints_sent: 368, replicas_published: 69, replication_bytes: 339336"),
-    ("jitter16/lu", 1163427, 10370, 0xef17f2fdeba9563a, "checkpoints_banked: 22, checkpoints_sent: 368, replicas_published: 69, replication_bytes: 339456"),
-    ("master_mid_rollback/lu", 24864806, 13390, 0x34c4ea27361070aa, "slaves_declared_dead: 1, first_death: Some(t=24.242538s), restore_resends: 3, checkpoints_banked: 22, rollbacks: 2, units_rolled_back: 48, speculations_launched: 3, speculations_committed: 3, units_speculated: 28, stale_epoch_dropped: 4, rollbacks_applied: 28, checkpoints_sent: 662, speculations_computed: 6, elections_held: 1, takeover_latency: Some(8.004162s), replicas_published: 51, replication_bytes: 243928"),
-    ("overlapping_crashes/lu", 16750738, 11934, 0x31e961e8b533b92e, "slaves_declared_dead: 2, first_death: Some(t=8.204363s), restore_resends: 3, checkpoints_banked: 22, rollbacks: 2, units_rolled_back: 48, speculations_launched: 8, speculations_committed: 8, units_speculated: 60, stale_epoch_dropped: 6, rollbacks_applied: 28, checkpoints_sent: 521, speculations_computed: 8, replicas_published: 69, replication_bytes: 341256"),
-    ("master_mid_transfer/lu", 10006176, 10534, 0x81718072a2c897a9, "checkpoints_banked: 22, rollbacks: 1, units_rolled_back: 24, rollbacks_applied: 15, checkpoints_sent: 472, elections_held: 1, takeover_latency: Some(8.004471s), replicas_published: 46, replication_bytes: 226304"),
-    ("double_failover/lu", 18907509, 13033, 0x4af73e36642426b4, "checkpoints_banked: 22, rollbacks: 2, units_rolled_back: 48, rollbacks_applied: 28, checkpoints_sent: 603, elections_held: 2, takeover_latency: Some(10.005598s), replicas_published: 38, replication_bytes: 159496"),
-    ("crash_in_gather/lu", 8802589, 11700, 0xfe7966cdf6dd8910, "slaves_declared_dead: 1, first_death: Some(t=8.774263s), gather_resends: 3, gathers_interrupted: 1, checkpoints_banked: 23, rollbacks: 1, units_rolled_back: 24, rollbacks_applied: 15, checkpoints_sent: 705, replicas_published: 72, replication_bytes: 356304"),
-    ("crash_in_gather_lossy/lu", 87012738, 22480, 0x67a4afc1f3353bb4, "slaves_declared_dead: 5, first_death: Some(t=17.074781s), restore_resends: 3, instr_resends: 10, start_resends: 1, invocation_start_resends: 11, gather_resends: 2, status_dups_ignored: 22, done_dups_ignored: 13, gather_dups_ignored: 1, checkpoints_banked: 20, rollbacks: 5, units_rolled_back: 120, speculations_launched: 12, speculations_committed: 12, units_speculated: 156, stale_epoch_dropped: 20, rollbacks_applied: 55, checkpoints_sent: 1050, speculations_computed: 12, replicas_published: 69, replication_bytes: 296768"),
-    ("late_join/lu", 827697, 11125, 0xb603648c33d058e2, "checkpoints_banked: 22, rollbacks: 1, units_rolled_back: 24, joins_admitted: 1, join_snapshot_bytes: 360, rollbacks_applied: 16, checkpoints_sent: 381, replicas_published: 72, replication_bytes: 350536"),
-    ("master_crash_join_in_flight/lu", 8925491, 14516, 0x115ea1b50bed1629, "checkpoints_banked: 22, rollbacks: 2, units_rolled_back: 48, joins_admitted: 1, join_snapshot_bytes: 552, rollbacks_applied: 29, checkpoints_sent: 932, elections_held: 1, takeover_latency: Some(8.017957s), replicas_published: 52, replication_bytes: 234200"),
-    ("late_join_lossy/lu", 68799315, 65197, 0xe397e2a4d2f838e6, "slaves_declared_dead: 4, first_death: Some(t=21.649093s), restore_resends: 12, instr_resends: 23, invocation_start_resends: 23, status_dups_ignored: 35, done_dups_ignored: 28, gather_dups_ignored: 3, checkpoints_banked: 21, rollbacks: 11, units_rolled_back: 264, speculations_launched: 8, speculations_committed: 8, units_speculated: 126, joins_admitted: 5, rejoins_after_eviction: 4, join_snapshot_bytes: 2400, partitions_healed: 4, stale_epoch_dropped: 350, rollbacks_applied: 151, checkpoints_sent: 4880, speculations_computed: 6, replicas_published: 80, replication_bytes: 294888"),
-    ("master_crash_join_in_flight_lossy/lu", 17851488, 21179, 0x6fbc09f6c880cf30, "slaves_declared_dead: 3, first_death: Some(t=11.018114s), restore_resends: 18, instr_resends: 20, invocation_start_resends: 20, status_dups_ignored: 23, done_dups_ignored: 24, gather_dups_ignored: 1, checkpoints_banked: 21, rollbacks: 7, units_rolled_back: 168, speculations_launched: 9, speculations_committed: 8, units_speculated: 60, joins_admitted: 3, rejoins_after_eviction: 3, join_snapshot_bytes: 1448, partitions_healed: 3, stale_epoch_dropped: 22, rollbacks_applied: 91, checkpoints_sent: 1271, speculations_computed: 9, elections_held: 1, takeover_latency: Some(8.052168s), replicas_published: 50, replication_bytes: 214632"),
-    ("partition_heal_rejoin/lu", 4397799, 21160, 0xf17db94a0228a8ba, "slaves_declared_dead: 3, first_death: Some(t=0.618641s), restore_resends: 26, done_dups_ignored: 3, checkpoints_banked: 38, rollbacks: 6, units_rolled_back: 240, speculations_launched: 2, joins_admitted: 3, rejoins_after_eviction: 3, join_snapshot_bytes: 3408, partitions_healed: 3, stale_epoch_dropped: 44, rollbacks_applied: 78, checkpoints_sent: 825, replicas_published: 119, replication_bytes: 1481056"),
-    ("crash_inside_partition/lu", 5130317, 21167, 0x845e411603bc5d27, "slaves_declared_dead: 5, first_death: Some(t=0.618641s), restore_resends: 47, instr_resends: 2, invocation_start_resends: 2, done_dups_ignored: 9, checkpoints_banked: 38, rollbacks: 9, units_rolled_back: 360, speculations_launched: 3, joins_admitted: 4, rejoins_after_eviction: 4, join_snapshot_bytes: 4520, partitions_healed: 4, stale_epoch_dropped: 61, rollbacks_applied: 106, checkpoints_sent: 811, replicas_published: 118, replication_bytes: 1467480"),
-    ("partition_heal_rejoin_lossy/lu", 33456577, 63980, 0xd6d4c4035803af4e, "slaves_declared_dead: 20, first_death: Some(t=0.610509s), restore_resends: 125, instr_resends: 12, start_resends: 8, invocation_start_resends: 20, status_dups_ignored: 44, done_dups_ignored: 29, checkpoints_banked: 35, rollbacks: 39, units_rolled_back: 1560, speculations_launched: 18, speculations_committed: 3, speculations_cancelled: 1, units_speculated: 46, joins_admitted: 20, rejoins_after_eviction: 20, join_snapshot_bytes: 22848, partitions_healed: 18, stale_epoch_dropped: 335, rollbacks_applied: 345, checkpoints_sent: 3049, speculations_computed: 6, replicas_published: 153, replication_bytes: 1580336"),
+    ("master_mid_invocation/lu", 8848460, 11182, 0xaca209fd9041c6ec, "checkpoints_banked: 22, rollbacks: 1, units_rolled_back: 24, rollbacks_applied: 15, checkpoints_sent: 480, elections_held: 1, takeover_latency: Some(8.004893s), replicas_published: 51, replication_bytes: 157272"),
+    ("master_frozen_then_superseded/lu", 14260765, 12539, 0x0e436bdcb1b071a3, "checkpoints_banked: 22, rollbacks: 1, units_rolled_back: 24, rollbacks_applied: 15, checkpoints_sent: 480, elections_held: 1, takeover_latency: Some(8.004893s), replicas_published: 51, replication_bytes: 157272"),
+    ("drop16/lu", 262585496, 36184, 0x0be414f722020702, "slaves_declared_dead: 11, first_death: Some(t=19.052012s), restore_resends: 93, instr_resends: 11, start_resends: 2, invocation_start_resends: 13, done_dups_ignored: 16, checkpoints_banked: 22, rollbacks: 12, units_rolled_back: 288, speculations_launched: 30, speculations_committed: 29, speculations_cancelled: 1, units_speculated: 294, stale_epoch_dropped: 125, rollbacks_applied: 59, checkpoints_sent: 1285, speculations_computed: 16, replicas_published: 47, replication_bytes: 207752"),
+    ("dup16/lu", 777011, 9990, 0x2e4e515eab51f76e, "status_dups_ignored: 23, gather_dups_ignored: 2, checkpoints_banked: 22, checkpoints_sent: 368, replicas_published: 69, replication_bytes: 224536"),
+    ("jitter16/lu", 1169627, 10383, 0x669062e840a0b314, "checkpoints_banked: 22, checkpoints_sent: 368, replicas_published: 69, replication_bytes: 219656"),
+    ("master_mid_rollback/lu", 24864814, 13383, 0x13aa9e1a5b8c7d40, "slaves_declared_dead: 1, first_death: Some(t=24.242538s), restore_resends: 3, checkpoints_banked: 22, rollbacks: 2, units_rolled_back: 48, speculations_launched: 3, speculations_committed: 3, units_speculated: 28, stale_epoch_dropped: 4, rollbacks_applied: 28, checkpoints_sent: 662, speculations_computed: 6, elections_held: 1, takeover_latency: Some(8.004162s), replicas_published: 51, replication_bytes: 167928"),
+    ("overlapping_crashes/lu", 16750542, 11922, 0x8014f0a6f3e9120c, "slaves_declared_dead: 2, first_death: Some(t=8.204363s), restore_resends: 3, checkpoints_banked: 22, rollbacks: 2, units_rolled_back: 48, speculations_launched: 8, speculations_committed: 8, units_speculated: 60, stale_epoch_dropped: 6, rollbacks_applied: 28, checkpoints_sent: 521, speculations_computed: 8, replicas_published: 69, replication_bytes: 229856"),
+    ("master_mid_transfer/lu", 10006182, 10529, 0x3a8c99bbf4e6a25c, "checkpoints_banked: 22, rollbacks: 1, units_rolled_back: 24, rollbacks_applied: 15, checkpoints_sent: 472, elections_held: 1, takeover_latency: Some(8.004471s), replicas_published: 46, replication_bytes: 149104"),
+    ("double_failover/lu", 18907583, 13030, 0xa100c73f1c2773ab, "checkpoints_banked: 22, rollbacks: 2, units_rolled_back: 48, rollbacks_applied: 28, checkpoints_sent: 603, elections_held: 2, takeover_latency: Some(10.005706s), replicas_published: 38, replication_bytes: 119096"),
+    ("crash_in_gather/lu", 8802105, 11679, 0x3f85029048f6cd26, "slaves_declared_dead: 1, first_death: Some(t=8.773905s), gather_resends: 3, gathers_interrupted: 1, checkpoints_banked: 23, rollbacks: 1, units_rolled_back: 24, rollbacks_applied: 15, checkpoints_sent: 705, replicas_published: 72, replication_bytes: 228904"),
+    ("crash_in_gather_lossy/lu", 72978872, 21146, 0xcfc4defaecfc9bfc, "slaves_declared_dead: 4, first_death: Some(t=17.074781s), restore_resends: 5, instr_resends: 18, start_resends: 1, invocation_start_resends: 19, status_dups_ignored: 17, done_dups_ignored: 21, gather_dups_ignored: 13, checkpoints_banked: 20, rollbacks: 4, units_rolled_back: 96, speculations_launched: 11, speculations_committed: 11, units_speculated: 88, stale_epoch_dropped: 12, rollbacks_applied: 48, checkpoints_sent: 1007, speculations_computed: 11, replicas_published: 69, replication_bytes: 201264"),
+    ("late_join/lu", 827339, 11115, 0x7a8d6a1c4f7456b9, "checkpoints_banked: 22, rollbacks: 1, units_rolled_back: 24, joins_admitted: 1, join_snapshot_bytes: 360, rollbacks_applied: 16, checkpoints_sent: 381, replicas_published: 72, replication_bytes: 235536"),
+    ("master_crash_join_in_flight/lu", 8925443, 14511, 0x6b4083333e047133, "checkpoints_banked: 22, rollbacks: 2, units_rolled_back: 48, joins_admitted: 1, join_snapshot_bytes: 552, rollbacks_applied: 29, checkpoints_sent: 932, elections_held: 1, takeover_latency: Some(8.017957s), replicas_published: 52, replication_bytes: 158000"),
+    ("late_join_lossy/lu", 59749918, 58881, 0x2bd025175cbd0b72, "slaves_declared_dead: 4, first_death: Some(t=21.649093s), restore_resends: 13, instr_resends: 21, invocation_start_resends: 21, status_dups_ignored: 40, done_dups_ignored: 26, gather_dups_ignored: 3, checkpoints_banked: 20, rollbacks: 11, units_rolled_back: 264, speculations_launched: 6, speculations_committed: 6, units_speculated: 100, joins_admitted: 5, rejoins_after_eviction: 4, join_snapshot_bytes: 2400, partitions_healed: 4, stale_epoch_dropped: 299, rollbacks_applied: 150, checkpoints_sent: 4178, speculations_computed: 6, replicas_published: 83, replication_bytes: 241952"),
+    ("master_crash_join_in_flight_lossy/lu", 17642532, 20946, 0x3cd53f81c0e9a7b3, "slaves_declared_dead: 3, first_death: Some(t=11.018114s), restore_resends: 18, instr_resends: 19, invocation_start_resends: 19, status_dups_ignored: 28, done_dups_ignored: 23, gather_dups_ignored: 1, checkpoints_banked: 22, rollbacks: 7, units_rolled_back: 168, speculations_launched: 9, speculations_committed: 8, units_speculated: 60, joins_admitted: 3, rejoins_after_eviction: 3, join_snapshot_bytes: 1448, partitions_healed: 3, stale_epoch_dropped: 22, rollbacks_applied: 91, checkpoints_sent: 1251, speculations_computed: 9, elections_held: 1, takeover_latency: Some(8.052168s), replicas_published: 50, replication_bytes: 146432"),
+    ("partition_heal_rejoin/lu", 4397160, 21185, 0x6a1917ae182ab02f, "slaves_declared_dead: 3, first_death: Some(t=0.618641s), restore_resends: 26, done_dups_ignored: 3, checkpoints_banked: 38, rollbacks: 6, units_rolled_back: 240, speculations_launched: 2, joins_admitted: 3, rejoins_after_eviction: 3, join_snapshot_bytes: 3408, partitions_healed: 3, stale_epoch_dropped: 44, rollbacks_applied: 78, checkpoints_sent: 825, replicas_published: 119, replication_bytes: 859824"),
+    ("crash_inside_partition/lu", 5129516, 21190, 0x2a61a4bddd51349d, "slaves_declared_dead: 5, first_death: Some(t=0.618641s), restore_resends: 47, instr_resends: 2, invocation_start_resends: 2, done_dups_ignored: 9, checkpoints_banked: 38, rollbacks: 9, units_rolled_back: 360, speculations_launched: 3, joins_admitted: 4, rejoins_after_eviction: 4, join_snapshot_bytes: 4520, partitions_healed: 4, stale_epoch_dropped: 61, rollbacks_applied: 106, checkpoints_sent: 811, replicas_published: 118, replication_bytes: 849200"),
+    ("partition_heal_rejoin_lossy/lu", 57913695, 82980, 0x91753e454e945be1, "slaves_declared_dead: 23, first_death: Some(t=0.610509s), restore_resends: 142, instr_resends: 23, start_resends: 8, invocation_start_resends: 31, status_dups_ignored: 49, done_dups_ignored: 40, gather_dups_ignored: 3, checkpoints_banked: 36, rollbacks: 44, units_rolled_back: 1760, speculations_launched: 23, speculations_committed: 7, speculations_cancelled: 1, units_speculated: 95, joins_admitted: 22, rejoins_after_eviction: 22, join_snapshot_bytes: 23856, partitions_healed: 19, stale_epoch_dropped: 469, rollbacks_applied: 347, checkpoints_sent: 3818, speculations_computed: 11, replicas_published: 150, replication_bytes: 939888"),
     ("converges_early4/mm", 8298050, 796, 0xf4390f20a01ad864, "slaves_declared_dead: 1, first_death: Some(t=8.291074s), restore_resends: 3, done_dups_ignored: 3, speculations_launched: 1, speculations_committed: 1, units_speculated: 6, speculations_computed: 1, replicas_published: 6, replication_bytes: 3480"),
     ("quiet31/sor", 6053941, 5032, 0x45ccaa902554824a, "start_resends: 1, invocation_start_resends: 1, checkpoints_banked: 2, checkpoints_sent: 123, replicas_published: 9, replication_bytes: 50007"),
     ("plain_load4/mm/sync", 1672999, 939, 0xdbcb800b21f443a6, ""),
