@@ -52,37 +52,43 @@
 //! two phases are waited in; these are their rows, all taken in `sweep`
 //! except the first two columns:
 //!
-//! | phase | ends when | a live slave still owes | silence past `suspicion` | a nudge re-sends | settling only |
+//! | phase | ends when | a live slave still owes (`Phase::owes`) | silence past `suspicion` | a nudge re-sends | settling only |
 //! |-------|-----------|-------------------------|--------------------------|------------------|---------------|
-//! | `Settle` | `Session::settled` | to settle | re-scatter: `Session::evict`; rollback: the first suspect is evicted, the run re-ranges | an unacknowledged window, led by `Promoted` under a takeover | speculation, the never-spoken nudge, `renotify_evictions` |
-//! | `Gather { seen, got }` | rollback: every unit in `seen`; re-scatter: every live slave in `got` | its units | re-scatter: bare evict + `gathers_interrupted`, no `Evicted` broadcast; rollback: as settling | `Gather` if the window is acknowledged, else an unled window replay | — |
+//! | `Settle` | `Session::settled` | to settle | row 8: re-scatter evicts in place; rollback evicts the first suspect and re-ranges | an unacknowledged window, led by `Promoted` under a takeover | speculation (row 9), the never-spoken nudge, `Policy::renotify` |
+//! | `Gather { seen, got }` | row 11 (`Policy::gathered`) | its units, and an acknowledgement of its window | row 8: re-scatter's bare eviction + `gathers_interrupted`, no `Evicted` broadcast; rollback as settling | `Gather` if the window is acknowledged, else an unled window replay | — |
 //!
 //! ## Where the two policies differ
 //!
-//! Everything not listed here is one code path. Each row is a `match` on
-//! the policy (in `drive`, in `sweep` or in a `Session` method), and this
-//! table is the single place the two are contrasted.
+//! Everything not listed here is one code path. Each row is one or more
+//! methods of `Policy` (`session/master.rs`), named in the table; `drive`,
+//! `sweep`, `slave_error` and `Session` call the row and never test the
+//! variant, and this table is the single place the two are contrasted.
 //!
-//! | # | point | `Rescatter` | `Rollback` |
-//! |---|-------|-------------|------------|
-//! | 1 | takeover seeding (`Session::open`) | resume at the replicated invocation watermark, every unit recomputed through it; first epoch `(term << 32) \| 1` | bank the replica's snapshot, roll back to it from `term << 32` (same first epoch) |
-//! | 2 | unit state in a re-range (`Session::rerange`: takeover, admission, rollback) | `recompute(kernel, u, inv)`; the survivors' unacknowledged instructions and their silence/nudge clocks are kept | newest banked snapshot; every unacknowledged instruction is dropped, survivors' clocks restart, a joiner's ack floor `join_epoch[j]` is raised to the admission epoch |
-//! | 3 | `ckpt_stride` in `InvocationStart` / `Rollback` / `ReplicaMsg`; replica freshness | constant 1; `fresh = inv`, no snapshot | adaptive (invocation-time EMA); `fresh` = newest banked checkpoint, shipped until the deputy confirms it as a delta against what it confirmed |
-//! | 4 | `Status` / `InvocationDone` from a stale epoch; cancelling a speculation | never cancels a speculation; "from the future" checks the invocation only; cancel is a windowed `SpecCancel` | cancels it; `epoch >` the epoch in force is also "from the future" (`Status`) or `Inconsistent` (`InvocationDone`); cancel is master-local |
-//! | 5 | window ack floor for `InvocationDone::restore_seq` (`Session::ack_floor`), always applied *before* the epoch fence | the epoch in force — a stale report never acks; `owned_ids` adopted | `join_epoch[slave]` — a stale report of this life still acks; `owned_ids` ignored |
-//! | 6 | policy-own messages | `OwnReport` | `Checkpoint`, stray `GatherData`; the other policy's messages end in `UnexpectedMessage` (silently tolerated under a takeover) |
-//! | 7 | `SlaveError` from a member | fatal: `SlaveFailed` | once its window is acked: evict unless the error is survivable, roll back, restart the invocation |
-//! | 8 | suspicion expires | evict inside the sweep (several per sweep, before the deputies are pinged), fence with `Evicted`, wait for `OwnReport`s — a slave one of them is awaited from is never "settled", awaiting survivors are re-notified on the nudge timer, and the barrier stays shut while an eviction is open | first suspect only, after the ping: evict, roll back, restart the invocation |
-//! | 9 | speculation launch (`Session::speculate`) | suspect's units from initial data; not while an eviction is open, not for a slave that owns nothing | whole banked snapshot, advanced one invocation; not for a suspect that is done, not past the invocation being settled |
-//! | 10 | an invocation settles | — | its wall time folds into the restart-cost EMA and re-picks the stride |
-//! | 11 | gather | ack each `GatherData` at once; done when every live slave delivered; a death is absorbed and the safety net recomputes whatever no survivor delivered | ack only when all `n_units` are in hand (a death or a survivable `SlaveError` rolls back and redoes the run from the checkpoint, which needs every slave resident) |
+//! | # | point | `Policy::` | `Rescatter` | `Rollback` |
+//! |---|-------|------------|-------------|------------|
+//! | 1 | takeover seeding (`Session::open`) | `seed` | resume at the replicated invocation watermark, every unit recomputed through it; first epoch `(term << 32) \| 1` | bank the replica's snapshot, roll back to it from `term << 32` (same first epoch) |
+//! | 2 | unit state in a re-range (`Session::rerange`: takeover, admission, rollback) | `rerange_units`, `reranged` | `recompute(kernel, u, inv)`, each survivor's share adopted as its ownership; the survivors' unacknowledged instructions and their silence/nudge clocks are kept | newest banked snapshot; every unacknowledged instruction is dropped, survivors' clocks restart, a joiner's ack floor `join_epoch[j]` is raised to the admission epoch |
+//! | 3 | `ckpt_stride` in `InvocationStart` / `Rollback` / `ReplicaMsg`; replica freshness | `ckpt_stride`, `replica_source` | constant 1; `fresh = inv`, no snapshot | adaptive (invocation-time EMA); `fresh` = newest banked checkpoint, shipped until the deputy confirms it as a delta against what it confirmed |
+//! | 4 | `Status` / `InvocationDone` from a stale epoch; cancelling a speculation | `future_epoch`, `cancel_race` | never cancels a speculation; "from the future" checks the invocation only; cancel is a windowed `SpecCancel` | cancels it; `epoch >` the epoch in force is also "from the future" (`Status`) or `Inconsistent` (`InvocationDone`); cancel is master-local |
+//! | 5 | window ack floor for `InvocationDone::restore_seq`, always applied *before* the epoch fence; ownership | `ack_floor`, `adopt_owned` | the epoch in force — a stale report never acks; `owned_ids` adopted | `join_epoch[slave]` — a stale report of this life still acks; `owned_ids` ignored |
+//! | 6 | policy-own messages: every arm `drive` does not share | `own_msg` | `OwnReport` | `Checkpoint`, stray `GatherData`; the other policy's messages end in `UnexpectedMessage` naming the policy and the phase (silently tolerated under a takeover) |
+//! | 7 | `SlaveError` from a member | `member_error` | fatal: `SlaveFailed` | once its window is acked: evict unless the error is survivable, roll back, restart the invocation |
+//! | 8 | suspicion expires | `evict_in_place`, `fence`, `awaits`, `renotify` | evict inside the sweep (several per sweep, before the deputies are pinged), fence with `Evicted`, wait for `OwnReport`s — a slave one of them is awaited from is never "settled", awaiting survivors are re-notified on the nudge timer, and the barrier stays shut while an eviction is open | first suspect only, after the ping: evict, roll back, restart the invocation |
+//! | 9 | speculation launch | `speculate` | suspect's units from initial data; not while an eviction is open, not for a slave that owns nothing | whole banked snapshot, advanced one invocation; not for a suspect that is done, not past the invocation being settled |
+//! | 10 | an invocation settles | `fold_invocation_time` | — | its wall time folds into the restart-cost EMA and re-picks the stride |
+//! | 11 | gather | `gathered`, `ack_delivery` | ack each `GatherData` at once; done when every live slave delivered; a death is absorbed and the safety net recomputes whatever no survivor delivered | ack only when all `n_units` are in hand (a death or a survivable `SlaveError` rolls back and redoes the run from the checkpoint, which needs every slave resident) |
 //!
-//! Two points are one code path although they look policy-specific:
-//! ending the run on convergence lowers the target for both (re-scatter
+//! Three points are one code path although they look policy-specific.
+//! Ending the run on convergence lowers the target for both (re-scatter
 //! never re-ranges out of the gather, so for it that simply ends the
-//! invocations), and a gather nudge to a slave with an unacknowledged
-//! window replays the window for both (under re-scatter every window is
-//! acknowledged before the gather starts).
+//! invocations). A gather nudge to a slave with an unacknowledged window
+//! replays the window for both. And a slave owes the gather until it has
+//! delivered *and* acknowledged its window, where a repeat `GatherData`
+//! merges whatever units it adds: under re-scatter every window is
+//! acknowledged before the gather starts and a repeat adds nothing, but
+//! under rollback a survivor that lost its `Rollback` onto the end state
+//! delivers from the partition that `Rollback` replaced, and it reaches no
+//! barrier to acknowledge the replay from — it re-delivers instead.
 //!
 //! All master → slave recovery messages (`Restore`, `Speculate`,
 //! `SpecCommit`, `SpecCancel`, `Rollback`) share one per-destination
@@ -112,7 +118,7 @@ use crate::error::{FaultToleranceConfig, ProtocolError};
 use crate::frequency::PeriodBounds;
 use crate::msg::{Instructions, Msg, Status, UnitData};
 use crate::recovery::RecoveryStats;
-use crate::session::master::{channels_settled, merge_max, recompute, send, Policy, Session};
+use crate::session::master::{channels_settled, merge_max, send, Policy, Session};
 use crate::session::replica::TakeoverSeed;
 use dlb_sim::{ActorId, CpuWork, MailCtx, SimDuration, SimTime};
 use std::collections::btree_map::Entry;
@@ -513,13 +519,12 @@ async fn run_plain(
 /// A `SlaveError` arrived, settling or gathering. A non-member's dying
 /// report (it wedged inside a partition we evicted it across) is not fatal
 /// to the run: repeat the eviction verdict so the slave exits or rejoins
-/// instead of wedging. A member's is fatal under re-scatter; under rollback,
-/// once its window is acknowledged (an error that predates a rollback
-/// already in flight is resolved by that rollback), the slave is evicted
-/// unless it can survive the error — a survivable one parks quietly until
-/// its `Rollback` arrives — and the run restarts from the newest complete
-/// checkpoint. `Ok(true)` means it did: the caller goes back to
-/// [`Phase::Release`].
+/// instead of wedging. A member's is the policy's ([`Policy::member_error`]):
+/// fatal, or — once its window is acknowledged (an error that predates a
+/// rollback already in flight is resolved by that rollback) — the slave is
+/// evicted unless it survives the error, and the run restarts from the
+/// newest complete checkpoint. `Ok(true)` means it did: the caller goes
+/// back to [`Phase::Release`].
 async fn slave_error(
     ctx: &MailCtx<Msg>,
     balancer: &mut Balancer,
@@ -531,16 +536,11 @@ async fn slave_error(
         send(ctx, st.slaves[slave], Msg::Evict).await;
         return Ok(false);
     }
-    if !st.rollback_policy() {
-        return Err(ProtocolError::SlaveFailed {
-            slave,
-            error: Box::new(error),
-        });
-    }
+    let survivable = st.policy.member_error(slave, error)?;
     if !st.win[slave].fully_acked() {
         return Ok(false);
     }
-    if !error.survivable() {
+    if !survivable {
         let now = ctx.now();
         st.evict(ctx, balancer, slave, now).await?;
     }
@@ -567,26 +567,6 @@ async fn alive_ping(ctx: &MailCtx<Msg>, st: &mut Session, slave: usize, incarnat
         send(ctx, st.slaves[slave], Msg::Evict).await;
     }
     false
-}
-
-/// Re-send the `Gather` to a slave that still owes its data.
-async fn resend_gather(ctx: &MailCtx<Msg>, st: &mut Session, s: usize) {
-    send(ctx, st.slaves[s], Msg::Gather).await;
-    st.rec.gather_resends += 1;
-}
-
-/// Slave `s` spoke during the gather: if it is live, a sign of life. If it
-/// still owes its data it never received the `Gather` — what it sent is the
-/// re-send trigger (it is chatty, so a silence timer never fires),
-/// rate-limited by the nudge timer.
-async fn nudge_gather(ctx: &MailCtx<Msg>, st: &mut Session, got: &[bool], s: usize) {
-    if !st.memb.alive[s] {
-        return;
-    }
-    st.memb.last_heard[s] = ctx.now();
-    if !got[s] && st.memb.nudge_due(s, ctx.now(), st.tol.nudge) {
-        resend_gather(ctx, st, s).await;
-    }
 }
 
 /// A fault-mode reign from start (or takeover) to the gathered result:
@@ -636,11 +616,17 @@ enum Phase {
 }
 
 impl Phase {
-    /// Live slave `s` still owes this phase something: to settle, or to
-    /// deliver its units.
+    /// Live slave `s` still owes this phase something: to settle; or to
+    /// deliver its units and to acknowledge its window. A slave can deliver
+    /// from a window it never acknowledged: one that lost its last
+    /// `Rollback` answers the `Gather` from the partition that `Rollback`
+    /// replaced, and one rolled back onto the final snapshot reaches no
+    /// barrier to acknowledge it from. Owing, it is nudged with the window,
+    /// and re-delivers once the replayed `Rollback` lands. (Under
+    /// re-scatter every window is acknowledged before the gather starts.)
     fn owes(&self, st: &Session, s: usize) -> bool {
         match self {
-            Phase::Gather { got, .. } => !got[s],
+            Phase::Gather { got, .. } => !got[s] || !st.win[s].fully_acked(),
             _ => !st.slave_settled(s),
         }
     }
@@ -664,13 +650,6 @@ async fn drive(
 ) -> Result<(), ProtocolError> {
     let n = st.slaves.len();
     let tol = st.tol.clone();
-    let rollback = st.rollback_policy();
-    // Error contexts keep naming the policy and the phase they came from.
-    let (in_invocation, in_gather) = if rollback {
-        ("checkpointed invocation loop", "checkpointed gather")
-    } else {
-        ("recoverable invocation loop", "recoverable gather")
-    };
     let promoted = takeover.map(|(seed, me)| Msg::Promoted {
         term: seed.term,
         master_idx: me,
@@ -695,14 +674,11 @@ async fn drive(
                     st.admit(ctx, &mut cfg.balancer).await?;
                 }
                 cfg.balancer.set_remaining_invocations(target - st.inv);
-                if st.released {
-                    // The Rollback message itself released this invocation.
-                    st.released = false;
-                } else {
-                    for (i, &s) in st.slaves.iter().enumerate() {
-                        if st.memb.alive[i] {
-                            send(ctx, s, st.release_msg()).await;
-                        }
+                // Unless the Rollback message itself released this
+                // invocation.
+                if !std::mem::take(&mut st.released) {
+                    for s in st.memb.survivors() {
+                        send(ctx, st.slaves[s], st.release_msg()).await;
                     }
                 }
                 if st.inv.is_multiple_of(tol.replicate_every.max(1)) {
@@ -718,13 +694,8 @@ async fn drive(
                 for (j, _) in st.pending_joins.drain(..) {
                     send(ctx, st.slaves[j], Msg::JoinRefuse { slave: j }).await;
                 }
-                // Gather from the survivors. Under re-scatter each delivery
-                // is acknowledged at once and a slave dying here gets its
-                // units recomputed locally (safety net). Under rollback the
-                // acknowledgement is *deferred*: slaves must stay resident
-                // until the whole result is in hand, because a death
-                // mid-gather forces a rollback and a redo — a slave released
-                // early could not participate in it.
+                // Gather from the survivors; when it is complete, and what
+                // a death costs, is the policy's (`Policy::gathered`).
                 let now = ctx.now();
                 if crate::dlb_trace() {
                     eprintln!("[master t={now}] gather begins, alive {:?}", st.memb.alive);
@@ -740,53 +711,29 @@ async fn drive(
                 Phase::Gather { seen, got }
             };
         }
-        match &mut phase {
-            Phase::Settle if st.settled(&cfg.balancer) => {
-                st.fold_invocation_time(ctx.now());
-                let reduced: f64 = st.metrics.iter().sum();
-                st.inv += 1;
-                if cfg.app.converged(st.inv - 1, reduced) {
-                    target = st.inv;
-                }
-                phase = Phase::Release;
-                continue;
+        if matches!(phase, Phase::Settle) && st.settled(&cfg.balancer) {
+            let wall = ctx.now().saturating_since(st.inv_started);
+            st.policy.fold_invocation_time(wall, &tol);
+            let reduced: f64 = st.metrics.iter().sum();
+            st.inv += 1;
+            if cfg.app.converged(st.inv - 1, reduced) {
+                target = st.inv;
             }
-            // Complete: under rollback every unit is in hand, under
-            // re-scatter every live slave delivered.
-            Phase::Gather { seen, got }
-                if (rollback && seen.len() == st.n_units)
-                    || (!rollback && (0..n).all(|s| !st.memb.alive[s] || got[s])) =>
-            {
-                let mut seen = std::mem::take(seen);
-                match &st.policy {
-                    // Safety net: any unit no survivor delivered is
-                    // recomputed locally from initial data (deterministic,
-                    // so bit-identical to the lost copy).
-                    Policy::Rescatter { kernel, .. } => {
-                        for u in 0..st.n_units {
-                            if let Entry::Vacant(e) = seen.entry(u) {
-                                e.insert(recompute(kernel.as_ref(), u, st.inv));
-                                st.rec.units_recomputed += 1;
-                            }
-                        }
-                    }
-                    Policy::Rollback { .. } => {
-                        for s in st.memb.survivors() {
-                            send(ctx, st.slaves[s], Msg::GatherAck).await;
-                        }
-                    }
-                }
-                sc.result.extend(seen);
+            phase = Phase::Release;
+            continue;
+        }
+        if let Phase::Gather { seen, got } = &mut phase {
+            if Policy::gathered(st, ctx, seen, got).await {
+                sc.result.extend(std::mem::take(seen));
                 return Ok(());
             }
-            _ => {}
         }
         let gathering = matches!(phase, Phase::Gather { .. });
         if let Some(env) = ctx.recv_deadline(ctx.now() + MASTER_TICK).await {
             match (env.msg, &mut phase) {
                 // A final status racing the gather.
                 (Msg::Status(stm), Phase::Gather { got, .. }) => {
-                    nudge_gather(ctx, st, got, stm.slave).await;
+                    st.nudge_gather(ctx, got, stm.slave).await;
                 }
                 (Msg::Status(stm), _) => {
                     let s = stm.slave;
@@ -795,7 +742,7 @@ async fn drive(
                         continue;
                     }
                     st.heard_from(ctx, s).await;
-                    if (rollback && stm.epoch > st.epoch) || stm.invocation > st.inv {
+                    if st.policy.future_epoch(stm.epoch, st.epoch) || stm.invocation > st.inv {
                         return Err(unexpected("status from the future", &Msg::Status(stm)));
                     }
                     if stm.hook_seq <= st.last_hook_seq[s] {
@@ -805,18 +752,14 @@ async fn drive(
                     st.last_hook_seq[s] = stm.hook_seq;
                     // A status means the slave is computing again.
                     st.memb.done[s] = false;
-                    if let Some((seq, _, _)) = &st.unacked_instr[s] {
-                        // Ack lag alone is no evidence of loss: a slave
-                        // pipelines instructions, so it runs a couple of
-                        // sequence numbers behind even fault-free, and a
-                        // dropped instruction is superseded by the next one
-                        // anyway. Retry only fires for a slave stuck at a
-                        // barrier (see the InvocationDone arm), where nothing
-                        // can supersede.
-                        if stm.last_applied_seq >= *seq {
-                            st.unacked_instr[s] = None;
-                        }
-                    }
+                    // Ack lag alone is no evidence of loss: a slave pipelines
+                    // instructions, so it runs a couple of sequence numbers
+                    // behind even fault-free, and a dropped instruction is
+                    // superseded by the next one anyway. Retry only fires for
+                    // a slave stuck at a barrier (see the InvocationDone
+                    // arm), where nothing can supersede.
+                    let applied = stm.last_applied_seq;
+                    st.unacked_instr[s].take_if(|(seq, _, _)| applied >= *seq);
                     merge_max(&mut st.sent[s], &stm.sent_to);
                     merge_max(&mut st.recv[s], &stm.received_from);
                     let instr = decide(ctx, cfg, sc, &stm, st.inv).await;
@@ -835,11 +778,11 @@ async fn drive(
                     if !st.memb.alive[slave] {
                         // Non-member still reporting: its Evict was lost.
                         send(ctx, st.slaves[slave], Msg::Evict).await;
-                    } else if epoch >= st.ack_floor(slave) {
+                    } else if epoch >= st.policy.ack_floor(st.epoch, slave) {
                         // Same floor as while settling.
                         st.win[slave].ack(restore_seq);
                     }
-                    nudge_gather(ctx, st, got, slave).await;
+                    st.nudge_gather(ctx, got, slave).await;
                 }
                 (
                     Msg::InvocationDone {
@@ -869,7 +812,7 @@ async fn drive(
                         continue;
                     }
                     st.heard_from(ctx, slave).await;
-                    if rollback && epoch > st.epoch {
+                    if st.policy.future_epoch(epoch, st.epoch) {
                         return Err(ProtocolError::Inconsistent {
                             detail: format!(
                                 "InvocationDone from epoch {epoch} while in {}",
@@ -883,14 +826,7 @@ async fn drive(
                     if invocation == st.inv {
                         st.memb.done[slave] = true;
                         st.metrics[slave] = metric;
-                        // Fresh report for the current barrier: adopt its
-                        // ownership snapshot. (A duplicated older report is
-                        // caught by the invocation comparison; a transfer
-                        // still in flight at most doubles a unit, which the
-                        // deterministic gather dedups.)
-                        if let Policy::Rescatter { owned, .. } = &mut st.policy {
-                            owned[slave] = owned_ids.iter().copied().collect();
-                        }
+                        st.policy.adopt_owned(slave, owned_ids);
                     } else if invocation < st.inv {
                         st.rec.done_dups_ignored += 1;
                         // A heartbeat from a slave stuck at the previous
@@ -929,39 +865,6 @@ async fn drive(
                         st.replay_window(ctx, slave).await;
                     }
                 }
-                // A duplicated Evicted delivery can make a survivor repeat
-                // an old ownership report during the gather; it is only a
-                // liveness signal there.
-                (Msg::OwnReport { slave, .. }, Phase::Gather { got, .. }) if !rollback => {
-                    nudge_gather(ctx, st, got, slave).await;
-                }
-                (Msg::OwnReport { slave, about, ids }, _) if !rollback => {
-                    if !st.memb.alive[slave] {
-                        continue;
-                    }
-                    st.heard_from(ctx, slave).await;
-                    st.on_own_report(ctx, slave, about, ids).await;
-                }
-                // A late checkpoint racing the gather is only a liveness
-                // signal.
-                (Msg::Checkpoint { slave, .. }, Phase::Gather { .. }) if rollback => {
-                    if st.memb.alive[slave] {
-                        st.memb.last_heard[slave] = ctx.now();
-                    }
-                }
-                (
-                    Msg::Checkpoint {
-                        slave,
-                        invocation,
-                        units,
-                    },
-                    _,
-                ) if rollback => {
-                    if st.memb.alive[slave] {
-                        st.heard_from(ctx, slave).await;
-                    }
-                    st.on_checkpoint(slave, invocation, units);
-                }
                 (
                     Msg::GatherData {
                         slave,
@@ -975,15 +878,15 @@ async fn drive(
                         continue;
                     }
                     st.memb.last_heard[slave] = ctx.now();
-                    if !rollback {
-                        send(ctx, st.slaves[slave], Msg::GatherAck).await;
-                    }
-                    if got[slave] {
+                    st.policy.ack_delivery(ctx, st.slaves[slave]).await;
+                    // A repeat adds only what an earlier delivery from an
+                    // outdated partition lacked (see `Phase::owes`).
+                    let repeat = std::mem::replace(&mut got[slave], true);
+                    if repeat {
                         st.rec.gather_dups_ignored += 1;
-                        continue;
+                    } else {
+                        st.rec.absorb(&fault_stats);
                     }
-                    got[slave] = true;
-                    st.rec.absorb(&fault_stats);
                     for (id, data) in units {
                         // A unit restored while its old owner's transfer was
                         // still in flight can briefly have two owners; both
@@ -993,14 +896,13 @@ async fn drive(
                             Entry::Vacant(e) => {
                                 e.insert(data);
                             }
-                            Entry::Occupied(_) => st.rec.gather_dup_units_dropped += 1,
+                            Entry::Occupied(_) if !repeat => st.rec.gather_dup_units_dropped += 1,
+                            Entry::Occupied(_) => {}
                         }
                     }
-                }
-                // A gather interrupted by a rollback can leave stale
-                // GatherData in flight; harmless while settling.
-                (Msg::GatherData { .. }, _) if rollback => {
-                    st.rec.gather_dups_ignored += 1;
+                    if repeat {
+                        continue;
+                    }
                 }
                 (Msg::SlaveError { slave, error }, _) => {
                     if slave_error(ctx, &mut cfg.balancer, st, slave, error).await? {
@@ -1014,7 +916,7 @@ async fn drive(
                 // the Gather on protocol silence.)
                 (Msg::Alive { slave, incarnation }, _) => {
                     if alive_ping(ctx, st, slave, incarnation).await && !gathering {
-                        st.cancel_speculation_for(ctx, slave).await;
+                        Policy::cancel_race(st, ctx, slave, false).await;
                     }
                 }
                 (Msg::Join { slave, incarnation }, _) => {
@@ -1043,17 +945,25 @@ async fn drive(
                     }
                 }
                 (Msg::Promoted { term, .. }, _) => st.fo.yield_to(term)?,
-                // A message no arm expects: in an original reign, a protocol
-                // violation. A promoted deputy still has a slave's address:
-                // stray peer traffic (late transfers/halos/acks, election
-                // chatter, messages the crashed master had in flight) keeps
-                // arriving, all of it pre-reign — tolerated silently.
-                (other, _) => {
-                    if takeover.is_none() {
-                        let context = if gathering { in_gather } else { in_invocation };
-                        return Err(unexpected(context, &other));
+                // The rest is one policy's own (`OwnReport`, `Checkpoint`, a
+                // stray `GatherData`), or a message no arm expects: in an
+                // original reign, a protocol violation. A promoted deputy
+                // still has a slave's address: stray peer traffic (late
+                // transfers/halos/acks, election chatter, messages the
+                // crashed master had in flight) keeps arriving, all of it
+                // pre-reign — tolerated silently.
+                (other, p) => {
+                    let got = match p {
+                        Phase::Gather { got, .. } => Some(&got[..]),
+                        _ => None,
+                    };
+                    match Policy::own_msg(st, ctx, other, got).await {
+                        Ok(true) => {}
+                        Err((context, other)) if takeover.is_none() => {
+                            return Err(unexpected(context, &other));
+                        }
+                        Ok(false) | Err(_) => continue,
                     }
-                    continue;
                 }
             }
         }
@@ -1077,7 +987,6 @@ async fn sweep(
     promoted: Option<&Msg>,
 ) -> Result<bool, ProtocolError> {
     let tol = st.tol.clone();
-    let rollback = st.rollback_policy();
     let settling = matches!(phase, Phase::Settle);
     let now = ctx.now();
     let mut suspect = None;
@@ -1087,26 +996,14 @@ async fn sweep(
         }
         let silent = st.memb.silent_for(s, now);
         if silent >= tol.suspicion {
-            if rollback {
+            if !Policy::evict_in_place(st, ctx, balancer, s, settling, now).await? {
                 suspect = Some(s);
                 break;
-            }
-            if settling {
-                st.evict(ctx, balancer, s, now).await?;
-            } else {
-                // Dead during the gather: no channel is left to fence, and
-                // the end-of-gather safety net recomputes whatever no
-                // survivor delivered.
-                st.memb.evict(s);
-                st.rec.gathers_interrupted += 1;
-                st.rec.slaves_declared_dead += 1;
-                st.rec.first_death.get_or_insert(now);
-                send(ctx, st.slaves[s], Msg::Evict).await;
             }
             continue;
         }
         if settling && silent >= tol.speculate_after {
-            st.speculate(ctx, s).await;
+            Policy::speculate(st, ctx, s).await;
         }
         if settling
             && promoted.is_none()
@@ -1152,7 +1049,7 @@ async fn sweep(
             // is parked, still waiting for its Rollback.
             match (phase, promoted) {
                 (Phase::Gather { .. }, _) if st.win[s].fully_acked() => {
-                    resend_gather(ctx, st, s).await;
+                    st.resend_gather(ctx, s).await;
                 }
                 (Phase::Settle, Some(promoted)) => {
                     send(ctx, st.slaves[s], promoted.clone()).await;
@@ -1165,9 +1062,9 @@ async fn sweep(
     // Keeps the deputies' election trigger quiet, the gather included.
     st.ping_deputies(ctx).await;
     if let Some(s) = suspect {
-        // Rollback: evict the first suspect and restart from the newest
-        // complete checkpoint — mid-gather too, as its un-gathered state
-        // is gone.
+        // A loss that re-ranges: evict the first suspect and restart from
+        // the newest complete checkpoint — mid-gather too, as its
+        // un-gathered state is gone.
         if !settling {
             st.rec.gathers_interrupted += 1;
         }
@@ -1177,10 +1074,14 @@ async fn sweep(
         return Ok(true);
     }
     if settling {
-        st.renotify_evictions(ctx, now).await;
-    }
-    if (settling || rollback) && !st.memb.any_alive() {
-        return Err(ProtocolError::AllSlavesDead);
+        Policy::renotify(st, ctx, now).await;
+        // Every other way to lose the last slave ends in an eviction or a
+        // re-range that reports it; this is a run whose every slot was
+        // deferred. (A gather that lost all its slaves to re-scatter's
+        // bare evictions completes from the safety net.)
+        if !st.memb.any_alive() {
+            return Err(ProtocolError::AllSlavesDead);
+        }
     }
     Ok(false)
 }
@@ -1190,6 +1091,7 @@ mod tests {
     use super::*;
     use crate::balancer::BalancerConfig;
     use crate::kernels::tests::{Cols, Doubler};
+    use crate::recovery::SlaveFaultStats;
     use crate::session::checkpoint::tests::{bank_step, columns};
     use crate::session::checkpoint::CheckpointBank;
     use crate::session::replica::DeputyState;
@@ -1278,20 +1180,64 @@ mod tests {
         DeputyState::new(0, 2, 2, false, SimTime::ZERO, &tol).seed(1)
     }
 
-    /// A fault-mode reign over a four-unit `app` on two slots, actor 0 its
-    /// master: slot 1 is a stub slave holding every unit, slot 0 is idle
-    /// (deferred in an original reign; the winner itself under a takeover
-    /// from `seed`). The stub answers each release with its done report
-    /// and the `Gather` with every unit, as its last `Rollback` shipped
-    /// them (else `[u]`) — after a stray `MasterPing` when the message that
-    /// asked matches `stray_on`.
-    fn stray_run(app: AppSpec, seed: Option<TakeoverSeed>, stray_on: Trigger) -> MasterOutcome {
+    /// Ship `deputy` the bank's best snapshot as a delta against its ack,
+    /// the way `Session::publish_replica` does, and let it absorb it.
+    fn publish(bank: &CheckpointBank, deputy: &mut DeputyState) {
+        let (mut r, ack) = (deputy.replica.clone(), deputy.effective_fresh());
+        let inv = bank.best_invocation().expect("banked");
+        (r.invocation, r.fresh, r.best_banked) = (inv, inv, inv);
+        (r.snapshot, r.delta_base) = (bank.best_since(ack), ack);
+        deputy.absorb(r, SimTime::ZERO);
+    }
+
+    /// `Cols` unit `u`, which no invocation changes.
+    fn col(u: usize) -> (usize, UnitData) {
+        (u, vec![vec![u as f64]])
+    }
+
+    /// A `GatherData` from slot `me`.
+    fn data(me: usize, units: Vec<(usize, UnitData)>, fault_stats: SlaveFaultStats) -> Msg {
+        Msg::GatherData {
+            slave: me,
+            units,
+            fault_stats,
+        }
+    }
+
+    /// Slot `me`'s done report for `invocation`.
+    fn done(me: usize, invocation: u64, epoch: u64, restore_seq: u64, owned: Vec<usize>) -> Msg {
+        Msg::InvocationDone {
+            slave: me,
+            invocation,
+            epoch,
+            sent_to: vec![0; 2],
+            received_from: vec![0; 2],
+            metric: 0.0,
+            restore_seq,
+            owned_ids: owned,
+            replica_inv: 0,
+        }
+    }
+
+    /// A fault-mode reign over a four-unit `app` on two slots split as
+    /// `assignment`, actor 0 its master. Each slot that holds units runs
+    /// `stub(ctx, slot)` — slot 1 as actor 1, slot 0 as actor 2 — unless it
+    /// is the winner of a takeover from `seed`. A master that never ends
+    /// the run exhausts the event budget.
+    fn reign<F, Fut>(
+        app: AppSpec,
+        seed: Option<TakeoverSeed>,
+        assignment: [(usize, usize); 2],
+        stub: F,
+    ) -> MasterOutcome
+    where
+        F: Fn(MailCtx<Msg>, usize) -> Fut + Clone + Send + 'static,
+        Fut: std::future::Future<Output = ()> + Send + 'static,
+    {
         let master = ActorId(0);
-        let (slaves, assignment) = if seed.is_some() {
-            (vec![master, ActorId(1)], vec![(0, 2), (2, 4)])
-        } else {
-            (vec![ActorId(2), ActorId(1)], vec![(0, 0), (0, 4)])
-        };
+        let slot0 = if seed.is_some() { master } else { ActorId(2) };
+        let (slaves, (lo, hi)) = (vec![slot0, ActorId(1)], assignment[0]);
+        let assignment = assignment.to_vec();
         let cfg = MasterConfig {
             balancer: Balancer::new(
                 BalancerConfig::default(),
@@ -1307,7 +1253,7 @@ mod tests {
         };
         let outcome = Arc::new(Mutex::new(MasterOutcome::default()));
         let out = Arc::clone(&outcome);
-        let mut sim = SimBuilder::<Msg>::new();
+        let mut sim = SimBuilder::<Msg>::new().max_events(20_000);
         let nodes = [(); 3].map(|()| sim.add_node(NodeConfig::default()));
         if let Some(seed) = seed {
             let kit = TakeoverKit {
@@ -1326,62 +1272,64 @@ mod tests {
                 run_master(ctx, cfg, slaves, assignment, 1, out)
             });
         }
-        sim.spawn_mail(nodes[1], "stub", move |ctx| async move {
-            let (mut epoch, mut restore_seq) = (0, 0);
-            let mut held: Vec<(usize, UnitData)> =
-                (0..4).map(|u| (u, vec![vec![u as f64]])).collect();
-            loop {
-                let msg = ctx.recv().await.msg;
-                if stray_on(&msg) {
-                    send(&ctx, master, Msg::MasterPing { term: 0 }).await;
-                }
-                let reply = match msg {
-                    Msg::Rollback {
-                        seq,
-                        epoch: e,
-                        invocation,
-                        units,
-                        ..
-                    } => {
-                        (epoch, restore_seq) = (e, seq);
-                        held = units.into_iter().map(|(u, d)| (u, (*d).clone())).collect();
-                        invocation
-                    }
-                    Msg::InvocationStart { invocation, .. } => invocation,
-                    Msg::Gather => {
-                        let units = held.clone();
-                        let fault_stats = Default::default();
-                        let data = Msg::GatherData {
-                            slave: 1,
-                            units,
-                            fault_stats,
-                        };
-                        send(&ctx, master, data).await;
-                        continue;
-                    }
-                    Msg::GatherAck | Msg::Abort => return,
-                    _ => continue,
-                };
-                let done = Msg::InvocationDone {
-                    slave: 1,
-                    invocation: reply,
-                    epoch,
-                    sent_to: vec![0; 2],
-                    received_from: vec![0; 2],
-                    metric: 0.0,
-                    restore_seq,
-                    owned_ids: Vec::new(),
-                    replica_inv: 0,
-                };
-                send(&ctx, master, done).await;
+        let stub0 = (slot0 != master && lo < hi).then(|| stub.clone());
+        sim.spawn_mail(nodes[1], "stub1", move |ctx| stub(ctx, 1));
+        sim.spawn_mail(nodes[2], "slot0", move |ctx| async move {
+            match stub0 {
+                Some(stub) => stub(ctx, 0).await,
+                None => ctx.sleep(SimDuration::from_secs(3_600)).await,
             }
-        });
-        sim.spawn_mail(nodes[2], "idle", |ctx| async move {
-            ctx.sleep(SimDuration::from_secs(3_600)).await;
         });
         sim.run();
         let mut o = outcome.lock().unwrap();
         std::mem::take(&mut *o)
+    }
+
+    /// [`reign`] with slot 1 holding every unit in an original reign (slot
+    /// 0 deferred), units 2 and 3 under a takeover. The stub answers each
+    /// release with its done report and the `Gather` with every unit, as
+    /// its last `Rollback` shipped them (else `[u]`) — after a stray
+    /// `MasterPing` when the message that asked matches `stray_on`.
+    fn stray_run(app: AppSpec, seed: Option<TakeoverSeed>, stray_on: Trigger) -> MasterOutcome {
+        let master = ActorId(0);
+        let split = if seed.is_some() { (0, 2) } else { (0, 0) };
+        reign(
+            app,
+            seed,
+            [split, (split.1, 4)],
+            move |ctx, me| async move {
+                let (mut epoch, mut restore_seq) = (0, 0);
+                let mut held: Vec<(usize, UnitData)> = (0..4).map(col).collect();
+                loop {
+                    let msg = ctx.recv().await.msg;
+                    if stray_on(&msg) {
+                        send(&ctx, master, Msg::MasterPing { term: 0 }).await;
+                    }
+                    let reply = match msg {
+                        Msg::Rollback {
+                            seq,
+                            epoch: e,
+                            invocation,
+                            units,
+                            ..
+                        } => {
+                            (epoch, restore_seq) = (e, seq);
+                            held = units.into_iter().map(|(u, d)| (u, (*d).clone())).collect();
+                            invocation
+                        }
+                        Msg::InvocationStart { invocation, .. } => invocation,
+                        Msg::Gather => {
+                            send(&ctx, master, data(me, held.clone(), Default::default())).await;
+                            continue;
+                        }
+                        Msg::GatherAck | Msg::Abort => return,
+                        _ => continue,
+                    };
+                    let done = done(me, reply, epoch, restore_seq, Vec::new());
+                    send(&ctx, master, done).await;
+                }
+            },
+        )
     }
 
     /// A message no arm expects ends an original reign as
@@ -1419,13 +1367,6 @@ mod tests {
         let (cols, mut bank) = (columns(), CheckpointBank::new());
         let tol = FaultToleranceConfig::default();
         let mut deputy = DeputyState::new(0, 2, 2, true, SimTime::ZERO, &tol);
-        let publish = |bank: &CheckpointBank, deputy: &mut DeputyState| {
-            let (mut r, ack) = (deputy.replica.clone(), deputy.effective_fresh());
-            let inv = bank.best_invocation().expect("banked");
-            (r.invocation, r.fresh, r.best_banked) = (inv, inv, inv);
-            (r.snapshot, r.delta_base) = (bank.best_since(ack), ack);
-            deputy.absorb(r, SimTime::ZERO);
-        };
         bank_step(&mut bank, 1, &cols, 1);
         publish(&bank, &mut deputy);
         for (inv, retired) in [(2, 2), (3, 2)] {
@@ -1445,5 +1386,125 @@ mod tests {
         let banked: Vec<_> = banked.iter().map(|(id, d)| (*id, (**d).clone())).collect();
         assert_eq!(result, banked);
         assert!(result.iter().all(|(id, col)| *col == [[*id as f64]]));
+    }
+
+    /// The gather row's repair of a lost final `Rollback`. A deputy holding
+    /// the snapshot of the end state takes over, so its `Rollback` to slot
+    /// 1 lands the run in the gather at once. The stub loses that
+    /// `Rollback` and answers the `Gather` from the partition it held
+    /// before, units 2 and 3; the replayed `Rollback` lands on a slave at
+    /// the final snapshot, which reaches no barrier to acknowledge it from
+    /// and delivers at once. Returns the outcome and the kinds the stub
+    /// heard, `Promoted` left out.
+    fn lost_final_rollback() -> (MasterOutcome, Vec<&'static str>) {
+        let (cols, mut bank) = (columns(), CheckpointBank::new());
+        let tol = FaultToleranceConfig::default();
+        let mut deputy = DeputyState::new(0, 2, 2, true, SimTime::ZERO, &tol);
+        bank_step(&mut bank, 3, &cols, 3);
+        publish(&bank, &mut deputy);
+        let heard = Arc::new(Mutex::new(Vec::new()));
+        let log = Arc::clone(&heard);
+        let app = AppSpec::Shrinking(Arc::new(Cols));
+        let split = [(0, 2), (2, 4)];
+        let o = reign(app, Some(deputy.seed(1)), split, move |ctx, me| {
+            let (master, log) = (ActorId(0), Arc::clone(&log));
+            async move {
+                let mut lost = false;
+                loop {
+                    let reply = match ctx.recv().await.msg {
+                        Msg::Rollback { .. } if !lost => {
+                            lost = true;
+                            log.lock().unwrap().push("lost rollback");
+                            continue;
+                        }
+                        Msg::Rollback { units, .. } => {
+                            log.lock().unwrap().push("rollback");
+                            units.into_iter().map(|(u, d)| (u, (*d).clone())).collect()
+                        }
+                        Msg::Gather => {
+                            log.lock().unwrap().push("gather");
+                            vec![col(2), col(3)]
+                        }
+                        Msg::GatherAck => return log.lock().unwrap().push("ack"),
+                        _ => continue,
+                    };
+                    send(&ctx, master, data(me, reply, Default::default())).await;
+                }
+            }
+        });
+        let heard = heard.lock().unwrap().clone();
+        (o, heard)
+    }
+
+    /// Under rollback a slave that delivered from a window it never
+    /// acknowledged still owes the gather: the sweep replays its window
+    /// (one `restore_resends`) instead of waiting for units nobody holds.
+    #[test]
+    fn a_delivery_from_an_unacknowledged_window_still_owes_its_window() {
+        let (o, heard) = lost_final_rollback();
+        assert_eq!(heard, ["lost rollback", "gather", "rollback", "ack"]);
+        assert_eq!(o.recovery.restore_resends, 1);
+    }
+
+    /// The re-delivery after the replayed `Rollback` is a repeat from the
+    /// same slot, and it completes the gather with the units the first one
+    /// lacked: the whole end state, bit for bit.
+    #[test]
+    fn the_re_delivery_after_the_replayed_rollback_completes_the_gather() {
+        let (o, _) = lost_final_rollback();
+        assert!(o.completed, "{:?}", o.error);
+        assert_eq!(o.recovery.gather_dups_ignored, 1);
+        let mut result = o.result;
+        result.sort_by_key(|(id, _)| *id);
+        assert_eq!(result, (0..4).map(col).collect::<Vec<_>>());
+    }
+
+    /// Under re-scatter each delivery is acknowledged at once, a duplicate
+    /// included, and a duplicate adds nothing: no unit twice, its fault
+    /// counters not absorbed again. Slot 1 delivers twice; slot 0 a second
+    /// later, so the gather is still open when the duplicate lands.
+    #[test]
+    fn a_rescatter_delivery_is_acked_at_once_and_a_duplicate_ignored() {
+        let acks = Arc::new(Mutex::new(0));
+        let count = Arc::clone(&acks);
+        let app = AppSpec::Independent(Arc::new(Doubler { n: 4, reps: 1 }));
+        let o = reign(app, None, [(0, 2), (2, 4)], move |ctx, me| {
+            let count = Arc::clone(&count);
+            async move {
+                let (master, mine) = (ActorId(0), 2 * me..2 * me + 2);
+                let stats = SlaveFaultStats {
+                    transfer_resends: 1,
+                    ..Default::default()
+                };
+                // Ten silent seconds: the run is over.
+                let quiet = || ctx.now() + SimDuration::from_secs(10);
+                while let Some(env) = ctx.recv_deadline(quiet()).await {
+                    let invocation = match env.msg {
+                        Msg::InvocationStart { invocation, .. } => invocation,
+                        Msg::Gather => {
+                            let (copies, after) = if me == 1 { (2, 0) } else { (1, 1) };
+                            ctx.sleep(SimDuration::from_secs(after)).await;
+                            for _ in 0..copies {
+                                let units = mine.clone().map(col).collect();
+                                send(&ctx, master, data(me, units, stats.clone())).await;
+                            }
+                            continue;
+                        }
+                        Msg::GatherAck if me == 1 => {
+                            *count.lock().unwrap() += 1;
+                            continue;
+                        }
+                        _ => continue,
+                    };
+                    let done = done(me, invocation, 0, 0, mine.clone().collect());
+                    send(&ctx, master, done).await;
+                }
+            }
+        });
+        assert!(o.completed, "{:?}", o.error);
+        assert_eq!(*acks.lock().unwrap(), 2, "each delivery acked at once");
+        assert_eq!(o.recovery.gather_dups_ignored, 1);
+        assert_eq!(o.recovery.transfer_resends, 2, "once per slot");
+        assert_eq!(o.result.len(), 4);
     }
 }

@@ -46,12 +46,17 @@ pub struct RecoveryStats {
     pub units_rolled_back: u64,
     /// Speculative re-executions launched for silent suspects.
     pub speculations_launched: u64,
-    /// Speculations committed (the suspect was evicted and the speculated
-    /// units adopted without replay).
+    /// Speculations committed. Re-scatter: the suspect was evicted and the
+    /// speculated units adopted without replay. Rollback: a checkpoint from
+    /// the executor for the invocation after the seed's arrived — often
+    /// only its own barrier fragment, not the whole advanced snapshot
+    /// (`SnapshotSpec::committed_by`).
     pub speculations_committed: u64,
     /// Speculations cancelled (the suspect spoke again).
     pub speculations_cancelled: u64,
-    /// Work units adopted from committed speculation buffers.
+    /// Re-scatter: work units adopted from committed speculation buffers.
+    /// Rollback: the units the committing checkpoint carried — the
+    /// executor's own fragment when that is what matched.
     pub units_speculated: u64,
     /// In-flight transfer units re-owned by survivors when their peer was
     /// evicted mid-move.

@@ -6,10 +6,16 @@
 //! membership and eviction ([`Membership`], [`Session::evict`]), admission
 //! ([`Session::admit`]), the windowed re-range that is takeover seeding,
 //! admission and rollback at once ([`Session::rerange`]), speculation
-//! ([`Session::speculate`]), control-plane replication ([`Failover`]).
+//! ([`Policy::speculate`]), control-plane replication ([`Failover`]).
+//!
 //! What differs between recovering in place and rolling back to a
-//! checkpoint is the [`Policy`]: the state only that policy keeps, and the
-//! `match` arms on it below.
+//! checkpoint is the [`Policy`]: the state only that policy keeps and, in
+//! `impl Policy`, every decision that depends on it — the rows of the table
+//! in `master.rs`'s module doc, each naming its method. A row that needs
+//! only the policy's own state is a method; one that acts on the rest of
+//! the session too is an associated function over it (`Policy::seed(st,
+//! ..)`). Outside `impl Policy` only [`Session::new`], which builds it,
+//! names a variant.
 
 use crate::balancer::Balancer;
 use crate::driver::AppSpec;
@@ -23,7 +29,8 @@ use crate::session::membership::Membership;
 use crate::session::replica::TakeoverSeed;
 use crate::session::speculation::{RestartSpec, SnapshotSpec};
 use dlb_sim::{ActorId, MailCtx, SimDuration, SimTime};
-use std::collections::BTreeSet;
+use std::collections::btree_map::Entry;
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
 /// Master failover: how often the master pings its deputies when it has no
@@ -31,10 +38,22 @@ use std::sync::Arc;
 /// defers the election trigger only).
 pub(crate) const MASTER_HEARTBEAT: SimDuration = SimDuration::from_secs(1);
 
-/// Send with the model's wire-size accounting.
-pub(crate) async fn send(ctx: &MailCtx<Msg>, to: ActorId, msg: Msg) {
+/// Send with the model's wire-size accounting; returns the size charged.
+pub(crate) async fn send(ctx: &MailCtx<Msg>, to: ActorId, msg: Msg) -> u64 {
     let bytes = msg.wire_bytes();
     ctx.send(to, msg, bytes).await;
+    bytes
+}
+
+/// Send `make(seq)` on `win`, `to`'s recovery window, which retains it for
+/// re-sends until acknowledged. Returns its wire size.
+async fn send_windowed(
+    ctx: &MailCtx<Msg>,
+    to: ActorId,
+    win: &mut SenderWindow<Msg>,
+    make: impl FnOnce(u64) -> Msg,
+) -> u64 {
+    send(ctx, to, win.send_with(make).clone()).await
 }
 
 /// Elementwise monotone merge of per-channel counters. Counters only grow,
@@ -95,7 +114,7 @@ pub(crate) struct Failover {
 
 impl Failover {
     /// Record a deputy's piggybacked replica confirmation, from a report at
-    /// or above the slot's [`Session::ack_floor`].
+    /// or above the slot's [`Policy::ack_floor`].
     fn note_ack(&mut self, slave: usize, replica_inv: u64) {
         if slave < self.deputies {
             self.acked[slave] = self.acked[slave].max(replica_inv);
@@ -123,52 +142,649 @@ impl Failover {
 
 /// The recovery policy of a session together with the state only that
 /// policy keeps. [`Session::new`] picks the variant from the application's
-/// pattern; the two are contrasted point by point in `master.rs`'s module
-/// doc.
+/// pattern; `impl Policy` answers every question whose answer depends on
+/// it, one row of `master.rs`'s policy table at a time.
 pub(crate) enum Policy {
     /// Independent pattern: recover in place. Dead slaves are fenced off
     /// with [`Msg::Evicted`] / [`Msg::OwnReport`] and exactly the units no
     /// survivor reports are re-scattered from initial data.
-    Rescatter {
-        /// Rebuilds unit state: `init_unit` seeds a `Restore` or a
-        /// speculation, [`recompute`] everything that resumes mid-run.
-        kernel: Arc<dyn IndependentKernel>,
-        /// Ownership as the master believes it: refreshed from every
-        /// InvocationDone (`owned_ids`) and authoritative OwnReports. With
-        /// the balancer live this map can lag a transfer in flight; the
-        /// eviction protocol never trusts it alone (see
-        /// [`Session::resolve_evictions`]).
-        owned: Vec<BTreeSet<usize>>,
-        evictions: Vec<Eviction>,
-        /// In-flight restart speculation, at most one.
-        spec: Option<RestartSpec>,
-    },
+    Rescatter(RescatterState),
     /// Pipelined/shrinking patterns: carried dependences rule out in-place
     /// recovery, so slaves ship checkpoints at barriers and any loss rolls
     /// every survivor back to the newest complete one.
-    Rollback {
-        /// Source of the epoch-zero snapshot ([`AppSpec::initial_unit`]),
-        /// rolled back to while no checkpoint is banked.
-        app: AppSpec,
-        /// Checkpoint fragments and the newest complete snapshot.
-        bank: CheckpointBank,
-        /// In-flight snapshot speculation, at most one.
-        spec: Option<SnapshotSpec>,
-        /// Checkpoint cadence currently in force (broadcast with each
-        /// barrier release; always 1 when the adaptation is disabled).
-        ckpt_stride: u64,
-        /// Exponential moving average of the invocation wall time
-        /// (seconds), for the restart-cost estimate fed to the balancer.
-        ema_s: f64,
-        inv_started: SimTime,
-        /// Per-slave window-acknowledgement floor. Reports from epochs
-        /// below the reign floor (`term << 32`) acknowledge the *crashed*
-        /// master's window, never ours; admission raises a rejoined slot's
-        /// floor to the admission epoch so the previous life's in-flight
-        /// reports cannot acknowledge its fresh window (E112 guards the
-        /// same boundary on the snapshot side).
-        join_epoch: Vec<u64>,
-    },
+    Rollback(RollbackState),
+}
+
+/// What only [`Policy::Rescatter`] keeps.
+pub(crate) struct RescatterState {
+    /// Rebuilds unit state: `init_unit` seeds a `Restore` or a
+    /// speculation, [`recompute`] everything that resumes mid-run.
+    kernel: Arc<dyn IndependentKernel>,
+    /// Ownership as the master believes it: refreshed from every
+    /// InvocationDone (`owned_ids`) and authoritative OwnReports. With the
+    /// balancer live this map can lag a transfer in flight; the eviction
+    /// protocol never trusts it alone (see [`Policy::resolve_evictions`]).
+    owned: Vec<BTreeSet<usize>>,
+    evictions: Vec<Eviction>,
+    /// In-flight restart speculation, at most one.
+    spec: Option<RestartSpec>,
+}
+
+/// What only [`Policy::Rollback`] keeps.
+pub(crate) struct RollbackState {
+    /// Source of the epoch-zero snapshot ([`AppSpec::initial_unit`]),
+    /// rolled back to while no checkpoint is banked.
+    app: AppSpec,
+    /// Checkpoint fragments and the newest complete snapshot.
+    bank: CheckpointBank,
+    /// In-flight snapshot speculation, at most one.
+    spec: Option<SnapshotSpec>,
+    /// Checkpoint cadence currently in force (broadcast with each barrier
+    /// release; always 1 when the adaptation is disabled).
+    ckpt_stride: u64,
+    /// Exponential moving average of the invocation wall time (seconds),
+    /// for the restart-cost estimate fed to the balancer.
+    ema_s: f64,
+    /// Per-slave window-acknowledgement floor. Reports from epochs below
+    /// the reign floor (`term << 32`) acknowledge the *crashed* master's
+    /// window, never ours; admission raises a rejoined slot's floor to the
+    /// admission epoch so the previous life's in-flight reports cannot
+    /// acknowledge its fresh window (E112 guards the same boundary on the
+    /// snapshot side).
+    join_epoch: Vec<u64>,
+}
+
+impl Policy {
+    /// Row 1, takeover seeding: where a new reign's re-range starts.
+    /// Re-scatter resumes at the replicated invocation watermark, every
+    /// unit recomputed through it. Rollback banks the replica's snapshot
+    /// and re-ranges onto the bank's newest, counting how much further back
+    /// the run restarts because the replica lagged the old master's bank
+    /// (0 = it resumes from its newest checkpoint).
+    fn seed(st: &mut Session, replica: &ReplicaMsg) {
+        match &mut st.policy {
+            Policy::Rescatter(_) => st.inv = replica.invocation,
+            Policy::Rollback(rb) => {
+                // Every unit is stamped `ck_inv` and every deputy's ack
+                // starts at 0: the reign's first replicas are whole.
+                if let Some((ck_inv, units)) = replica.snapshot.clone() {
+                    rb.bank.offer(ck_inv, units, st.n_units);
+                }
+                st.rec.checkpoints_lost_to_stale_replica = replica
+                    .best_banked
+                    .saturating_sub(rb.bank.best_invocation().unwrap_or(0));
+            }
+        }
+    }
+
+    /// Row 2: what a re-range ships, `(invocation, ckpt_stride, units)`.
+    /// Re-scatter recomputes each unit through the completed invocations
+    /// (the state at the start of `inv`, bit-identical to what the
+    /// survivors would have held) and stays at `inv`; the new ownership is
+    /// adopted share by share ([`Policy::adopt_owned`]). Rollback ships the
+    /// newest complete checkpoint (or the initial data when none was banked
+    /// yet), restarts there, abandons any race, and hands the estimated
+    /// re-execution cost to the balancer so marginal moves stop looking
+    /// profitable while the run is catching up.
+    fn rerange_units(st: &mut Session, balancer: &mut Balancer) -> (u64, u64, SharedUnits) {
+        match &mut st.policy {
+            Policy::Rescatter(rs) => {
+                rs.owned.iter_mut().for_each(BTreeSet::clear);
+                let units = (0..st.n_units)
+                    .map(|u| (u, Arc::new(recompute(rs.kernel.as_ref(), u, st.inv))))
+                    .collect();
+                (st.inv, 1, units)
+            }
+            Policy::Rollback(rb) => {
+                let (ck_inv, snapshot) = rb
+                    .bank
+                    .rollback_snapshot(st.n_units, &|id| rb.app.initial_unit(id));
+                rb.spec = None;
+                // Restart cost: invocations lost since the checkpoint
+                // (including the partially-done one), priced at the running
+                // per-invocation average. `ck_inv` can exceed `inv` when a
+                // complete checkpoint for the *next* barrier arrived before
+                // this one settled — then nothing is lost. (In that corner
+                // the convergence test for the skipped settlement is never
+                // evaluated; acceptable for a WHILE loop, which only ever
+                // runs a bounded number of extra invocations.)
+                let lost_invs = (st.inv + 1).saturating_sub(ck_inv);
+                balancer.set_restart_cost(SimDuration::from_secs_f64(rb.ema_s * lost_invs as f64));
+                let tol = &st.tol;
+                rb.ckpt_stride =
+                    checkpoint_stride(tol.ckpt_max_skip, tol.ckpt_loss_budget, rb.ema_s);
+                (ck_inv, rb.ckpt_stride, snapshot)
+            }
+        }
+    }
+
+    /// Row 2, once the `Rollback`s are out at `now`: a rolled-back survivor
+    /// restarts its wavefront — every unacknowledged instruction is of the
+    /// old epoch and dropped, and its silence and nudge clocks restart —
+    /// and a `joined` slot's ack floor rises to the admission epoch. A
+    /// re-scattered survivor keeps computing the same invocation, so it
+    /// keeps its instructions and its clocks.
+    fn reranged(st: &mut Session, now: SimTime, survivors: &[usize], joined: &[usize]) {
+        let Policy::Rollback(rb) = &mut st.policy else {
+            return;
+        };
+        st.unacked_instr.iter_mut().for_each(|u| *u = None);
+        for &sv in survivors {
+            st.memb.last_heard[sv] = now;
+            st.memb.next_nudge[sv] = now + st.tol.nudge;
+            st.memb.done[sv] = false;
+        }
+        for &j in joined {
+            rb.join_epoch[j] = st.epoch;
+        }
+    }
+
+    /// Row 3: the checkpoint cadence announced with a barrier release, a
+    /// `Rollback` and a replica — constant 1 under re-scatter, adaptive
+    /// (row 10) under rollback.
+    pub fn ckpt_stride(&self) -> u64 {
+        match self {
+            Policy::Rescatter(_) => 1,
+            Policy::Rollback(rb) => rb.ckpt_stride,
+        }
+    }
+
+    /// Row 3: the freshness a deputy can take over from at invocation
+    /// `inv`, and the bank its snapshot is shipped from. Under re-scatter
+    /// the watermark alone is the whole state (a takeover restarts from
+    /// [`recompute`]); under rollback it is the newest complete banked
+    /// checkpoint.
+    fn replica_source(&self, inv: u64) -> (u64, Option<&CheckpointBank>) {
+        match self {
+            Policy::Rescatter(_) => (inv, None),
+            Policy::Rollback(rb) => (rb.bank.best_invocation().unwrap_or(0), Some(&rb.bank)),
+        }
+    }
+
+    /// Row 4: a `Status` or `InvocationDone` stamped `epoch` claims an
+    /// epoch past `in_force`. Only rollback checks: re-scatter never moves
+    /// the epoch under a slave mid-invocation, so it checks the invocation
+    /// alone.
+    pub fn future_epoch(&self, epoch: u64, in_force: u64) -> bool {
+        matches!(self, Policy::Rollback(_)) && epoch > in_force
+    }
+
+    /// Row 4: `speaker` spoke — `stale`ly if from a fenced epoch — so a
+    /// race against it is moot. Re-scatter's executor holds speculative
+    /// results it must discard, so its cancel is a windowed `SpecCancel`,
+    /// and a stale report never cancels. Rollback's is master-local: the
+    /// executor's checkpoint, if it still arrives, banks as a redundant
+    /// fragment.
+    pub async fn cancel_race(st: &mut Session, ctx: &MailCtx<Msg>, speaker: usize, stale: bool) {
+        match &mut st.policy {
+            Policy::Rescatter(rs) => {
+                let Some(sp) = rs.spec.take_if(|sp| !stale && sp.suspect == speaker) else {
+                    return;
+                };
+                let (spec_seq, e) = (sp.spec_seq, sp.executor);
+                let cancel = |seq| Msg::SpecCancel { seq, spec_seq };
+                send_windowed(ctx, st.slaves[e], &mut st.win[e], cancel).await;
+            }
+            Policy::Rollback(rb) => {
+                if rb.spec.take_if(|sp| sp.cancelled_by(speaker)).is_none() {
+                    return;
+                }
+            }
+        }
+        st.rec.speculations_cancelled += 1;
+    }
+
+    /// Row 5: the lowest report epoch whose `restore_seq` may acknowledge
+    /// `slave`'s window, checked before the epoch fence. Under re-scatter
+    /// the epoch `in_force` — a stale report (pre-takeover, or a
+    /// rejoiner's previous life) acknowledges an older window. Under
+    /// rollback the slot's floor, because the master-channel watermark is
+    /// not epoch-scoped within a reign and a stale report still proves what
+    /// the slave applied.
+    pub fn ack_floor(&self, in_force: u64, slave: usize) -> u64 {
+        match self {
+            Policy::Rescatter(_) => in_force,
+            Policy::Rollback(rb) => rb.join_epoch[slave],
+        }
+    }
+
+    /// Row 5: `slave` owns `ids` — a fresh done report's ownership
+    /// snapshot, or a re-range's share — as re-scatter's eviction protocol
+    /// believes it (rollback keeps no ownership). A duplicated older report
+    /// is caught by the caller's invocation comparison; a transfer still in
+    /// flight at most doubles a unit, which the deterministic gather
+    /// dedups.
+    pub fn adopt_owned(&mut self, slave: usize, ids: impl IntoIterator<Item = usize>) {
+        if let Policy::Rescatter(rs) = self {
+            rs.owned[slave] = ids.into_iter().collect();
+        }
+    }
+
+    /// Row 6: a message no shared arm of the loop takes, which only one
+    /// policy expects — re-scatter's `OwnReport`, rollback's `Checkpoint`
+    /// and its stray `GatherData` outside the gather. `got` holds the
+    /// gather's delivery flags while gathering. `Ok(false)` ends the pass
+    /// without a sweep. Anything else is a stray, handed back with the
+    /// context its error names: the policy in force and the phase.
+    pub async fn own_msg(
+        st: &mut Session,
+        ctx: &MailCtx<Msg>,
+        msg: Msg,
+        got: Option<&[bool]>,
+    ) -> Result<bool, (&'static str, Msg)> {
+        match (&st.policy, msg, got) {
+            // A duplicated Evicted delivery can make a survivor repeat an
+            // old ownership report during the gather; it is only a
+            // liveness signal there.
+            (Policy::Rescatter(_), Msg::OwnReport { slave, .. }, Some(got)) => {
+                st.nudge_gather(ctx, got, slave).await
+            }
+            (Policy::Rescatter(_), Msg::OwnReport { slave, about, ids }, None) => {
+                if !st.memb.alive[slave] {
+                    return Ok(false);
+                }
+                st.heard_from(ctx, slave).await;
+                Policy::on_own_report(st, ctx, slave, about, ids).await;
+            }
+            // A late checkpoint racing the gather is only a liveness signal.
+            (Policy::Rollback(_), Msg::Checkpoint { slave, .. }, Some(_)) => {
+                if st.memb.alive[slave] {
+                    st.memb.last_heard[slave] = ctx.now();
+                }
+            }
+            (
+                Policy::Rollback(_),
+                Msg::Checkpoint {
+                    slave,
+                    invocation,
+                    units,
+                },
+                None,
+            ) => {
+                if st.memb.alive[slave] {
+                    st.heard_from(ctx, slave).await;
+                }
+                Policy::on_checkpoint(st, slave, invocation, units);
+            }
+            // A gather interrupted by a rollback can leave stale GatherData
+            // in flight; harmless while settling.
+            (Policy::Rollback(_), Msg::GatherData { .. }, None) => st.rec.gather_dups_ignored += 1,
+            (policy, msg, _) => {
+                let context = match (policy, got.is_some()) {
+                    (Policy::Rescatter(_), false) => "recoverable invocation loop",
+                    (Policy::Rescatter(_), true) => "recoverable gather",
+                    (Policy::Rollback(_), false) => "checkpointed invocation loop",
+                    (Policy::Rollback(_), true) => "checkpointed gather",
+                };
+                return Err((context, msg));
+            }
+        }
+        Ok(true)
+    }
+
+    /// Row 6, rollback: a checkpoint fragment arrived from `slave`. If it
+    /// is the speculative result, account the commit; it banks like any
+    /// other either way. Checkpoints carry no epoch on purpose: the state
+    /// after k invocations is deterministic regardless of which
+    /// distribution computed it, so contributions bank from any epoch.
+    fn on_checkpoint(st: &mut Session, slave: usize, invocation: u64, units: SharedUnits) {
+        let Policy::Rollback(rb) = &mut st.policy else {
+            return;
+        };
+        if rb
+            .spec
+            .take_if(|sp| sp.committed_by(slave, invocation))
+            .is_some()
+        {
+            st.rec.speculations_committed += 1;
+            st.rec.units_speculated += units.len() as u64;
+        }
+        if rb.bank.offer(invocation, units, st.n_units) {
+            st.rec.checkpoints_banked += 1;
+        }
+    }
+
+    /// Row 7: member `slave` reported `error`. Re-scatter cannot rescue
+    /// it: the run fails. Rollback returns whether the slave survives it
+    /// (a survivable error parks it quietly until its `Rollback` arrives)
+    /// or is evicted; either way the caller rolls back.
+    pub fn member_error(&self, slave: usize, error: ProtocolError) -> Result<bool, ProtocolError> {
+        match self {
+            Policy::Rescatter(_) => Err(ProtocolError::SlaveFailed {
+                slave,
+                error: Box::new(error),
+            }),
+            Policy::Rollback(_) => Ok(error.survivable()),
+        }
+    }
+
+    /// Row 8, in the sweep: live slave `s` owes the phase something and
+    /// has been silent past `suspicion`. Re-scatter repairs the loss in
+    /// place, right here — settling, [`Session::evict`]; gathering, a bare
+    /// eviction with no `Evicted` broadcast (no channel is left to fence,
+    /// and the end-of-gather safety net recomputes whatever no survivor
+    /// delivered) — and returns `true`. Rollback returns `false`: the loss
+    /// re-ranges the run, which the sweep does for its first suspect only,
+    /// after the deputy ping.
+    pub async fn evict_in_place(
+        st: &mut Session,
+        ctx: &MailCtx<Msg>,
+        balancer: &mut Balancer,
+        s: usize,
+        settling: bool,
+        now: SimTime,
+    ) -> Result<bool, ProtocolError> {
+        if let Policy::Rollback(_) = st.policy {
+            return Ok(false);
+        }
+        if settling {
+            st.evict(ctx, balancer, s, now).await?;
+        } else {
+            st.rec.gathers_interrupted += 1;
+            st.declare_dead(ctx, s, now).await;
+        }
+        Ok(true)
+    }
+
+    /// Row 8: the policy's half of [`Session::evict`]. Rollback abandons a
+    /// race the dead slave was part of (as suspect or executor) without
+    /// ceremony — its checkpoint either already banked or never will — and
+    /// leaves the repair to the caller's re-range. Re-scatter fences the
+    /// dead slave's channels off with `Evicted` and opens an eviction that
+    /// re-scatters its units once every survivor has reported ownership; a
+    /// speculation dies with its executor.
+    async fn fence(st: &mut Session, ctx: &MailCtx<Msg>, s: usize) -> Result<(), ProtocolError> {
+        let rs = match &mut st.policy {
+            Policy::Rollback(rb) => {
+                rb.spec.take_if(|sp| sp.involves(s));
+                return Ok(());
+            }
+            Policy::Rescatter(rs) => rs,
+        };
+        let dead_owned: Vec<usize> = std::mem::take(&mut rs.owned[s]).into_iter().collect();
+        rs.spec.take_if(|sp| sp.executor == s);
+        for ev in rs.evictions.iter_mut() {
+            ev.awaiting.remove(&s);
+        }
+        let survivors = st.memb.survivors();
+        if survivors.is_empty() {
+            return Err(ProtocolError::AllSlavesDead);
+        }
+        for &v in &survivors {
+            send(ctx, st.slaves[v], Msg::Evicted { slave: s }).await;
+        }
+        rs.evictions.push(Eviction {
+            dead: s,
+            awaiting: survivors.into_iter().collect(),
+            dead_owned,
+        });
+        Ok(())
+    }
+
+    /// Row 8: an open eviction still awaits `s`'s `OwnReport`. Such a
+    /// slave is never settled: a survivor that dies *after* settling would
+    /// otherwise stall the eviction forever — nothing re-arms its suspicion
+    /// timer, and the awaiting set never drains. (Never under rollback,
+    /// which opens no eviction.)
+    pub fn awaits(&self, s: usize) -> bool {
+        matches!(self, Policy::Rescatter(rs) if rs.evictions.iter().any(|ev| ev.awaiting.contains(&s)))
+    }
+
+    /// Row 8, settling: a lost `Evicted` (or a lost `OwnReport`) stalls an
+    /// eviction; the awaiting survivors are re-notified on the nudge timer.
+    /// The slave-side dedup makes the re-broadcast idempotent.
+    pub async fn renotify(st: &mut Session, ctx: &MailCtx<Msg>, now: SimTime) {
+        let Policy::Rescatter(rs) = &st.policy else {
+            return;
+        };
+        for ev in &rs.evictions {
+            for &v in &ev.awaiting {
+                if st.memb.nudge_due(v, now, st.tol.nudge) {
+                    send(ctx, st.slaves[v], Msg::Evicted { slave: ev.dead }).await;
+                    st.rec.restore_resends += 1;
+                }
+            }
+        }
+    }
+
+    /// Row 8: survivor `v`'s authoritative ownership report about evicted
+    /// peer `about`. When the last one is in, the evictions resolve.
+    async fn on_own_report(
+        st: &mut Session,
+        ctx: &MailCtx<Msg>,
+        v: usize,
+        about: usize,
+        ids: Vec<usize>,
+    ) {
+        let Policy::Rescatter(rs) = &mut st.policy else {
+            return;
+        };
+        let mut matched = false;
+        for ev in rs.evictions.iter_mut() {
+            if ev.dead == about && ev.awaiting.remove(&v) {
+                matched = true;
+            }
+        }
+        if !matched {
+            // Late duplicate (its eviction already resolved): the ids are
+            // stale — never adopt them.
+            st.rec.done_dups_ignored += 1;
+            return;
+        }
+        rs.owned[v] = ids.into_iter().collect();
+        st.memb.done[v] = false;
+        if rs.evictions.iter().all(|e| e.awaiting.is_empty()) {
+            Policy::resolve_evictions(st, ctx).await;
+        }
+    }
+
+    /// Row 8: all pending evictions are fully reported: compute the set of
+    /// units no survivor owns (directly or in an unacknowledged master
+    /// message still in flight), adopt speculation results for whatever
+    /// they cover, and re-scatter the rest from initial data.
+    async fn resolve_evictions(st: &mut Session, ctx: &MailCtx<Msg>) {
+        let Policy::Rescatter(rs) = &mut st.policy else {
+            return;
+        };
+        // Units accounted for: owned by a survivor, or inside an
+        // unacknowledged Restore/SpecCommit payload (the owner's
+        // `owned_ids` cannot reflect those yet — `restore_seq` and
+        // `owned_ids` travel atomically in InvocationDone, so once the
+        // window is acked the report includes them).
+        let mut assigned: BTreeSet<usize> = BTreeSet::new();
+        for s in st.memb.survivors() {
+            assigned.extend(rs.owned[s].iter().copied());
+            for (_, m) in st.win[s].unacked() {
+                match m {
+                    Msg::Restore { units, .. } => {
+                        assigned.extend(units.iter().map(|(id, _)| *id));
+                    }
+                    Msg::SpecCommit { ids, .. } => assigned.extend(ids.iter().copied()),
+                    _ => {}
+                }
+            }
+        }
+        // In-flight units the survivors re-owned by closing channels with
+        // the dead peers (a proxy count: everything the dead slave was
+        // believed to own that a survivor now accounts for).
+        for ev in &rs.evictions {
+            let reowned = ev.dead_owned.iter().filter(|u| assigned.contains(u));
+            st.rec.units_reowned += reowned.count() as u64;
+        }
+        let mut missing: Vec<usize> = (0..st.n_units).filter(|u| !assigned.contains(u)).collect();
+
+        // Speculation first: if the suspect is among the dead, its units
+        // were already recomputed on the executor — adopt them without
+        // replay.
+        if let Some(sp) = rs.spec.take_if(|sp| !st.memb.alive[sp.suspect]) {
+            let commit: Vec<usize> = missing
+                .iter()
+                .copied()
+                .filter(|u| sp.ids.contains(u))
+                .collect();
+            let (spec_seq, e) = (sp.spec_seq, sp.executor);
+            let (to, win) = (st.slaves[e], &mut st.win[e]);
+            if commit.is_empty() {
+                st.rec.speculations_cancelled += 1;
+                send_windowed(ctx, to, win, |seq| Msg::SpecCancel { seq, spec_seq }).await;
+            } else {
+                missing.retain(|u| !commit.contains(u));
+                rs.owned[e].extend(commit.iter().copied());
+                st.rec.units_speculated += commit.len() as u64;
+                st.rec.speculations_committed += 1;
+                st.memb.done[e] = false;
+                let ids = commit;
+                send_windowed(ctx, to, win, |seq| Msg::SpecCommit { seq, spec_seq, ids }).await;
+            }
+        }
+
+        let survivors = st.memb.survivors();
+        for (t, units) in redistribute(&missing, &survivors) {
+            let payload: SharedUnits = units
+                .iter()
+                .map(|&u| (u, Arc::new(rs.kernel.init_unit(u))))
+                .collect();
+            st.rec.units_restored += payload.len() as u64;
+            rs.owned[t].extend(units.iter().copied());
+            st.memb.done[t] = false;
+            let invocation = st.inv;
+            let restore = |seq| Msg::Restore {
+                seq,
+                invocation,
+                units: payload,
+            };
+            send_windowed(ctx, st.slaves[t], &mut st.win[t], restore).await;
+        }
+        rs.evictions.clear();
+    }
+
+    /// Row 9: suspicion of `suspect` is building: race its work on an idle,
+    /// fully settled survivor, at most one race at a time. Re-scatter
+    /// re-seeds the suspect's units from their initial state, so an
+    /// eviction commits finished results instead of replaying — never
+    /// while an eviction is being resolved, never for a slave that owns
+    /// nothing. Rollback hands the executor the banked snapshot, which it
+    /// advances by one invocation and returns as an ordinary checkpoint, so
+    /// an eviction rolls back one invocation less — never for a suspect
+    /// that is done (only its window lags), never past the invocation being
+    /// settled (that would race work the run has not reached; the corner
+    /// where a complete checkpoint for the next barrier already banked
+    /// needs no race at all). Both decide before they source anything:
+    /// this runs on every sweep while a suspect is past `speculate_after`,
+    /// and mostly finds nobody idle.
+    pub async fn speculate(st: &mut Session, ctx: &MailCtx<Msg>, suspect: usize) {
+        let (memb, win) = (&st.memb, &st.win);
+        let idle = (0..memb.n())
+            .find(|&e| e != suspect && memb.alive[e] && memb.done[e] && win[e].fully_acked());
+        let Some(executor) = idle else {
+            return;
+        };
+        // The `Speculate` below takes the executor's next sequence number.
+        let spec_seq = st.win[executor].seq_sent() + 1;
+        let (invocation, units) = match &mut st.policy {
+            Policy::Rescatter(rs) => {
+                if rs.spec.is_some() || !rs.evictions.is_empty() || rs.owned[suspect].is_empty() {
+                    return;
+                }
+                let ids: Vec<usize> = rs.owned[suspect].iter().copied().collect();
+                let kernel = &rs.kernel;
+                let units = ids.iter().map(|&u| (u, Arc::new(kernel.init_unit(u))));
+                let units = units.collect();
+                rs.spec = Some(RestartSpec {
+                    suspect,
+                    executor,
+                    spec_seq,
+                    ids,
+                });
+                (st.inv, units)
+            }
+            Policy::Rollback(rb) => {
+                let banked = rb.bank.best_invocation();
+                if rb.spec.is_some() || st.memb.done[suspect] || banked > Some(st.inv) {
+                    return;
+                }
+                let (invocation, units) = rb
+                    .bank
+                    .rollback_snapshot(st.n_units, &|id| rb.app.initial_unit(id));
+                rb.spec = Some(SnapshotSpec {
+                    suspect,
+                    executor,
+                    invocation,
+                });
+                (invocation, units)
+            }
+        };
+        let race = |seq| Msg::Speculate {
+            seq,
+            invocation,
+            units,
+        };
+        send_windowed(ctx, st.slaves[executor], &mut st.win[executor], race).await;
+        st.rec.speculations_launched += 1;
+    }
+
+    /// Row 10: an invocation settled after `wall`. Under rollback its wall
+    /// time folds into the restart-cost EMA and re-picks the checkpoint
+    /// stride for the next release.
+    pub fn fold_invocation_time(&mut self, wall: SimDuration, tol: &FaultToleranceConfig) {
+        let Policy::Rollback(rb) = self else {
+            return;
+        };
+        let dur = wall.as_secs_f64();
+        rb.ema_s = if rb.ema_s == 0.0 {
+            dur
+        } else {
+            0.5 * rb.ema_s + 0.5 * dur
+        };
+        rb.ckpt_stride = checkpoint_stride(tol.ckpt_max_skip, tol.ckpt_loss_budget, rb.ema_s);
+    }
+
+    /// Row 11, per delivery: re-scatter acknowledges each `GatherData` to
+    /// `to` at once; rollback defers every acknowledgement to
+    /// [`Policy::gathered`].
+    pub async fn ack_delivery(&self, ctx: &MailCtx<Msg>, to: ActorId) {
+        if let Policy::Rescatter(_) = self {
+            send(ctx, to, Msg::GatherAck).await;
+        }
+    }
+
+    /// Row 11: whether the gather, holding units `seen` from the slaves in
+    /// `got`, is complete. Re-scatter: once every live slave delivered — a
+    /// death was absorbed, and the safety net fills `seen` with whatever no
+    /// survivor delivered, recomputed from initial data (deterministic, so
+    /// bit-identical to the lost copy). Rollback: once every unit is in
+    /// hand, and only then are the survivors released with `GatherAck`:
+    /// each had to stay resident, because a death mid-gather rolls back and
+    /// redoes the run, which a slave released early could not take part in.
+    pub async fn gathered(
+        st: &mut Session,
+        ctx: &MailCtx<Msg>,
+        seen: &mut BTreeMap<usize, UnitData>,
+        got: &[bool],
+    ) -> bool {
+        match &st.policy {
+            Policy::Rescatter(rs) => {
+                if (0..st.memb.n()).any(|s| st.memb.alive[s] && !got[s]) {
+                    return false;
+                }
+                for u in 0..st.n_units {
+                    if let Entry::Vacant(e) = seen.entry(u) {
+                        e.insert(recompute(rs.kernel.as_ref(), u, st.inv));
+                        st.rec.units_recomputed += 1;
+                    }
+                }
+            }
+            Policy::Rollback(_) => {
+                if seen.len() < st.n_units {
+                    return false;
+                }
+                for s in st.memb.survivors() {
+                    send(ctx, st.slaves[s], Msg::GatherAck).await;
+                }
+            }
+        }
+        true
+    }
 }
 
 /// Mutable state of one fault-mode run: membership, epoch lifecycle, the
@@ -201,6 +817,9 @@ pub(crate) struct Session {
     pub epoch: u64,
     /// Invocation being settled.
     pub inv: u64,
+    /// When invocation `inv` was opened: its wall time, once it settles,
+    /// is what [`Policy::fold_invocation_time`] folds.
+    pub inv_started: SimTime,
     /// The current invocation was released by a `Rollback` (which doubles
     /// as the barrier release), so the head of the loop must not broadcast
     /// another `InvocationStart`.
@@ -233,7 +852,7 @@ impl Session {
         let n = slaves.len();
         let deputies = tol.deputies.min(n);
         let policy = match app {
-            AppSpec::Independent(kernel) => Policy::Rescatter {
+            AppSpec::Independent(kernel) => Policy::Rescatter(RescatterState {
                 kernel: Arc::clone(kernel),
                 owned: assignment
                     .iter()
@@ -241,16 +860,15 @@ impl Session {
                     .collect(),
                 evictions: Vec::new(),
                 spec: None,
-            },
-            AppSpec::Pipelined(_) | AppSpec::Shrinking(_) => Policy::Rollback {
+            }),
+            AppSpec::Pipelined(_) | AppSpec::Shrinking(_) => Policy::Rollback(RollbackState {
                 app: app.clone(),
                 bank: CheckpointBank::new(),
                 spec: None,
                 ckpt_stride: 1,
                 ema_s: 0.0,
-                inv_started: now,
                 join_epoch: vec![term << 32; n],
-            },
+            }),
         };
         Session {
             slaves: slaves.to_vec(),
@@ -264,6 +882,7 @@ impl Session {
             unacked_instr: (0..n).map(|_| None).collect(),
             epoch: term << 32,
             inv: 0,
+            inv_started: now,
             released: false,
             pending_joins: Vec::new(),
             deferred: assignment.iter().map(|&(lo, hi)| lo >= hi).collect(),
@@ -279,63 +898,30 @@ impl Session {
         }
     }
 
-    pub fn rollback_policy(&self) -> bool {
-        matches!(self.policy, Policy::Rollback { .. })
-    }
-
-    /// Checkpoint cadence to announce with a barrier release.
-    pub fn ckpt_stride(&self) -> u64 {
-        match &self.policy {
-            Policy::Rescatter { .. } => 1,
-            Policy::Rollback { ckpt_stride, .. } => *ckpt_stride,
-        }
-    }
-
     /// The barrier release for the invocation being settled.
     pub fn release_msg(&self) -> Msg {
         Msg::InvocationStart {
             invocation: self.inv,
-            ckpt_stride: self.ckpt_stride(),
-        }
-    }
-
-    /// Lowest report epoch whose `restore_seq` may acknowledge `slave`'s
-    /// window: under re-scatter only the epoch in force (a stale report —
-    /// pre-takeover, or a rejoiner's previous life — acknowledges an older
-    /// window); under rollback the slot's floor, because the
-    /// master-channel watermark is not epoch-scoped within a reign and a
-    /// stale report still proves what the slave applied.
-    pub fn ack_floor(&self, slave: usize) -> u64 {
-        match &self.policy {
-            Policy::Rescatter { .. } => self.epoch,
-            Policy::Rollback { join_epoch, .. } => join_epoch[slave],
+            ckpt_stride: self.policy.ckpt_stride(),
         }
     }
 
     /// A live member's `InvocationDone`, taken before the epoch fence:
-    /// below the slot's floor it speaks for an older window — the crashed
-    /// master's or a previous life's — and acknowledges nothing, neither
-    /// the window nor a replica (a previous life's snapshot died with it).
+    /// below the slot's [floor](Policy::ack_floor) it speaks for an older
+    /// window — the crashed master's or a previous life's — and
+    /// acknowledges nothing, neither the window nor a replica (a previous
+    /// life's snapshot died with it).
     pub fn ack_report(&mut self, slave: usize, epoch: u64, restore_seq: u64, replica_inv: u64) {
-        if epoch >= self.ack_floor(slave) {
+        if epoch >= self.policy.ack_floor(self.epoch, slave) {
             self.win[slave].ack(restore_seq);
             self.fo.note_ack(slave, replica_inv);
         }
     }
 
-    /// Slave `s` owes the current barrier nothing more. Under re-scatter a
-    /// settled slave is still unsettled while a pending eviction waits on
-    /// its OwnReport: a survivor that dies *after* settling would otherwise
-    /// stall the eviction forever — nothing re-arms its suspicion timer,
-    /// and the awaiting set never drains.
+    /// Slave `s` owes the current barrier nothing more: done, its window
+    /// acknowledged, and no open eviction [awaits](Policy::awaits) it.
     pub fn slave_settled(&self, s: usize) -> bool {
-        let awaited = match &self.policy {
-            Policy::Rescatter { evictions, .. } => {
-                evictions.iter().any(|ev| ev.awaiting.contains(&s))
-            }
-            Policy::Rollback { .. } => false,
-        };
-        self.memb.done[s] && self.win[s].fully_acked() && !awaited
+        self.memb.done[s] && self.win[s].fully_acked() && !self.policy.awaits(s)
     }
 
     /// The invocation can be released: every live slave is settled (which
@@ -350,87 +936,62 @@ impl Session {
 
     /// Open a reign: evict the deferred slots and leave the rest to the
     /// driver's `Start` broadcast, or — on a takeover — seed the session
-    /// from the replica. The survivors are mid-run: evict the dead, evict
-    /// ourselves (the winner computes no units), and re-range everyone.
-    /// Re-scatter resumes at the replicated invocation watermark with
-    /// recomputed unit state; rollback restarts from the newest replicated
-    /// checkpoint.
+    /// from the replica ([`Policy::seed`]). The survivors are mid-run:
+    /// evict the dead, evict ourselves (the winner computes no units), and
+    /// re-range everyone.
     pub async fn open(
         &mut self,
         ctx: &MailCtx<Msg>,
         balancer: &mut Balancer,
         takeover: Option<(&TakeoverSeed, usize)>,
     ) -> Result<(), ProtocolError> {
-        let Some((seed, me)) = takeover else {
-            for i in 0..self.memb.n() {
-                if self.deferred[i] {
-                    self.memb.evict(i);
-                    balancer.mark_dead(i);
-                }
-            }
-            return Ok(());
-        };
         for i in 0..self.memb.n() {
-            if !seed.replica.alive[i] || i == me {
+            let gone = match takeover {
+                None => self.deferred[i],
+                Some((seed, me)) => !seed.replica.alive[i] || i == me,
+            };
+            if gone {
                 self.memb.evict(i);
                 balancer.mark_dead(i);
             }
-            if seed.replica.alive[i] {
-                // Admitted before the crash: a later rejoin is a rejoin,
-                // not a first-time (deferred) admission.
-                self.deferred[i] = false;
-            }
+        }
+        let Some((seed, _)) = takeover else {
+            return Ok(());
+        };
+        // Admitted before the crash: a later rejoin is a rejoin, not a
+        // first-time (deferred) admission.
+        for (deferred, &alive) in self.deferred.iter_mut().zip(&seed.replica.alive) {
+            *deferred &= !alive;
         }
         // Incarnation fencing survives the failover: the replica carries
         // the admitted-life table, so a pre-crash zombie stays fenced.
         self.memb.incarnation.clone_from(&seed.replica.incarnations);
-        match &mut self.policy {
-            Policy::Rescatter { .. } => self.inv = seed.replica.invocation,
-            Policy::Rollback { bank, .. } => {
-                // Every unit is stamped `ck_inv` and every deputy's ack
-                // starts at 0: the reign's first replicas are whole.
-                if let Some((ck_inv, units)) = seed.replica.snapshot.clone() {
-                    bank.offer(ck_inv, units, self.n_units);
-                }
-                // How much further back the run restarts because our
-                // replica lagged the old master's bank (0 = we resume from
-                // its newest checkpoint).
-                self.rec.checkpoints_lost_to_stale_replica = seed
-                    .replica
-                    .best_banked
-                    .saturating_sub(bank.best_invocation().unwrap_or(0));
-            }
-        }
+        Policy::seed(self, &seed.replica);
         self.rerange(ctx, balancer, &[]).await
     }
 
     /// Publish the control-plane replica for this barrier to every live
     /// deputy: membership, the invocation watermark, the cumulative
-    /// counters. Under re-scatter the watermark alone is the whole state (a
-    /// takeover restarts from [`recompute`]). Under rollback the
-    /// freshness a deputy can take over from is the newest complete banked
-    /// checkpoint, and a deputy whose confirmed freshness
+    /// counters, and the freshness a deputy can take over from
+    /// ([`Policy::replica_source`]). A deputy whose confirmed freshness
     /// (`InvocationDone::replica_inv`) lags it is shipped a delta against
     /// that ack: only the units the bank stamped after it
     /// ([`CheckpointBank::best_since`]), the whole snapshot for ack 0. A
     /// lost replica self-heals at the next cadence point: the ack did not
     /// move, so the next delta re-ships everything since it.
     pub async fn publish_replica(&mut self, ctx: &MailCtx<Msg>) {
-        let (fresh, bank) = match &self.policy {
-            Policy::Rescatter { .. } => (self.inv, None),
-            Policy::Rollback { bank, .. } => (bank.best_invocation().unwrap_or(0), Some(bank)),
-        };
+        let (fresh, bank) = self.policy.replica_source(self.inv);
         let core = ReplicaMsg {
             term: self.fo.term,
             epoch: self.epoch,
             invocation: self.inv,
-            ckpt_stride: self.ckpt_stride(),
+            ckpt_stride: self.policy.ckpt_stride(),
             alive: self.memb.alive.clone(),
             incarnations: self.memb.incarnation.clone(),
             fresh,
             snapshot: None,
             delta_base: 0,
-            best_banked: if bank.is_some() { fresh } else { 0 },
+            best_banked: bank.map_or(0, |_| fresh),
             recovery: self.rec.clone(),
         };
         for d in 0..self.fo.deputies {
@@ -477,6 +1038,26 @@ impl Session {
         }
     }
 
+    /// Re-send the `Gather` to a slave that still owes its data.
+    pub async fn resend_gather(&mut self, ctx: &MailCtx<Msg>, s: usize) {
+        send(ctx, self.slaves[s], Msg::Gather).await;
+        self.rec.gather_resends += 1;
+    }
+
+    /// Slave `s` spoke during the gather: if it is live, a sign of life. If
+    /// it has not delivered it never received the `Gather` — what it sent
+    /// is the re-send trigger (it is chatty, so a silence timer never
+    /// fires), rate-limited by the nudge timer.
+    pub async fn nudge_gather(&mut self, ctx: &MailCtx<Msg>, got: &[bool], s: usize) {
+        if !self.memb.alive[s] {
+            return;
+        }
+        self.memb.last_heard[s] = ctx.now();
+        if !got[s] && self.memb.nudge_due(s, ctx.now(), self.tol.nudge) {
+            self.resend_gather(ctx, s).await;
+        }
+    }
+
     /// Admit every queued joiner into a settled session: the exact inverse
     /// of an eviction. Each joiner is readmitted with its announced
     /// incarnation (fresh two-clock state, fresh sender window — the
@@ -518,27 +1099,16 @@ impl Session {
         if rejoined_any {
             self.rec.partitions_healed += 1;
         }
-        self.rerange(ctx, balancer, &joined).await?;
-        if let Policy::Rollback { join_epoch, .. } = &mut self.policy {
-            for &j in &joined {
-                join_epoch[j] = self.epoch;
-            }
-        }
-        Ok(())
+        self.rerange(ctx, balancer, &joined).await
     }
 
     /// Re-range the whole unit set contiguously over the survivors under a
     /// new epoch: one windowed `Rollback` per survivor — state transfer,
     /// epoch fence and barrier release in one message — then
     /// `balancer.rebase`. This is takeover seeding, admission, and rollback;
-    /// the policy decides where unit state comes from. Re-scatter recomputes
-    /// each unit through the completed invocations (the state at the start
-    /// of `inv`, bit-identical to what the survivors would have held) and
-    /// stays at `inv`. Rollback ships the newest complete checkpoint (or
-    /// the initial data when none was banked yet), restarts there, and
-    /// hands the estimated re-execution cost to the balancer so marginal
-    /// moves stop looking profitable while the run is catching up. The
-    /// bytes shipped to `joined` slots are metered as join snapshots.
+    /// the policy decides what is shipped ([`Policy::rerange_units`]) and
+    /// what the survivors keep ([`Policy::reranged`]). The bytes shipped to
+    /// `joined` slots are metered as join snapshots.
     pub async fn rerange(
         &mut self,
         ctx: &MailCtx<Msg>,
@@ -551,69 +1121,28 @@ impl Session {
             return Err(ProtocolError::AllSlavesDead);
         }
         self.epoch += 1;
-        let (invocation, ckpt_stride, snapshot) = match &mut self.policy {
-            Policy::Rescatter { kernel, owned, .. } => {
-                owned.iter_mut().for_each(BTreeSet::clear);
-                let inv = self.inv;
-                let units: SharedUnits = (0..self.n_units)
-                    .map(|u| (u, Arc::new(recompute(kernel.as_ref(), u, inv))))
-                    .collect();
-                (inv, 1, units)
-            }
-            Policy::Rollback {
-                app,
-                bank,
-                spec,
-                ckpt_stride,
-                ema_s,
-                ..
-            } => {
-                let (ck_inv, snapshot) =
-                    bank.rollback_snapshot(self.n_units, &|id| app.initial_unit(id));
-                *spec = None;
-                // Restart cost: invocations lost since the checkpoint
-                // (including the partially-done one), priced at the running
-                // per-invocation average. `ck_inv` can exceed `inv` when a
-                // complete checkpoint for the *next* barrier arrived before
-                // this one settled — then nothing is lost. (In that corner
-                // the convergence test for the skipped settlement is never
-                // evaluated; acceptable for a WHILE loop, which only ever
-                // runs a bounded number of extra invocations.)
-                let lost_invs = (self.inv + 1).saturating_sub(ck_inv);
-                balancer.set_restart_cost(SimDuration::from_secs_f64(*ema_s * lost_invs as f64));
-                *ckpt_stride =
-                    checkpoint_stride(self.tol.ckpt_max_skip, self.tol.ckpt_loss_budget, *ema_s);
-                // Old-epoch instructions must never be replayed. (A
-                // re-scatter keeps the survivors': it resumes the same
-                // invocation, and only the joiners' slots were reset.)
-                self.unacked_instr.iter_mut().for_each(|u| *u = None);
-                (ck_inv, *ckpt_stride, snapshot)
-            }
-        };
         let ranges = crate::driver::block_ranges(self.n_units, survivors.len());
+        let (invocation, ckpt_stride, snapshot) = Policy::rerange_units(self, balancer);
         let mut counts = vec![0u64; n];
         let mut rest = snapshot.into_iter();
         let epoch = self.epoch;
         for (&sv, &(lo, hi)) in survivors.iter().zip(&ranges) {
             counts[sv] = (hi - lo) as u64;
-            if let Policy::Rescatter { owned, .. } = &mut self.policy {
-                owned[sv] = (lo..hi).collect();
-            }
+            self.policy.adopt_owned(sv, lo..hi);
             let units: SharedUnits = rest.by_ref().take(hi - lo).collect();
-            let msg = self.win[sv]
-                .send_with(|seq| Msg::Rollback {
-                    seq,
-                    epoch,
-                    invocation,
-                    survivors: survivors.clone(),
-                    ckpt_stride,
-                    units,
-                })
-                .clone();
+            let survivors = survivors.clone();
+            let rollback = |seq| Msg::Rollback {
+                seq,
+                epoch,
+                invocation,
+                survivors,
+                ckpt_stride,
+                units,
+            };
+            let bytes = send_windowed(ctx, self.slaves[sv], &mut self.win[sv], rollback).await;
             if joined.contains(&sv) {
-                self.rec.join_snapshot_bytes += msg.wire_bytes();
+                self.rec.join_snapshot_bytes += bytes;
             }
-            send(ctx, self.slaves[sv], msg).await;
         }
         self.rec.rollbacks += 1;
         self.rec.units_rolled_back += self.n_units as u64;
@@ -627,27 +1156,14 @@ impl Session {
         }
         self.inv = invocation;
         self.released = true;
-        if self.rollback_policy() {
-            // A rolled-back survivor restarts its wavefront: its silence
-            // and nudge clocks restart with it. (Re-scattered survivors
-            // keep computing, so theirs keep running.)
-            let now = ctx.now();
-            for &sv in &survivors {
-                self.memb.last_heard[sv] = now;
-                self.memb.next_nudge[sv] = now + self.tol.nudge;
-                self.memb.done[sv] = false;
-            }
-        }
+        Policy::reranged(self, ctx.now(), &survivors, joined);
         Ok(())
     }
 
-    /// Declare slave `s` dead as of `now`. Under rollback the caller must
-    /// follow up with [`Session::rerange`] — pipelined/shrinking state
-    /// cannot be recovered in place — and a speculation involving the dead
-    /// slave (as suspect or executor) is abandoned without ceremony: its
-    /// checkpoint either already banked or never will. Under re-scatter
-    /// the dead slave's channels are fenced off with `Evicted` and its
-    /// units are re-scattered once every survivor has reported ownership.
+    /// Declare slave `s` dead as of `now`, then [fence](Policy::fence) it
+    /// as the policy says. Under rollback the caller must follow up with
+    /// [`Session::rerange`] — pipelined/shrinking state cannot be recovered
+    /// in place.
     pub async fn evict(
         &mut self,
         ctx: &MailCtx<Msg>,
@@ -672,391 +1188,55 @@ impl Session {
                 self.win[s].fully_acked(),
             );
         }
-        self.memb.evict(s);
+        self.declare_dead(ctx, s, now).await;
         self.fo.forget(s);
-        self.rec.slaves_declared_dead += 1;
-        self.rec.first_death.get_or_insert(now);
-        send(ctx, self.slaves[s], Msg::Evict).await;
         balancer.mark_dead(s);
         // Its per-invocation metric no longer counts: survivors recompute
         // its units and contribute their metric.
         self.metrics[s] = 0.0;
         self.unacked_instr[s] = None;
-        match &mut self.policy {
-            Policy::Rollback { spec, .. } => {
-                if spec.as_ref().is_some_and(|sp| sp.involves(s)) {
-                    *spec = None;
-                }
-            }
-            Policy::Rescatter {
-                owned,
-                evictions,
-                spec,
-                ..
-            } => {
-                let dead_owned: Vec<usize> = std::mem::take(&mut owned[s]).into_iter().collect();
-                if spec.as_ref().is_some_and(|sp| sp.executor == s) {
-                    // The speculation died with its executor.
-                    *spec = None;
-                }
-                for ev in evictions.iter_mut() {
-                    ev.awaiting.remove(&s);
-                }
-                let survivors = self.memb.survivors();
-                if survivors.is_empty() {
-                    return Err(ProtocolError::AllSlavesDead);
-                }
-                for &v in &survivors {
-                    send(ctx, self.slaves[v], Msg::Evicted { slave: s }).await;
-                }
-                evictions.push(Eviction {
-                    dead: s,
-                    awaiting: survivors.into_iter().collect(),
-                    dead_owned,
-                });
-            }
-        }
-        Ok(())
+        Policy::fence(self, ctx, s).await
     }
 
-    /// A lost Evicted (or a lost OwnReport) stalls an eviction; the
-    /// awaiting survivors are re-notified on the nudge timer. The slave-side
-    /// dedup makes the re-broadcast idempotent.
-    pub async fn renotify_evictions(&mut self, ctx: &MailCtx<Msg>, now: SimTime) {
-        let Policy::Rescatter { evictions, .. } = &self.policy else {
-            return;
-        };
-        for ev in evictions {
-            for &v in &ev.awaiting {
-                if self.memb.nudge_due(v, now, self.tol.nudge) {
-                    send(ctx, self.slaves[v], Msg::Evicted { slave: ev.dead }).await;
-                    self.rec.restore_resends += 1;
-                }
-            }
-        }
-    }
-
-    /// A survivor's authoritative ownership report about an evicted peer
-    /// (re-scatter only). When the last one is in, the evictions resolve.
-    pub async fn on_own_report(
-        &mut self,
-        ctx: &MailCtx<Msg>,
-        v: usize,
-        about: usize,
-        ids: Vec<usize>,
-    ) {
-        let Policy::Rescatter {
-            owned, evictions, ..
-        } = &mut self.policy
-        else {
-            return;
-        };
-        let mut matched = false;
-        for ev in evictions.iter_mut() {
-            if ev.dead == about && ev.awaiting.remove(&v) {
-                matched = true;
-            }
-        }
-        if !matched {
-            // Late duplicate (its eviction already resolved): the ids are
-            // stale — never adopt them.
-            self.rec.done_dups_ignored += 1;
-            return;
-        }
-        owned[v] = ids.into_iter().collect();
-        self.memb.done[v] = false;
-        if evictions.iter().all(|e| e.awaiting.is_empty()) {
-            self.resolve_evictions(ctx).await;
-        }
-    }
-
-    /// All pending evictions are fully reported: compute the set of units
-    /// no survivor owns (directly or in an unacknowledged master message
-    /// still in flight), adopt speculation results for whatever they cover,
-    /// and re-scatter the rest from initial data.
-    async fn resolve_evictions(&mut self, ctx: &MailCtx<Msg>) {
-        let Policy::Rescatter {
-            kernel,
-            owned,
-            evictions,
-            spec,
-        } = &mut self.policy
-        else {
-            return;
-        };
-        // Units accounted for: owned by a survivor, or inside an
-        // unacknowledged Restore/SpecCommit payload (the owner's
-        // `owned_ids` cannot reflect those yet — `restore_seq` and
-        // `owned_ids` travel atomically in InvocationDone, so once the
-        // window is acked the report includes them).
-        let mut assigned: BTreeSet<usize> = BTreeSet::new();
-        for s in self.memb.survivors() {
-            assigned.extend(owned[s].iter().copied());
-            for (_, m) in self.win[s].unacked() {
-                match m {
-                    Msg::Restore { units, .. } => {
-                        assigned.extend(units.iter().map(|(id, _)| *id));
-                    }
-                    Msg::SpecCommit { ids, .. } => assigned.extend(ids.iter().copied()),
-                    _ => {}
-                }
-            }
-        }
-        // In-flight units the survivors re-owned by closing channels with
-        // the dead peers (a proxy count: everything the dead slave was
-        // believed to own that a survivor now accounts for).
-        for ev in evictions.iter() {
-            self.rec.units_reowned += ev
-                .dead_owned
-                .iter()
-                .filter(|u| assigned.contains(u))
-                .count() as u64;
-        }
-        let mut missing: Vec<usize> = (0..self.n_units)
-            .filter(|u| !assigned.contains(u))
-            .collect();
-
-        // Speculation first: if the suspect is among the dead, its units
-        // were already recomputed on the executor — adopt them without
-        // replay.
-        if let Some(sp) = spec.take_if(|sp| !self.memb.alive[sp.suspect]) {
-            let commit: Vec<usize> = missing
-                .iter()
-                .copied()
-                .filter(|u| sp.ids.contains(u))
-                .collect();
-            let spec_seq = sp.spec_seq;
-            let msg = if commit.is_empty() {
-                self.rec.speculations_cancelled += 1;
-                self.win[sp.executor].send_with(|seq| Msg::SpecCancel { seq, spec_seq })
-            } else {
-                missing.retain(|u| !commit.contains(u));
-                owned[sp.executor].extend(commit.iter().copied());
-                self.rec.units_speculated += commit.len() as u64;
-                self.rec.speculations_committed += 1;
-                self.memb.done[sp.executor] = false;
-                self.win[sp.executor].send_with(|seq| Msg::SpecCommit {
-                    seq,
-                    spec_seq,
-                    ids: commit,
-                })
-            };
-            send(ctx, self.slaves[sp.executor], msg.clone()).await;
-        }
-
-        let survivors = self.memb.survivors();
-        for (t, units) in redistribute(&missing, &survivors) {
-            let payload: SharedUnits = units
-                .iter()
-                .map(|&u| (u, Arc::new(kernel.init_unit(u))))
-                .collect();
-            self.rec.units_restored += payload.len() as u64;
-            owned[t].extend(units.iter().copied());
-            self.memb.done[t] = false;
-            let inv = self.inv;
-            let msg = self.win[t]
-                .send_with(|seq| Msg::Restore {
-                    seq,
-                    invocation: inv,
-                    units: payload,
-                })
-                .clone();
-            send(ctx, self.slaves[t], msg).await;
-        }
-        evictions.clear();
-    }
-
-    /// Suspicion of `suspect` is building: race its work on an idle, fully
-    /// settled survivor, at most one race at a time. Re-scatter re-seeds
-    /// the suspect's units from their initial state, so an eviction commits
-    /// finished results instead of replaying — never while an eviction is
-    /// being resolved, never for a slave that owns nothing. Rollback hands
-    /// the executor the banked snapshot, which it advances by one
-    /// invocation and returns as an ordinary checkpoint, so an eviction
-    /// rolls back one invocation less — never for a suspect that is done
-    /// (only its window lags), never past the invocation being settled
-    /// (that would race work the run has not reached; the corner where a
-    /// complete checkpoint for the next barrier already banked needs no
-    /// race at all).
-    pub async fn speculate(&mut self, ctx: &MailCtx<Msg>, suspect: usize) {
-        let n = self.memb.n();
-        let (memb, win) = (&self.memb, &self.win);
-        let idle_survivor = || {
-            (0..n).find(|&e| e != suspect && memb.alive[e] && memb.done[e] && win[e].fully_acked())
-        };
-        match &mut self.policy {
-            Policy::Rescatter {
-                kernel,
-                owned,
-                evictions,
-                spec,
-            } => {
-                if spec.is_some() || !evictions.is_empty() || owned[suspect].is_empty() {
-                    return;
-                }
-                let Some(e) = idle_survivor() else {
-                    return;
-                };
-                let ids: Vec<usize> = owned[suspect].iter().copied().collect();
-                let units: SharedUnits = ids
-                    .iter()
-                    .map(|&u| (u, Arc::new(kernel.init_unit(u))))
-                    .collect();
-                let invocation = self.inv;
-                let msg = self.win[e]
-                    .send_with(|seq| Msg::Speculate {
-                        seq,
-                        invocation,
-                        units,
-                    })
-                    .clone();
-                send(ctx, self.slaves[e], msg).await;
-                *spec = Some(RestartSpec {
-                    suspect,
-                    executor: e,
-                    spec_seq: self.win[e].seq_sent(),
-                    ids,
-                });
-            }
-            Policy::Rollback {
-                app, bank, spec, ..
-            } => {
-                // Decide whether to race before sourcing anything: this
-                // runs on every timer sweep while a suspect is past
-                // `speculate_after`, and mostly finds nobody idle.
-                if spec.is_some()
-                    || self.memb.done[suspect]
-                    || bank
-                        .best_invocation()
-                        .is_some_and(|ck_inv| ck_inv > self.inv)
-                {
-                    return;
-                }
-                let Some(e) = idle_survivor() else {
-                    return;
-                };
-                let (ck_inv, snapshot) =
-                    bank.rollback_snapshot(self.n_units, &|id| app.initial_unit(id));
-                let msg = self.win[e]
-                    .send_with(|seq| Msg::Speculate {
-                        seq,
-                        invocation: ck_inv,
-                        units: snapshot,
-                    })
-                    .clone();
-                send(ctx, self.slaves[e], msg).await;
-                *spec = Some(SnapshotSpec {
-                    suspect,
-                    executor: e,
-                    invocation: ck_inv,
-                });
-            }
-        }
-        self.rec.speculations_launched += 1;
+    /// Slave `s` is dead as of `now`: out of the membership, counted, and
+    /// told so (it may only be cut off, and exit or rejoin).
+    async fn declare_dead(&mut self, ctx: &MailCtx<Msg>, s: usize, now: SimTime) {
+        self.memb.evict(s);
+        self.rec.slaves_declared_dead += 1;
+        self.rec.first_death.get_or_insert(now);
+        send(ctx, self.slaves[s], Msg::Evict).await;
     }
 
     /// Member `s` spoke a protocol message: its silence ends, and so does a
     /// race against it.
     pub async fn heard_from(&mut self, ctx: &MailCtx<Msg>, s: usize) {
         self.memb.heard(s, ctx.now());
-        self.cancel_speculation_for(ctx, s).await;
+        Policy::cancel_race(self, ctx, s, false).await;
     }
 
     /// The epoch fence of member `s`'s `Status` / `InvocationDone` stamped
     /// `epoch`; returns whether the report is fenced off. A report from
     /// before the latest re-range (a rollback, an admission, this reign's
     /// takeover) describes a distribution that no longer exists. It proves
-    /// the slave is alive (defer suspicion with `ping`) but not that it made
-    /// protocol progress — `unheard_for` keeps growing, so the window
-    /// re-send timer still fires for its lost Rollback.
+    /// the slave is alive (defer suspicion with `ping`, and — as the policy
+    /// says — end a race against it) but not that it made protocol progress
+    /// — `unheard_for` keeps growing, so the window re-send timer still
+    /// fires for its lost Rollback.
     pub async fn fenced(&mut self, ctx: &MailCtx<Msg>, s: usize, epoch: u64) -> bool {
         if epoch >= self.epoch {
             return false;
         }
         self.memb.ping(s, ctx.now());
-        if self.rollback_policy() {
-            self.cancel_speculation_for(ctx, s).await;
-        }
+        Policy::cancel_race(self, ctx, s, true).await;
         self.rec.stale_epoch_dropped += 1;
         true
-    }
-
-    /// `speaker` spoke: if it is the suspect of the in-flight speculation,
-    /// the race is moot. Under re-scatter the executor holds speculative
-    /// results it must discard, so the cancel is a windowed `SpecCancel`;
-    /// under rollback it is master-local — the executor's checkpoint, if
-    /// it still arrives, banks as a redundant fragment.
-    pub async fn cancel_speculation_for(&mut self, ctx: &MailCtx<Msg>, speaker: usize) {
-        match &mut self.policy {
-            Policy::Rescatter { spec, .. } => {
-                let Some(sp) = spec.take_if(|sp| sp.suspect == speaker) else {
-                    return;
-                };
-                let spec_seq = sp.spec_seq;
-                let msg = self.win[sp.executor]
-                    .send_with(|seq| Msg::SpecCancel { seq, spec_seq })
-                    .clone();
-                send(ctx, self.slaves[sp.executor], msg).await;
-            }
-            Policy::Rollback { spec, .. } => {
-                if spec.take_if(|sp| sp.cancelled_by(speaker)).is_none() {
-                    return;
-                }
-            }
-        }
-        self.rec.speculations_cancelled += 1;
-    }
-
-    /// A checkpoint fragment arrived (rollback only). If it is the
-    /// speculative result, account the commit; it banks like any other
-    /// either way. Checkpoints carry no epoch on purpose: the state after k
-    /// invocations is deterministic regardless of which distribution
-    /// computed it, so contributions bank from any epoch.
-    pub fn on_checkpoint(&mut self, slave: usize, invocation: u64, units: SharedUnits) {
-        let Policy::Rollback { bank, spec, .. } = &mut self.policy else {
-            return;
-        };
-        if spec
-            .take_if(|sp| sp.committed_by(slave, invocation))
-            .is_some()
-        {
-            self.rec.speculations_committed += 1;
-            self.rec.units_speculated += units.len() as u64;
-        }
-        if bank.offer(invocation, units, self.n_units) {
-            self.rec.checkpoints_banked += 1;
-        }
     }
 
     /// Open the barrier for the next invocation.
     pub fn begin_invocation(&mut self, now: SimTime) {
         self.memb.done.iter_mut().for_each(|d| *d = false);
         self.metrics.iter_mut().for_each(|m| *m = 0.0);
-        if let Policy::Rollback { inv_started, .. } = &mut self.policy {
-            *inv_started = now;
-        }
-    }
-
-    /// An invocation settled at `now` (rollback only): fold its wall time
-    /// into the restart-cost EMA and pick the checkpoint stride for the
-    /// next barrier release.
-    pub fn fold_invocation_time(&mut self, now: SimTime) {
-        if let Policy::Rollback {
-            ckpt_stride,
-            ema_s,
-            inv_started,
-            ..
-        } = &mut self.policy
-        {
-            let dur = now.saturating_since(*inv_started).as_secs_f64();
-            *ema_s = if *ema_s == 0.0 {
-                dur
-            } else {
-                0.5 * *ema_s + 0.5 * dur
-            };
-            *ckpt_stride =
-                checkpoint_stride(self.tol.ckpt_max_skip, self.tol.ckpt_loss_budget, *ema_s);
-        }
+        self.inv_started = now;
     }
 }
 
@@ -1114,32 +1294,35 @@ mod tests {
         Session::new(ctx.now(), &app, tol, slaves, &assignment, 0, rec)
     }
 
-    fn bank(sess: &mut Session) -> &mut CheckpointBank {
-        match &mut sess.policy {
-            Policy::Rollback { bank, .. } => bank,
-            Policy::Rescatter { .. } => panic!("rollback session expected"),
-        }
+    /// Bank a complete checkpoint for `inv` the way the receive arm does.
+    fn bank(sess: &mut Session, inv: u64, units: SharedUnits) {
+        let banked = sess.rec.checkpoints_banked;
+        Policy::on_checkpoint(sess, 0, inv, units);
+        assert_eq!(
+            sess.rec.checkpoints_banked,
+            banked + 1,
+            "a new complete checkpoint"
+        );
     }
 
-    fn snapshot_spec(sess: &Session) -> Option<SnapshotSpec> {
-        match &sess.policy {
-            Policy::Rollback { spec, .. } => spec.clone(),
-            Policy::Rescatter { .. } => panic!("rollback session expected"),
-        }
+    /// The invocation of every `Speculate` in executor `e`'s window.
+    fn raced(sess: &Session, e: usize) -> Vec<u64> {
+        let speculate = |(_, m): &(u64, Msg)| match m {
+            Msg::Speculate { invocation, .. } => Some(*invocation),
+            _ => None,
+        };
+        sess.win[e].unacked().filter_map(speculate).collect()
     }
 
-    fn owned(sess: &Session, s: usize) -> Vec<usize> {
-        match &sess.policy {
-            Policy::Rescatter { owned, .. } => owned[s].iter().copied().collect(),
-            Policy::Rollback { .. } => panic!("re-scatter session expected"),
+    /// The unit ids of every `Restore` in slave `s`'s window.
+    fn restored(sess: &Session, s: usize) -> Vec<usize> {
+        let mut ids = Vec::new();
+        for (_, m) in sess.win[s].unacked() {
+            if let Msg::Restore { units, .. } = m {
+                ids.extend(units.iter().map(|(id, _)| *id));
+            }
         }
-    }
-
-    fn open_evictions(sess: &Session) -> usize {
-        match &sess.policy {
-            Policy::Rescatter { evictions, .. } => evictions.len(),
-            Policy::Rollback { .. } => panic!("re-scatter session expected"),
-        }
+        ids
     }
 
     /// Run `body` inside a real master actor with `n` inert slave actors,
@@ -1213,7 +1396,7 @@ mod tests {
             let ctx = &ctx;
             let mut sess = session(ctx, &slaves, rollback());
             let mut bal = balancer(3);
-            assert!(bank(&mut sess).offer(2, checkpoint(3, 10.0), 3));
+            bank(&mut sess, 2, checkpoint(3, 10.0));
             sess.inv = 2;
             sess.publish_replica(ctx).await;
             sess.ack_report(0, sess.epoch, 0, 2);
@@ -1252,7 +1435,7 @@ mod tests {
             // Bank a complete checkpoint for invocation 2, then lose slave 0.
             sess.inv = 2;
             sess.sent[0][1] = 5;
-            assert!(bank(&mut sess).offer(2, checkpoint(3, 10.0), 3));
+            bank(&mut sess, 2, checkpoint(3, 10.0));
             sess.evict(ctx, &mut bal, 0, ctx.now()).await.unwrap();
             sess.rerange(ctx, &mut bal, &[])
                 .await
@@ -1297,41 +1480,43 @@ mod tests {
 
             // Slave 1 is parked done; slave 0 goes silent at invocation 0.
             sess.memb.done[1] = true;
-            sess.speculate(ctx, 0).await;
+            Policy::speculate(&mut sess, ctx, 0).await;
             assert_eq!(sess.rec.speculations_launched, 1);
-            let sp = snapshot_spec(&sess).expect("speculation in flight");
-            assert_eq!(sp.executor, 1);
-            assert_eq!(sp.invocation, 0, "no checkpoint banked: seeds from init");
-            assert_eq!(sess.win[1].unacked().count(), 1);
+            assert_eq!(
+                raced(&sess, 1),
+                [0],
+                "no checkpoint banked: seeds from init"
+            );
 
             // A second launch attempt is refused while one is in flight.
-            sess.speculate(ctx, 0).await;
+            Policy::speculate(&mut sess, ctx, 0).await;
             assert_eq!(sess.rec.speculations_launched, 1);
 
             // The executor's speculative checkpoint arrives: commit.
-            sess.on_checkpoint(1, 1, ckpt(1.0));
+            Policy::on_checkpoint(&mut sess, 1, 1, ckpt(1.0));
             assert_eq!(sess.rec.speculations_committed, 1);
             assert_eq!(sess.rec.units_speculated, 3);
             assert_eq!(sess.rec.checkpoints_banked, 1, "it banks like any other");
-            assert!(snapshot_spec(&sess).is_none());
+            // Committed once: a repeat of it is an ordinary fragment.
+            Policy::on_checkpoint(&mut sess, 1, 1, ckpt(1.0));
+            assert_eq!(sess.rec.speculations_committed, 1);
 
             // The executor's refreshed done report acks the Speculate —
             // until then its window is not settled and no further
             // speculation may target it.
             sess.inv = 1;
-            sess.speculate(ctx, 0).await;
+            Policy::speculate(&mut sess, ctx, 0).await;
             assert_eq!(sess.rec.speculations_launched, 1, "executor not yet acked");
             let spec_seq = sess.win[1].seq_sent();
             sess.win[1].ack(spec_seq);
 
             // Second round: this time the suspect heartbeats first.
-            sess.speculate(ctx, 0).await;
+            Policy::speculate(&mut sess, ctx, 0).await;
             assert_eq!(sess.rec.speculations_launched, 2);
-            sess.cancel_speculation_for(ctx, 0).await;
+            Policy::cancel_race(&mut sess, ctx, 0, false).await;
             assert_eq!(sess.rec.speculations_cancelled, 1);
-            assert!(snapshot_spec(&sess).is_none());
             // The executor's late checkpoint now commits nothing.
-            sess.on_checkpoint(1, 2, ckpt(2.0));
+            Policy::on_checkpoint(&mut sess, 1, 2, ckpt(2.0));
             assert_eq!(sess.rec.speculations_committed, 1);
         });
     }
@@ -1342,12 +1527,12 @@ mod tests {
             let ctx = &ctx;
             let mut sess = session(ctx, &slaves, rollback());
             // Nobody is done: no executor, no launch.
-            sess.speculate(ctx, 0).await;
+            Policy::speculate(&mut sess, ctx, 0).await;
             assert_eq!(sess.rec.speculations_launched, 0);
-            assert!(snapshot_spec(&sess).is_none());
+            assert!(raced(&sess, 1).is_empty());
             // The only candidate is the suspect itself.
             sess.memb.done[0] = true;
-            sess.speculate(ctx, 0).await;
+            Policy::speculate(&mut sess, ctx, 0).await;
             assert_eq!(sess.rec.speculations_launched, 0);
         });
     }
@@ -1361,34 +1546,34 @@ mod tests {
             let ctx = &ctx;
             let mut sess = session(ctx, &slaves, rollback());
             let held = checkpoint(3, 10.0);
-            assert!(bank(&mut sess).offer(2, held.clone(), 3));
+            bank(&mut sess, 2, held.clone());
             let banked = vec![2; 3]; // `held` and the bank
             sess.inv = 2;
 
             // No idle survivor.
-            sess.speculate(ctx, 0).await;
+            Policy::speculate(&mut sess, ctx, 0).await;
             assert_eq!(refs(&held), banked);
             // An executor is idle, but the bank is already past the
             // invocation being settled: nothing to race.
             sess.memb.done[1] = true;
             sess.inv = 1;
-            sess.speculate(ctx, 0).await;
+            Policy::speculate(&mut sess, ctx, 0).await;
             assert_eq!(refs(&held), banked);
             // The suspect itself is done; only its window lags.
             sess.inv = 2;
             sess.memb.done[0] = true;
-            sess.speculate(ctx, 0).await;
+            Policy::speculate(&mut sess, ctx, 0).await;
             assert_eq!(refs(&held), banked);
             assert_eq!(sess.rec.speculations_launched, 0);
 
             // A launch: the window's retained copy and the one on the wire
             // are two more holders of the same storage.
             sess.memb.done[0] = false;
-            sess.speculate(ctx, 0).await;
+            Policy::speculate(&mut sess, ctx, 0).await;
             assert_eq!(sess.rec.speculations_launched, 1);
             assert_eq!(refs(&held), vec![4; 3]);
             // One race at a time: declined while that one is in flight.
-            sess.speculate(ctx, 0).await;
+            Policy::speculate(&mut sess, ctx, 0).await;
             assert_eq!(sess.rec.speculations_launched, 1);
             assert_eq!(refs(&held), vec![4; 3]);
         });
@@ -1404,7 +1589,7 @@ mod tests {
             let mut sess = session(ctx, &slaves, rollback());
             let mut bal = balancer(2);
             let held = checkpoint(2, 10.0);
-            assert!(bank(&mut sess).offer(2, held.clone(), 2));
+            bank(&mut sess, 2, held.clone());
             sess.inv = 2;
 
             let k = 3;
@@ -1458,24 +1643,26 @@ mod tests {
                 "awaited: its timer must keep running"
             );
 
-            sess.on_own_report(ctx, 1, 0, vec![1]).await;
-            assert_eq!(open_evictions(&sess), 1, "slave 2 has not reported");
+            Policy::on_own_report(&mut sess, ctx, 1, 0, vec![1]).await;
+            assert!(sess.policy.awaits(2), "slave 2 has not reported");
 
             // Slave 2 never reports: the sweep suspects and evicts it too.
             sess.evict(ctx, &mut bal, 2, ctx.now()).await.unwrap();
-            assert_eq!(open_evictions(&sess), 2);
-            sess.on_own_report(ctx, 1, 2, vec![1]).await;
-            assert_eq!(open_evictions(&sess), 0, "both evictions resolved");
-            assert_eq!(owned(&sess, 1), vec![0, 1, 2]);
+            assert!(sess.policy.awaits(1), "the second eviction awaits slave 1");
+            Policy::on_own_report(&mut sess, ctx, 1, 2, vec![1]).await;
+            assert!(!sess.policy.awaits(1), "both evictions resolved");
             assert_eq!(sess.rec.units_restored, 2);
-            assert_eq!(sess.win[1].unacked().count(), 1, "one Restore, windowed");
+            assert_eq!(restored(&sess, 1), [0, 2], "one Restore, windowed");
             assert!(!sess.memb.done[1], "the restored units reopen its barrier");
 
             // A duplicated delivery of an already-matched report: stale ids.
+            // Adopting it would reopen the barrier.
             let dups = sess.rec.done_dups_ignored;
-            sess.on_own_report(ctx, 1, 0, vec![]).await;
+            sess.memb.done[1] = true;
+            Policy::on_own_report(&mut sess, ctx, 1, 0, vec![]).await;
             assert_eq!(sess.rec.done_dups_ignored, dups + 1);
-            assert_eq!(owned(&sess, 1), vec![0, 1, 2], "never overwritten");
+            assert!(sess.memb.done[1], "never adopted");
+            assert_eq!(restored(&sess, 1), [0, 2], "nothing re-scattered");
         });
     }
 
@@ -1505,7 +1692,11 @@ mod tests {
                 assert!(sess.released, "the re-range releases the barrier");
                 assert!(sess.rec.join_snapshot_bytes > 0);
                 let floor = sess.epoch;
-                assert_eq!(sess.ack_floor(1), floor, "a previous life never acks");
+                assert_eq!(
+                    sess.policy.ack_floor(sess.epoch, 1),
+                    floor,
+                    "a previous life never acks"
+                );
 
                 // Nothing but the zombie queued: no re-range, no heal.
                 sess.pending_joins = vec![(2, 4)];

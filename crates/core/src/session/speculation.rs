@@ -11,7 +11,8 @@
 //!   engines): the executor advances the *whole banked snapshot* by one
 //!   invocation and returns it as an ordinary `Msg::Checkpoint` — sound
 //!   because snapshots are value-deterministic and carry no epoch. Commit
-//!   is implicit (the checkpoint banks normally); cancel is master-local
+//!   is implicit (the checkpoint banks normally, and what counts as one is
+//!   [`SnapshotSpec::committed_by`]); cancel is master-local
 //!   (the suspect spoke, so the speculative checkpoint is simply a
 //!   redundant fragment for an invocation the run will re-reach).
 //!
@@ -52,8 +53,15 @@ impl SnapshotSpec {
         speaker == self.suspect
     }
 
-    /// A checkpoint from `slave` for `invocation` is the speculative
-    /// result: the executor returned the snapshot advanced by one.
+    /// A checkpoint from `slave` for `invocation` commits the race: any
+    /// checkpoint from the executor for the invocation after the seed's.
+    /// That is the advanced snapshot the race computes, but also the
+    /// executor's own barrier fragment for the same invocation, which it
+    /// ships at its barrier and re-sends with every heartbeat — usually the
+    /// first to arrive. A commit therefore says the executor reached that
+    /// barrier, not that the whole advanced grid is in hand: in the golden
+    /// event-stream matrix, 202 of 302 commits carry fewer units than the
+    /// grid. Ending the race there is load-bearing (ROADMAP 1(b)(iii)).
     pub fn committed_by(&self, slave: usize, invocation: u64) -> bool {
         slave == self.executor && invocation == self.invocation + 1
     }

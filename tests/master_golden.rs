@@ -412,8 +412,25 @@ fn matrix(pool: usize) -> Vec<Row> {
             SimTime(until),
             vec![minority],
         );
-        let r = long.run(&label, wide.join_cfg(pool, plan, windows));
+        let r = long.run(&label, wide.join_cfg(pool, plan.clone(), windows));
         rows.push(row(label, &r));
+
+        // The same cell with `speculate_after` at `suspicion`, which only
+        // switches snapshot speculation off: slave 1 is evicted while a
+        // complete checkpoint of the end state is banked, slave 6 loses the
+        // `Rollback` onto it and answers the `Gather` from the partition it
+        // replaced, one unit short. The gather must replay slave 6's window
+        // and take the re-delivery; a master that waits instead keeps
+        // pinging its deputies until the event budget runs out.
+        if *name == "sor" {
+            let label = "final_rollback_lost/sor".to_string();
+            let [suspicion, _, nudge, heartbeat, backoff] = windows;
+            let windows = [suspicion, suspicion, nudge, heartbeat, backoff];
+            let mut cfg = wide.join_cfg(pool, plan, windows);
+            cfg.max_events = Some(50_000);
+            let r = long.run(&label, cfg);
+            rows.push(row(label, &r));
+        }
     }
 
     // Data-dependent WHILE termination under the re-scatter policy (the
@@ -555,6 +572,8 @@ fn event_streams_match_the_recorded_constants() {
 /// `plain_*`, `slow_wire*` and `stale_gather*` rows at the commit before the independent
 /// engine moved under the shared slave runner. The armed `/lu` rows and
 /// `late_join_lossy/sor` were re-recorded for delta replicas (CHANGES.md, PR 26).
+/// `final_rollback_lost/sor` was first recorded with the gather's replay of an
+/// unacknowledged window; a master without it exhausts that row's event budget.
 #[rustfmt::skip]
 const GOLDEN: &[(&str, u64, u64, u64, &str)] = &[
     ("quiet4/mm", 435544, 604, 0xfbad34e7133c8371, "replicas_published: 9, replication_bytes: 3780"),
@@ -605,6 +624,7 @@ const GOLDEN: &[(&str, u64, u64, u64, &str)] = &[
     ("partition_heal_rejoin/sor", 48225271, 11582, 0x7097d748e8f1a0e3, "slaves_declared_dead: 2, first_death: Some(t=2.016622s), restore_resends: 117, instr_resends: 2, start_resends: 37, invocation_start_resends: 39, done_dups_ignored: 4, checkpoints_banked: 3, rollbacks: 3, units_rolled_back: 102, speculations_launched: 5, speculations_committed: 4, units_speculated: 10, joins_admitted: 1, rejoins_after_eviction: 1, join_snapshot_bytes: 1040, partitions_healed: 1, stale_epoch_dropped: 112, rollbacks_applied: 40, checkpoints_sent: 440, speculations_computed: 4, replicas_published: 17, replication_bytes: 71168"),
     ("crash_inside_partition/sor", 48225271, 9885, 0x26cc098d7c3eaa9d, "slaves_declared_dead: 3, first_death: Some(t=2.059375s), restore_resends: 61, instr_resends: 2, start_resends: 85, invocation_start_resends: 87, done_dups_ignored: 4, checkpoints_banked: 3, rollbacks: 5, units_rolled_back: 170, speculations_launched: 4, speculations_committed: 4, units_speculated: 10, joins_admitted: 1, rejoins_after_eviction: 1, join_snapshot_bytes: 1032, partitions_healed: 1, stale_epoch_dropped: 56, rollbacks_applied: 64, checkpoints_sent: 245, speculations_computed: 3, replicas_published: 20, replication_bytes: 72592"),
     ("partition_heal_rejoin_lossy/sor", 56918280, 25533, 0x73823f78ae7c664f, "slaves_declared_dead: 9, first_death: Some(t=2.017641s), restore_resends: 2176, start_resends: 43, invocation_start_resends: 43, status_dups_ignored: 7, done_dups_ignored: 11, gather_dups_ignored: 12, checkpoints_banked: 4, rollbacks: 22, units_rolled_back: 748, speculations_launched: 5, speculations_committed: 3, units_speculated: 9, joins_admitted: 7, rejoins_after_eviction: 7, join_snapshot_bytes: 6648, partitions_healed: 7, stale_epoch_dropped: 2044, rollbacks_applied: 260, checkpoints_sent: 142, speculations_computed: 1, replicas_published: 38, replication_bytes: 194568"),
+    ("final_rollback_lost/sor", 37997954, 23822, 0xb78a66c3f98555f5, "slaves_declared_dead: 8, first_death: Some(t=2.010367s), restore_resends: 668, start_resends: 31, invocation_start_resends: 31, status_dups_ignored: 9, gather_dups_ignored: 12, checkpoints_banked: 4, rollbacks: 15, units_rolled_back: 510, joins_admitted: 6, rejoins_after_eviction: 6, join_snapshot_bytes: 4752, partitions_healed: 6, stale_epoch_dropped: 552, rollbacks_applied: 171, checkpoints_sent: 641, replicas_published: 35, replication_bytes: 143584"),
     ("master_mid_invocation/lu", 8848460, 11182, 0xaca209fd9041c6ec, "checkpoints_banked: 22, rollbacks: 1, units_rolled_back: 24, rollbacks_applied: 15, checkpoints_sent: 480, elections_held: 1, takeover_latency: Some(8.004893s), replicas_published: 51, replication_bytes: 157272"),
     ("master_frozen_then_superseded/lu", 14260765, 12539, 0x0e436bdcb1b071a3, "checkpoints_banked: 22, rollbacks: 1, units_rolled_back: 24, rollbacks_applied: 15, checkpoints_sent: 480, elections_held: 1, takeover_latency: Some(8.004893s), replicas_published: 51, replication_bytes: 157272"),
     ("drop16/lu", 262585496, 36184, 0x0be414f722020702, "slaves_declared_dead: 11, first_death: Some(t=19.052012s), restore_resends: 93, instr_resends: 11, start_resends: 2, invocation_start_resends: 13, done_dups_ignored: 16, checkpoints_banked: 22, rollbacks: 12, units_rolled_back: 288, speculations_launched: 30, speculations_committed: 29, speculations_cancelled: 1, units_speculated: 294, stale_epoch_dropped: 125, rollbacks_applied: 59, checkpoints_sent: 1285, speculations_computed: 16, replicas_published: 47, replication_bytes: 207752"),

@@ -6,7 +6,10 @@ Prints one total per crate under crates/, then `crates/core/src` file by
 file (a file that is nothing but tests, session/model/tests.rs, left out) -
 the figure a simplification PR quotes before and after - then the settable
 values: the `pub` fields of the three configuration structs a caller fills
-in, and their sum. Printed, never gated.
+in, and their sum - then the policy decisions: counted lines of
+crates/core/src outside `impl Policy` that name a `Policy` variant or call
+`rollback_policy()`, plus branches on a `rollback` local in master.rs.
+Printed, never gated.
 
     python3 tools/code_lines.py [repo root]
 """
@@ -23,13 +26,41 @@ CONFIGS = {
 }
 
 
-def code_lines(path):
-    n = 0
+def code(path):
+    """The counted lines of `path`: not blank, not a `//` comment, above the
+    file's top-level `#[cfg(test)]`."""
     for line in path.read_text().splitlines():
         if line == "#[cfg(test)]":
             break
         s = line.strip()
-        n += bool(s) and not s.startswith("//")
+        if s and not s.startswith("//"):
+            yield line
+
+
+def code_lines(path):
+    return sum(1 for _ in code(path))
+
+
+# A line that decides by recovery policy: it names a variant or asks which
+# one is in force. In master.rs, so does a branch on a `rollback` local.
+VARIANT = re.compile(r"Policy::(Rescatter|Rollback)\b|\brollback_policy\(")
+ROLLBACK_LOCAL = re.compile(r"(?<![\w.:])rollback(?![\w(])")
+
+
+def policy_decisions(root):
+    """Counted lines of crates/core/src outside `impl Policy` that decide by
+    recovery policy; `Session::new` builds the two variants, so 2 is the floor."""
+    n = 0
+    for path in sorted((root / "crates/core/src").glob("**/*.rs")):
+        local = path.relative_to(root).as_posix() == "crates/core/src/master.rs"
+        in_impl = False
+        for line in code(path):
+            if line.startswith("impl Policy {"):
+                in_impl = True
+            elif in_impl and line == "}":
+                in_impl = False
+            elif not in_impl:
+                n += bool(VARIANT.search(line) or (local and ROLLBACK_LOCAL.search(line)))
     return n
 
 
@@ -57,6 +88,8 @@ def main():
     for name, n in fields.items():
         print(f"{n:7}  {name}")
     print(f"{sum(fields.values()):7}  settable values")
+    print()
+    print(f"{policy_decisions(root):7}  policy decisions outside impl Policy")
 
 
 if __name__ == "__main__":
