@@ -143,8 +143,6 @@ impl AppSpec {
 pub struct RunConfig {
     /// One node per slave (speed, quantum, competing load).
     pub slave_nodes: Vec<NodeConfig>,
-    /// The master's node (dedicated by default).
-    pub master_node: NodeConfig,
     pub net: NetConfig,
     pub balancer: BalancerConfig,
     /// Record the master's balancing timeline (Fig. 9).
@@ -185,7 +183,6 @@ impl RunConfig {
     pub fn homogeneous(n: usize) -> RunConfig {
         RunConfig {
             slave_nodes: vec![NodeConfig::default(); n],
-            master_node: NodeConfig::default(),
             net: NetConfig::default(),
             balancer: BalancerConfig::default(),
             record_timeline: false,
@@ -331,7 +328,10 @@ pub fn try_run(
     };
     let initial_owned: Vec<u64> = assignment.iter().map(|&(l, h)| (h - l) as u64).collect();
 
-    let quantum = cfg.master_node.quantum;
+    // The OS quantum that sizes the grain (§4.4) and bounds the balancing
+    // period (§4.3) is the slaves': the coarsest one any of them runs on.
+    let quantum = cfg.slave_nodes.iter().map(|n| n.quantum).max();
+    let quantum = quantum.expect("n_slaves > 0");
     let (block_rows, units_scale, units_per_hook) = app.grain(plan, n_slaves, quantum);
 
     // Movement-time estimate per unit: wire + latency from the plan's size.
@@ -391,7 +391,8 @@ pub fn try_run(
     if let Some(p) = &cfg.fault_plan {
         sim = sim.fault_plan(p.clone());
     }
-    let master_node = sim.add_node(cfg.master_node.clone());
+    // The master runs on a dedicated reference node.
+    let master_node = sim.add_node(NodeConfig::default());
     let slave_nodes: Vec<_> = cfg
         .slave_nodes
         .iter()

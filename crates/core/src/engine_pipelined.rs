@@ -17,7 +17,7 @@
 //! result is bit-identical to sequential execution no matter when moves
 //! happen — the property tests in `tests/` rely on that.
 //!
-//! The slave's life cycle (first release, barrier, checkpoint cadence,
+//! The slave's life cycle (first release, barrier, barrier checkpoints,
 //! rollback, snapshot speculation, rescue, gather, election and rejoin)
 //! lives in [`crate::session::slave`]; this module supplies the pipelined
 //! [`DistributionStrategy`]: the sweep body, set-aside/catch-up transfer

@@ -8,7 +8,7 @@
 //! direct (no carried dependences) and only ships active columns; a column
 //! arriving one step behind is caught up with the retained pivot window.
 //!
-//! The slave's life cycle (first release, barrier, checkpoint cadence,
+//! The slave's life cycle (first release, barrier, barrier checkpoints,
 //! rollback, snapshot speculation, rescue, gather, election and rejoin)
 //! lives in [`crate::session::slave`]; this module supplies the shrinking
 //! [`DistributionStrategy`]: the pivot/update step body, active/retired
@@ -580,7 +580,6 @@ mod tests {
             epoch: 1,
             invocation,
             survivors: vec![0],
-            ckpt_stride: 1,
             units,
         }
     }

@@ -9,7 +9,7 @@ use crate::balancer::BalancerStats;
 use crate::master::{TimelineSample, MASTER_TICK};
 use crate::recovery::RecoveryStats;
 use crate::session::master::MASTER_HEARTBEAT;
-use crate::session::replica::{ELECTION_STAGGER, MASTER_SUSPICION};
+use crate::session::replica::{DEPUTIES, ELECTION_STAGGER, MASTER_SUSPICION};
 use crate::slave_common::OP_TIMEOUT;
 use dlb_sim::{SimDuration, SimReport, SimTime};
 use std::fmt;
@@ -192,9 +192,10 @@ pub(crate) fn slave_who(idx: usize) -> String {
 /// compute times well under a second); `suspicion` must comfortably exceed
 /// the longest stretch a healthy slave can go without sending anything —
 /// roughly one unit compute plus the balancing period — or healthy slaves
-/// get evicted. Everything no caller ever sized (the master's timer tick,
-/// the per-step deadline, retry bounds, the failover election's windows) is
-/// a constant beside its consumer; DESIGN.md §8 tabulates both sets.
+/// get evicted. A value stays settable only when a caller outside tests and
+/// examples varies it: the rest (the master's timer tick, the per-step
+/// deadline, retry bounds, the failover election's windows and deputy set)
+/// is a constant beside its consumer; DESIGN.md §8 tabulates both sets.
 #[derive(Clone, Debug, PartialEq)]
 pub struct FaultToleranceConfig {
     /// Silence after which the master declares a slave dead.
@@ -211,24 +212,6 @@ pub struct FaultToleranceConfig {
     /// these slices, so [`try_run`](crate::driver::try_run) rejects a
     /// heartbeat coarser than the election stagger.
     pub slave_heartbeat: SimDuration,
-    /// Adaptive checkpoint cadence: the most consecutive barriers a slave
-    /// may skip snapshotting when restarts look cheap. Zero disables the
-    /// adaptation (a checkpoint at every barrier — the safest cadence).
-    pub ckpt_max_skip: u64,
-    /// Adaptive checkpoint cadence: target bound on the expected recompute
-    /// time a rollback may cost. The stride is chosen so that
-    /// `stride × EMA(invocation time)` stays at or under this budget.
-    pub ckpt_loss_budget: SimDuration,
-    /// Master failover: size of the deputy set (the lowest-ranked slaves
-    /// that receive control-plane replicas and may stand for election when
-    /// the master falls silent). Clamped to the slave count; an election
-    /// needs a majority of the deputy set, so 3 tolerates one dead deputy.
-    pub deputies: usize,
-    /// Master failover: replication cadence — publish a control-plane
-    /// replica to the deputies every this-many settled invocations
-    /// (1 = every barrier; larger values trade replication bytes for a
-    /// staler takeover point).
-    pub replicate_every: u64,
     /// Elastic membership: how many times an evicted (or late-starting)
     /// slave re-sends `Msg::Join` before giving up with
     /// [`ProtocolError::JoinRefused`]. Zero disables rejoin entirely —
@@ -246,10 +229,6 @@ const DEFAULTS: FaultToleranceConfig = FaultToleranceConfig {
     speculate_after: SimDuration::from_secs(4),
     nudge: SimDuration::from_secs(2),
     slave_heartbeat: SimDuration::from_secs(1),
-    ckpt_max_skip: 0,
-    ckpt_loss_budget: SimDuration::from_secs(2),
-    deputies: 3,
-    replicate_every: 1,
     rejoin_attempts: 0,
     rejoin_backoff: SimDuration::from_secs(2),
 };
@@ -273,7 +252,7 @@ const _: () = {
     // wide margin, the per-rank staggers must separate candidacies well
     // inside one suspicion window, and the whole election must finish long
     // before blocked slaves give up on the run.
-    let staggers = ELECTION_STAGGER.0 * t.deputies as u64;
+    let staggers = ELECTION_STAGGER.0 * DEPUTIES as u64;
     assert!(MASTER_HEARTBEAT.0 * 4 <= MASTER_SUSPICION.0);
     assert!(staggers < MASTER_SUSPICION.0);
     assert!(
@@ -284,8 +263,7 @@ const _: () = {
         MASTER_SUSPICION.0 + staggers < OP_TIMEOUT.0,
         "an election must complete within one op timeout"
     );
-    assert!(t.deputies >= 1);
-    assert!(t.replicate_every >= 1);
+    assert!(DEPUTIES >= 1);
     assert!(t.rejoin_attempts == 0, "rejoin is opt-in");
     assert!(
         t.rejoin_backoff.0 >= t.nudge.0,

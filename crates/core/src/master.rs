@@ -68,14 +68,14 @@
 //! |---|-------|------------|-------------|------------|
 //! | 1 | takeover seeding (`Session::open`) | `seed` | resume at the replicated invocation watermark, every unit recomputed through it; first epoch `(term << 32) \| 1` | bank the replica's snapshot, roll back to it from `term << 32` (same first epoch) |
 //! | 2 | unit state in a re-range (`Session::rerange`: takeover, admission, rollback) | `rerange_units`, `reranged` | `recompute(kernel, u, inv)`, each survivor's share adopted as its ownership; the survivors' unacknowledged instructions and their silence/nudge clocks are kept | newest banked snapshot; every unacknowledged instruction is dropped, survivors' clocks restart, a joiner's ack floor `join_epoch[j]` is raised to the admission epoch |
-//! | 3 | `ckpt_stride` in `InvocationStart` / `Rollback` / `ReplicaMsg`; replica freshness | `ckpt_stride`, `replica_source` | constant 1; `fresh = inv`, no snapshot | adaptive (invocation-time EMA); `fresh` = newest banked checkpoint, shipped until the deputy confirms it as a delta against what it confirmed |
+//! | 3 | replica freshness (`Session::publish_replica`) | `replica_source` | `fresh = inv`, no snapshot | `fresh` = newest banked checkpoint, shipped until the deputy confirms it as a delta against what it confirmed |
 //! | 4 | `Status` / `InvocationDone` from a stale epoch; cancelling a speculation | `future_epoch`, `cancel_race` | never cancels a speculation; "from the future" checks the invocation only; cancel is a windowed `SpecCancel` | cancels it; `epoch >` the epoch in force is also "from the future" (`Status`) or `Inconsistent` (`InvocationDone`); cancel is master-local |
 //! | 5 | window ack floor for `InvocationDone::restore_seq`, always applied *before* the epoch fence; ownership | `ack_floor`, `adopt_owned` | the epoch in force — a stale report never acks; `owned_ids` adopted | `join_epoch[slave]` — a stale report of this life still acks; `owned_ids` ignored |
 //! | 6 | policy-own messages: every arm `drive` does not share | `own_msg` | `OwnReport` | `Checkpoint`, stray `GatherData`; the other policy's messages end in `UnexpectedMessage` naming the policy and the phase (silently tolerated under a takeover) |
 //! | 7 | `SlaveError` from a member | `member_error` | fatal: `SlaveFailed` | once its window is acked: evict unless the error is survivable, roll back, restart the invocation |
 //! | 8 | suspicion expires | `evict_in_place`, `fence`, `awaits`, `renotify` | evict inside the sweep (several per sweep, before the deputies are pinged), fence with `Evicted`, wait for `OwnReport`s — a slave one of them is awaited from is never "settled", awaiting survivors are re-notified on the nudge timer, and the barrier stays shut while an eviction is open | first suspect only, after the ping: evict, roll back, restart the invocation |
 //! | 9 | speculation launch | `speculate` | suspect's units from initial data; not while an eviction is open, not for a slave that owns nothing | whole banked snapshot, advanced one invocation; not for a suspect that is done, not past the invocation being settled |
-//! | 10 | an invocation settles | `fold_invocation_time` | — | its wall time folds into the restart-cost EMA and re-picks the stride |
+//! | 10 | an invocation settles | `fold_invocation_time` | — | its wall time folds into the restart-cost EMA |
 //! | 11 | gather | `gathered`, `ack_delivery` | ack each `GatherData` at once; done when every live slave delivered; a death is absorbed and the safety net recomputes whatever no survivor delivered | ack only when all `n_units` are in hand (a death or a survivable `SlaveError` rolls back and redoes the run from the checkpoint, which needs every slave resident) |
 //!
 //! Three points are one code path although they look policy-specific.
@@ -378,15 +378,7 @@ async fn run_plain(
     while inv < invocations {
         cfg.balancer.set_remaining_invocations(invocations - inv);
         for &s in slaves {
-            send(
-                ctx,
-                s,
-                Msg::InvocationStart {
-                    invocation: inv,
-                    ckpt_stride: 1,
-                },
-            )
-            .await;
+            send(ctx, s, Msg::InvocationStart { invocation: inv }).await;
         }
         let expected = cfg.app.expected_units(inv);
         let mut done_sum = 0u64;
@@ -681,9 +673,7 @@ async fn drive(
                         send(ctx, st.slaves[s], st.release_msg()).await;
                     }
                 }
-                if st.inv.is_multiple_of(tol.replicate_every.max(1)) {
-                    st.publish_replica(ctx).await;
-                }
+                st.publish_replica(ctx).await;
                 st.begin_invocation(ctx.now());
                 Phase::Settle
             } else {
@@ -713,7 +703,7 @@ async fn drive(
         }
         if matches!(phase, Phase::Settle) && st.settled(&cfg.balancer) {
             let wall = ctx.now().saturating_since(st.inv_started);
-            st.policy.fold_invocation_time(wall, &tol);
+            st.policy.fold_invocation_time(wall);
             let reduced: f64 = st.metrics.iter().sum();
             st.inv += 1;
             if cfg.app.converged(st.inv - 1, reduced) {

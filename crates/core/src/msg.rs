@@ -173,10 +173,10 @@ pub struct TransferMsg {
 
 /// Master → deputy: a replica of the master's control-plane state, from
 /// which an elected deputy can rebuild the session after the master dies.
-/// Published at invocation barriers (cadence `replicate_every`), and
-/// nowhere else. Under the rollback policy a deputy whose confirmed
-/// snapshot lags the bank is shipped a *delta*: only the snapshot units it
-/// cannot already hold (see `delta_base`).
+/// Published at every invocation barrier, and nowhere else. Under the
+/// rollback policy a deputy whose confirmed snapshot lags the bank is
+/// shipped a *delta*: only the snapshot units it cannot already hold (see
+/// `delta_base`).
 #[derive(Clone, Debug)]
 pub struct ReplicaMsg {
     /// The publishing master's election term (0 = the original master).
@@ -185,8 +185,6 @@ pub struct ReplicaMsg {
     pub epoch: u64,
     /// Invocation the master is currently running/settling.
     pub invocation: u64,
-    /// Checkpoint cadence in force.
-    pub ckpt_stride: u64,
     /// Membership as the master believes it (`alive[i]` per slave).
     pub alive: Vec<bool>,
     /// Replica freshness: the invocation a takeover from this replica can
@@ -230,13 +228,8 @@ pub enum Msg {
     },
     Instructions(Instructions),
     /// Barrier release: begin the given invocation (sweep / step / rep).
-    /// `ckpt_stride` is the adaptive checkpoint cadence the master chose
-    /// for the coming invocations: send a checkpoint only when the
-    /// completed invocation number is a multiple of it (1 = every barrier;
-    /// the default, and the only value outside the checkpointed engines).
     InvocationStart {
         invocation: u64,
-        ckpt_stride: u64,
     },
     /// Request final data; slaves answer with `GatherData` and terminate.
     Gather,
@@ -365,9 +358,6 @@ pub enum Msg {
         /// Live slave indices, ascending — the receiver derives its
         /// pipeline neighbours from its position in this list.
         survivors: Vec<usize>,
-        /// Checkpoint cadence in force after the restart (see
-        /// [`Msg::InvocationStart`]).
-        ckpt_stride: u64,
         units: SharedUnits,
     },
     /// Master → idle survivor: speculatively re-execute a silent suspect's
@@ -567,7 +557,9 @@ impl Msg {
                 // Fixed scalars + membership bitmap + incarnation table +
                 // counters block + the snapshot when one rides along: its
                 // `delta_base` (its invocation is `best_banked`) and the
-                // units this message carries, not the whole snapshot.
+                // units this message carries, not the whole snapshot. The
+                // scalar block is priced one word above its five scalars:
+                // every recorded trace hash and virtual time rests on it.
                 HDR + 48
                     + r.alive.len() as u64
                     + 8 * r.incarnations.len() as u64
@@ -714,7 +706,6 @@ mod tests {
             term: 0,
             epoch: 0,
             invocation: 3,
-            ckpt_stride: 1,
             alive: vec![true; 16],
             fresh: 2,
             snapshot: snapshot.map(|units| (2, units)),
@@ -725,16 +716,29 @@ mod tests {
         }))
     }
 
+    /// The barrier release for `invocation`.
+    fn release(invocation: u64) -> Msg {
+        Msg::InvocationStart { invocation }
+    }
+
+    /// The control plane's prices, to the byte: they are what the virtual
+    /// network charges, so every trace hash and virtual time rests on them.
+    /// A replica's scalar block is 48 B, its counters 304; a delta is
+    /// charged for the units it carries, not for the snapshot.
     #[test]
-    fn replica_wire_cost_counts_snapshot_and_counters() {
+    fn control_plane_messages_cost_their_recorded_bytes() {
         let col = || Arc::new(vec![vec![0.0; 100]]);
-        let bare = replica(None, 0);
-        let whole = replica(Some(vec![(0, col()), (1, col())]), 0);
-        assert!(bare.wire_bytes() >= 32 + 48 + 16 + 128 + RecoveryStats::WIRE_BYTES);
-        assert_eq!(whole.wire_bytes(), bare.wire_bytes() + 8 + 2 * (8 + 800));
-        // A delta is charged for the units it carries, not the snapshot.
-        let delta = replica(Some(vec![(1, col())]), 1);
-        assert_eq!(delta.wire_bytes(), bare.wire_bytes() + 8 + (8 + 800));
+        let rollback = unit_carriers(&two_units()).swap_remove(3);
+        assert!(matches!(rollback, Msg::Rollback { .. }));
+        let costs = [
+            release(3),
+            rollback,
+            replica(None, 0),
+            replica(Some(vec![(0, col()), (1, col())]), 0),
+            replica(Some(vec![(1, col())]), 1),
+        ]
+        .map(|m| m.wire_bytes());
+        assert_eq!(costs, [40, 2472, 528, 2152, 1344]);
     }
 
     /// Two units of one and two arrays: 8 + 800 and 8 + 1600 wire bytes.
@@ -769,7 +773,6 @@ mod tests {
                 epoch: 1,
                 invocation: 2,
                 survivors: vec![0, 1, 2],
-                ckpt_stride: 1,
                 units: units(),
             },
             replica(Some(units()), 0),

@@ -98,7 +98,7 @@ pub struct RecoveryStats {
     /// its promotion (the failover blackout), for the last election held.
     pub takeover_latency: Option<SimDuration>,
     /// Control-plane replicas published to deputies (one per live deputy
-    /// per cadence point — routine traffic, not a recovery action).
+    /// per barrier — routine traffic, not a recovery action).
     pub replicas_published: u64,
     /// Bytes of control-plane replication the master(s) sent to deputies.
     pub replication_bytes: u64,

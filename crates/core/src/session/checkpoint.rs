@@ -1,7 +1,7 @@
-//! The checkpoint bank: globally consistent snapshots, rollback sourcing,
-//! and the adaptive checkpoint cadence.
+//! The checkpoint bank: globally consistent snapshots and rollback
+//! sourcing.
 //!
-//! Checkpointed engines snapshot their units at every `stride`-th barrier;
+//! Checkpointed engines snapshot their units at every barrier;
 //! the master banks partial snapshots per invocation and promotes one to
 //! *best* once every unit id is covered. A rollback restarts the run from
 //! the best snapshot (or from the initial state when none is complete yet).
@@ -22,7 +22,6 @@
 //! that unit's value ([`CheckpointBank::best_since`]).
 
 use crate::msg::{SharedUnits, UnitData};
-use dlb_sim::SimDuration;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -111,20 +110,6 @@ impl CheckpointBank {
             .clone()
             .unwrap_or_else(|| (0, (0..n_units).map(|id| (id, Arc::new(init(id)))).collect()))
     }
-}
-
-/// Adaptive checkpoint cadence: how many invocations apart the slaves
-/// should snapshot, given the EMA of one invocation's virtual time.
-///
-/// The stride is the largest `k ≤ max_skip + 1` such that a rollback's
-/// expected recompute (`k × ema`) stays within `loss_budget`; at least 1
-/// (a checkpoint every barrier) and exactly 1 when the adaptation is
-/// disabled (`max_skip == 0`) or no EMA is known yet.
-pub fn checkpoint_stride(max_skip: u64, loss_budget: SimDuration, ema_s: f64) -> u64 {
-    if max_skip == 0 || ema_s <= 0.0 {
-        return 1;
-    }
-    ((loss_budget.as_secs_f64() / ema_s).floor() as u64).clamp(1, max_skip + 1)
 }
 
 #[cfg(test)]
@@ -254,16 +239,5 @@ pub(crate) mod tests {
         assert_eq!(inv, 3);
         assert!(same_storage(&first, &after));
         assert_eq!(after, vec![(0, unit(20.0)), (1, unit(10.0))]);
-    }
-
-    #[test]
-    fn stride_respects_budget_and_bounds() {
-        let budget = SimDuration::from_secs(2);
-        assert_eq!(checkpoint_stride(0, budget, 0.1), 1, "disabled");
-        assert_eq!(checkpoint_stride(4, budget, 0.0), 1, "no EMA yet");
-        assert_eq!(checkpoint_stride(4, budget, 10.0), 1, "restarts expensive");
-        assert_eq!(checkpoint_stride(4, budget, 0.7), 2);
-        assert_eq!(checkpoint_stride(4, budget, 0.1), 5, "capped at skip+1");
-        assert_eq!(checkpoint_stride(2, budget, 0.1), 3);
     }
 }

@@ -24,9 +24,9 @@ use crate::kernels::IndependentKernel;
 use crate::msg::{Instructions, Msg, ReplicaMsg, SharedUnits, UnitData};
 use crate::protocol::SenderWindow;
 use crate::recovery::{redistribute, RecoveryStats};
-use crate::session::checkpoint::{checkpoint_stride, CheckpointBank};
+use crate::session::checkpoint::CheckpointBank;
 use crate::session::membership::Membership;
-use crate::session::replica::TakeoverSeed;
+use crate::session::replica::{TakeoverSeed, DEPUTIES};
 use crate::session::speculation::{RestartSpec, SnapshotSpec};
 use dlb_sim::{ActorId, MailCtx, SimDuration, SimTime};
 use std::collections::btree_map::Entry;
@@ -179,9 +179,6 @@ pub(crate) struct RollbackState {
     bank: CheckpointBank,
     /// In-flight snapshot speculation, at most one.
     spec: Option<SnapshotSpec>,
-    /// Checkpoint cadence currently in force (broadcast with each barrier
-    /// release; always 1 when the adaptation is disabled).
-    ckpt_stride: u64,
     /// Exponential moving average of the invocation wall time (seconds),
     /// for the restart-cost estimate fed to the balancer.
     ema_s: f64,
@@ -217,7 +214,7 @@ impl Policy {
         }
     }
 
-    /// Row 2: what a re-range ships, `(invocation, ckpt_stride, units)`.
+    /// Row 2: what a re-range ships, `(invocation, units)`.
     /// Re-scatter recomputes each unit through the completed invocations
     /// (the state at the start of `inv`, bit-identical to what the
     /// survivors would have held) and stays at `inv`; the new ownership is
@@ -226,14 +223,14 @@ impl Policy {
     /// yet), restarts there, abandons any race, and hands the estimated
     /// re-execution cost to the balancer so marginal moves stop looking
     /// profitable while the run is catching up.
-    fn rerange_units(st: &mut Session, balancer: &mut Balancer) -> (u64, u64, SharedUnits) {
+    fn rerange_units(st: &mut Session, balancer: &mut Balancer) -> (u64, SharedUnits) {
         match &mut st.policy {
             Policy::Rescatter(rs) => {
                 rs.owned.iter_mut().for_each(BTreeSet::clear);
                 let units = (0..st.n_units)
                     .map(|u| (u, Arc::new(recompute(rs.kernel.as_ref(), u, st.inv))))
                     .collect();
-                (st.inv, 1, units)
+                (st.inv, units)
             }
             Policy::Rollback(rb) => {
                 let (ck_inv, snapshot) = rb
@@ -250,10 +247,7 @@ impl Policy {
                 // runs a bounded number of extra invocations.)
                 let lost_invs = (st.inv + 1).saturating_sub(ck_inv);
                 balancer.set_restart_cost(SimDuration::from_secs_f64(rb.ema_s * lost_invs as f64));
-                let tol = &st.tol;
-                rb.ckpt_stride =
-                    checkpoint_stride(tol.ckpt_max_skip, tol.ckpt_loss_budget, rb.ema_s);
-                (ck_inv, rb.ckpt_stride, snapshot)
+                (ck_inv, snapshot)
             }
         }
     }
@@ -276,16 +270,6 @@ impl Policy {
         }
         for &j in joined {
             rb.join_epoch[j] = st.epoch;
-        }
-    }
-
-    /// Row 3: the checkpoint cadence announced with a barrier release, a
-    /// `Rollback` and a replica — constant 1 under re-scatter, adaptive
-    /// (row 10) under rollback.
-    pub fn ckpt_stride(&self) -> u64 {
-        match self {
-            Policy::Rescatter(_) => 1,
-            Policy::Rollback(rb) => rb.ckpt_stride,
         }
     }
 
@@ -724,9 +708,8 @@ impl Policy {
     }
 
     /// Row 10: an invocation settled after `wall`. Under rollback its wall
-    /// time folds into the restart-cost EMA and re-picks the checkpoint
-    /// stride for the next release.
-    pub fn fold_invocation_time(&mut self, wall: SimDuration, tol: &FaultToleranceConfig) {
+    /// time folds into the restart-cost EMA.
+    pub fn fold_invocation_time(&mut self, wall: SimDuration) {
         let Policy::Rollback(rb) = self else {
             return;
         };
@@ -736,7 +719,6 @@ impl Policy {
         } else {
             0.5 * rb.ema_s + 0.5 * dur
         };
-        rb.ckpt_stride = checkpoint_stride(tol.ckpt_max_skip, tol.ckpt_loss_budget, rb.ema_s);
     }
 
     /// Row 11, per delivery: re-scatter acknowledges each `GatherData` to
@@ -850,7 +832,7 @@ impl Session {
         rec: RecoveryStats,
     ) -> Session {
         let n = slaves.len();
-        let deputies = tol.deputies.min(n);
+        let deputies = DEPUTIES.min(n);
         let policy = match app {
             AppSpec::Independent(kernel) => Policy::Rescatter(RescatterState {
                 kernel: Arc::clone(kernel),
@@ -865,7 +847,6 @@ impl Session {
                 app: app.clone(),
                 bank: CheckpointBank::new(),
                 spec: None,
-                ckpt_stride: 1,
                 ema_s: 0.0,
                 join_epoch: vec![term << 32; n],
             }),
@@ -902,7 +883,6 @@ impl Session {
     pub fn release_msg(&self) -> Msg {
         Msg::InvocationStart {
             invocation: self.inv,
-            ckpt_stride: self.policy.ckpt_stride(),
         }
     }
 
@@ -977,7 +957,7 @@ impl Session {
     /// (`InvocationDone::replica_inv`) lags it is shipped a delta against
     /// that ack: only the units the bank stamped after it
     /// ([`CheckpointBank::best_since`]), the whole snapshot for ack 0. A
-    /// lost replica self-heals at the next cadence point: the ack did not
+    /// lost replica self-heals at the next barrier: the ack did not
     /// move, so the next delta re-ships everything since it.
     pub async fn publish_replica(&mut self, ctx: &MailCtx<Msg>) {
         let (fresh, bank) = self.policy.replica_source(self.inv);
@@ -985,7 +965,6 @@ impl Session {
             term: self.fo.term,
             epoch: self.epoch,
             invocation: self.inv,
-            ckpt_stride: self.policy.ckpt_stride(),
             alive: self.memb.alive.clone(),
             incarnations: self.memb.incarnation.clone(),
             fresh,
@@ -1122,7 +1101,7 @@ impl Session {
         }
         self.epoch += 1;
         let ranges = crate::driver::block_ranges(self.n_units, survivors.len());
-        let (invocation, ckpt_stride, snapshot) = Policy::rerange_units(self, balancer);
+        let (invocation, snapshot) = Policy::rerange_units(self, balancer);
         let mut counts = vec![0u64; n];
         let mut rest = snapshot.into_iter();
         let epoch = self.epoch;
@@ -1136,7 +1115,6 @@ impl Session {
                 epoch,
                 invocation,
                 survivors,
-                ckpt_stride,
                 units,
             };
             let bytes = send_windowed(ctx, self.slaves[sv], &mut self.win[sv], rollback).await;

@@ -10,8 +10,7 @@
 //! * `session` (this module) — the shared liveness/ownership substrate:
 //!   - `membership`: the per-slave liveness table with suspicion timers,
 //!     nudge scheduling, and eviction;
-//!   - `checkpoint`: the checkpoint bank, rollback sourcing, and the
-//!     adaptive checkpoint cadence;
+//!   - `checkpoint`: the checkpoint bank and rollback sourcing;
 //!   - `speculation`: racing a suspect's work on an idle survivor,
 //!     commit-or-cancel before suspicion expires;
 //!   - `master`: the master-side `Session` tying those together with epoch

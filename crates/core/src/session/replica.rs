@@ -1,7 +1,7 @@
 //! Deputy-side master failover: replica absorption, master-silence watch,
 //! and the epoch-fenced election state machine.
 //!
-//! The lowest-ranked `deputies` slaves each hold a [`DeputyState`]: a copy
+//! The lowest-ranked `DEPUTIES` slaves each hold a [`DeputyState`]: a copy
 //! of the master's control-plane replica ([`crate::msg::ReplicaMsg`]), a
 //! one-row `Membership` table watching the *master's* liveness with the
 //! same two-clock rules slaves are watched by, and the election bookkeeping
@@ -50,6 +50,10 @@ use crate::session::membership::Membership;
 use dlb_sim::{SimDuration, SimTime};
 use std::collections::BTreeSet;
 
+/// Size of the deputy set: the lowest-ranked slaves (clamped to the slave
+/// count) that hold a control-plane replica and may stand for election. An
+/// election needs a majority of the set, so 3 tolerates one dead deputy.
+pub(crate) const DEPUTIES: usize = 3;
 /// Master silence (neither protocol traffic nor pings) after which the
 /// rank-0 deputy stands for election.
 pub(crate) const MASTER_SUSPICION: SimDuration = SimDuration::from_secs(8);
@@ -125,7 +129,6 @@ impl DeputyState {
                 term: 0,
                 epoch: 0,
                 invocation: 0,
-                ckpt_stride: 1,
                 alive: vec![true; n_slaves],
                 fresh: 0,
                 snapshot: None,
@@ -339,7 +342,6 @@ mod tests {
             term,
             epoch: 0,
             invocation,
-            ckpt_stride: 1,
             alive: vec![true; 16],
             fresh: snapshot.unwrap_or(invocation),
             snapshot: snapshot.map(|inv| (inv, vec![(0, Arc::new(vec![vec![1.0]]))])),

@@ -30,7 +30,7 @@
 //! | b | a wedged slave (`recoverable`) | never recoverable: the error is shipped and fatal to the run | timeouts, missing pivots, torn state: reported, then rescued by rollback (`rescue_wait`) |
 //! | c | first-release wait (`consumes_before_release`) | drains the mailbox in arrival order: a `Transfer` is acknowledged and adopted, the windowed master channel applied, a duplicate `Start` dropped, evictions settled after each | only the release and instructions leave the mailbox; everything else is keyed to a step and stays queued for it |
 //! | d | done report (`report`, and the `run_invocation` / `Refresh` contract) | carries the summed `local_metric`; re-owned units are reintegrated and `OwnReport`s sent first | metric 0 |
-//! | e | barrier checkpoint (`SNAPSHOTS`, `checkpoint_units`) | none, ever: recovery is by re-scatter | shipped when the adaptive stride says so, re-sent with every refreshed report; one snapshot per barrier state, rebuilt only after a `Refresh` |
+//! | e | barrier checkpoint (`SNAPSHOTS`, `checkpoint_units`) | none, ever: recovery is by re-scatter | shipped at every barrier, re-sent with every refreshed report; one snapshot per barrier state, rebuilt only after a `Refresh` |
 //! | f | what refreshes the done report (`on_barrier_msg` → `Refresh`) | also every `TransferAck`, every `Evicted` (after re-owning, which may bring work), every `Restore` / `SpecCommit` / `SpecCancel`, and a stale `InvocationStart` in fault mode | `Transfer` and executed movement orders only; acks and evictions go through `SlaveCommon::control`, a stale release is dropped silently, the master-channel three are protocol violations |
 //! | g | `speculate` | the suspect's units, computed through the tagged invocation into a side buffer, heartbeating; nothing shipped | the banked snapshot advanced one invocation, shipped as a checkpoint |
 //! | h | `Gather` (`may_end_after`) | ends the run at any barrier — the master's WHILE test decides (§4.1) | only at the last barrier; anywhere else it is a stray from a superseded master and a protocol violation |
@@ -89,13 +89,15 @@ impl SlaveSpec {
 }
 
 /// Actor body of every slave. Never panics on protocol trouble: fatal
-/// errors are shipped to the master as [`Msg::SlaveError`].
+/// errors are shipped as [`Msg::SlaveError`] to the master this slave last
+/// adopted.
 pub async fn run_slave<S: DistributionStrategy>(
     spec: SlaveSpec,
     make_strategy: impl FnOnce(&SlaveSpec, &StartInfo) -> Result<S, ProtocolError>,
     ctx: MailCtx<Msg>,
 ) {
-    match slave_life(&spec, make_strategy, &ctx).await {
+    let mut master = spec.master;
+    match slave_life(&spec, make_strategy, &ctx, &mut master).await {
         Ok(())
         | Err(ProtocolError::Aborted)
         | Err(ProtocolError::Evicted { .. })
@@ -106,15 +108,19 @@ pub async fn run_slave<S: DistributionStrategy>(
                 error,
             };
             let bytes = msg.wire_bytes();
-            ctx.send(spec.master, msg, bytes).await;
+            ctx.send(master, msg, bytes).await;
         }
     }
 }
 
+/// The slave's lives, from `Start` to its end. `master` follows every
+/// `Promoted` the slave adopts, so a fatal error after a failover reaches
+/// the reign that replaced the dead one.
 async fn slave_life<S: DistributionStrategy>(
     spec: &SlaveSpec,
     make_strategy: impl FnOnce(&SlaveSpec, &StartInfo) -> Result<S, ProtocolError>,
     ctx: &MailCtx<Msg>,
+    master: &mut ActorId,
 ) -> Result<(), ProtocolError> {
     let start = recv_start(ctx, spec.idx, spec.ft.is_some()).await?;
     let mut strategy = make_strategy(spec, &start)?;
@@ -126,7 +132,9 @@ async fn slave_life<S: DistributionStrategy>(
         common.park_then_join(ctx, at).await?;
     }
     loop {
-        match run(ctx, &mut common, &mut strategy).await {
+        let life = run(ctx, &mut common, &mut strategy).await;
+        *master = common.master;
+        match life {
             Err(ProtocolError::Elected { .. }) => {
                 // This deputy won the master election: drop the slave role
                 // and rebuild the master in place from the replicated seed.
@@ -227,9 +235,8 @@ async fn rescue_wait(ctx: &MailCtx<Msg>, common: &mut SlaveCommon) -> Result<(),
 }
 
 /// Adopt a rollback: fence the shared channel state (epoch, transfer
-/// dedup, report bookkeeping, checkpoint cadence), then hand the snapshot
-/// to the strategy to rebuild its own state. Returns the invocation to
-/// resume from.
+/// dedup, report bookkeeping), then hand the snapshot to the strategy to
+/// rebuild its own state. Returns the invocation to resume from.
 fn apply_rollback<S: DistributionStrategy>(
     common: &mut SlaveCommon,
     strategy: &mut S,
@@ -247,7 +254,6 @@ fn apply_rollback<S: DistributionStrategy>(
     common.reclaimed.clear();
     common.own_report_due.clear();
     common.rebase_epoch(rb.epoch);
-    common.ckpt_stride = rb.ckpt_stride.max(1);
     strategy.restore(common, rb)
 }
 
@@ -269,13 +275,7 @@ async fn run_invocations<S: DistributionStrategy>(
                     || S::consumes_before_release(m)
             };
             match common.recv_blocking(ctx, pred, context).await?.msg {
-                Msg::InvocationStart {
-                    invocation: 0,
-                    ckpt_stride,
-                } => {
-                    common.ckpt_stride = ckpt_stride.max(1);
-                    break;
-                }
+                Msg::InvocationStart { invocation: 0 } => break,
                 m @ Msg::InvocationStart { .. } => return Err(common.unexpected(context, &m)),
                 m => match strategy.on_barrier_msg(ctx, common, None, m).await? {
                     // Orders that predate the release have nothing to move.
@@ -318,11 +318,10 @@ async fn send_done<S: DistributionStrategy>(
 }
 
 /// Ship the barrier checkpoint — the state from which invocation `inv + 1`
-/// starts — when the adaptive cadence says this barrier is a checkpoint
-/// barrier. Best-effort: a dropped (or skipped) checkpoint only means the
-/// master rolls back to an older complete snapshot. `snapshot` is the
-/// barrier's copy of the live state: taken on first use, shared by every
-/// re-send, and cleared by the caller whenever the state moved.
+/// starts. Best-effort: a dropped checkpoint only means the master rolls
+/// back to an older complete snapshot. `snapshot` is the barrier's copy of
+/// the live state: taken on first use, shared by every re-send, and
+/// cleared by the caller whenever the state moved.
 async fn send_checkpoint<S: DistributionStrategy>(
     ctx: &MailCtx<Msg>,
     common: &mut SlaveCommon,
@@ -331,9 +330,6 @@ async fn send_checkpoint<S: DistributionStrategy>(
     snapshot: &mut Option<SharedUnits>,
 ) {
     if !S::SNAPSHOTS || common.ft.is_none() {
-        return;
-    }
-    if !(inv + 1).is_multiple_of(common.ckpt_stride.max(1)) {
         return;
     }
     let units = snapshot
@@ -427,11 +423,7 @@ async fn barrier<S: DistributionStrategy>(
                 // watermark: the master's settlement waits for this ack.
                 send_done(ctx, common, strategy, inv).await;
             }
-            Msg::InvocationStart {
-                invocation,
-                ckpt_stride,
-            } if invocation == inv + 1 && !is_final => {
-                common.ckpt_stride = ckpt_stride.max(1);
+            Msg::InvocationStart { invocation } if invocation == inv + 1 && !is_final => {
                 return Ok(Released::Next);
             }
             // Stale duplicate of an earlier release.
@@ -504,6 +496,7 @@ async fn reply_gather<S: DistributionStrategy>(
 mod tests {
     use super::*;
     use crate::msg::UnitData;
+    use crate::session::replica::DEPUTIES;
     use dlb_sim::{NodeConfig, SimBuilder, SimDuration};
     use std::sync::Mutex;
 
@@ -594,33 +587,48 @@ mod tests {
         }
     }
 
-    /// Run slave 0 through the whole shell against an inert master stub that
-    /// plays `Start`, then `script` (`(send time in ms, message)`), then
-    /// `Abort` at `abort_ms`, and return what the stub was sent until then.
-    fn against_stub<const SNAPSHOTS: bool>(
+    /// How the slave under test is wired: its fault tolerance, and its rank
+    /// among the `n` slaves of the `Start`.
+    struct Shell {
         ft: Option<FaultToleranceConfig>,
+        rank: usize,
+        n: usize,
+    }
+
+    /// Run slave `rank` through the whole shell against an inert master
+    /// stub that plays `Start`, then `script` (`(send time in ms,
+    /// message)`), then `Abort` at `abort_ms`. Every other slot of the
+    /// `Start` is one peer stub. Returns what the master stub and what the
+    /// peer stub were sent until then.
+    fn against_stubs<const SNAPSHOTS: bool>(
+        shell: Shell,
         toy: Toy<SNAPSHOTS>,
         script: Vec<(u64, Msg)>,
         abort_ms: u64,
-    ) -> Vec<Msg> {
+    ) -> (Vec<Msg>, Vec<Msg>) {
+        let (master, peer, end) = (ActorId(1), ActorId(2), SimTime(abort_ms * 1000));
         let spec = SlaveSpec {
-            idx: 0,
-            master: ActorId(1),
+            idx: shell.rank,
+            master,
             mode: InteractionMode::Pipelined,
-            ft,
+            ft: shell.ft,
             takeover: None,
             join_at: None,
         };
         let mut sim = SimBuilder::<Msg>::new();
-        let nodes = [(); 2].map(|()| sim.add_node(NodeConfig::default()));
+        let nodes = [(); 3].map(|()| sim.add_node(NodeConfig::default()));
         let make = move |_: &_, _: &_| Ok(toy);
-        let slave = sim.spawn_mail(nodes[0], "slave0", move |ctx| run_slave(spec, make, ctx));
-        let heard = Arc::new(Mutex::new(Vec::new()));
-        let sink = Arc::clone(&heard);
+        let slave = sim.spawn_mail(nodes[0], "slave", move |ctx| run_slave(spec, make, ctx));
+        let mut slaves = vec![peer; shell.n];
+        slaves[shell.rank] = slave;
+        let mut assignment = vec![(0, 0); shell.n];
+        assignment[shell.rank] = (0, 1);
+        let heard = [(); 2].map(|()| Arc::new(Mutex::new(Vec::new())));
+        let sink = Arc::clone(&heard[0]);
         sim.spawn_mail(nodes[1], "master", move |ctx| async move {
             let start = Msg::Start {
-                slaves: vec![slave],
-                assignment: vec![(0, 1)],
+                slaves,
+                assignment,
                 block_rows: 1,
             };
             let script = [(0, start)].into_iter().chain(script);
@@ -632,9 +640,28 @@ mod tests {
                 ctx.send(slave, msg, bytes).await;
             }
         });
+        let sink = Arc::clone(&heard[1]);
+        sim.spawn_mail(nodes[2], "peer", move |ctx| async move {
+            while let Some(env) = ctx.recv_deadline(end).await {
+                sink.lock().unwrap().push(env.msg);
+            }
+        });
         sim.run();
-        let heard = heard.lock().unwrap();
-        heard.clone()
+        let [to_master, to_peer] = heard.map(|h| std::mem::take(&mut *h.lock().unwrap()));
+        (to_master, to_peer)
+    }
+
+    /// [`against_stubs`] for a slave that never messages a peer: what the
+    /// master stub heard.
+    fn against_stub<const SNAPSHOTS: bool>(
+        shell: Shell,
+        toy: Toy<SNAPSHOTS>,
+        script: Vec<(u64, Msg)>,
+        abort_ms: u64,
+    ) -> Vec<Msg> {
+        let (heard, peer) = against_stubs(shell, toy, script, abort_ms);
+        assert!(peer.is_empty(), "a peer was messaged: {peer:?}");
+        heard
     }
 
     /// What the stub heard, by kind (a `SlaveError` by its error's kind).
@@ -659,19 +686,24 @@ mod tests {
     /// The virtual minute after which the stub aborts most runs, in ms.
     const MINUTE: u64 = 60_000;
 
-    /// Fault mode, with this slave as the lone deputy.
-    fn armed() -> Option<FaultToleranceConfig> {
-        Some(FaultToleranceConfig {
-            deputies: 1,
-            ..FaultToleranceConfig::default()
-        })
+    /// No fault mode.
+    const PLAIN: Shell = Shell {
+        ft: None,
+        rank: 0,
+        n: 1,
+    };
+
+    /// Fault mode, with this slave as the lone deputy: it is rank 0 of one,
+    /// and `DEPUTIES.min(1)` is 1.
+    fn armed() -> Shell {
+        Shell {
+            ft: Some(FaultToleranceConfig::default()),
+            ..PLAIN
+        }
     }
 
     fn release(invocation: u64) -> Msg {
-        Msg::InvocationStart {
-            invocation,
-            ckpt_stride: 1,
-        }
+        Msg::InvocationStart { invocation }
     }
 
     const FINAL: Toy<false> = Toy {
@@ -697,7 +729,6 @@ mod tests {
             epoch: 1,
             invocation,
             survivors,
-            ckpt_stride: 1,
             units: Vec::new(),
         }
     }
@@ -733,10 +764,24 @@ mod tests {
     #[test]
     fn gather_at_a_non_final_barrier_asks_the_strategy() {
         let script = || vec![(0, release(0)), (10, Msg::Gather)];
-        let heard = against_stub(None, FINAL, script(), MINUTE);
+        let heard = against_stub(PLAIN, FINAL, script(), MINUTE);
         assert_eq!(kinds(&heard), ["done", "unexpected"]);
-        let heard = against_stub(None, ANYWHERE, script(), MINUTE);
+        let heard = against_stub(PLAIN, ANYWHERE, script(), MINUTE);
         assert_eq!(kinds(&heard), ["done", "data"]);
+    }
+
+    /// A fatal error goes to the master this slave last adopted: after a
+    /// failover that is the winner, not the reign it replaced.
+    #[test]
+    fn a_fatal_error_after_a_failover_goes_to_the_new_master() {
+        let promoted = Msg::Promoted {
+            term: 1,
+            master_idx: 1,
+        };
+        let script = vec![(0, release(0)), (5, promoted), (10, Msg::Gather)];
+        let (old, new) = against_stubs(Shell { n: 2, ..armed() }, FINAL, script, MINUTE);
+        assert_eq!(kinds(&old), ["done"]);
+        assert_eq!(kinds(&new), ["unexpected"]);
     }
 
     #[test]
@@ -806,22 +851,28 @@ mod tests {
     // ---- the four blocked waits, pinned by what a silent master hears ----
 
     /// Fault mode with no deputy role (and so no election to end a silence
-    /// early): the wait alone decides what a silent slice says.
-    fn undeputised() -> Option<FaultToleranceConfig> {
-        Some(FaultToleranceConfig {
-            deputies: 0,
-            ..FaultToleranceConfig::default()
-        })
+    /// early): the wait alone decides what a silent slice says. The slave
+    /// is the first rank past the deputy set, and never messages the ranks
+    /// below it.
+    fn undeputised() -> Shell {
+        Shell {
+            rank: DEPUTIES,
+            n: DEPUTIES + 1,
+            ..armed()
+        }
     }
 
     /// The lone deputy under a suspicion window longer than the 8 s of
     /// master silence it stands after.
-    fn lone_deputy() -> Option<FaultToleranceConfig> {
-        Some(FaultToleranceConfig {
-            deputies: 1,
+    fn lone_deputy() -> Shell {
+        let ft = FaultToleranceConfig {
             suspicion: SimDuration::from_secs(12),
             ..FaultToleranceConfig::default()
-        })
+        };
+        Shell {
+            ft: Some(ft),
+            ..PLAIN
+        }
     }
 
     /// The `Timeout` a run ended in: what the slave was waiting for, and

@@ -2,7 +2,7 @@
 //! ([`crate::session::slave`]) and the per-dependence-structure engines.
 //!
 //! The runner owns everything that keeps a slave *alive* — the restart
-//! loop, the first-release wait, the barrier protocol, checkpoint cadence,
+//! loop, the first-release wait, the barrier protocol, barrier checkpoints,
 //! speculation, rescue wait, gather reply. A [`DistributionStrategy`]
 //! supplies only what differs between dependence structures (§4.5,
 //! Table 2): how an invocation is computed, how mid-protocol transfers and
@@ -137,9 +137,8 @@ pub trait DistributionStrategy {
 
     /// Adopt a rollback: rebuild engine state from the re-partitioned
     /// snapshot and the survivor list. The runner has already fenced the
-    /// channels, rebased the epoch, and adopted the checkpoint stride;
-    /// this only installs the engine's own state. Returns the invocation
-    /// to resume from.
+    /// channels and rebased the epoch; this only installs the engine's own
+    /// state. Returns the invocation to resume from.
     fn restore(&mut self, common: &mut SlaveCommon, rb: RollbackInfo)
         -> Result<u64, ProtocolError>;
 

@@ -26,7 +26,7 @@ use crate::error::{slave_who, FaultToleranceConfig, ProtocolError};
 use crate::msg::{Instructions, MoveOrder, MovedUnit, Msg, SharedUnits, Status, TransferMsg};
 use crate::protocol::{AckTracker, TransferWindow};
 use crate::recovery::SlaveFaultStats;
-use crate::session::replica::{DeputyState, TakeoverSeed};
+use crate::session::replica::{DeputyState, TakeoverSeed, DEPUTIES};
 use dlb_sim::{ActorId, CpuWork, Envelope, MailCtx, SimDuration, SimTime};
 
 /// CPU charged per hook check (the counter decrement of a skipped hook).
@@ -52,7 +52,6 @@ pub struct RollbackInfo {
     pub epoch: u64,
     pub invocation: u64,
     pub survivors: Vec<usize>,
-    pub ckpt_stride: u64,
     pub units: SharedUnits,
 }
 
@@ -243,12 +242,8 @@ pub struct SlaveCommon {
     pub move_cost_sample: Option<(u64, SimDuration)>,
     interaction_cost_sample: Option<SimDuration>,
     last_instr_seq: u64,
-    /// Checkpoint cadence in force (adopted from barrier releases and
-    /// rollbacks): send a checkpoint only when the completed invocation
-    /// number is a multiple of this. Always ≥ 1.
-    pub ckpt_stride: u64,
     /// The deputy role, when this slave is one of the lowest-ranked
-    /// `deputies` slaves in fault mode: control-plane replica, master
+    /// `DEPUTIES` slaves in fault mode: control-plane replica, master
     /// watch, election state. See [`SlaveCommon::enable_deputy`].
     pub deputy: Option<DeputyState>,
     /// The takeover seed, stashed when this deputy wins an election —
@@ -293,7 +288,6 @@ impl SlaveCommon {
             move_cost_sample: None,
             interaction_cost_sample: None,
             last_instr_seq: 0,
-            ckpt_stride: 1,
             deputy: None,
             takeover: None,
             promoted_term: 0,
@@ -306,7 +300,7 @@ impl SlaveCommon {
     /// from a held snapshot, one that does not from the invocation watermark.
     pub fn enable_deputy(&mut self, checkpointed: bool, now: SimTime) {
         if let Some(ft) = &self.ft {
-            let nd = ft.deputies.min(self.slaves.len());
+            let nd = DEPUTIES.min(self.slaves.len());
             if self.idx < nd {
                 self.deputy = Some(DeputyState::new(
                     self.idx,
@@ -544,7 +538,6 @@ impl SlaveCommon {
                 epoch,
                 invocation,
                 survivors,
-                ckpt_stride,
                 units,
             } => {
                 if *epoch <= self.epoch {
@@ -562,7 +555,6 @@ impl SlaveCommon {
                         epoch: *epoch,
                         invocation: *invocation,
                         survivors: survivors.clone(),
-                        ckpt_stride: *ckpt_stride,
                         units: units.clone(),
                     });
                     Err(ProtocolError::RolledBack)

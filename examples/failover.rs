@@ -6,20 +6,19 @@
 //!
 //! In fault mode the master replicates its control-plane state — term,
 //! epoch, membership, invocation watermark, and (for the checkpointed
-//! engines) the newest banked snapshot — to the lowest-ranked `deputies`
-//! slaves at every `replicate_every`-th barrier. When the master falls
-//! silent for 8 s (a constant of the election, not a setting), the deputies
-//! hold a quorum election (one vote per term, freshest replica wins,
-//! candidacies staggered by rank); the winner announces its reign, fences it behind a `term << 32`
-//! epoch floor, rolls the survivors back to the replicated restart point,
-//! and finishes the run — bit-identical to the sequential reference.
+//! engines) the newest banked snapshot — to the three lowest-ranked slaves,
+//! its deputies, at every barrier. When the master falls silent for 8 s (a
+//! constant of the election, not a setting), the deputies hold a quorum
+//! election (one vote per term, freshest replica wins, candidacies
+//! staggered by rank); the winner announces its reign, fences it behind a
+//! `term << 32` epoch floor, rolls the survivors back to the replicated
+//! restart point, and finishes the run — bit-identical to the sequential
+//! reference.
 //!
-//! This example sweeps the replication cadence on the same seeded master
-//! crash and prints the trade it controls: replication traffic while the
-//! run is healthy against how much work the takeover rolls back when the
-//! master actually dies. The blackout (takeover latency) is set by the
-//! suspicion window and election, not by the cadence — staleness costs
-//! recompute, never detection time.
+//! Each run prints what replication cost while the run was healthy against
+//! how much work the takeover rolled back when the master actually died.
+//! The blackout (takeover latency) is set by the suspicion window and the
+//! election.
 
 use dlb::apps::{Calibration, MatMul, Sor};
 use dlb::core::driver::{try_run, AppSpec, RunConfig};
@@ -32,40 +31,29 @@ const MASTER_NODE: usize = 0;
 fn main() {
     let sor = Arc::new(Sor::new(24, 4, 10, &Calibration::new(0.002)));
     let plan = dlb::compiler::compile(&sor.program()).expect("compiles");
-    let reference = sor.sequential();
 
     println!("-- pipelined SOR, 8 slaves, master crashes at t=2.2s --");
-    println!("replicate_every | replicas | repl bytes | blackout | rolled back | elapsed");
-    let mut bytes_at = Vec::new();
-    for every in [1u64, 2, 4] {
-        let mut cfg = RunConfig::homogeneous(8);
-        cfg.fault_plan = Some(FaultPlan::new(91).crash(MASTER_NODE, SimTime(2_200_000)));
-        cfg.fault_tolerance.replicate_every = every;
-        let report = try_run(AppSpec::Pipelined(sor.clone()), &plan, cfg)
-            .expect("the run must survive the master crash");
-        let r = &report.recovery;
-        assert_eq!(r.elections_held, 1, "exactly one failover");
-        println!(
-            "{:>15} | {:>8} | {:>10} | {} | {:>11} | {}",
-            every,
-            r.replicas_published,
-            r.replication_bytes,
-            r.takeover_latency.expect("blackout measured"),
-            r.units_rolled_back,
-            report.elapsed
-        );
-        assert_eq!(
-            sor.result_grid(&report.result),
-            reference,
-            "failover must be exact (replicate_every={every})"
-        );
-        bytes_at.push(r.replication_bytes);
-    }
-    assert!(
-        bytes_at.last() < bytes_at.first(),
-        "a sparser cadence must ship fewer replication bytes"
+    let mut cfg = RunConfig::homogeneous(8);
+    cfg.fault_plan = Some(FaultPlan::new(91).crash(MASTER_NODE, SimTime(2_200_000)));
+    let report = try_run(AppSpec::Pipelined(sor.clone()), &plan, cfg)
+        .expect("the run must survive the master crash");
+    let r = &report.recovery;
+    assert_eq!(r.elections_held, 1, "exactly one failover");
+    println!("replicas | repl bytes | blackout | rolled back | elapsed");
+    println!(
+        "{:>8} | {:>10} | {} | {:>11} | {}",
+        r.replicas_published,
+        r.replication_bytes,
+        r.takeover_latency.expect("blackout measured"),
+        r.units_rolled_back,
+        report.elapsed
     );
-    println!("every cadence bit-identical to sequential execution ✓");
+    assert_eq!(
+        sor.result_grid(&report.result),
+        sor.sequential(),
+        "failover must be exact"
+    );
+    println!("failover bit-identical to sequential execution ✓");
 
     // The independent engine replicates no snapshot at all: its replica is
     // the invocation watermark, and the takeover recomputes unit state from

@@ -106,11 +106,7 @@ fn sor_grain_scales_with_quantum() {
     let plan = dlb::compiler::compile(&sor.program()).unwrap();
     let statuses_with = |quantum_ms: u64| {
         let mut cfg = RunConfig::homogeneous(4);
-        for n in cfg
-            .slave_nodes
-            .iter_mut()
-            .chain(std::iter::once(&mut cfg.master_node))
-        {
+        for n in &mut cfg.slave_nodes {
             n.quantum = SimDuration::from_millis(quantum_ms);
         }
         let r = run(AppSpec::Pipelined(sor.clone()), &plan, cfg);

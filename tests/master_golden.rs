@@ -236,17 +236,6 @@ fn matrix(pool: usize) -> Vec<Row> {
         let r = app.run(&label, small.cfg(pool, plan));
         rows.push(row(label, &r));
 
-        // Adaptive checkpoint cadence (`examples/ckpt_cadence.rs`): the
-        // stride in `InvocationStart`/`Rollback` follows the invocation-time
-        // EMA under the rollback policy and stays 1 under re-scatter.
-        let label = format!("adaptive_stride4/{name}");
-        let plan = FaultPlan::new(seed + 30).crash(node(2), SimTime(at + 100_000));
-        let mut cfg = small.cfg(pool, plan);
-        cfg.fault_tolerance.ckpt_max_skip = 2;
-        cfg.fault_tolerance.ckpt_loss_budget = SimDuration::from_secs(60);
-        let r = app.run(&label, cfg);
-        rows.push(row(label, &r));
-
         // Frozen past `speculate_after` (4 s), thawed before `suspicion`
         // (8 s): a speculation is launched and then cancelled.
         let label = format!("freeze4/{name}");
@@ -578,15 +567,12 @@ fn event_streams_match_the_recorded_constants() {
 const GOLDEN: &[(&str, u64, u64, u64, &str)] = &[
     ("quiet4/mm", 435544, 604, 0xfbad34e7133c8371, "replicas_published: 9, replication_bytes: 3780"),
     ("wire_crash4/mm", 13102864, 1010, 0x9183ca763fad2b69, "slaves_declared_dead: 1, first_death: Some(t=8.297802s), restore_resends: 3, start_resends: 1, invocation_start_resends: 1, gather_resends: 1, status_dups_ignored: 1, done_dups_ignored: 3, speculations_launched: 1, speculations_committed: 1, units_speculated: 6, speculations_computed: 1, replicas_published: 8, replication_bytes: 4720"),
-    ("adaptive_stride4/mm", 8440571, 928, 0x04820c85d96c29a8, "slaves_declared_dead: 1, first_death: Some(t=8.433595s), restore_resends: 3, done_dups_ignored: 3, speculations_launched: 1, speculations_committed: 1, units_speculated: 6, speculations_computed: 1, replicas_published: 9, replication_bytes: 4740"),
     ("freeze4/mm", 6439238, 854, 0x0a4b8e281e32230d, "instr_resends: 1, invocation_start_resends: 1, done_dups_ignored: 1, speculations_launched: 1, speculations_cancelled: 1, speculations_computed: 1, replicas_published: 9, replication_bytes: 4500"),
     ("quiet4/sor", 2660925, 854, 0xec8bdef9d725364c, "checkpoints_banked: 3, checkpoints_sent: 16, replicas_published: 12, replication_bytes: 19920"),
     ("wire_crash4/sor", 25133146, 1571, 0xf0ccfad5a6a73d5c, "slaves_declared_dead: 2, first_death: Some(t=8.014336s), start_resends: 9, invocation_start_resends: 9, checkpoints_banked: 3, rollbacks: 3, units_rolled_back: 48, speculations_launched: 3, speculations_committed: 3, units_speculated: 38, stale_epoch_dropped: 3, rollbacks_applied: 6, checkpoints_sent: 42, speculations_computed: 3, replicas_published: 13, replication_bytes: 22340"),
-    ("adaptive_stride4/sor", 10032123, 966, 0xa04fc81ab35a1532, "slaves_declared_dead: 1, first_death: Some(t=8.010717s), start_resends: 6, invocation_start_resends: 6, checkpoints_banked: 3, rollbacks: 1, units_rolled_back: 16, speculations_launched: 1, speculations_committed: 1, units_speculated: 16, stale_epoch_dropped: 1, rollbacks_applied: 3, checkpoints_sent: 21, speculations_computed: 1, replicas_published: 9, replication_bytes: 14580"),
     ("freeze4/sor", 8646072, 1136, 0x35f16bf4b8701961, "start_resends: 6, invocation_start_resends: 6, checkpoints_banked: 3, speculations_launched: 1, speculations_committed: 1, units_speculated: 16, checkpoints_sent: 25, speculations_computed: 1, replicas_published: 12, replication_bytes: 20640"),
     ("quiet4/lu", 853968, 2757, 0x82e39e85ec7308ec, "checkpoints_banked: 18, checkpoints_sent: 96, replicas_published: 57, replication_bytes: 106588"),
     ("wire_crash4/lu", 26529289, 3097, 0xdaa976ad1e4e4b0e, "slaves_declared_dead: 2, first_death: Some(t=8.243589s), instr_resends: 3, invocation_start_resends: 3, done_dups_ignored: 6, checkpoints_banked: 16, rollbacks: 2, units_rolled_back: 40, speculations_launched: 3, speculations_committed: 3, units_speculated: 50, transfer_dups_dropped: 1, rollbacks_applied: 4, checkpoints_sent: 99, speculations_computed: 3, replicas_published: 28, replication_bytes: 48296"),
-    ("adaptive_stride4/lu", 8981182, 2556, 0xeb4015b797f994ca, "slaves_declared_dead: 1, first_death: Some(t=8.382831s), checkpoints_banked: 8, rollbacks: 1, units_rolled_back: 20, speculations_launched: 1, speculations_committed: 1, units_speculated: 20, rollbacks_applied: 3, checkpoints_sent: 26, speculations_computed: 1, replicas_published: 42, replication_bytes: 53664"),
     ("freeze4/lu", 6880344, 3101, 0x40106558e40f9849, "checkpoints_banked: 19, speculations_launched: 3, speculations_committed: 3, units_speculated: 30, checkpoints_sent: 110, speculations_computed: 3, replicas_published: 57, replication_bytes: 97868"),
     ("master_mid_invocation/mm", 8461536, 2544, 0x401aaad6390de8d7, "rollbacks: 1, units_rolled_back: 32, rollbacks_applied: 15, elections_held: 1, takeover_latency: Some(8.047046s), replicas_published: 7, replication_bytes: 3696"),
     ("master_frozen_then_superseded/mm", 14285400, 3361, 0xe721aab66a72f065, "rollbacks: 1, units_rolled_back: 32, rollbacks_applied: 15, elections_held: 1, takeover_latency: Some(8.047046s), replicas_published: 7, replication_bytes: 3696"),

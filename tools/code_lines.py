@@ -6,10 +6,11 @@ Prints one total per crate under crates/, then `crates/core/src` file by
 file (a file that is nothing but tests, session/model/tests.rs, left out) -
 the figure a simplification PR quotes before and after - then the settable
 values: the `pub` fields of the three configuration structs a caller fills
-in, and their sum - then the policy decisions: counted lines of
-crates/core/src outside `impl Policy` that name a `Policy` variant or call
-`rollback_policy()`, plus branches on a `rollback` local in master.rs.
-Printed, never gated.
+in, their sum, and those no caller outside tests and examples sets (a value
+stays settable only when such a caller varies it) - then the policy
+decisions: counted lines of crates/core/src outside `impl Policy` that name
+a `Policy` variant or call `rollback_policy()`, plus branches on a
+`rollback` local in master.rs. Printed, never gated.
 
     python3 tools/code_lines.py [repo root]
 """
@@ -67,7 +68,35 @@ def policy_decisions(root):
 def pub_fields(path, name):
     """`pub` fields of the struct `name` declared in `path`."""
     body = re.search(rf"^pub struct {name} \{{\n(.*?)^\}}", path.read_text(), re.M | re.S)
-    return len(re.findall(r"^    pub \w+:", body.group(1), re.M))
+    return re.findall(r"^    pub (\w+):", body.group(1), re.M)
+
+
+def callers(root):
+    """Counted lines of every Rust file outside tests/, examples/ and build
+    output: the code whose settings a value is kept for."""
+    for path in sorted(root.glob("**/*.rs")):
+        if not {"tests", "examples", "target"} & set(path.relative_to(root).parts):
+            yield from code(path)
+
+
+def never_set(root, fields):
+    """The `fields` of the configuration structs that no caller writes:
+    never the target of an assignment (`x.field = ..`, `x.field[i].y =
+    ..`) or a `&mut x.field` borrow on anything but `self`, nor a field of a
+    struct-update literal (`Config { field: .., ..base }`) of its struct.
+    A struct's full literal is its defaults, not a caller varying it."""
+    text = "\n".join(callers(root))
+    written = set()
+    for name, names in fields.items():
+        for body in re.findall(rf"\b{name} \{{([^{{}}]*\.\.[^{{}}]*)\}}", text):
+            written.update(re.findall(r"^\s*(\w+):(?!:)", body, re.M))
+        for f in names:
+            path = rf"(\w+)(?:\.\w+)*\.{f}\b"
+            writes = re.findall(rf"{path}(?:\[[^\]]*\]|\.\w+)*\s*[-+*/]?=(?!=)", text)
+            writes += re.findall(rf"&mut\s+{path}", text)
+            if any(receiver != "self" for receiver in writes):
+                written.add(f)
+    return [f for names in fields.values() for f in names if f not in written]
 
 
 def main():
@@ -85,9 +114,11 @@ def main():
     print(f"{sum(core.values()):7}  crates/core/src")
     print()
     fields = {name: pub_fields(root / path, name) for name, path in CONFIGS.items()}
-    for name, n in fields.items():
-        print(f"{n:7}  {name}")
-    print(f"{sum(fields.values()):7}  settable values")
+    for name, names in fields.items():
+        print(f"{len(names):7}  {name}")
+    print(f"{sum(map(len, fields.values())):7}  settable values")
+    unset = never_set(root, fields)
+    print(f"{len(unset):7}  set by no caller outside tests and examples: {', '.join(unset)}")
     print()
     print(f"{policy_decisions(root):7}  policy decisions outside impl Policy")
 
