@@ -17,7 +17,8 @@
 //! ```
 //!
 //! `--conform FILE` switches to trace-conformance mode: parse a recorded
-//! kernel event trace (see `dlb_sim::trace`) and replay its election
+//! kernel event trace (see `dlb_sim::trace`; a `DLB_TRACE_EVENTS` stderr
+//! capture of several runs is read as is) and replay each run's election
 //! traffic through the protocol model, exiting nonzero on any refinement
 //! violation (DLB-E110) or trace parse error.
 
@@ -123,9 +124,9 @@ fn run_conform(path: &str) -> i32 {
                 1
             } else {
                 println!(
-                    "dlb-lint: trace conforms ({} events, {} replayed, {} deputies, \
+                    "dlb-lint: trace conforms ({} run(s), {} events, {} replayed, {} deputies, \
                      {} stand(s), {} win(s))",
-                    conf.events, conf.replayed, conf.deputies, conf.stands, conf.wins
+                    conf.runs, conf.events, conf.replayed, conf.deputies, conf.stands, conf.wins
                 );
                 0
             }

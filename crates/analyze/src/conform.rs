@@ -6,11 +6,13 @@
 //! inside it. A kernel event trace (recorded with
 //! `RunConfig::record_trace`, or captured from `DLB_TRACE_EVENTS` stderr —
 //! same format, [`dlb_sim::trace`]) carries a tag on every election
-//! message. Replaying the tagged events through
-//! [`ElectionModel`] asks, event by event: *is the action the runtime took
-//! enabled in the model here?* A deputy that stands in a term the model
-//! would not assign, a vote the model's rules refuse to grant, a
-//! self-promotion without a modeled quorum — each is a refinement
+//! message. [`FailoverMsg::from_tag`] reads a tag back into the message,
+//! and [`FailoverMsg::model_wire`] projects it onto the model's wire, so
+//! the tag grammar is known only to `dlb-core`. Replaying the tagged
+//! events through [`ElectionModel`] asks, event by event: *is the action
+//! the runtime took enabled in the model here?* A deputy that stands in a
+//! term the model would not assign, a vote the model's rules refuse to
+//! grant, a self-promotion without a modeled quorum — each is a refinement
 //! violation, reported as [`Code::E110`] with the conforming prefix so the
 //! divergence point is replayable.
 //!
@@ -22,18 +24,23 @@
 //! network may duplicate, the model wire is a set). Drops need no
 //! handling at all — a dropped message simply never has a `DELIVER` event.
 //!
+//! A capture may hold several runs, each under its own header (a process
+//! that runs the kernel twice echoes two). Each run is replayed on its
+//! own, from the model's initial state.
+//!
 //! Actor ↔ deputy mapping: the driver spawns the master as actor 0 and
 //! slave `i` as actor `i + 1`; deputy indices in the tags are slave
 //! indices.
 
 use crate::diag::{Code, Diagnostic, Report};
 use dlb_compiler::Span;
-use dlb_core::session::model::{EWire, ElectionLocal, ElectionModel, ElectionState};
-use dlb_sim::{parse_trace, Step, TraceEvent, TraceKind, TransitionSystem};
+use dlb_core::msg::FailoverMsg;
+use dlb_core::session::model::{ElectionLocal, ElectionModel, ElectionState};
+use dlb_sim::{parse_runs, Step, TraceEvent, TraceKind, TransitionSystem};
 use std::collections::BTreeSet;
 
 /// What one conformance replay established.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct Conformance {
     /// Total events in the trace.
     pub events: usize,
@@ -43,8 +50,11 @@ pub struct Conformance {
     pub stands: usize,
     /// Distinct `(term, winner)` promotions observed.
     pub wins: usize,
-    /// Deputy-set size inferred from the candidacy traffic.
+    /// Deputy-set size inferred from the candidacy traffic (the widest
+    /// run's).
     pub deputies: usize,
+    /// Runs replayed: header-delimited, each from the model's start.
+    pub runs: usize,
     /// `None` = the trace conforms.
     pub divergence: Option<Divergence>,
 }
@@ -52,6 +62,23 @@ pub struct Conformance {
 impl Conformance {
     pub fn ok(&self) -> bool {
         self.divergence.is_none()
+    }
+
+    /// This capture followed by its next run: the counts add up, and the
+    /// run's divergence is indexed past the events before it.
+    fn then(self, run: Conformance) -> Conformance {
+        Conformance {
+            events: self.events + run.events,
+            replayed: self.replayed + run.replayed,
+            stands: self.stands + run.stands,
+            wins: self.wins + run.wins,
+            deputies: self.deputies.max(run.deputies),
+            runs: self.runs + run.runs,
+            divergence: run.divergence.map(|d| Divergence {
+                at: self.events + d.at,
+                ..d
+            }),
+        }
     }
 }
 
@@ -68,223 +95,115 @@ pub struct Divergence {
     pub prefix: Vec<String>,
 }
 
-/// One parsed election tag (the `Msg::trace_tag` grammar).
-enum ETag {
-    Candidacy {
-        term: u64,
-        cand: usize,
-    },
-    Vote {
-        term: u64,
-        voter: usize,
-        cand: usize,
-    },
-    Promoted {
-        term: u64,
-        winner: usize,
-    },
-}
-
-/// Parse a trace tag. `Ok(None)` = not an election tag (ignored);
-/// `Err` = an election keyword with a malformed body.
-fn parse_tag(tag: &str) -> Result<Option<(ETag, u64)>, String> {
-    let mut it = tag.split_whitespace();
-    let Some(kw) = it.next() else {
-        return Ok(None);
+/// The election message a trace event sends (`true`) or delivers, with
+/// the recipient actor; `Ok(None)` for every other event.
+fn election_event(ev: &TraceEvent) -> Result<Option<(FailoverMsg, bool, usize)>, String> {
+    let (tag, dst, send) = match &ev.kind {
+        TraceKind::Send {
+            dst, tag: Some(t), ..
+        } => (t, *dst, true),
+        TraceKind::Deliver {
+            dst, tag: Some(t), ..
+        } => (t, *dst, false),
+        _ => return Ok(None),
     };
-    if !matches!(kw, "candidacy" | "vote" | "promoted") {
-        return Ok(None);
-    }
-    let mut term = None;
-    let mut cand = None;
-    let mut voter = None;
-    let mut winner = None;
-    let mut fresh = 0u64;
-    for kv in it {
-        let (k, v) = kv
-            .split_once('=')
-            .ok_or_else(|| format!("malformed tag field {kv:?} in {tag:?}"))?;
-        let n: u64 = v
-            .parse()
-            .map_err(|_| format!("non-numeric tag field {kv:?} in {tag:?}"))?;
-        match k {
-            "term" => term = Some(n),
-            "cand" => cand = Some(n as usize),
-            "voter" => voter = Some(n as usize),
-            "winner" => winner = Some(n as usize),
-            "fresh" => fresh = n,
-            _ => return Err(format!("unknown tag field {kv:?} in {tag:?}")),
-        }
-    }
-    let term = term.ok_or_else(|| format!("tag missing term: {tag:?}"))?;
-    let need = |o: Option<usize>, f: &str| o.ok_or_else(|| format!("tag missing {f}: {tag:?}"));
-    let tag = match kw {
-        "candidacy" => ETag::Candidacy {
-            term,
-            cand: need(cand, "cand")?,
-        },
-        "vote" => ETag::Vote {
-            term,
-            voter: need(voter, "voter")?,
-            cand: need(cand, "cand")?,
-        },
-        _ => ETag::Promoted {
-            term,
-            winner: need(winner, "winner")?,
-        },
-    };
-    Ok(Some((tag, fresh)))
+    Ok(FailoverMsg::from_tag(tag)?.map(|m| (m, send, dst)))
 }
-
-/// Normalized identity of a model wire message, as [`EWire::parts`] renders
-/// it: `(kind, to, from, term)` — `fresh` excluded, so a candidacy matches
-/// even if the model's static freshness assignment differs from the
-/// (time-varying) runtime value.
-type WireKey = (u8, usize, usize, u64);
 
 struct Replay {
     model: ElectionModel,
     state: ElectionState,
-    /// Keys of every model message already delivered — re-sends and
-    /// network duplicates of these are absorbed, not divergences.
-    delivered: BTreeSet<WireKey>,
+    /// [`parts`](dlb_core::session::model::EWire::parts) of every model
+    /// message already delivered — re-sends and network duplicates of
+    /// these are absorbed, not divergences.
+    delivered: BTreeSet<(u8, usize, usize, u64)>,
     stands_seen: BTreeSet<(u64, usize)>,
     wins_seen: BTreeSet<(u64, usize)>,
     prefix: Vec<String>,
 }
 
 impl Replay {
-    fn wire_pos(&self, key: WireKey) -> Option<usize> {
-        self.state.net.wire.iter().position(|m| m.parts() == key)
-    }
-
-    /// A runtime send of `key`: fine if the model has it in flight (or
-    /// already delivered — a re-send), an error otherwise.
-    fn expect_sent(&self, key: WireKey) -> Result<(), String> {
-        if self.wire_pos(key).is_some() || self.delivered.contains(&key) {
-            Ok(())
-        } else {
-            Err("message is neither in flight nor delivered in the model".into())
+    /// A runtime send (`send`) or delivery of `msg` to actor `dst`.
+    fn step(&mut self, msg: &FailoverMsg, send: bool, dst: usize) -> Result<(), String> {
+        match *msg {
+            FailoverMsg::Candidacy {
+                term, candidate, ..
+            } if send => self.stand(term, candidate)?,
+            FailoverMsg::Promoted { term, master_idx } if send => self.win(term, master_idx)?,
+            _ => {}
         }
-    }
-
-    /// A runtime delivery of `key`: consume the model's in-flight copy, or
-    /// absorb it as a duplicate if already delivered.
-    fn deliver(&mut self, key: WireKey) -> Result<(), String> {
-        match self.wire_pos(key) {
-            Some(i) => {
+        // Actor id → deputy index; the master (actor 0) and out-of-set
+        // slaves are not deputies, and messages to them are out of scope.
+        let to = dst.checked_sub(1).filter(|d| *d < self.model.deputies);
+        let Some(wire) = to.and_then(|to| msg.model_wire(to)) else {
+            return Ok(());
+        };
+        // `fresh` aside: a candidacy matches even if the model's static
+        // freshness differs from the (time-varying) runtime value.
+        let key = wire.parts();
+        let in_flight = self.state.net.wire.iter().position(|m| m.parts() == key);
+        match in_flight {
+            Some(i) if !send => {
                 self.state = self.model.apply(&self.state, &Step::Deliver(i));
                 self.delivered.insert(key);
                 Ok(())
             }
-            None if self.delivered.contains(&key) => Ok(()), // network duplicate
-            None => Err("delivered message was never sent in the model".into()),
+            Some(_) => Ok(()),
+            // A re-send, or a network duplicate, of a delivered message.
+            None if self.delivered.contains(&key) => Ok(()),
+            None if send => Err(format!(
+                "sent {wire:?}, but the model's voting rules never put it in flight"
+            )),
+            None => Err(format!("delivered {wire:?}, never sent in the model")),
         }
     }
 
-    fn step(
-        &mut self,
-        ev: &TraceEvent,
-        tag: &ETag,
-        dir_send: bool,
-        dst: usize,
-    ) -> Result<(), String> {
-        let n = self.model.deputies;
-        // Actor id → deputy index; master (actor 0) and out-of-set slaves
-        // are not deputies.
-        let dep_of = |actor: usize| actor.checked_sub(1).filter(|d| *d < n);
-        match (dir_send, tag) {
-            (true, ETag::Candidacy { term, cand }) => {
-                if !self.stands_seen.contains(&(*term, *cand)) {
-                    let seen = self.state.deps[*cand].term_seen;
-                    if *term <= seen {
-                        return Err(format!(
-                            "deputy {cand} stood in term {term}, but it already saw term \
-                             {seen} — re-standing in a spent term"
-                        ));
-                    }
-                    if !self
-                        .model
-                        .actions(&self.state)
-                        .contains(&Step::Local(ElectionLocal::Stand(*cand)))
-                    {
-                        return Err(format!(
-                            "deputy {cand} stood in term {term}, but Stand({cand}) is not \
-                             enabled in the model"
-                        ));
-                    }
-                    // Standing in a term higher than the tagged traffic
-                    // justifies is fine: deputies also learn terms from
-                    // untagged channels (master pings, replica messages).
-                    // Model that learning, then stand.
-                    self.state.deps[*cand].term_seen = term - 1;
-                    self.state = self
-                        .model
-                        .apply(&self.state, &Step::Local(ElectionLocal::Stand(*cand)));
-                    self.stands_seen.insert((*term, *cand));
-                }
-                match dep_of(dst) {
-                    Some(to) => self.expect_sent((EWire::CANDIDACY, to, *cand, *term)),
-                    None => Ok(()), // candidacy to a non-deputy: out of model scope
-                }
-            }
-            (true, ETag::Vote { term, voter, cand }) => {
-                // The teeth: the model must itself have granted this vote
-                // (candidacy delivered, term unspent, freshness rule held).
-                self.expect_sent((EWire::VOTE, *cand, *voter, *term))
-                    .map_err(|_| {
-                        format!(
-                            "deputy {voter} granted term {term} to deputy {cand}, but the \
-                         model's voting rules did not produce that vote"
-                        )
-                    })
-            }
-            (true, ETag::Promoted { term, winner }) => {
-                if !self.wins_seen.contains(&(*term, *winner)) {
-                    if !self
-                        .model
-                        .actions(&self.state)
-                        .contains(&Step::Local(ElectionLocal::Win(*winner)))
-                        || self.state.deps[*winner].standing != *term
-                    {
-                        let votes = self.state.deps[*winner].votes.len();
-                        return Err(format!(
-                            "deputy {winner} promoted itself in term {term}, but the model \
-                             has no quorum for it ({votes} vote(s) of {} deputies)",
-                            n
-                        ));
-                    }
-                    self.state = self
-                        .model
-                        .apply(&self.state, &Step::Local(ElectionLocal::Win(*winner)));
-                    self.wins_seen.insert((*term, *winner));
-                }
-                match dep_of(dst) {
-                    Some(to) => self.expect_sent((EWire::PROMOTED, to, *winner, *term)),
-                    None => Ok(()), // cluster-wide broadcast beyond the deputy set
-                }
-            }
-            (false, ETag::Candidacy { term, cand }) => match dep_of(dst) {
-                Some(to) => self.deliver((EWire::CANDIDACY, to, *cand, *term)),
-                None => Ok(()),
-            },
-            (
-                false,
-                ETag::Vote {
-                    term,
-                    voter,
-                    cand: _,
-                },
-            ) => match dep_of(dst) {
-                Some(to) => self.deliver((EWire::VOTE, to, *voter, *term)),
-                None => Ok(()),
-            },
-            (false, ETag::Promoted { term, winner }) => match dep_of(dst) {
-                Some(to) => self.deliver((EWire::PROMOTED, to, *winner, *term)),
-                None => Ok(()),
-            },
+    /// `cand`'s first candidacy in `term`: the model must let it stand.
+    fn stand(&mut self, term: u64, cand: usize) -> Result<(), String> {
+        if self.stands_seen.contains(&(term, cand)) {
+            return Ok(());
         }
-        .map(|()| self.prefix.push(ev.render()))
+        let seen = self.state.deps[cand].term_seen;
+        if term <= seen {
+            return Err(format!(
+                "deputy {cand} stood in term {term}, but it already saw term {seen} — \
+                 re-standing in a spent term"
+            ));
+        }
+        let stand = Step::Local(ElectionLocal::Stand(cand));
+        if !self.model.actions(&self.state).contains(&stand) {
+            return Err(format!(
+                "deputy {cand} stood in term {term}, but Stand({cand}) is not enabled in \
+                 the model"
+            ));
+        }
+        // Standing in a term higher than the tagged traffic justifies is
+        // fine: deputies also learn terms from untagged channels (master
+        // pings, replica messages). Model that learning, then stand.
+        self.state.deps[cand].term_seen = term - 1;
+        self.state = self.model.apply(&self.state, &stand);
+        self.stands_seen.insert((term, cand));
+        Ok(())
+    }
+
+    /// `winner`'s first promotion in `term`: the model must have its quorum.
+    fn win(&mut self, term: u64, winner: usize) -> Result<(), String> {
+        if self.wins_seen.contains(&(term, winner)) {
+            return Ok(());
+        }
+        let win = Step::Local(ElectionLocal::Win(winner));
+        let dep = &self.state.deps[winner];
+        if !self.model.actions(&self.state).contains(&win) || dep.standing != term {
+            return Err(format!(
+                "deputy {winner} promoted itself in term {term}, but the model has no \
+                 quorum for it ({} vote(s) of {} deputies)",
+                dep.votes.len(),
+                self.model.deputies
+            ));
+        }
+        self.state = self.model.apply(&self.state, &win);
+        self.wins_seen.insert((term, winner));
+        Ok(())
     }
 }
 
@@ -293,42 +212,36 @@ impl Replay {
 /// freshness from each candidate's first advertisement, and a stand budget
 /// covering every stand observed.
 fn infer_model(events: &[TraceEvent]) -> Result<ElectionModel, String> {
-    let mut max_dep = None::<usize>;
+    let mut deputies = 0;
     let mut fresh_of: Vec<(usize, u64)> = Vec::new();
     let mut stands = BTreeSet::new();
-    let grow = |d: usize, max_dep: &mut Option<usize>| {
-        *max_dep = Some(max_dep.map_or(d, |m: usize| m.max(d)));
-    };
     for ev in events {
-        let (tag, dst) = match &ev.kind {
-            TraceKind::Send {
-                dst, tag: Some(t), ..
-            }
-            | TraceKind::Deliver {
-                dst, tag: Some(t), ..
-            } => (t, *dst),
-            _ => continue,
+        let Some((msg, _, dst)) = election_event(ev)? else {
+            continue;
         };
-        match parse_tag(tag)? {
-            Some((ETag::Candidacy { term, cand }, fresh)) => {
-                grow(cand, &mut max_dep);
-                if dst >= 1 {
-                    grow(dst - 1, &mut max_dep);
+        let named = match msg {
+            FailoverMsg::Candidacy {
+                term,
+                candidate,
+                fresh,
+            } => {
+                if !fresh_of.iter().any(|(c, _)| *c == candidate) {
+                    fresh_of.push((candidate, fresh));
                 }
-                if !fresh_of.iter().any(|(c, _)| *c == cand) {
-                    fresh_of.push((cand, fresh));
-                }
-                stands.insert((term, cand));
+                stands.insert((term, candidate));
+                [Some(candidate), dst.checked_sub(1)]
             }
-            Some((ETag::Vote { voter, cand, .. }, _)) => {
-                grow(voter, &mut max_dep);
-                grow(cand, &mut max_dep);
-            }
-            Some((ETag::Promoted { winner, .. }, _)) => grow(winner, &mut max_dep),
-            None => {}
-        }
+            FailoverMsg::Vote {
+                voter, candidate, ..
+            } => [Some(voter), Some(candidate)],
+            FailoverMsg::Promoted { master_idx, .. } => [Some(master_idx), None],
+            FailoverMsg::Replica(_) | FailoverMsg::MasterPing { .. } => [None, None],
+        };
+        deputies = named
+            .into_iter()
+            .flatten()
+            .fold(deputies, |n, d| n.max(d + 1));
     }
-    let deputies = max_dep.map_or(0, |m| m + 1);
     // Unobserved deputies keep freshness 0: they never refuse anyone, so
     // the model under-constrains rather than inventing refusals the
     // runtime's (unknown) replica states might not have made.
@@ -347,14 +260,13 @@ fn infer_model(events: &[TraceEvent]) -> Result<ElectionModel, String> {
     })
 }
 
-/// Replay the election events of a parsed trace through the model.
+/// Replay the election events of one parsed run through the model.
 pub fn conform_election(events: &[TraceEvent]) -> Result<Conformance, String> {
     let model = infer_model(events)?;
     let deputies = model.deputies;
-    let state = model.initial();
     let mut rp = Replay {
+        state: model.initial(),
         model,
-        state,
         delivered: BTreeSet::new(),
         stands_seen: BTreeSet::new(),
         wins_seen: BTreeSet::new(),
@@ -363,28 +275,20 @@ pub fn conform_election(events: &[TraceEvent]) -> Result<Conformance, String> {
     let mut replayed = 0usize;
     let mut divergence = None;
     for (at, ev) in events.iter().enumerate() {
-        let (tag, dst, dir_send) = match &ev.kind {
-            TraceKind::Send {
-                dst, tag: Some(t), ..
-            } => (t, *dst, true),
-            TraceKind::Deliver {
-                dst, tag: Some(t), ..
-            } => (t, *dst, false),
-            _ => continue,
-        };
-        let Some((etag, _)) = parse_tag(tag)? else {
+        let Some((msg, send, dst)) = election_event(ev)? else {
             continue;
         };
         replayed += 1;
-        if let Err(why) = rp.step(ev, &etag, dir_send, dst) {
+        if let Err(why) = rp.step(&msg, send, dst) {
             divergence = Some(Divergence {
                 at,
                 event: ev.render(),
                 why,
-                prefix: rp.prefix.clone(),
+                prefix: rp.prefix,
             });
             break;
         }
+        rp.prefix.push(ev.render());
     }
     Ok(Conformance {
         events: events.len(),
@@ -392,20 +296,40 @@ pub fn conform_election(events: &[TraceEvent]) -> Result<Conformance, String> {
         stands: rp.stands_seen.len(),
         wins: rp.wins_seen.len(),
         deputies,
+        runs: 1,
         divergence,
     })
 }
 
-/// Parse a trace and check conformance, as `dlb-lint --conform` does.
-/// `Err` = the text is not a well-formed trace; a divergence is not an
-/// `Err` but an [`Code::E110`] diagnostic in the report.
+/// Parse a trace and check conformance, as `dlb-lint --conform` does: each
+/// run of the capture on its own, up to the first divergence. `Err` = the
+/// text is not a well-formed trace; a divergence is not an `Err` but an
+/// [`Code::E110`] diagnostic in the report. A clean report's tally lists
+/// each run's counts.
 pub fn check_conformance(text: &str) -> Result<(Report, Conformance), String> {
-    let events = parse_trace(text)?;
-    let conf = conform_election(&events)?;
+    let mut conf = Conformance::default();
+    let mut tallies = Vec::new();
+    for events in parse_runs(text)? {
+        let run = conform_election(&events)?;
+        tallies.push(format!(
+            "run {}: {} events, {} replayed, {} deputies, {} stand(s), {} win(s)",
+            conf.runs + 1,
+            run.events,
+            run.replayed,
+            run.deputies,
+            run.stands,
+            run.wins
+        ));
+        conf = conf.then(run);
+        if !conf.ok() {
+            break;
+        }
+    }
     let mut report = Report::new("trace-conformance");
+    report.tally = Some(tallies.join("; "));
     let span = Span::program(&format!(
-        "trace-conformance(events={}, deputies={}, stands={}, wins={})",
-        conf.events, conf.deputies, conf.stands, conf.wins
+        "trace-conformance(runs={}, events={}, deputies={}, stands={}, wins={})",
+        conf.runs, conf.events, conf.deputies, conf.stands, conf.wins
     ));
     if let Some(div) = &conf.divergence {
         let mut notes = vec![
@@ -438,7 +362,7 @@ pub fn check_conformance(text: &str) -> Result<(Report, Conformance), String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dlb_sim::render_trace;
+    use dlb_sim::{parse_trace, render_trace};
 
     /// Hand-built conforming trace: three deputies (actors 1-3), deputy 0
     /// stands in term 1, both peers vote, deputy 0 wins and announces.
@@ -564,6 +488,28 @@ mod tests {
             conf.divergence.unwrap().why.contains("spent term"),
             "should name the term reuse"
         );
+    }
+
+    /// Two runs of one process, each under its own header: the second
+    /// election replays from the model's start, not as re-sends of the first.
+    #[test]
+    fn each_run_of_a_capture_replays_on_its_own() {
+        let happy = text_of(&happy_lines());
+        let (report, conf) = check_conformance(&format!("{happy}{happy}")).unwrap();
+        assert!(!report.has_errors(), "{}", report.render());
+        assert_eq!((conf.runs, conf.stands, conf.wins), (2, 2, 2));
+        assert_eq!((conf.events, conf.replayed, conf.deputies), (24, 24, 3));
+        assert!(
+            report.render().contains("; run 2: 12 events"),
+            "{}",
+            report.render()
+        );
+
+        // A divergence in the second run is indexed into the capture.
+        let mut lines = happy_lines();
+        lines[3] = lines[3].replace("vote term=1", "vote term=8");
+        let (_, conf) = check_conformance(&format!("{happy}{}", text_of(&lines))).unwrap();
+        assert_eq!(conf.divergence.expect("run 2 diverges").at, 12 + 3);
     }
 
     #[test]

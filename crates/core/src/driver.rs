@@ -159,7 +159,8 @@ pub struct RunConfig {
     pub fault_tolerance: FaultToleranceConfig,
     /// Record the kernel event trace into `RunReport::sim.trace` (the
     /// `dlb-lint --conform` input). Election messages are tagged via
-    /// [`Msg::trace_tag`]; off by default — traces grow with every send.
+    /// [`crate::msg::FailoverMsg::trace_tag`]; off by default — traces grow
+    /// with every send.
     pub record_trace: bool,
     /// Latecomers: `(slave index, join time)` pairs. A listed slave starts
     /// with an empty assignment (its slot is carved out of the initial
@@ -380,7 +381,10 @@ pub fn try_run(
 
     let mut sim = SimBuilder::<Msg>::new()
         .net(cfg.net.clone())
-        .trace_tag(|m: &Msg| m.trace_tag())
+        .trace_tag(|m: &Msg| match m {
+            Msg::Failover(f) => f.trace_tag(),
+            _ => None,
+        })
         .record_trace(cfg.record_trace);
     if let Some(n) = cfg.max_events {
         sim = sim.max_events(n);

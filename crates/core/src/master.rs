@@ -102,21 +102,21 @@
 //! invocation boundary the master publishes a [`ReplicaMsg`](crate::msg::ReplicaMsg)
 //! (membership, epoch, invocation watermark, newest complete checkpoint,
 //! cumulative recovery counters) to the deputy slaves, and heartbeats them
-//! with [`Msg::MasterPing`] between barriers. When the master crashes the
-//! deputies elect a successor ([`crate::session::replica`]); the winner
-//! re-enters the same driver through [`run_takeover`] with a
+//! with [`FailoverMsg::MasterPing`] between barriers. When the master
+//! crashes the deputies elect a successor ([`crate::session::replica`]);
+//! the winner re-enters the same driver through [`run_takeover`] with a
 //! [`TakeoverSeed`], which seeds the session from the replica, fences the
 //! new reign behind `term << 32` epochs, re-ranges the survivors, and
 //! resumes — bit-exact, because unit state is value-deterministic. A
-//! master that learns of a higher-term [`Msg::Promoted`] exits silently
-//! with [`ProtocolError::Superseded`]: it writes no outcome and aborts
-//! no one, because exactly one reign per term owns the run.
+//! master that learns of a higher-term [`FailoverMsg::Promoted`] exits
+//! silently with [`ProtocolError::Superseded`]: it writes no outcome and
+//! aborts no one, because exactly one reign per term owns the run.
 
 use crate::balancer::{Balancer, BalancerStats};
 use crate::driver::AppSpec;
 use crate::error::{FaultToleranceConfig, ProtocolError};
 use crate::frequency::PeriodBounds;
-use crate::msg::{Instructions, Msg, Status, UnitData};
+use crate::msg::{FailoverMsg, Instructions, Msg, Status, UnitData};
 use crate::recovery::RecoveryStats;
 use crate::session::master::{channels_settled, merge_max, send, Policy, Session};
 use crate::session::replica::TakeoverSeed;
@@ -233,10 +233,10 @@ pub async fn run_takeover(
     };
     sc.recovery.elections_held += 1;
     sc.recovery.takeover_latency = Some(ctx.now().saturating_since(seed.last_heard));
-    let promoted = Msg::Promoted {
+    let promoted = Msg::Failover(FailoverMsg::Promoted {
         term: seed.term,
         master_idx: me,
-    };
+    });
     let others = || {
         let slaves = kit.slaves.iter().enumerate();
         slaves.filter(|&(i, _)| i != me).map(|(_, &s)| s)
@@ -642,9 +642,11 @@ async fn drive(
 ) -> Result<(), ProtocolError> {
     let n = st.slaves.len();
     let tol = st.tol.clone();
-    let promoted = takeover.map(|(seed, me)| Msg::Promoted {
-        term: seed.term,
-        master_idx: me,
+    let promoted = takeover.map(|(seed, me)| {
+        Msg::Failover(FailoverMsg::Promoted {
+            term: seed.term,
+            master_idx: me,
+        })
     });
 
     st.open(ctx, &mut cfg.balancer, takeover).await?;
@@ -934,7 +936,7 @@ async fn drive(
                         }
                     }
                 }
-                (Msg::Promoted { term, .. }, _) => st.fo.yield_to(term)?,
+                (Msg::Failover(FailoverMsg::Promoted { term, .. }), _) => st.fo.yield_to(term)?,
                 // The rest is one policy's own (`OwnReport`, `Checkpoint`, a
                 // stray `GatherData`), or a message no arm expects: in an
                 // original reign, a protocol violation. A promoted deputy
@@ -1293,7 +1295,8 @@ mod tests {
                 loop {
                     let msg = ctx.recv().await.msg;
                     if stray_on(&msg) {
-                        send(&ctx, master, Msg::MasterPing { term: 0 }).await;
+                        let ping = FailoverMsg::MasterPing { term: 0 };
+                        send(&ctx, master, Msg::Failover(ping)).await;
                     }
                     let reply = match msg {
                         Msg::Rollback {

@@ -32,8 +32,20 @@
 //! *moves* slave → slave and a transfer is a few units), the `Boundary` /
 //! `SweepOld` / `Pivot` columns (built per send from live state), and
 //! `GatherData` (one-shot, unique owner).
+//!
+//! ## The failover plane
+//!
+//! Replication, the master's pings, the election and the promotion are one
+//! nested type, [`FailoverMsg`] under [`Msg::Failover`]: every slave
+//! receive point hands it whole to `SlaveCommon::election`, and the master
+//! reads only its `Promoted`. Its election variants are the only tagged
+//! messages of the event trace, and the tag grammar lives beside them:
+//! [`FailoverMsg::trace_tag`] writes it, [`FailoverMsg::from_tag`] reads it
+//! back, and [`FailoverMsg::model_wire`] projects the message onto the
+//! election model's wire, which is all `dlb-lint --conform` replays.
 
 use crate::recovery::{RecoveryStats, SlaveFaultStats};
+use crate::session::model::EWire;
 use dlb_sim::SimDuration;
 use std::sync::Arc;
 
@@ -177,7 +189,7 @@ pub struct TransferMsg {
 /// rollback policy a deputy whose confirmed snapshot lags the bank is
 /// shipped a *delta*: only the snapshot units it cannot already hold (see
 /// `delta_base`).
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct ReplicaMsg {
     /// The publishing master's election term (0 = the original master).
     pub term: u64,
@@ -212,6 +224,136 @@ pub struct ReplicaMsg {
     /// it the new master would refuse a live rejoiner's pings (wrongly
     /// re-evicting it) and credit its zombie's.
     pub incarnations: Vec<u64>,
+}
+
+/// The failover plane (see the module doc): what keeps a master in charge
+/// when the first one dies, consumed whole by `SlaveCommon::election`.
+#[derive(Clone, Debug, PartialEq)]
+pub enum FailoverMsg {
+    /// Master → deputy: control-plane replication (see [`ReplicaMsg`]).
+    /// Counts as protocol traffic for the deputy's master-silence clock.
+    Replica(Box<ReplicaMsg>),
+    /// Master → deputies: pure liveness ping, the master-side analogue of
+    /// [`Msg::Alive`]. Defers the deputies' election trigger without
+    /// carrying replica state (ping clock, not the heard clock).
+    MasterPing { term: u64 },
+    /// Deputy → deputies: the sender stands for master in `term`. `fresh`
+    /// advertises its replica's freshness; voters with a fresher replica
+    /// refuse, so the winner holds the newest replica in its quorum.
+    Candidacy {
+        term: u64,
+        candidate: usize,
+        fresh: u64,
+    },
+    /// Deputy → candidate: vote grant for `term`. A deputy votes at most
+    /// once per term, which makes the election winner unique per term.
+    Vote {
+        term: u64,
+        voter: usize,
+        candidate: usize,
+    },
+    /// Election winner → everyone (slaves and the old master): slave
+    /// `master_idx` is the master for `term`. Receivers redirect their
+    /// master channel; a superseded master exits silently.
+    Promoted { term: u64, master_idx: usize },
+}
+
+impl FailoverMsg {
+    /// Stable trace tag for the event-trace format (`DLB_TRACE_EVENTS`,
+    /// [`dlb_sim::SimBuilder::record_trace`]). Only the election messages
+    /// are tagged; everything else traces untagged. The key=value grammar
+    /// here is part of the trace format: changing it breaks recorded traces.
+    pub fn trace_tag(&self) -> Option<String> {
+        match self {
+            Self::Candidacy {
+                term,
+                candidate,
+                fresh,
+            } => Some(format!(
+                "candidacy term={term} cand={candidate} fresh={fresh}"
+            )),
+            Self::Vote {
+                term,
+                voter,
+                candidate,
+            } => Some(format!("vote term={term} voter={voter} cand={candidate}")),
+            Self::Promoted { term, master_idx } => {
+                Some(format!("promoted term={term} winner={master_idx}"))
+            }
+            Self::Replica(_) | Self::MasterPing { .. } => None,
+        }
+    }
+
+    /// The inverse of [`FailoverMsg::trace_tag`]. `Ok(None)` = not an
+    /// election tag; `Err` = an election keyword with a malformed,
+    /// non-numeric, unknown or missing field. A candidacy's `fresh` may be
+    /// omitted (read as 0).
+    pub fn from_tag(tag: &str) -> Result<Option<Self>, String> {
+        let mut words = tag.split_whitespace();
+        let kind = words.next().unwrap_or_default();
+        if !matches!(kind, "candidacy" | "vote" | "promoted") {
+            return Ok(None);
+        }
+        let mut fields = Vec::new();
+        for kv in words {
+            let (k, v) = kv
+                .split_once('=')
+                .ok_or_else(|| format!("malformed tag field {kv:?} in {tag:?}"))?;
+            let n: u64 = v
+                .parse()
+                .map_err(|_| format!("non-numeric tag field {kv:?} in {tag:?}"))?;
+            if !matches!(k, "term" | "cand" | "voter" | "winner" | "fresh") {
+                return Err(format!("unknown tag field {kv:?} in {tag:?}"));
+            }
+            fields.push((k, n));
+        }
+        let field = |key: &str| match fields.iter().rev().find(|(k, _)| *k == key) {
+            Some(&(_, n)) => Ok(n),
+            None => Err(format!("tag missing {key}: {tag:?}")),
+        };
+        let term = field("term")?;
+        Ok(Some(match kind {
+            "candidacy" => Self::Candidacy {
+                term,
+                candidate: field("cand")? as usize,
+                fresh: field("fresh").unwrap_or(0),
+            },
+            "vote" => Self::Vote {
+                term,
+                voter: field("voter")? as usize,
+                candidate: field("cand")? as usize,
+            },
+            _ => Self::Promoted {
+                term,
+                master_idx: field("winner")? as usize,
+            },
+        }))
+    }
+
+    /// This message as the election model's wire value on its way to
+    /// deputy `to`; `None` for the replication plane the model abstracts
+    /// away.
+    pub fn model_wire(&self, to: usize) -> Option<EWire> {
+        Some(match *self {
+            Self::Candidacy {
+                term,
+                candidate,
+                fresh,
+            } => EWire::Candidacy {
+                to,
+                term,
+                candidate,
+                fresh,
+            },
+            Self::Vote { term, voter, .. } => EWire::Vote { to, term, voter },
+            Self::Promoted { term, master_idx } => EWire::Promoted {
+                to,
+                term,
+                winner: master_idx,
+            },
+            Self::Replica(_) | Self::MasterPing { .. } => return None,
+        })
+    }
 }
 
 /// All runtime messages.
@@ -427,56 +569,18 @@ pub enum Msg {
     },
     /// Master → slave: your `GatherData` arrived; safe to terminate.
     GatherAck,
-    // ---- master failover ----
-    /// Master → deputy: control-plane replication (see [`ReplicaMsg`]).
-    /// Counts as protocol traffic for the deputy's master-silence clock.
-    Replica(Box<ReplicaMsg>),
-    /// Master → deputies: pure liveness ping, the master-side analogue of
-    /// [`Msg::Alive`]. Defers the deputies' election trigger without
-    /// carrying replica state (ping clock, not the heard clock).
-    MasterPing {
-        term: u64,
-    },
-    /// Deputy → deputies: the sender stands for master in `term`. `fresh`
-    /// advertises its replica's freshness; voters with a fresher replica
-    /// refuse, so the winner holds the newest replica in its quorum.
-    Candidacy {
-        term: u64,
-        candidate: usize,
-        fresh: u64,
-    },
-    /// Deputy → candidate: vote grant for `term`. A deputy votes at most
-    /// once per term, which makes the election winner unique per term.
-    Vote {
-        term: u64,
-        voter: usize,
-        candidate: usize,
-    },
-    /// Election winner → everyone (slaves and the old master): slave
-    /// `master_idx` is the master for `term`. Receivers redirect their
-    /// master channel; a superseded master exits silently.
-    Promoted {
-        term: u64,
-        master_idx: usize,
-    },
+    /// Master failover: replication, pings, election, promotion.
+    Failover(FailoverMsg),
 }
 
 impl Msg {
-    /// Channel control (transfer acks, peer evictions, rollbacks) and
-    /// failover traffic (replicas, pings, election messages, promotions):
-    /// what every slave receive point services on the side, whatever it is
-    /// waiting for, through `SlaveCommon::service`.
+    /// Channel control (transfer acks, peer evictions, rollbacks) and the
+    /// failover plane: what every slave receive point services on the side,
+    /// whatever it is waiting for, through `SlaveCommon::service`.
     pub(crate) fn is_channel_control(&self) -> bool {
         matches!(
             self,
-            Msg::TransferAck { .. }
-                | Msg::Evicted { .. }
-                | Msg::Rollback { .. }
-                | Msg::Replica(_)
-                | Msg::MasterPing { .. }
-                | Msg::Candidacy { .. }
-                | Msg::Vote { .. }
-                | Msg::Promoted { .. }
+            Msg::TransferAck { .. } | Msg::Evicted { .. } | Msg::Rollback { .. } | Msg::Failover(_)
         )
     }
 
@@ -553,7 +657,7 @@ impl Msg {
             Msg::Alive { .. } | Msg::JoinRefuse { .. } => HDR + 8,
             Msg::Join { .. } => HDR + 16,
             Msg::SlaveError { error, .. } => HDR + 8 + error.payload_bytes(),
-            Msg::Replica(r) => {
+            Msg::Failover(FailoverMsg::Replica(r)) => {
                 // Fixed scalars + membership bitmap + incarnation table +
                 // counters block + the snapshot when one rides along: its
                 // `delta_base` (its invocation is `best_banked`) and the
@@ -569,36 +673,9 @@ impl Msg {
                         .map(|(_, units)| 8 + shared(units))
                         .unwrap_or(0)
             }
-            Msg::MasterPing { .. } => HDR + 8,
-            Msg::Promoted { .. } => HDR + 16,
-            Msg::Candidacy { .. } | Msg::Vote { .. } => HDR + 24,
-        }
-    }
-
-    /// Stable trace tag for the event-trace format (`DLB_TRACE_EVENTS`,
-    /// [`dlb_sim::SimBuilder::record_trace`]). Only the election messages
-    /// are tagged — they are what `dlb-lint --conform` replays through
-    /// [`crate::session::model::ElectionModel`]; everything else traces
-    /// untagged. The key=value grammar here is part of the trace format:
-    /// changing it breaks recorded traces.
-    pub fn trace_tag(&self) -> Option<String> {
-        match self {
-            Msg::Candidacy {
-                term,
-                candidate,
-                fresh,
-            } => Some(format!(
-                "candidacy term={term} cand={candidate} fresh={fresh}"
-            )),
-            Msg::Vote {
-                term,
-                voter,
-                candidate,
-            } => Some(format!("vote term={term} voter={voter} cand={candidate}")),
-            Msg::Promoted { term, master_idx } => {
-                Some(format!("promoted term={term} winner={master_idx}"))
-            }
-            _ => None,
+            Msg::Failover(FailoverMsg::MasterPing { .. }) => HDR + 8,
+            Msg::Failover(FailoverMsg::Promoted { .. }) => HDR + 16,
+            Msg::Failover(FailoverMsg::Candidacy { .. } | FailoverMsg::Vote { .. }) => HDR + 24,
         }
     }
 }
@@ -702,7 +779,7 @@ mod tests {
 
     /// A 16-slave replica at invocation 3 whose bank holds invocation 2.
     fn replica(snapshot: Option<SharedUnits>, delta_base: u64) -> Msg {
-        Msg::Replica(Box::new(ReplicaMsg {
+        Msg::Failover(FailoverMsg::Replica(Box::new(ReplicaMsg {
             term: 0,
             epoch: 0,
             invocation: 3,
@@ -713,7 +790,7 @@ mod tests {
             best_banked: 2,
             recovery: RecoveryStats::default(),
             incarnations: vec![0; 16],
-        }))
+        })))
     }
 
     /// The barrier release for `invocation`.
@@ -820,7 +897,9 @@ mod tests {
                 | Msg::Checkpoint { units, .. }
                 | Msg::Speculate { units, .. }
                 | Msg::Rollback { units, .. } => units.clone(),
-                Msg::Replica(r) => r.snapshot.clone().expect("snapshot rides along").1,
+                Msg::Failover(FailoverMsg::Replica(r)) => {
+                    r.snapshot.clone().expect("snapshot rides along").1
+                }
                 other => unreachable!("{other:?} carries no shared units"),
             }
         };
@@ -835,26 +914,89 @@ mod tests {
         assert!(units.iter().all(|(_, d)| Arc::strong_count(d) == 1));
     }
 
-    #[test]
-    fn election_messages_are_small() {
-        for m in [
-            Msg::MasterPing { term: 1 },
-            Msg::Candidacy {
+    /// One message of each election variant: the three the trace tags.
+    fn election() -> [FailoverMsg; 3] {
+        [
+            FailoverMsg::Candidacy {
                 term: 1,
                 candidate: 0,
                 fresh: 4,
             },
-            Msg::Vote {
+            FailoverMsg::Vote {
                 term: 1,
                 voter: 2,
                 candidate: 0,
             },
-            Msg::Promoted {
+            FailoverMsg::Promoted {
                 term: 1,
                 master_idx: 0,
             },
-        ] {
+        ]
+    }
+
+    #[test]
+    fn election_messages_are_small() {
+        for m in [FailoverMsg::MasterPing { term: 1 }]
+            .into_iter()
+            .chain(election())
+        {
+            let m = Msg::Failover(m);
             assert!(m.wire_bytes() <= 64, "{m:?} must stay control-sized");
         }
+    }
+
+    /// The tag strings are the trace format: pinned, and read back whole.
+    #[test]
+    fn election_tags_round_trip_and_replication_is_untagged() {
+        let tags = election().map(|m| m.trace_tag().expect("tagged"));
+        assert_eq!(
+            tags,
+            [
+                "candidacy term=1 cand=0 fresh=4",
+                "vote term=1 voter=2 cand=0",
+                "promoted term=1 winner=0",
+            ]
+        );
+        for (m, tag) in election().into_iter().zip(&tags) {
+            assert_eq!(FailoverMsg::from_tag(tag), Ok(Some(m)));
+        }
+        let Msg::Failover(replica) = replica(None, 0) else {
+            unreachable!("a replica is failover traffic")
+        };
+        assert_eq!(replica.trace_tag(), None);
+        assert_eq!(FailoverMsg::MasterPing { term: 1 }.trace_tag(), None);
+    }
+
+    #[test]
+    fn a_malformed_election_tag_is_an_error_and_a_foreign_one_no_tag() {
+        for bad in [
+            "vote term=1 voter=1 cand",
+            "vote term=x voter=1 cand=0",
+            "vote term=1 voter=1 cand=0 to=2",
+            "candidacy cand=0 fresh=5",
+            "vote term=1 voter=1",
+            "promoted term=1",
+        ] {
+            assert!(FailoverMsg::from_tag(bad).is_err(), "{bad}");
+        }
+        for foreign in ["", "answer", "some-future-tag x=1"] {
+            assert_eq!(FailoverMsg::from_tag(foreign), Ok(None), "{foreign}");
+        }
+        let unadvertised = FailoverMsg::Candidacy {
+            term: 2,
+            candidate: 1,
+            fresh: 0,
+        };
+        assert_eq!(
+            FailoverMsg::from_tag("candidacy term=2 cand=1"),
+            Ok(Some(unadvertised))
+        );
+    }
+
+    /// The kernel's heap holds a `Msg` per in-flight message: nesting the
+    /// failover plane made no entry larger (152 B before it, on 64-bit).
+    #[test]
+    fn a_msg_is_no_larger_than_before_the_failover_plane_nested() {
+        assert_eq!(std::mem::size_of::<Msg>(), 152);
     }
 }

@@ -21,7 +21,7 @@ use crate::balancer::Balancer;
 use crate::driver::AppSpec;
 use crate::error::{FaultToleranceConfig, ProtocolError};
 use crate::kernels::IndependentKernel;
-use crate::msg::{Instructions, Msg, ReplicaMsg, SharedUnits, UnitData};
+use crate::msg::{FailoverMsg, Instructions, Msg, ReplicaMsg, SharedUnits, UnitData};
 use crate::protocol::SenderWindow;
 use crate::recovery::{redistribute, RecoveryStats};
 use crate::session::checkpoint::CheckpointBank;
@@ -983,7 +983,7 @@ impl Session {
                 replica.snapshot = bank.and_then(|bank| bank.best_since(ack));
                 replica.delta_base = ack;
             }
-            let msg = Msg::Replica(Box::new(replica));
+            let msg = Msg::Failover(FailoverMsg::Replica(Box::new(replica)));
             self.rec.replicas_published += 1;
             self.rec.replication_bytes += msg.wire_bytes();
             send(ctx, self.slaves[d], msg).await;
@@ -999,7 +999,7 @@ impl Session {
             return;
         }
         self.fo.next_ping = now + MASTER_HEARTBEAT;
-        let msg = Msg::MasterPing { term: self.fo.term };
+        let msg = Msg::Failover(FailoverMsg::MasterPing { term: self.fo.term });
         for d in 0..self.fo.deputies {
             if self.memb.alive[d] {
                 self.rec.replication_bytes += msg.wire_bytes();
@@ -1347,7 +1347,7 @@ mod tests {
         let mut slave_ids = vec![sim.spawn_mail(nodes[1], "deputy0", move |ctx| async move {
             let end = ctx.now() + SimDuration::from_secs(3_600);
             while let Some(env) = ctx.recv_deadline(end).await {
-                if let Msg::Replica(r) = env.msg {
+                if let Msg::Failover(FailoverMsg::Replica(r)) = env.msg {
                     sink.lock().unwrap().push(*r);
                 }
             }

@@ -4,11 +4,13 @@ use dlb_sim::{class_sort, classes_by, LossyProtocol, Net};
 use std::collections::BTreeSet;
 
 /// A message in flight in the [`ElectionModel`]'s network. Every variant
-/// carries its recipient so delivery is well-defined under reordering.
+/// carries its recipient so delivery is well-defined under reordering. The
+/// runtime's election messages project onto it through
+/// [`FailoverMsg::model_wire`](crate::msg::FailoverMsg::model_wire).
 #[derive(Clone, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum EWire {
     /// Candidate → peer deputy: stand for `term` with replica freshness
-    /// `fresh` (the runtime's [`crate::msg::Msg::Candidacy`]).
+    /// `fresh` (the runtime's [`crate::msg::FailoverMsg::Candidacy`]).
     Candidacy {
         to: usize,
         term: u64,
@@ -16,24 +18,18 @@ pub enum EWire {
         fresh: u64,
     },
     /// Voter → candidate: vote granted in `term`
-    /// ([`crate::msg::Msg::Vote`]).
+    /// ([`crate::msg::FailoverMsg::Vote`]).
     Vote { to: usize, term: u64, voter: usize },
     /// Winner → peer deputy: takeover announcement
-    /// ([`crate::msg::Msg::Promoted`]).
+    /// ([`crate::msg::FailoverMsg::Promoted`]).
     Promoted { to: usize, term: u64, winner: usize },
 }
 
 impl EWire {
-    /// [`EWire::parts`] kind of a `Candidacy`.
-    pub const CANDIDACY: u8 = 0;
-    /// [`EWire::parts`] kind of a `Vote`.
-    pub const VOTE: u8 = 1;
-    /// [`EWire::parts`] kind of a `Promoted`.
-    pub const PROMOTED: u8 = 2;
-
     /// `(kind, to, from, term)` — the message's identity with `fresh`
     /// excluded, so a candidacy matches even if the model's static
     /// freshness assignment differs from a (time-varying) runtime value.
+    /// The kind is 0, 1, 2 for a candidacy, a vote, a promotion.
     pub fn parts(&self) -> (u8, usize, usize, u64) {
         match *self {
             EWire::Candidacy {
@@ -41,9 +37,9 @@ impl EWire {
                 term,
                 candidate,
                 ..
-            } => (EWire::CANDIDACY, to, candidate, term),
-            EWire::Vote { to, term, voter } => (EWire::VOTE, to, voter, term),
-            EWire::Promoted { to, term, winner } => (EWire::PROMOTED, to, winner, term),
+            } => (0, to, candidate, term),
+            EWire::Vote { to, term, voter } => (1, to, voter, term),
+            EWire::Promoted { to, term, winner } => (2, to, winner, term),
         }
     }
 
@@ -72,11 +68,10 @@ impl EWire {
     /// `(candidate, peer)`: the candidate or winner the message is about,
     /// and the deputy on the other end of it.
     fn candidate_and_peer(&self) -> (usize, usize) {
-        let (kind, to, from, _) = self.parts();
-        if kind == EWire::VOTE {
-            (to, from)
-        } else {
-            (from, to)
+        let (_, to, from, _) = self.parts();
+        match self {
+            EWire::Vote { .. } => (to, from),
+            _ => (from, to),
         }
     }
 }

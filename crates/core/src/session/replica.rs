@@ -8,18 +8,18 @@
 //! (terms, one vote per term, quorum counting).
 //!
 //! The state machine is pure: every input returns the messages to send as
-//! `(slave_index, Msg)` pairs and never touches an actor context, so the
-//! whole election is unit-testable without a simulator.
+//! `(slave_index, FailoverMsg)` pairs and never touches an actor context,
+//! so the whole election is unit-testable without a simulator.
 //!
 //! ## Election rules
 //!
 //! * A deputy **stands** when the master has shown no sign of life (neither
-//!   protocol traffic nor [`crate::msg::Msg::MasterPing`]) for
+//!   protocol traffic nor [`FailoverMsg::MasterPing`]) for
 //!   `MASTER_SUSPICION + rank × ELECTION_STAGGER` (8 s + rank × 2 s). The
 //!   stagger makes the lowest live rank stand first, so the common case is
 //!   a one-candidate election.
 //! * Standing picks the term `term_seen + 1`, votes for itself, and
-//!   broadcasts [`crate::msg::Msg::Candidacy`] to the other deputies.
+//!   broadcasts [`FailoverMsg::Candidacy`] to the other deputies.
 //! * A deputy **grants** a vote iff the candidacy's term is newer than any
 //!   term it already voted in (one vote per term — this is what makes two
 //!   winners in one term impossible) *and* the candidate's replica is at
@@ -39,12 +39,12 @@
 //!   be coarser than the stagger (`try_run` rejects such a config).
 //!
 //! Exactly one winner can reach quorum in a given term; distinct terms may
-//! each have a winner, and [`crate::msg::Msg::Promoted`] fencing resolves
+//! each have a winner, and [`FailoverMsg::Promoted`] fencing resolves
 //! that: the higher term supersedes the lower
 //! ([`crate::error::ProtocolError::Superseded`]).
 
 use crate::error::FaultToleranceConfig;
-use crate::msg::{Msg, ReplicaMsg, SharedUnits};
+use crate::msg::{FailoverMsg, ReplicaMsg, SharedUnits};
 use crate::recovery::RecoveryStats;
 use crate::session::membership::Membership;
 use dlb_sim::{SimDuration, SimTime};
@@ -156,7 +156,7 @@ impl DeputyState {
         self.watch.heard(0, now);
     }
 
-    /// Record a bare [`crate::msg::Msg::MasterPing`]: defers the election
+    /// Record a bare [`FailoverMsg::MasterPing`]: defers the election
     /// trigger on the ping clock only, mirroring how slave `Alive` pings
     /// defer suspicion without counting as protocol progress.
     pub fn master_ping(&mut self, term: u64, now: SimTime) {
@@ -217,7 +217,7 @@ impl DeputyState {
     /// this rank's staggered threshold. Returns candidacy broadcasts (empty
     /// when not standing). Call [`Self::won`] afterwards — with one deputy
     /// the self-vote wins immediately.
-    pub fn tick(&mut self, now: SimTime) -> Vec<(usize, Msg)> {
+    pub fn tick(&mut self, now: SimTime) -> Vec<(usize, FailoverMsg)> {
         let threshold = MASTER_SUSPICION + ELECTION_STAGGER * (self.idx as u64);
         if self.watch.silent_for(0, now) < threshold || now < self.next_stand_ok {
             return Vec::new();
@@ -238,7 +238,7 @@ impl DeputyState {
             .map(|d| {
                 (
                     d,
-                    Msg::Candidacy {
+                    FailoverMsg::Candidacy {
                         term,
                         candidate: self.idx,
                         fresh,
@@ -250,7 +250,12 @@ impl DeputyState {
 
     /// A peer deputy stood. Grant a vote iff the term is newer than any we
     /// voted in and the candidate's replica is at least as fresh as ours.
-    pub fn on_candidacy(&mut self, term: u64, candidate: usize, fresh: u64) -> Vec<(usize, Msg)> {
+    pub fn on_candidacy(
+        &mut self,
+        term: u64,
+        candidate: usize,
+        fresh: u64,
+    ) -> Vec<(usize, FailoverMsg)> {
         self.term_seen = self.term_seen.max(term);
         if candidate == self.idx || term <= self.voted_in || fresh < self.effective_fresh() {
             return Vec::new();
@@ -258,7 +263,7 @@ impl DeputyState {
         self.voted_in = term;
         vec![(
             candidate,
-            Msg::Vote {
+            FailoverMsg::Vote {
                 term,
                 voter: self.idx,
                 candidate,
@@ -364,7 +369,7 @@ mod tests {
             msgs[0],
             (
                 1,
-                Msg::Candidacy {
+                FailoverMsg::Candidacy {
                     term: 1,
                     candidate: 0,
                     ..
@@ -396,7 +401,7 @@ mod tests {
             v[0],
             (
                 0,
-                Msg::Vote {
+                FailoverMsg::Vote {
                     term: 1,
                     voter: 2,
                     candidate: 0
@@ -464,7 +469,7 @@ mod tests {
             v[0],
             (
                 1,
-                Msg::Vote {
+                FailoverMsg::Vote {
                     term: 2,
                     voter: 2,
                     candidate: 1
@@ -481,7 +486,7 @@ mod tests {
         assert!(!d.tick(t(8_000)).is_empty());
         assert!(d.tick(t(9_000)).is_empty(), "too soon to re-stand");
         let again = d.tick(t(16_000));
-        assert!(matches!(again[0].1, Msg::Candidacy { term: 2, .. }));
+        assert!(matches!(again[0].1, FailoverMsg::Candidacy { term: 2, .. }));
     }
 
     #[test]

@@ -495,7 +495,7 @@ async fn reply_gather<S: DistributionStrategy>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::msg::UnitData;
+    use crate::msg::{FailoverMsg, UnitData};
     use crate::session::replica::DEPUTIES;
     use dlb_sim::{NodeConfig, SimBuilder, SimDuration};
     use std::sync::Mutex;
@@ -774,10 +774,10 @@ mod tests {
     /// failover that is the winner, not the reign it replaced.
     #[test]
     fn a_fatal_error_after_a_failover_goes_to_the_new_master() {
-        let promoted = Msg::Promoted {
+        let promoted = Msg::Failover(FailoverMsg::Promoted {
             term: 1,
             master_idx: 1,
-        };
+        });
         let script = vec![(0, release(0)), (5, promoted), (10, Msg::Gather)];
         let (old, new) = against_stubs(Shell { n: 2, ..armed() }, FINAL, script, MINUTE);
         assert_eq!(kinds(&old), ["done"]);
@@ -900,7 +900,7 @@ mod tests {
         assert_eq!(kinds(heard), want);
     }
 
-    const PING: Msg = Msg::MasterPing { term: 0 };
+    const PING: Msg = Msg::Failover(FailoverMsg::MasterPing { term: 0 });
 
     fn stale_instructions() -> Msg {
         Msg::Instructions(Default::default())

@@ -23,7 +23,9 @@
 
 use crate::balancer::InteractionMode;
 use crate::error::{slave_who, FaultToleranceConfig, ProtocolError};
-use crate::msg::{Instructions, MoveOrder, MovedUnit, Msg, SharedUnits, Status, TransferMsg};
+use crate::msg::{
+    FailoverMsg, Instructions, MoveOrder, MovedUnit, Msg, SharedUnits, Status, TransferMsg,
+};
 use crate::protocol::{AckTracker, TransferWindow};
 use crate::recovery::SlaveFaultStats;
 use crate::session::replica::{DeputyState, TakeoverSeed, DEPUTIES};
@@ -569,27 +571,29 @@ impl SlaveCommon {
     }
 
     /// Handle a master-failover message (replication, election, promotion).
-    /// Returns `true` when `msg` was consumed here; `Err(Elected)` when a
-    /// vote completed this deputy's quorum (the takeover seed is stashed in
-    /// [`SlaveCommon::takeover`]). Every receive point services these the
-    /// way it services [`SlaveCommon::control`] traffic — an election must
-    /// be able to proceed no matter what the electorate was doing when the
-    /// master died.
-    async fn election(&mut self, ctx: &MailCtx<Msg>, msg: &Msg) -> Result<bool, ProtocolError> {
+    /// `Err(Elected)` when a vote completed this deputy's quorum (the
+    /// takeover seed is stashed in [`SlaveCommon::takeover`]). Every
+    /// receive point services these the way it services
+    /// [`SlaveCommon::control`] traffic — an election must be able to
+    /// proceed no matter what the electorate was doing when the master
+    /// died.
+    async fn election(
+        &mut self,
+        ctx: &MailCtx<Msg>,
+        msg: &FailoverMsg,
+    ) -> Result<(), ProtocolError> {
         match msg {
-            Msg::Replica(r) => {
+            FailoverMsg::Replica(r) => {
                 if let Some(d) = self.deputy.as_mut() {
                     d.absorb((**r).clone(), ctx.now());
                 }
-                Ok(true)
             }
-            Msg::MasterPing { term } => {
+            FailoverMsg::MasterPing { term } => {
                 if let Some(d) = self.deputy.as_mut() {
                     d.master_ping(*term, ctx.now());
                 }
-                Ok(true)
             }
-            Msg::Candidacy {
+            FailoverMsg::Candidacy {
                 term,
                 candidate,
                 fresh,
@@ -612,11 +616,10 @@ impl SlaveCommon {
                     );
                 }
                 for (to, m) in replies {
-                    self.send_slave(ctx, to, m).await;
+                    self.send_slave(ctx, to, Msg::Failover(m)).await;
                 }
-                Ok(true)
             }
-            Msg::Vote {
+            FailoverMsg::Vote {
                 term,
                 voter,
                 candidate,
@@ -628,14 +631,12 @@ impl SlaveCommon {
                         return Err(ProtocolError::Elected { term: t });
                     }
                 }
-                Ok(true)
             }
-            Msg::Promoted { term, master_idx } => {
+            FailoverMsg::Promoted { term, master_idx } => {
                 self.adopt_master(ctx.now(), *term, *master_idx);
-                Ok(true)
             }
-            _ => Ok(false),
         }
+        Ok(())
     }
 
     /// Deputy timer: stand for election when the master has been silent
@@ -661,14 +662,14 @@ impl SlaveCommon {
             return Err(ProtocolError::Elected { term: t });
         }
         for (to, m) in candidacies {
-            self.send_slave(ctx, to, m).await;
+            self.send_slave(ctx, to, Msg::Failover(m)).await;
         }
         Ok(())
     }
 
-    /// Apply a [`Msg::Promoted`]: repoint the master, drop the winner from
-    /// the worker set (it stops computing), and reset the master control
-    /// channel so the new master's windowed sends (which restart at
+    /// Apply a [`FailoverMsg::Promoted`]: repoint the master, drop the
+    /// winner from the worker set (it stops computing), and reset the master
+    /// control channel so the new master's windowed sends (which restart at
     /// sequence 1) are accepted. Idempotent per term; stale lower-term
     /// promotions are fenced out. The in-flight payloads of the winner's
     /// transfer channel are discarded, not re-owned: the takeover rollback
@@ -707,7 +708,8 @@ impl SlaveCommon {
         match msg {
             Msg::Abort => Err(ProtocolError::Aborted),
             Msg::Evict => Err(ProtocolError::Evicted { slave: self.idx }),
-            m => Ok(self.election(ctx, m).await? || self.control(m)?),
+            Msg::Failover(f) => self.election(ctx, f).await.map(|()| true),
+            m => self.control(m),
         }
     }
 
@@ -844,8 +846,8 @@ impl SlaveCommon {
                 match &env.msg {
                     Msg::Abort => return Err(ProtocolError::Aborted),
                     Msg::JoinRefuse { .. } => break,
-                    Msg::Promoted { .. } => {
-                        self.election(ctx, &env.msg).await?;
+                    Msg::Failover(f @ FailoverMsg::Promoted { .. }) => {
+                        self.election(ctx, f).await?;
                         self.send_master(ctx, join.clone()).await;
                     }
                     m @ Msg::Rollback { .. } => {
@@ -883,8 +885,8 @@ impl SlaveCommon {
             };
             match &env.msg {
                 Msg::Abort => return Err(ProtocolError::Aborted),
-                Msg::Promoted { .. } => {
-                    self.election(ctx, &env.msg).await?;
+                Msg::Failover(f @ FailoverMsg::Promoted { .. }) => {
+                    self.election(ctx, f).await?;
                 }
                 _ => {} // traffic of a pool we have not joined yet
             }

@@ -23,7 +23,7 @@ use crate::cpu::{self, NodeConfig};
 use crate::fault::{FaultPlan, FaultRuntime, FaultStats};
 use crate::net::{Envelope, NetConfig};
 use crate::time::{SimDuration, SimTime};
-use crate::trace::{TraceEvent, TraceKind};
+use crate::trace::{TraceEvent, TraceKind, TRACE_HEADER};
 use crate::work::CpuWork;
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
@@ -850,7 +850,7 @@ impl<M: Send + Clone + 'static> SimBuilder<M> {
 
     /// Record the event trace into [`SimReport::trace`] (default off). The
     /// `DLB_TRACE_EVENTS` env var independently echoes the same lines to
-    /// stderr.
+    /// stderr, each run under its own header.
     pub fn record_trace(mut self, on: bool) -> Self {
         self.record_trace = on;
         self
@@ -967,6 +967,11 @@ impl<M: Send + Clone + 'static> SimBuilder<M> {
                 events: Vec::new(),
             },
         };
+        // The echo opens each run with its own header, so a process that
+        // runs the kernel more than once leaves a capture of whole runs.
+        if inner.tracer.echo {
+            eprintln!("{TRACE_HEADER}");
+        }
         // Seed: wake every actor at t = 0, in spawn order.
         for i in 0..n_actors {
             inner.schedule_wake(SimTime::ZERO, ActorId(i), 0);

@@ -67,5 +67,5 @@ pub use net::{Envelope, NetConfig};
 pub use reduce::{explore_reduced, fingerprint, Ample, ReduceConfig, ReduceStats, Symmetric};
 pub use rng::Pcg32;
 pub use time::{SimDuration, SimTime};
-pub use trace::{parse_trace, render_trace, TraceEvent, TraceKind};
+pub use trace::{parse_runs, parse_trace, render_trace, TraceEvent, TraceKind};
 pub use work::CpuWork;

@@ -23,11 +23,15 @@
 //! untagged messages trace with no tag. Times are integer microseconds,
 //! actors/nodes are ids. The leading `DLBTRACE 1` header versions the
 //! format; unknown lines are a parse error, not silently skipped.
+//!
+//! The header opens each *run*: the stderr echo prints it every time the
+//! kernel starts, so a process that runs the kernel more than once leaves a
+//! capture of several runs, which [`parse_runs`] splits at their headers.
 
 use crate::time::SimTime;
 
-/// Format version emitted in the header line.
-pub const TRACE_FORMAT_VERSION: u32 = 1;
+/// The line that opens every run; its number versions the format.
+pub const TRACE_HEADER: &str = "DLBTRACE 1";
 
 /// One traced kernel event.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -136,7 +140,7 @@ impl TraceEvent {
 
 /// Render a full trace: header line plus one line per event.
 pub fn render_trace(events: &[TraceEvent]) -> String {
-    let mut out = format!("DLBTRACE {TRACE_FORMAT_VERSION}\n");
+    let mut out = format!("{TRACE_HEADER}\n");
     for ev in events {
         out.push_str(&ev.render());
         out.push('\n');
@@ -144,15 +148,31 @@ pub fn render_trace(events: &[TraceEvent]) -> String {
     out
 }
 
-/// Parse a full trace (header required; blank lines allowed).
+/// Parse a full trace: one run under one header (blank lines allowed).
 pub fn parse_trace(text: &str) -> Result<Vec<TraceEvent>, String> {
-    let mut lines = text.lines().filter(|l| !l.trim().is_empty());
-    match lines.next() {
-        Some(h) if h.trim() == format!("DLBTRACE {TRACE_FORMAT_VERSION}") => {}
-        Some(h) => return Err(format!("unsupported trace header: {h:?}")),
-        None => return Err("empty trace".into()),
+    match <[_; 1]>::try_from(parse_runs(text)?) {
+        Ok([run]) => Ok(run),
+        Err(runs) => Err(format!("{} runs where one trace was expected", runs.len())),
     }
-    lines.map(|l| TraceEvent::parse(l.trim())).collect()
+}
+
+/// Parse a capture of one or more runs, each under its own header (blank
+/// lines allowed): the events of each run, in order.
+pub fn parse_runs(text: &str) -> Result<Vec<Vec<TraceEvent>>, String> {
+    let mut runs: Vec<Vec<TraceEvent>> = Vec::new();
+    for line in text.lines().map(str::trim).filter(|l| !l.is_empty()) {
+        if line == TRACE_HEADER {
+            runs.push(Vec::new());
+        } else if let Some(run) = runs.last_mut() {
+            run.push(TraceEvent::parse(line)?);
+        } else {
+            return Err(format!("unsupported trace header: {line:?}"));
+        }
+    }
+    if runs.is_empty() {
+        return Err("empty trace".into());
+    }
+    Ok(runs)
 }
 
 #[cfg(test)]
@@ -201,5 +221,15 @@ mod tests {
         assert!(parse_trace("DLBTRACE 1\nEV zero WAKE 1\n").is_err());
         assert!(parse_trace("DLBTRACE 1\nEV 0 EXPLODE 1\n").is_err());
         assert!(TraceEvent::parse("EV 5 SEND 1").is_err());
+        assert!(parse_trace("EV 0 WAKE 1\n").is_err(), "no header");
+    }
+
+    #[test]
+    fn a_capture_splits_at_its_headers() {
+        let text = "DLBTRACE 1\nEV 0 WAKE 1\nEV 5 CRASH 0\n\nDLBTRACE 1\nEV 0 WAKE 2\n";
+        let runs = parse_runs(text).unwrap();
+        assert_eq!(runs.iter().map(Vec::len).collect::<Vec<_>>(), [2, 1]);
+        assert_eq!(runs[1][0].kind, TraceKind::Wake { actor: 2 });
+        assert!(parse_trace(text).is_err(), "two runs are not one trace");
     }
 }
