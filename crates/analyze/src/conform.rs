@@ -14,7 +14,9 @@
 //! term the model would not assign, a vote the model's rules refuse to
 //! grant, a self-promotion without a modeled quorum — each is a refinement
 //! violation, reported as [`Code::E110`] with the conforming prefix so the
-//! divergence point is replayable.
+//! divergence point is replayable. The model's deputies hold the runtime's
+//! own [`Ballot`](dlb_core::Ballot), so the stand and win checks below
+//! read the rules the runtime runs, not a copy of them.
 //!
 //! The replay is deliberately strict about what it checks and lenient
 //! about what it cannot know: untagged events pass through; messages to
@@ -163,7 +165,7 @@ impl Replay {
         if self.stands_seen.contains(&(term, cand)) {
             return Ok(());
         }
-        let seen = self.state.deps[cand].term_seen;
+        let seen = self.state.deps[cand].ballot.term_seen;
         if term <= seen {
             return Err(format!(
                 "deputy {cand} stood in term {term}, but it already saw term {seen} — \
@@ -180,7 +182,7 @@ impl Replay {
         // Standing in a term higher than the tagged traffic justifies is
         // fine: deputies also learn terms from untagged channels (master
         // pings, replica messages). Model that learning, then stand.
-        self.state.deps[cand].term_seen = term - 1;
+        self.state.deps[cand].ballot.see(term - 1);
         self.state = self.model.apply(&self.state, &stand);
         self.stands_seen.insert((term, cand));
         Ok(())
@@ -191,16 +193,16 @@ impl Replay {
         if self.wins_seen.contains(&(term, winner)) {
             return Ok(());
         }
-        let win = Step::Local(ElectionLocal::Win(winner));
-        let dep = &self.state.deps[winner];
-        if !self.model.actions(&self.state).contains(&win) || dep.standing != term {
+        let ballot = &self.state.deps[winner].ballot;
+        if ballot.won(self.model.deputies) != Some(term) {
             return Err(format!(
                 "deputy {winner} promoted itself in term {term}, but the model has no \
                  quorum for it ({} vote(s) of {} deputies)",
-                dep.votes.len(),
+                ballot.tally(),
                 self.model.deputies
             ));
         }
+        let win = Step::Local(ElectionLocal::Win(winner));
         self.state = self.model.apply(&self.state, &win);
         self.wins_seen.insert((term, winner));
         Ok(())

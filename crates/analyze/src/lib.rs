@@ -13,14 +13,15 @@
 //!   master/slave restore protocol, the slave↔slave work-migration
 //!   (transfer-window) protocol (both built from `dlb-core`'s production
 //!   [`SenderWindow`](dlb_core::SenderWindow)/[`AckTracker`](dlb_core::AckTracker)/
-//!   [`TransferWindow`](dlb_core::TransferWindow) rules), and the
-//!   master-failover deputy election (mirroring
-//!   [`DeputyState`](dlb_core::DeputyState)'s voting rules), and the
-//!   mid-run join/rejoin handshake (incarnation-fenced admission with an
-//!   ack-floored snapshot ship) for duplicate application, lost work,
-//!   split-brain promotions, zombie-incarnation credit, stale-snapshot
-//!   joins, and deadlock, with seeded-replayable counterexamples. Runtime-width instances are made
-//!   tractable by symmetry and partial-order reduction ([`dlb_sim`]'s
+//!   [`TransferWindow`](dlb_core::TransferWindow) rules), the
+//!   master-failover deputy election (stepping the deputies' production
+//!   [`Ballot`](dlb_core::Ballot)), and the mid-run join/rejoin handshake
+//!   (incarnation-fenced admission with an ack-floored snapshot ship — the
+//!   one model whose admission step is not production code) for duplicate
+//!   application, lost work, split-brain promotions, zombie-incarnation
+//!   credit, stale-snapshot joins, and deadlock, with seeded-replayable
+//!   counterexamples. Runtime-width instances are made tractable by
+//!   symmetry and partial-order reduction ([`dlb_sim`]'s
 //!   [`explore_reduced`](dlb_sim::explore_reduced)).
 //! * **[`conform`]** — trace-conformance checking: replays a recorded
 //!   kernel event trace (`dlb-lint --conform`) through the election model

@@ -2,8 +2,9 @@
 //!
 //! Drives `dlb-sim`'s explicit-state explorer over `dlb-core`'s abstracted
 //! protocol systems — built from the *production*
-//! [`SenderWindow`]/[`AckTracker`]/[`TransferWindow`] transition rules —
-//! and converts verdicts into the shared diagnostics format.
+//! [`SenderWindow`]/[`AckTracker`]/[`TransferWindow`]/[`Ballot`] transition
+//! rules (all but the join model's admission step) — and converts verdicts
+//! into the shared diagnostics format.
 //!
 //! Four models, twelve safety properties (the distributed-self-scheduling
 //! correctness conditions of Eleliemy & Ciorba and Zafari & Larsson):
@@ -30,6 +31,7 @@
 //! [`SenderWindow`]: dlb_core::SenderWindow
 //! [`AckTracker`]: dlb_core::AckTracker
 //! [`TransferWindow`]: dlb_core::TransferWindow
+//! [`Ballot`]: dlb_core::Ballot
 
 use crate::diag::{Code, Diagnostic, Report};
 use dlb_compiler::Span;

@@ -42,8 +42,6 @@ pub enum ProtocolError {
     },
     /// Pipelined engine: a work transfer arrived from a non-adjacent slave.
     NonNeighborTransfer { from: usize, to: usize, sweep: u64 },
-    /// The master declared this slave dead after `suspicion` of silence.
-    SlaveDead { slave: usize, at: SimTime },
     /// Every slave was declared dead; nobody is left to run the program.
     AllSlavesDead,
     /// A slave reported a fatal error of its own.
@@ -107,9 +105,6 @@ impl fmt::Display for ProtocolError {
                 f,
                 "slave {to}: transfer from non-neighbor {from} in sweep {sweep}"
             ),
-            ProtocolError::SlaveDead { slave, at } => {
-                write!(f, "slave {slave} declared dead at t={at}")
-            }
             ProtocolError::AllSlavesDead => write!(f, "all slaves declared dead"),
             ProtocolError::SlaveFailed { slave, error } => {
                 write!(f, "slave {slave} failed: {error}")
@@ -151,7 +146,6 @@ impl ProtocolError {
             } => 8 + (who.len() + waiting_for.len()) as u64,
             ProtocolError::MissingPivot { .. } => 24,
             ProtocolError::NonNeighborTransfer { .. } => 24,
-            ProtocolError::SlaveDead { .. } => 16,
             ProtocolError::AllSlavesDead => 0,
             ProtocolError::SlaveFailed { error, .. } => 8 + error.payload_bytes(),
             ProtocolError::Aborted | ProtocolError::RolledBack => 0,
@@ -385,7 +379,6 @@ mod tests {
                 true,
             ),
             (ProtocolError::Inconsistent { detail: who() }, true),
-            (ProtocolError::SlaveDead { slave: 0, at }, false),
             (ProtocolError::AllSlavesDead, false),
             (
                 ProtocolError::SlaveFailed {

@@ -103,4 +103,4 @@ pub use session::model::{
     JoinPhase, JoinSlotMaster, JoinSlotSlave, JoinState, ReceiverSlot, RestoreLocal, RestoreModel,
     RestoreState, SeqWire, TransferLocal, TransferModel, TransferState,
 };
-pub use session::replica::{DeputyState, TakeoverSeed};
+pub use session::replica::{Ballot, DeputyState, TakeoverSeed};

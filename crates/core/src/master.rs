@@ -1124,8 +1124,7 @@ mod tests {
         let mut sim = SimBuilder::<Msg>::new();
         let node = sim.add_node(NodeConfig::default());
         sim.spawn_mail(node, "winner", move |ctx| async move {
-            let tol = FaultToleranceConfig::default();
-            let seed = DeputyState::new(0, 1, 1, false, ctx.now(), &tol).seed(1);
+            let seed = DeputyState::new(0, 1, 1, false, ctx.now()).seed(1);
             run_takeover(&ctx, &kit, seed, 0).await.unwrap();
         });
         sim.run();
@@ -1168,8 +1167,7 @@ mod tests {
 
     /// The seed of a deputy that never absorbed a replica, elected in term 1.
     fn empty_seed() -> TakeoverSeed {
-        let tol = FaultToleranceConfig::default();
-        DeputyState::new(0, 2, 2, false, SimTime::ZERO, &tol).seed(1)
+        DeputyState::new(0, 2, 2, false, SimTime::ZERO).seed(1)
     }
 
     /// Ship `deputy` the bank's best snapshot as a delta against its ack,
@@ -1358,8 +1356,7 @@ mod tests {
     #[test]
     fn a_takeover_from_a_merged_replica_finishes_bit_exact() {
         let (cols, mut bank) = (columns(), CheckpointBank::new());
-        let tol = FaultToleranceConfig::default();
-        let mut deputy = DeputyState::new(0, 2, 2, true, SimTime::ZERO, &tol);
+        let mut deputy = DeputyState::new(0, 2, 2, true, SimTime::ZERO);
         bank_step(&mut bank, 1, &cols, 1);
         publish(&bank, &mut deputy);
         for (inv, retired) in [(2, 2), (3, 2)] {
@@ -1391,8 +1388,7 @@ mod tests {
     /// heard, `Promoted` left out.
     fn lost_final_rollback() -> (MasterOutcome, Vec<&'static str>) {
         let (cols, mut bank) = (columns(), CheckpointBank::new());
-        let tol = FaultToleranceConfig::default();
-        let mut deputy = DeputyState::new(0, 2, 2, true, SimTime::ZERO, &tol);
+        let mut deputy = DeputyState::new(0, 2, 2, true, SimTime::ZERO);
         bank_step(&mut bank, 3, &cols, 3);
         publish(&bank, &mut deputy);
         let heard = Arc::new(Mutex::new(Vec::new()));

@@ -19,7 +19,10 @@
 //! [`crate::session::model::TransferModel`]), which `dlb-analyze`
 //! exhaustively explores for lost work, duplicate application, and deadlock
 //! (the properties Eleliemy & Ciorba and Zafari & Larsson identify as the
-//! hard part of distributed self-scheduling).
+//! hard part of distributed self-scheduling). The election model steps the
+//! deputies' [`Ballot`](crate::session::replica::Ballot) the same way; of
+//! the four models, only the join model's admission step is not production
+//! code.
 
 use std::collections::BTreeSet;
 

@@ -1,7 +1,7 @@
 //! Deputy election after a master crash ([`ElectionModel`]).
 
+use crate::session::replica::Ballot;
 use dlb_sim::{class_sort, classes_by, LossyProtocol, Net};
-use std::collections::BTreeSet;
 
 /// A message in flight in the [`ElectionModel`]'s network. Every variant
 /// carries its recipient so delivery is well-defined under reordering. The
@@ -88,18 +88,11 @@ pub enum ElectionLocal {
     Win(usize),
 }
 
-/// Per-deputy election state in the model — the pure subset of
-/// [`crate::session::replica::DeputyState`] that decides votes.
+/// Per-deputy election state in the model: the runtime's own [`Ballot`],
+/// the state [`crate::session::replica::DeputyState`] decides votes with.
 #[derive(Clone, Debug, Default, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct DeputyModel {
-    pub term_seen: u64,
-    /// Highest term voted in (including self-votes when standing). The
-    /// broken variant never consults it — the split-brain bug.
-    pub voted_in: u64,
-    /// Term of the live candidacy (0 = not standing).
-    pub standing: u64,
-    /// Voters collected for the live candidacy (includes self).
-    pub votes: BTreeSet<usize>,
+    pub ballot: Ballot,
     /// This deputy won and became master; it takes no further part.
     pub promoted_self: bool,
 }
@@ -118,19 +111,21 @@ pub struct ElectionState {
     pub stands_used: u32,
 }
 
-/// The abstracted deputy-set/network system around the election rules of
-/// [`crate::session::replica::DeputyState`].
+/// The abstracted deputy-set/network system around the production election
+/// rules, [`Ballot`].
 ///
 /// Every deputy suspects the master (it is dead in this model) and may
 /// stand; the network may drop or duplicate a bounded number of messages;
-/// votes follow the production rules: one vote per term, never for a
-/// candidate whose replica is staler than the voter's, majority of the
-/// *full* deputy set to win. `one_vote_per_term = false` is the
-/// deliberately broken variant whose voters forget which terms they voted
-/// in — the model checker must find the two-winners-one-term counterexample
-/// (`dlb-analyze` maps it to E107). `fresh_guard = false` drops the
-/// newest-replica rule instead, electing a quorum that out-freshes its
-/// winner (E108).
+/// each deputy's `Ballot` stands, votes, counts, wins and stands down as
+/// the runtime's does: one vote per term, never for a candidate whose
+/// replica is staler than the voter's, majority of the *full* deputy set
+/// to win. `one_vote_per_term = false` is the deliberately broken variant
+/// whose voters forget which terms they voted in — the model checker must
+/// find the two-winners-one-term counterexample (`dlb-analyze` maps it to
+/// E107). `fresh_guard = false` drops the newest-replica rule instead,
+/// electing a quorum that out-freshes its winner (E108). Both rewrite the
+/// ballot's input or state around the production call; `Ballot` has no
+/// flag for them.
 #[derive(Clone, Debug)]
 pub struct ElectionModel {
     /// Size of the full deputy set (quorum denominator).
@@ -194,17 +189,13 @@ impl ElectionModel {
         }
     }
 
-    fn quorum(&self) -> usize {
-        self.deputies / 2 + 1
-    }
-
     /// Every deputy but `d` — the recipients of `d`'s broadcasts.
     fn peers(&self, d: usize) -> impl Iterator<Item = usize> {
         (0..self.deputies).filter(move |&to| to != d)
     }
 
     fn deputy_sig(&self, s: &ElectionState, d: usize) -> DeputySig {
-        let dep = &s.deps[d];
+        let (dep, b) = (&s.deps[d], &s.deps[d].ballot);
         let mut wire_in = Vec::new();
         let mut wire_out = Vec::new();
         for m in &s.net.wire {
@@ -219,11 +210,11 @@ impl ElectionModel {
         wire_in.sort_unstable();
         wire_out.sort_unstable();
         DeputySig {
-            term_seen: dep.term_seen,
-            voted_in: dep.voted_in,
-            standing: dep.standing,
+            term_seen: b.term_seen,
+            voted_in: b.voted_in,
+            standing: b.standing,
             promoted_self: dep.promoted_self,
-            votes: dep.votes.len(),
+            votes: b.votes.len(),
             wire_in,
             wire_out,
             promoted_terms: s
@@ -246,7 +237,7 @@ impl ElectionModel {
     fn anchors(&self, s: &ElectionState) -> Vec<usize> {
         let mut out: Vec<usize> = (0..self.deputies)
             .filter(|&d| {
-                s.deps[d].standing != 0
+                s.deps[d].ballot.standing.is_some()
                     || s.deps[d].promoted_self
                     || s.promoted.iter().any(|&(_, w)| w == d)
                     || s.net.wire.iter().any(|m| m.candidate_and_peer().0 == d)
@@ -274,7 +265,7 @@ impl ElectionModel {
             let (kind, _, _, term) = m.parts();
             terms[kind as usize].push(term);
         }
-        (s.deps[a].votes.contains(&d), terms)
+        (s.deps[a].ballot.votes.contains(&d), terms)
     }
 }
 
@@ -287,7 +278,7 @@ impl ElectionModel {
 pub struct DeputySig {
     term_seen: u64,
     voted_in: u64,
-    standing: u64,
+    standing: Option<u64>,
     promoted_self: bool,
     votes: usize,
     wire_in: Vec<(u8, u64)>,
@@ -336,7 +327,7 @@ impl LossyProtocol for ElectionModel {
             if s.stands_used < self.max_stands {
                 out.push(ElectionLocal::Stand(d));
             }
-            if s.deps[d].standing != 0 && s.deps[d].votes.len() >= self.quorum() {
+            if s.deps[d].ballot.won(self.deputies).is_some() {
                 out.push(ElectionLocal::Win(d));
             }
         }
@@ -346,12 +337,7 @@ impl LossyProtocol for ElectionModel {
     fn apply_local(&self, n: &mut ElectionState, local: &ElectionLocal) {
         match *local {
             ElectionLocal::Stand(d) => {
-                let dep = &mut n.deps[d];
-                let term = dep.term_seen + 1;
-                dep.term_seen = term;
-                dep.voted_in = term; // self-vote spends the term
-                dep.standing = term;
-                dep.votes = BTreeSet::from([d]);
+                let term = n.deps[d].ballot.stand(d);
                 n.stands_used += 1;
                 for to in self.peers(d) {
                     n.net.send(EWire::Candidacy {
@@ -363,20 +349,16 @@ impl LossyProtocol for ElectionModel {
                 }
             }
             ElectionLocal::Win(d) => {
-                let term = n.deps[d].standing;
-                if let Some(fresher) = n.deps[d]
-                    .votes
-                    .iter()
-                    .find(|&&v| self.fresh[v] > self.fresh[d])
-                {
-                    n.stale_win = Some((term, d, *fresher));
+                let dep = &mut n.deps[d];
+                let term = dep.ballot.won(self.deputies).expect("Win needs a quorum");
+                let votes = &dep.ballot.votes;
+                if let Some(&fresher) = votes.iter().find(|&&v| self.fresh[v] > self.fresh[d]) {
+                    n.stale_win = Some((term, d, fresher));
                 }
+                dep.promoted_self = true;
+                dep.ballot.stand_down(term);
                 n.promoted.push((term, d));
                 n.promoted.sort_unstable();
-                let dep = &mut n.deps[d];
-                dep.promoted_self = true;
-                dep.standing = 0;
-                dep.votes.clear();
                 for to in self.peers(d) {
                     n.net.send(EWire::Promoted {
                         to,
@@ -397,40 +379,34 @@ impl LossyProtocol for ElectionModel {
                 fresh,
             } => {
                 let dep = &mut n.deps[to];
-                dep.term_seen = dep.term_seen.max(term);
                 if dep.promoted_self {
+                    dep.ballot.see(term);
                     return; // Now a master; election traffic is inert.
                 }
-                let spent = self.one_vote_per_term && term <= dep.voted_in;
-                let staler = self.fresh_guard && fresh < self.fresh[to];
-                if spent || staler {
-                    return;
-                }
-                dep.voted_in = dep.voted_in.max(term);
-                n.net.send(EWire::Vote {
-                    to: candidate,
-                    term,
-                    voter: to,
-                });
-            }
-            EWire::Vote { to, term, voter } => {
-                let dep = &mut n.deps[to];
-                dep.term_seen = dep.term_seen.max(term);
-                // Counted only while standing in exactly that term (late
-                // votes for abandoned candidacies are inert).
-                if !dep.promoted_self && dep.standing == term {
-                    dep.votes.insert(voter);
-                }
-            }
-            EWire::Promoted { to, term, .. } => {
-                let dep = &mut n.deps[to];
-                dep.term_seen = dep.term_seen.max(term);
-                // Stand down any candidacy the promotion outranks.
-                if dep.standing != 0 && dep.standing <= term {
-                    dep.standing = 0;
-                    dep.votes.clear();
+                // Broken variant (E108): a fresh-blind voter compares the
+                // candidate against freshness 0, which every replica meets.
+                let own = if self.fresh_guard { self.fresh[to] } else { 0 };
+                let granted = if self.one_vote_per_term {
+                    dep.ballot.vote(term, fresh, own)
+                } else {
+                    // Broken variant (E107): the voter forgets the terms it
+                    // voted in for the grant, then keeps the highest.
+                    let kept = std::mem::take(&mut dep.ballot.voted_in);
+                    let granted = dep.ballot.vote(term, fresh, own);
+                    dep.ballot.voted_in = dep.ballot.voted_in.max(kept);
+                    granted
+                };
+                if granted {
+                    n.net.send(EWire::Vote {
+                        to: candidate,
+                        term,
+                        voter: to,
+                    });
                 }
             }
+            // A winner stood down when it won, so its ballot counts no vote.
+            EWire::Vote { to, term, voter } => n.deps[to].ballot.count(term, voter),
+            EWire::Promoted { to, term, .. } => n.deps[to].ballot.stand_down(term),
         }
     }
 
@@ -486,8 +462,8 @@ impl LossyProtocol for ElectionModel {
         let mut n = s.clone();
         for (d, dep) in s.deps.iter().enumerate() {
             n.deps[sigma[d]] = DeputyModel {
-                votes: dep.votes.iter().map(|&v| sigma[v]).collect(),
-                ..dep.clone()
+                ballot: dep.ballot.relabel(sigma),
+                promoted_self: dep.promoted_self,
             };
         }
         n.net.wire = s.net.wire.iter().map(|m| m.between(sigma)).collect();

@@ -145,10 +145,15 @@ pub struct JoinState {
 ///   life's progress, the **stale-snapshot-join** bug (E112): a later
 ///   rollback would source state the new life never had.
 ///
-/// Admission mirrors the runtime's `pending_joins` max-dedup: a strictly
-/// newer life's `Join` supersedes whatever the slot held, an equal life's
-/// `Join` re-admits only a non-member (lost-`Admit` replay otherwise), and
-/// older lives are fenced outright.
+/// Admission is written for the model, not stepped from production code: a
+/// strictly newer life's `Join` supersedes whatever the slot held, an
+/// equal life's `Join` re-admits only a non-member (lost-`Admit` replay
+/// otherwise), and older lives are fenced outright. One rule diverges from
+/// the runtime. The model admits a newer life over a slot the master
+/// still counts alive; the runtime's master ignores it (its `Join` arm
+/// replays the window only for an equal incarnation, and `Session::admit`
+/// skips live slots), so the older life leaves only when suspicion evicts
+/// it. The join conformance replay must settle that rule first.
 #[derive(Clone, Debug)]
 pub struct JoinModel {
     pub slots: usize,

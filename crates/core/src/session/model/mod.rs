@@ -5,21 +5,24 @@
 //! deputy election that replaces a crashed master ([`ElectionModel`]), and
 //! the mid-run join/rejoin handshake ([`JoinModel`]).
 //!
-//! The first two models run the *same* [`SenderWindow`] / [`AckTracker`] /
-//! [`TransferWindow`] rules the runtime uses (re-exported from
-//! [`crate::protocol`]), wrapped in an abstracted master/slaves/network
-//! system that `dlb-analyze` exhaustively explores for lost work, duplicate
-//! application, and deadlock. The election model mirrors the pure voting
-//! rules of [`crate::session::replica::DeputyState`] (one vote per term,
-//! the newest-replica freshness guard, majority quorum over the full deputy
-//! set) and checks that no term ever promotes two masters; the join model
-//! mirrors the incarnation fence and the admission ack floor of
-//! `crate::session::membership::Membership` and the checkpointed master.
-//! Each model also ships deliberately broken variants (acknowledge without
-//! dedup; a voter that forgets which terms it voted in or ignores
-//! freshness; a master that credits zombie heartbeats or stale checkpoint
-//! acks) whose counterexample the checker must find — the
-//! E101/E104/E107/E108/E111/E112 fixtures in `dlb-analyze`.
+//! Each model steps the production type its runtime protocol runs on,
+//! wrapped in an abstracted master/slaves/network system that
+//! `dlb-analyze` exhaustively explores: the restore and transfer models the
+//! [`SenderWindow`] / [`AckTracker`] / [`TransferWindow`] rules of
+//! [`crate::protocol`] (for lost work, duplicate application, and
+//! deadlock), the election model the deputies' [`Ballot`] (one vote per
+//! term, the newest-replica freshness guard, majority quorum over the full
+//! deputy set; no term may promote two masters). The join model alone is
+//! written for the model: its incarnation fence and admission ack floor
+//! restate `crate::session::membership::Membership` and the checkpointed
+//! master, and its admission of a newer life over a live slot is one rule
+//! the runtime does not share ([`JoinModel`]). Each model also ships
+//! deliberately broken variants (acknowledge without dedup; a voter that
+//! forgets which terms it voted in or ignores freshness; a master that
+//! credits zombie heartbeats or stale checkpoint acks) whose counterexample
+//! the checker must find — the E101/E104/E107/E108/E111/E112 fixtures in
+//! `dlb-analyze`. A broken variant rewrites the production type's input
+//! or state inside the model; the production type has no flag for it.
 //!
 //! ## What a model supplies, and what the layer does with it
 //!
@@ -32,12 +35,12 @@
 //! slots — the `wide(n)` constructors, exhausted by the `lint-wide` CI job)
 //! instead of toy configurations.
 //!
-//! | model | wire | lane | locals | classes | signature | overrides |
-//! |---|---|---|---|---|---|---|
-//! | [`RestoreModel`] | [`SeqWire`] | survivor (`Data.to` / `Ack.from`) | `Scatter`, `Resend`, `Heartbeat` | equal scatter profile | window, tracker, holdings, wire — in unit coordinates | — |
-//! | [`TransferModel`] | [`SeqWire`] | receiver (`Data.to` / `Ack.from`) | `Offer`, `Resend`, `Heartbeat`, `Evict` | equal move profile and offered count | both channel ends, holdings, re-owned units, wire — in unit coordinates | `lead`: an in-flight ack goes first, alone |
-//! | [`ElectionModel`] | [`EWire`] | recipient (`to`) | `Stand`, `Win` | equal replica freshness | local state and wire involvement, plus relations to the ranked anchors | `representative`: the pass iterated to a fixpoint |
-//! | [`JoinModel`] | [`JWire`] | slot | `Suspect`, `Heartbeat`, `RejoinNudge`, `AdmitNudge` | all slots | master view, slave view, wire | — |
+//! | model | steps | wire | lane | locals | classes | signature | overrides |
+//! |---|---|---|---|---|---|---|---|
+//! | [`RestoreModel`] | [`SenderWindow`], [`AckTracker`] | [`SeqWire`] | survivor (`Data.to` / `Ack.from`) | `Scatter`, `Resend`, `Heartbeat` | equal scatter profile | window, tracker, holdings, wire — in unit coordinates | — |
+//! | [`TransferModel`] | [`TransferWindow`] | [`SeqWire`] | receiver (`Data.to` / `Ack.from`) | `Offer`, `Resend`, `Heartbeat`, `Evict` | equal move profile and offered count | both channel ends, holdings, re-owned units, wire — in unit coordinates | `lead`: an in-flight ack goes first, alone |
+//! | [`ElectionModel`] | [`Ballot`] | [`EWire`] | recipient (`to`) | `Stand`, `Win` | equal replica freshness | local state and wire involvement, plus relations to the ranked anchors | `representative`: the pass iterated to a fixpoint |
+//! | [`JoinModel`] | — (its own admission rules) | [`JWire`] | slot | `Suspect`, `Heartbeat`, `RejoinNudge`, `AdmitNudge` | all slots | master view, slave view, wire | — |
 //!
 //! Restore, transfer and join states hold no cross-peer references, so the
 //! class sort is a perfect canonicalizer for them; election state does
@@ -49,6 +52,7 @@
 //! [`SenderWindow`]: crate::protocol::SenderWindow
 //! [`AckTracker`]: crate::protocol::AckTracker
 //! [`TransferWindow`]: crate::protocol::TransferWindow
+//! [`Ballot`]: crate::session::replica::Ballot
 
 mod election;
 mod join;

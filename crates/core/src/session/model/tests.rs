@@ -206,62 +206,6 @@ fn fresh_blind_variant_elects_a_stale_winner() {
     assert!(v.contains("stale replica"), "{v}");
 }
 
-#[test]
-fn election_vote_rule_matches_production_deputy_state() {
-    use crate::error::FaultToleranceConfig;
-    use crate::session::replica::DeputyState;
-    use dlb_sim::SimTime;
-
-    // The model's grant/refuse decision must agree with
-    // `DeputyState::on_candidacy` case by case. Model deputy 0 holds
-    // freshness 2 (ElectionModel::standard); give the production deputy
-    // the same effective freshness via its replica watermark.
-    let tol = FaultToleranceConfig::default();
-    let mut prod = DeputyState::new(0, 3, 4, false, SimTime::ZERO, &tol);
-    let mut r = prod.replica.clone();
-    r.invocation = 2;
-    prod.absorb(r, SimTime::ZERO);
-
-    let m = ElectionModel::standard();
-    let cases = [
-        (1u64, 1usize, 1u64, false), // staler candidate: refuse
-        (1, 1, 2, true),             // tie: grant
-        (1, 2, 9, false),            // term spent: refuse
-        (2, 2, 2, true),             // new term: grant
-    ];
-    let mut s = m.initial();
-    for (term, candidate, fresh, expect_grant) in cases {
-        let granted = !prod.on_candidacy(term, candidate, fresh).is_empty();
-        assert_eq!(granted, expect_grant, "production at term {term}");
-        let before = s
-            .net
-            .wire
-            .iter()
-            .filter(|w| matches!(w, EWire::Vote { .. }))
-            .count();
-        s.net.send(EWire::Candidacy {
-            to: 0,
-            term,
-            candidate,
-            fresh,
-        });
-        let at = s
-            .net
-            .wire
-            .iter()
-            .position(|w| matches!(w, EWire::Candidacy { to: 0, .. }))
-            .unwrap();
-        s = m.apply(&s, &Step::Deliver(at));
-        let after = s
-            .net
-            .wire
-            .iter()
-            .filter(|w| matches!(w, EWire::Vote { .. }))
-            .count();
-        assert_eq!(after > before, expect_grant, "model at term {term}");
-    }
-}
-
 // -- symmetry ----------------------------------------------------------------
 // (Reduction soundness — reduced vs full exploration reaching the same
 // verdict, code and pinned state counts on every small configuration and

@@ -4,8 +4,10 @@
 //! The lowest-ranked `DEPUTIES` slaves each hold a [`DeputyState`]: a copy
 //! of the master's control-plane replica ([`crate::msg::ReplicaMsg`]), a
 //! one-row `Membership` table watching the *master's* liveness with the
-//! same two-clock rules slaves are watched by, and the election bookkeeping
-//! (terms, one vote per term, quorum counting).
+//! same two-clock rules slaves are watched by, and a [`Ballot`] — the
+//! election rules (terms, one vote per term, quorum counting). The model
+//! checker's [`ElectionModel`](crate::session::model::ElectionModel) steps
+//! the same `Ballot`, so the rules below exist once.
 //!
 //! The state machine is pure: every input returns the messages to send as
 //! `(slave_index, FailoverMsg)` pairs and never touches an actor context,
@@ -43,7 +45,6 @@
 //! that: the higher term supersedes the lower
 //! ([`crate::error::ProtocolError::Superseded`]).
 
-use crate::error::FaultToleranceConfig;
 use crate::msg::{FailoverMsg, ReplicaMsg, SharedUnits};
 use crate::recovery::RecoveryStats;
 use crate::session::membership::Membership;
@@ -81,6 +82,93 @@ pub struct TakeoverSeed {
     pub last_heard: SimTime,
 }
 
+/// One deputy's election state and the rules that move it: stand, grant a
+/// vote, count one, win on a majority, stand down for a promotion. Pure —
+/// no clock, no replica: callers pass their rank, the deputy-set size and
+/// the freshness the grant rule compares. [`DeputyState`] wraps one for
+/// the runtime; the election model holds one per deputy.
+///
+/// The field order is the model's state order, and `standing: None` orders
+/// below every term.
+#[derive(Clone, Debug, Default, PartialEq, Eq, PartialOrd, Ord, Hash)]
+pub struct Ballot {
+    /// Highest term seen anywhere (candidacies, votes, pings, promotions).
+    pub term_seen: u64,
+    /// Highest term this deputy has voted in (including for itself).
+    pub(crate) voted_in: u64,
+    /// `Some(term)` while standing as a candidate in `term`.
+    pub(crate) standing: Option<u64>,
+    /// Voters collected for the current candidacy (includes self).
+    pub(crate) votes: BTreeSet<usize>,
+}
+
+impl Ballot {
+    /// How many votes the current candidacy holds.
+    pub fn tally(&self) -> usize {
+        self.votes.len()
+    }
+
+    /// Learn of `term` from any message.
+    pub fn see(&mut self, term: u64) {
+        self.term_seen = self.term_seen.max(term);
+    }
+
+    /// Stand as deputy `me` in the term after every term seen, spending
+    /// that term's vote on itself. Returns the term.
+    pub fn stand(&mut self, me: usize) -> u64 {
+        let term = self.term_seen + 1;
+        self.term_seen = term;
+        self.voted_in = term;
+        self.standing = Some(term);
+        self.votes = BTreeSet::from([me]);
+        term
+    }
+
+    /// The grant rule: vote for a candidacy in `term` whose replica is
+    /// `fresh` iff the term is newer than any voted in and `fresh` is at
+    /// least `own`, the voter's freshness. A grant spends the term.
+    pub fn vote(&mut self, term: u64, fresh: u64, own: u64) -> bool {
+        self.see(term);
+        let grant = term > self.voted_in && fresh >= own;
+        if grant {
+            self.voted_in = term;
+        }
+        grant
+    }
+
+    /// Count `voter`'s vote in `term`: only while standing in exactly that
+    /// term (late votes for abandoned candidacies are inert).
+    pub fn count(&mut self, term: u64, voter: usize) {
+        self.see(term);
+        if self.standing == Some(term) {
+            self.votes.insert(voter);
+        }
+    }
+
+    /// `Some(term)` when the candidacy holds a majority of the full set of
+    /// `deputies` (dead deputies count against it, never for it).
+    pub fn won(&self, deputies: usize) -> Option<u64> {
+        self.standing.filter(|_| self.votes.len() > deputies / 2)
+    }
+
+    /// A master was promoted in `term`: drop any candidacy it outranks.
+    pub fn stand_down(&mut self, term: u64) {
+        self.see(term);
+        if self.standing.is_some_and(|t| t <= term) {
+            self.standing = None;
+            self.votes.clear();
+        }
+    }
+
+    /// The same ballot with every deputy `d` renamed `sigma[d]`.
+    pub fn relabel(&self, sigma: &[usize]) -> Ballot {
+        Ballot {
+            votes: self.votes.iter().map(|&v| sigma[v]).collect(),
+            ..self.clone()
+        }
+    }
+}
+
 /// The deputy role riding alongside a slave: replica storage, master watch,
 /// and election state.
 #[derive(Clone, Debug)]
@@ -95,18 +183,13 @@ pub struct DeputyState {
     /// → the replica's invocation watermark).
     pub checkpointed: bool,
     /// One-row liveness table watching the master (index 0 = the master),
-    /// under the same two-clock rules the master applies to slaves.
+    /// under the same two-clock rules the master applies to slaves. Its
+    /// nudge timer is never read: a deputy does not nudge the master.
     pub(crate) watch: Membership,
     /// Newest control-plane replica received (term-gated).
     pub replica: ReplicaMsg,
-    /// Highest term seen anywhere (candidacies, votes, pings, promotions).
-    pub term_seen: u64,
-    /// Highest term this deputy has voted in (including for itself).
-    voted_in: u64,
-    /// `Some(term)` while standing as a candidate in `term`.
-    standing: Option<u64>,
-    /// Voters collected for the current candidacy (includes self).
-    votes: BTreeSet<usize>,
+    /// Terms, this deputy's vote, its candidacy.
+    pub ballot: Ballot,
     /// Earliest instant a (re-)stand is allowed: rate-limits candidacies.
     next_stand_ok: SimTime,
 }
@@ -118,13 +201,12 @@ impl DeputyState {
         n_slaves: usize,
         checkpointed: bool,
         now: SimTime,
-        tol: &FaultToleranceConfig,
     ) -> DeputyState {
         DeputyState {
             idx,
             n_deputies,
             checkpointed,
-            watch: Membership::new(1, now, tol.nudge),
+            watch: Membership::new(1, now, SimDuration::ZERO),
             replica: ReplicaMsg {
                 term: 0,
                 epoch: 0,
@@ -137,17 +219,9 @@ impl DeputyState {
                 recovery: RecoveryStats::default(),
                 incarnations: vec![0; n_slaves],
             },
-            term_seen: 0,
-            voted_in: 0,
-            standing: None,
-            votes: BTreeSet::new(),
+            ballot: Ballot::default(),
             next_stand_ok: now + MASTER_SUSPICION,
         }
-    }
-
-    /// Votes needed to win: a majority of the *full* deputy set.
-    pub fn quorum(&self) -> usize {
-        self.n_deputies / 2 + 1
     }
 
     /// Record protocol traffic from the master (replica, rollback, any
@@ -161,7 +235,7 @@ impl DeputyState {
     /// defer suspicion without counting as protocol progress.
     pub fn master_ping(&mut self, term: u64, now: SimTime) {
         self.watch.ping(0, now);
-        self.term_seen = self.term_seen.max(term);
+        self.ballot.see(term);
     }
 
     /// Absorb a control-plane replica. Stale terms (an old master still
@@ -179,7 +253,7 @@ impl DeputyState {
         if r.term < self.replica.term {
             return;
         }
-        self.term_seen = self.term_seen.max(r.term);
+        self.ballot.see(r.term);
         self.master_heard(now);
         let held = self.replica.snapshot.take();
         r.snapshot = match (r.snapshot.take(), held) {
@@ -222,11 +296,7 @@ impl DeputyState {
         if self.watch.silent_for(0, now) < threshold || now < self.next_stand_ok {
             return Vec::new();
         }
-        let term = self.term_seen + 1;
-        self.term_seen = term;
-        self.voted_in = term;
-        self.standing = Some(term);
-        self.votes = BTreeSet::from([self.idx]);
+        let term = self.ballot.stand(self.idx);
         // The retry backoff re-applies the rank stagger: if a round ever
         // duels (two candidacies crossing on the wire, each refused because
         // the voter spent its term on itself), the retries separate by rank
@@ -256,11 +326,10 @@ impl DeputyState {
         candidate: usize,
         fresh: u64,
     ) -> Vec<(usize, FailoverMsg)> {
-        self.term_seen = self.term_seen.max(term);
-        if candidate == self.idx || term <= self.voted_in || fresh < self.effective_fresh() {
+        self.ballot.see(term);
+        if candidate == self.idx || !self.ballot.vote(term, fresh, self.effective_fresh()) {
             return Vec::new();
         }
-        self.voted_in = term;
         vec![(
             candidate,
             FailoverMsg::Vote {
@@ -274,25 +343,21 @@ impl DeputyState {
     /// A vote arrived. Counted only while standing in exactly that term for
     /// exactly this deputy (late votes for abandoned candidacies are inert).
     pub fn on_vote(&mut self, term: u64, voter: usize, candidate: usize) {
-        self.term_seen = self.term_seen.max(term);
-        if self.standing == Some(term) && candidate == self.idx {
-            self.votes.insert(voter);
+        self.ballot.see(term);
+        if candidate == self.idx {
+            self.ballot.count(term, voter);
         }
     }
 
     /// `Some(term)` when the current candidacy has reached quorum.
     pub fn won(&self) -> Option<u64> {
-        self.standing.filter(|_| self.votes.len() >= self.quorum())
+        self.ballot.won(self.n_deputies)
     }
 
     /// A master was promoted in `term`. Stand down any candidacy it
     /// outranks and start watching the new master's clocks from now.
     pub fn on_promoted(&mut self, term: u64, now: SimTime) {
-        self.term_seen = self.term_seen.max(term);
-        if self.standing.is_some_and(|t| t <= term) {
-            self.standing = None;
-            self.votes.clear();
-        }
+        self.ballot.stand_down(term);
         self.replica.term = self.replica.term.max(term);
         self.watch.heard(0, now);
     }
@@ -334,12 +399,8 @@ mod tests {
         SimTime::ZERO + SimDuration::from_millis(ms)
     }
 
-    fn tol() -> FaultToleranceConfig {
-        FaultToleranceConfig::default() // suspicion 8 s, stagger 2 s
-    }
-
     fn deputy(idx: usize, n: usize, checkpointed: bool) -> DeputyState {
-        DeputyState::new(idx, n, 16, checkpointed, t(0), &tol())
+        DeputyState::new(idx, n, 16, checkpointed, t(0))
     }
 
     fn replica(term: u64, invocation: u64, snapshot: Option<u64>) -> ReplicaMsg {
@@ -617,7 +678,7 @@ mod tests {
         assert!(d.tick(t(8_200)).is_empty(), "new master is live");
         // A *lower*-term promotion does not cancel a newer candidacy.
         let mut d = deputy(0, 3, false);
-        d.term_seen = 4;
+        d.ballot.see(4);
         d.tick(t(8_000)); // standing in term 5
         d.on_promoted(3, t(8_001));
         d.on_vote(5, 1, 0);

@@ -301,18 +301,10 @@ impl SlaveCommon {
     /// measure replica freshness: a pattern that ships checkpoints restarts
     /// from a held snapshot, one that does not from the invocation watermark.
     pub fn enable_deputy(&mut self, checkpointed: bool, now: SimTime) {
-        if let Some(ft) = &self.ft {
-            let nd = DEPUTIES.min(self.slaves.len());
-            if self.idx < nd {
-                self.deputy = Some(DeputyState::new(
-                    self.idx,
-                    nd,
-                    self.slaves.len(),
-                    checkpointed,
-                    now,
-                    ft,
-                ));
-            }
+        let nd = DEPUTIES.min(self.slaves.len());
+        if self.ft.is_some() && self.idx < nd {
+            let n = self.slaves.len();
+            self.deputy = Some(DeputyState::new(self.idx, nd, n, checkpointed, now));
         }
     }
 
@@ -653,7 +645,7 @@ impl SlaveCommon {
                 "[slave{} t={}] standing for term {} (fresh {})",
                 self.idx,
                 ctx.now(),
-                d.term_seen,
+                d.ballot.term_seen,
                 d.effective_fresh(),
             );
         }

@@ -9,26 +9,16 @@
 //! balancer stays live throughout. Everything is seeded, so each case
 //! reproduces exactly.
 
+mod common;
+
+use common::{chaos_cfg, chaos_matrix, slave_node};
 use dlb::apps::{Calibration, Lu, MatMul, Sor};
-use dlb::core::driver::{try_run, AppSpec, RunConfig};
+use dlb::core::driver::{try_run, AppSpec};
 use dlb::core::ProtocolError;
 use dlb::sim::{FaultPlan, SimDuration, SimTime};
 use std::sync::Arc;
 
 const SLAVES: usize = 4;
-
-/// Crash times are virtual microseconds; node `i + 1` is slave `i`
-/// (node 0 is the master).
-fn slave_node(i: usize) -> usize {
-    i + 1
-}
-
-fn chaos_cfg(plan: FaultPlan, balancer_on: bool) -> RunConfig {
-    let mut cfg = RunConfig::homogeneous(SLAVES);
-    cfg.balancer.enabled = balancer_on;
-    cfg.fault_plan = Some(plan);
-    cfg
-}
 
 fn mm() -> (Arc<MatMul>, dlb::compiler::ParallelPlan) {
     // ~23 ms per unit: long enough that scheduled crashes land mid-run,
@@ -50,28 +40,6 @@ fn lu() -> (Arc<Lu>, dlb::compiler::ParallelPlan) {
     (k, plan)
 }
 
-/// One fault flavor of the chaos matrix.
-#[derive(Clone, Copy, Debug)]
-enum Fault {
-    Crash,
-    Drop,
-    Dup,
-    Jitter,
-}
-
-const FAULTS: [Fault; 4] = [Fault::Crash, Fault::Drop, Fault::Dup, Fault::Jitter];
-
-impl Fault {
-    fn plan(self, seed: u64, crash_at: u64) -> FaultPlan {
-        match self {
-            Fault::Crash => FaultPlan::new(seed).crash(slave_node(1), SimTime(crash_at)),
-            Fault::Drop => FaultPlan::new(seed).drop_all(0.05),
-            Fault::Dup => FaultPlan::new(seed).dup_all(0.05),
-            Fault::Jitter => FaultPlan::new(seed).jitter_all(0.2, SimDuration::from_millis(20)),
-        }
-    }
-}
-
 fn check_independent(report: &dlb::core::driver::RunReport, k: &MatMul, label: &str) {
     assert_eq!(
         MatMul::result_c(&report.result),
@@ -88,7 +56,7 @@ fn quiet_fault_plan_completes_normally() {
     let report = try_run(
         AppSpec::Independent(k.clone()),
         &plan,
-        chaos_cfg(FaultPlan::new(1), true),
+        chaos_cfg(SLAVES, FaultPlan::new(1), true),
     )
     .expect("quiet plan must complete");
     assert_eq!(MatMul::result_c(&report.result), k.sequential());
@@ -104,80 +72,11 @@ fn quiet_fault_plan_completes_normally() {
     );
 }
 
-/// The full chaos matrix: {engine} x {balancer on/off} x {crash, drop,
-/// dup, jitter}. Every combination must complete with a result
-/// bit-identical to the sequential reference — crashes are recovered
-/// (re-scatter or rollback), drops are re-sent, duplicates are fenced,
-/// jitter only reorders.
+/// The full chaos matrix at 4 slaves ([`chaos_matrix`]): the crash kills
+/// slave 1, seeds start at 1000.
 #[test]
 fn chaos_matrix_every_engine_completes_exactly() {
-    let (mm_k, mm_plan) = mm();
-    let (sor_k, sor_plan) = sor();
-    let (lu_k, lu_plan) = lu();
-    for (bi, balancer_on) in [true, false].into_iter().enumerate() {
-        for (fi, fault) in FAULTS.into_iter().enumerate() {
-            let seed = 1000 + (bi * 10 + fi) as u64;
-            let label = |eng: &str| format!("{eng} balancer={balancer_on} fault={fault:?}");
-
-            let report = try_run(
-                AppSpec::Independent(mm_k.clone()),
-                &mm_plan,
-                chaos_cfg(fault.plan(seed, 200_000), balancer_on),
-            )
-            .unwrap_or_else(|e| panic!("{}: {}", label("mm"), e.error));
-            check_independent(&report, &mm_k, &label("mm"));
-            if matches!(fault, Fault::Crash) {
-                assert_eq!(
-                    report.recovery.slaves_declared_dead,
-                    1,
-                    "{}: crash must be detected",
-                    label("mm")
-                );
-            }
-
-            let report = try_run(
-                AppSpec::Pipelined(sor_k.clone()),
-                &sor_plan,
-                chaos_cfg(fault.plan(seed + 100, 300_000), balancer_on),
-            )
-            .unwrap_or_else(|e| panic!("{}: {}", label("sor"), e.error));
-            assert_eq!(
-                sor_k.result_grid(&report.result),
-                sor_k.sequential(),
-                "{}: result must be exact",
-                label("sor")
-            );
-            if matches!(fault, Fault::Crash) {
-                assert!(
-                    report.recovery.rollbacks > 0,
-                    "{}: crash must roll survivors back: {:?}",
-                    label("sor"),
-                    report.recovery
-                );
-            }
-
-            let report = try_run(
-                AppSpec::Shrinking(lu_k.clone()),
-                &lu_plan,
-                chaos_cfg(fault.plan(seed + 200, 200_000), balancer_on),
-            )
-            .unwrap_or_else(|e| panic!("{}: {}", label("lu"), e.error));
-            assert_eq!(
-                Lu::result_cols(&report.result),
-                lu_k.sequential(),
-                "{}: result must be exact",
-                label("lu")
-            );
-            if matches!(fault, Fault::Crash) {
-                assert!(
-                    report.recovery.rollbacks > 0,
-                    "{}: crash must roll survivors back: {:?}",
-                    label("lu"),
-                    report.recovery
-                );
-            }
-        }
-    }
+    chaos_matrix(SLAVES, 1, 1000, &mm(), &sor(), &lu());
 }
 
 /// The headline recovery scenario, balancer live: 5 % message drop plus
@@ -193,7 +92,7 @@ fn independent_recovers_from_drops_and_crash() {
     let report = try_run(
         AppSpec::Independent(k.clone()),
         &plan,
-        chaos_cfg(fault, true),
+        chaos_cfg(SLAVES, fault, true),
     )
     .expect("independent engine must recover");
     check_independent(&report, &k, "drops+crash");
@@ -220,7 +119,7 @@ fn independent_crash_speculates_on_idle_survivor() {
     let report = try_run(
         AppSpec::Independent(k.clone()),
         &plan,
-        chaos_cfg(fault, true),
+        chaos_cfg(SLAVES, fault, true),
     )
     .expect("independent engine must recover");
     check_independent(&report, &k, "crash+speculation");
@@ -243,8 +142,12 @@ fn independent_crash_speculates_on_idle_survivor() {
 fn pipelined_crash_resumes_from_checkpoint() {
     let (k, plan) = sor();
     let fault = FaultPlan::new(9).crash(slave_node(1), SimTime(300_000));
-    let report = try_run(AppSpec::Pipelined(k.clone()), &plan, chaos_cfg(fault, true))
-        .expect("pipelined engine must resume from checkpoint");
+    let report = try_run(
+        AppSpec::Pipelined(k.clone()),
+        &plan,
+        chaos_cfg(SLAVES, fault, true),
+    )
+    .expect("pipelined engine must resume from checkpoint");
     assert_eq!(
         k.result_grid(&report.result),
         k.sequential(),
@@ -280,8 +183,12 @@ fn pipelined_crash_resumes_from_checkpoint() {
 fn shrinking_crash_resumes_from_checkpoint() {
     let (k, plan) = lu();
     let fault = FaultPlan::new(9).crash(slave_node(2), SimTime(200_000));
-    let report = try_run(AppSpec::Shrinking(k.clone()), &plan, chaos_cfg(fault, true))
-        .expect("shrinking engine must resume from checkpoint");
+    let report = try_run(
+        AppSpec::Shrinking(k.clone()),
+        &plan,
+        chaos_cfg(SLAVES, fault, true),
+    )
+    .expect("shrinking engine must resume from checkpoint");
     assert_eq!(
         Lu::result_cols(&report.result),
         k.sequential(),
@@ -315,8 +222,12 @@ fn all_slaves_dead_is_reported() {
     for i in 0..SLAVES {
         fault = fault.crash(slave_node(i), SimTime(100_000 + i as u64 * 10_000));
     }
-    let err = try_run(AppSpec::Independent(k), &plan, chaos_cfg(fault, true))
-        .expect_err("no survivors: the run cannot complete");
+    let err = try_run(
+        AppSpec::Independent(k),
+        &plan,
+        chaos_cfg(SLAVES, fault, true),
+    )
+    .expect_err("no survivors: the run cannot complete");
     assert!(
         matches!(err.error, ProtocolError::AllSlavesDead),
         "expected AllSlavesDead, got {}",
@@ -341,7 +252,7 @@ fn determinism_holds_under_faults() {
         try_run(
             AppSpec::Independent(k.clone()),
             &plan,
-            chaos_cfg(build(seed), true),
+            chaos_cfg(SLAVES, build(seed), true),
         )
         .expect("independent engine must recover")
     };
@@ -369,8 +280,12 @@ fn pipelined_rollback_is_deterministic() {
         let fault = FaultPlan::new(31)
             .drop_all(0.02)
             .crash(slave_node(1), SimTime(300_000));
-        try_run(AppSpec::Pipelined(k.clone()), &plan, chaos_cfg(fault, true))
-            .expect("pipelined engine must resume")
+        try_run(
+            AppSpec::Pipelined(k.clone()),
+            &plan,
+            chaos_cfg(SLAVES, fault, true),
+        )
+        .expect("pipelined engine must resume")
     };
     let a = run_one();
     let b = run_one();

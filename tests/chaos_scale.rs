@@ -8,24 +8,15 @@
 //! run with a prefix of the plan reproduces the exact virtual times
 //! (settlement, first death) at which to aim the next fault.
 
+mod common;
+
+use common::{chaos_cfg, chaos_matrix, slave_node};
 use dlb::apps::{Calibration, Lu, MatMul, Sor};
-use dlb::core::driver::{try_run, AppSpec, RunConfig, RunReport};
-use dlb::sim::{FaultPlan, SimDuration, SimTime};
+use dlb::core::driver::{try_run, AppSpec, RunReport};
+use dlb::sim::{FaultPlan, SimTime};
 use std::sync::Arc;
 
 const SLAVES: usize = 16;
-
-/// Node `i + 1` is slave `i` (node 0 is the master).
-fn slave_node(i: usize) -> usize {
-    i + 1
-}
-
-fn chaos_cfg(plan: FaultPlan, balancer_on: bool) -> RunConfig {
-    let mut cfg = RunConfig::homogeneous(SLAVES);
-    cfg.balancer.enabled = balancer_on;
-    cfg.fault_plan = Some(plan);
-    cfg
-}
 
 fn mm() -> (Arc<MatMul>, dlb::compiler::ParallelPlan) {
     // 32 row-blocks over 16 slaves: two units each before balancing.
@@ -47,105 +38,11 @@ fn lu() -> (Arc<Lu>, dlb::compiler::ParallelPlan) {
     (k, plan)
 }
 
-#[derive(Clone, Copy, Debug)]
-enum Fault {
-    Crash,
-    Drop,
-    Dup,
-    Jitter,
-}
-
-const FAULTS: [Fault; 4] = [Fault::Crash, Fault::Drop, Fault::Dup, Fault::Jitter];
-
-impl Fault {
-    fn plan(self, seed: u64, crash_at: u64) -> FaultPlan {
-        match self {
-            Fault::Crash => FaultPlan::new(seed).crash(slave_node(5), SimTime(crash_at)),
-            Fault::Drop => FaultPlan::new(seed).drop_all(0.05),
-            Fault::Dup => FaultPlan::new(seed).dup_all(0.05),
-            Fault::Jitter => FaultPlan::new(seed).jitter_all(0.2, SimDuration::from_millis(20)),
-        }
-    }
-}
-
-/// The chaos matrix at 16 slaves: {engine} x {balancer on/off} x
-/// {crash, drop, dup, jitter}. Every combination completes with a
-/// result bit-identical to the sequential reference, exactly as the
-/// 4-slave matrix does.
+/// The chaos matrix at 16 slaves ([`chaos_matrix`]), exact as at 4: the
+/// crash kills slave 5, seeds start at 3000.
 #[test]
 fn scale_matrix_sixteen_slaves_every_engine_exact() {
-    let (mm_k, mm_plan) = mm();
-    let (sor_k, sor_plan) = sor();
-    let (lu_k, lu_plan) = lu();
-    for (bi, balancer_on) in [true, false].into_iter().enumerate() {
-        for (fi, fault) in FAULTS.into_iter().enumerate() {
-            let seed = 3000 + (bi * 10 + fi) as u64;
-            let label = |eng: &str| format!("{eng}x16 balancer={balancer_on} fault={fault:?}");
-
-            let report = try_run(
-                AppSpec::Independent(mm_k.clone()),
-                &mm_plan,
-                chaos_cfg(fault.plan(seed, 200_000), balancer_on),
-            )
-            .unwrap_or_else(|e| panic!("{}: {}", label("mm"), e.error));
-            assert_eq!(
-                MatMul::result_c(&report.result),
-                mm_k.sequential(),
-                "{}: result must be exact",
-                label("mm")
-            );
-            if matches!(fault, Fault::Crash) {
-                assert_eq!(
-                    report.recovery.slaves_declared_dead,
-                    1,
-                    "{}: crash must be detected",
-                    label("mm")
-                );
-            }
-
-            let report = try_run(
-                AppSpec::Pipelined(sor_k.clone()),
-                &sor_plan,
-                chaos_cfg(fault.plan(seed + 100, 300_000), balancer_on),
-            )
-            .unwrap_or_else(|e| panic!("{}: {}", label("sor"), e.error));
-            assert_eq!(
-                sor_k.result_grid(&report.result),
-                sor_k.sequential(),
-                "{}: result must be exact",
-                label("sor")
-            );
-            if matches!(fault, Fault::Crash) {
-                assert!(
-                    report.recovery.rollbacks > 0,
-                    "{}: crash must roll survivors back: {:?}",
-                    label("sor"),
-                    report.recovery
-                );
-            }
-
-            let report = try_run(
-                AppSpec::Shrinking(lu_k.clone()),
-                &lu_plan,
-                chaos_cfg(fault.plan(seed + 200, 200_000), balancer_on),
-            )
-            .unwrap_or_else(|e| panic!("{}: {}", label("lu"), e.error));
-            assert_eq!(
-                Lu::result_cols(&report.result),
-                lu_k.sequential(),
-                "{}: result must be exact",
-                label("lu")
-            );
-            if matches!(fault, Fault::Crash) {
-                assert!(
-                    report.recovery.rollbacks > 0,
-                    "{}: crash must roll survivors back: {:?}",
-                    label("lu"),
-                    report.recovery
-                );
-            }
-        }
-    }
+    chaos_matrix(SLAVES, 5, 3000, &mm(), &sor(), &lu());
 }
 
 /// A second slave crashes while the rollback for the first is still in
@@ -162,7 +59,7 @@ fn overlapping_crashes_during_inflight_rollback() {
     let probe = try_run(
         AppSpec::Pipelined(k.clone()),
         &plan,
-        chaos_cfg(first(11), true),
+        chaos_cfg(SLAVES, first(11), true),
     )
     .expect("single-crash probe must recover");
     let death = probe
@@ -174,8 +71,12 @@ fn overlapping_crashes_during_inflight_rollback() {
     // Identical trace up to `death`, then the second victim dies with the
     // restore for the first rollback still unacknowledged on its link.
     let fault = first(11).crash(slave_node(9), SimTime(death + 300));
-    let report = try_run(AppSpec::Pipelined(k.clone()), &plan, chaos_cfg(fault, true))
-        .expect("overlapping crashes must both be recovered");
+    let report = try_run(
+        AppSpec::Pipelined(k.clone()),
+        &plan,
+        chaos_cfg(SLAVES, fault, true),
+    )
+    .expect("overlapping crashes must both be recovered");
     assert_eq!(
         k.result_grid(&report.result),
         k.sequential(),
@@ -205,14 +106,18 @@ fn crash_during_gather_is_rolled_back_and_redone() {
     let probe = try_run(
         AppSpec::Pipelined(k.clone()),
         &plan,
-        chaos_cfg(FaultPlan::new(13), true),
+        chaos_cfg(SLAVES, FaultPlan::new(13), true),
     )
     .expect("quiet probe must complete");
     let settle = probe.compute_time.0;
 
     let fault = FaultPlan::new(13).crash(slave_node(4), SimTime(settle + 50));
-    let report = try_run(AppSpec::Pipelined(k.clone()), &plan, chaos_cfg(fault, true))
-        .expect("a death during gather must be recovered");
+    let report = try_run(
+        AppSpec::Pipelined(k.clone()),
+        &plan,
+        chaos_cfg(SLAVES, fault, true),
+    )
+    .expect("a death during gather must be recovered");
     assert_eq!(
         k.result_grid(&report.result),
         k.sequential(),
@@ -241,7 +146,7 @@ fn independent_crash_during_gather_recovers_units() {
     let probe = try_run(
         AppSpec::Independent(k.clone()),
         &plan,
-        chaos_cfg(FaultPlan::new(17), true),
+        chaos_cfg(SLAVES, FaultPlan::new(17), true),
     )
     .expect("quiet probe must complete");
     let settle = probe.compute_time.0;
@@ -250,7 +155,7 @@ fn independent_crash_during_gather_recovers_units() {
     let report = try_run(
         AppSpec::Independent(k.clone()),
         &plan,
-        chaos_cfg(fault, true),
+        chaos_cfg(SLAVES, fault, true),
     )
     .expect("a death during gather must be recovered");
     assert_eq!(
@@ -280,8 +185,12 @@ fn scale_recovery_is_deterministic() {
         let fault = FaultPlan::new(23)
             .drop_all(0.02)
             .crash(slave_node(3), SimTime(200_000));
-        try_run(AppSpec::Shrinking(k.clone()), &plan, chaos_cfg(fault, true))
-            .expect("shrinking engine must recover at scale")
+        try_run(
+            AppSpec::Shrinking(k.clone()),
+            &plan,
+            chaos_cfg(SLAVES, fault, true),
+        )
+        .expect("shrinking engine must recover at scale")
     };
     let a: RunReport = run_one();
     let b: RunReport = run_one();

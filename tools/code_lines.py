@@ -10,7 +10,8 @@ in, their sum, and those no caller outside tests and examples sets (a value
 stays settable only when such a caller varies it) - then the policy
 decisions: counted lines of crates/core/src outside `impl Policy` that name
 a `Policy` variant or call `rollback_policy()`, plus branches on a
-`rollback` local in master.rs. Printed, never gated.
+`rollback` local in master.rs - then the `ProtocolError` variants no caller
+outside tests and examples constructs. Printed, never gated.
 
     python3 tools/code_lines.py [repo root]
 """
@@ -99,6 +100,42 @@ def never_set(root, fields):
     return [f for names in fields.values() for f in names if f not in written]
 
 
+# What may follow a variant named in a pattern, after its field block and
+# any closing parentheses: a match arm, an or-pattern, a `let` binding.
+PATTERN_END = re.compile(r"\s*\)*\s*(=>|\|(?!\|)|=(?![=>]))")
+
+
+def skip_block(text, i, brackets="{}"):
+    """The index past the balanced block (`{ .. }` by default) that opens
+    at `text[i:]` after blanks; `i` itself when none opens there."""
+    j = len(text) - len(text[i:].lstrip())
+    if j >= len(text) or text[j] != brackets[0]:
+        return i
+    depth = 0
+    for k in range(j, len(text)):
+        depth += {brackets[0]: 1, brackets[1]: -1}.get(text[k], 0)
+        if depth == 0:
+            return k + 1
+    return len(text)
+
+
+def unconstructed_errors(root):
+    """The `ProtocolError` variants no caller builds: every mention of one
+    in the code `callers` yields is a pattern (inside `matches!`, or
+    followed by `=>`, `|` or a `let`'s `=`)."""
+    path = root / "crates/core/src/error.rs"
+    body = re.search(r"^pub enum ProtocolError \{\n(.*?)^\}", path.read_text(), re.M | re.S)
+    variants = re.findall(r"^    (\w+)", body.group(1), re.M)
+    text = "\n".join(callers(root))
+    while (m := re.search(r"\bmatches!", text)) is not None:
+        text = text[: m.start()] + text[skip_block(text, m.end(), "()") :]
+    built = set()
+    for m in re.finditer(r"\bProtocolError::(\w+)\b", text):
+        if not PATTERN_END.match(text, skip_block(text, m.end())):
+            built.add(m.group(1))
+    return [v for v in variants if v not in built]
+
+
 def main():
     root = Path(sys.argv[1] if len(sys.argv) > 1 else Path(__file__).parent.parent)
     crates = root / "crates"
@@ -121,6 +158,9 @@ def main():
     print(f"{len(unset):7}  set by no caller outside tests and examples: {', '.join(unset)}")
     print()
     print(f"{policy_decisions(root):7}  policy decisions outside impl Policy")
+    print()
+    unbuilt = unconstructed_errors(root)
+    print(f"{len(unbuilt):7}  ProtocolError variants no caller outside tests and examples constructs: {', '.join(unbuilt)}")
 
 
 if __name__ == "__main__":
