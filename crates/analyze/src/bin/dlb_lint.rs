@@ -185,35 +185,43 @@ fn main() {
     }
     // Negative fixtures: deliberately broken variants must be caught with
     // replayable counterexamples, or the checker has lost its teeth.
-    // Always checked at the small standard width where the bug is cheap to
-    // reach.
-    let broken =
-        check_election_protocol_with(&ElectionModel::broken_split_brain(), CheckConfig::default());
-    if broken.has(Code::E107) {
-        println!(
-            "election-protocol (forgetful voters): split-brain counterexample found, as expected"
-        );
-    } else {
-        eprintln!(
-            "election-protocol (forgetful voters): expected a DLB-E107 counterexample, got:\n{}",
-            broken.render()
-        );
-        failed = true;
-    }
-    let broken_join = check_join_protocol_with(
-        &JoinModel::broken_double_incarnation(),
-        CheckConfig::default(),
-    );
-    if broken_join.has(Code::E111) {
-        println!(
-            "join-protocol (no incarnation fence): zombie-credit counterexample found, as expected"
-        );
-    } else {
-        eprintln!(
-            "join-protocol (no incarnation fence): expected a DLB-E111 counterexample, got:\n{}",
-            broken_join.render()
-        );
-        failed = true;
+    // Checked at the small standard width where the bug is cheap to reach,
+    // except the replica-trusting winner, which is checked at the run's
+    // width: its counterexample is one quorum deep.
+    let default = CheckConfig::default();
+    let trusting = ElectionModel {
+        coverage_check: false,
+        ..election
+    };
+    for (report, code, name, found) in [
+        (
+            check_election_protocol_with(&ElectionModel::broken_split_brain(), default),
+            Code::E107,
+            "election-protocol (forgetful voters)",
+            "split-brain",
+        ),
+        (
+            check_election_protocol_with(&trusting, default),
+            Code::E114,
+            "election-protocol (replica-trusting winners)",
+            "torn-restart",
+        ),
+        (
+            check_join_protocol_with(&JoinModel::broken_double_incarnation(), default),
+            Code::E111,
+            "join-protocol (no incarnation fence)",
+            "zombie-credit",
+        ),
+    ] {
+        if report.has(code) {
+            println!("{name}: {found} counterexample found, as expected");
+        } else {
+            eprintln!(
+                "{name}: expected a {code} counterexample, got:\n{}",
+                report.render()
+            );
+            failed = true;
+        }
     }
     if truncated && opts.deny_truncation {
         eprintln!("dlb-lint: exploration truncated (DLB-W102) and --deny-truncation is set");

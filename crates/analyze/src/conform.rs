@@ -237,7 +237,9 @@ fn infer_model(events: &[TraceEvent]) -> Result<ElectionModel, String> {
                 voter, candidate, ..
             } => [Some(voter), Some(candidate)],
             FailoverMsg::Promoted { master_idx, .. } => [Some(master_idx), None],
-            FailoverMsg::Replica(_) | FailoverMsg::MasterPing { .. } => [None, None],
+            FailoverMsg::Replica(_) | FailoverMsg::MasterPing { .. } | FailoverMsg::Held { .. } => {
+                [None, None]
+            }
         };
         deputies = named
             .into_iter()
@@ -257,8 +259,7 @@ fn infer_model(events: &[TraceEvent]) -> Result<ElectionModel, String> {
         max_stands: stands.len() as u32,
         max_drops: 0,
         max_dups: 0,
-        one_vote_per_term: true,
-        fresh_guard: true,
+        ..ElectionModel::standard()
     })
 }
 

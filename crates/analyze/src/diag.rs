@@ -67,6 +67,9 @@ pub enum Code {
     /// Join protocol: reachable non-quiescent state with no enabled action
     /// (a wedged join/rejoin handshake).
     E113,
+    /// Election protocol: a takeover restarts from a snapshot that does not
+    /// cover every unit (a fragment died with the master).
+    E114,
     /// No acceptable hook site existed; the placement is best-effort.
     W001,
     /// Data-dependent iteration cost: flops figures are expectations.
@@ -112,6 +115,7 @@ impl Code {
             Code::E111 => "double-incarnation credit",
             Code::E112 => "stale-snapshot join",
             Code::E113 => "join deadlock",
+            Code::E114 => "takeover from a torn snapshot",
             Code::W001 => "no acceptable hook site",
             Code::W002 => "data-dependent iteration cost",
             Code::W003 => "broadcast communication",

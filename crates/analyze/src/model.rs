@@ -6,7 +6,7 @@
 //! rules (all but the join model's admission step) — and converts verdicts
 //! into the shared diagnostics format.
 //!
-//! Four models, twelve safety properties (the distributed-self-scheduling
+//! Four models, thirteen safety properties (the distributed-self-scheduling
 //! correctness conditions of Eleliemy & Ciorba and Zafari & Larsson):
 //!
 //! * [`RestoreModel`] — the master/survivors restore protocol:
@@ -17,9 +17,10 @@
 //!   **no duplicate unit** ([`Code::E104`]), **no lost unit**
 //!   ([`Code::E105`]), **no transfer deadlock** ([`Code::E106`]).
 //! * [`ElectionModel`] — the master-failover deputy election (one vote per
-//!   term, newest-replica guard, majority quorum): **at most one master
-//!   per term** ([`Code::E107`]), **no stale-replica winner**
-//!   ([`Code::E108`]), **no election deadlock** ([`Code::E109`]).
+//!   term, newest-replica guard, majority quorum) and the winner's restart
+//!   point: **at most one master per term** ([`Code::E107`]), **no
+//!   stale-replica winner** ([`Code::E108`]), **no takeover from a torn
+//!   snapshot** ([`Code::E114`]), **no election deadlock** ([`Code::E109`]).
 //! * [`JoinModel`] — the mid-run join/rejoin handshake (incarnation-fenced
 //!   admission, ack-floored snapshot shipping): **no double-incarnation
 //!   credit** ([`Code::E111`]), **no stale-snapshot join**
@@ -79,41 +80,40 @@ impl Default for CheckConfig {
 /// and election models share the explorer but report distinct codes.
 #[derive(Clone, Copy)]
 struct CodeMap {
-    /// Something existed twice (double apply / double owner / two masters).
+    /// Something existed twice (double apply / double owner / two masters):
+    /// a violation no `lost` marker names.
     duplicate: Code,
-    /// Something went missing or stale; selected when the violation detail
-    /// contains `lost_marker`.
-    lost: Code,
+    /// Something went missing or stale: `(marker, code)`, selected when the
+    /// violation detail contains the marker.
+    lost: &'static [(&'static str, Code)],
     deadlock: Code,
-    lost_marker: &'static str,
 }
 
 const RESTORE_CODES: CodeMap = CodeMap {
     duplicate: Code::E101,
-    lost: Code::E102,
+    lost: &[("lost work", Code::E102)],
     deadlock: Code::E103,
-    lost_marker: "lost work",
 };
 
 const TRANSFER_CODES: CodeMap = CodeMap {
     duplicate: Code::E104,
-    lost: Code::E105,
+    lost: &[("lost work", Code::E105)],
     deadlock: Code::E106,
-    lost_marker: "lost work",
 };
 
 const ELECTION_CODES: CodeMap = CodeMap {
     duplicate: Code::E107,
-    lost: Code::E108,
+    lost: &[
+        ("stale replica", Code::E108),
+        ("does not cover every unit", Code::E114),
+    ],
     deadlock: Code::E109,
-    lost_marker: "stale replica",
 };
 
 const JOIN_CODES: CodeMap = CodeMap {
     duplicate: Code::E111,
-    lost: Code::E112,
+    lost: &[("stale snapshot", Code::E112)],
     deadlock: Code::E113,
-    lost_marker: "stale snapshot",
 };
 
 fn push_exploration(
@@ -146,8 +146,11 @@ fn push_exploration(
         ),
         Verdict::Violation => {
             let detail = ex.trace.as_ref().map_or("", |t| t.detail.as_str());
-            let lost = detail.contains(codes.lost_marker);
-            let code = if lost { codes.lost } else { codes.duplicate };
+            let lost = codes
+                .lost
+                .iter()
+                .find(|(marker, _)| detail.contains(marker));
+            let code = lost.map_or(codes.duplicate, |&(_, code)| code);
             (code, format!("{how} found a safety violation"))
         }
         Verdict::Deadlock => (
@@ -263,23 +266,27 @@ pub fn check_transfer_protocol() -> Report {
 /// Exhaustively check a master-failover election model, then run seeded
 /// random walks past the exhaustive horizon. Two masters promoted in one
 /// term map to [`Code::E107`], a winner elected by a strictly fresher
-/// quorum member to [`Code::E108`], a wedged election to [`Code::E109`].
+/// quorum member to [`Code::E108`], a takeover restarting from a snapshot
+/// that does not cover every unit to [`Code::E114`], a wedged election to
+/// [`Code::E109`].
 pub fn check_election_protocol_with(m: &ElectionModel, cfg: CheckConfig) -> Report {
-    let tag = match (m.one_vote_per_term, m.fresh_guard) {
-        (true, true) => "",
-        (false, _) => " (forgetful voters)",
-        (_, false) => " (freshness-blind voters)",
+    let tag = match (m.one_vote_per_term, m.fresh_guard, m.coverage_check) {
+        (true, true, true) => "",
+        (false, _, _) => " (forgetful voters)",
+        (_, false, _) => " (freshness-blind voters)",
+        (_, _, false) => " (replica-trusting winners)",
     };
     let shape = format!(
         "deputies={}, fresh={:?}, stands={}, drops={}, dups={}, one_vote_per_term={}, \
-         fresh_guard={}",
+         fresh_guard={}, coverage_check={}",
         m.deputies,
         m.fresh,
         m.max_stands,
         m.max_drops,
         m.max_dups,
         m.one_vote_per_term,
-        m.fresh_guard
+        m.fresh_guard,
+        m.coverage_check
     );
     check_model(m, "election-protocol", tag, shape, ELECTION_CODES, cfg)
 }
@@ -423,6 +430,20 @@ mod tests {
         );
         assert!(report.has_errors(), "{}", report.render());
         assert!(report.has(Code::E108), "{}", report.render());
+    }
+
+    #[test]
+    fn replica_trusting_variant_restarts_from_a_torn_snapshot() {
+        for m in [
+            ElectionModel::broken_trusts_fresh(),
+            ElectionModel {
+                coverage_check: false,
+                ..ElectionModel::wide(4)
+            },
+        ] {
+            let report = check_election_protocol_with(&m, CheckConfig::default());
+            assert!(report.has(Code::E114), "{}", report.render());
+        }
     }
 
     #[test]

@@ -135,6 +135,12 @@ fn election_pins() {
     pin_ok("election-wide4", &ElectionModel::wide(4), None, (5_575, 22, 5_541, 20_119));
     pin_broken("election-split-brain", &ElectionModel::broken_split_brain(), check_election_protocol_with, Code::E107, (8, 10));
     pin_broken("election-fresh-blind", &ElectionModel::broken_fresh_blind(), check_election_protocol_with, Code::E108, (4, 5));
+    // A winner that restarts at its replica's `fresh` although a fragment of
+    // that invocation died with the master; the clean rows above step the
+    // same fragment tables through the production bank and fall back.
+    pin_broken("election-trusts-fresh", &ElectionModel::broken_trusts_fresh(), check_election_protocol_with, Code::E114, (4, 5));
+    let trusting = ElectionModel { coverage_check: false, ..ElectionModel::wide(4) };
+    pin_broken("election-wide4-trusts-fresh", &trusting, check_election_protocol_with, Code::E114, (6, 7));
 }
 
 #[test]

@@ -48,12 +48,13 @@
 //! `Release` is passed through, never waited in: it opens invocation
 //! `inv` (admission, release broadcast, replica publish) or, past the last
 //! one, starts the gather. Every re-range — a rollback suspect, a survivable
-//! `SlaveError`, a death mid-gather — sends the loop back to it. The other
-//! two phases are waited in; these are their rows, all taken in `sweep`
-//! except the first two columns:
+//! `SlaveError`, a death mid-gather, the end of a collection — sends the
+//! loop back to it. The other three phases are waited in; these are their
+//! rows, all taken in `sweep` except the first two columns:
 //!
 //! | phase | ends when | a live slave still owes (`Phase::owes`) | silence past `suspicion` | a nudge re-sends | settling only |
 //! |-------|-----------|-------------------------|--------------------------|------------------|---------------|
+//! | `Collect { held }` (a rollback takeover only) | every live survivor answered `Promoted` with `Held`: re-range onto the newest snapshot the fragments complete | its `Held` | evict, no re-range (its fragments died with it); a `SlaveError` is left to the collection's re-range, or to suspicion | `Promoted`, on the nudge timer alone | — |
 //! | `Settle` | `Session::settled` | to settle | row 8: re-scatter evicts in place; rollback evicts the first suspect and re-ranges | an unacknowledged window, led by `Promoted` under a takeover | speculation (row 9), the never-spoken nudge, `Policy::renotify` |
 //! | `Gather { seen, got }` | row 11 (`Policy::gathered`) | its units, and an acknowledgement of its window | row 8: re-scatter's bare eviction + `gathers_interrupted`, no `Evicted` broadcast; rollback as settling | `Gather` if the window is acknowledged, else an unled window replay | — |
 //!
@@ -66,9 +67,9 @@
 //!
 //! | # | point | `Policy::` | `Rescatter` | `Rollback` |
 //! |---|-------|------------|-------------|------------|
-//! | 1 | takeover seeding (`Session::open`) | `seed` | resume at the replicated invocation watermark, every unit recomputed through it; first epoch `(term << 32) \| 1` | bank the replica's snapshot, roll back to it from `term << 32` (same first epoch) |
+//! | 1 | takeover seeding (`Session::open`) | `seed`, `bank_held` | resume at the replicated invocation watermark, every unit recomputed through it, at once; first epoch `(term << 32) \| 1` | bank the winner's own held fragments in an empty bank, collect every survivor's (`Phase::Collect`), roll back to the newest snapshot they complete — the initial data when none does — from `term << 32` (same first epoch) |
 //! | 2 | unit state in a re-range (`Session::rerange`: takeover, admission, rollback) | `rerange_units`, `reranged` | `recompute(kernel, u, inv)`, each survivor's share adopted as its ownership; the survivors' unacknowledged instructions and their silence/nudge clocks are kept | newest banked snapshot; every unacknowledged instruction is dropped, survivors' clocks restart, a joiner's ack floor `join_epoch[j]` is raised to the admission epoch |
-//! | 3 | replica freshness (`Session::publish_replica`) | `replica_source` | `fresh = inv`, no snapshot | `fresh` = newest banked checkpoint, shipped until the deputy confirms it as a delta against what it confirmed |
+//! | 3 | replica freshness (`Session::publish_replica`) | `replica_fresh` | `fresh = inv`, nothing banked | `fresh` = `best_banked` = newest banked checkpoint; the replica carries no unit |
 //! | 4 | `Status` / `InvocationDone` from a stale epoch; cancelling a speculation | `future_epoch`, `cancel_race` | never cancels a speculation; "from the future" checks the invocation only; cancel is a windowed `SpecCancel` | cancels it; `epoch >` the epoch in force is also "from the future" (`Status`) or `Inconsistent` (`InvocationDone`); cancel is master-local |
 //! | 5 | window ack floor for `InvocationDone::restore_seq`, always applied *before* the epoch fence; ownership | `ack_floor`, `adopt_owned` | the epoch in force — a stale report never acks; `owned_ids` adopted | `join_epoch[slave]` — a stale report of this life still acks; `owned_ids` ignored |
 //! | 6 | policy-own messages: every arm `drive` does not share | `own_msg` | `OwnReport` | `Checkpoint`, stray `GatherData`; the other policy's messages end in `UnexpectedMessage` naming the policy and the phase (silently tolerated under a takeover) |
@@ -100,14 +101,16 @@
 //!
 //! The fault-mode driver also *replicates the control plane*: at each
 //! invocation boundary the master publishes a [`ReplicaMsg`](crate::msg::ReplicaMsg)
-//! (membership, epoch, invocation watermark, newest complete checkpoint,
-//! cumulative recovery counters) to the deputy slaves, and heartbeats them
-//! with [`FailoverMsg::MasterPing`] between barriers. When the master
-//! crashes the deputies elect a successor ([`crate::session::replica`]);
-//! the winner re-enters the same driver through [`run_takeover`] with a
-//! [`TakeoverSeed`], which seeds the session from the replica, fences the
-//! new reign behind `term << 32` epochs, re-ranges the survivors, and
-//! resumes — bit-exact, because unit state is value-deterministic. A
+//! (membership, epoch, invocation watermark, the newest complete
+//! checkpoint's invocation, cumulative recovery counters — scalars only) to
+//! the deputy slaves, and heartbeats them with [`FailoverMsg::MasterPing`]
+//! between barriers. When the master crashes the deputies elect a successor
+//! ([`crate::session::replica`]); the winner re-enters the same driver
+//! through [`run_takeover`] with a [`TakeoverSeed`], which seeds the
+//! session from the replica, fences the new reign behind `term << 32`
+//! epochs, re-collects the checkpoint fragments the survivors hold
+//! (rollback policy), re-ranges the survivors, and resumes — bit-exact,
+//! because unit state is value-deterministic. A
 //! master that learns of a higher-term [`FailoverMsg::Promoted`] exits
 //! silently with [`ProtocolError::Superseded`]: it writes no outcome and
 //! aborts no one, because exactly one reign per term owns the run.
@@ -596,6 +599,9 @@ async fn run_armed(
 /// Where the fault-mode master's one loop stands (the phase rows in the
 /// module doc).
 enum Phase {
+    /// A rollback takeover's first phase: collect the checkpoint fragments
+    /// the survivors hold. Which slots answered `Promoted` with `Held`.
+    Collect { held: Vec<bool> },
     /// Open invocation `st.inv` — or, past the last one, the gather.
     Release,
     /// Settle invocation `st.inv`.
@@ -608,8 +614,9 @@ enum Phase {
 }
 
 impl Phase {
-    /// Live slave `s` still owes this phase something: to settle; or to
-    /// deliver its units and to acknowledge its window. A slave can deliver
+    /// Live slave `s` still owes this phase something: its held fragments;
+    /// to settle; or to deliver its units and to acknowledge its window. A
+    /// slave can deliver
     /// from a window it never acknowledged: one that lost its last
     /// `Rollback` answers the `Gather` from the partition that `Rollback`
     /// replaced, and one rolled back onto the final snapshot reaches no
@@ -618,6 +625,7 @@ impl Phase {
     /// re-scatter every window is acknowledged before the gather starts.)
     fn owes(&self, st: &Session, s: usize) -> bool {
         match self {
+            Phase::Collect { held } => !held[s],
             Phase::Gather { got, .. } => !got[s] || !st.win[s].fully_acked(),
             _ => !st.slave_settled(s),
         }
@@ -649,7 +657,13 @@ async fn drive(
         })
     });
 
-    st.open(ctx, &mut cfg.balancer, takeover).await?;
+    let mut phase = if st.open(ctx, &mut cfg.balancer, takeover).await? {
+        Phase::Collect {
+            held: vec![false; n],
+        }
+    } else {
+        Phase::Release
+    };
     if takeover.is_none() {
         // Deferred slots get the Start too: it parks in their mailbox and
         // teaches the latecomer the topology when it wakes to join.
@@ -660,8 +674,22 @@ async fn drive(
     // Convergence can end the run early; a post-convergence rollback must
     // not run invocations the converged run never executed.
     let mut target = cfg.app.invocations();
-    let mut phase = Phase::Release;
     loop {
+        if let Phase::Collect { held } = &phase {
+            if st.memb.survivors().iter().all(|&s| held[s]) {
+                // Every survivor's fragments are banked: restart from the
+                // newest snapshot they complete, and count how far that is
+                // behind the dead master's bank.
+                st.rerange(ctx, &mut cfg.balancer, &[]).await?;
+                let banked = takeover.map_or(0, |(seed, _)| seed.replica.best_banked);
+                st.rec.checkpoints_lost_to_stale_replica = banked.saturating_sub(st.inv);
+                if crate::dlb_trace() {
+                    let (now, inv) = (ctx.now(), st.inv);
+                    eprintln!("[takeover t={now}] collected; restarts at {inv}, banked {banked}");
+                }
+                phase = Phase::Release;
+            }
+        }
         if matches!(phase, Phase::Release) {
             phase = if st.inv < target {
                 if !st.pending_joins.is_empty() {
@@ -767,12 +795,11 @@ async fn drive(
                     },
                     Phase::Gather { got, .. },
                 ) => {
-                    if !st.memb.alive[slave] {
+                    if st.memb.alive[slave] {
+                        st.ack_report(slave, epoch, restore_seq);
+                    } else {
                         // Non-member still reporting: its Evict was lost.
                         send(ctx, st.slaves[slave], Msg::Evict).await;
-                    } else if epoch >= st.policy.ack_floor(st.epoch, slave) {
-                        // Same floor as while settling.
-                        st.win[slave].ack(restore_seq);
                     }
                     st.nudge_gather(ctx, got, slave).await;
                 }
@@ -786,7 +813,6 @@ async fn drive(
                         metric,
                         restore_seq,
                         owned_ids,
-                        replica_inv,
                     },
                     _,
                 ) => {
@@ -799,7 +825,7 @@ async fn drive(
                         st.rec.done_dups_ignored += 1;
                         continue;
                     }
-                    st.ack_report(slave, epoch, restore_seq, replica_inv);
+                    st.ack_report(slave, epoch, restore_seq);
                     if st.fenced(ctx, slave, epoch).await {
                         continue;
                     }
@@ -896,6 +922,9 @@ async fn drive(
                         continue;
                     }
                 }
+                // Collecting, the collection's re-range rescues a wedged
+                // survivor, and suspicion evicts one that died.
+                (Msg::SlaveError { .. }, Phase::Collect { .. }) => continue,
                 (Msg::SlaveError { slave, error }, _) => {
                     if slave_error(ctx, &mut cfg.balancer, st, slave, error).await? {
                         phase = Phase::Release;
@@ -937,6 +966,17 @@ async fn drive(
                     }
                 }
                 (Msg::Failover(FailoverMsg::Promoted { term, .. }), _) => st.fo.yield_to(term)?,
+                // A survivor's answer to our `Promoted`: its fragments bank
+                // like checkpoints, in any phase. It moves no clock: every
+                // receive point answers, so a slave wedged on a lost pivot
+                // answers the nudge that replays its window, and must still
+                // fall silent to suspicion.
+                (Msg::Failover(FailoverMsg::Held { slave, fragments }), p) => {
+                    if let Phase::Collect { held } = p {
+                        held[slave] = true;
+                    }
+                    Policy::bank_held(st, slave, fragments);
+                }
                 // The rest is one policy's own (`OwnReport`, `Checkpoint`, a
                 // stray `GatherData`), or a message no arm expects: in an
                 // original reign, a protocol violation. A promoted deputy
@@ -965,11 +1005,11 @@ async fn drive(
     }
 }
 
-/// The fault-mode master's one timer sweep, settling or gathering. For
-/// every live slave that still [owes](Phase::owes) the phase something:
-/// suspicion past `suspicion` of silence, else (settling) speculation past
-/// `speculate_after`, then at most one nudge. Returns whether the run
-/// re-ranged (the caller goes back to [`Phase::Release`]).
+/// The fault-mode master's one timer sweep, collecting, settling or
+/// gathering. For every live slave that still [owes](Phase::owes) the
+/// phase something: suspicion past `suspicion` of silence, else (settling)
+/// speculation past `speculate_after`, then at most one nudge. Returns
+/// whether the run re-ranged (the caller goes back to [`Phase::Release`]).
 async fn sweep(
     ctx: &MailCtx<Msg>,
     balancer: &mut Balancer,
@@ -980,6 +1020,8 @@ async fn sweep(
 ) -> Result<bool, ProtocolError> {
     let tol = st.tol.clone();
     let settling = matches!(phase, Phase::Settle);
+    let gathering = matches!(phase, Phase::Gather { .. });
+    let collecting = matches!(phase, Phase::Collect { .. });
     let now = ctx.now();
     let mut suspect = None;
     for s in 0..st.memb.n() {
@@ -1022,11 +1064,15 @@ async fn sweep(
             st.rec.start_resends += 1;
             send(ctx, st.slaves[s], st.release_msg()).await;
             st.rec.invocation_start_resends += 1;
-        } else if (!settling || !st.win[s].fully_acked())
-            && st.memb.unheard_for(s, now) >= tol.nudge
+        } else if (collecting
+            || ((!settling || !st.win[s].fully_acked())
+                && st.memb.unheard_for(s, now) >= tol.nudge))
             && st.memb.nudge_due(s, now, tol.nudge)
         {
-            // No protocol progress for a nudge interval. Settling, windowed
+            // Collecting, a survivor still owes its `Held`: the `Promoted`
+            // or the answer was lost, and it keeps chattering from its
+            // barrier, so the nudge needs no silence. Otherwise, no protocol
+            // progress for a nudge interval. Settling, windowed
             // messages are outstanding: the window content was lost. A
             // slave that lost its Rollback cannot event-trigger the re-send
             // — it is either parked silent, still pinging from a blocked
@@ -1034,16 +1080,17 @@ async fn sweep(
             // *protocol* silence, which pings do not refresh. Under a
             // takeover, lead with the Promoted announcement in case the
             // slave never learned of the reign (it resets the slave's
-            // master-channel dedup so the replayed Rollback is fresh to it).
-            // Gathering, a slave with its window acknowledged may be waiting
-            // for a GatherAck after its GatherData was lost (it waits
-            // quietly, re-sending only on a duplicate Gather); one without
-            // is parked, still waiting for its Rollback.
+            // master-channel dedup so the replayed Rollback is fresh to it,
+            // and a collection's window is empty). Gathering, a slave with
+            // its window acknowledged may be waiting for a GatherAck after
+            // its GatherData was lost (it waits quietly, re-sending only on
+            // a duplicate Gather); one without is parked, still waiting for
+            // its Rollback.
             match (phase, promoted) {
                 (Phase::Gather { .. }, _) if st.win[s].fully_acked() => {
                     st.resend_gather(ctx, s).await;
                 }
-                (Phase::Settle, Some(promoted)) => {
+                (Phase::Settle | Phase::Collect { .. }, Some(promoted)) => {
                     send(ctx, st.slaves[s], promoted.clone()).await;
                     st.replay_window(ctx, s).await;
                 }
@@ -1056,12 +1103,16 @@ async fn sweep(
     if let Some(s) = suspect {
         // A loss that re-ranges: evict the first suspect and restart from
         // the newest complete checkpoint — mid-gather too, as its
-        // un-gathered state is gone.
-        if !settling {
+        // un-gathered state is gone. Collecting, its fragments died with
+        // it, and the collection re-ranges once the rest have answered.
+        if gathering {
             st.rec.gathers_interrupted += 1;
         }
         let now = ctx.now();
         st.evict(ctx, balancer, s, now).await?;
+        if collecting {
+            return Ok(false);
+        }
         st.rerange(ctx, balancer, &[]).await?;
         return Ok(true);
     }
@@ -1083,11 +1134,11 @@ mod tests {
     use super::*;
     use crate::balancer::BalancerConfig;
     use crate::kernels::tests::{Cols, Doubler};
+    use crate::msg::SharedUnits;
     use crate::recovery::SlaveFaultStats;
-    use crate::session::checkpoint::tests::{bank_step, columns};
-    use crate::session::checkpoint::CheckpointBank;
     use crate::session::replica::DeputyState;
     use dlb_sim::{NodeConfig, SimBuilder, SimDuration};
+    use std::ops::Range;
 
     /// A one-slave, one-unit master configuration with no fault wiring.
     fn plain_cfg() -> MasterConfig {
@@ -1124,7 +1175,7 @@ mod tests {
         let mut sim = SimBuilder::<Msg>::new();
         let node = sim.add_node(NodeConfig::default());
         sim.spawn_mail(node, "winner", move |ctx| async move {
-            let seed = DeputyState::new(0, 1, 1, false, ctx.now()).seed(1);
+            let seed = DeputyState::new(0, 1, 1, ctx.now()).seed(1, Vec::new());
             run_takeover(&ctx, &kit, seed, 0).await.unwrap();
         });
         sim.run();
@@ -1165,19 +1216,37 @@ mod tests {
     /// Which messages make the stub slave send its stray first.
     type Trigger = fn(&Msg) -> bool;
 
-    /// The seed of a deputy that never absorbed a replica, elected in term 1.
-    fn empty_seed() -> TakeoverSeed {
-        DeputyState::new(0, 2, 2, false, SimTime::ZERO).seed(1)
+    /// The snapshot states a `Cols` slot held: units `ids` at each
+    /// invocation.
+    type Holding = [(u64, Range<usize>)];
+
+    fn fragments(holding: &Holding) -> Vec<(u64, SharedUnits)> {
+        let units = |ids: &Range<usize>| ids.clone().map(|u| (u, Arc::new(col(u).1))).collect();
+        holding
+            .iter()
+            .map(|(inv, ids)| (*inv, units(ids)))
+            .collect()
     }
 
-    /// Ship `deputy` the bank's best snapshot as a delta against its ack,
-    /// the way `Session::publish_replica` does, and let it absorb it.
-    fn publish(bank: &CheckpointBank, deputy: &mut DeputyState) {
-        let (mut r, ack) = (deputy.replica.clone(), deputy.effective_fresh());
-        let inv = bank.best_invocation().expect("banked");
-        (r.invocation, r.fresh, r.best_banked) = (inv, inv, inv);
-        (r.snapshot, r.delta_base) = (bank.best_since(ack), ack);
-        deputy.absorb(r, SimTime::ZERO);
+    /// The seed of deputy 0, elected in term 1, whose replica says the dead
+    /// master had banked invocation `best_banked`, and which held `holding`.
+    fn seed(best_banked: u64, holding: &Holding) -> TakeoverSeed {
+        let mut deputy = DeputyState::new(0, 2, 2, SimTime::ZERO);
+        (deputy.replica.fresh, deputy.replica.best_banked) = (best_banked, best_banked);
+        deputy.seed(1, fragments(holding))
+    }
+
+    /// The seed of a deputy that never absorbed a replica nor held a state.
+    fn empty_seed() -> TakeoverSeed {
+        seed(0, &[])
+    }
+
+    /// Slot `me`'s answer to a `Promoted`: what it held.
+    fn held(me: usize, holding: &Holding) -> Msg {
+        Msg::Failover(FailoverMsg::Held {
+            slave: me,
+            fragments: fragments(holding),
+        })
     }
 
     /// `Cols` unit `u`, which no invocation changes.
@@ -1205,7 +1274,6 @@ mod tests {
             metric: 0.0,
             restore_seq,
             owned_ids: owned,
-            replica_inv: 0,
         }
     }
 
@@ -1277,17 +1345,22 @@ mod tests {
 
     /// [`reign`] with slot 1 holding every unit in an original reign (slot
     /// 0 deferred), units 2 and 3 under a takeover. The stub answers each
-    /// release with its done report and the `Gather` with every unit, as
-    /// its last `Rollback` shipped them (else `[u]`) — after a stray
-    /// `MasterPing` when the message that asked matches `stray_on`.
-    fn stray_run(app: AppSpec, seed: Option<TakeoverSeed>, stray_on: Trigger) -> MasterOutcome {
+    /// release with its done report, a `Promoted` with what it held
+    /// (`holding`), and the `Gather` with every unit, as its last
+    /// `Rollback` shipped them (else `[u]`) — after a stray `MasterPing`
+    /// when the message that asked matches `stray_on`.
+    fn stray_run(
+        app: AppSpec,
+        seed: Option<TakeoverSeed>,
+        stray_on: Trigger,
+        holding: &Holding,
+    ) -> MasterOutcome {
         let master = ActorId(0);
         let split = if seed.is_some() { (0, 2) } else { (0, 0) };
-        reign(
-            app,
-            seed,
-            [split, (split.1, 4)],
-            move |ctx, me| async move {
+        let answer = held(1, holding);
+        reign(app, seed, [split, (split.1, 4)], move |ctx, me| {
+            let answer = answer.clone();
+            async move {
                 let (mut epoch, mut restore_seq) = (0, 0);
                 let mut held: Vec<(usize, UnitData)> = (0..4).map(col).collect();
                 loop {
@@ -1309,6 +1382,10 @@ mod tests {
                             invocation
                         }
                         Msg::InvocationStart { invocation, .. } => invocation,
+                        Msg::Failover(FailoverMsg::Promoted { .. }) => {
+                            send(&ctx, master, answer.clone()).await;
+                            continue;
+                        }
                         Msg::Gather => {
                             send(&ctx, master, data(me, held.clone(), Default::default())).await;
                             continue;
@@ -1319,8 +1396,8 @@ mod tests {
                     let done = done(me, reply, epoch, restore_seq, Vec::new());
                     send(&ctx, master, done).await;
                 }
-            },
-        )
+            }
+        })
     }
 
     /// A message no arm expects ends an original reign as
@@ -1338,64 +1415,57 @@ mod tests {
             (&rollback, "checkpointed"),
         ] {
             for (stray_on, phase) in [(release, "invocation loop"), (gather, "gather")] {
-                let o = stray_run(app(), None, stray_on);
+                let o = stray_run(app(), None, stray_on, &[]);
                 let Some(ProtocolError::UnexpectedMessage { context, .. }) = o.error else {
                     panic!("{policy} {phase}: {:?}", o.error);
                 };
                 assert_eq!(context, format!("{policy} {phase}"));
-                let o = stray_run(app(), Some(empty_seed()), stray_on);
+                let o = stray_run(app(), Some(empty_seed()), stray_on, &[]);
                 assert!(o.completed, "{policy} {phase}: {:?}", o.error);
             }
         }
     }
 
-    /// A deputy that absorbed a whole snapshot and then a delta takes over
-    /// from the merge: the new reign banks it, ships it in its `Rollback`,
-    /// and the run ends with the crashed master's best snapshot, bit for
-    /// bit (`Cols` never computes, so that is also the sequential result).
+    /// A takeover restarts where the fragments it collects — the winner's
+    /// own and slot 1's `Held` answer — complete a snapshot, against a dead
+    /// master that had banked invocation 3. Both hold 3: nothing is lost.
+    /// Slot 1 holds only 2: the newest complete snapshot is 2, one lost.
+    /// Slot 1's fragment of 3 died with the master and no invocation is
+    /// complete: the initial data, all three lost. Each run ends bit for
+    /// bit (`Cols` never computes, so every snapshot is also the sequential
+    /// result).
     #[test]
-    fn a_takeover_from_a_merged_replica_finishes_bit_exact() {
-        let (cols, mut bank) = (columns(), CheckpointBank::new());
-        let mut deputy = DeputyState::new(0, 2, 2, true, SimTime::ZERO);
-        bank_step(&mut bank, 1, &cols, 1);
-        publish(&bank, &mut deputy);
-        for (inv, retired) in [(2, 2), (3, 2)] {
-            bank_step(&mut bank, inv, &cols, retired);
+    fn a_takeover_restarts_where_the_collected_fragments_complete_a_snapshot() {
+        let cases: [(&Holding, &Holding, u64); 3] = [
+            (&[(3, 0..2)], &[(3, 2..4)], 0),
+            (&[(2, 0..2), (3, 0..2)], &[(2, 2..4)], 1),
+            (&[(3, 0..2)], &[(2, 2..4)], 3),
+        ];
+        for (winner, slot1, lost) in cases {
+            let app = AppSpec::Shrinking(Arc::new(Cols));
+            let o = stray_run(app, Some(seed(3, winner)), |_| false, slot1);
+            assert!(o.completed, "{:?}", o.error);
+            assert_eq!(o.recovery.checkpoints_lost_to_stale_replica, lost);
+            let mut result = o.result;
+            result.sort_by_key(|(id, _)| *id);
+            assert_eq!(result, (0..4).map(col).collect::<Vec<_>>());
         }
-        publish(&bank, &mut deputy);
-        let best = bank.best_since(0);
-        assert_eq!(deputy.replica.snapshot, best, "merged at 3 from base 1");
-
-        let app = AppSpec::Shrinking(Arc::new(Cols));
-        let o = stray_run(app, Some(deputy.seed(1)), |_| false);
-        assert!(o.completed, "{:?}", o.error);
-        assert_eq!(o.recovery.checkpoints_lost_to_stale_replica, 0);
-        let mut result = o.result;
-        result.sort_by_key(|(id, _)| *id);
-        let (_, banked) = best.expect("banked");
-        let banked: Vec<_> = banked.iter().map(|(id, d)| (*id, (**d).clone())).collect();
-        assert_eq!(result, banked);
-        assert!(result.iter().all(|(id, col)| *col == [[*id as f64]]));
     }
 
-    /// The gather row's repair of a lost final `Rollback`. A deputy holding
-    /// the snapshot of the end state takes over, so its `Rollback` to slot
-    /// 1 lands the run in the gather at once. The stub loses that
+    /// The gather row's repair of a lost final `Rollback`. The winner and
+    /// slot 1 hold the end state's fragments, so the takeover's `Rollback`
+    /// to slot 1 lands the run in the gather at once. The stub loses that
     /// `Rollback` and answers the `Gather` from the partition it held
     /// before, units 2 and 3; the replayed `Rollback` lands on a slave at
     /// the final snapshot, which reaches no barrier to acknowledge it from
     /// and delivers at once. Returns the outcome and the kinds the stub
-    /// heard, `Promoted` left out.
+    /// heard, `Promoted` (answered with `Held`) left out.
     fn lost_final_rollback() -> (MasterOutcome, Vec<&'static str>) {
-        let (cols, mut bank) = (columns(), CheckpointBank::new());
-        let mut deputy = DeputyState::new(0, 2, 2, true, SimTime::ZERO);
-        bank_step(&mut bank, 3, &cols, 3);
-        publish(&bank, &mut deputy);
         let heard = Arc::new(Mutex::new(Vec::new()));
         let log = Arc::clone(&heard);
         let app = AppSpec::Shrinking(Arc::new(Cols));
         let split = [(0, 2), (2, 4)];
-        let o = reign(app, Some(deputy.seed(1)), split, move |ctx, me| {
+        let o = reign(app, Some(seed(3, &[(3, 0..2)])), split, move |ctx, me| {
             let (master, log) = (ActorId(0), Arc::clone(&log));
             async move {
                 let mut lost = false;
@@ -1415,6 +1485,10 @@ mod tests {
                             vec![col(2), col(3)]
                         }
                         Msg::GatherAck => return log.lock().unwrap().push("ack"),
+                        Msg::Failover(FailoverMsg::Promoted { .. }) => {
+                            send(&ctx, master, held(me, &[(3, 2..4)])).await;
+                            continue;
+                        }
                         _ => continue,
                     };
                     send(&ctx, master, data(me, reply, Default::default())).await;

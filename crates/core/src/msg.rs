@@ -13,9 +13,10 @@
 //! charged to the virtual network on every send. A host-side deep copy on
 //! top of that is simulator overhead the virtual clock never sees, so the
 //! snapshot plane — checkpoints, the master's bank, rollbacks, snapshot
-//! speculation, restores, replicas — carries [`SharedUnits`]: each unit's
-//! data sits behind an `Arc`, is immutable from the moment it is built, and
-//! every hop below hands out the same allocation.
+//! speculation, restores, the fragments a slave holds for a takeover —
+//! carries [`SharedUnits`]: each unit's data sits behind an `Arc`, is
+//! immutable from the moment it is built, and every hop below hands out the
+//! same allocation.
 //!
 //! | hop | before | now |
 //! |-----|--------|-----|
@@ -24,8 +25,7 @@
 //! | window retention (`send_with(..).clone()`), `replay_window`, the sim kernel's duplicate-fault `msg.clone()` | deep copy each | refcount |
 //! | `CheckpointBank::offer` | move | move |
 //! | `rollback_snapshot` for `rerange` and `speculate` | whole-snapshot deep copy each | refcount (`rerange`'s per-survivor split moves the same `Arc`s) |
-//! | `best_since` per deputy per `publish_replica` | whole-snapshot deep copy each | refcount of **only the units stamped after the deputy's ack** (a delta; the whole snapshot for ack 0), and the wire is charged for those alone |
-//! | slave `control` stashing a `Rollback`, deputy `absorb` (a delta merged by id onto the held snapshot), takeover seed, the successor's bank | deep copy each | refcount / move |
+//! | slave `control` stashing a `Rollback`, `SlaveCommon::hold` (the barrier snapshot, an installed `Rollback`), a `Held` reply, takeover seed, the successor's bank | deep copy each | refcount / move |
 //! | **the receiver adopting units into mutable engine state** (`restore`, `speculate`, `apply_restore`) | move | **the one real copy** (`Arc::unwrap_or_clone`: free when every other holder has let go) |
 //!
 //! Deliberately owned, not shared: `TransferMsg` / `MovedUnit` (ownership
@@ -35,10 +35,11 @@
 //!
 //! ## The failover plane
 //!
-//! Replication, the master's pings, the election and the promotion are one
-//! nested type, [`FailoverMsg`] under [`Msg::Failover`]: every slave
-//! receive point hands it whole to `SlaveCommon::election`, and the master
-//! reads only its `Promoted`. Its election variants are the only tagged
+//! Replication, the master's pings, the election, the promotion and the
+//! fragments a slave answers it with are one nested type, [`FailoverMsg`]
+//! under [`Msg::Failover`]: every slave receive point hands it whole to
+//! `SlaveCommon::election`, and the master reads only its `Promoted` and
+//! `Held`. Its election variants are the only tagged
 //! messages of the event trace, and the tag grammar lives beside them:
 //! [`FailoverMsg::trace_tag`] writes it, [`FailoverMsg::from_tag`] reads it
 //! back, and [`FailoverMsg::model_wire`] projects the message onto the
@@ -185,10 +186,9 @@ pub struct TransferMsg {
 
 /// Master → deputy: a replica of the master's control-plane state, from
 /// which an elected deputy can rebuild the session after the master dies.
-/// Published at every invocation barrier, and nowhere else. Under the
-/// rollback policy a deputy whose confirmed snapshot lags the bank is
-/// shipped a *delta*: only the snapshot units it cannot already hold (see
-/// `delta_base`).
+/// Published at every invocation barrier, and nowhere else. Scalars and
+/// membership only: the snapshot a takeover restarts from is re-collected
+/// from the survivors ([`FailoverMsg::Held`]).
 #[derive(Clone, Debug, PartialEq)]
 pub struct ReplicaMsg {
     /// The publishing master's election term (0 = the original master).
@@ -204,17 +204,9 @@ pub struct ReplicaMsg {
     /// policy, the current invocation under re-scatter). Candidates
     /// advertise it; voters refuse staler candidates.
     pub fresh: u64,
-    /// Newest complete checkpoint snapshot (rollback policy only), sent
-    /// when this deputy has not yet confirmed holding it: whole when
-    /// `delta_base` is 0, else only its units that changed since.
-    pub snapshot: Option<(u64, SharedUnits)>,
-    /// The snapshot invocation this deputy confirmed holding, which
-    /// `snapshot` is a delta against; 0 = `snapshot` is whole. The deputy
-    /// merges a delta by unit id onto a held snapshot at least this fresh
-    /// and keeps only whole snapshots.
-    pub delta_base: u64,
-    /// The newest complete checkpoint invocation in the master's bank —
-    /// lets a promoted deputy count checkpoints lost to a stale replica.
+    /// The newest complete checkpoint invocation in the master's bank (0
+    /// under re-scatter) — lets a promoted deputy count the checkpoints its
+    /// takeover restarts behind.
     pub best_banked: u64,
     /// The master's cumulative recovery counters, so a takeover's final
     /// report covers the whole run, not just the post-failover part.
@@ -256,6 +248,14 @@ pub enum FailoverMsg {
     /// `master_idx` is the master for `term`. Receivers redirect their
     /// master channel; a superseded master exits silently.
     Promoted { term: u64, master_idx: usize },
+    /// Slave → new master, in answer to every `Promoted` of the term it
+    /// adopted (checkpointed engines only): the snapshot states it last
+    /// held, `(invocation, units)`. The new master rebuilds its restart
+    /// point from these fragments.
+    Held {
+        slave: usize,
+        fragments: Vec<(u64, SharedUnits)>,
+    },
 }
 
 impl FailoverMsg {
@@ -280,7 +280,7 @@ impl FailoverMsg {
             Self::Promoted { term, master_idx } => {
                 Some(format!("promoted term={term} winner={master_idx}"))
             }
-            Self::Replica(_) | Self::MasterPing { .. } => None,
+            Self::Replica(_) | Self::MasterPing { .. } | Self::Held { .. } => None,
         }
     }
 
@@ -351,7 +351,7 @@ impl FailoverMsg {
                 term,
                 winner: master_idx,
             },
-            Self::Replica(_) | Self::MasterPing { .. } => return None,
+            Self::Replica(_) | Self::MasterPing { .. } | Self::Held { .. } => return None,
         })
     }
 }
@@ -400,10 +400,6 @@ pub enum Msg {
         /// stale) ownership map, which seeds speculative re-execution when
         /// this slave later falls silent.
         owned_ids: Vec<usize>,
-        /// Deputy replica confirmation: the checkpoint generation this
-        /// slave's replica could take over from (zero for non-deputies).
-        /// The base of the next snapshot delta the master ships it.
-        replica_inv: u64,
     },
     GatherData {
         slave: usize,
@@ -659,20 +655,21 @@ impl Msg {
             Msg::SlaveError { error, .. } => HDR + 8 + error.payload_bytes(),
             Msg::Failover(FailoverMsg::Replica(r)) => {
                 // Fixed scalars + membership bitmap + incarnation table +
-                // counters block + the snapshot when one rides along: its
-                // `delta_base` (its invocation is `best_banked`) and the
-                // units this message carries, not the whole snapshot. The
-                // scalar block is priced one word above its five scalars:
-                // every recorded trace hash and virtual time rests on it.
+                // counters block. The scalar block is priced one word above
+                // its five scalars: every recorded trace hash and virtual
+                // time rests on it.
                 HDR + 48
                     + r.alive.len() as u64
                     + 8 * r.incarnations.len() as u64
                     + RecoveryStats::WIRE_BYTES
-                    + r.snapshot
-                        .as_ref()
-                        .map(|(_, units)| 8 + shared(units))
-                        .unwrap_or(0)
             }
+            // Priced like the `Checkpoint`s it carries; an empty one like a
+            // header.
+            Msg::Failover(FailoverMsg::Held { fragments, .. }) => fragments
+                .iter()
+                .map(|(_, units)| HDR + shared(units))
+                .sum::<u64>()
+                .max(HDR),
             Msg::Failover(FailoverMsg::MasterPing { .. }) => HDR + 8,
             Msg::Failover(FailoverMsg::Promoted { .. }) => HDR + 16,
             Msg::Failover(FailoverMsg::Candidacy { .. } | FailoverMsg::Vote { .. }) => HDR + 24,
@@ -778,19 +775,25 @@ mod tests {
     }
 
     /// A 16-slave replica at invocation 3 whose bank holds invocation 2.
-    fn replica(snapshot: Option<SharedUnits>, delta_base: u64) -> Msg {
+    fn replica() -> Msg {
         Msg::Failover(FailoverMsg::Replica(Box::new(ReplicaMsg {
             term: 0,
             epoch: 0,
             invocation: 3,
             alive: vec![true; 16],
             fresh: 2,
-            snapshot: snapshot.map(|units| (2, units)),
-            delta_base,
             best_banked: 2,
             recovery: RecoveryStats::default(),
             incarnations: vec![0; 16],
         })))
+    }
+
+    /// Slave 0's answer to a `Promoted`: the snapshot states it holds.
+    fn held(fragments: Vec<(u64, SharedUnits)>) -> Msg {
+        Msg::Failover(FailoverMsg::Held {
+            slave: 0,
+            fragments,
+        })
     }
 
     /// The barrier release for `invocation`.
@@ -800,22 +803,21 @@ mod tests {
 
     /// The control plane's prices, to the byte: they are what the virtual
     /// network charges, so every trace hash and virtual time rests on them.
-    /// A replica's scalar block is 48 B, its counters 304; a delta is
-    /// charged for the units it carries, not for the snapshot.
+    /// A replica's scalar block is 48 B, its counters 304, and it carries
+    /// no unit; a `Held` reply is charged like the checkpoints it carries.
     #[test]
     fn control_plane_messages_cost_their_recorded_bytes() {
-        let col = || Arc::new(vec![vec![0.0; 100]]);
         let rollback = unit_carriers(&two_units()).swap_remove(3);
         assert!(matches!(rollback, Msg::Rollback { .. }));
         let costs = [
             release(3),
             rollback,
-            replica(None, 0),
-            replica(Some(vec![(0, col()), (1, col())]), 0),
-            replica(Some(vec![(1, col())]), 1),
+            replica(),
+            held(Vec::new()),
+            held(vec![(2, two_units()), (3, two_units())]),
         ]
         .map(|m| m.wire_bytes());
-        assert_eq!(costs, [40, 2472, 528, 2152, 1344]);
+        assert_eq!(costs, [40, 2472, 528, 32, 2 * 2448]);
     }
 
     /// Two units of one and two arrays: 8 + 800 and 8 + 1600 wire bytes.
@@ -852,7 +854,7 @@ mod tests {
                 survivors: vec![0, 1, 2],
                 units: units(),
             },
-            replica(Some(units()), 0),
+            held(vec![(2, units())]),
         ]
     }
 
@@ -864,7 +866,6 @@ mod tests {
             .map(Msg::wire_bytes)
             .collect();
         let payload = (8 + 800) + (8 + 1600);
-        let replica_core = 32 + 48 + 16 + 8 * 16 + RecoveryStats::WIRE_BYTES;
         assert_eq!(
             wire,
             [
@@ -872,7 +873,7 @@ mod tests {
                 32 + payload,
                 32 + payload,
                 32 + 8 * 3 + payload,
-                replica_core + 8 + payload,
+                32 + payload,
             ]
         );
         // The owned list a gather carries prices a unit the same way.
@@ -897,9 +898,7 @@ mod tests {
                 | Msg::Checkpoint { units, .. }
                 | Msg::Speculate { units, .. }
                 | Msg::Rollback { units, .. } => units.clone(),
-                Msg::Failover(FailoverMsg::Replica(r)) => {
-                    r.snapshot.clone().expect("snapshot rides along").1
-                }
+                Msg::Failover(FailoverMsg::Held { fragments, .. }) => fragments[0].1.clone(),
                 other => unreachable!("{other:?} carries no shared units"),
             }
         };
@@ -960,10 +959,12 @@ mod tests {
         for (m, tag) in election().into_iter().zip(&tags) {
             assert_eq!(FailoverMsg::from_tag(tag), Ok(Some(m)));
         }
-        let Msg::Failover(replica) = replica(None, 0) else {
-            unreachable!("a replica is failover traffic")
-        };
-        assert_eq!(replica.trace_tag(), None);
+        for untagged in [replica(), held(Vec::new())] {
+            let Msg::Failover(m) = untagged else {
+                unreachable!("failover traffic")
+            };
+            assert_eq!(m.trace_tag(), None);
+        }
         assert_eq!(FailoverMsg::MasterPing { term: 1 }.trace_tag(), None);
     }
 

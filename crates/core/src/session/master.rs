@@ -98,37 +98,15 @@ pub(crate) struct Eviction {
     pub dead_owned: Vec<usize>,
 }
 
-/// Master-side failover state: this reign's term, the deputy set, the
-/// replica freshness each deputy has confirmed (piggybacked on
-/// `InvocationDone::replica_inv`), and the heartbeat timer.
+/// Master-side failover state: this reign's term, the deputy set, and the
+/// heartbeat timer.
 pub(crate) struct Failover {
     pub term: u64,
     deputies: usize,
-    /// Replica freshness confirmed by each deputy, the base of the next
-    /// delta it is shipped. It may under-estimate what the deputy holds,
-    /// never over-estimate it: it starts at 0 in every reign and in every
-    /// life of a slot, and only reports of this life raise it.
-    acked: Vec<u64>,
     next_ping: SimTime,
 }
 
 impl Failover {
-    /// Record a deputy's piggybacked replica confirmation, from a report at
-    /// or above the slot's [`Policy::ack_floor`].
-    fn note_ack(&mut self, slave: usize, replica_inv: u64) {
-        if slave < self.deputies {
-            self.acked[slave] = self.acked[slave].max(replica_inv);
-        }
-    }
-
-    /// Slot `slave` was evicted or readmitted: a rejoiner's deputy role
-    /// starts empty, so its next replica is whole.
-    fn forget(&mut self, slave: usize) {
-        if slave < self.deputies {
-            self.acked[slave] = 0;
-        }
-    }
-
     /// A `Promoted` announcement arrived. A still-newer reign has fenced
     /// this one out: exit silently, it owns the run now. A stale or
     /// duplicate announcement for our own (or an older) term is ignored.
@@ -192,25 +170,32 @@ pub(crate) struct RollbackState {
 }
 
 impl Policy {
-    /// Row 1, takeover seeding: where a new reign's re-range starts.
+    /// Row 1, takeover seeding: where a new reign's re-range starts, and
+    /// whether it first collects the survivors' checkpoint fragments.
     /// Re-scatter resumes at the replicated invocation watermark, every
-    /// unit recomputed through it. Rollback banks the replica's snapshot
-    /// and re-ranges onto the bank's newest, counting how much further back
-    /// the run restarts because the replica lagged the old master's bank
-    /// (0 = it resumes from its newest checkpoint).
-    fn seed(st: &mut Session, replica: &ReplicaMsg) {
-        match &mut st.policy {
-            Policy::Rescatter(_) => st.inv = replica.invocation,
-            Policy::Rollback(rb) => {
-                // Every unit is stamped `ck_inv` and every deputy's ack
-                // starts at 0: the reign's first replicas are whole.
-                if let Some((ck_inv, units)) = replica.snapshot.clone() {
-                    rb.bank.offer(ck_inv, units, st.n_units);
-                }
-                st.rec.checkpoints_lost_to_stale_replica = replica
-                    .best_banked
-                    .saturating_sub(rb.bank.best_invocation().unwrap_or(0));
+    /// unit recomputed through it, at once. Rollback offers the winner's own
+    /// held fragments to its empty bank and collects: the re-range waits
+    /// for every live survivor's [`FailoverMsg::Held`], and restarts from
+    /// the newest snapshot the fragments complete — the initial data when
+    /// none does.
+    fn seed(st: &mut Session, seed: &TakeoverSeed, me: usize) -> bool {
+        match st.policy {
+            Policy::Rescatter(_) => {
+                st.inv = seed.replica.invocation;
+                false
             }
+            Policy::Rollback(_) => {
+                Policy::bank_held(st, me, seed.held.clone());
+                true
+            }
+        }
+    }
+
+    /// Row 1: slave `slave` held `fragments`; each banks like a
+    /// checkpoint (re-scatter keeps no bank).
+    pub fn bank_held(st: &mut Session, slave: usize, fragments: Vec<(u64, SharedUnits)>) {
+        for (invocation, units) in fragments {
+            Policy::on_checkpoint(st, slave, invocation, units);
         }
     }
 
@@ -273,15 +258,20 @@ impl Policy {
         }
     }
 
-    /// Row 3: the freshness a deputy can take over from at invocation
-    /// `inv`, and the bank its snapshot is shipped from. Under re-scatter
-    /// the watermark alone is the whole state (a takeover restarts from
-    /// [`recompute`]); under rollback it is the newest complete banked
-    /// checkpoint.
-    fn replica_source(&self, inv: u64) -> (u64, Option<&CheckpointBank>) {
+    /// Row 3: a replica's `(fresh, best_banked)` at invocation `inv`: the
+    /// restart point a takeover from it expects, and the bank's newest
+    /// complete checkpoint. Under re-scatter the watermark alone is the
+    /// whole state (a takeover restarts from [`recompute`]) and nothing is
+    /// banked; under rollback both are the newest complete banked
+    /// checkpoint, which the successor rebuilds from the survivors' held
+    /// fragments.
+    fn replica_fresh(&self, inv: u64) -> (u64, u64) {
         match self {
-            Policy::Rescatter(_) => (inv, None),
-            Policy::Rollback(rb) => (rb.bank.best_invocation().unwrap_or(0), Some(&rb.bank)),
+            Policy::Rescatter(_) => (inv, 0),
+            Policy::Rollback(rb) => {
+                let best = rb.bank.best_invocation().unwrap_or(0);
+                (best, best)
+            }
         }
     }
 
@@ -832,7 +822,6 @@ impl Session {
         rec: RecoveryStats,
     ) -> Session {
         let n = slaves.len();
-        let deputies = DEPUTIES.min(n);
         let policy = match app {
             AppSpec::Independent(kernel) => Policy::Rescatter(RescatterState {
                 kernel: Arc::clone(kernel),
@@ -869,8 +858,7 @@ impl Session {
             deferred: assignment.iter().map(|&(lo, hi)| lo >= hi).collect(),
             fo: Failover {
                 term,
-                deputies,
-                acked: vec![0; deputies],
+                deputies: DEPUTIES.min(n),
                 next_ping: now + MASTER_HEARTBEAT,
             },
             rec,
@@ -889,12 +877,10 @@ impl Session {
     /// A live member's `InvocationDone`, taken before the epoch fence:
     /// below the slot's [floor](Policy::ack_floor) it speaks for an older
     /// window — the crashed master's or a previous life's — and
-    /// acknowledges nothing, neither the window nor a replica (a previous
-    /// life's snapshot died with it).
-    pub fn ack_report(&mut self, slave: usize, epoch: u64, restore_seq: u64, replica_inv: u64) {
+    /// acknowledges nothing.
+    pub fn ack_report(&mut self, slave: usize, epoch: u64, restore_seq: u64) {
         if epoch >= self.policy.ack_floor(self.epoch, slave) {
             self.win[slave].ack(restore_seq);
-            self.fo.note_ack(slave, replica_inv);
         }
     }
 
@@ -918,13 +904,14 @@ impl Session {
     /// driver's `Start` broadcast, or — on a takeover — seed the session
     /// from the replica ([`Policy::seed`]). The survivors are mid-run:
     /// evict the dead, evict ourselves (the winner computes no units), and
-    /// re-range everyone.
+    /// re-range everyone, at once or — `Ok(true)` — once the driver has
+    /// collected their held fragments.
     pub async fn open(
         &mut self,
         ctx: &MailCtx<Msg>,
         balancer: &mut Balancer,
         takeover: Option<(&TakeoverSeed, usize)>,
-    ) -> Result<(), ProtocolError> {
+    ) -> Result<bool, ProtocolError> {
         for i in 0..self.memb.n() {
             let gone = match takeover {
                 None => self.deferred[i],
@@ -935,8 +922,8 @@ impl Session {
                 balancer.mark_dead(i);
             }
         }
-        let Some((seed, _)) = takeover else {
-            return Ok(());
+        let Some((seed, me)) = takeover else {
+            return Ok(false);
         };
         // Admitted before the crash: a later rejoin is a rejoin, not a
         // first-time (deferred) admission.
@@ -946,47 +933,37 @@ impl Session {
         // Incarnation fencing survives the failover: the replica carries
         // the admitted-life table, so a pre-crash zombie stays fenced.
         self.memb.incarnation.clone_from(&seed.replica.incarnations);
-        Policy::seed(self, &seed.replica);
-        self.rerange(ctx, balancer, &[]).await
+        if Policy::seed(self, seed, me) {
+            return Ok(true);
+        }
+        self.rerange(ctx, balancer, &[]).await?;
+        Ok(false)
     }
 
     /// Publish the control-plane replica for this barrier to every live
     /// deputy: membership, the invocation watermark, the cumulative
     /// counters, and the freshness a deputy can take over from
-    /// ([`Policy::replica_source`]). A deputy whose confirmed freshness
-    /// (`InvocationDone::replica_inv`) lags it is shipped a delta against
-    /// that ack: only the units the bank stamped after it
-    /// ([`CheckpointBank::best_since`]), the whole snapshot for ack 0. A
-    /// lost replica self-heals at the next barrier: the ack did not
-    /// move, so the next delta re-ships everything since it.
+    /// ([`Policy::replica_fresh`]). Scalars only: a lost replica is
+    /// replaced by the next barrier's.
     pub async fn publish_replica(&mut self, ctx: &MailCtx<Msg>) {
-        let (fresh, bank) = self.policy.replica_source(self.inv);
-        let core = ReplicaMsg {
+        let (fresh, best_banked) = self.policy.replica_fresh(self.inv);
+        let replica = ReplicaMsg {
             term: self.fo.term,
             epoch: self.epoch,
             invocation: self.inv,
             alive: self.memb.alive.clone(),
             incarnations: self.memb.incarnation.clone(),
             fresh,
-            snapshot: None,
-            delta_base: 0,
-            best_banked: bank.map_or(0, |_| fresh),
+            best_banked,
             recovery: self.rec.clone(),
         };
+        let msg = Msg::Failover(FailoverMsg::Replica(Box::new(replica)));
         for d in 0..self.fo.deputies {
-            if !self.memb.alive[d] {
-                continue;
+            if self.memb.alive[d] {
+                self.rec.replicas_published += 1;
+                self.rec.replication_bytes += msg.wire_bytes();
+                send(ctx, self.slaves[d], msg.clone()).await;
             }
-            let mut replica = core.clone();
-            let ack = self.fo.acked[d];
-            if ack < fresh {
-                replica.snapshot = bank.and_then(|bank| bank.best_since(ack));
-                replica.delta_base = ack;
-            }
-            let msg = Msg::Failover(FailoverMsg::Replica(Box::new(replica)));
-            self.rec.replicas_published += 1;
-            self.rec.replication_bytes += msg.wire_bytes();
-            send(ctx, self.slaves[d], msg).await;
         }
     }
 
@@ -1058,7 +1035,6 @@ impl Session {
                 continue; // raced an earlier admission, or a newer life exists
             }
             self.memb.readmit(j, jinc, ctx.now(), self.tol.nudge);
-            self.fo.forget(j);
             balancer.admit(j);
             self.win[j] = SenderWindow::new();
             self.unacked_instr[j] = None;
@@ -1167,7 +1143,6 @@ impl Session {
             );
         }
         self.declare_dead(ctx, s, now).await;
-        self.fo.forget(s);
         balancer.mark_dead(s);
         // Its per-invocation metric no longer counts: survivors recompute
         // its units and contribute their metric.
@@ -1329,78 +1304,6 @@ mod tests {
             .collect();
         sim.spawn_mail(master_node, "master", move |ctx| body(ctx, slave_ids));
         sim.run();
-    }
-
-    /// [`in_actor`], except that slave 0 is a stub deputy which reads its
-    /// mail: returns every replica it was sent, in order.
-    fn replicas_to_slave_0<F, Fut>(n: usize, body: F) -> Vec<ReplicaMsg>
-    where
-        F: FnOnce(MailCtx<Msg>, Vec<ActorId>) -> Fut + Send + 'static,
-        Fut: std::future::Future<Output = ()> + Send + 'static,
-    {
-        let seen = Arc::new(std::sync::Mutex::new(Vec::new()));
-        let sink = Arc::clone(&seen);
-        let mut sim = SimBuilder::<Msg>::new();
-        let nodes: Vec<_> = (0..=n)
-            .map(|_| sim.add_node(NodeConfig::default()))
-            .collect();
-        let mut slave_ids = vec![sim.spawn_mail(nodes[1], "deputy0", move |ctx| async move {
-            let end = ctx.now() + SimDuration::from_secs(3_600);
-            while let Some(env) = ctx.recv_deadline(end).await {
-                if let Msg::Failover(FailoverMsg::Replica(r)) = env.msg {
-                    sink.lock().unwrap().push(*r);
-                }
-            }
-        })];
-        for (i, &node) in nodes.iter().enumerate().skip(2) {
-            let idle = |ctx: MailCtx<Msg>| async move {
-                ctx.sleep(SimDuration::from_secs(3_600)).await;
-            };
-            slave_ids.push(sim.spawn_mail(node, format!("slave{}", i - 1), idle));
-        }
-        sim.spawn_mail(nodes[0], "master", move |ctx| body(ctx, slave_ids));
-        sim.run();
-        let seen = std::mem::take(&mut *seen.lock().unwrap());
-        seen
-    }
-
-    /// A deputy slot's snapshot dies with its life. Once slot 0 is evicted
-    /// and readmitted, the next publish ships it the whole snapshot, and a
-    /// previous life's report still in flight (below the slot's new ack
-    /// floor) cannot claim otherwise.
-    #[test]
-    fn a_readmitted_deputy_slot_is_shipped_the_whole_snapshot() {
-        let seen = replicas_to_slave_0(3, |ctx, slaves| async move {
-            let ctx = &ctx;
-            let mut sess = session(ctx, &slaves, rollback());
-            let mut bal = balancer(3);
-            bank(&mut sess, 2, checkpoint(3, 10.0));
-            sess.inv = 2;
-            sess.publish_replica(ctx).await;
-            sess.ack_report(0, sess.epoch, 0, 2);
-            sess.publish_replica(ctx).await;
-
-            sess.evict(ctx, &mut bal, 0, ctx.now()).await.unwrap();
-            sess.pending_joins = vec![(0, 1)];
-            sess.admit(ctx, &mut bal).await.unwrap();
-            sess.ack_report(0, 0, 0, 2); // the previous life's, in flight
-            sess.publish_replica(ctx).await;
-            sess.ack_report(0, sess.epoch, 0, 2); // this life's
-            sess.publish_replica(ctx).await;
-        });
-        let shipped: Vec<_> = seen
-            .iter()
-            .map(|r| {
-                r.snapshot
-                    .as_ref()
-                    .map(|(inv, units)| (*inv, r.delta_base, units.len()))
-            })
-            .collect();
-        assert_eq!(
-            shipped,
-            [Some((2, 0, 3)), None, Some((2, 0, 3)), None],
-            "whole, acked; readmitted: whole again, acked"
-        );
     }
 
     #[test]

@@ -1,7 +1,11 @@
 //! Deputy election after a master crash ([`ElectionModel`]).
 
+use crate::msg::UnitData;
+use crate::session::checkpoint::CheckpointBank;
 use crate::session::replica::Ballot;
 use dlb_sim::{class_sort, classes_by, LossyProtocol, Net};
+use std::collections::BTreeSet;
+use std::sync::Arc;
 
 /// A message in flight in the [`ElectionModel`]'s network. Every variant
 /// carries its recipient so delivery is well-defined under reordering. The
@@ -108,6 +112,9 @@ pub struct ElectionState {
     /// Set when a winner's electing quorum contained a voter with a
     /// strictly fresher replica: `(term, winner, fresher_voter)`.
     pub stale_win: Option<(u64, usize, usize)>,
+    /// Set when a winner restarts from a snapshot that does not cover every
+    /// unit: `(term, winner, restart invocation)`.
+    pub torn: Option<(u64, usize, u64)>,
     pub stands_used: u32,
 }
 
@@ -119,13 +126,19 @@ pub struct ElectionState {
 /// each deputy's `Ballot` stands, votes, counts, wins and stands down as
 /// the runtime's does: one vote per term, never for a candidate whose
 /// replica is staler than the voter's, majority of the *full* deputy set
-/// to win. `one_vote_per_term = false` is the deliberately broken variant
-/// whose voters forget which terms they voted in — the model checker must
-/// find the two-winners-one-term counterexample (`dlb-analyze` maps it to
+/// to win. A winner restarts where the production `CheckpointBank` puts
+/// it once offered the fixed fragment table — the newest invocation the
+/// survivors' fragments complete, else the initial data — so every winner
+/// restarts from a snapshot that covers every unit.
+/// `one_vote_per_term = false` is the deliberately broken variant whose
+/// voters forget which terms they voted in — the model checker must find
+/// the two-winners-one-term counterexample (`dlb-analyze` maps it to
 /// E107). `fresh_guard = false` drops the newest-replica rule instead,
-/// electing a quorum that out-freshes its winner (E108). Both rewrite the
-/// ballot's input or state around the production call; `Ballot` has no
-/// flag for them.
+/// electing a quorum that out-freshes its winner (E108).
+/// `coverage_check = false` restarts a winner at its replica's `fresh`
+/// from whatever fragments name that invocation, which the table leaves a
+/// unit short (E114). Each rewrites the ballot's or the bank's input or
+/// state around the production call; neither type has a flag for them.
 #[derive(Clone, Debug)]
 pub struct ElectionModel {
     /// Size of the full deputy set (quorum denominator).
@@ -140,12 +153,23 @@ pub struct ElectionModel {
     pub one_vote_per_term: bool,
     /// True = the real protocol (no vote for a staler candidate).
     pub fresh_guard: bool,
+    /// The checkpoint fragments the survivors hold when the master dies,
+    /// `(invocation, unit ids)` of `units`: what any winner collects. One
+    /// fragment of the newest invocation a replica names died with the
+    /// master.
+    pub fragments: Vec<(u64, Vec<usize>)>,
+    pub units: usize,
+    /// True = the real protocol (restart where the collected fragments
+    /// complete a snapshot).
+    pub coverage_check: bool,
 }
 
 impl ElectionModel {
     /// The standard checked configuration: three deputies with distinct
     /// replica freshness, three stands, one drop and one duplication
-    /// budget.
+    /// budget. The survivors hold invocation 1 whole and half of 2: unit
+    /// 1's fragment of 2 died with the master, so every takeover restarts
+    /// at 1.
     pub fn standard() -> ElectionModel {
         ElectionModel {
             deputies: 3,
@@ -155,6 +179,9 @@ impl ElectionModel {
             max_dups: 1,
             one_vote_per_term: true,
             fresh_guard: true,
+            fragments: vec![(1, vec![0]), (1, vec![1]), (2, vec![0])],
+            units: 2,
+            coverage_check: true,
         }
     }
 
@@ -176,17 +203,49 @@ impl ElectionModel {
         }
     }
 
+    /// The broken variant that trusts the replica: a winner restarts at its
+    /// `fresh` although a fragment of that invocation died with the master.
+    pub fn broken_trusts_fresh() -> ElectionModel {
+        ElectionModel {
+            coverage_check: false,
+            ..ElectionModel::standard()
+        }
+    }
+
     /// A runtime-width configuration: `n` deputies with *equal* replica
     /// freshness (the common case right after a checkpoint broadcast),
     /// which makes the whole deputy set one symmetry class. Two stands
-    /// keep the term space bounded.
+    /// keep the term space bounded. The one checkpoint the replicas name
+    /// lost a fragment with the master: every takeover restarts from the
+    /// initial data.
     pub fn wide(n: usize) -> ElectionModel {
         ElectionModel {
             deputies: n,
             fresh: vec![1; n],
             max_stands: 2,
+            fragments: vec![(1, vec![0])],
             ..ElectionModel::standard()
         }
+    }
+
+    /// Where winner `d`'s takeover restarts, and how many units that
+    /// snapshot holds: what the production bank makes of the fragment
+    /// table, or — trusting the replica — `fresh[d]` and the fragments that
+    /// name it.
+    fn restart(&self, d: usize) -> (u64, usize) {
+        let at = self.fresh[d];
+        if !self.coverage_check && at > 0 {
+            let named = self.fragments.iter().filter(|(inv, _)| *inv == at);
+            let held: BTreeSet<usize> = named.flat_map(|(_, ids)| ids.iter().copied()).collect();
+            return (at, held.len());
+        }
+        let mut bank = CheckpointBank::new();
+        for (inv, ids) in &self.fragments {
+            let units = ids.iter().map(|&u| (u, Arc::new(UnitData::new())));
+            bank.offer(*inv, units.collect(), self.units);
+        }
+        let (inv, snapshot) = bank.rollback_snapshot(self.units, &|_| UnitData::new());
+        (inv, snapshot.len())
     }
 
     /// Every deputy but `d` — the recipients of `d`'s broadcasts.
@@ -305,6 +364,7 @@ impl LossyProtocol for ElectionModel {
             net: Net::default(),
             promoted: Vec::new(),
             stale_win: None,
+            torn: None,
             stands_used: 0,
         }
     }
@@ -354,6 +414,10 @@ impl LossyProtocol for ElectionModel {
                 let votes = &dep.ballot.votes;
                 if let Some(&fresher) = votes.iter().find(|&&v| self.fresh[v] > self.fresh[d]) {
                     n.stale_win = Some((term, d, fresher));
+                }
+                let (restart, covered) = self.restart(d);
+                if covered < self.units {
+                    n.torn = Some((term, d, restart));
                 }
                 dep.promoted_self = true;
                 dep.ballot.stand_down(term);
@@ -426,6 +490,12 @@ impl LossyProtocol for ElectionModel {
                 self.fresh[winner], self.fresh[voter]
             ));
         }
+        if let Some((term, winner, at)) = s.torn {
+            return Some(format!(
+                "takeover by deputy {winner} in term {term} restarts at invocation {at} from a \
+                 snapshot that does not cover every unit"
+            ));
+        }
         None
     }
 
@@ -471,6 +541,7 @@ impl LossyProtocol for ElectionModel {
         n.promoted = s.promoted.iter().map(|&(t, w)| (t, sigma[w])).collect();
         n.promoted.sort_unstable();
         n.stale_win = s.stale_win.map(|(t, w, v)| (t, sigma[w], sigma[v]));
+        n.torn = s.torn.map(|(t, w, at)| (t, sigma[w], at));
         n
     }
 

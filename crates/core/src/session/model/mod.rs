@@ -12,17 +12,20 @@
 //! [`crate::protocol`] (for lost work, duplicate application, and
 //! deadlock), the election model the deputies' [`Ballot`] (one vote per
 //! term, the newest-replica freshness guard, majority quorum over the full
-//! deputy set; no term may promote two masters). The join model alone is
+//! deputy set; no term may promote two masters) and, for a winner's restart
+//! point, the master's `CheckpointBank`. The join model alone is
 //! written for the model: its incarnation fence and admission ack floor
 //! restate `crate::session::membership::Membership` and the checkpointed
 //! master, and its admission of a newer life over a live slot is one rule
 //! the runtime does not share ([`JoinModel`]). Each model also ships
 //! deliberately broken variants (acknowledge without dedup; a voter that
-//! forgets which terms it voted in or ignores freshness; a master that
-//! credits zombie heartbeats or stale checkpoint acks) whose counterexample
-//! the checker must find — the E101/E104/E107/E108/E111/E112 fixtures in
-//! `dlb-analyze`. A broken variant rewrites the production type's input
-//! or state inside the model; the production type has no flag for it.
+//! forgets which terms it voted in or ignores freshness; a winner that
+//! restarts at its replica's freshness without checking the collected
+//! fragments cover it; a master that credits zombie heartbeats or stale
+//! checkpoint acks) whose counterexample the checker must find — the
+//! E101/E104/E107/E108/E114/E111/E112 fixtures in `dlb-analyze`. A broken
+//! variant rewrites the production type's input or state inside the model;
+//! the production type has no flag for it.
 //!
 //! ## What a model supplies, and what the layer does with it
 //!

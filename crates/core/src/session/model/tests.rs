@@ -206,6 +206,37 @@ fn fresh_blind_variant_elects_a_stale_winner() {
     assert!(v.contains("stale replica"), "{v}");
 }
 
+/// The freshest deputy's replica names invocation 2, one of whose two
+/// fragments died with the master. Its takeover falls back to invocation 1,
+/// which the survivors hold whole; trusting the replica restarts at 2 a
+/// unit short.
+#[test]
+fn a_winner_falls_back_where_its_replica_names_a_torn_snapshot() {
+    for (m, torn) in [
+        (ElectionModel::standard(), None),
+        (ElectionModel::broken_trusts_fresh(), Some((1, 0, 2))),
+    ] {
+        let mut s = m.initial();
+        s = m.apply(&s, &Step::Local(E::Stand(0)));
+        while let Some(i) = s
+            .net
+            .wire
+            .iter()
+            .position(|w| !matches!(w, EWire::Promoted { .. }))
+        {
+            s = m.apply(&s, &Step::Deliver(i));
+        }
+        s = m.apply(&s, &Step::Local(E::Win(0)));
+        assert_eq!(s.torn, torn);
+        let v = m.violation(&s).unwrap_or_default();
+        assert_eq!(
+            v.contains("does not cover every unit"),
+            torn.is_some(),
+            "{v}"
+        );
+    }
+}
+
 // -- symmetry ----------------------------------------------------------------
 // (Reduction soundness — reduced vs full exploration reaching the same
 // verdict, code and pinned state counts on every small configuration and

@@ -80,6 +80,9 @@ pub struct TakeoverSeed {
     /// When it last heard the old master (either clock) — the start of the
     /// failover blackout, for `takeover_latency`.
     pub last_heard: SimTime,
+    /// The snapshot states the winner itself held as a slave, `(invocation,
+    /// units)`: the first fragments its successor bank is offered.
+    pub held: Vec<(u64, SharedUnits)>,
 }
 
 /// One deputy's election state and the rules that move it: stand, grant a
@@ -178,15 +181,12 @@ pub struct DeputyState {
     pub idx: usize,
     /// Size of the full deputy set (quorum denominator).
     pub n_deputies: usize,
-    /// Whether the engine banks checkpoints: decides how replica freshness
-    /// is measured (checkpointed → held snapshot's invocation; independent
-    /// → the replica's invocation watermark).
-    pub checkpointed: bool,
     /// One-row liveness table watching the master (index 0 = the master),
     /// under the same two-clock rules the master applies to slaves. Its
     /// nudge timer is never read: a deputy does not nudge the master.
     pub(crate) watch: Membership,
-    /// Newest control-plane replica received (term-gated).
+    /// Newest control-plane replica received (term-gated). Its `fresh` is
+    /// this deputy's freshness, the scale the election compares.
     pub replica: ReplicaMsg,
     /// Terms, this deputy's vote, its candidacy.
     pub ballot: Ballot,
@@ -195,17 +195,10 @@ pub struct DeputyState {
 }
 
 impl DeputyState {
-    pub fn new(
-        idx: usize,
-        n_deputies: usize,
-        n_slaves: usize,
-        checkpointed: bool,
-        now: SimTime,
-    ) -> DeputyState {
+    pub fn new(idx: usize, n_deputies: usize, n_slaves: usize, now: SimTime) -> DeputyState {
         DeputyState {
             idx,
             n_deputies,
-            checkpointed,
             watch: Membership::new(1, now, SimDuration::ZERO),
             replica: ReplicaMsg {
                 term: 0,
@@ -213,8 +206,6 @@ impl DeputyState {
                 invocation: 0,
                 alive: vec![true; n_slaves],
                 fresh: 0,
-                snapshot: None,
-                delta_base: 0,
                 best_banked: 0,
                 recovery: RecoveryStats::default(),
                 incarnations: vec![0; n_slaves],
@@ -240,51 +231,14 @@ impl DeputyState {
 
     /// Absorb a control-plane replica. Stale terms (an old master still
     /// flushing) are ignored; within the current term the newest message
-    /// wins, but the held snapshot only ever moves forward: it is kept when
-    /// a replica ships none, an older one, or a delta it cannot merge.
-    ///
-    /// A whole snapshot (`delta_base` 0) replaces the held one. A delta is
-    /// merged by unit id onto a held snapshot at least as fresh as its base
-    /// — every unit it omits kept one `Arc` in the master's bank from its
-    /// base to its invocation, so the held copy is that value. Anything
-    /// else is dropped: the held snapshot, and so this deputy's ack, stay
-    /// put, and the master re-ships everything since that ack.
-    pub fn absorb(&mut self, mut r: ReplicaMsg, now: SimTime) {
+    /// wins.
+    pub fn absorb(&mut self, r: ReplicaMsg, now: SimTime) {
         if r.term < self.replica.term {
             return;
         }
         self.ballot.see(r.term);
         self.master_heard(now);
-        let held = self.replica.snapshot.take();
-        r.snapshot = match (r.snapshot.take(), held) {
-            (Some((inv, _)), Some(held)) if held.0 > inv => Some(held),
-            (Some(whole), _) if r.delta_base == 0 => Some(whole),
-            (Some((inv, delta)), Some((held_inv, held))) if held_inv >= r.delta_base => {
-                match merge(&held, delta) {
-                    Some(merged) => Some((inv, merged)),
-                    None => Some((held_inv, held)),
-                }
-            }
-            (_, held) => held,
-        };
-        r.delta_base = 0;
         self.replica = r;
-    }
-
-    /// How fresh this deputy's replica is, on the scale the election
-    /// compares: checkpointed engines can only restart from a snapshot they
-    /// actually hold; the independent engine recomputes from the invocation
-    /// watermark alone.
-    pub fn effective_fresh(&self) -> u64 {
-        if self.checkpointed {
-            self.replica
-                .snapshot
-                .as_ref()
-                .map(|(inv, _)| *inv)
-                .unwrap_or(0)
-        } else {
-            self.replica.invocation
-        }
     }
 
     /// Timer check: stand for election when the master has been silent past
@@ -302,7 +256,7 @@ impl DeputyState {
         // the voter spent its term on itself), the retries separate by rank
         // again instead of staying phase-locked in dueling candidacies.
         self.next_stand_ok = now + threshold;
-        let fresh = self.effective_fresh();
+        let fresh = self.replica.fresh;
         (0..self.n_deputies)
             .filter(|&d| d != self.idx)
             .map(|d| {
@@ -327,7 +281,7 @@ impl DeputyState {
         fresh: u64,
     ) -> Vec<(usize, FailoverMsg)> {
         self.ballot.see(term);
-        if candidate == self.idx || !self.ballot.vote(term, fresh, self.effective_fresh()) {
+        if candidate == self.idx || !self.ballot.vote(term, fresh, self.replica.fresh) {
             return Vec::new();
         }
         vec![(
@@ -362,36 +316,21 @@ impl DeputyState {
         self.watch.heard(0, now);
     }
 
-    /// Package the takeover seed after winning `term`.
-    pub fn seed(&self, term: u64) -> TakeoverSeed {
+    /// Package the takeover seed after winning `term`, with the snapshot
+    /// states this deputy `held` as a slave.
+    pub fn seed(&self, term: u64, held: Vec<(u64, SharedUnits)>) -> TakeoverSeed {
         TakeoverSeed {
             term,
             replica: self.replica.clone(),
             last_heard: self.watch.last_heard[0].max(self.watch.last_ping[0]),
+            held,
         }
     }
-}
-
-/// Lay a delta's units over the whole snapshot `held`, by id (a whole
-/// snapshot holds unit `id` at index `id`). `None` when a delta id has no
-/// slot in `held`.
-fn merge(held: &SharedUnits, delta: SharedUnits) -> Option<SharedUnits> {
-    let mut merged = held.clone();
-    for (id, data) in delta {
-        merged.get_mut(id).filter(|(slot, _)| *slot == id)?.1 = data;
-    }
-    debug_assert!(
-        merged.iter().enumerate().all(|(i, &(id, _))| i == id),
-        "a merged snapshot covers every unit id"
-    );
-    Some(merged)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::session::checkpoint::tests::{bank_step, columns, same_storage};
-    use crate::session::checkpoint::CheckpointBank;
     use dlb_sim::SimDuration;
     use std::sync::Arc;
 
@@ -399,20 +338,18 @@ mod tests {
         SimTime::ZERO + SimDuration::from_millis(ms)
     }
 
-    fn deputy(idx: usize, n: usize, checkpointed: bool) -> DeputyState {
-        DeputyState::new(idx, n, 16, checkpointed, t(0))
+    fn deputy(idx: usize, n: usize) -> DeputyState {
+        DeputyState::new(idx, n, 16, t(0))
     }
 
-    fn replica(term: u64, invocation: u64, snapshot: Option<u64>) -> ReplicaMsg {
+    fn replica(term: u64, invocation: u64, fresh: u64) -> ReplicaMsg {
         ReplicaMsg {
             term,
             epoch: 0,
             invocation,
             alive: vec![true; 16],
-            fresh: snapshot.unwrap_or(invocation),
-            snapshot: snapshot.map(|inv| (inv, vec![(0, Arc::new(vec![vec![1.0]]))])),
-            delta_base: 0,
-            best_banked: snapshot.unwrap_or(0),
+            fresh,
+            best_banked: fresh,
             recovery: RecoveryStats::default(),
             incarnations: vec![0; 16],
         }
@@ -420,8 +357,8 @@ mod tests {
 
     #[test]
     fn stagger_orders_candidacies_by_rank() {
-        let mut d0 = deputy(0, 3, false);
-        let mut d1 = deputy(1, 3, false);
+        let mut d0 = deputy(0, 3);
+        let mut d1 = deputy(1, 3);
         // Rank 0 stands right at the suspicion threshold…
         assert!(d0.tick(t(7_999)).is_empty());
         let msgs = d0.tick(t(8_000));
@@ -444,7 +381,7 @@ mod tests {
 
     #[test]
     fn master_pings_defer_the_stand_but_not_forever() {
-        let mut d = deputy(0, 3, false);
+        let mut d = deputy(0, 3);
         d.master_ping(0, t(6_000));
         assert!(d.tick(t(8_000)).is_empty(), "ping reset the clock");
         assert!(!d.tick(t(14_000)).is_empty(), "silence since the ping");
@@ -452,8 +389,8 @@ mod tests {
 
     #[test]
     fn one_vote_per_term_and_staleness_guard() {
-        let mut d = deputy(2, 3, false);
-        d.absorb(replica(0, 5, None), t(100));
+        let mut d = deputy(2, 3);
+        d.absorb(replica(0, 5, 5), t(100));
         // A candidate with a staler replica is refused…
         assert!(d.on_candidacy(1, 0, 4).is_empty());
         // …a tie is granted (lowest rank stands first, so ties go to it)…
@@ -476,7 +413,7 @@ mod tests {
 
     #[test]
     fn standing_consumes_own_vote_for_the_term() {
-        let mut d = deputy(0, 3, false);
+        let mut d = deputy(0, 3);
         let msgs = d.tick(t(8_000));
         assert_eq!(msgs.len(), 2);
         assert!(
@@ -488,20 +425,20 @@ mod tests {
 
     #[test]
     fn quorum_counts_the_full_deputy_set() {
-        let mut d = deputy(0, 3, false);
+        let mut d = deputy(0, 3);
         d.tick(t(8_000));
         assert_eq!(d.won(), None, "self-vote alone is 1 of 3");
         d.on_vote(1, 5, 0); // vote for someone else's term? no: term 1, us
         assert_eq!(d.won(), Some(1), "2 of 3 is a majority");
         // A single-deputy set wins on the stand itself.
-        let mut solo = deputy(0, 1, false);
+        let mut solo = deputy(0, 1);
         solo.tick(t(8_000));
         assert_eq!(solo.won(), Some(1));
     }
 
     #[test]
     fn late_votes_for_other_terms_or_candidates_are_inert() {
-        let mut d = deputy(0, 3, false);
+        let mut d = deputy(0, 3);
         d.tick(t(8_000));
         d.on_vote(2, 1, 0); // wrong term
         d.on_vote(1, 1, 2); // wrong candidate
@@ -510,8 +447,8 @@ mod tests {
 
     #[test]
     fn dueling_retry_backoff_restores_rank_order() {
-        let mut d1 = deputy(1, 3, false);
-        let mut d2 = deputy(2, 3, false);
+        let mut d1 = deputy(1, 3);
+        let mut d2 = deputy(2, 3);
         // Rank 0 is dead and the survivors' timer wakes aligned: both stand
         // in the same heartbeat slice, candidacies cross on the wire, and
         // each refuses the other (its own vote for the term is spent).
@@ -543,141 +480,39 @@ mod tests {
 
     #[test]
     fn restand_is_rate_limited_and_bumps_the_term() {
-        let mut d = deputy(0, 3, false);
+        let mut d = deputy(0, 3);
         assert!(!d.tick(t(8_000)).is_empty());
         assert!(d.tick(t(9_000)).is_empty(), "too soon to re-stand");
         let again = d.tick(t(16_000));
         assert!(matches!(again[0].1, FailoverMsg::Candidacy { term: 2, .. }));
     }
 
+    /// A deputy's freshness is its replica's `fresh`, whatever the policy:
+    /// the newest replica of the newest term sets it, a stale term none.
     #[test]
-    fn absorb_is_term_gated_and_keeps_the_newest_snapshot() {
-        let mut d = deputy(1, 3, true);
-        d.absorb(replica(1, 4, Some(3)), t(100));
-        assert_eq!(
-            d.effective_fresh(),
-            3,
-            "checkpointed freshness = held snapshot"
-        );
-        // A newer replica without a snapshot keeps the held one…
-        d.absorb(replica(1, 6, None), t(200));
-        assert_eq!(d.replica.invocation, 6);
-        assert_eq!(d.effective_fresh(), 3);
-        // …a stale-term replica is dropped wholesale…
-        d.absorb(replica(0, 9, Some(9)), t(300));
-        assert_eq!(d.replica.invocation, 6);
-        // …and a newer snapshot replaces the held one.
-        d.absorb(replica(1, 7, Some(5)), t(400));
-        assert_eq!(d.effective_fresh(), 5);
-    }
-
-    /// What `publish_replica` ships a deputy whose ack is `ack`: the bank's
-    /// units stamped after it, named as the delta's base.
-    fn delta(bank: &CheckpointBank, ack: u64) -> ReplicaMsg {
-        let snapshot = bank.best_since(ack).expect("complete");
-        let mut r = replica(0, snapshot.0, None);
-        (r.snapshot, r.delta_base) = (Some(snapshot), ack);
-        r
-    }
-
-    /// The held snapshot is the bank's best: equal, and the same storage.
-    fn holds_best(d: &DeputyState, bank: &CheckpointBank) -> bool {
-        let (held, best) = (d.replica.snapshot.as_ref(), bank.best_since(0));
-        held == best.as_ref() && same_storage(&held.expect("held").1, &best.expect("banked").1)
-    }
-
-    #[test]
-    fn a_merged_snapshot_is_the_banks_best_and_shares_its_arcs() {
-        let (cols, mut bank) = (columns(), CheckpointBank::new());
-        let mut d = deputy(0, 3, true);
-        bank_step(&mut bank, 1, &cols, 1);
-        d.absorb(delta(&bank, d.effective_fresh()), t(100));
-        assert!(holds_best(&d, &bank), "ack 0: the whole snapshot");
-        for (inv, retired) in [(2, 2), (3, 2), (4, 3)] {
-            bank_step(&mut bank, inv, &cols, retired);
-            let r = delta(&bank, d.effective_fresh());
-            let carried = r.snapshot.as_ref().map_or(0, |(_, units)| units.len());
-            assert!(carried < cols.len(), "inv {inv}: retired units stay home");
-            d.absorb(r, t(100 * inv));
-            assert_eq!(d.effective_fresh(), inv);
-            assert!(holds_best(&d, &bank), "inv {inv}");
-        }
-    }
-
-    /// The master's ack trails what the deputy holds while a replica is
-    /// in flight, and stays put when one is lost: either way the next delta
-    /// is cut against an older base than the deputy's snapshot, and merges.
-    #[test]
-    fn a_delta_merges_onto_a_held_snapshot_newer_than_its_base() {
-        let (cols, mut bank) = (columns(), CheckpointBank::new());
-        let mut d = deputy(1, 3, true);
-        bank_step(&mut bank, 1, &cols, 1);
-        d.absorb(delta(&bank, 0), t(100));
-        // Delivered at 2, but the deputy's ack of it has not reached the
-        // master when it publishes at 3; then the replica at 4 is lost.
-        bank_step(&mut bank, 2, &cols, 2);
-        d.absorb(delta(&bank, 1), t(200));
-        bank_step(&mut bank, 3, &cols, 2);
-        d.absorb(delta(&bank, 1), t(300));
-        assert!(holds_best(&d, &bank), "held 2, base 1");
-        bank_step(&mut bank, 4, &cols, 3);
-        let _lost = delta(&bank, 3);
-        bank_step(&mut bank, 5, &cols, 3);
-        d.absorb(delta(&bank, 3), t(500));
-        assert_eq!(d.effective_fresh(), 5);
-        assert!(holds_best(&d, &bank), "held 3, one replica lost");
-    }
-
-    #[test]
-    fn a_delta_that_cannot_merge_is_dropped_and_the_held_snapshot_kept() {
-        let (cols, mut bank) = (columns(), CheckpointBank::new());
-        bank_step(&mut bank, 1, &cols, 1);
-        let first = bank.best_since(0);
-        let mut d = deputy(1, 3, true);
-        d.absorb(delta(&bank, 0), t(100));
-        bank_step(&mut bank, 2, &cols, 2);
-        // A fresh deputy holds nothing to lay a delta over.
-        let mut fresh = deputy(2, 3, true);
-        fresh.absorb(delta(&bank, 1), t(200));
-        assert_eq!(fresh.effective_fresh(), 0, "no snapshot, no ack");
-        assert_eq!(fresh.replica.invocation, 2, "the scalars still land");
-        // A deputy holding 1 is sent a delta against 2.
-        bank_step(&mut bank, 3, &cols, 2);
-        d.absorb(delta(&bank, 2), t(300));
-        assert_eq!(d.effective_fresh(), 1, "the ack stays, so 2.. re-ships");
-        assert_eq!(d.replica.snapshot, first);
-        assert_eq!(d.replica.invocation, 3);
-        // A delta whose ids the held snapshot has no slot for.
-        let mut alien = delta(&bank, 1);
-        alien
-            .snapshot
-            .as_mut()
-            .expect("delta")
-            .1
-            .push((9, Arc::new(vec![])));
-        d.absorb(alien, t(400));
-        assert_eq!(d.replica.snapshot, first);
-        // The next delta against the deputy's real ack merges.
-        d.absorb(delta(&bank, 1), t(500));
-        assert!(holds_best(&d, &bank));
-    }
-
-    #[test]
-    fn independent_freshness_is_the_invocation_watermark() {
-        let mut d = deputy(1, 3, false);
-        d.absorb(replica(0, 7, None), t(100));
-        assert_eq!(d.effective_fresh(), 7);
+    fn absorb_is_term_gated_and_freshness_is_the_replicas() {
+        let mut d = deputy(1, 3);
+        d.absorb(replica(1, 4, 3), t(100));
+        assert_eq!(d.replica.fresh, 3);
+        d.absorb(replica(1, 6, 5), t(200));
+        assert_eq!((d.replica.invocation, d.replica.fresh), (6, 5));
+        // A stale-term replica is dropped wholesale.
+        d.absorb(replica(0, 9, 9), t(300));
+        assert_eq!((d.replica.invocation, d.replica.fresh), (6, 5));
+        // A candidate as fresh as that is granted, a staler one refused.
+        assert!(d.on_candidacy(2, 0, 4).is_empty());
+        assert!(!d.on_candidacy(3, 0, 5).is_empty());
     }
 
     #[test]
     fn promotion_stands_down_outranked_candidacies_only() {
-        let mut d = deputy(0, 3, false);
+        let mut d = deputy(0, 3);
         d.tick(t(8_000)); // standing in term 1
         d.on_promoted(1, t(8_100));
         assert_eq!(d.won(), None, "stood down");
         assert!(d.tick(t(8_200)).is_empty(), "new master is live");
         // A *lower*-term promotion does not cancel a newer candidacy.
-        let mut d = deputy(0, 3, false);
+        let mut d = deputy(0, 3);
         d.ballot.see(4);
         d.tick(t(8_000)); // standing in term 5
         d.on_promoted(3, t(8_001));
@@ -686,17 +521,16 @@ mod tests {
     }
 
     #[test]
-    fn seed_carries_the_replica_and_blackout_start() {
-        let mut d = deputy(0, 3, true);
-        let shipped = replica(0, 4, Some(4));
-        d.absorb(shipped.clone(), t(1_000));
+    fn seed_carries_the_replica_the_blackout_start_and_the_held_states() {
+        let mut d = deputy(0, 3);
+        d.absorb(replica(0, 4, 4), t(1_000));
         d.master_ping(0, t(2_000));
-        let seed = d.seed(3);
+        let held = vec![(4, vec![(0, Arc::new(vec![vec![1.0]]))])];
+        let seed = d.seed(3, held.clone());
         assert_eq!(seed.term, 3);
         assert_eq!(seed.replica.invocation, 4);
         assert_eq!(seed.last_heard, t(2_000), "later of the two clocks");
-        // Absorbing and seeding hand the shipped snapshot on, uncopied.
-        let unit = |r: &ReplicaMsg| Arc::clone(&r.snapshot.as_ref().expect("snapshot").1[0].1);
-        assert!(Arc::ptr_eq(&unit(&shipped), &unit(&seed.replica)));
+        // The held states travel uncopied.
+        assert!(Arc::ptr_eq(&held[0].1[0].1, &seed.held[0].1[0].1));
     }
 }

@@ -30,11 +30,10 @@
 //! | b | a wedged slave (`recoverable`) | never recoverable: the error is shipped and fatal to the run | timeouts, missing pivots, torn state: reported, then rescued by rollback (`rescue_wait`) |
 //! | c | first-release wait (`consumes_before_release`) | drains the mailbox in arrival order: a `Transfer` is acknowledged and adopted, the windowed master channel applied, a duplicate `Start` dropped, evictions settled after each | only the release and instructions leave the mailbox; everything else is keyed to a step and stays queued for it |
 //! | d | done report (`report`, and the `run_invocation` / `Refresh` contract) | carries the summed `local_metric`; re-owned units are reintegrated and `OwnReport`s sent first | metric 0 |
-//! | e | barrier checkpoint (`SNAPSHOTS`, `checkpoint_units`) | none, ever: recovery is by re-scatter | shipped at every barrier, re-sent with every refreshed report; one snapshot per barrier state, rebuilt only after a `Refresh` |
+//! | e | barrier checkpoint (`SNAPSHOTS`, `checkpoint_units`) | none, ever: recovery is by re-scatter; a `Promoted` is answered with nothing | shipped at every barrier, re-sent with every refreshed report; one snapshot per barrier state, rebuilt only after a `Refresh`. It and every installed `Rollback` are held (`SlaveCommon::hold`, the last two), and every `Promoted` of the adopted term is answered with them (`FailoverMsg::Held`) |
 //! | f | what refreshes the done report (`on_barrier_msg` → `Refresh`) | also every `TransferAck`, every `Evicted` (after re-owning, which may bring work), every `Restore` / `SpecCommit` / `SpecCancel`, and a stale `InvocationStart` in fault mode | `Transfer` and executed movement orders only; acks and evictions go through `SlaveCommon::control`, a stale release is dropped silently, the master-channel three are protocol violations |
 //! | g | `speculate` | the suspect's units, computed through the tagged invocation into a side buffer, heartbeating; nothing shipped | the banked snapshot advanced one invocation, shipped as a checkpoint |
 //! | h | `Gather` (`may_end_after`) | ends the run at any barrier — the master's WHILE test decides (§4.1) | only at the last barrier; anywhere else it is a stray from a superseded master and a protocol violation |
-//! | i | deputy freshness (`SNAPSHOTS`) | the replicated invocation watermark | the invocation of the snapshot the deputy holds |
 //!
 //! Rollback adoption fences the channels one way for all three: `dead[]`
 //! is rewritten from the survivor list and only the survivors' channels
@@ -69,21 +68,19 @@ pub struct SlaveSpec {
 }
 
 impl SlaveSpec {
-    /// The shared state of one life of this slave. `checkpointed` tells a
-    /// deputy how to measure its replica's freshness: a pattern that ships
-    /// snapshots restarts a takeover from the one the deputy holds; one
-    /// that does not, from the invocation watermark.
-    fn common(
+    /// The shared state of one life of this slave, strategy `S`'s: a
+    /// pattern with snapshots holds them for a takeover (row e).
+    fn common<S: DistributionStrategy>(
         &self,
         ctx: &MailCtx<Msg>,
         master: ActorId,
         slaves: Vec<ActorId>,
         incarnation: u64,
-        checkpointed: bool,
     ) -> SlaveCommon {
         let mut common = SlaveCommon::new(self.idx, master, slaves, self.mode, self.ft.clone());
         common.incarnation = incarnation;
-        common.enable_deputy(checkpointed, ctx.now());
+        common.enable_deputy(ctx.now());
+        common.held = S::SNAPSHOTS.then(Vec::new);
         common
     }
 }
@@ -124,7 +121,7 @@ async fn slave_life<S: DistributionStrategy>(
 ) -> Result<(), ProtocolError> {
     let start = recv_start(ctx, spec.idx, spec.ft.is_some()).await?;
     let mut strategy = make_strategy(spec, &start)?;
-    let mut common = spec.common(ctx, spec.master, start.0, 0, S::SNAPSHOTS);
+    let mut common = spec.common::<S>(ctx, spec.master, start.0, 0);
     if let Some(at) = spec.join_at {
         // Latecomer: the parked Start taught us the topology; idle to the
         // join instant, then announce. The admission rollback lands in
@@ -153,7 +150,9 @@ async fn slave_life<S: DistributionStrategy>(
                 // rebuilt common starts with clean channel/epoch state;
                 // the old life's windows and clocks die with it.
                 let (master, slaves) = (common.master, common.slaves.clone());
-                common = spec.common(ctx, master, slaves, common.incarnation + 1, S::SNAPSHOTS);
+                let term = common.promoted_term;
+                common = spec.common::<S>(ctx, master, slaves, common.incarnation + 1);
+                common.promoted_term = term;
                 common.join_handshake(ctx).await?;
             }
             r => return r,
@@ -254,6 +253,7 @@ fn apply_rollback<S: DistributionStrategy>(
     common.reclaimed.clear();
     common.own_report_due.clear();
     common.rebase_epoch(rb.epoch);
+    common.hold(rb.invocation, &rb.units);
     strategy.restore(common, rb)
 }
 
@@ -312,16 +312,16 @@ async fn send_done<S: DistributionStrategy>(
         metric,
         restore_seq: common.master_chan.watermark(),
         owned_ids,
-        replica_inv: common.replica_inv(),
     };
     common.send_master(ctx, msg).await;
 }
 
 /// Ship the barrier checkpoint — the state from which invocation `inv + 1`
-/// starts. Best-effort: a dropped checkpoint only means the master rolls
-/// back to an older complete snapshot. `snapshot` is the barrier's copy of
-/// the live state: taken on first use, shared by every re-send, and
-/// cleared by the caller whenever the state moved.
+/// starts — and hold it for a takeover. Best-effort: a dropped checkpoint
+/// only means the master rolls back to an older complete snapshot.
+/// `snapshot` is the barrier's copy of the live state: taken on first use,
+/// shared by every re-send, and cleared by the caller whenever the state
+/// moved.
 async fn send_checkpoint<S: DistributionStrategy>(
     ctx: &MailCtx<Msg>,
     common: &mut SlaveCommon,
@@ -335,6 +335,7 @@ async fn send_checkpoint<S: DistributionStrategy>(
     let units = snapshot
         .get_or_insert_with(|| strategy.checkpoint_units())
         .clone();
+    common.hold(inv + 1, &units);
     let msg = Msg::Checkpoint {
         slave: common.idx,
         invocation: inv + 1,
@@ -782,6 +783,45 @@ mod tests {
         let (old, new) = against_stubs(Shell { n: 2, ..armed() }, FINAL, script, MINUTE);
         assert_eq!(kinds(&old), ["done"]);
         assert_eq!(kinds(&new), ["unexpected"]);
+    }
+
+    /// A snapshotting slave answers every `Promoted` of the term it adopted
+    /// — the first and its repeat, not a stale one — with the snapshot
+    /// states it holds: here the barrier checkpoint of invocation 0, the
+    /// very storage it shipped. (A pattern without snapshots answers
+    /// nothing: the test above.)
+    #[test]
+    fn every_promotion_of_the_adopted_term_is_answered_with_the_held_states() {
+        let promoted = |term| {
+            Msg::Failover(FailoverMsg::Promoted {
+                term,
+                master_idx: 1,
+            })
+        };
+        let reign = [(5, promoted(2)), (10, promoted(2)), (15, promoted(1))];
+        let gather = [(20, Msg::Gather), (30, Msg::GatherAck)];
+        let script = [(0, release(0))].into_iter().chain(reign).chain(gather);
+        let shell = Shell { n: 2, ..armed() };
+        let (old, new) = against_stubs(shell, SNAPSHOTTING, script.collect(), MINUTE);
+        let [Msg::InvocationDone { .. }, Msg::Checkpoint { units: shipped, .. }] = &old[..] else {
+            panic!("{old:?}");
+        };
+        let held = |m: &Msg| match m {
+            Msg::Failover(FailoverMsg::Held {
+                slave: 0,
+                fragments,
+            }) => Some(fragments.clone()),
+            _ => None,
+        };
+        let answers: Vec<_> = new.iter().filter_map(held).collect();
+        assert_eq!(answers.len(), 2, "{new:?}");
+        for fragments in answers {
+            let [(1, units)] = &fragments[..] else {
+                panic!("{fragments:?}");
+            };
+            assert!(Arc::ptr_eq(&units[0].1, &shipped[0].1));
+        }
+        assert_eq!(kinds(&new[2..]), ["data"]);
     }
 
     #[test]

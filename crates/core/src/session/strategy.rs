@@ -51,10 +51,10 @@ pub enum BarrierMsg {
 #[allow(async_fn_in_trait)] // used generically within the crate; Send is checked at spawn
 pub trait DistributionStrategy {
     /// Whether this pattern ships barrier snapshots. `false`: it recovers
-    /// by re-scatter, so no checkpoint is ever shipped and a deputy's
-    /// replica is as fresh as its invocation watermark. A constant of the
-    /// pattern, so the runner can tell a deputy how to measure freshness
-    /// without materialising a snapshot to look at.
+    /// by re-scatter, so no checkpoint is ever shipped and nothing is held
+    /// for a takeover to collect. A constant of the pattern, so the runner
+    /// knows before the first barrier whether a `Promoted` is owed an
+    /// answer.
     const SNAPSHOTS: bool = true;
 
     /// Upper bound on the invocations (repetitions, sweeps, steps) the run

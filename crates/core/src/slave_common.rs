@@ -252,9 +252,14 @@ pub struct SlaveCommon {
     /// paired with [`ProtocolError::Elected`] the way `pending_rollback`
     /// pairs with [`ProtocolError::RolledBack`].
     pub takeover: Option<TakeoverSeed>,
+    /// The last two snapshot states this slave held, `(invocation, units)`
+    /// ([`SlaveCommon::hold`]): what it answers a new master's `Promoted`
+    /// with. `None` for a pattern without snapshots, which answers nothing.
+    pub(crate) held: Option<Vec<(u64, SharedUnits)>>,
     /// Highest promotion term already applied (dedups `Promoted`
-    /// re-broadcasts and fences out stale lower-term promotions).
-    promoted_term: u64,
+    /// re-broadcasts and fences out stale lower-term promotions). It
+    /// outlives a life: a rejoiner already serves that reign.
+    pub(crate) promoted_term: u64,
 }
 
 impl SlaveCommon {
@@ -292,30 +297,34 @@ impl SlaveCommon {
             last_instr_seq: 0,
             deputy: None,
             takeover: None,
+            held: None,
             promoted_term: 0,
         }
     }
 
     /// Take on the deputy role when this slave's rank is inside the deputy
-    /// set (fault mode only). `checkpointed` tells the election how to
-    /// measure replica freshness: a pattern that ships checkpoints restarts
-    /// from a held snapshot, one that does not from the invocation watermark.
-    pub fn enable_deputy(&mut self, checkpointed: bool, now: SimTime) {
+    /// set (fault mode only).
+    pub fn enable_deputy(&mut self, now: SimTime) {
         let nd = DEPUTIES.min(self.slaves.len());
         if self.ft.is_some() && self.idx < nd {
             let n = self.slaves.len();
-            self.deputy = Some(DeputyState::new(self.idx, nd, n, checkpointed, now));
+            self.deputy = Some(DeputyState::new(self.idx, nd, n, now));
         }
     }
 
-    /// The checkpoint generation this deputy could take over from, reported
-    /// on every `InvocationDone` so the master ships it only the snapshot
-    /// units it cannot already hold. Zero for non-deputies.
-    pub fn replica_inv(&self) -> u64 {
-        self.deputy
-            .as_ref()
-            .map(|d| d.effective_fresh())
-            .unwrap_or(0)
+    /// Hold the snapshot state `units` at `invocation` — a barrier
+    /// checkpoint or an installed rollback, shared, not copied — for a
+    /// takeover to collect: it replaces a state of the same invocation, and
+    /// only the last two are kept.
+    pub(crate) fn hold(&mut self, invocation: u64, units: &SharedUnits) {
+        let Some(held) = self.held.as_mut() else {
+            return;
+        };
+        held.retain(|(inv, _)| *inv != invocation);
+        held.push((invocation, units.clone()));
+        if held.len() > 2 {
+            held.remove(0);
+        }
     }
 
     /// Record completed work units (counted toward the next status delta).
@@ -562,7 +571,8 @@ impl SlaveCommon {
         }
     }
 
-    /// Handle a master-failover message (replication, election, promotion).
+    /// Handle a master-failover message (replication, election, promotion,
+    /// which a snapshotting slave answers with what it [held](Self::hold)).
     /// `Err(Elected)` when a vote completed this deputy's quorum (the
     /// takeover seed is stashed in [`SlaveCommon::takeover`]). Every
     /// receive point services these the way it services
@@ -619,14 +629,25 @@ impl SlaveCommon {
                 if let Some(d) = self.deputy.as_mut() {
                     d.on_vote(*term, *voter, *candidate);
                     if let Some(t) = d.won() {
-                        self.takeover = Some(d.seed(t));
+                        self.takeover = Some(d.seed(t, self.held.clone().unwrap_or_default()));
                         return Err(ProtocolError::Elected { term: t });
                     }
                 }
             }
             FailoverMsg::Promoted { term, master_idx } => {
-                self.adopt_master(ctx.now(), *term, *master_idx);
+                if !self.adopt_master(ctx.now(), *term, *master_idx) {
+                    return Ok(());
+                }
+                if let Some(fragments) = self.held.clone() {
+                    let reply = FailoverMsg::Held {
+                        slave: self.idx,
+                        fragments,
+                    };
+                    self.send_master(ctx, Msg::Failover(reply)).await;
+                }
             }
+            // Only a master is sent what a slave held.
+            FailoverMsg::Held { .. } => {}
         }
         Ok(())
     }
@@ -646,11 +667,11 @@ impl SlaveCommon {
                 self.idx,
                 ctx.now(),
                 d.ballot.term_seen,
-                d.effective_fresh(),
+                d.replica.fresh,
             );
         }
         if let Some(t) = d.won() {
-            self.takeover = Some(d.seed(t));
+            self.takeover = Some(d.seed(t, self.held.clone().unwrap_or_default()));
             return Err(ProtocolError::Elected { term: t });
         }
         for (to, m) in candidacies {
@@ -665,11 +686,13 @@ impl SlaveCommon {
     /// sequence 1) are accepted. Idempotent per term; stale lower-term
     /// promotions are fenced out. The in-flight payloads of the winner's
     /// transfer channel are discarded, not re-owned: the takeover rollback
-    /// re-scatters every unit from the replicated checkpoint, so nothing
-    /// the winner held in flight survives anyway.
-    fn adopt_master(&mut self, now: SimTime, term: u64, master_idx: usize) {
+    /// re-scatters every unit from the checkpoint the survivors' held
+    /// fragments complete, so nothing the winner held in flight survives
+    /// anyway. Returns whether `term` is the adopted one — newly, or again:
+    /// either way the new master is owed this slave's held fragments.
+    fn adopt_master(&mut self, now: SimTime, term: u64, master_idx: usize) -> bool {
         if term <= self.promoted_term {
-            return;
+            return term == self.promoted_term;
         }
         self.promoted_term = term;
         self.master = self.slaves[master_idx];
@@ -685,6 +708,7 @@ impl SlaveCommon {
         if let Some(d) = self.deputy.as_mut() {
             d.on_promoted(term, now);
         }
+        true
     }
 
     /// The servicing ladder, the last arm of every slave receive point:

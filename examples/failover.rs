@@ -5,15 +5,15 @@
 //! ```
 //!
 //! In fault mode the master replicates its control-plane state — term,
-//! epoch, membership, invocation watermark, and (for the checkpointed
-//! engines) the newest banked snapshot — to the three lowest-ranked slaves,
-//! its deputies, at every barrier. When the master falls silent for 8 s (a
-//! constant of the election, not a setting), the deputies hold a quorum
-//! election (one vote per term, freshest replica wins, candidacies
-//! staggered by rank); the winner announces its reign, fences it behind a
-//! `term << 32` epoch floor, rolls the survivors back to the replicated
-//! restart point, and finishes the run — bit-identical to the sequential
-//! reference.
+//! epoch, membership, invocation watermark, the invocation of its newest
+//! banked snapshot — to the three lowest-ranked slaves, its deputies, at
+//! every barrier. When the master falls silent for 8 s (a constant of the
+//! election, not a setting), the deputies hold a quorum election (one vote
+//! per term, freshest replica wins, candidacies staggered by rank); the
+//! winner announces its reign, fences it behind a `term << 32` epoch floor,
+//! collects the checkpoint fragments the survivors hold (checkpointed
+//! engines), rolls the survivors back to the newest snapshot they complete,
+//! and finishes the run — bit-identical to the sequential reference.
 //!
 //! Each run prints what replication cost while the run was healthy against
 //! how much work the takeover rolled back when the master actually died.
@@ -55,9 +55,9 @@ fn main() {
     );
     println!("failover bit-identical to sequential execution ✓");
 
-    // The independent engine replicates no snapshot at all: its replica is
-    // the invocation watermark, and the takeover recomputes unit state from
-    // initial data. Same blackout, cheapest possible replica.
+    // The independent engine holds no snapshot at all: its replica's
+    // freshness is the invocation watermark, and the takeover recomputes
+    // unit state from initial data with nothing to collect. Same blackout.
     let mm = Arc::new(MatMul::new(16, 3, 7, &Calibration::new(0.05)));
     let plan = dlb::compiler::compile(&mm.program()).expect("compiles");
     println!("\n-- independent matmul, 8 slaves, master crashes at t=0.1s --");

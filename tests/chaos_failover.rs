@@ -285,28 +285,27 @@ fn second_failover_after_the_winner_dies() {
     );
 }
 
-/// Delta replicas under loss. The master's links to its three deputies
-/// (slaves 0–2) drop one message in ten, so a deputy misses deltas and the
-/// master's idea of what it holds lags: the next delta is cut against that
-/// older ack and merges onto a newer held snapshot, or re-ships everything
-/// since it. The master dies inside invocation 12. By then it has
-/// published eleven rounds of snapshots to three deputies, whole only
-/// until a deputy's first ack reaches it: at this seed, 29 deltas. The
-/// winner holds invocation 11, merged onto its 10 from a delta against 9;
-/// it takes over from that, and the run ends bit-exact after one election.
+/// Fragment collection under loss. A replica carries no unit, so the
+/// winner (deputy 0, slave 0) rebuilds its restart point from the
+/// fragments the survivors hold, and every survivor's link to it drops one
+/// message in ten. At this seed no pivot slave 0 waits for is lost before
+/// the master dies inside invocation 12, and slave 13's first `Held` answer
+/// is: the new master re-sends its `Promoted` on the nudge timer, collects
+/// the answer one nudge later, and the run ends bit-exact after one
+/// election.
 #[test]
-fn lossy_deputy_links_merge_deltas_and_take_over_exact() {
+fn lossy_links_collect_fragments_and_take_over_exact() {
     let (k, plan) = lu();
     let lossy = |seed| {
         let drop = LinkFaults {
             drop_p: 0.1,
             ..LinkFaults::default()
         };
-        (0..3).fold(FaultPlan::new(seed), |p, d| {
-            p.link(MASTER_NODE, slave_node(d), drop)
+        (1..SLAVES).fold(FaultPlan::new(seed), |p, s| {
+            p.link(slave_node(s), slave_node(0), drop)
         })
     };
-    let mut probe_cfg = chaos_cfg(lossy(6107));
+    let mut probe_cfg = chaos_cfg(lossy(6168));
     probe_cfg.record_timeline = true;
     let probe = try_run(AppSpec::Shrinking(k.clone()), &plan, probe_cfg)
         .expect("the lossy probe must complete");
@@ -319,16 +318,17 @@ fn lossy_deputy_links_merge_deltas_and_take_over_exact() {
         .t
         .0;
 
-    let fault = lossy(6107).crash(MASTER_NODE, SimTime(crash));
+    let fault = lossy(6168).crash(MASTER_NODE, SimTime(crash));
     let report = try_run(AppSpec::Shrinking(k.clone()), &plan, chaos_cfg(fault))
-        .expect("a takeover from merged deltas must be survivable");
+        .expect("a takeover collecting over lossy links must be survivable");
     assert_eq!(
         Lu::result_cols(&report.result),
         k.sequential(),
-        "takeover from a merged replica must be exact"
+        "takeover from collected fragments must be exact"
     );
-    assert_failover(&report, "lu lossy deputies");
+    assert_failover(&report, "lu lossy collection");
     assert_eq!(report.recovery.elections_held, 1, "{:?}", report.recovery);
+    assert!(report.sim.fault.msgs_dropped > 0, "{:?}", report.sim.fault);
 }
 
 /// Failover is part of the deterministic trace: the same crash plan

@@ -8,7 +8,8 @@
 //! The matrix is {MM, SOR, LU} — the re-scatter and the rollback recovery
 //! policies — × {armed and quiet; drop + dup + jitter + slave crash; a
 //! frozen slave that thaws before suspicion; master crash mid-invocation,
-//! mid-rollback, mid-transfer, and twice; slave crash during the gather and
+//! mid-rollback, mid-transfer, twice, and (LU) inside a dead slave's
+//! suspicion window; slave crash during the gather and
 //! overlapping crashes; late join, partition → evict → heal → rejoin, and a
 //! master crash with a join in flight}, at 4–16 slaves, each run at worker
 //! pool sizes 0 and 8. The master is only armed in fault mode, so the
@@ -292,6 +293,19 @@ fn matrix(pool: usize) -> Vec<Row> {
         let r = app.run(&label, wide.cfg(pool, plan));
         rows.push(row(label, &r));
 
+        // The master dies inside the slave's suspicion window, before it
+        // declares the death: the dead slave's fragments died with it, so
+        // no invocation is complete among the survivors' and the successor
+        // restarts from the initial data — every checkpoint the dead master
+        // had banked is lost.
+        if *name == "lu" {
+            let label = "master_inside_suspicion/lu".to_string();
+            let plan = first.clone().crash(MASTER, SimTime((at + death) / 2));
+            let r = app.run(&label, wide.cfg(pool, plan));
+            assert!(r.recovery.checkpoints_lost_to_stale_replica > 0, "{label}");
+            rows.push(row(label, &r));
+        }
+
         // A second slave dies with the recovery for the first in flight.
         let label = format!("overlapping_crashes/{name}");
         let plan = first.crash(node(9), SimTime(death + 300));
@@ -506,10 +520,12 @@ fn slave_rows(pool: usize, small: &Apps, wide: &Apps, rows: &mut Vec<Row>) {
 
     // A `Gather` from a master that dies right after sending it, in flight
     // on a link slower than the election (per-pair FIFO cannot order it
-    // against the *successor's* traffic), reaches a survivor parked at a
-    // non-final barrier after the takeover rollback. `GatherData` carries no
-    // epoch to fence a reply, so a checkpointed slave must treat it as a
-    // protocol violation: report, and be rescued by a second rollback.
+    // against the *successor's* traffic). Every survivor holds its fragment
+    // of the end state, so the successor collects them and restarts there:
+    // the stale `Gather` reaches a slave at the final barrier and is
+    // answered like the successor's own, with no second rollback. (Restored
+    // onto an older barrier, the slave would have had to report it as a
+    // protocol violation: `GatherData` carries no epoch to fence a reply.)
     let label = "stale_gather4/sor".to_string();
     let sor = &small.apps[1].1;
     let slow = |plan: FaultPlan| {
@@ -523,7 +539,7 @@ fn slave_rows(pool: usize, small: &Apps, wide: &Apps, rows: &mut Vec<Row>) {
     let probe = sor.run("probe", small.cfg(pool, slow(FaultPlan::new(4))));
     let plan = slow(FaultPlan::new(4)).crash(MASTER, SimTime(probe.compute_time.0 + 2000));
     let r = sor.run(&label, small.cfg(pool, plan));
-    assert_eq!(r.recovery.rollbacks, 2, "{label}: takeover, then rescue");
+    assert_eq!(r.recovery.rollbacks, 1, "{label}: the takeover's alone");
     rows.push(row(label, &r));
 }
 
@@ -559,8 +575,10 @@ fn event_streams_match_the_recorded_constants() {
 /// `(cell, elapsed µs, events processed, trace hash, recovery counters)`,
 /// recorded at the commit before the two fault-mode loops were merged; the
 /// `plain_*`, `slow_wire*` and `stale_gather*` rows at the commit before the independent
-/// engine moved under the shared slave runner. The armed `/lu` rows and
-/// `late_join_lossy/sor` were re-recorded for delta replicas (CHANGES.md, PR 26).
+/// engine moved under the shared slave runner. Every `/sor` and `/lu` row was
+/// re-recorded when replicas became scalars and a takeover began collecting
+/// the survivors' fragments, and `master_inside_suspicion/lu` was first
+/// recorded then (CHANGES.md lists before → after).
 /// `final_rollback_lost/sor` was first recorded with the gather's replay of an
 /// unacknowledged window; a master without it exhausts that row's event budget.
 #[rustfmt::skip]
@@ -568,12 +586,12 @@ const GOLDEN: &[(&str, u64, u64, u64, &str)] = &[
     ("quiet4/mm", 435544, 604, 0xfbad34e7133c8371, "replicas_published: 9, replication_bytes: 3780"),
     ("wire_crash4/mm", 13102864, 1010, 0x9183ca763fad2b69, "slaves_declared_dead: 1, first_death: Some(t=8.297802s), restore_resends: 3, start_resends: 1, invocation_start_resends: 1, gather_resends: 1, status_dups_ignored: 1, done_dups_ignored: 3, speculations_launched: 1, speculations_committed: 1, units_speculated: 6, speculations_computed: 1, replicas_published: 8, replication_bytes: 4720"),
     ("freeze4/mm", 6439238, 854, 0x0a4b8e281e32230d, "instr_resends: 1, invocation_start_resends: 1, done_dups_ignored: 1, speculations_launched: 1, speculations_cancelled: 1, speculations_computed: 1, replicas_published: 9, replication_bytes: 4500"),
-    ("quiet4/sor", 2660925, 854, 0xec8bdef9d725364c, "checkpoints_banked: 3, checkpoints_sent: 16, replicas_published: 12, replication_bytes: 19920"),
-    ("wire_crash4/sor", 25133146, 1571, 0xf0ccfad5a6a73d5c, "slaves_declared_dead: 2, first_death: Some(t=8.014336s), start_resends: 9, invocation_start_resends: 9, checkpoints_banked: 3, rollbacks: 3, units_rolled_back: 48, speculations_launched: 3, speculations_committed: 3, units_speculated: 38, stale_epoch_dropped: 3, rollbacks_applied: 6, checkpoints_sent: 42, speculations_computed: 3, replicas_published: 13, replication_bytes: 22340"),
-    ("freeze4/sor", 8646072, 1136, 0x35f16bf4b8701961, "start_resends: 6, invocation_start_resends: 6, checkpoints_banked: 3, speculations_launched: 1, speculations_committed: 1, units_speculated: 16, checkpoints_sent: 25, speculations_computed: 1, replicas_published: 12, replication_bytes: 20640"),
-    ("quiet4/lu", 853968, 2757, 0x82e39e85ec7308ec, "checkpoints_banked: 18, checkpoints_sent: 96, replicas_published: 57, replication_bytes: 106588"),
-    ("wire_crash4/lu", 26529289, 3097, 0xdaa976ad1e4e4b0e, "slaves_declared_dead: 2, first_death: Some(t=8.243589s), instr_resends: 3, invocation_start_resends: 3, done_dups_ignored: 6, checkpoints_banked: 16, rollbacks: 2, units_rolled_back: 40, speculations_launched: 3, speculations_committed: 3, units_speculated: 50, transfer_dups_dropped: 1, rollbacks_applied: 4, checkpoints_sent: 99, speculations_computed: 3, replicas_published: 28, replication_bytes: 48296"),
-    ("freeze4/lu", 6880344, 3101, 0x40106558e40f9849, "checkpoints_banked: 19, speculations_launched: 3, speculations_committed: 3, units_speculated: 30, checkpoints_sent: 110, speculations_computed: 3, replicas_published: 57, replication_bytes: 97868"),
+    ("quiet4/sor", 2660925, 848, 0x1ce0e9bfbf8aac85, "checkpoints_banked: 3, checkpoints_sent: 16, replicas_published: 12, replication_bytes: 5280"),
+    ("wire_crash4/sor", 25133254, 1571, 0xbb1694342d168e1e, "slaves_declared_dead: 2, first_death: Some(t=8.014336s), start_resends: 9, invocation_start_resends: 9, checkpoints_banked: 3, rollbacks: 3, units_rolled_back: 48, speculations_launched: 3, speculations_committed: 3, units_speculated: 38, stale_epoch_dropped: 3, rollbacks_applied: 6, checkpoints_sent: 42, speculations_computed: 3, replicas_published: 13, replication_bytes: 7700"),
+    ("freeze4/sor", 8646072, 1130, 0xfac543f552ef59f2, "start_resends: 6, invocation_start_resends: 6, checkpoints_banked: 3, speculations_launched: 1, speculations_committed: 1, units_speculated: 16, checkpoints_sent: 25, speculations_computed: 1, replicas_published: 12, replication_bytes: 6000"),
+    ("quiet4/lu", 853816, 2762, 0xdf93aef120fea0c1, "checkpoints_banked: 18, checkpoints_sent: 96, replicas_published: 57, replication_bytes: 23940"),
+    ("wire_crash4/lu", 26528968, 3103, 0x9072beb878e1e9e2, "slaves_declared_dead: 2, first_death: Some(t=8.243589s), instr_resends: 3, invocation_start_resends: 3, done_dups_ignored: 6, checkpoints_banked: 16, rollbacks: 2, units_rolled_back: 40, speculations_launched: 3, speculations_committed: 3, units_speculated: 50, transfer_dups_dropped: 1, rollbacks_applied: 4, checkpoints_sent: 99, speculations_computed: 3, replicas_published: 28, replication_bytes: 14080"),
+    ("freeze4/lu", 6880198, 3107, 0x5547b3b7073753c9, "checkpoints_banked: 19, speculations_launched: 3, speculations_committed: 3, units_speculated: 30, checkpoints_sent: 110, speculations_computed: 3, replicas_published: 57, replication_bytes: 24660"),
     ("master_mid_invocation/mm", 8461536, 2544, 0x401aaad6390de8d7, "rollbacks: 1, units_rolled_back: 32, rollbacks_applied: 15, elections_held: 1, takeover_latency: Some(8.047046s), replicas_published: 7, replication_bytes: 3696"),
     ("master_frozen_then_superseded/mm", 14285400, 3361, 0xe721aab66a72f065, "rollbacks: 1, units_rolled_back: 32, rollbacks_applied: 15, elections_held: 1, takeover_latency: Some(8.047046s), replicas_published: 7, replication_bytes: 3696"),
     ("drop16/mm", 15288590, 2148, 0x55dbe3f09998c25f, "instr_resends: 4, start_resends: 1, invocation_start_resends: 5, gather_resends: 1, done_dups_ignored: 5, replicas_published: 9, replication_bytes: 5472"),
@@ -592,45 +610,46 @@ const GOLDEN: &[(&str, u64, u64, u64, &str)] = &[
     ("partition_heal_rejoin/mm", 1921166, 6312, 0x2d7ef04aa1cb41d3, "slaves_declared_dead: 4, first_death: Some(t=0.607051s), units_restored: 6, restore_resends: 15, instr_resends: 1, invocation_start_resends: 1, done_dups_ignored: 20, rollbacks: 1, units_rolled_back: 32, speculations_launched: 1, speculations_committed: 1, units_speculated: 2, joins_admitted: 4, rejoins_after_eviction: 4, join_snapshot_bytes: 4800, partitions_healed: 1, rollbacks_applied: 16, speculations_computed: 1, replicas_published: 36, replication_bytes: 19128"),
     ("crash_inside_partition/mm", 2226702, 6885, 0x603463684fc5f3d3, "slaves_declared_dead: 5, first_death: Some(t=0.607051s), units_restored: 8, restore_resends: 26, instr_resends: 1, invocation_start_resends: 1, done_dups_ignored: 30, rollbacks: 1, units_rolled_back: 32, speculations_launched: 1, speculations_committed: 1, units_speculated: 2, joins_admitted: 4, rejoins_after_eviction: 4, join_snapshot_bytes: 4768, partitions_healed: 1, rollbacks_applied: 15, speculations_computed: 1, replicas_published: 36, replication_bytes: 19248"),
     ("partition_heal_rejoin_lossy/mm", 3030077, 7115, 0xd40f5262865c4988, "slaves_declared_dead: 4, first_death: Some(t=0.597431s), units_restored: 6, restore_resends: 19, instr_resends: 10, start_resends: 2, invocation_start_resends: 12, gather_resends: 1, status_dups_ignored: 13, done_dups_ignored: 31, gather_dups_ignored: 1, rollbacks: 1, units_rolled_back: 32, speculations_launched: 1, speculations_committed: 1, units_speculated: 2, joins_admitted: 4, rejoins_after_eviction: 4, join_snapshot_bytes: 4800, partitions_healed: 1, stale_epoch_dropped: 3, rollbacks_applied: 16, speculations_computed: 1, replicas_published: 36, replication_bytes: 19248"),
-    ("master_mid_invocation/sor", 18785686, 4919, 0x33ee62679e01ca97, "restore_resends: 4, checkpoints_banked: 3, rollbacks: 1, units_rolled_back: 34, stale_epoch_dropped: 4, rollbacks_applied: 15, checkpoints_sent: 204, elections_held: 1, takeover_latency: Some(8.086125s), replicas_published: 8, replication_bytes: 45312"),
-    ("master_frozen_then_superseded/sor", 24540623, 5811, 0x070335a3dec39d40, "slaves_declared_dead: 1, first_death: Some(t=21.917963s), restore_resends: 9, checkpoints_banked: 3, rollbacks: 2, units_rolled_back: 68, stale_epoch_dropped: 23, rollbacks_applied: 28, checkpoints_sent: 186, elections_held: 1, takeover_latency: Some(8.086125s), replicas_published: 9, replication_bytes: 56232"),
-    ("drop16/sor", 55033970, 9192, 0xdb960d48f3f649f8, "slaves_declared_dead: 4, first_death: Some(t=15.252935s), restore_resends: 428, start_resends: 141, invocation_start_resends: 141, gather_dups_ignored: 10, checkpoints_banked: 4, rollbacks: 5, units_rolled_back: 170, speculations_launched: 9, speculations_committed: 9, units_speculated: 120, stale_epoch_dropped: 353, rollbacks_applied: 59, checkpoints_sent: 120, speculations_computed: 9, replicas_published: 11, replication_bytes: 71080"),
-    ("dup16/sor", 10472091, 4065, 0x28ab09926280b0c6, "start_resends: 4, invocation_start_resends: 4, status_dups_ignored: 7, checkpoints_banked: 3, checkpoints_sent: 104, replicas_published: 12, replication_bytes: 67968"),
-    ("jitter16/sor", 52160313, 9162, 0xa7a7f3e27acc8495, "slaves_declared_dead: 3, first_death: Some(t=17.771740s), restore_resends: 383, start_resends: 4, invocation_start_resends: 4, gather_dups_ignored: 11, checkpoints_banked: 4, rollbacks: 7, units_rolled_back: 238, speculations_launched: 2, speculations_committed: 2, units_speculated: 68, stale_epoch_dropped: 346, rollbacks_applied: 91, checkpoints_sent: 123, speculations_computed: 2, replicas_published: 27, replication_bytes: 121096"),
-    ("master_mid_rollback/sor", 32104453, 5794, 0xfb57684b054cd2fa, "slaves_declared_dead: 1, first_death: Some(t=24.253318s), restore_resends: 47, checkpoints_banked: 3, rollbacks: 3, units_rolled_back: 102, speculations_launched: 1, speculations_committed: 1, units_speculated: 3, stale_epoch_dropped: 44, rollbacks_applied: 42, checkpoints_sent: 100, speculations_computed: 1, elections_held: 1, takeover_latency: Some(8.004202s), replicas_published: 10, replication_bytes: 46768"),
-    ("overlapping_crashes/sor", 22602919, 5325, 0xb7237201869538a4, "slaves_declared_dead: 2, first_death: Some(t=8.017993s), restore_resends: 7, start_resends: 64, invocation_start_resends: 64, checkpoints_banked: 3, rollbacks: 3, units_rolled_back: 102, speculations_launched: 5, speculations_committed: 5, units_speculated: 77, stale_epoch_dropped: 2, rollbacks_applied: 42, checkpoints_sent: 101, speculations_computed: 5, replicas_published: 15, replication_bytes: 70992"),
-    ("master_mid_transfer/sor", 21946762, 5285, 0x3a605c2bbbea0dfa, "restore_resends: 8, checkpoints_banked: 3, rollbacks: 1, units_rolled_back: 34, transfer_resends: 1, transfer_dups_dropped: 1, stale_epoch_dropped: 8, rollbacks_applied: 15, checkpoints_sent: 201, elections_held: 1, takeover_latency: Some(8.085925s), replicas_published: 8, replication_bytes: 45552"),
-    ("double_failover/sor", 31714187, 6768, 0x27c3683e26d839a3, "restore_resends: 9, checkpoints_banked: 3, rollbacks: 2, units_rolled_back: 68, stale_epoch_dropped: 9, rollbacks_applied: 28, checkpoints_sent: 339, elections_held: 2, takeover_latency: Some(10.086746s), replicas_published: 7, replication_bytes: 24520"),
-    ("crash_in_gather/sor", 21097573, 5183, 0x495e699d677493be, "slaves_declared_dead: 1, first_death: Some(t=18.473787s), restore_resends: 5, start_resends: 4, invocation_start_resends: 4, gather_resends: 3, gathers_interrupted: 1, checkpoints_banked: 3, rollbacks: 1, units_rolled_back: 34, stale_epoch_dropped: 5, rollbacks_applied: 15, checkpoints_sent: 215, replicas_published: 15, replication_bytes: 100968"),
-    ("crash_in_gather_lossy/sor", 50172456, 9333, 0x6167f9faeaf19480, "slaves_declared_dead: 3, first_death: Some(t=18.823559s), restore_resends: 358, start_resends: 4, invocation_start_resends: 4, status_dups_ignored: 1, gather_dups_ignored: 9, checkpoints_banked: 4, rollbacks: 6, units_rolled_back: 204, speculations_launched: 3, speculations_committed: 2, speculations_cancelled: 1, units_speculated: 68, stale_epoch_dropped: 316, rollbacks_applied: 78, checkpoints_sent: 208, speculations_computed: 3, replicas_published: 21, replication_bytes: 147784"),
-    ("late_join/sor", 23600569, 42291, 0xc9bb0b46bac510b3, "slaves_declared_dead: 15, first_death: Some(t=1.810356s), restore_resends: 6089, start_resends: 56, invocation_start_resends: 56, done_dups_ignored: 28, gather_dups_ignored: 12, checkpoints_banked: 4, rollbacks: 30, units_rolled_back: 1020, speculations_launched: 15, speculations_committed: 1, speculations_cancelled: 11, units_speculated: 3, joins_admitted: 13, rejoins_after_eviction: 12, join_snapshot_bytes: 12048, partitions_healed: 9, stale_epoch_dropped: 5683, rollbacks_applied: 348, checkpoints_sent: 56, speculations_computed: 1, replicas_published: 41, replication_bytes: 134360"),
-    ("master_crash_join_in_flight/sor", 52870492, 41208, 0x418c2b2ea5a1ec5e, "slaves_declared_dead: 13, first_death: Some(t=10.245239s), restore_resends: 5187, done_dups_ignored: 33, checkpoints_banked: 4, rollbacks: 28, units_rolled_back: 952, speculations_launched: 15, speculations_committed: 2, speculations_cancelled: 8, units_speculated: 6, joins_admitted: 12, rejoins_after_eviction: 11, join_snapshot_bytes: 11472, partitions_healed: 8, stale_epoch_dropped: 4642, rollbacks_applied: 280, checkpoints_sent: 306, speculations_computed: 4, elections_held: 1, takeover_latency: Some(8.099309s), replicas_published: 19, replication_bytes: 91488"),
-    ("late_join_lossy/sor", 47351163, 43702, 0xac12d5516ec46eda, "slaves_declared_dead: 18, first_death: Some(t=1.823423s), restore_resends: 6762, start_resends: 54, invocation_start_resends: 54, status_dups_ignored: 10, done_dups_ignored: 41, gather_dups_ignored: 13, checkpoints_banked: 4, rollbacks: 36, units_rolled_back: 1224, speculations_launched: 18, speculations_committed: 7, speculations_cancelled: 2, units_speculated: 21, joins_admitted: 16, rejoins_after_eviction: 15, join_snapshot_bytes: 14856, partitions_healed: 12, stale_epoch_dropped: 6231, rollbacks_applied: 376, checkpoints_sent: 52, replicas_published: 47, replication_bytes: 288568"),
-    ("master_crash_join_in_flight_lossy/sor", 41923745, 46421, 0x835384eb0bc6df3f, "slaves_declared_dead: 11, first_death: Some(t=10.293491s), restore_resends: 6962, done_dups_ignored: 19, gather_dups_ignored: 14, checkpoints_banked: 4, rollbacks: 30, units_rolled_back: 1020, speculations_launched: 6, speculations_cancelled: 2, joins_admitted: 11, rejoins_after_eviction: 10, join_snapshot_bytes: 11048, partitions_healed: 9, stale_epoch_dropped: 6970, rollbacks_applied: 343, checkpoints_sent: 331, elections_held: 1, takeover_latency: Some(8.099309s), replicas_published: 23, replication_bytes: 113984"),
-    ("partition_heal_rejoin/sor", 48225271, 11582, 0x7097d748e8f1a0e3, "slaves_declared_dead: 2, first_death: Some(t=2.016622s), restore_resends: 117, instr_resends: 2, start_resends: 37, invocation_start_resends: 39, done_dups_ignored: 4, checkpoints_banked: 3, rollbacks: 3, units_rolled_back: 102, speculations_launched: 5, speculations_committed: 4, units_speculated: 10, joins_admitted: 1, rejoins_after_eviction: 1, join_snapshot_bytes: 1040, partitions_healed: 1, stale_epoch_dropped: 112, rollbacks_applied: 40, checkpoints_sent: 440, speculations_computed: 4, replicas_published: 17, replication_bytes: 71168"),
-    ("crash_inside_partition/sor", 48225271, 9885, 0x26cc098d7c3eaa9d, "slaves_declared_dead: 3, first_death: Some(t=2.059375s), restore_resends: 61, instr_resends: 2, start_resends: 85, invocation_start_resends: 87, done_dups_ignored: 4, checkpoints_banked: 3, rollbacks: 5, units_rolled_back: 170, speculations_launched: 4, speculations_committed: 4, units_speculated: 10, joins_admitted: 1, rejoins_after_eviction: 1, join_snapshot_bytes: 1032, partitions_healed: 1, stale_epoch_dropped: 56, rollbacks_applied: 64, checkpoints_sent: 245, speculations_computed: 3, replicas_published: 20, replication_bytes: 72592"),
-    ("partition_heal_rejoin_lossy/sor", 56918280, 25533, 0x73823f78ae7c664f, "slaves_declared_dead: 9, first_death: Some(t=2.017641s), restore_resends: 2176, start_resends: 43, invocation_start_resends: 43, status_dups_ignored: 7, done_dups_ignored: 11, gather_dups_ignored: 12, checkpoints_banked: 4, rollbacks: 22, units_rolled_back: 748, speculations_launched: 5, speculations_committed: 3, units_speculated: 9, joins_admitted: 7, rejoins_after_eviction: 7, join_snapshot_bytes: 6648, partitions_healed: 7, stale_epoch_dropped: 2044, rollbacks_applied: 260, checkpoints_sent: 142, speculations_computed: 1, replicas_published: 38, replication_bytes: 194568"),
-    ("final_rollback_lost/sor", 37997954, 23822, 0xb78a66c3f98555f5, "slaves_declared_dead: 8, first_death: Some(t=2.010367s), restore_resends: 668, start_resends: 31, invocation_start_resends: 31, status_dups_ignored: 9, gather_dups_ignored: 12, checkpoints_banked: 4, rollbacks: 15, units_rolled_back: 510, joins_admitted: 6, rejoins_after_eviction: 6, join_snapshot_bytes: 4752, partitions_healed: 6, stale_epoch_dropped: 552, rollbacks_applied: 171, checkpoints_sent: 641, replicas_published: 35, replication_bytes: 143584"),
-    ("master_mid_invocation/lu", 8848460, 11182, 0xaca209fd9041c6ec, "checkpoints_banked: 22, rollbacks: 1, units_rolled_back: 24, rollbacks_applied: 15, checkpoints_sent: 480, elections_held: 1, takeover_latency: Some(8.004893s), replicas_published: 51, replication_bytes: 157272"),
-    ("master_frozen_then_superseded/lu", 14260765, 12539, 0x0e436bdcb1b071a3, "checkpoints_banked: 22, rollbacks: 1, units_rolled_back: 24, rollbacks_applied: 15, checkpoints_sent: 480, elections_held: 1, takeover_latency: Some(8.004893s), replicas_published: 51, replication_bytes: 157272"),
-    ("drop16/lu", 262585496, 36184, 0x0be414f722020702, "slaves_declared_dead: 11, first_death: Some(t=19.052012s), restore_resends: 93, instr_resends: 11, start_resends: 2, invocation_start_resends: 13, done_dups_ignored: 16, checkpoints_banked: 22, rollbacks: 12, units_rolled_back: 288, speculations_launched: 30, speculations_committed: 29, speculations_cancelled: 1, units_speculated: 294, stale_epoch_dropped: 125, rollbacks_applied: 59, checkpoints_sent: 1285, speculations_computed: 16, replicas_published: 47, replication_bytes: 207752"),
-    ("dup16/lu", 777011, 9990, 0x2e4e515eab51f76e, "status_dups_ignored: 23, gather_dups_ignored: 2, checkpoints_banked: 22, checkpoints_sent: 368, replicas_published: 69, replication_bytes: 224536"),
-    ("jitter16/lu", 1169627, 10383, 0x669062e840a0b314, "checkpoints_banked: 22, checkpoints_sent: 368, replicas_published: 69, replication_bytes: 219656"),
-    ("master_mid_rollback/lu", 24864814, 13383, 0x13aa9e1a5b8c7d40, "slaves_declared_dead: 1, first_death: Some(t=24.242538s), restore_resends: 3, checkpoints_banked: 22, rollbacks: 2, units_rolled_back: 48, speculations_launched: 3, speculations_committed: 3, units_speculated: 28, stale_epoch_dropped: 4, rollbacks_applied: 28, checkpoints_sent: 662, speculations_computed: 6, elections_held: 1, takeover_latency: Some(8.004162s), replicas_published: 51, replication_bytes: 167928"),
-    ("overlapping_crashes/lu", 16750542, 11922, 0x8014f0a6f3e9120c, "slaves_declared_dead: 2, first_death: Some(t=8.204363s), restore_resends: 3, checkpoints_banked: 22, rollbacks: 2, units_rolled_back: 48, speculations_launched: 8, speculations_committed: 8, units_speculated: 60, stale_epoch_dropped: 6, rollbacks_applied: 28, checkpoints_sent: 521, speculations_computed: 8, replicas_published: 69, replication_bytes: 229856"),
-    ("master_mid_transfer/lu", 10006182, 10529, 0x3a8c99bbf4e6a25c, "checkpoints_banked: 22, rollbacks: 1, units_rolled_back: 24, rollbacks_applied: 15, checkpoints_sent: 472, elections_held: 1, takeover_latency: Some(8.004471s), replicas_published: 46, replication_bytes: 149104"),
-    ("double_failover/lu", 18907583, 13030, 0xa100c73f1c2773ab, "checkpoints_banked: 22, rollbacks: 2, units_rolled_back: 48, rollbacks_applied: 28, checkpoints_sent: 603, elections_held: 2, takeover_latency: Some(10.005706s), replicas_published: 38, replication_bytes: 119096"),
-    ("crash_in_gather/lu", 8802105, 11679, 0x3f85029048f6cd26, "slaves_declared_dead: 1, first_death: Some(t=8.773905s), gather_resends: 3, gathers_interrupted: 1, checkpoints_banked: 23, rollbacks: 1, units_rolled_back: 24, rollbacks_applied: 15, checkpoints_sent: 705, replicas_published: 72, replication_bytes: 228904"),
-    ("crash_in_gather_lossy/lu", 72978872, 21146, 0xcfc4defaecfc9bfc, "slaves_declared_dead: 4, first_death: Some(t=17.074781s), restore_resends: 5, instr_resends: 18, start_resends: 1, invocation_start_resends: 19, status_dups_ignored: 17, done_dups_ignored: 21, gather_dups_ignored: 13, checkpoints_banked: 20, rollbacks: 4, units_rolled_back: 96, speculations_launched: 11, speculations_committed: 11, units_speculated: 88, stale_epoch_dropped: 12, rollbacks_applied: 48, checkpoints_sent: 1007, speculations_computed: 11, replicas_published: 69, replication_bytes: 201264"),
-    ("late_join/lu", 827339, 11115, 0x7a8d6a1c4f7456b9, "checkpoints_banked: 22, rollbacks: 1, units_rolled_back: 24, joins_admitted: 1, join_snapshot_bytes: 360, rollbacks_applied: 16, checkpoints_sent: 381, replicas_published: 72, replication_bytes: 235536"),
-    ("master_crash_join_in_flight/lu", 8925443, 14511, 0x6b4083333e047133, "checkpoints_banked: 22, rollbacks: 2, units_rolled_back: 48, joins_admitted: 1, join_snapshot_bytes: 552, rollbacks_applied: 29, checkpoints_sent: 932, elections_held: 1, takeover_latency: Some(8.017957s), replicas_published: 52, replication_bytes: 158000"),
-    ("late_join_lossy/lu", 59749918, 58881, 0x2bd025175cbd0b72, "slaves_declared_dead: 4, first_death: Some(t=21.649093s), restore_resends: 13, instr_resends: 21, invocation_start_resends: 21, status_dups_ignored: 40, done_dups_ignored: 26, gather_dups_ignored: 3, checkpoints_banked: 20, rollbacks: 11, units_rolled_back: 264, speculations_launched: 6, speculations_committed: 6, units_speculated: 100, joins_admitted: 5, rejoins_after_eviction: 4, join_snapshot_bytes: 2400, partitions_healed: 4, stale_epoch_dropped: 299, rollbacks_applied: 150, checkpoints_sent: 4178, speculations_computed: 6, replicas_published: 83, replication_bytes: 241952"),
-    ("master_crash_join_in_flight_lossy/lu", 17642532, 20946, 0x3cd53f81c0e9a7b3, "slaves_declared_dead: 3, first_death: Some(t=11.018114s), restore_resends: 18, instr_resends: 19, invocation_start_resends: 19, status_dups_ignored: 28, done_dups_ignored: 23, gather_dups_ignored: 1, checkpoints_banked: 22, rollbacks: 7, units_rolled_back: 168, speculations_launched: 9, speculations_committed: 8, units_speculated: 60, joins_admitted: 3, rejoins_after_eviction: 3, join_snapshot_bytes: 1448, partitions_healed: 3, stale_epoch_dropped: 22, rollbacks_applied: 91, checkpoints_sent: 1251, speculations_computed: 9, elections_held: 1, takeover_latency: Some(8.052168s), replicas_published: 50, replication_bytes: 146432"),
-    ("partition_heal_rejoin/lu", 4397160, 21185, 0x6a1917ae182ab02f, "slaves_declared_dead: 3, first_death: Some(t=0.618641s), restore_resends: 26, done_dups_ignored: 3, checkpoints_banked: 38, rollbacks: 6, units_rolled_back: 240, speculations_launched: 2, joins_admitted: 3, rejoins_after_eviction: 3, join_snapshot_bytes: 3408, partitions_healed: 3, stale_epoch_dropped: 44, rollbacks_applied: 78, checkpoints_sent: 825, replicas_published: 119, replication_bytes: 859824"),
-    ("crash_inside_partition/lu", 5129516, 21190, 0x2a61a4bddd51349d, "slaves_declared_dead: 5, first_death: Some(t=0.618641s), restore_resends: 47, instr_resends: 2, invocation_start_resends: 2, done_dups_ignored: 9, checkpoints_banked: 38, rollbacks: 9, units_rolled_back: 360, speculations_launched: 3, joins_admitted: 4, rejoins_after_eviction: 4, join_snapshot_bytes: 4520, partitions_healed: 4, stale_epoch_dropped: 61, rollbacks_applied: 106, checkpoints_sent: 811, replicas_published: 118, replication_bytes: 849200"),
-    ("partition_heal_rejoin_lossy/lu", 57913695, 82980, 0x91753e454e945be1, "slaves_declared_dead: 23, first_death: Some(t=0.610509s), restore_resends: 142, instr_resends: 23, start_resends: 8, invocation_start_resends: 31, status_dups_ignored: 49, done_dups_ignored: 40, gather_dups_ignored: 3, checkpoints_banked: 36, rollbacks: 44, units_rolled_back: 1760, speculations_launched: 23, speculations_committed: 7, speculations_cancelled: 1, units_speculated: 95, joins_admitted: 22, rejoins_after_eviction: 22, join_snapshot_bytes: 23856, partitions_healed: 19, stale_epoch_dropped: 469, rollbacks_applied: 347, checkpoints_sent: 3818, speculations_computed: 11, replicas_published: 150, replication_bytes: 939888"),
+    ("master_mid_invocation/sor", 16174924, 4156, 0xba9ed2ae92e2189a, "restore_resends: 4, checkpoints_banked: 3, rollbacks: 1, units_rolled_back: 34, stale_epoch_dropped: 4, rollbacks_applied: 15, checkpoints_sent: 179, elections_held: 1, takeover_latency: Some(8.086125s), replicas_published: 6, replication_bytes: 3728"),
+    ("master_frozen_then_superseded/sor", 26797880, 5631, 0xecceb26d6bfd49b8, "slaves_declared_dead: 1, first_death: Some(t=24.175220s), restore_resends: 9, gather_resends: 3, gathers_interrupted: 1, checkpoints_banked: 4, rollbacks: 2, units_rolled_back: 68, stale_epoch_dropped: 41, rollbacks_applied: 42, checkpoints_sent: 351, elections_held: 1, takeover_latency: Some(8.086125s), replicas_published: 7, replication_bytes: 5016"),
+    ("drop16/sor", 55033970, 9192, 0x5355b0de3e83e8b3, "slaves_declared_dead: 4, first_death: Some(t=15.252935s), restore_resends: 428, start_resends: 141, invocation_start_resends: 141, gather_dups_ignored: 10, checkpoints_banked: 4, rollbacks: 5, units_rolled_back: 170, speculations_launched: 9, speculations_committed: 9, units_speculated: 120, stale_epoch_dropped: 353, rollbacks_applied: 59, checkpoints_sent: 120, speculations_computed: 9, replicas_published: 11, replication_bytes: 10648"),
+    ("dup16/sor", 10472091, 4065, 0x27996311a3abb02d, "start_resends: 4, invocation_start_resends: 4, status_dups_ignored: 7, checkpoints_banked: 3, checkpoints_sent: 104, replicas_published: 12, replication_bytes: 7536"),
+    ("jitter16/sor", 52160313, 9162, 0xd89691e86f71e147, "slaves_declared_dead: 3, first_death: Some(t=17.771740s), restore_resends: 383, start_resends: 4, invocation_start_resends: 4, gather_dups_ignored: 11, checkpoints_banked: 4, rollbacks: 7, units_rolled_back: 238, speculations_launched: 2, speculations_committed: 2, units_speculated: 68, stale_epoch_dropped: 346, rollbacks_applied: 91, checkpoints_sent: 123, speculations_computed: 2, replicas_published: 27, replication_bytes: 20376"),
+    ("master_mid_rollback/sor", 34494848, 5477, 0xa56e62c5564a731e, "slaves_declared_dead: 1, first_death: Some(t=24.031077s), restore_resends: 4, checkpoints_banked: 3, rollbacks: 1, units_rolled_back: 34, stale_epoch_dropped: 18, rollbacks_applied: 14, checkpoints_sent: 128, elections_held: 1, takeover_latency: Some(8.004202s), replicas_published: 8, replication_bytes: 5584"),
+    ("overlapping_crashes/sor", 22602919, 5325, 0x85ea5efd21e56e24, "slaves_declared_dead: 2, first_death: Some(t=8.017993s), restore_resends: 7, start_resends: 64, invocation_start_resends: 64, checkpoints_banked: 3, rollbacks: 3, units_rolled_back: 102, speculations_launched: 5, speculations_committed: 5, units_speculated: 77, stale_epoch_dropped: 2, rollbacks_applied: 42, checkpoints_sent: 101, speculations_computed: 5, replicas_published: 15, replication_bytes: 10560"),
+    ("master_mid_transfer/sor", 18633181, 4472, 0xd0211d7e82fe6579, "restore_resends: 8, checkpoints_banked: 3, rollbacks: 1, units_rolled_back: 34, transfer_resends: 1, transfer_dups_dropped: 1, stale_epoch_dropped: 8, rollbacks_applied: 15, checkpoints_sent: 176, elections_held: 1, takeover_latency: Some(8.085925s), replicas_published: 6, replication_bytes: 3968"),
+    ("double_failover/sor", 24105813, 4680, 0x81be281bb5f86d07, "restore_resends: 9, checkpoints_banked: 3, rollbacks: 2, units_rolled_back: 68, stale_epoch_dropped: 9, rollbacks_applied: 28, checkpoints_sent: 275, elections_held: 2, takeover_latency: Some(10.005026s), replicas_published: 3, replication_bytes: 1824"),
+    ("crash_in_gather/sor", 21097573, 5183, 0x9edeeefdece1167a, "slaves_declared_dead: 1, first_death: Some(t=18.473787s), restore_resends: 5, start_resends: 4, invocation_start_resends: 4, gather_resends: 3, gathers_interrupted: 1, checkpoints_banked: 3, rollbacks: 1, units_rolled_back: 34, stale_epoch_dropped: 5, rollbacks_applied: 15, checkpoints_sent: 215, replicas_published: 15, replication_bytes: 10320"),
+    ("crash_in_gather_lossy/sor", 61691009, 10038, 0x09406b08ddaf00cf, "slaves_declared_dead: 3, first_death: Some(t=18.929769s), restore_resends: 587, start_resends: 4, invocation_start_resends: 4, status_dups_ignored: 1, gather_dups_ignored: 15, checkpoints_banked: 4, rollbacks: 7, units_rolled_back: 238, speculations_launched: 5, speculations_committed: 5, units_speculated: 46, stale_epoch_dropped: 510, rollbacks_applied: 91, checkpoints_sent: 163, speculations_computed: 5, replicas_published: 24, replication_bytes: 18552"),
+    ("late_join/sor", 23600569, 42283, 0xbe375dcc87388c15, "slaves_declared_dead: 15, first_death: Some(t=1.810356s), restore_resends: 6089, start_resends: 56, invocation_start_resends: 56, done_dups_ignored: 28, gather_dups_ignored: 12, checkpoints_banked: 4, rollbacks: 30, units_rolled_back: 1020, speculations_launched: 15, speculations_committed: 1, speculations_cancelled: 11, units_speculated: 3, joins_admitted: 13, rejoins_after_eviction: 12, join_snapshot_bytes: 12048, partitions_healed: 9, stale_epoch_dropped: 5683, rollbacks_applied: 348, checkpoints_sent: 56, speculations_computed: 1, replicas_published: 41, replication_bytes: 23568"),
+    ("master_crash_join_in_flight/sor", 49897007, 30927, 0xba01dd5e12be1b46, "slaves_declared_dead: 14, first_death: Some(t=10.294265s), restore_resends: 3593, done_dups_ignored: 23, gather_dups_ignored: 21, gathers_interrupted: 2, checkpoints_banked: 4, rollbacks: 26, units_rolled_back: 884, speculations_launched: 16, speculations_committed: 4, speculations_cancelled: 9, units_speculated: 11, gather_dup_units_dropped: 2, joins_admitted: 10, rejoins_after_eviction: 9, join_snapshot_bytes: 9160, partitions_healed: 6, stale_epoch_dropped: 8179, rollbacks_applied: 620, checkpoints_sent: 749, speculations_computed: 8, elections_held: 1, takeover_latency: Some(8.099309s), replicas_published: 21, replication_bytes: 12048"),
+    ("late_join_lossy/sor", 47351163, 43698, 0x2871a094e8f82434, "slaves_declared_dead: 18, first_death: Some(t=1.823423s), restore_resends: 6762, start_resends: 54, invocation_start_resends: 54, status_dups_ignored: 10, done_dups_ignored: 41, gather_dups_ignored: 13, checkpoints_banked: 4, rollbacks: 36, units_rolled_back: 1224, speculations_launched: 18, speculations_committed: 7, speculations_cancelled: 2, units_speculated: 21, joins_admitted: 16, rejoins_after_eviction: 15, join_snapshot_bytes: 14856, partitions_healed: 12, stale_epoch_dropped: 6231, rollbacks_applied: 376, checkpoints_sent: 52, replicas_published: 47, replication_bytes: 26696"),
+    ("master_crash_join_in_flight_lossy/sor", 49615089, 32492, 0xf5455046162e9b9a, "slaves_declared_dead: 13, first_death: Some(t=10.318771s), restore_resends: 3775, status_dups_ignored: 5, done_dups_ignored: 14, gather_dups_ignored: 11, checkpoints_banked: 4, rollbacks: 24, units_rolled_back: 816, speculations_launched: 7, speculations_committed: 1, speculations_cancelled: 2, units_speculated: 3, joins_admitted: 12, rejoins_after_eviction: 11, join_snapshot_bytes: 11504, partitions_healed: 8, stale_epoch_dropped: 3432, rollbacks_applied: 241, checkpoints_sent: 299, elections_held: 1, takeover_latency: Some(8.099309s), replicas_published: 18, replication_bytes: 10504"),
+    ("partition_heal_rejoin/sor", 48225271, 11570, 0x7c4c8aca4aa4214a, "slaves_declared_dead: 2, first_death: Some(t=2.016622s), restore_resends: 117, instr_resends: 2, start_resends: 37, invocation_start_resends: 39, done_dups_ignored: 4, checkpoints_banked: 3, rollbacks: 3, units_rolled_back: 102, speculations_launched: 5, speculations_committed: 4, units_speculated: 10, joins_admitted: 1, rejoins_after_eviction: 1, join_snapshot_bytes: 1040, partitions_healed: 1, stale_epoch_dropped: 112, rollbacks_applied: 40, checkpoints_sent: 440, speculations_computed: 4, replicas_published: 17, replication_bytes: 10736"),
+    ("crash_inside_partition/sor", 48225271, 9871, 0xb7a2641a6f9418f4, "slaves_declared_dead: 3, first_death: Some(t=2.059375s), restore_resends: 61, instr_resends: 2, start_resends: 85, invocation_start_resends: 87, done_dups_ignored: 4, checkpoints_banked: 3, rollbacks: 5, units_rolled_back: 170, speculations_launched: 4, speculations_committed: 4, units_speculated: 10, joins_admitted: 1, rejoins_after_eviction: 1, join_snapshot_bytes: 1032, partitions_healed: 1, stale_epoch_dropped: 56, rollbacks_applied: 64, checkpoints_sent: 245, speculations_computed: 3, replicas_published: 20, replication_bytes: 12160"),
+    ("partition_heal_rejoin_lossy/sor", 52775809, 37343, 0x9bcfe80488a00ba4, "slaves_declared_dead: 10, first_death: Some(t=2.017641s), restore_resends: 3934, start_resends: 58, invocation_start_resends: 58, status_dups_ignored: 5, done_dups_ignored: 13, gather_dups_ignored: 17, checkpoints_banked: 4, rollbacks: 29, units_rolled_back: 986, speculations_launched: 7, speculations_committed: 4, units_speculated: 12, joins_admitted: 9, rejoins_after_eviction: 9, join_snapshot_bytes: 8744, partitions_healed: 9, stale_epoch_dropped: 3769, rollbacks_applied: 349, checkpoints_sent: 241, speculations_computed: 3, replicas_published: 51, replication_bytes: 31088"),
+    ("final_rollback_lost/sor", 52608720, 34124, 0xcb9e751294576247, "slaves_declared_dead: 11, first_death: Some(t=2.010367s), restore_resends: 1345, start_resends: 31, invocation_start_resends: 31, status_dups_ignored: 10, gather_dups_ignored: 1, checkpoints_banked: 4, rollbacks: 24, units_rolled_back: 816, joins_admitted: 11, rejoins_after_eviction: 11, join_snapshot_bytes: 9080, partitions_healed: 10, stale_epoch_dropped: 1103, rollbacks_applied: 250, checkpoints_sent: 651, replicas_published: 51, replication_bytes: 32688"),
+    ("master_mid_invocation/lu", 8750127, 10465, 0x945f0d7e87d799e0, "checkpoints_banked: 22, rollbacks: 1, units_rolled_back: 24, rollbacks_applied: 15, checkpoints_sent: 450, elections_held: 1, takeover_latency: Some(8.005222s), replicas_published: 47, replication_bytes: 24816"),
+    ("master_frozen_then_superseded/lu", 14260673, 11756, 0x7c6ed86ddc550be8, "checkpoints_banked: 22, rollbacks: 1, units_rolled_back: 24, rollbacks_applied: 15, checkpoints_sent: 450, elections_held: 1, takeover_latency: Some(8.005222s), replicas_published: 47, replication_bytes: 24816"),
+    ("drop16/lu", 244432764, 32322, 0x91888b66c47f020a, "slaves_declared_dead: 8, first_death: Some(t=19.052012s), restore_resends: 28, instr_resends: 19, start_resends: 2, invocation_start_resends: 21, done_dups_ignored: 22, checkpoints_banked: 21, rollbacks: 9, units_rolled_back: 216, speculations_launched: 26, speculations_committed: 25, speculations_cancelled: 1, units_speculated: 230, stale_epoch_dropped: 107, rollbacks_applied: 71, checkpoints_sent: 1797, speculations_computed: 18, replicas_published: 69, replication_bytes: 60632"),
+    ("dup16/lu", 777185, 9986, 0x4fdf87d86b092d0d, "status_dups_ignored: 24, gather_dups_ignored: 2, checkpoints_banked: 22, checkpoints_sent: 368, replicas_published: 69, replication_bytes: 36432"),
+    ("jitter16/lu", 1162262, 10360, 0x02cea3599e502276, "checkpoints_banked: 22, checkpoints_sent: 368, replicas_published: 69, replication_bytes: 36552"),
+    ("master_mid_rollback/lu", 24999860, 13690, 0x502609f00fd6688d, "slaves_declared_dead: 1, first_death: Some(t=24.213925s), checkpoints_banked: 24, rollbacks: 1, units_rolled_back: 24, stale_epoch_dropped: 106, rollbacks_applied: 14, checkpoints_sent: 696, speculations_computed: 3, elections_held: 1, takeover_latency: Some(8.004162s), replicas_published: 55, replication_bytes: 29680, checkpoints_lost_to_stale_replica: 2"),
+    ("master_inside_suspicion/lu", 21390549, 13150, 0x3c3b7fde71e0cc8a, "slaves_declared_dead: 1, first_death: Some(t=20.604614s), checkpoints_banked: 24, rollbacks: 1, units_rolled_back: 24, stale_epoch_dropped: 106, rollbacks_applied: 14, checkpoints_sent: 650, speculations_computed: 3, elections_held: 1, takeover_latency: Some(8.003861s), replicas_published: 55, replication_bytes: 29680, checkpoints_lost_to_stale_replica: 2"),
+    ("overlapping_crashes/lu", 16750444, 11922, 0xfbaa8591619e5e97, "slaves_declared_dead: 2, first_death: Some(t=8.204363s), restore_resends: 3, checkpoints_banked: 22, rollbacks: 2, units_rolled_back: 48, speculations_launched: 8, speculations_committed: 8, units_speculated: 60, stale_epoch_dropped: 6, rollbacks_applied: 28, checkpoints_sent: 521, speculations_computed: 8, replicas_published: 69, replication_bytes: 38352"),
+    ("master_mid_transfer/lu", 9847491, 10174, 0xcfbeda50a4b64bb2, "checkpoints_banked: 22, rollbacks: 1, units_rolled_back: 24, rollbacks_applied: 15, checkpoints_sent: 457, elections_held: 1, takeover_latency: Some(8.004471s), replicas_published: 44, replication_bytes: 23312"),
+    ("double_failover/lu", 18748156, 11792, 0xbe9195d45fc9ef95, "checkpoints_banked: 22, rollbacks: 2, units_rolled_back: 48, rollbacks_applied: 28, checkpoints_sent: 547, elections_held: 2, takeover_latency: Some(10.006031s), replicas_published: 33, replication_bytes: 17424"),
+    ("crash_in_gather/lu", 8801863, 11671, 0xdb25a9f1260969a2, "slaves_declared_dead: 1, first_death: Some(t=8.773681s), gather_resends: 3, gathers_interrupted: 1, checkpoints_banked: 23, rollbacks: 1, units_rolled_back: 24, rollbacks_applied: 15, checkpoints_sent: 705, replicas_published: 72, replication_bytes: 38976"),
+    ("crash_in_gather_lossy/lu", 75911817, 21256, 0x90da756bf6093bb5, "slaves_declared_dead: 4, first_death: Some(t=17.074781s), restore_resends: 4, instr_resends: 22, start_resends: 1, invocation_start_resends: 23, status_dups_ignored: 22, done_dups_ignored: 29, checkpoints_banked: 18, rollbacks: 4, units_rolled_back: 96, speculations_launched: 11, speculations_committed: 11, units_speculated: 110, stale_epoch_dropped: 16, rollbacks_applied: 48, checkpoints_sent: 1036, speculations_computed: 11, replicas_published: 69, replication_bytes: 45432"),
+    ("late_join/lu", 827115, 11109, 0x8b4a85a5587e86f5, "checkpoints_banked: 22, rollbacks: 1, units_rolled_back: 24, joins_admitted: 1, join_snapshot_bytes: 360, rollbacks_applied: 16, checkpoints_sent: 381, replicas_published: 72, replication_bytes: 38016"),
+    ("master_crash_join_in_flight/lu", 8777649, 13310, 0x7da52da0a0b61c6d, "checkpoints_banked: 22, rollbacks: 2, units_rolled_back: 48, joins_admitted: 1, join_snapshot_bytes: 552, stale_epoch_dropped: 10, rollbacks_applied: 29, checkpoints_sent: 890, elections_held: 1, takeover_latency: Some(8.018246s), replicas_published: 46, replication_bytes: 24288"),
+    ("late_join_lossy/lu", 50960943, 51537, 0x793afb72424540c9, "slaves_declared_dead: 5, first_death: Some(t=21.648903s), restore_resends: 13, instr_resends: 8, invocation_start_resends: 9, status_dups_ignored: 39, done_dups_ignored: 14, checkpoints_banked: 20, rollbacks: 12, units_rolled_back: 288, speculations_launched: 8, speculations_committed: 8, units_speculated: 104, joins_admitted: 6, rejoins_after_eviction: 5, join_snapshot_bytes: 2960, partitions_healed: 5, stale_epoch_dropped: 210, rollbacks_applied: 159, checkpoints_sent: 3293, speculations_computed: 6, replicas_published: 86, replication_bytes: 51168"),
+    ("master_crash_join_in_flight_lossy/lu", 41658663, 38052, 0x0b08a3a39757438f, "slaves_declared_dead: 6, first_death: Some(t=11.386893s), restore_resends: 30, instr_resends: 22, invocation_start_resends: 22, gather_resends: 1, status_dups_ignored: 19, done_dups_ignored: 29, gather_dups_ignored: 1, checkpoints_banked: 21, rollbacks: 14, units_rolled_back: 336, speculations_launched: 8, speculations_committed: 8, units_speculated: 148, joins_admitted: 6, rejoins_after_eviction: 6, join_snapshot_bytes: 2896, partitions_healed: 6, stale_epoch_dropped: 171, rollbacks_applied: 171, checkpoints_sent: 2574, speculations_computed: 8, elections_held: 1, takeover_latency: Some(8.052168s), replicas_published: 51, replication_bytes: 29488"),
+    ("partition_heal_rejoin/lu", 4396765, 21186, 0x8a9d3ac06f7c561b, "slaves_declared_dead: 3, first_death: Some(t=0.618641s), restore_resends: 26, done_dups_ignored: 5, checkpoints_banked: 38, rollbacks: 6, units_rolled_back: 240, speculations_launched: 2, joins_admitted: 3, rejoins_after_eviction: 3, join_snapshot_bytes: 3408, partitions_healed: 3, stale_epoch_dropped: 44, rollbacks_applied: 78, checkpoints_sent: 827, replicas_published: 119, replication_bytes: 63232"),
+    ("crash_inside_partition/lu", 5129093, 21188, 0x7cab9b5cb9557782, "slaves_declared_dead: 5, first_death: Some(t=0.618641s), restore_resends: 47, instr_resends: 3, invocation_start_resends: 3, done_dups_ignored: 10, checkpoints_banked: 38, rollbacks: 9, units_rolled_back: 360, speculations_launched: 3, joins_admitted: 4, rejoins_after_eviction: 4, join_snapshot_bytes: 4520, partitions_healed: 4, stale_epoch_dropped: 61, rollbacks_applied: 106, checkpoints_sent: 812, replicas_published: 118, replication_bytes: 62784"),
+    ("partition_heal_rejoin_lossy/lu", 47204409, 65425, 0xf8cf4b820923a3fe, "slaves_declared_dead: 21, first_death: Some(t=0.610509s), restore_resends: 90, instr_resends: 16, start_resends: 8, invocation_start_resends: 24, status_dups_ignored: 53, done_dups_ignored: 29, gather_dups_ignored: 14, checkpoints_banked: 36, rollbacks: 38, units_rolled_back: 1520, speculations_launched: 17, speculations_committed: 7, units_speculated: 132, joins_admitted: 19, rejoins_after_eviction: 19, join_snapshot_bytes: 21400, partitions_healed: 16, stale_epoch_dropped: 376, rollbacks_applied: 276, checkpoints_sent: 2871, speculations_computed: 7, replicas_published: 147, replication_bytes: 80976"),
     ("converges_early4/mm", 8298050, 796, 0xf4390f20a01ad864, "slaves_declared_dead: 1, first_death: Some(t=8.291074s), restore_resends: 3, done_dups_ignored: 3, speculations_launched: 1, speculations_committed: 1, units_speculated: 6, speculations_computed: 1, replicas_published: 6, replication_bytes: 3480"),
-    ("quiet31/sor", 6053941, 5032, 0x45ccaa902554824a, "start_resends: 1, invocation_start_resends: 1, checkpoints_banked: 2, checkpoints_sent: 123, replicas_published: 9, replication_bytes: 50007"),
+    ("quiet31/sor", 6053941, 5032, 0x21f3825f0feb418f, "start_resends: 1, invocation_start_resends: 1, checkpoints_banked: 2, checkpoints_sent: 123, replicas_published: 9, replication_bytes: 6687"),
     ("plain_load4/mm/sync", 1672999, 939, 0xdbcb800b21f443a6, ""),
     ("plain_load4/mm/pipe", 1643553, 929, 0xfeaa37cc3d83d307, ""),
     ("plain_load16/mm/sync", 5232675, 2401, 0x07b2bdd8f3958a48, ""),
@@ -640,5 +659,5 @@ const GOLDEN: &[(&str, u64, u64, u64, &str)] = &[
     ("plain_converges_early4/mm", 489319, 446, 0xbd6423d12f3f3977, ""),
     ("slow_wire4/mm", 3337926, 975, 0x3a061311ab6784c3, "status_dups_ignored: 21, done_dups_ignored: 2, gather_dups_ignored: 5, replicas_published: 9, replication_bytes: 4140"),
     ("slow_wire16/mm", 2841982, 2588, 0x56a485d04c4915d4, "status_dups_ignored: 60, done_dups_ignored: 1, gather_dups_ignored: 20, replicas_published: 9, replication_bytes: 4992"),
-    ("stale_gather4/sor", 42539748, 2815, 0xd4f6c65724b838e3, "instr_resends: 6, start_resends: 2, invocation_start_resends: 10, done_dups_ignored: 16, checkpoints_banked: 3, rollbacks: 2, units_rolled_back: 32, rollbacks_applied: 6, checkpoints_sent: 78, speculations_computed: 1, elections_held: 1, takeover_latency: Some(8.003292s), replicas_published: 15, replication_bytes: 25860"),
+    ("stale_gather4/sor", 41195462, 2515, 0xbb232ce7a1986cd4, "instr_resends: 6, start_resends: 2, invocation_start_resends: 10, done_dups_ignored: 16, checkpoints_banked: 4, rollbacks: 1, units_rolled_back: 16, rollbacks_applied: 3, checkpoints_sent: 72, speculations_computed: 1, elections_held: 1, takeover_latency: Some(8.003292s), replicas_published: 9, replication_bytes: 6180"),
 ];
