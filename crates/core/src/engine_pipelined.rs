@@ -33,7 +33,7 @@ use crate::kernels::PipelinedKernel;
 use crate::msg::{column, Edge, MoveOrder, MovedUnit, Msg, SharedUnits, TransferMsg, UnitData};
 use crate::session::slave::SlaveSpec;
 use crate::session::strategy::{BarrierMsg, DistributionStrategy};
-use crate::slave_common::{RollbackInfo, SlaveCommon, StartInfo};
+use crate::slave_common::{RollbackInfo, SlaveCommon, StartInfo, Wait};
 use dlb_sim::MailCtx;
 use std::ops::Range;
 use std::sync::Arc;
@@ -389,7 +389,7 @@ async fn fetch_left_halo(
                     if *sweep == want_sweep && *block == b && *col == want_col)
                         || matches!(m, Msg::Transfer(_))
                 },
-                "left halo boundary",
+                Wait::on_peer("left halo boundary", ctx.now()),
             )
             .await?;
         match env.msg {
@@ -483,7 +483,7 @@ async fn sweep_body(
         let env = common.recv_blocking(
             ctx,
             |m| matches!(m, Msg::SweepOld { sweep, col, .. } if *sweep == want && *col == want_col),
-            "right neighbour sweep-old column",
+            Wait::on_peer("right neighbour sweep-old column", ctx.now()),
         ).await?;
         match env.msg {
             Msg::SweepOld { values, .. } => values,

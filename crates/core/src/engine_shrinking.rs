@@ -21,14 +21,25 @@
 //! broadcasts surviving from before a rollback are bit-identical to their
 //! replayed versions; transfers and balancing instructions are
 //! epoch-fenced, pivots are not. That is load-bearing, not a nicety: a
-//! broadcast is sent once, and after a rollback the first survivor to
-//! replay the resumed step broadcasts its pivot while the master is still
-//! shipping the other survivors' `Rollback`s, so the pivot routinely
-//! *overtakes the receiver's own rollback*. A receiver that dropped it then
-//! waits for a broadcast nobody repeats until the failure detector evicts
-//! someone. So [`DistributionStrategy::restore`] keeps what is banked, and
-//! the receives that run without a strategy leave pivots queued
+//! broadcast is sent once, and asked for again, and after a rollback the
+//! first survivor to replay the resumed step broadcasts its pivot while
+//! the master is still shipping the other survivors' `Rollback`s, so the
+//! pivot routinely *overtakes the receiver's own rollback*. A receiver that
+//! dropped it would have to ask a peer for it once per heartbeat. So
+//! [`DistributionStrategy::restore`] keeps what is banked, and the receives
+//! that run without a strategy leave pivots queued
 //! ([`Msg::can_go_stale`]).
+//!
+//! ## A lost pivot is asked for again
+//!
+//! A broadcast lost on the wire has no sender to repeat it. The wait for
+//! it asks a live peer with a [`Msg::PivotWanted`] in each silent
+//! heartbeat slice (`SlaveCommon::wait`). No live peer passes the barrier
+//! of step `k` before the asker reports step `k`, so every one of them
+//! holds pivot `k` in its window, owns column `k` retired and rebuilds the
+//! payload bit-identically, or is blocked on it too — and then answers from
+//! its next drain, right after its own copy arrives. Answers go out as
+//! ordinary [`Msg::Pivot`]s, from the barrier and from every drain.
 //!
 //! ## What a slave keeps
 //!
@@ -52,7 +63,7 @@ use crate::kernels::ShrinkingKernel;
 use crate::msg::{column, Edge, MoveOrder, MovedUnit, Msg, SharedUnits, TransferMsg, UnitData};
 use crate::session::slave::SlaveSpec;
 use crate::session::strategy::{BarrierMsg, DistributionStrategy};
-use crate::slave_common::{RollbackInfo, SlaveCommon, StartInfo};
+use crate::slave_common::{RollbackInfo, SlaveCommon, StartInfo, Wait};
 use dlb_sim::MailCtx;
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
@@ -198,7 +209,7 @@ impl DistributionStrategy for ShrinkingStrategy {
         step(ctx, common, st, kernel, k).await?;
         // Flush the final partial period (and execute any late moves)
         // before reporting the step done.
-        drain_transfers(ctx, common, st, k).await?;
+        drain_transfers(ctx, common, st, kernel, k).await?;
         let moves = common.fire(ctx, inv, st.active.len() as u64).await?;
         execute_moves(ctx, common, st, k, moves).await
     }
@@ -240,6 +251,10 @@ impl DistributionStrategy for ShrinkingStrategy {
                 // A pivot broadcast racing ahead of the release (or of our
                 // own rollback); bank it.
                 st.pivots.bank(step as usize, values);
+                return Ok(BarrierMsg::Consumed);
+            }
+            (_, Msg::PivotWanted { step, from }) => {
+                answer_pivot(ctx, common, st, kernel, step as usize, from).await;
                 return Ok(BarrierMsg::Consumed);
             }
             (_, other) => return Ok(BarrierMsg::Pass(other)),
@@ -378,7 +393,7 @@ async fn step(
             .recv_blocking(
                 ctx,
                 |m| matches!(m, Msg::Pivot { step, .. } if *step == want),
-                "pivot broadcast",
+                Wait::for_pivot(want, ctx.now()),
             )
             .await?;
         if let Msg::Pivot { values, .. } = env.msg {
@@ -390,7 +405,7 @@ async fn step(
     // first, hooking after each column update.
     st.cursor = 0;
     loop {
-        drain_transfers(ctx, common, st, k).await?;
+        drain_transfers(ctx, common, st, kernel, k).await?;
         let Some(j) = st.next_behind(k) else { break };
         update_column(ctx, common, st, kernel, j, k).await?;
         let active = st.active.len() as u64;
@@ -500,10 +515,35 @@ fn incorporate(
     Ok(())
 }
 
+/// Answer slave `from`'s [`Msg::PivotWanted`] for `step`: from the window,
+/// or — when column `step` retired here — with the payload rebuilt from
+/// it, bit-identical to the broadcast. A miss sends nothing.
+async fn answer_pivot(
+    ctx: &MailCtx<Msg>,
+    common: &SlaveCommon,
+    st: &State,
+    kernel: &dyn ShrinkingKernel,
+    step: usize,
+    from: usize,
+) {
+    let retired = st.retired.iter().find(|(id, _)| *id == step);
+    let values = match (st.pivots.get(step), retired) {
+        (Some(values), _) => values.clone(),
+        (None, Some((_, col))) => kernel.pivot_payload(step, &col[0]),
+        (None, None) => return,
+    };
+    let msg = Msg::Pivot {
+        step: step as u64,
+        values,
+    };
+    common.send_slave(ctx, from, msg).await;
+}
+
 async fn drain_transfers(
     ctx: &MailCtx<Msg>,
     common: &mut SlaveCommon,
     st: &mut State,
+    kernel: &dyn ShrinkingKernel,
     k: usize,
 ) -> Result<(), ProtocolError> {
     common.drain_control(ctx).await?;
@@ -522,6 +562,14 @@ async fn drain_transfers(
         }
     }
     if common.ft.is_some() {
+        // Then answer the peers that asked for one, the asks that queued
+        // while this slave was blocked on the same pivot included.
+        let wanted = |m: &Msg| matches!(m, Msg::PivotWanted { .. });
+        while let Some(env) = ctx.try_recv_match(wanted).await {
+            if let Msg::PivotWanted { step, from } = env.msg {
+                answer_pivot(ctx, common, st, kernel, step as usize, from).await;
+            }
+        }
         let shutdown = |m: &Msg| matches!(m, Msg::Abort | Msg::Evict);
         if let Some(env) = ctx.try_recv_match(shutdown).await {
             common.service(ctx, &env.msg).await?;
@@ -630,6 +678,46 @@ mod tests {
         p.begin_step(4);
         assert_eq!(p.get(2), None);
         assert!(p.held.is_empty());
+    }
+
+    /// A peer's `PivotWanted` is answered from the window, or with the
+    /// payload rebuilt from the retired column; a miss sends nothing.
+    #[test]
+    fn a_wanted_pivot_is_answered_from_the_window_or_a_retired_column() {
+        let heard = Arc::new(Mutex::new(Vec::new()));
+        let sink = Arc::clone(&heard);
+        let mut sim = SimBuilder::<Msg>::new();
+        let nodes = [(); 2].map(|()| sim.add_node(NodeConfig::default()));
+        sim.spawn_mail(nodes[0], "slave0", move |ctx| async move {
+            let (mut lu, mut common) = lone(6);
+            common.slaves.push(ActorId(1));
+            // Column 1 retired here; step 3 is in progress, its pivot in
+            // the window; step 2's is nowhere.
+            lu.st.retired.push((1, Arc::new(vec![vec![7.0]])));
+            lu.st.pivots.begin_step(3);
+            lu.st.pivots.bank(3, vec![3.0]);
+            for step in [3, 1, 2] {
+                let ask = Msg::PivotWanted { step, from: 1 };
+                let took = lu.on_barrier_msg(&ctx, &mut common, Some(3), ask).await;
+                assert!(matches!(took, Ok(BarrierMsg::Consumed)));
+            }
+        });
+        sim.spawn_mail(nodes[1], "asker", move |ctx| async move {
+            while let Some(env) = ctx.recv_deadline(dlb_sim::SimTime(1_000_000)).await {
+                sink.lock().unwrap().push(env.msg);
+            }
+        });
+        sim.run();
+        let answers: Vec<(u64, Vec<f64>)> = heard
+            .lock()
+            .unwrap()
+            .drain(..)
+            .map(|m| match m {
+                Msg::Pivot { step, values } => (step, values),
+                m => panic!("{m:?}"),
+            })
+            .collect();
+        assert_eq!(answers, [(3, vec![3.0]), (1, vec![7.0])]);
     }
 
     /// Run a lone slave through every step of an `n`-column problem inside

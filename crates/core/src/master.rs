@@ -75,7 +75,7 @@
 //! | 6 | policy-own messages: every arm `drive` does not share | `own_msg` | `OwnReport` | `Checkpoint`, stray `GatherData`; the other policy's messages end in `UnexpectedMessage` naming the policy and the phase (silently tolerated under a takeover) |
 //! | 7 | `SlaveError` from a member | `member_error` | fatal: `SlaveFailed` | once its window is acked: evict unless the error is survivable, roll back, restart the invocation |
 //! | 8 | suspicion expires | `evict_in_place`, `fence`, `awaits`, `renotify` | evict inside the sweep (several per sweep, before the deputies are pinged), fence with `Evicted`, wait for `OwnReport`s — a slave one of them is awaited from is never "settled", awaiting survivors are re-notified on the nudge timer, and the barrier stays shut while an eviction is open | first suspect only, after the ping: evict, roll back, restart the invocation |
-//! | 9 | speculation launch | `speculate` | suspect's units from initial data; not while an eviction is open, not for a slave that owns nothing | whole banked snapshot, advanced one invocation; not for a suspect that is done, not past the invocation being settled |
+//! | 9 | speculation launch | `speculate` | suspect's units from initial data; not while an eviction is open, not for a slave that owns nothing | whole banked snapshot, advanced one invocation; not for a suspect that is done or already raced in this invocation, not past the invocation being settled |
 //! | 10 | an invocation settles | `fold_invocation_time` | — | its wall time folds into the restart-cost EMA |
 //! | 11 | gather | `gathered`, `ack_delivery` | ack each `GatherData` at once; done when every live slave delivered; a death is absorbed and the safety net recomputes whatever no survivor delivered | ack only when all `n_units` are in hand (a death or a survivable `SlaveError` rolls back and redoes the run from the checkpoint, which needs every slave resident) |
 //!

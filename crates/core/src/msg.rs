@@ -444,6 +444,16 @@ pub enum Msg {
         step: u64,
         values: Vec<f64>,
     },
+    /// Shrinking, fault mode: slave `from` is blocked on the pivot of
+    /// `step` and asks a peer for it again, once per silent heartbeat slice
+    /// (a fault-free run sends none). A peer that holds it, in its window
+    /// or as the retired column it rebuilds the payload from, answers with
+    /// an ordinary [`Msg::Pivot`]; one that does not stays silent, and the
+    /// next slice asks the next peer.
+    PivotWanted {
+        step: u64,
+        from: usize,
+    },
     // ---- fault-tolerance protocol ----
     /// Master → slave: adopt these units of a dead slave. `invocation` is the
     /// current barrier; the receiver replays each unit's computation up to it.
@@ -594,11 +604,13 @@ impl Msg {
 
     /// Everything but a pivot broadcast. A pivot payload is a pure function
     /// of step-start state, so one sent before a rollback is bit-identical
-    /// to its replay: it carries no epoch, is sent once, and is never stale.
-    /// A receive that runs with no strategy to bank it (the join handshake
-    /// and the park before it, the rescue and gather-ack waits) takes only
-    /// what can go stale and leaves the rest queued for the step that will
-    /// ask for it.
+    /// to its replay: it carries no epoch, is broadcast once (and sent again
+    /// only to a peer that asks), and is never stale. A receive that runs
+    /// with no strategy to bank it (the join handshake and the park before
+    /// it, the rescue and gather-ack waits) takes only what can go stale and
+    /// leaves the rest queued for the step that will ask for it. A
+    /// [`Msg::PivotWanted`] can go stale: such a receive has nothing to
+    /// answer it from, and the asker asks again on its next silent slice.
     pub(crate) fn can_go_stale(&self) -> bool {
         !matches!(self, Msg::Pivot { .. })
     }
@@ -651,7 +663,7 @@ impl Msg {
             | Msg::TransferAck { .. }
             | Msg::SpecCancel { .. } => HDR,
             Msg::Alive { .. } | Msg::JoinRefuse { .. } => HDR + 8,
-            Msg::Join { .. } => HDR + 16,
+            Msg::Join { .. } | Msg::PivotWanted { .. } => HDR + 16,
             Msg::SlaveError { error, .. } => HDR + 8 + error.payload_bytes(),
             Msg::Failover(FailoverMsg::Replica(r)) => {
                 // Fixed scalars + membership bitmap + incarnation table +

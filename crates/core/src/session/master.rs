@@ -157,6 +157,12 @@ pub(crate) struct RollbackState {
     bank: CheckpointBank,
     /// In-flight snapshot speculation, at most one.
     spec: Option<SnapshotSpec>,
+    /// Per slave, the invocation it was last raced in: a suspect is raced
+    /// at most once per invocation. The executor's own barrier fragment
+    /// commits a race at once (ROADMAP 1(b)(iii)), so without this a
+    /// suspect that stays silent is raced again on every sweep, each race
+    /// on the next idle slave and each with its own copy of the grid.
+    raced: Vec<Option<u64>>,
     /// Exponential moving average of the invocation wall time (seconds),
     /// for the restart-cost estimate fed to the balancer.
     ema_s: f64,
@@ -640,7 +646,8 @@ impl Policy {
     /// nothing. Rollback hands the executor the banked snapshot, which it
     /// advances by one invocation and returns as an ordinary checkpoint, so
     /// an eviction rolls back one invocation less — never for a suspect
-    /// that is done (only its window lags), never past the invocation being
+    /// that is done (only its window lags) or already raced in this
+    /// invocation ([`RollbackState::raced`]), never past the invocation being
     /// settled (that would race work the run has not reached; the corner
     /// where a complete checkpoint for the next barrier already banked
     /// needs no race at all). Both decide before they source anything:
@@ -674,9 +681,11 @@ impl Policy {
             }
             Policy::Rollback(rb) => {
                 let banked = rb.bank.best_invocation();
-                if rb.spec.is_some() || st.memb.done[suspect] || banked > Some(st.inv) {
+                let raced = rb.raced[suspect] == Some(st.inv);
+                if rb.spec.is_some() || raced || st.memb.done[suspect] || banked > Some(st.inv) {
                     return;
                 }
+                rb.raced[suspect] = Some(st.inv);
                 let (invocation, units) = rb
                     .bank
                     .rollback_snapshot(st.n_units, &|id| rb.app.initial_unit(id));
@@ -836,6 +845,7 @@ impl Session {
                 app: app.clone(),
                 bank: CheckpointBank::new(),
                 spec: None,
+                raced: vec![None; n],
                 ema_s: 0.0,
                 join_epoch: vec![term << 32; n],
             }),
@@ -1399,6 +1409,41 @@ mod tests {
             // The executor's late checkpoint now commits nothing.
             Policy::on_checkpoint(&mut sess, 1, 2, ckpt(2.0));
             assert_eq!(sess.rec.speculations_committed, 1);
+        });
+    }
+
+    /// The executor's barrier fragment commits a race at once, so a suspect
+    /// that stays silent would be raced again on every sweep, each time on
+    /// the next idle slave: it is raced once per invocation instead.
+    #[test]
+    fn a_silent_suspect_is_raced_once_per_invocation() {
+        in_actor(4, |ctx, slaves| async move {
+            let ctx = &ctx;
+            let mut sess = session(ctx, &slaves, rollback());
+            sess.memb.done[1] = true;
+            sess.memb.done[2] = true;
+            Policy::speculate(&mut sess, ctx, 0).await;
+            assert_eq!(raced(&sess, 1), [0]);
+            // Slave 1 reaches the barrier of invocation 0: its fragment of
+            // the snapshot at 1 commits the race.
+            Policy::on_checkpoint(&mut sess, 1, 1, checkpoint(1, 1.0));
+            assert_eq!(sess.rec.speculations_committed, 1);
+            // Slave 0 is still silent and slave 2 idle: no second race.
+            Policy::speculate(&mut sess, ctx, 0).await;
+            assert!(raced(&sess, 2).is_empty());
+            // Another suspect is raced, once.
+            Policy::speculate(&mut sess, ctx, 3).await;
+            assert_eq!(raced(&sess, 2), [0]);
+            Policy::cancel_race(&mut sess, ctx, 3, false).await;
+            let spec_seq = sess.win[2].seq_sent();
+            sess.win[2].ack(spec_seq);
+            Policy::speculate(&mut sess, ctx, 3).await;
+            assert_eq!(sess.rec.speculations_launched, 2);
+            // The next invocation races slave 0 again.
+            sess.inv = 1;
+            Policy::speculate(&mut sess, ctx, 0).await;
+            assert_eq!(raced(&sess, 2), [0]);
+            assert_eq!(sess.rec.speculations_launched, 3);
         });
     }
 

@@ -274,7 +274,8 @@ async fn run_invocations<S: DistributionStrategy>(
                 matches!(m, Msg::InvocationStart { .. } | Msg::Instructions(_))
                     || S::consumes_before_release(m)
             };
-            match common.recv_blocking(ctx, pred, context).await?.msg {
+            let wait = Wait::on_peer(context, ctx.now());
+            match common.recv_blocking(ctx, pred, wait).await?.msg {
                 Msg::InvocationStart { invocation: 0 } => break,
                 m @ Msg::InvocationStart { .. } => return Err(common.unexpected(context, &m)),
                 m => match strategy.on_barrier_msg(ctx, common, None, m).await? {
@@ -510,6 +511,8 @@ mod tests {
         /// invocation after that forwards to the master whatever it finds
         /// queued that cannot go stale.
         wedged: Option<bool>,
+        /// Each invocation first waits for the pivot of step 0.
+        pivots: bool,
     }
 
     impl<const SNAPSHOTS: bool> DistributionStrategy for Toy<SNAPSHOTS> {
@@ -539,6 +542,12 @@ mod tests {
                     column: 0,
                     slave: common.idx,
                 });
+            }
+            if self.pivots {
+                let pivot = |m: &Msg| matches!(m, Msg::Pivot { .. });
+                common
+                    .recv_blocking(ctx, pivot, Wait::for_pivot(0, ctx.now()))
+                    .await?;
             }
             while let Some(env) = ctx.try_recv_match(|m| !m.can_go_stale()).await {
                 common.send_master(ctx, env.msg).await;
@@ -599,15 +608,15 @@ mod tests {
     /// Run slave `rank` through the whole shell against an inert master
     /// stub that plays `Start`, then `script` (`(send time in ms,
     /// message)`), then `Abort` at `abort_ms`. Every other slot of the
-    /// `Start` is one peer stub. Returns what the master stub and what the
-    /// peer stub were sent until then.
+    /// `Start` is a peer stub. Returns what the master stub was sent until
+    /// then, and what the peer stubs were, by slot, in arrival order.
     fn against_stubs<const SNAPSHOTS: bool>(
         shell: Shell,
         toy: Toy<SNAPSHOTS>,
         script: Vec<(u64, Msg)>,
         abort_ms: u64,
-    ) -> (Vec<Msg>, Vec<Msg>) {
-        let (master, peer, end) = (ActorId(1), ActorId(2), SimTime(abort_ms * 1000));
+    ) -> (Vec<Msg>, Vec<(usize, Msg)>) {
+        let (master, end) = (ActorId(1), SimTime(abort_ms * 1000));
         let spec = SlaveSpec {
             idx: shell.rank,
             master,
@@ -617,15 +626,23 @@ mod tests {
             join_at: None,
         };
         let mut sim = SimBuilder::<Msg>::new();
-        let nodes = [(); 3].map(|()| sim.add_node(NodeConfig::default()));
+        // One node each: the slave, the master, and a peer per other slot.
+        let nodes: Vec<_> = (0..=shell.n)
+            .map(|_| sim.add_node(NodeConfig::default()))
+            .collect();
         let make = move |_: &_, _: &_| Ok(toy);
         let slave = sim.spawn_mail(nodes[0], "slave", move |ctx| run_slave(spec, make, ctx));
-        let mut slaves = vec![peer; shell.n];
-        slaves[shell.rank] = slave;
+        // The peers are spawned after the master, in slot order.
+        let peers: Vec<usize> = (0..shell.n).filter(|&s| s != shell.rank).collect();
+        let mut slaves = vec![slave; shell.n];
+        for (i, &s) in peers.iter().enumerate() {
+            slaves[s] = ActorId(2 + i);
+        }
         let mut assignment = vec![(0, 0); shell.n];
         assignment[shell.rank] = (0, 1);
-        let heard = [(); 2].map(|()| Arc::new(Mutex::new(Vec::new())));
-        let sink = Arc::clone(&heard[0]);
+        let to_master = Arc::new(Mutex::new(Vec::new()));
+        let to_peers = Arc::new(Mutex::new(Vec::new()));
+        let sink = Arc::clone(&to_master);
         sim.spawn_mail(nodes[1], "master", move |ctx| async move {
             let start = Msg::Start {
                 slaves,
@@ -641,15 +658,23 @@ mod tests {
                 ctx.send(slave, msg, bytes).await;
             }
         });
-        let sink = Arc::clone(&heard[1]);
-        sim.spawn_mail(nodes[2], "peer", move |ctx| async move {
-            while let Some(env) = ctx.recv_deadline(end).await {
-                sink.lock().unwrap().push(env.msg);
-            }
-        });
+        for (&s, &node) in peers.iter().zip(&nodes[2..]) {
+            let sink = Arc::clone(&to_peers);
+            sim.spawn_mail(node, format!("peer{s}"), move |ctx| async move {
+                while let Some(env) = ctx.recv_deadline(end).await {
+                    sink.lock().unwrap().push((s, env.msg));
+                }
+            });
+        }
         sim.run();
-        let [to_master, to_peer] = heard.map(|h| std::mem::take(&mut *h.lock().unwrap()));
-        (to_master, to_peer)
+        let heard = std::mem::take(&mut *to_master.lock().unwrap());
+        let peers_heard = std::mem::take(&mut *to_peers.lock().unwrap());
+        (heard, peers_heard)
+    }
+
+    /// What the peer stubs heard, slots dropped.
+    fn msgs(peers_heard: Vec<(usize, Msg)>) -> Vec<Msg> {
+        peers_heard.into_iter().map(|(_, m)| m).collect()
     }
 
     /// [`against_stubs`] for a slave that never messages a peer: what the
@@ -710,18 +735,27 @@ mod tests {
     const FINAL: Toy<false> = Toy {
         ends_anywhere: false,
         wedged: None,
+        pivots: false,
     };
     const ANYWHERE: Toy<false> = Toy {
         ends_anywhere: true,
         wedged: None,
+        pivots: false,
     };
     const SNAPSHOTTING: Toy<true> = Toy {
         ends_anywhere: true,
         wedged: None,
+        pivots: false,
+    };
+    const PIVOTAL: Toy<false> = Toy {
+        ends_anywhere: true,
+        wedged: None,
+        pivots: true,
     };
     const WEDGED: Toy<false> = Toy {
         ends_anywhere: true,
         wedged: Some(true),
+        pivots: false,
     };
 
     fn rollback(invocation: u64, survivors: Vec<usize>) -> Msg {
@@ -782,7 +816,7 @@ mod tests {
         let script = vec![(0, release(0)), (5, promoted), (10, Msg::Gather)];
         let (old, new) = against_stubs(Shell { n: 2, ..armed() }, FINAL, script, MINUTE);
         assert_eq!(kinds(&old), ["done"]);
-        assert_eq!(kinds(&new), ["unexpected"]);
+        assert_eq!(kinds(&msgs(new)), ["unexpected"]);
     }
 
     /// A snapshotting slave answers every `Promoted` of the term it adopted
@@ -803,6 +837,7 @@ mod tests {
         let script = [(0, release(0))].into_iter().chain(reign).chain(gather);
         let shell = Shell { n: 2, ..armed() };
         let (old, new) = against_stubs(shell, SNAPSHOTTING, script.collect(), MINUTE);
+        let new = msgs(new);
         let [Msg::InvocationDone { .. }, Msg::Checkpoint { units: shipped, .. }] = &old[..] else {
             panic!("{old:?}");
         };
@@ -963,6 +998,40 @@ mod tests {
         let heard = against_stub(undeputised(), FINAL, pings, MINUTE);
         assert_heard(&heard, &[], 6, &["alive"], "timeout");
         assert_eq!(timeout(&heard), ("toy release", 300));
+    }
+
+    /// The same wait for a pivot knows whom it waits on: it asks nobody
+    /// before its first silent slice, then one live peer per silent slice —
+    /// the nearest lower slot first, one further each time, skipping the
+    /// dead — past the window of `Alive`s, up to the deadline.
+    #[test]
+    fn a_pivot_wait_asks_a_rotating_live_peer_in_each_silent_slice() {
+        let pivot = Msg::Pivot {
+            step: 0,
+            values: vec![1.0],
+        };
+        let gather = [(600, Msg::Gather), (700, Msg::GatherAck)];
+        let script = [(0, release(0)), (500, pivot)].into_iter().chain(gather);
+        let (heard, asked) = against_stubs(undeputised(), PIVOTAL, script.collect(), MINUTE);
+        assert!(asked.is_empty(), "{asked:?}");
+        assert_eq!(kinds(&heard), ["done", "data"]);
+
+        // Slot 1 is evicted after it was asked.
+        let script = vec![(0, release(0)), (2_500, Msg::Evicted { slave: 1 })];
+        let (heard, asked) = against_stubs(undeputised(), PIVOTAL, script, MINUTE);
+        assert_heard(&heard, &[], 7, &["alive"], "timeout");
+        assert_eq!(timeout(&heard), ("pivot broadcast", 300));
+        let to: Vec<usize> = asked
+            .into_iter()
+            .map(|(slot, m)| match m {
+                Msg::PivotWanted { step: 0, from: 3 } => slot,
+                m => panic!("{m:?}"),
+            })
+            .collect();
+        // Two silent slices before the eviction, 27 after it; the 30th
+        // ends the wait.
+        let after = [2, 0].into_iter().cycle().take(27);
+        assert_eq!(to, [2, 1].into_iter().chain(after).collect::<Vec<_>>());
     }
 
     /// `barrier`: the done report and the checkpoint once on arrival and

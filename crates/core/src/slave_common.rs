@@ -174,6 +174,9 @@ pub(crate) struct Wait {
     what: &'static str,
     since: SimTime,
     silent: u32,
+    /// The wait-for edge, where the waiter knows it (ROADMAP 1(b)): the
+    /// pivot step an `OnPeer` wait asks a peer for in each silent slice.
+    pivot: Option<u64>,
 }
 
 impl Wait {
@@ -183,6 +186,21 @@ impl Wait {
             what,
             since,
             silent: 0,
+            pivot: None,
+        }
+    }
+
+    /// A [`Blocked::OnPeer`] wait for what `what` names.
+    pub(crate) fn on_peer(what: &'static str, since: SimTime) -> Wait {
+        Wait::new(Blocked::OnPeer, what, since)
+    }
+
+    /// The [`Blocked::OnPeer`] wait for the pivot of `step`, which asks a
+    /// live peer for it in each silent slice.
+    pub(crate) fn for_pivot(step: u64, since: SimTime) -> Wait {
+        Wait {
+            pivot: Some(step),
+            ..Wait::on_peer("pivot broadcast", since)
         }
     }
 }
@@ -680,6 +698,27 @@ impl SlaveCommon {
         Ok(())
     }
 
+    /// The `nth` silent slice of the wait for the pivot of `step` asks a
+    /// live peer for it: the nearest lower index first, one live peer
+    /// further per slice, wrapping round. Every live peer holds that pivot,
+    /// can rebuild it, or is blocked on it too (DESIGN.md §11).
+    async fn ask_for_pivot(&self, ctx: &MailCtx<Msg>, step: u64, nth: u32) {
+        let (me, n) = (self.idx, self.slaves.len());
+        let peers = || {
+            (1..n)
+                .map(move |d| (me + n - d) % n)
+                .filter(|&p| !self.dead[p])
+        };
+        let live = peers().count().max(1);
+        if let Some(to) = peers().nth((nth as usize - 1) % live) {
+            let msg = Msg::PivotWanted {
+                step,
+                from: self.idx,
+            };
+            self.send_slave(ctx, to, msg).await;
+        }
+    }
+
     /// Apply a [`FailoverMsg::Promoted`]: repoint the master, drop the
     /// winner from the worker set (it stops computing), and reset the master
     /// control channel so the new master's windowed sends (which restart at
@@ -782,6 +821,9 @@ impl SlaveCommon {
             // the master may be the casualty: a deputy must be able to stand.
             self.resend_stalled_transfers(ctx).await;
             self.deputy_tick(ctx).await?;
+            if let Some(step) = wait.pivot {
+                self.ask_for_pivot(ctx, step, wait.silent).await;
+            }
             match row.says {
                 Says::CallersReport => return Ok(None),
                 Says::Nothing => continue,
@@ -799,15 +841,15 @@ impl SlaveCommon {
     }
 
     /// Blocking receive for a protocol step: the [`Blocked::OnPeer`] wait
-    /// for what `pred` asks for, with everything the ladder consumes
-    /// serviced on the side.
-    pub async fn recv_blocking(
+    /// `wait` for what `pred` asks for, with everything the ladder consumes
+    /// serviced on the side. A wait [for a pivot](Wait::for_pivot) also asks
+    /// a peer for it in each silent slice, until its `OP_TIMEOUT`.
+    pub(crate) async fn recv_blocking(
         &mut self,
         ctx: &MailCtx<Msg>,
         mut pred: impl FnMut(&Msg) -> bool + Send,
-        waiting_for: &'static str,
+        mut wait: Wait,
     ) -> Result<Envelope<Msg>, ProtocolError> {
-        let mut wait = Wait::new(Blocked::OnPeer, waiting_for, ctx.now());
         loop {
             if let Some(env) = self.wait(ctx, &mut wait, &mut pred).await? {
                 if !self.service(ctx, &env.msg).await? {
@@ -1029,12 +1071,9 @@ impl SlaveCommon {
         if self.mode == InteractionMode::Synchronous {
             // Block for the instructions computed from the status we just
             // sent: the whole round trip sits on the critical path.
+            let wait = Wait::on_peer("balancing instructions", ctx.now());
             let env = self
-                .recv_blocking(
-                    ctx,
-                    |m| matches!(m, Msg::Instructions(_)),
-                    "balancing instructions",
-                )
+                .recv_blocking(ctx, |m| matches!(m, Msg::Instructions(_)), wait)
                 .await?;
             if let Msg::Instructions(i) = env.msg {
                 self.apply_instructions(i, &mut moves);

@@ -185,7 +185,8 @@ fn wide_crash_every_engine_exact() {
 
 /// Partition column: a minority of slaves is cut off mid-run. The quorum
 /// side evicts them and keeps computing; at the heal they rejoin as fresh
-/// incarnations and reabsorb load — still bit-exact at 256 slaves.
+/// incarnations and reabsorb load — still bit-exact at 256 slaves. (LU's
+/// minority is never evicted: see its cell.)
 #[test]
 #[cfg_attr(
     debug_assertions,
@@ -254,10 +255,12 @@ fn wide_partition_heal_rejoin_every_engine_exact() {
         SimTime(8_000_000),
         minority(&[210, 211, 212]),
     );
-    // The healed minority rejoins here too. One crash or one admission is
-    // one rollback in the shrinking engine; a rollback count in the tens
-    // means the evict -> rejoin -> rollback -> evict flap is back (a
-    // replayed pivot lost behind the receiver's own `Rollback`).
+    // The minority waits out the partition blocked on a pivot whose
+    // broadcast the cut ate, and after the heal asks a peer for it again:
+    // nobody is evicted, so nothing rolls back. (A slave that only waited
+    // pinged for one window, fell silent and was evicted; the LU rejoin
+    // path is pinned by the 16-slave `partition_heal_rejoin*` rows of
+    // `tests/master_golden.rs`.)
     let cfg = shrink_cfg(fault);
     let report = try_run(AppSpec::Shrinking(lu_k.clone()), &lu_plan, cfg)
         .expect("lu: wide partition + heal must be survivable");
@@ -266,21 +269,12 @@ fn wide_partition_heal_rejoin_every_engine_exact() {
         lu_k.sequential(),
         "lu: partition-heal result must be exact"
     );
-    assert!(
-        report.recovery.slaves_declared_dead >= 1,
+    assert_eq!(
+        report.recovery.slaves_declared_dead, 0,
         "{:?}",
         report.recovery
     );
-    assert!(
-        report.recovery.joins_admitted >= 1,
-        "healed minority never rejoined: {:?}",
-        report.recovery
-    );
-    assert!(
-        report.recovery.rollbacks <= 6,
-        "readmission flaps: {:?}",
-        report.recovery
-    );
+    assert_eq!(report.recovery.rollbacks, 0, "{:?}", report.recovery);
     assert_bounded(&report, "lu partition");
 }
 

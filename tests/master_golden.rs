@@ -436,6 +436,19 @@ fn matrix(pool: usize) -> Vec<Row> {
         }
     }
 
+    // Slave 1's sends to slave 5 are all lost, so slave 5 never hears the
+    // broadcast of a pivot slave 1 owns. It asks a peer for it again; a
+    // slave that waited instead would ping for one window, fall silent and
+    // be evicted with no fault of its own.
+    let label = "pivot_link_cut/lu".to_string();
+    let cut = LinkFaults {
+        drop_p: 1.0,
+        ..Default::default()
+    };
+    let plan = FaultPlan::new(77).link(node(2), node(6), cut);
+    let r = wide.apps[2].1.run(&label, wide.cfg(pool, plan));
+    rows.push(row(label, &r));
+
     // Data-dependent WHILE termination under the re-scatter policy (the
     // driver wires no convergence test for the other two engines): the run
     // stops after two of three repetitions, through a slave crash.
@@ -581,17 +594,20 @@ fn event_streams_match_the_recorded_constants() {
 /// recorded then (CHANGES.md lists before → after).
 /// `final_rollback_lost/sor` was first recorded with the gather's replay of an
 /// unacknowledged window; a master without it exhausts that row's event budget.
+/// `pivot_link_cut/lu` was first recorded before a blocked slave asked a peer
+/// for a lost pivot (15.760343 s, one healthy slave evicted), and re-recorded
+/// with the 18 rows that change and its once-per-invocation race moved.
 #[rustfmt::skip]
 const GOLDEN: &[(&str, u64, u64, u64, &str)] = &[
     ("quiet4/mm", 435544, 604, 0xfbad34e7133c8371, "replicas_published: 9, replication_bytes: 3780"),
     ("wire_crash4/mm", 13102864, 1010, 0x9183ca763fad2b69, "slaves_declared_dead: 1, first_death: Some(t=8.297802s), restore_resends: 3, start_resends: 1, invocation_start_resends: 1, gather_resends: 1, status_dups_ignored: 1, done_dups_ignored: 3, speculations_launched: 1, speculations_committed: 1, units_speculated: 6, speculations_computed: 1, replicas_published: 8, replication_bytes: 4720"),
     ("freeze4/mm", 6439238, 854, 0x0a4b8e281e32230d, "instr_resends: 1, invocation_start_resends: 1, done_dups_ignored: 1, speculations_launched: 1, speculations_cancelled: 1, speculations_computed: 1, replicas_published: 9, replication_bytes: 4500"),
     ("quiet4/sor", 2660925, 848, 0x1ce0e9bfbf8aac85, "checkpoints_banked: 3, checkpoints_sent: 16, replicas_published: 12, replication_bytes: 5280"),
-    ("wire_crash4/sor", 25133254, 1571, 0xbb1694342d168e1e, "slaves_declared_dead: 2, first_death: Some(t=8.014336s), start_resends: 9, invocation_start_resends: 9, checkpoints_banked: 3, rollbacks: 3, units_rolled_back: 48, speculations_launched: 3, speculations_committed: 3, units_speculated: 38, stale_epoch_dropped: 3, rollbacks_applied: 6, checkpoints_sent: 42, speculations_computed: 3, replicas_published: 13, replication_bytes: 7700"),
+    ("wire_crash4/sor", 25079613, 1549, 0xdaff7321b6191ef6, "slaves_declared_dead: 2, first_death: Some(t=8.014336s), start_resends: 9, invocation_start_resends: 9, checkpoints_banked: 3, rollbacks: 3, units_rolled_back: 48, speculations_launched: 2, speculations_committed: 2, units_speculated: 22, stale_epoch_dropped: 2, rollbacks_applied: 6, checkpoints_sent: 43, speculations_computed: 2, replicas_published: 13, replication_bytes: 7700"),
     ("freeze4/sor", 8646072, 1130, 0xfac543f552ef59f2, "start_resends: 6, invocation_start_resends: 6, checkpoints_banked: 3, speculations_launched: 1, speculations_committed: 1, units_speculated: 16, checkpoints_sent: 25, speculations_computed: 1, replicas_published: 12, replication_bytes: 6000"),
     ("quiet4/lu", 853816, 2762, 0xdf93aef120fea0c1, "checkpoints_banked: 18, checkpoints_sent: 96, replicas_published: 57, replication_bytes: 23940"),
-    ("wire_crash4/lu", 26528968, 3103, 0x9072beb878e1e9e2, "slaves_declared_dead: 2, first_death: Some(t=8.243589s), instr_resends: 3, invocation_start_resends: 3, done_dups_ignored: 6, checkpoints_banked: 16, rollbacks: 2, units_rolled_back: 40, speculations_launched: 3, speculations_committed: 3, units_speculated: 50, transfer_dups_dropped: 1, rollbacks_applied: 4, checkpoints_sent: 99, speculations_computed: 3, replicas_published: 28, replication_bytes: 14080"),
-    ("freeze4/lu", 6880198, 3107, 0x5547b3b7073753c9, "checkpoints_banked: 19, speculations_launched: 3, speculations_committed: 3, units_speculated: 30, checkpoints_sent: 110, speculations_computed: 3, replicas_published: 57, replication_bytes: 24660"),
+    ("wire_crash4/lu", 17525714, 3286, 0x0536bbe5c11558c0, "slaves_declared_dead: 1, first_death: Some(t=8.243589s), instr_resends: 3, invocation_start_resends: 3, gather_resends: 1, done_dups_ignored: 4, checkpoints_banked: 16, rollbacks: 1, units_rolled_back: 20, speculations_launched: 1, speculations_committed: 1, units_speculated: 20, rollbacks_applied: 3, checkpoints_sent: 115, speculations_computed: 1, replicas_published: 40, replication_bytes: 18480"),
+    ("freeze4/lu", 6880398, 3092, 0xf2d17b95ccc9de99, "instr_resends: 1, invocation_start_resends: 1, done_dups_ignored: 1, checkpoints_banked: 19, speculations_launched: 1, speculations_committed: 1, units_speculated: 5, checkpoints_sent: 113, speculations_computed: 1, replicas_published: 57, replication_bytes: 24660"),
     ("master_mid_invocation/mm", 8461536, 2544, 0x401aaad6390de8d7, "rollbacks: 1, units_rolled_back: 32, rollbacks_applied: 15, elections_held: 1, takeover_latency: Some(8.047046s), replicas_published: 7, replication_bytes: 3696"),
     ("master_frozen_then_superseded/mm", 14285400, 3361, 0xe721aab66a72f065, "rollbacks: 1, units_rolled_back: 32, rollbacks_applied: 15, elections_held: 1, takeover_latency: Some(8.047046s), replicas_published: 7, replication_bytes: 3696"),
     ("drop16/mm", 15288590, 2148, 0x55dbe3f09998c25f, "instr_resends: 4, start_resends: 1, invocation_start_resends: 5, gather_resends: 1, done_dups_ignored: 5, replicas_published: 9, replication_bytes: 5472"),
@@ -612,42 +628,43 @@ const GOLDEN: &[(&str, u64, u64, u64, &str)] = &[
     ("partition_heal_rejoin_lossy/mm", 3030077, 7115, 0xd40f5262865c4988, "slaves_declared_dead: 4, first_death: Some(t=0.597431s), units_restored: 6, restore_resends: 19, instr_resends: 10, start_resends: 2, invocation_start_resends: 12, gather_resends: 1, status_dups_ignored: 13, done_dups_ignored: 31, gather_dups_ignored: 1, rollbacks: 1, units_rolled_back: 32, speculations_launched: 1, speculations_committed: 1, units_speculated: 2, joins_admitted: 4, rejoins_after_eviction: 4, join_snapshot_bytes: 4800, partitions_healed: 1, stale_epoch_dropped: 3, rollbacks_applied: 16, speculations_computed: 1, replicas_published: 36, replication_bytes: 19248"),
     ("master_mid_invocation/sor", 16174924, 4156, 0xba9ed2ae92e2189a, "restore_resends: 4, checkpoints_banked: 3, rollbacks: 1, units_rolled_back: 34, stale_epoch_dropped: 4, rollbacks_applied: 15, checkpoints_sent: 179, elections_held: 1, takeover_latency: Some(8.086125s), replicas_published: 6, replication_bytes: 3728"),
     ("master_frozen_then_superseded/sor", 26797880, 5631, 0xecceb26d6bfd49b8, "slaves_declared_dead: 1, first_death: Some(t=24.175220s), restore_resends: 9, gather_resends: 3, gathers_interrupted: 1, checkpoints_banked: 4, rollbacks: 2, units_rolled_back: 68, stale_epoch_dropped: 41, rollbacks_applied: 42, checkpoints_sent: 351, elections_held: 1, takeover_latency: Some(8.086125s), replicas_published: 7, replication_bytes: 5016"),
-    ("drop16/sor", 55033970, 9192, 0x5355b0de3e83e8b3, "slaves_declared_dead: 4, first_death: Some(t=15.252935s), restore_resends: 428, start_resends: 141, invocation_start_resends: 141, gather_dups_ignored: 10, checkpoints_banked: 4, rollbacks: 5, units_rolled_back: 170, speculations_launched: 9, speculations_committed: 9, units_speculated: 120, stale_epoch_dropped: 353, rollbacks_applied: 59, checkpoints_sent: 120, speculations_computed: 9, replicas_published: 11, replication_bytes: 10648"),
+    ("drop16/sor", 56254061, 9416, 0xabb1a80830d73795, "slaves_declared_dead: 4, first_death: Some(t=15.252935s), restore_resends: 488, start_resends: 164, invocation_start_resends: 164, checkpoints_banked: 4, rollbacks: 6, units_rolled_back: 204, speculations_launched: 6, speculations_committed: 6, units_speculated: 49, stale_epoch_dropped: 414, rollbacks_applied: 71, checkpoints_sent: 61, speculations_computed: 6, replicas_published: 13, replication_bytes: 11784"),
     ("dup16/sor", 10472091, 4065, 0x27996311a3abb02d, "start_resends: 4, invocation_start_resends: 4, status_dups_ignored: 7, checkpoints_banked: 3, checkpoints_sent: 104, replicas_published: 12, replication_bytes: 7536"),
     ("jitter16/sor", 52160313, 9162, 0xd89691e86f71e147, "slaves_declared_dead: 3, first_death: Some(t=17.771740s), restore_resends: 383, start_resends: 4, invocation_start_resends: 4, gather_dups_ignored: 11, checkpoints_banked: 4, rollbacks: 7, units_rolled_back: 238, speculations_launched: 2, speculations_committed: 2, units_speculated: 68, stale_epoch_dropped: 346, rollbacks_applied: 91, checkpoints_sent: 123, speculations_computed: 2, replicas_published: 27, replication_bytes: 20376"),
     ("master_mid_rollback/sor", 34494848, 5477, 0xa56e62c5564a731e, "slaves_declared_dead: 1, first_death: Some(t=24.031077s), restore_resends: 4, checkpoints_banked: 3, rollbacks: 1, units_rolled_back: 34, stale_epoch_dropped: 18, rollbacks_applied: 14, checkpoints_sent: 128, elections_held: 1, takeover_latency: Some(8.004202s), replicas_published: 8, replication_bytes: 5584"),
-    ("overlapping_crashes/sor", 22602919, 5325, 0x85ea5efd21e56e24, "slaves_declared_dead: 2, first_death: Some(t=8.017993s), restore_resends: 7, start_resends: 64, invocation_start_resends: 64, checkpoints_banked: 3, rollbacks: 3, units_rolled_back: 102, speculations_launched: 5, speculations_committed: 5, units_speculated: 77, stale_epoch_dropped: 2, rollbacks_applied: 42, checkpoints_sent: 101, speculations_computed: 5, replicas_published: 15, replication_bytes: 10560"),
+    ("overlapping_crashes/sor", 22495581, 5149, 0xa67f02bb19098314, "slaves_declared_dead: 2, first_death: Some(t=8.017993s), restore_resends: 4, start_resends: 64, invocation_start_resends: 64, checkpoints_banked: 3, rollbacks: 3, units_rolled_back: 102, speculations_launched: 2, speculations_committed: 2, units_speculated: 37, stale_epoch_dropped: 3, rollbacks_applied: 42, checkpoints_sent: 107, speculations_computed: 2, replicas_published: 15, replication_bytes: 10560"),
     ("master_mid_transfer/sor", 18633181, 4472, 0xd0211d7e82fe6579, "restore_resends: 8, checkpoints_banked: 3, rollbacks: 1, units_rolled_back: 34, transfer_resends: 1, transfer_dups_dropped: 1, stale_epoch_dropped: 8, rollbacks_applied: 15, checkpoints_sent: 176, elections_held: 1, takeover_latency: Some(8.085925s), replicas_published: 6, replication_bytes: 3968"),
     ("double_failover/sor", 24105813, 4680, 0x81be281bb5f86d07, "restore_resends: 9, checkpoints_banked: 3, rollbacks: 2, units_rolled_back: 68, stale_epoch_dropped: 9, rollbacks_applied: 28, checkpoints_sent: 275, elections_held: 2, takeover_latency: Some(10.005026s), replicas_published: 3, replication_bytes: 1824"),
     ("crash_in_gather/sor", 21097573, 5183, 0x9edeeefdece1167a, "slaves_declared_dead: 1, first_death: Some(t=18.473787s), restore_resends: 5, start_resends: 4, invocation_start_resends: 4, gather_resends: 3, gathers_interrupted: 1, checkpoints_banked: 3, rollbacks: 1, units_rolled_back: 34, stale_epoch_dropped: 5, rollbacks_applied: 15, checkpoints_sent: 215, replicas_published: 15, replication_bytes: 10320"),
     ("crash_in_gather_lossy/sor", 61691009, 10038, 0x09406b08ddaf00cf, "slaves_declared_dead: 3, first_death: Some(t=18.929769s), restore_resends: 587, start_resends: 4, invocation_start_resends: 4, status_dups_ignored: 1, gather_dups_ignored: 15, checkpoints_banked: 4, rollbacks: 7, units_rolled_back: 238, speculations_launched: 5, speculations_committed: 5, units_speculated: 46, stale_epoch_dropped: 510, rollbacks_applied: 91, checkpoints_sent: 163, speculations_computed: 5, replicas_published: 24, replication_bytes: 18552"),
-    ("late_join/sor", 23600569, 42283, 0xbe375dcc87388c15, "slaves_declared_dead: 15, first_death: Some(t=1.810356s), restore_resends: 6089, start_resends: 56, invocation_start_resends: 56, done_dups_ignored: 28, gather_dups_ignored: 12, checkpoints_banked: 4, rollbacks: 30, units_rolled_back: 1020, speculations_launched: 15, speculations_committed: 1, speculations_cancelled: 11, units_speculated: 3, joins_admitted: 13, rejoins_after_eviction: 12, join_snapshot_bytes: 12048, partitions_healed: 9, stale_epoch_dropped: 5683, rollbacks_applied: 348, checkpoints_sent: 56, speculations_computed: 1, replicas_published: 41, replication_bytes: 23568"),
-    ("master_crash_join_in_flight/sor", 49897007, 30927, 0xba01dd5e12be1b46, "slaves_declared_dead: 14, first_death: Some(t=10.294265s), restore_resends: 3593, done_dups_ignored: 23, gather_dups_ignored: 21, gathers_interrupted: 2, checkpoints_banked: 4, rollbacks: 26, units_rolled_back: 884, speculations_launched: 16, speculations_committed: 4, speculations_cancelled: 9, units_speculated: 11, gather_dup_units_dropped: 2, joins_admitted: 10, rejoins_after_eviction: 9, join_snapshot_bytes: 9160, partitions_healed: 6, stale_epoch_dropped: 8179, rollbacks_applied: 620, checkpoints_sent: 749, speculations_computed: 8, elections_held: 1, takeover_latency: Some(8.099309s), replicas_published: 21, replication_bytes: 12048"),
-    ("late_join_lossy/sor", 47351163, 43698, 0x2871a094e8f82434, "slaves_declared_dead: 18, first_death: Some(t=1.823423s), restore_resends: 6762, start_resends: 54, invocation_start_resends: 54, status_dups_ignored: 10, done_dups_ignored: 41, gather_dups_ignored: 13, checkpoints_banked: 4, rollbacks: 36, units_rolled_back: 1224, speculations_launched: 18, speculations_committed: 7, speculations_cancelled: 2, units_speculated: 21, joins_admitted: 16, rejoins_after_eviction: 15, join_snapshot_bytes: 14856, partitions_healed: 12, stale_epoch_dropped: 6231, rollbacks_applied: 376, checkpoints_sent: 52, replicas_published: 47, replication_bytes: 26696"),
+    ("late_join/sor", 23600569, 42283, 0xbe375dcc87388c15, "slaves_declared_dead: 15, first_death: Some(t=1.810356s), restore_resends: 6089, start_resends: 56, invocation_start_resends: 56, done_dups_ignored: 28, gather_dups_ignored: 12, checkpoints_banked: 4, rollbacks: 30, units_rolled_back: 1020, speculations_launched: 15, speculations_committed: 1, speculations_cancelled: 10, units_speculated: 3, joins_admitted: 13, rejoins_after_eviction: 12, join_snapshot_bytes: 12048, partitions_healed: 9, stale_epoch_dropped: 5683, rollbacks_applied: 348, checkpoints_sent: 56, speculations_computed: 1, replicas_published: 41, replication_bytes: 23568"),
+    ("master_crash_join_in_flight/sor", 46553059, 27489, 0x612ef4e603fffb19, "slaves_declared_dead: 13, first_death: Some(t=10.294265s), restore_resends: 3143, done_dups_ignored: 25, checkpoints_banked: 4, rollbacks: 24, units_rolled_back: 816, speculations_launched: 11, speculations_committed: 1, speculations_cancelled: 9, units_speculated: 3, joins_admitted: 11, rejoins_after_eviction: 10, join_snapshot_bytes: 9896, partitions_healed: 7, stale_epoch_dropped: 2549, rollbacks_applied: 235, checkpoints_sent: 323, speculations_computed: 1, elections_held: 1, takeover_latency: Some(8.099309s), replicas_published: 19, replication_bytes: 10912"),
+    ("late_join_lossy/sor", 41534736, 34541, 0x664067376843488f, "slaves_declared_dead: 16, first_death: Some(t=1.828645s), restore_resends: 4877, start_resends: 54, invocation_start_resends: 54, status_dups_ignored: 5, done_dups_ignored: 49, gather_dups_ignored: 11, checkpoints_banked: 4, rollbacks: 29, units_rolled_back: 986, speculations_launched: 15, speculations_committed: 4, speculations_cancelled: 7, units_speculated: 12, joins_admitted: 14, rejoins_after_eviction: 13, join_snapshot_bytes: 13088, partitions_healed: 8, stale_epoch_dropped: 4337, rollbacks_applied: 302, checkpoints_sent: 63, speculations_computed: 2, replicas_published: 37, replication_bytes: 21136"),
     ("master_crash_join_in_flight_lossy/sor", 49615089, 32492, 0xf5455046162e9b9a, "slaves_declared_dead: 13, first_death: Some(t=10.318771s), restore_resends: 3775, status_dups_ignored: 5, done_dups_ignored: 14, gather_dups_ignored: 11, checkpoints_banked: 4, rollbacks: 24, units_rolled_back: 816, speculations_launched: 7, speculations_committed: 1, speculations_cancelled: 2, units_speculated: 3, joins_admitted: 12, rejoins_after_eviction: 11, join_snapshot_bytes: 11504, partitions_healed: 8, stale_epoch_dropped: 3432, rollbacks_applied: 241, checkpoints_sent: 299, elections_held: 1, takeover_latency: Some(8.099309s), replicas_published: 18, replication_bytes: 10504"),
-    ("partition_heal_rejoin/sor", 48225271, 11570, 0x7c4c8aca4aa4214a, "slaves_declared_dead: 2, first_death: Some(t=2.016622s), restore_resends: 117, instr_resends: 2, start_resends: 37, invocation_start_resends: 39, done_dups_ignored: 4, checkpoints_banked: 3, rollbacks: 3, units_rolled_back: 102, speculations_launched: 5, speculations_committed: 4, units_speculated: 10, joins_admitted: 1, rejoins_after_eviction: 1, join_snapshot_bytes: 1040, partitions_healed: 1, stale_epoch_dropped: 112, rollbacks_applied: 40, checkpoints_sent: 440, speculations_computed: 4, replicas_published: 17, replication_bytes: 10736"),
+    ("partition_heal_rejoin/sor", 48225271, 11584, 0x39829b906bc75e56, "slaves_declared_dead: 2, first_death: Some(t=2.016622s), restore_resends: 114, instr_resends: 2, start_resends: 37, invocation_start_resends: 39, done_dups_ignored: 4, checkpoints_banked: 3, rollbacks: 3, units_rolled_back: 102, speculations_launched: 4, speculations_committed: 4, units_speculated: 10, joins_admitted: 1, rejoins_after_eviction: 1, join_snapshot_bytes: 1040, partitions_healed: 1, stale_epoch_dropped: 111, rollbacks_applied: 40, checkpoints_sent: 443, speculations_computed: 3, replicas_published: 17, replication_bytes: 10736"),
     ("crash_inside_partition/sor", 48225271, 9871, 0xb7a2641a6f9418f4, "slaves_declared_dead: 3, first_death: Some(t=2.059375s), restore_resends: 61, instr_resends: 2, start_resends: 85, invocation_start_resends: 87, done_dups_ignored: 4, checkpoints_banked: 3, rollbacks: 5, units_rolled_back: 170, speculations_launched: 4, speculations_committed: 4, units_speculated: 10, joins_admitted: 1, rejoins_after_eviction: 1, join_snapshot_bytes: 1032, partitions_healed: 1, stale_epoch_dropped: 56, rollbacks_applied: 64, checkpoints_sent: 245, speculations_computed: 3, replicas_published: 20, replication_bytes: 12160"),
     ("partition_heal_rejoin_lossy/sor", 52775809, 37343, 0x9bcfe80488a00ba4, "slaves_declared_dead: 10, first_death: Some(t=2.017641s), restore_resends: 3934, start_resends: 58, invocation_start_resends: 58, status_dups_ignored: 5, done_dups_ignored: 13, gather_dups_ignored: 17, checkpoints_banked: 4, rollbacks: 29, units_rolled_back: 986, speculations_launched: 7, speculations_committed: 4, units_speculated: 12, joins_admitted: 9, rejoins_after_eviction: 9, join_snapshot_bytes: 8744, partitions_healed: 9, stale_epoch_dropped: 3769, rollbacks_applied: 349, checkpoints_sent: 241, speculations_computed: 3, replicas_published: 51, replication_bytes: 31088"),
     ("final_rollback_lost/sor", 52608720, 34124, 0xcb9e751294576247, "slaves_declared_dead: 11, first_death: Some(t=2.010367s), restore_resends: 1345, start_resends: 31, invocation_start_resends: 31, status_dups_ignored: 10, gather_dups_ignored: 1, checkpoints_banked: 4, rollbacks: 24, units_rolled_back: 816, joins_admitted: 11, rejoins_after_eviction: 11, join_snapshot_bytes: 9080, partitions_healed: 10, stale_epoch_dropped: 1103, rollbacks_applied: 250, checkpoints_sent: 651, replicas_published: 51, replication_bytes: 32688"),
     ("master_mid_invocation/lu", 8750127, 10465, 0x945f0d7e87d799e0, "checkpoints_banked: 22, rollbacks: 1, units_rolled_back: 24, rollbacks_applied: 15, checkpoints_sent: 450, elections_held: 1, takeover_latency: Some(8.005222s), replicas_published: 47, replication_bytes: 24816"),
     ("master_frozen_then_superseded/lu", 14260673, 11756, 0x7c6ed86ddc550be8, "checkpoints_banked: 22, rollbacks: 1, units_rolled_back: 24, rollbacks_applied: 15, checkpoints_sent: 450, elections_held: 1, takeover_latency: Some(8.005222s), replicas_published: 47, replication_bytes: 24816"),
-    ("drop16/lu", 244432764, 32322, 0x91888b66c47f020a, "slaves_declared_dead: 8, first_death: Some(t=19.052012s), restore_resends: 28, instr_resends: 19, start_resends: 2, invocation_start_resends: 21, done_dups_ignored: 22, checkpoints_banked: 21, rollbacks: 9, units_rolled_back: 216, speculations_launched: 26, speculations_committed: 25, speculations_cancelled: 1, units_speculated: 230, stale_epoch_dropped: 107, rollbacks_applied: 71, checkpoints_sent: 1797, speculations_computed: 18, replicas_published: 69, replication_bytes: 60632"),
+    ("drop16/lu", 33514183, 14518, 0xb7dd296157856c46, "instr_resends: 43, start_resends: 2, invocation_start_resends: 45, done_dups_ignored: 50, checkpoints_banked: 19, checkpoints_sent: 698, replicas_published: 69, replication_bytes: 40392"),
     ("dup16/lu", 777185, 9986, 0x4fdf87d86b092d0d, "status_dups_ignored: 24, gather_dups_ignored: 2, checkpoints_banked: 22, checkpoints_sent: 368, replicas_published: 69, replication_bytes: 36432"),
     ("jitter16/lu", 1162262, 10360, 0x02cea3599e502276, "checkpoints_banked: 22, checkpoints_sent: 368, replicas_published: 69, replication_bytes: 36552"),
-    ("master_mid_rollback/lu", 24999860, 13690, 0x502609f00fd6688d, "slaves_declared_dead: 1, first_death: Some(t=24.213925s), checkpoints_banked: 24, rollbacks: 1, units_rolled_back: 24, stale_epoch_dropped: 106, rollbacks_applied: 14, checkpoints_sent: 696, speculations_computed: 3, elections_held: 1, takeover_latency: Some(8.004162s), replicas_published: 55, replication_bytes: 29680, checkpoints_lost_to_stale_replica: 2"),
-    ("master_inside_suspicion/lu", 21390549, 13150, 0x3c3b7fde71e0cc8a, "slaves_declared_dead: 1, first_death: Some(t=20.604614s), checkpoints_banked: 24, rollbacks: 1, units_rolled_back: 24, stale_epoch_dropped: 106, rollbacks_applied: 14, checkpoints_sent: 650, speculations_computed: 3, elections_held: 1, takeover_latency: Some(8.003861s), replicas_published: 55, replication_bytes: 29680, checkpoints_lost_to_stale_replica: 2"),
-    ("overlapping_crashes/lu", 16750444, 11922, 0xfbaa8591619e5e97, "slaves_declared_dead: 2, first_death: Some(t=8.204363s), restore_resends: 3, checkpoints_banked: 22, rollbacks: 2, units_rolled_back: 48, speculations_launched: 8, speculations_committed: 8, units_speculated: 60, stale_epoch_dropped: 6, rollbacks_applied: 28, checkpoints_sent: 521, speculations_computed: 8, replicas_published: 69, replication_bytes: 38352"),
+    ("master_mid_rollback/lu", 24984359, 13638, 0x30ce56de3d7425e2, "slaves_declared_dead: 1, first_death: Some(t=24.198424s), checkpoints_banked: 24, rollbacks: 1, units_rolled_back: 24, stale_epoch_dropped: 106, rollbacks_applied: 14, checkpoints_sent: 695, elections_held: 1, takeover_latency: Some(8.004162s), replicas_published: 55, replication_bytes: 29680, checkpoints_lost_to_stale_replica: 2"),
+    ("master_inside_suspicion/lu", 21390549, 13080, 0x849f5fde9bf7acbc, "slaves_declared_dead: 1, first_death: Some(t=20.604614s), checkpoints_banked: 24, rollbacks: 1, units_rolled_back: 24, stale_epoch_dropped: 106, rollbacks_applied: 14, checkpoints_sent: 651, elections_held: 1, takeover_latency: Some(8.003861s), replicas_published: 55, replication_bytes: 29680, checkpoints_lost_to_stale_replica: 2"),
+    ("overlapping_crashes/lu", 16720767, 11815, 0x7e471d83d38a6395, "slaves_declared_dead: 2, first_death: Some(t=8.188862s), restore_resends: 3, checkpoints_banked: 22, rollbacks: 2, units_rolled_back: 48, speculations_launched: 2, speculations_committed: 2, units_speculated: 4, stale_epoch_dropped: 4, rollbacks_applied: 28, checkpoints_sent: 522, speculations_computed: 2, replicas_published: 69, replication_bytes: 38352"),
     ("master_mid_transfer/lu", 9847491, 10174, 0xcfbeda50a4b64bb2, "checkpoints_banked: 22, rollbacks: 1, units_rolled_back: 24, rollbacks_applied: 15, checkpoints_sent: 457, elections_held: 1, takeover_latency: Some(8.004471s), replicas_published: 44, replication_bytes: 23312"),
     ("double_failover/lu", 18748156, 11792, 0xbe9195d45fc9ef95, "checkpoints_banked: 22, rollbacks: 2, units_rolled_back: 48, rollbacks_applied: 28, checkpoints_sent: 547, elections_held: 2, takeover_latency: Some(10.006031s), replicas_published: 33, replication_bytes: 17424"),
     ("crash_in_gather/lu", 8801863, 11671, 0xdb25a9f1260969a2, "slaves_declared_dead: 1, first_death: Some(t=8.773681s), gather_resends: 3, gathers_interrupted: 1, checkpoints_banked: 23, rollbacks: 1, units_rolled_back: 24, rollbacks_applied: 15, checkpoints_sent: 705, replicas_published: 72, replication_bytes: 38976"),
-    ("crash_in_gather_lossy/lu", 75911817, 21256, 0x90da756bf6093bb5, "slaves_declared_dead: 4, first_death: Some(t=17.074781s), restore_resends: 4, instr_resends: 22, start_resends: 1, invocation_start_resends: 23, status_dups_ignored: 22, done_dups_ignored: 29, checkpoints_banked: 18, rollbacks: 4, units_rolled_back: 96, speculations_launched: 11, speculations_committed: 11, units_speculated: 110, stale_epoch_dropped: 16, rollbacks_applied: 48, checkpoints_sent: 1036, speculations_computed: 11, replicas_published: 69, replication_bytes: 45432"),
+    ("crash_in_gather_lossy/lu", 28823922, 14335, 0x21332313131c879b, "slaves_declared_dead: 1, first_death: Some(t=26.750680s), instr_resends: 23, start_resends: 1, invocation_start_resends: 24, gather_resends: 5, status_dups_ignored: 24, done_dups_ignored: 24, gather_dups_ignored: 3, gathers_interrupted: 1, checkpoints_banked: 19, rollbacks: 1, units_rolled_back: 24, stale_epoch_dropped: 1, rollbacks_applied: 15, checkpoints_sent: 983, replicas_published: 72, replication_bytes: 41376"),
     ("late_join/lu", 827115, 11109, 0x8b4a85a5587e86f5, "checkpoints_banked: 22, rollbacks: 1, units_rolled_back: 24, joins_admitted: 1, join_snapshot_bytes: 360, rollbacks_applied: 16, checkpoints_sent: 381, replicas_published: 72, replication_bytes: 38016"),
     ("master_crash_join_in_flight/lu", 8777649, 13310, 0x7da52da0a0b61c6d, "checkpoints_banked: 22, rollbacks: 2, units_rolled_back: 48, joins_admitted: 1, join_snapshot_bytes: 552, stale_epoch_dropped: 10, rollbacks_applied: 29, checkpoints_sent: 890, elections_held: 1, takeover_latency: Some(8.018246s), replicas_published: 46, replication_bytes: 24288"),
-    ("late_join_lossy/lu", 50960943, 51537, 0x793afb72424540c9, "slaves_declared_dead: 5, first_death: Some(t=21.648903s), restore_resends: 13, instr_resends: 8, invocation_start_resends: 9, status_dups_ignored: 39, done_dups_ignored: 14, checkpoints_banked: 20, rollbacks: 12, units_rolled_back: 288, speculations_launched: 8, speculations_committed: 8, units_speculated: 104, joins_admitted: 6, rejoins_after_eviction: 5, join_snapshot_bytes: 2960, partitions_healed: 5, stale_epoch_dropped: 210, rollbacks_applied: 159, checkpoints_sent: 3293, speculations_computed: 6, replicas_published: 86, replication_bytes: 51168"),
-    ("master_crash_join_in_flight_lossy/lu", 41658663, 38052, 0x0b08a3a39757438f, "slaves_declared_dead: 6, first_death: Some(t=11.386893s), restore_resends: 30, instr_resends: 22, invocation_start_resends: 22, gather_resends: 1, status_dups_ignored: 19, done_dups_ignored: 29, gather_dups_ignored: 1, checkpoints_banked: 21, rollbacks: 14, units_rolled_back: 336, speculations_launched: 8, speculations_committed: 8, units_speculated: 148, joins_admitted: 6, rejoins_after_eviction: 6, join_snapshot_bytes: 2896, partitions_healed: 6, stale_epoch_dropped: 171, rollbacks_applied: 171, checkpoints_sent: 2574, speculations_computed: 8, elections_held: 1, takeover_latency: Some(8.052168s), replicas_published: 51, replication_bytes: 29488"),
+    ("late_join_lossy/lu", 22790253, 28644, 0x2996a0664d8aac48, "restore_resends: 2, instr_resends: 27, invocation_start_resends: 27, status_dups_ignored: 25, done_dups_ignored: 28, gather_dups_ignored: 3, checkpoints_banked: 18, rollbacks: 2, units_rolled_back: 48, joins_admitted: 1, join_snapshot_bytes: 360, stale_epoch_dropped: 98, rollbacks_applied: 31, checkpoints_sent: 2000, replicas_published: 72, replication_bytes: 40656"),
+    ("master_crash_join_in_flight_lossy/lu", 14820001, 16100, 0xe311f4114453e86a, "instr_resends: 27, invocation_start_resends: 27, gather_resends: 1, status_dups_ignored: 16, done_dups_ignored: 32, checkpoints_banked: 20, rollbacks: 1, units_rolled_back: 24, rollbacks_applied: 15, checkpoints_sent: 1064, elections_held: 1, takeover_latency: Some(8.052168s), replicas_published: 44, replication_bytes: 23552"),
     ("partition_heal_rejoin/lu", 4396765, 21186, 0x8a9d3ac06f7c561b, "slaves_declared_dead: 3, first_death: Some(t=0.618641s), restore_resends: 26, done_dups_ignored: 5, checkpoints_banked: 38, rollbacks: 6, units_rolled_back: 240, speculations_launched: 2, joins_admitted: 3, rejoins_after_eviction: 3, join_snapshot_bytes: 3408, partitions_healed: 3, stale_epoch_dropped: 44, rollbacks_applied: 78, checkpoints_sent: 827, replicas_published: 119, replication_bytes: 63232"),
     ("crash_inside_partition/lu", 5129093, 21188, 0x7cab9b5cb9557782, "slaves_declared_dead: 5, first_death: Some(t=0.618641s), restore_resends: 47, instr_resends: 3, invocation_start_resends: 3, done_dups_ignored: 10, checkpoints_banked: 38, rollbacks: 9, units_rolled_back: 360, speculations_launched: 3, joins_admitted: 4, rejoins_after_eviction: 4, join_snapshot_bytes: 4520, partitions_healed: 4, stale_epoch_dropped: 61, rollbacks_applied: 106, checkpoints_sent: 812, replicas_published: 118, replication_bytes: 62784"),
-    ("partition_heal_rejoin_lossy/lu", 47204409, 65425, 0xf8cf4b820923a3fe, "slaves_declared_dead: 21, first_death: Some(t=0.610509s), restore_resends: 90, instr_resends: 16, start_resends: 8, invocation_start_resends: 24, status_dups_ignored: 53, done_dups_ignored: 29, gather_dups_ignored: 14, checkpoints_banked: 36, rollbacks: 38, units_rolled_back: 1520, speculations_launched: 17, speculations_committed: 7, units_speculated: 132, joins_admitted: 19, rejoins_after_eviction: 19, join_snapshot_bytes: 21400, partitions_healed: 16, stale_epoch_dropped: 376, rollbacks_applied: 276, checkpoints_sent: 2871, speculations_computed: 7, replicas_published: 147, replication_bytes: 80976"),
+    ("partition_heal_rejoin_lossy/lu", 39121759, 29214, 0x72c7661b45a87c5d, "slaves_declared_dead: 7, first_death: Some(t=0.610509s), restore_resends: 102, instr_resends: 47, start_resends: 6, invocation_start_resends: 53, status_dups_ignored: 33, done_dups_ignored: 65, gather_dups_ignored: 1, checkpoints_banked: 34, rollbacks: 12, units_rolled_back: 480, speculations_launched: 6, speculations_committed: 1, units_speculated: 3, joins_admitted: 6, rejoins_after_eviction: 6, join_snapshot_bytes: 6768, partitions_healed: 5, stale_epoch_dropped: 130, rollbacks_applied: 133, checkpoints_sent: 1174, replicas_published: 126, replication_bytes: 67448"),
+    ("pivot_link_cut/lu", 2766187, 10351, 0xf9bc24cb0be17b95, "instr_resends: 2, invocation_start_resends: 2, done_dups_ignored: 4, checkpoints_banked: 22, checkpoints_sent: 388, replicas_published: 69, replication_bytes: 36672"),
     ("converges_early4/mm", 8298050, 796, 0xf4390f20a01ad864, "slaves_declared_dead: 1, first_death: Some(t=8.291074s), restore_resends: 3, done_dups_ignored: 3, speculations_launched: 1, speculations_committed: 1, units_speculated: 6, speculations_computed: 1, replicas_published: 6, replication_bytes: 3480"),
     ("quiet31/sor", 6053941, 5032, 0x21f3825f0feb418f, "start_resends: 1, invocation_start_resends: 1, checkpoints_banked: 2, checkpoints_sent: 123, replicas_published: 9, replication_bytes: 6687"),
     ("plain_load4/mm/sync", 1672999, 939, 0xdbcb800b21f443a6, ""),
@@ -659,5 +676,5 @@ const GOLDEN: &[(&str, u64, u64, u64, &str)] = &[
     ("plain_converges_early4/mm", 489319, 446, 0xbd6423d12f3f3977, ""),
     ("slow_wire4/mm", 3337926, 975, 0x3a061311ab6784c3, "status_dups_ignored: 21, done_dups_ignored: 2, gather_dups_ignored: 5, replicas_published: 9, replication_bytes: 4140"),
     ("slow_wire16/mm", 2841982, 2588, 0x56a485d04c4915d4, "status_dups_ignored: 60, done_dups_ignored: 1, gather_dups_ignored: 20, replicas_published: 9, replication_bytes: 4992"),
-    ("stale_gather4/sor", 41195462, 2515, 0xbb232ce7a1986cd4, "instr_resends: 6, start_resends: 2, invocation_start_resends: 10, done_dups_ignored: 16, checkpoints_banked: 4, rollbacks: 1, units_rolled_back: 16, rollbacks_applied: 3, checkpoints_sent: 72, speculations_computed: 1, elections_held: 1, takeover_latency: Some(8.003292s), replicas_published: 9, replication_bytes: 6180"),
+    ("stale_gather4/sor", 41194238, 2470, 0x1d15ed484f2fe406, "instr_resends: 6, start_resends: 2, invocation_start_resends: 10, done_dups_ignored: 16, checkpoints_banked: 4, rollbacks: 1, units_rolled_back: 16, rollbacks_applied: 3, checkpoints_sent: 71, elections_held: 1, takeover_latency: Some(8.002068s), replicas_published: 9, replication_bytes: 6180"),
 ];
