@@ -16,8 +16,8 @@
 //!   [`TransferWindow`](dlb_core::TransferWindow) rules), the
 //!   master-failover deputy election (stepping the deputies' production
 //!   [`Ballot`](dlb_core::Ballot)), and the mid-run join/rejoin handshake
-//!   (incarnation-fenced admission with an ack-floored snapshot ship — the
-//!   one model whose admission step is not production code) for duplicate
+//!   (the master's production admission verdict with an ack-floored
+//!   snapshot ship) for duplicate
 //!   application, lost work, split-brain promotions, zombie-incarnation
 //!   credit, stale-snapshot joins, and deadlock, with seeded-replayable
 //!   counterexamples. Runtime-width instances are made tractable by

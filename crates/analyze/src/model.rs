@@ -3,8 +3,8 @@
 //! Drives `dlb-sim`'s explicit-state explorer over `dlb-core`'s abstracted
 //! protocol systems — built from the *production*
 //! [`SenderWindow`]/[`AckTracker`]/[`TransferWindow`]/[`Ballot`] transition
-//! rules (all but the join model's admission step) — and converts verdicts
-//! into the shared diagnostics format.
+//! rules and the master's admission verdict — and converts verdicts into
+//! the shared diagnostics format.
 //!
 //! Four models, thirteen safety properties (the distributed-self-scheduling
 //! correctness conditions of Eleliemy & Ciorba and Zafari & Larsson):

@@ -148,8 +148,10 @@ fn election_pins() {
 fn join_pins() {
     // Evictions and rejoins are global budgets of two, so at most two slots
     // ever leave the initial state: past width 2 the orbit count stops growing.
-    pin_ok("join-standard", &JoinModel::standard(), Some((117_535, 24)), (58_652, 24, 58_638, 25_453));
-    pin_ok("join-wide3", &JoinModel::wide(3), Some((200_575, 24)), (58_652, 24, 58_638, 25_453));
+    pin_ok("join-standard", &JoinModel::standard(), Some((55_913, 24)), (27_841, 24, 27_831, 25_453));
+    pin_ok("join-wide3", &JoinModel::wide(3), Some((108_142, 24)), (27_841, 24, 27_831, 25_453));
+    // The width the `lint-wide` CI job checks: the reduced run only.
+    pin_ok("join-wide16", &JoinModel::wide(16), None, (27_841, 24, 27_831, 25_453));
     pin_broken("join-double-incarnation", &JoinModel::broken_double_incarnation(), check_join_protocol_with, Code::E111, (5, 5));
     pin_broken("join-stale-snapshot", &JoinModel::broken_stale_snapshot(), check_join_protocol_with, Code::E112, (7, 7));
 }

@@ -122,6 +122,7 @@ use crate::frequency::PeriodBounds;
 use crate::msg::{FailoverMsg, Instructions, Msg, Status, UnitData};
 use crate::recovery::RecoveryStats;
 use crate::session::master::{channels_settled, merge_max, send, Policy, Session};
+use crate::session::membership::Life;
 use crate::session::replica::TakeoverSeed;
 use dlb_sim::{ActorId, CpuWork, MailCtx, SimDuration, SimTime};
 use std::collections::btree_map::Entry;
@@ -553,15 +554,15 @@ async fn slave_error(
 /// rejoin. (Older incarnations are zombies; the `Evict` would reach the
 /// current life, so they get nothing.)
 async fn alive_ping(ctx: &MailCtx<Msg>, st: &mut Session, slave: usize, incarnation: u64) -> bool {
-    let alive = st.memb.alive[slave];
-    if alive && incarnation == st.memb.incarnation[slave] {
-        st.memb.ping(slave, ctx.now());
-        return true;
+    let life = st.memb.life(slave, incarnation);
+    match life {
+        Life::Current => st.memb.ping(slave, ctx.now()),
+        Life::Evicted => {
+            send(ctx, st.slaves[slave], Msg::Evict).await;
+        }
+        Life::Stale => {}
     }
-    if !alive && incarnation >= st.memb.incarnation[slave] {
-        send(ctx, st.slaves[slave], Msg::Evict).await;
-    }
-    false
+    life == Life::Current
 }
 
 /// A fault-mode reign from start (or takeover) to the gathered result:
@@ -941,22 +942,19 @@ async fn drive(
                     }
                 }
                 (Msg::Join { slave, incarnation }, _) => {
+                    let life = st.memb.life(slave, incarnation);
                     if tol.rejoin_attempts == 0 || gathering {
                         // Elastic membership is opt-in, and the gathering
                         // run admits no one: a refused joiner cannot
                         // hot-loop.
                         send(ctx, st.slaves[slave], Msg::JoinRefuse { slave }).await;
-                    } else if st.memb.alive[slave] {
+                    } else if life == Life::Current
+                        && st.memb.nudge_due(slave, ctx.now(), tol.nudge)
+                    {
                         // Already admitted: its admission Rollback (the
                         // handshake's exit signal) must have been lost.
-                        // Replay the window; zombies (older incarnation) are
-                        // ignored outright.
-                        if incarnation == st.memb.incarnation[slave]
-                            && st.memb.nudge_due(slave, ctx.now(), tol.nudge)
-                        {
-                            st.replay_window(ctx, slave).await;
-                        }
-                    } else if incarnation >= st.memb.incarnation[slave] {
+                        st.replay_window(ctx, slave).await;
+                    } else if life == Life::Evicted {
                         // Queue for the next settled barrier; dedup on the
                         // newest announced life.
                         match st.pending_joins.iter_mut().find(|(s, _)| *s == slave) {
@@ -964,6 +962,8 @@ async fn drive(
                             None => st.pending_joins.push((slave, incarnation)),
                         }
                     }
+                    // A stale life — a zombie, or a newer life over a slot
+                    // still counted alive — is ignored.
                 }
                 (Msg::Failover(FailoverMsg::Promoted { term, .. }), _) => st.fo.yield_to(term)?,
                 // A survivor's answer to our `Promoted`: its fragments bank
@@ -1277,12 +1277,13 @@ mod tests {
         }
     }
 
-    /// A fault-mode reign over a four-unit `app` on two slots split as
-    /// `assignment`, actor 0 its master. Each slot that holds units runs
-    /// `stub(ctx, slot)` — slot 1 as actor 1, slot 0 as actor 2 — unless it
-    /// is the winner of a takeover from `seed`. A master that never ends
-    /// the run exhausts the event budget.
+    /// A fault-mode reign under `tol` over a four-unit `app` on two slots
+    /// split as `assignment`, actor 0 its master. Each slot that holds
+    /// units runs `stub(ctx, slot)` — slot 1 as actor 1, slot 0 as actor 2
+    /// — unless it is the winner of a takeover from `seed`. A master that
+    /// never ends the run exhausts the event budget.
     fn reign<F, Fut>(
+        tol: FaultToleranceConfig,
         app: AppSpec,
         seed: Option<TakeoverSeed>,
         assignment: [(usize, usize); 2],
@@ -1307,7 +1308,7 @@ mod tests {
             ),
             app,
             record_timeline: false,
-            ft: Some(FaultToleranceConfig::default()),
+            ft: Some(tol),
         };
         let outcome = Arc::new(Mutex::new(MasterOutcome::default()));
         let out = Arc::clone(&outcome);
@@ -1358,46 +1359,53 @@ mod tests {
         let master = ActorId(0);
         let split = if seed.is_some() { (0, 2) } else { (0, 0) };
         let answer = held(1, holding);
-        reign(app, seed, [split, (split.1, 4)], move |ctx, me| {
-            let answer = answer.clone();
-            async move {
-                let (mut epoch, mut restore_seq) = (0, 0);
-                let mut held: Vec<(usize, UnitData)> = (0..4).map(col).collect();
-                loop {
-                    let msg = ctx.recv().await.msg;
-                    if stray_on(&msg) {
-                        let ping = FailoverMsg::MasterPing { term: 0 };
-                        send(&ctx, master, Msg::Failover(ping)).await;
+        reign(
+            Default::default(),
+            app,
+            seed,
+            [split, (split.1, 4)],
+            move |ctx, me| {
+                let answer = answer.clone();
+                async move {
+                    let (mut epoch, mut restore_seq) = (0, 0);
+                    let mut held: Vec<(usize, UnitData)> = (0..4).map(col).collect();
+                    loop {
+                        let msg = ctx.recv().await.msg;
+                        if stray_on(&msg) {
+                            let ping = FailoverMsg::MasterPing { term: 0 };
+                            send(&ctx, master, Msg::Failover(ping)).await;
+                        }
+                        let reply = match msg {
+                            Msg::Rollback {
+                                seq,
+                                epoch: e,
+                                invocation,
+                                units,
+                                ..
+                            } => {
+                                (epoch, restore_seq) = (e, seq);
+                                held = units.into_iter().map(|(u, d)| (u, (*d).clone())).collect();
+                                invocation
+                            }
+                            Msg::InvocationStart { invocation, .. } => invocation,
+                            Msg::Failover(FailoverMsg::Promoted { .. }) => {
+                                send(&ctx, master, answer.clone()).await;
+                                continue;
+                            }
+                            Msg::Gather => {
+                                send(&ctx, master, data(me, held.clone(), Default::default()))
+                                    .await;
+                                continue;
+                            }
+                            Msg::GatherAck | Msg::Abort => return,
+                            _ => continue,
+                        };
+                        let done = done(me, reply, epoch, restore_seq, Vec::new());
+                        send(&ctx, master, done).await;
                     }
-                    let reply = match msg {
-                        Msg::Rollback {
-                            seq,
-                            epoch: e,
-                            invocation,
-                            units,
-                            ..
-                        } => {
-                            (epoch, restore_seq) = (e, seq);
-                            held = units.into_iter().map(|(u, d)| (u, (*d).clone())).collect();
-                            invocation
-                        }
-                        Msg::InvocationStart { invocation, .. } => invocation,
-                        Msg::Failover(FailoverMsg::Promoted { .. }) => {
-                            send(&ctx, master, answer.clone()).await;
-                            continue;
-                        }
-                        Msg::Gather => {
-                            send(&ctx, master, data(me, held.clone(), Default::default())).await;
-                            continue;
-                        }
-                        Msg::GatherAck | Msg::Abort => return,
-                        _ => continue,
-                    };
-                    let done = done(me, reply, epoch, restore_seq, Vec::new());
-                    send(&ctx, master, done).await;
                 }
-            }
-        })
+            },
+        )
     }
 
     /// A message no arm expects ends an original reign as
@@ -1465,36 +1473,42 @@ mod tests {
         let log = Arc::clone(&heard);
         let app = AppSpec::Shrinking(Arc::new(Cols));
         let split = [(0, 2), (2, 4)];
-        let o = reign(app, Some(seed(3, &[(3, 0..2)])), split, move |ctx, me| {
-            let (master, log) = (ActorId(0), Arc::clone(&log));
-            async move {
-                let mut lost = false;
-                loop {
-                    let reply = match ctx.recv().await.msg {
-                        Msg::Rollback { .. } if !lost => {
-                            lost = true;
-                            log.lock().unwrap().push("lost rollback");
-                            continue;
-                        }
-                        Msg::Rollback { units, .. } => {
-                            log.lock().unwrap().push("rollback");
-                            units.into_iter().map(|(u, d)| (u, (*d).clone())).collect()
-                        }
-                        Msg::Gather => {
-                            log.lock().unwrap().push("gather");
-                            vec![col(2), col(3)]
-                        }
-                        Msg::GatherAck => return log.lock().unwrap().push("ack"),
-                        Msg::Failover(FailoverMsg::Promoted { .. }) => {
-                            send(&ctx, master, held(me, &[(3, 2..4)])).await;
-                            continue;
-                        }
-                        _ => continue,
-                    };
-                    send(&ctx, master, data(me, reply, Default::default())).await;
+        let o = reign(
+            Default::default(),
+            app,
+            Some(seed(3, &[(3, 0..2)])),
+            split,
+            move |ctx, me| {
+                let (master, log) = (ActorId(0), Arc::clone(&log));
+                async move {
+                    let mut lost = false;
+                    loop {
+                        let reply = match ctx.recv().await.msg {
+                            Msg::Rollback { .. } if !lost => {
+                                lost = true;
+                                log.lock().unwrap().push("lost rollback");
+                                continue;
+                            }
+                            Msg::Rollback { units, .. } => {
+                                log.lock().unwrap().push("rollback");
+                                units.into_iter().map(|(u, d)| (u, (*d).clone())).collect()
+                            }
+                            Msg::Gather => {
+                                log.lock().unwrap().push("gather");
+                                vec![col(2), col(3)]
+                            }
+                            Msg::GatherAck => return log.lock().unwrap().push("ack"),
+                            Msg::Failover(FailoverMsg::Promoted { .. }) => {
+                                send(&ctx, master, held(me, &[(3, 2..4)])).await;
+                                continue;
+                            }
+                            _ => continue,
+                        };
+                        send(&ctx, master, data(me, reply, Default::default())).await;
+                    }
                 }
-            }
-        });
+            },
+        );
         let heard = heard.lock().unwrap().clone();
         (o, heard)
     }
@@ -1531,43 +1545,120 @@ mod tests {
         let acks = Arc::new(Mutex::new(0));
         let count = Arc::clone(&acks);
         let app = AppSpec::Independent(Arc::new(Doubler { n: 4, reps: 1 }));
-        let o = reign(app, None, [(0, 2), (2, 4)], move |ctx, me| {
-            let count = Arc::clone(&count);
-            async move {
-                let (master, mine) = (ActorId(0), 2 * me..2 * me + 2);
-                let stats = SlaveFaultStats {
-                    transfer_resends: 1,
-                    ..Default::default()
-                };
-                // Ten silent seconds: the run is over.
-                let quiet = || ctx.now() + SimDuration::from_secs(10);
-                while let Some(env) = ctx.recv_deadline(quiet()).await {
-                    let invocation = match env.msg {
-                        Msg::InvocationStart { invocation, .. } => invocation,
-                        Msg::Gather => {
-                            let (copies, after) = if me == 1 { (2, 0) } else { (1, 1) };
-                            ctx.sleep(SimDuration::from_secs(after)).await;
-                            for _ in 0..copies {
-                                let units = mine.clone().map(col).collect();
-                                send(&ctx, master, data(me, units, stats.clone())).await;
-                            }
-                            continue;
-                        }
-                        Msg::GatherAck if me == 1 => {
-                            *count.lock().unwrap() += 1;
-                            continue;
-                        }
-                        _ => continue,
+        let o = reign(
+            Default::default(),
+            app,
+            None,
+            [(0, 2), (2, 4)],
+            move |ctx, me| {
+                let count = Arc::clone(&count);
+                async move {
+                    let (master, mine) = (ActorId(0), 2 * me..2 * me + 2);
+                    let stats = SlaveFaultStats {
+                        transfer_resends: 1,
+                        ..Default::default()
                     };
-                    let done = done(me, invocation, 0, 0, mine.clone().collect());
-                    send(&ctx, master, done).await;
+                    // Ten silent seconds: the run is over.
+                    let quiet = || ctx.now() + SimDuration::from_secs(10);
+                    while let Some(env) = ctx.recv_deadline(quiet()).await {
+                        let invocation = match env.msg {
+                            Msg::InvocationStart { invocation, .. } => invocation,
+                            Msg::Gather => {
+                                let (copies, after) = if me == 1 { (2, 0) } else { (1, 1) };
+                                ctx.sleep(SimDuration::from_secs(after)).await;
+                                for _ in 0..copies {
+                                    let units = mine.clone().map(col).collect();
+                                    send(&ctx, master, data(me, units, stats.clone())).await;
+                                }
+                                continue;
+                            }
+                            Msg::GatherAck if me == 1 => {
+                                *count.lock().unwrap() += 1;
+                                continue;
+                            }
+                            _ => continue,
+                        };
+                        let done = done(me, invocation, 0, 0, mine.clone().collect());
+                        send(&ctx, master, done).await;
+                    }
                 }
-            }
-        });
+            },
+        );
         assert!(o.completed, "{:?}", o.error);
         assert_eq!(*acks.lock().unwrap(), 2, "each delivery acked at once");
         assert_eq!(o.recovery.gather_dups_ignored, 1);
         assert_eq!(o.recovery.transfer_resends, 2, "once per slot");
         assert_eq!(o.result.len(), 4);
+    }
+
+    /// A re-scatter run over slots that each compute their half and
+    /// deliver it, rejoin enabled. Slot 1 reports at once and, three
+    /// seconds later (its nudge interval past, slot 0 not yet reported), sends
+    /// a `Join` stamped `join` when that is given. Returns the outcome and
+    /// the kinds slot 1 heard.
+    fn joining_run(join: Option<u64>) -> (MasterOutcome, Vec<&'static str>) {
+        let heard = Arc::new(Mutex::new(Vec::new()));
+        let log = Arc::clone(&heard);
+        let tol = FaultToleranceConfig {
+            rejoin_attempts: 3,
+            ..Default::default()
+        };
+        let app = AppSpec::Independent(Arc::new(Doubler { n: 4, reps: 1 }));
+        let o = reign(tol, app, None, [(0, 2), (2, 4)], move |ctx, me| {
+            let log = Arc::clone(&log);
+            async move {
+                let (master, mine) = (ActorId(0), 2 * me..2 * me + 2);
+                let quiet = || ctx.now() + SimDuration::from_secs(10);
+                while let Some(env) = ctx.recv_deadline(quiet()).await {
+                    if me == 1 {
+                        log.lock().unwrap().push(match &env.msg {
+                            Msg::InvocationStart { .. } => "start",
+                            Msg::Gather => "gather",
+                            Msg::GatherAck => "ack",
+                            Msg::JoinRefuse { .. } => "refuse",
+                            Msg::Rollback { .. } => "rollback",
+                            Msg::Evict => "evict",
+                            _ => "other",
+                        });
+                    }
+                    match env.msg {
+                        Msg::InvocationStart { invocation, .. } => {
+                            if me == 0 {
+                                ctx.sleep(SimDuration::from_millis(3_500)).await;
+                            }
+                            let done = done(me, invocation, 0, 0, mine.clone().collect());
+                            send(&ctx, master, done).await;
+                            if me == 1 {
+                                ctx.sleep(SimDuration::from_secs(3)).await;
+                                if let Some(incarnation) = join {
+                                    let slave = me;
+                                    send(&ctx, master, Msg::Join { slave, incarnation }).await;
+                                }
+                            }
+                        }
+                        Msg::Gather => {
+                            let units = mine.clone().map(col).collect();
+                            send(&ctx, master, data(me, units, Default::default())).await;
+                        }
+                        _ => {}
+                    }
+                }
+            }
+        });
+        let heard = heard.lock().unwrap().clone();
+        (o, heard)
+    }
+
+    /// A newer life's `Join` for a slot the master still counts alive
+    /// speaks for no life the master knows: it is neither replayed to nor
+    /// queued for admission, and the run goes on as if it was never sent.
+    #[test]
+    fn a_newer_lifes_join_over_a_live_slot_is_ignored() {
+        let (quiet, heard_quiet) = joining_run(None);
+        let (o, heard) = joining_run(Some(1));
+        assert!(o.completed, "{:?}", o.error);
+        assert_eq!(heard, heard_quiet, "slot 1 hears nothing in reply");
+        assert_eq!(o.recovery.joins_admitted, 0);
+        assert_eq!(o.recovery, quiet.recovery);
     }
 }

@@ -20,9 +20,8 @@
 //! exhaustively explores for lost work, duplicate application, and deadlock
 //! (the properties Eleliemy & Ciorba and Zafari & Larsson identify as the
 //! hard part of distributed self-scheduling). The election model steps the
-//! deputies' [`Ballot`](crate::session::replica::Ballot) the same way; of
-//! the four models, only the join model's admission step is not production
-//! code.
+//! deputies' [`Ballot`](crate::session::replica::Ballot) the same way, and
+//! the join model the master's admission verdict.
 
 use std::collections::BTreeSet;
 

@@ -25,7 +25,7 @@ use crate::msg::{FailoverMsg, Instructions, Msg, ReplicaMsg, SharedUnits, UnitDa
 use crate::protocol::SenderWindow;
 use crate::recovery::{redistribute, RecoveryStats};
 use crate::session::checkpoint::CheckpointBank;
-use crate::session::membership::Membership;
+use crate::session::membership::{Life, Membership};
 use crate::session::replica::{TakeoverSeed, DEPUTIES};
 use crate::session::speculation::{RestartSpec, SnapshotSpec};
 use dlb_sim::{ActorId, MailCtx, SimDuration, SimTime};
@@ -1041,7 +1041,7 @@ impl Session {
         let mut joined: Vec<usize> = Vec::new();
         let mut rejoined_any = false;
         for (j, jinc) in std::mem::take(&mut self.pending_joins) {
-            if self.memb.alive[j] || jinc < self.memb.incarnation[j] {
+            if self.memb.life(j, jinc) != Life::Evicted {
                 continue; // raced an earlier admission, or a newer life exists
             }
             self.memb.readmit(j, jinc, ctx.now(), self.tol.nudge);

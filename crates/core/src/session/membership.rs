@@ -7,6 +7,36 @@
 
 use dlb_sim::{SimDuration, SimTime};
 
+/// Which life of a slot a message stamped with an incarnation speaks for,
+/// as the master's table sees it — the one admission rule, read by the
+/// master's `Alive` and `Join` arms, its admission pass, and the join
+/// protocol model.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Life {
+    /// The slot is a member and the stamp is its life: credit it, and
+    /// answer a repeated `Join` by replaying the admission window.
+    Current,
+    /// The slot is evicted and the stamp is its latest life or a newer
+    /// one: repeat the `Evict` to a heartbeat, admit a `Join`.
+    Evicted,
+    /// A zombie of an older life, or a newer life over a slot the master
+    /// still counts alive (heard only once suspicion evicts the older):
+    /// ignored.
+    Stale,
+}
+
+impl Life {
+    /// The verdict for a message stamped `stamped` on a slot that is
+    /// `alive` under incarnation `on_record`.
+    pub fn of(alive: bool, on_record: u64, stamped: u64) -> Life {
+        match alive {
+            true if stamped == on_record => Life::Current,
+            false if stamped >= on_record => Life::Evicted,
+            _ => Life::Stale,
+        }
+    }
+}
+
 /// Per-slave liveness and barrier state as seen by the master.
 ///
 /// Indices are slave indices (`0..n`), not node ids. Eviction removes a
@@ -55,6 +85,11 @@ impl Membership {
 
     pub fn n(&self) -> usize {
         self.alive.len()
+    }
+
+    /// Which life of slave `s` a message stamped `incarnation` speaks for.
+    pub fn life(&self, s: usize, incarnation: u64) -> Life {
+        Life::of(self.alive[s], self.incarnation[s], incarnation)
     }
 
     /// Record traffic from slave `s`: refreshes the suspicion timer and
@@ -228,11 +263,31 @@ mod tests {
         m.evict(0);
         m.readmit(0, 3, t(500), nudge);
         assert!(m.alive[0]);
-        // A zombie ping stamped with the old incarnation fails the table
-        // match (the caller checks `incarnation[s] == stamped`), so only
+        // A zombie ping stamped with the old incarnation is stale, so only
         // the new life can defer suspicion.
-        assert_ne!(m.incarnation[0], 0);
-        assert_eq!(m.incarnation[0], 3);
+        assert_eq!(m.life(0, 0), Life::Stale);
+        assert_eq!(m.life(0, 3), Life::Current);
+    }
+
+    /// The verdict over a slot alive or evicted under incarnation 1, for
+    /// an older, the equal and a newer stamp: only an evicted slot hears a
+    /// newer life, and only a member credits its own.
+    #[test]
+    fn the_verdict_over_alive_and_evicted_by_stamp_age() {
+        use Life::{Current, Evicted, Stale};
+        let table = [
+            (true, [Stale, Current, Stale]),
+            (false, [Stale, Evicted, Evicted]),
+        ];
+        for (alive, row) in table {
+            for (stamped, want) in (0..3).zip(row) {
+                assert_eq!(
+                    Life::of(alive, 1, stamped),
+                    want,
+                    "alive {alive}, stamp {stamped}"
+                );
+            }
+        }
     }
 
     /// Deputies reuse a one-row table to watch the *master* under the same

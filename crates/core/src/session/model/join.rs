@@ -1,5 +1,6 @@
 //! Mid-run join / rejoin — elastic membership ([`JoinModel`]).
 
+use crate::session::membership::Life;
 use dlb_sim::{LossyProtocol, Net};
 
 /// A message in flight in the [`JoinModel`]'s network.
@@ -65,8 +66,8 @@ pub enum JoinLocal {
     /// The master's suspicion timer fires for live slot `s`: evict it
     /// (bounded budget).
     Suspect(usize),
-    /// Slot `s` heartbeats while the master disagrees with it (evicted or
-    /// superseded): re-send `Alive` until the verdict lands. Quiescent
+    /// Slot `s` heartbeats while the master does not count its life
+    /// current: re-send `Alive` until the verdict lands. Quiescent
     /// agreement disables it, keeping accepting states terminal.
     Heartbeat(usize),
     /// Slot `s`'s join retry timer fires: re-send the unanswered `Join`
@@ -90,6 +91,14 @@ pub struct JoinSlotMaster {
     pub join_epoch: u64,
     /// Highest credited checkpoint-ack epoch.
     pub acked: u64,
+}
+
+impl JoinSlotMaster {
+    /// Which life of this slot a message stamped `inc` speaks for: the
+    /// runtime's verdict (`Membership::life`) over this view.
+    fn life(&self, inc: u64) -> Life {
+        Life::of(self.alive, self.incarnation, inc)
+    }
 }
 
 /// Slave-side lifecycle of one slot.
@@ -133,27 +142,18 @@ pub struct JoinState {
 /// (suspicion), the evicted life learns its verdict — possibly only
 /// through the self-healing `Evict` re-reply after a heal — and its
 /// successor life handshakes back in; the network may drop or duplicate a
-/// bounded number of messages. Two production fences are switchable to
-/// deliberately broken variants:
+/// bounded number of messages. Which life a heartbeat or `Join` speaks for
+/// is the runtime's own verdict, `crate::session::membership::Life`. Two
+/// production fences are switchable to deliberately broken variants:
 ///
-/// * `fence_incarnation = false` credits heartbeats without the
-///   incarnation check — a zombie (pre-eviction life) can then vouch for
-///   the slot after a newer life was admitted, the **double-incarnation**
-///   bug (E111).
+/// * `fence_incarnation = false` judges a member's heartbeat as if stamped
+///   with the table's own life — a zombie (pre-eviction life) can then
+///   vouch for the slot after a newer life was admitted, the
+///   **double-incarnation** bug (E111).
 /// * `fence_epoch = false` credits checkpoint acks below the admission
 ///   ack floor — a pre-eviction checkpoint then counts as the rejoined
 ///   life's progress, the **stale-snapshot-join** bug (E112): a later
 ///   rollback would source state the new life never had.
-///
-/// Admission is written for the model, not stepped from production code: a
-/// strictly newer life's `Join` supersedes whatever the slot held, an
-/// equal life's `Join` re-admits only a non-member (lost-`Admit` replay
-/// otherwise), and older lives are fenced outright. One rule diverges from
-/// the runtime. The model admits a newer life over a slot the master
-/// still counts alive; the runtime's master ignores it (its `Join` arm
-/// replays the window only for an equal incarnation, and `Session::admit`
-/// skips live slots), so the older life leaves only when suspicion evicts
-/// it. The join conformance replay must settle that rule first.
 #[derive(Clone, Debug)]
 pub struct JoinModel {
     pub slots: usize,
@@ -163,8 +163,7 @@ pub struct JoinModel {
     pub max_rejoins: u32,
     pub max_drops: u32,
     pub max_dups: u32,
-    /// True = the real protocol (heartbeats credited only for the current
-    /// incarnation).
+    /// True = the real protocol (a heartbeat is judged by its own stamp).
     pub fence_incarnation: bool,
     /// True = the real protocol (checkpoint acks credited only at or above
     /// the admission ack floor).
@@ -222,7 +221,7 @@ impl JoinModel {
         let (m, sl) = (&s.master[i], &s.slaves[i]);
         match sl.phase {
             JoinPhase::Member { epoch } => {
-                m.alive && m.incarnation == sl.life && epoch == m.join_epoch && m.acked >= epoch
+                m.life(sl.life) == Life::Current && epoch == m.join_epoch && m.acked >= epoch
             }
             JoinPhase::Joining => false,
             JoinPhase::Dead => !m.alive,
@@ -293,7 +292,7 @@ impl LossyProtocol for JoinModel {
             // the runtime a slave heartbeats until settled, so the model
             // stops at agreement too — quiescent states stay terminal.
             if matches!(sl.phase, JoinPhase::Member { .. })
-                && (!m.alive || m.incarnation != sl.life)
+                && m.life(sl.life) != Life::Current
                 && !wire.contains(&JWire::Alive { slot, inc })
             {
                 out.push(JoinLocal::Heartbeat(t));
@@ -341,44 +340,42 @@ impl LossyProtocol for JoinModel {
     fn deliver(&self, n: &mut JoinState, msg: JWire) {
         match msg {
             JWire::Alive { slot, inc } => {
-                let m = &mut n.master[slot];
-                if m.alive {
+                let m = &n.master[slot];
+                // The broken variant stamps a member's heartbeat with the
+                // table's own life.
+                let unfenced = m.alive && !self.fence_incarnation;
+                match m.life(if unfenced { m.incarnation } else { inc }) {
                     // A credited heartbeat only refreshes the suspicion
-                    // timer; the fence rejects non-current lives. Without
-                    // it, a zombie's heartbeat is credited to the slot —
+                    // timer. Credited to a life other than the member's:
                     // the double-incarnation violation.
-                    if inc != m.incarnation && !self.fence_incarnation && n.violated.is_none() {
+                    Life::Current if inc != m.incarnation && n.violated.is_none() => {
                         n.violated = Some(format!(
                             "double incarnation: slot {slot} credited life {inc} while life {} \
                              is the member",
                             m.incarnation
                         ));
                     }
-                } else if inc >= m.incarnation {
-                    // The latest life of an evicted slot is still
-                    // heartbeating — its Evict was lost (e.g. across a
-                    // partition). Repeat the verdict so it can rejoin or
-                    // exit: the self-healing reply.
-                    n.net.send(JWire::Evict { slot, inc });
+                    // Its Evict was lost (e.g. across a partition): the
+                    // self-healing reply repeats the verdict.
+                    Life::Evicted => n.net.send(JWire::Evict { slot, inc }),
+                    _ => {}
                 }
             }
             JWire::Join { slot, inc } => {
                 let m = &mut n.master[slot];
-                if inc > m.incarnation || (inc == m.incarnation && !m.alive) {
-                    // Admit (or supersede a stale admitted life): fresh
-                    // two-clock state, bumped admission epoch, snapshot
-                    // shipped via the ack-gated window.
+                let life = m.life(inc);
+                if life == Life::Evicted {
+                    // Admit: fresh two-clock state, bumped admission epoch.
                     m.alive = true;
                     m.incarnation = inc;
                     m.join_epoch += 1;
-                    let epoch = m.join_epoch;
-                    n.net.send(JWire::Admit { slot, inc, epoch });
-                } else if inc == m.incarnation && m.alive {
-                    // Already admitted: the Admit must have been lost.
+                }
+                if life != Life::Stale {
+                    // The snapshot ships via the ack-gated window; for an
+                    // admitted life the Admit must have been lost.
                     let epoch = m.join_epoch;
                     n.net.send(JWire::Admit { slot, inc, epoch });
                 }
-                // Older lives are zombies: fenced outright.
             }
             JWire::Ack { slot, epoch } => {
                 let m = &mut n.master[slot];

@@ -13,12 +13,11 @@
 //! deadlock), the election model the deputies' [`Ballot`] (one vote per
 //! term, the newest-replica freshness guard, majority quorum over the full
 //! deputy set; no term may promote two masters) and, for a winner's restart
-//! point, the master's `CheckpointBank`. The join model alone is
-//! written for the model: its incarnation fence and admission ack floor
-//! restate `crate::session::membership::Membership` and the checkpointed
-//! master, and its admission of a newer life over a live slot is one rule
-//! the runtime does not share ([`JoinModel`]). Each model also ships
-//! deliberately broken variants (acknowledge without dedup; a voter that
+//! point, the master's `CheckpointBank`; the join model steps the verdict
+//! every admission and liveness decision of the fault-mode master reads
+//! (`crate::session::membership::Life`: which life of a slot a stamped
+//! `Alive` or `Join` speaks for). Each model also ships deliberately broken
+//! variants (acknowledge without dedup; a voter that
 //! forgets which terms it voted in or ignores freshness; a winner that
 //! restarts at its replica's freshness without checking the collected
 //! fragments cover it; a master that credits zombie heartbeats or stale
@@ -43,7 +42,7 @@
 //! | [`RestoreModel`] | [`SenderWindow`], [`AckTracker`] | [`SeqWire`] | survivor (`Data.to` / `Ack.from`) | `Scatter`, `Resend`, `Heartbeat` | equal scatter profile | window, tracker, holdings, wire — in unit coordinates | — |
 //! | [`TransferModel`] | [`TransferWindow`] | [`SeqWire`] | receiver (`Data.to` / `Ack.from`) | `Offer`, `Resend`, `Heartbeat`, `Evict` | equal move profile and offered count | both channel ends, holdings, re-owned units, wire — in unit coordinates | `lead`: an in-flight ack goes first, alone |
 //! | [`ElectionModel`] | [`Ballot`] | [`EWire`] | recipient (`to`) | `Stand`, `Win` | equal replica freshness | local state and wire involvement, plus relations to the ranked anchors | `representative`: the pass iterated to a fixpoint |
-//! | [`JoinModel`] | — (its own admission rules) | [`JWire`] | slot | `Suspect`, `Heartbeat`, `RejoinNudge`, `AdmitNudge` | all slots | master view, slave view, wire | — |
+//! | [`JoinModel`] | `Life` | [`JWire`] | slot | `Suspect`, `Heartbeat`, `RejoinNudge`, `AdmitNudge` | all slots | master view, slave view, wire | — |
 //!
 //! Restore, transfer and join states hold no cross-peer references, so the
 //! class sort is a perfect canonicalizer for them; election state does

@@ -518,3 +518,33 @@ fn join_permute_roundtrips_and_canonical_is_stable() {
     // Canonicalization is permutation-invariant.
     assert_eq!(m.canonical(&s), m.canonical(&p));
 }
+
+/// A newer life's `Join` for a slot the master still counts alive speaks
+/// for no life the master knows: delivered, it changes no state and sends
+/// nothing. Once suspicion evicts the slot, the same `Join` is admitted.
+#[test]
+fn a_newer_lifes_join_waits_for_the_eviction_of_the_live_slot() {
+    let m = JoinModel::standard();
+    let join = JWire::Join { slot: 0, inc: 2 };
+    let mut s = m.initial();
+    s.net.send(join.clone());
+    s = m.apply(&s, &Step::Deliver(0));
+    assert_eq!(s, m.initial(), "ignored over a live slot");
+    s = m.apply(&s, &Step::Local(J::Suspect(0)));
+    s.net.send(join);
+    let at = s
+        .net
+        .wire
+        .iter()
+        .position(|w| matches!(w, JWire::Join { .. }));
+    s = m.apply(&s, &Step::Deliver(at.unwrap()));
+    let master = &s.master[0];
+    assert!(master.alive);
+    assert_eq!((master.incarnation, master.join_epoch), (2, 1));
+    let admit = JWire::Admit {
+        slot: 0,
+        inc: 2,
+        epoch: 1,
+    };
+    assert!(s.net.wire.contains(&admit), "{:?}", s.net.wire);
+}

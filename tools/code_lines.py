@@ -10,8 +10,10 @@ in, their sum, and those no caller outside tests and examples sets (a value
 stays settable only when such a caller varies it) - then the policy
 decisions: counted lines of crates/core/src outside `impl Policy` that name
 a `Policy` variant or call `rollback_policy()`, plus branches on a
-`rollback` local in master.rs - then the `ProtocolError` variants no caller
-outside tests and examples constructs. Printed, never gated.
+`rollback` local in master.rs - then the incarnation comparisons: counted
+lines of crates/core/src outside session/membership.rs that compare an
+incarnation with a relational operator - then the `ProtocolError` variants
+no caller outside tests and examples constructs. Printed, never gated.
 
     python3 tools/code_lines.py [repo root]
 """
@@ -64,6 +66,22 @@ def policy_decisions(root):
             elif not in_impl:
                 n += bool(VARIANT.search(line) or (local and ROLLBACK_LOCAL.search(line)))
     return n
+
+
+# An operand naming an incarnation on either side of a relational operator
+# (not `->`, `=>`, `<<` or `>>`).
+OP = r"(?:==|!=|<=|>=|(?<![<-])<(?!<)|(?<![-=>])>(?!>))"
+INCARNATION_CMP = re.compile(rf"incarnation(?:\[[^\]]*\])?\s*{OP}|{OP}\s*[\w.]*incarnation")
+
+
+def incarnation_comparisons(root):
+    """Counted lines of crates/core/src outside session/membership.rs, where
+    `Life` states which life a stamped message speaks for, that compare an
+    incarnation: the admission rule written out again."""
+    skip = ALL_TESTS | {"crates/core/src/session/membership.rs"}
+    paths = sorted((root / "crates/core/src").glob("**/*.rs"))
+    kept = (path for path in paths if path.relative_to(root).as_posix() not in skip)
+    return sum(bool(INCARNATION_CMP.search(line)) for path in kept for line in code(path))
 
 
 def pub_fields(path, name):
@@ -158,6 +176,7 @@ def main():
     print(f"{len(unset):7}  set by no caller outside tests and examples: {', '.join(unset)}")
     print()
     print(f"{policy_decisions(root):7}  policy decisions outside impl Policy")
+    print(f"{incarnation_comparisons(root):7}  incarnation comparisons outside session/membership.rs")
     print()
     unbuilt = unconstructed_errors(root)
     print(f"{len(unbuilt):7}  ProtocolError variants no caller outside tests and examples constructs: {', '.join(unbuilt)}")
