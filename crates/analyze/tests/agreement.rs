@@ -1,20 +1,12 @@
 //! Property test: the analyzer's independently re-derived pattern verdict
-//! must agree with both the compiler's emitted plan and the runtime's
-//! engine selection (`dlb_core::engine_for`) — for every built-in program
-//! across a sweep of problem sizes. Divergence here would mean the linter
-//! certifies plans for an engine the runtime will never pick.
+//! must agree with the compiler's emitted plan — for every built-in program
+//! across a sweep of problem sizes. The runtime dispatches on the plan's
+//! pattern (`try_run` asserts the kernel agrees), so divergence here would
+//! mean the linter certifies plans for an engine the runtime will never
+//! pick.
 
 use dlb_analyze::expected_pattern;
-use dlb_compiler::{analyze, compile, programs, Pattern, Program};
-use dlb_core::{engine_for, EngineKind};
-
-fn engine_of(pattern: Pattern) -> EngineKind {
-    match pattern {
-        Pattern::Independent => EngineKind::Independent,
-        Pattern::Pipelined => EngineKind::Pipelined,
-        Pattern::Shrinking => EngineKind::Shrinking,
-    }
-}
+use dlb_compiler::{analyze, compile, programs, Program};
 
 fn assert_agreement(program: &Program) {
     let da = analyze(program);
@@ -25,12 +17,6 @@ fn assert_agreement(program: &Program) {
     assert_eq!(
         expected, plan.pattern,
         "analyzer and compiler disagree on `{}`",
-        program.name
-    );
-    assert_eq!(
-        engine_of(expected),
-        engine_for(&plan),
-        "analyzer verdict and runtime engine selection disagree on `{}`",
         program.name
     );
 }

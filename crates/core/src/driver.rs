@@ -28,26 +28,6 @@ pub enum AppSpec {
     Shrinking(Arc<dyn ShrinkingKernel>),
 }
 
-/// Which slave engine the runtime uses for a plan. Factored out of
-/// [`try_run`]'s dispatch so static analysis (`dlb-analyze`'s agreement
-/// check) can ask "which engine would actually run?" without running.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum EngineKind {
-    Independent,
-    Pipelined,
-    Shrinking,
-}
-
-/// The engine [`try_run`] selects for `plan` — dispatch is purely on the
-/// plan's pattern, and [`try_run`] asserts the kernel agrees.
-pub fn engine_for(plan: &ParallelPlan) -> EngineKind {
-    match plan.pattern {
-        Pattern::Independent => EngineKind::Independent,
-        Pattern::Pipelined => EngineKind::Pipelined,
-        Pattern::Shrinking => EngineKind::Shrinking,
-    }
-}
-
 /// The one description of the program the master mimics (§4.1): every
 /// per-pattern answer the driver, the master and the session need. Outside
 /// this block only the slave-spawn site matches on the pattern.
@@ -158,7 +138,8 @@ pub struct RunConfig {
     /// Timeouts and retry bounds used when `fault_plan` is set.
     pub fault_tolerance: FaultToleranceConfig,
     /// Record the kernel event trace into `RunReport::sim.trace` (the
-    /// `dlb-lint --conform` input). Election messages are tagged via
+    /// `dlb-lint --conform` input), the runtime's `NOTE` narration of its
+    /// decisions included. Election messages are tagged via
     /// [`crate::msg::FailoverMsg::trace_tag`]; off by default — traces grow
     /// with every send.
     pub record_trace: bool,

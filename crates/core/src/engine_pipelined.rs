@@ -589,15 +589,11 @@ async fn execute_moves(
                 (moved, ro)
             }
         };
-        if crate::dlb_trace() {
-            eprintln!(
-                "[slave{me} t={}] move {} cols {:?} -> slave{} at phase {phase} sweep {sweep}",
-                ctx.now(),
-                units.len(),
-                units.iter().map(|c| c.id).collect::<Vec<_>>(),
-                order.to,
-            );
-        }
+        ctx.note(|| {
+            let ids: Vec<_> = units.iter().map(|c| c.id).collect();
+            let (n, to) = (units.len(), order.to);
+            format!("move {n} cols {ids:?} -> slave{to} at phase {phase} sweep {sweep}")
+        });
         if let Some(c) = units.iter().find(|c| c.phase != phase) {
             return Err(st.inconsistent(format!(
                 "moved column {} at phase {} shipped at phase {phase}",
@@ -648,13 +644,11 @@ async fn accept_transfer(
     if !common.accept_transfer(ctx, &t).await {
         return Ok(()); // stale epoch, dead sender, or duplicate — fenced
     }
-    if crate::dlb_trace() {
-        eprintln!(
-            "[slave{} t={}] accept transfer from {} eff {} units {:?} (my_phase {my_phase}, sweep {})",
-            st.idx, ctx.now(), t.from, t.effective_block,
-            t.units.iter().map(|u| u.id).collect::<Vec<_>>(), st.sweep,
-        );
-    }
+    ctx.note(|| {
+        let ids: Vec<_> = t.units.iter().map(|u| u.id).collect();
+        let (from, eff, sweep) = (t.from, t.effective_block, st.sweep);
+        format!("accept transfer from {from} eff {eff} units {ids:?} (my_phase {my_phase}, sweep {sweep})")
+    });
     let from_right = st.right == Some(t.from);
     let from_left = st.left == Some(t.from);
     if !from_right && !from_left {

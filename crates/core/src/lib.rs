@@ -78,18 +78,8 @@ pub mod recovery;
 pub mod session;
 pub(crate) mod slave_common;
 
-/// Whether `DLB_TRACE` narration (master decisions, slave transfers and
-/// barriers, on stderr) is on. Read once per process: the callers sit on
-/// per-message hot loops.
-pub(crate) fn dlb_trace() -> bool {
-    static ON: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
-    *ON.get_or_init(|| std::env::var_os("DLB_TRACE").is_some())
-}
-
 pub use balancer::{Balancer, BalancerConfig, BalancerStats, InteractionMode};
-pub use driver::{
-    block_ranges, engine_for, run, try_run, AppSpec, EngineKind, RunConfig, RunReport,
-};
+pub use driver::{block_ranges, run, try_run, AppSpec, RunConfig, RunReport};
 pub use error::{FaultToleranceConfig, ProtocolError, RunError};
 pub use frequency::{FrequencyController, PeriodBounds};
 pub use kernels::{IndependentKernel, PipelinedKernel, ShrinkingKernel};

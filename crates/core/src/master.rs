@@ -220,14 +220,10 @@ pub async fn run_takeover(
     seed: TakeoverSeed,
     me: usize,
 ) -> Result<(), ProtocolError> {
-    if crate::dlb_trace() {
-        eprintln!(
-            "[takeover t={}] slave {me} won term {} (replica inv {})",
-            ctx.now(),
-            seed.term,
-            seed.replica.invocation
-        );
-    }
+    ctx.note(|| {
+        let (term, inv) = (seed.term, seed.replica.invocation);
+        format!("slave {me} won term {term} (replica inv {inv})")
+    });
     let mut cfg = kit.cfg.clone();
     let mut sc = MasterOutcome {
         // Adopt the crashed master's cumulative counters so the final
@@ -406,19 +402,16 @@ async fn run_plain(
                 break;
             }
             let env = ctx.recv().await;
-            if crate::dlb_trace() {
-                eprintln!(
-                    "[master t={} inv={inv}] got {:?} (done {done_sum}/{expected}, idle {idle:?})",
-                    ctx.now(),
-                    match &env.msg {
-                        Msg::Status(s) => format!(
-                            "Status(slave {}, delta {}, active {})",
-                            s.slave, s.units_done_delta, s.active_units
-                        ),
-                        other => format!("{other:?}").chars().take(60).collect::<String>(),
-                    }
-                );
-            }
+            ctx.note(|| {
+                let got = match &env.msg {
+                    Msg::Status(s) => format!(
+                        "Status(slave {}, delta {}, active {})",
+                        s.slave, s.units_done_delta, s.active_units
+                    ),
+                    other => format!("{other:?}").chars().take(60).collect(),
+                };
+                format!("inv={inv} got {got:?} (done {done_sum}/{expected}, idle {idle:?})")
+            });
             match env.msg {
                 Msg::Status(st) => {
                     if st.invocation > inv {
@@ -684,10 +677,7 @@ async fn drive(
                 st.rerange(ctx, &mut cfg.balancer, &[]).await?;
                 let banked = takeover.map_or(0, |(seed, _)| seed.replica.best_banked);
                 st.rec.checkpoints_lost_to_stale_replica = banked.saturating_sub(st.inv);
-                if crate::dlb_trace() {
-                    let (now, inv) = (ctx.now(), st.inv);
-                    eprintln!("[takeover t={now}] collected; restarts at {inv}, banked {banked}");
-                }
+                ctx.note(|| format!("collected; restarts at {}, banked {banked}", st.inv));
                 phase = Phase::Release;
             }
         }
@@ -718,9 +708,7 @@ async fn drive(
                 // Gather from the survivors; when it is complete, and what
                 // a death costs, is the policy's (`Policy::gathered`).
                 let now = ctx.now();
-                if crate::dlb_trace() {
-                    eprintln!("[master t={now}] gather begins, alive {:?}", st.memb.alive);
-                }
+                ctx.note(|| format!("gather begins, alive {:?}", st.memb.alive));
                 for s in 0..n {
                     st.memb.rearm_nudge(s, now, tol.nudge);
                     st.memb.last_heard[s] = now;

@@ -1135,23 +1135,23 @@ impl Session {
         s: usize,
         now: SimTime,
     ) -> Result<(), ProtocolError> {
-        if crate::dlb_trace() {
-            // Why the detector fired, and how far from settling the barrier
-            // was when it did: the line that tells a dead slave from one
-            // waiting on a peer.
+        // Why the detector fired, and how far from settling the barrier was
+        // when it did: the note that tells a dead slave from one waiting on
+        // a peer.
+        ctx.note(|| {
             let unsettled = (0..self.memb.n())
                 .filter(|&v| self.memb.alive[v] && !self.slave_settled(v))
                 .count();
-            eprintln!(
-                "[master t={now}] declaring slave {s} dead (inv {}): silent_for {} unheard_for {} \
+            format!(
+                "declaring slave {s} dead (inv {}): silent_for {} unheard_for {} \
                  done {} window_acked {}; {unsettled} live slaves unsettled",
                 self.inv,
                 self.memb.silent_for(s, now),
                 self.memb.unheard_for(s, now),
                 self.memb.done[s],
                 self.win[s].fully_acked(),
-            );
-        }
+            )
+        });
         self.declare_dead(ctx, s, now).await;
         balancer.mark_dead(s);
         // Its per-invocation metric no longer counts: survivors recompute

@@ -623,18 +623,14 @@ impl SlaveCommon {
                     .as_mut()
                     .map(|d| d.on_candidacy(*term, *candidate, *fresh))
                     .unwrap_or_default();
-                if crate::dlb_trace() {
-                    eprintln!(
-                        "[slave{} t={}] candidacy term {term} from {candidate} fresh {fresh} -> {}",
-                        self.idx,
-                        ctx.now(),
-                        if replies.is_empty() {
-                            "refused"
-                        } else {
-                            "granted"
-                        },
-                    );
-                }
+                ctx.note(|| {
+                    let verdict = if replies.is_empty() {
+                        "refused"
+                    } else {
+                        "granted"
+                    };
+                    format!("candidacy term {term} from {candidate} fresh {fresh} -> {verdict}")
+                });
                 for (to, m) in replies {
                     self.send_slave(ctx, to, Msg::Failover(m)).await;
                 }
@@ -679,14 +675,11 @@ impl SlaveCommon {
             return Ok(());
         };
         let candidacies = d.tick(ctx.now());
-        if !candidacies.is_empty() && crate::dlb_trace() {
-            eprintln!(
-                "[slave{} t={}] standing for term {} (fresh {})",
-                self.idx,
-                ctx.now(),
-                d.ballot.term_seen,
-                d.replica.fresh,
-            );
+        if !candidacies.is_empty() {
+            ctx.note(|| {
+                let (term, fresh) = (d.ballot.term_seen, d.replica.fresh);
+                format!("standing for term {term} (fresh {fresh})")
+            });
         }
         if let Some(t) = d.won() {
             self.takeover = Some(d.seed(t, self.held.clone().unwrap_or_default()));
@@ -830,10 +823,7 @@ impl SlaveCommon {
                 Says::AliveForOneWindow if ctx.now() >= wait.since + ft.suspicion => continue,
                 Says::AliveForOneWindow | Says::Alive => {}
             }
-            if crate::dlb_trace() {
-                let (idx, what) = (self.idx, wait.what);
-                eprintln!("[slave{idx} t={}] ping while waiting for {what}", ctx.now());
-            }
+            ctx.note(|| format!("ping while waiting for {}", wait.what));
             let (slave, incarnation) = (self.idx, self.incarnation);
             self.send_master(ctx, Msg::Alive { slave, incarnation })
                 .await;
@@ -1042,15 +1032,10 @@ impl SlaveCommon {
             move_cost_sample: self.move_cost_sample.take(),
             interaction_cost_sample: self.interaction_cost_sample.take(),
         };
-        if crate::dlb_trace() {
-            eprintln!(
-                "[slave{} t={}] fire inv={invocation} delta={} busy={} active={active_units}",
-                self.idx,
-                ctx.now(),
-                self.done_delta,
-                self.busy_delta,
-            );
-        }
+        ctx.note(|| {
+            let (delta, busy) = (self.done_delta, self.busy_delta);
+            format!("fire inv={invocation} delta={delta} busy={busy} active={active_units}")
+        });
         self.done_delta = 0;
         self.busy_delta = SimDuration::ZERO;
         self.send_master(ctx, Msg::Status(status)).await;

@@ -483,7 +483,8 @@ impl<M: Send + Clone + 'static> Inner<M> {
 //
 // What is left under the mutex is what moves data: one acquisition per
 // mutating `MailCtx` call (`advance_work`, the send handoff, a park, a take
-// from a non-empty mailbox), one per delivery, one per kernel apply.
+// from a non-empty mailbox, a note while traced), one per delivery, one per
+// kernel apply.
 // `SchedStats::local_locks` counts them; `tests/lock_budget.rs` holds the
 // per-event figure.
 // ---------------------------------------------------------------------------
@@ -509,6 +510,9 @@ enum LocalEffect<M> {
         app: SimDuration,
         loaded: SimDuration,
     },
+    /// Narration for the trace ([`MailCtx::note`]); buffered only while
+    /// tracing is on.
+    Note(String),
 }
 
 /// How the actor wants to be resumed after this poll.
@@ -527,6 +531,8 @@ struct ActorCell<M> {
     n_actors: usize,
     node_cfg: NodeConfig,
     net: NetConfig,
+    /// Whether the run is traced, so [`MailCtx::note`] buffers its text.
+    traced: bool,
     /// Virtual time of the poll in progress, in microseconds.
     now: AtomicU64,
     /// `mailbox.len()`, so that a receive on an empty mailbox takes no lock.
@@ -629,6 +635,18 @@ impl<M: Send + Clone + 'static> MailCtx<M> {
         self.cell.queued.store(local.mailbox.len(), Relaxed);
         local.effects.push(LocalEffect::Recv { bytes: env.bytes });
         Some(env)
+    }
+
+    /// Narrate a decision into the event trace as `NOTE <actor> <text>`, in
+    /// program order among this poll's sends. `text` runs only while the
+    /// run is traced; otherwise a note costs one flag load, and no lock.
+    /// The text is one line: the trace format ends a record at a newline.
+    pub fn note(&self, text: impl FnOnce() -> String) {
+        if self.cell.traced {
+            let text = text();
+            debug_assert!(!text.contains('\n'), "a note is one line: {text:?}");
+            self.lock().effects.push(LocalEffect::Note(text));
+        }
     }
 
     /// Consume `work` of CPU on this actor's node, advancing virtual time
@@ -848,7 +866,8 @@ impl<M: Send + Clone + 'static> SimBuilder<M> {
         self
     }
 
-    /// Record the event trace into [`SimReport::trace`] (default off). The
+    /// Record the event trace — the actors' [notes](MailCtx::note) among
+    /// its events — into [`SimReport::trace`] (default off). The
     /// `DLB_TRACE_EVENTS` env var independently echoes the same lines to
     /// stderr, each run under its own header.
     pub fn record_trace(mut self, on: bool) -> Self {
@@ -903,6 +922,12 @@ impl<M: Send + Clone + 'static> SimBuilder<M> {
             node_actor[n.0] = Some(ActorId(i));
         }
 
+        let tracer = Tracer {
+            tag: self.tag,
+            echo: std::env::var_os("DLB_TRACE_EVENTS").is_some(),
+            record: self.record_trace,
+            events: Vec::new(),
+        };
         let mut names: Vec<String> = Vec::with_capacity(n_actors);
         let mut futures: Vec<Option<ActorFuture>> = Vec::with_capacity(n_actors);
         let mut cells: Vec<Arc<ActorCell<M>>> = Vec::with_capacity(n_actors);
@@ -913,6 +938,7 @@ impl<M: Send + Clone + 'static> SimBuilder<M> {
                 n_actors,
                 node_cfg: self.nodes[node.0].clone(),
                 net: self.net.clone(),
+                traced: tracer.active(),
                 now: AtomicU64::new(0),
                 queued: AtomicUsize::new(0),
                 local: Mutex::new(ActorLocal {
@@ -960,12 +986,7 @@ impl<M: Send + Clone + 'static> SimBuilder<M> {
             max_events: self.max_events,
             fault: self.fault.map(FaultRuntime::new),
             trace_hash: FNV_OFFSET,
-            tracer: Tracer {
-                tag: self.tag,
-                echo: std::env::var_os("DLB_TRACE_EVENTS").is_some(),
-                record: self.record_trace,
-                events: Vec::new(),
-            },
+            tracer,
         };
         // The echo opens each run with its own header, so a process that
         // runs the kernel more than once leaves a capture of whole runs.
@@ -1246,6 +1267,10 @@ impl<M: Send + Clone + 'static> SimBuilder<M> {
                             inner.node_metrics[n].app_cpu += app;
                             inner.node_metrics[n].app_cpu_while_loaded += loaded;
                         }
+                        LocalEffect::Note(text) => {
+                            let now = inner.now;
+                            inner.tracer.emit(now, TraceKind::Note { actor: a, text });
+                        }
                     }
                 }
                 match outcome {
@@ -1313,6 +1338,7 @@ mod tests {
     use super::*;
     use crate::fault::{FaultPlan, LinkFaults};
     use crate::load::LoadModel;
+    use crate::trace::{parse_trace, render_trace};
 
     fn two_node_builder() -> (SimBuilder<u64>, NodeId, NodeId) {
         let mut b = SimBuilder::<u64>::new().net(NetConfig::ideal());
@@ -2068,6 +2094,82 @@ mod tests {
         for workers in [0, 1, 8] {
             assert_eq!(run_with(100, workers), quiet, "pool of {workers}");
         }
+    }
+
+    /// Three actors whose wakes at t = 100 were scheduled in reverse spawn
+    /// order: their same-instant notes land in that wake-seq order, after
+    /// the batch's `WAKE`s, and render the same text at every pool size.
+    #[test]
+    fn same_instant_notes_follow_wake_seq_at_any_pool_size() {
+        let run_with = |workers: usize| {
+            let mut b = SimBuilder::<u64>::new()
+                .net(NetConfig::ideal())
+                .worker_threads(workers)
+                .record_trace(true);
+            for i in 0..3u64 {
+                let n = b.add_node(NodeConfig::default());
+                b.spawn_mail(n, format!("a{i}"), move |ctx| async move {
+                    ctx.sleep(SimDuration::from_micros(10 * (2 - i))).await;
+                    ctx.note(|| format!("parked at {}", ctx.now()));
+                    ctx.sleep(SimTime(100) - ctx.now()).await;
+                    ctx.note(|| format!("actor {i}  woke"));
+                });
+            }
+            render_trace(&b.run().trace)
+        };
+        let text = run_with(0);
+        assert_eq!(run_with(8), text);
+        let at_100: Vec<&str> = text.lines().filter(|l| l.starts_with("EV 100 ")).collect();
+        assert_eq!(
+            at_100,
+            [
+                "EV 100 WAKE 2",
+                "EV 100 WAKE 1",
+                "EV 100 WAKE 0",
+                "EV 100 NOTE 2 actor 2  woke",
+                "EV 100 NOTE 1 actor 1  woke",
+                "EV 100 NOTE 0 actor 0  woke",
+            ]
+        );
+        assert_eq!(parse_trace(&text).map(|t| render_trace(&t)), Ok(text));
+    }
+
+    /// Untraced, a note is a flag load: its text is never built, and the
+    /// run takes the locks, events and hash of a note-free twin.
+    #[test]
+    fn an_untraced_note_builds_nothing_and_takes_no_lock() {
+        let built = Arc::new(AtomicUsize::new(0));
+        let run_with = |notes: bool, traced: bool| {
+            let mut b = SimBuilder::<u64>::new()
+                .net(NetConfig::ideal())
+                .record_trace(traced);
+            let n = b.add_node(NodeConfig::default());
+            let built = Arc::clone(&built);
+            b.spawn_mail(n, "solo", move |ctx| async move {
+                for _ in 0..3 {
+                    if notes {
+                        ctx.note(|| {
+                            built.fetch_add(1, Relaxed);
+                            "decided".into()
+                        });
+                    }
+                    ctx.advance_work(CpuWork::from_micros(50)).await;
+                }
+            });
+            let r = b.run();
+            (r.events_processed, r.trace_hash, r.sched.local_locks)
+        };
+        let twin = run_with(false, false);
+        assert_eq!(run_with(true, false), twin);
+        assert_eq!(built.load(Relaxed), 0, "an untraced note ran its closure");
+        let traced = run_with(true, true);
+        assert_eq!(built.load(Relaxed), 3);
+        assert_eq!(
+            (traced.0, traced.1),
+            (twin.0, twin.1),
+            "notes are not events"
+        );
+        assert_eq!(traced.2, twin.2 + 3, "one lock per traced note");
     }
 
     #[test]

@@ -13,6 +13,7 @@
 //! EV <time> DELIVER <src> <dst> <bytes> [tag...]
 //! EV <time> WAKE <actor>
 //! EV <time> CRASH <node>
+//! EV <time> NOTE <actor> <text>
 //! ```
 //!
 //! `SEND` is recorded when an actor hands a message to the network —
@@ -20,8 +21,11 @@
 //! `DELIVER` is the mailbox arrival. The optional `tag` is everything
 //! after the fixed fields (it may contain spaces) and is produced by the
 //! message tagger installed with [`crate::SimBuilder::trace_tag`];
-//! untagged messages trace with no tag. Times are integer microseconds,
-//! actors/nodes are ids. The leading `DLBTRACE 1` header versions the
+//! untagged messages trace with no tag. `NOTE` is an actor's narration of
+//! a decision ([`crate::MailCtx::note`]), in program order among that
+//! poll's sends; its `text` is the rest of the line, kept verbatim. Notes
+//! are not events: they move no hash, counter or clock. Times are integer
+//! microseconds, actors/nodes are ids. The leading `DLBTRACE 1` header versions the
 //! format; unknown lines are a parse error, not silently skipped.
 //!
 //! The header opens each *run*: the stderr echo prints it every time the
@@ -61,6 +65,10 @@ pub enum TraceKind {
     Crash {
         node: usize,
     },
+    Note {
+        actor: usize,
+        text: String,
+    },
 }
 
 impl TraceEvent {
@@ -88,6 +96,7 @@ impl TraceEvent {
             },
             TraceKind::Wake { actor } => format!("EV {t} WAKE {actor}"),
             TraceKind::Crash { node } => format!("EV {t} CRASH {node}"),
+            TraceKind::Note { actor, text } => format!("EV {t} NOTE {actor} {text}"),
         }
     }
 
@@ -131,6 +140,10 @@ impl TraceEvent {
             },
             "CRASH" => TraceKind::Crash {
                 node: num(&mut it)?,
+            },
+            "NOTE" => TraceKind::Note {
+                actor: num(&mut it)?,
+                text: line.splitn(5, ' ').nth(4).unwrap_or_default().to_string(),
             },
             _ => return Err(bad()),
         };
@@ -208,6 +221,13 @@ mod tests {
                 time: SimTime(99),
                 kind: TraceKind::Crash { node: 0 },
             },
+            TraceEvent {
+                time: SimTime(99),
+                kind: TraceKind::Note {
+                    actor: 4,
+                    text: "slave 3 won term 2 (replica inv 5)".into(),
+                },
+            },
         ];
         let text = render_trace(&events);
         assert!(text.starts_with("DLBTRACE 1\n"), "{text}");
@@ -221,6 +241,7 @@ mod tests {
         assert!(parse_trace("DLBTRACE 1\nEV zero WAKE 1\n").is_err());
         assert!(parse_trace("DLBTRACE 1\nEV 0 EXPLODE 1\n").is_err());
         assert!(TraceEvent::parse("EV 5 SEND 1").is_err());
+        assert!(TraceEvent::parse("EV 5 NOTE master won").is_err());
         assert!(parse_trace("EV 0 WAKE 1\n").is_err(), "no header");
     }
 

@@ -1,13 +1,14 @@
 //! End-to-end refinement check: record the kernel event trace of a
 //! 16-slave chaos run whose master is crashed mid-flight, then replay the
 //! election traffic through the protocol model — the library path behind
-//! `dlb-lint --conform`. The recorded trace must conform; a mutated copy
-//! (one vote's term bumped) must yield the DLB-E110 refinement violation.
+//! `dlb-lint --conform`. The recorded trace must conform, with the
+//! winner's narration among its events; a mutated copy (one vote's term
+//! bumped) must yield the DLB-E110 refinement violation.
 
 use dlb::analyze::{check_conformance, Code};
 use dlb::apps::{Calibration, MatMul};
 use dlb::core::driver::{try_run, AppSpec, RunConfig};
-use dlb::sim::{parse_trace, FaultPlan, SimTime};
+use dlb::sim::{parse_trace, FaultPlan, SimTime, TraceKind};
 use std::sync::Arc;
 
 const SLAVES: usize = 16;
@@ -57,6 +58,27 @@ fn chaos_trace_conforms_and_a_mutated_one_does_not() {
     assert!(
         conf.deputies >= 2,
         "candidacy fan-out must reveal the deputy set: {conf:?}"
+    );
+
+    // The winner narrates its win before it announces it: its `won term`
+    // note precedes its first `promoted` send.
+    let events = parse_trace(&text).unwrap();
+    let (promoted, winner) = events
+        .iter()
+        .enumerate()
+        .find_map(|(i, ev)| match &ev.kind {
+            TraceKind::Send {
+                src, tag: Some(t), ..
+            } if t.starts_with("promoted ") => Some((i, *src)),
+            _ => None,
+        })
+        .expect("a won election is announced");
+    assert!(
+        events[..promoted].iter().any(|ev| matches!(
+            &ev.kind,
+            TraceKind::Note { actor, text } if *actor == winner && text.contains(" won term ")
+        )),
+        "actor {winner} announces its win before noting it"
     );
 
     // Mutate one vote's term: the replayed vote is no longer one the

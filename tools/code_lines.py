@@ -13,7 +13,8 @@ a `Policy` variant or call `rollback_policy()`, plus branches on a
 `rollback` local in master.rs - then the incarnation comparisons: counted
 lines of crates/core/src outside session/membership.rs that compare an
 incarnation with a relational operator - then the `ProtocolError` variants
-no caller outside tests and examples constructs. Printed, never gated.
+no caller outside tests and examples constructs - then the environment
+variables code outside tests and examples reads. Printed, never gated.
 
     python3 tools/code_lines.py [repo root]
 """
@@ -154,6 +155,15 @@ def unconstructed_errors(root):
     return [v for v in variants if v not in built]
 
 
+ENV_READ = re.compile(r"\benv::var(?:_os)?\(\s*\"(\w+)\"")
+
+
+def env_vars(root):
+    """The environment variables code outside tests and examples reads: a
+    knob that no configuration struct shows."""
+    return sorted({m for line in callers(root) for m in ENV_READ.findall(line)})
+
+
 def main():
     root = Path(sys.argv[1] if len(sys.argv) > 1 else Path(__file__).parent.parent)
     crates = root / "crates"
@@ -180,6 +190,8 @@ def main():
     print()
     unbuilt = unconstructed_errors(root)
     print(f"{len(unbuilt):7}  ProtocolError variants no caller outside tests and examples constructs: {', '.join(unbuilt)}")
+    env = env_vars(root)
+    print(f"{len(env):7}  environment variables read outside tests and examples: {', '.join(env)}")
 
 
 if __name__ == "__main__":
