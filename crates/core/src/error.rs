@@ -67,9 +67,10 @@ pub enum ProtocolError {
     /// (the takeover seed is stashed in `SlaveCommon::takeover`).
     Elected { term: u64 },
     /// A newer master was elected while this master still believed it was
-    /// in charge (it was frozen, not dead). The superseded master exits
-    /// silently: no abort broadcast, no outcome write — the new master owns
-    /// the run now.
+    /// in charge (it was frozen or cut off, not dead): it heard the newer
+    /// reign's `Promoted`, or, that lost, its exit reply once it finished.
+    /// The superseded master exits silently: no abort broadcast, no outcome
+    /// write — the new master owns the run now.
     Superseded { term: u64 },
     /// Bookkeeping that must balance did not (lost/duplicated units, bad
     /// completion counts).

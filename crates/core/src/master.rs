@@ -111,9 +111,11 @@
 //! epochs, re-collects the checkpoint fragments the survivors hold
 //! (rollback policy), re-ranges the survivors, and resumes — bit-exact,
 //! because unit state is value-deterministic. A
-//! master that learns of a higher-term [`FailoverMsg::Promoted`] exits
-//! silently with [`ProtocolError::Superseded`]: it writes no outcome and
-//! aborts no one, because exactly one reign per term owns the run.
+//! master that learns of a higher-term [`FailoverMsg::Promoted`] — or, an
+//! original reign that missed it, hears the successor's exit reply
+//! [`Msg::Abort`] — exits silently with [`ProtocolError::Superseded`]: it
+//! writes no outcome and aborts no one, because exactly one reign per term
+//! owns the run.
 
 use crate::balancer::{Balancer, BalancerStats};
 use crate::driver::AppSpec;
@@ -288,9 +290,14 @@ pub async fn run_master(
     conclude(&ctx, &cfg, sc, res, slaves.iter().copied(), &out).await;
 }
 
-/// End of a reign: release the slaves if the run failed and write the
+/// End of a reign: release the slaves if the run failed, leave `Abort` as
+/// the answer to whoever writes to the finished master, and write the
 /// outcome. `abort` names the slaves to release — every blocked wait
-/// receives `Abort`, so this cannot deadlock even outside fault mode.
+/// receives `Abort`, so this cannot deadlock even outside fault mode. The
+/// exit reply reaches the slaves `abort` cannot: an orphan whose `Evict` was
+/// lost, a joiner whose `Join` lands after the end. Each stops one round trip
+/// after its first message gets through, instead of waiting out its give-up
+/// budget on a silent mailbox.
 async fn conclude(
     ctx: &MailCtx<Msg>,
     cfg: &MasterConfig,
@@ -310,6 +317,7 @@ async fn conclude(
             send(ctx, s, Msg::Abort).await;
         }
     }
+    ctx.exit_reply(Msg::Abort, Msg::Abort.wire_bytes());
     sc.stats = cfg.balancer.stats();
     sc.bounds = Some(cfg.balancer.period_bounds());
     sc.completed = res.is_ok();
@@ -954,6 +962,17 @@ async fn drive(
                     // still counted alive — is ignored.
                 }
                 (Msg::Failover(FailoverMsg::Promoted { term, .. }), _) => st.fo.yield_to(term)?,
+                // Only a finished reign's exit reply brings `Abort` to a
+                // master: a successor elected while this reign was cut off
+                // has ended the run, and its `Promoted` was lost. Yield as to
+                // that `Promoted` (its term, not on the wire, is past ours)
+                // rather than write a failed outcome over the successor's.
+                // A takeover shrugs it off like any stray.
+                (Msg::Abort, _) if takeover.is_none() => {
+                    return Err(ProtocolError::Superseded {
+                        term: st.fo.term + 1,
+                    });
+                }
                 // A survivor's answer to our `Promoted`: its fragments bank
                 // like checkpoints, in any phase. It moves no clock: every
                 // receive point answers, so a slave wedged on a lost pivot
@@ -1420,6 +1439,25 @@ mod tests {
                 assert!(o.completed, "{policy} {phase}: {:?}", o.error);
             }
         }
+    }
+
+    /// An `Abort` reaching an original reign is a finished successor's
+    /// exit reply: the reign yields, as to the `Promoted` it missed, and
+    /// writes no outcome over the successor's.
+    #[test]
+    fn an_original_reign_yields_to_a_finished_successors_exit_reply() {
+        let app = AppSpec::Independent(Arc::new(Doubler { n: 4, reps: 2 }));
+        let o = reign(
+            Default::default(),
+            app,
+            None,
+            [(0, 0), (0, 4)],
+            |ctx, _| async move {
+                ctx.recv().await;
+                send(&ctx, ActorId(0), Msg::Abort).await;
+            },
+        );
+        assert!(!o.completed && o.error.is_none(), "{:?}", o.error);
     }
 
     /// A takeover restarts where the fragments it collects — the winner's

@@ -96,6 +96,11 @@ pub struct SimReport {
     pub events_processed: u64,
     /// What the fault layer did (all zeros when no plan was attached).
     pub fault: FaultStats,
+    /// Deliveries to an actor that had already returned: dropped, not
+    /// queued, and answered with its [exit reply](MailCtx::exit_reply) if it
+    /// left one. Deliveries to a crashed node count in
+    /// [`FaultStats::deliveries_to_crashed`] instead.
+    pub deliveries_after_exit: u64,
     /// FNV-1a fold over every processed event `(time, kind, actors, bytes)`.
     /// Two runs with identical inputs (and identical fault plan + seed)
     /// produce identical hashes.
@@ -238,6 +243,11 @@ struct Inner<M> {
     node_actor: Vec<Option<ActorId>>,
     /// Nodes that have fail-stopped.
     crashed_nodes: Vec<bool>,
+    /// What each actor answers, once `Done`, to a message from a live
+    /// sender ([`MailCtx::exit_reply`]): the message and its wire size.
+    exit_replies: Vec<Option<(M, u64)>>,
+    /// [`SimReport::deliveries_after_exit`].
+    deliveries_after_exit: u64,
     actor_metrics: Vec<ActorMetrics>,
     node_metrics: Vec<NodeMetrics>,
     events_processed: u64,
@@ -483,8 +493,8 @@ impl<M: Send + Clone + 'static> Inner<M> {
 //
 // What is left under the mutex is what moves data: one acquisition per
 // mutating `MailCtx` call (`advance_work`, the send handoff, a park, a take
-// from a non-empty mailbox, a note while traced), one per delivery, one per
-// kernel apply.
+// from a non-empty mailbox, a note while traced, an exit reply), one per
+// delivery to an actor that has not returned, one per kernel apply.
 // `SchedStats::local_locks` counts them; `tests/lock_budget.rs` holds the
 // per-event figure.
 // ---------------------------------------------------------------------------
@@ -513,6 +523,8 @@ enum LocalEffect<M> {
     /// Narration for the trace ([`MailCtx::note`]); buffered only while
     /// tracing is on.
     Note(String),
+    /// What to answer once the actor has returned ([`MailCtx::exit_reply`]).
+    ExitReply { msg: M, bytes: u64 },
 }
 
 /// How the actor wants to be resumed after this poll.
@@ -647,6 +659,19 @@ impl<M: Send + Clone + 'static> MailCtx<M> {
             debug_assert!(!text.contains('\n'), "a note is one line: {text:?}");
             self.lock().effects.push(LocalEffect::Note(text));
         }
+    }
+
+    /// Leave `msg` (`bytes` on the wire) as this actor's answer after it
+    /// returns, the way a host answers for an exited process (a TCP reset,
+    /// PVM's task-exit notice): every later delivery from a sender that has
+    /// neither returned nor crashed is answered with one `msg`, sent from
+    /// this actor's node like any other send — link latency, partitions and
+    /// fault draws included. A crashed node answers nothing, and neither does
+    /// an actor that left no reply. A second call replaces the first.
+    pub fn exit_reply(&self, msg: M, bytes: u64) {
+        self.lock()
+            .effects
+            .push(LocalEffect::ExitReply { msg, bytes });
     }
 
     /// Consume `work` of CPU on this actor's node, advancing virtual time
@@ -980,6 +1005,8 @@ impl<M: Send + Clone + 'static> SimBuilder<M> {
             actor_nodes,
             node_actor,
             crashed_nodes: vec![false; n_nodes],
+            exit_replies: vec![None; n_actors],
+            deliveries_after_exit: 0,
             actor_metrics: vec![ActorMetrics::default(); n_actors],
             node_metrics: vec![NodeMetrics::default(); n_nodes],
             events_processed: 0,
@@ -1161,6 +1188,22 @@ impl<M: Send + Clone + 'static> SimBuilder<M> {
                             }
                             continue;
                         }
+                        if inner.states[dst.0] == ActorState::Done {
+                            // Nobody reads this mailbox again. A finished
+                            // sender gets no answer, so two finished actors
+                            // that both left replies cannot ping-pong.
+                            inner.deliveries_after_exit += 1;
+                            let src_live = !matches!(
+                                inner.states[env.src],
+                                ActorState::Done | ActorState::Crashed
+                            );
+                            let reply = inner.exit_replies[dst.0].as_ref();
+                            if let Some((reply, bytes)) = reply.filter(|_| src_live) {
+                                let (reply, bytes) = (reply.clone(), *bytes);
+                                inner.enqueue_send(dst, ActorId(env.src), reply, bytes);
+                            }
+                            continue;
+                        }
                         {
                             let cell = &cells[dst.0];
                             let mut local = lock_local(cell);
@@ -1271,6 +1314,9 @@ impl<M: Send + Clone + 'static> SimBuilder<M> {
                             let now = inner.now;
                             inner.tracer.emit(now, TraceKind::Note { actor: a, text });
                         }
+                        LocalEffect::ExitReply { msg, bytes } => {
+                            inner.exit_replies[a] = Some((msg, bytes));
+                        }
                     }
                 }
                 match outcome {
@@ -1326,6 +1372,7 @@ impl<M: Send + Clone + 'static> SimBuilder<M> {
             node_configs: inner.nodes,
             events_processed: inner.events_processed,
             fault: inner.fault.map(|f| f.stats).unwrap_or_default(),
+            deliveries_after_exit: inner.deliveries_after_exit,
             trace_hash: inner.trace_hash,
             trace: inner.tracer.events,
             sched,
@@ -2233,5 +2280,175 @@ mod tests {
         assert_eq!(report.end_time, SimTime(100_000));
         // The sleeper's pending wake pops stale.
         assert!(report.sched.stale_wakes >= 1);
+    }
+
+    // --- exit replies ------------------------------------------------------
+
+    /// One node per actor on a 1 ms, 1 byte/µs wire with free marshalling,
+    /// polled by `workers` threads: an 8-byte message arrives 1.008 ms after
+    /// its send.
+    fn wire_builder(actors: usize, workers: usize) -> SimBuilder<u64> {
+        let mut b = SimBuilder::<u64>::new()
+            .worker_threads(workers)
+            .record_trace(true)
+            .net(NetConfig {
+                latency: SimDuration::from_millis(1),
+                bandwidth: 1_000_000,
+                send_cpu_per_msg: CpuWork::ZERO,
+                send_cpu_per_byte_ns: 0,
+                recv_cpu_per_msg: CpuWork::ZERO,
+            });
+        for _ in 0..actors {
+            b.add_node(NodeConfig::default());
+        }
+        b
+    }
+
+    /// Actor 0 on node 0: leaves `99` as its answer (if `reply`) and
+    /// returns at t = 0.
+    fn spawn_finished(b: &mut SimBuilder<u64>, reply: bool) {
+        b.spawn_mail(NodeId(0), "finished", move |ctx| async move {
+            if reply {
+                ctx.exit_reply(99, 8);
+            }
+        });
+    }
+
+    /// Actor 1 on node 1: writes to actor 0 at each of `at` (µs) and waits
+    /// up to 5 ms for an answer after each; returns what arrived, and when.
+    fn spawn_straggler(
+        b: &mut SimBuilder<u64>,
+        at: &'static [u64],
+        got: Arc<Mutex<Vec<(u64, u64)>>>,
+    ) {
+        b.spawn_mail(NodeId(1), "straggler", move |ctx| async move {
+            for &t in at {
+                ctx.sleep(SimTime(t) - ctx.now()).await;
+                ctx.send(ActorId(0), 1, 8).await;
+                let deadline = ctx.now() + SimDuration::from_millis(5);
+                if let Some(env) = ctx.recv_deadline(deadline).await {
+                    assert_eq!(env.src, 0);
+                    got.lock().unwrap().push((ctx.now().0, env.msg));
+                }
+            }
+        });
+    }
+
+    /// A finished actor's reply is an ordinary send from its node: a `SEND`
+    /// right after the `DELIVER` it answers, one link latency out.
+    #[test]
+    fn an_exit_reply_crosses_the_link_with_its_latency() {
+        for workers in [0, 8] {
+            let mut b = wire_builder(2, workers);
+            let got = Arc::new(Mutex::new(Vec::new()));
+            spawn_finished(&mut b, true);
+            spawn_straggler(&mut b, &[10_000], Arc::clone(&got));
+            let report = b.run();
+            // 10 ms + 1.008 ms to the finished actor, 1.008 ms back.
+            assert_eq!(*got.lock().unwrap(), [(12_016, 99)], "pool of {workers}");
+            assert_eq!(report.deliveries_after_exit, 1);
+            assert_eq!(report.actors[0].msgs_sent, 1);
+            assert_eq!(report.actors[0].msgs_received, 0);
+            let text = render_trace(&report.trace);
+            assert!(
+                text.contains("EV 11008 DELIVER 1 0 8\nEV 11008 SEND 0 1 8\n"),
+                "{text}"
+            );
+        }
+    }
+
+    /// A reply sent into a partition is lost like any send; the first
+    /// message after the heal is answered.
+    #[test]
+    fn an_exit_reply_into_a_partition_is_dropped_and_the_next_is_answered() {
+        for workers in [0, 8] {
+            let mut b = wire_builder(2, workers);
+            let got = Arc::new(Mutex::new(Vec::new()));
+            spawn_finished(&mut b, true);
+            spawn_straggler(&mut b, &[10_000, 30_000], Arc::clone(&got));
+            // The link is cut after the first request leaves and before its
+            // reply does.
+            let plan = FaultPlan::new(0).partition(SimTime(10_500), SimTime(20_000), vec![vec![1]]);
+            let report = b.fault_plan(plan).run();
+            assert_eq!(*got.lock().unwrap(), [(32_016, 99)], "pool of {workers}");
+            assert_eq!(report.fault.partition_dropped, 1);
+            assert_eq!(report.deliveries_after_exit, 2);
+            assert_eq!(report.actors[0].msgs_sent, 2);
+        }
+    }
+
+    /// Crash-stop stays silent: a crashed node answers nothing, whether or
+    /// not its actor had left a reply, and the delivery counts as one to a
+    /// crashed node exactly as it would without the reply.
+    #[test]
+    fn a_crashed_node_answers_nothing() {
+        for workers in [0, 8] {
+            let run = |reply: bool| {
+                let mut b = wire_builder(2, workers);
+                let got = Arc::new(Mutex::new(Vec::new()));
+                spawn_finished(&mut b, reply);
+                spawn_straggler(&mut b, &[10_000], Arc::clone(&got));
+                let report = b
+                    .fault_plan(FaultPlan::new(0).crash(0, SimTime(5_000)))
+                    .run();
+                assert!(got.lock().unwrap().is_empty(), "pool of {workers}");
+                report
+            };
+            let (with, without) = (run(true), run(false));
+            assert_eq!(with.fault.deliveries_to_crashed, 1);
+            assert_eq!(with.deliveries_after_exit, 0);
+            assert_eq!(with.actors[0].msgs_sent, 0);
+            assert_eq!(
+                (
+                    with.trace_hash,
+                    with.events_processed,
+                    with.fault.deliveries_to_crashed
+                ),
+                (
+                    without.trace_hash,
+                    without.events_processed,
+                    without.fault.deliveries_to_crashed
+                )
+            );
+        }
+    }
+
+    /// An actor that left no reply answers nothing: the delivery is dropped
+    /// and counted, never queued.
+    #[test]
+    fn an_actor_with_no_reply_answers_nothing() {
+        for workers in [0, 8] {
+            let mut b = wire_builder(2, workers);
+            let got = Arc::new(Mutex::new(Vec::new()));
+            spawn_finished(&mut b, false);
+            spawn_straggler(&mut b, &[10_000], Arc::clone(&got));
+            let report = b.run();
+            assert!(got.lock().unwrap().is_empty(), "pool of {workers}");
+            assert_eq!(report.deliveries_after_exit, 1);
+            assert_eq!(report.actors[0].msgs_sent, 0);
+        }
+    }
+
+    /// A finished sender gets no answer, so two finished actors that both
+    /// left replies cannot ping-pong: actor 1's message reaches actor 0
+    /// after both have returned and is dropped unanswered, while actor 2
+    /// keeps the run going.
+    #[test]
+    fn a_finished_sender_gets_no_answer() {
+        for workers in [0, 8] {
+            let mut b = wire_builder(3, workers);
+            spawn_finished(&mut b, true);
+            b.spawn_mail(NodeId(1), "sends and returns", |ctx| async move {
+                ctx.exit_reply(77, 8);
+                ctx.send(ActorId(0), 1, 8).await;
+            });
+            b.spawn_mail(NodeId(2), "keeps the run going", |ctx| async move {
+                ctx.sleep(SimDuration::from_millis(50)).await;
+            });
+            let report = b.run();
+            assert_eq!(report.deliveries_after_exit, 1, "pool of {workers}");
+            assert_eq!(report.actors[0].msgs_sent, 0);
+            assert_eq!(report.end_time, SimTime(50_000));
+        }
     }
 }

@@ -16,7 +16,7 @@
 use dlb::apps::{Calibration, Lu, MatMul, Sor};
 use dlb::core::driver::{try_run, AppSpec, RunConfig, RunReport};
 use dlb::core::FaultToleranceConfig;
-use dlb::sim::{FaultPlan, SimDuration, SimTime};
+use dlb::sim::{FaultPlan, SimDuration, SimTime, TraceKind};
 use std::sync::Arc;
 
 const SLAVES: usize = 16;
@@ -341,6 +341,39 @@ fn master_crash_while_join_in_flight() {
         report.recovery
     );
     assert_joined(&report, "sor", 1);
+}
+
+/// A latecomer whose join instant falls after the master's end: the
+/// finished master answers its `Join` with `Abort`, so it stops one round
+/// trip later, inside its first back-off, instead of waiting out all of
+/// them.
+#[test]
+fn a_join_after_the_end_is_answered_at_once() {
+    let (k, plan) = mm();
+    let at = SimTime(5_000_000);
+    let mut cfg = join_cfg(FaultPlan::new(7501));
+    cfg.late_joiners = vec![(5, at)];
+    cfg.record_trace = true;
+    let backoff = cfg.fault_tolerance.rejoin_backoff;
+    let report = try_run(AppSpec::Independent(k.clone()), &plan, cfg)
+        .expect("a join after the end must not fail the run");
+    assert_eq!(MatMul::result_c(&report.result), k.sequential());
+    let master_done = report
+        .sim
+        .trace
+        .iter()
+        .rev()
+        .find(|e| e.kind == TraceKind::Wake { actor: 0 })
+        .expect("the master was polled")
+        .time;
+    assert!(master_done < at, "the master ended at {master_done}");
+    assert_eq!(report.recovery.joins_admitted, 0);
+    assert_eq!(report.sim.deliveries_after_exit, 1, "one Join, answered");
+    assert!(
+        report.sim.end_time < at + backoff,
+        "the joiner stopped at {}",
+        report.sim.end_time
+    );
 }
 
 /// A slave crash composed with a partition heal: one quorum-side slave

@@ -449,6 +449,19 @@ fn matrix(pool: usize) -> Vec<Row> {
     let r = wide.apps[2].1.run(&label, wide.cfg(pool, plan));
     rows.push(row(label, &r));
 
+    // Slaves 13..15 are cut off before their first report and evicted; the
+    // master ends at 0.92 s, the partition heals at 2 s. Their `Evict` was
+    // lost, so the minority learns the run is over from what the finished
+    // master answers the first done report that gets through.
+    let label = "heal_after_end/mm".to_string();
+    let minority: Vec<usize> = (13..16).map(node).collect();
+    let plan = FaultPlan::new(250).partition(SimTime(40_000), SimTime(2_000_000), vec![minority]);
+    let r = wide.apps[0]
+        .1
+        .run(&label, wide.join_cfg(pool, plan, PARTITION_MS));
+    assert_eq!(r.sim.deliveries_after_exit, 3, "{label}: one report each");
+    rows.push(row(label, &r));
+
     // Data-dependent WHILE termination under the re-scatter policy (the
     // driver wires no convergence test for the other two engines): the run
     // stops after two of three repetitions, through a slave crash.
@@ -597,6 +610,9 @@ fn event_streams_match_the_recorded_constants() {
 /// `pivot_link_cut/lu` was first recorded before a blocked slave asked a peer
 /// for a lost pivot (15.760343 s, one healthy slave evicted), and re-recorded
 /// with the 18 rows that change and its once-per-invocation race moved.
+/// `heal_after_end/mm` was first recorded before a finished master answered
+/// what reaches it with `Abort` (9.207958 s: the minority's 90 silent
+/// heartbeats), and re-recorded with the 11 rows that answer moved.
 #[rustfmt::skip]
 const GOLDEN: &[(&str, u64, u64, u64, &str)] = &[
     ("quiet4/mm", 435544, 604, 0xfbad34e7133c8371, "replicas_published: 9, replication_bytes: 3780"),
@@ -609,7 +625,7 @@ const GOLDEN: &[(&str, u64, u64, u64, &str)] = &[
     ("wire_crash4/lu", 17525714, 3286, 0x0536bbe5c11558c0, "slaves_declared_dead: 1, first_death: Some(t=8.243589s), instr_resends: 3, invocation_start_resends: 3, gather_resends: 1, done_dups_ignored: 4, checkpoints_banked: 16, rollbacks: 1, units_rolled_back: 20, speculations_launched: 1, speculations_committed: 1, units_speculated: 20, rollbacks_applied: 3, checkpoints_sent: 115, speculations_computed: 1, replicas_published: 40, replication_bytes: 18480"),
     ("freeze4/lu", 6880398, 3092, 0xf2d17b95ccc9de99, "instr_resends: 1, invocation_start_resends: 1, done_dups_ignored: 1, checkpoints_banked: 19, speculations_launched: 1, speculations_committed: 1, units_speculated: 5, checkpoints_sent: 113, speculations_computed: 1, replicas_published: 57, replication_bytes: 24660"),
     ("master_mid_invocation/mm", 8461536, 2544, 0x401aaad6390de8d7, "rollbacks: 1, units_rolled_back: 32, rollbacks_applied: 15, elections_held: 1, takeover_latency: Some(8.047046s), replicas_published: 7, replication_bytes: 3696"),
-    ("master_frozen_then_superseded/mm", 14285400, 3361, 0xe721aab66a72f065, "rollbacks: 1, units_rolled_back: 32, rollbacks_applied: 15, elections_held: 1, takeover_latency: Some(8.047046s), replicas_published: 7, replication_bytes: 3696"),
+    ("master_frozen_then_superseded/mm", 14285400, 3378, 0xf3abe1adf5adcd74, "rollbacks: 1, units_rolled_back: 32, rollbacks_applied: 15, elections_held: 1, takeover_latency: Some(8.047046s), replicas_published: 7, replication_bytes: 3696"),
     ("drop16/mm", 15288590, 2148, 0x55dbe3f09998c25f, "instr_resends: 4, start_resends: 1, invocation_start_resends: 5, gather_resends: 1, done_dups_ignored: 5, replicas_published: 9, replication_bytes: 5472"),
     ("dup16/mm", 322491, 1740, 0x97b1089860e7eb2d, "status_dups_ignored: 2, done_dups_ignored: 2, replicas_published: 9, replication_bytes: 4752"),
     ("jitter16/mm", 374360, 1727, 0xf3514e92540c0c29, "replicas_published: 9, replication_bytes: 4752"),
@@ -625,10 +641,10 @@ const GOLDEN: &[(&str, u64, u64, u64, &str)] = &[
     ("master_crash_join_in_flight_lossy/mm", 9183677, 4338, 0x52649385a0afc272, "restore_resends: 2, status_dups_ignored: 6, gather_dups_ignored: 1, rollbacks: 2, units_rolled_back: 64, joins_admitted: 1, join_snapshot_bytes: 1192, stale_epoch_dropped: 2, rollbacks_applied: 29, elections_held: 1, takeover_latency: Some(8.103306s), replicas_published: 7, replication_bytes: 3696"),
     ("partition_heal_rejoin/mm", 1921166, 6312, 0x2d7ef04aa1cb41d3, "slaves_declared_dead: 4, first_death: Some(t=0.607051s), units_restored: 6, restore_resends: 15, instr_resends: 1, invocation_start_resends: 1, done_dups_ignored: 20, rollbacks: 1, units_rolled_back: 32, speculations_launched: 1, speculations_committed: 1, units_speculated: 2, joins_admitted: 4, rejoins_after_eviction: 4, join_snapshot_bytes: 4800, partitions_healed: 1, rollbacks_applied: 16, speculations_computed: 1, replicas_published: 36, replication_bytes: 19128"),
     ("crash_inside_partition/mm", 2226702, 6885, 0x603463684fc5f3d3, "slaves_declared_dead: 5, first_death: Some(t=0.607051s), units_restored: 8, restore_resends: 26, instr_resends: 1, invocation_start_resends: 1, done_dups_ignored: 30, rollbacks: 1, units_rolled_back: 32, speculations_launched: 1, speculations_committed: 1, units_speculated: 2, joins_admitted: 4, rejoins_after_eviction: 4, join_snapshot_bytes: 4768, partitions_healed: 1, rollbacks_applied: 15, speculations_computed: 1, replicas_published: 36, replication_bytes: 19248"),
-    ("partition_heal_rejoin_lossy/mm", 3030077, 7115, 0xd40f5262865c4988, "slaves_declared_dead: 4, first_death: Some(t=0.597431s), units_restored: 6, restore_resends: 19, instr_resends: 10, start_resends: 2, invocation_start_resends: 12, gather_resends: 1, status_dups_ignored: 13, done_dups_ignored: 31, gather_dups_ignored: 1, rollbacks: 1, units_rolled_back: 32, speculations_launched: 1, speculations_committed: 1, units_speculated: 2, joins_admitted: 4, rejoins_after_eviction: 4, join_snapshot_bytes: 4800, partitions_healed: 1, stale_epoch_dropped: 3, rollbacks_applied: 16, speculations_computed: 1, replicas_published: 36, replication_bytes: 19248"),
+    ("partition_heal_rejoin_lossy/mm", 3030077, 7116, 0xfb6ce24102f65492, "slaves_declared_dead: 4, first_death: Some(t=0.597431s), units_restored: 6, restore_resends: 19, instr_resends: 10, start_resends: 2, invocation_start_resends: 12, gather_resends: 1, status_dups_ignored: 13, done_dups_ignored: 31, gather_dups_ignored: 1, rollbacks: 1, units_rolled_back: 32, speculations_launched: 1, speculations_committed: 1, units_speculated: 2, joins_admitted: 4, rejoins_after_eviction: 4, join_snapshot_bytes: 4800, partitions_healed: 1, stale_epoch_dropped: 3, rollbacks_applied: 16, speculations_computed: 1, replicas_published: 36, replication_bytes: 19248"),
     ("master_mid_invocation/sor", 16174924, 4156, 0xba9ed2ae92e2189a, "restore_resends: 4, checkpoints_banked: 3, rollbacks: 1, units_rolled_back: 34, stale_epoch_dropped: 4, rollbacks_applied: 15, checkpoints_sent: 179, elections_held: 1, takeover_latency: Some(8.086125s), replicas_published: 6, replication_bytes: 3728"),
     ("master_frozen_then_superseded/sor", 26797880, 5631, 0xecceb26d6bfd49b8, "slaves_declared_dead: 1, first_death: Some(t=24.175220s), restore_resends: 9, gather_resends: 3, gathers_interrupted: 1, checkpoints_banked: 4, rollbacks: 2, units_rolled_back: 68, stale_epoch_dropped: 41, rollbacks_applied: 42, checkpoints_sent: 351, elections_held: 1, takeover_latency: Some(8.086125s), replicas_published: 7, replication_bytes: 5016"),
-    ("drop16/sor", 56254061, 9416, 0xabb1a80830d73795, "slaves_declared_dead: 4, first_death: Some(t=15.252935s), restore_resends: 488, start_resends: 164, invocation_start_resends: 164, checkpoints_banked: 4, rollbacks: 6, units_rolled_back: 204, speculations_launched: 6, speculations_committed: 6, units_speculated: 49, stale_epoch_dropped: 414, rollbacks_applied: 71, checkpoints_sent: 61, speculations_computed: 6, replicas_published: 13, replication_bytes: 11784"),
+    ("drop16/sor", 56254061, 9417, 0x38cf4ba47dc1c5f3, "slaves_declared_dead: 4, first_death: Some(t=15.252935s), restore_resends: 488, start_resends: 164, invocation_start_resends: 164, checkpoints_banked: 4, rollbacks: 6, units_rolled_back: 204, speculations_launched: 6, speculations_committed: 6, units_speculated: 49, stale_epoch_dropped: 414, rollbacks_applied: 71, checkpoints_sent: 61, speculations_computed: 6, replicas_published: 13, replication_bytes: 11784"),
     ("dup16/sor", 10472091, 4065, 0x27996311a3abb02d, "start_resends: 4, invocation_start_resends: 4, status_dups_ignored: 7, checkpoints_banked: 3, checkpoints_sent: 104, replicas_published: 12, replication_bytes: 7536"),
     ("jitter16/sor", 52160313, 9162, 0xd89691e86f71e147, "slaves_declared_dead: 3, first_death: Some(t=17.771740s), restore_resends: 383, start_resends: 4, invocation_start_resends: 4, gather_dups_ignored: 11, checkpoints_banked: 4, rollbacks: 7, units_rolled_back: 238, speculations_launched: 2, speculations_committed: 2, units_speculated: 68, stale_epoch_dropped: 346, rollbacks_applied: 91, checkpoints_sent: 123, speculations_computed: 2, replicas_published: 27, replication_bytes: 20376"),
     ("master_mid_rollback/sor", 34494848, 5477, 0xa56e62c5564a731e, "slaves_declared_dead: 1, first_death: Some(t=24.031077s), restore_resends: 4, checkpoints_banked: 3, rollbacks: 1, units_rolled_back: 34, stale_epoch_dropped: 18, rollbacks_applied: 14, checkpoints_sent: 128, elections_held: 1, takeover_latency: Some(8.004202s), replicas_published: 8, replication_bytes: 5584"),
@@ -638,15 +654,15 @@ const GOLDEN: &[(&str, u64, u64, u64, &str)] = &[
     ("crash_in_gather/sor", 21097573, 5183, 0x9edeeefdece1167a, "slaves_declared_dead: 1, first_death: Some(t=18.473787s), restore_resends: 5, start_resends: 4, invocation_start_resends: 4, gather_resends: 3, gathers_interrupted: 1, checkpoints_banked: 3, rollbacks: 1, units_rolled_back: 34, stale_epoch_dropped: 5, rollbacks_applied: 15, checkpoints_sent: 215, replicas_published: 15, replication_bytes: 10320"),
     ("crash_in_gather_lossy/sor", 61691009, 10038, 0x09406b08ddaf00cf, "slaves_declared_dead: 3, first_death: Some(t=18.929769s), restore_resends: 587, start_resends: 4, invocation_start_resends: 4, status_dups_ignored: 1, gather_dups_ignored: 15, checkpoints_banked: 4, rollbacks: 7, units_rolled_back: 238, speculations_launched: 5, speculations_committed: 5, units_speculated: 46, stale_epoch_dropped: 510, rollbacks_applied: 91, checkpoints_sent: 163, speculations_computed: 5, replicas_published: 24, replication_bytes: 18552"),
     ("late_join/sor", 23600569, 42283, 0xbe375dcc87388c15, "slaves_declared_dead: 15, first_death: Some(t=1.810356s), restore_resends: 6089, start_resends: 56, invocation_start_resends: 56, done_dups_ignored: 28, gather_dups_ignored: 12, checkpoints_banked: 4, rollbacks: 30, units_rolled_back: 1020, speculations_launched: 15, speculations_committed: 1, speculations_cancelled: 10, units_speculated: 3, joins_admitted: 13, rejoins_after_eviction: 12, join_snapshot_bytes: 12048, partitions_healed: 9, stale_epoch_dropped: 5683, rollbacks_applied: 348, checkpoints_sent: 56, speculations_computed: 1, replicas_published: 41, replication_bytes: 23568"),
-    ("master_crash_join_in_flight/sor", 46553059, 27489, 0x612ef4e603fffb19, "slaves_declared_dead: 13, first_death: Some(t=10.294265s), restore_resends: 3143, done_dups_ignored: 25, checkpoints_banked: 4, rollbacks: 24, units_rolled_back: 816, speculations_launched: 11, speculations_committed: 1, speculations_cancelled: 9, units_speculated: 3, joins_admitted: 11, rejoins_after_eviction: 10, join_snapshot_bytes: 9896, partitions_healed: 7, stale_epoch_dropped: 2549, rollbacks_applied: 235, checkpoints_sent: 323, speculations_computed: 1, elections_held: 1, takeover_latency: Some(8.099309s), replicas_published: 19, replication_bytes: 10912"),
-    ("late_join_lossy/sor", 41534736, 34541, 0x664067376843488f, "slaves_declared_dead: 16, first_death: Some(t=1.828645s), restore_resends: 4877, start_resends: 54, invocation_start_resends: 54, status_dups_ignored: 5, done_dups_ignored: 49, gather_dups_ignored: 11, checkpoints_banked: 4, rollbacks: 29, units_rolled_back: 986, speculations_launched: 15, speculations_committed: 4, speculations_cancelled: 7, units_speculated: 12, joins_admitted: 14, rejoins_after_eviction: 13, join_snapshot_bytes: 13088, partitions_healed: 8, stale_epoch_dropped: 4337, rollbacks_applied: 302, checkpoints_sent: 63, speculations_computed: 2, replicas_published: 37, replication_bytes: 21136"),
-    ("master_crash_join_in_flight_lossy/sor", 49615089, 32492, 0xf5455046162e9b9a, "slaves_declared_dead: 13, first_death: Some(t=10.318771s), restore_resends: 3775, status_dups_ignored: 5, done_dups_ignored: 14, gather_dups_ignored: 11, checkpoints_banked: 4, rollbacks: 24, units_rolled_back: 816, speculations_launched: 7, speculations_committed: 1, speculations_cancelled: 2, units_speculated: 3, joins_admitted: 12, rejoins_after_eviction: 11, join_snapshot_bytes: 11504, partitions_healed: 8, stale_epoch_dropped: 3432, rollbacks_applied: 241, checkpoints_sent: 299, elections_held: 1, takeover_latency: Some(8.099309s), replicas_published: 18, replication_bytes: 10504"),
-    ("partition_heal_rejoin/sor", 48225271, 11584, 0x39829b906bc75e56, "slaves_declared_dead: 2, first_death: Some(t=2.016622s), restore_resends: 114, instr_resends: 2, start_resends: 37, invocation_start_resends: 39, done_dups_ignored: 4, checkpoints_banked: 3, rollbacks: 3, units_rolled_back: 102, speculations_launched: 4, speculations_committed: 4, units_speculated: 10, joins_admitted: 1, rejoins_after_eviction: 1, join_snapshot_bytes: 1040, partitions_healed: 1, stale_epoch_dropped: 111, rollbacks_applied: 40, checkpoints_sent: 443, speculations_computed: 3, replicas_published: 17, replication_bytes: 10736"),
-    ("crash_inside_partition/sor", 48225271, 9871, 0xb7a2641a6f9418f4, "slaves_declared_dead: 3, first_death: Some(t=2.059375s), restore_resends: 61, instr_resends: 2, start_resends: 85, invocation_start_resends: 87, done_dups_ignored: 4, checkpoints_banked: 3, rollbacks: 5, units_rolled_back: 170, speculations_launched: 4, speculations_committed: 4, units_speculated: 10, joins_admitted: 1, rejoins_after_eviction: 1, join_snapshot_bytes: 1032, partitions_healed: 1, stale_epoch_dropped: 56, rollbacks_applied: 64, checkpoints_sent: 245, speculations_computed: 3, replicas_published: 20, replication_bytes: 12160"),
-    ("partition_heal_rejoin_lossy/sor", 52775809, 37343, 0x9bcfe80488a00ba4, "slaves_declared_dead: 10, first_death: Some(t=2.017641s), restore_resends: 3934, start_resends: 58, invocation_start_resends: 58, status_dups_ignored: 5, done_dups_ignored: 13, gather_dups_ignored: 17, checkpoints_banked: 4, rollbacks: 29, units_rolled_back: 986, speculations_launched: 7, speculations_committed: 4, units_speculated: 12, joins_admitted: 9, rejoins_after_eviction: 9, join_snapshot_bytes: 8744, partitions_healed: 9, stale_epoch_dropped: 3769, rollbacks_applied: 349, checkpoints_sent: 241, speculations_computed: 3, replicas_published: 51, replication_bytes: 31088"),
+    ("master_crash_join_in_flight/sor", 27554311, 27423, 0xd687d2e9161119c1, "slaves_declared_dead: 13, first_death: Some(t=10.294265s), restore_resends: 3143, done_dups_ignored: 25, checkpoints_banked: 4, rollbacks: 24, units_rolled_back: 816, speculations_launched: 11, speculations_committed: 1, speculations_cancelled: 9, units_speculated: 3, joins_admitted: 11, rejoins_after_eviction: 10, join_snapshot_bytes: 9896, partitions_healed: 7, stale_epoch_dropped: 2549, rollbacks_applied: 235, checkpoints_sent: 323, speculations_computed: 1, elections_held: 1, takeover_latency: Some(8.099309s), replicas_published: 19, replication_bytes: 10912"),
+    ("late_join_lossy/sor", 25414572, 34491, 0x2ea4d594f53562d9, "slaves_declared_dead: 16, first_death: Some(t=1.828645s), restore_resends: 4877, start_resends: 54, invocation_start_resends: 54, status_dups_ignored: 5, done_dups_ignored: 49, gather_dups_ignored: 11, checkpoints_banked: 4, rollbacks: 29, units_rolled_back: 986, speculations_launched: 15, speculations_committed: 4, speculations_cancelled: 7, units_speculated: 12, joins_admitted: 14, rejoins_after_eviction: 13, join_snapshot_bytes: 13088, partitions_healed: 8, stale_epoch_dropped: 4337, rollbacks_applied: 302, checkpoints_sent: 63, speculations_computed: 2, replicas_published: 37, replication_bytes: 21136"),
+    ("master_crash_join_in_flight_lossy/sor", 30402319, 32459, 0x3379da510d333e69, "slaves_declared_dead: 13, first_death: Some(t=10.318771s), restore_resends: 3775, status_dups_ignored: 5, done_dups_ignored: 14, gather_dups_ignored: 11, checkpoints_banked: 4, rollbacks: 24, units_rolled_back: 816, speculations_launched: 7, speculations_committed: 1, speculations_cancelled: 2, units_speculated: 3, joins_admitted: 12, rejoins_after_eviction: 11, join_snapshot_bytes: 11504, partitions_healed: 8, stale_epoch_dropped: 3432, rollbacks_applied: 241, checkpoints_sent: 299, elections_held: 1, takeover_latency: Some(8.099309s), replicas_published: 18, replication_bytes: 10504"),
+    ("partition_heal_rejoin/sor", 30007483, 11315, 0xdaeced1f2c23c74a, "slaves_declared_dead: 2, first_death: Some(t=2.016622s), restore_resends: 114, instr_resends: 2, start_resends: 37, invocation_start_resends: 39, done_dups_ignored: 4, checkpoints_banked: 3, rollbacks: 3, units_rolled_back: 102, speculations_launched: 4, speculations_committed: 4, units_speculated: 10, joins_admitted: 1, rejoins_after_eviction: 1, join_snapshot_bytes: 1040, partitions_healed: 1, stale_epoch_dropped: 111, rollbacks_applied: 40, checkpoints_sent: 443, speculations_computed: 3, replicas_published: 17, replication_bytes: 10736"),
+    ("crash_inside_partition/sor", 30007483, 9602, 0xf5597038a8df44e4, "slaves_declared_dead: 3, first_death: Some(t=2.059375s), restore_resends: 61, instr_resends: 2, start_resends: 85, invocation_start_resends: 87, done_dups_ignored: 4, checkpoints_banked: 3, rollbacks: 5, units_rolled_back: 170, speculations_launched: 4, speculations_committed: 4, units_speculated: 10, joins_admitted: 1, rejoins_after_eviction: 1, join_snapshot_bytes: 1032, partitions_healed: 1, stale_epoch_dropped: 56, rollbacks_applied: 64, checkpoints_sent: 245, speculations_computed: 3, replicas_published: 20, replication_bytes: 12160"),
+    ("partition_heal_rejoin_lossy/sor", 42984413, 37336, 0xd03ad464fa7dd406, "slaves_declared_dead: 10, first_death: Some(t=2.017641s), restore_resends: 3934, start_resends: 58, invocation_start_resends: 58, status_dups_ignored: 5, done_dups_ignored: 13, gather_dups_ignored: 17, checkpoints_banked: 4, rollbacks: 29, units_rolled_back: 986, speculations_launched: 7, speculations_committed: 4, units_speculated: 12, joins_admitted: 9, rejoins_after_eviction: 9, join_snapshot_bytes: 8744, partitions_healed: 9, stale_epoch_dropped: 3769, rollbacks_applied: 349, checkpoints_sent: 241, speculations_computed: 3, replicas_published: 51, replication_bytes: 31088"),
     ("final_rollback_lost/sor", 52608720, 34124, 0xcb9e751294576247, "slaves_declared_dead: 11, first_death: Some(t=2.010367s), restore_resends: 1345, start_resends: 31, invocation_start_resends: 31, status_dups_ignored: 10, gather_dups_ignored: 1, checkpoints_banked: 4, rollbacks: 24, units_rolled_back: 816, joins_admitted: 11, rejoins_after_eviction: 11, join_snapshot_bytes: 9080, partitions_healed: 10, stale_epoch_dropped: 1103, rollbacks_applied: 250, checkpoints_sent: 651, replicas_published: 51, replication_bytes: 32688"),
     ("master_mid_invocation/lu", 8750127, 10465, 0x945f0d7e87d799e0, "checkpoints_banked: 22, rollbacks: 1, units_rolled_back: 24, rollbacks_applied: 15, checkpoints_sent: 450, elections_held: 1, takeover_latency: Some(8.005222s), replicas_published: 47, replication_bytes: 24816"),
-    ("master_frozen_then_superseded/lu", 14260673, 11756, 0x7c6ed86ddc550be8, "checkpoints_banked: 22, rollbacks: 1, units_rolled_back: 24, rollbacks_applied: 15, checkpoints_sent: 450, elections_held: 1, takeover_latency: Some(8.005222s), replicas_published: 47, replication_bytes: 24816"),
+    ("master_frozen_then_superseded/lu", 14260673, 11759, 0x60e8777f70cdfa57, "checkpoints_banked: 22, rollbacks: 1, units_rolled_back: 24, rollbacks_applied: 15, checkpoints_sent: 450, elections_held: 1, takeover_latency: Some(8.005222s), replicas_published: 47, replication_bytes: 24816"),
     ("drop16/lu", 33514183, 14518, 0xb7dd296157856c46, "instr_resends: 43, start_resends: 2, invocation_start_resends: 45, done_dups_ignored: 50, checkpoints_banked: 19, checkpoints_sent: 698, replicas_published: 69, replication_bytes: 40392"),
     ("dup16/lu", 777185, 9986, 0x4fdf87d86b092d0d, "status_dups_ignored: 24, gather_dups_ignored: 2, checkpoints_banked: 22, checkpoints_sent: 368, replicas_published: 69, replication_bytes: 36432"),
     ("jitter16/lu", 1162262, 10360, 0x02cea3599e502276, "checkpoints_banked: 22, checkpoints_sent: 368, replicas_published: 69, replication_bytes: 36552"),
@@ -663,8 +679,9 @@ const GOLDEN: &[(&str, u64, u64, u64, &str)] = &[
     ("master_crash_join_in_flight_lossy/lu", 14820001, 16100, 0xe311f4114453e86a, "instr_resends: 27, invocation_start_resends: 27, gather_resends: 1, status_dups_ignored: 16, done_dups_ignored: 32, checkpoints_banked: 20, rollbacks: 1, units_rolled_back: 24, rollbacks_applied: 15, checkpoints_sent: 1064, elections_held: 1, takeover_latency: Some(8.052168s), replicas_published: 44, replication_bytes: 23552"),
     ("partition_heal_rejoin/lu", 4396765, 21186, 0x8a9d3ac06f7c561b, "slaves_declared_dead: 3, first_death: Some(t=0.618641s), restore_resends: 26, done_dups_ignored: 5, checkpoints_banked: 38, rollbacks: 6, units_rolled_back: 240, speculations_launched: 2, joins_admitted: 3, rejoins_after_eviction: 3, join_snapshot_bytes: 3408, partitions_healed: 3, stale_epoch_dropped: 44, rollbacks_applied: 78, checkpoints_sent: 827, replicas_published: 119, replication_bytes: 63232"),
     ("crash_inside_partition/lu", 5129093, 21188, 0x7cab9b5cb9557782, "slaves_declared_dead: 5, first_death: Some(t=0.618641s), restore_resends: 47, instr_resends: 3, invocation_start_resends: 3, done_dups_ignored: 10, checkpoints_banked: 38, rollbacks: 9, units_rolled_back: 360, speculations_launched: 3, joins_admitted: 4, rejoins_after_eviction: 4, join_snapshot_bytes: 4520, partitions_healed: 4, stale_epoch_dropped: 61, rollbacks_applied: 106, checkpoints_sent: 812, replicas_published: 118, replication_bytes: 62784"),
-    ("partition_heal_rejoin_lossy/lu", 39121759, 29214, 0x72c7661b45a87c5d, "slaves_declared_dead: 7, first_death: Some(t=0.610509s), restore_resends: 102, instr_resends: 47, start_resends: 6, invocation_start_resends: 53, status_dups_ignored: 33, done_dups_ignored: 65, gather_dups_ignored: 1, checkpoints_banked: 34, rollbacks: 12, units_rolled_back: 480, speculations_launched: 6, speculations_committed: 1, units_speculated: 3, joins_admitted: 6, rejoins_after_eviction: 6, join_snapshot_bytes: 6768, partitions_healed: 5, stale_epoch_dropped: 130, rollbacks_applied: 133, checkpoints_sent: 1174, replicas_published: 126, replication_bytes: 67448"),
+    ("partition_heal_rejoin_lossy/lu", 30003971, 28942, 0x253d9dbee6808bf5, "slaves_declared_dead: 7, first_death: Some(t=0.610509s), restore_resends: 102, instr_resends: 47, start_resends: 6, invocation_start_resends: 53, status_dups_ignored: 33, done_dups_ignored: 65, gather_dups_ignored: 1, checkpoints_banked: 34, rollbacks: 12, units_rolled_back: 480, speculations_launched: 6, speculations_committed: 1, units_speculated: 3, joins_admitted: 6, rejoins_after_eviction: 6, join_snapshot_bytes: 6768, partitions_healed: 5, stale_epoch_dropped: 130, rollbacks_applied: 133, checkpoints_sent: 1174, replicas_published: 126, replication_bytes: 67448"),
     ("pivot_link_cut/lu", 2766187, 10351, 0xf9bc24cb0be17b95, "instr_resends: 2, invocation_start_resends: 2, done_dups_ignored: 4, checkpoints_banked: 22, checkpoints_sent: 388, replicas_published: 69, replication_bytes: 36672"),
+    ("heal_after_end/mm", 2093983, 2786, 0x302ec0336cfcb43d, "slaves_declared_dead: 3, first_death: Some(t=0.500065s), units_restored: 4, restore_resends: 13, instr_resends: 1, start_resends: 6, invocation_start_resends: 7, done_dups_ignored: 15, speculations_launched: 1, speculations_committed: 1, units_speculated: 2, speculations_computed: 1, replicas_published: 9, replication_bytes: 4752"),
     ("converges_early4/mm", 8298050, 796, 0xf4390f20a01ad864, "slaves_declared_dead: 1, first_death: Some(t=8.291074s), restore_resends: 3, done_dups_ignored: 3, speculations_launched: 1, speculations_committed: 1, units_speculated: 6, speculations_computed: 1, replicas_published: 6, replication_bytes: 3480"),
     ("quiet31/sor", 6053941, 5032, 0x21f3825f0feb418f, "start_resends: 1, invocation_start_resends: 1, checkpoints_banked: 2, checkpoints_sent: 123, replicas_published: 9, replication_bytes: 6687"),
     ("plain_load4/mm/sync", 1672999, 939, 0xdbcb800b21f443a6, ""),
