@@ -332,9 +332,8 @@ pub fn try_run(
     } else {
         cfg.balancer.mode
     };
-    // The master's whole configuration is this one value. In fault mode a
-    // clone of it, taken here before the balancer has seen a status, rides
-    // in every slave's takeover kit.
+    // The master's whole configuration is this one value, in the kit every
+    // reign starts from: the master's, and in fault mode every slave's.
     let master_cfg = {
         let mut balancer = Balancer::new(
             cfg.balancer.clone(),
@@ -389,25 +388,18 @@ pub fn try_run(
     let master_id = dlb_sim::ActorId(0);
     let slave_ids: Vec<_> = (1..=n_slaves).map(dlb_sim::ActorId).collect();
 
-    // In fault mode every slave carries the takeover kit: the election
-    // winner uses it to rebuild the master role in place.
-    let takeover_kit = fault_mode.then(|| {
-        Arc::new(TakeoverKit {
-            cfg: master_cfg.clone(),
-            master: master_id,
-            slaves: slave_ids.clone(),
-            assignment: assignment.clone(),
-            block_rows,
-            outcome: Arc::clone(&outcome),
-        })
+    // In fault mode every slave carries the kit too: the election winner
+    // uses it to rebuild the master role in place.
+    let kit = Arc::new(TakeoverKit {
+        cfg: master_cfg,
+        master: master_id,
+        slaves: slave_ids,
+        assignment,
+        block_rows,
+        outcome: Arc::clone(&outcome),
     });
-
-    {
-        let outcome = Arc::clone(&outcome);
-        sim.spawn_mail(master_node, "master", move |ctx| {
-            run_master(ctx, master_cfg, slave_ids, assignment, block_rows, outcome)
-        });
-    }
+    let takeover_kit = fault_mode.then(|| Arc::clone(&kit));
+    sim.spawn_mail(master_node, "master", move |ctx| run_master(ctx, kit));
 
     let slave_ft = fault_mode.then(|| cfg.fault_tolerance.clone());
     for (i, node) in slave_nodes.into_iter().enumerate() {

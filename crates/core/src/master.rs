@@ -10,23 +10,23 @@
 //! received_from[b][a]` for every live pair), and no movement order is
 //! outstanding — so no unit can be lost, duplicated, or skipped.
 //!
-//! The master runs one of two loops:
+//! The master runs one of two controls:
 //!
 //! * **plain** (`run_plain`) — no fault plan; trouble is a typed error,
 //!   never a panic. It stays a loop of its own: it is the only one that
 //!   checks unit conservation (`done_sum == expected`), it blocks in
-//!   `recv()` where the fault-mode driver ticks on `recv_deadline` (every
+//!   `recv()` where the fault-mode shell ticks on `recv_deadline` (every
 //!   tick is a wake event: `wide_armed` processes 298 087 events to
 //!   `wide_plain`'s 217 220, 1.60× the wall-clock), and it backs every
 //!   `results/*.txt` table — folding it in would move each of those traces
 //!   or make every shared arm branch on "armed?".
-//! * **fault mode** (`drive`) — one loop over one `Session`
+//! * **fault mode** (`Master`) — a step function over one `Session`
 //!   (`crate::session::master`): silence-based failure detection, epoch
 //!   fencing, windowed recovery messages, speculation, elastic membership,
-//!   the gather — with the dynamic balancer live throughout. Each pass
-//!   receives once, dispatches one `match`, and runs one timer `sweep`;
-//!   where it stands is a `Phase`, whose rows are the next table. How a
-//!   loss is repaired is the session's `Policy`, which `Session::new`
+//!   the gather — with the dynamic balancer live throughout. Each step
+//!   takes one delivery or tick, dispatches one `match`, and runs one timer
+//!   `sweep`; where it stands is a `Phase`, whose rows are the next table.
+//!   How a loss is repaired is the session's `Policy`, which `Session::new`
 //!   picks from the application's pattern:
 //!   - `Policy::Rescatter` (independent pattern) — recover in place.
 //!     The master evicts a silent slave, fences off its transfer channels
@@ -43,7 +43,23 @@
 //!     suspect's next invocation is raced on an idle survivor from the
 //!     banked snapshot so an eviction rolls back one invocation less.
 //!
-//! ## The phases of the fault-mode loop
+//! ## A step function and its shell
+//!
+//! `Master::armed` and `Master::takeover` open a reign; `Master::on(input,
+//! &mut fx)` takes one `Input` — a delivery, or a tick with none — runs its
+//! receive arm and the `sweep`, advances the phase to the next receive,
+//! and says whether the run ended. It takes no `MailCtx`: what a step does
+//! goes into `Effects` — CPU charges, sends and notes, in order — which
+//! carry the actor's clock, so `fx.now()` is where the kernel will resume
+//! the actor. Only the shell (`run`, `reign`, `flush`, `conclude`) and
+//! `run_plain` touch the kernel: receive until the next `MASTER_TICK`,
+//! step, and apply the effects through `advance_work` / `send` / `note` —
+//! the parks, sends and notes of the loop this replaced, in its order. The
+//! one thing the effect clock cannot see is a freeze over a charge's
+//! finish: the actor resumes at the thaw, and the master sees the late time
+//! at its next step.
+//!
+//! ## The phases of the fault-mode master
 //!
 //! `Release` is passed through, never waited in: it opens invocation
 //! `inv` (admission, release broadcast, replica publish) or, past the last
@@ -61,7 +77,7 @@
 //! ## Where the two policies differ
 //!
 //! Everything not listed here is one code path. Each row is one or more
-//! methods of `Policy` (`session/master.rs`), named in the table; `drive`,
+//! methods of `Policy` (`session/master.rs`), named in the table; `Master`,
 //! `sweep`, `slave_error` and `Session` call the row and never test the
 //! variant, and this table is the single place the two are contrasted.
 //!
@@ -72,7 +88,7 @@
 //! | 3 | replica freshness (`Session::publish_replica`) | `replica_fresh` | `fresh = inv`, nothing banked | `fresh` = `best_banked` = newest banked checkpoint; the replica carries no unit |
 //! | 4 | `Status` / `InvocationDone` from a stale epoch; cancelling a speculation | `future_epoch`, `cancel_race` | never cancels a speculation; "from the future" checks the invocation only; cancel is a windowed `SpecCancel` | cancels it; `epoch >` the epoch in force is also "from the future" (`Status`) or `Inconsistent` (`InvocationDone`); cancel is master-local |
 //! | 5 | window ack floor for `InvocationDone::restore_seq`, always applied *before* the epoch fence; ownership | `ack_floor`, `adopt_owned` | the epoch in force — a stale report never acks; `owned_ids` adopted | `join_epoch[slave]` — a stale report of this life still acks; `owned_ids` ignored |
-//! | 6 | policy-own messages: every arm `drive` does not share | `own_msg` | `OwnReport` | `Checkpoint`, stray `GatherData`; the other policy's messages end in `UnexpectedMessage` naming the policy and the phase (silently tolerated under a takeover) |
+//! | 6 | policy-own messages: every arm `Master::deliver` does not share | `own_msg` | `OwnReport` | `Checkpoint`, stray `GatherData`; the other policy's messages end in `UnexpectedMessage` naming the policy and the phase (silently tolerated under a takeover) |
 //! | 7 | `SlaveError` from a member | `member_error` | fatal: `SlaveFailed` | once its window is acked: evict unless the error is survivable, roll back, restart the invocation |
 //! | 8 | suspicion expires | `evict_in_place`, `fence`, `awaits`, `renotify` | evict inside the sweep (several per sweep, before the deputies are pinged), fence with `Evicted`, wait for `OwnReport`s — a slave one of them is awaited from is never "settled", awaiting survivors are re-notified on the nudge timer, and the barrier stays shut while an eviction is open | first suspect only, after the ping: evict, roll back, restart the invocation |
 //! | 9 | speculation launch | `speculate` | suspect's units from initial data; not while an eviction is open, not for a slave that owns nothing | whole banked snapshot, advanced one invocation; not for a suspect that is done or already raced in this invocation, not past the invocation being settled |
@@ -99,14 +115,14 @@
 //! modelled and exhaustively checked in `dlb-analyze` (restore + transfer
 //! models in [`crate::session::model`]).
 //!
-//! The fault-mode driver also *replicates the control plane*: at each
+//! The fault-mode master also *replicates the control plane*: at each
 //! invocation boundary the master publishes a [`ReplicaMsg`](crate::msg::ReplicaMsg)
 //! (membership, epoch, invocation watermark, the newest complete
 //! checkpoint's invocation, cumulative recovery counters — scalars only) to
 //! the deputy slaves, and heartbeats them with [`FailoverMsg::MasterPing`]
 //! between barriers. When the master crashes the deputies elect a successor
-//! ([`crate::session::replica`]); the winner re-enters the same driver
-//! through [`run_takeover`] with a [`TakeoverSeed`], which seeds the
+//! ([`crate::session::replica`]); the winner re-enters the same step
+//! function through [`run_takeover`] with a [`TakeoverSeed`], which seeds the
 //! session from the replica, fences the new reign behind `term << 32`
 //! epochs, re-collects the checkpoint fragments the survivors hold
 //! (rollback policy), re-ranges the survivors, and resumes — bit-exact,
@@ -123,7 +139,7 @@ use crate::error::{FaultToleranceConfig, ProtocolError};
 use crate::frequency::PeriodBounds;
 use crate::msg::{FailoverMsg, Instructions, Msg, Status, UnitData};
 use crate::recovery::RecoveryStats;
-use crate::session::master::{channels_settled, merge_max, send, Policy, Session};
+use crate::session::master::{channels_settled, merge_max, Effect, Effects, Policy, Session};
 use crate::session::membership::Life;
 use crate::session::replica::TakeoverSeed;
 use dlb_sim::{ActorId, CpuWork, MailCtx, SimDuration, SimTime};
@@ -172,18 +188,21 @@ pub struct MasterOutcome {
     pub completed: bool,
 }
 
-/// Everything a promoted deputy needs to rebuild the master role in place:
-/// the master configuration as it was before the run (balancer state is
-/// not replicated — the new reign re-learns rates from the first statuses
-/// it sees), the run topology, and the shared outcome slot. Handed to
-/// every slave in fault mode; used only by the election winner.
+/// Everything a reign starts from: the master configuration as it was
+/// before the run (balancer state is not replicated — a promoted deputy
+/// re-learns rates from the first statuses it sees), the run topology, and
+/// the shared outcome slot. The master runs from it; in fault mode every
+/// slave carries it, and the election winner rebuilds the master role from
+/// it in place.
 pub struct TakeoverKit {
-    /// Cloned before the original master's balancer saw a status.
+    /// As built, before any balancer saw a status.
     pub cfg: MasterConfig,
     /// The original master's actor id (fenced with `Promoted` on takeover
     /// in case it is merely slow, not dead).
     pub master: ActorId,
+    /// In slave-index order.
     pub slaves: Vec<ActorId>,
+    /// The initial block distribution.
     pub assignment: Vec<(usize, usize)>,
     pub block_rows: u64,
     pub outcome: Arc<Mutex<MasterOutcome>>,
@@ -211,7 +230,7 @@ fn unexpected(context: &'static str, msg: &Msg) -> ProtocolError {
 }
 
 /// The election winner's actor body: announce the new reign, then re-enter
-/// the fault-mode driver seeded from the replica. Writes the shared outcome
+/// the fault-mode master seeded from the replica. Writes the shared outcome
 /// itself (the crashed master never will); returns `Ok` even on a failed
 /// run — the failure is recorded in the outcome, exactly as `run_master`
 /// records it — so the caller never ships a stray `SlaveError` to a dead
@@ -222,89 +241,99 @@ pub async fn run_takeover(
     seed: TakeoverSeed,
     me: usize,
 ) -> Result<(), ProtocolError> {
-    ctx.note(|| {
-        let (term, inv) = (seed.term, seed.replica.invocation);
-        format!("slave {me} won term {term} (replica inv {inv})")
-    });
-    let mut cfg = kit.cfg.clone();
-    let mut sc = MasterOutcome {
-        // Adopt the crashed master's cumulative counters so the final
-        // report covers the whole run.
-        recovery: seed.replica.recovery.clone(),
-        ..MasterOutcome::default()
-    };
-    sc.recovery.elections_held += 1;
-    sc.recovery.takeover_latency = Some(ctx.now().saturating_since(seed.last_heard));
-    let promoted = Msg::Failover(FailoverMsg::Promoted {
-        term: seed.term,
-        master_idx: me,
-    });
-    let others = || {
-        let slaves = kit.slaves.iter().enumerate();
-        slaves.filter(|&(i, _)| i != me).map(|(_, &s)| s)
-    };
-    for s in others() {
-        send(ctx, s, promoted.clone()).await;
-    }
-    // Fence the old master too, in case it is merely slow, not dead.
-    send(ctx, kit.master, promoted.clone()).await;
-    let res = run_armed(
-        ctx,
-        &mut cfg,
-        &kit.slaves,
-        &kit.assignment,
-        kit.block_rows,
-        &mut sc,
-        Some((&seed, me)),
-    )
-    .await;
-    conclude(ctx, &cfg, sc, res, others(), &kit.outcome).await;
+    run(ctx, kit, Some((seed, me))).await;
     Ok(())
 }
 
-/// The master actor body. `slaves` in slave-index order; `assignment` is
-/// the initial block distribution; the outcome lands in `out`.
-pub async fn run_master(
-    ctx: MailCtx<Msg>,
-    mut cfg: MasterConfig,
-    slaves: Vec<ActorId>,
-    assignment: Vec<(usize, usize)>,
-    block_rows: u64,
-    out: Arc<Mutex<MasterOutcome>>,
-) {
-    let mut sc = MasterOutcome::default();
-    let res = if cfg.ft.is_none() {
-        run_plain(&ctx, &mut cfg, &slaves, &assignment, block_rows, &mut sc).await
-    } else {
-        run_armed(
-            &ctx,
-            &mut cfg,
-            &slaves,
-            &assignment,
-            block_rows,
-            &mut sc,
-            None,
-        )
-        .await
-    };
-    conclude(&ctx, &cfg, sc, res, slaves.iter().copied(), &out).await;
+/// The master actor body; the outcome lands in `kit.outcome`.
+pub async fn run_master(ctx: MailCtx<Msg>, kit: Arc<TakeoverKit>) {
+    run(&ctx, &kit, None).await;
 }
+
+/// A reign from its opening to its outcome: the plain loop without
+/// fault-tolerance wiring, else the fault-mode master under its shell — an
+/// original reign, or the takeover of slot `me` from `seed`.
+async fn run(ctx: &MailCtx<Msg>, kit: &TakeoverKit, takeover: Option<(TakeoverSeed, usize)>) {
+    let mut fx = effects(ctx);
+    let me = takeover.as_ref().map(|&(_, me)| me);
+    let ended = match (kit.cfg.ft.clone(), takeover) {
+        (Some(tol), None) => {
+            let opened = Master::armed(kit, tol, &mut fx);
+            reign(ctx, &mut fx, opened).await
+        }
+        (Some(tol), Some((seed, me))) => {
+            let opened = Master::takeover(kit, tol, seed, me, &mut fx);
+            reign(ctx, &mut fx, opened).await
+        }
+        (None, None) => {
+            let (mut cfg, mut sc) = (kit.cfg.clone(), MasterOutcome::default());
+            let res = run_plain(ctx, &mut fx, &mut cfg, kit, &mut sc).await;
+            (cfg, sc, res)
+        }
+        (None, Some(_)) => {
+            let detail =
+                "fault-mode master without fault-tolerance wiring (MasterConfig::ft)".into();
+            let res = Err(ProtocolError::Inconsistent { detail });
+            (kit.cfg.clone(), MasterOutcome::default(), res)
+        }
+    };
+    conclude(ctx, &mut fx, kit, me, ended).await;
+}
+
+/// A reign's effect buffer, its clock at `ctx`'s and its costs `ctx`'s.
+fn effects(ctx: &MailCtx<Msg>) -> Effects {
+    let (node, net) = ctx.costs();
+    Effects::new(node.clone(), net.clone(), ctx.traced(), ctx.now())
+}
+
+/// Apply a step's effects through the kernel, in order, leaving `fx`
+/// empty for the next step.
+async fn flush(ctx: &MailCtx<Msg>, fx: &mut Effects) {
+    for effect in fx.drain() {
+        match effect {
+            Effect::Cpu(work) => ctx.advance_work(work).await,
+            Effect::Send(to, msg, bytes) => ctx.send(to, msg, bytes).await,
+            Effect::Note(text) => ctx.note(|| text),
+        }
+    }
+}
+
+/// The fault-mode shell: flush what the master did, receive until the next
+/// tick, and step — until a step ends the run. Hands back the
+/// configuration, the outcome so far and how the run ended.
+async fn reign(ctx: &MailCtx<Msg>, fx: &mut Effects, (mut master, mut end): Opened) -> Ended {
+    loop {
+        flush(ctx, fx).await;
+        if let Some(res) = end {
+            let (cfg, sc) = master.finish();
+            return (cfg, sc, res);
+        }
+        let input = match ctx.recv_deadline(ctx.now() + MASTER_TICK).await {
+            Some(env) => Input::Deliver(env.msg),
+            None => Input::Tick,
+        };
+        fx.at(ctx.now());
+        end = master.on(input, fx);
+    }
+}
+
+/// How a reign ended: its configuration, its outcome so far, its result.
+type Ended = (MasterConfig, MasterOutcome, Result<(), ProtocolError>);
 
 /// End of a reign: release the slaves if the run failed, leave `Abort` as
 /// the answer to whoever writes to the finished master, and write the
-/// outcome. `abort` names the slaves to release — every blocked wait
-/// receives `Abort`, so this cannot deadlock even outside fault mode. The
-/// exit reply reaches the slaves `abort` cannot: an orphan whose `Evict` was
-/// lost, a joiner whose `Join` lands after the end. Each stops one round trip
-/// after its first message gets through, instead of waiting out its give-up
-/// budget on a silent mailbox.
+/// outcome. Every slot but the winner `me`'s is released — every blocked
+/// wait receives `Abort`, so this cannot deadlock even outside fault mode.
+/// The exit reply reaches the slaves the release cannot: an orphan whose
+/// `Evict` was lost, a joiner whose `Join` lands after the end. Each stops
+/// one round trip after its first message gets through, instead of waiting
+/// out its give-up budget on a silent mailbox.
 async fn conclude(
     ctx: &MailCtx<Msg>,
-    cfg: &MasterConfig,
-    mut sc: MasterOutcome,
-    res: Result<(), ProtocolError>,
-    abort: impl Iterator<Item = ActorId>,
-    out: &Mutex<MasterOutcome>,
+    fx: &mut Effects,
+    kit: &TakeoverKit,
+    me: Option<usize>,
+    (cfg, mut sc, res): Ended,
 ) {
     if matches!(res, Err(ProtocolError::Superseded { .. })) {
         // A promoted deputy owns the run now: it writes the outcome and it
@@ -313,33 +342,39 @@ async fn conclude(
         return;
     }
     if res.is_err() {
-        for s in abort {
-            send(ctx, s, Msg::Abort).await;
+        let others = kit
+            .slaves
+            .iter()
+            .enumerate()
+            .filter(|&(i, _)| Some(i) != me);
+        for (_, &s) in others {
+            fx.send(s, Msg::Abort);
         }
     }
+    flush(ctx, fx).await;
     ctx.exit_reply(Msg::Abort, Msg::Abort.wire_bytes());
     sc.stats = cfg.balancer.stats();
     sc.bounds = Some(cfg.balancer.period_bounds());
     sc.completed = res.is_ok();
     sc.error = res.err();
-    *out.lock().unwrap_or_else(|p| p.into_inner()) = sc;
+    *kit.outcome.lock().unwrap_or_else(|p| p.into_inner()) = sc;
 }
 
-/// One balancing step, the same in every loop: charge the decision CPU, let
-/// the balancer answer the status, log the timeline row. The caller sends
-/// the instructions.
-async fn decide(
-    ctx: &MailCtx<Msg>,
+/// One balancing step, the same in both controls: charge the decision CPU,
+/// let the balancer answer the status, log the timeline row. The caller
+/// sends the instructions.
+fn decide(
+    fx: &mut Effects,
     cfg: &mut MasterConfig,
     sc: &mut MasterOutcome,
     st: &Status,
     inv: u64,
 ) -> Instructions {
-    ctx.advance_work(DECISION_CPU).await;
+    fx.cpu(DECISION_CPU);
     let decision = cfg.balancer.on_status(st);
     if cfg.record_timeline {
         sc.timeline.push(TimelineSample {
-            t: ctx.now(),
+            t: fx.now(),
             slave: st.slave,
             invocation: inv,
             raw_rate: decision.raw_rate,
@@ -352,27 +387,18 @@ async fn decide(
 }
 
 /// Fault-free control loop. Structurally the original master; every
-/// protocol violation is a typed error instead of a panic.
+/// protocol violation is a typed error instead of a panic. It writes into
+/// `fx` like the fault-mode master and flushes before each receive.
 async fn run_plain(
     ctx: &MailCtx<Msg>,
+    fx: &mut Effects,
     cfg: &mut MasterConfig,
-    slaves: &[ActorId],
-    assignment: &[(usize, usize)],
-    block_rows: u64,
+    kit: &TakeoverKit,
     sc: &mut MasterOutcome,
 ) -> Result<(), ProtocolError> {
-    let n = slaves.len();
+    let (slaves, n) = (&kit.slaves[..], kit.slaves.len());
     for &s in slaves {
-        send(
-            ctx,
-            s,
-            Msg::Start {
-                slaves: slaves.to_vec(),
-                assignment: assignment.to_vec(),
-                block_rows,
-            },
-        )
-        .await;
+        fx.send(s, kit.start());
     }
 
     // Per-channel counters: sent[a][b] = transfers a allocated towards b,
@@ -386,7 +412,7 @@ async fn run_plain(
     while inv < invocations {
         cfg.balancer.set_remaining_invocations(invocations - inv);
         for &s in slaves {
-            send(ctx, s, Msg::InvocationStart { invocation: inv }).await;
+            fx.send(s, Msg::InvocationStart { invocation: inv });
         }
         let expected = cfg.app.expected_units(inv);
         let mut done_sum = 0u64;
@@ -409,8 +435,10 @@ async fn run_plain(
                 }
                 break;
             }
+            flush(ctx, fx).await;
             let env = ctx.recv().await;
-            ctx.note(|| {
+            fx.at(ctx.now());
+            fx.note(|| {
                 let got = match &env.msg {
                     Msg::Status(s) => format!(
                         "Status(slave {}, delta {}, active {})",
@@ -431,8 +459,8 @@ async fn run_plain(
                     merge_max(&mut sent[st.slave], &st.sent_to);
                     merge_max(&mut recv[st.slave], &st.received_from);
                     idle[st.slave] = false;
-                    let instr = decide(ctx, cfg, sc, &st, inv).await;
-                    send(ctx, slaves[st.slave], Msg::Instructions(instr)).await;
+                    let instr = decide(fx, cfg, sc, &st, inv);
+                    fx.send(slaves[st.slave], Msg::Instructions(instr));
                 }
                 Msg::InvocationDone {
                     slave,
@@ -475,14 +503,15 @@ async fn run_plain(
         }
     }
 
-    sc.compute_done = ctx.now();
+    sc.compute_done = fx.now();
 
     // Gather results.
     for &s in slaves {
-        send(ctx, s, Msg::Gather).await;
+        fx.send(s, Msg::Gather);
     }
     let mut got = vec![false; n];
     while !got.iter().all(|&g| g) {
+        flush(ctx, fx).await;
         let env = ctx.recv().await;
         match env.msg {
             Msg::GatherData {
@@ -522,15 +551,15 @@ async fn run_plain(
 /// evicted unless it survives the error, and the run restarts from the
 /// newest complete checkpoint. `Ok(true)` means it did: the caller goes
 /// back to [`Phase::Release`].
-async fn slave_error(
-    ctx: &MailCtx<Msg>,
+fn slave_error(
+    fx: &mut Effects,
     balancer: &mut Balancer,
     st: &mut Session,
     slave: usize,
     error: ProtocolError,
 ) -> Result<bool, ProtocolError> {
     if !st.memb.alive[slave] {
-        send(ctx, st.slaves[slave], Msg::Evict).await;
+        fx.send(st.slaves[slave], Msg::Evict);
         return Ok(false);
     }
     let survivable = st.policy.member_error(slave, error)?;
@@ -538,10 +567,10 @@ async fn slave_error(
         return Ok(false);
     }
     if !survivable {
-        let now = ctx.now();
-        st.evict(ctx, balancer, slave, now).await?;
+        let now = fx.now();
+        st.evict(fx, balancer, slave, now)?;
     }
-    st.rerange(ctx, balancer, &[]).await?;
+    st.rerange(fx, balancer, &[])?;
     Ok(true)
 }
 
@@ -554,52 +583,19 @@ async fn slave_error(
 /// heartbeating, its `Evict` was lost: repeat it so the slave can exit or
 /// rejoin. (Older incarnations are zombies; the `Evict` would reach the
 /// current life, so they get nothing.)
-async fn alive_ping(ctx: &MailCtx<Msg>, st: &mut Session, slave: usize, incarnation: u64) -> bool {
+fn alive_ping(fx: &mut Effects, st: &mut Session, slave: usize, incarnation: u64) -> bool {
     let life = st.memb.life(slave, incarnation);
     match life {
-        Life::Current => st.memb.ping(slave, ctx.now()),
+        Life::Current => st.memb.ping(slave, fx.now()),
         Life::Evicted => {
-            send(ctx, st.slaves[slave], Msg::Evict).await;
+            fx.send(st.slaves[slave], Msg::Evict);
         }
         Life::Stale => {}
     }
     life == Life::Current
 }
 
-/// A fault-mode reign from start (or takeover) to the gathered result:
-/// build the session from the configuration's fault-tolerance wiring, run
-/// [`drive`] over it, and surface the session's recovery counters whether
-/// or not the run completed.
-async fn run_armed(
-    ctx: &MailCtx<Msg>,
-    cfg: &mut MasterConfig,
-    slaves: &[ActorId],
-    assignment: &[(usize, usize)],
-    block_rows: u64,
-    sc: &mut MasterOutcome,
-    takeover: Option<(&TakeoverSeed, usize)>,
-) -> Result<(), ProtocolError> {
-    let Some(tol) = cfg.ft.clone() else {
-        return Err(ProtocolError::Inconsistent {
-            detail: "fault-mode master without fault-tolerance wiring (MasterConfig::ft)"
-                .to_string(),
-        });
-    };
-    let term = takeover.map_or(0, |(seed, _)| seed.term);
-    let rec = std::mem::take(&mut sc.recovery);
-    let mut st = Session::new(ctx.now(), &cfg.app, tol, slaves, assignment, term, rec);
-    let start = Msg::Start {
-        slaves: slaves.to_vec(),
-        assignment: assignment.to_vec(),
-        block_rows,
-    };
-    let res = drive(ctx, cfg, &mut st, &start, sc, takeover).await;
-    sc.recovery = st.rec;
-    res
-}
-
-/// Where the fault-mode master's one loop stands (the phase rows in the
-/// module doc).
+/// Where the fault-mode master stands (the phase rows in the module doc).
 enum Phase {
     /// A rollback takeover's first phase: collect the checkpoint fragments
     /// the survivors hold. Which slots answered `Promoted` with `Held`.
@@ -634,506 +630,630 @@ impl Phase {
     }
 }
 
-/// The fault-mode control loop: silence-based failure detection, epoch
-/// fencing, windowed recovery, speculation, elastic membership and the
-/// gather, over one [`Session`] — one receive point, one [`sweep`], the
-/// gather as the last [`Phase`]. Session state and its structural
-/// transitions live in [`crate::session::master`]; this function is the
-/// protocol driver. A `continue` skips the sweep. Re-sends are
+/// What the shell hands the fault-mode master: a delivery, or a tick on
+/// which nothing arrived.
+#[derive(Clone, Debug)]
+enum Input {
+    Deliver(Msg),
+    Tick,
+}
+
+/// A reign as its constructor opened it, and how the run ended if the
+/// opening moves already ended it.
+type Opened = (Master, Option<Result<(), ProtocolError>>);
+
+/// A step's result as the shell takes it: `Some` once the run ended.
+fn ended(step: Result<bool, ProtocolError>) -> Option<Result<(), ProtocolError>> {
+    step.map_or_else(|e| Some(Err(e)), |done| done.then_some(Ok(())))
+}
+
+/// The fault-mode master: silence-based failure detection, epoch fencing,
+/// windowed recovery, speculation, elastic membership and the gather, over
+/// one [`Session`], as a step function — one receive arm, one [`sweep`],
+/// the gather as the last [`Phase`]. Session state and its structural
+/// transitions live in [`crate::session::master`]. Re-sends are
 /// event-triggered where an event exists; the one timer-driven repair that
 /// fires with no fault anywhere is the sweep's never-spoken nudge.
-async fn drive(
-    ctx: &MailCtx<Msg>,
-    cfg: &mut MasterConfig,
-    st: &mut Session,
-    start: &Msg,
-    sc: &mut MasterOutcome,
-    takeover: Option<(&TakeoverSeed, usize)>,
-) -> Result<(), ProtocolError> {
-    let n = st.slaves.len();
-    let tol = st.tol.clone();
-    let promoted = takeover.map(|(seed, me)| {
-        Msg::Failover(FailoverMsg::Promoted {
-            term: seed.term,
-            master_idx: me,
-        })
-    });
+struct Master {
+    cfg: MasterConfig,
+    sc: MasterOutcome,
+    st: Session,
+    phase: Phase,
+    /// Convergence can end the run early; a post-convergence rollback must
+    /// not run invocations the converged run never executed.
+    target: u64,
+    /// How the reign announced itself: an original reign's `Start`, re-sent
+    /// to a slave that never spoke, or a takeover's `Promoted`, which leads
+    /// its nudges.
+    announce: Msg,
+    takeover: bool,
+    /// The newest invocation the dead master had banked, per its replica.
+    best_banked: u64,
+}
 
-    let mut phase = if st.open(ctx, &mut cfg.balancer, takeover).await? {
-        Phase::Collect {
-            held: vec![false; n],
-        }
-    } else {
-        Phase::Release
-    };
-    if takeover.is_none() {
-        // Deferred slots get the Start too: it parks in their mailbox and
-        // teaches the latecomer the topology when it wakes to join.
-        for &s in &st.slaves {
-            send(ctx, s, start.clone()).await;
-        }
-    }
-    // Convergence can end the run early; a post-convergence rollback must
-    // not run invocations the converged run never executed.
-    let mut target = cfg.app.invocations();
-    loop {
-        if let Phase::Collect { held } = &phase {
-            if st.memb.survivors().iter().all(|&s| held[s]) {
-                // Every survivor's fragments are banked: restart from the
-                // newest snapshot they complete, and count how far that is
-                // behind the dead master's bank.
-                st.rerange(ctx, &mut cfg.balancer, &[]).await?;
-                let banked = takeover.map_or(0, |(seed, _)| seed.replica.best_banked);
-                st.rec.checkpoints_lost_to_stale_replica = banked.saturating_sub(st.inv);
-                ctx.note(|| format!("collected; restarts at {}, banked {banked}", st.inv));
-                phase = Phase::Release;
-            }
-        }
-        if matches!(phase, Phase::Release) {
-            phase = if st.inv < target {
-                if !st.pending_joins.is_empty() {
-                    st.admit(ctx, &mut cfg.balancer).await?;
-                }
-                cfg.balancer.set_remaining_invocations(target - st.inv);
-                // Unless the Rollback message itself released this
-                // invocation.
-                if !std::mem::take(&mut st.released) {
-                    for s in st.memb.survivors() {
-                        send(ctx, st.slaves[s], st.release_msg()).await;
-                    }
-                }
-                st.publish_replica(ctx).await;
-                st.begin_invocation(ctx.now());
-                Phase::Settle
-            } else {
-                sc.compute_done = ctx.now();
-                // Too late to admit once the run is gathering: refuse queued
-                // joiners so their bounded handshake exits instead of
-                // retrying into silence.
-                for (j, _) in st.pending_joins.drain(..) {
-                    send(ctx, st.slaves[j], Msg::JoinRefuse { slave: j }).await;
-                }
-                // Gather from the survivors; when it is complete, and what
-                // a death costs, is the policy's (`Policy::gathered`).
-                let now = ctx.now();
-                ctx.note(|| format!("gather begins, alive {:?}", st.memb.alive));
-                for s in 0..n {
-                    st.memb.rearm_nudge(s, now, tol.nudge);
-                    st.memb.last_heard[s] = now;
-                    if st.memb.alive[s] {
-                        send(ctx, st.slaves[s], Msg::Gather).await;
-                    }
-                }
-                let (seen, got) = (BTreeMap::new(), vec![false; n]);
-                Phase::Gather { seen, got }
-            };
-        }
-        if matches!(phase, Phase::Settle) && st.settled(&cfg.balancer) {
-            let wall = ctx.now().saturating_since(st.inv_started);
-            st.policy.fold_invocation_time(wall);
-            let reduced: f64 = st.metrics.iter().sum();
-            st.inv += 1;
-            if cfg.app.converged(st.inv - 1, reduced) {
-                target = st.inv;
-            }
-            phase = Phase::Release;
-            continue;
-        }
-        if let Phase::Gather { seen, got } = &mut phase {
-            if Policy::gathered(st, ctx, seen, got).await {
-                sc.result.extend(std::mem::take(seen));
-                return Ok(());
-            }
-        }
-        let gathering = matches!(phase, Phase::Gather { .. });
-        if let Some(env) = ctx.recv_deadline(ctx.now() + MASTER_TICK).await {
-            match (env.msg, &mut phase) {
-                // A final status racing the gather.
-                (Msg::Status(stm), Phase::Gather { got, .. }) => {
-                    st.nudge_gather(ctx, got, stm.slave).await;
-                }
-                (Msg::Status(stm), _) => {
-                    let s = stm.slave;
-                    // An evicted slave still talking, or a stale epoch.
-                    if !st.memb.alive[s] || st.fenced(ctx, s, stm.epoch).await {
-                        continue;
-                    }
-                    st.heard_from(ctx, s).await;
-                    if st.policy.future_epoch(stm.epoch, st.epoch) || stm.invocation > st.inv {
-                        return Err(unexpected("status from the future", &Msg::Status(stm)));
-                    }
-                    if stm.hook_seq <= st.last_hook_seq[s] {
-                        st.rec.status_dups_ignored += 1;
-                        continue;
-                    }
-                    st.last_hook_seq[s] = stm.hook_seq;
-                    // A status means the slave is computing again.
-                    st.memb.done[s] = false;
-                    // Ack lag alone is no evidence of loss: a slave pipelines
-                    // instructions, so it runs a couple of sequence numbers
-                    // behind even fault-free, and a dropped instruction is
-                    // superseded by the next one anyway. Retry only fires for
-                    // a slave stuck at a barrier (see the InvocationDone
-                    // arm), where nothing can supersede.
-                    let applied = stm.last_applied_seq;
-                    st.unacked_instr[s].take_if(|(seq, _, _)| applied >= *seq);
-                    merge_max(&mut st.sent[s], &stm.sent_to);
-                    merge_max(&mut st.recv[s], &stm.received_from);
-                    let instr = decide(ctx, cfg, sc, &stm, st.inv).await;
-                    st.unacked_instr[s] = Some((instr.seq, instr.clone(), 0));
-                    send(ctx, st.slaves[s], Msg::Instructions(instr)).await;
-                }
-                (
-                    Msg::InvocationDone {
-                        slave,
-                        restore_seq,
-                        epoch,
-                        ..
-                    },
-                    Phase::Gather { got, .. },
-                ) => {
-                    if st.memb.alive[slave] {
-                        st.ack_report(slave, epoch, restore_seq);
-                    } else {
-                        // Non-member still reporting: its Evict was lost.
-                        send(ctx, st.slaves[slave], Msg::Evict).await;
-                    }
-                    st.nudge_gather(ctx, got, slave).await;
-                }
-                (
-                    Msg::InvocationDone {
-                        slave,
-                        invocation,
-                        epoch,
-                        sent_to,
-                        received_from,
-                        metric,
-                        restore_seq,
-                        owned_ids,
-                    },
-                    _,
-                ) => {
-                    if !st.memb.alive[slave] {
-                        // A non-member still reporting (its Evict was lost,
-                        // e.g. dropped by a partition): repeat the verdict so
-                        // it can exit — or rejoin as a fresh incarnation when
-                        // elastic membership is on.
-                        send(ctx, st.slaves[slave], Msg::Evict).await;
-                        st.rec.done_dups_ignored += 1;
-                        continue;
-                    }
-                    st.ack_report(slave, epoch, restore_seq);
-                    if st.fenced(ctx, slave, epoch).await {
-                        continue;
-                    }
-                    st.heard_from(ctx, slave).await;
-                    if st.policy.future_epoch(epoch, st.epoch) {
-                        return Err(ProtocolError::Inconsistent {
-                            detail: format!(
-                                "InvocationDone from epoch {epoch} while in {}",
-                                st.epoch
-                            ),
-                        });
-                    }
-                    merge_max(&mut st.sent[slave], &sent_to);
-                    merge_max(&mut st.recv[slave], &received_from);
-                    cfg.balancer.ack_transfers(slave, &received_from);
-                    if invocation == st.inv {
-                        st.memb.done[slave] = true;
-                        st.metrics[slave] = metric;
-                        st.policy.adopt_owned(slave, owned_ids);
-                    } else if invocation < st.inv {
-                        st.rec.done_dups_ignored += 1;
-                        // A heartbeat from a slave stuck at the previous
-                        // barrier: its release was lost. The heartbeat itself
-                        // is the re-send trigger — the slave is chatty, so a
-                        // silence timer would never fire.
-                        if st.memb.nudge_due(slave, ctx.now(), tol.nudge) {
-                            send(ctx, st.slaves[slave], st.release_msg()).await;
-                            st.rec.invocation_start_resends += 1;
-                            // A stuck slave cannot supersede a lost
-                            // instruction with a newer one; replay the
-                            // unacknowledged one (bounded).
-                            if let Some((_, instr, tries)) = &mut st.unacked_instr[slave] {
-                                if *tries < INSTR_RETRIES {
-                                    *tries += 1;
-                                    st.rec.instr_resends += 1;
-                                    let again = Msg::Instructions(instr.clone());
-                                    send(ctx, st.slaves[slave], again).await;
-                                }
-                            }
-                        }
-                    } else {
-                        return Err(ProtocolError::Inconsistent {
-                            detail: format!(
-                                "InvocationDone for {invocation} while settling {}",
-                                st.inv
-                            ),
-                        });
-                    }
-                    // Done but missing windowed messages: they were lost in
-                    // flight.
-                    if st.memb.done[slave]
-                        && !st.win[slave].fully_acked()
-                        && st.memb.nudge_due(slave, ctx.now(), tol.nudge)
-                    {
-                        st.replay_window(ctx, slave).await;
-                    }
-                }
-                (
-                    Msg::GatherData {
-                        slave,
-                        units,
-                        fault_stats,
-                    },
-                    Phase::Gather { seen, got },
-                ) => {
-                    if !st.memb.alive[slave] {
-                        st.rec.gather_dups_ignored += 1;
-                        continue;
-                    }
-                    st.memb.last_heard[slave] = ctx.now();
-                    st.policy.ack_delivery(ctx, st.slaves[slave]).await;
-                    // A repeat adds only what an earlier delivery from an
-                    // outdated partition lacked (see `Phase::owes`).
-                    let repeat = std::mem::replace(&mut got[slave], true);
-                    if repeat {
-                        st.rec.gather_dups_ignored += 1;
-                    } else {
-                        st.rec.absorb(&fault_stats);
-                    }
-                    for (id, data) in units {
-                        // A unit restored while its old owner's transfer was
-                        // still in flight can briefly have two owners; both
-                        // copies are deterministic and identical — keep the
-                        // first.
-                        match seen.entry(id) {
-                            Entry::Vacant(e) => {
-                                e.insert(data);
-                            }
-                            Entry::Occupied(_) if !repeat => st.rec.gather_dup_units_dropped += 1,
-                            Entry::Occupied(_) => {}
-                        }
-                    }
-                    if repeat {
-                        continue;
-                    }
-                }
-                // Collecting, the collection's re-range rescues a wedged
-                // survivor, and suspicion evicts one that died.
-                (Msg::SlaveError { .. }, Phase::Collect { .. }) => continue,
-                (Msg::SlaveError { slave, error }, _) => {
-                    if slave_error(ctx, &mut cfg.balancer, st, slave, error).await? {
-                        phase = Phase::Release;
-                    }
-                    continue;
-                }
-                // A credited ping defers suspicion; while settling it is a
-                // sign of life like any other, and the race against this
-                // slave is moot. (While gathering, the sweep still re-sends
-                // the Gather on protocol silence.)
-                (Msg::Alive { slave, incarnation }, _) => {
-                    if alive_ping(ctx, st, slave, incarnation).await && !gathering {
-                        Policy::cancel_race(st, ctx, slave, false).await;
-                    }
-                }
-                (Msg::Join { slave, incarnation }, _) => {
-                    let life = st.memb.life(slave, incarnation);
-                    if tol.rejoin_attempts == 0 || gathering {
-                        // Elastic membership is opt-in, and the gathering
-                        // run admits no one: a refused joiner cannot
-                        // hot-loop.
-                        send(ctx, st.slaves[slave], Msg::JoinRefuse { slave }).await;
-                    } else if life == Life::Current
-                        && st.memb.nudge_due(slave, ctx.now(), tol.nudge)
-                    {
-                        // Already admitted: its admission Rollback (the
-                        // handshake's exit signal) must have been lost.
-                        st.replay_window(ctx, slave).await;
-                    } else if life == Life::Evicted {
-                        // Queue for the next settled barrier; dedup on the
-                        // newest announced life.
-                        match st.pending_joins.iter_mut().find(|(s, _)| *s == slave) {
-                            Some(p) => p.1 = p.1.max(incarnation),
-                            None => st.pending_joins.push((slave, incarnation)),
-                        }
-                    }
-                    // A stale life — a zombie, or a newer life over a slot
-                    // still counted alive — is ignored.
-                }
-                (Msg::Failover(FailoverMsg::Promoted { term, .. }), _) => st.fo.yield_to(term)?,
-                // Only a finished reign's exit reply brings `Abort` to a
-                // master: a successor elected while this reign was cut off
-                // has ended the run, and its `Promoted` was lost. Yield as to
-                // that `Promoted` (its term, not on the wire, is past ours)
-                // rather than write a failed outcome over the successor's.
-                // A takeover shrugs it off like any stray.
-                (Msg::Abort, _) if takeover.is_none() => {
-                    return Err(ProtocolError::Superseded {
-                        term: st.fo.term + 1,
-                    });
-                }
-                // A survivor's answer to our `Promoted`: its fragments bank
-                // like checkpoints, in any phase. It moves no clock: every
-                // receive point answers, so a slave wedged on a lost pivot
-                // answers the nudge that replays its window, and must still
-                // fall silent to suspicion.
-                (Msg::Failover(FailoverMsg::Held { slave, fragments }), p) => {
-                    if let Phase::Collect { held } = p {
-                        held[slave] = true;
-                    }
-                    Policy::bank_held(st, slave, fragments);
-                }
-                // The rest is one policy's own (`OwnReport`, `Checkpoint`, a
-                // stray `GatherData`), or a message no arm expects: in an
-                // original reign, a protocol violation. A promoted deputy
-                // still has a slave's address: stray peer traffic (late
-                // transfers/halos/acks, election chatter, messages the
-                // crashed master had in flight) keeps arriving, all of it
-                // pre-reign — tolerated silently.
-                (other, p) => {
-                    let got = match p {
-                        Phase::Gather { got, .. } => Some(&got[..]),
-                        _ => None,
-                    };
-                    match Policy::own_msg(st, ctx, other, got).await {
-                        Ok(true) => {}
-                        Err((context, other)) if takeover.is_none() => {
-                            return Err(unexpected(context, &other));
-                        }
-                        Ok(false) | Err(_) => continue,
-                    }
-                }
-            }
-        }
-        if sweep(ctx, &mut cfg.balancer, st, &phase, start, promoted.as_ref()).await? {
-            phase = Phase::Release;
+impl TakeoverKit {
+    /// An original reign's opening message.
+    fn start(&self) -> Msg {
+        let (slaves, assignment) = (self.slaves.clone(), self.assignment.clone());
+        let block_rows = self.block_rows;
+        Msg::Start {
+            slaves,
+            assignment,
+            block_rows,
         }
     }
 }
 
-/// The fault-mode master's one timer sweep, collecting, settling or
-/// gathering. For every live slave that still [owes](Phase::owes) the
-/// phase something: suspicion past `suspicion` of silence, else (settling)
-/// speculation past `speculate_after`, then at most one nudge. Returns
-/// whether the run re-ranged (the caller goes back to [`Phase::Release`]).
-async fn sweep(
-    ctx: &MailCtx<Msg>,
-    balancer: &mut Balancer,
-    st: &mut Session,
-    phase: &Phase,
-    start: &Msg,
-    promoted: Option<&Msg>,
-) -> Result<bool, ProtocolError> {
-    let tol = st.tol.clone();
-    let settling = matches!(phase, Phase::Settle);
-    let gathering = matches!(phase, Phase::Gather { .. });
-    let collecting = matches!(phase, Phase::Collect { .. });
-    let now = ctx.now();
-    let mut suspect = None;
-    for s in 0..st.memb.n() {
-        if !st.memb.alive[s] || !phase.owes(st, s) {
-            continue;
-        }
-        let silent = st.memb.silent_for(s, now);
-        if silent >= tol.suspicion {
-            if !Policy::evict_in_place(st, ctx, balancer, s, settling, now).await? {
-                suspect = Some(s);
-                break;
-            }
-            continue;
-        }
-        if settling && silent >= tol.speculate_after {
-            Policy::speculate(st, ctx, s).await;
-        }
-        if settling
-            && promoted.is_none()
-            && !st.memb.heard_any[s]
-            && st.memb.nudge_due(s, now, tol.nudge)
-        {
-            // A slave that has never spoken a protocol message may have
-            // lost its Start or its first release; its `Alive` pings
-            // refresh the suspicion timer but carry no evidence of what it
-            // is missing, so silence is not required here — re-send both on
-            // the nudge timer. This also fires with no fault anywhere: a
-            // pipelined slave still waiting for its left neighbour's first
-            // boundary column has never spoken either (measured:
-            // `start_resends` = 1 in the quiet 31-slave SOR cell of
-            // `tests/master_golden.rs`, 30 in `wide_armed`'s 64-slave one —
-            // idempotent at the slave, and a blocked-on-a-peer vs. dead
-            // confusion a wait-for edge would remove). Every other loss is
-            // event-triggered from the receive arms: a slave missing a
-            // control message keeps heartbeating, and the heartbeat itself
-            // carries what it is missing. (Never under a takeover: the
-            // survivors are mid-run, and the reign's opening move is the
-            // Rollback, not a Start.)
-            send(ctx, st.slaves[s], start.clone()).await;
-            st.rec.start_resends += 1;
-            send(ctx, st.slaves[s], st.release_msg()).await;
-            st.rec.invocation_start_resends += 1;
-        } else if (collecting
-            || ((!settling || !st.win[s].fully_acked())
-                && st.memb.unheard_for(s, now) >= tol.nudge))
-            && st.memb.nudge_due(s, now, tol.nudge)
-        {
-            // Collecting, a survivor still owes its `Held`: the `Promoted`
-            // or the answer was lost, and it keeps chattering from its
-            // barrier, so the nudge needs no silence. Otherwise, no protocol
-            // progress for a nudge interval. Settling, windowed
-            // messages are outstanding: the window content was lost. A
-            // slave that lost its Rollback cannot event-trigger the re-send
-            // — it is either parked silent, still pinging from a blocked
-            // wait, or chattering from a stale epoch — so the timer keys off
-            // *protocol* silence, which pings do not refresh. Under a
-            // takeover, lead with the Promoted announcement in case the
-            // slave never learned of the reign (it resets the slave's
-            // master-channel dedup so the replayed Rollback is fresh to it,
-            // and a collection's window is empty). Gathering, a slave with
-            // its window acknowledged may be waiting for a GatherAck after
-            // its GatherData was lost (it waits quietly, re-sending only on
-            // a duplicate Gather); one without is parked, still waiting for
-            // its Rollback.
-            match (phase, promoted) {
-                (Phase::Gather { .. }, _) if st.win[s].fully_acked() => {
-                    st.resend_gather(ctx, s).await;
-                }
-                (Phase::Settle | Phase::Collect { .. }, Some(promoted)) => {
-                    send(ctx, st.slaves[s], promoted.clone()).await;
-                    st.replay_window(ctx, s).await;
-                }
-                _ => st.replay_window(ctx, s).await,
-            }
-        }
+impl Master {
+    /// An original reign: evict the deferred slots, broadcast the `Start`.
+    fn armed(kit: &TakeoverKit, tol: FaultToleranceConfig, fx: &mut Effects) -> Opened {
+        Master::open(kit, tol, RecoveryStats::default(), kit.start(), None, fx)
     }
-    // Keeps the deputies' election trigger quiet, the gather included.
-    st.ping_deputies(ctx).await;
-    if let Some(s) = suspect {
-        // A loss that re-ranges: evict the first suspect and restart from
-        // the newest complete checkpoint — mid-gather too, as its
-        // un-gathered state is gone. Collecting, its fragments died with
-        // it, and the collection re-ranges once the rest have answered.
-        if gathering {
-            st.rec.gathers_interrupted += 1;
+
+    /// The election winner `me`'s reign: announce it with `Promoted` to the
+    /// other slots and to the old master (in case it is merely slow, not
+    /// dead), then seed the session from the replica in `seed`.
+    fn takeover(
+        kit: &TakeoverKit,
+        tol: FaultToleranceConfig,
+        seed: TakeoverSeed,
+        me: usize,
+        fx: &mut Effects,
+    ) -> Opened {
+        fx.note(|| {
+            let (term, inv) = (seed.term, seed.replica.invocation);
+            format!("slave {me} won term {term} (replica inv {inv})")
+        });
+        // Adopt the crashed master's cumulative counters so the final
+        // report covers the whole run.
+        let mut rec = seed.replica.recovery.clone();
+        rec.elections_held += 1;
+        rec.takeover_latency = Some(fx.now().saturating_since(seed.last_heard));
+        let promoted = Msg::Failover(FailoverMsg::Promoted {
+            term: seed.term,
+            master_idx: me,
+        });
+        let others = kit.slaves.iter().enumerate().filter(|&(i, _)| i != me);
+        for s in others.map(|(_, &s)| s).chain([kit.master]) {
+            fx.send(s, promoted.clone());
         }
-        let now = ctx.now();
-        st.evict(ctx, balancer, s, now).await?;
-        if collecting {
+        Master::open(kit, tol, rec, promoted, Some((&seed, me)), fx)
+    }
+
+    /// Build the session of the reign `announce` announces, open it
+    /// ([`Session::open`]) and advance to the first receive.
+    fn open(
+        kit: &TakeoverKit,
+        tol: FaultToleranceConfig,
+        rec: RecoveryStats,
+        announce: Msg,
+        takeover: Option<(&TakeoverSeed, usize)>,
+        fx: &mut Effects,
+    ) -> Opened {
+        let (cfg, term) = (kit.cfg.clone(), takeover.map_or(0, |(seed, _)| seed.term));
+        let (slaves, assignment) = (&kit.slaves, &kit.assignment);
+        let st = Session::new(fx.now(), &cfg.app, tol, slaves, assignment, term, rec);
+        let mut master = Master {
+            target: cfg.app.invocations(),
+            cfg,
+            sc: MasterOutcome::default(),
+            st,
+            phase: Phase::Release,
+            announce,
+            takeover: takeover.is_some(),
+            best_banked: takeover.map_or(0, |(seed, _)| seed.replica.best_banked),
+        };
+        let end = ended(master.opening(takeover, fx));
+        (master, end)
+    }
+
+    /// The opening moves: open the session — collecting first, if the
+    /// takeover's policy says so — and broadcast an original reign's
+    /// `Start`; then advance.
+    fn opening(
+        &mut self,
+        takeover: Option<(&TakeoverSeed, usize)>,
+        fx: &mut Effects,
+    ) -> Result<bool, ProtocolError> {
+        let st = &mut self.st;
+        if st.open(fx, &mut self.cfg.balancer, takeover)? {
+            let held = vec![false; st.slaves.len()];
+            self.phase = Phase::Collect { held };
+        }
+        if !self.takeover {
+            // Deferred slots get the Start too: it parks in their mailbox
+            // and teaches the latecomer the topology when it wakes to join.
+            for &s in &st.slaves {
+                fx.send(s, self.announce.clone());
+            }
+        }
+        self.advance(fx)
+    }
+
+    /// One step: take `input`, then advance to the next receive. `Some`
+    /// once the run ended — gathered, failed, or superseded.
+    fn on(&mut self, input: Input, fx: &mut Effects) -> Option<Result<(), ProtocolError>> {
+        ended(self.step(input, fx))
+    }
+
+    fn step(&mut self, input: Input, fx: &mut Effects) -> Result<bool, ProtocolError> {
+        let timers = match input {
+            Input::Deliver(msg) => self.deliver(msg, fx)?,
+            Input::Tick => true,
+        };
+        if timers && self.sweep(fx)? {
+            self.phase = Phase::Release;
+        }
+        self.advance(fx)
+    }
+
+    /// The configuration and the outcome so far, the session's recovery
+    /// counters surfaced whether or not the run completed.
+    fn finish(self) -> (MasterConfig, MasterOutcome) {
+        let mut sc = self.sc;
+        sc.recovery = self.st.rec;
+        (self.cfg, sc)
+    }
+
+    /// Advance the phase up to the next receive: close a complete
+    /// collection, open the next invocation or the gather, pass each
+    /// settled invocation, and end a complete gather (`Ok(true)`).
+    fn advance(&mut self, fx: &mut Effects) -> Result<bool, ProtocolError> {
+        let Master { cfg, st, phase, .. } = self;
+        let n = st.slaves.len();
+        loop {
+            if let Phase::Collect { held } = phase {
+                if st.memb.survivors().iter().all(|&s| held[s]) {
+                    // Every survivor's fragments are banked: restart from the
+                    // newest snapshot they complete, and count how far that is
+                    // behind the dead master's bank.
+                    st.rerange(fx, &mut cfg.balancer, &[])?;
+                    let banked = self.best_banked;
+                    st.rec.checkpoints_lost_to_stale_replica = banked.saturating_sub(st.inv);
+                    fx.note(|| format!("collected; restarts at {}, banked {banked}", st.inv));
+                    *phase = Phase::Release;
+                }
+            }
+            if matches!(phase, Phase::Release) {
+                *phase = if st.inv < self.target {
+                    if !st.pending_joins.is_empty() {
+                        st.admit(fx, &mut cfg.balancer)?;
+                    }
+                    cfg.balancer.set_remaining_invocations(self.target - st.inv);
+                    // Unless the Rollback message itself released this
+                    // invocation.
+                    if !std::mem::take(&mut st.released) {
+                        for s in st.memb.survivors() {
+                            fx.send(st.slaves[s], st.release_msg());
+                        }
+                    }
+                    st.publish_replica(fx);
+                    st.begin_invocation(fx.now());
+                    Phase::Settle
+                } else {
+                    self.sc.compute_done = fx.now();
+                    // Too late to admit once the run is gathering: refuse queued
+                    // joiners so their bounded handshake exits instead of
+                    // retrying into silence.
+                    for (j, _) in st.pending_joins.drain(..) {
+                        fx.send(st.slaves[j], Msg::JoinRefuse { slave: j });
+                    }
+                    // Gather from the survivors; when it is complete, and what
+                    // a death costs, is the policy's (`Policy::gathered`).
+                    let now = fx.now();
+                    fx.note(|| format!("gather begins, alive {:?}", st.memb.alive));
+                    for s in 0..n {
+                        st.memb.rearm_nudge(s, now, st.tol.nudge);
+                        st.memb.last_heard[s] = now;
+                        if st.memb.alive[s] {
+                            fx.send(st.slaves[s], Msg::Gather);
+                        }
+                    }
+                    let (seen, got) = (BTreeMap::new(), vec![false; n]);
+                    Phase::Gather { seen, got }
+                };
+            }
+            if matches!(phase, Phase::Settle) && st.settled(&cfg.balancer) {
+                let wall = fx.now().saturating_since(st.inv_started);
+                st.policy.fold_invocation_time(wall);
+                let reduced: f64 = st.metrics.iter().sum();
+                st.inv += 1;
+                if cfg.app.converged(st.inv - 1, reduced) {
+                    self.target = st.inv;
+                }
+                *phase = Phase::Release;
+                continue;
+            }
+            if let Phase::Gather { seen, got } = phase {
+                if Policy::gathered(st, fx, seen, got) {
+                    self.sc.result.extend(std::mem::take(seen));
+                    return Ok(true);
+                }
+            }
             return Ok(false);
         }
-        st.rerange(ctx, balancer, &[]).await?;
-        return Ok(true);
     }
-    if settling {
-        Policy::renotify(st, ctx, now).await;
-        // Every other way to lose the last slave ends in an eviction or a
-        // re-range that reports it; this is a run whose every slot was
-        // deferred. (A gather that lost all its slaves to re-scatter's
-        // bare evictions completes from the safety net.)
-        if !st.memb.any_alive() {
-            return Err(ProtocolError::AllSlavesDead);
+
+    /// The receive arms: one delivery, in the phase the master stands in.
+    /// `Ok(false)` skips the sweep.
+    fn deliver(&mut self, msg: Msg, fx: &mut Effects) -> Result<bool, ProtocolError> {
+        let Master { cfg, st, phase, .. } = self;
+        let (takeover, nudge) = (self.takeover, st.tol.nudge);
+        let gathering = matches!(phase, Phase::Gather { .. });
+        match (msg, &mut *phase) {
+            // A final status racing the gather.
+            (Msg::Status(stm), Phase::Gather { got, .. }) => {
+                st.nudge_gather(fx, got, stm.slave);
+            }
+            (Msg::Status(stm), _) => {
+                let s = stm.slave;
+                // An evicted slave still talking, or a stale epoch.
+                if !st.memb.alive[s] || st.fenced(fx, s, stm.epoch) {
+                    return Ok(false);
+                }
+                st.heard_from(fx, s);
+                if st.policy.future_epoch(stm.epoch, st.epoch) || stm.invocation > st.inv {
+                    return Err(unexpected("status from the future", &Msg::Status(stm)));
+                }
+                if stm.hook_seq <= st.last_hook_seq[s] {
+                    st.rec.status_dups_ignored += 1;
+                    return Ok(false);
+                }
+                st.last_hook_seq[s] = stm.hook_seq;
+                // A status means the slave is computing again.
+                st.memb.done[s] = false;
+                // Ack lag alone is no evidence of loss: a slave pipelines
+                // instructions, so it runs a couple of sequence numbers
+                // behind even fault-free, and a dropped instruction is
+                // superseded by the next one anyway. Retry only fires for
+                // a slave stuck at a barrier (see the InvocationDone
+                // arm), where nothing can supersede.
+                let applied = stm.last_applied_seq;
+                st.unacked_instr[s].take_if(|(seq, _, _)| applied >= *seq);
+                merge_max(&mut st.sent[s], &stm.sent_to);
+                merge_max(&mut st.recv[s], &stm.received_from);
+                let instr = decide(fx, cfg, &mut self.sc, &stm, st.inv);
+                st.unacked_instr[s] = Some((instr.seq, instr.clone(), 0));
+                fx.send(st.slaves[s], Msg::Instructions(instr));
+            }
+            (
+                Msg::InvocationDone {
+                    slave,
+                    restore_seq,
+                    epoch,
+                    ..
+                },
+                Phase::Gather { got, .. },
+            ) => {
+                if st.memb.alive[slave] {
+                    st.ack_report(slave, epoch, restore_seq);
+                } else {
+                    // Non-member still reporting: its Evict was lost.
+                    fx.send(st.slaves[slave], Msg::Evict);
+                }
+                st.nudge_gather(fx, got, slave);
+            }
+            (
+                Msg::InvocationDone {
+                    slave,
+                    invocation,
+                    epoch,
+                    sent_to,
+                    received_from,
+                    metric,
+                    restore_seq,
+                    owned_ids,
+                },
+                _,
+            ) => {
+                if !st.memb.alive[slave] {
+                    // A non-member still reporting (its Evict was lost,
+                    // e.g. dropped by a partition): repeat the verdict so
+                    // it can exit — or rejoin as a fresh incarnation when
+                    // elastic membership is on.
+                    fx.send(st.slaves[slave], Msg::Evict);
+                    st.rec.done_dups_ignored += 1;
+                    return Ok(false);
+                }
+                st.ack_report(slave, epoch, restore_seq);
+                if st.fenced(fx, slave, epoch) {
+                    return Ok(false);
+                }
+                st.heard_from(fx, slave);
+                if st.policy.future_epoch(epoch, st.epoch) {
+                    return Err(ProtocolError::Inconsistent {
+                        detail: format!("InvocationDone from epoch {epoch} while in {}", st.epoch),
+                    });
+                }
+                merge_max(&mut st.sent[slave], &sent_to);
+                merge_max(&mut st.recv[slave], &received_from);
+                cfg.balancer.ack_transfers(slave, &received_from);
+                if invocation == st.inv {
+                    st.memb.done[slave] = true;
+                    st.metrics[slave] = metric;
+                    st.policy.adopt_owned(slave, owned_ids);
+                } else if invocation < st.inv {
+                    st.rec.done_dups_ignored += 1;
+                    // A heartbeat from a slave stuck at the previous
+                    // barrier: its release was lost. The heartbeat itself
+                    // is the re-send trigger — the slave is chatty, so a
+                    // silence timer would never fire.
+                    if st.memb.nudge_due(slave, fx.now(), nudge) {
+                        fx.send(st.slaves[slave], st.release_msg());
+                        st.rec.invocation_start_resends += 1;
+                        // A stuck slave cannot supersede a lost
+                        // instruction with a newer one; replay the
+                        // unacknowledged one (bounded).
+                        if let Some((_, instr, tries)) = &mut st.unacked_instr[slave] {
+                            if *tries < INSTR_RETRIES {
+                                *tries += 1;
+                                st.rec.instr_resends += 1;
+                                let again = Msg::Instructions(instr.clone());
+                                fx.send(st.slaves[slave], again);
+                            }
+                        }
+                    }
+                } else {
+                    return Err(ProtocolError::Inconsistent {
+                        detail: format!(
+                            "InvocationDone for {invocation} while settling {}",
+                            st.inv
+                        ),
+                    });
+                }
+                // Done but missing windowed messages: they were lost in
+                // flight.
+                if st.memb.done[slave]
+                    && !st.win[slave].fully_acked()
+                    && st.memb.nudge_due(slave, fx.now(), nudge)
+                {
+                    st.replay_window(fx, slave);
+                }
+            }
+            (
+                Msg::GatherData {
+                    slave,
+                    units,
+                    fault_stats,
+                },
+                Phase::Gather { seen, got },
+            ) => {
+                if !st.memb.alive[slave] {
+                    st.rec.gather_dups_ignored += 1;
+                    return Ok(false);
+                }
+                st.memb.last_heard[slave] = fx.now();
+                st.policy.ack_delivery(fx, st.slaves[slave]);
+                // A repeat adds only what an earlier delivery from an
+                // outdated partition lacked (see `Phase::owes`).
+                let repeat = std::mem::replace(&mut got[slave], true);
+                if repeat {
+                    st.rec.gather_dups_ignored += 1;
+                } else {
+                    st.rec.absorb(&fault_stats);
+                }
+                for (id, data) in units {
+                    // A unit restored while its old owner's transfer was
+                    // still in flight can briefly have two owners; both
+                    // copies are deterministic and identical — keep the
+                    // first.
+                    match seen.entry(id) {
+                        Entry::Vacant(e) => {
+                            e.insert(data);
+                        }
+                        Entry::Occupied(_) if !repeat => st.rec.gather_dup_units_dropped += 1,
+                        Entry::Occupied(_) => {}
+                    }
+                }
+                if repeat {
+                    return Ok(false);
+                }
+            }
+            // Collecting, the collection's re-range rescues a wedged
+            // survivor, and suspicion evicts one that died.
+            (Msg::SlaveError { .. }, Phase::Collect { .. }) => return Ok(false),
+            (Msg::SlaveError { slave, error }, _) => {
+                if slave_error(fx, &mut cfg.balancer, st, slave, error)? {
+                    *phase = Phase::Release;
+                }
+                return Ok(false);
+            }
+            // A credited ping defers suspicion; while settling it is a
+            // sign of life like any other, and the race against this
+            // slave is moot. (While gathering, the sweep still re-sends
+            // the Gather on protocol silence.)
+            (Msg::Alive { slave, incarnation }, _) => {
+                if alive_ping(fx, st, slave, incarnation) && !gathering {
+                    Policy::cancel_race(st, fx, slave, false);
+                }
+            }
+            (Msg::Join { slave, incarnation }, _) => {
+                let life = st.memb.life(slave, incarnation);
+                if st.tol.rejoin_attempts == 0 || gathering {
+                    // Elastic membership is opt-in, and the gathering
+                    // run admits no one: a refused joiner cannot
+                    // hot-loop.
+                    fx.send(st.slaves[slave], Msg::JoinRefuse { slave });
+                } else if life == Life::Current && st.memb.nudge_due(slave, fx.now(), nudge) {
+                    // Already admitted: its admission Rollback (the
+                    // handshake's exit signal) must have been lost.
+                    st.replay_window(fx, slave);
+                } else if life == Life::Evicted {
+                    // Queue for the next settled barrier; dedup on the
+                    // newest announced life.
+                    match st.pending_joins.iter_mut().find(|(s, _)| *s == slave) {
+                        Some(p) => p.1 = p.1.max(incarnation),
+                        None => st.pending_joins.push((slave, incarnation)),
+                    }
+                }
+                // A stale life — a zombie, or a newer life over a slot
+                // still counted alive — is ignored.
+            }
+            (Msg::Failover(FailoverMsg::Promoted { term, .. }), _) => st.fo.yield_to(term)?,
+            // Only a finished reign's exit reply brings `Abort` to a
+            // master: a successor elected while this reign was cut off
+            // has ended the run, and its `Promoted` was lost. Yield as to
+            // that `Promoted` (its term, not on the wire, is past ours)
+            // rather than write a failed outcome over the successor's.
+            // A takeover shrugs it off like any stray.
+            (Msg::Abort, _) if !takeover => {
+                return Err(ProtocolError::Superseded {
+                    term: st.fo.term + 1,
+                });
+            }
+            // A survivor's answer to our `Promoted`: its fragments bank
+            // like checkpoints, in any phase. It moves no clock: every
+            // receive point answers, so a slave wedged on a lost pivot
+            // answers the nudge that replays its window, and must still
+            // fall silent to suspicion.
+            (Msg::Failover(FailoverMsg::Held { slave, fragments }), p) => {
+                if let Phase::Collect { held } = p {
+                    held[slave] = true;
+                }
+                Policy::bank_held(st, slave, fragments);
+            }
+            // The rest is one policy's own (`OwnReport`, `Checkpoint`, a
+            // stray `GatherData`), or a message no arm expects: in an
+            // original reign, a protocol violation. A promoted deputy
+            // still has a slave's address: stray peer traffic (late
+            // transfers/halos/acks, election chatter, messages the
+            // crashed master had in flight) keeps arriving, all of it
+            // pre-reign — tolerated silently.
+            (other, p) => {
+                let got = match p {
+                    Phase::Gather { got, .. } => Some(&got[..]),
+                    _ => None,
+                };
+                match Policy::own_msg(st, fx, other, got) {
+                    Ok(true) => {}
+                    Err((context, other)) if !takeover => {
+                        return Err(unexpected(context, &other));
+                    }
+                    Ok(false) | Err(_) => return Ok(false),
+                }
+            }
         }
+        Ok(true)
     }
-    Ok(false)
+
+    /// The fault-mode master's one timer sweep, collecting, settling or
+    /// gathering. For every live slave that still [owes](Phase::owes) the
+    /// phase something: suspicion past `suspicion` of silence, else (settling)
+    /// speculation past `speculate_after`, then at most one nudge. Returns
+    /// whether the run re-ranged (the caller goes back to [`Phase::Release`]).
+    fn sweep(&mut self, fx: &mut Effects) -> Result<bool, ProtocolError> {
+        let Master { st, phase, .. } = self;
+        let balancer = &mut self.cfg.balancer;
+        let tol = st.tol.clone();
+        let settling = matches!(phase, Phase::Settle);
+        let gathering = matches!(phase, Phase::Gather { .. });
+        let collecting = matches!(phase, Phase::Collect { .. });
+        let now = fx.now();
+        let mut suspect = None;
+        for s in 0..st.memb.n() {
+            if !st.memb.alive[s] || !phase.owes(st, s) {
+                continue;
+            }
+            let silent = st.memb.silent_for(s, now);
+            if silent >= tol.suspicion {
+                if !Policy::evict_in_place(st, fx, balancer, s, settling, now)? {
+                    suspect = Some(s);
+                    break;
+                }
+                continue;
+            }
+            if settling && silent >= tol.speculate_after {
+                Policy::speculate(st, fx, s);
+            }
+            if settling
+                && !self.takeover
+                && !st.memb.heard_any[s]
+                && st.memb.nudge_due(s, now, tol.nudge)
+            {
+                // A slave that has never spoken a protocol message may have
+                // lost its Start or its first release; its `Alive` pings
+                // refresh the suspicion timer but carry no evidence of what it
+                // is missing, so silence is not required here — re-send both on
+                // the nudge timer. This also fires with no fault anywhere: a
+                // pipelined slave still waiting for its left neighbour's first
+                // boundary column has never spoken either (measured:
+                // `start_resends` = 1 in the quiet 31-slave SOR cell of
+                // `tests/master_golden.rs`, 30 in `wide_armed`'s 64-slave one —
+                // idempotent at the slave, and a blocked-on-a-peer vs. dead
+                // confusion a wait-for edge would remove). Every other loss is
+                // event-triggered from the receive arms: a slave missing a
+                // control message keeps heartbeating, and the heartbeat itself
+                // carries what it is missing. (Never under a takeover: the
+                // survivors are mid-run, and the reign's opening move is the
+                // Rollback, not a Start.)
+                fx.send(st.slaves[s], self.announce.clone());
+                st.rec.start_resends += 1;
+                fx.send(st.slaves[s], st.release_msg());
+                st.rec.invocation_start_resends += 1;
+            } else if (collecting
+                || ((!settling || !st.win[s].fully_acked())
+                    && st.memb.unheard_for(s, now) >= tol.nudge))
+                && st.memb.nudge_due(s, now, tol.nudge)
+            {
+                // Collecting, a survivor still owes its `Held`: the `Promoted`
+                // or the answer was lost, and it keeps chattering from its
+                // barrier, so the nudge needs no silence. Otherwise, no protocol
+                // progress for a nudge interval. Settling, windowed
+                // messages are outstanding: the window content was lost. A
+                // slave that lost its Rollback cannot event-trigger the re-send
+                // — it is either parked silent, still pinging from a blocked
+                // wait, or chattering from a stale epoch — so the timer keys off
+                // *protocol* silence, which pings do not refresh. Under a
+                // takeover, lead with the Promoted announcement in case the
+                // slave never learned of the reign (it resets the slave's
+                // master-channel dedup so the replayed Rollback is fresh to it,
+                // and a collection's window is empty). Gathering, a slave with
+                // its window acknowledged may be waiting for a GatherAck after
+                // its GatherData was lost (it waits quietly, re-sending only on
+                // a duplicate Gather); one without is parked, still waiting for
+                // its Rollback.
+                match (&*phase, self.takeover) {
+                    (Phase::Gather { .. }, _) if st.win[s].fully_acked() => {
+                        st.resend_gather(fx, s);
+                    }
+                    (Phase::Settle | Phase::Collect { .. }, true) => {
+                        fx.send(st.slaves[s], self.announce.clone());
+                        st.replay_window(fx, s);
+                    }
+                    _ => st.replay_window(fx, s),
+                }
+            }
+        }
+        // Keeps the deputies' election trigger quiet, the gather included.
+        st.ping_deputies(fx);
+        if let Some(s) = suspect {
+            // A loss that re-ranges: evict the first suspect and restart from
+            // the newest complete checkpoint — mid-gather too, as its
+            // un-gathered state is gone. Collecting, its fragments died with
+            // it, and the collection re-ranges once the rest have answered.
+            if gathering {
+                st.rec.gathers_interrupted += 1;
+            }
+            let now = fx.now();
+            st.evict(fx, balancer, s, now)?;
+            if collecting {
+                return Ok(false);
+            }
+            st.rerange(fx, balancer, &[])?;
+            return Ok(true);
+        }
+        if settling {
+            Policy::renotify(st, fx, now);
+            // Every other way to lose the last slave ends in an eviction or a
+            // re-range that reports it; this is a run whose every slot was
+            // deferred. (A gather that lost all its slaves to re-scatter's
+            // bare evictions completes from the safety net.)
+            if !st.memb.any_alive() {
+                return Err(ProtocolError::AllSlavesDead);
+            }
+        }
+        Ok(false)
+    }
 }
 
 #[cfg(test)]
@@ -1143,8 +1263,10 @@ mod tests {
     use crate::kernels::tests::{Cols, Doubler};
     use crate::msg::SharedUnits;
     use crate::recovery::SlaveFaultStats;
+    use crate::session::master::tests::NOTES_BUILT;
     use crate::session::replica::DeputyState;
-    use dlb_sim::{NodeConfig, SimBuilder, SimDuration};
+    use dlb_sim::{NetConfig, NodeConfig, SimBuilder, SimDuration};
+    use std::cell::Cell;
     use std::ops::Range;
 
     /// A one-slave, one-unit master configuration with no fault wiring.
@@ -1220,6 +1342,91 @@ mod tests {
         assert_eq!(kit_cfg.balancer.stats(), BalancerStats::default());
     }
 
+    /// A stub slave's send, with the model's wire size.
+    async fn send(ctx: &MailCtx<Msg>, to: ActorId, msg: Msg) {
+        let bytes = msg.wire_bytes();
+        ctx.send(to, msg, bytes).await;
+    }
+
+    /// The destination and the kind of every send in `fx`, which is left
+    /// empty.
+    fn sends(fx: &mut Effects) -> Vec<(usize, String)> {
+        let kind = |m: &Msg| {
+            format!("{m:?}")
+                .split([' ', '(', '{'])
+                .next()
+                .unwrap()
+                .to_string()
+        };
+        let sent = fx.drain().filter_map(|e| match e {
+            Effect::Send(to, m, _) => Some((to.0, kind(&m))),
+            _ => None,
+        });
+        sent.collect()
+    }
+
+    /// The fault-mode master is a step function: a re-scatter run over two
+    /// slots, driven by hand from its opening moves to the gathered result
+    /// with no simulator at all. Untraced, no step builds a note; traced,
+    /// the gather's note is among the effects.
+    #[test]
+    fn a_reign_steps_without_a_simulator_and_builds_no_untraced_note() {
+        let pairs = |v: &[(usize, &str)]| -> Vec<(usize, String)> {
+            v.iter().map(|&(to, k)| (to, k.to_string())).collect()
+        };
+        for traced in [false, true] {
+            NOTES_BUILT.with(|n| n.set(0));
+            let kit = TakeoverKit {
+                cfg: MasterConfig {
+                    balancer: Balancer::new(
+                        BalancerConfig::default(),
+                        vec![2; 2],
+                        SimDuration::from_millis(100),
+                        SimDuration::from_millis(1),
+                        1,
+                        1.0,
+                    ),
+                    app: AppSpec::Independent(Arc::new(Doubler { n: 4, reps: 1 })),
+                    record_timeline: false,
+                    ft: Some(FaultToleranceConfig::default()),
+                },
+                master: ActorId(0),
+                slaves: vec![ActorId(1), ActorId(2)],
+                assignment: vec![(0, 2), (2, 4)],
+                block_rows: 1,
+                outcome: Default::default(),
+            };
+            let (node, net) = (NodeConfig::default(), NetConfig::default());
+            let mut fx = Effects::new(node, net, traced, SimTime::ZERO);
+            let (mut m, end) = Master::armed(&kit, FaultToleranceConfig::default(), &mut fx);
+            assert!(end.is_none());
+            let opening = [(1, "Start"), (2, "Start"), (1, "InvocationStart")];
+            let opening = [&opening[..], &[(2, "InvocationStart"), (1, "Failover")]].concat();
+            assert_eq!(
+                sends(&mut fx),
+                pairs(&[&opening[..], &[(2, "Failover")]].concat())
+            );
+            let mut step = |input: Input, at: u64| {
+                fx.at(SimTime(at));
+                let end = m.on(input, &mut fx);
+                (end, sends(&mut fx))
+            };
+            let done = |me, owned| Input::Deliver(done(me, 0, 0, 0, owned));
+            assert_eq!(step(done(0, vec![0, 1]), 100_000), (None, vec![]));
+            assert_eq!(step(Input::Tick, 200_000), (None, vec![]));
+            let gather = pairs(&[(1, "Gather"), (2, "Gather")]);
+            assert_eq!(step(done(1, vec![2, 3]), 300_000), (None, gather));
+            let units = |ids: Range<usize>| ids.map(col).collect();
+            let delivery = |me, ids| Input::Deliver(data(me, units(ids), Default::default()));
+            let ack = |to| pairs(&[(to, "GatherAck")]);
+            assert_eq!(step(delivery(0, 0..2), 400_000), (None, ack(1)));
+            assert_eq!(step(delivery(1, 2..4), 500_000), (Some(Ok(())), ack(2)));
+            let (_, outcome) = m.finish();
+            assert_eq!(outcome.result.len(), 4);
+            assert_eq!(NOTES_BUILT.with(Cell::get) > 0, traced, "traced {traced}");
+        }
+    }
+
     /// Which messages make the stub slave send its stray first.
     type Trigger = fn(&Msg) -> bool;
 
@@ -1284,11 +1491,76 @@ mod tests {
         }
     }
 
+    /// What a recording shell saw of one reign: the effect buffer it
+    /// opened with, the opening's effects, and each step's input, the clock
+    /// it started at and its effects.
+    #[derive(Default)]
+    struct Log {
+        blank: Option<Effects>,
+        opening: String,
+        steps: Vec<(Input, SimTime, String)>,
+    }
+
+    /// Opens a reign into the given buffer, as `Master::armed` or
+    /// `Master::takeover` with its arguments bound.
+    type Opener = Arc<dyn Fn(&mut Effects) -> Opened + Send + Sync>;
+
+    /// The production shell with a recorder: the same flushes, receives and
+    /// `conclude`, and every step's input, clock and effects in `log`.
+    async fn recording(
+        ctx: MailCtx<Msg>,
+        kit: Arc<TakeoverKit>,
+        me: Option<usize>,
+        open: Opener,
+        log: Arc<Mutex<Log>>,
+    ) {
+        let (ctx, mut fx) = (&ctx, effects(&ctx));
+        let blank = fx.clone();
+        let (mut master, mut end) = open(&mut fx);
+        *log.lock().unwrap() = Log {
+            blank: Some(blank),
+            opening: format!("{fx:?}"),
+            steps: Vec::new(),
+        };
+        let res = loop {
+            flush(ctx, &mut fx).await;
+            if let Some(res) = end {
+                break res;
+            }
+            let input = match ctx.recv_deadline(ctx.now() + MASTER_TICK).await {
+                Some(env) => Input::Deliver(env.msg),
+                None => Input::Tick,
+            };
+            fx.at(ctx.now());
+            end = master.on(input.clone(), &mut fx);
+            let step = (input, ctx.now(), format!("{fx:?}"));
+            log.lock().unwrap().steps.push(step);
+        };
+        let (cfg, sc) = master.finish();
+        conclude(ctx, &mut fx, &kit, me, (cfg, sc, res)).await;
+    }
+
+    /// Feed a recorded reign's inputs to a fresh master from the same
+    /// constructor: every step's effects are the recorded ones.
+    fn replay(log: &Log, open: &Opener) {
+        let mut fx = log.blank.clone().expect("a recorded reign");
+        let (mut master, _) = open(&mut fx);
+        assert_eq!(format!("{fx:?}"), log.opening, "the opening moves");
+        for (i, (input, now, effects)) in log.steps.iter().enumerate() {
+            fx.drain();
+            fx.at(*now);
+            master.on(input.clone(), &mut fx);
+            assert_eq!(&format!("{fx:?}"), effects, "step {i}: {input:?}");
+        }
+    }
+
     /// A fault-mode reign under `tol` over a four-unit `app` on two slots
     /// split as `assignment`, actor 0 its master. Each slot that holds
     /// units runs `stub(ctx, slot)` — slot 1 as actor 1, slot 0 as actor 2
     /// — unless it is the winner of a takeover from `seed`. A master that
-    /// never ends the run exhausts the event budget.
+    /// never ends the run exhausts the event budget. The master runs under
+    /// the recording shell, and its recorded inputs replay to the same
+    /// effects.
     fn reign<F, Fut>(
         tol: FaultToleranceConfig,
         app: AppSpec,
@@ -1315,29 +1587,29 @@ mod tests {
             ),
             app,
             record_timeline: false,
-            ft: Some(tol),
+            ft: Some(tol.clone()),
         };
         let outcome = Arc::new(Mutex::new(MasterOutcome::default()));
-        let out = Arc::clone(&outcome);
+        let kit = Arc::new(TakeoverKit {
+            cfg,
+            master: ActorId(2),
+            slaves: slaves.clone(),
+            assignment,
+            block_rows: 1,
+            outcome: Arc::clone(&outcome),
+        });
+        let (me, k) = (seed.as_ref().map(|_| 0), Arc::clone(&kit));
+        let open: Opener = Arc::new(move |fx: &mut Effects| match &seed {
+            Some(seed) => Master::takeover(&k, tol.clone(), seed.clone(), 0, fx),
+            None => Master::armed(&k, tol.clone(), fx),
+        });
+        let log = Arc::new(Mutex::new(Log::default()));
         let mut sim = SimBuilder::<Msg>::new().max_events(20_000);
         let nodes = [(); 3].map(|()| sim.add_node(NodeConfig::default()));
-        if let Some(seed) = seed {
-            let kit = TakeoverKit {
-                cfg,
-                master: ActorId(2),
-                slaves,
-                assignment,
-                block_rows: 1,
-                outcome: out,
-            };
-            sim.spawn_mail(nodes[0], "winner", move |ctx| async move {
-                run_takeover(&ctx, &kit, seed, 0).await.unwrap();
-            });
-        } else {
-            sim.spawn_mail(nodes[0], "master", move |ctx| {
-                run_master(ctx, cfg, slaves, assignment, 1, out)
-            });
-        }
+        let (opener, recorded) = (Arc::clone(&open), Arc::clone(&log));
+        sim.spawn_mail(nodes[0], "master", move |ctx| {
+            recording(ctx, kit, me, opener, recorded)
+        });
         let stub0 = (slot0 != master && lo < hi).then(|| stub.clone());
         sim.spawn_mail(nodes[1], "stub1", move |ctx| stub(ctx, 1));
         sim.spawn_mail(nodes[2], "slot0", move |ctx| async move {
@@ -1347,6 +1619,7 @@ mod tests {
             }
         });
         sim.run();
+        replay(&log.lock().unwrap(), &open);
         let mut o = outcome.lock().unwrap();
         std::mem::take(&mut *o)
     }

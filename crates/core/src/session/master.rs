@@ -8,6 +8,10 @@
 //! admission and rollback at once ([`Session::rerange`]), speculation
 //! ([`Policy::speculate`]), control-plane replication ([`Failover`]).
 //!
+//! Nothing here touches the kernel: every transition writes what it does —
+//! CPU charges, sends, notes — into the master's [`Effects`], whose clock
+//! stands in for the actor's, and the shell in `master.rs` applies them.
+//!
 //! What differs between recovering in place and rolling back to a
 //! checkpoint is the [`Policy`]: the state only that policy keeps and, in
 //! `impl Policy`, every decision that depends on it — the rows of the table
@@ -28,7 +32,7 @@ use crate::session::checkpoint::CheckpointBank;
 use crate::session::membership::{Life, Membership};
 use crate::session::replica::{TakeoverSeed, DEPUTIES};
 use crate::session::speculation::{RestartSpec, SnapshotSpec};
-use dlb_sim::{ActorId, MailCtx, SimDuration, SimTime};
+use dlb_sim::{advance, ActorId, CpuWork, NetConfig, NodeConfig, SimDuration, SimTime};
 use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
@@ -38,22 +42,94 @@ use std::sync::Arc;
 /// defers the election trigger only).
 pub(crate) const MASTER_HEARTBEAT: SimDuration = SimDuration::from_secs(1);
 
-/// Send with the model's wire-size accounting; returns the size charged.
-pub(crate) async fn send(ctx: &MailCtx<Msg>, to: ActorId, msg: Msg) -> u64 {
-    let bytes = msg.wire_bytes();
-    ctx.send(to, msg, bytes).await;
-    bytes
+/// One effect of a master step.
+#[derive(Clone, Debug)]
+pub(crate) enum Effect {
+    /// CPU charged on the master's node.
+    Cpu(CpuWork),
+    /// A send, with its wire size.
+    Send(ActorId, Msg, u64),
+    /// Narration for the trace, kept only while the run is traced.
+    Note(String),
 }
 
-/// Send `make(seq)` on `win`, `to`'s recovery window, which retains it for
-/// re-sends until acknowledged. Returns its wire size.
-async fn send_windowed(
-    ctx: &MailCtx<Msg>,
-    to: ActorId,
-    win: &mut SenderWindow<Msg>,
-    make: impl FnOnce(u64) -> Msg,
-) -> u64 {
-    send(ctx, to, win.send_with(make).clone()).await
+/// What a master step does, in program order, for the shell in `master.rs`
+/// to apply through the kernel — and the actor's clock meanwhile: each
+/// charge moves [`Effects::now`] to where the kernel will resume the actor,
+/// the node's [`advance`] of the work or of the net's `send_cpu`. Only a
+/// freeze over a finish resumes it later, and the next step starts at the
+/// true time. One buffer serves a reign; the shell drains it after each
+/// step.
+#[derive(Clone, Debug)]
+pub(crate) struct Effects {
+    node: NodeConfig,
+    net: NetConfig,
+    traced: bool,
+    now: SimTime,
+    buf: Vec<Effect>,
+}
+
+impl Effects {
+    pub fn new(node: NodeConfig, net: NetConfig, traced: bool, now: SimTime) -> Effects {
+        let buf = Vec::new();
+        Effects {
+            node,
+            net,
+            traced,
+            now,
+            buf,
+        }
+    }
+
+    /// The master's virtual time at this point of the step.
+    pub fn now(&self) -> SimTime {
+        self.now
+    }
+
+    /// Start a step at `now`, where the kernel resumed the actor.
+    pub fn at(&mut self, now: SimTime) {
+        debug_assert!(self.buf.is_empty(), "a step starts on a drained buffer");
+        self.now = now;
+    }
+
+    /// Charge `work` of CPU on the master's node.
+    pub fn cpu(&mut self, work: CpuWork) {
+        self.now = advance(&self.node, self.now, work).finish;
+        self.buf.push(Effect::Cpu(work));
+    }
+
+    /// Send with the model's wire-size accounting; returns the size charged.
+    pub fn send(&mut self, to: ActorId, msg: Msg) -> u64 {
+        let bytes = msg.wire_bytes();
+        self.now = advance(&self.node, self.now, self.net.send_cpu(bytes)).finish;
+        self.buf.push(Effect::Send(to, msg, bytes));
+        bytes
+    }
+
+    /// Send `make(seq)` on `win`, `to`'s recovery window, which retains it
+    /// for re-sends until acknowledged. Returns its wire size.
+    fn send_windowed(
+        &mut self,
+        to: ActorId,
+        win: &mut SenderWindow<Msg>,
+        make: impl FnOnce(u64) -> Msg,
+    ) -> u64 {
+        self.send(to, win.send_with(make).clone())
+    }
+
+    /// Narrate a decision: `text` runs only while the run is traced.
+    pub fn note(&mut self, text: impl FnOnce() -> String) {
+        if self.traced {
+            #[cfg(test)]
+            tests::NOTES_BUILT.with(|n| n.set(n.get() + 1));
+            self.buf.push(Effect::Note(text()));
+        }
+    }
+
+    /// The step's effects in order, leaving the buffer empty.
+    pub fn drain(&mut self) -> std::vec::Drain<'_, Effect> {
+        self.buf.drain(..)
+    }
 }
 
 /// Elementwise monotone merge of per-channel counters. Counters only grow,
@@ -295,7 +371,7 @@ impl Policy {
     /// and a stale report never cancels. Rollback's is master-local: the
     /// executor's checkpoint, if it still arrives, banks as a redundant
     /// fragment.
-    pub async fn cancel_race(st: &mut Session, ctx: &MailCtx<Msg>, speaker: usize, stale: bool) {
+    pub fn cancel_race(st: &mut Session, fx: &mut Effects, speaker: usize, stale: bool) {
         match &mut st.policy {
             Policy::Rescatter(rs) => {
                 let Some(sp) = rs.spec.take_if(|sp| !stale && sp.suspect == speaker) else {
@@ -303,7 +379,7 @@ impl Policy {
                 };
                 let (spec_seq, e) = (sp.spec_seq, sp.executor);
                 let cancel = |seq| Msg::SpecCancel { seq, spec_seq };
-                send_windowed(ctx, st.slaves[e], &mut st.win[e], cancel).await;
+                fx.send_windowed(st.slaves[e], &mut st.win[e], cancel);
             }
             Policy::Rollback(rb) => {
                 if rb.spec.take_if(|sp| sp.cancelled_by(speaker)).is_none() {
@@ -346,9 +422,10 @@ impl Policy {
     /// gather's delivery flags while gathering. `Ok(false)` ends the pass
     /// without a sweep. Anything else is a stray, handed back with the
     /// context its error names: the policy in force and the phase.
-    pub async fn own_msg(
+    #[allow(clippy::result_large_err)] // a takeover drops many strays: no box each
+    pub fn own_msg(
         st: &mut Session,
-        ctx: &MailCtx<Msg>,
+        fx: &mut Effects,
         msg: Msg,
         got: Option<&[bool]>,
     ) -> Result<bool, (&'static str, Msg)> {
@@ -357,19 +434,19 @@ impl Policy {
             // old ownership report during the gather; it is only a
             // liveness signal there.
             (Policy::Rescatter(_), Msg::OwnReport { slave, .. }, Some(got)) => {
-                st.nudge_gather(ctx, got, slave).await
+                st.nudge_gather(fx, got, slave)
             }
             (Policy::Rescatter(_), Msg::OwnReport { slave, about, ids }, None) => {
                 if !st.memb.alive[slave] {
                     return Ok(false);
                 }
-                st.heard_from(ctx, slave).await;
-                Policy::on_own_report(st, ctx, slave, about, ids).await;
+                st.heard_from(fx, slave);
+                Policy::on_own_report(st, fx, slave, about, ids);
             }
             // A late checkpoint racing the gather is only a liveness signal.
             (Policy::Rollback(_), Msg::Checkpoint { slave, .. }, Some(_)) => {
                 if st.memb.alive[slave] {
-                    st.memb.last_heard[slave] = ctx.now();
+                    st.memb.last_heard[slave] = fx.now();
                 }
             }
             (
@@ -382,7 +459,7 @@ impl Policy {
                 None,
             ) => {
                 if st.memb.alive[slave] {
-                    st.heard_from(ctx, slave).await;
+                    st.heard_from(fx, slave);
                 }
                 Policy::on_checkpoint(st, slave, invocation, units);
             }
@@ -446,9 +523,9 @@ impl Policy {
     /// delivered) — and returns `true`. Rollback returns `false`: the loss
     /// re-ranges the run, which the sweep does for its first suspect only,
     /// after the deputy ping.
-    pub async fn evict_in_place(
+    pub fn evict_in_place(
         st: &mut Session,
-        ctx: &MailCtx<Msg>,
+        fx: &mut Effects,
         balancer: &mut Balancer,
         s: usize,
         settling: bool,
@@ -458,10 +535,10 @@ impl Policy {
             return Ok(false);
         }
         if settling {
-            st.evict(ctx, balancer, s, now).await?;
+            st.evict(fx, balancer, s, now)?;
         } else {
             st.rec.gathers_interrupted += 1;
-            st.declare_dead(ctx, s, now).await;
+            st.declare_dead(fx, s, now);
         }
         Ok(true)
     }
@@ -473,7 +550,7 @@ impl Policy {
     /// dead slave's channels off with `Evicted` and opens an eviction that
     /// re-scatters its units once every survivor has reported ownership; a
     /// speculation dies with its executor.
-    async fn fence(st: &mut Session, ctx: &MailCtx<Msg>, s: usize) -> Result<(), ProtocolError> {
+    fn fence(st: &mut Session, fx: &mut Effects, s: usize) -> Result<(), ProtocolError> {
         let rs = match &mut st.policy {
             Policy::Rollback(rb) => {
                 rb.spec.take_if(|sp| sp.involves(s));
@@ -491,7 +568,7 @@ impl Policy {
             return Err(ProtocolError::AllSlavesDead);
         }
         for &v in &survivors {
-            send(ctx, st.slaves[v], Msg::Evicted { slave: s }).await;
+            fx.send(st.slaves[v], Msg::Evicted { slave: s });
         }
         rs.evictions.push(Eviction {
             dead: s,
@@ -513,14 +590,14 @@ impl Policy {
     /// Row 8, settling: a lost `Evicted` (or a lost `OwnReport`) stalls an
     /// eviction; the awaiting survivors are re-notified on the nudge timer.
     /// The slave-side dedup makes the re-broadcast idempotent.
-    pub async fn renotify(st: &mut Session, ctx: &MailCtx<Msg>, now: SimTime) {
+    pub fn renotify(st: &mut Session, fx: &mut Effects, now: SimTime) {
         let Policy::Rescatter(rs) = &st.policy else {
             return;
         };
         for ev in &rs.evictions {
             for &v in &ev.awaiting {
                 if st.memb.nudge_due(v, now, st.tol.nudge) {
-                    send(ctx, st.slaves[v], Msg::Evicted { slave: ev.dead }).await;
+                    fx.send(st.slaves[v], Msg::Evicted { slave: ev.dead });
                     st.rec.restore_resends += 1;
                 }
             }
@@ -529,13 +606,7 @@ impl Policy {
 
     /// Row 8: survivor `v`'s authoritative ownership report about evicted
     /// peer `about`. When the last one is in, the evictions resolve.
-    async fn on_own_report(
-        st: &mut Session,
-        ctx: &MailCtx<Msg>,
-        v: usize,
-        about: usize,
-        ids: Vec<usize>,
-    ) {
+    fn on_own_report(st: &mut Session, fx: &mut Effects, v: usize, about: usize, ids: Vec<usize>) {
         let Policy::Rescatter(rs) = &mut st.policy else {
             return;
         };
@@ -554,7 +625,7 @@ impl Policy {
         rs.owned[v] = ids.into_iter().collect();
         st.memb.done[v] = false;
         if rs.evictions.iter().all(|e| e.awaiting.is_empty()) {
-            Policy::resolve_evictions(st, ctx).await;
+            Policy::resolve_evictions(st, fx);
         }
     }
 
@@ -562,7 +633,7 @@ impl Policy {
     /// units no survivor owns (directly or in an unacknowledged master
     /// message still in flight), adopt speculation results for whatever
     /// they cover, and re-scatter the rest from initial data.
-    async fn resolve_evictions(st: &mut Session, ctx: &MailCtx<Msg>) {
+    fn resolve_evictions(st: &mut Session, fx: &mut Effects) {
         let Policy::Rescatter(rs) = &mut st.policy else {
             return;
         };
@@ -606,7 +677,7 @@ impl Policy {
             let (to, win) = (st.slaves[e], &mut st.win[e]);
             if commit.is_empty() {
                 st.rec.speculations_cancelled += 1;
-                send_windowed(ctx, to, win, |seq| Msg::SpecCancel { seq, spec_seq }).await;
+                fx.send_windowed(to, win, |seq| Msg::SpecCancel { seq, spec_seq });
             } else {
                 missing.retain(|u| !commit.contains(u));
                 rs.owned[e].extend(commit.iter().copied());
@@ -614,7 +685,7 @@ impl Policy {
                 st.rec.speculations_committed += 1;
                 st.memb.done[e] = false;
                 let ids = commit;
-                send_windowed(ctx, to, win, |seq| Msg::SpecCommit { seq, spec_seq, ids }).await;
+                fx.send_windowed(to, win, |seq| Msg::SpecCommit { seq, spec_seq, ids });
             }
         }
 
@@ -633,7 +704,7 @@ impl Policy {
                 invocation,
                 units: payload,
             };
-            send_windowed(ctx, st.slaves[t], &mut st.win[t], restore).await;
+            fx.send_windowed(st.slaves[t], &mut st.win[t], restore);
         }
         rs.evictions.clear();
     }
@@ -653,7 +724,7 @@ impl Policy {
     /// needs no race at all). Both decide before they source anything:
     /// this runs on every sweep while a suspect is past `speculate_after`,
     /// and mostly finds nobody idle.
-    pub async fn speculate(st: &mut Session, ctx: &MailCtx<Msg>, suspect: usize) {
+    pub fn speculate(st: &mut Session, fx: &mut Effects, suspect: usize) {
         let (memb, win) = (&st.memb, &st.win);
         let idle = (0..memb.n())
             .find(|&e| e != suspect && memb.alive[e] && memb.done[e] && win[e].fully_acked());
@@ -702,7 +773,7 @@ impl Policy {
             invocation,
             units,
         };
-        send_windowed(ctx, st.slaves[executor], &mut st.win[executor], race).await;
+        fx.send_windowed(st.slaves[executor], &mut st.win[executor], race);
         st.rec.speculations_launched += 1;
     }
 
@@ -723,9 +794,9 @@ impl Policy {
     /// Row 11, per delivery: re-scatter acknowledges each `GatherData` to
     /// `to` at once; rollback defers every acknowledgement to
     /// [`Policy::gathered`].
-    pub async fn ack_delivery(&self, ctx: &MailCtx<Msg>, to: ActorId) {
+    pub fn ack_delivery(&self, fx: &mut Effects, to: ActorId) {
         if let Policy::Rescatter(_) = self {
-            send(ctx, to, Msg::GatherAck).await;
+            fx.send(to, Msg::GatherAck);
         }
     }
 
@@ -737,9 +808,9 @@ impl Policy {
     /// hand, and only then are the survivors released with `GatherAck`:
     /// each had to stay resident, because a death mid-gather rolls back and
     /// redoes the run, which a slave released early could not take part in.
-    pub async fn gathered(
+    pub fn gathered(
         st: &mut Session,
-        ctx: &MailCtx<Msg>,
+        fx: &mut Effects,
         seen: &mut BTreeMap<usize, UnitData>,
         got: &[bool],
     ) -> bool {
@@ -760,7 +831,7 @@ impl Policy {
                     return false;
                 }
                 for s in st.memb.survivors() {
-                    send(ctx, st.slaves[s], Msg::GatherAck).await;
+                    fx.send(st.slaves[s], Msg::GatherAck);
                 }
             }
         }
@@ -770,8 +841,8 @@ impl Policy {
 
 /// Mutable state of one fault-mode run: membership, epoch lifecycle, the
 /// per-slave control windows, the admission queue, failover, the recovery
-/// counters, and the [`Policy`]. The single fault-mode driver in
-/// `master.rs` owns exactly one.
+/// counters, and the [`Policy`]. The fault-mode master in `master.rs` owns
+/// exactly one.
 pub(crate) struct Session {
     pub tol: FaultToleranceConfig,
     pub slaves: Vec<ActorId>,
@@ -911,14 +982,14 @@ impl Session {
     }
 
     /// Open a reign: evict the deferred slots and leave the rest to the
-    /// driver's `Start` broadcast, or — on a takeover — seed the session
+    /// master's `Start` broadcast, or — on a takeover — seed the session
     /// from the replica ([`Policy::seed`]). The survivors are mid-run:
     /// evict the dead, evict ourselves (the winner computes no units), and
-    /// re-range everyone, at once or — `Ok(true)` — once the driver has
+    /// re-range everyone, at once or — `Ok(true)` — once the master has
     /// collected their held fragments.
-    pub async fn open(
+    pub fn open(
         &mut self,
-        ctx: &MailCtx<Msg>,
+        fx: &mut Effects,
         balancer: &mut Balancer,
         takeover: Option<(&TakeoverSeed, usize)>,
     ) -> Result<bool, ProtocolError> {
@@ -946,7 +1017,7 @@ impl Session {
         if Policy::seed(self, seed, me) {
             return Ok(true);
         }
-        self.rerange(ctx, balancer, &[]).await?;
+        self.rerange(fx, balancer, &[])?;
         Ok(false)
     }
 
@@ -955,7 +1026,7 @@ impl Session {
     /// counters, and the freshness a deputy can take over from
     /// ([`Policy::replica_fresh`]). Scalars only: a lost replica is
     /// replaced by the next barrier's.
-    pub async fn publish_replica(&mut self, ctx: &MailCtx<Msg>) {
+    pub fn publish_replica(&mut self, fx: &mut Effects) {
         let (fresh, best_banked) = self.policy.replica_fresh(self.inv);
         let replica = ReplicaMsg {
             term: self.fo.term,
@@ -972,7 +1043,7 @@ impl Session {
             if self.memb.alive[d] {
                 self.rec.replicas_published += 1;
                 self.rec.replication_bytes += msg.wire_bytes();
-                send(ctx, self.slaves[d], msg.clone()).await;
+                fx.send(self.slaves[d], msg.clone());
             }
         }
     }
@@ -980,8 +1051,8 @@ impl Session {
     /// Heartbeat the live deputies so their election trigger stays quiet
     /// between barriers. Runs from every timer sweep; rate-limited to
     /// `MASTER_HEARTBEAT` (1 s).
-    pub async fn ping_deputies(&mut self, ctx: &MailCtx<Msg>) {
-        let now = ctx.now();
+    pub fn ping_deputies(&mut self, fx: &mut Effects) {
+        let now = fx.now();
         if now < self.fo.next_ping {
             return;
         }
@@ -990,23 +1061,23 @@ impl Session {
         for d in 0..self.fo.deputies {
             if self.memb.alive[d] {
                 self.rec.replication_bytes += msg.wire_bytes();
-                send(ctx, self.slaves[d], msg.clone()).await;
+                fx.send(self.slaves[d], msg.clone());
             }
         }
     }
 
     /// Replay everything unacknowledged in `s`'s window: it was lost in
     /// flight.
-    pub async fn replay_window(&mut self, ctx: &MailCtx<Msg>, s: usize) {
+    pub fn replay_window(&mut self, fx: &mut Effects, s: usize) {
         for (_, msg) in self.win[s].unacked() {
-            send(ctx, self.slaves[s], msg.clone()).await;
+            fx.send(self.slaves[s], msg.clone());
             self.rec.restore_resends += 1;
         }
     }
 
     /// Re-send the `Gather` to a slave that still owes its data.
-    pub async fn resend_gather(&mut self, ctx: &MailCtx<Msg>, s: usize) {
-        send(ctx, self.slaves[s], Msg::Gather).await;
+    pub fn resend_gather(&mut self, fx: &mut Effects, s: usize) {
+        fx.send(self.slaves[s], Msg::Gather);
         self.rec.gather_resends += 1;
     }
 
@@ -1014,13 +1085,13 @@ impl Session {
     /// it has not delivered it never received the `Gather` — what it sent
     /// is the re-send trigger (it is chatty, so a silence timer never
     /// fires), rate-limited by the nudge timer.
-    pub async fn nudge_gather(&mut self, ctx: &MailCtx<Msg>, got: &[bool], s: usize) {
+    pub fn nudge_gather(&mut self, fx: &mut Effects, got: &[bool], s: usize) {
         if !self.memb.alive[s] {
             return;
         }
-        self.memb.last_heard[s] = ctx.now();
-        if !got[s] && self.memb.nudge_due(s, ctx.now(), self.tol.nudge) {
-            self.resend_gather(ctx, s).await;
+        self.memb.last_heard[s] = fx.now();
+        if !got[s] && self.memb.nudge_due(s, fx.now(), self.tol.nudge) {
+            self.resend_gather(fx, s);
         }
     }
 
@@ -1033,9 +1104,9 @@ impl Session {
     /// joiners' state transfer *and* the barrier release. The epoch bump
     /// fences every pre-admission message (including the joiners'
     /// previous-life traffic) as stale.
-    pub async fn admit(
+    pub fn admit(
         &mut self,
-        ctx: &MailCtx<Msg>,
+        fx: &mut Effects,
         balancer: &mut Balancer,
     ) -> Result<(), ProtocolError> {
         let mut joined: Vec<usize> = Vec::new();
@@ -1044,7 +1115,7 @@ impl Session {
             if self.memb.life(j, jinc) != Life::Evicted {
                 continue; // raced an earlier admission, or a newer life exists
             }
-            self.memb.readmit(j, jinc, ctx.now(), self.tol.nudge);
+            self.memb.readmit(j, jinc, fx.now(), self.tol.nudge);
             balancer.admit(j);
             self.win[j] = SenderWindow::new();
             self.unacked_instr[j] = None;
@@ -1064,7 +1135,7 @@ impl Session {
         if rejoined_any {
             self.rec.partitions_healed += 1;
         }
-        self.rerange(ctx, balancer, &joined).await
+        self.rerange(fx, balancer, &joined)
     }
 
     /// Re-range the whole unit set contiguously over the survivors under a
@@ -1074,9 +1145,9 @@ impl Session {
     /// the policy decides what is shipped ([`Policy::rerange_units`]) and
     /// what the survivors keep ([`Policy::reranged`]). The bytes shipped to
     /// `joined` slots are metered as join snapshots.
-    pub async fn rerange(
+    pub fn rerange(
         &mut self,
-        ctx: &MailCtx<Msg>,
+        fx: &mut Effects,
         balancer: &mut Balancer,
         joined: &[usize],
     ) -> Result<(), ProtocolError> {
@@ -1103,7 +1174,7 @@ impl Session {
                 survivors,
                 units,
             };
-            let bytes = send_windowed(ctx, self.slaves[sv], &mut self.win[sv], rollback).await;
+            let bytes = fx.send_windowed(self.slaves[sv], &mut self.win[sv], rollback);
             if joined.contains(&sv) {
                 self.rec.join_snapshot_bytes += bytes;
             }
@@ -1120,7 +1191,7 @@ impl Session {
         }
         self.inv = invocation;
         self.released = true;
-        Policy::reranged(self, ctx.now(), &survivors, joined);
+        Policy::reranged(self, fx.now(), &survivors, joined);
         Ok(())
     }
 
@@ -1128,9 +1199,9 @@ impl Session {
     /// as the policy says. Under rollback the caller must follow up with
     /// [`Session::rerange`] — pipelined/shrinking state cannot be recovered
     /// in place.
-    pub async fn evict(
+    pub fn evict(
         &mut self,
-        ctx: &MailCtx<Msg>,
+        fx: &mut Effects,
         balancer: &mut Balancer,
         s: usize,
         now: SimTime,
@@ -1138,7 +1209,7 @@ impl Session {
         // Why the detector fired, and how far from settling the barrier was
         // when it did: the note that tells a dead slave from one waiting on
         // a peer.
-        ctx.note(|| {
+        fx.note(|| {
             let unsettled = (0..self.memb.n())
                 .filter(|&v| self.memb.alive[v] && !self.slave_settled(v))
                 .count();
@@ -1152,29 +1223,29 @@ impl Session {
                 self.win[s].fully_acked(),
             )
         });
-        self.declare_dead(ctx, s, now).await;
+        self.declare_dead(fx, s, now);
         balancer.mark_dead(s);
         // Its per-invocation metric no longer counts: survivors recompute
         // its units and contribute their metric.
         self.metrics[s] = 0.0;
         self.unacked_instr[s] = None;
-        Policy::fence(self, ctx, s).await
+        Policy::fence(self, fx, s)
     }
 
     /// Slave `s` is dead as of `now`: out of the membership, counted, and
     /// told so (it may only be cut off, and exit or rejoin).
-    async fn declare_dead(&mut self, ctx: &MailCtx<Msg>, s: usize, now: SimTime) {
+    fn declare_dead(&mut self, fx: &mut Effects, s: usize, now: SimTime) {
         self.memb.evict(s);
         self.rec.slaves_declared_dead += 1;
         self.rec.first_death.get_or_insert(now);
-        send(ctx, self.slaves[s], Msg::Evict).await;
+        fx.send(self.slaves[s], Msg::Evict);
     }
 
     /// Member `s` spoke a protocol message: its silence ends, and so does a
     /// race against it.
-    pub async fn heard_from(&mut self, ctx: &MailCtx<Msg>, s: usize) {
-        self.memb.heard(s, ctx.now());
-        Policy::cancel_race(self, ctx, s, false).await;
+    pub fn heard_from(&mut self, fx: &mut Effects, s: usize) {
+        self.memb.heard(s, fx.now());
+        Policy::cancel_race(self, fx, s, false);
     }
 
     /// The epoch fence of member `s`'s `Status` / `InvocationDone` stamped
@@ -1185,12 +1256,12 @@ impl Session {
     /// says — end a race against it) but not that it made protocol progress
     /// — `unheard_for` keeps growing, so the window re-send timer still
     /// fires for its lost Rollback.
-    pub async fn fenced(&mut self, ctx: &MailCtx<Msg>, s: usize, epoch: u64) -> bool {
+    pub fn fenced(&mut self, fx: &mut Effects, s: usize, epoch: u64) -> bool {
         if epoch >= self.epoch {
             return false;
         }
-        self.memb.ping(s, ctx.now());
-        Policy::cancel_race(self, ctx, s, true).await;
+        self.memb.ping(s, fx.now());
+        Policy::cancel_race(self, fx, s, true);
         self.rec.stale_epoch_dropped += 1;
         true
     }
@@ -1204,11 +1275,16 @@ impl Session {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::balancer::{Balancer, BalancerConfig};
     use crate::kernels::tests::{Cols, Doubler};
-    use dlb_sim::{NodeConfig, SimBuilder};
+    use std::cell::Cell;
+
+    thread_local! {
+        /// Note texts [`Effects::note`] built on this thread.
+        pub(crate) static NOTES_BUILT: Cell<u32> = const { Cell::new(0) };
+    }
 
     fn unit(v: f64) -> UnitData {
         vec![vec![v]]
@@ -1249,12 +1325,22 @@ mod tests {
         AppSpec::Independent(Arc::new(Doubler { n: 4, reps: 4 }))
     }
 
-    /// A fresh original-reign session over `slaves`, one unit per slave.
-    fn session(ctx: &MailCtx<Msg>, slaves: &[ActorId], app: AppSpec) -> Session {
+    /// A fresh original-reign session over `n` slaves, one unit per
+    /// slave, and its master's effect buffer. What the session sends stays
+    /// in the buffer, so payload refcounts are exact.
+    fn session(n: usize, app: AppSpec) -> (Session, Effects) {
         let tol = FaultToleranceConfig::default();
-        let assignment: Vec<(usize, usize)> = (0..slaves.len()).map(|i| (i, i + 1)).collect();
+        let assignment: Vec<(usize, usize)> = (0..n).map(|i| (i, i + 1)).collect();
+        let slaves: Vec<ActorId> = (1..=n).map(ActorId).collect();
         let rec = RecoveryStats::default();
-        Session::new(ctx.now(), &app, tol, slaves, &assignment, 0, rec)
+        let sess = Session::new(SimTime::ZERO, &app, tol, &slaves, &assignment, 0, rec);
+        let fx = Effects::new(
+            NodeConfig::default(),
+            NetConfig::default(),
+            false,
+            SimTime::ZERO,
+        );
+        (sess, fx)
     }
 
     /// Bank a complete checkpoint for `inv` the way the receive arm does.
@@ -1288,128 +1374,92 @@ mod tests {
         ids
     }
 
-    /// Run `body` inside a real master actor with `n` inert slave actors,
-    /// so session methods can send on genuine `MailCtx` channels. The
-    /// slaves outlive `body` without ever reading their mail: whatever was
-    /// sent stays alive in a mailbox, so payload refcounts are exact.
-    fn in_actor<F, Fut>(n: usize, body: F)
-    where
-        F: FnOnce(MailCtx<Msg>, Vec<ActorId>) -> Fut + Send + 'static,
-        Fut: std::future::Future<Output = ()> + Send + 'static,
-    {
-        let mut sim = SimBuilder::<Msg>::new();
-        let master_node = sim.add_node(NodeConfig::default());
-        let slave_nodes: Vec<_> = (0..n)
-            .map(|_| sim.add_node(NodeConfig::default()))
-            .collect();
-        let slave_ids: Vec<ActorId> = slave_nodes
-            .into_iter()
-            .enumerate()
-            .map(|(i, node)| {
-                let idle = |ctx: MailCtx<Msg>| async move {
-                    ctx.sleep(SimDuration::from_secs(3_600)).await;
-                };
-                sim.spawn_mail(node, format!("slave{i}"), idle)
-            })
-            .collect();
-        sim.spawn_mail(master_node, "master", move |ctx| body(ctx, slave_ids));
-        sim.run();
-    }
-
     #[test]
     fn eviction_during_rollback_rolls_back_again_cleanly() {
-        in_actor(3, |ctx, slaves| async move {
-            let ctx = &ctx;
-            let mut sess = session(ctx, &slaves, rollback());
-            let mut bal = balancer(3);
+        let (mut sess, mut fx) = session(3, rollback());
+        let mut bal = balancer(3);
 
-            // Bank a complete checkpoint for invocation 2, then lose slave 0.
-            sess.inv = 2;
-            sess.sent[0][1] = 5;
-            bank(&mut sess, 2, checkpoint(3, 10.0));
-            sess.evict(ctx, &mut bal, 0, ctx.now()).await.unwrap();
-            sess.rerange(ctx, &mut bal, &[])
-                .await
-                .expect("two survivors remain");
-            assert_eq!(sess.epoch, 1);
-            assert_eq!(sess.inv, 2, "restart at the banked invocation");
-            assert!(sess.released);
-            assert_eq!(sess.win[1].unacked().count(), 1, "rollback is windowed");
+        // Bank a complete checkpoint for invocation 2, then lose slave 0.
+        sess.inv = 2;
+        sess.sent[0][1] = 5;
+        bank(&mut sess, 2, checkpoint(3, 10.0));
+        sess.evict(&mut fx, &mut bal, 0, SimTime::ZERO).unwrap();
+        sess.rerange(&mut fx, &mut bal, &[])
+            .expect("two survivors remain");
+        assert_eq!(sess.epoch, 1);
+        assert_eq!(sess.inv, 2, "restart at the banked invocation");
+        assert!(sess.released);
+        assert_eq!(sess.win[1].unacked().count(), 1, "rollback is windowed");
 
-            // A second slave dies while that rollback is still
-            // unacknowledged: evict + rollback again. The second rollback
-            // supersedes the first (higher epoch), the dead slaves get no
-            // message, and the remaining survivor's window holds both
-            // rollbacks until acked.
-            sess.evict(ctx, &mut bal, 1, ctx.now()).await.unwrap();
-            sess.rerange(ctx, &mut bal, &[])
-                .await
-                .expect("one survivor remains");
-            assert_eq!(sess.epoch, 2);
-            assert_eq!(sess.rec.rollbacks, 2);
-            assert_eq!(sess.rec.slaves_declared_dead, 2);
-            assert_eq!(sess.memb.survivors(), vec![2]);
-            assert_eq!(sess.win[2].unacked().count(), 2);
-            // Settlement matrices were voided.
-            assert!(sess.sent.iter().flatten().all(|&v| v == 0));
+        // A second slave dies while that rollback is still
+        // unacknowledged: evict + rollback again. The second rollback
+        // supersedes the first (higher epoch), the dead slaves get no
+        // message, and the remaining survivor's window holds both
+        // rollbacks until acked.
+        sess.evict(&mut fx, &mut bal, 1, SimTime::ZERO).unwrap();
+        sess.rerange(&mut fx, &mut bal, &[])
+            .expect("one survivor remains");
+        assert_eq!(sess.epoch, 2);
+        assert_eq!(sess.rec.rollbacks, 2);
+        assert_eq!(sess.rec.slaves_declared_dead, 2);
+        assert_eq!(sess.memb.survivors(), vec![2]);
+        assert_eq!(sess.win[2].unacked().count(), 2);
+        // Settlement matrices were voided.
+        assert!(sess.sent.iter().flatten().all(|&v| v == 0));
 
-            // Last survivor dies: nothing left to roll back onto.
-            sess.evict(ctx, &mut bal, 2, ctx.now()).await.unwrap();
-            assert_eq!(
-                sess.rerange(ctx, &mut bal, &[]).await,
-                Err(ProtocolError::AllSlavesDead)
-            );
-        });
+        // Last survivor dies: nothing left to roll back onto.
+        sess.evict(&mut fx, &mut bal, 2, SimTime::ZERO).unwrap();
+        assert_eq!(
+            sess.rerange(&mut fx, &mut bal, &[]),
+            Err(ProtocolError::AllSlavesDead)
+        );
     }
 
     #[test]
     fn speculation_commits_via_banked_checkpoint_and_cancels_on_heartbeat() {
-        in_actor(3, |ctx, slaves| async move {
-            let ctx = &ctx;
-            let mut sess = session(ctx, &slaves, rollback());
-            let ckpt = |v: f64| checkpoint(3, v);
+        let (mut sess, mut fx) = session(3, rollback());
+        let ckpt = |v: f64| checkpoint(3, v);
 
-            // Slave 1 is parked done; slave 0 goes silent at invocation 0.
-            sess.memb.done[1] = true;
-            Policy::speculate(&mut sess, ctx, 0).await;
-            assert_eq!(sess.rec.speculations_launched, 1);
-            assert_eq!(
-                raced(&sess, 1),
-                [0],
-                "no checkpoint banked: seeds from init"
-            );
+        // Slave 1 is parked done; slave 0 goes silent at invocation 0.
+        sess.memb.done[1] = true;
+        Policy::speculate(&mut sess, &mut fx, 0);
+        assert_eq!(sess.rec.speculations_launched, 1);
+        assert_eq!(
+            raced(&sess, 1),
+            [0],
+            "no checkpoint banked: seeds from init"
+        );
 
-            // A second launch attempt is refused while one is in flight.
-            Policy::speculate(&mut sess, ctx, 0).await;
-            assert_eq!(sess.rec.speculations_launched, 1);
+        // A second launch attempt is refused while one is in flight.
+        Policy::speculate(&mut sess, &mut fx, 0);
+        assert_eq!(sess.rec.speculations_launched, 1);
 
-            // The executor's speculative checkpoint arrives: commit.
-            Policy::on_checkpoint(&mut sess, 1, 1, ckpt(1.0));
-            assert_eq!(sess.rec.speculations_committed, 1);
-            assert_eq!(sess.rec.units_speculated, 3);
-            assert_eq!(sess.rec.checkpoints_banked, 1, "it banks like any other");
-            // Committed once: a repeat of it is an ordinary fragment.
-            Policy::on_checkpoint(&mut sess, 1, 1, ckpt(1.0));
-            assert_eq!(sess.rec.speculations_committed, 1);
+        // The executor's speculative checkpoint arrives: commit.
+        Policy::on_checkpoint(&mut sess, 1, 1, ckpt(1.0));
+        assert_eq!(sess.rec.speculations_committed, 1);
+        assert_eq!(sess.rec.units_speculated, 3);
+        assert_eq!(sess.rec.checkpoints_banked, 1, "it banks like any other");
+        // Committed once: a repeat of it is an ordinary fragment.
+        Policy::on_checkpoint(&mut sess, 1, 1, ckpt(1.0));
+        assert_eq!(sess.rec.speculations_committed, 1);
 
-            // The executor's refreshed done report acks the Speculate —
-            // until then its window is not settled and no further
-            // speculation may target it.
-            sess.inv = 1;
-            Policy::speculate(&mut sess, ctx, 0).await;
-            assert_eq!(sess.rec.speculations_launched, 1, "executor not yet acked");
-            let spec_seq = sess.win[1].seq_sent();
-            sess.win[1].ack(spec_seq);
+        // The executor's refreshed done report acks the Speculate —
+        // until then its window is not settled and no further
+        // speculation may target it.
+        sess.inv = 1;
+        Policy::speculate(&mut sess, &mut fx, 0);
+        assert_eq!(sess.rec.speculations_launched, 1, "executor not yet acked");
+        let spec_seq = sess.win[1].seq_sent();
+        sess.win[1].ack(spec_seq);
 
-            // Second round: this time the suspect heartbeats first.
-            Policy::speculate(&mut sess, ctx, 0).await;
-            assert_eq!(sess.rec.speculations_launched, 2);
-            Policy::cancel_race(&mut sess, ctx, 0, false).await;
-            assert_eq!(sess.rec.speculations_cancelled, 1);
-            // The executor's late checkpoint now commits nothing.
-            Policy::on_checkpoint(&mut sess, 1, 2, ckpt(2.0));
-            assert_eq!(sess.rec.speculations_committed, 1);
-        });
+        // Second round: this time the suspect heartbeats first.
+        Policy::speculate(&mut sess, &mut fx, 0);
+        assert_eq!(sess.rec.speculations_launched, 2);
+        Policy::cancel_race(&mut sess, &mut fx, 0, false);
+        assert_eq!(sess.rec.speculations_cancelled, 1);
+        // The executor's late checkpoint now commits nothing.
+        Policy::on_checkpoint(&mut sess, 1, 2, ckpt(2.0));
+        assert_eq!(sess.rec.speculations_committed, 1);
     }
 
     /// The executor's barrier fragment commits a race at once, so a suspect
@@ -1417,50 +1467,44 @@ mod tests {
     /// the next idle slave: it is raced once per invocation instead.
     #[test]
     fn a_silent_suspect_is_raced_once_per_invocation() {
-        in_actor(4, |ctx, slaves| async move {
-            let ctx = &ctx;
-            let mut sess = session(ctx, &slaves, rollback());
-            sess.memb.done[1] = true;
-            sess.memb.done[2] = true;
-            Policy::speculate(&mut sess, ctx, 0).await;
-            assert_eq!(raced(&sess, 1), [0]);
-            // Slave 1 reaches the barrier of invocation 0: its fragment of
-            // the snapshot at 1 commits the race.
-            Policy::on_checkpoint(&mut sess, 1, 1, checkpoint(1, 1.0));
-            assert_eq!(sess.rec.speculations_committed, 1);
-            // Slave 0 is still silent and slave 2 idle: no second race.
-            Policy::speculate(&mut sess, ctx, 0).await;
-            assert!(raced(&sess, 2).is_empty());
-            // Another suspect is raced, once.
-            Policy::speculate(&mut sess, ctx, 3).await;
-            assert_eq!(raced(&sess, 2), [0]);
-            Policy::cancel_race(&mut sess, ctx, 3, false).await;
-            let spec_seq = sess.win[2].seq_sent();
-            sess.win[2].ack(spec_seq);
-            Policy::speculate(&mut sess, ctx, 3).await;
-            assert_eq!(sess.rec.speculations_launched, 2);
-            // The next invocation races slave 0 again.
-            sess.inv = 1;
-            Policy::speculate(&mut sess, ctx, 0).await;
-            assert_eq!(raced(&sess, 2), [0]);
-            assert_eq!(sess.rec.speculations_launched, 3);
-        });
+        let (mut sess, mut fx) = session(4, rollback());
+        sess.memb.done[1] = true;
+        sess.memb.done[2] = true;
+        Policy::speculate(&mut sess, &mut fx, 0);
+        assert_eq!(raced(&sess, 1), [0]);
+        // Slave 1 reaches the barrier of invocation 0: its fragment of
+        // the snapshot at 1 commits the race.
+        Policy::on_checkpoint(&mut sess, 1, 1, checkpoint(1, 1.0));
+        assert_eq!(sess.rec.speculations_committed, 1);
+        // Slave 0 is still silent and slave 2 idle: no second race.
+        Policy::speculate(&mut sess, &mut fx, 0);
+        assert!(raced(&sess, 2).is_empty());
+        // Another suspect is raced, once.
+        Policy::speculate(&mut sess, &mut fx, 3);
+        assert_eq!(raced(&sess, 2), [0]);
+        Policy::cancel_race(&mut sess, &mut fx, 3, false);
+        let spec_seq = sess.win[2].seq_sent();
+        sess.win[2].ack(spec_seq);
+        Policy::speculate(&mut sess, &mut fx, 3);
+        assert_eq!(sess.rec.speculations_launched, 2);
+        // The next invocation races slave 0 again.
+        sess.inv = 1;
+        Policy::speculate(&mut sess, &mut fx, 0);
+        assert_eq!(raced(&sess, 2), [0]);
+        assert_eq!(sess.rec.speculations_launched, 3);
     }
 
     #[test]
     fn speculation_requires_an_idle_settled_executor() {
-        in_actor(2, |ctx, slaves| async move {
-            let ctx = &ctx;
-            let mut sess = session(ctx, &slaves, rollback());
-            // Nobody is done: no executor, no launch.
-            Policy::speculate(&mut sess, ctx, 0).await;
-            assert_eq!(sess.rec.speculations_launched, 0);
-            assert!(raced(&sess, 1).is_empty());
-            // The only candidate is the suspect itself.
-            sess.memb.done[0] = true;
-            Policy::speculate(&mut sess, ctx, 0).await;
-            assert_eq!(sess.rec.speculations_launched, 0);
-        });
+        let (mut sess, mut fx) = session(2, rollback());
+        // Nobody is done: no executor, no launch.
+        Policy::speculate(&mut sess, &mut fx, 0);
+        assert_eq!(sess.rec.speculations_launched, 0);
+        assert!(raced(&sess, 1).is_empty());
+        // The only candidate is the suspect itself.
+        sess.memb.done[0] = true;
+        Policy::speculate(&mut sess, &mut fx, 0);
+        assert_eq!(sess.rec.speculations_launched, 0);
     }
 
     /// `speculate` runs on every timer sweep while a suspect is past
@@ -1468,41 +1512,38 @@ mod tests {
     /// sources a snapshot, and a launch must share the bank's storage.
     #[test]
     fn a_declined_speculation_sources_nothing_and_a_launch_shares_the_bank() {
-        in_actor(3, |ctx, slaves| async move {
-            let ctx = &ctx;
-            let mut sess = session(ctx, &slaves, rollback());
-            let held = checkpoint(3, 10.0);
-            bank(&mut sess, 2, held.clone());
-            let banked = vec![2; 3]; // `held` and the bank
-            sess.inv = 2;
+        let (mut sess, mut fx) = session(3, rollback());
+        let held = checkpoint(3, 10.0);
+        bank(&mut sess, 2, held.clone());
+        let banked = vec![2; 3]; // `held` and the bank
+        sess.inv = 2;
 
-            // No idle survivor.
-            Policy::speculate(&mut sess, ctx, 0).await;
-            assert_eq!(refs(&held), banked);
-            // An executor is idle, but the bank is already past the
-            // invocation being settled: nothing to race.
-            sess.memb.done[1] = true;
-            sess.inv = 1;
-            Policy::speculate(&mut sess, ctx, 0).await;
-            assert_eq!(refs(&held), banked);
-            // The suspect itself is done; only its window lags.
-            sess.inv = 2;
-            sess.memb.done[0] = true;
-            Policy::speculate(&mut sess, ctx, 0).await;
-            assert_eq!(refs(&held), banked);
-            assert_eq!(sess.rec.speculations_launched, 0);
+        // No idle survivor.
+        Policy::speculate(&mut sess, &mut fx, 0);
+        assert_eq!(refs(&held), banked);
+        // An executor is idle, but the bank is already past the
+        // invocation being settled: nothing to race.
+        sess.memb.done[1] = true;
+        sess.inv = 1;
+        Policy::speculate(&mut sess, &mut fx, 0);
+        assert_eq!(refs(&held), banked);
+        // The suspect itself is done; only its window lags.
+        sess.inv = 2;
+        sess.memb.done[0] = true;
+        Policy::speculate(&mut sess, &mut fx, 0);
+        assert_eq!(refs(&held), banked);
+        assert_eq!(sess.rec.speculations_launched, 0);
 
-            // A launch: the window's retained copy and the one on the wire
-            // are two more holders of the same storage.
-            sess.memb.done[0] = false;
-            Policy::speculate(&mut sess, ctx, 0).await;
-            assert_eq!(sess.rec.speculations_launched, 1);
-            assert_eq!(refs(&held), vec![4; 3]);
-            // One race at a time: declined while that one is in flight.
-            Policy::speculate(&mut sess, ctx, 0).await;
-            assert_eq!(sess.rec.speculations_launched, 1);
-            assert_eq!(refs(&held), vec![4; 3]);
-        });
+        // A launch: the window's retained copy and the one on the wire
+        // are two more holders of the same storage.
+        sess.memb.done[0] = false;
+        Policy::speculate(&mut sess, &mut fx, 0);
+        assert_eq!(sess.rec.speculations_launched, 1);
+        assert_eq!(refs(&held), vec![4; 3]);
+        // One race at a time: declined while that one is in flight.
+        Policy::speculate(&mut sess, &mut fx, 0);
+        assert_eq!(sess.rec.speculations_launched, 1);
+        assert_eq!(refs(&held), vec![4; 3]);
     }
 
     /// Window retention and replay are refcounts: `k` unacknowledged
@@ -1510,36 +1551,33 @@ mod tests {
     /// not one new unit.
     #[test]
     fn replaying_unacked_rollbacks_copies_no_unit() {
-        in_actor(2, |ctx, slaves| async move {
-            let ctx = &ctx;
-            let mut sess = session(ctx, &slaves, rollback());
-            let mut bal = balancer(2);
-            let held = checkpoint(2, 10.0);
-            bank(&mut sess, 2, held.clone());
-            sess.inv = 2;
+        let (mut sess, mut fx) = session(2, rollback());
+        let mut bal = balancer(2);
+        let held = checkpoint(2, 10.0);
+        bank(&mut sess, 2, held.clone());
+        sess.inv = 2;
 
-            let k = 3;
-            for _ in 0..k {
-                sess.rerange(ctx, &mut bal, &[]).await.unwrap();
+        let k = 3;
+        for _ in 0..k {
+            sess.rerange(&mut fx, &mut bal, &[]).unwrap();
+        }
+        // `held`, the bank, and per rollback one retained + one sent.
+        assert_eq!(refs(&held), vec![2 + 2 * k; 2]);
+        for s in 0..2 {
+            assert_eq!(sess.win[s].unacked().count(), k);
+            sess.replay_window(&mut fx, s);
+        }
+        assert_eq!(sess.rec.restore_resends, 2 * k as u64);
+        assert_eq!(refs(&held), vec![2 + 3 * k; 2]);
+        for (win, (_, banked)) in sess.win.iter().zip(&held) {
+            for (_, msg) in win.unacked() {
+                let Msg::Rollback { units, .. } = msg else {
+                    unreachable!("only rollbacks were windowed");
+                };
+                assert_eq!(units.len(), 1, "one unit per survivor");
+                assert!(Arc::ptr_eq(&units[0].1, banked));
             }
-            // `held`, the bank, and per rollback one retained + one sent.
-            assert_eq!(refs(&held), vec![2 + 2 * k; 2]);
-            for s in 0..2 {
-                assert_eq!(sess.win[s].unacked().count(), k);
-                sess.replay_window(ctx, s).await;
-            }
-            assert_eq!(sess.rec.restore_resends, 2 * k as u64);
-            assert_eq!(refs(&held), vec![2 + 3 * k; 2]);
-            for (win, (_, banked)) in sess.win.iter().zip(&held) {
-                for (_, msg) in win.unacked() {
-                    let Msg::Rollback { units, .. } = msg else {
-                        unreachable!("only rollbacks were windowed");
-                    };
-                    assert_eq!(units.len(), 1, "one unit per survivor");
-                    assert!(Arc::ptr_eq(&units[0].1, banked));
-                }
-            }
-        });
+        }
     }
 
     /// The `awaited` exemption: a survivor that dies *after* settling,
@@ -1549,47 +1587,44 @@ mod tests {
     /// after resolution is never adopted.
     #[test]
     fn settled_survivor_awaited_by_an_eviction_is_suspected_again() {
-        in_actor(3, |ctx, slaves| async move {
-            let ctx = &ctx;
-            let mut sess = session(ctx, &slaves, rescatter());
-            let mut bal = balancer(3);
-            for s in 0..3 {
-                sess.memb.done[s] = true;
-            }
-            assert!(sess.slave_settled(1) && sess.slave_settled(2));
+        let (mut sess, mut fx) = session(3, rescatter());
+        let mut bal = balancer(3);
+        for s in 0..3 {
+            sess.memb.done[s] = true;
+        }
+        assert!(sess.slave_settled(1) && sess.slave_settled(2));
 
-            sess.evict(ctx, &mut bal, 0, ctx.now()).await.unwrap();
-            assert!(
-                !sess.settled(&bal),
-                "an open eviction keeps the barrier shut"
-            );
-            assert!(sess.memb.done[2] && sess.win[2].fully_acked());
-            assert!(
-                !sess.slave_settled(2),
-                "awaited: its timer must keep running"
-            );
+        sess.evict(&mut fx, &mut bal, 0, SimTime::ZERO).unwrap();
+        assert!(
+            !sess.settled(&bal),
+            "an open eviction keeps the barrier shut"
+        );
+        assert!(sess.memb.done[2] && sess.win[2].fully_acked());
+        assert!(
+            !sess.slave_settled(2),
+            "awaited: its timer must keep running"
+        );
 
-            Policy::on_own_report(&mut sess, ctx, 1, 0, vec![1]).await;
-            assert!(sess.policy.awaits(2), "slave 2 has not reported");
+        Policy::on_own_report(&mut sess, &mut fx, 1, 0, vec![1]);
+        assert!(sess.policy.awaits(2), "slave 2 has not reported");
 
-            // Slave 2 never reports: the sweep suspects and evicts it too.
-            sess.evict(ctx, &mut bal, 2, ctx.now()).await.unwrap();
-            assert!(sess.policy.awaits(1), "the second eviction awaits slave 1");
-            Policy::on_own_report(&mut sess, ctx, 1, 2, vec![1]).await;
-            assert!(!sess.policy.awaits(1), "both evictions resolved");
-            assert_eq!(sess.rec.units_restored, 2);
-            assert_eq!(restored(&sess, 1), [0, 2], "one Restore, windowed");
-            assert!(!sess.memb.done[1], "the restored units reopen its barrier");
+        // Slave 2 never reports: the sweep suspects and evicts it too.
+        sess.evict(&mut fx, &mut bal, 2, SimTime::ZERO).unwrap();
+        assert!(sess.policy.awaits(1), "the second eviction awaits slave 1");
+        Policy::on_own_report(&mut sess, &mut fx, 1, 2, vec![1]);
+        assert!(!sess.policy.awaits(1), "both evictions resolved");
+        assert_eq!(sess.rec.units_restored, 2);
+        assert_eq!(restored(&sess, 1), [0, 2], "one Restore, windowed");
+        assert!(!sess.memb.done[1], "the restored units reopen its barrier");
 
-            // A duplicated delivery of an already-matched report: stale ids.
-            // Adopting it would reopen the barrier.
-            let dups = sess.rec.done_dups_ignored;
-            sess.memb.done[1] = true;
-            Policy::on_own_report(&mut sess, ctx, 1, 0, vec![]).await;
-            assert_eq!(sess.rec.done_dups_ignored, dups + 1);
-            assert!(sess.memb.done[1], "never adopted");
-            assert_eq!(restored(&sess, 1), [0, 2], "nothing re-scattered");
-        });
+        // A duplicated delivery of an already-matched report: stale ids.
+        // Adopting it would reopen the barrier.
+        let dups = sess.rec.done_dups_ignored;
+        sess.memb.done[1] = true;
+        Policy::on_own_report(&mut sess, &mut fx, 1, 0, vec![]);
+        assert_eq!(sess.rec.done_dups_ignored, dups + 1);
+        assert!(sess.memb.done[1], "never adopted");
+        assert_eq!(restored(&sess, 1), [0, 2], "nothing re-scattered");
     }
 
     /// Admission under either policy: a joiner announcing an incarnation
@@ -1597,39 +1632,36 @@ mod tests {
     /// readmits several evicted slaves is one healed partition.
     #[test]
     fn admit_fences_older_incarnations_and_counts_one_heal_per_round() {
-        in_actor(4, |ctx, slaves| async move {
-            let ctx = &ctx;
-            for recovery in [rescatter(), rollback()] {
-                let mut sess = session(ctx, &slaves, recovery);
-                let mut bal = balancer(4);
-                for s in 1..4 {
-                    sess.evict(ctx, &mut bal, s, ctx.now()).await.unwrap();
-                }
-                sess.memb.incarnation[2] = 5;
-                sess.pending_joins = vec![(1, 1), (2, 3), (3, 1)];
-                sess.admit(ctx, &mut bal).await.unwrap();
-
-                assert_eq!(sess.memb.survivors(), vec![0, 1, 3]);
-                assert_eq!(sess.memb.incarnation[2], 5, "the zombie changed nothing");
-                assert_eq!(sess.rec.joins_admitted, 2);
-                assert_eq!(sess.rec.rejoins_after_eviction, 2);
-                assert_eq!(sess.rec.partitions_healed, 1, "per round, not per joiner");
-                assert!(sess.pending_joins.is_empty());
-                assert!(sess.released, "the re-range releases the barrier");
-                assert!(sess.rec.join_snapshot_bytes > 0);
-                let floor = sess.epoch;
-                assert_eq!(
-                    sess.policy.ack_floor(sess.epoch, 1),
-                    floor,
-                    "a previous life never acks"
-                );
-
-                // Nothing but the zombie queued: no re-range, no heal.
-                sess.pending_joins = vec![(2, 4)];
-                sess.admit(ctx, &mut bal).await.unwrap();
-                assert_eq!(sess.epoch, floor);
-                assert_eq!(sess.rec.partitions_healed, 1);
+        for recovery in [rescatter(), rollback()] {
+            let (mut sess, mut fx) = session(4, recovery);
+            let mut bal = balancer(4);
+            for s in 1..4 {
+                sess.evict(&mut fx, &mut bal, s, SimTime::ZERO).unwrap();
             }
-        });
+            sess.memb.incarnation[2] = 5;
+            sess.pending_joins = vec![(1, 1), (2, 3), (3, 1)];
+            sess.admit(&mut fx, &mut bal).unwrap();
+
+            assert_eq!(sess.memb.survivors(), vec![0, 1, 3]);
+            assert_eq!(sess.memb.incarnation[2], 5, "the zombie changed nothing");
+            assert_eq!(sess.rec.joins_admitted, 2);
+            assert_eq!(sess.rec.rejoins_after_eviction, 2);
+            assert_eq!(sess.rec.partitions_healed, 1, "per round, not per joiner");
+            assert!(sess.pending_joins.is_empty());
+            assert!(sess.released, "the re-range releases the barrier");
+            assert!(sess.rec.join_snapshot_bytes > 0);
+            let floor = sess.epoch;
+            assert_eq!(
+                sess.policy.ack_floor(sess.epoch, 1),
+                floor,
+                "a previous life never acks"
+            );
+
+            // Nothing but the zombie queued: no re-range, no heal.
+            sess.pending_joins = vec![(2, 4)];
+            sess.admit(&mut fx, &mut bal).unwrap();
+            assert_eq!(sess.epoch, floor);
+            assert_eq!(sess.rec.partitions_healed, 1);
+        }
     }
 }

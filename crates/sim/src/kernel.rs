@@ -631,6 +631,22 @@ impl<M: Send + Clone + 'static> MailCtx<M> {
         SimTime(self.cell.now.load(Relaxed))
     }
 
+    /// What this actor's charges cost, read-only: its node, whose CPU model
+    /// [`cpu::advance`] turns [`advance_work`](Self::advance_work) into a
+    /// finish time, and its net, whose [`NetConfig::send_cpu`] is what
+    /// [`send`](Self::send) charges. An actor that buffers its effects keeps
+    /// its own clock with them; it resumes later only when a freeze covers
+    /// a finish.
+    pub fn costs(&self) -> (&NodeConfig, &NetConfig) {
+        (&self.cell.node_cfg, &self.cell.net)
+    }
+
+    /// Whether the run is traced, i.e. whether [`note`](Self::note) keeps
+    /// its text.
+    pub fn traced(&self) -> bool {
+        self.cell.traced
+    }
+
     fn park(&self, wake_on_msg: bool, wake_at: Option<SimTime>) -> ParkOnce {
         self.lock().park(wake_on_msg, wake_at)
     }
@@ -1702,6 +1718,67 @@ mod tests {
         });
         let report = b.run();
         assert_eq!(report.nodes[0].app_cpu, SimDuration::from_micros(500));
+    }
+
+    /// The clock an actor that buffers its own effects keeps: a charge
+    /// resumes at exactly `cpu::advance(node, now, work).finish`, whether
+    /// it is an `advance_work` of `work` or a `send` of `send_cpu(bytes)`,
+    /// under constant and oscillating competing load. A freeze that covers
+    /// the finish is the one exception: the wake waits for the thaw, so the
+    /// actor resumes later than any pure advance can say. The ctx's
+    /// [`costs`](MailCtx::costs) are the node and net it was built with.
+    #[test]
+    fn a_charge_resumes_where_cpu_advance_finishes_unless_a_freeze_covers_it() {
+        let oscillating = LoadModel::Oscillating {
+            period: SimDuration::from_millis(350),
+            duty: SimDuration::from_millis(120),
+            tasks: 3,
+        };
+        let run = |load: LoadModel, plan: Option<FaultPlan>| {
+            let node = NodeConfig {
+                speed: 0.7,
+                ..NodeConfig::with_load(load)
+            };
+            let mut b = SimBuilder::<()>::new();
+            if let Some(plan) = plan {
+                b = b.fault_plan(plan);
+            }
+            let (n0, n1) = (b.add_node(node.clone()), b.add_node(NodeConfig::default()));
+            let late = Arc::new(Mutex::new(Vec::new()));
+            let log = Arc::clone(&late);
+            b.spawn_mail(n0, "charger", move |ctx| async move {
+                let net = NetConfig::default();
+                let (own, own_net) = ctx.costs();
+                assert_eq!((own.speed, &own.load), (node.speed, &node.load));
+                assert_eq!(own_net.send_cpu(4_000), net.send_cpu(4_000));
+                for (i, bytes) in [0u64, 8, 4_000, 123_456].into_iter().enumerate() {
+                    let work = CpuWork::from_micros(37 + 45_000 * i as u64);
+                    let want = cpu::advance(own, ctx.now(), work).finish;
+                    ctx.advance_work(work).await;
+                    log.lock().unwrap().push(ctx.now().saturating_since(want));
+                    let want = cpu::advance(own, ctx.now(), own_net.send_cpu(bytes)).finish;
+                    ctx.send(ActorId(1), (), bytes).await;
+                    log.lock().unwrap().push(ctx.now().saturating_since(want));
+                }
+            });
+            b.spawn_mail(n1, "sink", |ctx| async move {
+                for _ in 0..4 {
+                    ctx.recv().await;
+                }
+            });
+            b.run();
+            let late = late.lock().unwrap().clone();
+            late
+        };
+        for load in [LoadModel::Constant(2), oscillating] {
+            assert_eq!(run(load, None), [SimDuration::ZERO; 8]);
+        }
+        // The first charge, 37 µs of work at speed 0.7, finishes at 53 µs
+        // on a dedicated node: a freeze over it defers the wake to 900 µs.
+        let freeze = FaultPlan::new(0).freeze(0, SimTime(40), SimTime(900));
+        let late = run(LoadModel::Dedicated, Some(freeze));
+        assert_eq!(late[0], SimDuration::from_micros(900 - 53));
+        assert!(late[1..].iter().all(|d| d.is_zero()), "{late:?}");
     }
 
     // --- fault injection ---------------------------------------------------

@@ -625,7 +625,7 @@ const GOLDEN: &[(&str, u64, u64, u64, &str)] = &[
     ("wire_crash4/lu", 17525714, 3286, 0x0536bbe5c11558c0, "slaves_declared_dead: 1, first_death: Some(t=8.243589s), instr_resends: 3, invocation_start_resends: 3, gather_resends: 1, done_dups_ignored: 4, checkpoints_banked: 16, rollbacks: 1, units_rolled_back: 20, speculations_launched: 1, speculations_committed: 1, units_speculated: 20, rollbacks_applied: 3, checkpoints_sent: 115, speculations_computed: 1, replicas_published: 40, replication_bytes: 18480"),
     ("freeze4/lu", 6880398, 3092, 0xf2d17b95ccc9de99, "instr_resends: 1, invocation_start_resends: 1, done_dups_ignored: 1, checkpoints_banked: 19, speculations_launched: 1, speculations_committed: 1, units_speculated: 5, checkpoints_sent: 113, speculations_computed: 1, replicas_published: 57, replication_bytes: 24660"),
     ("master_mid_invocation/mm", 8461536, 2544, 0x401aaad6390de8d7, "rollbacks: 1, units_rolled_back: 32, rollbacks_applied: 15, elections_held: 1, takeover_latency: Some(8.047046s), replicas_published: 7, replication_bytes: 3696"),
-    ("master_frozen_then_superseded/mm", 14285400, 3378, 0xf3abe1adf5adcd74, "rollbacks: 1, units_rolled_back: 32, rollbacks_applied: 15, elections_held: 1, takeover_latency: Some(8.047046s), replicas_published: 7, replication_bytes: 3696"),
+    ("master_frozen_then_superseded/mm", 14286200, 3389, 0x04c206459b300558, "rollbacks: 1, units_rolled_back: 32, rollbacks_applied: 15, elections_held: 1, takeover_latency: Some(8.047046s), replicas_published: 7, replication_bytes: 3696"),
     ("drop16/mm", 15288590, 2148, 0x55dbe3f09998c25f, "instr_resends: 4, start_resends: 1, invocation_start_resends: 5, gather_resends: 1, done_dups_ignored: 5, replicas_published: 9, replication_bytes: 5472"),
     ("dup16/mm", 322491, 1740, 0x97b1089860e7eb2d, "status_dups_ignored: 2, done_dups_ignored: 2, replicas_published: 9, replication_bytes: 4752"),
     ("jitter16/mm", 374360, 1727, 0xf3514e92540c0c29, "replicas_published: 9, replication_bytes: 4752"),
@@ -662,7 +662,7 @@ const GOLDEN: &[(&str, u64, u64, u64, &str)] = &[
     ("partition_heal_rejoin_lossy/sor", 42984413, 37336, 0xd03ad464fa7dd406, "slaves_declared_dead: 10, first_death: Some(t=2.017641s), restore_resends: 3934, start_resends: 58, invocation_start_resends: 58, status_dups_ignored: 5, done_dups_ignored: 13, gather_dups_ignored: 17, checkpoints_banked: 4, rollbacks: 29, units_rolled_back: 986, speculations_launched: 7, speculations_committed: 4, units_speculated: 12, joins_admitted: 9, rejoins_after_eviction: 9, join_snapshot_bytes: 8744, partitions_healed: 9, stale_epoch_dropped: 3769, rollbacks_applied: 349, checkpoints_sent: 241, speculations_computed: 3, replicas_published: 51, replication_bytes: 31088"),
     ("final_rollback_lost/sor", 52608720, 34124, 0xcb9e751294576247, "slaves_declared_dead: 11, first_death: Some(t=2.010367s), restore_resends: 1345, start_resends: 31, invocation_start_resends: 31, status_dups_ignored: 10, gather_dups_ignored: 1, checkpoints_banked: 4, rollbacks: 24, units_rolled_back: 816, joins_admitted: 11, rejoins_after_eviction: 11, join_snapshot_bytes: 9080, partitions_healed: 10, stale_epoch_dropped: 1103, rollbacks_applied: 250, checkpoints_sent: 651, replicas_published: 51, replication_bytes: 32688"),
     ("master_mid_invocation/lu", 8750127, 10465, 0x945f0d7e87d799e0, "checkpoints_banked: 22, rollbacks: 1, units_rolled_back: 24, rollbacks_applied: 15, checkpoints_sent: 450, elections_held: 1, takeover_latency: Some(8.005222s), replicas_published: 47, replication_bytes: 24816"),
-    ("master_frozen_then_superseded/lu", 14260673, 11759, 0x60e8777f70cdfa57, "checkpoints_banked: 22, rollbacks: 1, units_rolled_back: 24, rollbacks_applied: 15, checkpoints_sent: 450, elections_held: 1, takeover_latency: Some(8.005222s), replicas_published: 47, replication_bytes: 24816"),
+    ("master_frozen_then_superseded/lu", 14260673, 11759, 0x104260bac73ea88a, "checkpoints_banked: 22, rollbacks: 1, units_rolled_back: 24, rollbacks_applied: 15, checkpoints_sent: 450, elections_held: 1, takeover_latency: Some(8.005222s), replicas_published: 47, replication_bytes: 24816"),
     ("drop16/lu", 33514183, 14518, 0xb7dd296157856c46, "instr_resends: 43, start_resends: 2, invocation_start_resends: 45, done_dups_ignored: 50, checkpoints_banked: 19, checkpoints_sent: 698, replicas_published: 69, replication_bytes: 40392"),
     ("dup16/lu", 777185, 9986, 0x4fdf87d86b092d0d, "status_dups_ignored: 24, gather_dups_ignored: 2, checkpoints_banked: 22, checkpoints_sent: 368, replicas_published: 69, replication_bytes: 36432"),
     ("jitter16/lu", 1162262, 10360, 0x02cea3599e502276, "checkpoints_banked: 22, checkpoints_sent: 368, replicas_published: 69, replication_bytes: 36552"),

@@ -12,9 +12,11 @@ decisions: counted lines of crates/core/src outside `impl Policy` that name
 a `Policy` variant or call `rollback_policy()`, plus branches on a
 `rollback` local in master.rs - then the incarnation comparisons: counted
 lines of crates/core/src outside session/membership.rs that compare an
-incarnation with a relational operator - then the `ProtocolError` variants
-no caller outside tests and examples constructs - then the environment
-variables code outside tests and examples reads. Printed, never gated.
+incarnation with a relational operator - then the master's kernel touch
+points: counted lines of master.rs and session/master.rs that `.await` or
+name `MailCtx` - then the `ProtocolError` variants no caller outside tests
+and examples constructs - then the environment variables code outside tests
+and examples reads. Printed, never gated.
 
     python3 tools/code_lines.py [repo root]
 """
@@ -83,6 +85,19 @@ def incarnation_comparisons(root):
     paths = sorted((root / "crates/core/src").glob("**/*.rs"))
     kept = (path for path in paths if path.relative_to(root).as_posix() not in skip)
     return sum(bool(INCARNATION_CMP.search(line)) for path in kept for line in code(path))
+
+
+# A line of the master that touches the kernel: it awaits, or it names the
+# actor context.
+KERNEL_TOUCH = re.compile(r"\.await\b|\bMailCtx\b")
+MASTER = ("crates/core/src/master.rs", "crates/core/src/session/master.rs")
+
+
+def kernel_touch_points(root):
+    """Counted lines of the master's two files that `.await` or name
+    `MailCtx`: where the master is async code rather than a step function
+    over its effects (the shell and `run_plain`)."""
+    return sum(bool(KERNEL_TOUCH.search(line)) for f in MASTER for line in code(root / f))
 
 
 def pub_fields(path, name):
@@ -187,6 +202,7 @@ def main():
     print()
     print(f"{policy_decisions(root):7}  policy decisions outside impl Policy")
     print(f"{incarnation_comparisons(root):7}  incarnation comparisons outside session/membership.rs")
+    print(f"{kernel_touch_points(root):7}  master kernel touch points (lines of {' + '.join(MASTER)} that .await or name MailCtx)")
     print()
     unbuilt = unconstructed_errors(root)
     print(f"{len(unbuilt):7}  ProtocolError variants no caller outside tests and examples constructs: {', '.join(unbuilt)}")
