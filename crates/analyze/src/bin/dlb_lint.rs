@@ -186,7 +186,7 @@ fn main() {
     // Negative fixtures: deliberately broken variants must be caught with
     // replayable counterexamples, or the checker has lost its teeth.
     // Checked at the small standard width where the bug is cheap to reach,
-    // except the replica-trusting winner, which is checked at the run's
+    // except the newest-trusting winner, which is checked at the run's
     // width: its counterexample is one quorum deep.
     let default = CheckConfig::default();
     let trusting = ElectionModel {
@@ -203,7 +203,7 @@ fn main() {
         (
             check_election_protocol_with(&trusting, default),
             Code::E114,
-            "election-protocol (replica-trusting winners)",
+            "election-protocol (newest-trusting winners)",
             "torn-restart",
         ),
         (

@@ -140,8 +140,6 @@ impl Replay {
         let Some(wire) = to.and_then(|to| msg.model_wire(to)) else {
             return Ok(());
         };
-        // `fresh` aside: a candidacy matches even if the model's static
-        // freshness differs from the (time-varying) runtime value.
         let key = wire.parts();
         let in_flight = self.state.net.wire.iter().position(|m| m.parts() == key);
         match in_flight {
@@ -180,8 +178,8 @@ impl Replay {
             ));
         }
         // Standing in a term higher than the tagged traffic justifies is
-        // fine: deputies also learn terms from untagged channels (master
-        // pings, replica messages). Model that learning, then stand.
+        // fine: deputies also learn terms from an untagged channel (the
+        // master's pings). Model that learning, then stand.
         self.state.deps[cand].ballot.see(term - 1);
         self.state = self.model.apply(&self.state, &stand);
         self.stands_seen.insert((term, cand));
@@ -210,26 +208,17 @@ impl Replay {
 }
 
 /// Infer the election model a trace ran under: deputy-set size from the
-/// candidacy fan-out (a candidate messages every other deputy), static
-/// freshness from each candidate's first advertisement, and a stand budget
-/// covering every stand observed.
+/// candidacy fan-out (a candidate messages every other deputy), and a stand
+/// budget covering every stand observed.
 fn infer_model(events: &[TraceEvent]) -> Result<ElectionModel, String> {
     let mut deputies = 0;
-    let mut fresh_of: Vec<(usize, u64)> = Vec::new();
     let mut stands = BTreeSet::new();
     for ev in events {
         let Some((msg, _, dst)) = election_event(ev)? else {
             continue;
         };
         let named = match msg {
-            FailoverMsg::Candidacy {
-                term,
-                candidate,
-                fresh,
-            } => {
-                if !fresh_of.iter().any(|(c, _)| *c == candidate) {
-                    fresh_of.push((candidate, fresh));
-                }
+            FailoverMsg::Candidacy { term, candidate } => {
                 stands.insert((term, candidate));
                 [Some(candidate), dst.checked_sub(1)]
             }
@@ -237,25 +226,15 @@ fn infer_model(events: &[TraceEvent]) -> Result<ElectionModel, String> {
                 voter, candidate, ..
             } => [Some(voter), Some(candidate)],
             FailoverMsg::Promoted { master_idx, .. } => [Some(master_idx), None],
-            FailoverMsg::Replica(_) | FailoverMsg::MasterPing { .. } | FailoverMsg::Held { .. } => {
-                [None, None]
-            }
+            FailoverMsg::MasterPing { .. } | FailoverMsg::Held { .. } => [None, None],
         };
         deputies = named
             .into_iter()
             .flatten()
             .fold(deputies, |n, d| n.max(d + 1));
     }
-    // Unobserved deputies keep freshness 0: they never refuse anyone, so
-    // the model under-constrains rather than inventing refusals the
-    // runtime's (unknown) replica states might not have made.
-    let mut fresh = vec![0; deputies];
-    for (c, f) in fresh_of {
-        fresh[c] = f;
-    }
     Ok(ElectionModel {
         deputies,
-        fresh,
         max_stands: stands.len() as u32,
         max_drops: 0,
         max_dups: 0,
@@ -371,11 +350,11 @@ mod tests {
     /// stands in term 1, both peers vote, deputy 0 wins and announces.
     fn happy_lines() -> Vec<String> {
         vec![
-            "EV 10 SEND 1 2 56 candidacy term=1 cand=0 fresh=5".into(),
-            "EV 10 SEND 1 3 56 candidacy term=1 cand=0 fresh=5".into(),
-            "EV 20 DELIVER 1 2 56 candidacy term=1 cand=0 fresh=5".into(),
+            "EV 10 SEND 1 2 48 candidacy term=1 cand=0".into(),
+            "EV 10 SEND 1 3 48 candidacy term=1 cand=0".into(),
+            "EV 20 DELIVER 1 2 48 candidacy term=1 cand=0".into(),
             "EV 21 SEND 2 1 56 vote term=1 voter=1 cand=0".into(),
-            "EV 25 DELIVER 1 3 56 candidacy term=1 cand=0 fresh=5".into(),
+            "EV 25 DELIVER 1 3 48 candidacy term=1 cand=0".into(),
             "EV 26 SEND 3 1 56 vote term=1 voter=2 cand=0".into(),
             "EV 30 DELIVER 2 1 56 vote term=1 voter=1 cand=0".into(),
             "EV 31 DELIVER 3 1 56 vote term=1 voter=2 cand=0".into(),
@@ -441,7 +420,7 @@ mod tests {
     #[test]
     fn resend_after_delivery_is_absorbed() {
         let mut lines = happy_lines();
-        lines.push("EV 61 SEND 1 2 56 candidacy term=1 cand=0 fresh=5".into()); // retry
+        lines.push("EV 61 SEND 1 2 48 candidacy term=1 cand=0".into()); // retry
         let (_, conf) = check_conformance(&text_of(&lines)).unwrap();
         assert!(conf.ok());
     }
@@ -468,7 +447,7 @@ mod tests {
 
     #[test]
     fn standing_in_a_later_term_is_out_of_band_learning() {
-        // Terms learned from untagged channels (pings, replicas): a first
+        // Terms learned from an untagged channel (pings): a first
         // stand at term 4 conforms even though no tagged traffic got there.
         let lines: Vec<String> = happy_lines()
             .iter()
@@ -484,7 +463,7 @@ mod tests {
         // Deputy 1 saw term 1 (it voted in it), then stands in term 1
         // itself — term reuse, the raw material of split brain.
         let mut lines = happy_lines();
-        lines.push("EV 70 SEND 2 3 56 candidacy term=1 cand=1 fresh=5".into());
+        lines.push("EV 70 SEND 2 3 48 candidacy term=1 cand=1".into());
         let (report, conf) = check_conformance(&text_of(&lines)).unwrap();
         assert!(report.has(Code::E110), "{}", report.render());
         assert!(

@@ -45,8 +45,8 @@ pub enum Code {
     E106,
     /// Election protocol: two masters promoted in one term (split brain).
     E107,
-    /// Election protocol: a winner's electing quorum contained a deputy
-    /// with a strictly fresher replica (newest-replica rule broken).
+    /// Retired with the replica it guarded (a winner elected by a quorum
+    /// member with a strictly fresher replica); never reused.
     E108,
     /// Election protocol: reachable non-quiescent state with no enabled
     /// action (a wedged election).
@@ -109,7 +109,7 @@ impl Code {
             Code::E105 => "lost migrated work unit",
             Code::E106 => "transfer deadlock",
             Code::E107 => "split-brain election",
-            Code::E108 => "stale-replica winner",
+            Code::E108 => "stale-replica winner (retired)",
             Code::E109 => "election deadlock",
             Code::E110 => "runtime trace diverges from model",
             Code::E111 => "double-incarnation credit",

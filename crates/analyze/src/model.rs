@@ -6,7 +6,7 @@
 //! rules and the master's admission verdict — and converts verdicts into
 //! the shared diagnostics format.
 //!
-//! Four models, thirteen safety properties (the distributed-self-scheduling
+//! Four models, twelve safety properties (the distributed-self-scheduling
 //! correctness conditions of Eleliemy & Ciorba and Zafari & Larsson):
 //!
 //! * [`RestoreModel`] — the master/survivors restore protocol:
@@ -17,9 +17,8 @@
 //!   **no duplicate unit** ([`Code::E104`]), **no lost unit**
 //!   ([`Code::E105`]), **no transfer deadlock** ([`Code::E106`]).
 //! * [`ElectionModel`] — the master-failover deputy election (one vote per
-//!   term, newest-replica guard, majority quorum) and the winner's restart
-//!   point: **at most one master per term** ([`Code::E107`]), **no
-//!   stale-replica winner** ([`Code::E108`]), **no takeover from a torn
+//!   term, majority quorum) and the winner's restart point: **at most one
+//!   master per term** ([`Code::E107`]), **no takeover from a torn
 //!   snapshot** ([`Code::E114`]), **no election deadlock** ([`Code::E109`]).
 //! * [`JoinModel`] — the mid-run join/rejoin handshake (incarnation-fenced
 //!   admission, ack-floored snapshot shipping): **no double-incarnation
@@ -103,10 +102,7 @@ const TRANSFER_CODES: CodeMap = CodeMap {
 
 const ELECTION_CODES: CodeMap = CodeMap {
     duplicate: Code::E107,
-    lost: &[
-        ("stale replica", Code::E108),
-        ("does not cover every unit", Code::E114),
-    ],
+    lost: &[("does not cover every unit", Code::E114)],
     deadlock: Code::E109,
 };
 
@@ -265,27 +261,22 @@ pub fn check_transfer_protocol() -> Report {
 
 /// Exhaustively check a master-failover election model, then run seeded
 /// random walks past the exhaustive horizon. Two masters promoted in one
-/// term map to [`Code::E107`], a winner elected by a strictly fresher
-/// quorum member to [`Code::E108`], a takeover restarting from a snapshot
-/// that does not cover every unit to [`Code::E114`], a wedged election to
+/// term map to [`Code::E107`], a takeover restarting from a snapshot that
+/// does not cover every unit to [`Code::E114`], a wedged election to
 /// [`Code::E109`].
 pub fn check_election_protocol_with(m: &ElectionModel, cfg: CheckConfig) -> Report {
-    let tag = match (m.one_vote_per_term, m.fresh_guard, m.coverage_check) {
-        (true, true, true) => "",
-        (false, _, _) => " (forgetful voters)",
-        (_, false, _) => " (freshness-blind voters)",
-        (_, _, false) => " (replica-trusting winners)",
+    let tag = match (m.one_vote_per_term, m.coverage_check) {
+        (true, true) => "",
+        (false, _) => " (forgetful voters)",
+        (_, false) => " (newest-trusting winners)",
     };
     let shape = format!(
-        "deputies={}, fresh={:?}, stands={}, drops={}, dups={}, one_vote_per_term={}, \
-         fresh_guard={}, coverage_check={}",
+        "deputies={}, stands={}, drops={}, dups={}, one_vote_per_term={}, coverage_check={}",
         m.deputies,
-        m.fresh,
         m.max_stands,
         m.max_drops,
         m.max_dups,
         m.one_vote_per_term,
-        m.fresh_guard,
         m.coverage_check
     );
     check_model(m, "election-protocol", tag, shape, ELECTION_CODES, cfg)
@@ -423,19 +414,9 @@ mod tests {
     }
 
     #[test]
-    fn fresh_blind_variant_elects_a_stale_winner() {
-        let report = check_election_protocol_with(
-            &ElectionModel::broken_fresh_blind(),
-            CheckConfig::default(),
-        );
-        assert!(report.has_errors(), "{}", report.render());
-        assert!(report.has(Code::E108), "{}", report.render());
-    }
-
-    #[test]
-    fn replica_trusting_variant_restarts_from_a_torn_snapshot() {
+    fn newest_trusting_variant_restarts_from_a_torn_snapshot() {
         for m in [
-            ElectionModel::broken_trusts_fresh(),
+            ElectionModel::broken_trusts_newest(),
             ElectionModel {
                 coverage_check: false,
                 ..ElectionModel::wide(4)

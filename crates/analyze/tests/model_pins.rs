@@ -129,18 +129,19 @@ fn transfer_pins() {
 #[test]
 #[rustfmt::skip]
 fn election_pins() {
-    pin_ok("election-standard", &ElectionModel::standard(), Some((578_149, 20)), (57_536, 19, 57_194, 153_333));
+    // 6.17 M states unreduced: the reduced run only.
+    pin_ok("election-standard", &ElectionModel::standard(), None, (123_185, 23, 123_067, 460_558));
     pin_ok("election-wide2", &ElectionModel::wide(2), Some((733, 11)), (238, 11, 214, 123));
     // 2.54 M states unreduced: the reduced run only.
     pin_ok("election-wide4", &ElectionModel::wide(4), None, (5_575, 22, 5_541, 20_119));
-    pin_broken("election-split-brain", &ElectionModel::broken_split_brain(), check_election_protocol_with, Code::E107, (8, 10));
-    pin_broken("election-fresh-blind", &ElectionModel::broken_fresh_blind(), check_election_protocol_with, Code::E108, (4, 5));
-    // A winner that restarts at its replica's `fresh` although a fragment of
-    // that invocation died with the master; the clean rows above step the
-    // same fragment tables through the production bank and fall back.
-    pin_broken("election-trusts-fresh", &ElectionModel::broken_trusts_fresh(), check_election_protocol_with, Code::E114, (4, 5));
+    pin_broken("election-split-brain", &ElectionModel::broken_split_brain(), check_election_protocol_with, Code::E107, (8, 8));
+    // A winner that restarts at the newest invocation any fragment names
+    // although a fragment of it died with the master; the clean rows above
+    // step the same fragment tables through the production bank and fall
+    // back.
+    pin_broken("election-trusts-newest", &ElectionModel::broken_trusts_newest(), check_election_protocol_with, Code::E114, (4, 5));
     let trusting = ElectionModel { coverage_check: false, ..ElectionModel::wide(4) };
-    pin_broken("election-wide4-trusts-fresh", &trusting, check_election_protocol_with, Code::E114, (6, 7));
+    pin_broken("election-wide4-trusts-newest", &trusting, check_election_protocol_with, Code::E114, (6, 7));
 }
 
 #[test]

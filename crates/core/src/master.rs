@@ -62,7 +62,7 @@
 //! ## The phases of the fault-mode master
 //!
 //! `Release` is passed through, never waited in: it opens invocation
-//! `inv` (admission, release broadcast, replica publish) or, past the last
+//! `inv` (admission, release broadcast, the counters' report) or, past the last
 //! one, starts the gather. Every re-range — a rollback suspect, a survivable
 //! `SlaveError`, a death mid-gather, the end of a collection — sends the
 //! loop back to it. The other three phases are waited in; these are their
@@ -70,7 +70,7 @@
 //!
 //! | phase | ends when | a live slave still owes (`Phase::owes`) | silence past `suspicion` | a nudge re-sends | settling only |
 //! |-------|-----------|-------------------------|--------------------------|------------------|---------------|
-//! | `Collect { held }` (a rollback takeover only) | every live survivor answered `Promoted` with `Held`: re-range onto the newest snapshot the fragments complete | its `Held` | evict, no re-range (its fragments died with it); a `SlaveError` is left to the collection's re-range, or to suspicion | `Promoted`, on the nudge timer alone | — |
+//! | `Collect { held }` (a takeover only) | every live survivor answered `Promoted` with `Held`: re-range (row 1) | its `Held`; nothing from it is credited before | evict, no fence, no re-range (its fragments died with it); a `SlaveError` is left to the collection's re-range, or to suspicion | `Promoted`, on the nudge timer alone | — |
 //! | `Settle` | `Session::settled` | to settle | row 8: re-scatter evicts in place; rollback evicts the first suspect and re-ranges | an unacknowledged window, led by `Promoted` under a takeover | speculation (row 9), the never-spoken nudge, `Policy::renotify` |
 //! | `Gather { seen, got }` | row 11 (`Policy::gathered`) | its units, and an acknowledgement of its window | row 8: re-scatter's bare eviction + `gathers_interrupted`, no `Evicted` broadcast; rollback as settling | `Gather` if the window is acknowledged, else an unled window replay | — |
 //!
@@ -83,9 +83,9 @@
 //!
 //! | # | point | `Policy::` | `Rescatter` | `Rollback` |
 //! |---|-------|------------|-------------|------------|
-//! | 1 | takeover seeding (`Session::open`) | `seed`, `bank_held` | resume at the replicated invocation watermark, every unit recomputed through it, at once; first epoch `(term << 32) \| 1` | bank the winner's own held fragments in an empty bank, collect every survivor's (`Phase::Collect`), roll back to the newest snapshot they complete — the initial data when none does — from `term << 32` (same first epoch) |
+//! | 1 | takeover seeding (`Session::open`, then `Phase::Collect`, both policies) | `bank_held`, `rerange_units` | nothing banked; resume at the newest invocation the winner or any `Held` names, every unit recomputed through it | bank the winner's own fragments in an empty bank and every survivor's, roll back to the newest snapshot they complete — the initial data when none does; under both the first epoch is `(term << 32) \| 1` |
 //! | 2 | unit state in a re-range (`Session::rerange`: takeover, admission, rollback) | `rerange_units`, `reranged` | `recompute(kernel, u, inv)`, each survivor's share adopted as its ownership; the survivors' unacknowledged instructions and their silence/nudge clocks are kept | newest banked snapshot; every unacknowledged instruction is dropped, survivors' clocks restart, a joiner's ack floor `join_epoch[j]` is raised to the admission epoch |
-//! | 3 | replica freshness (`Session::publish_replica`) | `replica_fresh` | `fresh = inv`, nothing banked | `fresh` = `best_banked` = newest banked checkpoint; the replica carries no unit |
+//! | 3 | (retired: what a replica claimed; a takeover now asks the survivors) | — | — | — |
 //! | 4 | `Status` / `InvocationDone` from a stale epoch; cancelling a speculation | `future_epoch`, `cancel_race` | never cancels a speculation; "from the future" checks the invocation only; cancel is a windowed `SpecCancel` | cancels it; `epoch >` the epoch in force is also "from the future" (`Status`) or `Inconsistent` (`InvocationDone`); cancel is master-local |
 //! | 5 | window ack floor for `InvocationDone::restore_seq`, always applied *before* the epoch fence; ownership | `ack_floor`, `adopt_owned` | the epoch in force — a stale report never acks; `owned_ids` adopted | `join_epoch[slave]` — a stale report of this life still acks; `owned_ids` ignored |
 //! | 6 | policy-own messages: every arm `Master::deliver` does not share | `own_msg` | `OwnReport` | `Checkpoint`, stray `GatherData`; the other policy's messages end in `UnexpectedMessage` naming the policy and the phase (silently tolerated under a takeover) |
@@ -115,18 +115,20 @@
 //! modelled and exhaustively checked in `dlb-analyze` (restore + transfer
 //! models in [`crate::session::model`]).
 //!
-//! The fault-mode master also *replicates the control plane*: at each
-//! invocation boundary the master publishes a [`ReplicaMsg`](crate::msg::ReplicaMsg)
-//! (membership, epoch, invocation watermark, the newest complete
-//! checkpoint's invocation, cumulative recovery counters — scalars only) to
-//! the deputy slaves, and heartbeats them with [`FailoverMsg::MasterPing`]
-//! between barriers. When the master crashes the deputies elect a successor
-//! ([`crate::session::replica`]); the winner re-enters the same step
-//! function through [`run_takeover`] with a [`TakeoverSeed`], which seeds the
-//! session from the replica, fences the new reign behind `term << 32`
-//! epochs, re-collects the checkpoint fragments the survivors hold
-//! (rollback policy), re-ranges the survivors, and resumes — bit-exact,
-//! because unit state is value-deterministic. A
+//! The fault-mode master ships no state ahead of a crash: it only heartbeats
+//! the deputy slaves with [`FailoverMsg::MasterPing`]. When it crashes the
+//! deputies elect a successor ([`crate::session::replica`]); the winner
+//! re-enters the same step function through [`run_takeover`] with a
+//! [`TakeoverSeed`] — what it knows as a slave: its membership view, its
+//! invocation, its fragments — fences the new reign behind `term << 32`
+//! epochs, and collects from every survivor's [`FailoverMsg::Held`] answer
+//! the rest: the slot's life (the incarnation on record), its invocation
+//! (re-scatter resumes at the newest named) and its checkpoint fragments
+//! (rollback restarts from the newest snapshot they complete). Then it
+//! re-ranges the survivors and resumes — bit-exact, because unit state is
+//! value-deterministic. The run-long recovery counters are instrumentation,
+//! not state: each `Release` reports them into the run's shared outcome
+//! slot (`TakeoverKit::outcome`), and a takeover counts on from there. A
 //! master that learns of a higher-term [`FailoverMsg::Promoted`] — or, an
 //! original reign that missed it, hears the successor's exit reply
 //! [`Msg::Abort`] — exits silently with [`ProtocolError::Superseded`]: it
@@ -189,7 +191,7 @@ pub struct MasterOutcome {
 }
 
 /// Everything a reign starts from: the master configuration as it was
-/// before the run (balancer state is not replicated — a promoted deputy
+/// before the run (balancer state is not carried over — a promoted deputy
 /// re-learns rates from the first statuses it sees), the run topology, and
 /// the shared outcome slot. The master runs from it; in fault mode every
 /// slave carries it, and the election winner rebuilds the master role from
@@ -230,7 +232,7 @@ fn unexpected(context: &'static str, msg: &Msg) -> ProtocolError {
 }
 
 /// The election winner's actor body: announce the new reign, then re-enter
-/// the fault-mode master seeded from the replica. Writes the shared outcome
+/// the fault-mode master from what the winner knows (`seed`). Writes the shared outcome
 /// itself (the crashed master never will); returns `Ok` even on a failed
 /// run — the failure is recorded in the outcome, exactly as `run_master`
 /// records it — so the caller never ships a stray `SlaveError` to a dead
@@ -259,11 +261,14 @@ async fn run(ctx: &MailCtx<Msg>, kit: &TakeoverKit, takeover: Option<(TakeoverSe
     let ended = match (kit.cfg.ft.clone(), takeover) {
         (Some(tol), None) => {
             let opened = Master::armed(kit, tol, &mut fx);
-            reign(ctx, &mut fx, opened).await
+            reign(ctx, &mut fx, kit, opened).await
         }
         (Some(tol), Some((seed, me))) => {
-            let opened = Master::takeover(kit, tol, seed, me, &mut fx);
-            reign(ctx, &mut fx, opened).await
+            // The counters the run last reported, so the final report
+            // covers the whole run.
+            let rec = kit.slot().recovery.clone();
+            let opened = Master::takeover(kit, tol, seed, me, rec, &mut fx);
+            reign(ctx, &mut fx, kit, opened).await
         }
         (None, None) => {
             let (mut cfg, mut sc) = (kit.cfg.clone(), MasterOutcome::default());
@@ -287,13 +292,15 @@ fn effects(ctx: &MailCtx<Msg>) -> Effects {
 }
 
 /// Apply a step's effects through the kernel, in order, leaving `fx`
-/// empty for the next step.
-async fn flush(ctx: &MailCtx<Msg>, fx: &mut Effects) {
+/// empty for the next step. A report of the recovery counters goes into
+/// the run's shared outcome slot, where a takeover finds it.
+async fn flush(ctx: &MailCtx<Msg>, fx: &mut Effects, kit: &TakeoverKit) {
     for effect in fx.drain() {
         match effect {
             Effect::Cpu(work) => ctx.advance_work(work).await,
             Effect::Send(to, msg, bytes) => ctx.send(to, msg, bytes).await,
             Effect::Note(text) => ctx.note(|| text),
+            Effect::Report(rec) => kit.slot().recovery = rec,
         }
     }
 }
@@ -301,9 +308,14 @@ async fn flush(ctx: &MailCtx<Msg>, fx: &mut Effects) {
 /// The fault-mode shell: flush what the master did, receive until the next
 /// tick, and step — until a step ends the run. Hands back the
 /// configuration, the outcome so far and how the run ended.
-async fn reign(ctx: &MailCtx<Msg>, fx: &mut Effects, (mut master, mut end): Opened) -> Ended {
+async fn reign(
+    ctx: &MailCtx<Msg>,
+    fx: &mut Effects,
+    kit: &TakeoverKit,
+    (mut master, mut end): Opened,
+) -> Ended {
     loop {
-        flush(ctx, fx).await;
+        flush(ctx, fx, kit).await;
         if let Some(res) = end {
             let (cfg, sc) = master.finish();
             return (cfg, sc, res);
@@ -351,13 +363,13 @@ async fn conclude(
             fx.send(s, Msg::Abort);
         }
     }
-    flush(ctx, fx).await;
+    flush(ctx, fx, kit).await;
     ctx.exit_reply(Msg::Abort, Msg::Abort.wire_bytes());
     sc.stats = cfg.balancer.stats();
     sc.bounds = Some(cfg.balancer.period_bounds());
     sc.completed = res.is_ok();
     sc.error = res.err();
-    *kit.outcome.lock().unwrap_or_else(|p| p.into_inner()) = sc;
+    *kit.slot() = sc;
 }
 
 /// One balancing step, the same in both controls: charge the decision CPU,
@@ -435,7 +447,7 @@ async fn run_plain(
                 }
                 break;
             }
-            flush(ctx, fx).await;
+            flush(ctx, fx, kit).await;
             let env = ctx.recv().await;
             fx.at(ctx.now());
             fx.note(|| {
@@ -511,7 +523,7 @@ async fn run_plain(
     }
     let mut got = vec![false; n];
     while !got.iter().all(|&g| g) {
-        flush(ctx, fx).await;
+        flush(ctx, fx, kit).await;
         let env = ctx.recv().await;
         match env.msg {
             Msg::GatherData {
@@ -597,8 +609,9 @@ fn alive_ping(fx: &mut Effects, st: &mut Session, slave: usize, incarnation: u64
 
 /// Where the fault-mode master stands (the phase rows in the module doc).
 enum Phase {
-    /// A rollback takeover's first phase: collect the checkpoint fragments
-    /// the survivors hold. Which slots answered `Promoted` with `Held`.
+    /// A takeover's first phase: collect what the survivors know — their
+    /// lives, invocations and checkpoint fragments. Which slots answered
+    /// `Promoted` with `Held`.
     Collect { held: Vec<bool> },
     /// Open invocation `st.inv` — or, past the last one, the gather.
     Release,
@@ -667,11 +680,15 @@ struct Master {
     /// its nudges.
     announce: Msg,
     takeover: bool,
-    /// The newest invocation the dead master had banked, per its replica.
-    best_banked: u64,
 }
 
 impl TakeoverKit {
+    /// The run's shared outcome slot: the outcome a reign concludes with,
+    /// and meanwhile the recovery counters the last reign reported.
+    fn slot(&self) -> std::sync::MutexGuard<'_, MasterOutcome> {
+        self.outcome.lock().unwrap_or_else(|p| p.into_inner())
+    }
+
     /// An original reign's opening message.
     fn start(&self) -> Msg {
         let (slaves, assignment) = (self.slaves.clone(), self.assignment.clone());
@@ -692,21 +709,20 @@ impl Master {
 
     /// The election winner `me`'s reign: announce it with `Promoted` to the
     /// other slots and to the old master (in case it is merely slow, not
-    /// dead), then seed the session from the replica in `seed`.
+    /// dead), then open the session from what the winner knows (`seed`),
+    /// counting on from the run's counters `rec`.
     fn takeover(
         kit: &TakeoverKit,
         tol: FaultToleranceConfig,
         seed: TakeoverSeed,
         me: usize,
+        mut rec: RecoveryStats,
         fx: &mut Effects,
     ) -> Opened {
         fx.note(|| {
-            let (term, inv) = (seed.term, seed.replica.invocation);
-            format!("slave {me} won term {term} (replica inv {inv})")
+            let (term, inv) = (seed.term, seed.invocation);
+            format!("slave {me} won term {term} (at inv {inv})")
         });
-        // Adopt the crashed master's cumulative counters so the final
-        // report covers the whole run.
-        let mut rec = seed.replica.recovery.clone();
         rec.elections_held += 1;
         rec.takeover_latency = Some(fx.now().saturating_since(seed.last_heard));
         let promoted = Msg::Failover(FailoverMsg::Promoted {
@@ -741,26 +757,24 @@ impl Master {
             phase: Phase::Release,
             announce,
             takeover: takeover.is_some(),
-            best_banked: takeover.map_or(0, |(seed, _)| seed.replica.best_banked),
         };
         let end = ended(master.opening(takeover, fx));
         (master, end)
     }
 
-    /// The opening moves: open the session — collecting first, if the
-    /// takeover's policy says so — and broadcast an original reign's
-    /// `Start`; then advance.
+    /// The opening moves: open the session, and broadcast an original
+    /// reign's `Start` or start a takeover's collection; then advance.
     fn opening(
         &mut self,
         takeover: Option<(&TakeoverSeed, usize)>,
         fx: &mut Effects,
     ) -> Result<bool, ProtocolError> {
         let st = &mut self.st;
-        if st.open(fx, &mut self.cfg.balancer, takeover)? {
+        st.open(&mut self.cfg.balancer, takeover);
+        if self.takeover {
             let held = vec![false; st.slaves.len()];
             self.phase = Phase::Collect { held };
-        }
-        if !self.takeover {
+        } else {
             // Deferred slots get the Start too: it parks in their mailbox
             // and teaches the latecomer the topology when it wakes to join.
             for &s in &st.slaves {
@@ -804,13 +818,12 @@ impl Master {
         loop {
             if let Phase::Collect { held } = phase {
                 if st.memb.survivors().iter().all(|&s| held[s]) {
-                    // Every survivor's fragments are banked: restart from the
-                    // newest snapshot they complete, and count how far that is
-                    // behind the dead master's bank.
+                    // Every survivor answered: re-range from the newest
+                    // invocation named (re-scatter) or the newest snapshot
+                    // the banked fragments complete (rollback).
+                    let newest = st.inv;
                     st.rerange(fx, &mut cfg.balancer, &[])?;
-                    let banked = self.best_banked;
-                    st.rec.checkpoints_lost_to_stale_replica = banked.saturating_sub(st.inv);
-                    fx.note(|| format!("collected; restarts at {}, banked {banked}", st.inv));
+                    fx.note(|| format!("collected; restarts at {}, newest named {newest}", st.inv));
                     *phase = Phase::Release;
                 }
             }
@@ -827,7 +840,7 @@ impl Master {
                             fx.send(st.slaves[s], st.release_msg());
                         }
                     }
-                    st.publish_replica(fx);
+                    fx.report(&st.rec);
                     st.begin_invocation(fx.now());
                     Phase::Settle
                 } else {
@@ -1061,9 +1074,12 @@ impl Master {
             // A credited ping defers suspicion; while settling it is a
             // sign of life like any other, and the race against this
             // slave is moot. (While gathering, the sweep still re-sends
-            // the Gather on protocol silence.)
-            (Msg::Alive { slave, incarnation }, _) => {
-                if alive_ping(fx, st, slave, incarnation) && !gathering {
+            // the Gather on protocol silence.) Collecting, a slot's life is
+            // on record only once its `Held` states it: nothing from it is
+            // credited before.
+            (Msg::Alive { slave, incarnation }, p) => {
+                let stated = !matches!(p, Phase::Collect { held } if !held[slave]);
+                if stated && alive_ping(fx, st, slave, incarnation) && !gathering {
                     Policy::cancel_race(st, fx, slave, false);
                 }
             }
@@ -1101,14 +1117,26 @@ impl Master {
                     term: st.fo.term + 1,
                 });
             }
-            // A survivor's answer to our `Promoted`: its fragments bank
-            // like checkpoints, in any phase. It moves no clock: every
-            // receive point answers, so a slave wedged on a lost pivot
-            // answers the nudge that replays its window, and must still
-            // fall silent to suspicion.
-            (Msg::Failover(FailoverMsg::Held { slave, fragments }), p) => {
+            // A survivor's answer to our `Promoted`: the life it states is
+            // the one on record, its fragments bank like checkpoints, in
+            // any phase, and collecting, the newest invocation named is
+            // where the run resumes. It moves no clock: every receive point
+            // answers, so a slave wedged on a lost pivot answers the nudge
+            // that replays its window, and must still fall silent to
+            // suspicion.
+            (
+                Msg::Failover(FailoverMsg::Held {
+                    slave,
+                    incarnation,
+                    invocation,
+                    fragments,
+                }),
+                p,
+            ) => {
+                st.memb.state_life(slave, incarnation);
                 if let Phase::Collect { held } = p {
                     held[slave] = true;
+                    st.inv = st.inv.max(invocation);
                 }
                 Policy::bank_held(st, slave, fragments);
             }
@@ -1156,7 +1184,11 @@ impl Master {
             }
             let silent = st.memb.silent_for(s, now);
             if silent >= tol.suspicion {
-                if !Policy::evict_in_place(st, fx, balancer, s, settling, now)? {
+                if collecting {
+                    // Its fragments died with it, and the collection's
+                    // re-range fences it off.
+                    st.retire(fx, balancer, s, now);
+                } else if !Policy::evict_in_place(st, fx, balancer, s, settling, now)? {
                     suspect = Some(s);
                     break;
                 }
@@ -1229,16 +1261,12 @@ impl Master {
         if let Some(s) = suspect {
             // A loss that re-ranges: evict the first suspect and restart from
             // the newest complete checkpoint — mid-gather too, as its
-            // un-gathered state is gone. Collecting, its fragments died with
-            // it, and the collection re-ranges once the rest have answered.
+            // un-gathered state is gone.
             if gathering {
                 st.rec.gathers_interrupted += 1;
             }
             let now = fx.now();
             st.evict(fx, balancer, s, now)?;
-            if collecting {
-                return Ok(false);
-            }
             st.rerange(fx, balancer, &[])?;
             return Ok(true);
         }
@@ -1264,7 +1292,6 @@ mod tests {
     use crate::msg::SharedUnits;
     use crate::recovery::SlaveFaultStats;
     use crate::session::master::tests::NOTES_BUILT;
-    use crate::session::replica::DeputyState;
     use dlb_sim::{NetConfig, NodeConfig, SimBuilder, SimDuration};
     use std::cell::Cell;
     use std::ops::Range;
@@ -1304,7 +1331,7 @@ mod tests {
         let mut sim = SimBuilder::<Msg>::new();
         let node = sim.add_node(NodeConfig::default());
         sim.spawn_mail(node, "winner", move |ctx| async move {
-            let seed = DeputyState::new(0, 1, 1, ctx.now()).seed(1, Vec::new());
+            let seed = seed(1, 0, &[]);
             run_takeover(&ctx, &kit, seed, 0).await.unwrap();
         });
         sim.run();
@@ -1400,12 +1427,9 @@ mod tests {
             let mut fx = Effects::new(node, net, traced, SimTime::ZERO);
             let (mut m, end) = Master::armed(&kit, FaultToleranceConfig::default(), &mut fx);
             assert!(end.is_none());
-            let opening = [(1, "Start"), (2, "Start"), (1, "InvocationStart")];
-            let opening = [&opening[..], &[(2, "InvocationStart"), (1, "Failover")]].concat();
-            assert_eq!(
-                sends(&mut fx),
-                pairs(&[&opening[..], &[(2, "Failover")]].concat())
-            );
+            let opening = [(1, "Start"), (2, "Start")];
+            let release = [(1, "InvocationStart"), (2, "InvocationStart")];
+            assert_eq!(sends(&mut fx), pairs(&[opening, release].concat()));
             let mut step = |input: Input, at: u64| {
                 fx.at(SimTime(at));
                 let end = m.on(input, &mut fx);
@@ -1442,23 +1466,31 @@ mod tests {
             .collect()
     }
 
-    /// The seed of deputy 0, elected in term 1, whose replica says the dead
-    /// master had banked invocation `best_banked`, and which held `holding`.
-    fn seed(best_banked: u64, holding: &Holding) -> TakeoverSeed {
-        let mut deputy = DeputyState::new(0, 2, 2, SimTime::ZERO);
-        (deputy.replica.fresh, deputy.replica.best_banked) = (best_banked, best_banked);
-        deputy.seed(1, fragments(holding))
+    /// The seed of deputy 0 of `n` slots, elected in term 1 at invocation
+    /// `invocation`, all slots alive in its view, which held `holding`.
+    fn seed(n: usize, invocation: u64, holding: &Holding) -> TakeoverSeed {
+        TakeoverSeed {
+            term: 1,
+            last_heard: SimTime::ZERO,
+            dead: vec![false; n],
+            epoch: 1,
+            invocation,
+            held: fragments(holding),
+        }
     }
 
-    /// The seed of a deputy that never absorbed a replica nor held a state.
+    /// The seed of a deputy of two slots that held no state.
     fn empty_seed() -> TakeoverSeed {
-        seed(0, &[])
+        seed(2, 0, &[])
     }
 
-    /// Slot `me`'s answer to a `Promoted`: what it held.
-    fn held(me: usize, holding: &Holding) -> Msg {
+    /// Slot `me`'s answer to a `Promoted`, its first life at `invocation`:
+    /// what it held.
+    fn held(me: usize, invocation: u64, holding: &Holding) -> Msg {
         Msg::Failover(FailoverMsg::Held {
             slave: me,
+            incarnation: 0,
+            invocation,
             fragments: fragments(holding),
         })
     }
@@ -1523,7 +1555,7 @@ mod tests {
             steps: Vec::new(),
         };
         let res = loop {
-            flush(ctx, &mut fx).await;
+            flush(ctx, &mut fx, &kit).await;
             if let Some(res) = end {
                 break res;
             }
@@ -1600,7 +1632,7 @@ mod tests {
         });
         let (me, k) = (seed.as_ref().map(|_| 0), Arc::clone(&kit));
         let open: Opener = Arc::new(move |fx: &mut Effects| match &seed {
-            Some(seed) => Master::takeover(&k, tol.clone(), seed.clone(), 0, fx),
+            Some(seed) => Master::takeover(&k, tol.clone(), seed.clone(), 0, Default::default(), fx),
             None => Master::armed(&k, tol.clone(), fx),
         });
         let log = Arc::new(Mutex::new(Log::default()));
@@ -1627,25 +1659,28 @@ mod tests {
     /// [`reign`] with slot 1 holding every unit in an original reign (slot
     /// 0 deferred), units 2 and 3 under a takeover. The stub answers each
     /// release with its done report, a `Promoted` with what it held
-    /// (`holding`), and the `Gather` with every unit, as its last
-    /// `Rollback` shipped them (else `[u]`) — after a stray `MasterPing`
-    /// when the message that asked matches `stray_on`.
+    /// (`holding`, at invocation 0), and the `Gather` with every unit, as
+    /// its last `Rollback` shipped them (else `[u]`) — after a stray
+    /// `MasterPing` when the message that asked matches `stray_on`. Returns
+    /// the outcome and the invocations the stub was rolled back to.
     fn stray_run(
         app: AppSpec,
         seed: Option<TakeoverSeed>,
         stray_on: Trigger,
         holding: &Holding,
-    ) -> MasterOutcome {
+    ) -> (MasterOutcome, Vec<u64>) {
         let master = ActorId(0);
         let split = if seed.is_some() { (0, 2) } else { (0, 0) };
-        let answer = held(1, holding);
-        reign(
+        let answer = held(1, 0, holding);
+        let rolled = Arc::new(Mutex::new(Vec::new()));
+        let log = Arc::clone(&rolled);
+        let o = reign(
             Default::default(),
             app,
             seed,
             [split, (split.1, 4)],
             move |ctx, me| {
-                let answer = answer.clone();
+                let (answer, log) = (answer.clone(), Arc::clone(&log));
                 async move {
                     let (mut epoch, mut restore_seq) = (0, 0);
                     let mut held: Vec<(usize, UnitData)> = (0..4).map(col).collect();
@@ -1665,6 +1700,7 @@ mod tests {
                             } => {
                                 (epoch, restore_seq) = (e, seq);
                                 held = units.into_iter().map(|(u, d)| (u, (*d).clone())).collect();
+                                log.lock().unwrap().push(invocation);
                                 invocation
                             }
                             Msg::InvocationStart { invocation, .. } => invocation,
@@ -1685,7 +1721,9 @@ mod tests {
                     }
                 }
             },
-        )
+        );
+        let rolled = rolled.lock().unwrap().clone();
+        (o, rolled)
     }
 
     /// A message no arm expects ends an original reign as
@@ -1703,12 +1741,12 @@ mod tests {
             (&rollback, "checkpointed"),
         ] {
             for (stray_on, phase) in [(release, "invocation loop"), (gather, "gather")] {
-                let o = stray_run(app(), None, stray_on, &[]);
+                let (o, _) = stray_run(app(), None, stray_on, &[]);
                 let Some(ProtocolError::UnexpectedMessage { context, .. }) = o.error else {
                     panic!("{policy} {phase}: {:?}", o.error);
                 };
                 assert_eq!(context, format!("{policy} {phase}"));
-                let o = stray_run(app(), Some(empty_seed()), stray_on, &[]);
+                let (o, _) = stray_run(app(), Some(empty_seed()), stray_on, &[]);
                 assert!(o.completed, "{policy} {phase}: {:?}", o.error);
             }
         }
@@ -1734,29 +1772,141 @@ mod tests {
     }
 
     /// A takeover restarts where the fragments it collects — the winner's
-    /// own and slot 1's `Held` answer — complete a snapshot, against a dead
-    /// master that had banked invocation 3. Both hold 3: nothing is lost.
-    /// Slot 1 holds only 2: the newest complete snapshot is 2, one lost.
-    /// Slot 1's fragment of 3 died with the master and no invocation is
-    /// complete: the initial data, all three lost. Each run ends bit for
-    /// bit (`Cols` never computes, so every snapshot is also the sequential
-    /// result).
+    /// own and slot 1's `Held` answer — complete a snapshot. Both hold 3:
+    /// it restarts at 3. Slot 1 holds only 2: the newest complete snapshot
+    /// is 2. Slot 1's fragment of 3 died with the master and no invocation
+    /// is complete: the initial data. Each run ends bit for bit (`Cols`
+    /// never computes, so every snapshot is also the sequential result).
     #[test]
     fn a_takeover_restarts_where_the_collected_fragments_complete_a_snapshot() {
         let cases: [(&Holding, &Holding, u64); 3] = [
-            (&[(3, 0..2)], &[(3, 2..4)], 0),
-            (&[(2, 0..2), (3, 0..2)], &[(2, 2..4)], 1),
-            (&[(3, 0..2)], &[(2, 2..4)], 3),
+            (&[(3, 0..2)], &[(3, 2..4)], 3),
+            (&[(2, 0..2), (3, 0..2)], &[(2, 2..4)], 2),
+            (&[(3, 0..2)], &[(2, 2..4)], 0),
         ];
-        for (winner, slot1, lost) in cases {
+        for (winner, slot1, restart) in cases {
             let app = AppSpec::Shrinking(Arc::new(Cols));
-            let o = stray_run(app, Some(seed(3, winner)), |_| false, slot1);
+            let (o, rolled) = stray_run(app, Some(seed(2, 3, winner)), |_| false, slot1);
             assert!(o.completed, "{:?}", o.error);
-            assert_eq!(o.recovery.checkpoints_lost_to_stale_replica, lost);
+            assert_eq!(rolled.first(), Some(&restart));
             let mut result = o.result;
             result.sort_by_key(|(id, _)| *id);
             assert_eq!(result, (0..4).map(col).collect::<Vec<_>>());
         }
+    }
+
+    /// A re-scatter takeover collects a `Held` from every survivor before it
+    /// re-ranges anyone, and resumes at the newest invocation any answer
+    /// names. The winner was at invocation 1; slot 1 answers, a second
+    /// late, that it reached 2. Its one `Rollback` arrives after that
+    /// answer, at invocation 2, every unit recomputed through the two
+    /// invocations before it.
+    #[test]
+    fn a_rescatter_takeover_resumes_at_the_newest_invocation_any_held_names() {
+        let heard = Arc::new(Mutex::new(Vec::new()));
+        let log = Arc::clone(&heard);
+        let app = AppSpec::Independent(Arc::new(Doubler { n: 4, reps: 3 }));
+        let split = [(0, 2), (2, 4)];
+        let o = reign(Default::default(), app, Some(seed(2, 1, &[])), split, move |ctx, me| {
+            let log = Arc::clone(&log);
+            async move {
+                let master = ActorId(0);
+                let (mut answered, mut epoch, mut restore_seq) = (None, 0, 0);
+                let mut mine: Vec<usize> = Vec::new();
+                let quiet = || ctx.now() + SimDuration::from_secs(10);
+                while let Some(env) = ctx.recv_deadline(quiet()).await {
+                    let invocation = match env.msg {
+                        Msg::Failover(FailoverMsg::Promoted { .. }) if answered.is_none() => {
+                            ctx.sleep(SimDuration::from_secs(1)).await;
+                            send(&ctx, master, held(me, 2, &[])).await;
+                            answered = Some(ctx.now());
+                            continue;
+                        }
+                        Msg::Rollback {
+                            seq,
+                            epoch: e,
+                            invocation,
+                            units,
+                            ..
+                        } => {
+                            let later = answered.is_some_and(|t| ctx.now() > t);
+                            let values: Vec<_> = units.iter().map(|(u, d)| (*u, d[0][0])).collect();
+                            log.lock().unwrap().push((later, invocation, values));
+                            (epoch, restore_seq) = (e, seq);
+                            mine = units.iter().map(|(u, _)| *u).collect();
+                            invocation
+                        }
+                        Msg::InvocationStart { invocation } => invocation,
+                        Msg::Gather => {
+                            let units = mine.iter().map(|&u| col(u)).collect();
+                            send(&ctx, master, data(me, units, Default::default())).await;
+                            continue;
+                        }
+                        Msg::GatherAck | Msg::Abort => return,
+                        _ => continue,
+                    };
+                    let done = done(me, invocation, epoch, restore_seq, mine.clone());
+                    send(&ctx, master, done).await;
+                }
+            }
+        });
+        assert!(o.completed, "{:?}", o.error);
+        let recomputed: Vec<_> = (0..4).map(|u| (u, 4.0 * u as f64)).collect();
+        assert_eq!(*heard.lock().unwrap(), [(true, 2, recomputed)]);
+    }
+
+    /// Slot 1 of a re-scatter takeover pings once a second for twelve
+    /// seconds: stamped 0 — the life a fresh table has on record — until it
+    /// states life 1 in its `Held` six seconds in, and stamped `after` from
+    /// then on. Returns when suspicion evicted it, which ends the run.
+    fn pinging_run(after: u64) -> SimTime {
+        let app = AppSpec::Independent(Arc::new(Doubler { n: 4, reps: 1 }));
+        let split = [(0, 2), (2, 4)];
+        let o = reign(Default::default(), app, Some(seed(2, 0, &[])), split, move |ctx, me| {
+            async move {
+                let master = ActorId(0);
+                let evicted = |m: &Msg| matches!(m, Msg::Evict | Msg::Abort);
+                for t in 1..=12 {
+                    while let Some(env) = ctx.recv_deadline(SimTime(t * 1_000_000)).await {
+                        if evicted(&env.msg) {
+                            return;
+                        }
+                    }
+                    if t == 6 {
+                        let life = FailoverMsg::Held {
+                            slave: me,
+                            incarnation: 1,
+                            invocation: 0,
+                            fragments: Vec::new(),
+                        };
+                        send(&ctx, master, Msg::Failover(life)).await;
+                    }
+                    let incarnation = if t < 6 { 0 } else { after };
+                    send(&ctx, master, Msg::Alive { slave: me, incarnation }).await;
+                }
+                let verdict = || ctx.now() + SimDuration::from_secs(20);
+                while let Some(env) = ctx.recv_deadline(verdict()).await {
+                    if evicted(&env.msg) {
+                        return;
+                    }
+                }
+            }
+        });
+        assert!(matches!(o.error, Some(ProtocolError::AllSlavesDead)), "{:?}", o.error);
+        o.recovery.first_death.expect("slot 1 evicted")
+    }
+
+    /// Collecting, nothing from a slot is credited before its `Held`
+    /// states its life, and once stated, an older life is stale: suspicion
+    /// runs from the takeover itself, and evicts the slot eight seconds in.
+    /// The stated life's pings are credited: suspicion runs from the last
+    /// of them, twelve seconds in.
+    #[test]
+    fn a_collecting_takeover_credits_no_life_before_its_held_states_one() {
+        let stale = pinging_run(0);
+        assert!(stale < SimTime(9_000_000), "{stale:?}");
+        let current = pinging_run(1);
+        assert!(current > SimTime(20_000_000), "{current:?}");
     }
 
     /// The gather row's repair of a lost final `Rollback`. The winner and
@@ -1765,9 +1915,11 @@ mod tests {
     /// `Rollback` and answers the `Gather` from the partition it held
     /// before, units 2 and 3; the replayed `Rollback` lands on a slave at
     /// the final snapshot, which reaches no barrier to acknowledge it from
-    /// and delivers at once. Returns the outcome and the kinds the stub
-    /// heard, `Promoted` (answered with `Held`) left out.
-    fn lost_final_rollback() -> (MasterOutcome, Vec<&'static str>) {
+    /// and delivers at once. With `heartbeat`, the stub also re-sends its
+    /// stale barrier checkpoint every half second until the replay
+    /// arrives. Returns the outcome and the kinds the stub heard,
+    /// `Promoted` (answered with `Held`) left out.
+    fn lost_final_rollback(heartbeat: bool) -> (MasterOutcome, Vec<&'static str>) {
         let heard = Arc::new(Mutex::new(Vec::new()));
         let log = Arc::clone(&heard);
         let app = AppSpec::Shrinking(Arc::new(Cols));
@@ -1775,20 +1927,34 @@ mod tests {
         let o = reign(
             Default::default(),
             app,
-            Some(seed(3, &[(3, 0..2)])),
+            Some(seed(2, 3, &[(3, 0..2)])),
             split,
             move |ctx, me| {
                 let (master, log) = (ActorId(0), Arc::clone(&log));
                 async move {
-                    let mut lost = false;
+                    let (mut lost, mut rolled) = (false, false);
+                    let beat = SimDuration::from_millis(if heartbeat { 500 } else { 3_600_000 });
                     loop {
-                        let reply = match ctx.recv().await.msg {
+                        let Some(env) = ctx.recv_deadline(ctx.now() + beat).await else {
+                            if lost && !rolled {
+                                let (invocation, units) = fragments(&[(2, 2..4)]).remove(0);
+                                let stale = Msg::Checkpoint {
+                                    slave: me,
+                                    invocation,
+                                    units,
+                                };
+                                send(&ctx, master, stale).await;
+                            }
+                            continue;
+                        };
+                        let reply = match env.msg {
                             Msg::Rollback { .. } if !lost => {
                                 lost = true;
                                 log.lock().unwrap().push("lost rollback");
                                 continue;
                             }
                             Msg::Rollback { units, .. } => {
+                                rolled = true;
                                 log.lock().unwrap().push("rollback");
                                 units.into_iter().map(|(u, d)| (u, (*d).clone())).collect()
                             }
@@ -1798,7 +1964,7 @@ mod tests {
                             }
                             Msg::GatherAck => return log.lock().unwrap().push("ack"),
                             Msg::Failover(FailoverMsg::Promoted { .. }) => {
-                                send(&ctx, master, held(me, &[(3, 2..4)])).await;
+                                send(&ctx, master, held(me, 3, &[(3, 2..4)])).await;
                                 continue;
                             }
                             _ => continue,
@@ -1817,7 +1983,18 @@ mod tests {
     /// (one `restore_resends`) instead of waiting for units nobody holds.
     #[test]
     fn a_delivery_from_an_unacknowledged_window_still_owes_its_window() {
-        let (o, heard) = lost_final_rollback();
+        let (o, heard) = lost_final_rollback(false);
+        assert_eq!(heard, ["lost rollback", "gather", "rollback", "ack"]);
+        assert_eq!(o.recovery.restore_resends, 1);
+    }
+
+    /// A checkpoint carries no epoch: the stale one a slave heartbeats
+    /// from the barrier its lost `Rollback` left it at proves it alive, not
+    /// unstuck, and does not starve the window replay.
+    #[test]
+    fn a_stale_checkpoint_heartbeat_does_not_starve_the_window_replay() {
+        let (o, heard) = lost_final_rollback(true);
+        assert!(o.completed, "{:?}", o.error);
         assert_eq!(heard, ["lost rollback", "gather", "rollback", "ack"]);
         assert_eq!(o.recovery.restore_resends, 1);
     }
@@ -1827,7 +2004,7 @@ mod tests {
     /// lacked: the whole end state, bit for bit.
     #[test]
     fn the_re_delivery_after_the_replayed_rollback_completes_the_gather() {
-        let (o, _) = lost_final_rollback();
+        let (o, _) = lost_final_rollback(false);
         assert!(o.completed, "{:?}", o.error);
         assert_eq!(o.recovery.gather_dups_ignored, 1);
         let mut result = o.result;

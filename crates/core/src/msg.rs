@@ -35,17 +35,18 @@
 //!
 //! ## The failover plane
 //!
-//! Replication, the master's pings, the election, the promotion and the
-//! fragments a slave answers it with are one nested type, [`FailoverMsg`]
-//! under [`Msg::Failover`]: every slave receive point hands it whole to
+//! The master's pings, the election, the promotion and what a slave
+//! answers it with are one nested type, [`FailoverMsg`] under
+//! [`Msg::Failover`]: every slave receive point hands it whole to
 //! `SlaveCommon::election`, and the master reads only its `Promoted` and
-//! `Held`. Its election variants are the only tagged
+//! `Held`. Nothing of the master's state is shipped ahead of a crash: a
+//! takeover learns what it needs from the survivors' `Held` answers. Its election variants are the only tagged
 //! messages of the event trace, and the tag grammar lives beside them:
 //! [`FailoverMsg::trace_tag`] writes it, [`FailoverMsg::from_tag`] reads it
 //! back, and [`FailoverMsg::model_wire`] projects the message onto the
 //! election model's wire, which is all `dlb-lint --conform` replays.
 
-use crate::recovery::{RecoveryStats, SlaveFaultStats};
+use crate::recovery::SlaveFaultStats;
 use crate::session::model::EWire;
 use dlb_sim::SimDuration;
 use std::sync::Arc;
@@ -184,59 +185,15 @@ pub struct TransferMsg {
     pub right_old: Option<Vec<f64>>,
 }
 
-/// Master → deputy: a replica of the master's control-plane state, from
-/// which an elected deputy can rebuild the session after the master dies.
-/// Published at every invocation barrier, and nowhere else. Scalars and
-/// membership only: the snapshot a takeover restarts from is re-collected
-/// from the survivors ([`FailoverMsg::Held`]).
-#[derive(Clone, Debug, PartialEq)]
-pub struct ReplicaMsg {
-    /// The publishing master's election term (0 = the original master).
-    pub term: u64,
-    /// Current rollback epoch.
-    pub epoch: u64,
-    /// Invocation the master is currently running/settling.
-    pub invocation: u64,
-    /// Membership as the master believes it (`alive[i]` per slave).
-    pub alive: Vec<bool>,
-    /// Replica freshness: the invocation a takeover from this replica can
-    /// resume at (the banked checkpoint's invocation under the rollback
-    /// policy, the current invocation under re-scatter). Candidates
-    /// advertise it; voters refuse staler candidates.
-    pub fresh: u64,
-    /// The newest complete checkpoint invocation in the master's bank (0
-    /// under re-scatter) — lets a promoted deputy count the checkpoints its
-    /// takeover restarts behind.
-    pub best_banked: u64,
-    /// The master's cumulative recovery counters, so a takeover's final
-    /// report covers the whole run, not just the post-failover part.
-    pub recovery: RecoveryStats,
-    /// Per-slave admission incarnations (see [`Msg::Join`]). Replicated so
-    /// a promoted deputy keeps fencing a rejoiner's earlier life: without
-    /// it the new master would refuse a live rejoiner's pings (wrongly
-    /// re-evicting it) and credit its zombie's.
-    pub incarnations: Vec<u64>,
-}
-
 /// The failover plane (see the module doc): what keeps a master in charge
 /// when the first one dies, consumed whole by `SlaveCommon::election`.
 #[derive(Clone, Debug, PartialEq)]
 pub enum FailoverMsg {
-    /// Master → deputy: control-plane replication (see [`ReplicaMsg`]).
-    /// Counts as protocol traffic for the deputy's master-silence clock.
-    Replica(Box<ReplicaMsg>),
     /// Master → deputies: pure liveness ping, the master-side analogue of
-    /// [`Msg::Alive`]. Defers the deputies' election trigger without
-    /// carrying replica state (ping clock, not the heard clock).
+    /// [`Msg::Alive`]. Defers the deputies' election trigger.
     MasterPing { term: u64 },
-    /// Deputy → deputies: the sender stands for master in `term`. `fresh`
-    /// advertises its replica's freshness; voters with a fresher replica
-    /// refuse, so the winner holds the newest replica in its quorum.
-    Candidacy {
-        term: u64,
-        candidate: usize,
-        fresh: u64,
-    },
+    /// Deputy → deputies: the sender stands for master in `term`.
+    Candidacy { term: u64, candidate: usize },
     /// Deputy → candidate: vote grant for `term`. A deputy votes at most
     /// once per term, which makes the election winner unique per term.
     Vote {
@@ -249,11 +206,16 @@ pub enum FailoverMsg {
     /// master channel; a superseded master exits silently.
     Promoted { term: u64, master_idx: usize },
     /// Slave → new master, in answer to every `Promoted` of the term it
-    /// adopted (checkpointed engines only): the snapshot states it last
-    /// held, `(invocation, units)`. The new master rebuilds its restart
-    /// point from these fragments.
+    /// adopted: what the slave knows. `incarnation` is its life, the one
+    /// the new master puts on record for the slot; `invocation` the newest
+    /// invocation it was released into or rolled back to, where a
+    /// re-scatter takeover resumes; `fragments` the snapshot states it last
+    /// held, `(invocation, units)`, from which a rollback takeover rebuilds
+    /// its restart point (empty for a pattern without snapshots).
     Held {
         slave: usize,
+        incarnation: u64,
+        invocation: u64,
         fragments: Vec<(u64, SharedUnits)>,
     },
 }
@@ -265,13 +227,9 @@ impl FailoverMsg {
     /// here is part of the trace format: changing it breaks recorded traces.
     pub fn trace_tag(&self) -> Option<String> {
         match self {
-            Self::Candidacy {
-                term,
-                candidate,
-                fresh,
-            } => Some(format!(
-                "candidacy term={term} cand={candidate} fresh={fresh}"
-            )),
+            Self::Candidacy { term, candidate } => {
+                Some(format!("candidacy term={term} cand={candidate}"))
+            }
             Self::Vote {
                 term,
                 voter,
@@ -280,14 +238,13 @@ impl FailoverMsg {
             Self::Promoted { term, master_idx } => {
                 Some(format!("promoted term={term} winner={master_idx}"))
             }
-            Self::Replica(_) | Self::MasterPing { .. } | Self::Held { .. } => None,
+            Self::MasterPing { .. } | Self::Held { .. } => None,
         }
     }
 
     /// The inverse of [`FailoverMsg::trace_tag`]. `Ok(None)` = not an
     /// election tag; `Err` = an election keyword with a malformed,
-    /// non-numeric, unknown or missing field. A candidacy's `fresh` may be
-    /// omitted (read as 0).
+    /// non-numeric, unknown or missing field.
     pub fn from_tag(tag: &str) -> Result<Option<Self>, String> {
         let mut words = tag.split_whitespace();
         let kind = words.next().unwrap_or_default();
@@ -302,7 +259,7 @@ impl FailoverMsg {
             let n: u64 = v
                 .parse()
                 .map_err(|_| format!("non-numeric tag field {kv:?} in {tag:?}"))?;
-            if !matches!(k, "term" | "cand" | "voter" | "winner" | "fresh") {
+            if !matches!(k, "term" | "cand" | "voter" | "winner") {
                 return Err(format!("unknown tag field {kv:?} in {tag:?}"));
             }
             fields.push((k, n));
@@ -316,7 +273,6 @@ impl FailoverMsg {
             "candidacy" => Self::Candidacy {
                 term,
                 candidate: field("cand")? as usize,
-                fresh: field("fresh").unwrap_or(0),
             },
             "vote" => Self::Vote {
                 term,
@@ -331,19 +287,14 @@ impl FailoverMsg {
     }
 
     /// This message as the election model's wire value on its way to
-    /// deputy `to`; `None` for the replication plane the model abstracts
-    /// away.
+    /// deputy `to`; `None` for the pings and the answers the model
+    /// abstracts away.
     pub fn model_wire(&self, to: usize) -> Option<EWire> {
         Some(match *self {
-            Self::Candidacy {
-                term,
-                candidate,
-                fresh,
-            } => EWire::Candidacy {
+            Self::Candidacy { term, candidate } => EWire::Candidacy {
                 to,
                 term,
                 candidate,
-                fresh,
             },
             Self::Vote { term, voter, .. } => EWire::Vote { to, term, voter },
             Self::Promoted { term, master_idx } => EWire::Promoted {
@@ -351,7 +302,7 @@ impl FailoverMsg {
                 term,
                 winner: master_idx,
             },
-            Self::Replica(_) | Self::MasterPing { .. } | Self::Held { .. } => return None,
+            Self::MasterPing { .. } | Self::Held { .. } => return None,
         })
     }
 }
@@ -575,7 +526,7 @@ pub enum Msg {
     },
     /// Master → slave: your `GatherData` arrived; safe to terminate.
     GatherAck,
-    /// Master failover: replication, pings, election, promotion.
+    /// Master failover: pings, election, promotion, the survivors' answers.
     Failover(FailoverMsg),
 }
 
@@ -665,26 +616,17 @@ impl Msg {
             Msg::Alive { .. } | Msg::JoinRefuse { .. } => HDR + 8,
             Msg::Join { .. } | Msg::PivotWanted { .. } => HDR + 16,
             Msg::SlaveError { error, .. } => HDR + 8 + error.payload_bytes(),
-            Msg::Failover(FailoverMsg::Replica(r)) => {
-                // Fixed scalars + membership bitmap + incarnation table +
-                // counters block. The scalar block is priced one word above
-                // its five scalars: every recorded trace hash and virtual
-                // time rests on it.
-                HDR + 48
-                    + r.alive.len() as u64
-                    + 8 * r.incarnations.len() as u64
-                    + RecoveryStats::WIRE_BYTES
+            // Two scalars, then each fragment's invocation and units.
+            Msg::Failover(FailoverMsg::Held { fragments, .. }) => {
+                HDR + 16
+                    + fragments
+                        .iter()
+                        .map(|(_, units)| 8 + shared(units))
+                        .sum::<u64>()
             }
-            // Priced like the `Checkpoint`s it carries; an empty one like a
-            // header.
-            Msg::Failover(FailoverMsg::Held { fragments, .. }) => fragments
-                .iter()
-                .map(|(_, units)| HDR + shared(units))
-                .sum::<u64>()
-                .max(HDR),
             Msg::Failover(FailoverMsg::MasterPing { .. }) => HDR + 8,
-            Msg::Failover(FailoverMsg::Promoted { .. }) => HDR + 16,
-            Msg::Failover(FailoverMsg::Candidacy { .. } | FailoverMsg::Vote { .. }) => HDR + 24,
+            Msg::Failover(FailoverMsg::Promoted { .. } | FailoverMsg::Candidacy { .. }) => HDR + 16,
+            Msg::Failover(FailoverMsg::Vote { .. }) => HDR + 24,
         }
     }
 }
@@ -786,24 +728,13 @@ mod tests {
         assert!(nested.wire_bytes() > big.wire_bytes() - 32);
     }
 
-    /// A 16-slave replica at invocation 3 whose bank holds invocation 2.
-    fn replica() -> Msg {
-        Msg::Failover(FailoverMsg::Replica(Box::new(ReplicaMsg {
-            term: 0,
-            epoch: 0,
-            invocation: 3,
-            alive: vec![true; 16],
-            fresh: 2,
-            best_banked: 2,
-            recovery: RecoveryStats::default(),
-            incarnations: vec![0; 16],
-        })))
-    }
-
-    /// Slave 0's answer to a `Promoted`: the snapshot states it holds.
+    /// Slave 0's answer to a `Promoted`, first life at invocation 3: the
+    /// snapshot states it holds.
     fn held(fragments: Vec<(u64, SharedUnits)>) -> Msg {
         Msg::Failover(FailoverMsg::Held {
             slave: 0,
+            incarnation: 0,
+            invocation: 3,
             fragments,
         })
     }
@@ -815,8 +746,8 @@ mod tests {
 
     /// The control plane's prices, to the byte: they are what the virtual
     /// network charges, so every trace hash and virtual time rests on them.
-    /// A replica's scalar block is 48 B, its counters 304, and it carries
-    /// no unit; a `Held` reply is charged like the checkpoints it carries.
+    /// A `Held` reply is its two scalars and a word per fragment on top of
+    /// the units it carries.
     #[test]
     fn control_plane_messages_cost_their_recorded_bytes() {
         let rollback = unit_carriers(&two_units()).swap_remove(3);
@@ -824,12 +755,11 @@ mod tests {
         let costs = [
             release(3),
             rollback,
-            replica(),
             held(Vec::new()),
             held(vec![(2, two_units()), (3, two_units())]),
         ]
         .map(|m| m.wire_bytes());
-        assert_eq!(costs, [40, 2472, 528, 32, 2 * 2448]);
+        assert_eq!(costs, [40, 2472, 48, 48 + 2 * (8 + 2416)]);
     }
 
     /// Two units of one and two arrays: 8 + 800 and 8 + 1600 wire bytes.
@@ -885,7 +815,7 @@ mod tests {
                 32 + payload,
                 32 + payload,
                 32 + 8 * 3 + payload,
-                32 + payload,
+                48 + 8 + payload,
             ]
         );
         // The owned list a gather carries prices a unit the same way.
@@ -931,7 +861,6 @@ mod tests {
             FailoverMsg::Candidacy {
                 term: 1,
                 candidate: 0,
-                fresh: 4,
             },
             FailoverMsg::Vote {
                 term: 1,
@@ -958,12 +887,12 @@ mod tests {
 
     /// The tag strings are the trace format: pinned, and read back whole.
     #[test]
-    fn election_tags_round_trip_and_replication_is_untagged() {
+    fn election_tags_round_trip_and_answers_are_untagged() {
         let tags = election().map(|m| m.trace_tag().expect("tagged"));
         assert_eq!(
             tags,
             [
-                "candidacy term=1 cand=0 fresh=4",
+                "candidacy term=1 cand=0",
                 "vote term=1 voter=2 cand=0",
                 "promoted term=1 winner=0",
             ]
@@ -971,12 +900,10 @@ mod tests {
         for (m, tag) in election().into_iter().zip(&tags) {
             assert_eq!(FailoverMsg::from_tag(tag), Ok(Some(m)));
         }
-        for untagged in [replica(), held(Vec::new())] {
-            let Msg::Failover(m) = untagged else {
-                unreachable!("failover traffic")
-            };
-            assert_eq!(m.trace_tag(), None);
-        }
+        let Msg::Failover(answer) = held(Vec::new()) else {
+            unreachable!("failover traffic")
+        };
+        assert_eq!(answer.trace_tag(), None);
         assert_eq!(FailoverMsg::MasterPing { term: 1 }.trace_tag(), None);
     }
 
@@ -986,7 +913,8 @@ mod tests {
             "vote term=1 voter=1 cand",
             "vote term=x voter=1 cand=0",
             "vote term=1 voter=1 cand=0 to=2",
-            "candidacy cand=0 fresh=5",
+            "candidacy cand=0",
+            "candidacy term=1 cand=0 fresh=4",
             "vote term=1 voter=1",
             "promoted term=1",
         ] {
@@ -995,15 +923,6 @@ mod tests {
         for foreign in ["", "answer", "some-future-tag x=1"] {
             assert_eq!(FailoverMsg::from_tag(foreign), Ok(None), "{foreign}");
         }
-        let unadvertised = FailoverMsg::Candidacy {
-            term: 2,
-            candidate: 1,
-            fresh: 0,
-        };
-        assert_eq!(
-            FailoverMsg::from_tag("candidacy term=2 cand=1"),
-            Ok(Some(unadvertised))
-        );
     }
 
     /// The kernel's heap holds a `Msg` per in-flight message: nesting the

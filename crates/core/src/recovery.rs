@@ -97,33 +97,25 @@ pub struct RecoveryStats {
     /// Virtual time from the winning deputy last hearing the old master to
     /// its promotion (the failover blackout), for the last election held.
     pub takeover_latency: Option<SimDuration>,
-    /// Control-plane replicas published to deputies (one per live deputy
-    /// per barrier — routine traffic, not a recovery action).
+    /// Always 0: the master publishes no control-plane replica, a
+    /// takeover learns what it needs from the survivors. Kept because the
+    /// end-to-end benchmark reports it.
     pub replicas_published: u64,
-    /// Bytes of control-plane replication the master(s) sent to deputies.
+    /// Bytes the master(s) spent keeping the deputies' election trigger
+    /// quiet: the [`MasterPing`](crate::msg::FailoverMsg::MasterPing)s.
     pub replication_bytes: u64,
-    /// Checkpoint generations the takeover lost because the winning
-    /// deputy's replica lagged the old master's bank (0 = the takeover
-    /// resumed from the newest checkpoint the old master ever banked).
-    pub checkpoints_lost_to_stale_replica: u64,
 }
 
 impl RecoveryStats {
-    /// Whether any recovery *action* happened at all. Routine control-plane
-    /// replication to deputies runs in every fault-mode run, faults or not,
-    /// so it is excluded.
+    /// Whether any recovery *action* happened at all. The deputies' pings
+    /// run in every fault-mode run, faults or not, so they are excluded.
     pub fn any(&self) -> bool {
         let routine = RecoveryStats {
-            replicas_published: self.replicas_published,
             replication_bytes: self.replication_bytes,
             ..RecoveryStats::default()
         };
         self != &routine
     }
-
-    /// Approximate wire size when these counters travel inside a
-    /// [`crate::msg::ReplicaMsg`].
-    pub const WIRE_BYTES: u64 = 304;
 
     /// Fold one slave's locally-counted fault statistics in (at gather).
     pub fn absorb(&mut self, s: &SlaveFaultStats) {

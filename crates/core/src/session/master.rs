@@ -6,7 +6,7 @@
 //! membership and eviction ([`Membership`], [`Session::evict`]), admission
 //! ([`Session::admit`]), the windowed re-range that is takeover seeding,
 //! admission and rollback at once ([`Session::rerange`]), speculation
-//! ([`Policy::speculate`]), control-plane replication ([`Failover`]).
+//! ([`Policy::speculate`]), the deputies' heartbeat ([`Failover`]).
 //!
 //! Nothing here touches the kernel: every transition writes what it does —
 //! CPU charges, sends, notes — into the master's [`Effects`], whose clock
@@ -25,7 +25,7 @@ use crate::balancer::Balancer;
 use crate::driver::AppSpec;
 use crate::error::{FaultToleranceConfig, ProtocolError};
 use crate::kernels::IndependentKernel;
-use crate::msg::{FailoverMsg, Instructions, Msg, ReplicaMsg, SharedUnits, UnitData};
+use crate::msg::{FailoverMsg, Instructions, Msg, SharedUnits, UnitData};
 use crate::protocol::SenderWindow;
 use crate::recovery::{redistribute, RecoveryStats};
 use crate::session::checkpoint::CheckpointBank;
@@ -51,6 +51,10 @@ pub(crate) enum Effect {
     Send(ActorId, Msg, u64),
     /// Narration for the trace, kept only while the run is traced.
     Note(String),
+    /// The run's recovery counters so far, for the shared outcome slot a
+    /// takeover seeds its own from. Instrumentation: no protocol decision
+    /// reads it.
+    Report(RecoveryStats),
 }
 
 /// What a master step does, in program order, for the shell in `master.rs`
@@ -124,6 +128,11 @@ impl Effects {
             tests::NOTES_BUILT.with(|n| n.set(n.get() + 1));
             self.buf.push(Effect::Note(text()));
         }
+    }
+
+    /// Report the run's recovery counters so far.
+    pub fn report(&mut self, rec: &RecoveryStats) {
+        self.buf.push(Effect::Report(rec.clone()));
     }
 
     /// The step's effects in order, leaving the buffer empty.
@@ -252,29 +261,10 @@ pub(crate) struct RollbackState {
 }
 
 impl Policy {
-    /// Row 1, takeover seeding: where a new reign's re-range starts, and
-    /// whether it first collects the survivors' checkpoint fragments.
-    /// Re-scatter resumes at the replicated invocation watermark, every
-    /// unit recomputed through it, at once. Rollback offers the winner's own
-    /// held fragments to its empty bank and collects: the re-range waits
-    /// for every live survivor's [`FailoverMsg::Held`], and restarts from
-    /// the newest snapshot the fragments complete — the initial data when
-    /// none does.
-    fn seed(st: &mut Session, seed: &TakeoverSeed, me: usize) -> bool {
-        match st.policy {
-            Policy::Rescatter(_) => {
-                st.inv = seed.replica.invocation;
-                false
-            }
-            Policy::Rollback(_) => {
-                Policy::bank_held(st, me, seed.held.clone());
-                true
-            }
-        }
-    }
-
-    /// Row 1: slave `slave` held `fragments`; each banks like a
-    /// checkpoint (re-scatter keeps no bank).
+    /// Row 1, takeover seeding: slave `slave` — a survivor's
+    /// [`FailoverMsg::Held`] answer, or the winner's own seed — held
+    /// `fragments`; each banks like a checkpoint. Re-scatter keeps no bank:
+    /// it resumes where the answers' invocations say ([`recompute`]).
     pub fn bank_held(st: &mut Session, slave: usize, fragments: Vec<(u64, SharedUnits)>) {
         for (invocation, units) in fragments {
             Policy::on_checkpoint(st, slave, invocation, units);
@@ -337,23 +327,6 @@ impl Policy {
         }
         for &j in joined {
             rb.join_epoch[j] = st.epoch;
-        }
-    }
-
-    /// Row 3: a replica's `(fresh, best_banked)` at invocation `inv`: the
-    /// restart point a takeover from it expects, and the bank's newest
-    /// complete checkpoint. Under re-scatter the watermark alone is the
-    /// whole state (a takeover restarts from [`recompute`]) and nothing is
-    /// banked; under rollback both are the newest complete banked
-    /// checkpoint, which the successor rebuilds from the survivors' held
-    /// fragments.
-    fn replica_fresh(&self, inv: u64) -> (u64, u64) {
-        match self {
-            Policy::Rescatter(_) => (inv, 0),
-            Policy::Rollback(rb) => {
-                let best = rb.bank.best_invocation().unwrap_or(0);
-                (best, best)
-            }
         }
     }
 
@@ -443,10 +416,14 @@ impl Policy {
                 st.heard_from(fx, slave);
                 Policy::on_own_report(st, fx, slave, about, ids);
             }
-            // A late checkpoint racing the gather is only a liveness signal.
+            // A checkpoint carries no epoch, so it proves its sender alive
+            // but not unstuck: a slave heartbeating from the barrier a lost
+            // `Rollback` left it at must still trip the window re-send,
+            // which keys off protocol silence. Racing the gather, that is
+            // all it is.
             (Policy::Rollback(_), Msg::Checkpoint { slave, .. }, Some(_)) => {
                 if st.memb.alive[slave] {
-                    st.memb.last_heard[slave] = fx.now();
+                    st.memb.ping(slave, fx.now());
                 }
             }
             (
@@ -459,7 +436,7 @@ impl Policy {
                 None,
             ) => {
                 if st.memb.alive[slave] {
-                    st.heard_from(fx, slave);
+                    st.memb.ping(slave, fx.now());
                 }
                 Policy::on_checkpoint(st, slave, invocation, units);
             }
@@ -886,7 +863,8 @@ pub(crate) struct Session {
     /// same admission path as a rejoiner.
     pub deferred: Vec<bool>,
     pub fo: Failover,
-    /// Recovery actions taken so far (seeded from the replica on takeover).
+    /// Recovery actions taken so far (on takeover, seeded from the last
+    /// counters the run reported).
     pub rec: RecoveryStats,
     pub policy: Policy,
 }
@@ -982,69 +960,32 @@ impl Session {
     }
 
     /// Open a reign: evict the deferred slots and leave the rest to the
-    /// master's `Start` broadcast, or — on a takeover — seed the session
-    /// from the replica ([`Policy::seed`]). The survivors are mid-run:
-    /// evict the dead, evict ourselves (the winner computes no units), and
-    /// re-range everyone, at once or — `Ok(true)` — once the master has
-    /// collected their held fragments.
-    pub fn open(
-        &mut self,
-        fx: &mut Effects,
-        balancer: &mut Balancer,
-        takeover: Option<(&TakeoverSeed, usize)>,
-    ) -> Result<bool, ProtocolError> {
+    /// master's `Start` broadcast, or — on a takeover by slot `me` — evict
+    /// what the winner's own view says is gone, and the winner itself (it
+    /// computes no units). Before the winner adopted any survivor list, the
+    /// `Start`'s membership is its view, so the slots reserved for
+    /// latecomers are gone too. The survivors are mid-run: the master
+    /// collects their `Held` answers before it re-ranges them, starting
+    /// with the winner's own fragments and invocation.
+    pub fn open(&mut self, balancer: &mut Balancer, takeover: Option<(&TakeoverSeed, usize)>) {
         for i in 0..self.memb.n() {
             let gone = match takeover {
                 None => self.deferred[i],
-                Some((seed, me)) => !seed.replica.alive[i] || i == me,
+                Some((seed, me)) => {
+                    i == me || seed.dead[i] || (seed.epoch == 0 && self.deferred[i])
+                }
             };
             if gone {
                 self.memb.evict(i);
                 balancer.mark_dead(i);
             }
+            // Admitted before the crash: a later rejoin is a rejoin, not a
+            // first-time (deferred) admission.
+            self.deferred[i] &= gone;
         }
-        let Some((seed, me)) = takeover else {
-            return Ok(false);
-        };
-        // Admitted before the crash: a later rejoin is a rejoin, not a
-        // first-time (deferred) admission.
-        for (deferred, &alive) in self.deferred.iter_mut().zip(&seed.replica.alive) {
-            *deferred &= !alive;
-        }
-        // Incarnation fencing survives the failover: the replica carries
-        // the admitted-life table, so a pre-crash zombie stays fenced.
-        self.memb.incarnation.clone_from(&seed.replica.incarnations);
-        if Policy::seed(self, seed, me) {
-            return Ok(true);
-        }
-        self.rerange(fx, balancer, &[])?;
-        Ok(false)
-    }
-
-    /// Publish the control-plane replica for this barrier to every live
-    /// deputy: membership, the invocation watermark, the cumulative
-    /// counters, and the freshness a deputy can take over from
-    /// ([`Policy::replica_fresh`]). Scalars only: a lost replica is
-    /// replaced by the next barrier's.
-    pub fn publish_replica(&mut self, fx: &mut Effects) {
-        let (fresh, best_banked) = self.policy.replica_fresh(self.inv);
-        let replica = ReplicaMsg {
-            term: self.fo.term,
-            epoch: self.epoch,
-            invocation: self.inv,
-            alive: self.memb.alive.clone(),
-            incarnations: self.memb.incarnation.clone(),
-            fresh,
-            best_banked,
-            recovery: self.rec.clone(),
-        };
-        let msg = Msg::Failover(FailoverMsg::Replica(Box::new(replica)));
-        for d in 0..self.fo.deputies {
-            if self.memb.alive[d] {
-                self.rec.replicas_published += 1;
-                self.rec.replication_bytes += msg.wire_bytes();
-                fx.send(self.slaves[d], msg.clone());
-            }
+        if let Some((seed, me)) = takeover {
+            self.inv = seed.invocation;
+            Policy::bank_held(self, me, seed.held.clone());
         }
     }
 
@@ -1206,6 +1147,14 @@ impl Session {
         s: usize,
         now: SimTime,
     ) -> Result<(), ProtocolError> {
+        self.retire(fx, balancer, s, now);
+        Policy::fence(self, fx, s)
+    }
+
+    /// Declare slave `s` dead as of `now` and drop what the session kept
+    /// for it, fencing nothing: what a collecting takeover does, whose
+    /// re-range fences every slot it leaves out.
+    pub fn retire(&mut self, fx: &mut Effects, balancer: &mut Balancer, s: usize, now: SimTime) {
         // Why the detector fired, and how far from settling the barrier was
         // when it did: the note that tells a dead slave from one waiting on
         // a peer.
@@ -1229,7 +1178,6 @@ impl Session {
         // its units and contribute their metric.
         self.metrics[s] = 0.0;
         self.unacked_instr[s] = None;
-        Policy::fence(self, fx, s)
     }
 
     /// Slave `s` is dead as of `now`: out of the membership, counted, and

@@ -50,8 +50,9 @@ pub struct Membership {
     /// Still part of the computation.
     pub alive: Vec<bool>,
     /// Admission incarnation of each slave's current (or, if evicted, most
-    /// recent) life. Bumped by [`Self::readmit`]; a liveness ping is only
-    /// credited when its stamped incarnation matches this table, so a
+    /// recent) life. Bumped by [`Self::readmit`], and under a takeover set
+    /// by what each slot states ([`Self::state_life`]); a liveness ping is
+    /// only credited when its stamped incarnation matches this table, so a
     /// zombie from before the rejoin cannot defer suspicion of the new life.
     pub incarnation: Vec<u64>,
     /// Ever heard from at all (distinguishes "lost the Start" from
@@ -90,6 +91,13 @@ impl Membership {
     /// Which life of slave `s` a message stamped `incarnation` speaks for.
     pub fn life(&self, s: usize, incarnation: u64) -> Life {
         Life::of(self.alive[s], self.incarnation[s], incarnation)
+    }
+
+    /// Slave `s` stated its life, `incarnation`, in answer to a takeover's
+    /// `Promoted`: a takeover has no other record of it. Never lowered, so
+    /// a late answer from an older life cannot revive it.
+    pub fn state_life(&mut self, s: usize, incarnation: u64) {
+        self.incarnation[s] = self.incarnation[s].max(incarnation);
     }
 
     /// Record traffic from slave `s`: refreshes the suspicion timer and
@@ -288,37 +296,5 @@ mod tests {
                 );
             }
         }
-    }
-
-    /// Deputies reuse a one-row table to watch the *master* under the same
-    /// two-clock rules: `MasterPing` feeds the ping clock and defers the
-    /// election trigger (`silent_for`), while the replica re-request paths
-    /// key off protocol silence (`unheard_for`), which pings never touch.
-    #[test]
-    fn master_watch_pings_defer_election_but_not_replica_staleness() {
-        let nudge = SimDuration::from_secs(2);
-        let mut w = Membership::new(1, t(0), nudge);
-        w.heard(0, t(1_000_000)); // a replica arrived at t=1s
-        for k in 2..=9u64 {
-            w.ping(0, t(k * 1_000_000)); // pings every second after
-        }
-        let now = t(9_500_000);
-        // The election trigger sees half a second of silence…
-        assert_eq!(w.silent_for(0, now), SimDuration::from_micros(500_000));
-        // …while the replica clock shows 8.5 s without protocol progress.
-        assert_eq!(w.unheard_for(0, now), SimDuration::from_micros(8_500_000));
-    }
-
-    /// The reverse edge: protocol traffic alone (no pings at all) must also
-    /// keep the election trigger quiet — `silent_for` is the *later* of the
-    /// two clocks, so neither clock alone can trip it.
-    #[test]
-    fn master_watch_either_clock_defers_the_trigger() {
-        let mut w = Membership::new(1, t(0), SimDuration::from_secs(2));
-        w.ping(0, t(3_000));
-        w.heard(0, t(5_000));
-        assert_eq!(w.silent_for(0, t(6_000)), SimDuration::from_micros(1_000));
-        w.ping(0, t(7_000));
-        assert_eq!(w.silent_for(0, t(8_000)), SimDuration::from_micros(1_000));
     }
 }

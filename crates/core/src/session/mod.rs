@@ -20,9 +20,9 @@
 //!   - `slave`: the slave actor shell and the one slave runner (restart
 //!     loop, first release, barrier protocol, gather reply) every engine
 //!     runs under, driven through a `strategy::DistributionStrategy`;
-//!   - [`replica`]: the deputy role — control-plane replica absorption,
-//!     master-silence watch, and the epoch-fenced election state machine
-//!     behind master failover;
+//!   - [`replica`]: the deputy role — master-silence watch and the
+//!     epoch-fenced election state machine behind master failover, and the
+//!     seed a winner takes over with;
 //!   - [`model`]: model-checkable abstractions of the restore, transfer,
 //!     and election sub-protocols, exhaustively explored by `dlb-analyze`.
 //! * Engines (`engine_independent`, `engine_pipelined`,

@@ -3,7 +3,7 @@
 use crate::msg::UnitData;
 use crate::session::checkpoint::CheckpointBank;
 use crate::session::replica::Ballot;
-use dlb_sim::{class_sort, classes_by, LossyProtocol, Net};
+use dlb_sim::{class_sort, LossyProtocol, Net};
 use std::collections::BTreeSet;
 use std::sync::Arc;
 
@@ -13,13 +13,12 @@ use std::sync::Arc;
 /// [`FailoverMsg::model_wire`](crate::msg::FailoverMsg::model_wire).
 #[derive(Clone, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum EWire {
-    /// Candidate → peer deputy: stand for `term` with replica freshness
-    /// `fresh` (the runtime's [`crate::msg::FailoverMsg::Candidacy`]).
+    /// Candidate → peer deputy: stand for `term` (the runtime's
+    /// [`crate::msg::FailoverMsg::Candidacy`]).
     Candidacy {
         to: usize,
         term: u64,
         candidate: usize,
-        fresh: u64,
     },
     /// Voter → candidate: vote granted in `term`
     /// ([`crate::msg::FailoverMsg::Vote`]).
@@ -30,17 +29,14 @@ pub enum EWire {
 }
 
 impl EWire {
-    /// `(kind, to, from, term)` — the message's identity with `fresh`
-    /// excluded, so a candidacy matches even if the model's static
-    /// freshness assignment differs from a (time-varying) runtime value.
-    /// The kind is 0, 1, 2 for a candidacy, a vote, a promotion.
+    /// `(kind, to, from, term)` — the message's identity. The kind is 0,
+    /// 1, 2 for a candidacy, a vote, a promotion.
     pub fn parts(&self) -> (u8, usize, usize, u64) {
         match *self {
             EWire::Candidacy {
                 to,
                 term,
                 candidate,
-                ..
             } => (0, to, candidate, term),
             EWire::Vote { to, term, voter } => (1, to, voter, term),
             EWire::Promoted { to, term, winner } => (2, to, winner, term),
@@ -109,9 +105,6 @@ pub struct ElectionState {
     /// Every promotion announced so far, as `(term, winner)` — the
     /// split-brain invariant reads this.
     pub promoted: Vec<(u64, usize)>,
-    /// Set when a winner's electing quorum contained a voter with a
-    /// strictly fresher replica: `(term, winner, fresher_voter)`.
-    pub stale_win: Option<(u64, usize, usize)>,
     /// Set when a winner restarts from a snapshot that does not cover every
     /// unit: `(term, winner, restart invocation)`.
     pub torn: Option<(u64, usize, u64)>,
@@ -124,39 +117,34 @@ pub struct ElectionState {
 /// Every deputy suspects the master (it is dead in this model) and may
 /// stand; the network may drop or duplicate a bounded number of messages;
 /// each deputy's `Ballot` stands, votes, counts, wins and stands down as
-/// the runtime's does: one vote per term, never for a candidate whose
-/// replica is staler than the voter's, majority of the *full* deputy set
-/// to win. A winner restarts where the production `CheckpointBank` puts
-/// it once offered the fixed fragment table — the newest invocation the
-/// survivors' fragments complete, else the initial data — so every winner
-/// restarts from a snapshot that covers every unit.
+/// the runtime's does: one vote per term, majority of the *full* deputy
+/// set to win. No deputy holds state another lacks, so the deputies are
+/// interchangeable. A winner restarts where the production
+/// `CheckpointBank` puts it once offered the fixed fragment table — the
+/// fragments every survivor answers any winner with — which is the newest
+/// invocation the fragments complete, else the initial data, so every
+/// winner restarts from a snapshot that covers every unit.
 /// `one_vote_per_term = false` is the deliberately broken variant whose
 /// voters forget which terms they voted in — the model checker must find
 /// the two-winners-one-term counterexample (`dlb-analyze` maps it to
-/// E107). `fresh_guard = false` drops the newest-replica rule instead,
-/// electing a quorum that out-freshes its winner (E108).
-/// `coverage_check = false` restarts a winner at its replica's `fresh`
-/// from whatever fragments name that invocation, which the table leaves a
-/// unit short (E114). Each rewrites the ballot's or the bank's input or
-/// state around the production call; neither type has a flag for them.
+/// E107). `coverage_check = false` restarts a winner at the newest
+/// invocation any fragment names, from whatever fragments name it, which
+/// the table leaves a unit short (E114). Each rewrites the ballot's or the
+/// bank's input or state around the production call; neither type has a
+/// flag for them.
 #[derive(Clone, Debug)]
 pub struct ElectionModel {
     /// Size of the full deputy set (quorum denominator).
     pub deputies: usize,
-    /// Per-deputy replica freshness (the election's comparison scale).
-    pub fresh: Vec<u64>,
     /// Total stands allowed across all deputies (bounds the term space).
     pub max_stands: u32,
     pub max_drops: u32,
     pub max_dups: u32,
     /// True = the real protocol (a voter spends its vote for the term).
     pub one_vote_per_term: bool,
-    /// True = the real protocol (no vote for a staler candidate).
-    pub fresh_guard: bool,
     /// The checkpoint fragments the survivors hold when the master dies,
     /// `(invocation, unit ids)` of `units`: what any winner collects. One
-    /// fragment of the newest invocation a replica names died with the
-    /// master.
+    /// fragment of the newest invocation named died with the master.
     pub fragments: Vec<(u64, Vec<usize>)>,
     pub units: usize,
     /// True = the real protocol (restart where the collected fragments
@@ -165,20 +153,17 @@ pub struct ElectionModel {
 }
 
 impl ElectionModel {
-    /// The standard checked configuration: three deputies with distinct
-    /// replica freshness, three stands, one drop and one duplication
-    /// budget. The survivors hold invocation 1 whole and half of 2: unit
-    /// 1's fragment of 2 died with the master, so every takeover restarts
-    /// at 1.
+    /// The standard checked configuration: three deputies, three stands,
+    /// one drop and one duplication budget. The survivors hold invocation
+    /// 1 whole and half of 2: unit 1's fragment of 2 died with the master,
+    /// so every takeover restarts at 1.
     pub fn standard() -> ElectionModel {
         ElectionModel {
             deputies: 3,
-            fresh: vec![2, 1, 0],
             max_stands: 3,
             max_drops: 1,
             max_dups: 1,
             one_vote_per_term: true,
-            fresh_guard: true,
             fragments: vec![(1, vec![0]), (1, vec![1]), (2, vec![0])],
             units: 2,
             coverage_check: true,
@@ -194,46 +179,34 @@ impl ElectionModel {
         }
     }
 
-    /// The broken variant that ignores replica freshness when voting: a
-    /// stale deputy can win while a quorum member holds newer state.
-    pub fn broken_fresh_blind() -> ElectionModel {
-        ElectionModel {
-            fresh_guard: false,
-            ..ElectionModel::standard()
-        }
-    }
-
-    /// The broken variant that trusts the replica: a winner restarts at its
-    /// `fresh` although a fragment of that invocation died with the master.
-    pub fn broken_trusts_fresh() -> ElectionModel {
+    /// The broken variant that trusts the newest invocation named: a
+    /// winner restarts there although a fragment of it died with the
+    /// master.
+    pub fn broken_trusts_newest() -> ElectionModel {
         ElectionModel {
             coverage_check: false,
             ..ElectionModel::standard()
         }
     }
 
-    /// A runtime-width configuration: `n` deputies with *equal* replica
-    /// freshness (the common case right after a checkpoint broadcast),
-    /// which makes the whole deputy set one symmetry class. Two stands
-    /// keep the term space bounded. The one checkpoint the replicas name
-    /// lost a fragment with the master: every takeover restarts from the
-    /// initial data.
+    /// A runtime-width configuration: `n` deputies, two stands to keep the
+    /// term space bounded. The one checkpoint named lost a fragment with
+    /// the master: every takeover restarts from the initial data.
     pub fn wide(n: usize) -> ElectionModel {
         ElectionModel {
             deputies: n,
-            fresh: vec![1; n],
             max_stands: 2,
             fragments: vec![(1, vec![0])],
             ..ElectionModel::standard()
         }
     }
 
-    /// Where winner `d`'s takeover restarts, and how many units that
-    /// snapshot holds: what the production bank makes of the fragment
-    /// table, or — trusting the replica — `fresh[d]` and the fragments that
-    /// name it.
-    fn restart(&self, d: usize) -> (u64, usize) {
-        let at = self.fresh[d];
+    /// Where a takeover restarts, and how many units that snapshot holds:
+    /// what the production bank makes of the fragment table, or — trusting
+    /// the newest invocation named — that invocation and the fragments
+    /// that name it.
+    fn restart(&self) -> (u64, usize) {
+        let at = self.fragments.iter().map(|(inv, _)| *inv).max().unwrap_or(0);
         if !self.coverage_check && at > 0 {
             let named = self.fragments.iter().filter(|(inv, _)| *inv == at);
             let held: BTreeSet<usize> = named.flat_map(|(_, ids)| ids.iter().copied()).collect();
@@ -282,10 +255,6 @@ impl ElectionModel {
                 .filter(|&&(_, w)| w == d)
                 .map(|&(t, _)| t)
                 .collect(),
-            stale_role: match s.stale_win {
-                Some((_, w, v)) => (w == d, v == d),
-                None => (false, false),
-            },
         }
     }
 
@@ -343,7 +312,6 @@ pub struct DeputySig {
     wire_in: Vec<(u8, u64)>,
     wire_out: Vec<(u8, u64)>,
     promoted_terms: Vec<u64>,
-    stale_role: (bool, bool),
 }
 
 /// `(voted for the anchor, in-flight terms per message kind)` — see
@@ -363,7 +331,6 @@ impl LossyProtocol for ElectionModel {
             deps: vec![DeputyModel::default(); self.deputies],
             net: Net::default(),
             promoted: Vec::new(),
-            stale_win: None,
             torn: None,
             stands_used: 0,
         }
@@ -404,18 +371,13 @@ impl LossyProtocol for ElectionModel {
                         to,
                         term,
                         candidate: d,
-                        fresh: self.fresh[d],
                     });
                 }
             }
             ElectionLocal::Win(d) => {
                 let dep = &mut n.deps[d];
                 let term = dep.ballot.won(self.deputies).expect("Win needs a quorum");
-                let votes = &dep.ballot.votes;
-                if let Some(&fresher) = votes.iter().find(|&&v| self.fresh[v] > self.fresh[d]) {
-                    n.stale_win = Some((term, d, fresher));
-                }
-                let (restart, covered) = self.restart(d);
+                let (restart, covered) = self.restart();
                 if covered < self.units {
                     n.torn = Some((term, d, restart));
                 }
@@ -440,23 +402,19 @@ impl LossyProtocol for ElectionModel {
                 to,
                 term,
                 candidate,
-                fresh,
             } => {
                 let dep = &mut n.deps[to];
                 if dep.promoted_self {
                     dep.ballot.see(term);
                     return; // Now a master; election traffic is inert.
                 }
-                // Broken variant (E108): a fresh-blind voter compares the
-                // candidate against freshness 0, which every replica meets.
-                let own = if self.fresh_guard { self.fresh[to] } else { 0 };
                 let granted = if self.one_vote_per_term {
-                    dep.ballot.vote(term, fresh, own)
+                    dep.ballot.vote(term)
                 } else {
                     // Broken variant (E107): the voter forgets the terms it
                     // voted in for the grant, then keeps the highest.
                     let kept = std::mem::take(&mut dep.ballot.voted_in);
-                    let granted = dep.ballot.vote(term, fresh, own);
+                    let granted = dep.ballot.vote(term);
                     dep.ballot.voted_in = dep.ballot.voted_in.max(kept);
                     granted
                 };
@@ -483,13 +441,6 @@ impl LossyProtocol for ElectionModel {
                 ));
             }
         }
-        if let Some((term, winner, voter)) = s.stale_win {
-            return Some(format!(
-                "stale replica won term {term}: deputy {winner} (fresh {}) elected by \
-                 fresher voter {voter} (fresh {})",
-                self.fresh[winner], self.fresh[voter]
-            ));
-        }
         if let Some((term, winner, at)) = s.torn {
             return Some(format!(
                 "takeover by deputy {winner} in term {term} restarts at invocation {at} from a \
@@ -512,11 +463,10 @@ impl LossyProtocol for ElectionModel {
         msg.parts().1
     }
 
-    /// Deputies with equal replica freshness. Freshness is the only
-    /// per-deputy model parameter, so any relabeling within a class maps
-    /// the model onto itself.
+    /// One class: the model has no per-deputy parameter, so any
+    /// relabeling of the deputies maps it onto itself.
     fn classes(&self, _: &ElectionState) -> Vec<Vec<usize>> {
-        classes_by(self.deputies, |d| self.fresh[d])
+        vec![(0..self.deputies).collect()]
     }
 
     fn signer<'a>(&'a self, s: &'a ElectionState) -> impl Fn(usize) -> Self::Sig + 'a {
@@ -527,7 +477,7 @@ impl LossyProtocol for ElectionModel {
         }
     }
 
-    /// `sigma` must map each deputy to one with equal freshness.
+    /// `sigma` may be any permutation of the deputies.
     fn permute(&self, s: &ElectionState, sigma: &[usize]) -> ElectionState {
         let mut n = s.clone();
         for (d, dep) in s.deps.iter().enumerate() {
@@ -540,7 +490,6 @@ impl LossyProtocol for ElectionModel {
         n.net.wire.sort();
         n.promoted = s.promoted.iter().map(|&(t, w)| (t, sigma[w])).collect();
         n.promoted.sort_unstable();
-        n.stale_win = s.stale_win.map(|(t, w, v)| (t, sigma[w], sigma[v]));
         n.torn = s.torn.map(|(t, w, at)| (t, sigma[w], at));
         n
     }

@@ -11,18 +11,18 @@
 //! [`SenderWindow`] / [`AckTracker`] / [`TransferWindow`] rules of
 //! [`crate::protocol`] (for lost work, duplicate application, and
 //! deadlock), the election model the deputies' [`Ballot`] (one vote per
-//! term, the newest-replica freshness guard, majority quorum over the full
-//! deputy set; no term may promote two masters) and, for a winner's restart
-//! point, the master's `CheckpointBank`; the join model steps the verdict
+//! term, majority quorum over the full deputy set; no term may promote two
+//! masters) and, for a winner's restart point, the master's
+//! `CheckpointBank`; the join model steps the verdict
 //! every admission and liveness decision of the fault-mode master reads
 //! (`crate::session::membership::Life`: which life of a slot a stamped
 //! `Alive` or `Join` speaks for). Each model also ships deliberately broken
 //! variants (acknowledge without dedup; a voter that
-//! forgets which terms it voted in or ignores freshness; a winner that
-//! restarts at its replica's freshness without checking the collected
-//! fragments cover it; a master that credits zombie heartbeats or stale
-//! checkpoint acks) whose counterexample the checker must find — the
-//! E101/E104/E107/E108/E114/E111/E112 fixtures in `dlb-analyze`. A broken
+//! forgets which terms it voted in; a winner that restarts at the newest
+//! invocation named without checking the collected fragments cover it; a
+//! master that credits zombie heartbeats or stale checkpoint acks) whose
+//! counterexample the checker must find — the E101/E104/E107/E114/E111/E112
+//! fixtures in `dlb-analyze`. A broken
 //! variant rewrites the production type's input or state inside the model;
 //! the production type has no flag for it.
 //!
@@ -41,7 +41,7 @@
 //! |---|---|---|---|---|---|---|---|
 //! | [`RestoreModel`] | [`SenderWindow`], [`AckTracker`] | [`SeqWire`] | survivor (`Data.to` / `Ack.from`) | `Scatter`, `Resend`, `Heartbeat` | equal scatter profile | window, tracker, holdings, wire — in unit coordinates | — |
 //! | [`TransferModel`] | [`TransferWindow`] | [`SeqWire`] | receiver (`Data.to` / `Ack.from`) | `Offer`, `Resend`, `Heartbeat`, `Evict` | equal move profile and offered count | both channel ends, holdings, re-owned units, wire — in unit coordinates | `lead`: an in-flight ack goes first, alone |
-//! | [`ElectionModel`] | [`Ballot`] | [`EWire`] | recipient (`to`) | `Stand`, `Win` | equal replica freshness | local state and wire involvement, plus relations to the ranked anchors | `representative`: the pass iterated to a fixpoint |
+//! | [`ElectionModel`] | [`Ballot`] | [`EWire`] | recipient (`to`) | `Stand`, `Win` | all deputies | local state and wire involvement, plus relations to the ranked anchors | `representative`: the pass iterated to a fixpoint |
 //! | [`JoinModel`] | `Life` | [`JWire`] | slot | `Suspect`, `Heartbeat`, `RejoinNudge`, `AdmitNudge` | all slots | master view, slave view, wire | — |
 //!
 //! Restore, transfer and join states hold no cross-peer references, so the

@@ -97,7 +97,7 @@ fn broken_transfer_variant_double_applies_on_duplicate_delivery() {
 fn election_single_candidate_wins_cleanly() {
     let m = ElectionModel::standard();
     let mut s = m.initial();
-    s = m.apply(&s, &Step::Local(E::Stand(0))); // freshest deputy stands first
+    s = m.apply(&s, &Step::Local(E::Stand(0)));
     while let Some(i) = s
         .net
         .wire
@@ -178,43 +178,15 @@ fn broken_election_variant_promotes_two_masters_in_one_term() {
     assert!(v.contains("split brain"), "{v}");
 }
 
+/// The fragments name invocation 2, one of whose two fragments died with
+/// the master. A takeover falls back to invocation 1, which the survivors
+/// hold whole; trusting the newest invocation named restarts at 2 a unit
+/// short.
 #[test]
-fn fresh_blind_variant_elects_a_stale_winner() {
-    let m = ElectionModel::broken_fresh_blind();
-    let mut s = m.initial();
-    // The stalest deputy stands; without the freshness guard the
-    // freshest deputy still votes for it.
-    s = m.apply(&s, &Step::Local(E::Stand(2)));
-    while let Some(i) = s
-        .net
-        .wire
-        .iter()
-        .position(|w| matches!(w, EWire::Candidacy { .. }))
-    {
-        s = m.apply(&s, &Step::Deliver(i));
-    }
-    while let Some(i) = s
-        .net
-        .wire
-        .iter()
-        .position(|w| matches!(w, EWire::Vote { .. }))
-    {
-        s = m.apply(&s, &Step::Deliver(i));
-    }
-    s = m.apply(&s, &Step::Local(E::Win(2)));
-    let v = m.violation(&s).expect("stale winner must be detected");
-    assert!(v.contains("stale replica"), "{v}");
-}
-
-/// The freshest deputy's replica names invocation 2, one of whose two
-/// fragments died with the master. Its takeover falls back to invocation 1,
-/// which the survivors hold whole; trusting the replica restarts at 2 a
-/// unit short.
-#[test]
-fn a_winner_falls_back_where_its_replica_names_a_torn_snapshot() {
+fn a_winner_falls_back_where_the_newest_invocation_named_is_torn() {
     for (m, torn) in [
         (ElectionModel::standard(), None),
-        (ElectionModel::broken_trusts_fresh(), Some((1, 0, 2))),
+        (ElectionModel::broken_trusts_newest(), Some((1, 0, 2))),
     ] {
         let mut s = m.initial();
         s = m.apply(&s, &Step::Local(E::Stand(0)));

@@ -1,13 +1,14 @@
-//! Deputy-side master failover: replica absorption, master-silence watch,
-//! and the epoch-fenced election state machine.
+//! Deputy-side master failover: the master-silence watch and the
+//! epoch-fenced election state machine.
 //!
-//! The lowest-ranked `DEPUTIES` slaves each hold a [`DeputyState`]: a copy
-//! of the master's control-plane replica ([`crate::msg::ReplicaMsg`]), a
-//! one-row `Membership` table watching the *master's* liveness with the
-//! same two-clock rules slaves are watched by, and a [`Ballot`] — the
+//! The lowest-ranked `DEPUTIES` slaves each hold a [`DeputyState`]: the
+//! last instant the *master* showed a sign of life, and a [`Ballot`] — the
 //! election rules (terms, one vote per term, quorum counting). The model
 //! checker's [`ElectionModel`](crate::session::model::ElectionModel) steps
-//! the same `Ballot`, so the rules below exist once.
+//! the same `Ballot`, so the rules below exist once. A deputy holds no copy
+//! of the master's state: the winner takes over from what it knows as a
+//! slave ([`TakeoverSeed`]) and from what every survivor answers its
+//! `Promoted` with ([`FailoverMsg::Held`]).
 //!
 //! The state machine is pure: every input returns the messages to send as
 //! `(slave_index, FailoverMsg)` pairs and never touches an actor context,
@@ -15,8 +16,8 @@
 //!
 //! ## Election rules
 //!
-//! * A deputy **stands** when the master has shown no sign of life (neither
-//!   protocol traffic nor [`FailoverMsg::MasterPing`]) for
+//! * A deputy **stands** when the master has shown no sign of life (no
+//!   [`FailoverMsg::MasterPing`], no promotion) for
 //!   `MASTER_SUSPICION + rank × ELECTION_STAGGER` (8 s + rank × 2 s). The
 //!   stagger makes the lowest live rank stand first, so the common case is
 //!   a one-candidate election.
@@ -24,10 +25,9 @@
 //!   broadcasts [`FailoverMsg::Candidacy`] to the other deputies.
 //! * A deputy **grants** a vote iff the candidacy's term is newer than any
 //!   term it already voted in (one vote per term — this is what makes two
-//!   winners in one term impossible) *and* the candidate's replica is at
-//!   least as fresh as its own (the newest-replica rule; ties go to the
-//!   first candidacy to arrive, which the stagger biases toward the lowest
-//!   rank).
+//!   winners in one term impossible). The first candidacy of a term to
+//!   arrive takes the vote, which the stagger biases toward the lowest
+//!   rank. Any deputy can win: none holds state another lacks.
 //! * A candidate **wins** on a majority of the full deputy set (dead
 //!   deputies count against the quorum, never for it). With one deputy the
 //!   self-vote is the majority and the stand wins instantly.
@@ -45,21 +45,19 @@
 //! that: the higher term supersedes the lower
 //! ([`crate::error::ProtocolError::Superseded`]).
 
-use crate::msg::{FailoverMsg, ReplicaMsg, SharedUnits};
-use crate::recovery::RecoveryStats;
-use crate::session::membership::Membership;
+use crate::msg::{FailoverMsg, SharedUnits};
 use dlb_sim::{SimDuration, SimTime};
 use std::collections::BTreeSet;
 
 /// Size of the deputy set: the lowest-ranked slaves (clamped to the slave
-/// count) that hold a control-plane replica and may stand for election. An
-/// election needs a majority of the set, so 3 tolerates one dead deputy.
+/// count) that watch the master and may stand for election. An election
+/// needs a majority of the set, so 3 tolerates one dead deputy.
 pub(crate) const DEPUTIES: usize = 3;
 /// Master silence (neither protocol traffic nor pings) after which the
 /// rank-0 deputy stands for election.
 pub(crate) const MASTER_SUSPICION: SimDuration = SimDuration::from_secs(8);
 /// Extra silence per deputy rank before standing, so the lowest live rank
-/// with a fresh replica wins without a vote split. The election timer is
+/// wins without a vote split. The election timer is
 /// checked from `slave_heartbeat` slices, so a heartbeat coarser than the
 /// stagger cannot separate two deputies: their timer wakes would stand them
 /// in the same slice, cross candidacies, and each refuse the other (both
@@ -69,17 +67,27 @@ pub(crate) const MASTER_SUSPICION: SimDuration = SimDuration::from_secs(8);
 /// cells run at (16 s / 8 = 2 s) and separates the ranks by one slice.
 pub(crate) const ELECTION_STAGGER: SimDuration = SimDuration::from_secs(2);
 
-/// Everything the election winner needs to take over as master: carried out
-/// of the engine unwind by `SlaveCommon::takeover`.
+/// Everything the election winner knows as a slave and takes over with:
+/// carried out of the engine unwind by `SlaveCommon::takeover`. The rest —
+/// every other survivor's life, invocation and fragments — the takeover
+/// collects from their [`FailoverMsg::Held`] answers.
 #[derive(Clone, Debug)]
 pub struct TakeoverSeed {
     /// The term this deputy won; fences the takeover epoch.
     pub term: u64,
-    /// The newest control-plane replica it holds.
-    pub replica: ReplicaMsg,
-    /// When it last heard the old master (either clock) — the start of the
-    /// failover blackout, for `takeover_latency`.
+    /// When it last heard the old master — the start of the failover
+    /// blackout, for `takeover_latency`.
     pub last_heard: SimTime,
+    /// The winner's own membership view, `SlaveCommon::dead`: every
+    /// survivor list it adopted and every eviction it was told of.
+    pub dead: Vec<bool>,
+    /// The epoch the winner last adopted: 0 while the `Start`'s membership
+    /// is still in force, so no survivor list has told it which slots
+    /// reserved for latecomers were admitted.
+    pub epoch: u64,
+    /// The newest invocation the winner was released into or rolled back
+    /// to: the first invocation a re-scatter takeover may resume at.
+    pub invocation: u64,
     /// The snapshot states the winner itself held as a slave, `(invocation,
     /// units)`: the first fragments its successor bank is offered.
     pub held: Vec<(u64, SharedUnits)>,
@@ -87,9 +95,9 @@ pub struct TakeoverSeed {
 
 /// One deputy's election state and the rules that move it: stand, grant a
 /// vote, count one, win on a majority, stand down for a promotion. Pure —
-/// no clock, no replica: callers pass their rank, the deputy-set size and
-/// the freshness the grant rule compares. [`DeputyState`] wraps one for
-/// the runtime; the election model holds one per deputy.
+/// no clock: callers pass their rank and the deputy-set size.
+/// [`DeputyState`] wraps one for the runtime; the election model holds one
+/// per deputy.
 ///
 /// The field order is the model's state order, and `standing: None` orders
 /// below every term.
@@ -127,12 +135,11 @@ impl Ballot {
         term
     }
 
-    /// The grant rule: vote for a candidacy in `term` whose replica is
-    /// `fresh` iff the term is newer than any voted in and `fresh` is at
-    /// least `own`, the voter's freshness. A grant spends the term.
-    pub fn vote(&mut self, term: u64, fresh: u64, own: u64) -> bool {
+    /// The grant rule: vote for a candidacy in `term` iff the term is newer
+    /// than any voted in. A grant spends the term.
+    pub fn vote(&mut self, term: u64) -> bool {
         self.see(term);
-        let grant = term > self.voted_in && fresh >= own;
+        let grant = term > self.voted_in;
         if grant {
             self.voted_in = term;
         }
@@ -172,8 +179,8 @@ impl Ballot {
     }
 }
 
-/// The deputy role riding alongside a slave: replica storage, master watch,
-/// and election state.
+/// The deputy role riding alongside a slave: master watch and election
+/// state.
 #[derive(Clone, Debug)]
 pub struct DeputyState {
     /// This deputy's rank == its slave index (deputies are slaves
@@ -181,13 +188,9 @@ pub struct DeputyState {
     pub idx: usize,
     /// Size of the full deputy set (quorum denominator).
     pub n_deputies: usize,
-    /// One-row liveness table watching the master (index 0 = the master),
-    /// under the same two-clock rules the master applies to slaves. Its
-    /// nudge timer is never read: a deputy does not nudge the master.
-    pub(crate) watch: Membership,
-    /// Newest control-plane replica received (term-gated). Its `fresh` is
-    /// this deputy's freshness, the scale the election compares.
-    pub replica: ReplicaMsg,
+    /// The last sign of life from the master: a ping, or the promotion of
+    /// a new one. The election trigger measures silence from here.
+    pub heard: SimTime,
     /// Terms, this deputy's vote, its candidacy.
     pub ballot: Ballot,
     /// Earliest instant a (re-)stand is allowed: rate-limits candidacies.
@@ -195,50 +198,21 @@ pub struct DeputyState {
 }
 
 impl DeputyState {
-    pub fn new(idx: usize, n_deputies: usize, n_slaves: usize, now: SimTime) -> DeputyState {
+    pub fn new(idx: usize, n_deputies: usize, now: SimTime) -> DeputyState {
         DeputyState {
             idx,
             n_deputies,
-            watch: Membership::new(1, now, SimDuration::ZERO),
-            replica: ReplicaMsg {
-                term: 0,
-                epoch: 0,
-                invocation: 0,
-                alive: vec![true; n_slaves],
-                fresh: 0,
-                best_banked: 0,
-                recovery: RecoveryStats::default(),
-                incarnations: vec![0; n_slaves],
-            },
+            heard: now,
             ballot: Ballot::default(),
             next_stand_ok: now + MASTER_SUSPICION,
         }
     }
 
-    /// Record protocol traffic from the master (replica, rollback, any
-    /// control message): defers the election trigger.
-    pub fn master_heard(&mut self, now: SimTime) {
-        self.watch.heard(0, now);
-    }
-
-    /// Record a bare [`FailoverMsg::MasterPing`]: defers the election
-    /// trigger on the ping clock only, mirroring how slave `Alive` pings
-    /// defer suspicion without counting as protocol progress.
+    /// A [`FailoverMsg::MasterPing`] of `term` arrived: defers the election
+    /// trigger.
     pub fn master_ping(&mut self, term: u64, now: SimTime) {
-        self.watch.ping(0, now);
+        self.heard = now;
         self.ballot.see(term);
-    }
-
-    /// Absorb a control-plane replica. Stale terms (an old master still
-    /// flushing) are ignored; within the current term the newest message
-    /// wins.
-    pub fn absorb(&mut self, r: ReplicaMsg, now: SimTime) {
-        if r.term < self.replica.term {
-            return;
-        }
-        self.ballot.see(r.term);
-        self.master_heard(now);
-        self.replica = r;
     }
 
     /// Timer check: stand for election when the master has been silent past
@@ -247,7 +221,7 @@ impl DeputyState {
     /// the self-vote wins immediately.
     pub fn tick(&mut self, now: SimTime) -> Vec<(usize, FailoverMsg)> {
         let threshold = MASTER_SUSPICION + ELECTION_STAGGER * (self.idx as u64);
-        if self.watch.silent_for(0, now) < threshold || now < self.next_stand_ok {
+        if now.saturating_since(self.heard) < threshold || now < self.next_stand_ok {
             return Vec::new();
         }
         let term = self.ballot.stand(self.idx);
@@ -256,32 +230,18 @@ impl DeputyState {
         // the voter spent its term on itself), the retries separate by rank
         // again instead of staying phase-locked in dueling candidacies.
         self.next_stand_ok = now + threshold;
-        let fresh = self.replica.fresh;
+        let candidate = self.idx;
         (0..self.n_deputies)
-            .filter(|&d| d != self.idx)
-            .map(|d| {
-                (
-                    d,
-                    FailoverMsg::Candidacy {
-                        term,
-                        candidate: self.idx,
-                        fresh,
-                    },
-                )
-            })
+            .filter(|&d| d != candidate)
+            .map(|d| (d, FailoverMsg::Candidacy { term, candidate }))
             .collect()
     }
 
     /// A peer deputy stood. Grant a vote iff the term is newer than any we
-    /// voted in and the candidate's replica is at least as fresh as ours.
-    pub fn on_candidacy(
-        &mut self,
-        term: u64,
-        candidate: usize,
-        fresh: u64,
-    ) -> Vec<(usize, FailoverMsg)> {
+    /// voted in.
+    pub fn on_candidacy(&mut self, term: u64, candidate: usize) -> Vec<(usize, FailoverMsg)> {
         self.ballot.see(term);
-        if candidate == self.idx || !self.ballot.vote(term, fresh, self.replica.fresh) {
+        if candidate == self.idx || !self.ballot.vote(term) {
             return Vec::new();
         }
         vec![(
@@ -309,22 +269,10 @@ impl DeputyState {
     }
 
     /// A master was promoted in `term`. Stand down any candidacy it
-    /// outranks and start watching the new master's clocks from now.
+    /// outranks and start watching the new master from now.
     pub fn on_promoted(&mut self, term: u64, now: SimTime) {
         self.ballot.stand_down(term);
-        self.replica.term = self.replica.term.max(term);
-        self.watch.heard(0, now);
-    }
-
-    /// Package the takeover seed after winning `term`, with the snapshot
-    /// states this deputy `held` as a slave.
-    pub fn seed(&self, term: u64, held: Vec<(u64, SharedUnits)>) -> TakeoverSeed {
-        TakeoverSeed {
-            term,
-            replica: self.replica.clone(),
-            last_heard: self.watch.last_heard[0].max(self.watch.last_ping[0]),
-            held,
-        }
+        self.heard = now;
     }
 }
 
@@ -332,27 +280,13 @@ impl DeputyState {
 mod tests {
     use super::*;
     use dlb_sim::SimDuration;
-    use std::sync::Arc;
 
     fn t(ms: u64) -> SimTime {
         SimTime::ZERO + SimDuration::from_millis(ms)
     }
 
     fn deputy(idx: usize, n: usize) -> DeputyState {
-        DeputyState::new(idx, n, 16, t(0))
-    }
-
-    fn replica(term: u64, invocation: u64, fresh: u64) -> ReplicaMsg {
-        ReplicaMsg {
-            term,
-            epoch: 0,
-            invocation,
-            alive: vec![true; 16],
-            fresh,
-            best_banked: fresh,
-            recovery: RecoveryStats::default(),
-            incarnations: vec![0; 16],
-        }
+        DeputyState::new(idx, n, t(0))
     }
 
     #[test]
@@ -388,13 +322,10 @@ mod tests {
     }
 
     #[test]
-    fn one_vote_per_term_and_staleness_guard() {
+    fn one_vote_per_term() {
         let mut d = deputy(2, 3);
-        d.absorb(replica(0, 5, 5), t(100));
-        // A candidate with a staler replica is refused…
-        assert!(d.on_candidacy(1, 0, 4).is_empty());
-        // …a tie is granted (lowest rank stands first, so ties go to it)…
-        let v = d.on_candidacy(1, 0, 5);
+        // The first candidacy of a term is granted…
+        let v = d.on_candidacy(1, 0);
         assert!(matches!(
             v[0],
             (
@@ -406,9 +337,9 @@ mod tests {
                 }
             )
         ));
-        // …and the term is now spent, even for a fresher rival.
-        assert!(d.on_candidacy(1, 1, 9).is_empty());
-        assert!(!d.on_candidacy(2, 1, 9).is_empty(), "new term, new vote");
+        // …and the term is now spent, for any rival.
+        assert!(d.on_candidacy(1, 1).is_empty());
+        assert!(!d.on_candidacy(2, 1).is_empty(), "new term, new vote");
     }
 
     #[test]
@@ -416,11 +347,8 @@ mod tests {
         let mut d = deputy(0, 3);
         let msgs = d.tick(t(8_000));
         assert_eq!(msgs.len(), 2);
-        assert!(
-            d.on_candidacy(1, 1, u64::MAX).is_empty(),
-            "already voted for self"
-        );
-        assert!(!d.on_candidacy(2, 1, u64::MAX).is_empty());
+        assert!(d.on_candidacy(1, 1).is_empty(), "already voted for self");
+        assert!(!d.on_candidacy(2, 1).is_empty());
     }
 
     #[test]
@@ -454,15 +382,15 @@ mod tests {
         // each refuses the other (its own vote for the term is spent).
         assert!(!d1.tick(t(12_000)).is_empty());
         assert!(!d2.tick(t(12_000)).is_empty());
-        assert!(d1.on_candidacy(1, 2, 0).is_empty(), "vote spent on self");
-        assert!(d2.on_candidacy(1, 1, 0).is_empty(), "vote spent on self");
+        assert!(d1.on_candidacy(1, 2).is_empty(), "vote spent on self");
+        assert!(d2.on_candidacy(1, 1).is_empty(), "vote spent on self");
         // The retry backoff re-applies the stagger: rank 1 re-stands a full
         // stagger before rank 2 is allowed to, so its fresh-term candidacy
         // lands while rank 2 is still rate-limited — and collects the vote.
         let retry = t(12_000) + MASTER_SUSPICION + ELECTION_STAGGER;
         assert!(!d1.tick(retry).is_empty(), "rank 1 re-stands first");
         assert!(d2.tick(retry).is_empty(), "rank 2 still rate-limited");
-        let v = d2.on_candidacy(2, 1, 0);
+        let v = d2.on_candidacy(2, 1);
         assert!(matches!(
             v[0],
             (
@@ -487,23 +415,6 @@ mod tests {
         assert!(matches!(again[0].1, FailoverMsg::Candidacy { term: 2, .. }));
     }
 
-    /// A deputy's freshness is its replica's `fresh`, whatever the policy:
-    /// the newest replica of the newest term sets it, a stale term none.
-    #[test]
-    fn absorb_is_term_gated_and_freshness_is_the_replicas() {
-        let mut d = deputy(1, 3);
-        d.absorb(replica(1, 4, 3), t(100));
-        assert_eq!(d.replica.fresh, 3);
-        d.absorb(replica(1, 6, 5), t(200));
-        assert_eq!((d.replica.invocation, d.replica.fresh), (6, 5));
-        // A stale-term replica is dropped wholesale.
-        d.absorb(replica(0, 9, 9), t(300));
-        assert_eq!((d.replica.invocation, d.replica.fresh), (6, 5));
-        // A candidate as fresh as that is granted, a staler one refused.
-        assert!(d.on_candidacy(2, 0, 4).is_empty());
-        assert!(!d.on_candidacy(3, 0, 5).is_empty());
-    }
-
     #[test]
     fn promotion_stands_down_outranked_candidacies_only() {
         let mut d = deputy(0, 3);
@@ -518,19 +429,5 @@ mod tests {
         d.on_promoted(3, t(8_001));
         d.on_vote(5, 1, 0);
         assert_eq!(d.won(), Some(5));
-    }
-
-    #[test]
-    fn seed_carries_the_replica_the_blackout_start_and_the_held_states() {
-        let mut d = deputy(0, 3);
-        d.absorb(replica(0, 4, 4), t(1_000));
-        d.master_ping(0, t(2_000));
-        let held = vec![(4, vec![(0, Arc::new(vec![vec![1.0]]))])];
-        let seed = d.seed(3, held.clone());
-        assert_eq!(seed.term, 3);
-        assert_eq!(seed.replica.invocation, 4);
-        assert_eq!(seed.last_heard, t(2_000), "later of the two clocks");
-        // The held states travel uncopied.
-        assert!(Arc::ptr_eq(&held[0].1[0].1, &seed.held[0].1[0].1));
     }
 }

@@ -30,7 +30,7 @@
 //! | b | a wedged slave (`recoverable`) | never recoverable: the error is shipped and fatal to the run | timeouts, missing pivots, torn state: reported, then rescued by rollback (`rescue_wait`) |
 //! | c | first-release wait (`consumes_before_release`) | drains the mailbox in arrival order: a `Transfer` is acknowledged and adopted, the windowed master channel applied, a duplicate `Start` dropped, evictions settled after each | only the release and instructions leave the mailbox; everything else is keyed to a step and stays queued for it |
 //! | d | done report (`report`, and the `run_invocation` / `Refresh` contract) | carries the summed `local_metric`; re-owned units are reintegrated and `OwnReport`s sent first | metric 0 |
-//! | e | barrier checkpoint (`SNAPSHOTS`, `checkpoint_units`) | none, ever: recovery is by re-scatter; a `Promoted` is answered with nothing | shipped at every barrier, re-sent with every refreshed report; one snapshot per barrier state, rebuilt only after a `Refresh`. It and every installed `Rollback` are held (`SlaveCommon::hold`, the last two), and every `Promoted` of the adopted term is answered with them (`FailoverMsg::Held`) |
+//! | e | barrier checkpoint (`SNAPSHOTS`, `checkpoint_units`) | none, ever: recovery is by re-scatter; a `Promoted` is answered with no fragments | shipped at every barrier, re-sent with every refreshed report; one snapshot per barrier state, rebuilt only after a `Refresh`. It and every installed `Rollback` are held (`SlaveCommon::hold`, the last two), and every `Promoted` of the adopted term is answered with them (`FailoverMsg::Held`, which also states the slave's life and invocation under both) |
 //! | f | what refreshes the done report (`on_barrier_msg` → `Refresh`) | also every `TransferAck`, every `Evicted` (after re-owning, which may bring work), every `Restore` / `SpecCommit` / `SpecCancel`, and a stale `InvocationStart` in fault mode | `Transfer` and executed movement orders only; acks and evictions go through `SlaveCommon::control`, a stale release is dropped silently, the master-channel three are protocol violations |
 //! | g | `speculate` | the suspect's units, computed through the tagged invocation into a side buffer, heartbeating; nothing shipped | the banked snapshot advanced one invocation, shipped as a checkpoint |
 //! | h | `Gather` (`may_end_after`) | ends the run at any barrier — the master's WHILE test decides (§4.1) | only at the last barrier; anywhere else it is a stray from a superseded master and a protocol violation |
@@ -134,7 +134,7 @@ async fn slave_life<S: DistributionStrategy>(
         match life {
             Err(ProtocolError::Elected { .. }) => {
                 // This deputy won the master election: drop the slave role
-                // and rebuild the master in place from the replicated seed.
+                // and rebuild the master in place from what it knew.
                 let missing = |what| ProtocolError::Inconsistent {
                     detail: format!("slave {}: elected with no takeover {what}", spec.idx),
                 };
@@ -201,8 +201,8 @@ pub async fn run<S: DistributionStrategy>(
                     slave: common.idx,
                     error: e,
                 };
-                common.send_master(ctx, msg).await;
-                rescue_wait(ctx, common).await?;
+                common.send_master(ctx, msg.clone()).await;
+                rescue_wait(ctx, common, &msg).await?;
             }
             Err(e) => return Err(e),
         }
@@ -215,20 +215,32 @@ pub async fn run<S: DistributionStrategy>(
     }
 }
 
-/// After shipping a `SlaveError`, wait for the master's rollback (stashed
-/// in `pending_rollback`), an abort, or an eviction: the [`Blocked::Wedged`]
-/// wait. Only what [`Msg::can_go_stale`] is received (and, if the ladder
-/// does not consume it, dropped as traffic of the torn epoch): a peer
-/// rescued before us may already be replaying, and its pivot broadcast
-/// stays queued for our own replay.
-async fn rescue_wait(ctx: &MailCtx<Msg>, common: &mut SlaveCommon) -> Result<(), ProtocolError> {
+/// After shipping `report`, a `SlaveError`, wait for the master's rollback
+/// (stashed in `pending_rollback`), an abort, or an eviction: the
+/// [`Blocked::Wedged`] wait. Only what [`Msg::can_go_stale`] is received
+/// (and, if the ladder does not consume it, dropped as traffic of the torn
+/// epoch): a peer rescued before us may already be replaying, and its pivot
+/// broadcast stays queued for our own replay. A `Gather` is evidence that
+/// the report was lost — a master that heard it rolls back instead of
+/// gathering — so it is answered with the report again; without that, the
+/// master waits on our units while we wait on its rollback.
+async fn rescue_wait(
+    ctx: &MailCtx<Msg>,
+    common: &mut SlaveCommon,
+    report: &Msg,
+) -> Result<(), ProtocolError> {
     let mut wait = Wait::new(Blocked::Wedged, "rescue rollback", ctx.now());
     loop {
         if let Some(env) = common.wait(ctx, &mut wait, |_| false).await? {
             match common.service(ctx, &env.msg).await {
                 Err(ProtocolError::RolledBack) => return Ok(()),
-                serviced => serviced?,
-            };
+                Ok(false) if matches!(env.msg, Msg::Gather) => {
+                    common.send_master(ctx, report.clone()).await;
+                }
+                serviced => {
+                    serviced?;
+                }
+            }
         }
     }
 }
@@ -253,6 +265,7 @@ fn apply_rollback<S: DistributionStrategy>(
     common.reclaimed.clear();
     common.own_report_due.clear();
     common.rebase_epoch(rb.epoch);
+    common.invocation = rb.invocation;
     common.hold(rb.invocation, &rb.units);
     strategy.restore(common, rb)
 }
@@ -289,6 +302,7 @@ async fn run_invocations<S: DistributionStrategy>(
     }
 
     for inv in start..total {
+        common.invocation = inv;
         strategy.run_invocation(ctx, common, inv).await?;
         if barrier(ctx, common, strategy, inv, inv + 1 == total).await? == Released::Gather {
             break;
@@ -796,6 +810,18 @@ mod tests {
         assert_eq!(kinds(&heard), ["error", "pivot", "done", "data"]);
     }
 
+    /// A wedged slave whose report was lost is asked for its result: it
+    /// answers the `Gather` with the report again, not with silence, and is
+    /// rescued by the rollback that answer brings.
+    #[test]
+    fn a_gather_reaching_a_wedged_slave_is_answered_with_its_report() {
+        let rescue = [(10, Msg::Gather), (20, rollback(0, vec![0]))];
+        let gather = [(30, Msg::Gather), (40, Msg::GatherAck)];
+        let script = [(0, release(0))].into_iter().chain(rescue).chain(gather);
+        let heard = against_stub(armed(), WEDGED, script.collect(), MINUTE);
+        assert_eq!(kinds(&heard), ["error", "error", "done", "data"]);
+    }
+
     #[test]
     fn gather_at_a_non_final_barrier_asks_the_strategy() {
         let script = || vec![(0, release(0)), (10, Msg::Gather)];
@@ -806,7 +832,9 @@ mod tests {
     }
 
     /// A fatal error goes to the master this slave last adopted: after a
-    /// failover that is the winner, not the reign it replaced.
+    /// failover that is the winner, not the reign it replaced. A pattern
+    /// without snapshots answers the `Promoted` too, with its life and
+    /// invocation and no fragment.
     #[test]
     fn a_fatal_error_after_a_failover_goes_to_the_new_master() {
         let promoted = Msg::Failover(FailoverMsg::Promoted {
@@ -816,14 +844,24 @@ mod tests {
         let script = vec![(0, release(0)), (5, promoted), (10, Msg::Gather)];
         let (old, new) = against_stubs(Shell { n: 2, ..armed() }, FINAL, script, MINUTE);
         assert_eq!(kinds(&old), ["done"]);
-        assert_eq!(kinds(&msgs(new)), ["unexpected"]);
+        let new = msgs(new);
+        let [Msg::Failover(answer), error] = &new[..] else {
+            panic!("{new:?}");
+        };
+        let empty = FailoverMsg::Held {
+            slave: 0,
+            incarnation: 0,
+            invocation: 0,
+            fragments: Vec::new(),
+        };
+        assert_eq!(answer, &empty);
+        assert_eq!(kinds(std::slice::from_ref(error)), ["unexpected"]);
     }
 
     /// A snapshotting slave answers every `Promoted` of the term it adopted
     /// — the first and its repeat, not a stale one — with the snapshot
     /// states it holds: here the barrier checkpoint of invocation 0, the
-    /// very storage it shipped. (A pattern without snapshots answers
-    /// nothing: the test above.)
+    /// very storage it shipped.
     #[test]
     fn every_promotion_of_the_adopted_term_is_answered_with_the_held_states() {
         let promoted = |term| {
@@ -845,6 +883,7 @@ mod tests {
             Msg::Failover(FailoverMsg::Held {
                 slave: 0,
                 fragments,
+                ..
             }) => Some(fragments.clone()),
             _ => None,
         };

@@ -240,6 +240,9 @@ pub struct SlaveCommon {
     pub dead: Vec<bool>,
     /// Rollback epoch this slave operates in.
     pub epoch: u64,
+    /// The newest invocation this slave was released into or rolled back
+    /// to: what it tells a new master it has reached.
+    pub invocation: u64,
     /// Receiver tracker for the windowed master → slave channel
     /// (`Restore` / `Rollback` / `Speculate` / commit / cancel); its
     /// watermark is reported as `InvocationDone::restore_seq`.
@@ -263,16 +266,17 @@ pub struct SlaveCommon {
     interaction_cost_sample: Option<SimDuration>,
     last_instr_seq: u64,
     /// The deputy role, when this slave is one of the lowest-ranked
-    /// `DEPUTIES` slaves in fault mode: control-plane replica, master
-    /// watch, election state. See [`SlaveCommon::enable_deputy`].
+    /// `DEPUTIES` slaves in fault mode: master watch and election state.
+    /// See [`SlaveCommon::enable_deputy`].
     pub deputy: Option<DeputyState>,
     /// The takeover seed, stashed when this deputy wins an election —
     /// paired with [`ProtocolError::Elected`] the way `pending_rollback`
     /// pairs with [`ProtocolError::RolledBack`].
     pub takeover: Option<TakeoverSeed>,
     /// The last two snapshot states this slave held, `(invocation, units)`
-    /// ([`SlaveCommon::hold`]): what it answers a new master's `Promoted`
-    /// with. `None` for a pattern without snapshots, which answers nothing.
+    /// ([`SlaveCommon::hold`]): the fragments it answers a new master's
+    /// `Promoted` with. `None` for a pattern without snapshots, which
+    /// answers with none.
     pub(crate) held: Option<Vec<(u64, SharedUnits)>>,
     /// Highest promotion term already applied (dedups `Promoted`
     /// re-broadcasts and fences out stale lower-term promotions). It
@@ -304,6 +308,7 @@ impl SlaveCommon {
             channels: vec![TransferWindow::new(); n],
             dead: vec![false; n],
             epoch: 0,
+            invocation: 0,
             master_chan: AckTracker::default(),
             pending_rollback: None,
             reclaimed: Vec::new(),
@@ -325,9 +330,22 @@ impl SlaveCommon {
     pub fn enable_deputy(&mut self, now: SimTime) {
         let nd = DEPUTIES.min(self.slaves.len());
         if self.ft.is_some() && self.idx < nd {
-            let n = self.slaves.len();
-            self.deputy = Some(DeputyState::new(self.idx, nd, n, now));
+            self.deputy = Some(DeputyState::new(self.idx, nd, now));
         }
+    }
+
+    /// This deputy won `term`: what it takes over with is what it knows as
+    /// a slave. Stashed in [`SlaveCommon::takeover`] for the runner.
+    fn won(&mut self, term: u64, last_heard: SimTime) -> ProtocolError {
+        self.takeover = Some(TakeoverSeed {
+            term,
+            last_heard,
+            dead: self.dead.clone(),
+            epoch: self.epoch,
+            invocation: self.invocation,
+            held: self.held.clone().unwrap_or_default(),
+        });
+        ProtocolError::Elected { term }
     }
 
     /// Hold the snapshot state `units` at `invocation` — a barrier
@@ -589,8 +607,8 @@ impl SlaveCommon {
         }
     }
 
-    /// Handle a master-failover message (replication, election, promotion,
-    /// which a snapshotting slave answers with what it [held](Self::hold)).
+    /// Handle a master-failover message (the master's pings, the election,
+    /// a promotion, which every slave answers with what it knows).
     /// `Err(Elected)` when a vote completed this deputy's quorum (the
     /// takeover seed is stashed in [`SlaveCommon::takeover`]). Every
     /// receive point services these the way it services
@@ -603,25 +621,16 @@ impl SlaveCommon {
         msg: &FailoverMsg,
     ) -> Result<(), ProtocolError> {
         match msg {
-            FailoverMsg::Replica(r) => {
-                if let Some(d) = self.deputy.as_mut() {
-                    d.absorb((**r).clone(), ctx.now());
-                }
-            }
             FailoverMsg::MasterPing { term } => {
                 if let Some(d) = self.deputy.as_mut() {
                     d.master_ping(*term, ctx.now());
                 }
             }
-            FailoverMsg::Candidacy {
-                term,
-                candidate,
-                fresh,
-            } => {
+            FailoverMsg::Candidacy { term, candidate } => {
                 let replies = self
                     .deputy
                     .as_mut()
-                    .map(|d| d.on_candidacy(*term, *candidate, *fresh))
+                    .map(|d| d.on_candidacy(*term, *candidate))
                     .unwrap_or_default();
                 ctx.note(|| {
                     let verdict = if replies.is_empty() {
@@ -629,7 +638,7 @@ impl SlaveCommon {
                     } else {
                         "granted"
                     };
-                    format!("candidacy term {term} from {candidate} fresh {fresh} -> {verdict}")
+                    format!("candidacy term {term} from {candidate} -> {verdict}")
                 });
                 for (to, m) in replies {
                     self.send_slave(ctx, to, Msg::Failover(m)).await;
@@ -643,8 +652,8 @@ impl SlaveCommon {
                 if let Some(d) = self.deputy.as_mut() {
                     d.on_vote(*term, *voter, *candidate);
                     if let Some(t) = d.won() {
-                        self.takeover = Some(d.seed(t, self.held.clone().unwrap_or_default()));
-                        return Err(ProtocolError::Elected { term: t });
+                        let heard = d.heard;
+                        return Err(self.won(t, heard));
                     }
                 }
             }
@@ -652,13 +661,13 @@ impl SlaveCommon {
                 if !self.adopt_master(ctx.now(), *term, *master_idx) {
                     return Ok(());
                 }
-                if let Some(fragments) = self.held.clone() {
-                    let reply = FailoverMsg::Held {
-                        slave: self.idx,
-                        fragments,
-                    };
-                    self.send_master(ctx, Msg::Failover(reply)).await;
-                }
+                let reply = FailoverMsg::Held {
+                    slave: self.idx,
+                    incarnation: self.incarnation,
+                    invocation: self.invocation,
+                    fragments: self.held.clone().unwrap_or_default(),
+                };
+                self.send_master(ctx, Msg::Failover(reply)).await;
             }
             // Only a master is sent what a slave held.
             FailoverMsg::Held { .. } => {}
@@ -676,14 +685,11 @@ impl SlaveCommon {
         };
         let candidacies = d.tick(ctx.now());
         if !candidacies.is_empty() {
-            ctx.note(|| {
-                let (term, fresh) = (d.ballot.term_seen, d.replica.fresh);
-                format!("standing for term {term} (fresh {fresh})")
-            });
+            ctx.note(|| format!("standing for term {}", d.ballot.term_seen));
         }
         if let Some(t) = d.won() {
-            self.takeover = Some(d.seed(t, self.held.clone().unwrap_or_default()));
-            return Err(ProtocolError::Elected { term: t });
+            let heard = d.heard;
+            return Err(self.won(t, heard));
         }
         for (to, m) in candidacies {
             self.send_slave(ctx, to, Msg::Failover(m)).await;
@@ -721,7 +727,7 @@ impl SlaveCommon {
     /// re-scatters every unit from the checkpoint the survivors' held
     /// fragments complete, so nothing the winner held in flight survives
     /// anyway. Returns whether `term` is the adopted one — newly, or again:
-    /// either way the new master is owed this slave's held fragments.
+    /// either way the new master is owed this slave's `Held` answer.
     fn adopt_master(&mut self, now: SimTime, term: u64, master_idx: usize) -> bool {
         if term <= self.promoted_term {
             return term == self.promoted_term;

@@ -205,7 +205,7 @@ mod tests {
                     src: 1,
                     dst: 2,
                     bytes: 56,
-                    tag: Some("candidacy term=1 cand=0 fresh=3".into()),
+                    tag: Some("candidacy term=1 cand=0".into()),
                 },
             },
             TraceEvent {
@@ -225,7 +225,7 @@ mod tests {
                 time: SimTime(99),
                 kind: TraceKind::Note {
                     actor: 4,
-                    text: "slave 3 won term 2 (replica inv 5)".into(),
+                    text: "slave 3 won term 2 (at inv 5)".into(),
                 },
             },
         ];

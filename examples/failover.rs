@@ -4,18 +4,18 @@
 //! cargo run --release --example failover
 //! ```
 //!
-//! In fault mode the master replicates its control-plane state — term,
-//! epoch, membership, invocation watermark, the invocation of its newest
-//! banked snapshot — to the three lowest-ranked slaves, its deputies, at
-//! every barrier. When the master falls silent for 8 s (a constant of the
-//! election, not a setting), the deputies hold a quorum election (one vote
-//! per term, freshest replica wins, candidacies staggered by rank); the
-//! winner announces its reign, fences it behind a `term << 32` epoch floor,
-//! collects the checkpoint fragments the survivors hold (checkpointed
-//! engines), rolls the survivors back to the newest snapshot they complete,
-//! and finishes the run — bit-identical to the sequential reference.
+//! In fault mode the master ships none of its state anywhere: it only
+//! pings the three lowest-ranked slaves, its deputies, once a second. When
+//! the master falls silent for 8 s (a constant of the election, not a
+//! setting), the deputies hold a quorum election (one vote per term,
+//! candidacies staggered by rank); the winner announces its reign, fences
+//! it behind a `term << 32` epoch floor, and learns the rest from what
+//! every survivor answers: its life, its invocation and the checkpoint
+//! fragments it holds (checkpointed engines). It rolls the survivors back
+//! to the newest snapshot they complete, and finishes the run —
+//! bit-identical to the sequential reference.
 //!
-//! Each run prints what replication cost while the run was healthy against
+//! Each run prints what the pings cost while the run was healthy against
 //! how much work the takeover rolled back when the master actually died.
 //! The blackout (takeover latency) is set by the suspicion window and the
 //! election.
@@ -39,10 +39,9 @@ fn main() {
         .expect("the run must survive the master crash");
     let r = &report.recovery;
     assert_eq!(r.elections_held, 1, "exactly one failover");
-    println!("replicas | repl bytes | blackout | rolled back | elapsed");
+    println!("ping bytes | blackout | rolled back | elapsed");
     println!(
-        "{:>8} | {:>10} | {} | {:>11} | {}",
-        r.replicas_published,
+        "{:>10} | {} | {:>11} | {}",
         r.replication_bytes,
         r.takeover_latency.expect("blackout measured"),
         r.units_rolled_back,
@@ -55,9 +54,9 @@ fn main() {
     );
     println!("failover bit-identical to sequential execution ✓");
 
-    // The independent engine holds no snapshot at all: its replica's
-    // freshness is the invocation watermark, and the takeover recomputes
-    // unit state from initial data with nothing to collect. Same blackout.
+    // The independent engine holds no snapshot at all: the survivors'
+    // answers name the invocation they reached, and the takeover recomputes
+    // unit state from initial data up to the newest. Same blackout.
     let mm = Arc::new(MatMul::new(16, 3, 7, &Calibration::new(0.05)));
     let plan = dlb::compiler::compile(&mm.program()).expect("compiles");
     println!("\n-- independent matmul, 8 slaves, master crashes at t=0.1s --");
@@ -67,10 +66,9 @@ fn main() {
         .expect("the run must survive the master crash");
     let r = &report.recovery;
     println!(
-        "elections {} | blackout {} | replicas {} ({} bytes) | rolled back {} | elapsed {}",
+        "elections {} | blackout {} | ping bytes {} | rolled back {} | elapsed {}",
         r.elections_held,
         r.takeover_latency.expect("blackout measured"),
-        r.replicas_published,
         r.replication_bytes,
         r.units_rolled_back,
         report.elapsed
@@ -80,5 +78,5 @@ fn main() {
         mm.sequential(),
         "watermark-only failover must be exact"
     );
-    println!("takeover from the invocation watermark bit-identical ✓");
+    println!("takeover from the newest invocation named bit-identical ✓");
 }

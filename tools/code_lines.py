@@ -14,7 +14,8 @@ a `Policy` variant or call `rollback_policy()`, plus branches on a
 lines of crates/core/src outside session/membership.rs that compare an
 incarnation with a relational operator - then the master's kernel touch
 points: counted lines of master.rs and session/master.rs that `.await` or
-name `MailCtx` - then the `ProtocolError` variants no caller outside tests
+name `MailCtx` - then the failover plane's message kinds: the variants of
+`FailoverMsg` - then the `ProtocolError` variants no caller outside tests
 and examples constructs - then the environment variables code outside tests
 and examples reads. Printed, never gated.
 
@@ -100,6 +101,12 @@ def kernel_touch_points(root):
     return sum(bool(KERNEL_TOUCH.search(line)) for f in MASTER for line in code(root / f))
 
 
+def enum_variants(path, name):
+    """The variants of the `pub enum name` declared in `path`."""
+    body = re.search(rf"^pub enum {name} \{{\n(.*?)^\}}", path.read_text(), re.M | re.S)
+    return re.findall(r"^    (\w+)", body.group(1), re.M)
+
+
 def pub_fields(path, name):
     """`pub` fields of the struct `name` declared in `path`."""
     body = re.search(rf"^pub struct {name} \{{\n(.*?)^\}}", path.read_text(), re.M | re.S)
@@ -157,9 +164,7 @@ def unconstructed_errors(root):
     """The `ProtocolError` variants no caller builds: every mention of one
     in the code `callers` yields is a pattern (inside `matches!`, or
     followed by `=>`, `|` or a `let`'s `=`)."""
-    path = root / "crates/core/src/error.rs"
-    body = re.search(r"^pub enum ProtocolError \{\n(.*?)^\}", path.read_text(), re.M | re.S)
-    variants = re.findall(r"^    (\w+)", body.group(1), re.M)
+    variants = enum_variants(root / "crates/core/src/error.rs", "ProtocolError")
     text = "\n".join(callers(root))
     while (m := re.search(r"\bmatches!", text)) is not None:
         text = text[: m.start()] + text[skip_block(text, m.end(), "()") :]
@@ -203,6 +208,8 @@ def main():
     print(f"{policy_decisions(root):7}  policy decisions outside impl Policy")
     print(f"{incarnation_comparisons(root):7}  incarnation comparisons outside session/membership.rs")
     print(f"{kernel_touch_points(root):7}  master kernel touch points (lines of {' + '.join(MASTER)} that .await or name MailCtx)")
+    failover = enum_variants(root / "crates/core/src/msg.rs", "FailoverMsg")
+    print(f"{len(failover):7}  failover message kinds (FailoverMsg variants): {', '.join(failover)}")
     print()
     unbuilt = unconstructed_errors(root)
     print(f"{len(unbuilt):7}  ProtocolError variants no caller outside tests and examples constructs: {', '.join(unbuilt)}")
