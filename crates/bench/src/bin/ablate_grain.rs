@@ -1,7 +1,10 @@
 //! §4.4 ablation: strip-mining grain size for pipelined SOR. Blocks much
 //! smaller than the OS quantum amplify synchronization under load; blocks
 //! too large waste pipeline parallelism. The runtime's automatic choice
-//! targets 1.5 quanta (150 ms).
+//! targets 1.5 quanta (150 ms), capped at `R / (P − 1)` rows so the
+//! pipeline fill is no longer than a sweep (285 rows here, above the
+//! quantum block, so the cap does not bind) and floored at the block whose
+//! boundary exchange costs 1 % of its compute.
 
 use dlb_apps::{Calibration, Sor};
 use dlb_bench::one_loaded;

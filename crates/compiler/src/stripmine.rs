@@ -7,6 +7,15 @@
 //! pipelined loop into blocks, moves the boundary communication outside the
 //! block, and the *runtime* picks the block size at startup so one block
 //! takes about 1.5 × the scheduling quantum (150 ms on the paper's system).
+//!
+//! [`grain_iterations`] is that quantum rule alone. The runtime also bounds
+//! its result by the pipeline depth: on `P` slaves a block of more than
+//! `R / (P − 1)` of the `R` rows makes the pipeline fill (`P − 1` blocks)
+//! longer than a sweep, so the block is capped there, but never below the
+//! block whose boundary exchange costs [`crate::DEFAULT_MAX_OVERHEAD`] of
+//! its compute (the §4.2 hook rule's 1 %). The paper's 8-node shapes keep
+//! the quantum block; a 64-slave SOR column shorter than 1.5 quanta, once
+//! a single block and a serial sweep, is split in two.
 
 use crate::ir::{Loop, LoopKind, Node, Program};
 use crate::Affine;

@@ -16,7 +16,8 @@ use crate::msg::{Msg, UnitData};
 use crate::recovery::RecoveryStats;
 use crate::session::replica::ELECTION_STAGGER;
 use crate::session::slave::{run_slave, SlaveSpec};
-use dlb_compiler::{grain_iterations, GrainPolicy, ParallelPlan, Pattern};
+use crate::slave_common::HOOK_CHECK_CPU;
+use dlb_compiler::{grain_iterations, GrainPolicy, ParallelPlan, Pattern, DEFAULT_MAX_OVERHEAD};
 use dlb_sim::{FaultPlan, NetConfig, NodeConfig, SimBuilder, SimDuration, SimReport, SimTime};
 use std::sync::{Arc, Mutex};
 
@@ -93,11 +94,24 @@ impl AppSpec {
 
     /// Grain selection (§4.4) as `(block_rows, units_scale,
     /// units_per_hook)`: the pipelined row-block size from the cost model,
-    /// the OS quantum and the equal startup blocks; how many reported work
-    /// deltas make one allocation unit; and the expected allocation units
-    /// of progress between two hook firings on a slave. The other two
-    /// patterns hook once per unit.
-    fn grain(&self, plan: &ParallelPlan, n_slaves: usize, quantum: SimDuration) -> (u64, f64, f64) {
+    /// the OS quantum, the pipeline depth and the equal startup blocks; how
+    /// many reported work deltas make one allocation unit; and the expected
+    /// allocation units of progress between two hook firings on a slave.
+    /// The other two patterns hook once per unit.
+    ///
+    /// The automatic block is `min(B_q, max(⌊R / (P − 1)⌋, B_o))` for `R`
+    /// interior rows on `P` slaves: the 1.5-quantum block `B_q`, capped at
+    /// the largest block whose pipeline fill (`P − 1` blocks) is no longer
+    /// than one sweep's body, but never below `B_o`, the block whose
+    /// boundary exchange costs [`DEFAULT_MAX_OVERHEAD`] (the §4.2 hook
+    /// rule's 1 %) of its compute. One slave has no fill and no cap.
+    fn grain(
+        &self,
+        plan: &ParallelPlan,
+        n_slaves: usize,
+        quantum: SimDuration,
+        net: &NetConfig,
+    ) -> (u64, f64, f64) {
         let AppSpec::Pipelined(k) = self else {
             return (1, 1.0, 1.0);
         };
@@ -107,7 +121,11 @@ impl AppSpec {
         let block = match plan.grain {
             GrainPolicy::FixedBlock { iterations } => iterations.clamp(1, rows),
             GrainPolicy::AutoBlock { quantum_factor } => {
-                grain_iterations(per_row, quantum, quantum_factor, rows)
+                let by_quantum = grain_iterations(per_row, quantum, quantum_factor, rows);
+                match n_slaves as u64 - 1 {
+                    0 => by_quantum,
+                    fill => by_quantum.min((rows / fill).max(overhead_floor(net, per_row))),
+                }
             }
             GrainPolicy::Unit => 1,
         };
@@ -117,6 +135,25 @@ impl AppSpec {
         let per_hook = (k.n_units() as f64 / n_slaves as f64) * block as f64 / rows as f64;
         (block, rows as f64, per_hook)
     }
+}
+
+/// `B_o` of [`AppSpec::grain`]: the block, to the nearest row, whose fixed
+/// per-block cost is [`DEFAULT_MAX_OVERHEAD`] of its compute. That cost is
+/// one bare boundary message (send CPU, latency, wire time, receive CPU)
+/// plus the hook check; the halo values' own bytes grow with the block as
+/// its compute does, so a larger block cannot amortise them.
+fn overhead_floor(net: &NetConfig, per_row: SimDuration) -> u64 {
+    let bare = Msg::Boundary {
+        sweep: 0,
+        block: 0,
+        col: 0,
+        values: Vec::new(),
+    }
+    .wire_bytes();
+    let cpu = net.send_cpu(bare) + net.recv_cpu_per_msg + HOOK_CHECK_CPU;
+    let per_block = cpu.dedicated_duration(1.0) + net.latency + net.transfer_time(bare);
+    let rows = per_block.as_secs_f64() / (DEFAULT_MAX_OVERHEAD * per_row.as_secs_f64());
+    (rows.round() as u64).max(1)
 }
 
 /// Cluster + policy configuration for one run.
@@ -314,7 +351,7 @@ pub fn try_run(
     // period (§4.3) is the slaves': the coarsest one any of them runs on.
     let quantum = cfg.slave_nodes.iter().map(|n| n.quantum).max();
     let quantum = quantum.expect("n_slaves > 0");
-    let (block_rows, units_scale, units_per_hook) = app.grain(plan, n_slaves, quantum);
+    let (block_rows, units_scale, units_per_hook) = app.grain(plan, n_slaves, quantum, &cfg.net);
 
     // Movement-time estimate per unit: wire + latency from the plan's size.
     let per_unit_move_est = {
@@ -501,4 +538,91 @@ pub fn block_ranges(n: usize, p: usize) -> Vec<(usize, usize)> {
     }
     debug_assert_eq!(lo, n);
     out
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use dlb_sim::CpuWork;
+
+    /// The shape of a SOR grid, all `grain` reads of it.
+    struct Grid {
+        cols: usize,
+        col_len: usize,
+        elem: CpuWork,
+    }
+
+    impl PipelinedKernel for Grid {
+        fn n_units(&self) -> usize {
+            self.cols
+        }
+        fn col_len(&self) -> usize {
+            self.col_len
+        }
+        fn sweeps(&self) -> u64 {
+            1
+        }
+        fn init_unit(&self, _: usize) -> Vec<f64> {
+            vec![0.0; self.col_len]
+        }
+        fn left_wall(&self) -> Vec<f64> {
+            vec![0.0; self.col_len]
+        }
+        fn right_wall(&self) -> Vec<f64> {
+            vec![0.0; self.col_len]
+        }
+        fn compute_block(&self, _: &mut [f64], _: &[f64], _: &[f64], _: std::ops::Range<usize>) {}
+        fn elem_cost(&self) -> CpuWork {
+            self.elem
+        }
+    }
+
+    /// `(block_rows, blocks per sweep)` for an `n × n` SOR grid whose
+    /// element costs `elem_us` on `slaves` slaves with the 100 ms quantum.
+    fn block(n: usize, elem_us: u64, slaves: usize, grain: GrainPolicy) -> (u64, u64) {
+        let app = AppSpec::Pipelined(Arc::new(Grid {
+            cols: n - 2,
+            col_len: n,
+            elem: CpuWork::from_micros(elem_us),
+        }));
+        let mut plan = dlb_compiler::compile(&dlb_compiler::programs::sor(n as i64, 1)).unwrap();
+        plan.grain = grain;
+        let quantum = SimDuration::from_millis(100);
+        let (rows, _, _) = app.grain(&plan, slaves, quantum, &NetConfig::default());
+        (rows, (n as u64 - 2).div_ceil(rows))
+    }
+
+    const AUTO: GrainPolicy = GrainPolicy::AutoBlock {
+        quantum_factor: 1.5,
+    };
+
+    /// Fig. 6 and the grain ablation (1998 rows, 8 slaves, 1.5 ms per
+    /// row): the fill cap (285 rows) is above the 1.5-quantum block.
+    #[test]
+    fn paper_shape_keeps_the_quantum_block() {
+        assert_eq!(block(2000, 6, 8, AUTO).0, 101);
+    }
+
+    /// The wide SOR cell (74 rows of 1.18 ms on 64 slaves): the whole
+    /// column was one block; the fill cap (1 row) is lifted to the 1 %
+    /// overhead floor, two blocks per sweep.
+    #[test]
+    fn deep_pipeline_splits_the_sweep_at_the_overhead_floor() {
+        assert_eq!(block(76, 1184, 64, AUTO), (43, 2));
+    }
+
+    /// One slave has no pipeline to fill: the quantum block alone (12 ms
+    /// rows), with neither the fill cap nor the floor.
+    #[test]
+    fn one_slave_is_uncapped() {
+        assert_eq!(block(2000, 6, 1, AUTO), (13, 154));
+    }
+
+    /// A fixed block is the caller's, clamped to the column only.
+    #[test]
+    fn fixed_block_passes_through() {
+        let fixed = |iterations| GrainPolicy::FixedBlock { iterations };
+        assert_eq!(block(76, 1184, 64, fixed(70)).0, 70);
+        assert_eq!(block(76, 1184, 64, fixed(999)).0, 74);
+    }
 }

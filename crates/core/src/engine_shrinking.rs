@@ -489,16 +489,13 @@ fn incorporate(
             });
         }
         st.cursor = st.cursor.min(mu.id);
-        // `updated_through` is only meaningful when the column is done for
-        // the tagged step (it is >= k >= 0). An undone column is exactly one
-        // step behind — per-step settlement guarantees it was updated
-        // through k-1 (which may be -1 at step 0 and is not representable
-        // in the wire field).
-        let ut = if mu.done {
-            (mu.updated_through as i64).min(k as i64)
-        } else {
-            k as i64 - 1
-        };
+        // The column's progress is the sender's, read off the transfer's
+        // own step, not ours: a transfer tagged one step ahead or behind can
+        // be accepted at step `k`. A done column is updated through the
+        // tagged step; an undone one is exactly one step behind it —
+        // per-step settlement guarantees that (which may be -1 at step 0
+        // and is not representable in the wire field).
+        let ut = t.invocation as i64 - i64::from(!mu.done);
         let prev = st.active.insert(
             mu.id,
             SCol {
@@ -850,5 +847,50 @@ mod tests {
         while update_next(&mut st).is_some() {}
         assert_eq!(order, [2, 3, 6, 4, 5, 8, 10]);
         assert!(st.active.values().all(|c| c.updated_through == k as i64));
+    }
+
+    /// A column's progress is read off the transfer's own step: accepted
+    /// at step `k` from a sender at `tagged`, a done column is through
+    /// `tagged` and an undone one through `tagged - 1`.
+    fn progress_after(tagged: u64, k: usize) -> Vec<(usize, i64)> {
+        let mut st = State {
+            active: BTreeMap::new(),
+            retired: Vec::new(),
+            pivots: Pivots::default(),
+            cursor: 0,
+        };
+        let t = TransferMsg {
+            from: 1,
+            seq: 0,
+            epoch: 0,
+            invocation: tagged,
+            effective_block: 0,
+            units: vec![
+                moved(6, true, tagged as usize),
+                moved(7, false, tagged as usize),
+            ],
+            right_old: None,
+        };
+        incorporate(0, &mut st, t, k).unwrap();
+        st.active
+            .iter()
+            .map(|(&id, c)| (id, c.updated_through))
+            .collect()
+    }
+
+    /// One step ahead: the done column already holds step `k + 1`'s update
+    /// and must not be given it again; the undone one is through `k`.
+    #[test]
+    fn transfer_from_one_step_ahead_keeps_the_senders_progress() {
+        let k = 3;
+        assert_eq!(progress_after(k as u64 + 1, k), [(6, 4), (7, 3)]);
+    }
+
+    /// One step behind: the done column still needs step `k`, the undone
+    /// one steps `k - 1` and `k`.
+    #[test]
+    fn transfer_from_one_step_behind_keeps_the_senders_progress() {
+        let k = 3;
+        assert_eq!(progress_after(k as u64 - 1, k), [(6, 2), (7, 1)]);
     }
 }

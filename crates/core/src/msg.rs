@@ -566,6 +566,17 @@ impl Msg {
         !matches!(self, Msg::Pivot { .. })
     }
 
+    /// A pipelined neighbour's halo: a [`Msg::Boundary`] or
+    /// [`Msg::SweepOld`]. Like a pivot it is a pure function of sweep-start
+    /// state, is sent once and never asked for again, so the two waits a
+    /// halo races leave it queued for the sweep that wants it: the barrier
+    /// (a neighbour released first sends its next sweep's halo before our
+    /// own release arrives) and the rescue wait (a neighbour rolled back
+    /// first is already replaying).
+    pub(crate) fn is_halo(&self) -> bool {
+        matches!(self, Msg::Boundary { .. } | Msg::SweepOld { .. })
+    }
+
     /// Approximate wire size in bytes, used to charge the network model.
     pub fn wire_bytes(&self) -> u64 {
         const HDR: u64 = 32;

@@ -217,10 +217,11 @@ pub async fn run<S: DistributionStrategy>(
 
 /// After shipping `report`, a `SlaveError`, wait for the master's rollback
 /// (stashed in `pending_rollback`), an abort, or an eviction: the
-/// [`Blocked::Wedged`] wait. Only what [`Msg::can_go_stale`] is received
-/// (and, if the ladder does not consume it, dropped as traffic of the torn
-/// epoch): a peer rescued before us may already be replaying, and its pivot
-/// broadcast stays queued for our own replay. A `Gather` is evidence that
+/// [`Blocked::Wedged`] wait. Only what [`Msg::can_go_stale`] is received,
+/// halos ([`Msg::is_halo`]) excepted (and, if the ladder does not consume
+/// it, dropped as traffic of the torn epoch): a peer rescued before us may
+/// already be replaying, and its pivot broadcast or halo stays queued for
+/// our own replay. A `Gather` is evidence that
 /// the report was lost — a master that heard it rolls back instead of
 /// gathering — so it is answered with the report again; without that, the
 /// master waits on our units while we wait on its rollback.
@@ -373,7 +374,8 @@ enum Released {
 /// the master releases the next invocation or requests the gather — the
 /// [`Blocked::AtBarrier`] wait. The strategy has first refusal of every
 /// message, channel control included: one that refreshes its report on a
-/// `TransferAck` must see it before the ladder consumes it.
+/// `TransferAck` must see it before the ladder consumes it. A halo
+/// ([`Msg::is_halo`]) stays queued for the sweep it belongs to.
 async fn barrier<S: DistributionStrategy>(
     ctx: &MailCtx<Msg>,
     common: &mut SlaveCommon,

@@ -32,7 +32,7 @@ use crate::session::replica::{DeputyState, TakeoverSeed, DEPUTIES};
 use dlb_sim::{ActorId, CpuWork, Envelope, MailCtx, SimDuration, SimTime};
 
 /// CPU charged per hook check (the counter decrement of a skipped hook).
-const HOOK_CHECK_CPU: CpuWork = CpuWork::from_micros(10);
+pub(crate) const HOOK_CHECK_CPU: CpuWork = CpuWork::from_micros(10);
 /// Fault mode: deadline for any single blocking protocol step on a slave
 /// (pipelined/shrinking waits, start-up).
 pub(crate) const OP_TIMEOUT: SimDuration = SimDuration::from_secs(30);
@@ -159,10 +159,10 @@ impl Blocked {
     fn row(&self) -> Row {
         use {GivesUp::*, Says::*};
         match self {
-            Blocked::OnPeer    => Row { receives: Msg::is_channel_control, says: AliveForOneWindow, gives_up: At(OP_TIMEOUT) },
-            Blocked::AtBarrier => Row { receives: |_| true,                says: CallersReport,     gives_up: InARow(GIVE_UP_TRIES) },
-            Blocked::Wedged    => Row { receives: Msg::can_go_stale,       says: Alive,             gives_up: InAll(GIVE_UP_TRIES) },
-            Blocked::GatherAck => Row { receives: Msg::can_go_stale,       says: Nothing,           gives_up: Quietly(GATHER_PATIENCE) },
+            Blocked::OnPeer    => Row { receives: Msg::is_channel_control,                 says: AliveForOneWindow, gives_up: At(OP_TIMEOUT) },
+            Blocked::AtBarrier => Row { receives: |m| !m.is_halo(),                        says: CallersReport,     gives_up: InARow(GIVE_UP_TRIES) },
+            Blocked::Wedged    => Row { receives: |m| m.can_go_stale() && !m.is_halo(),    says: Alive,             gives_up: InAll(GIVE_UP_TRIES) },
+            Blocked::GatherAck => Row { receives: Msg::can_go_stale,                       says: Nothing,           gives_up: Quietly(GATHER_PATIENCE) },
         }
     }
 }

@@ -137,11 +137,14 @@ fn independent_crash_speculates_on_idle_survivor() {
 }
 
 /// A mid-sweep crash under the pipelined engine rolls the survivors back
-/// to the latest complete checkpoint and the run completes exactly.
+/// to the latest complete checkpoint and the run completes exactly. The
+/// crash lands in the second sweep after slave 1 has sent its sweep-start
+/// column left, so slave 0 finishes the sweep and waits at the barrier, an
+/// idle survivor to race the suspect on.
 #[test]
 fn pipelined_crash_resumes_from_checkpoint() {
     let (k, plan) = sor();
-    let fault = FaultPlan::new(9).crash(slave_node(1), SimTime(300_000));
+    let fault = FaultPlan::new(9).crash(slave_node(1), SimTime(500_000));
     let report = try_run(
         AppSpec::Pipelined(k.clone()),
         &plan,
@@ -211,6 +214,29 @@ fn shrinking_crash_resumes_from_checkpoint() {
         "the executor must have advanced the banked snapshot: {:?}",
         report.recovery
     );
+}
+
+/// Message loss with the balancer live must not change LU's answer. A
+/// transfer tagged one step ahead can be accepted a step early; at these
+/// seeds its done columns were once taken as updated through the
+/// receiver's step only, so the next step's update was applied twice.
+#[test]
+fn lossy_lu_transfer_from_a_step_ahead_is_not_updated_twice() {
+    let (k, plan) = lu();
+    for seed in [51, 70, 143] {
+        let fault = FaultPlan::new(seed).drop_all(0.05);
+        let report = try_run(
+            AppSpec::Shrinking(k.clone()),
+            &plan,
+            chaos_cfg(SLAVES, fault, true),
+        )
+        .unwrap_or_else(|e| panic!("seed {seed}: {}", e.error));
+        assert_eq!(
+            Lu::result_cols(&report.result),
+            k.sequential(),
+            "seed {seed}: result must be exact"
+        );
+    }
 }
 
 /// Losing every slave is reported as such, not as a hang — even with

@@ -418,12 +418,14 @@ fn matrix(pool: usize) -> Vec<Row> {
         rows.push(row(label, &r));
 
         // The same cell with `speculate_after` at `suspicion`, which only
-        // switches snapshot speculation off: slave 1 is evicted while a
-        // complete checkpoint of the end state is banked, slave 6 loses the
-        // `Rollback` onto it and answers the `Gather` from the partition it
-        // replaced, one unit short. The gather must replay slave 6's window
-        // and take the re-delivery; a master that waits instead keeps
-        // pinging its deputies until the event budget runs out.
+        // switches snapshot speculation off. It was recorded when slave 6
+        // lost the `Rollback` onto the end state and answered the `Gather`
+        // one unit short, so the gather had to replay its window. Fault
+        // draws and grain have moved since: every slave now delivers from
+        // an acknowledged window here, and the stub pins in `master.rs`
+        // (`the_re_delivery_after_the_replayed_rollback_completes_the_gather`
+        // and its two neighbours) hold that repair. The budget stays: a
+        // rollback gather that livelocks still fails the row in a second.
         if *name == "sor" {
             let label = "final_rollback_lost/sor".to_string();
             let [suspicion, _, nudge, heartbeat, backoff] = windows;
@@ -605,7 +607,8 @@ fn event_streams_match_the_recorded_constants() {
 /// the survivors' fragments, and `master_inside_suspicion/lu` was first
 /// recorded then (CHANGES.md lists before → after).
 /// `final_rollback_lost/sor` was first recorded with the gather's replay of an
-/// unacknowledged window; a master without it exhausts that row's event budget.
+/// unacknowledged window; a master without it exhausted that row's event budget
+/// (it no longer reaches that replay; see the cell).
 /// `pivot_link_cut/lu` was first recorded before a blocked slave asked a peer
 /// for a lost pivot (15.760343 s, one healthy slave evicted), and re-recorded
 /// with the 18 rows that change and its once-per-invocation race moved.
@@ -616,14 +619,17 @@ fn event_streams_match_the_recorded_constants() {
 /// and a takeover began learning everything from the survivors' `Held`
 /// answers; `final_rollback_lost/sor` and `wire_crash4/lu` then first ran
 /// into the two repairs that came with it (CHANGES.md lists before → after).
+/// Every `/sor` row was re-recorded when the §4.4 block was bounded by the
+/// pipeline depth and a halo stayed queued across the barrier and the rescue
+/// wait (CHANGES.md lists before → after); no `/mm` or `/lu` row moved.
 #[rustfmt::skip]
 const GOLDEN: &[(&str, u64, u64, u64, &str)] = &[
     ("quiet4/mm", 434944, 577, 0x44f437b77443452b, ""),
     ("wire_crash4/mm", 11599399, 989, 0x646e91c4d16fcad5, "slaves_declared_dead: 1, first_death: Some(t=8.302867s), restore_resends: 3, instr_resends: 2, start_resends: 1, invocation_start_resends: 3, status_dups_ignored: 1, done_dups_ignored: 6, speculations_launched: 1, speculations_committed: 1, units_speculated: 6, speculations_computed: 1, replication_bytes: 1200"),
     ("freeze4/mm", 6439038, 827, 0x0005d888a4525db4, "instr_resends: 1, invocation_start_resends: 1, done_dups_ignored: 1, speculations_launched: 1, speculations_cancelled: 1, speculations_computed: 1, replication_bytes: 720"),
-    ("quiet4/sor", 2660925, 812, 0x9cb244d0057e5215, "checkpoints_banked: 3, checkpoints_sent: 16, replication_bytes: 240"),
-    ("wire_crash4/sor", 21081480, 945, 0x5990eca829a99f53, "slaves_declared_dead: 1, first_death: Some(t=8.029190s), start_resends: 9, invocation_start_resends: 9, checkpoints_banked: 3, rollbacks: 1, units_rolled_back: 16, speculations_launched: 1, speculations_committed: 1, units_speculated: 4, stale_epoch_dropped: 1, rollbacks_applied: 3, checkpoints_sent: 16, speculations_computed: 1, replication_bytes: 1040"),
-    ("freeze4/sor", 8646072, 1094, 0x2ec985431cd5ecdd, "start_resends: 6, invocation_start_resends: 6, checkpoints_banked: 3, speculations_launched: 1, speculations_committed: 1, units_speculated: 16, checkpoints_sent: 25, speculations_computed: 1, replication_bytes: 960"),
+    ("quiet4/sor", 1512323, 1051, 0x3ac8114ff793804b, "checkpoints_banked: 3, checkpoints_sent: 16, replication_bytes: 120"),
+    ("wire_crash4/sor", 24362873, 1533, 0x8ff9b47db350f97d, "slaves_declared_dead: 2, first_death: Some(t=8.394586s), status_dups_ignored: 1, gather_dups_ignored: 1, checkpoints_banked: 4, rollbacks: 2, units_rolled_back: 32, speculations_launched: 1, speculations_committed: 1, units_speculated: 6, rollbacks_applied: 4, checkpoints_sent: 18, speculations_computed: 1, replication_bytes: 2240"),
+    ("freeze4/sor", 7507862, 1323, 0x23c227c0d729328c, "checkpoints_banked: 3, speculations_launched: 1, speculations_committed: 1, units_speculated: 16, checkpoints_sent: 25, speculations_computed: 1, replication_bytes: 840"),
     ("quiet4/lu", 852104, 2591, 0x859049747d4744e9, "checkpoints_banked: 18, checkpoints_sent: 96"),
     ("wire_crash4/lu", 15916399, 2831, 0xc361c43da745bedf, "slaves_declared_dead: 1, first_death: Some(t=8.222855s), restore_resends: 2, instr_resends: 1, invocation_start_resends: 1, status_dups_ignored: 1, done_dups_ignored: 1, gather_dups_ignored: 1, checkpoints_banked: 17, rollbacks: 1, units_rolled_back: 20, speculations_launched: 1, speculations_committed: 1, units_speculated: 20, stale_epoch_dropped: 4, rollbacks_applied: 3, checkpoints_sent: 100, speculations_computed: 1, replication_bytes: 1520"),
     ("freeze4/lu", 6850430, 2877, 0x4a8fd8aff693a589, "checkpoints_banked: 18, speculations_launched: 1, speculations_committed: 1, units_speculated: 5, checkpoints_sent: 112, speculations_computed: 1, replication_bytes: 720"),
@@ -645,25 +651,25 @@ const GOLDEN: &[(&str, u64, u64, u64, &str)] = &[
     ("partition_heal_rejoin/mm", 1918766, 6204, 0x7eb124c9eb2eaf0c, "slaves_declared_dead: 4, first_death: Some(t=0.606651s), units_restored: 6, restore_resends: 15, instr_resends: 1, invocation_start_resends: 1, done_dups_ignored: 20, rollbacks: 1, units_rolled_back: 32, speculations_launched: 1, speculations_committed: 1, units_speculated: 2, joins_admitted: 4, rejoins_after_eviction: 4, join_snapshot_bytes: 4800, partitions_healed: 1, rollbacks_applied: 16, speculations_computed: 1, replication_bytes: 120"),
     ("crash_inside_partition/mm", 2232502, 7046, 0xb54a8cbcd3fc5a4d, "slaves_declared_dead: 5, first_death: Some(t=0.606651s), units_restored: 8, restore_resends: 26, instr_resends: 1, invocation_start_resends: 1, done_dups_ignored: 30, rollbacks: 1, units_rolled_back: 32, speculations_launched: 1, speculations_committed: 1, units_speculated: 2, joins_admitted: 4, rejoins_after_eviction: 4, join_snapshot_bytes: 4768, partitions_healed: 1, stale_epoch_dropped: 1, rollbacks_applied: 15, speculations_computed: 1, replication_bytes: 240"),
     ("partition_heal_rejoin_lossy/mm", 2881580, 7319, 0x482fa15d4fdc9a0f, "slaves_declared_dead: 4, first_death: Some(t=0.601841s), units_restored: 6, restore_resends: 20, instr_resends: 9, start_resends: 2, invocation_start_resends: 11, gather_resends: 1, status_dups_ignored: 13, done_dups_ignored: 33, gather_dups_ignored: 3, rollbacks: 2, units_rolled_back: 64, speculations_launched: 1, speculations_committed: 1, units_speculated: 2, joins_admitted: 4, rejoins_after_eviction: 4, join_snapshot_bytes: 4776, partitions_healed: 2, transfer_dups_dropped: 2, stale_epoch_dropped: 11, rollbacks_applied: 31, speculations_computed: 1, replication_bytes: 240"),
-    ("master_mid_invocation/sor", 16174724, 4117, 0xaf3c5e9cc992bd24, "restore_resends: 4, checkpoints_banked: 3, rollbacks: 1, units_rolled_back: 34, stale_epoch_dropped: 4, rollbacks_applied: 15, checkpoints_sent: 179, elections_held: 1, takeover_latency: Some(8.315480s), replication_bytes: 560"),
-    ("master_frozen_then_superseded/sor", 26797680, 5579, 0x1a53c5d9af6ab919, "slaves_declared_dead: 1, first_death: Some(t=24.175020s), restore_resends: 9, gather_resends: 3, gathers_interrupted: 1, checkpoints_banked: 4, rollbacks: 2, units_rolled_back: 68, stale_epoch_dropped: 41, rollbacks_applied: 42, checkpoints_sent: 351, elections_held: 1, takeover_latency: Some(8.315480s), replication_bytes: 1320"),
-    ("drop16/sor", 65243171, 8448, 0xd90811a7d5d767fb, "slaves_declared_dead: 4, first_death: Some(t=15.046349s), restore_resends: 162, start_resends: 224, invocation_start_resends: 224, gather_dups_ignored: 1, checkpoints_banked: 4, rollbacks: 5, units_rolled_back: 170, speculations_launched: 4, speculations_committed: 4, units_speculated: 105, stale_epoch_dropped: 145, rollbacks_applied: 59, checkpoints_sent: 158, speculations_computed: 4, replication_bytes: 4840"),
-    ("dup16/sor", 10472091, 4006, 0xbea37f4cb2cb5da4, "start_resends: 4, invocation_start_resends: 4, status_dups_ignored: 3, checkpoints_banked: 3, checkpoints_sent: 104, replication_bytes: 1200"),
-    ("jitter16/sor", 53846617, 9525, 0x972254f53cc97348, "slaves_declared_dead: 3, first_death: Some(t=17.699470s), restore_resends: 296, start_resends: 4, invocation_start_resends: 4, checkpoints_banked: 3, rollbacks: 6, units_rolled_back: 204, speculations_launched: 3, speculations_committed: 3, units_speculated: 40, stale_epoch_dropped: 243, rollbacks_applied: 78, checkpoints_sent: 204, speculations_computed: 3, replication_bytes: 5480"),
-    ("master_mid_rollback/sor", 34494848, 5432, 0xad80fb4f656047f0, "slaves_declared_dead: 1, first_death: Some(t=24.031077s), restore_resends: 4, checkpoints_banked: 3, rollbacks: 1, units_rolled_back: 34, stale_epoch_dropped: 18, rollbacks_applied: 14, checkpoints_sent: 128, elections_held: 1, takeover_latency: Some(8.004202s), replication_bytes: 1360"),
-    ("overlapping_crashes/sor", 22495376, 5088, 0xd35f88fbd3cf4bd5, "slaves_declared_dead: 2, first_death: Some(t=8.017993s), restore_resends: 4, start_resends: 64, invocation_start_resends: 64, checkpoints_banked: 3, rollbacks: 3, units_rolled_back: 102, speculations_launched: 2, speculations_committed: 2, units_speculated: 37, stale_epoch_dropped: 3, rollbacks_applied: 42, checkpoints_sent: 107, speculations_computed: 2, replication_bytes: 2640"),
-    ("master_mid_transfer/sor", 18632981, 4433, 0x6bcbf960158e8247, "restore_resends: 8, checkpoints_banked: 3, rollbacks: 1, units_rolled_back: 34, transfer_resends: 1, transfer_dups_dropped: 1, stale_epoch_dropped: 8, rollbacks_applied: 15, checkpoints_sent: 176, elections_held: 1, takeover_latency: Some(8.315280s), replication_bytes: 800"),
-    ("double_failover/sor", 24105613, 4657, 0x61190bd13989a852, "restore_resends: 9, checkpoints_banked: 3, rollbacks: 2, units_rolled_back: 68, stale_epoch_dropped: 9, rollbacks_applied: 28, checkpoints_sent: 275, elections_held: 2, takeover_latency: Some(10.005026s), replication_bytes: 240"),
-    ("crash_in_gather/sor", 21097573, 5118, 0x8202efc382a5c00c, "slaves_declared_dead: 1, first_death: Some(t=18.473787s), restore_resends: 5, start_resends: 4, invocation_start_resends: 4, gather_resends: 3, gathers_interrupted: 1, checkpoints_banked: 3, rollbacks: 1, units_rolled_back: 34, stale_epoch_dropped: 5, rollbacks_applied: 15, checkpoints_sent: 215, replication_bytes: 2400"),
-    ("crash_in_gather_lossy/sor", 57552807, 8652, 0x76977af25bdca2d7, "slaves_declared_dead: 3, first_death: Some(t=16.892103s), restore_resends: 535, start_resends: 4, invocation_start_resends: 4, status_dups_ignored: 1, gather_dups_ignored: 14, checkpoints_banked: 4, rollbacks: 6, units_rolled_back: 204, speculations_launched: 3, speculations_committed: 3, units_speculated: 102, stale_epoch_dropped: 504, rollbacks_applied: 77, checkpoints_sent: 93, speculations_computed: 3, replication_bytes: 5400"),
-    ("late_join/sor", 23600969, 42215, 0xc9f42f075d2f59ea, "slaves_declared_dead: 15, first_death: Some(t=1.810356s), restore_resends: 6095, start_resends: 56, invocation_start_resends: 56, done_dups_ignored: 28, gather_dups_ignored: 12, checkpoints_banked: 4, rollbacks: 30, units_rolled_back: 1020, speculations_launched: 15, speculations_committed: 1, speculations_cancelled: 10, units_speculated: 3, joins_admitted: 13, rejoins_after_eviction: 12, join_snapshot_bytes: 12048, partitions_healed: 9, stale_epoch_dropped: 5683, rollbacks_applied: 348, checkpoints_sent: 56, speculations_computed: 1, replication_bytes: 1920"),
-    ("master_crash_join_in_flight/sor", 27353899, 27309, 0x9cc9b6d76834d106, "slaves_declared_dead: 13, first_death: Some(t=10.093653s), restore_resends: 3148, done_dups_ignored: 25, checkpoints_banked: 4, rollbacks: 24, units_rolled_back: 816, speculations_launched: 11, speculations_committed: 1, speculations_cancelled: 9, units_speculated: 3, joins_admitted: 11, rejoins_after_eviction: 10, join_snapshot_bytes: 9896, partitions_healed: 7, stale_epoch_dropped: 2553, rollbacks_applied: 235, checkpoints_sent: 315, speculations_computed: 1, elections_held: 1, takeover_latency: Some(8.128252s), replication_bytes: 880"),
-    ("late_join_lossy/sor", 24157443, 37345, 0x2033e84d43a0d26e, "slaves_declared_dead: 14, first_death: Some(t=1.823933s), restore_resends: 5731, start_resends: 58, invocation_start_resends: 58, status_dups_ignored: 6, done_dups_ignored: 39, gather_dups_ignored: 12, checkpoints_banked: 4, rollbacks: 28, units_rolled_back: 952, speculations_launched: 10, speculations_committed: 4, speculations_cancelled: 2, units_speculated: 12, joins_admitted: 13, rejoins_after_eviction: 12, join_snapshot_bytes: 11760, partitions_healed: 8, stale_epoch_dropped: 5080, rollbacks_applied: 311, checkpoints_sent: 44, speculations_computed: 1, replication_bytes: 1840"),
-    ("master_crash_join_in_flight_lossy/sor", 49173305, 42248, 0x3b5590e3f855a683, "slaves_declared_dead: 17, first_death: Some(t=10.110241s), restore_resends: 5875, status_dups_ignored: 6, done_dups_ignored: 35, gather_dups_ignored: 31, gathers_interrupted: 2, checkpoints_banked: 5, rollbacks: 32, units_rolled_back: 1088, speculations_launched: 14, speculations_committed: 5, speculations_cancelled: 5, units_speculated: 15, gather_dup_units_dropped: 4, joins_admitted: 12, rejoins_after_eviction: 11, join_snapshot_bytes: 11464, partitions_healed: 10, stale_epoch_dropped: 13649, rollbacks_applied: 776, checkpoints_sent: 390, speculations_computed: 3, elections_held: 1, takeover_latency: Some(8.128451s), replication_bytes: 760"),
-    ("partition_heal_rejoin/sor", 30007483, 11254, 0xfe13366ca558c6f9, "slaves_declared_dead: 2, first_death: Some(t=2.016622s), restore_resends: 116, instr_resends: 2, start_resends: 37, invocation_start_resends: 39, done_dups_ignored: 4, checkpoints_banked: 3, rollbacks: 3, units_rolled_back: 102, speculations_launched: 4, speculations_committed: 4, units_speculated: 10, joins_admitted: 1, rejoins_after_eviction: 1, join_snapshot_bytes: 1040, partitions_healed: 1, stale_epoch_dropped: 113, rollbacks_applied: 40, checkpoints_sent: 443, speculations_computed: 3, replication_bytes: 1760"),
-    ("crash_inside_partition/sor", 30007483, 9533, 0x9b6c2ef73f700656, "slaves_declared_dead: 3, first_death: Some(t=2.059375s), restore_resends: 61, instr_resends: 2, start_resends: 85, invocation_start_resends: 87, done_dups_ignored: 4, checkpoints_banked: 3, rollbacks: 5, units_rolled_back: 170, speculations_launched: 4, speculations_committed: 4, units_speculated: 10, joins_admitted: 1, rejoins_after_eviction: 1, join_snapshot_bytes: 1032, partitions_healed: 1, stale_epoch_dropped: 56, rollbacks_applied: 64, checkpoints_sent: 244, speculations_computed: 3, replication_bytes: 1600"),
-    ("partition_heal_rejoin_lossy/sor", 48688773, 34276, 0xe4e1dfe84c876b86, "slaves_declared_dead: 10, first_death: Some(t=2.001287s), restore_resends: 2378, start_resends: 60, invocation_start_resends: 60, status_dups_ignored: 4, done_dups_ignored: 9, gather_dups_ignored: 15, checkpoints_banked: 4, rollbacks: 29, units_rolled_back: 986, speculations_launched: 4, speculations_committed: 2, units_speculated: 6, joins_admitted: 9, rejoins_after_eviction: 9, join_snapshot_bytes: 7880, partitions_healed: 9, stale_epoch_dropped: 2129, rollbacks_applied: 328, checkpoints_sent: 303, speculations_computed: 1, replication_bytes: 4800"),
-    ("final_rollback_lost/sor", 43161738, 28437, 0x041397e6a4313378, "slaves_declared_dead: 9, first_death: Some(t=2.001287s), restore_resends: 1206, start_resends: 29, invocation_start_resends: 29, status_dups_ignored: 4, checkpoints_banked: 3, rollbacks: 19, units_rolled_back: 646, joins_admitted: 8, rejoins_after_eviction: 8, join_snapshot_bytes: 6528, partitions_healed: 8, stale_epoch_dropped: 1126, rollbacks_applied: 212, checkpoints_sent: 554, replication_bytes: 4520"),
+    ("master_mid_invocation/sor", 11731831, 4751, 0xf3c442edcd95aa72, "checkpoints_banked: 3, rollbacks: 1, units_rolled_back: 34, rollbacks_applied: 15, checkpoints_sent: 165, elections_held: 1, takeover_latency: Some(8.316503s), replication_bytes: 240"),
+    ("master_frozen_then_superseded/sor", 14372117, 5251, 0xe616436b353f54ff, "slaves_declared_dead: 1, first_death: Some(t=14.301200s), rollbacks: 1, units_rolled_back: 34, replication_bytes: 120"),
+    ("drop16/sor", 53714255, 8570, 0xa775bec7676484b4, "slaves_declared_dead: 4, first_death: Some(t=15.251674s), restore_resends: 114, start_resends: 234, invocation_start_resends: 234, gather_dups_ignored: 1, checkpoints_banked: 4, rollbacks: 4, units_rolled_back: 136, speculations_launched: 7, speculations_committed: 7, units_speculated: 114, stale_epoch_dropped: 93, rollbacks_applied: 48, checkpoints_sent: 88, speculations_computed: 7, replication_bytes: 4760"),
+    ("dup16/sor", 4546745, 4413, 0x6374d01c0670325e, "status_dups_ignored: 8, checkpoints_banked: 3, checkpoints_sent: 64, replication_bytes: 480"),
+    ("jitter16/sor", 4727051, 4398, 0x4576fa2995d34413, "checkpoints_banked: 3, checkpoints_sent: 64, replication_bytes: 480"),
+    ("master_mid_rollback/sor", 28742508, 5885, 0x41accedd8c2e288b, "slaves_declared_dead: 1, first_death: Some(t=24.203771s), checkpoints_banked: 3, rollbacks: 1, units_rolled_back: 34, stale_epoch_dropped: 26, rollbacks_applied: 14, checkpoints_sent: 102, elections_held: 1, takeover_latency: Some(8.004202s), replication_bytes: 880"),
+    ("overlapping_crashes/sor", 18917625, 5169, 0xfe02a074aaf5f31e, "slaves_declared_dead: 2, first_death: Some(t=8.441287s), restore_resends: 27, checkpoints_banked: 3, rollbacks: 2, units_rolled_back: 68, speculations_launched: 2, speculations_committed: 2, units_speculated: 68, stale_epoch_dropped: 33, rollbacks_applied: 28, checkpoints_sent: 98, speculations_computed: 2, replication_bytes: 2160"),
+    ("master_mid_transfer/sor", 13666089, 4998, 0x5c526aafeb434f2a, "checkpoints_banked: 3, rollbacks: 1, units_rolled_back: 34, transfer_resends: 1, transfer_dups_dropped: 1, rollbacks_applied: 15, checkpoints_sent: 159, elections_held: 1, takeover_latency: Some(8.316106s), replication_bytes: 400"),
+    ("double_failover/sor", 20918495, 5398, 0xd6d5b51ad1e3914f, "checkpoints_banked: 3, rollbacks: 2, units_rolled_back: 68, rollbacks_applied: 28, checkpoints_sent: 280, elections_held: 2, takeover_latency: Some(10.438367s), replication_bytes: 120"),
+    ("crash_in_gather/sor", 13690853, 5561, 0x8d8995d669f81114, "slaves_declared_dead: 1, first_death: Some(t=12.548441s), gather_resends: 3, gathers_interrupted: 1, checkpoints_banked: 3, rollbacks: 1, units_rolled_back: 34, rollbacks_applied: 15, checkpoints_sent: 135, replication_bytes: 1560"),
+    ("crash_in_gather_lossy/sor", 46579532, 9325, 0x0f382d9f3dd61b5a, "slaves_declared_dead: 3, first_death: Some(t=16.385696s), restore_resends: 93, status_dups_ignored: 3, gather_dups_ignored: 12, checkpoints_banked: 4, rollbacks: 3, units_rolled_back: 102, speculations_launched: 3, speculations_committed: 3, units_speculated: 102, stale_epoch_dropped: 81, rollbacks_applied: 39, checkpoints_sent: 328, speculations_computed: 3, replication_bytes: 5520"),
+    ("late_join/sor", 5679454, 7388, 0x82e12834a69309fc, "restore_resends: 28, start_resends: 18, invocation_start_resends: 18, checkpoints_banked: 3, rollbacks: 1, units_rolled_back: 34, joins_admitted: 1, join_snapshot_bytes: 752, stale_epoch_dropped: 28, rollbacks_applied: 16, checkpoints_sent: 194, replication_bytes: 600"),
+    ("master_crash_join_in_flight/sor", 11626011, 8515, 0x484501b4ed59806f, "restore_resends: 37, checkpoints_banked: 3, rollbacks: 2, units_rolled_back: 68, joins_admitted: 1, join_snapshot_bytes: 744, stale_epoch_dropped: 37, rollbacks_applied: 29, checkpoints_sent: 629, elections_held: 1, takeover_latency: Some(8.129275s), replication_bytes: 240"),
+    ("late_join_lossy/sor", 24692386, 28570, 0xadd68f15d43ed198, "slaves_declared_dead: 14, first_death: Some(t=3.042671s), restore_resends: 3300, start_resends: 19, invocation_start_resends: 19, status_dups_ignored: 13, done_dups_ignored: 32, gather_dups_ignored: 11, checkpoints_banked: 4, rollbacks: 21, units_rolled_back: 714, speculations_launched: 9, speculations_committed: 1, speculations_cancelled: 7, units_speculated: 3, joins_admitted: 12, rejoins_after_eviction: 11, join_snapshot_bytes: 11296, partitions_healed: 6, stale_epoch_dropped: 3000, rollbacks_applied: 217, checkpoints_sent: 108, replication_bytes: 1640"),
+    ("master_crash_join_in_flight_lossy/sor", 30779361, 32259, 0x3d02a2ef93e3b7e2, "slaves_declared_dead: 12, first_death: Some(t=10.408746s), restore_resends: 3120, status_dups_ignored: 6, done_dups_ignored: 20, gather_dups_ignored: 11, checkpoints_banked: 4, rollbacks: 21, units_rolled_back: 714, speculations_launched: 7, speculations_committed: 2, speculations_cancelled: 4, units_speculated: 6, joins_admitted: 10, rejoins_after_eviction: 9, join_snapshot_bytes: 9136, partitions_healed: 7, stale_epoch_dropped: 2289, rollbacks_applied: 196, checkpoints_sent: 406, speculations_computed: 1, elections_held: 1, takeover_latency: Some(8.129075s), replication_bytes: 800"),
+    ("partition_heal_rejoin/sor", 30007483, 9634, 0x197b426b8a0dd04d, "slaves_declared_dead: 2, first_death: Some(t=2.013953s), restore_resends: 85, start_resends: 20, invocation_start_resends: 20, done_dups_ignored: 2, checkpoints_banked: 3, rollbacks: 3, units_rolled_back: 102, speculations_launched: 4, speculations_committed: 3, units_speculated: 8, joins_admitted: 1, rejoins_after_eviction: 1, join_snapshot_bytes: 1040, partitions_healed: 1, stale_epoch_dropped: 79, rollbacks_applied: 40, checkpoints_sent: 264, speculations_computed: 3, replication_bytes: 1000"),
+    ("crash_inside_partition/sor", 30007483, 8460, 0xa6b5c31fdc3da39b, "slaves_declared_dead: 3, first_death: Some(t=2.005797s), restore_resends: 92, start_resends: 23, invocation_start_resends: 23, done_dups_ignored: 2, checkpoints_banked: 3, rollbacks: 4, units_rolled_back: 136, speculations_launched: 4, speculations_committed: 3, units_speculated: 8, joins_admitted: 1, rejoins_after_eviction: 1, join_snapshot_bytes: 1032, partitions_healed: 1, stale_epoch_dropped: 87, rollbacks_applied: 50, checkpoints_sent: 182, speculations_computed: 3, replication_bytes: 1000"),
+    ("partition_heal_rejoin_lossy/sor", 37853869, 26423, 0x0d7a995eb09b78c8, "slaves_declared_dead: 11, first_death: Some(t=2.010920s), restore_resends: 1027, start_resends: 59, invocation_start_resends: 59, status_dups_ignored: 5, done_dups_ignored: 9, gather_dups_ignored: 2, checkpoints_banked: 4, rollbacks: 20, units_rolled_back: 680, speculations_launched: 6, speculations_committed: 4, units_speculated: 12, joins_admitted: 10, rejoins_after_eviction: 10, join_snapshot_bytes: 9456, partitions_healed: 9, stale_epoch_dropped: 938, rollbacks_applied: 226, checkpoints_sent: 558, speculations_computed: 2, replication_bytes: 3600"),
+    ("final_rollback_lost/sor", 30019904, 19336, 0x15c8bb472617bfc0, "slaves_declared_dead: 7, first_death: Some(t=2.010647s), restore_resends: 333, instr_resends: 1, start_resends: 22, invocation_start_resends: 23, gather_resends: 2, status_dups_ignored: 8, done_dups_ignored: 4, gather_dups_ignored: 1, checkpoints_banked: 3, rollbacks: 12, units_rolled_back: 408, joins_admitted: 5, rejoins_after_eviction: 5, join_snapshot_bytes: 4288, partitions_healed: 5, stale_epoch_dropped: 324, rollbacks_applied: 136, checkpoints_sent: 448, replication_bytes: 3160"),
     ("master_mid_invocation/lu", 8747478, 10294, 0x2ac37051fd31698c, "checkpoints_banked: 22, rollbacks: 1, units_rolled_back: 24, rollbacks_applied: 15, checkpoints_sent: 450, elections_held: 1, takeover_latency: Some(8.182040s)"),
     ("master_frozen_then_superseded/lu", 14260463, 11559, 0xfa7b8495e83e8268, "slaves_declared_dead: 1, first_death: Some(t=14.201400s), checkpoints_banked: 3, rollbacks: 1, units_rolled_back: 24, replication_bytes: 120"),
     ("drop16/lu", 35545739, 14347, 0xb0e8edef2361fa62, "instr_resends: 41, start_resends: 2, invocation_start_resends: 43, gather_resends: 2, done_dups_ignored: 48, checkpoints_banked: 18, checkpoints_sent: 695, replication_bytes: 4200"),
@@ -691,10 +697,10 @@ const GOLDEN: &[(&str, u64, u64, u64, &str)] = &[
     ("plain_load4/mm/pipe", 1643553, 929, 0xfeaa37cc3d83d307, ""),
     ("plain_load16/mm/sync", 5232675, 2401, 0x07b2bdd8f3958a48, ""),
     ("plain_load16/mm/pipe", 4666588, 2312, 0xb19ce50d862ebd22, ""),
-    ("plain_load4/sor", 4000759, 752, 0x78328ebd12b86607, ""),
+    ("plain_load4/sor", 3108096, 990, 0xd5f15d296e14613c, ""),
     ("plain_load4/lu", 1955089, 2251, 0x72e5b0551b9a565f, ""),
     ("plain_converges_early4/mm", 489319, 446, 0xbd6423d12f3f3977, ""),
     ("slow_wire4/mm", 3639761, 992, 0x93798a6b469f0b89, "instr_resends: 2, invocation_start_resends: 2, status_dups_ignored: 21, done_dups_ignored: 8, gather_dups_ignored: 2, transfer_dups_dropped: 1, replication_bytes: 360"),
     ("slow_wire16/mm", 2952134, 2538, 0x6930b1ca9efeee14, "status_dups_ignored: 57, done_dups_ignored: 2, gather_dups_ignored: 16, replication_bytes: 240"),
-    ("stale_gather4/sor", 41193588, 2432, 0x329b0dce96fee8c2, "instr_resends: 6, start_resends: 2, invocation_start_resends: 10, done_dups_ignored: 16, checkpoints_banked: 4, rollbacks: 1, units_rolled_back: 16, rollbacks_applied: 3, checkpoints_sent: 71, elections_held: 1, takeover_latency: Some(8.002067s), replication_bytes: 2400"),
+    ("stale_gather4/sor", 40077926, 2724, 0x1d8ea5cf3f8743f5, "instr_resends: 5, start_resends: 2, invocation_start_resends: 9, done_dups_ignored: 15, checkpoints_banked: 4, rollbacks: 1, units_rolled_back: 16, rollbacks_applied: 3, checkpoints_sent: 69, elections_held: 1, takeover_latency: Some(8.002067s), replication_bytes: 2400"),
 ];
