@@ -272,12 +272,7 @@ pub fn check_election_protocol_with(m: &ElectionModel, cfg: CheckConfig) -> Repo
     };
     let shape = format!(
         "deputies={}, stands={}, drops={}, dups={}, one_vote_per_term={}, coverage_check={}",
-        m.deputies,
-        m.max_stands,
-        m.max_drops,
-        m.max_dups,
-        m.one_vote_per_term,
-        m.coverage_check
+        m.deputies, m.max_stands, m.max_drops, m.max_dups, m.one_vote_per_term, m.coverage_check
     );
     check_model(m, "election-protocol", tag, shape, ELECTION_CODES, cfg)
 }

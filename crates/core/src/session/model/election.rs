@@ -206,7 +206,12 @@ impl ElectionModel {
     /// the newest invocation named — that invocation and the fragments
     /// that name it.
     fn restart(&self) -> (u64, usize) {
-        let at = self.fragments.iter().map(|(inv, _)| *inv).max().unwrap_or(0);
+        let at = self
+            .fragments
+            .iter()
+            .map(|(inv, _)| *inv)
+            .max()
+            .unwrap_or(0);
         if !self.coverage_check && at > 0 {
             let named = self.fragments.iter().filter(|(inv, _)| *inv == at);
             let held: BTreeSet<usize> = named.flat_map(|(_, ids)| ids.iter().copied()).collect();
