@@ -11,7 +11,7 @@ use crate::engine_pipelined::PipelinedStrategy;
 use crate::engine_shrinking::ShrinkingStrategy;
 use crate::error::{FaultToleranceConfig, ProtocolError, RunError};
 use crate::kernels::{IndependentKernel, PipelinedKernel, ShrinkingKernel};
-use crate::master::{run_master, MasterConfig, MasterOutcome, TakeoverKit, TimelineSample};
+use crate::master::{run_master, MasterOutcome, TakeoverKit, TimelineSample};
 use crate::msg::{Msg, UnitData};
 use crate::recovery::RecoveryStats;
 use crate::session::replica::ELECTION_STAGGER;
@@ -369,32 +369,24 @@ pub fn try_run(
     } else {
         cfg.balancer.mode
     };
-    // The master's whole configuration is this one value, in the kit every
-    // reign starts from: the master's, and in fault mode every slave's.
-    let master_cfg = {
-        let mut balancer = Balancer::new(
-            cfg.balancer.clone(),
-            initial_owned,
-            quantum,
-            per_unit_move_est,
-            app.invocations(),
-            units_per_hook,
-        );
-        balancer.set_units_scale(units_scale);
-        // LU: late steps have fewer active columns than slaves.
-        let min_per_slave = if plan.pattern == Pattern::Shrinking {
-            0
-        } else {
-            1
-        };
-        balancer.set_placement(plan.movement, min_per_slave);
-        MasterConfig {
-            balancer,
-            app: app.clone(),
-            record_timeline: cfg.record_timeline,
-            ft: fault_mode.then(|| cfg.fault_tolerance.clone()),
-        }
+    // The pristine balancer, in the kit every reign starts from: the
+    // master's, and in fault mode every slave's.
+    let mut balancer = Balancer::new(
+        cfg.balancer.clone(),
+        initial_owned,
+        quantum,
+        per_unit_move_est,
+        app.invocations(),
+        units_per_hook,
+    );
+    balancer.set_units_scale(units_scale);
+    // LU: late steps have fewer active columns than slaves.
+    let min_per_slave = if plan.pattern == Pattern::Shrinking {
+        0
+    } else {
+        1
     };
+    balancer.set_placement(plan.movement, min_per_slave);
 
     let mut sim = SimBuilder::<Msg>::new()
         .net(cfg.net.clone())
@@ -428,7 +420,10 @@ pub fn try_run(
     // In fault mode every slave carries the kit too: the election winner
     // uses it to rebuild the master role in place.
     let kit = Arc::new(TakeoverKit {
-        cfg: master_cfg,
+        balancer,
+        app: app.clone(),
+        record_timeline: cfg.record_timeline,
+        ft: fault_mode.then(|| cfg.fault_tolerance.clone()),
         master: master_id,
         slaves: slave_ids,
         assignment,
@@ -436,9 +431,9 @@ pub fn try_run(
         outcome: Arc::clone(&outcome),
     });
     let takeover_kit = fault_mode.then(|| Arc::clone(&kit));
+    let slave_ft = kit.ft.clone();
     sim.spawn_mail(master_node, "master", move |ctx| run_master(ctx, kit));
 
-    let slave_ft = fault_mode.then(|| cfg.fault_tolerance.clone());
     for (i, node) in slave_nodes.into_iter().enumerate() {
         let spec = SlaveSpec {
             idx: i,

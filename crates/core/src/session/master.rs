@@ -2,11 +2,15 @@
 //! run.
 //!
 //! `master.rs` drives the protocol — receive arms, the timer sweep, the
-//! gather — over one [`Session`]; every structural transition lives here:
-//! membership and eviction ([`Membership`], [`Session::evict`]), admission
-//! ([`Session::admit`]), the windowed re-range that is takeover seeding,
-//! admission and rollback at once ([`Session::rerange`]), speculation
-//! ([`Policy::speculate`]), the deputies' heartbeat ([`Failover`]).
+//! gather — over one [`Session`], which owns everything a reign keeps: the
+//! program and the reign's own balancer (a clone of the kit's pristine
+//! one), the reign's term and the deputies' heartbeat
+//! ([`Session::ping_deputies`]), and the per-slot window-acknowledgement
+//! floors ([`Session::join_epoch`]) both policies share. Every structural
+//! transition lives here: membership and eviction ([`Membership`],
+//! [`Session::evict`]), admission ([`Session::admit`]), the windowed
+//! re-range that is takeover seeding, admission and rollback at once
+//! ([`Session::rerange`]), speculation ([`Policy::speculate`]).
 //!
 //! Nothing here touches the kernel: every transition writes what it does —
 //! CPU charges, sends, notes — into the master's [`Effects`], whose clock
@@ -25,12 +29,13 @@ use crate::balancer::Balancer;
 use crate::driver::AppSpec;
 use crate::error::{FaultToleranceConfig, ProtocolError};
 use crate::kernels::IndependentKernel;
+use crate::master::TakeoverKit;
 use crate::msg::{FailoverMsg, Instructions, Msg, SharedUnits, UnitData};
 use crate::protocol::SenderWindow;
 use crate::recovery::{redistribute, RecoveryStats};
 use crate::session::checkpoint::CheckpointBank;
 use crate::session::membership::{Life, Membership};
-use crate::session::replica::{TakeoverSeed, DEPUTIES};
+use crate::session::replica::DEPUTIES;
 use crate::session::speculation::{RestartSpec, SnapshotSpec};
 use dlb_sim::{advance, ActorId, CpuWork, NetConfig, NodeConfig, SimDuration, SimTime};
 use std::collections::btree_map::Entry;
@@ -183,26 +188,6 @@ pub(crate) struct Eviction {
     pub dead_owned: Vec<usize>,
 }
 
-/// Master-side failover state: this reign's term, the deputy set, and the
-/// heartbeat timer.
-pub(crate) struct Failover {
-    pub term: u64,
-    deputies: usize,
-    next_ping: SimTime,
-}
-
-impl Failover {
-    /// A `Promoted` announcement arrived. A still-newer reign has fenced
-    /// this one out: exit silently, it owns the run now. A stale or
-    /// duplicate announcement for our own (or an older) term is ignored.
-    pub fn yield_to(&self, term: u64) -> Result<(), ProtocolError> {
-        if term > self.term {
-            return Err(ProtocolError::Superseded { term });
-        }
-        Ok(())
-    }
-}
-
 /// The recovery policy of a session together with the state only that
 /// policy keeps. [`Session::new`] picks the variant from the application's
 /// pattern; `impl Policy` answers every question whose answer depends on
@@ -235,9 +220,6 @@ pub(crate) struct RescatterState {
 
 /// What only [`Policy::Rollback`] keeps.
 pub(crate) struct RollbackState {
-    /// Source of the epoch-zero snapshot ([`AppSpec::initial_unit`]),
-    /// rolled back to while no checkpoint is banked.
-    app: AppSpec,
     /// Checkpoint fragments and the newest complete snapshot.
     bank: CheckpointBank,
     /// In-flight snapshot speculation, at most one.
@@ -248,16 +230,6 @@ pub(crate) struct RollbackState {
     /// suspect that stays silent is raced again on every sweep, each race
     /// on the next idle slave and each with its own copy of the grid.
     raced: Vec<Option<u64>>,
-    /// Exponential moving average of the invocation wall time (seconds),
-    /// for the restart-cost estimate fed to the balancer.
-    ema_s: f64,
-    /// Per-slave window-acknowledgement floor. Reports from epochs below
-    /// the reign floor (`term << 32`) acknowledge the *crashed* master's
-    /// window, never ours; admission raises a rejoined slot's floor to the
-    /// admission epoch so the previous life's in-flight reports cannot
-    /// acknowledge its fresh window (E112 guards the same boundary on the
-    /// snapshot side).
-    join_epoch: Vec<u64>,
 }
 
 impl Policy {
@@ -280,7 +252,7 @@ impl Policy {
     /// yet), restarts there, abandons any race, and hands the estimated
     /// re-execution cost to the balancer so marginal moves stop looking
     /// profitable while the run is catching up.
-    fn rerange_units(st: &mut Session, balancer: &mut Balancer) -> (u64, SharedUnits) {
+    fn rerange_units(st: &mut Session) -> (u64, SharedUnits) {
         match &mut st.policy {
             Policy::Rescatter(rs) => {
                 rs.owned.iter_mut().for_each(BTreeSet::clear);
@@ -292,7 +264,7 @@ impl Policy {
             Policy::Rollback(rb) => {
                 let (ck_inv, snapshot) = rb
                     .bank
-                    .rollback_snapshot(st.n_units, &|id| rb.app.initial_unit(id));
+                    .rollback_snapshot(st.n_units, &|id| st.app.initial_unit(id));
                 rb.spec = None;
                 // Restart cost: invocations lost since the checkpoint
                 // (including the partially-done one), priced at the running
@@ -303,7 +275,8 @@ impl Policy {
                 // evaluated; acceptable for a WHILE loop, which only ever
                 // runs a bounded number of extra invocations.)
                 let lost_invs = (st.inv + 1).saturating_sub(ck_inv);
-                balancer.set_restart_cost(SimDuration::from_secs_f64(rb.ema_s * lost_invs as f64));
+                let cost = SimDuration::from_secs_f64(st.ema_s * lost_invs as f64);
+                st.balancer.set_restart_cost(cost);
                 (ck_inv, snapshot)
             }
         }
@@ -311,31 +284,24 @@ impl Policy {
 
     /// Row 2, once the `Rollback`s are out at `now`: a rolled-back survivor
     /// restarts its wavefront — every unacknowledged instruction is of the
-    /// old epoch and dropped, and its silence and nudge clocks restart —
-    /// and a `joined` slot's ack floor rises to the admission epoch. A
-    /// re-scattered survivor keeps computing the same invocation, so it
-    /// keeps its instructions and its clocks.
-    fn reranged(st: &mut Session, now: SimTime, survivors: &[usize], joined: &[usize]) {
-        let Policy::Rollback(rb) = &mut st.policy else {
+    /// old epoch and dropped, and its silence and nudge clocks restart. A
+    /// re-scattered survivor keeps both, though it does not keep computing
+    /// the same invocation: `IndependentStrategy::restore` replaces its
+    /// unit map, and it recomputes the invocation from the units it was
+    /// shipped. Measured: applying the reset under re-scatter too moves
+    /// four `/mm` rows of `tests/master_golden.rs`
+    /// (`master_crash_join_in_flight_lossy/mm` 10.09 -> 12.45 virtual s),
+    /// so this row stays until a change measures otherwise.
+    fn reranged(st: &mut Session, now: SimTime, survivors: &[usize]) {
+        if let Policy::Rescatter(_) = st.policy {
             return;
-        };
+        }
         st.unacked_instr.iter_mut().for_each(|u| *u = None);
         for &sv in survivors {
             st.memb.last_heard[sv] = now;
             st.memb.next_nudge[sv] = now + st.tol.nudge;
             st.memb.done[sv] = false;
         }
-        for &j in joined {
-            rb.join_epoch[j] = st.epoch;
-        }
-    }
-
-    /// Row 4: a `Status` or `InvocationDone` stamped `epoch` claims an
-    /// epoch past `in_force`. Only rollback checks: re-scatter never moves
-    /// the epoch under a slave mid-invocation, so it checks the invocation
-    /// alone.
-    pub fn future_epoch(&self, epoch: u64, in_force: u64) -> bool {
-        matches!(self, Policy::Rollback(_)) && epoch > in_force
     }
 
     /// Row 4: `speaker` spoke — `stale`ly if from a fenced epoch — so a
@@ -361,20 +327,6 @@ impl Policy {
             }
         }
         st.rec.speculations_cancelled += 1;
-    }
-
-    /// Row 5: the lowest report epoch whose `restore_seq` may acknowledge
-    /// `slave`'s window, checked before the epoch fence. Under re-scatter
-    /// the epoch `in_force` — a stale report (pre-takeover, or a
-    /// rejoiner's previous life) acknowledges an older window. Under
-    /// rollback the slot's floor, because the master-channel watermark is
-    /// not epoch-scoped within a reign and a stale report still proves what
-    /// the slave applied.
-    pub fn ack_floor(&self, in_force: u64, slave: usize) -> u64 {
-        match self {
-            Policy::Rescatter(_) => in_force,
-            Policy::Rollback(rb) => rb.join_epoch[slave],
-        }
     }
 
     /// Row 5: `slave` owns `ids` — a fresh done report's ownership
@@ -421,11 +373,6 @@ impl Policy {
             // `Rollback` left it at must still trip the window re-send,
             // which keys off protocol silence. Racing the gather, that is
             // all it is.
-            (Policy::Rollback(_), Msg::Checkpoint { slave, .. }, Some(_)) => {
-                if st.memb.alive[slave] {
-                    st.memb.ping(slave, fx.now());
-                }
-            }
             (
                 Policy::Rollback(_),
                 Msg::Checkpoint {
@@ -433,12 +380,14 @@ impl Policy {
                     invocation,
                     units,
                 },
-                None,
+                got,
             ) => {
                 if st.memb.alive[slave] {
                     st.memb.ping(slave, fx.now());
                 }
-                Policy::on_checkpoint(st, slave, invocation, units);
+                if got.is_none() {
+                    Policy::on_checkpoint(st, slave, invocation, units);
+                }
             }
             // A gather interrupted by a rollback can leave stale GatherData
             // in flight; harmless while settling.
@@ -503,7 +452,6 @@ impl Policy {
     pub fn evict_in_place(
         st: &mut Session,
         fx: &mut Effects,
-        balancer: &mut Balancer,
         s: usize,
         settling: bool,
         now: SimTime,
@@ -512,7 +460,7 @@ impl Policy {
             return Ok(false);
         }
         if settling {
-            st.evict(fx, balancer, s, now)?;
+            st.evict(fx, s, now)?;
         } else {
             st.rec.gathers_interrupted += 1;
             st.declare_dead(fx, s, now);
@@ -736,7 +684,7 @@ impl Policy {
                 rb.raced[suspect] = Some(st.inv);
                 let (invocation, units) = rb
                     .bank
-                    .rollback_snapshot(st.n_units, &|id| rb.app.initial_unit(id));
+                    .rollback_snapshot(st.n_units, &|id| st.app.initial_unit(id));
                 rb.spec = Some(SnapshotSpec {
                     suspect,
                     executor,
@@ -752,20 +700,6 @@ impl Policy {
         };
         fx.send_windowed(st.slaves[executor], &mut st.win[executor], race);
         st.rec.speculations_launched += 1;
-    }
-
-    /// Row 10: an invocation settled after `wall`. Under rollback its wall
-    /// time folds into the restart-cost EMA.
-    pub fn fold_invocation_time(&mut self, wall: SimDuration) {
-        let Policy::Rollback(rb) = self else {
-            return;
-        };
-        let dur = wall.as_secs_f64();
-        rb.ema_s = if rb.ema_s == 0.0 {
-            dur
-        } else {
-            0.5 * rb.ema_s + 0.5 * dur
-        };
     }
 
     /// Row 11, per delivery: re-scatter acknowledges each `GatherData` to
@@ -816,12 +750,18 @@ impl Policy {
     }
 }
 
-/// Mutable state of one fault-mode run: membership, epoch lifecycle, the
-/// per-slave control windows, the admission queue, failover, the recovery
+/// Mutable state of one fault-mode run: the program and its balancer,
+/// membership, epoch lifecycle, the per-slave control windows, the
+/// admission queue, the reign's term and deputy heartbeat, the recovery
 /// counters, and the [`Policy`]. The fault-mode master in `master.rs` owns
 /// exactly one.
 pub(crate) struct Session {
     pub tol: FaultToleranceConfig,
+    /// The program whose outer loop the master mimics; under rollback, the
+    /// source of the epoch-zero snapshot ([`AppSpec::initial_unit`]).
+    pub app: AppSpec,
+    /// This reign's balancer, a clone of the pristine one in the kit.
+    pub balancer: Balancer,
     pub slaves: Vec<ActorId>,
     pub n_units: usize,
     /// Liveness state (suspicion, nudge rate-limiting, barrier flags).
@@ -844,11 +784,23 @@ pub(crate) struct Session {
     /// original reign; a takeover fences its reign behind `term << 32` so
     /// every pre-promotion epoch is strictly older.
     pub epoch: u64,
+    /// Per-slave window-acknowledgement floor: reports from epochs below
+    /// it speak for an older window and acknowledge nothing. It starts at
+    /// the reign floor (`term << 32`), below which reports acknowledge the
+    /// *crashed* master's window, and admission raises a rejoined slot's
+    /// floor to the admission epoch, so the previous life's in-flight
+    /// reports cannot acknowledge its fresh window (E112 guards the same
+    /// boundary on the snapshot side). Above it a stale report still
+    /// proves what the slave applied: the master-channel watermark is not
+    /// epoch-scoped within a reign.
+    pub join_epoch: Vec<u64>,
     /// Invocation being settled.
     pub inv: u64,
-    /// When invocation `inv` was opened: its wall time, once it settles,
-    /// is what [`Policy::fold_invocation_time`] folds.
+    /// When invocation `inv` was opened, and the moving average of the
+    /// settled invocations' wall times (seconds): rollback's restart-cost
+    /// estimate for the balancer.
     pub inv_started: SimTime,
+    ema_s: f64,
     /// The current invocation was released by a `Rollback` (which doubles
     /// as the barrier release), so the head of the loop must not broadcast
     /// another `InvocationStart`.
@@ -862,7 +814,10 @@ pub(crate) struct Session {
     /// broadcast — peers simply never hear from them) and enter through the
     /// same admission path as a rejoiner.
     pub deferred: Vec<bool>,
-    pub fo: Failover,
+    /// This reign's term (0 for the original), and when the deputies are
+    /// pinged next.
+    pub term: u64,
+    next_ping: SimTime,
     /// Recovery actions taken so far (on takeover, seeded from the last
     /// counters the run reported).
     pub rec: RecoveryStats,
@@ -870,16 +825,16 @@ pub(crate) struct Session {
 }
 
 impl Session {
+    /// The session of a reign in `term` that opens at `now` from `kit`,
+    /// counting on from the run's counters `rec`.
     pub fn new(
         now: SimTime,
-        app: &AppSpec,
+        kit: &TakeoverKit,
         tol: FaultToleranceConfig,
-        slaves: &[ActorId],
-        assignment: &[(usize, usize)],
         term: u64,
         rec: RecoveryStats,
     ) -> Session {
-        let n = slaves.len();
+        let (app, assignment, n) = (&kit.app, &kit.assignment, kit.slaves.len());
         let policy = match app {
             AppSpec::Independent(kernel) => Policy::Rescatter(RescatterState {
                 kernel: Arc::clone(kernel),
@@ -891,16 +846,15 @@ impl Session {
                 spec: None,
             }),
             AppSpec::Pipelined(_) | AppSpec::Shrinking(_) => Policy::Rollback(RollbackState {
-                app: app.clone(),
                 bank: CheckpointBank::new(),
                 spec: None,
                 raced: vec![None; n],
-                ema_s: 0.0,
-                join_epoch: vec![term << 32; n],
             }),
         };
         Session {
-            slaves: slaves.to_vec(),
+            app: app.clone(),
+            balancer: kit.balancer.clone(),
+            slaves: kit.slaves.clone(),
             n_units: assignment.iter().map(|&(_, hi)| hi).max().unwrap_or(0),
             memb: Membership::new(n, now, tol.nudge),
             last_hook_seq: vec![0u64; n],
@@ -910,16 +864,15 @@ impl Session {
             win: vec![SenderWindow::new(); n],
             unacked_instr: (0..n).map(|_| None).collect(),
             epoch: term << 32,
+            join_epoch: vec![term << 32; n],
             inv: 0,
             inv_started: now,
+            ema_s: 0.0,
             released: false,
             pending_joins: Vec::new(),
             deferred: assignment.iter().map(|&(lo, hi)| lo >= hi).collect(),
-            fo: Failover {
-                term,
-                deputies: DEPUTIES.min(n),
-                next_ping: now + MASTER_HEARTBEAT,
-            },
+            term,
+            next_ping: now + MASTER_HEARTBEAT,
             rec,
             policy,
             tol,
@@ -934,11 +887,11 @@ impl Session {
     }
 
     /// A live member's `InvocationDone`, taken before the epoch fence:
-    /// below the slot's [floor](Policy::ack_floor) it speaks for an older
+    /// below the slot's [floor](Session::join_epoch) it speaks for an older
     /// window — the crashed master's or a previous life's — and
     /// acknowledges nothing.
     pub fn ack_report(&mut self, slave: usize, epoch: u64, restore_seq: u64) {
-        if epoch >= self.policy.ack_floor(self.epoch, slave) {
+        if epoch >= self.join_epoch[slave] {
             self.win[slave].ack(restore_seq);
         }
     }
@@ -953,40 +906,10 @@ impl Session {
     /// rules out an open eviction — one always awaits a live slave's
     /// report), every transfer channel has settled and the balancer has no
     /// movement order outstanding.
-    pub fn settled(&self, balancer: &Balancer) -> bool {
+    pub fn settled(&self) -> bool {
         (0..self.memb.n()).all(|s| !self.memb.alive[s] || self.slave_settled(s))
             && channels_settled(&self.memb.alive, &self.sent, &self.recv)
-            && balancer.outstanding_orders() == 0
-    }
-
-    /// Open a reign: evict the deferred slots and leave the rest to the
-    /// master's `Start` broadcast, or — on a takeover by slot `me` — evict
-    /// what the winner's own view says is gone, and the winner itself (it
-    /// computes no units). Before the winner adopted any survivor list, the
-    /// `Start`'s membership is its view, so the slots reserved for
-    /// latecomers are gone too. The survivors are mid-run: the master
-    /// collects their `Held` answers before it re-ranges them, starting
-    /// with the winner's own fragments and invocation.
-    pub fn open(&mut self, balancer: &mut Balancer, takeover: Option<(&TakeoverSeed, usize)>) {
-        for i in 0..self.memb.n() {
-            let gone = match takeover {
-                None => self.deferred[i],
-                Some((seed, me)) => {
-                    i == me || seed.dead[i] || (seed.epoch == 0 && self.deferred[i])
-                }
-            };
-            if gone {
-                self.memb.evict(i);
-                balancer.mark_dead(i);
-            }
-            // Admitted before the crash: a later rejoin is a rejoin, not a
-            // first-time (deferred) admission.
-            self.deferred[i] &= gone;
-        }
-        if let Some((seed, me)) = takeover {
-            self.inv = seed.invocation;
-            Policy::bank_held(self, me, seed.held.clone());
-        }
+            && self.balancer.outstanding_orders() == 0
     }
 
     /// Heartbeat the live deputies so their election trigger stays quiet
@@ -994,12 +917,12 @@ impl Session {
     /// `MASTER_HEARTBEAT` (1 s).
     pub fn ping_deputies(&mut self, fx: &mut Effects) {
         let now = fx.now();
-        if now < self.fo.next_ping {
+        if now < self.next_ping {
             return;
         }
-        self.fo.next_ping = now + MASTER_HEARTBEAT;
-        let msg = Msg::Failover(FailoverMsg::MasterPing { term: self.fo.term });
-        for d in 0..self.fo.deputies {
+        self.next_ping = now + MASTER_HEARTBEAT;
+        let msg = Msg::Failover(FailoverMsg::MasterPing { term: self.term });
+        for d in 0..DEPUTIES.min(self.memb.n()) {
             if self.memb.alive[d] {
                 self.rec.replication_bytes += msg.wire_bytes();
                 fx.send(self.slaves[d], msg.clone());
@@ -1045,11 +968,7 @@ impl Session {
     /// joiners' state transfer *and* the barrier release. The epoch bump
     /// fences every pre-admission message (including the joiners'
     /// previous-life traffic) as stale.
-    pub fn admit(
-        &mut self,
-        fx: &mut Effects,
-        balancer: &mut Balancer,
-    ) -> Result<(), ProtocolError> {
+    pub fn admit(&mut self, fx: &mut Effects) -> Result<(), ProtocolError> {
         let mut joined: Vec<usize> = Vec::new();
         let mut rejoined_any = false;
         for (j, jinc) in std::mem::take(&mut self.pending_joins) {
@@ -1057,7 +976,7 @@ impl Session {
                 continue; // raced an earlier admission, or a newer life exists
             }
             self.memb.readmit(j, jinc, fx.now(), self.tol.nudge);
-            balancer.admit(j);
+            self.balancer.admit(j);
             self.win[j] = SenderWindow::new();
             self.unacked_instr[j] = None;
             self.last_hook_seq[j] = 0;
@@ -1076,7 +995,7 @@ impl Session {
         if rejoined_any {
             self.rec.partitions_healed += 1;
         }
-        self.rerange(fx, balancer, &joined)
+        self.rerange(fx, &joined)
     }
 
     /// Re-range the whole unit set contiguously over the survivors under a
@@ -1084,14 +1003,10 @@ impl Session {
     /// epoch fence and barrier release in one message — then
     /// `balancer.rebase`. This is takeover seeding, admission, and rollback;
     /// the policy decides what is shipped ([`Policy::rerange_units`]) and
-    /// what the survivors keep ([`Policy::reranged`]). The bytes shipped to
-    /// `joined` slots are metered as join snapshots.
-    pub fn rerange(
-        &mut self,
-        fx: &mut Effects,
-        balancer: &mut Balancer,
-        joined: &[usize],
-    ) -> Result<(), ProtocolError> {
+    /// what the survivors keep ([`Policy::reranged`]). A `joined` slot's
+    /// ack floor rises to the new epoch, and the bytes shipped to it are
+    /// metered as join snapshots.
+    pub fn rerange(&mut self, fx: &mut Effects, joined: &[usize]) -> Result<(), ProtocolError> {
         let n = self.memb.n();
         let survivors = self.memb.survivors();
         if survivors.is_empty() {
@@ -1099,7 +1014,7 @@ impl Session {
         }
         self.epoch += 1;
         let ranges = crate::driver::block_ranges(self.n_units, survivors.len());
-        let (invocation, snapshot) = Policy::rerange_units(self, balancer);
+        let (invocation, snapshot) = Policy::rerange_units(self);
         let mut counts = vec![0u64; n];
         let mut rest = snapshot.into_iter();
         let epoch = self.epoch;
@@ -1117,12 +1032,13 @@ impl Session {
             };
             let bytes = fx.send_windowed(self.slaves[sv], &mut self.win[sv], rollback);
             if joined.contains(&sv) {
+                self.join_epoch[sv] = epoch;
                 self.rec.join_snapshot_bytes += bytes;
             }
         }
         self.rec.rollbacks += 1;
         self.rec.units_rolled_back += self.n_units as u64;
-        balancer.rebase(self.epoch, counts);
+        self.balancer.rebase(self.epoch, counts);
         // The slaves reset their channels when they rebase onto the new
         // epoch, so the settlement matrices restart from zero; everything
         // tracked under the old epoch is void (stale reports are
@@ -1132,7 +1048,7 @@ impl Session {
         }
         self.inv = invocation;
         self.released = true;
-        Policy::reranged(self, fx.now(), &survivors, joined);
+        Policy::reranged(self, fx.now(), &survivors);
         Ok(())
     }
 
@@ -1140,21 +1056,15 @@ impl Session {
     /// as the policy says. Under rollback the caller must follow up with
     /// [`Session::rerange`] — pipelined/shrinking state cannot be recovered
     /// in place.
-    pub fn evict(
-        &mut self,
-        fx: &mut Effects,
-        balancer: &mut Balancer,
-        s: usize,
-        now: SimTime,
-    ) -> Result<(), ProtocolError> {
-        self.retire(fx, balancer, s, now);
+    pub fn evict(&mut self, fx: &mut Effects, s: usize, now: SimTime) -> Result<(), ProtocolError> {
+        self.retire(fx, s, now);
         Policy::fence(self, fx, s)
     }
 
     /// Declare slave `s` dead as of `now` and drop what the session kept
     /// for it, fencing nothing: what a collecting takeover does, whose
     /// re-range fences every slot it leaves out.
-    pub fn retire(&mut self, fx: &mut Effects, balancer: &mut Balancer, s: usize, now: SimTime) {
+    pub fn retire(&mut self, fx: &mut Effects, s: usize, now: SimTime) {
         // Why the detector fired, and how far from settling the barrier was
         // when it did: the note that tells a dead slave from one waiting on
         // a peer.
@@ -1173,7 +1083,7 @@ impl Session {
             )
         });
         self.declare_dead(fx, s, now);
-        balancer.mark_dead(s);
+        self.balancer.mark_dead(s);
         // Its per-invocation metric no longer counts: survivors recompute
         // its units and contribute their metric.
         self.metrics[s] = 0.0;
@@ -1212,6 +1122,17 @@ impl Session {
         Policy::cancel_race(self, fx, s, true);
         self.rec.stale_epoch_dropped += 1;
         true
+    }
+
+    /// Invocation `inv` settled at `now`: its wall time folds into the
+    /// moving average, which only rollback's re-range reads.
+    pub fn fold_invocation_time(&mut self, now: SimTime) {
+        let dur = now.saturating_since(self.inv_started).as_secs_f64();
+        self.ema_s = if self.ema_s == 0.0 {
+            dur
+        } else {
+            0.5 * self.ema_s + 0.5 * dur
+        };
     }
 
     /// Open the barrier for the next invocation.
@@ -1277,11 +1198,19 @@ pub(crate) mod tests {
     /// slave, and its master's effect buffer. What the session sends stays
     /// in the buffer, so payload refcounts are exact.
     fn session(n: usize, app: AppSpec) -> (Session, Effects) {
-        let tol = FaultToleranceConfig::default();
-        let assignment: Vec<(usize, usize)> = (0..n).map(|i| (i, i + 1)).collect();
-        let slaves: Vec<ActorId> = (1..=n).map(ActorId).collect();
-        let rec = RecoveryStats::default();
-        let sess = Session::new(SimTime::ZERO, &app, tol, &slaves, &assignment, 0, rec);
+        let kit = TakeoverKit {
+            balancer: balancer(n),
+            app,
+            record_timeline: false,
+            ft: Some(FaultToleranceConfig::default()),
+            master: ActorId(0),
+            slaves: (1..=n).map(ActorId).collect(),
+            assignment: (0..n).map(|i| (i, i + 1)).collect(),
+            block_rows: 1,
+            outcome: Default::default(),
+        };
+        let (tol, rec) = (FaultToleranceConfig::default(), RecoveryStats::default());
+        let sess = Session::new(SimTime::ZERO, &kit, tol, 0, rec);
         let fx = Effects::new(
             NodeConfig::default(),
             NetConfig::default(),
@@ -1325,15 +1254,13 @@ pub(crate) mod tests {
     #[test]
     fn eviction_during_rollback_rolls_back_again_cleanly() {
         let (mut sess, mut fx) = session(3, rollback());
-        let mut bal = balancer(3);
 
         // Bank a complete checkpoint for invocation 2, then lose slave 0.
         sess.inv = 2;
         sess.sent[0][1] = 5;
         bank(&mut sess, 2, checkpoint(3, 10.0));
-        sess.evict(&mut fx, &mut bal, 0, SimTime::ZERO).unwrap();
-        sess.rerange(&mut fx, &mut bal, &[])
-            .expect("two survivors remain");
+        sess.evict(&mut fx, 0, SimTime::ZERO).unwrap();
+        sess.rerange(&mut fx, &[]).expect("two survivors remain");
         assert_eq!(sess.epoch, 1);
         assert_eq!(sess.inv, 2, "restart at the banked invocation");
         assert!(sess.released);
@@ -1344,9 +1271,8 @@ pub(crate) mod tests {
         // supersedes the first (higher epoch), the dead slaves get no
         // message, and the remaining survivor's window holds both
         // rollbacks until acked.
-        sess.evict(&mut fx, &mut bal, 1, SimTime::ZERO).unwrap();
-        sess.rerange(&mut fx, &mut bal, &[])
-            .expect("one survivor remains");
+        sess.evict(&mut fx, 1, SimTime::ZERO).unwrap();
+        sess.rerange(&mut fx, &[]).expect("one survivor remains");
         assert_eq!(sess.epoch, 2);
         assert_eq!(sess.rec.rollbacks, 2);
         assert_eq!(sess.rec.slaves_declared_dead, 2);
@@ -1356,9 +1282,9 @@ pub(crate) mod tests {
         assert!(sess.sent.iter().flatten().all(|&v| v == 0));
 
         // Last survivor dies: nothing left to roll back onto.
-        sess.evict(&mut fx, &mut bal, 2, SimTime::ZERO).unwrap();
+        sess.evict(&mut fx, 2, SimTime::ZERO).unwrap();
         assert_eq!(
-            sess.rerange(&mut fx, &mut bal, &[]),
+            sess.rerange(&mut fx, &[]),
             Err(ProtocolError::AllSlavesDead)
         );
     }
@@ -1500,14 +1426,13 @@ pub(crate) mod tests {
     #[test]
     fn replaying_unacked_rollbacks_copies_no_unit() {
         let (mut sess, mut fx) = session(2, rollback());
-        let mut bal = balancer(2);
         let held = checkpoint(2, 10.0);
         bank(&mut sess, 2, held.clone());
         sess.inv = 2;
 
         let k = 3;
         for _ in 0..k {
-            sess.rerange(&mut fx, &mut bal, &[]).unwrap();
+            sess.rerange(&mut fx, &[]).unwrap();
         }
         // `held`, the bank, and per rollback one retained + one sent.
         assert_eq!(refs(&held), vec![2 + 2 * k; 2]);
@@ -1536,17 +1461,13 @@ pub(crate) mod tests {
     #[test]
     fn settled_survivor_awaited_by_an_eviction_is_suspected_again() {
         let (mut sess, mut fx) = session(3, rescatter());
-        let mut bal = balancer(3);
         for s in 0..3 {
             sess.memb.done[s] = true;
         }
         assert!(sess.slave_settled(1) && sess.slave_settled(2));
 
-        sess.evict(&mut fx, &mut bal, 0, SimTime::ZERO).unwrap();
-        assert!(
-            !sess.settled(&bal),
-            "an open eviction keeps the barrier shut"
-        );
+        sess.evict(&mut fx, 0, SimTime::ZERO).unwrap();
+        assert!(!sess.settled(), "an open eviction keeps the barrier shut");
         assert!(sess.memb.done[2] && sess.win[2].fully_acked());
         assert!(
             !sess.slave_settled(2),
@@ -1557,7 +1478,7 @@ pub(crate) mod tests {
         assert!(sess.policy.awaits(2), "slave 2 has not reported");
 
         // Slave 2 never reports: the sweep suspects and evicts it too.
-        sess.evict(&mut fx, &mut bal, 2, SimTime::ZERO).unwrap();
+        sess.evict(&mut fx, 2, SimTime::ZERO).unwrap();
         assert!(sess.policy.awaits(1), "the second eviction awaits slave 1");
         Policy::on_own_report(&mut sess, &mut fx, 1, 2, vec![1]);
         assert!(!sess.policy.awaits(1), "both evictions resolved");
@@ -1575,6 +1496,44 @@ pub(crate) mod tests {
         assert_eq!(restored(&sess, 1), [0, 2], "nothing re-scattered");
     }
 
+    /// The sequence numbers left in slave `s`'s window.
+    fn unacked(sess: &Session, s: usize) -> Vec<u64> {
+        sess.win[s].unacked().map(|(seq, _)| *seq).collect()
+    }
+
+    /// Both policies acknowledge a window from the slot's floor up, not
+    /// from the epoch in force: a survivor's report stamped with the first
+    /// of two re-ranges proves it applied that `Rollback`, and a rejoined
+    /// slot's previous-life report, stamped below its admission epoch,
+    /// acknowledges nothing of its fresh window.
+    #[test]
+    fn both_policies_share_the_per_slot_ack_floor() {
+        for recovery in [rescatter(), rollback()] {
+            let (mut sess, mut fx) = session(3, recovery);
+            let e = sess.epoch;
+            sess.rerange(&mut fx, &[]).unwrap();
+            sess.rerange(&mut fx, &[]).unwrap();
+            assert_eq!(sess.epoch, e + 2);
+            assert_eq!(unacked(&sess, 0), [1, 2]);
+            sess.ack_report(0, e + 1, 1);
+            assert_eq!(unacked(&sess, 0), [2], "the report proves seq 1 applied");
+
+            sess.evict(&mut fx, 1, SimTime::ZERO).unwrap();
+            sess.pending_joins = vec![(1, 1)];
+            sess.admit(&mut fx).unwrap();
+            assert_eq!((sess.epoch, sess.join_epoch[1]), (e + 3, e + 3));
+            assert_eq!(unacked(&sess, 1), [1], "a fresh window");
+            sess.ack_report(1, e + 2, 1);
+            assert_eq!(
+                unacked(&sess, 1),
+                [1],
+                "a previous life acknowledges nothing"
+            );
+            sess.ack_report(1, e + 3, 1);
+            assert!(unacked(&sess, 1).is_empty());
+        }
+    }
+
     /// Admission under either policy: a joiner announcing an incarnation
     /// older than the slot's is a zombie and stays out; one round that
     /// readmits several evicted slaves is one healed partition.
@@ -1582,13 +1541,12 @@ pub(crate) mod tests {
     fn admit_fences_older_incarnations_and_counts_one_heal_per_round() {
         for recovery in [rescatter(), rollback()] {
             let (mut sess, mut fx) = session(4, recovery);
-            let mut bal = balancer(4);
             for s in 1..4 {
-                sess.evict(&mut fx, &mut bal, s, SimTime::ZERO).unwrap();
+                sess.evict(&mut fx, s, SimTime::ZERO).unwrap();
             }
             sess.memb.incarnation[2] = 5;
             sess.pending_joins = vec![(1, 1), (2, 3), (3, 1)];
-            sess.admit(&mut fx, &mut bal).unwrap();
+            sess.admit(&mut fx).unwrap();
 
             assert_eq!(sess.memb.survivors(), vec![0, 1, 3]);
             assert_eq!(sess.memb.incarnation[2], 5, "the zombie changed nothing");
@@ -1599,15 +1557,11 @@ pub(crate) mod tests {
             assert!(sess.released, "the re-range releases the barrier");
             assert!(sess.rec.join_snapshot_bytes > 0);
             let floor = sess.epoch;
-            assert_eq!(
-                sess.policy.ack_floor(sess.epoch, 1),
-                floor,
-                "a previous life never acks"
-            );
+            assert_eq!(sess.join_epoch[1], floor, "a previous life never acks");
 
             // Nothing but the zombie queued: no re-range, no heal.
             sess.pending_joins = vec![(2, 4)];
-            sess.admit(&mut fx, &mut bal).unwrap();
+            sess.admit(&mut fx).unwrap();
             assert_eq!(sess.epoch, floor);
             assert_eq!(sess.rec.partitions_healed, 1);
         }

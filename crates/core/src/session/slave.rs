@@ -140,7 +140,8 @@ async fn slave_life<S: DistributionStrategy>(
                 };
                 let seed = common.takeover.take().ok_or_else(|| missing("seed"))?;
                 let kit = spec.takeover.as_deref().ok_or_else(|| missing("kit"))?;
-                return run_takeover(ctx, kit, seed, spec.idx).await;
+                let tol = spec.ft.clone().ok_or_else(|| missing("wiring"))?;
+                return run_takeover(ctx, kit, tol, seed, spec.idx).await;
             }
             Err(ProtocolError::Evicted { .. })
                 if spec.ft.as_ref().is_some_and(|ft| ft.rejoin_attempts > 0) =>

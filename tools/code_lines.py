@@ -4,22 +4,26 @@ comment, and not below a file's top-level `#[cfg(test)]`.
 
 Prints one total per crate under crates/, then `crates/core/src` file by
 file (a file that is nothing but tests, session/model/tests.rs, left out) -
-the figure a simplification PR quotes before and after - then the settable
+the figure a simplification PR quotes before and after - and the fault-mode
+master's pair, master.rs + session/master.rs, together; then the settable
 values: the `pub` fields of the three configuration structs a caller fills
 in, their sum, and those no caller outside tests and examples sets (a value
 stays settable only when such a caller varies it) - then the policy
 decisions: counted lines of crates/core/src outside `impl Policy` that name
 a `Policy` variant or call `rollback_policy()`, plus branches on a
-`rollback` local in master.rs - then the incarnation comparisons: counted
-lines of crates/core/src outside session/membership.rs that compare an
-incarnation with a relational operator - then the master's kernel touch
-points: counted lines of master.rs and session/master.rs that `.await` or
-name `MailCtx` - then the failover plane's message kinds: the variants of
-`FailoverMsg` - then the `ProtocolError` variants no caller outside tests
-and examples constructs - then the environment variables code outside tests
-and examples reads. Printed, never gated.
+`rollback` local in master.rs - and the methods of `impl Policy`, the rows
+where the two recovery policies still differ - then the incarnation
+comparisons: counted lines of crates/core/src outside
+session/membership.rs that compare an incarnation with a relational
+operator - then the master's kernel touch points: counted lines of
+master.rs and session/master.rs that `.await` or name `MailCtx` - then the
+failover plane's message kinds: the variants of `FailoverMsg` - then the
+`ProtocolError` variants no caller outside tests and examples constructs -
+then the environment variables code outside tests and examples reads.
+Printed, never gated.
 
     python3 tools/code_lines.py [repo root]
+    python3 tools/code_lines.py -h | --help    # this text
 """
 import re
 import sys
@@ -55,10 +59,14 @@ VARIANT = re.compile(r"Policy::(Rescatter|Rollback)\b|\brollback_policy\(")
 ROLLBACK_LOCAL = re.compile(r"(?<![\w.:])rollback(?![\w(])")
 
 
+POLICY_METHOD = re.compile(r"^    (?:pub(?:\([\w:]+\))? )?fn \w+")
+
+
 def policy_decisions(root):
     """Counted lines of crates/core/src outside `impl Policy` that decide by
-    recovery policy; `Session::new` builds the two variants, so 2 is the floor."""
-    n = 0
+    recovery policy (`Session::new` builds the two variants, so 2 is the
+    floor), and the number of methods inside it."""
+    n = methods = 0
     for path in sorted((root / "crates/core/src").glob("**/*.rs")):
         local = path.relative_to(root).as_posix() == "crates/core/src/master.rs"
         in_impl = False
@@ -67,9 +75,11 @@ def policy_decisions(root):
                 in_impl = True
             elif in_impl and line == "}":
                 in_impl = False
-            elif not in_impl:
+            elif in_impl:
+                methods += bool(POLICY_METHOD.match(line))
+            else:
                 n += bool(VARIANT.search(line) or (local and ROLLBACK_LOCAL.search(line)))
-    return n
+    return n, methods
 
 
 # An operand naming an incarnation on either side of a relational operator
@@ -185,6 +195,9 @@ def env_vars(root):
 
 
 def main():
+    if {"-h", "--help"} & set(sys.argv[1:]):
+        print(__doc__.strip())
+        return
     root = Path(sys.argv[1] if len(sys.argv) > 1 else Path(__file__).parent.parent)
     crates = root / "crates"
     files = (f for f in sorted(crates.glob("*/src/**/*.rs")) if f.relative_to(root).as_posix() not in ALL_TESTS)
@@ -197,6 +210,8 @@ def main():
     for f, n in core.items():
         print(f"{n:7}  {f}")
     print(f"{sum(core.values()):7}  crates/core/src")
+    pair = sum(core[f[len("crates/core/src/"):]] for f in MASTER)
+    print(f"{pair:7}  fault-mode master ({' + '.join(MASTER)})")
     print()
     fields = {name: pub_fields(root / path, name) for name, path in CONFIGS.items()}
     for name, names in fields.items():
@@ -205,7 +220,9 @@ def main():
     unset = never_set(root, fields)
     print(f"{len(unset):7}  set by no caller outside tests and examples: {', '.join(unset)}")
     print()
-    print(f"{policy_decisions(root):7}  policy decisions outside impl Policy")
+    decisions, methods = policy_decisions(root)
+    print(f"{decisions:7}  policy decisions outside impl Policy")
+    print(f"{methods:7}  impl Policy methods")
     print(f"{incarnation_comparisons(root):7}  incarnation comparisons outside session/membership.rs")
     print(f"{kernel_touch_points(root):7}  master kernel touch points (lines of {' + '.join(MASTER)} that .await or name MailCtx)")
     failover = enum_variants(root / "crates/core/src/msg.rs", "FailoverMsg")
