@@ -101,11 +101,6 @@ pub struct Balancer {
     /// Rollback epoch stamped into every instruction (zero outside the
     /// checkpointed engines).
     epoch: u64,
-    /// Fixed surcharge on the profitability cost side (seconds): in
-    /// recoverable runs, movement enlarges the state that a crash forces
-    /// the protocol to restore or roll back, so moves must also buy back
-    /// their share of the expected restart cost.
-    restart_cost_s: f64,
     /// Transfers we ordered that the receiver has not yet acknowledged, as
     /// a FIFO per receiver of `(units, sender)`.
     pending_in: Vec<VecDeque<(u64, usize)>>,
@@ -155,7 +150,6 @@ impl Balancer {
             reported: initial_owned,
             dead: vec![false; n],
             epoch: 0,
-            restart_cost_s: 0.0,
             pending_in: vec![VecDeque::new(); n],
             pending_out: vec![VecDeque::new(); n],
             acc: vec![(0, SimDuration::ZERO); n],
@@ -175,12 +169,6 @@ impl Balancer {
     /// boundaries).
     pub fn set_remaining_invocations(&mut self, r: u64) {
         self.remaining_invocations = r.max(1);
-    }
-
-    /// Fold a fixed restart-cost surcharge (checkpoint restore / rollback
-    /// replay time) into every profitability comparison.
-    pub fn set_restart_cost(&mut self, d: SimDuration) {
-        self.restart_cost_s = d.as_secs_f64();
     }
 
     /// The named slave was evicted: drop it from every future allocation
@@ -425,15 +413,14 @@ impl Balancer {
         }
 
         // Refinement 2: profitability — movement must pay for itself over
-        // the remaining invocations, including the restart-cost surcharge
-        // recoverable runs put on every reconfiguration.
+        // the remaining invocations.
         let units_to_move: u64 = owned
             .iter()
             .zip(&target)
             .map(|(&o, &t)| o.saturating_sub(t))
             .sum();
         if self.cfg.profitability && t_cur.is_finite() {
-            let est_cost = units_to_move as f64 * self.per_unit_move_s + self.restart_cost_s;
+            let est_cost = units_to_move as f64 * self.per_unit_move_s;
             let benefit = (t_cur - t_new) * self.remaining_invocations as f64;
             if est_cost > benefit {
                 self.stats.cancelled_profitability += 1;
@@ -601,22 +588,6 @@ mod tests {
             }
         }
         assert!(b.stats().cancelled_profitability > 0);
-    }
-
-    #[test]
-    fn restart_cost_suppresses_marginal_moves() {
-        let mut b = mk(BalancerConfig::default(), vec![25; 4]);
-        b.set_restart_cost(SimDuration::from_secs(10_000));
-        warm(&mut b, 4, 25);
-        for _ in 0..5 {
-            let d = b.on_status(&status(0, 5, 1.0, 25));
-            assert!(d.instructions.moves.is_empty(), "{:?}", d.instructions);
-            for i in 1..4 {
-                b.on_status(&status(i, 10, 1.0, 25));
-            }
-        }
-        assert!(b.stats().cancelled_profitability > 0);
-        assert_eq!(b.stats().units_moved, 0);
     }
 
     #[test]

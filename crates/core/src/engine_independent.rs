@@ -15,16 +15,18 @@
 //! loop, and what makes the pattern *recoverable by re-scatter* rather than
 //! by checkpoint. The master can re-scatter a dead slave's units to
 //! survivors via [`Msg::Restore`]; the receiver replays each restored
-//! unit's computation history (identical `compute` calls in identical
-//! order), so the final gathered data is bit-for-bit the same as a
-//! fault-free run. Work movement stays live under faults: every transfer
-//! rides a sequenced per-peer channel (dedup + ack + re-send; see
-//! [`crate::slave_common`]), units in flight to an evicted peer are
-//! re-owned, and the master may race a silent suspect's units here
-//! speculatively ([`Msg::Speculate`]) — the results are held aside until
-//! the master commits or cancels them. A [`Msg::Rollback`] (master
-//! failover, or an admission after a join) re-scatters every unit from the
-//! master's side, so adopting one is a wholesale replacement of the map.
+//! unit's computation history from the invocations it already holds
+//! (identical `compute` calls in identical order), so the final gathered
+//! data is bit-for-bit the same as a fault-free run. Work movement stays
+//! live under faults: every transfer rides a sequenced per-peer channel
+//! (dedup + ack + re-send; see [`crate::slave_common`]), units in flight to
+//! an evicted peer are re-owned, and the master may race a silent
+//! suspect's units here ([`Msg::Speculate`]): they are computed and shipped
+//! back as a checkpoint, and if the suspect is evicted they return in a
+//! `Restore` that holds them as done. A [`Msg::Rollback`] (master failover,
+//! an admission after a join, the rescue of a wedged slave) re-scatters
+//! every unit from the master's side, so adopting one is a wholesale
+//! replacement of the map.
 //! The runner's module doc tabulates where this strategy departs from the
 //! checkpointed two.
 
@@ -55,10 +57,6 @@ fn fresh(units: impl IntoIterator<Item = (usize, UnitData)>) -> BTreeMap<usize, 
 pub struct IndependentStrategy {
     kernel: Arc<dyn IndependentKernel>,
     units: BTreeMap<usize, Unit>,
-    /// Speculation buffers: results computed on the master's behalf for a
-    /// silent suspect, keyed by the `Speculate` sequence number, each unit's
-    /// data computed through the tagged invocation.
-    spec: BTreeMap<u64, (u64, Vec<(usize, UnitData)>)>,
     /// This invocation's share of the reduction the master's WHILE test
     /// reads: the summed `local_metric` of the units computed here.
     metric: f64,
@@ -76,7 +74,6 @@ impl IndependentStrategy {
         IndependentStrategy {
             units: fresh((lo..hi).map(|i| (i, kernel.init_unit(i)))),
             kernel,
-            spec: BTreeMap::new(),
             metric: 0.0,
         }
     }
@@ -144,100 +141,44 @@ impl IndependentStrategy {
         Ok(())
     }
 
-    /// Apply a `Restore`: adopt the units and replay their computation history
-    /// so their data matches what the dead owner would have held. Returns
-    /// whether the restore was fresh (not a duplicate).
+    /// Apply a `Restore` at the barrier of `inv` (or on the way to it):
+    /// adopt the units, which already hold `held` invocations, and replay
+    /// the rest of their computation history so their data matches what
+    /// the dead owner would have held. Units that hold `inv + 1` — a race's
+    /// result — are adopted as done in `inv`, with nothing to compute.
+    /// Returns whether the restore was fresh (not a duplicate).
     async fn apply_restore(
         &mut self,
         ctx: &MailCtx<Msg>,
         common: &mut SlaveCommon,
         inv: u64,
         seq: u64,
+        held: u64,
         restored: SharedUnits,
     ) -> Result<bool, ProtocolError> {
         if !common.master_chan.fresh(seq) {
             return Ok(false); // duplicate delivery
         }
+        let done_in = (held > inv).then_some(inv);
         for (id, data) in restored {
             let mut data = Arc::unwrap_or_clone(data);
             // Replay: identical compute calls in identical order reproduce the
             // dead slave's unit state bit-for-bit up to the current barrier.
-            for i in 0..inv {
+            for i in held..inv {
                 common.compute(ctx, self.kernel.unit_cost_for(id, i)).await;
                 self.kernel.compute(id, &mut data, i);
                 // Heartbeat so a long replay does not trip the master's
                 // suspicion timer (replayed units are not re-counted as done).
                 let _ = common.hook(ctx, inv, self.active_units(inv)).await?;
             }
-            self.own(common, "restored to", id, data, None)?;
+            self.own(common, "restored to", id, data, done_in)?;
         }
         Ok(true)
     }
 
-    /// Handle the windowed master-channel messages (`Restore` / `Speculate` /
-    /// commit / cancel). Returns whether ownership may have changed (new local
-    /// work or new owned ids).
-    async fn apply_master_chan(
-        &mut self,
-        ctx: &MailCtx<Msg>,
-        common: &mut SlaveCommon,
-        inv: u64,
-        msg: Msg,
-    ) -> Result<bool, ProtocolError> {
-        match msg {
-            Msg::Restore {
-                seq,
-                units: restored,
-                ..
-            } => self.apply_restore(ctx, common, inv, seq, restored).await,
-            Msg::Speculate {
-                seq,
-                invocation,
-                units: suspects,
-            } => {
-                if common.master_chan.fresh(seq) {
-                    self.speculate(ctx, common, inv, seq, invocation, suspects)
-                        .await?;
-                    common.fault_stats.speculations_computed += 1;
-                }
-                Ok(false)
-            }
-            Msg::SpecCommit { seq, spec_seq, ids } => {
-                if !ids.is_empty() && !self.spec.contains_key(&spec_seq) {
-                    // The Speculate this commit refers to has not arrived yet
-                    // (drop + out-of-order window replay). Leave the sequence
-                    // unacknowledged: the master re-sends the whole unacked
-                    // window in order, so the buffer arrives first eventually.
-                    return Ok(false);
-                }
-                if !common.master_chan.fresh(seq) {
-                    return Ok(false);
-                }
-                let mut changed = false;
-                if let Some((computed_through, buffer)) = self.spec.remove(&spec_seq) {
-                    for (id, data) in buffer {
-                        if !ids.contains(&id) {
-                            continue; // owned elsewhere by now — discard
-                        }
-                        let done_in = Some(computed_through);
-                        self.own(common, "speculated and committed to", id, data, done_in)?;
-                        changed = true;
-                    }
-                }
-                Ok(changed)
-            }
-            Msg::SpecCancel { seq, spec_seq } => {
-                if common.master_chan.fresh(seq) {
-                    self.spec.remove(&spec_seq);
-                }
-                Ok(false)
-            }
-            other => Err(common.unexpected("master channel", &other)),
-        }
-    }
-
-    /// Drain already-queued transfers; in fault mode, also the windowed master
-    /// channel, transfer acks, peer evictions, and shutdown orders.
+    /// Drain already-queued transfers; in fault mode, also restores,
+    /// transfer acks, peer evictions, and shutdown orders. A `Speculate`
+    /// stays queued for the barrier: the master only races an idle slave.
     async fn drain_incoming(
         &mut self,
         ctx: &MailCtx<Msg>,
@@ -249,8 +190,7 @@ impl IndependentStrategy {
             matches!(m, Msg::Transfer(_) | Msg::TransferAck { .. })
                 || (fault_mode
                     && (m.is_channel_control()
-                        || m.is_master_chan()
-                        || matches!(m, Msg::Abort | Msg::Evict)))
+                        || matches!(m, Msg::Restore { .. } | Msg::Abort | Msg::Evict)))
         };
         while let Some(env) = ctx.try_recv_match(pred).await {
             match env.msg {
@@ -259,8 +199,13 @@ impl IndependentStrategy {
                         self.incorporate(common, t)?;
                     }
                 }
-                m if m.is_master_chan() => {
-                    self.apply_master_chan(ctx, common, inv, m).await?;
+                Msg::Restore {
+                    seq,
+                    invocation,
+                    units,
+                } => {
+                    self.apply_restore(ctx, common, inv, seq, invocation, units)
+                        .await?;
                 }
                 // Shutdown, acks, eviction notices, and a failover rollback
                 // (stash + unwind to the runner's restart loop) or election
@@ -346,8 +291,8 @@ impl IndependentStrategy {
         self.settle_evictions(ctx, common, inv).await
     }
 
-    /// Barrier-time arrivals (a transfer, a restore, a committed
-    /// speculation, units re-owned from an evicted peer) may still need
+    /// Barrier-time arrivals (a transfer, a restore, units re-owned from an
+    /// evicted peer) may still need
     /// this invocation's computation; the refreshed done report must not
     /// claim them before they have it.
     async fn catch_up(
@@ -379,12 +324,6 @@ impl DistributionStrategy for IndependentStrategy {
         "invocation barrier"
     }
 
-    /// A wedged slave of this pattern is fatal to the run (`SlaveFailed`):
-    /// the master has no snapshot to roll the others back to.
-    fn recoverable(&self, _: &ProtocolError) -> bool {
-        false
-    }
-
     async fn run_invocation(
         &mut self,
         ctx: &MailCtx<Msg>,
@@ -395,39 +334,14 @@ impl DistributionStrategy for IndependentStrategy {
         self.compute_pending(ctx, common, inv).await
     }
 
-    /// Nothing this pattern receives is keyed to a later step, so the wait
-    /// for the first release drains the mailbox in arrival order.
-    fn consumes_before_release(_: &Msg) -> bool {
-        true
-    }
-
     async fn on_barrier_msg(
         &mut self,
         ctx: &MailCtx<Msg>,
         common: &mut SlaveCommon,
-        inv: Option<u64>,
+        inv: u64,
         msg: Msg,
     ) -> Result<BarrierMsg, ProtocolError> {
         let fault_mode = common.ft.is_some();
-        let Some(inv) = inv else {
-            // Before the first release: take ownership of what arrives (and
-            // acknowledge it), compute nothing.
-            match msg {
-                Msg::Transfer(t) => {
-                    if common.accept_transfer(ctx, &t).await {
-                        self.incorporate(common, t)?;
-                    }
-                }
-                m if fault_mode && m.is_master_chan() => {
-                    self.apply_master_chan(ctx, common, 0, m).await?;
-                }
-                Msg::Instructions(_) => {}
-                Msg::Start { .. } if fault_mode => {} // duplicate delivery
-                other => return Ok(BarrierMsg::Pass(other)),
-            }
-            self.settle_evictions(ctx, common, 0).await?;
-            return Ok(BarrierMsg::Consumed);
-        };
         match msg {
             Msg::Transfer(t) => {
                 if common.accept_transfer(ctx, &t).await {
@@ -451,8 +365,13 @@ impl DistributionStrategy for IndependentStrategy {
                 self.settle_evictions(ctx, common, inv).await?;
                 self.catch_up(ctx, common, inv).await
             }
-            m @ (Msg::Restore { .. } | Msg::SpecCommit { .. } | Msg::SpecCancel { .. }) => {
-                self.apply_master_chan(ctx, common, inv, m).await?;
+            Msg::Restore {
+                seq,
+                invocation,
+                units,
+            } => {
+                self.apply_restore(ctx, common, inv, seq, invocation, units)
+                    .await?;
                 // Duplicate or not, the refreshed report carries the
                 // master-channel watermark the master's settlement waits for.
                 self.catch_up(ctx, common, inv).await
@@ -498,41 +417,116 @@ impl DistributionStrategy for IndependentStrategy {
     }
 
     /// The rollback re-scatters every unit from the master's side: the map
-    /// is replaced wholesale, and no speculation buffer survives it.
+    /// is replaced wholesale.
     fn restore(
         &mut self,
         _common: &mut SlaveCommon,
         rb: RollbackInfo,
     ) -> Result<u64, ProtocolError> {
-        self.spec.clear();
         let adopt = |(id, d)| (id, Arc::unwrap_or_clone(d));
         self.units = fresh(rb.units.into_iter().map(adopt));
         Ok(rb.invocation)
     }
 
-    /// Compute the suspect's units *through* `invocation` into a side
-    /// buffer; the master later commits or cancels it.
+    /// Compute the suspect's units, shipped as initial data, *through*
+    /// `invocation`.
     async fn speculate(
         &mut self,
         ctx: &MailCtx<Msg>,
         common: &mut SlaveCommon,
         inv: u64,
-        seq: u64,
         invocation: u64,
         suspects: SharedUnits,
-    ) -> Result<Option<SharedUnits>, ProtocolError> {
+    ) -> Result<SharedUnits, ProtocolError> {
         let mut computed = Vec::with_capacity(suspects.len());
         for (id, data) in suspects {
             let mut data = Arc::unwrap_or_clone(data);
             for i in 0..=invocation {
                 common.compute(ctx, self.kernel.unit_cost_for(id, i)).await;
                 self.kernel.compute(id, &mut data, i);
-                // Speculated units are not owned (yet): not counted done.
+                // Raced units are not owned: not counted done.
                 let _ = common.hook(ctx, inv, self.active_units(inv)).await?;
             }
-            computed.push((id, data));
+            computed.push((id, Arc::new(data)));
         }
-        self.spec.insert(seq, (invocation, computed));
-        Ok(None)
+        Ok(computed)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::balancer::InteractionMode;
+    use dlb_sim::{ActorId, CpuWork, NodeConfig, SimBuilder, SimTime};
+    use std::sync::atomic::{AtomicU64, Ordering};
+    use std::sync::Mutex;
+
+    /// Doubles a unit per invocation and counts the calls.
+    struct Counted(AtomicU64);
+
+    impl IndependentKernel for Counted {
+        fn n_units(&self) -> usize {
+            4
+        }
+        fn invocations(&self) -> u64 {
+            4
+        }
+        fn init_unit(&self, idx: usize) -> UnitData {
+            vec![vec![idx as f64]]
+        }
+        fn compute(&self, _: usize, unit: &mut UnitData, _: u64) {
+            self.0.fetch_add(1, Ordering::Relaxed);
+            unit[0][0] *= 2.0;
+        }
+        fn unit_cost(&self) -> CpuWork {
+            CpuWork::from_micros(100)
+        }
+    }
+
+    /// A lone slave owning unit 0 applies a `Restore` of unit 1, holding
+    /// `held` invocations, at the barrier of invocation 2 (an inert master
+    /// swallows its statuses). Returns the compute calls it made and what
+    /// it then holds of unit 1: its value and the invocation it is done in.
+    fn restored(held: u64, value: f64) -> (u64, f64, Option<u64>) {
+        let out = Arc::new(Mutex::new(None));
+        let sink = Arc::clone(&out);
+        let mut sim = SimBuilder::<Msg>::new();
+        let nodes = [(); 2].map(|()| sim.add_node(NodeConfig::default()));
+        sim.spawn_mail(nodes[0], "slave0", move |ctx| async move {
+            let spec = SlaveSpec {
+                idx: 0,
+                master: ActorId(1),
+                mode: InteractionMode::Pipelined,
+                ft: None,
+                takeover: None,
+                join_at: None,
+            };
+            let start = (vec![ActorId(0)], vec![(0, 1)], 1);
+            let kernel = Arc::new(Counted(AtomicU64::new(0)));
+            let mut mm = IndependentStrategy::new(kernel.clone(), &spec, &start);
+            let mut common = SlaveCommon::new(0, spec.master, start.0, spec.mode, None);
+            let units = vec![(1, Arc::new(vec![vec![value]]))];
+            let fresh = mm.apply_restore(&ctx, &mut common, 2, 1, held, units);
+            assert!(fresh.await.unwrap());
+            let unit = &mm.units[&1];
+            let calls = kernel.0.load(Ordering::Relaxed);
+            *sink.lock().unwrap() = Some((calls, unit.data[0][0], unit.done_in));
+        });
+        sim.spawn_mail(nodes[1], "master", |ctx| async move {
+            while ctx.recv_deadline(SimTime(10_000_000)).await.is_some() {}
+        });
+        sim.run();
+        let out = out.lock().unwrap().take();
+        out.expect("the slave applied the restore")
+    }
+
+    /// `Restore::invocation` says how many invocations the units hold: a
+    /// race's result, holding the one past the barrier, is adopted as done
+    /// with no compute call; initial data is replayed through the two
+    /// invocations before the barrier and left for the barrier's own.
+    #[test]
+    fn a_restore_replays_only_the_invocations_its_units_lack() {
+        assert_eq!(restored(3, 8.0), (0, 8.0, Some(2)));
+        assert_eq!(restored(0, 1.0), (2, 4.0, None));
     }
 }

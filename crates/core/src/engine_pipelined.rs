@@ -215,20 +215,20 @@ impl DistributionStrategy for PipelinedStrategy {
         &mut self,
         ctx: &MailCtx<Msg>,
         common: &mut SlaveCommon,
-        inv: Option<u64>,
+        inv: u64,
         msg: Msg,
     ) -> Result<BarrierMsg, ProtocolError> {
         let st = &mut self.st;
         let nblocks = st.nblocks;
-        match (inv, msg) {
-            (Some(inv), Msg::Transfer(t)) => {
+        match msg {
+            Msg::Transfer(t) => {
                 // Catch-up work done while incorporating counts toward this
                 // sweep: flush it, and execute any movement the reply orders.
                 accept_transfer(ctx, common, st, &*self.kernel, t, nblocks).await?;
                 let moves = common.fire(ctx, inv, st.active_units()).await?;
                 execute_moves(ctx, common, st, moves, nblocks).await?;
             }
-            (Some(_), Msg::Instructions(instr)) => {
+            Msg::Instructions(instr) => {
                 // Barrier-time moves keep the next sweep balanced.
                 let moves = common.instructions_out_of_band(instr);
                 if moves.is_empty() {
@@ -236,7 +236,7 @@ impl DistributionStrategy for PipelinedStrategy {
                 }
                 execute_moves(ctx, common, st, moves, nblocks).await?;
             }
-            (_, other) => return Ok(BarrierMsg::Pass(other)),
+            other => return Ok(BarrierMsg::Pass(other)),
         }
         Ok(BarrierMsg::Refresh)
     }
@@ -305,10 +305,9 @@ impl DistributionStrategy for PipelinedStrategy {
         ctx: &MailCtx<Msg>,
         _common: &mut SlaveCommon,
         _inv: u64,
-        _seq: u64,
         _invocation: u64,
         units: SharedUnits,
-    ) -> Result<Option<SharedUnits>, ProtocolError> {
+    ) -> Result<SharedUnits, ProtocolError> {
         let st = &self.st;
         let kernel = &*self.kernel;
         let mut cols: Vec<(usize, Vec<f64>)> = units
@@ -335,11 +334,10 @@ impl DistributionStrategy for PipelinedStrategy {
                 kernel.compute_block(&mut me.1, left, right, rows.clone());
             }
         }
-        Ok(Some(
-            cols.into_iter()
-                .map(|(id, d)| (id, Arc::new(vec![d])))
-                .collect(),
-        ))
+        Ok(cols
+            .into_iter()
+            .map(|(id, d)| (id, Arc::new(vec![d])))
+            .collect())
     }
 }
 

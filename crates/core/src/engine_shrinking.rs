@@ -218,13 +218,13 @@ impl DistributionStrategy for ShrinkingStrategy {
         &mut self,
         ctx: &MailCtx<Msg>,
         common: &mut SlaveCommon,
-        inv: Option<u64>,
+        inv: u64,
         msg: Msg,
     ) -> Result<BarrierMsg, ProtocolError> {
         let st = &mut self.st;
         let kernel = &*self.kernel;
-        match (inv, msg) {
-            (Some(inv), Msg::Transfer(t)) => {
+        match msg {
+            Msg::Transfer(t) => {
                 let k = inv as usize;
                 if common.accept_transfer(ctx, &t).await {
                     incorporate(common.idx, st, t, k)?;
@@ -239,7 +239,7 @@ impl DistributionStrategy for ShrinkingStrategy {
                     execute_moves(ctx, common, st, k, moves).await?;
                 }
             }
-            (Some(inv), Msg::Instructions(instr)) => {
+            Msg::Instructions(instr) => {
                 // Barrier-time moves keep the next step balanced.
                 let moves = common.instructions_out_of_band(instr);
                 if moves.is_empty() {
@@ -247,17 +247,17 @@ impl DistributionStrategy for ShrinkingStrategy {
                 }
                 execute_moves(ctx, common, st, inv as usize, moves).await?;
             }
-            (Some(_), Msg::Pivot { step, values }) => {
+            Msg::Pivot { step, values } => {
                 // A pivot broadcast racing ahead of the release (or of our
                 // own rollback); bank it.
                 st.pivots.bank(step as usize, values);
                 return Ok(BarrierMsg::Consumed);
             }
-            (_, Msg::PivotWanted { step, from }) => {
+            Msg::PivotWanted { step, from } => {
                 answer_pivot(ctx, common, st, kernel, step as usize, from).await;
                 return Ok(BarrierMsg::Consumed);
             }
-            (_, other) => return Ok(BarrierMsg::Pass(other)),
+            other => return Ok(BarrierMsg::Pass(other)),
         }
         Ok(BarrierMsg::Refresh)
     }
@@ -321,10 +321,9 @@ impl DistributionStrategy for ShrinkingStrategy {
         ctx: &MailCtx<Msg>,
         common: &mut SlaveCommon,
         _inv: u64,
-        _seq: u64,
         invocation: u64,
         units: SharedUnits,
-    ) -> Result<Option<SharedUnits>, ProtocolError> {
+    ) -> Result<SharedUnits, ProtocolError> {
         let kernel = &*self.kernel;
         let k = invocation as usize;
         let mut cols: Vec<(usize, Vec<f64>)> = units
@@ -349,11 +348,10 @@ impl DistributionStrategy for ShrinkingStrategy {
                 kernel.update(*id, data, &payload, k);
             }
         }
-        Ok(Some(
-            cols.into_iter()
-                .map(|(id, d)| (id, Arc::new(vec![d])))
-                .collect(),
-        ))
+        Ok(cols
+            .into_iter()
+            .map(|(id, d)| (id, Arc::new(vec![d])))
+            .collect())
     }
 }
 
@@ -695,7 +693,7 @@ mod tests {
             lu.st.pivots.bank(3, vec![3.0]);
             for step in [3, 1, 2] {
                 let ask = Msg::PivotWanted { step, from: 1 };
-                let took = lu.on_barrier_msg(&ctx, &mut common, Some(3), ask).await;
+                let took = lu.on_barrier_msg(&ctx, &mut common, 3, ask).await;
                 assert!(matches!(took, Ok(BarrierMsg::Consumed)));
             }
         });

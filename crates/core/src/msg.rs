@@ -13,7 +13,7 @@
 //! charged to the virtual network on every send. A host-side deep copy on
 //! top of that is simulator overhead the virtual clock never sees, so the
 //! snapshot plane — checkpoints, the master's bank, rollbacks, snapshot
-//! speculation, restores, the fragments a slave holds for a takeover —
+//! races, restores, the fragments a slave holds for a takeover —
 //! carries [`SharedUnits`]: each unit's data sits behind an `Arc`, is
 //! immutable from the moment it is built, and every hop below hands out the
 //! same allocation.
@@ -26,6 +26,7 @@
 //! | `CheckpointBank::offer` | move | move |
 //! | `rollback_snapshot` for `rerange` and `speculate` | whole-snapshot deep copy each | refcount (`rerange`'s per-survivor split moves the same `Arc`s) |
 //! | slave `control` stashing a `Rollback`, `SlaveCommon::hold` (the barrier snapshot, an installed `Rollback`), a `Held` reply, takeover seed, the successor's bank | deep copy each | refcount / move |
+//! | a re-scatter race's result: the executor's `Checkpoint`, kept on the master's `Race`, shipped back in a `Restore` | held aside on the executor, no hop | refcount: built once behind its `Arc`s by `speculate` |
 //! | **the receiver adopting units into mutable engine state** (`restore`, `speculate`, `apply_restore`) | move | **the one real copy** (`Arc::unwrap_or_clone`: free when every other holder has let go) |
 //!
 //! Deliberately owned, not shared: `TransferMsg` / `MovedUnit` (ownership
@@ -343,13 +344,12 @@ pub enum Msg {
         metric: f64,
         /// Master-channel acknowledgement watermark: the largest `k` such
         /// that this slave has applied every windowed master message
-        /// (`Restore` / `Rollback` / `Speculate` / `SpecCommit` /
-        /// `SpecCancel`) with sequence `1..=k`. Zero when none were ever
-        /// addressed to it.
+        /// (`Restore` / `Rollback` / `Speculate`) with sequence `1..=k`.
+        /// Zero when none were ever addressed to it.
         restore_seq: u64,
         /// Unit ids this slave currently owns — the master's (possibly
-        /// stale) ownership map, which seeds speculative re-execution when
-        /// this slave later falls silent.
+        /// stale) ownership map, which says what to race when this slave
+        /// later falls silent.
         owned_ids: Vec<usize>,
     },
     GatherData {
@@ -406,11 +406,14 @@ pub enum Msg {
         from: usize,
     },
     // ---- fault-tolerance protocol ----
-    /// Master → slave: adopt these units of a dead slave. `invocation` is the
-    /// current barrier; the receiver replays each unit's computation up to it.
-    /// `seq` is a monotone per-destination counter acknowledged via
-    /// `InvocationDone::restore_seq`; unacknowledged restores are re-sent, and
-    /// the receiver deduplicates by sequence number.
+    /// Master → slave: adopt these units of a dead slave. `invocation` is
+    /// how many invocations the shipped units already hold: 0 for initial
+    /// data, which the receiver replays up to its current barrier; one past
+    /// that barrier for a race's result, which it adopts as done with
+    /// nothing to replay. `seq` is a monotone per-destination counter
+    /// acknowledged via `InvocationDone::restore_seq`; unacknowledged
+    /// restores are re-sent, and the receiver deduplicates by sequence
+    /// number.
     Restore {
         seq: u64,
         invocation: u64,
@@ -436,10 +439,12 @@ pub enum Msg {
         about: usize,
         ids: Vec<usize>,
     },
-    /// Slave → master (checkpointed engines): full local state at the
-    /// barrier that completed invocation `invocation - 1` — i.e. the state
-    /// from which invocation `invocation` starts. Best-effort: a dropped
-    /// checkpoint only means a deeper rollback.
+    /// Slave → master: the state from which invocation `invocation` starts
+    /// — a checkpointed engine's full local state at the barrier that
+    /// completed invocation `invocation - 1`, or under either policy a
+    /// race's result ([`Msg::Speculate`]). Best-effort: a dropped checkpoint
+    /// only means a deeper rollback, or a race that re-scatters from
+    /// initial data.
     Checkpoint {
         slave: usize,
         invocation: u64,
@@ -459,30 +464,17 @@ pub enum Msg {
         survivors: Vec<usize>,
         units: SharedUnits,
     },
-    /// Master → idle survivor: speculatively re-execute a silent suspect's
-    /// work, holding the results aside until the master commits or
-    /// cancels. For the independent engine `units` are the suspect's units
-    /// to recompute in `invocation`; for the checkpointed engines `units`
-    /// are the full banked snapshot of invocation `invocation`, which the
-    /// survivor advances by one invocation and returns as a
-    /// [`Msg::Checkpoint`] for `invocation + 1`. Windowed like `Restore`.
+    /// Master → idle survivor: race a silent suspect's work, and return it
+    /// as a [`Msg::Checkpoint`] for `invocation + 1`. For the independent
+    /// engine `units` are the suspect's units as initial data, computed
+    /// through `invocation`; for the checkpointed engines the full banked
+    /// snapshot of invocation `invocation`, advanced by one invocation.
+    /// Windowed like `Restore`; the master decides alone what the result is
+    /// worth, so nothing follows it on the window.
     Speculate {
         seq: u64,
         invocation: u64,
         units: SharedUnits,
-    },
-    /// Master → survivor: the suspect was evicted — adopt the named units
-    /// from the speculation buffer of `spec_seq` and drop the rest.
-    SpecCommit {
-        seq: u64,
-        spec_seq: u64,
-        ids: Vec<usize>,
-    },
-    /// Master → survivor: the suspect spoke again — drop the speculation
-    /// buffer of `spec_seq` entirely.
-    SpecCancel {
-        seq: u64,
-        spec_seq: u64,
     },
     /// Slave → master (fault mode): pure liveness ping. Sent while a slave
     /// is blocked waiting on a *peer* (e.g. a pipeline halo from a crashed
@@ -538,18 +530,6 @@ impl Msg {
         matches!(
             self,
             Msg::TransferAck { .. } | Msg::Evicted { .. } | Msg::Rollback { .. } | Msg::Failover(_)
-        )
-    }
-
-    /// The windowed master → slave messages a strategy applies itself
-    /// (`Rollback`, the fifth on that channel, is channel control).
-    pub(crate) fn is_master_chan(&self) -> bool {
-        matches!(
-            self,
-            Msg::Restore { .. }
-                | Msg::Speculate { .. }
-                | Msg::SpecCommit { .. }
-                | Msg::SpecCancel { .. }
         )
     }
 
@@ -617,13 +597,12 @@ impl Msg {
             Msg::Rollback {
                 survivors, units, ..
             } => HDR + 8 * survivors.len() as u64 + shared(units),
-            Msg::OwnReport { ids, .. } | Msg::SpecCommit { ids, .. } => HDR + 8 * ids.len() as u64,
+            Msg::OwnReport { ids, .. } => HDR + 8 * ids.len() as u64,
             Msg::Evict
             | Msg::Evicted { .. }
             | Msg::Abort
             | Msg::GatherAck
-            | Msg::TransferAck { .. }
-            | Msg::SpecCancel { .. } => HDR,
+            | Msg::TransferAck { .. } => HDR,
             Msg::Alive { .. } | Msg::JoinRefuse { .. } => HDR + 8,
             Msg::Join { .. } | Msg::PivotWanted { .. } => HDR + 16,
             Msg::SlaveError { error, .. } => HDR + 8 + error.payload_bytes(),

@@ -47,16 +47,17 @@ pub struct RecoveryStats {
     /// Speculative re-executions launched for silent suspects.
     pub speculations_launched: u64,
     /// Speculations committed. Re-scatter: the suspect was evicted and the
-    /// speculated units adopted without replay. Rollback: a checkpoint from
-    /// the executor for the invocation after the seed's arrived — often
-    /// only its own barrier fragment, not the whole advanced snapshot
-    /// (`SnapshotSpec::committed_by`).
+    /// race's result handed back to the executor, adopted without replay.
+    /// Rollback: a checkpoint from the executor for the invocation after
+    /// the race's arrived — often only its own barrier fragment, not the
+    /// whole advanced snapshot (`Race::committed_by`).
     pub speculations_committed: u64,
-    /// Speculations cancelled (the suspect spoke again).
+    /// Speculations cancelled: the suspect spoke again, or under
+    /// re-scatter it was evicted before the race's result arrived.
     pub speculations_cancelled: u64,
-    /// Re-scatter: work units adopted from committed speculation buffers.
-    /// Rollback: the units the committing checkpoint carried — the
-    /// executor's own fragment when that is what matched.
+    /// Re-scatter: work units handed back from a race's result. Rollback:
+    /// the units the committing checkpoint carried — the executor's own
+    /// fragment when that is what matched.
     pub units_speculated: u64,
     /// In-flight transfer units re-owned by survivors when their peer was
     /// evicted mid-move.
@@ -87,7 +88,8 @@ pub struct RecoveryStats {
     pub stale_epoch_dropped: u64,
     /// Rollbacks applied by slaves (counts each slave separately).
     pub rollbacks_applied: u64,
-    /// Barrier checkpoints shipped by slaves.
+    /// Checkpoints shipped by slaves: barrier snapshots, and races'
+    /// results.
     pub checkpoints_sent: u64,
     /// Speculation requests computed by survivors.
     pub speculations_computed: u64,

@@ -1,74 +1,58 @@
 //! Speculation bookkeeping: racing a silent slave's work on an idle
 //! survivor before suspicion expires.
 //!
-//! Two flavours share the bookkeeping here:
+//! Both recovery policies race the same way. The master sends the idle
+//! executor a windowed `Speculate` with the units to race at `invocation`;
+//! the executor computes one invocation of them, sequentially and without
+//! communication, and ships the result as an ordinary `Msg::Checkpoint`
+//! for `invocation + 1`, which is [`Race::committed_by`]. What the raced
+//! units are, and what the master does with the checkpoint, is the policy's:
 //!
-//! * **Restart speculation** ([`RestartSpec`], independent engine): the
-//!   suspect's units are re-seeded from their initial state on an idle
-//!   survivor; on eviction the speculative results are adopted with a
-//!   `SpecCommit`, on a late heartbeat they are discarded with `SpecCancel`.
-//! * **Snapshot speculation** ([`SnapshotSpec`], pipelined and shrinking
-//!   engines): the executor advances the *whole banked snapshot* by one
-//!   invocation and returns it as an ordinary `Msg::Checkpoint` — sound
-//!   because snapshots are value-deterministic and carry no epoch. Commit
-//!   is implicit (the checkpoint banks normally, and what counts as one is
-//!   [`SnapshotSpec::committed_by`]); cancel is master-local
-//!   (the suspect spoke, so the speculative checkpoint is simply a
-//!   redundant fragment for an invocation the run will re-reach).
+//! * **Rollback** (pipelined and shrinking engines) races the whole banked
+//!   snapshot and banks the checkpoint like any other — sound because
+//!   snapshots are value-deterministic and carry no epoch — so an eviction
+//!   rolls back one invocation less.
+//! * **Re-scatter** (independent engine) races the suspect's units from
+//!   their initial data and keeps the checkpoint on the race, in
+//!   [`Race::result`]. When the suspect is evicted, the raced units go back
+//!   to the executor in a `Restore` that says they already hold
+//!   `invocation + 1` invocations, so they are adopted without replay.
 //!
-//! At most one speculation is in flight at a time, and never while an
-//! eviction is being resolved.
+//! A cancel is master-local under both: the suspect spoke, the race is
+//! dropped, and a checkpoint that still arrives is inert (rollback banks it
+//! as a redundant fragment, re-scatter finds no race to store it on).
+//!
+//! At most one race is in flight at a time.
 
-/// An in-flight restart speculation (independent engine).
-#[derive(Clone, Debug)]
-pub struct RestartSpec {
-    /// The silent slave whose units are being raced.
-    pub suspect: usize,
-    /// The idle survivor computing them speculatively.
-    pub executor: usize,
-    /// Sequence number of the `Speculate` message on the executor's window
-    /// (a matching `SpecCommit`/`SpecCancel` refers to this batch).
-    pub spec_seq: u64,
-    /// Unit ids being raced.
-    pub ids: Vec<usize>,
-}
+use crate::msg::SharedUnits;
 
-/// An in-flight snapshot speculation (checkpointed engines).
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct SnapshotSpec {
-    /// The silent slave that motivated the race.
+/// The race in flight, at most one per session.
+#[derive(Clone, Debug, PartialEq)]
+pub struct Race {
+    /// The silent slave whose work is raced.
     pub suspect: usize,
-    /// The idle survivor advancing the banked snapshot.
+    /// The idle survivor computing it.
     pub executor: usize,
-    /// Invocation of the banked snapshot handed to the executor; the
-    /// speculative checkpoint comes back for `invocation + 1`.
+    /// The invocation the raced units start from: the checkpoint comes back
+    /// for `invocation + 1`.
     pub invocation: u64,
+    /// Re-scatter: the raced units, once the executor's checkpoint arrived.
+    pub result: Option<SharedUnits>,
 }
 
-impl SnapshotSpec {
-    /// The suspect spoke: the race is moot, cancel master-side. (No wire
-    /// message — an unwanted speculative checkpoint is inert, it banks as
-    /// a redundant fragment.)
-    pub fn cancelled_by(&self, speaker: usize) -> bool {
-        speaker == self.suspect
-    }
-
+impl Race {
     /// A checkpoint from `slave` for `invocation` commits the race: any
-    /// checkpoint from the executor for the invocation after the seed's.
-    /// That is the advanced snapshot the race computes, but also the
-    /// executor's own barrier fragment for the same invocation, which it
-    /// ships at its barrier and re-sends with every heartbeat — usually the
-    /// first to arrive. A commit therefore says the executor reached that
-    /// barrier, not that the whole advanced grid is in hand: in the golden
-    /// event-stream matrix, 202 of 302 commits carry fewer units than the
-    /// grid. Ending the race there is load-bearing (ROADMAP 1(b)(iii)).
+    /// checkpoint from the executor for the invocation after the race's.
+    /// Under re-scatter that is only the raced result. Under rollback it is
+    /// also the executor's own barrier fragment for the same invocation,
+    /// which it ships at its barrier and re-sends with every heartbeat —
+    /// usually the first to arrive. A rollback commit therefore says the
+    /// executor reached that barrier, not that the whole advanced grid is in
+    /// hand: in the golden event-stream matrix, 202 of 302 commits carry
+    /// fewer units than the grid. Ending the race there is load-bearing
+    /// (ROADMAP 1(b)(iii)).
     pub fn committed_by(&self, slave: usize, invocation: u64) -> bool {
         slave == self.executor && invocation == self.invocation + 1
-    }
-
-    /// The race is dead if either party left the computation.
-    pub fn involves(&self, slave: usize) -> bool {
-        slave == self.suspect || slave == self.executor
     }
 }
 
@@ -76,64 +60,22 @@ impl SnapshotSpec {
 mod tests {
     use super::*;
 
-    fn spec() -> SnapshotSpec {
-        SnapshotSpec {
+    fn race() -> Race {
+        Race {
             suspect: 1,
             executor: 2,
             invocation: 5,
+            result: None,
         }
     }
 
     #[test]
     fn commit_matches_only_the_executor_at_the_next_invocation() {
-        let s = spec();
-        assert!(s.committed_by(2, 6));
-        assert!(!s.committed_by(2, 5), "the seed snapshot is not the result");
-        assert!(!s.committed_by(2, 7));
-        assert!(!s.committed_by(1, 6), "the suspect cannot commit the race");
-        assert!(!s.committed_by(0, 6));
-    }
-
-    #[test]
-    fn heartbeat_cancel_beats_a_later_commit() {
-        // Race: the suspect heartbeats before the executor's speculative
-        // checkpoint arrives. The cancel clears the slot, so the late
-        // checkpoint is handled as an ordinary (redundant) fragment.
-        let mut slot = Some(spec());
-        let speaker = 1;
-        if slot.as_ref().is_some_and(|s| s.cancelled_by(speaker)) {
-            slot = None;
-        }
-        assert_eq!(slot, None);
-        // The speculative checkpoint now finds no spec to commit.
-        assert!(!slot.as_ref().is_some_and(|s| s.committed_by(2, 6)));
-    }
-
-    #[test]
-    fn commit_beats_a_later_heartbeat() {
-        // Race resolved the other way: the speculative checkpoint lands
-        // first and commits; the suspect's late heartbeat cancels nothing.
-        let mut slot = Some(spec());
-        if slot.as_ref().is_some_and(|s| s.committed_by(2, 6)) {
-            slot = None; // committed
-        }
-        assert_eq!(slot, None);
-        assert!(!slot.as_ref().is_some_and(|s| s.cancelled_by(1)));
-    }
-
-    #[test]
-    fn eviction_of_either_party_kills_the_race() {
-        let s = spec();
-        assert!(s.involves(1));
-        assert!(s.involves(2));
-        assert!(!s.involves(0));
-    }
-
-    #[test]
-    fn unrelated_speakers_do_not_cancel() {
-        let s = spec();
-        assert!(!s.cancelled_by(0));
-        assert!(!s.cancelled_by(2), "the executor's traffic is not a cancel");
-        assert!(s.cancelled_by(1));
+        let r = race();
+        assert!(r.committed_by(2, 6));
+        assert!(!r.committed_by(2, 5), "the raced start is not the result");
+        assert!(!r.committed_by(2, 7));
+        assert!(!r.committed_by(1, 6), "the suspect cannot commit the race");
+        assert!(!r.committed_by(0, 6));
     }
 }

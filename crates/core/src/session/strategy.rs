@@ -44,10 +44,9 @@ pub enum BarrierMsg {
 ///   pattern [has one](DistributionStrategy::SNAPSHOTS), is the state from
 ///   which invocation `inv + 1` starts — value-deterministic, so snapshots
 ///   bank across epochs.
-/// * A [`speculate`](DistributionStrategy::speculate) that returns a
-///   checkpoint is a *pure* function of its snapshot argument: it must not
-///   read or write live engine state, and must not hook, move work, or
-///   message peers — it races a whole invocation on one idle slave.
+/// * [`speculate`](DistributionStrategy::speculate) is a *pure* function of
+///   its units argument: it must not read or write the live units, move
+///   work, or message peers — it races one invocation on one idle slave.
 #[allow(async_fn_in_trait)] // used generically within the crate; Send is checked at spawn
 pub trait DistributionStrategy {
     /// Whether this pattern ships barrier snapshots. `false`: it recovers
@@ -67,13 +66,6 @@ pub trait DistributionStrategy {
     /// Wait context for the per-invocation barrier (timeout diagnostics).
     fn barrier_context(&self) -> &'static str;
 
-    /// Errors this engine reports and survives (by rollback) instead of
-    /// dying from: by default every error a rollback can rescue
-    /// ([`ProtocolError::survivable`]).
-    fn recoverable(&self, e: &ProtocolError) -> bool {
-        e.survivable()
-    }
-
     /// Compute invocation `inv` end to end: the loop body, the final
     /// transfer drain, the unconditional end-of-invocation hook firing,
     /// and any movement it ordered.
@@ -84,19 +76,8 @@ pub trait DistributionStrategy {
         inv: u64,
     ) -> Result<(), ProtocolError>;
 
-    /// Whether the wait for the first release takes `msg` out of the
-    /// mailbox (it is then offered to
-    /// [`on_barrier_msg`](DistributionStrategy::on_barrier_msg) with no
-    /// invocation). The default leaves everything but the release itself
-    /// queued: halos, pivots and transfers are keyed to a step and are
-    /// drained, selectively, by the invocation they belong to.
-    fn consumes_before_release(msg: &Msg) -> bool {
-        let _ = msg;
-        false
-    }
-
     /// First refusal on a message that arrived while parked at the barrier
-    /// of `inv` (`None`: still waiting for the first release). Transfers
+    /// of `inv`. Transfers
     /// go through the shared dedup/epoch fences
     /// ([`SlaveCommon::accept_transfer`]), movement orders through
     /// [`SlaveCommon::instructions_out_of_band`] — the master cannot settle
@@ -108,7 +89,7 @@ pub trait DistributionStrategy {
         &mut self,
         ctx: &MailCtx<Msg>,
         common: &mut SlaveCommon,
-        inv: Option<u64>,
+        inv: u64,
         msg: Msg,
     ) -> Result<BarrierMsg, ProtocolError>;
 
@@ -142,23 +123,24 @@ pub trait DistributionStrategy {
     fn restore(&mut self, common: &mut SlaveCommon, rb: RollbackInfo)
         -> Result<u64, ProtocolError>;
 
-    /// Race a silent suspect on the master's behalf (`Speculate` number
-    /// `seq`, already deduplicated) while parked at the barrier of `inv`.
-    /// A checkpointed pattern advances the full-grid snapshot `units` (the
-    /// state at `invocation`) by one invocation, sequentially and without
-    /// communication, and returns the state at `invocation + 1` for the
-    /// runner to ship as a checkpoint; it charges CPU via
-    /// [`MailCtx::advance_work`] directly so the raced work never distorts
-    /// this slave's measured work rate. A pattern without snapshots keeps
-    /// the result to itself until the master commits or cancels it, and
-    /// returns `None`.
+    /// Race a silent suspect on the master's behalf (a `Speculate`, already
+    /// deduplicated) while parked at the barrier of `inv`: return `units`
+    /// as they stand after invocation `invocation`, for the runner to ship
+    /// as a checkpoint for `invocation + 1`. A checkpointed pattern is
+    /// handed the full-grid snapshot at `invocation` and advances it by one
+    /// invocation; the independent one is handed the suspect's units as
+    /// initial data and computes them through `invocation`. Either way
+    /// sequentially and without communication. A checkpointed pattern
+    /// charges the CPU directly ([`MailCtx::advance_work`]), so the raced
+    /// work never distorts this slave's measured work rate; the independent
+    /// one computes and hooks as for its own units, heartbeating the master
+    /// through a long race.
     async fn speculate(
         &mut self,
         ctx: &MailCtx<Msg>,
         common: &mut SlaveCommon,
         inv: u64,
-        seq: u64,
         invocation: u64,
         units: SharedUnits,
-    ) -> Result<Option<SharedUnits>, ProtocolError>;
+    ) -> Result<SharedUnits, ProtocolError>;
 }

@@ -625,8 +625,8 @@ fn event_streams_match_the_recorded_constants() {
 #[rustfmt::skip]
 const GOLDEN: &[(&str, u64, u64, u64, &str)] = &[
     ("quiet4/mm", 434944, 577, 0x44f437b77443452b, ""),
-    ("wire_crash4/mm", 11599399, 989, 0x646e91c4d16fcad5, "slaves_declared_dead: 1, first_death: Some(t=8.302867s), restore_resends: 3, instr_resends: 2, start_resends: 1, invocation_start_resends: 3, status_dups_ignored: 1, done_dups_ignored: 6, speculations_launched: 1, speculations_committed: 1, units_speculated: 6, speculations_computed: 1, replication_bytes: 1200"),
-    ("freeze4/mm", 6439038, 827, 0x0005d888a4525db4, "instr_resends: 1, invocation_start_resends: 1, done_dups_ignored: 1, speculations_launched: 1, speculations_cancelled: 1, speculations_computed: 1, replication_bytes: 720"),
+    ("wire_crash4/mm", 11599393, 990, 0xfd9904a8bd5bba36, "slaves_declared_dead: 1, first_death: Some(t=8.302861s), restore_resends: 3, instr_resends: 2, start_resends: 1, invocation_start_resends: 3, status_dups_ignored: 1, done_dups_ignored: 6, speculations_launched: 1, speculations_committed: 1, units_speculated: 6, checkpoints_sent: 1, speculations_computed: 1, replication_bytes: 1200"),
+    ("freeze4/mm", 6438838, 822, 0xf0adf499cec6b0a2, "instr_resends: 1, invocation_start_resends: 1, done_dups_ignored: 1, speculations_launched: 1, speculations_cancelled: 1, checkpoints_sent: 1, speculations_computed: 1, replication_bytes: 720"),
     ("quiet4/sor", 1512323, 1051, 0x3ac8114ff793804b, "checkpoints_banked: 3, checkpoints_sent: 16, replication_bytes: 120"),
     ("wire_crash4/sor", 24362873, 1533, 0x8ff9b47db350f97d, "slaves_declared_dead: 2, first_death: Some(t=8.394586s), status_dups_ignored: 1, gather_dups_ignored: 1, checkpoints_banked: 4, rollbacks: 2, units_rolled_back: 32, speculations_launched: 1, speculations_committed: 1, units_speculated: 6, rollbacks_applied: 4, checkpoints_sent: 18, speculations_computed: 1, replication_bytes: 2240"),
     ("freeze4/sor", 7507862, 1323, 0x23c227c0d729328c, "checkpoints_banked: 3, speculations_launched: 1, speculations_committed: 1, units_speculated: 16, checkpoints_sent: 25, speculations_computed: 1, replication_bytes: 840"),
@@ -638,19 +638,19 @@ const GOLDEN: &[(&str, u64, u64, u64, &str)] = &[
     ("drop16/mm", 16270012, 2138, 0x276fdcedc53ebe08, "instr_resends: 2, start_resends: 1, invocation_start_resends: 3, done_dups_ignored: 2, replication_bytes: 600"),
     ("dup16/mm", 321291, 1706, 0x11ed59476f29839b, "status_dups_ignored: 10, done_dups_ignored: 2"),
     ("jitter16/mm", 381198, 1694, 0xefc29b51b21663d6, ""),
-    ("master_mid_rollback/mm", 24460118, 4138, 0xb74fa404a4873f11, "slaves_declared_dead: 1, first_death: Some(t=24.322677s), restore_resends: 13, rollbacks: 1, units_rolled_back: 32, stale_epoch_dropped: 119, rollbacks_applied: 14, elections_held: 1, takeover_latency: Some(8.002530s), replication_bytes: 640"),
-    ("overlapping_crashes/mm", 15455966, 3785, 0x7d8a51af77229903, "slaves_declared_dead: 2, first_death: Some(t=8.302046s), units_restored: 2, restore_resends: 32, done_dups_ignored: 28, speculations_launched: 1, speculations_committed: 1, units_speculated: 2, speculations_computed: 1, replication_bytes: 1800"),
+    ("master_mid_rollback/mm", 24460118, 4141, 0x1e95e48f3fc5eded, "slaves_declared_dead: 1, first_death: Some(t=24.322677s), restore_resends: 13, rollbacks: 1, units_rolled_back: 32, stale_epoch_dropped: 119, rollbacks_applied: 14, elections_held: 1, takeover_latency: Some(8.002530s), replication_bytes: 640"),
+    ("overlapping_crashes/mm", 15456034, 3788, 0x570879c6f8707473, "slaves_declared_dead: 2, first_death: Some(t=8.302046s), units_restored: 2, restore_resends: 32, done_dups_ignored: 28, speculations_launched: 1, speculations_committed: 1, units_speculated: 2, checkpoints_sent: 1, speculations_computed: 1, replication_bytes: 1800"),
     ("master_mid_transfer/mm", 9213734, 2436, 0xaa2899f7c260e20b, "done_dups_ignored: 1, rollbacks: 1, units_rolled_back: 32, rollbacks_applied: 15, elections_held: 1, takeover_latency: Some(8.088487s), replication_bytes: 80"),
     ("double_failover/mm", 18597377, 3455, 0x8e6a79aa6de29378, "rollbacks: 2, units_rolled_back: 64, rollbacks_applied: 28, elections_held: 2, takeover_latency: Some(10.258291s)"),
     ("crash_in_gather/mm", 8324387, 1897, 0xd2a2b9f6f83dbf0f, "slaves_declared_dead: 1, first_death: Some(t=8.324187s), units_recomputed: 2, gather_resends: 3, gathers_interrupted: 1, replication_bytes: 960"),
-    ("crash_in_gather_lossy/mm", 10319611, 2121, 0x3abb84daf88b5916, "slaves_declared_dead: 1, first_death: Some(t=10.318811s), units_recomputed: 2, gather_resends: 4, status_dups_ignored: 3, done_dups_ignored: 4, gather_dups_ignored: 4, gathers_interrupted: 1, replication_bytes: 1200"),
+    ("crash_in_gather_lossy/mm", 10319611, 2121, 0x21d8fe2c5616191a, "slaves_declared_dead: 1, first_death: Some(t=10.318811s), units_recomputed: 2, gather_resends: 4, status_dups_ignored: 3, done_dups_ignored: 4, gather_dups_ignored: 4, gathers_interrupted: 1, replication_bytes: 1200"),
     ("late_join/mm", 361959, 1664, 0x81ecbd7814857af1, "rollbacks: 1, units_rolled_back: 32, joins_admitted: 1, join_snapshot_bytes: 1200, rollbacks_applied: 16"),
     ("master_crash_join_in_flight/mm", 8371824, 4138, 0x9d999df2047e25fd, "rollbacks: 2, units_rolled_back: 64, joins_admitted: 1, join_snapshot_bytes: 1192, stale_epoch_dropped: 13, rollbacks_applied: 29, elections_held: 1, takeover_latency: Some(8.062503s)"),
     ("late_join_lossy/mm", 1117910, 2266, 0x1566d5b65bd4d8a7, "restore_resends: 1, start_resends: 1, invocation_start_resends: 1, status_dups_ignored: 12, rollbacks: 1, units_rolled_back: 32, joins_admitted: 1, join_snapshot_bytes: 1200, stale_epoch_dropped: 3, rollbacks_applied: 16, replication_bytes: 120"),
-    ("master_crash_join_in_flight_lossy/mm", 10085872, 5081, 0x1e9749bc21d88d99, "restore_resends: 26, status_dups_ignored: 7, rollbacks: 2, units_rolled_back: 64, joins_admitted: 1, join_snapshot_bytes: 1192, stale_epoch_dropped: 148, rollbacks_applied: 29, elections_held: 1, takeover_latency: Some(8.086121s), replication_bytes: 80"),
-    ("partition_heal_rejoin/mm", 1918766, 6204, 0x7eb124c9eb2eaf0c, "slaves_declared_dead: 4, first_death: Some(t=0.606651s), units_restored: 6, restore_resends: 15, instr_resends: 1, invocation_start_resends: 1, done_dups_ignored: 20, rollbacks: 1, units_rolled_back: 32, speculations_launched: 1, speculations_committed: 1, units_speculated: 2, joins_admitted: 4, rejoins_after_eviction: 4, join_snapshot_bytes: 4800, partitions_healed: 1, rollbacks_applied: 16, speculations_computed: 1, replication_bytes: 120"),
-    ("crash_inside_partition/mm", 2232502, 7046, 0xb54a8cbcd3fc5a4d, "slaves_declared_dead: 5, first_death: Some(t=0.606651s), units_restored: 8, restore_resends: 26, instr_resends: 1, invocation_start_resends: 1, done_dups_ignored: 30, rollbacks: 1, units_rolled_back: 32, speculations_launched: 1, speculations_committed: 1, units_speculated: 2, joins_admitted: 4, rejoins_after_eviction: 4, join_snapshot_bytes: 4768, partitions_healed: 1, stale_epoch_dropped: 1, rollbacks_applied: 15, speculations_computed: 1, replication_bytes: 240"),
-    ("partition_heal_rejoin_lossy/mm", 2881580, 7319, 0x482fa15d4fdc9a0f, "slaves_declared_dead: 4, first_death: Some(t=0.601841s), units_restored: 6, restore_resends: 20, instr_resends: 9, start_resends: 2, invocation_start_resends: 11, gather_resends: 1, status_dups_ignored: 13, done_dups_ignored: 33, gather_dups_ignored: 3, rollbacks: 2, units_rolled_back: 64, speculations_launched: 1, speculations_committed: 1, units_speculated: 2, joins_admitted: 4, rejoins_after_eviction: 4, join_snapshot_bytes: 4776, partitions_healed: 2, transfer_dups_dropped: 2, stale_epoch_dropped: 11, rollbacks_applied: 31, speculations_computed: 1, replication_bytes: 240"),
+    ("master_crash_join_in_flight_lossy/mm", 10085872, 5081, 0xf2758e0929331aff, "restore_resends: 26, status_dups_ignored: 7, rollbacks: 2, units_rolled_back: 64, joins_admitted: 1, join_snapshot_bytes: 1192, stale_epoch_dropped: 148, rollbacks_applied: 29, elections_held: 1, takeover_latency: Some(8.086121s), replication_bytes: 80"),
+    ("partition_heal_rejoin/mm", 1917844, 6174, 0xe64d888cbc4bdd38, "slaves_declared_dead: 4, first_death: Some(t=0.606651s), units_restored: 6, restore_resends: 15, instr_resends: 1, invocation_start_resends: 1, done_dups_ignored: 20, rollbacks: 1, units_rolled_back: 32, speculations_launched: 1, speculations_committed: 1, units_speculated: 2, joins_admitted: 4, rejoins_after_eviction: 4, join_snapshot_bytes: 4800, partitions_healed: 1, rollbacks_applied: 16, checkpoints_sent: 1, speculations_computed: 1, replication_bytes: 120"),
+    ("crash_inside_partition/mm", 2231370, 7015, 0x0dba2d641eda5b64, "slaves_declared_dead: 5, first_death: Some(t=0.606651s), units_restored: 8, restore_resends: 26, instr_resends: 1, invocation_start_resends: 1, done_dups_ignored: 30, rollbacks: 1, units_rolled_back: 32, speculations_launched: 1, speculations_committed: 1, units_speculated: 2, joins_admitted: 4, rejoins_after_eviction: 4, join_snapshot_bytes: 4768, partitions_healed: 1, stale_epoch_dropped: 1, rollbacks_applied: 15, checkpoints_sent: 1, speculations_computed: 1, replication_bytes: 240"),
+    ("partition_heal_rejoin_lossy/mm", 2557798, 6766, 0x2585b0b5f9d4db8d, "slaves_declared_dead: 4, first_death: Some(t=0.603643s), units_restored: 6, restore_resends: 17, instr_resends: 11, start_resends: 2, invocation_start_resends: 13, status_dups_ignored: 12, done_dups_ignored: 33, gather_dups_ignored: 3, rollbacks: 1, units_rolled_back: 32, speculations_launched: 1, speculations_committed: 1, units_speculated: 2, joins_admitted: 4, rejoins_after_eviction: 4, join_snapshot_bytes: 4800, partitions_healed: 1, stale_epoch_dropped: 5, rollbacks_applied: 16, checkpoints_sent: 1, speculations_computed: 1, replication_bytes: 240"),
     ("master_mid_invocation/sor", 11731831, 4751, 0xf3c442edcd95aa72, "checkpoints_banked: 3, rollbacks: 1, units_rolled_back: 34, rollbacks_applied: 15, checkpoints_sent: 165, elections_held: 1, takeover_latency: Some(8.316503s), replication_bytes: 240"),
     ("master_frozen_then_superseded/sor", 14372117, 5251, 0xe616436b353f54ff, "slaves_declared_dead: 1, first_death: Some(t=14.301200s), rollbacks: 1, units_rolled_back: 34, replication_bytes: 120"),
     ("drop16/sor", 53714255, 8570, 0xa775bec7676484b4, "slaves_declared_dead: 4, first_death: Some(t=15.251674s), restore_resends: 114, start_resends: 234, invocation_start_resends: 234, gather_dups_ignored: 1, checkpoints_banked: 4, rollbacks: 4, units_rolled_back: 136, speculations_launched: 7, speculations_committed: 7, units_speculated: 114, stale_epoch_dropped: 93, rollbacks_applied: 48, checkpoints_sent: 88, speculations_computed: 7, replication_bytes: 4760"),
@@ -690,8 +690,8 @@ const GOLDEN: &[(&str, u64, u64, u64, &str)] = &[
     ("crash_inside_partition/lu", 5127902, 20736, 0x0d9b8bfadbc821ff, "slaves_declared_dead: 5, first_death: Some(t=0.618441s), restore_resends: 41, instr_resends: 2, invocation_start_resends: 2, done_dups_ignored: 9, checkpoints_banked: 38, rollbacks: 9, units_rolled_back: 360, speculations_launched: 3, joins_admitted: 4, rejoins_after_eviction: 4, join_snapshot_bytes: 4520, partitions_healed: 4, stale_epoch_dropped: 39, rollbacks_applied: 112, checkpoints_sent: 811, replication_bytes: 480"),
     ("partition_heal_rejoin_lossy/lu", 30003971, 24814, 0x24ae2df49728804d, "slaves_declared_dead: 3, first_death: Some(t=0.635127s), restore_resends: 25, instr_resends: 27, start_resends: 3, invocation_start_resends: 30, gather_resends: 1, status_dups_ignored: 31, done_dups_ignored: 33, gather_dups_ignored: 1, checkpoints_banked: 30, rollbacks: 5, units_rolled_back: 200, speculations_launched: 2, joins_admitted: 2, rejoins_after_eviction: 2, join_snapshot_bytes: 2264, partitions_healed: 2, stale_epoch_dropped: 31, rollbacks_applied: 68, checkpoints_sent: 1061, replication_bytes: 760"),
     ("pivot_link_cut/lu", 2762519, 10099, 0x4f5b951e81574e66, "instr_resends: 2, invocation_start_resends: 2, done_dups_ignored: 4, checkpoints_banked: 22, checkpoints_sent: 388, replication_bytes: 240"),
-    ("heal_after_end/mm", 2093983, 2767, 0xbf88dbcc87653767, "slaves_declared_dead: 3, first_death: Some(t=0.501265s), units_restored: 4, restore_resends: 13, instr_resends: 1, start_resends: 6, invocation_start_resends: 7, done_dups_ignored: 15, speculations_launched: 1, speculations_committed: 1, units_speculated: 2, speculations_computed: 1"),
-    ("converges_early4/mm", 8297650, 778, 0x972dca8c96279b31, "slaves_declared_dead: 1, first_death: Some(t=8.290674s), restore_resends: 3, done_dups_ignored: 3, speculations_launched: 1, speculations_committed: 1, units_speculated: 6, speculations_computed: 1, replication_bytes: 960"),
+    ("heal_after_end/mm", 2093983, 2770, 0xbcb37711dcc77270, "slaves_declared_dead: 3, first_death: Some(t=0.501265s), units_restored: 4, restore_resends: 13, instr_resends: 1, start_resends: 6, invocation_start_resends: 7, done_dups_ignored: 15, speculations_launched: 1, speculations_committed: 1, units_speculated: 2, checkpoints_sent: 1, speculations_computed: 1"),
+    ("converges_early4/mm", 8297673, 781, 0x2f96dcd866c664dd, "slaves_declared_dead: 1, first_death: Some(t=8.290674s), restore_resends: 3, done_dups_ignored: 3, speculations_launched: 1, speculations_committed: 1, units_speculated: 6, checkpoints_sent: 1, speculations_computed: 1, replication_bytes: 960"),
     ("quiet31/sor", 6053941, 4993, 0xaa2e72629b9d4486, "start_resends: 1, invocation_start_resends: 1, checkpoints_banked: 2, checkpoints_sent: 123, replication_bytes: 720"),
     ("plain_load4/mm/sync", 1672999, 939, 0xdbcb800b21f443a6, ""),
     ("plain_load4/mm/pipe", 1643553, 929, 0xfeaa37cc3d83d307, ""),
@@ -701,6 +701,6 @@ const GOLDEN: &[(&str, u64, u64, u64, &str)] = &[
     ("plain_load4/lu", 1955089, 2251, 0x72e5b0551b9a565f, ""),
     ("plain_converges_early4/mm", 489319, 446, 0xbd6423d12f3f3977, ""),
     ("slow_wire4/mm", 3639761, 992, 0x93798a6b469f0b89, "instr_resends: 2, invocation_start_resends: 2, status_dups_ignored: 21, done_dups_ignored: 8, gather_dups_ignored: 2, transfer_dups_dropped: 1, replication_bytes: 360"),
-    ("slow_wire16/mm", 2952134, 2538, 0x6930b1ca9efeee14, "status_dups_ignored: 57, done_dups_ignored: 2, gather_dups_ignored: 16, replication_bytes: 240"),
+    ("slow_wire16/mm", 2890589, 2552, 0x41cdfde5247533d5, "status_dups_ignored: 57, done_dups_ignored: 3, gather_dups_ignored: 17, replication_bytes: 240"),
     ("stale_gather4/sor", 40077926, 2724, 0x1d8ea5cf3f8743f5, "instr_resends: 5, start_resends: 2, invocation_start_resends: 9, done_dups_ignored: 15, checkpoints_banked: 4, rollbacks: 1, units_rolled_back: 16, rollbacks_applied: 3, checkpoints_sent: 69, elections_held: 1, takeover_latency: Some(8.002067s), replication_bytes: 2400"),
 ];

@@ -17,7 +17,9 @@ comparisons: counted lines of crates/core/src outside
 session/membership.rs that compare an incarnation with a relational
 operator - then the master's kernel touch points: counted lines of
 master.rs and session/master.rs that `.await` or name `MailCtx` - then the
-failover plane's message kinds: the variants of `FailoverMsg` - then the
+message kinds: the variants of `Msg`, and of the failover plane's
+`FailoverMsg` - then the items of `DistributionStrategy`, what an engine
+supplies to the slave runner (its methods and constants) - then the
 `ProtocolError` variants no caller outside tests and examples constructs -
 then the environment variables code outside tests and examples reads.
 Printed, never gated.
@@ -115,6 +117,13 @@ def enum_variants(path, name):
     """The variants of the `pub enum name` declared in `path`."""
     body = re.search(rf"^pub enum {name} \{{\n(.*?)^\}}", path.read_text(), re.M | re.S)
     return re.findall(r"^    (\w+)", body.group(1), re.M)
+
+
+def trait_items(path, name):
+    """The items (`fn`s and `const`s) of the `pub trait name` declared in
+    `path`."""
+    body = re.search(rf"^pub trait {name} \{{\n(.*?)^\}}", path.read_text(), re.M | re.S)
+    return re.findall(r"^    (?:async )?(?:fn|const) (\w+)", body.group(1), re.M)
 
 
 def pub_fields(path, name):
@@ -225,8 +234,12 @@ def main():
     print(f"{methods:7}  impl Policy methods")
     print(f"{incarnation_comparisons(root):7}  incarnation comparisons outside session/membership.rs")
     print(f"{kernel_touch_points(root):7}  master kernel touch points (lines of {' + '.join(MASTER)} that .await or name MailCtx)")
+    msgs = enum_variants(root / "crates/core/src/msg.rs", "Msg")
+    print(f"{len(msgs):7}  message kinds (Msg variants)")
     failover = enum_variants(root / "crates/core/src/msg.rs", "FailoverMsg")
     print(f"{len(failover):7}  failover message kinds (FailoverMsg variants): {', '.join(failover)}")
+    strategy = trait_items(root / "crates/core/src/session/strategy.rs", "DistributionStrategy")
+    print(f"{len(strategy):7}  DistributionStrategy items (what an engine supplies the slave runner)")
     print()
     unbuilt = unconstructed_errors(root)
     print(f"{len(unbuilt):7}  ProtocolError variants no caller outside tests and examples constructs: {', '.join(unbuilt)}")
