@@ -157,11 +157,10 @@ impl ProtocolError {
         }
     }
 
-    /// Whether a slave that hit this error can be rescued by a checkpoint
-    /// rollback — it reports the error and parks until the `Rollback` — as
-    /// opposed to having failed itself. The checkpointed strategies' answer
-    /// (`DistributionStrategy::recoverable`'s default), and the master's
-    /// test of a member's `SlaveError` under the rollback policy.
+    /// Whether a wedged slave that hit this error reports it and waits to
+    /// be re-ranged — it parks until the `Rollback` — as opposed to having
+    /// failed itself. The slave runner and `Master`'s handling of a member's
+    /// `SlaveError` both ask it, under both recovery policies.
     pub(crate) fn survivable(&self) -> bool {
         matches!(
             self,
