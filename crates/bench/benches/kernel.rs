@@ -8,8 +8,9 @@
 //!   a peer mailbox plus the recv that drains it.
 //! * `wakeups`  — sleeping actors only: every op is a push onto the wake
 //!   heap and the wake that pops it.
-//! * `steps`    — compute/sleep alternation: every op parks the actor's
-//!   state machine and polls it back to life.
+//! * `steps`    — compute/sleep alternation: the charge runs the actor's
+//!   own clock ahead without an event, and the nap parks its state machine
+//!   once and polls it back to life, so a two-op iteration is one event.
 //!
 //! Results are printed as a table and written to `BENCH_kernel.json`
 //! (hand-rolled JSON; the container has no serde). With
@@ -101,7 +102,7 @@ fn bench_wakeups(width: usize) -> (u64, dlb_sim::SimReport) {
 }
 
 /// State-machine stepping: `width` actors alternate a compute quantum
-/// with a 1 µs nap, so every iteration parks and re-polls the future.
+/// with a 1 µs nap, so every iteration parks and re-polls the future once.
 fn bench_steps(width: usize) -> (u64, dlb_sim::SimReport) {
     let iters: u64 = 1_000;
     let mut b = SimBuilder::<()>::new().net(NetConfig::ideal());

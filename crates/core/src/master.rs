@@ -16,8 +16,8 @@
 //!   never a panic. It stays a loop of its own: it is the only one that
 //!   checks unit conservation (`done_sum == expected`), it blocks in
 //!   `recv()` where the fault-mode shell ticks on `recv_deadline` (every
-//!   tick is a wake event: `wide_armed` processes 298 087 events to
-//!   `wide_plain`'s 217 220, 1.60× the wall-clock), and it backs every
+//!   tick is a wake event: `wide_armed` processes 248 038 events to
+//!   `wide_plain`'s 186 269, 1.5× the wall-clock), and it backs every
 //!   `results/*.txt` table — folding it in would move each of those traces
 //!   or make every shared arm branch on "armed?".
 //! * **fault mode** (`Master`) — a step function over one `Session`
@@ -59,13 +59,13 @@
 //! (a clone of the kit's pristine one) and the failover term included. No
 //! step takes a `MailCtx`: what a step does goes into `Effects` — CPU
 //! charges, sends and notes, in order — which carry the actor's clock, so
-//! `fx.now()` is where the kernel will resume the actor. Only the shell
+//! `fx.now()` is where the actor's own clock will stand. Only the shell
 //! (`reign`, `flush`, `conclude`) and `run_plain` touch the kernel: receive
 //! until the next `MASTER_TICK`, step, and apply the effects through
-//! `advance_work` / `send` / `note` — the parks, sends and notes of the
+//! `advance_work` / `send` / `note` — the charges, sends and notes of the
 //! loop this replaced, in its order. The one thing the effect clock cannot
-//! see is a freeze over a charge's finish: the actor resumes at the thaw,
-//! and the master sees the late time at its next step.
+//! see is a freeze over a charge's finish: the actor's clock moves on to
+//! the thaw, and the master sees the late time at its next step.
 //!
 //! ## The phases of the fault-mode master
 //!

@@ -65,10 +65,10 @@ pub(crate) enum Effect {
 
 /// What a master step does, in program order, for the shell in `master.rs`
 /// to apply through the kernel — and the actor's clock meanwhile: each
-/// charge moves [`Effects::now`] to where the kernel will resume the actor,
+/// charge moves [`Effects::now`] to where the actor's own clock will stand,
 /// the node's [`advance`] of the work or of the net's `send_cpu`. Only a
-/// freeze over a finish resumes it later, and the next step starts at the
-/// true time. One buffer serves a reign; the shell drains it after each
+/// freeze over a finish moves that clock further, and the next step starts
+/// at the true time. One buffer serves a reign; the shell drains it after each
 /// step.
 #[derive(Clone, Debug)]
 pub(crate) struct Effects {

@@ -61,6 +61,29 @@ pub struct NodeFaults {
     pub freezes: Vec<(SimTime, SimTime)>,
 }
 
+impl NodeFaults {
+    /// If `t` falls inside a freeze window, the time the node thaws
+    /// (chained/overlapping windows are walked to a fixed point).
+    pub(crate) fn thaw(&self, t: SimTime) -> Option<SimTime> {
+        let mut cur = t;
+        let mut moved = false;
+        loop {
+            let mut hit = false;
+            for &(from, until) in &self.freezes {
+                if cur >= from && cur < until {
+                    cur = until;
+                    hit = true;
+                    moved = true;
+                }
+            }
+            if !hit {
+                break;
+            }
+        }
+        moved.then_some(cur)
+    }
+}
+
 /// A network partition window: for `[from, until)` the node set splits into
 /// `groups` and every message crossing a group boundary is dropped. Nodes
 /// not listed in any group form one implicit group of their own — so
@@ -206,23 +229,13 @@ impl FaultPlan {
     /// If `t` falls inside a freeze window of `node`, the time the node
     /// thaws (chained/overlapping windows are walked to a fixed point).
     pub fn thaw_time(&self, node: usize, t: SimTime) -> Option<SimTime> {
-        let faults = self.nodes.get(&node)?;
-        let mut cur = t;
-        let mut moved = false;
-        loop {
-            let mut hit = false;
-            for &(from, until) in &faults.freezes {
-                if cur >= from && cur < until {
-                    cur = until;
-                    hit = true;
-                    moved = true;
-                }
-            }
-            if !hit {
-                break;
-            }
-        }
-        moved.then_some(cur)
+        self.nodes.get(&node)?.thaw(t)
+    }
+
+    /// `node`'s crash time and freeze windows (none if the plan names no
+    /// fault of it).
+    pub(crate) fn node_faults(&self, node: usize) -> NodeFaults {
+        self.nodes.get(&node).cloned().unwrap_or_default()
     }
 }
 

@@ -10,8 +10,12 @@
 //! [`MailCtx::advance_work`] charges CPU work to the node's quantum
 //! scheduler, [`MailCtx::send`]/[`MailCtx::recv`] exchange messages over
 //! the simulated network, and [`MailCtx::sleep`] waits for virtual time to
-//! pass. Every such call *parks* the actor and returns control to the
-//! kernel, which advances the virtual clock to the next event.
+//! pass. A charge is no event: the node's cost model gives its finish, so
+//! it only moves the actor's own clock, and the actor runs ahead of the
+//! kernel through its own work. Every interaction — a send, a mailbox
+//! look, a sleep, returning — *parks* the actor (an actor that is ahead
+//! parks first at its own instant) and returns control to the kernel,
+//! which advances the virtual clock to the next event.
 //!
 //! A [`crate::fault::FaultPlan`] attached via [`SimBuilder::fault_plan`]
 //! injects message drops/duplicates/jitter and node crashes/freezes at
@@ -20,7 +24,7 @@
 //! trace equality.
 
 use crate::cpu::{self, NodeConfig};
-use crate::fault::{FaultPlan, FaultRuntime, FaultStats};
+use crate::fault::{FaultPlan, FaultRuntime, FaultStats, NodeFaults};
 use crate::net::{Envelope, NetConfig};
 use crate::time::{SimDuration, SimTime};
 use crate::trace::{TraceEvent, TraceKind, TRACE_HEADER};
@@ -75,6 +79,14 @@ pub struct SchedStats {
     pub batches: u64,
     /// Largest single batch.
     pub max_batch: usize,
+    /// CPU charges: [`MailCtx::advance_work`] calls and the marshalling a
+    /// send or receive charges. Each runs the node's CPU model on the
+    /// actor's own clock and is no event.
+    pub charges: u64,
+    /// Parks of an actor its charges ran ahead of the kernel's clock: a
+    /// catch-up at its own instant before it sends, looks at its mailbox or
+    /// returns, or a sleep from that instant.
+    pub catch_ups: u64,
     /// Acquisitions of an actor's mutex (mailbox, effect buffer, park
     /// request), by the kernel and by `MailCtx` calls together. Exact and the
     /// same at any pool size: it is a function of the event stream.
@@ -133,21 +145,73 @@ impl SimReport {
 /// Deliveries and crash faults. `Wake`s are not here: they are most of the
 /// event stream and 32 bytes whatever `M` is, so they sit in a heap of their
 /// own (`Inner::wakes`), where a sift never moves a message, and are merged
-/// back in by `(time, seq)`.
+/// back in by `(time, enq, seq)`.
 enum EventKind<M> {
     Deliver { dst: ActorId, env: Envelope<M> },
     Crash { node: NodeId },
 }
 
+/// Both queues order their entries by `(time, enq, seq)`: due time, where
+/// the entry was filed, and the global sequence number. The kernel
+/// processes events in this order, so for every entry it files itself
+/// ([`Inner::here`]; a freeze re-files a deferred entry where it stood)
+/// `enq` only restates what `seq` orders. A wake an actor files while its
+/// charges have run it ahead (a catch-up, or a sleep from its own instant)
+/// draws its `seq` early; its `enq` is where the wake its last charge would
+/// have parked for, were charges events, is filed ([`ActorCell::filed`]).
 struct Event<M> {
     time: SimTime,
+    enq: Filing,
     seq: u64,
     kind: EventKind<M>,
 }
 
+/// Where a queue entry was filed: the virtual instant it was enqueued at,
+/// and the `at` of the event whose processing enqueued it.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+struct Filed {
+    at: SimTime,
+    cause: SimTime,
+}
+
+/// A [`Filed`] as a queue entry keeps it, in one word beside the due time
+/// so that a wake stays 32 bytes: how far before `time` the entry was
+/// enqueued and how far before that its cause was, in microseconds, each
+/// saturated at `u32::MAX` and stored inverted, so a later filing compares
+/// greater. A saturated distance (a wake set over 71 minutes ahead) makes
+/// the cause's saturate too, so it ties only with filings at least as old,
+/// which `seq` then orders as the instants would.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
+struct Filing(u64);
+
+impl Filing {
+    const FAR: u64 = u32::MAX as u64;
+
+    #[inline]
+    fn new(time: SimTime, filed: Filed) -> Filing {
+        let at = (time.0 - filed.at.0).min(Self::FAR);
+        let cause = (filed.at.0 - filed.cause.0).min(Self::FAR);
+        let cause = if at == Self::FAR { Self::FAR } else { cause };
+        Filing(((Self::FAR - at) << 32) | (Self::FAR - cause))
+    }
+
+    /// The instant the entry due at `time` was enqueued at (the latest it
+    /// can have been, when that lies over 71 minutes back).
+    #[inline]
+    fn at(self, time: SimTime) -> SimTime {
+        SimTime(time.0 - (Self::FAR - (self.0 >> 32)))
+    }
+}
+
+impl<M> Event<M> {
+    fn key(&self) -> (SimTime, Filing, u64) {
+        (self.time, self.enq, self.seq)
+    }
+}
+
 impl<M> PartialEq for Event<M> {
     fn eq(&self, other: &Self) -> bool {
-        self.time == other.time && self.seq == other.seq
+        self.key() == other.key()
     }
 }
 impl<M> Eq for Event<M> {}
@@ -159,26 +223,28 @@ impl<M> PartialOrd for Event<M> {
 impl<M> Ord for Event<M> {
     fn cmp(&self, other: &Self) -> std::cmp::Ordering {
         // BinaryHeap is a max-heap; reverse so the earliest event pops first.
-        (other.time, other.seq).cmp(&(self.time, self.seq))
+        other.key().cmp(&self.key())
     }
 }
 
-/// One pending wake (sleep, deadline, CPU-advance completion): the target
-/// actor and the park epoch that must still be current for the wake to be
-/// live when it pops. `seq` is unique, so the derived order is `(time, seq)`.
+/// One pending wake (sleep, deadline, message, catch-up): the target actor
+/// and the park epoch that must still be current for the wake to be live
+/// when it pops. `seq` is unique, so the derived order is `(time, enq, seq)`.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
 struct WakeEntry {
     time: SimTime,
+    enq: Filing,
     seq: u64,
-    actor: usize,
-    epoch: u64,
+    actor: u32,
+    epoch: u32,
 }
 
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 enum ActorState {
-    /// Parked, waiting for a Wake with the matching epoch.
+    /// Parked, waiting for a Wake with the matching epoch (which wraps: a
+    /// wake goes stale long before `u32::MAX` later parks).
     Waiting {
-        epoch: u64,
+        epoch: u32,
         wake_on_msg: bool,
     },
     /// Woken and being polled in the current batch.
@@ -199,6 +265,10 @@ struct Tracer<M> {
     echo: bool,
     record: bool,
     events: Vec<TraceEvent>,
+    /// Notes made by actors that ran ahead, keyed by `(instant, order
+    /// made)`: each enters the trace once the clock reaches its instant.
+    ahead: BinaryHeap<Reverse<(SimTime, u64, usize, String)>>,
+    notes: u64,
 }
 
 impl<M> Tracer<M> {
@@ -219,18 +289,41 @@ impl<M> Tracer<M> {
             self.events.push(ev);
         }
     }
+
+    /// Trace `actor`'s note made at its instant `at`: now if the clock
+    /// `now` has reached it, else once it does.
+    fn note(&mut self, now: SimTime, at: SimTime, actor: usize, text: String) {
+        if at <= now {
+            self.emit(at, TraceKind::Note { actor, text });
+        } else {
+            self.notes += 1;
+            self.ahead.push(Reverse((at, self.notes, actor, text)));
+        }
+    }
+
+    /// Trace the notes made ahead at instants before `t`.
+    #[inline]
+    fn notes_before(&mut self, t: SimTime) {
+        while self.ahead.peek().is_some_and(|Reverse(n)| n.0 < t) {
+            let Reverse((at, _, actor, text)) = self.ahead.pop().expect("peeked");
+            self.emit(at, TraceKind::Note { actor, text });
+        }
+    }
 }
 
 struct Inner<M> {
     now: SimTime,
+    /// The filing instant of the event processed last: the cause of what its
+    /// processing enqueues.
+    cause: SimTime,
     seq: u64,
-    /// Deliveries and crash faults, ordered by `(time, seq)`.
+    /// Deliveries and crash faults, ordered by `(time, enq, seq)`.
     heap: BinaryHeap<Event<M>>,
-    /// All `Wake` timers (parks, sleeps, deadlines), ordered by the same
-    /// global `(time, seq)` key and merged with `heap` at pop time.
+    /// All `Wake` timers (parks, sleeps, deadlines, catch-ups), ordered by
+    /// the same key and merged with `heap` at pop time.
     wakes: BinaryHeap<Reverse<WakeEntry>>,
     states: Vec<ActorState>,
-    epochs: Vec<u64>,
+    epochs: Vec<u32>,
     nodes: Vec<NodeConfig>,
     net: NetConfig,
     /// Per-sender time at which its outgoing link becomes free.
@@ -249,7 +342,6 @@ struct Inner<M> {
     /// [`SimReport::deliveries_after_exit`].
     deliveries_after_exit: u64,
     actor_metrics: Vec<ActorMetrics>,
-    node_metrics: Vec<NodeMetrics>,
     events_processed: u64,
     max_events: u64,
     fault: Option<FaultRuntime>,
@@ -261,23 +353,39 @@ const FNV_OFFSET: u64 = 0xcbf29ce484222325;
 const FNV_PRIME: u64 = 0x100000001b3;
 
 impl<M> Inner<M> {
-    fn push_event(&mut self, time: SimTime, kind: EventKind<M>) {
-        let seq = self.seq;
-        self.seq += 1;
-        self.heap.push(Event { time, seq, kind });
+    /// Where an entry enqueued now is filed: at the clock, caused by the
+    /// event processed last.
+    fn here(&self) -> Filed {
+        Filed {
+            at: self.now,
+            cause: self.cause,
+        }
     }
 
-    /// Schedule a `Wake` for `actor` at `time`, consuming the next global
-    /// sequence number — both queues share one seq stream, so the merged
-    /// pop order is exactly what a single heap would produce.
-    fn schedule_wake(&mut self, time: SimTime, actor: ActorId, epoch: u64) {
-        debug_assert!(time >= self.now);
+    fn push_event(&mut self, time: SimTime, enq: Filed, kind: EventKind<M>) {
+        let seq = self.seq;
+        self.seq += 1;
+        self.heap.push(Event {
+            time,
+            enq: Filing::new(time, enq),
+            seq,
+            kind,
+        });
+    }
+
+    /// Schedule a `Wake` for `actor` at `time`, filed at `enq` (see
+    /// [`Event`]), consuming the next global sequence number — both queues share
+    /// one seq stream, so the merged pop order is exactly what a single
+    /// heap would produce.
+    fn schedule_wake(&mut self, time: SimTime, enq: Filed, actor: ActorId, epoch: u32) {
+        debug_assert!(time >= enq.at && enq.at >= self.now);
         let seq = self.seq;
         self.seq += 1;
         self.wakes.push(Reverse(WakeEntry {
             time,
+            enq: Filing::new(time, enq),
             seq,
-            actor: actor.0,
+            actor: actor.0 as u32,
             epoch,
         }));
     }
@@ -293,6 +401,7 @@ impl<M> Inner<M> {
         );
         debug_assert!(time >= self.now, "time went backwards");
         self.now = self.now.max(time);
+        self.tracer.notes_before(time);
     }
 
     fn process_wake_meta(&mut self, time: SimTime, actor: ActorId) {
@@ -426,6 +535,7 @@ impl<M: Send + Clone + 'static> Inner<M> {
             self.last_arrival[pair] = dup_arrival;
             self.push_event(
                 arrival,
+                self.here(),
                 EventKind::Deliver {
                     dst,
                     env: Envelope {
@@ -435,10 +545,15 @@ impl<M: Send + Clone + 'static> Inner<M> {
                     },
                 },
             );
-            self.push_event(dup_arrival, EventKind::Deliver { dst, env: copy });
+            self.push_event(
+                dup_arrival,
+                self.here(),
+                EventKind::Deliver { dst, env: copy },
+            );
         } else {
             self.push_event(
                 arrival,
+                self.here(),
                 EventKind::Deliver {
                     dst,
                     env: Envelope {
@@ -456,9 +571,14 @@ impl<M: Send + Clone + 'static> Inner<M> {
 // Mailbox actors: resumable state machines, not OS threads.
 //
 // An actor is an `async fn` driven by the kernel as a compiler-built state
-// machine. Every `MailCtx` operation parks at a fixed set of points (one
-// wake event and one seq draw per park), so an actor body determines its
-// `(time, seq)` event stream — and therefore the trace hash — exactly.
+// machine. It keeps its own clock (`ActorCell::now`): a CPU charge runs the
+// node's cost model on that clock and moves it to the charge's finish without
+// parking, so the actor runs ahead of the kernel through its own work. It
+// parks only to interact — the send handoff, any mailbox look, a sleep, or
+// returning — and an actor that is ahead first parks once more, at its own
+// instant (a catch-up). Every park is one wake event and one seq draw, so an
+// actor body determines its `(time, enq, seq)` event stream — and therefore
+// the trace hash — exactly.
 //
 // Ownership rule: the kernel thread owns `Inner` (clock, queues, metrics,
 // fault RNG) as a plain value; during a poll an actor touches only its own
@@ -472,32 +592,42 @@ impl<M: Send + Clone + 'static> Inner<M> {
 // A cell is never touched by both sides at once — the kernel hands it to a
 // poll and gets it back — so the cell is split by who writes what, when:
 //
-//   field      kernel, actor parked              actor, being polled
-//   ---------  --------------------------------  ----------------------------
-//   constants  -                                 reads, no lock
-//   `now`      stores before each poll           loads, no lock
-//   `queued`   stores after deliver / crash      loads to skip an empty
-//              clear, under the guard            mailbox, no lock; stores
-//                                                after a take, under the guard
-//   mailbox    push on deliver, clear on crash   scan + remove (guard)
-//   effects    drain after the poll (guard)      push (guard)
-//   park       take after the poll (guard)       set (guard)
+//   field       kernel, actor parked              actor, being polled
+//   ----------  --------------------------------  ----------------------------
+//   constants   -                                 reads, no lock
+//   `now`       stores the poll's instant         loads; a charge stores its
+//               before each poll                  finish, no lock
+//   `filed`     -                                 a charge stores its wake's
+//                                                 filing, a catch-up clears
+//                                                 it; no lock
+//   CPU tallies sums them once the run ends       adds per charge, no lock
+//   `queued`    stores after deliver / crash      loads to skip an empty
+//               clear, under the guard            mailbox, no lock; stores
+//                                                 after a take, under the guard
+//   mailbox     push on deliver, clear on crash   scan + remove (guard)
+//   effects     drain after the poll (guard)      push (guard)
+//   park        take after the poll (guard)       set (guard)
 //
-// Memory ordering: `now` and `queued` are written only by the side that has
-// the cell, and the cell changes sides either on one thread (inline polls) or
+// Memory ordering: the atomics are written only by the side that has the
+// cell, and the cell changes sides either on one thread (inline polls) or
 // through the pool's job / result channels, whose send→recv edge orders
 // everything the sender wrote before everything the receiver reads; the
-// atomics exist for `Sync`, not for ordering, so `Relaxed` is enough. Neither
+// atomics exist for `Sync`, not for ordering, so `Relaxed` is enough. None
 // publishes other data: the mailbox a non-zero `queued` points at is still
 // read under the mutex.
 //
 // What is left under the mutex is what moves data: one acquisition per
-// mutating `MailCtx` call (`advance_work`, the send handoff, a park, a take
-// from a non-empty mailbox, a note while traced, an exit reply), one per
-// delivery to an actor that has not returned, one per kernel apply.
-// `SchedStats::local_locks` counts them; `tests/lock_budget.rs` holds the
-// per-event figure.
+// mutating `MailCtx` call (a park, catch-ups included, the send handoff, a
+// take from a non-empty mailbox, a note while traced, an exit reply), one
+// per delivery to an actor that has not returned, one per kernel apply. A
+// charge takes none. `SchedStats::local_locks` counts them;
+// `tests/lock_budget.rs` holds the per-event figure.
 // ---------------------------------------------------------------------------
+
+/// [`ActorCell::filed`]`[0]` of an actor whose clock is the kernel's: it has
+/// charged nothing since it was polled or last caught up. As `filed[1]`:
+/// the wake the actor was polled for is the cause.
+const CAUGHT_UP: u64 = u64::MAX;
 
 /// Lock an actor's mutable half, shrugging off poison (a panicked poll is
 /// already recorded; the kernel still drains the local to shut down cleanly).
@@ -508,6 +638,11 @@ fn lock_local<M>(cell: &ActorCell<M>) -> MutexGuard<'_, ActorLocal<M>> {
     local
 }
 
+/// Add `v` to a counter only the cell's current holder writes.
+fn bump(counter: &AtomicU64, v: u64) {
+    counter.store(counter.load(Relaxed) + v, Relaxed);
+}
+
 /// A side effect buffered during a poll, applied on the kernel thread in
 /// batch order. Buffer order within one poll is program order.
 enum LocalEffect<M> {
@@ -515,14 +650,10 @@ enum LocalEffect<M> {
     Send { dst: ActorId, msg: M, bytes: u64 },
     /// A message was taken from the mailbox (receive metrics).
     Recv { bytes: u64 },
-    /// CPU charged to the node (metrics only; the wake carries the time).
-    Cpu {
-        app: SimDuration,
-        loaded: SimDuration,
-    },
-    /// Narration for the trace ([`MailCtx::note`]); buffered only while
-    /// tracing is on.
-    Note(String),
+    /// Narration for the trace ([`MailCtx::note`]) at the actor's instant
+    /// `at`; buffered only while tracing is on. One made while the actor
+    /// ran ahead enters the trace once the kernel's clock reaches `at`.
+    Note { at: SimTime, text: String },
     /// What to answer once the actor has returned ([`MailCtx::exit_reply`]).
     ExitReply { msg: M, bytes: u64 },
 }
@@ -531,22 +662,44 @@ enum LocalEffect<M> {
 struct ParkReq {
     wake_on_msg: bool,
     wake_at: Option<SimTime>,
+    /// Where an actor that parks ahead of the kernel's clock files the
+    /// wake ([`Filed`]): the instant, and the cause's, `None` when that is
+    /// the polled wake's. `None` files it at the kernel's clock.
+    enq: Option<(SimTime, Option<SimTime>)>,
 }
 
 /// One actor's side of the kernel, shared between its `MailCtx` and the
-/// kernel thread: what never changes after spawn and the two values a poll
-/// only reads, all reachable without a lock, beside the mutable
-/// [`ActorLocal`].
+/// kernel thread: what never changes after spawn, the clock and tallies a
+/// poll keeps without a lock, and the mutable [`ActorLocal`].
 struct ActorCell<M> {
     id: ActorId,
     node: NodeId,
     n_actors: usize,
     node_cfg: NodeConfig,
+    /// The node's crash time and freeze windows, which a charge's finish
+    /// and its accounting answer to.
+    faults: NodeFaults,
     net: NetConfig,
     /// Whether the run is traced, so [`MailCtx::note`] buffers its text.
     traced: bool,
-    /// Virtual time of the poll in progress, in microseconds.
+    /// The run's event budget, which also bounds this actor's charges: a
+    /// CPU-only loop makes no event.
+    max_events: u64,
+    /// The actor's own clock in microseconds: the instant it was polled at,
+    /// moved on by the charges it has made since.
     now: AtomicU64,
+    /// Where the wake that resumes the actor at its own clock would be
+    /// filed, were charges events: a charge's wake at its start, caused by
+    /// the wake that resumed the actor there; one a freeze deferred at its
+    /// unthawed finish, caused by its start. [`CAUGHT_UP`] while the actor
+    /// has not run ahead.
+    filed: [AtomicU64; 2],
+    /// CPU tallies ([`NodeMetrics`], [`SchedStats::charges`],
+    /// [`FaultStats::freeze_deferrals`]), summed by the kernel at the end.
+    app_cpu: AtomicU64,
+    app_cpu_while_loaded: AtomicU64,
+    charges: AtomicU64,
+    freeze_deferrals: AtomicU64,
     /// `mailbox.len()`, so that a receive on an empty mailbox takes no lock.
     queued: AtomicUsize,
     local: Mutex<ActorLocal<M>>,
@@ -563,22 +716,9 @@ struct ActorLocal<M> {
     locks: u64,
 }
 
-impl<M> ActorLocal<M> {
-    /// Record how this poll wants to be resumed — under the lock the caller
-    /// already holds — and return the future that hands control back.
-    fn park(&mut self, wake_on_msg: bool, wake_at: Option<SimTime>) -> ParkOnce {
-        debug_assert!(self.park.is_none(), "double park in one poll");
-        self.park = Some(ParkReq {
-            wake_on_msg,
-            wake_at,
-        });
-        ParkOnce { parked: false }
-    }
-}
-
 /// The one-poll park primitive: the first poll returns `Pending`; the kernel
 /// applies the recorded request (epoch bump + wake schedule) and re-polls on
-/// wake, where it completes.
+/// wake, where it completes. Built `parked`, it completes at once.
 struct ParkOnce {
     parked: bool,
 }
@@ -626,7 +766,8 @@ impl<M: Send + Clone + 'static> MailCtx<M> {
         self.cell.node
     }
 
-    /// Current virtual time (constant within one poll segment).
+    /// This actor's virtual time: the instant it was resumed at, plus the
+    /// CPU it has charged since ([`advance_work`](Self::advance_work)).
     pub fn now(&self) -> SimTime {
         SimTime(self.cell.now.load(Relaxed))
     }
@@ -635,8 +776,8 @@ impl<M: Send + Clone + 'static> MailCtx<M> {
     /// [`cpu::advance`] turns [`advance_work`](Self::advance_work) into a
     /// finish time, and its net, whose [`NetConfig::send_cpu`] is what
     /// [`send`](Self::send) charges. An actor that buffers its effects keeps
-    /// its own clock with them; it resumes later only when a freeze covers
-    /// a finish.
+    /// its own clock with them; only a freeze over a finish, which moves
+    /// this actor's clock to the thaw, is beyond what those two can say.
     pub fn costs(&self) -> (&NodeConfig, &NetConfig) {
         (&self.cell.node_cfg, &self.cell.net)
     }
@@ -647,13 +788,63 @@ impl<M: Send + Clone + 'static> MailCtx<M> {
         self.cell.traced
     }
 
+    /// Record how this poll wants to be resumed and return the future that
+    /// hands control back.
     fn park(&self, wake_on_msg: bool, wake_at: Option<SimTime>) -> ParkOnce {
-        self.lock().park(wake_on_msg, wake_at)
+        self.park_req(ParkReq {
+            wake_on_msg,
+            wake_at,
+            enq: None,
+        })
+    }
+
+    fn park_req(&self, req: ParkReq) -> ParkOnce {
+        let mut local = self.lock();
+        debug_assert!(local.park.is_none(), "double park in one poll");
+        local.park = Some(req);
+        ParkOnce { parked: false }
+    }
+
+    /// Whether charges have run this actor ahead of the kernel's clock.
+    fn ahead(&self) -> bool {
+        self.cell.filed[0].load(Relaxed) != CAUGHT_UP
+    }
+
+    /// [`ActorCell::filed`] (`None` for a cause that is the polled wake's),
+    /// if the actor is ahead; marks it caught up, for the caller is about
+    /// to park.
+    fn leave_ahead(&self) -> Option<(SimTime, Option<SimTime>)> {
+        let [at, cause] = &self.cell.filed;
+        let filed = at.load(Relaxed);
+        if filed == CAUGHT_UP {
+            return None;
+        }
+        let by = cause.load(Relaxed);
+        at.store(CAUGHT_UP, Relaxed);
+        cause.store(CAUGHT_UP, Relaxed);
+        Some((SimTime(filed), (by != CAUGHT_UP).then_some(SimTime(by))))
+    }
+
+    /// If a charge has run this actor ahead of the kernel's clock, park
+    /// until the kernel reaches the actor's: one wake at its own instant,
+    /// filed where the wake its last charge would have parked for is. An
+    /// actor that is not ahead gets a future that is ready at once.
+    fn catch_up(&self) -> ParkOnce {
+        match self.leave_ahead() {
+            Some(filed) => self.park_req(ParkReq {
+                wake_on_msg: false,
+                wake_at: Some(self.now()),
+                enq: Some(filed),
+            }),
+            None => ParkOnce { parked: true },
+        }
     }
 
     /// Take the first queued message matching `pred`. An empty mailbox is
-    /// answered from the `queued` mirror, without the lock.
+    /// answered from the `queued` mirror, without the lock. A look, so the
+    /// caller has caught up.
     fn take(&self, pred: &mut dyn FnMut(&M) -> bool) -> Option<Envelope<M>> {
+        debug_assert!(!self.ahead(), "a mailbox look catches up first");
         if self.cell.queued.load(Relaxed) == 0 {
             return None;
         }
@@ -665,15 +856,19 @@ impl<M: Send + Clone + 'static> MailCtx<M> {
         Some(env)
     }
 
-    /// Narrate a decision into the event trace as `NOTE <actor> <text>`, in
-    /// program order among this poll's sends. `text` runs only while the
-    /// run is traced; otherwise a note costs one flag load, and no lock.
-    /// The text is one line: the trace format ends a record at a newline.
+    /// Narrate a decision into the event trace as `NOTE <actor> <text>` at
+    /// this actor's [`now`](Self::now), in program order among its sends.
+    /// A note is not an interaction: it parks nowhere, and one made while
+    /// the actor is ahead enters the trace once the kernel's clock reaches
+    /// its instant. `text` runs only while the run is traced; otherwise a
+    /// note costs one flag load, and no lock. The text is one line: the
+    /// trace format ends a record at a newline.
     pub fn note(&self, text: impl FnOnce() -> String) {
         if self.cell.traced {
             let text = text();
             debug_assert!(!text.contains('\n'), "a note is one line: {text:?}");
-            self.lock().effects.push(LocalEffect::Note(text));
+            let at = self.now();
+            self.lock().effects.push(LocalEffect::Note { at, text });
         }
     }
 
@@ -690,43 +885,73 @@ impl<M: Send + Clone + 'static> MailCtx<M> {
             .push(LocalEffect::ExitReply { msg, bytes });
     }
 
-    /// Consume `work` of CPU on this actor's node, advancing virtual time
-    /// according to the node's speed, quantum, and competing load.
+    /// Consume `work` of CPU on this actor's node: the node's CPU model
+    /// ([`cpu::advance`] — speed, quantum, competing load) gives the
+    /// finish, a freeze window over the finish moves it to the thaw, and
+    /// this actor's clock goes there. Nothing parks and nothing locks: the
+    /// actor runs ahead of the kernel's clock until its next interaction,
+    /// where it catches up. A charge that starts at or after the node's
+    /// crash — the kernel would never have resumed the actor to make it —
+    /// is not counted in the node's CPU time, unless it is the first since
+    /// the actor was resumed.
     pub async fn advance_work(&self, work: CpuWork) {
         if work.is_zero() {
             return;
         }
-        let node_cfg = &self.cell.node_cfg;
-        let adv = cpu::advance(node_cfg, self.now(), work);
-        let cpu = LocalEffect::Cpu {
-            app: adv.dedicated,
-            loaded: adv.cpu_while_loaded,
+        let cell = &*self.cell;
+        let charges = cell.charges.load(Relaxed) + 1;
+        assert!(
+            charges <= cell.max_events,
+            "event budget exhausted ({} events): probable livelock",
+            cell.max_events
+        );
+        cell.charges.store(charges, Relaxed);
+        let start = self.now();
+        let adv = cpu::advance(&cell.node_cfg, start, work);
+        let thaw = cell.faults.thaw(adv.finish);
+        let first = !self.ahead();
+        if first || cell.faults.crash_at.is_none_or(|c| start < c) {
+            bump(&cell.app_cpu, adv.dedicated.micros());
+            bump(&cell.app_cpu_while_loaded, adv.cpu_while_loaded.micros());
+            bump(&cell.freeze_deferrals, thaw.is_some() as u64);
+        }
+        // This charge's wake: filed at its start, caused by the wake that
+        // resumed the actor there (the polled one, for the first), unless a
+        // freeze defers it, which files it where it stood.
+        let filed = match thaw {
+            None => [start.0, cell.filed[0].load(Relaxed)],
+            Some(_) => [adv.finish.0, start.0],
         };
-        let parked = {
-            let mut local = self.lock();
-            local.effects.push(cpu);
-            local.park(false, Some(adv.finish))
-        };
-        parked.await;
-        // A freeze window may defer the wake past `finish`; time never runs
-        // backwards, so the actor simply resumes late.
-        debug_assert!(self.now() >= adv.finish);
+        for (f, v) in cell.filed.iter().zip(filed) {
+            f.store(v, Relaxed);
+        }
+        cell.now.store(thaw.unwrap_or(adv.finish).0, Relaxed);
     }
 
-    /// Wait for `d` of virtual time to pass without consuming CPU.
+    /// Wait for `d` of virtual time to pass without consuming CPU. The one
+    /// park serves as a catch-up too: an actor that is ahead files its wake
+    /// at its own instant, where it would enqueue it once caught up.
     pub async fn sleep(&self, d: SimDuration) {
         if d.is_zero() {
             return;
         }
-        let wake = self.now() + d;
-        self.park(false, Some(wake)).await;
+        let now = self.now();
+        let enq = self.leave_ahead().map(|(at, _)| (now, Some(at)));
+        self.park_req(ParkReq {
+            wake_on_msg: false,
+            wake_at: Some(now + d),
+            enq,
+        })
+        .await;
     }
 
     /// Send `msg` (`bytes` on the wire) to `dst`: charge marshalling CPU,
-    /// then buffer the network handoff for the kernel to apply in order.
+    /// catch up, then buffer the network handoff for the kernel to apply in
+    /// order.
     pub async fn send(&self, dst: ActorId, msg: M, bytes: u64) {
         assert!(dst.0 < self.cell.n_actors, "send to unknown actor");
         self.advance_work(self.cell.net.send_cpu(bytes)).await;
+        self.catch_up().await;
         self.lock()
             .effects
             .push(LocalEffect::Send { dst, msg, bytes });
@@ -745,6 +970,7 @@ impl<M: Send + Clone + 'static> MailCtx<M> {
     /// arrives.
     pub async fn recv_match(&self, mut pred: impl FnMut(&M) -> bool + Send) -> Envelope<M> {
         loop {
+            self.catch_up().await;
             if let Some(env) = self.take(&mut pred) {
                 self.charge_recv().await;
                 return env;
@@ -758,6 +984,7 @@ impl<M: Send + Clone + 'static> MailCtx<M> {
         &self,
         mut pred: impl FnMut(&M) -> bool + Send,
     ) -> Option<Envelope<M>> {
+        self.catch_up().await;
         let got = self.take(&mut pred);
         if got.is_some() {
             self.charge_recv().await;
@@ -778,6 +1005,7 @@ impl<M: Send + Clone + 'static> MailCtx<M> {
         deadline: SimTime,
     ) -> Option<Envelope<M>> {
         loop {
+            self.catch_up().await;
             if let Some(env) = self.take(&mut pred) {
                 self.charge_recv().await;
                 return Some(env);
@@ -942,8 +1170,15 @@ impl<M: Send + Clone + 'static> SimBuilder<M> {
         Fut: Future<Output = ()> + Send + 'static,
     {
         self.claim_node(node);
-        self.actors
-            .push((node, name.into(), Box::new(move |ctx| Box::pin(f(ctx)))));
+        let body: MailFn<M> = Box::new(move |ctx| {
+            Box::pin(async move {
+                f(ctx.clone()).await;
+                // Returning is an interaction: an actor its charges ran
+                // ahead ends at its own clock.
+                ctx.catch_up().await;
+            })
+        });
+        self.actors.push((node, name.into(), body));
         ActorId(self.actors.len() - 1)
     }
 
@@ -956,6 +1191,10 @@ impl<M: Send + Clone + 'static> SimBuilder<M> {
     pub fn run(self) -> SimReport {
         let n_actors = self.actors.len();
         assert!(n_actors > 0, "no actors spawned");
+        assert!(
+            n_actors <= u32::MAX as usize,
+            "a wake names its actor in 32 bits"
+        );
         let n_nodes = self.nodes.len();
         let actor_nodes: Vec<NodeId> = self.actors.iter().map(|(n, _, _)| *n).collect();
         let mut node_actor: Vec<Option<ActorId>> = vec![None; n_nodes];
@@ -968,6 +1207,8 @@ impl<M: Send + Clone + 'static> SimBuilder<M> {
             echo: std::env::var_os("DLB_TRACE_EVENTS").is_some(),
             record: self.record_trace,
             events: Vec::new(),
+            ahead: BinaryHeap::new(),
+            notes: 0,
         };
         let mut names: Vec<String> = Vec::with_capacity(n_actors);
         let mut futures: Vec<Option<ActorFuture>> = Vec::with_capacity(n_actors);
@@ -978,9 +1219,20 @@ impl<M: Send + Clone + 'static> SimBuilder<M> {
                 node,
                 n_actors,
                 node_cfg: self.nodes[node.0].clone(),
+                faults: self
+                    .fault
+                    .as_ref()
+                    .map(|plan| plan.node_faults(node.0))
+                    .unwrap_or_default(),
                 net: self.net.clone(),
                 traced: tracer.active(),
+                max_events: self.max_events,
                 now: AtomicU64::new(0),
+                filed: [AtomicU64::new(CAUGHT_UP), AtomicU64::new(CAUGHT_UP)],
+                app_cpu: AtomicU64::new(0),
+                app_cpu_while_loaded: AtomicU64::new(0),
+                charges: AtomicU64::new(0),
+                freeze_deferrals: AtomicU64::new(0),
                 queued: AtomicUsize::new(0),
                 local: Mutex::new(ActorLocal {
                     mailbox: VecDeque::new(),
@@ -1003,6 +1255,7 @@ impl<M: Send + Clone + 'static> SimBuilder<M> {
         // through the effects they buffer in their `ActorLocal`.
         let mut inner = Inner {
             now: SimTime::ZERO,
+            cause: SimTime::ZERO,
             seq: 0,
             heap: BinaryHeap::new(),
             wakes: BinaryHeap::new(),
@@ -1024,7 +1277,6 @@ impl<M: Send + Clone + 'static> SimBuilder<M> {
             exit_replies: vec![None; n_actors],
             deliveries_after_exit: 0,
             actor_metrics: vec![ActorMetrics::default(); n_actors],
-            node_metrics: vec![NodeMetrics::default(); n_nodes],
             events_processed: 0,
             max_events: self.max_events,
             fault: self.fault.map(FaultRuntime::new),
@@ -1038,14 +1290,16 @@ impl<M: Send + Clone + 'static> SimBuilder<M> {
         }
         // Seed: wake every actor at t = 0, in spawn order.
         for i in 0..n_actors {
-            inner.schedule_wake(SimTime::ZERO, ActorId(i), 0);
+            let enq = inner.here();
+            inner.schedule_wake(SimTime::ZERO, enq, ActorId(i), 0);
         }
         // Schedule fail-stops.
         if let Some(f) = &inner.fault {
             let crashes = f.plan.crashes();
             for (node, t) in crashes {
                 assert!(node < n_nodes, "fault plan crashes unknown node {node}");
-                inner.push_event(t, EventKind::Crash { node: NodeId(node) });
+                let enq = inner.here();
+                inner.push_event(t, enq, EventKind::Crash { node: NodeId(node) });
             }
         }
 
@@ -1101,7 +1355,7 @@ impl<M: Send + Clone + 'static> SimBuilder<M> {
         let mut live = n_actors;
         // The batch's actors, and what each one's poll returned, by batch
         // slot; both buffers are reused from batch to batch.
-        let mut batch: Vec<usize> = Vec::new();
+        let mut batch: Vec<(usize, SimTime)> = Vec::new();
         let mut results: Vec<Option<(ActorFuture, PollOutcome)>> = Vec::new();
 
         // Kernel loop: collect the next batch of same-timestamp polls, run
@@ -1114,12 +1368,12 @@ impl<M: Send + Clone + 'static> SimBuilder<M> {
             let mut batch_time = SimTime::ZERO;
             loop {
                 // Merge the wakes and the heap (deliveries, crashes) by the
-                // shared `(time, seq)` key, which no two events share.
-                let heap_key = inner.heap.peek().map(|e| (e.time, e.seq));
+                // shared `(time, enq, seq)` key, which no two events share.
+                let heap_key = inner.heap.peek().map(Event::key);
                 let next_wake = match (inner.wakes.peek(), heap_key) {
                     (None, None) => break,
                     (Some(&Reverse(w)), None) => Some(w),
-                    (Some(&Reverse(w)), Some(h)) if (w.time, w.seq) < h => Some(w),
+                    (Some(&Reverse(w)), Some(h)) if (w.time, w.enq, w.seq) < h => Some(w),
                     _ => None,
                 };
                 if let Some(entry) = next_wake {
@@ -1128,7 +1382,8 @@ impl<M: Send + Clone + 'static> SimBuilder<M> {
                     }
                     // Freeze windows: wakes targeting a frozen node are
                     // deferred to the thaw, preserving order.
-                    let tnode = inner.actor_nodes[entry.actor].0;
+                    let woken = entry.actor as usize;
+                    let tnode = inner.actor_nodes[woken].0;
                     let thaw = inner
                         .fault
                         .as_ref()
@@ -1143,20 +1398,24 @@ impl<M: Send + Clone + 'static> SimBuilder<M> {
                         if let Some(f) = inner.fault.as_mut() {
                             f.stats.freeze_deferrals += 1;
                         }
-                        inner.schedule_wake(t, ActorId(entry.actor), entry.epoch);
+                        let enq = Filed {
+                            at: entry.time,
+                            cause: entry.enq.at(entry.time),
+                        };
+                        inner.schedule_wake(t, enq, ActorId(woken), entry.epoch);
                         continue;
                     }
                     // A batched (`Running`) actor's park must be applied
                     // before a second wake of it can be judged for staleness.
-                    if inner.states[entry.actor] == ActorState::Running {
+                    if inner.states[woken] == ActorState::Running {
                         break;
                     }
                     let fresh = matches!(
-                        inner.states[entry.actor],
+                        inner.states[woken],
                         ActorState::Waiting { epoch, .. } if epoch == entry.epoch
                     );
                     inner.wakes.pop();
-                    inner.process_wake_meta(entry.time, ActorId(entry.actor));
+                    inner.process_wake_meta(entry.time, ActorId(woken));
                     if !fresh {
                         // Superseded park epoch (or crashed actor): a pure
                         // pop — counted and hashed like any wake, no state
@@ -1165,9 +1424,9 @@ impl<M: Send + Clone + 'static> SimBuilder<M> {
                         continue;
                     }
                     sched.wakeups += 1;
-                    inner.states[entry.actor] = ActorState::Running;
+                    inner.states[woken] = ActorState::Running;
                     batch_time = entry.time;
-                    batch.push(entry.actor);
+                    batch.push((woken, entry.enq.at(entry.time)));
                     continue;
                 }
                 // Heap events mutate shared state (mailboxes, node
@@ -1191,11 +1450,16 @@ impl<M: Send + Clone + 'static> SimBuilder<M> {
                     if let Some(f) = inner.fault.as_mut() {
                         f.stats.freeze_deferrals += 1;
                     }
-                    inner.push_event(t, ev.kind);
+                    let enq = Filed {
+                        at: ev.time,
+                        cause: ev.enq.at(ev.time),
+                    };
+                    inner.push_event(t, enq, ev.kind);
                     continue;
                 }
                 let ev = inner.heap.pop().expect("non-empty heap");
                 inner.process_heap_meta(&ev);
+                inner.cause = ev.enq.at(ev.time);
                 match ev.kind {
                     EventKind::Deliver { dst, env } => {
                         if inner.crashed_nodes[inner.actor_nodes[dst.0].0] {
@@ -1231,8 +1495,8 @@ impl<M: Send + Clone + 'static> SimBuilder<M> {
                             wake_on_msg: true,
                         } = inner.states[dst.0]
                         {
-                            let now = inner.now;
-                            inner.schedule_wake(now, dst, epoch);
+                            let enq = inner.here();
+                            inner.schedule_wake(inner.now, enq, dst, epoch);
                         }
                     }
                     EventKind::Crash { node } => {
@@ -1247,8 +1511,11 @@ impl<M: Send + Clone + 'static> SimBuilder<M> {
                                 live -= 1;
                             }
                             // Dropping the future drops the state machine;
-                            // anything queued for it will never be read.
+                            // anything queued for it will never be read, and
+                            // a note it made ahead, past the crash, was never
+                            // made.
                             futures[a.0] = None;
+                            inner.tracer.ahead.retain(|Reverse(n)| n.2 != a.0);
                             let cell = &cells[a.0];
                             let mut local = lock_local(cell);
                             local.mailbox.clear();
@@ -1283,7 +1550,7 @@ impl<M: Send + Clone + 'static> SimBuilder<M> {
             // to a pool round trip — just cheaper.
             let inline = batch.len() == 1 || pool_job_txs.is_empty();
             if !inline {
-                for (slot, &a) in batch.iter().enumerate() {
+                for (slot, &(a, _)) in batch.iter().enumerate() {
                     let future = futures[a].take().expect("batched actor future");
                     cells[a].now.store(batch_time.0, Relaxed);
                     pool_job_txs[slot % pool_job_txs.len()]
@@ -1302,7 +1569,8 @@ impl<M: Send + Clone + 'static> SimBuilder<M> {
             // its members one at a time. An inline member is polled here,
             // right before its effects are applied: nothing an apply touches
             // is visible to a later member's poll.
-            for (slot, &a) in batch.iter().enumerate() {
+            for (slot, &(a, cause)) in batch.iter().enumerate() {
+                inner.cause = cause;
                 let (future, outcome) = if inline {
                     let mut future = futures[a].take().expect("batched actor future");
                     cells[a].now.store(batch_time.0, Relaxed);
@@ -1312,6 +1580,8 @@ impl<M: Send + Clone + 'static> SimBuilder<M> {
                     results[slot].take().expect("every slot reports back")
                 };
                 let mut local = lock_local(&cells[a]);
+                let now = inner.now;
+                inner.tracer.notes_before(SimTime(now.0 + 1));
                 for eff in local.effects.drain(..) {
                     match eff {
                         LocalEffect::Send { dst, msg, bytes } => {
@@ -1321,15 +1591,7 @@ impl<M: Send + Clone + 'static> SimBuilder<M> {
                             inner.actor_metrics[a].msgs_received += 1;
                             inner.actor_metrics[a].bytes_received += bytes;
                         }
-                        LocalEffect::Cpu { app, loaded } => {
-                            let n = inner.actor_nodes[a].0;
-                            inner.node_metrics[n].app_cpu += app;
-                            inner.node_metrics[n].app_cpu_while_loaded += loaded;
-                        }
-                        LocalEffect::Note(text) => {
-                            let now = inner.now;
-                            inner.tracer.emit(now, TraceKind::Note { actor: a, text });
-                        }
+                        LocalEffect::Note { at, text } => inner.tracer.note(now, at, a, text),
                         LocalEffect::ExitReply { msg, bytes } => {
                             inner.exit_replies[a] = Some((msg, bytes));
                         }
@@ -1346,14 +1608,22 @@ impl<M: Send + Clone + 'static> SimBuilder<M> {
                             "actor returned Pending without parking: \
                              only dlb-sim futures may be awaited",
                         );
-                        inner.epochs[a] += 1;
+                        inner.epochs[a] = inner.epochs[a].wrapping_add(1);
                         let epoch = inner.epochs[a];
                         inner.states[a] = ActorState::Waiting {
                             epoch,
                             wake_on_msg: park.wake_on_msg,
                         };
                         if let Some(t) = park.wake_at {
-                            inner.schedule_wake(t, ActorId(a), epoch);
+                            sched.catch_ups += park.enq.is_some() as u64;
+                            let enq = match park.enq {
+                                Some((at, cause)) => Filed {
+                                    at,
+                                    cause: cause.unwrap_or(inner.cause),
+                                },
+                                None => inner.here(),
+                            };
+                            inner.schedule_wake(t, enq, ActorId(a), epoch);
                         }
                         futures[a] = Some(future);
                     }
@@ -1380,14 +1650,25 @@ impl<M: Send + Clone + 'static> SimBuilder<M> {
         }
         // Reading a tally is itself an acquisition, which the run did not make.
         sched.local_locks = cells.iter().map(|c| lock_local(c).locks - 1).sum();
+        // One actor per node: its CPU tallies are the node's.
+        let mut nodes = vec![NodeMetrics::default(); n_nodes];
+        let mut fault = inner.fault.map(|f| f.stats).unwrap_or_default();
+        for c in &cells {
+            nodes[c.node.0] = NodeMetrics {
+                app_cpu: SimDuration(c.app_cpu.load(Relaxed)),
+                app_cpu_while_loaded: SimDuration(c.app_cpu_while_loaded.load(Relaxed)),
+            };
+            sched.charges += c.charges.load(Relaxed);
+            fault.freeze_deferrals += c.freeze_deferrals.load(Relaxed);
+        }
 
         SimReport {
             end_time: inner.now,
             actors: inner.actor_metrics,
-            nodes: inner.node_metrics,
+            nodes,
             node_configs: inner.nodes,
             events_processed: inner.events_processed,
-            fault: inner.fault.map(|f| f.stats).unwrap_or_default(),
+            fault,
             deliveries_after_exit: inner.deliveries_after_exit,
             trace_hash: inner.trace_hash,
             trace: inner.tracer.events,
@@ -1781,6 +2062,188 @@ mod tests {
         assert!(late[1..].iter().all(|d| d.is_zero()), "{late:?}");
     }
 
+    // --- run-ahead ---------------------------------------------------------
+
+    /// The lines of `trace` that are not `DELIVER`s, rendered.
+    fn lines_but_deliveries(trace: &[TraceEvent]) -> Vec<String> {
+        trace
+            .iter()
+            .filter(|ev| !matches!(ev.kind, TraceKind::Deliver { .. }))
+            .map(TraceEvent::render)
+            .collect()
+    }
+
+    /// However many charges precede a send, the `SEND` is stamped where the
+    /// last one finishes, and the sender parks once for it: its events are
+    /// the t = 0 seed wake and that one catch-up.
+    #[test]
+    fn k_charges_then_a_send_make_one_wake_at_the_send_instant() {
+        for k in 1..=4u64 {
+            let (mut b, n0, n1) = two_node_builder();
+            b = b.record_trace(true);
+            b.spawn_mail(n0, "charger", move |ctx| async move {
+                for _ in 0..k {
+                    ctx.advance_work(CpuWork::from_micros(100)).await;
+                }
+                assert_eq!(ctx.now(), SimTime(100 * k));
+                ctx.send(ActorId(1), k, 8).await;
+            });
+            b.spawn_mail(n1, "sink", |ctx| async move {
+                ctx.recv().await;
+            });
+            let r = b.run();
+            let t = 100 * k;
+            assert_eq!(
+                lines_but_deliveries(&r.trace),
+                [
+                    "EV 0 WAKE 0".to_string(),
+                    "EV 0 WAKE 1".to_string(),
+                    format!("EV {t} WAKE 0"),
+                    format!("EV {t} SEND 0 1 8"),
+                    format!("EV {t} WAKE 1"),
+                ],
+                "{k} charges"
+            );
+            assert_eq!((r.sched.charges, r.sched.catch_ups), (k, 1));
+            assert_eq!(r.nodes[0].app_cpu, SimDuration::from_micros(t));
+        }
+    }
+
+    /// A note made while its actor is ahead keeps the instant it was made
+    /// at, and enters the trace once the clock reaches that instant: the
+    /// trace stays in time order, and the note is no event.
+    #[test]
+    fn a_note_keeps_the_instant_it_was_made() {
+        let run = |traced: bool| {
+            let (mut b, n0, n1) = two_node_builder();
+            b = b.record_trace(traced);
+            b.spawn_mail(n0, "runner", |ctx| async move {
+                ctx.advance_work(CpuWork::from_micros(100)).await;
+                ctx.note(|| "ran 100".into());
+                ctx.advance_work(CpuWork::from_micros(50)).await;
+                ctx.send(ActorId(1), 1, 8).await;
+            });
+            b.spawn_mail(n1, "sink", |ctx| async move {
+                ctx.sleep(SimDuration::from_micros(120)).await;
+                ctx.note(|| "slept 120".into());
+                ctx.recv().await;
+            });
+            b.run()
+        };
+        let r = run(true);
+        assert_eq!(
+            lines_but_deliveries(&r.trace),
+            [
+                "EV 0 WAKE 0",
+                "EV 0 WAKE 1",
+                "EV 100 NOTE 0 ran 100",
+                "EV 120 WAKE 1",
+                "EV 120 NOTE 1 slept 120",
+                "EV 150 WAKE 0",
+                "EV 150 SEND 0 1 8",
+                "EV 150 WAKE 1",
+            ]
+        );
+        let quiet = run(false);
+        assert_eq!(
+            (r.events_processed, r.trace_hash),
+            (quiet.events_processed, quiet.trace_hash)
+        );
+    }
+
+    /// A crash while an actor is ahead: the charges it made before the
+    /// crash instant count, those from it on were never made, and its
+    /// catch-up pops stale, so it never sends. Charges start at 0, 100, …,
+    /// 400 µs; the node crashes at 250 µs.
+    #[test]
+    fn a_crash_while_ahead_drops_the_catch_up_and_the_cpu_charged_after_it() {
+        let (mut b, n0, n1) = two_node_builder();
+        b = b.record_trace(true);
+        b.spawn_mail(n0, "runner", |ctx| async move {
+            for _ in 0..5 {
+                ctx.advance_work(CpuWork::from_micros(100)).await;
+            }
+            ctx.note(|| "never traced".into());
+            ctx.send(ActorId(1), 1, 8).await;
+        });
+        b.spawn_mail(n1, "sink", |ctx| async move {
+            assert!(ctx.recv_deadline(SimTime(1_000)).await.is_none());
+        });
+        let r = b.fault_plan(FaultPlan::new(0).crash(0, SimTime(250))).run();
+        assert_eq!(r.nodes[0].app_cpu, SimDuration::from_micros(300));
+        assert_eq!(r.actors[0].msgs_sent, 0);
+        assert_eq!((r.sched.charges, r.sched.catch_ups), (5, 1));
+        assert_eq!(r.sched.stale_wakes, 1, "the catch-up at 500 µs");
+        assert_eq!(r.end_time, SimTime(1_000));
+        assert_eq!(
+            lines_but_deliveries(&r.trace),
+            [
+                "EV 0 WAKE 0",
+                "EV 0 WAKE 1",
+                "EV 250 CRASH 0",
+                "EV 500 WAKE 0",
+                "EV 1000 WAKE 1",
+            ]
+        );
+    }
+
+    /// Returning is an interaction: an actor whose charges ran it ahead
+    /// ends at its own clock, which is where the run ends.
+    #[test]
+    fn returning_while_ahead_ends_at_the_actors_own_clock() {
+        let mut b = SimBuilder::<()>::new().net(NetConfig::ideal());
+        let n = b.add_node(NodeConfig::default());
+        b.spawn_mail(n, "worker", |ctx| async move {
+            for us in [100, 200, 400] {
+                ctx.advance_work(CpuWork::from_micros(us)).await;
+            }
+        });
+        let r = b.run();
+        assert_eq!(r.end_time, SimTime(700));
+        assert_eq!(r.events_processed, 2, "the seed wake and the catch-up");
+        assert_eq!((r.sched.charges, r.sched.catch_ups), (3, 1));
+        assert_eq!(r.nodes[0].app_cpu, SimDuration::from_micros(700));
+    }
+
+    /// A loop of charges alone makes no event, yet it still runs into the
+    /// event budget — each actor's charges count against it — instead of
+    /// holding the host in one endless poll.
+    #[test]
+    #[should_panic(expected = "event budget exhausted (1000 events)")]
+    fn a_cpu_only_loop_trips_the_event_budget() {
+        let mut b = SimBuilder::<()>::new()
+            .net(NetConfig::ideal())
+            .max_events(1_000);
+        let n = b.add_node(NodeConfig::default());
+        b.spawn_mail(n, "spinner", |ctx| async move {
+            loop {
+                ctx.advance_work(CpuWork::from_micros(1)).await;
+            }
+        });
+        b.run();
+    }
+
+    /// A wake is 32 bytes, as before filings joined the key: a filing packs
+    /// into one word that orders as `(at, cause)` does, and one over 71
+    /// minutes back orders before every nearer one and ties with the rest,
+    /// which `seq` orders.
+    #[test]
+    fn a_filing_orders_as_its_instants_in_one_word() {
+        assert_eq!(std::mem::size_of::<WakeEntry>(), 32);
+        let due = SimTime(1 << 40);
+        let filing = |at: u64, cause: u64| {
+            let (at, cause) = (SimTime(at), SimTime(cause));
+            Filing::new(due, Filed { at, cause })
+        };
+        let near = due.0 - 1_000;
+        let far = due.0 - (1 << 33);
+        assert!(filing(near, near - 5) < filing(near, near - 4));
+        assert!(filing(near, near) < filing(near + 1, 0));
+        assert!(filing(far, far) < filing(near - 1, 0));
+        assert_eq!(filing(far, far - 3), filing(far + 7, 0));
+        assert_eq!(filing(near, near - 3).at(due), SimTime(near));
+    }
+
     // --- fault injection ---------------------------------------------------
 
     #[test]
@@ -1940,8 +2403,9 @@ mod tests {
     }
 
     /// A fault-ridden master/slave scenario over the *default* (non-ideal)
-    /// network, so every send and recv charges CPU and parks, exercising
-    /// the full op-future footprint: wakes, deliveries, fault draws.
+    /// network, so every send and recv charges CPU, exercising the full
+    /// op-future footprint: charges, catch-ups, wakes, deliveries, fault
+    /// draws.
     fn cross_check_scenario(seed: u64) -> (SimTime, u64, u64) {
         let plan = FaultPlan::new(seed)
             .drop_all(0.15)
@@ -1981,15 +2445,18 @@ mod tests {
         (r.end_time, r.events_processed, r.trace_hash)
     }
 
-    /// The reference values are what the thread-per-actor kernel this one
+    /// The end times are what the thread-per-actor kernel this one
     /// replaced produced for the same scenario (recorded at its last
-    /// commit): the event stream of an actor body must never drift from it.
+    /// commit): the virtual time of an actor body must never drift from it.
+    /// The event counts and hashes were re-pinned when a charge stopped
+    /// being an event (54, 43 and 59 events before): every charge then
+    /// parked for a wake of its own.
     #[test]
     fn mail_actors_trace_identical_to_blocking() {
         for (seed, end, events, hash) in [
-            (3u64, 71_363, 54, 0x4dc2_2ecb_dcd6_bcfc),
-            (11, 65_702, 43, 0x616f_2992_9149_8ab8),
-            (42, 70_781, 59, 0x0d51_1456_4406_cb5e),
+            (3u64, 71_363, 43, 0x8778_a76b_0644_8ace),
+            (11, 65_702, 35, 0xc1b8_0c72_1aec_c1c6),
+            (42, 70_781, 47, 0x3ce7_674d_2db2_d8b5),
         ] {
             assert_eq!(
                 cross_check_scenario(seed),
@@ -2187,7 +2654,9 @@ mod tests {
 
     /// Looking costs no lock: `now`, a receive on an empty mailbox and a
     /// deadline receive whose deadline has passed leave `local_locks` (and
-    /// the event stream) where a run without them has it.
+    /// the event stream) where a run with one look has it. The first look
+    /// after the charge is an interaction, so it parks once to catch up;
+    /// with no look at all, the sleep's park is the catch-up too.
     #[test]
     fn looking_at_an_empty_mailbox_takes_no_lock() {
         let run_with = |looks: usize, workers: usize| {
@@ -2212,8 +2681,10 @@ mod tests {
             let r = b.run();
             (r.events_processed, r.trace_hash, r.sched.local_locks)
         };
-        let quiet = run_with(0, 0);
-        // One lock per park (two parks) and one per kernel apply (three polls).
+        // One lock per park and one per kernel apply: the sleep (two polls)
+        // or the catch-up and the sleep (three).
+        assert_eq!(run_with(0, 0).2, 3);
+        let quiet = run_with(1, 0);
         assert_eq!(quiet.2, 5);
         for workers in [0, 1, 8] {
             assert_eq!(run_with(100, workers), quiet, "pool of {workers}");
