@@ -15,7 +15,10 @@
 //! kernel through its own work. Every interaction — a send, a mailbox
 //! look, a sleep, returning — *parks* the actor (an actor that is ahead
 //! parks first at its own instant) and returns control to the kernel,
-//! which advances the virtual clock to the next event.
+//! which advances the virtual clock to the next event. Events pop in
+//! `(time, seq)` order: by due time, and those due at one instant in the
+//! order the kernel filed them, a park's wake as it applies the poll that
+//! parked.
 //!
 //! A [`crate::fault::FaultPlan`] attached via [`SimBuilder::fault_plan`]
 //! injects message drops/duplicates/jitter and node crashes/freezes at
@@ -34,7 +37,7 @@ use std::collections::{BinaryHeap, VecDeque};
 use std::future::Future;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::pin::Pin;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering::Relaxed};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering::Relaxed};
 use std::sync::mpsc::{channel, Sender};
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::task::{Context, Poll, Wake, Waker};
@@ -75,7 +78,8 @@ pub struct SchedStats {
     pub wakeups: u64,
     /// Wakes popped whose park epoch had already moved on.
     pub stale_wakes: u64,
-    /// Same-timestamp poll batches dispatched to the worker pool.
+    /// Same-timestamp poll batches, whether polled on the worker pool or
+    /// inline on the kernel thread.
     pub batches: u64,
     /// Largest single batch.
     pub max_batch: usize,
@@ -143,69 +147,29 @@ impl SimReport {
 }
 
 /// Deliveries and crash faults. `Wake`s are not here: they are most of the
-/// event stream and 32 bytes whatever `M` is, so they sit in a heap of their
+/// event stream and 24 bytes whatever `M` is, so they sit in a heap of their
 /// own (`Inner::wakes`), where a sift never moves a message, and are merged
-/// back in by `(time, enq, seq)`.
+/// back in by `(time, seq)`.
 enum EventKind<M> {
     Deliver { dst: ActorId, env: Envelope<M> },
     Crash { node: NodeId },
 }
 
-/// Both queues order their entries by `(time, enq, seq)`: due time, where
-/// the entry was filed, and the global sequence number. The kernel
-/// processes events in this order, so for every entry it files itself
-/// ([`Inner::here`]; a freeze re-files a deferred entry where it stood)
-/// `enq` only restates what `seq` orders. A wake an actor files while its
-/// charges have run it ahead (a catch-up, or a sleep from its own instant)
-/// draws its `seq` early; its `enq` is where the wake its last charge would
-/// have parked for, were charges events, is filed ([`ActorCell::filed`]).
+/// Both queues order their entries by `(time, seq)`: due time, then the
+/// global sequence number drawn when the entry was filed. Entries due at one
+/// instant pop in filing order. Every entry is filed by the kernel thread —
+/// a delivery as its send is applied, a wake as the poll that parks for it
+/// is applied (a catch-up and a sleep taken while ahead included), a
+/// deferred entry as a freeze moves it — so that order is the event order.
 struct Event<M> {
     time: SimTime,
-    enq: Filing,
     seq: u64,
     kind: EventKind<M>,
 }
 
-/// Where a queue entry was filed: the virtual instant it was enqueued at,
-/// and the `at` of the event whose processing enqueued it.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-struct Filed {
-    at: SimTime,
-    cause: SimTime,
-}
-
-/// A [`Filed`] as a queue entry keeps it, in one word beside the due time
-/// so that a wake stays 32 bytes: how far before `time` the entry was
-/// enqueued and how far before that its cause was, in microseconds, each
-/// saturated at `u32::MAX` and stored inverted, so a later filing compares
-/// greater. A saturated distance (a wake set over 71 minutes ahead) makes
-/// the cause's saturate too, so it ties only with filings at least as old,
-/// which `seq` then orders as the instants would.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
-struct Filing(u64);
-
-impl Filing {
-    const FAR: u64 = u32::MAX as u64;
-
-    #[inline]
-    fn new(time: SimTime, filed: Filed) -> Filing {
-        let at = (time.0 - filed.at.0).min(Self::FAR);
-        let cause = (filed.at.0 - filed.cause.0).min(Self::FAR);
-        let cause = if at == Self::FAR { Self::FAR } else { cause };
-        Filing(((Self::FAR - at) << 32) | (Self::FAR - cause))
-    }
-
-    /// The instant the entry due at `time` was enqueued at (the latest it
-    /// can have been, when that lies over 71 minutes back).
-    #[inline]
-    fn at(self, time: SimTime) -> SimTime {
-        SimTime(time.0 - (Self::FAR - (self.0 >> 32)))
-    }
-}
-
 impl<M> Event<M> {
-    fn key(&self) -> (SimTime, Filing, u64) {
-        (self.time, self.enq, self.seq)
+    fn key(&self) -> (SimTime, u64) {
+        (self.time, self.seq)
     }
 }
 
@@ -229,11 +193,10 @@ impl<M> Ord for Event<M> {
 
 /// One pending wake (sleep, deadline, message, catch-up): the target actor
 /// and the park epoch that must still be current for the wake to be live
-/// when it pops. `seq` is unique, so the derived order is `(time, enq, seq)`.
+/// when it pops. `seq` is unique, so the derived order is `(time, seq)`.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
 struct WakeEntry {
     time: SimTime,
-    enq: Filing,
     seq: u64,
     actor: u32,
     epoch: u32,
@@ -313,11 +276,8 @@ impl<M> Tracer<M> {
 
 struct Inner<M> {
     now: SimTime,
-    /// The filing instant of the event processed last: the cause of what its
-    /// processing enqueues.
-    cause: SimTime,
     seq: u64,
-    /// Deliveries and crash faults, ordered by `(time, enq, seq)`.
+    /// Deliveries and crash faults, ordered by `(time, seq)`.
     heap: BinaryHeap<Event<M>>,
     /// All `Wake` timers (parks, sleeps, deadlines, catch-ups), ordered by
     /// the same key and merged with `heap` at pop time.
@@ -353,37 +313,22 @@ const FNV_OFFSET: u64 = 0xcbf29ce484222325;
 const FNV_PRIME: u64 = 0x100000001b3;
 
 impl<M> Inner<M> {
-    /// Where an entry enqueued now is filed: at the clock, caused by the
-    /// event processed last.
-    fn here(&self) -> Filed {
-        Filed {
-            at: self.now,
-            cause: self.cause,
-        }
-    }
-
-    fn push_event(&mut self, time: SimTime, enq: Filed, kind: EventKind<M>) {
+    fn push_event(&mut self, time: SimTime, kind: EventKind<M>) {
         let seq = self.seq;
         self.seq += 1;
-        self.heap.push(Event {
-            time,
-            enq: Filing::new(time, enq),
-            seq,
-            kind,
-        });
+        self.heap.push(Event { time, seq, kind });
     }
 
-    /// Schedule a `Wake` for `actor` at `time`, filed at `enq` (see
-    /// [`Event`]), consuming the next global sequence number — both queues share
-    /// one seq stream, so the merged pop order is exactly what a single
-    /// heap would produce.
-    fn schedule_wake(&mut self, time: SimTime, enq: Filed, actor: ActorId, epoch: u32) {
-        debug_assert!(time >= enq.at && enq.at >= self.now);
+    /// Schedule a `Wake` for `actor` at `time`, consuming the next global
+    /// sequence number — both queues share one seq stream, so the merged pop
+    /// order is exactly what a single heap would produce, and wakes due at
+    /// one instant pop in the order they were filed.
+    fn schedule_wake(&mut self, time: SimTime, actor: ActorId, epoch: u32) {
+        debug_assert!(time >= self.now);
         let seq = self.seq;
         self.seq += 1;
         self.wakes.push(Reverse(WakeEntry {
             time,
-            enq: Filing::new(time, enq),
             seq,
             actor: actor.0 as u32,
             epoch,
@@ -525,44 +470,15 @@ impl<M: Send + Clone + 'static> Inner<M> {
         let pair = self.pair_index(src, dst);
         arrival = arrival.max(self.last_arrival[pair]);
         self.last_arrival[pair] = arrival;
-        if duplicate {
-            let copy = Envelope {
-                src: src.0,
-                msg: msg.clone(),
-                bytes,
-            };
+        let copy = duplicate.then(|| msg.clone());
+        let src = src.0;
+        let env = Envelope { src, msg, bytes };
+        self.push_event(arrival, EventKind::Deliver { dst, env });
+        if let Some(msg) = copy {
             let dup_arrival = arrival + SimDuration(1);
             self.last_arrival[pair] = dup_arrival;
-            self.push_event(
-                arrival,
-                self.here(),
-                EventKind::Deliver {
-                    dst,
-                    env: Envelope {
-                        src: src.0,
-                        msg,
-                        bytes,
-                    },
-                },
-            );
-            self.push_event(
-                dup_arrival,
-                self.here(),
-                EventKind::Deliver { dst, env: copy },
-            );
-        } else {
-            self.push_event(
-                arrival,
-                self.here(),
-                EventKind::Deliver {
-                    dst,
-                    env: Envelope {
-                        src: src.0,
-                        msg,
-                        bytes,
-                    },
-                },
-            );
+            let env = Envelope { src, msg, bytes };
+            self.push_event(dup_arrival, EventKind::Deliver { dst, env });
         }
     }
 }
@@ -576,9 +492,9 @@ impl<M: Send + Clone + 'static> Inner<M> {
 // parking, so the actor runs ahead of the kernel through its own work. It
 // parks only to interact — the send handoff, any mailbox look, a sleep, or
 // returning — and an actor that is ahead first parks once more, at its own
-// instant (a catch-up). Every park is one wake event and one seq draw, so an
-// actor body determines its `(time, enq, seq)` event stream — and therefore
-// the trace hash — exactly.
+// instant (a catch-up). Every park is one wake event and one seq draw, drawn
+// as the kernel applies the poll, so an actor body determines its
+// `(time, seq)` event stream — and therefore the trace hash — exactly.
 //
 // Ownership rule: the kernel thread owns `Inner` (clock, queues, metrics,
 // fault RNG) as a plain value; during a poll an actor touches only its own
@@ -597,10 +513,10 @@ impl<M: Send + Clone + 'static> Inner<M> {
 //   constants   -                                 reads, no lock
 //   `now`       stores the poll's instant         loads; a charge stores its
 //               before each poll                  finish, no lock
-//   `filed`     -                                 a charge stores its wake's
-//                                                 filing, a catch-up clears
-//                                                 it; no lock
-//   CPU tallies sums them once the run ends       adds per charge, no lock
+//   `ahead`     -                                 a charge sets it, a catch-up
+//                                                 clears it; no lock
+//   tallies     sums them once the run ends       adds per charge or
+//                                                 catch-up, no lock
 //   `queued`    stores after deliver / crash      loads to skip an empty
 //               clear, under the guard            mailbox, no lock; stores
 //                                                 after a take, under the guard
@@ -623,11 +539,6 @@ impl<M: Send + Clone + 'static> Inner<M> {
 // charge takes none. `SchedStats::local_locks` counts them;
 // `tests/lock_budget.rs` holds the per-event figure.
 // ---------------------------------------------------------------------------
-
-/// [`ActorCell::filed`]`[0]` of an actor whose clock is the kernel's: it has
-/// charged nothing since it was polled or last caught up. As `filed[1]`:
-/// the wake the actor was polled for is the cause.
-const CAUGHT_UP: u64 = u64::MAX;
 
 /// Lock an actor's mutable half, shrugging off poison (a panicked poll is
 /// already recorded; the kernel still drains the local to shut down cleanly).
@@ -662,10 +573,6 @@ enum LocalEffect<M> {
 struct ParkReq {
     wake_on_msg: bool,
     wake_at: Option<SimTime>,
-    /// Where an actor that parks ahead of the kernel's clock files the
-    /// wake ([`Filed`]): the instant, and the cause's, `None` when that is
-    /// the polled wake's. `None` files it at the kernel's clock.
-    enq: Option<(SimTime, Option<SimTime>)>,
 }
 
 /// One actor's side of the kernel, shared between its `MailCtx` and the
@@ -688,17 +595,16 @@ struct ActorCell<M> {
     /// The actor's own clock in microseconds: the instant it was polled at,
     /// moved on by the charges it has made since.
     now: AtomicU64,
-    /// Where the wake that resumes the actor at its own clock would be
-    /// filed, were charges events: a charge's wake at its start, caused by
-    /// the wake that resumed the actor there; one a freeze deferred at its
-    /// unthawed finish, caused by its start. [`CAUGHT_UP`] while the actor
-    /// has not run ahead.
-    filed: [AtomicU64; 2],
-    /// CPU tallies ([`NodeMetrics`], [`SchedStats::charges`],
-    /// [`FaultStats::freeze_deferrals`]), summed by the kernel at the end.
+    /// Whether charges have run the actor's clock ahead of the kernel's
+    /// since it was polled or last caught up.
+    ahead: AtomicBool,
+    /// Tallies ([`NodeMetrics`], [`SchedStats::charges`],
+    /// [`SchedStats::catch_ups`], [`FaultStats::freeze_deferrals`]), summed
+    /// by the kernel at the end.
     app_cpu: AtomicU64,
     app_cpu_while_loaded: AtomicU64,
     charges: AtomicU64,
+    catch_ups: AtomicU64,
     freeze_deferrals: AtomicU64,
     /// `mailbox.len()`, so that a receive on an empty mailbox takes no lock.
     queued: AtomicUsize,
@@ -791,52 +697,37 @@ impl<M: Send + Clone + 'static> MailCtx<M> {
     /// Record how this poll wants to be resumed and return the future that
     /// hands control back.
     fn park(&self, wake_on_msg: bool, wake_at: Option<SimTime>) -> ParkOnce {
-        self.park_req(ParkReq {
-            wake_on_msg,
-            wake_at,
-            enq: None,
-        })
-    }
-
-    fn park_req(&self, req: ParkReq) -> ParkOnce {
         let mut local = self.lock();
         debug_assert!(local.park.is_none(), "double park in one poll");
-        local.park = Some(req);
+        local.park = Some(ParkReq {
+            wake_on_msg,
+            wake_at,
+        });
         ParkOnce { parked: false }
     }
 
-    /// Whether charges have run this actor ahead of the kernel's clock.
-    fn ahead(&self) -> bool {
-        self.cell.filed[0].load(Relaxed) != CAUGHT_UP
-    }
-
-    /// [`ActorCell::filed`] (`None` for a cause that is the polled wake's),
-    /// if the actor is ahead; marks it caught up, for the caller is about
-    /// to park.
-    fn leave_ahead(&self) -> Option<(SimTime, Option<SimTime>)> {
-        let [at, cause] = &self.cell.filed;
-        let filed = at.load(Relaxed);
-        if filed == CAUGHT_UP {
-            return None;
+    /// Whether charges have run this actor ahead of the kernel's clock; if
+    /// so, marks it caught up and counts a catch-up, for the caller is about
+    /// to park at (or from) the actor's own instant.
+    fn leave_ahead(&self) -> bool {
+        let cell = &*self.cell;
+        let ahead = cell.ahead.load(Relaxed);
+        if ahead {
+            cell.ahead.store(false, Relaxed);
+            bump(&cell.catch_ups, 1);
         }
-        let by = cause.load(Relaxed);
-        at.store(CAUGHT_UP, Relaxed);
-        cause.store(CAUGHT_UP, Relaxed);
-        Some((SimTime(filed), (by != CAUGHT_UP).then_some(SimTime(by))))
+        ahead
     }
 
     /// If a charge has run this actor ahead of the kernel's clock, park
     /// until the kernel reaches the actor's: one wake at its own instant,
-    /// filed where the wake its last charge would have parked for is. An
-    /// actor that is not ahead gets a future that is ready at once.
+    /// filed as the kernel applies this poll. An actor that is not ahead
+    /// gets a future that is ready at once.
     fn catch_up(&self) -> ParkOnce {
-        match self.leave_ahead() {
-            Some(filed) => self.park_req(ParkReq {
-                wake_on_msg: false,
-                wake_at: Some(self.now()),
-                enq: Some(filed),
-            }),
-            None => ParkOnce { parked: true },
+        if self.leave_ahead() {
+            self.park(false, Some(self.now()))
+        } else {
+            ParkOnce { parked: true }
         }
     }
 
@@ -844,7 +735,10 @@ impl<M: Send + Clone + 'static> MailCtx<M> {
     /// answered from the `queued` mirror, without the lock. A look, so the
     /// caller has caught up.
     fn take(&self, pred: &mut dyn FnMut(&M) -> bool) -> Option<Envelope<M>> {
-        debug_assert!(!self.ahead(), "a mailbox look catches up first");
+        debug_assert!(
+            !self.cell.ahead.load(Relaxed),
+            "a mailbox look catches up first"
+        );
         if self.cell.queued.load(Relaxed) == 0 {
             return None;
         }
@@ -909,40 +803,25 @@ impl<M: Send + Clone + 'static> MailCtx<M> {
         let start = self.now();
         let adv = cpu::advance(&cell.node_cfg, start, work);
         let thaw = cell.faults.thaw(adv.finish);
-        let first = !self.ahead();
+        let first = !cell.ahead.load(Relaxed);
         if first || cell.faults.crash_at.is_none_or(|c| start < c) {
             bump(&cell.app_cpu, adv.dedicated.micros());
             bump(&cell.app_cpu_while_loaded, adv.cpu_while_loaded.micros());
             bump(&cell.freeze_deferrals, thaw.is_some() as u64);
         }
-        // This charge's wake: filed at its start, caused by the wake that
-        // resumed the actor there (the polled one, for the first), unless a
-        // freeze defers it, which files it where it stood.
-        let filed = match thaw {
-            None => [start.0, cell.filed[0].load(Relaxed)],
-            Some(_) => [adv.finish.0, start.0],
-        };
-        for (f, v) in cell.filed.iter().zip(filed) {
-            f.store(v, Relaxed);
-        }
+        cell.ahead.store(true, Relaxed);
         cell.now.store(thaw.unwrap_or(adv.finish).0, Relaxed);
     }
 
     /// Wait for `d` of virtual time to pass without consuming CPU. The one
-    /// park serves as a catch-up too: an actor that is ahead files its wake
-    /// at its own instant, where it would enqueue it once caught up.
+    /// park serves as a catch-up too: an actor that is ahead wakes `d` after
+    /// its own instant.
     pub async fn sleep(&self, d: SimDuration) {
         if d.is_zero() {
             return;
         }
-        let now = self.now();
-        let enq = self.leave_ahead().map(|(at, _)| (now, Some(at)));
-        self.park_req(ParkReq {
-            wake_on_msg: false,
-            wake_at: Some(now + d),
-            enq,
-        })
-        .await;
+        self.leave_ahead();
+        self.park(false, Some(self.now() + d)).await;
     }
 
     /// Send `msg` (`bytes` on the wire) to `dst`: charge marshalling CPU,
@@ -1228,10 +1107,11 @@ impl<M: Send + Clone + 'static> SimBuilder<M> {
                 traced: tracer.active(),
                 max_events: self.max_events,
                 now: AtomicU64::new(0),
-                filed: [AtomicU64::new(CAUGHT_UP), AtomicU64::new(CAUGHT_UP)],
+                ahead: AtomicBool::new(false),
                 app_cpu: AtomicU64::new(0),
                 app_cpu_while_loaded: AtomicU64::new(0),
                 charges: AtomicU64::new(0),
+                catch_ups: AtomicU64::new(0),
                 freeze_deferrals: AtomicU64::new(0),
                 queued: AtomicUsize::new(0),
                 local: Mutex::new(ActorLocal {
@@ -1255,7 +1135,6 @@ impl<M: Send + Clone + 'static> SimBuilder<M> {
         // through the effects they buffer in their `ActorLocal`.
         let mut inner = Inner {
             now: SimTime::ZERO,
-            cause: SimTime::ZERO,
             seq: 0,
             heap: BinaryHeap::new(),
             wakes: BinaryHeap::new(),
@@ -1290,16 +1169,14 @@ impl<M: Send + Clone + 'static> SimBuilder<M> {
         }
         // Seed: wake every actor at t = 0, in spawn order.
         for i in 0..n_actors {
-            let enq = inner.here();
-            inner.schedule_wake(SimTime::ZERO, enq, ActorId(i), 0);
+            inner.schedule_wake(SimTime::ZERO, ActorId(i), 0);
         }
         // Schedule fail-stops.
         if let Some(f) = &inner.fault {
             let crashes = f.plan.crashes();
             for (node, t) in crashes {
                 assert!(node < n_nodes, "fault plan crashes unknown node {node}");
-                let enq = inner.here();
-                inner.push_event(t, enq, EventKind::Crash { node: NodeId(node) });
+                inner.push_event(t, EventKind::Crash { node: NodeId(node) });
             }
         }
 
@@ -1355,7 +1232,7 @@ impl<M: Send + Clone + 'static> SimBuilder<M> {
         let mut live = n_actors;
         // The batch's actors, and what each one's poll returned, by batch
         // slot; both buffers are reused from batch to batch.
-        let mut batch: Vec<(usize, SimTime)> = Vec::new();
+        let mut batch: Vec<usize> = Vec::new();
         let mut results: Vec<Option<(ActorFuture, PollOutcome)>> = Vec::new();
 
         // Kernel loop: collect the next batch of same-timestamp polls, run
@@ -1368,12 +1245,12 @@ impl<M: Send + Clone + 'static> SimBuilder<M> {
             let mut batch_time = SimTime::ZERO;
             loop {
                 // Merge the wakes and the heap (deliveries, crashes) by the
-                // shared `(time, enq, seq)` key, which no two events share.
+                // shared `(time, seq)` key, which no two events share.
                 let heap_key = inner.heap.peek().map(Event::key);
                 let next_wake = match (inner.wakes.peek(), heap_key) {
                     (None, None) => break,
                     (Some(&Reverse(w)), None) => Some(w),
-                    (Some(&Reverse(w)), Some(h)) if (w.time, w.enq, w.seq) < h => Some(w),
+                    (Some(&Reverse(w)), Some(h)) if (w.time, w.seq) < h => Some(w),
                     _ => None,
                 };
                 if let Some(entry) = next_wake {
@@ -1398,11 +1275,7 @@ impl<M: Send + Clone + 'static> SimBuilder<M> {
                         if let Some(f) = inner.fault.as_mut() {
                             f.stats.freeze_deferrals += 1;
                         }
-                        let enq = Filed {
-                            at: entry.time,
-                            cause: entry.enq.at(entry.time),
-                        };
-                        inner.schedule_wake(t, enq, ActorId(woken), entry.epoch);
+                        inner.schedule_wake(t, ActorId(woken), entry.epoch);
                         continue;
                     }
                     // A batched (`Running`) actor's park must be applied
@@ -1426,7 +1299,7 @@ impl<M: Send + Clone + 'static> SimBuilder<M> {
                     sched.wakeups += 1;
                     inner.states[woken] = ActorState::Running;
                     batch_time = entry.time;
-                    batch.push((woken, entry.enq.at(entry.time)));
+                    batch.push(woken);
                     continue;
                 }
                 // Heap events mutate shared state (mailboxes, node
@@ -1450,16 +1323,11 @@ impl<M: Send + Clone + 'static> SimBuilder<M> {
                     if let Some(f) = inner.fault.as_mut() {
                         f.stats.freeze_deferrals += 1;
                     }
-                    let enq = Filed {
-                        at: ev.time,
-                        cause: ev.enq.at(ev.time),
-                    };
-                    inner.push_event(t, enq, ev.kind);
+                    inner.push_event(t, ev.kind);
                     continue;
                 }
                 let ev = inner.heap.pop().expect("non-empty heap");
                 inner.process_heap_meta(&ev);
-                inner.cause = ev.enq.at(ev.time);
                 match ev.kind {
                     EventKind::Deliver { dst, env } => {
                         if inner.crashed_nodes[inner.actor_nodes[dst.0].0] {
@@ -1495,8 +1363,7 @@ impl<M: Send + Clone + 'static> SimBuilder<M> {
                             wake_on_msg: true,
                         } = inner.states[dst.0]
                         {
-                            let enq = inner.here();
-                            inner.schedule_wake(inner.now, enq, dst, epoch);
+                            inner.schedule_wake(inner.now, dst, epoch);
                         }
                     }
                     EventKind::Crash { node } => {
@@ -1550,7 +1417,7 @@ impl<M: Send + Clone + 'static> SimBuilder<M> {
             // to a pool round trip — just cheaper.
             let inline = batch.len() == 1 || pool_job_txs.is_empty();
             if !inline {
-                for (slot, &(a, _)) in batch.iter().enumerate() {
+                for (slot, &a) in batch.iter().enumerate() {
                     let future = futures[a].take().expect("batched actor future");
                     cells[a].now.store(batch_time.0, Relaxed);
                     pool_job_txs[slot % pool_job_txs.len()]
@@ -1569,8 +1436,7 @@ impl<M: Send + Clone + 'static> SimBuilder<M> {
             // its members one at a time. An inline member is polled here,
             // right before its effects are applied: nothing an apply touches
             // is visible to a later member's poll.
-            for (slot, &(a, cause)) in batch.iter().enumerate() {
-                inner.cause = cause;
+            for (slot, &a) in batch.iter().enumerate() {
                 let (future, outcome) = if inline {
                     let mut future = futures[a].take().expect("batched actor future");
                     cells[a].now.store(batch_time.0, Relaxed);
@@ -1615,15 +1481,7 @@ impl<M: Send + Clone + 'static> SimBuilder<M> {
                             wake_on_msg: park.wake_on_msg,
                         };
                         if let Some(t) = park.wake_at {
-                            sched.catch_ups += park.enq.is_some() as u64;
-                            let enq = match park.enq {
-                                Some((at, cause)) => Filed {
-                                    at,
-                                    cause: cause.unwrap_or(inner.cause),
-                                },
-                                None => inner.here(),
-                            };
-                            inner.schedule_wake(t, enq, ActorId(a), epoch);
+                            inner.schedule_wake(t, ActorId(a), epoch);
                         }
                         futures[a] = Some(future);
                     }
@@ -1659,6 +1517,7 @@ impl<M: Send + Clone + 'static> SimBuilder<M> {
                 app_cpu_while_loaded: SimDuration(c.app_cpu_while_loaded.load(Relaxed)),
             };
             sched.charges += c.charges.load(Relaxed);
+            sched.catch_ups += c.catch_ups.load(Relaxed);
             fault.freeze_deferrals += c.freeze_deferrals.load(Relaxed);
         }
 
@@ -2223,25 +2082,40 @@ mod tests {
         b.run();
     }
 
-    /// A wake is 32 bytes, as before filings joined the key: a filing packs
-    /// into one word that orders as `(at, cause)` does, and one over 71
-    /// minutes back orders before every nearer one and ties with the rest,
-    /// which `seq` orders.
+    /// A wake is 24 bytes: due time, seq, actor and epoch.
     #[test]
-    fn a_filing_orders_as_its_instants_in_one_word() {
-        assert_eq!(std::mem::size_of::<WakeEntry>(), 32);
-        let due = SimTime(1 << 40);
-        let filing = |at: u64, cause: u64| {
-            let (at, cause) = (SimTime(at), SimTime(cause));
-            Filing::new(due, Filed { at, cause })
-        };
-        let near = due.0 - 1_000;
-        let far = due.0 - (1 << 33);
-        assert!(filing(near, near - 5) < filing(near, near - 4));
-        assert!(filing(near, near) < filing(near + 1, 0));
-        assert!(filing(far, far) < filing(near - 1, 0));
-        assert_eq!(filing(far, far - 3), filing(far + 7, 0));
-        assert_eq!(filing(near, near - 3).at(due), SimTime(near));
+    fn a_wake_is_24_bytes() {
+        assert_eq!(std::mem::size_of::<WakeEntry>(), 24);
+    }
+
+    /// Entries due at one instant pop in filing order, a catch-up included:
+    /// it is filed when the poll that parks for it is applied. Here the
+    /// runner's catch-up is filed at 0 µs, after its two charges, and the
+    /// sender's delivery when its send is applied at 0 µs, after that; both
+    /// are due at 100 µs, so the catch-up pops first and the look finds the
+    /// mailbox empty.
+    #[test]
+    fn a_catch_up_filed_first_pops_before_a_delivery_due_at_its_instant() {
+        let mut b = SimBuilder::<u64>::new().net(NetConfig {
+            latency: SimDuration::from_micros(100),
+            ..NetConfig::ideal()
+        });
+        let n0 = b.add_node(NodeConfig::default());
+        let n1 = b.add_node(NodeConfig::default());
+        let got = Arc::new(Mutex::new(None));
+        let seen = Arc::clone(&got);
+        b.spawn_mail(n0, "runner", move |ctx| async move {
+            ctx.advance_work(CpuWork::from_micros(50)).await;
+            ctx.advance_work(CpuWork::from_micros(50)).await;
+            let env = ctx.try_recv().await;
+            *seen.lock().unwrap() = Some((ctx.now(), env.map(|e| e.msg)));
+        });
+        b.spawn_mail(n1, "sender", |ctx| async move {
+            ctx.send(ActorId(0), 7, 8).await;
+        });
+        let r = b.run();
+        assert_eq!(*got.lock().unwrap(), Some((SimTime(100), None)));
+        assert_eq!((r.sched.charges, r.sched.catch_ups), (2, 1));
     }
 
     // --- fault injection ---------------------------------------------------

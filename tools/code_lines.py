@@ -2,10 +2,11 @@
 """The repo's size metric: lines of Rust that are not blank, not a `//`
 comment, and not below a file's top-level `#[cfg(test)]`.
 
-Prints one total per crate under crates/, then `crates/core/src` file by
-file (a file that is nothing but tests, session/model/tests.rs, left out) -
-the figure a simplification PR quotes before and after - and the fault-mode
-master's pair, master.rs + session/master.rs, together; then the settable
+Prints one total per crate under crates/, then `crates/core/src` and
+`crates/sim/src` file by file (a file that is nothing but tests,
+session/model/tests.rs, left out) - the figures a simplification PR quotes
+before and after - and the fault-mode master's pair, master.rs +
+session/master.rs, together; then the settable
 values: the `pub` fields of the three configuration structs a caller fills
 in, their sum, and those no caller outside tests and examples sets (a value
 stays settable only when such a caller varies it) - then the policy
@@ -203,6 +204,16 @@ def env_vars(root):
     return sorted({m for line in callers(root) for m in ENV_READ.findall(line)})
 
 
+def print_files(lines, crate):
+    """Print the counted lines of `crates/<crate>/src` file by file, then
+    their total; return them by path below that directory."""
+    files = {f[len(f"{crate}/src/"):]: n for f, n in lines.items() if f.startswith(f"{crate}/src/")}
+    for f, n in files.items():
+        print(f"{n:7}  {f}")
+    print(f"{sum(files.values()):7}  crates/{crate}/src")
+    return files
+
+
 def main():
     if {"-h", "--help"} & set(sys.argv[1:]):
         print(__doc__.strip())
@@ -215,12 +226,11 @@ def main():
         total = sum(n for f, n in lines.items() if f.startswith(f"{crate}/src/"))
         print(f"{total:7}  crates/{crate}/src")
     print()
-    core = {f[len("core/src/"):]: n for f, n in lines.items() if f.startswith("core/src/")}
-    for f, n in core.items():
-        print(f"{n:7}  {f}")
-    print(f"{sum(core.values()):7}  crates/core/src")
+    core = print_files(lines, "core")
     pair = sum(core[f[len("crates/core/src/"):]] for f in MASTER)
     print(f"{pair:7}  fault-mode master ({' + '.join(MASTER)})")
+    print()
+    print_files(lines, "sim")
     print()
     fields = {name: pub_fields(root / path, name) for name, path in CONFIGS.items()}
     for name, names in fields.items():
