@@ -41,6 +41,27 @@
 //! its next drain, right after its own copy arrives. Answers go out as
 //! ordinary [`Msg::Pivot`]s, from the barrier and from every drain.
 //!
+//! ## When a slave looks at its mailbox
+//!
+//! As in the paper's generated code, a slave talks to the run-time system
+//! at a load-balancing hook, and a hook the master told it to skip does
+//! nothing. A look is an interaction: a slave whose column updates ran its
+//! clock ahead parks first, until the simulation reaches its instant. So
+//! the update loop of step `k` looks (`drain_transfers`) at three points
+//! only:
+//!
+//! - before its first column;
+//! - right after each hook that *fires*: the slave has just sent its status
+//!   and read its instructions, so it has caught up anyway;
+//! - once more before the step ends, if it updated a column since its last
+//!   look, and then scans for columns behind again.
+//!
+//! The last look is load-bearing: a column that arrives after the last
+//! fired hook still needs step `k`'s update before the step's `fire`
+//! reports it done, and the next step's pivot column may be that one.
+//! Under fault mode a `Rollback`, `Evict` or `PivotWanted` that lands
+//! mid-step waits for the next of these looks too.
+//!
 //! ## What a slave keeps
 //!
 //! *Pivots are a window, not a history* ([`Pivots`]). Every active column
@@ -400,17 +421,30 @@ async fn step(
     }
 
     // Update phase: bring every active column through step k, lowest id
-    // first, hooking after each column update.
+    // first, hooking after each column update. The mailbox is looked at
+    // before the first column, after each hook that fires, and once more
+    // if a column was updated since the last look (see the module doc).
     st.cursor = 0;
+    drain_transfers(ctx, common, st, kernel, k).await?;
+    let mut looked = true;
     loop {
-        drain_transfers(ctx, common, st, kernel, k).await?;
-        let Some(j) = st.next_behind(k) else { break };
+        let Some(j) = st.next_behind(k) else {
+            if looked {
+                return Ok(());
+            }
+            drain_transfers(ctx, common, st, kernel, k).await?;
+            looked = true;
+            continue;
+        };
         update_column(ctx, common, st, kernel, j, k).await?;
         let active = st.active.len() as u64;
         let moves = common.hook(ctx, k as u64, active).await?;
         execute_moves(ctx, common, st, k, moves).await?;
+        looked = common.fired_last();
+        if looked {
+            drain_transfers(ctx, common, st, kernel, k).await?;
+        }
     }
-    Ok(())
 }
 
 async fn update_column(
@@ -577,7 +611,8 @@ async fn drain_transfers(
 mod tests {
     use super::*;
     use crate::balancer::InteractionMode;
-    use dlb_sim::{ActorId, CpuWork, NodeConfig, SimBuilder};
+    use crate::msg::Instructions;
+    use dlb_sim::{ActorId, CpuWork, NodeConfig, SimBuilder, SimDuration, SimTime};
     use std::sync::Mutex;
 
     /// Columns of one number; step `k` adds the pivot's to every later one.
@@ -845,6 +880,78 @@ mod tests {
         while update_next(&mut st).is_some() {}
         assert_eq!(order, [2, 3, 6, 4, 5, 8, 10]);
         assert!(st.active.values().all(|c| c.updated_through == k as i64));
+    }
+
+    /// A column accepted where no hook fires is still brought through the
+    /// step it arrives in, before that step's `fire`: the step's last look
+    /// takes it. Every hook of step 0 skips here, and column 1 — step 1's
+    /// pivot column — lands from a peer mid-step, one step behind. Taken
+    /// only by the drain before `fire`, it would be missing from step 0's
+    /// status and start step 1 un-updated (`Inconsistent`).
+    #[test]
+    fn a_column_accepted_between_fired_hooks_is_updated_before_the_fire() {
+        let n = 12;
+        let (me, peer, master) = (ActorId(0), ActorId(1), ActorId(2));
+        let done = Arc::new(Mutex::new(Vec::new()));
+        let sink = Arc::clone(&done);
+        let mut sim = SimBuilder::<Msg>::new();
+        let nodes = [(); 3].map(|()| sim.add_node(NodeConfig::default()));
+        sim.spawn_mail(nodes[0], "slave0", move |ctx| async move {
+            let spec = SlaveSpec {
+                idx: 0,
+                master,
+                mode: InteractionMode::Pipelined,
+                ft: None,
+                takeover: None,
+                join_at: None,
+            };
+            let start = (vec![me, peer], vec![(0, n), (n, n)], 1);
+            let mut lu = ShrinkingStrategy::new(Arc::new(Adds(n)), &spec, &start);
+            let mut common = SlaveCommon::new(0, master, start.0, spec.mode, None);
+            lu.st.active.remove(&1);
+            let skip_all = Instructions {
+                seq: 1,
+                epoch: 0,
+                moves: Vec::new(),
+                hooks_to_skip: u64::MAX,
+            };
+            assert!(common.instructions_out_of_band(skip_all).is_empty());
+            for k in 0..2 {
+                lu.run_invocation(&ctx, &mut common, k).await.unwrap();
+            }
+            assert_eq!(lu.st.active[&2].data, [3.0 + 1.0 + 3.0]);
+        });
+        sim.spawn_mail(nodes[1], "peer", move |ctx| async move {
+            // Lands a few columns into step 0's eleven 100 µs updates.
+            ctx.sleep(SimDuration::from_micros(300)).await;
+            let t = Msg::Transfer(TransferMsg {
+                from: 1,
+                seq: 1,
+                epoch: 0,
+                invocation: 0,
+                effective_block: 0,
+                units: vec![MovedUnit {
+                    data: vec![vec![2.0]],
+                    ..moved(1, false, 0)
+                }],
+                right_old: None,
+            });
+            let bytes = t.wire_bytes();
+            ctx.send(me, t, bytes).await;
+            while ctx.recv_deadline(SimTime(1_000_000)).await.is_some() {}
+        });
+        sim.spawn_mail(nodes[2], "master", move |ctx| async move {
+            while let Some(env) = ctx.recv_deadline(SimTime(1_000_000)).await {
+                if let Msg::Status(s) = env.msg {
+                    sink.lock()
+                        .unwrap()
+                        .push((s.invocation, s.units_done_delta));
+                }
+            }
+        });
+        sim.run();
+        // Columns 1..12 through step 0, then 2..12 through step 1.
+        assert_eq!(*done.lock().unwrap(), [(0, 11), (1, 10)]);
     }
 
     /// A column's progress is read off the transfer's own step: accepted

@@ -1002,6 +1002,12 @@ impl SlaveCommon {
         self.fire(ctx, invocation, active_units).await
     }
 
+    /// Whether the last [`hook`](Self::hook) fired rather than skipped: a
+    /// slave that fired has just talked to the master, so it has caught up.
+    pub fn fired_last(&self) -> bool {
+        self.since_fire == 0
+    }
+
     /// Fire the hook unconditionally (used at invocation boundaries so the
     /// final partial period is always reported).
     pub async fn fire(

@@ -91,9 +91,9 @@ pub struct SchedStats {
     /// catch-up at its own instant before it sends, looks at its mailbox or
     /// returns, or a sleep from that instant.
     pub catch_ups: u64,
-    /// Acquisitions of an actor's mutex (mailbox, effect buffer, park
-    /// request), by the kernel and by `MailCtx` calls together. Exact and the
-    /// same at any pool size: it is a function of the event stream.
+    /// Acquisitions of an actor's mutex (mailbox, effect buffer), by the
+    /// kernel and by `MailCtx` calls together. Exact and the same at any
+    /// pool size: it is a function of the event stream.
     pub local_locks: u64,
     /// Worker-pool threads spawned for this run.
     pub pool_workers: usize,
@@ -498,12 +498,12 @@ impl<M: Send + Clone + 'static> Inner<M> {
 //
 // Ownership rule: the kernel thread owns `Inner` (clock, queues, metrics,
 // fault RNG) as a plain value; during a poll an actor touches only its own
-// `ActorCell`. All globally-ordered side effects — network sends, metrics,
-// the park itself — are buffered as `LocalEffect`s and applied by the kernel
-// thread afterwards, in wake-sequence order. Polls are therefore pure with
-// respect to kernel state, which is what makes it safe to run a batch of
-// same-timestamp polls on the worker pool in parallel: the observable
-// outcome is the same as polling them one by one.
+// `ActorCell`. All globally-ordered side effects — network sends, metrics —
+// are buffered as `LocalEffect`s, and the park itself is left in the cell;
+// the kernel thread applies them afterwards, in wake-sequence order. Polls
+// are therefore pure with respect to kernel state, which is what makes it
+// safe to run a batch of same-timestamp polls on the worker pool in
+// parallel: the observable outcome is the same as polling them one by one.
 //
 // A cell is never touched by both sides at once — the kernel hands it to a
 // poll and gets it back — so the cell is split by who writes what, when:
@@ -520,9 +520,10 @@ impl<M: Send + Clone + 'static> Inner<M> {
 //   `queued`    stores after deliver / crash      loads to skip an empty
 //               clear, under the guard            mailbox, no lock; stores
 //                                                 after a take, under the guard
+//   park        takes and clears it after the     sets it, no lock
+//               poll, no lock
 //   mailbox     push on deliver, clear on crash   scan + remove (guard)
 //   effects     drain after the poll (guard)      push (guard)
-//   park        take after the poll (guard)       set (guard)
 //
 // Memory ordering: the atomics are written only by the side that has the
 // cell, and the cell changes sides either on one thread (inline polls) or
@@ -533,11 +534,11 @@ impl<M: Send + Clone + 'static> Inner<M> {
 // read under the mutex.
 //
 // What is left under the mutex is what moves data: one acquisition per
-// mutating `MailCtx` call (a park, catch-ups included, the send handoff, a
-// take from a non-empty mailbox, a note while traced, an exit reply), one
-// per delivery to an actor that has not returned, one per kernel apply. A
-// charge takes none. `SchedStats::local_locks` counts them;
-// `tests/lock_budget.rs` holds the per-event figure.
+// mutating `MailCtx` call (the send handoff, a take from a non-empty
+// mailbox, a note while traced, an exit reply), one per delivery to an actor
+// that has not returned, one per kernel apply. A charge takes none, and
+// neither does a park, catch-ups included. `SchedStats::local_locks` counts
+// them; `tests/lock_budget.rs` holds the per-event figure.
 // ---------------------------------------------------------------------------
 
 /// Lock an actor's mutable half, shrugging off poison (a panicked poll is
@@ -575,6 +576,9 @@ struct ParkReq {
     wake_at: Option<SimTime>,
 }
 
+/// [`ActorCell::wake_at`] of a park with no timed wake.
+const NO_WAKE: u64 = u64::MAX;
+
 /// One actor's side of the kernel, shared between its `MailCtx` and the
 /// kernel thread: what never changes after spawn, the clock and tallies a
 /// poll keeps without a lock, and the mutable [`ActorLocal`].
@@ -608,16 +612,37 @@ struct ActorCell<M> {
     freeze_deferrals: AtomicU64,
     /// `mailbox.len()`, so that a receive on an empty mailbox takes no lock.
     queued: AtomicUsize,
+    /// The park this poll requested, which the kernel takes after the poll
+    /// ([`ActorCell::take_park`]): whether the actor parked, whether a
+    /// delivery wakes it, and its timed wake in microseconds ([`NO_WAKE`]:
+    /// none).
+    parked: AtomicBool,
+    wake_on_msg: AtomicBool,
+    wake_at: AtomicU64,
     local: Mutex<ActorLocal<M>>,
 }
 
+impl<M> ActorCell<M> {
+    /// Take the park the last poll requested, if it made one.
+    fn take_park(&self) -> Option<ParkReq> {
+        if !self.parked.load(Relaxed) {
+            return None;
+        }
+        self.parked.store(false, Relaxed);
+        let wake_at = self.wake_at.load(Relaxed);
+        Some(ParkReq {
+            wake_on_msg: self.wake_on_msg.load(Relaxed),
+            wake_at: (wake_at != NO_WAKE).then_some(SimTime(wake_at)),
+        })
+    }
+}
+
 /// What the two sides hand each other through the cell's mutex: the kernel
-/// fills `mailbox` while the actor is parked and empties `effects` and `park`
-/// after its poll; the actor does the reverse while being polled.
+/// fills `mailbox` while the actor is parked and empties `effects` after its
+/// poll; the actor does the reverse while being polled.
 struct ActorLocal<M> {
     mailbox: VecDeque<Envelope<M>>,
     effects: Vec<LocalEffect<M>>,
-    park: Option<ParkReq>,
     /// Times this mutex was taken ([`SchedStats::local_locks`]).
     locks: u64,
 }
@@ -694,15 +719,15 @@ impl<M: Send + Clone + 'static> MailCtx<M> {
         self.cell.traced
     }
 
-    /// Record how this poll wants to be resumed and return the future that
-    /// hands control back.
+    /// Record how this poll wants to be resumed, without a lock, and return
+    /// the future that hands control back.
     fn park(&self, wake_on_msg: bool, wake_at: Option<SimTime>) -> ParkOnce {
-        let mut local = self.lock();
-        debug_assert!(local.park.is_none(), "double park in one poll");
-        local.park = Some(ParkReq {
-            wake_on_msg,
-            wake_at,
-        });
+        let cell = &*self.cell;
+        debug_assert!(!cell.parked.load(Relaxed), "double park in one poll");
+        cell.parked.store(true, Relaxed);
+        cell.wake_on_msg.store(wake_on_msg, Relaxed);
+        cell.wake_at
+            .store(wake_at.map_or(NO_WAKE, |t| t.0), Relaxed);
         ParkOnce { parked: false }
     }
 
@@ -1114,10 +1139,12 @@ impl<M: Send + Clone + 'static> SimBuilder<M> {
                 catch_ups: AtomicU64::new(0),
                 freeze_deferrals: AtomicU64::new(0),
                 queued: AtomicUsize::new(0),
+                parked: AtomicBool::new(false),
+                wake_on_msg: AtomicBool::new(false),
+                wake_at: AtomicU64::new(NO_WAKE),
                 local: Mutex::new(ActorLocal {
                     mailbox: VecDeque::new(),
                     effects: Vec::new(),
-                    park: None,
                     locks: 0,
                 }),
             });
@@ -1470,7 +1497,7 @@ impl<M: Send + Clone + 'static> SimBuilder<M> {
                         // The future — the state machine — drops here.
                     }
                     PollOutcome::Pending => {
-                        let park = local.park.take().expect(
+                        let park = cells[a].take_park().expect(
                             "actor returned Pending without parking: \
                              only dlb-sim futures may be awaited",
                         );
@@ -2520,7 +2547,7 @@ mod tests {
         for workers in [0, 1, 8] {
             assert_eq!(
                 read_paths_scenario(workers),
-                (SimTime(100), 10, 0xdbc6_d6ce_f431_d75d, 21),
+                (SimTime(100), 10, 0xdbc6_d6ce_f431_d75d, 18),
                 "pool of {workers}"
             );
         }
@@ -2555,11 +2582,11 @@ mod tests {
             let r = b.run();
             (r.events_processed, r.trace_hash, r.sched.local_locks)
         };
-        // One lock per park and one per kernel apply: the sleep (two polls)
+        // One lock per kernel apply and none per park: the sleep (two polls)
         // or the catch-up and the sleep (three).
-        assert_eq!(run_with(0, 0).2, 3);
+        assert_eq!(run_with(0, 0).2, 2);
         let quiet = run_with(1, 0);
-        assert_eq!(quiet.2, 5);
+        assert_eq!(quiet.2, 3);
         for workers in [0, 1, 8] {
             assert_eq!(run_with(100, workers), quiet, "pool of {workers}");
         }

@@ -631,6 +631,12 @@ fn event_streams_match_the_recorded_constants() {
 /// (CHANGES.md lists before → after): same-instant sends draw the fault RNG
 /// in another order, so five lossy LU rows moved in elapsed µs, four in
 /// recovery counters, and 495 209 events became 493 479.
+/// 24 `/lu` rows were re-recorded when an LU slave stopped looking at its
+/// mailbox before every column and began to look after a hook that fires
+/// and once before a step ends (CHANGES.md lists before → after): a
+/// `Rollback`, `Evict` or `PivotWanted` now waits for that look, so three
+/// rows moved in elapsed µs, two in recovery counters, and 493 479 events
+/// became 491 064.
 #[rustfmt::skip]
 const GOLDEN: &[(&str, u64, u64, u64, &str)] = &[
     ("quiet4/mm", 434944, 398, 0x1e4d7289989400c9, ""),
@@ -639,9 +645,9 @@ const GOLDEN: &[(&str, u64, u64, u64, &str)] = &[
     ("quiet4/sor", 1512323, 654, 0x02f469ab57876925, "checkpoints_banked: 3, checkpoints_sent: 16, replication_bytes: 120"),
     ("wire_crash4/sor", 24362873, 1121, 0x12489b9a4a54efeb, "slaves_declared_dead: 2, first_death: Some(t=8.394586s), status_dups_ignored: 1, gather_dups_ignored: 1, checkpoints_banked: 4, rollbacks: 2, units_rolled_back: 32, speculations_launched: 1, speculations_committed: 1, units_speculated: 6, rollbacks_applied: 4, checkpoints_sent: 18, speculations_computed: 1, replication_bytes: 2240"),
     ("freeze4/sor", 7507862, 855, 0x7c8ded39f5d1d045, "checkpoints_banked: 3, speculations_launched: 1, speculations_committed: 1, units_speculated: 16, checkpoints_sent: 25, speculations_computed: 1, replication_bytes: 840"),
-    ("quiet4/lu", 852104, 2082, 0x411405764e54e9a3, "checkpoints_banked: 18, checkpoints_sent: 96"),
-    ("wire_crash4/lu", 15915801, 2349, 0xfa92d5d6b64face8, "slaves_declared_dead: 1, first_death: Some(t=8.222855s), restore_resends: 2, instr_resends: 1, invocation_start_resends: 1, status_dups_ignored: 1, done_dups_ignored: 1, gather_dups_ignored: 1, checkpoints_banked: 17, rollbacks: 1, units_rolled_back: 20, speculations_launched: 1, speculations_committed: 1, units_speculated: 20, stale_epoch_dropped: 4, rollbacks_applied: 3, checkpoints_sent: 100, speculations_computed: 1, replication_bytes: 1520"),
-    ("freeze4/lu", 6850430, 2343, 0xe039ec8f7dd00876, "checkpoints_banked: 18, speculations_launched: 1, speculations_committed: 1, units_speculated: 5, checkpoints_sent: 112, speculations_computed: 1, replication_bytes: 720"),
+    ("quiet4/lu", 852104, 1982, 0x536fae28dbc1764a, "checkpoints_banked: 18, checkpoints_sent: 96"),
+    ("wire_crash4/lu", 15915801, 2241, 0x87ffd52327863247, "slaves_declared_dead: 1, first_death: Some(t=8.222855s), restore_resends: 2, instr_resends: 1, invocation_start_resends: 1, status_dups_ignored: 1, done_dups_ignored: 1, gather_dups_ignored: 1, checkpoints_banked: 17, rollbacks: 1, units_rolled_back: 20, speculations_launched: 1, speculations_committed: 1, units_speculated: 20, stale_epoch_dropped: 4, rollbacks_applied: 3, checkpoints_sent: 100, speculations_computed: 1, replication_bytes: 1520"),
+    ("freeze4/lu", 6850430, 2243, 0xf661be3ff7de996d, "checkpoints_banked: 18, speculations_launched: 1, speculations_committed: 1, units_speculated: 5, checkpoints_sent: 112, speculations_computed: 1, replication_bytes: 720"),
     ("master_mid_invocation/mm", 8463335, 2027, 0x27a93b4a49e4625d, "rollbacks: 1, units_rolled_back: 32, rollbacks_applied: 15, elections_held: 1, takeover_latency: Some(8.196209s)"),
     ("master_frozen_then_superseded/mm", 14282800, 2714, 0x0378b4452ebed784, "rollbacks: 1, units_rolled_back: 32, rollbacks_applied: 15, elections_held: 1, takeover_latency: Some(8.196209s)"),
     ("drop16/mm", 16270012, 1718, 0xfa7226e372aa9af3, "instr_resends: 2, start_resends: 1, invocation_start_resends: 3, done_dups_ignored: 2, replication_bytes: 600"),
@@ -679,26 +685,26 @@ const GOLDEN: &[(&str, u64, u64, u64, &str)] = &[
     ("crash_inside_partition/sor", 30007483, 6837, 0xab9aaf0648c91b31, "slaves_declared_dead: 3, first_death: Some(t=2.005797s), restore_resends: 92, start_resends: 23, invocation_start_resends: 23, done_dups_ignored: 2, checkpoints_banked: 3, rollbacks: 4, units_rolled_back: 136, speculations_launched: 4, speculations_committed: 3, units_speculated: 8, joins_admitted: 1, rejoins_after_eviction: 1, join_snapshot_bytes: 1032, partitions_healed: 1, stale_epoch_dropped: 87, rollbacks_applied: 50, checkpoints_sent: 182, speculations_computed: 3, replication_bytes: 1000"),
     ("partition_heal_rejoin_lossy/sor", 37853869, 23971, 0xc971036a55837394, "slaves_declared_dead: 11, first_death: Some(t=2.010920s), restore_resends: 1027, start_resends: 59, invocation_start_resends: 59, status_dups_ignored: 5, done_dups_ignored: 9, gather_dups_ignored: 2, checkpoints_banked: 4, rollbacks: 20, units_rolled_back: 680, speculations_launched: 6, speculations_committed: 4, units_speculated: 12, joins_admitted: 10, rejoins_after_eviction: 10, join_snapshot_bytes: 9456, partitions_healed: 9, stale_epoch_dropped: 938, rollbacks_applied: 226, checkpoints_sent: 558, speculations_computed: 2, replication_bytes: 3600"),
     ("final_rollback_lost/sor", 30019904, 17349, 0x130ed82a80f1b191, "slaves_declared_dead: 7, first_death: Some(t=2.010647s), restore_resends: 333, instr_resends: 1, start_resends: 22, invocation_start_resends: 23, gather_resends: 2, status_dups_ignored: 8, done_dups_ignored: 4, gather_dups_ignored: 1, checkpoints_banked: 3, rollbacks: 12, units_rolled_back: 408, joins_admitted: 5, rejoins_after_eviction: 5, join_snapshot_bytes: 4288, partitions_healed: 5, stale_epoch_dropped: 324, rollbacks_applied: 136, checkpoints_sent: 448, replication_bytes: 3160"),
-    ("master_mid_invocation/lu", 8747478, 8866, 0x03d0b209be4e4294, "checkpoints_banked: 22, rollbacks: 1, units_rolled_back: 24, rollbacks_applied: 15, checkpoints_sent: 450, elections_held: 1, takeover_latency: Some(8.182040s)"),
-    ("master_frozen_then_superseded/lu", 14260463, 10120, 0x271000cf946e3c45, "slaves_declared_dead: 1, first_death: Some(t=14.201400s), checkpoints_banked: 3, rollbacks: 1, units_rolled_back: 24, replication_bytes: 120"),
-    ("drop16/lu", 36575433, 12159, 0xebcd5133c14f04e2, "instr_resends: 39, start_resends: 2, invocation_start_resends: 41, gather_resends: 4, done_dups_ignored: 48, checkpoints_banked: 16, checkpoints_sent: 626, replication_bytes: 3240"),
-    ("dup16/lu", 772717, 8408, 0x3b58a569bacd303f, "status_dups_ignored: 20, checkpoints_banked: 22, checkpoints_sent: 368"),
-    ("jitter16/lu", 1117623, 8709, 0x7467f2d7a9fa42bd, "checkpoints_banked: 22, checkpoints_sent: 368, replication_bytes: 120"),
-    ("master_mid_rollback/lu", 24981889, 11777, 0x7c27be25516af245, "slaves_declared_dead: 1, first_death: Some(t=24.196809s), checkpoints_banked: 24, rollbacks: 1, units_rolled_back: 24, stale_epoch_dropped: 106, rollbacks_applied: 14, checkpoints_sent: 695, elections_held: 1, takeover_latency: Some(8.004162s), replication_bytes: 640"),
-    ("master_inside_suspicion/lu", 21388078, 11223, 0x2406413f9a4c49c9, "slaves_declared_dead: 1, first_death: Some(t=20.602998s), checkpoints_banked: 24, rollbacks: 1, units_rolled_back: 24, stale_epoch_dropped: 106, rollbacks_applied: 14, checkpoints_sent: 651, elections_held: 1, takeover_latency: Some(8.003860s), replication_bytes: 640"),
-    ("overlapping_crashes/lu", 16717467, 10142, 0x4de4fe3c8d283574, "slaves_declared_dead: 2, first_death: Some(t=8.187647s), restore_resends: 3, checkpoints_banked: 22, rollbacks: 2, units_rolled_back: 48, speculations_launched: 2, speculations_committed: 2, units_speculated: 4, stale_epoch_dropped: 4, rollbacks_applied: 28, checkpoints_sent: 522, speculations_computed: 2, replication_bytes: 1920"),
-    ("master_mid_transfer/lu", 9845707, 8763, 0x12fcd69ee343662a, "checkpoints_banked: 22, rollbacks: 1, units_rolled_back: 24, rollbacks_applied: 15, checkpoints_sent: 457, elections_held: 1, takeover_latency: Some(8.034418s), replication_bytes: 80"),
-    ("double_failover/lu", 18770855, 10345, 0xb8d7de0a1307d800, "checkpoints_banked: 22, rollbacks: 2, units_rolled_back: 48, rollbacks_applied: 28, checkpoints_sent: 495, elections_held: 2, takeover_latency: Some(10.385043s)"),
-    ("crash_in_gather/lu", 8797580, 10009, 0xe2bb6fc225b1ebdc, "slaves_declared_dead: 1, first_death: Some(t=8.770013s), gather_resends: 3, gathers_interrupted: 1, checkpoints_banked: 23, rollbacks: 1, units_rolled_back: 24, rollbacks_applied: 15, checkpoints_sent: 705, replication_bytes: 960"),
-    ("crash_in_gather_lossy/lu", 30872455, 12958, 0x3326a97e03ac4eaf, "slaves_declared_dead: 1, first_death: Some(t=28.805170s), instr_resends: 20, start_resends: 1, invocation_start_resends: 21, gather_resends: 5, status_dups_ignored: 22, done_dups_ignored: 24, gather_dups_ignored: 1, gathers_interrupted: 1, checkpoints_banked: 21, rollbacks: 1, units_rolled_back: 24, rollbacks_applied: 15, checkpoints_sent: 1049, replication_bytes: 3600"),
-    ("late_join/lu", 823247, 9362, 0x3f985ea2fe2a775b, "checkpoints_banked: 22, rollbacks: 1, units_rolled_back: 24, joins_admitted: 1, join_snapshot_bytes: 360, rollbacks_applied: 16, checkpoints_sent: 381"),
-    ("master_crash_join_in_flight/lu", 8775200, 11727, 0x57689e0c4a1899f8, "checkpoints_banked: 22, rollbacks: 2, units_rolled_back: 48, joins_admitted: 1, join_snapshot_bytes: 552, stale_epoch_dropped: 10, rollbacks_applied: 29, checkpoints_sent: 890, elections_held: 1, takeover_latency: Some(8.143871s)"),
-    ("late_join_lossy/lu", 6269851, 11523, 0x3a05e36e285c27b6, "instr_resends: 12, invocation_start_resends: 12, gather_resends: 1, status_dups_ignored: 25, done_dups_ignored: 14, checkpoints_banked: 19, rollbacks: 1, units_rolled_back: 24, joins_admitted: 1, join_snapshot_bytes: 360, stale_epoch_dropped: 1, rollbacks_applied: 16, checkpoints_sent: 491, replication_bytes: 480"),
-    ("master_crash_join_in_flight_lossy/lu", 14282443, 14363, 0x06f72a0a5e43861a, "instr_resends: 27, invocation_start_resends: 27, gather_resends: 1, status_dups_ignored: 19, done_dups_ignored: 33, gather_dups_ignored: 3, checkpoints_banked: 20, rollbacks: 2, units_rolled_back: 48, joins_admitted: 1, join_snapshot_bytes: 552, stale_epoch_dropped: 7, rollbacks_applied: 29, checkpoints_sent: 1030, elections_held: 1, takeover_latency: Some(8.050967s), replication_bytes: 320"),
-    ("partition_heal_rejoin/lu", 4247235, 18109, 0xe42501985dec490a, "slaves_declared_dead: 3, first_death: Some(t=0.618441s), restore_resends: 20, instr_resends: 2, invocation_start_resends: 2, done_dups_ignored: 6, checkpoints_banked: 38, rollbacks: 6, units_rolled_back: 240, speculations_launched: 2, joins_admitted: 3, rejoins_after_eviction: 3, join_snapshot_bytes: 3408, partitions_healed: 3, stale_epoch_dropped: 19, rollbacks_applied: 84, checkpoints_sent: 808, replication_bytes: 400"),
-    ("crash_inside_partition/lu", 5127902, 18058, 0xe4110a75ff646042, "slaves_declared_dead: 5, first_death: Some(t=0.618441s), restore_resends: 41, instr_resends: 2, invocation_start_resends: 2, done_dups_ignored: 9, checkpoints_banked: 38, rollbacks: 9, units_rolled_back: 360, speculations_launched: 3, joins_admitted: 4, rejoins_after_eviction: 4, join_snapshot_bytes: 4520, partitions_healed: 4, stale_epoch_dropped: 39, rollbacks_applied: 112, checkpoints_sent: 811, replication_bytes: 480"),
-    ("partition_heal_rejoin_lossy/lu", 30011923, 22176, 0xe39232556f4ad1a1, "slaves_declared_dead: 3, first_death: Some(t=0.635127s), restore_resends: 22, instr_resends: 44, start_resends: 3, invocation_start_resends: 47, gather_resends: 1, status_dups_ignored: 33, done_dups_ignored: 61, gather_dups_ignored: 1, checkpoints_banked: 30, rollbacks: 5, units_rolled_back: 200, speculations_launched: 2, joins_admitted: 2, rejoins_after_eviction: 2, join_snapshot_bytes: 2264, partitions_healed: 2, stale_epoch_dropped: 27, rollbacks_applied: 68, checkpoints_sent: 1084, replication_bytes: 760"),
-    ("pivot_link_cut/lu", 2762519, 8774, 0x5dab7b5d4a7aa0e1, "instr_resends: 2, invocation_start_resends: 2, done_dups_ignored: 4, checkpoints_banked: 22, checkpoints_sent: 388, replication_bytes: 240"),
+    ("master_mid_invocation/lu", 8747478, 8831, 0xbbe23ebc8dcb86e7, "checkpoints_banked: 22, rollbacks: 1, units_rolled_back: 24, rollbacks_applied: 15, checkpoints_sent: 450, elections_held: 1, takeover_latency: Some(8.182040s)"),
+    ("master_frozen_then_superseded/lu", 14260463, 10085, 0x848364f382d6c9b0, "slaves_declared_dead: 1, first_death: Some(t=14.201400s), checkpoints_banked: 3, rollbacks: 1, units_rolled_back: 24, replication_bytes: 120"),
+    ("drop16/lu", 36575433, 12123, 0xf12433cad1588c5c, "instr_resends: 39, start_resends: 2, invocation_start_resends: 41, gather_resends: 4, done_dups_ignored: 48, checkpoints_banked: 16, checkpoints_sent: 626, replication_bytes: 3240"),
+    ("dup16/lu", 772717, 8372, 0x1e2f066a22abf228, "status_dups_ignored: 20, checkpoints_banked: 22, checkpoints_sent: 368"),
+    ("jitter16/lu", 1117623, 8673, 0x5c9b8c449e969f04, "checkpoints_banked: 22, checkpoints_sent: 368, replication_bytes: 120"),
+    ("master_mid_rollback/lu", 24981889, 11702, 0x79f73818b6b9f352, "slaves_declared_dead: 1, first_death: Some(t=24.196809s), checkpoints_banked: 24, rollbacks: 1, units_rolled_back: 24, stale_epoch_dropped: 106, rollbacks_applied: 14, checkpoints_sent: 695, elections_held: 1, takeover_latency: Some(8.004162s), replication_bytes: 640"),
+    ("master_inside_suspicion/lu", 21388078, 11148, 0x27c4ea1c79309d7b, "slaves_declared_dead: 1, first_death: Some(t=20.602998s), checkpoints_banked: 24, rollbacks: 1, units_rolled_back: 24, stale_epoch_dropped: 106, rollbacks_applied: 14, checkpoints_sent: 651, elections_held: 1, takeover_latency: Some(8.003860s), replication_bytes: 640"),
+    ("overlapping_crashes/lu", 16717467, 10092, 0x1c6300cfa7506add, "slaves_declared_dead: 2, first_death: Some(t=8.187647s), restore_resends: 3, checkpoints_banked: 22, rollbacks: 2, units_rolled_back: 48, speculations_launched: 2, speculations_committed: 2, units_speculated: 4, stale_epoch_dropped: 4, rollbacks_applied: 28, checkpoints_sent: 522, speculations_computed: 2, replication_bytes: 1920"),
+    ("master_mid_transfer/lu", 9845707, 8719, 0xbd59b42cd6bb0c12, "checkpoints_banked: 22, rollbacks: 1, units_rolled_back: 24, rollbacks_applied: 15, checkpoints_sent: 457, elections_held: 1, takeover_latency: Some(8.034418s), replication_bytes: 80"),
+    ("double_failover/lu", 18770855, 10310, 0xd9d5fc884510d5e6, "checkpoints_banked: 22, rollbacks: 2, units_rolled_back: 48, rollbacks_applied: 28, checkpoints_sent: 495, elections_held: 2, takeover_latency: Some(10.385043s)"),
+    ("crash_in_gather/lu", 8797580, 9973, 0x113bdca047a4a949, "slaves_declared_dead: 1, first_death: Some(t=8.770013s), gather_resends: 3, gathers_interrupted: 1, checkpoints_banked: 23, rollbacks: 1, units_rolled_back: 24, rollbacks_applied: 15, checkpoints_sent: 705, replication_bytes: 960"),
+    ("crash_in_gather_lossy/lu", 30872455, 12922, 0x1307a51aa9a369d2, "slaves_declared_dead: 1, first_death: Some(t=28.805170s), instr_resends: 20, start_resends: 1, invocation_start_resends: 21, gather_resends: 5, status_dups_ignored: 22, done_dups_ignored: 24, gather_dups_ignored: 1, gathers_interrupted: 1, checkpoints_banked: 21, rollbacks: 1, units_rolled_back: 24, rollbacks_applied: 15, checkpoints_sent: 1049, replication_bytes: 3600"),
+    ("late_join/lu", 823247, 9320, 0xe742cdeaa6534174, "checkpoints_banked: 22, rollbacks: 1, units_rolled_back: 24, joins_admitted: 1, join_snapshot_bytes: 360, rollbacks_applied: 16, checkpoints_sent: 381"),
+    ("master_crash_join_in_flight/lu", 8795710, 11686, 0x5ff13e204bc0bf34, "checkpoints_banked: 22, rollbacks: 2, units_rolled_back: 48, joins_admitted: 1, join_snapshot_bytes: 552, stale_epoch_dropped: 10, rollbacks_applied: 29, checkpoints_sent: 890, elections_held: 1, takeover_latency: Some(8.143871s)"),
+    ("late_join_lossy/lu", 6269851, 11493, 0xec97e11cf83e0901, "instr_resends: 12, invocation_start_resends: 12, gather_resends: 1, status_dups_ignored: 25, done_dups_ignored: 14, checkpoints_banked: 19, rollbacks: 1, units_rolled_back: 24, joins_admitted: 1, join_snapshot_bytes: 360, stale_epoch_dropped: 1, rollbacks_applied: 16, checkpoints_sent: 491, replication_bytes: 480"),
+    ("master_crash_join_in_flight_lossy/lu", 14282443, 14321, 0x95f75fdd0ac4afda, "instr_resends: 27, invocation_start_resends: 27, gather_resends: 1, status_dups_ignored: 19, done_dups_ignored: 33, gather_dups_ignored: 3, checkpoints_banked: 20, rollbacks: 2, units_rolled_back: 48, joins_admitted: 1, join_snapshot_bytes: 552, stale_epoch_dropped: 7, rollbacks_applied: 29, checkpoints_sent: 1030, elections_held: 1, takeover_latency: Some(8.050967s), replication_bytes: 320"),
+    ("partition_heal_rejoin/lu", 4323255, 17741, 0xb013ec7637cd1268, "slaves_declared_dead: 3, first_death: Some(t=0.618441s), restore_resends: 40, instr_resends: 2, invocation_start_resends: 2, done_dups_ignored: 5, checkpoints_banked: 38, rollbacks: 6, units_rolled_back: 240, speculations_launched: 2, joins_admitted: 3, rejoins_after_eviction: 3, join_snapshot_bytes: 3408, partitions_healed: 3, stale_epoch_dropped: 40, rollbacks_applied: 84, checkpoints_sent: 812, replication_bytes: 400"),
+    ("crash_inside_partition/lu", 5203511, 17622, 0x16ca809580c97f1e, "slaves_declared_dead: 5, first_death: Some(t=0.618441s), restore_resends: 99, instr_resends: 2, invocation_start_resends: 2, done_dups_ignored: 8, checkpoints_banked: 38, rollbacks: 9, units_rolled_back: 360, speculations_launched: 3, joins_admitted: 4, rejoins_after_eviction: 4, join_snapshot_bytes: 4520, partitions_healed: 4, stale_epoch_dropped: 99, rollbacks_applied: 112, checkpoints_sent: 800, replication_bytes: 480"),
+    ("partition_heal_rejoin_lossy/lu", 30011923, 21696, 0x25bd2dc56b4ff0c5, "slaves_declared_dead: 3, first_death: Some(t=0.635127s), restore_resends: 22, instr_resends: 44, start_resends: 3, invocation_start_resends: 47, gather_resends: 1, status_dups_ignored: 33, done_dups_ignored: 61, gather_dups_ignored: 1, checkpoints_banked: 30, rollbacks: 5, units_rolled_back: 200, speculations_launched: 2, joins_admitted: 2, rejoins_after_eviction: 2, join_snapshot_bytes: 2264, partitions_healed: 2, stale_epoch_dropped: 27, rollbacks_applied: 68, checkpoints_sent: 1084, replication_bytes: 760"),
+    ("pivot_link_cut/lu", 2762519, 8738, 0xb720d51f5ab0870f, "instr_resends: 2, invocation_start_resends: 2, done_dups_ignored: 4, checkpoints_banked: 22, checkpoints_sent: 388, replication_bytes: 240"),
     ("heal_after_end/mm", 2093983, 2333, 0x589521b18a21a444, "slaves_declared_dead: 3, first_death: Some(t=0.501265s), units_restored: 4, restore_resends: 13, instr_resends: 1, start_resends: 6, invocation_start_resends: 7, done_dups_ignored: 15, speculations_launched: 1, speculations_committed: 1, units_speculated: 2, checkpoints_sent: 1, speculations_computed: 1"),
     ("converges_early4/mm", 8297673, 604, 0x1c07727ddd7bb11a, "slaves_declared_dead: 1, first_death: Some(t=8.290674s), restore_resends: 3, done_dups_ignored: 3, speculations_launched: 1, speculations_committed: 1, units_speculated: 6, checkpoints_sent: 1, speculations_computed: 1, replication_bytes: 960"),
     ("quiet31/sor", 6053941, 4211, 0x29fcd9377d764ec5, "start_resends: 1, invocation_start_resends: 1, checkpoints_banked: 2, checkpoints_sent: 123, replication_bytes: 720"),
@@ -707,7 +713,7 @@ const GOLDEN: &[(&str, u64, u64, u64, &str)] = &[
     ("plain_load16/mm/sync", 5232675, 1677, 0x70489e8c62f509f9, ""),
     ("plain_load16/mm/pipe", 4666588, 1652, 0x372cbe79cfb76b1f, ""),
     ("plain_load4/sor", 3108096, 580, 0xc38b9451e5cd1187, ""),
-    ("plain_load4/lu", 1955089, 1749, 0x00a9df6c61984c8f, ""),
+    ("plain_load4/lu", 1955089, 1646, 0x674ead36df5abc29, ""),
     ("plain_converges_early4/mm", 489319, 304, 0x70ecb356099b4c7c, ""),
     ("slow_wire4/mm", 3639761, 783, 0x4ebf26e38e6d323a, "instr_resends: 2, invocation_start_resends: 2, status_dups_ignored: 21, done_dups_ignored: 8, gather_dups_ignored: 2, transfer_dups_dropped: 1, replication_bytes: 360"),
     ("slow_wire16/mm", 2890589, 2094, 0x1937b708deb19e80, "status_dups_ignored: 57, done_dups_ignored: 3, gather_dups_ignored: 17, replication_bytes: 240"),
