@@ -17,7 +17,7 @@
 //!
 //! B is stored packed in panels of `PANEL` = 16 columns (`pack_panels`: one
 //! flat `Vec<f64>`, panel `p` laid out `[k][w]` for column `16 p + w`, the
-//! last panel zero-padded), and `row_step` carries one accumulator per column
+//! last panel zero-padded), and `rows_step` carries one accumulator per column
 //! of a panel through a single walk over `k`. Each accumulator still receives
 //! exactly the operands above in exactly that order - the sixteen chains
 //! never mix - and Rust never contracts `a * b + c` into a fused
@@ -31,13 +31,18 @@
 //! adjacent lanes pair up in SSE2 registers on a baseline x86-64 build. On
 //! the 2-core reference box `compute_w4/wall_s` (n = 640, 4 reps) went
 //! 0.80 -> 0.47 s at the median of ten alternating pairs and
-//! `apps/mm_row/640` of the components bench 371 -> 149 us per row; sampled
-//! with `tools/hostprof/`, `row_step` is the first in-repo frame of 95 % of
-//! `try_run`'s samples before and 92 % after. What is left is the stream of B
-//! itself: 3.3 MB (more than that box's L2) read once per row of C, ~20 GB/s
-//! at the new speed. Reusing a panel across several rows would cut that, but
-//! a unit *is* one row: the engines charge virtual time and move work between
-//! slaves per unit, mid-invocation, so a batched kernel call is not on offer.
+//! `apps/mm_row/640` of the components bench 371 -> 149 us per row.
+//!
+//! What was left is the stream of B itself: 3.3 MB, more than that box's L2,
+//! read once per row of C. So `rows_step` takes a group of rows and walks
+//! each B panel once for all of them: the 80 KB panel read for the group's
+//! first row is served from cache for the rest. A unit is still one row -
+//! the engines charge virtual time, fire hooks and move work per unit - but
+//! the independent engine lets the host arithmetic run ahead: it computes a
+//! unit together with up to `GROUP - 1` of its next undone units, on copies it
+//! swaps in at their own turns ([`IndependentKernel::compute_group`]). The
+//! virtual schedule does not see it, and every element still gets the add
+//! chain above, so C is the same to the bit.
 
 use crate::calibration::{seeded_matrix, Calibration};
 use dlb_core::kernels::IndependentKernel;
@@ -50,7 +55,7 @@ pub struct MatMul {
     reps: u64,
     /// Row-major A (rows move with units).
     a: Vec<Vec<f64>>,
-    /// B (replicated), packed by [`pack_panels`] for [`row_step`].
+    /// B (replicated), packed by [`pack_panels`] for [`rows_step`].
     b_panels: Vec<f64>,
     unit_cost: CpuWork,
 }
@@ -81,8 +86,9 @@ impl MatMul {
     pub fn sequential(&self) -> Vec<Vec<f64>> {
         let mut c = vec![vec![0.0; self.n]; self.n];
         for _rep in 0..self.reps {
-            for i in 0..self.n {
-                row_step(&self.a[i], &self.b_panels, &mut c[i]);
+            for (a, c) in self.a.chunks(GROUP).zip(c.chunks_mut(GROUP)) {
+                let rows = a.iter().zip(c).map(|(a, c)| (&a[..], &mut c[..]));
+                rows_step(&self.b_panels, &mut rows.collect::<Vec<_>>());
             }
         }
         c
@@ -104,7 +110,7 @@ impl MatMul {
     }
 }
 
-/// Columns of B per panel, hence independent accumulators in [`row_step`].
+/// Columns of B per panel, hence independent accumulators in [`rows_step`].
 /// Sixteen `f64`s are eight SSE2 registers, half the file; 8 and 32 were no
 /// faster on the `apps/mm_row` probe, so this is a constant, not a knob.
 const PANEL: usize = 16;
@@ -112,7 +118,7 @@ const PANEL: usize = 16;
 /// Pack row-major `b` (n × n) into `ceil(n / PANEL)` panels of `PANEL`
 /// columns each: panel `p` is `n * PANEL` consecutive values laid out
 /// `[k][w]`, holding `b[k][p * PANEL + w]`. The last panel's columns past
-/// `n` are zero padding that [`row_step`] computes on and throws away.
+/// `n` are zero padding that [`rows_step`] computes on and throws away.
 fn pack_panels(b: &[Vec<f64>]) -> Vec<f64> {
     let n = b.len();
     let mut packed = Vec::with_capacity(n.div_ceil(PANEL) * n * PANEL);
@@ -126,28 +132,52 @@ fn pack_panels(b: &[Vec<f64>]) -> Vec<f64> {
     packed
 }
 
-/// One invocation's work for one row: `c_row += a_row × B`.
+/// Rows of C per [`rows_step`] call: what the kernel offers the engine as
+/// its [`IndependentKernel::group`], and the chunk [`MatMul::sequential`]
+/// walks C in. At n = 640 on the 2-core reference box (48 KB L1d and 2 MB
+/// L2 per core) a row cost 130 us alone and 72, 68, 68 and 68 us in groups
+/// of 8, 16, 24 and 32 (best of 15 alternating runs of a loop over
+/// `rows_step`; `apps/mm_group/640` of the components bench times the group
+/// this sets). Past 16 the per-row time stops falling, while a move order
+/// can drop up to `GROUP - 1` rows computed ahead. So 16, a constant, not a
+/// knob.
+const GROUP: usize = 16;
+
+/// One invocation's work for a group of rows: `c_row += a_row × B` for each
+/// `(a_row, c_row)`.
 ///
 /// Each `c_row[j]` receives `0.0 + a[0]·B[0][j] + a[1]·B[1][j] + …` in
 /// ascending `k`, then one `+=` - the order the module doc fixes. The
 /// `PANEL` sums of a panel advance together, one `k` at a time: they are
 /// independent add chains, so the adder pipeline stays full and adjacent
-/// lanes vectorise, without any of them being reassociated.
-fn row_step(a_row: &[f64], b_panels: &[f64], c_row: &mut [f64]) {
-    let panels = b_panels.chunks_exact(a_row.len() * PANEL);
-    for (panel, c_cols) in panels.zip(c_row.chunks_mut(PANEL)) {
-        let mut acc = [0.0; PANEL];
-        for (av, b_k) in a_row.iter().zip(panel.chunks_exact(PANEL)) {
-            for (sum, bv) in acc.iter_mut().zip(b_k) {
-                *sum += av * bv;
+/// lanes vectorise, without any of them being reassociated. The rows take
+/// their turns panel by panel, so a panel read for the first row is still
+/// in cache for the rest; no row's arithmetic depends on the others.
+fn rows_step(b_panels: &[f64], rows: &mut [(&[f64], &mut [f64])]) {
+    let Some(n) = rows.first().map(|(a_row, _)| a_row.len()) else {
+        return;
+    };
+    for (p, panel) in b_panels.chunks_exact(n * PANEL).enumerate() {
+        for (a_row, c_row) in rows.iter_mut() {
+            let mut acc = [0.0; PANEL];
+            for (av, b_k) in a_row.iter().zip(panel.chunks_exact(PANEL)) {
+                for (sum, bv) in acc.iter_mut().zip(b_k) {
+                    *sum += av * bv;
+                }
+            }
+            // A ragged last panel has fewer than PANEL columns of C: the zip
+            // stops there and the padded lanes' sums are dropped.
+            for (c, sum) in c_row[p * PANEL..].iter_mut().zip(acc) {
+                *c += sum;
             }
         }
-        // A ragged last panel has fewer than PANEL columns of C: the zip
-        // stops there and the padded lanes' sums are dropped.
-        for (c, sum) in c_cols.iter_mut().zip(acc) {
-            *c += sum;
-        }
     }
+}
+
+/// A unit's `[a_row, c_row]`, split for [`rows_step`].
+fn row_pair(unit: &mut UnitData) -> (&[f64], &mut [f64]) {
+    let (a_row, rest) = unit.split_first_mut().expect("unit has [a, c]");
+    (a_row, &mut rest[0])
 }
 
 impl IndependentKernel for MatMul {
@@ -164,11 +194,16 @@ impl IndependentKernel for MatMul {
     }
 
     fn compute(&self, _idx: usize, unit: &mut UnitData, _invocation: u64) {
-        let (a_row, c_row) = {
-            let (first, rest) = unit.split_first_mut().expect("unit has [a, c]");
-            (first, &mut rest[0])
-        };
-        row_step(a_row, &self.b_panels, c_row);
+        rows_step(&self.b_panels, &mut [row_pair(unit)]);
+    }
+
+    fn group(&self) -> usize {
+        GROUP
+    }
+
+    fn compute_group(&self, units: &mut [(usize, &mut UnitData)], _invocation: u64) {
+        let rows = units.iter_mut().map(|(_, unit)| row_pair(unit));
+        rows_step(&self.b_panels, &mut rows.collect::<Vec<_>>());
     }
 
     fn unit_cost(&self) -> CpuWork {
@@ -232,6 +267,46 @@ mod tests {
             }
             assert_eq!(padding, n * (PANEL - n % PANEL));
             assert_eq!(poisoned.sequential(), clean.sequential(), "n={n}");
+            for size in 1..=n.min(GROUP + 1) {
+                let rows = |mm: &MatMul| grouped(mm, 0, size, 2);
+                assert_eq!(rows(&poisoned), rows(&clean), "n={n} group of {size}");
+            }
+        }
+    }
+
+    /// Units `first..first + size` of `mm` after `invs` invocations, each
+    /// invocation one `compute_group` call over all of them.
+    fn grouped(mm: &MatMul, first: usize, size: usize, invs: u64) -> Vec<UnitData> {
+        let mut units: Vec<_> = (first..first + size).map(|i| mm.init_unit(i)).collect();
+        for inv in 0..invs {
+            let ids = first..first + size;
+            let mut group: Vec<_> = ids.zip(units.iter_mut()).collect();
+            mm.compute_group(&mut group, inv);
+        }
+        units
+    }
+
+    /// A group is only a way to share the walk over B: every row it
+    /// computes is `to_bits`-equal to the same row through `compute`, for
+    /// groups smaller than, equal to, and larger than the kernel's own.
+    #[test]
+    fn compute_group_is_compute_row_by_row() {
+        let cal = Calibration::default();
+        for n in [1, 15, 16, 17, 33, 50] {
+            let mm = MatMul::new(n, 2, 11, &cal);
+            for size in 1..=GROUP + 1 {
+                let first = (n / 3).min(n.saturating_sub(size));
+                let size = size.min(n - first);
+                for (i, got) in (first..).zip(grouped(&mm, first, size, 2)) {
+                    let mut want = mm.init_unit(i);
+                    mm.compute(i, &mut want, 0);
+                    mm.compute(i, &mut want, 1);
+                    let bits = |u: &UnitData| -> Vec<u64> {
+                        u.iter().flatten().map(|v| v.to_bits()).collect()
+                    };
+                    assert_eq!(bits(&got), bits(&want), "n={n} group of {size}, row {i}");
+                }
+            }
         }
     }
 

@@ -195,6 +195,21 @@ fn bench_apps() {
             mm.compute(0, black_box(&mut unit), 0)
         });
     }
+    // The same rows one kernel group at a time, as the engine computes
+    // ahead: ns per row, to read beside `apps/mm_row/640`.
+    let (n, iters) = (640, 250);
+    let mm = MatMul::new(n, 1, 7, &cal);
+    let mut units: Vec<_> = (0..mm.group()).map(|i| mm.init_unit(i)).collect();
+    let rows = units.len();
+    let per = time_ns(iters, || {
+        let mut group: Vec<_> = units.iter_mut().enumerate().collect();
+        mm.compute_group(black_box(&mut group), 0)
+    }) / rows as f64;
+    let mflops = 2.0 * (n * n) as f64 / per * 1e3;
+    let name = format!("apps/mm_group/{n}");
+    println!(
+        "{name:<40} {per:>12.1} ns/row    {mflops:>8.0} Mflop/s   ({iters} iters of {rows} rows)"
+    );
 
     let n = 512;
     let lu = Lu::new(n, 7, &cal);

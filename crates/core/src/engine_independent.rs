@@ -44,12 +44,25 @@ struct Unit {
     data: UnitData,
     /// Invocation this unit was last computed in.
     done_in: Option<u64>,
+    /// `data` computed for the invocation named, ahead of its turn (with an
+    /// earlier unit of the same kernel group); swapped in at that turn. A
+    /// unit that leaves the map leaves this behind and ships `data`.
+    ahead: Option<(u64, UnitData)>,
+}
+
+impl Unit {
+    fn new(data: UnitData, done_in: Option<u64>) -> Unit {
+        Unit {
+            data,
+            done_in,
+            ahead: None,
+        }
+    }
 }
 
 /// A unit map in which nothing is computed for any invocation yet.
 fn fresh(units: impl IntoIterator<Item = (usize, UnitData)>) -> BTreeMap<usize, Unit> {
-    let done_in = None;
-    let unit = |(id, data)| (id, Unit { data, done_in });
+    let unit = |(id, data)| (id, Unit::new(data, None));
     units.into_iter().map(unit).collect()
 }
 
@@ -99,7 +112,7 @@ impl IndependentStrategy {
         data: UnitData,
         done_in: Option<u64>,
     ) -> Result<(), ProtocolError> {
-        if self.units.insert(id, Unit { data, done_in }).is_some() {
+        if self.units.insert(id, Unit::new(data, done_in)).is_some() {
             return Err(ProtocolError::Inconsistent {
                 detail: format!("unit {id} {how} slave {} already owning it", common.idx),
             });
@@ -274,14 +287,12 @@ impl IndependentStrategy {
     ) -> Result<(), ProtocolError> {
         loop {
             self.drain_incoming(ctx, common, inv).await?;
-            let next = self.units.iter_mut().find(|(_, u)| u.done_in != Some(inv));
-            let Some((&id, u)) = next else { break };
+            let next = self.units.iter().find(|(_, u)| u.done_in != Some(inv));
+            let Some((&id, _)) = next else { break };
             common
                 .compute(ctx, self.kernel.unit_cost_for(id, inv))
                 .await;
-            self.kernel.compute(id, &mut u.data, inv);
-            u.done_in = Some(inv);
-            self.metric += self.kernel.local_metric(id, &u.data);
+            self.commit(id, inv);
             common.record_done(1);
             let moves = common.hook(ctx, inv, self.active_units(inv)).await?;
             self.execute_moves(ctx, common, inv, moves).await?;
@@ -289,6 +300,38 @@ impl IndependentStrategy {
         let moves = common.fire(ctx, inv, self.active_units(inv)).await?;
         self.execute_moves(ctx, common, inv, moves).await?;
         self.settle_evictions(ctx, common, inv).await
+    }
+
+    /// Give undone unit `id` its result for `inv` and count it done: swap in
+    /// what was computed ahead for it, or compute it now.
+    fn commit(&mut self, id: usize, inv: u64) {
+        let u = self.units.get_mut(&id).expect("unit `id` is mapped");
+        match u.ahead.take() {
+            Some((at, data)) if at == inv => u.data = data,
+            _ => self.compute_group_from(id, inv),
+        }
+        let u = self.units.get_mut(&id).expect("unit `id` is mapped");
+        u.done_in = Some(inv);
+        self.metric += self.kernel.local_metric(id, &u.data);
+    }
+
+    /// Compute undone unit `id` for `inv` in place, in one kernel group with
+    /// up to `group() - 1` of the next undone units in map order, each of
+    /// those on a copy parked in its `ahead` slot until its own turn.
+    fn compute_group_from(&mut self, id: usize, inv: u64) {
+        let size = self.kernel.group();
+        let mut undone = self
+            .units
+            .range_mut(id..)
+            .filter(|(_, u)| u.done_in != Some(inv) && u.ahead.is_none());
+        let (_, first) = undone.next().expect("unit `id` is undone");
+        let mut group = Vec::with_capacity(size);
+        group.push((id, &mut first.data));
+        for (&next, u) in undone.take(size.saturating_sub(1)) {
+            let (_, copy) = u.ahead.insert((inv, u.data.clone()));
+            group.push((next, copy));
+        }
+        self.kernel.compute_group(&mut group, inv);
     }
 
     /// Barrier-time arrivals (a transfer, a restore, units re-owned from an
@@ -458,6 +501,8 @@ mod tests {
     use super::*;
     use crate::balancer::InteractionMode;
     use dlb_sim::{ActorId, CpuWork, NodeConfig, SimBuilder, SimTime};
+    use std::future::Future;
+    use std::pin::Pin;
     use std::sync::atomic::{AtomicU64, Ordering};
     use std::sync::Mutex;
 
@@ -483,39 +528,73 @@ mod tests {
         }
     }
 
+    /// One slave's body in a [`cluster`].
+    type Body = Box<dyn FnOnce(MailCtx<Msg>) -> Pin<Box<dyn Future<Output = ()> + Send>> + Send>;
+
+    /// Run `bodies[i]` as slave `i` (actor `i`) beside a master (the next
+    /// actor) that answers nothing; returns the units its statuses report
+    /// done.
+    fn cluster(bodies: Vec<Body>) -> u64 {
+        let done = Arc::new(AtomicU64::new(0));
+        let reported = Arc::clone(&done);
+        let mut sim = SimBuilder::<Msg>::new();
+        let nodes: Vec<_> = (0..=bodies.len())
+            .map(|_| sim.add_node(NodeConfig::default()))
+            .collect();
+        for (i, body) in bodies.into_iter().enumerate() {
+            sim.spawn_mail(nodes[i], format!("slave{i}"), body);
+        }
+        sim.spawn_mail(nodes[nodes.len() - 1], "master", |ctx| async move {
+            while let Some(env) = ctx.recv_deadline(SimTime(10_000_000)).await {
+                if let Msg::Status(s) = env.msg {
+                    reported.fetch_add(s.units_done_delta, Ordering::Relaxed);
+                }
+            }
+        });
+        sim.run();
+        done.load(Ordering::Relaxed)
+    }
+
+    /// Slave `idx` of a [`cluster`] whose `Start` assigns `assignment`.
+    fn member(
+        idx: usize,
+        assignment: &[(usize, usize)],
+        kernel: Arc<dyn IndependentKernel>,
+    ) -> (IndependentStrategy, SlaveCommon) {
+        let slaves: Vec<_> = (0..assignment.len()).map(ActorId).collect();
+        let spec = SlaveSpec {
+            idx,
+            master: ActorId(assignment.len()),
+            mode: InteractionMode::Pipelined,
+            ft: None,
+            takeover: None,
+            join_at: None,
+        };
+        let start = (slaves.clone(), assignment.to_vec(), 1);
+        let strategy = IndependentStrategy::new(kernel, &spec, &start);
+        let common = SlaveCommon::new(idx, spec.master, slaves, spec.mode, None);
+        (strategy, common)
+    }
+
     /// A lone slave owning unit 0 applies a `Restore` of unit 1, holding
-    /// `held` invocations, at the barrier of invocation 2 (an inert master
-    /// swallows its statuses). Returns the compute calls it made and what
-    /// it then holds of unit 1: its value and the invocation it is done in.
+    /// `held` invocations, at the barrier of invocation 2. Returns the
+    /// compute calls it made and what it then holds of unit 1: its value
+    /// and the invocation it is done in.
     fn restored(held: u64, value: f64) -> (u64, f64, Option<u64>) {
         let out = Arc::new(Mutex::new(None));
         let sink = Arc::clone(&out);
-        let mut sim = SimBuilder::<Msg>::new();
-        let nodes = [(); 2].map(|()| sim.add_node(NodeConfig::default()));
-        sim.spawn_mail(nodes[0], "slave0", move |ctx| async move {
-            let spec = SlaveSpec {
-                idx: 0,
-                master: ActorId(1),
-                mode: InteractionMode::Pipelined,
-                ft: None,
-                takeover: None,
-                join_at: None,
-            };
-            let start = (vec![ActorId(0)], vec![(0, 1)], 1);
-            let kernel = Arc::new(Counted(AtomicU64::new(0)));
-            let mut mm = IndependentStrategy::new(kernel.clone(), &spec, &start);
-            let mut common = SlaveCommon::new(0, spec.master, start.0, spec.mode, None);
-            let units = vec![(1, Arc::new(vec![vec![value]]))];
-            let fresh = mm.apply_restore(&ctx, &mut common, 2, 1, held, units);
-            assert!(fresh.await.unwrap());
-            let unit = &mm.units[&1];
-            let calls = kernel.0.load(Ordering::Relaxed);
-            *sink.lock().unwrap() = Some((calls, unit.data[0][0], unit.done_in));
-        });
-        sim.spawn_mail(nodes[1], "master", |ctx| async move {
-            while ctx.recv_deadline(SimTime(10_000_000)).await.is_some() {}
-        });
-        sim.run();
+        cluster(vec![Box::new(move |ctx| {
+            Box::pin(async move {
+                let kernel = Arc::new(Counted(AtomicU64::new(0)));
+                let (mut mm, mut common) = member(0, &[(0, 1)], kernel.clone());
+                let units = vec![(1, Arc::new(vec![vec![value]]))];
+                let fresh = mm.apply_restore(&ctx, &mut common, 2, 1, held, units);
+                assert!(fresh.await.unwrap());
+                let unit = &mm.units[&1];
+                let calls = kernel.0.load(Ordering::Relaxed);
+                *sink.lock().unwrap() = Some((calls, unit.data[0][0], unit.done_in));
+            })
+        })]);
         let out = out.lock().unwrap().take();
         out.expect("the slave applied the restore")
     }
@@ -528,5 +607,193 @@ mod tests {
     fn a_restore_replays_only_the_invocations_its_units_lack() {
         assert_eq!(restored(3, 8.0), (0, 8.0, Some(2)));
         assert_eq!(restored(0, 1.0), (2, 4.0, None));
+    }
+
+    /// Nine units, computed a group of four at a time: logs each group and
+    /// counts `compute` calls (a group is computed unit by unit, so the
+    /// count includes every result computed ahead and then dropped).
+    #[derive(Default)]
+    struct Grouped {
+        calls: AtomicU64,
+        groups: Mutex<Vec<(u64, Vec<usize>)>>,
+    }
+
+    impl Grouped {
+        fn calls(&self) -> u64 {
+            self.calls.load(Ordering::Relaxed)
+        }
+
+        fn groups(&self) -> Vec<(u64, Vec<usize>)> {
+            self.groups.lock().unwrap().clone()
+        }
+    }
+
+    impl IndependentKernel for Grouped {
+        fn n_units(&self) -> usize {
+            9
+        }
+        fn invocations(&self) -> u64 {
+            2
+        }
+        fn init_unit(&self, idx: usize) -> UnitData {
+            vec![vec![idx as f64 + 1.0]]
+        }
+        fn compute(&self, _: usize, unit: &mut UnitData, inv: u64) {
+            self.calls.fetch_add(1, Ordering::Relaxed);
+            unit[0][0] = unit[0][0] * 3.0 + inv as f64;
+        }
+        fn unit_cost(&self) -> CpuWork {
+            CpuWork::from_micros(100)
+        }
+        fn group(&self) -> usize {
+            4
+        }
+        fn compute_group(&self, units: &mut [(usize, &mut UnitData)], inv: u64) {
+            let ids = units.iter().map(|(id, _)| *id).collect();
+            self.groups.lock().unwrap().push((inv, ids));
+            for (id, unit) in units {
+                self.compute(*id, unit, inv);
+            }
+        }
+    }
+
+    /// Unit `id` through invocations `0..invs`, one `compute` at a time.
+    fn per_unit(id: usize, invs: u64) -> UnitData {
+        let k = Grouped::default();
+        let mut unit = k.init_unit(id);
+        for inv in 0..invs {
+            k.compute(id, &mut unit, inv);
+        }
+        unit
+    }
+
+    /// Each unit held, with its invocation done; nothing is left ahead.
+    fn held(s: &IndependentStrategy) -> Vec<(usize, UnitData, Option<u64>)> {
+        assert!(
+            s.units.values().all(|u| u.ahead.is_none()),
+            "an ahead slot is left"
+        );
+        let unit = |(&id, u): (&usize, &Unit)| (id, u.data.clone(), u.done_in);
+        s.units.iter().map(unit).collect()
+    }
+
+    /// Whatever was held, as the per-unit path computes it through `inv`.
+    fn exact(got: &[(usize, UnitData, Option<u64>)], inv: u64) -> bool {
+        got.iter()
+            .all(|(id, data, done)| *data == per_unit(*id, inv + 1) && *done == Some(inv))
+    }
+
+    /// Groups of four in map order; each unit is committed once per
+    /// invocation (the statuses report 18 done for 9 units over 2), with the
+    /// per-unit path's data, and nothing is computed twice.
+    #[test]
+    fn a_group_commits_each_unit_once_per_invocation() {
+        let out = Arc::new(Mutex::new(None));
+        let sink = Arc::clone(&out);
+        let done = cluster(vec![Box::new(move |ctx| {
+            Box::pin(async move {
+                let kernel = Arc::new(Grouped::default());
+                let (mut s, mut common) = member(0, &[(0, 9)], kernel.clone());
+                for inv in 0..2 {
+                    s.run_invocation(&ctx, &mut common, inv).await.unwrap();
+                }
+                *sink.lock().unwrap() = Some((kernel.calls(), kernel.groups(), held(&s)));
+            })
+        })]);
+        let (calls, groups, got) = out.lock().unwrap().take().expect("the slave ran");
+        let want: Vec<_> = (0..2)
+            .flat_map(|inv| [vec![0, 1, 2, 3], vec![4, 5, 6, 7], vec![8]].map(|g| (inv, g)))
+            .collect();
+        assert_eq!(groups, want);
+        assert_eq!((calls, done, got.len()), (18, 18, 9));
+        assert!(exact(&got, 1));
+    }
+
+    /// An `Edge::Low` order after unit 0's group takes units 1 and 2,
+    /// computed ahead but undone: they ship their un-advanced data and the
+    /// receiver computes them exactly. The two dropped results are the
+    /// only waste - 11 calls for 9 units.
+    #[test]
+    fn a_move_ships_units_computed_ahead_unadvanced() {
+        let assignment = [(0, 8), (8, 9)];
+        let out = Arc::new(Mutex::new([None, None]));
+        let (sink0, sink1) = (Arc::clone(&out), Arc::clone(&out));
+        cluster(vec![
+            Box::new(move |ctx| {
+                Box::pin(async move {
+                    let kernel = Arc::new(Grouped::default());
+                    let (mut s, mut common) = member(0, &assignment, kernel.clone());
+                    s.commit(0, 0);
+                    let order = MoveOrder {
+                        to: 1,
+                        count: 2,
+                        edge: Edge::Low,
+                    };
+                    s.execute_moves(&ctx, &mut common, 0, vec![order])
+                        .await
+                        .unwrap();
+                    s.compute_pending(&ctx, &mut common, 0).await.unwrap();
+                    sink0.lock().unwrap()[0] = Some((kernel.calls(), kernel.groups(), held(&s)));
+                })
+            }),
+            Box::new(move |ctx| {
+                Box::pin(async move {
+                    let kernel = Arc::new(Grouped::default());
+                    let (mut s, mut common) = member(1, &assignment, kernel.clone());
+                    let env = ctx.recv_match(|m| matches!(m, Msg::Transfer(_))).await;
+                    let Msg::Transfer(t) = env.msg else {
+                        unreachable!()
+                    };
+                    let shipped: Vec<_> = t.units.iter().map(|u| (u.id, u.done)).collect();
+                    assert_eq!(shipped, [(1, false), (2, false)]);
+                    assert!(t.units.iter().all(|u| u.data == per_unit(u.id, 0)));
+                    assert!(common.accept_transfer(&ctx, &t).await);
+                    s.incorporate(&common, t).unwrap();
+                    s.compute_pending(&ctx, &mut common, 0).await.unwrap();
+                    sink1.lock().unwrap()[1] = Some((kernel.calls(), kernel.groups(), held(&s)));
+                })
+            }),
+        ]);
+        let [sender, receiver] = out.lock().unwrap().clone().map(|o| o.expect("ran"));
+        let (calls, groups, got) = sender;
+        assert_eq!(groups, [(0, vec![0, 1, 2, 3]), (0, vec![4, 5, 6, 7])]);
+        let ids: Vec<_> = got.iter().map(|(id, ..)| *id).collect();
+        assert_eq!((calls, ids), (8, vec![0, 3, 4, 5, 6, 7]));
+        assert!(exact(&got, 0));
+        let (calls, groups, got) = receiver;
+        assert_eq!((calls, groups), (3, vec![(0, vec![1, 2, 8])]));
+        assert_eq!(got.len(), 3);
+        assert!(exact(&got, 0));
+    }
+
+    /// A `Rollback` replaces the map: the three results computed ahead are
+    /// dropped with it, and the invocation is computed again from the
+    /// rolled-back data - 13 calls for 9 units.
+    #[test]
+    fn a_rollback_drops_every_ahead_slot() {
+        let out = Arc::new(Mutex::new(None));
+        let sink = Arc::clone(&out);
+        cluster(vec![Box::new(move |ctx| {
+            Box::pin(async move {
+                let kernel = Arc::new(Grouped::default());
+                let (mut s, mut common) = member(0, &[(0, 9)], kernel.clone());
+                s.commit(0, 0);
+                assert_eq!(s.units.values().filter(|u| u.ahead.is_some()).count(), 3);
+                let units = (0..9).map(|i| (i, Arc::new(per_unit(i, 0)))).collect();
+                let rb = RollbackInfo {
+                    epoch: 1,
+                    invocation: 0,
+                    survivors: vec![0],
+                    units,
+                };
+                assert_eq!(s.restore(&mut common, rb).unwrap(), 0);
+                assert!(held(&s).iter().all(|(_, _, done)| done.is_none()));
+                s.compute_pending(&ctx, &mut common, 0).await.unwrap();
+                *sink.lock().unwrap() = Some((kernel.calls(), kernel.groups().len(), held(&s)));
+            })
+        })]);
+        let (calls, groups, got) = out.lock().unwrap().take().expect("the slave ran");
+        assert_eq!((calls, groups, got.len()), (13, 4, 9));
+        assert!(exact(&got, 0));
     }
 }

@@ -52,6 +52,22 @@ pub trait IndependentKernel: Send + Sync + 'static {
     fn converged(&self, _invocation: u64, _metric: f64) -> bool {
         false
     }
+
+    /// How many units [`IndependentKernel::compute_group`] takes at once.
+    /// The engine still charges, hooks and counts one unit at a time; a
+    /// group only lets the host arithmetic of the next units run ahead.
+    fn group(&self) -> usize {
+        1
+    }
+
+    /// Compute every unit of `units` for `invocation`, each exactly as
+    /// [`IndependentKernel::compute`] would: a group may share host work
+    /// (one pass over replicated data), never change a result.
+    fn compute_group(&self, units: &mut [(usize, &mut UnitData)], invocation: u64) {
+        for (idx, unit) in units {
+            self.compute(*idx, unit, invocation);
+        }
+    }
 }
 
 /// Kernel for [`dlb_compiler::Pattern::Pipelined`] programs (SOR):

@@ -116,6 +116,12 @@ impl IndependentKernel for StopsEarly {
     fn unit_cost(&self) -> CpuWork {
         self.mm.unit_cost()
     }
+    fn group(&self) -> usize {
+        self.mm.group()
+    }
+    fn compute_group(&self, units: &mut [(usize, &mut UnitData)], invocation: u64) {
+        self.mm.compute_group(units, invocation)
+    }
     fn converged(&self, invocation: u64, _metric: f64) -> bool {
         invocation + 1 >= self.stop
     }
