@@ -1,7 +1,7 @@
 //! Deterministic discrete-event kernel.
 //!
 //! Actors are `async` state machines. The kernel thread owns the event
-//! queues and the virtual clock; it polls actors whose wake time has come
+//! queue and the virtual clock; it polls actors whose wake time has come
 //! and applies what they did in one fixed order, so a simulation is a
 //! deterministic sequential program: same inputs ⇒ same event order ⇒ same
 //! results, regardless of host scheduling or worker-pool size.
@@ -146,59 +146,30 @@ impl SimReport {
     }
 }
 
-/// Deliveries and crash faults. `Wake`s are not here: they are most of the
-/// event stream and 24 bytes whatever `M` is, so they sit in a heap of their
-/// own (`Inner::wakes`), where a sift never moves a message, and are merged
-/// back in by `(time, seq)`.
+/// The entries of the event queue that are not wakes: a delivery or a
+/// crash fault. One waits in a slot of `Inner::pending`, which its [`Key`]
+/// names, so the queue sifts 24-byte keys and never moves a message.
 enum EventKind<M> {
     Deliver { dst: ActorId, env: Envelope<M> },
     Crash { node: NodeId },
 }
 
-/// Both queues order their entries by `(time, seq)`: due time, then the
-/// global sequence number drawn when the entry was filed. Entries due at one
-/// instant pop in filing order. Every entry is filed by the kernel thread —
-/// a delivery as its send is applied, a wake as the poll that parks for it
-/// is applied (a catch-up and a sleep taken while ahead included), a
-/// deferred entry as a freeze moves it — so that order is the event order.
-struct Event<M> {
-    time: SimTime,
-    seq: u64,
-    kind: EventKind<M>,
-}
-
-impl<M> Event<M> {
-    fn key(&self) -> (SimTime, u64) {
-        (self.time, self.seq)
-    }
-}
-
-impl<M> PartialEq for Event<M> {
-    fn eq(&self, other: &Self) -> bool {
-        self.key() == other.key()
-    }
-}
-impl<M> Eq for Event<M> {}
-impl<M> PartialOrd for Event<M> {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl<M> Ord for Event<M> {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        // BinaryHeap is a max-heap; reverse so the earliest event pops first.
-        other.key().cmp(&self.key())
-    }
-}
-
-/// One pending wake (sleep, deadline, message, catch-up): the target actor
-/// and the park epoch that must still be current for the wake to be live
-/// when it pops. `seq` is unique, so the derived order is `(time, seq)`.
+/// One entry of the event queue. The derived order is `(time, seq)`: due
+/// time, then the global sequence number drawn when the entry was filed,
+/// which no two entries share. Entries due at one instant pop in filing
+/// order. Every entry is filed by the kernel thread — a delivery as its
+/// send is applied, a wake as the poll that parks for it is applied (a
+/// catch-up and a sleep taken while ahead included), a deferred entry as a
+/// freeze moves it — so that order is the event order.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
-struct WakeEntry {
+struct Key {
     time: SimTime,
     seq: u64,
-    actor: u32,
+    /// Below the actor count, the actor a wake is for; from it on, the
+    /// actor count plus the `Inner::pending` slot of a delivery or crash.
+    what: u32,
+    /// A wake's park epoch, which must still be current for the wake to be
+    /// live when it pops (0 for a slot).
     epoch: u32,
 }
 
@@ -277,11 +248,13 @@ impl<M> Tracer<M> {
 struct Inner<M> {
     now: SimTime,
     seq: u64,
-    /// Deliveries and crash faults, ordered by `(time, seq)`.
-    heap: BinaryHeap<Event<M>>,
-    /// All `Wake` timers (parks, sleeps, deadlines, catch-ups), ordered by
-    /// the same key and merged with `heap` at pop time.
-    wakes: BinaryHeap<Reverse<WakeEntry>>,
+    /// The event queue: every wake (park, sleep, deadline, catch-up),
+    /// delivery and crash fault, earliest `(time, seq)` first.
+    queue: BinaryHeap<Reverse<Key>>,
+    /// The deliveries and crashes the queue's keys name by slot, and the
+    /// slots that popped, for the next ones filed.
+    pending: Vec<Option<EventKind<M>>>,
+    free: Vec<usize>,
     states: Vec<ActorState>,
     epochs: Vec<u32>,
     nodes: Vec<NodeConfig>,
@@ -313,30 +286,63 @@ const FNV_OFFSET: u64 = 0xcbf29ce484222325;
 const FNV_PRIME: u64 = 0x100000001b3;
 
 impl<M> Inner<M> {
-    fn push_event(&mut self, time: SimTime, kind: EventKind<M>) {
-        let seq = self.seq;
-        self.seq += 1;
-        self.heap.push(Event { time, seq, kind });
-    }
-
-    /// Schedule a `Wake` for `actor` at `time`, consuming the next global
-    /// sequence number — both queues share one seq stream, so the merged pop
-    /// order is exactly what a single heap would produce, and wakes due at
-    /// one instant pop in the order they were filed.
-    fn schedule_wake(&mut self, time: SimTime, actor: ActorId, epoch: u32) {
+    /// File an entry due at `time` under the next global sequence number,
+    /// so entries due at one instant pop in the order they were filed.
+    fn file(&mut self, time: SimTime, what: u32, epoch: u32) {
         debug_assert!(time >= self.now);
         let seq = self.seq;
         self.seq += 1;
-        self.wakes.push(Reverse(WakeEntry {
+        self.queue.push(Reverse(Key {
             time,
             seq,
-            actor: actor.0 as u32,
+            what,
             epoch,
         }));
     }
 
-    /// Event-processing bookkeeping shared by both queues' pops: count it
-    /// against the budget, advance the clock.
+    /// File a delivery or crash into a free slot of `pending`.
+    fn push_event(&mut self, time: SimTime, kind: EventKind<M>) {
+        let slot = match self.free.pop() {
+            Some(slot) => {
+                self.pending[slot] = Some(kind);
+                slot
+            }
+            None => {
+                self.pending.push(Some(kind));
+                self.pending.len() - 1
+            }
+        };
+        let what =
+            u32::try_from(self.states.len() + slot).expect("a key names its slot in 32 bits");
+        self.file(time, what, 0);
+    }
+
+    /// Schedule a `Wake` for `actor` at `time`.
+    fn schedule_wake(&mut self, time: SimTime, actor: ActorId, epoch: u32) {
+        self.file(time, actor.0 as u32, epoch);
+    }
+
+    /// The `pending` slot `key` names, or `None` for a wake.
+    fn slot(&self, key: Key) -> Option<usize> {
+        (key.what as usize).checked_sub(self.states.len())
+    }
+
+    /// The thaw a wake or delivery is deferred to, if a freeze window holds
+    /// its node at its due time. Only a fault plan looks in the slab.
+    fn thaw(&self, key: Key, slot: Option<usize>) -> Option<SimTime> {
+        let f = self.fault.as_ref()?;
+        let actor = match slot {
+            None => key.what as usize,
+            Some(s) => match self.pending[s].as_ref()? {
+                EventKind::Deliver { dst, .. } => dst.0,
+                EventKind::Crash { .. } => return None,
+            },
+        };
+        f.plan.thaw_time(self.actor_nodes[actor].0, key.time)
+    }
+
+    /// Event-processing bookkeeping shared by every pop: count it against
+    /// the budget, advance the clock.
     fn meta_common(&mut self, time: SimTime) {
         self.events_processed += 1;
         assert!(
@@ -359,11 +365,11 @@ impl<M> Inner<M> {
         }
     }
 
-    fn process_heap_meta(&mut self, ev: &Event<M>) {
-        self.meta_common(ev.time);
-        self.hash_event(ev);
+    fn process_event_meta(&mut self, time: SimTime, kind: &EventKind<M>) {
+        self.meta_common(time);
+        self.hash_event(time, kind);
         if self.tracer.active() {
-            let kind = match &ev.kind {
+            let kind = match kind {
                 EventKind::Deliver { dst, env } => TraceKind::Deliver {
                     src: env.src,
                     dst: dst.0,
@@ -372,7 +378,7 @@ impl<M> Inner<M> {
                 },
                 EventKind::Crash { node } => TraceKind::Crash { node: node.0 },
             };
-            self.tracer.emit(ev.time, kind);
+            self.tracer.emit(time, kind);
         }
     }
 
@@ -385,9 +391,9 @@ impl<M> Inner<M> {
         self.trace_hash = self.trace_hash.wrapping_mul(FNV_PRIME);
     }
 
-    fn hash_event(&mut self, ev: &Event<M>) {
-        self.hash_mix(ev.time.0);
-        match &ev.kind {
+    fn hash_event(&mut self, time: SimTime, kind: &EventKind<M>) {
+        self.hash_mix(time.0);
+        match kind {
             EventKind::Deliver { dst, env } => {
                 self.hash_mix(2);
                 self.hash_mix(dst.0 as u64);
@@ -496,7 +502,7 @@ impl<M: Send + Clone + 'static> Inner<M> {
 // as the kernel applies the poll, so an actor body determines its
 // `(time, seq)` event stream — and therefore the trace hash — exactly.
 //
-// Ownership rule: the kernel thread owns `Inner` (clock, queues, metrics,
+// Ownership rule: the kernel thread owns `Inner` (clock, queue, metrics,
 // fault RNG) as a plain value; during a poll an actor touches only its own
 // `ActorCell`. All globally-ordered side effects — network sends, metrics —
 // are buffered as `LocalEffect`s, and the park itself is left in the cell;
@@ -1163,8 +1169,9 @@ impl<M: Send + Clone + 'static> SimBuilder<M> {
         let mut inner = Inner {
             now: SimTime::ZERO,
             seq: 0,
-            heap: BinaryHeap::new(),
-            wakes: BinaryHeap::new(),
+            queue: BinaryHeap::new(),
+            pending: Vec::new(),
+            free: Vec::new(),
             states: vec![
                 ActorState::Waiting {
                     epoch: 0,
@@ -1270,41 +1277,31 @@ impl<M: Send + Clone + 'static> SimBuilder<M> {
         'run: while live > 0 {
             batch.clear();
             let mut batch_time = SimTime::ZERO;
-            loop {
-                // Merge the wakes and the heap (deliveries, crashes) by the
-                // shared `(time, seq)` key, which no two events share.
-                let heap_key = inner.heap.peek().map(Event::key);
-                let next_wake = match (inner.wakes.peek(), heap_key) {
-                    (None, None) => break,
-                    (Some(&Reverse(w)), None) => Some(w),
-                    (Some(&Reverse(w)), Some(h)) if (w.time, w.seq) < h => Some(w),
-                    _ => None,
-                };
-                if let Some(entry) = next_wake {
-                    if !batch.is_empty() && entry.time != batch_time {
+            while let Some(&Reverse(key)) = inner.queue.peek() {
+                let slot = inner.slot(key);
+                // A wake joins the batch at its instant; deliveries and
+                // crashes mutate shared state (mailboxes, node liveness), so
+                // they are a batch barrier.
+                if !batch.is_empty() && (slot.is_some() || key.time != batch_time) {
+                    break;
+                }
+                // Freeze windows: a wake or delivery for a frozen node is
+                // re-filed under its own key at the thaw, preserving order.
+                if let Some(t) = inner.thaw(key, slot) {
+                    if !batch.is_empty() {
+                        // The re-filing consumes a seq; pending batch
+                        // effects must claim theirs first.
                         break;
                     }
-                    // Freeze windows: wakes targeting a frozen node are
-                    // deferred to the thaw, preserving order.
-                    let woken = entry.actor as usize;
-                    let tnode = inner.actor_nodes[woken].0;
-                    let thaw = inner
-                        .fault
-                        .as_ref()
-                        .and_then(|f| f.plan.thaw_time(tnode, entry.time));
-                    if let Some(t) = thaw {
-                        if !batch.is_empty() {
-                            // The re-push consumes a seq; pending batch
-                            // effects must claim theirs first.
-                            break;
-                        }
-                        inner.wakes.pop();
-                        if let Some(f) = inner.fault.as_mut() {
-                            f.stats.freeze_deferrals += 1;
-                        }
-                        inner.schedule_wake(t, ActorId(woken), entry.epoch);
-                        continue;
+                    inner.queue.pop();
+                    if let Some(f) = inner.fault.as_mut() {
+                        f.stats.freeze_deferrals += 1;
                     }
+                    inner.file(t, key.what, key.epoch);
+                    continue;
+                }
+                let Some(slot) = slot else {
+                    let woken = key.what as usize;
                     // A batched (`Running`) actor's park must be applied
                     // before a second wake of it can be judged for staleness.
                     if inner.states[woken] == ActorState::Running {
@@ -1312,10 +1309,10 @@ impl<M: Send + Clone + 'static> SimBuilder<M> {
                     }
                     let fresh = matches!(
                         inner.states[woken],
-                        ActorState::Waiting { epoch, .. } if epoch == entry.epoch
+                        ActorState::Waiting { epoch, .. } if epoch == key.epoch
                     );
-                    inner.wakes.pop();
-                    inner.process_wake_meta(entry.time, ActorId(woken));
+                    inner.queue.pop();
+                    inner.process_wake_meta(key.time, ActorId(woken));
                     if !fresh {
                         // Superseded park epoch (or crashed actor): a pure
                         // pop — counted and hashed like any wake, no state
@@ -1325,37 +1322,15 @@ impl<M: Send + Clone + 'static> SimBuilder<M> {
                     }
                     sched.wakeups += 1;
                     inner.states[woken] = ActorState::Running;
-                    batch_time = entry.time;
+                    batch_time = key.time;
                     batch.push(woken);
                     continue;
-                }
-                // Heap events mutate shared state (mailboxes, node
-                // liveness), so they are a batch barrier.
-                if !batch.is_empty() {
-                    break;
-                }
-                let ev_time = inner.heap.peek().expect("non-empty heap").time;
-                let target_node = match &inner.heap.peek().expect("non-empty heap").kind {
-                    EventKind::Deliver { dst, .. } => Some(inner.actor_nodes[dst.0].0),
-                    EventKind::Crash { .. } => None,
                 };
-                let thaw = target_node.and_then(|n| {
-                    inner
-                        .fault
-                        .as_ref()
-                        .and_then(|f| f.plan.thaw_time(n, ev_time))
-                });
-                if let Some(t) = thaw {
-                    let ev = inner.heap.pop().expect("non-empty heap");
-                    if let Some(f) = inner.fault.as_mut() {
-                        f.stats.freeze_deferrals += 1;
-                    }
-                    inner.push_event(t, ev.kind);
-                    continue;
-                }
-                let ev = inner.heap.pop().expect("non-empty heap");
-                inner.process_heap_meta(&ev);
-                match ev.kind {
+                inner.queue.pop();
+                let kind = inner.pending[slot].take().expect("a filed slot is full");
+                inner.free.push(slot);
+                inner.process_event_meta(key.time, &kind);
+                match kind {
                     EventKind::Deliver { dst, env } => {
                         if inner.crashed_nodes[inner.actor_nodes[dst.0].0] {
                             if let Some(f) = inner.fault.as_mut() {
@@ -2109,10 +2084,11 @@ mod tests {
         b.run();
     }
 
-    /// A wake is 24 bytes: due time, seq, actor and epoch.
+    /// A queue entry is 24 bytes, a delivery's as a wake's: due time, seq,
+    /// actor or slot, and epoch.
     #[test]
-    fn a_wake_is_24_bytes() {
-        assert_eq!(std::mem::size_of::<WakeEntry>(), 24);
+    fn a_key_is_24_bytes() {
+        assert_eq!(std::mem::size_of::<Key>(), 24);
     }
 
     /// Entries due at one instant pop in filing order, a catch-up included:
@@ -2239,6 +2215,48 @@ mod tests {
             .fault_plan(FaultPlan::new(0).freeze(1, SimTime(10_000), SimTime(50_000)))
             .run();
         assert!(report.fault.freeze_deferrals >= 1);
+    }
+
+    /// One freeze defers a delivery and a wake alike. Node 1 is frozen over
+    /// [100, 5 000) µs with a sleep due at 200; the ideal network lands one
+    /// message at 150 and one at 200, filed after that wake. Each is
+    /// re-filed at the thaw as it pops, so at 5 000 the first message is
+    /// queued, the wake polls the sleeper, which takes it, and the second
+    /// message wakes its next receive.
+    fn freeze_defers_wake_and_delivery_scenario(workers: usize) -> (SimTime, u64, u64) {
+        let (b, n0, n1) = two_node_builder();
+        let mut b = b
+            .worker_threads(workers)
+            .fault_plan(FaultPlan::new(0).freeze(1, SimTime(100), SimTime(5_000)));
+        b.spawn_mail(n0, "src", |ctx| async move {
+            ctx.sleep(SimDuration::from_micros(150)).await;
+            ctx.send(ActorId(1), 1, 8).await;
+            ctx.sleep(SimDuration::from_micros(50)).await;
+            ctx.send(ActorId(1), 2, 8).await;
+        });
+        b.spawn_mail(n1, "sleeper", |ctx| async move {
+            ctx.sleep(SimDuration::from_micros(200)).await;
+            assert_eq!(ctx.now(), SimTime(5_000), "wake deferred to the thaw");
+            assert_eq!(ctx.try_recv().await.map(|e| e.msg), Some(1));
+            assert_eq!(ctx.recv().await.msg, 2);
+            assert_eq!(ctx.now(), SimTime(5_000));
+        });
+        let r = b.run();
+        assert_eq!(r.fault.freeze_deferrals, 3);
+        (r.end_time, r.events_processed, r.trace_hash)
+    }
+
+    /// The constants were recorded from the kernel that kept wakes and
+    /// deliveries in two heaps merged at every pop.
+    #[test]
+    fn freeze_defers_wake_and_delivery_in_filing_order() {
+        for workers in [0, 8] {
+            assert_eq!(
+                freeze_defers_wake_and_delivery_scenario(workers),
+                (SimTime(5_000), 8, 0x0fbe_e692_9bb8_cbc8),
+                "pool of {workers}"
+            );
+        }
     }
 
     #[test]
@@ -2408,7 +2426,7 @@ mod tests {
         assert_eq!(run_with(0), pooled, "inline vs pool of 8");
     }
 
-    /// Timed wakes at every distance the wake queue has to order: 1 µs,
+    /// Timed wakes at every distance the event queue has to order: 1 µs,
     /// either side of 64 µs and 4 096 µs, 2¹⁸ µs, 2³⁰ µs and one past
     /// 64⁶ µs (≈ 19.1 h), as relative sleeps and as absolute deadlines;
     /// four-way equal-time ties that only `seq` can break; deadline wakes
@@ -2482,7 +2500,7 @@ mod tests {
 
     /// The constants were recorded from the hierarchical timer wheel that
     /// held the wakes before the binary heap did (at its last commit): the
-    /// merged `(time, seq)` pop order must never drift from it, whatever the
+    /// `(time, seq)` pop order must never drift from it, whatever the
     /// pool size.
     #[test]
     fn wake_order_pinned_across_time_scales() {

@@ -14,7 +14,7 @@
 //!   per-pair delivery, and marshalling CPU costs.
 //! * **Actors** — master and slave processes — written as `async` bodies
 //!   against a [`MailCtx`] and polled by the [`SimBuilder`] kernel, which
-//!   alone owns the clock and event queues and applies what each poll did in
+//!   alone owns the clock and event queue and applies what each poll did in
 //!   one fixed order, so every run is deterministic.
 //!
 //! Computation is charged in units of [`CpuWork`]; the quantum scheduler
