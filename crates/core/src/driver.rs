@@ -187,9 +187,9 @@ pub struct RunConfig {
     /// next barrier and re-scatters work onto it. Requires fault mode and
     /// `fault_tolerance.rejoin_attempts > 0`.
     pub late_joiners: Vec<(usize, SimTime)>,
-    /// Scheduler worker-pool size override. `None` keeps the kernel default
-    /// (`min(8, cores)`); `Some(0)` forces inline single-threaded polling.
-    /// Pool size never changes results — only wall-clock time.
+    /// Inert: the kernel polls every actor on one thread, and nothing
+    /// reads this. Kept only because `e2e_bench/` still sets it; the next
+    /// benchmark change deletes it with its pool pass.
     pub worker_threads: Option<usize>,
     /// Event-budget override. `None` keeps the kernel default; a run that
     /// exceeds the budget panics with a livelock diagnosis, so tests and CI
@@ -397,9 +397,6 @@ pub fn try_run(
         .record_trace(cfg.record_trace);
     if let Some(n) = cfg.max_events {
         sim = sim.max_events(n);
-    }
-    if let Some(n) = cfg.worker_threads {
-        sim = sim.worker_threads(n);
     }
     if let Some(p) = &cfg.fault_plan {
         sim = sim.fault_plan(p.clone());

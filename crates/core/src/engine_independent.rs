@@ -529,7 +529,7 @@ mod tests {
     }
 
     /// One slave's body in a [`cluster`].
-    type Body = Box<dyn FnOnce(MailCtx<Msg>) -> Pin<Box<dyn Future<Output = ()> + Send>> + Send>;
+    type Body = Box<dyn FnOnce(MailCtx<Msg>) -> Pin<Box<dyn Future<Output = ()>>>>;
 
     /// Run `bodies[i]` as slave `i` (actor `i`) beside a master (the next
     /// actor) that answers nothing; returns the units its statuses report

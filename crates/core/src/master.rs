@@ -1515,8 +1515,7 @@ mod tests {
 
     /// Opens a reign into the given buffer, as `Master::new` with its
     /// arguments bound.
-    type Opener =
-        Arc<dyn Fn(&mut Effects) -> (Master, Option<Result<(), ProtocolError>>) + Send + Sync>;
+    type Opener = Arc<dyn Fn(&mut Effects) -> (Master, Option<Result<(), ProtocolError>>)>;
 
     /// The production shell with a recorder: the same flushes, receives and
     /// `conclude`, and every step's input, clock and effects in `log`.
@@ -1581,8 +1580,8 @@ mod tests {
         stub: F,
     ) -> MasterOutcome
     where
-        F: Fn(MailCtx<Msg>, usize) -> Fut + Clone + Send + 'static,
-        Fut: std::future::Future<Output = ()> + Send + 'static,
+        F: Fn(MailCtx<Msg>, usize) -> Fut + Clone + 'static,
+        Fut: std::future::Future<Output = ()> + 'static,
     {
         let master = ActorId(0);
         let slot0 = if seed.is_some() { master } else { ActorId(2) };

@@ -47,7 +47,7 @@ pub enum BarrierMsg {
 /// * [`speculate`](DistributionStrategy::speculate) is a *pure* function of
 ///   its units argument: it must not read or write the live units, move
 ///   work, or message peers — it races one invocation on one idle slave.
-#[allow(async_fn_in_trait)] // used generically within the crate; Send is checked at spawn
+#[allow(async_fn_in_trait)] // used generically within the crate; no actor future needs Send
 pub trait DistributionStrategy {
     /// Whether this pattern ships barrier snapshots. `false`: it recovers
     /// by re-scatter, so no checkpoint is ever shipped and nothing is held

@@ -417,7 +417,7 @@ impl SlaveCommon {
         moves: Vec<MoveOrder>,
         invocation: u64,
         effective_block: u64,
-        mut detach: impl FnMut(&MoveOrder) -> Result<Detached, ProtocolError> + Send,
+        mut detach: impl FnMut(&MoveOrder) -> Result<Detached, ProtocolError>,
     ) -> Result<(), ProtocolError> {
         if moves.is_empty() {
             return Ok(());
@@ -787,7 +787,7 @@ impl SlaveCommon {
         &mut self,
         ctx: &MailCtx<Msg>,
         wait: &mut Wait,
-        mut pred: impl FnMut(&Msg) -> bool + Send,
+        mut pred: impl FnMut(&Msg) -> bool,
     ) -> Result<Option<Envelope<Msg>>, ProtocolError> {
         let row = wait.on.row();
         // A master-initiated shutdown is received whatever the wait is for,
@@ -843,7 +843,7 @@ impl SlaveCommon {
     pub(crate) async fn recv_blocking(
         &mut self,
         ctx: &MailCtx<Msg>,
-        mut pred: impl FnMut(&Msg) -> bool + Send,
+        mut pred: impl FnMut(&Msg) -> bool,
         mut wait: Wait,
     ) -> Result<Envelope<Msg>, ProtocolError> {
         loop {

@@ -1,10 +1,10 @@
 //! Deterministic discrete-event kernel.
 //!
-//! Actors are `async` state machines. The kernel thread owns the event
-//! queue and the virtual clock; it polls actors whose wake time has come
-//! and applies what they did in one fixed order, so a simulation is a
-//! deterministic sequential program: same inputs ⇒ same event order ⇒ same
-//! results, regardless of host scheduling or worker-pool size.
+//! Actors are `async` state machines. The kernel owns the event queue and
+//! the virtual clock; on one thread, it polls the actors whose wake time has
+//! come and applies what each did right after its poll, in one fixed order,
+//! so a simulation is a deterministic sequential program: same inputs ⇒
+//! same event order ⇒ same results, regardless of host scheduling.
 //!
 //! An actor interacts with virtual time through its [`MailCtx`]:
 //! [`MailCtx::advance_work`] charges CPU work to the node's quantum
@@ -32,15 +32,13 @@ use crate::net::{Envelope, NetConfig};
 use crate::time::{SimDuration, SimTime};
 use crate::trace::{TraceEvent, TraceKind, TRACE_HEADER};
 use crate::work::CpuWork;
+use std::cell::{Cell, RefCell};
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
 use std::future::Future;
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::pin::Pin;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering::Relaxed};
-use std::sync::mpsc::{channel, Sender};
-use std::sync::{Arc, Mutex, MutexGuard};
-use std::task::{Context, Poll, Wake, Waker};
+use std::rc::Rc;
+use std::task::{Context, Poll, Waker};
 
 /// Identifies an actor within a simulation.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
@@ -78,8 +76,8 @@ pub struct SchedStats {
     pub wakeups: u64,
     /// Wakes popped whose park epoch had already moved on.
     pub stale_wakes: u64,
-    /// Same-timestamp poll batches, whether polled on the worker pool or
-    /// inline on the kernel thread.
+    /// Same-timestamp poll batches: wakes due at one instant, polled one
+    /// after another with no delivery or crash between them.
     pub batches: u64,
     /// Largest single batch.
     pub max_batch: usize,
@@ -91,14 +89,10 @@ pub struct SchedStats {
     /// catch-up at its own instant before it sends, looks at its mailbox or
     /// returns, or a sleep from that instant.
     pub catch_ups: u64,
-    /// Acquisitions of an actor's mutex (mailbox, effect buffer), by the
-    /// kernel and by `MailCtx` calls together. Exact and the same at any
-    /// pool size: it is a function of the event stream.
-    pub local_locks: u64,
-    /// Worker-pool threads spawned for this run.
+    /// Always 0: the kernel polls every actor on its own thread. Inert, and
+    /// kept only because `e2e_bench/` still reads it for `sim.pool.workers`;
+    /// the next benchmark change deletes it with that metric.
     pub pool_workers: usize,
-    /// OS threads alive at once: kernel + pool. Actors contribute zero.
-    pub os_threads_peak: usize,
 }
 
 /// Everything measured during a run.
@@ -124,7 +118,7 @@ pub struct SimReport {
     /// The recorded event trace ([`crate::trace`] format), empty unless
     /// [`SimBuilder::record_trace`] was enabled.
     pub trace: Vec<TraceEvent>,
-    /// How the scheduler executed the run (thread counts, batch sizes).
+    /// How the scheduler executed the run (polls, wakes, batch sizes).
     pub sched: SchedStats,
 }
 
@@ -157,7 +151,7 @@ enum EventKind<M> {
 /// One entry of the event queue. The derived order is `(time, seq)`: due
 /// time, then the global sequence number drawn when the entry was filed,
 /// which no two entries share. Entries due at one instant pop in filing
-/// order. Every entry is filed by the kernel thread — a delivery as its
+/// order. Every entry is filed by the kernel — a delivery as its
 /// send is applied, a wake as the poll that parks for it is applied (a
 /// catch-up and a sleep taken while ahead included), a deferred entry as a
 /// freeze moves it — so that order is the event order.
@@ -190,7 +184,7 @@ enum ActorState {
 
 /// Message tagger for traced sends/deliveries: maps a message to the
 /// stable tag rendered after the fixed `EV` fields (None = untagged).
-type TagFn<M> = Box<dyn Fn(&M) -> Option<String> + Send>;
+type TagFn<M> = Box<dyn Fn(&M) -> Option<String>>;
 
 /// Event narration: echo to stderr (`DLB_TRACE_EVENTS`), record into the
 /// report ([`SimBuilder::record_trace`]), or both. Inactive = zero cost.
@@ -408,11 +402,11 @@ impl<M> Inner<M> {
     }
 }
 
-impl<M: Send + Clone + 'static> Inner<M> {
+impl<M: Clone> Inner<M> {
     /// Hand a message (post-marshalling) to the network: link occupancy,
     /// fault draws, FIFO clamp, delivery scheduling. Called only while
     /// applying buffered send effects, in wake-seq order, so the fault RNG
-    /// is drawn in the identical event order at any pool size.
+    /// is drawn in event order.
     fn enqueue_send(&mut self, src: ActorId, dst: ActorId, msg: M, bytes: u64) {
         let now = self.now;
         let start = now.max(self.link_free[src.0]);
@@ -502,67 +496,29 @@ impl<M: Send + Clone + 'static> Inner<M> {
 // as the kernel applies the poll, so an actor body determines its
 // `(time, seq)` event stream — and therefore the trace hash — exactly.
 //
-// Ownership rule: the kernel thread owns `Inner` (clock, queue, metrics,
-// fault RNG) as a plain value; during a poll an actor touches only its own
-// `ActorCell`. All globally-ordered side effects — network sends, metrics —
-// are buffered as `LocalEffect`s, and the park itself is left in the cell;
-// the kernel thread applies them afterwards, in wake-sequence order. Polls
-// are therefore pure with respect to kernel state, which is what makes it
-// safe to run a batch of same-timestamp polls on the worker pool in
-// parallel: the observable outcome is the same as polling them one by one.
-//
-// A cell is never touched by both sides at once — the kernel hands it to a
-// poll and gets it back — so the cell is split by who writes what, when:
+// Ownership rule: one thread runs the whole simulation. The kernel owns
+// `Inner` (clock, queue, metrics, fault RNG) as a plain value; during a poll
+// an actor touches only its own `ActorCell`. All globally-ordered side
+// effects — network sends, metrics — are buffered as `LocalEffect`s, and the
+// park itself is left in the cell; the kernel applies them right after the
+// poll, in wake-sequence order. A poll and the kernel never run at once, so
+// the cell is split only by who writes what, when:
 //
 //   field       kernel, actor parked              actor, being polled
 //   ----------  --------------------------------  ----------------------------
-//   constants   -                                 reads, no lock
-//   `now`       stores the poll's instant         loads; a charge stores its
-//               before each poll                  finish, no lock
+//   constants   -                                 reads
+//   `now`       sets the poll's instant           reads; a charge sets its
+//               before each poll                  finish
 //   `ahead`     -                                 a charge sets it, a catch-up
-//                                                 clears it; no lock
-//   tallies     sums them once the run ends       adds per charge or
-//                                                 catch-up, no lock
-//   `queued`    stores after deliver / crash      loads to skip an empty
-//               clear, under the guard            mailbox, no lock; stores
-//                                                 after a take, under the guard
-//   park        takes and clears it after the     sets it, no lock
-//               poll, no lock
-//   mailbox     push on deliver, clear on crash   scan + remove (guard)
-//   effects     drain after the poll (guard)      push (guard)
-//
-// Memory ordering: the atomics are written only by the side that has the
-// cell, and the cell changes sides either on one thread (inline polls) or
-// through the pool's job / result channels, whose send→recv edge orders
-// everything the sender wrote before everything the receiver reads; the
-// atomics exist for `Sync`, not for ordering, so `Relaxed` is enough. None
-// publishes other data: the mailbox a non-zero `queued` points at is still
-// read under the mutex.
-//
-// What is left under the mutex is what moves data: one acquisition per
-// mutating `MailCtx` call (the send handoff, a take from a non-empty
-// mailbox, a note while traced, an exit reply), one per delivery to an actor
-// that has not returned, one per kernel apply. A charge takes none, and
-// neither does a park, catch-ups included. `SchedStats::local_locks` counts
-// them; `tests/lock_budget.rs` holds the per-event figure.
+//                                                 clears it
+//   `tallies`   sums them once the run ends       adds per charge or catch-up
+//   `park`      takes it after the poll           sets it
+//   mailbox     push on deliver, clear on crash   scan + remove
+//   effects     drain after the poll              push
 // ---------------------------------------------------------------------------
 
-/// Lock an actor's mutable half, shrugging off poison (a panicked poll is
-/// already recorded; the kernel still drains the local to shut down cleanly).
-fn lock_local<M>(cell: &ActorCell<M>) -> MutexGuard<'_, ActorLocal<M>> {
-    let mut local = cell.local.lock().unwrap_or_else(|e| e.into_inner());
-    debug_assert_eq!(cell.queued.load(Relaxed), local.mailbox.len());
-    local.locks += 1;
-    local
-}
-
-/// Add `v` to a counter only the cell's current holder writes.
-fn bump(counter: &AtomicU64, v: u64) {
-    counter.store(counter.load(Relaxed) + v, Relaxed);
-}
-
-/// A side effect buffered during a poll, applied on the kernel thread in
-/// batch order. Buffer order within one poll is program order.
+/// A side effect buffered during a poll, applied by the kernel right after
+/// it. Buffer order within one poll is program order.
 enum LocalEffect<M> {
     /// Network handoff of an already-marshalled message.
     Send { dst: ActorId, msg: M, bytes: u64 },
@@ -577,17 +533,26 @@ enum LocalEffect<M> {
 }
 
 /// How the actor wants to be resumed after this poll.
+#[derive(Clone, Copy)]
 struct ParkReq {
     wake_on_msg: bool,
     wake_at: Option<SimTime>,
 }
 
-/// [`ActorCell::wake_at`] of a park with no timed wake.
-const NO_WAKE: u64 = u64::MAX;
+/// What an actor's charges and catch-ups add up to ([`NodeMetrics`],
+/// [`SchedStats::charges`], [`SchedStats::catch_ups`],
+/// [`FaultStats::freeze_deferrals`]), summed by the kernel at the end.
+#[derive(Clone, Copy, Default)]
+struct Tallies {
+    cpu: NodeMetrics,
+    charges: u64,
+    catch_ups: u64,
+    freeze_deferrals: u64,
+}
 
 /// One actor's side of the kernel, shared between its `MailCtx` and the
-/// kernel thread: what never changes after spawn, the clock and tallies a
-/// poll keeps without a lock, and the mutable [`ActorLocal`].
+/// kernel: what never changes after spawn, the clock, tallies and park a
+/// poll leaves, and the [`ActorLocal`] the two hand each other.
 struct ActorCell<M> {
     id: ActorId,
     node: NodeId,
@@ -602,55 +567,24 @@ struct ActorCell<M> {
     /// The run's event budget, which also bounds this actor's charges: a
     /// CPU-only loop makes no event.
     max_events: u64,
-    /// The actor's own clock in microseconds: the instant it was polled at,
-    /// moved on by the charges it has made since.
-    now: AtomicU64,
+    /// The actor's own clock: the instant it was polled at, moved on by the
+    /// charges it has made since.
+    now: Cell<SimTime>,
     /// Whether charges have run the actor's clock ahead of the kernel's
     /// since it was polled or last caught up.
-    ahead: AtomicBool,
-    /// Tallies ([`NodeMetrics`], [`SchedStats::charges`],
-    /// [`SchedStats::catch_ups`], [`FaultStats::freeze_deferrals`]), summed
-    /// by the kernel at the end.
-    app_cpu: AtomicU64,
-    app_cpu_while_loaded: AtomicU64,
-    charges: AtomicU64,
-    catch_ups: AtomicU64,
-    freeze_deferrals: AtomicU64,
-    /// `mailbox.len()`, so that a receive on an empty mailbox takes no lock.
-    queued: AtomicUsize,
-    /// The park this poll requested, which the kernel takes after the poll
-    /// ([`ActorCell::take_park`]): whether the actor parked, whether a
-    /// delivery wakes it, and its timed wake in microseconds ([`NO_WAKE`]:
-    /// none).
-    parked: AtomicBool,
-    wake_on_msg: AtomicBool,
-    wake_at: AtomicU64,
-    local: Mutex<ActorLocal<M>>,
+    ahead: Cell<bool>,
+    tallies: Cell<Tallies>,
+    /// The park this poll requested, which the kernel takes after the poll.
+    park: Cell<Option<ParkReq>>,
+    local: RefCell<ActorLocal<M>>,
 }
 
-impl<M> ActorCell<M> {
-    /// Take the park the last poll requested, if it made one.
-    fn take_park(&self) -> Option<ParkReq> {
-        if !self.parked.load(Relaxed) {
-            return None;
-        }
-        self.parked.store(false, Relaxed);
-        let wake_at = self.wake_at.load(Relaxed);
-        Some(ParkReq {
-            wake_on_msg: self.wake_on_msg.load(Relaxed),
-            wake_at: (wake_at != NO_WAKE).then_some(SimTime(wake_at)),
-        })
-    }
-}
-
-/// What the two sides hand each other through the cell's mutex: the kernel
-/// fills `mailbox` while the actor is parked and empties `effects` after its
-/// poll; the actor does the reverse while being polled.
+/// What the two sides hand each other: the kernel fills `mailbox` while the
+/// actor is parked and empties `effects` after its poll; the actor does the
+/// reverse while being polled.
 struct ActorLocal<M> {
     mailbox: VecDeque<Envelope<M>>,
     effects: Vec<LocalEffect<M>>,
-    /// Times this mutex was taken ([`SchedStats::local_locks`]).
-    locks: u64,
 }
 
 /// The one-poll park primitive: the first poll returns `Pending`; the kernel
@@ -676,21 +610,22 @@ impl Future for ParkOnce {
 /// futures returned by this context — foreign futures have no way to park
 /// in virtual time, and the kernel treats a `Pending` without a park request
 /// as a bug.
-pub struct MailCtx<M: Send + Clone + 'static> {
-    cell: Arc<ActorCell<M>>,
+pub struct MailCtx<M: Clone + 'static> {
+    cell: Rc<ActorCell<M>>,
 }
 
-impl<M: Send + Clone + 'static> Clone for MailCtx<M> {
+impl<M: Clone + 'static> Clone for MailCtx<M> {
     fn clone(&self) -> Self {
         MailCtx {
-            cell: Arc::clone(&self.cell),
+            cell: Rc::clone(&self.cell),
         }
     }
 }
 
-impl<M: Send + Clone + 'static> MailCtx<M> {
-    fn lock(&self) -> MutexGuard<'_, ActorLocal<M>> {
-        lock_local(&self.cell)
+impl<M: Clone + 'static> MailCtx<M> {
+    /// Buffer `effect` for the kernel to apply after this poll.
+    fn buffer(&self, effect: LocalEffect<M>) {
+        self.cell.local.borrow_mut().effects.push(effect);
     }
 
     /// This actor's id (assigned in spawn order, starting at 0).
@@ -706,7 +641,7 @@ impl<M: Send + Clone + 'static> MailCtx<M> {
     /// This actor's virtual time: the instant it was resumed at, plus the
     /// CPU it has charged since ([`advance_work`](Self::advance_work)).
     pub fn now(&self) -> SimTime {
-        SimTime(self.cell.now.load(Relaxed))
+        self.cell.now.get()
     }
 
     /// What this actor's charges cost, read-only: its node, whose CPU model
@@ -725,15 +660,14 @@ impl<M: Send + Clone + 'static> MailCtx<M> {
         self.cell.traced
     }
 
-    /// Record how this poll wants to be resumed, without a lock, and return
-    /// the future that hands control back.
+    /// Record how this poll wants to be resumed and return the future that
+    /// hands control back.
     fn park(&self, wake_on_msg: bool, wake_at: Option<SimTime>) -> ParkOnce {
-        let cell = &*self.cell;
-        debug_assert!(!cell.parked.load(Relaxed), "double park in one poll");
-        cell.parked.store(true, Relaxed);
-        cell.wake_on_msg.store(wake_on_msg, Relaxed);
-        cell.wake_at
-            .store(wake_at.map_or(NO_WAKE, |t| t.0), Relaxed);
+        let earlier = self.cell.park.replace(Some(ParkReq {
+            wake_on_msg,
+            wake_at,
+        }));
+        debug_assert!(earlier.is_none(), "double park in one poll");
         ParkOnce { parked: false }
     }
 
@@ -742,10 +676,11 @@ impl<M: Send + Clone + 'static> MailCtx<M> {
     /// to park at (or from) the actor's own instant.
     fn leave_ahead(&self) -> bool {
         let cell = &*self.cell;
-        let ahead = cell.ahead.load(Relaxed);
+        let ahead = cell.ahead.replace(false);
         if ahead {
-            cell.ahead.store(false, Relaxed);
-            bump(&cell.catch_ups, 1);
+            let mut t = cell.tallies.get();
+            t.catch_ups += 1;
+            cell.tallies.set(t);
         }
         ahead
     }
@@ -762,21 +697,13 @@ impl<M: Send + Clone + 'static> MailCtx<M> {
         }
     }
 
-    /// Take the first queued message matching `pred`. An empty mailbox is
-    /// answered from the `queued` mirror, without the lock. A look, so the
-    /// caller has caught up.
+    /// Take the first queued message matching `pred`. A look, so the caller
+    /// has caught up.
     fn take(&self, pred: &mut dyn FnMut(&M) -> bool) -> Option<Envelope<M>> {
-        debug_assert!(
-            !self.cell.ahead.load(Relaxed),
-            "a mailbox look catches up first"
-        );
-        if self.cell.queued.load(Relaxed) == 0 {
-            return None;
-        }
-        let mut local = self.lock();
+        debug_assert!(!self.cell.ahead.get(), "a mailbox look catches up first");
+        let mut local = self.cell.local.borrow_mut();
         let idx = local.mailbox.iter().position(|env| pred(&env.msg))?;
         let env = local.mailbox.remove(idx).expect("index valid");
-        self.cell.queued.store(local.mailbox.len(), Relaxed);
         local.effects.push(LocalEffect::Recv { bytes: env.bytes });
         Some(env)
     }
@@ -786,14 +713,14 @@ impl<M: Send + Clone + 'static> MailCtx<M> {
     /// A note is not an interaction: it parks nowhere, and one made while
     /// the actor is ahead enters the trace once the kernel's clock reaches
     /// its instant. `text` runs only while the run is traced; otherwise a
-    /// note costs one flag load, and no lock. The text is one line: the
-    /// trace format ends a record at a newline.
+    /// note costs one flag load. The text is one line: the trace format
+    /// ends a record at a newline.
     pub fn note(&self, text: impl FnOnce() -> String) {
         if self.cell.traced {
             let text = text();
             debug_assert!(!text.contains('\n'), "a note is one line: {text:?}");
             let at = self.now();
-            self.lock().effects.push(LocalEffect::Note { at, text });
+            self.buffer(LocalEffect::Note { at, text });
         }
     }
 
@@ -805,43 +732,41 @@ impl<M: Send + Clone + 'static> MailCtx<M> {
     /// fault draws included. A crashed node answers nothing, and neither does
     /// an actor that left no reply. A second call replaces the first.
     pub fn exit_reply(&self, msg: M, bytes: u64) {
-        self.lock()
-            .effects
-            .push(LocalEffect::ExitReply { msg, bytes });
+        self.buffer(LocalEffect::ExitReply { msg, bytes });
     }
 
     /// Consume `work` of CPU on this actor's node: the node's CPU model
     /// ([`cpu::advance`] — speed, quantum, competing load) gives the
     /// finish, a freeze window over the finish moves it to the thaw, and
-    /// this actor's clock goes there. Nothing parks and nothing locks: the
-    /// actor runs ahead of the kernel's clock until its next interaction,
-    /// where it catches up. A charge that starts at or after the node's
-    /// crash — the kernel would never have resumed the actor to make it —
-    /// is not counted in the node's CPU time, unless it is the first since
-    /// the actor was resumed.
+    /// this actor's clock goes there. Nothing parks: the actor runs ahead
+    /// of the kernel's clock until its next interaction, where it catches
+    /// up. A charge that starts at or after the node's crash — the kernel
+    /// would never have resumed the actor to make it — is not counted in
+    /// the node's CPU time, unless it is the first since the actor was
+    /// resumed.
     pub async fn advance_work(&self, work: CpuWork) {
         if work.is_zero() {
             return;
         }
         let cell = &*self.cell;
-        let charges = cell.charges.load(Relaxed) + 1;
+        let mut t = cell.tallies.get();
+        t.charges += 1;
         assert!(
-            charges <= cell.max_events,
+            t.charges <= cell.max_events,
             "event budget exhausted ({} events): probable livelock",
             cell.max_events
         );
-        cell.charges.store(charges, Relaxed);
         let start = self.now();
         let adv = cpu::advance(&cell.node_cfg, start, work);
         let thaw = cell.faults.thaw(adv.finish);
-        let first = !cell.ahead.load(Relaxed);
+        let first = !cell.ahead.replace(true);
         if first || cell.faults.crash_at.is_none_or(|c| start < c) {
-            bump(&cell.app_cpu, adv.dedicated.micros());
-            bump(&cell.app_cpu_while_loaded, adv.cpu_while_loaded.micros());
-            bump(&cell.freeze_deferrals, thaw.is_some() as u64);
+            t.cpu.app_cpu += adv.dedicated;
+            t.cpu.app_cpu_while_loaded += adv.cpu_while_loaded;
+            t.freeze_deferrals += thaw.is_some() as u64;
         }
-        cell.ahead.store(true, Relaxed);
-        cell.now.store(thaw.unwrap_or(adv.finish).0, Relaxed);
+        cell.tallies.set(t);
+        cell.now.set(thaw.unwrap_or(adv.finish));
     }
 
     /// Wait for `d` of virtual time to pass without consuming CPU. The one
@@ -862,9 +787,7 @@ impl<M: Send + Clone + 'static> MailCtx<M> {
         assert!(dst.0 < self.cell.n_actors, "send to unknown actor");
         self.advance_work(self.cell.net.send_cpu(bytes)).await;
         self.catch_up().await;
-        self.lock()
-            .effects
-            .push(LocalEffect::Send { dst, msg, bytes });
+        self.buffer(LocalEffect::Send { dst, msg, bytes });
     }
 
     async fn charge_recv(&self) {
@@ -878,7 +801,7 @@ impl<M: Send + Clone + 'static> MailCtx<M> {
 
     /// Receive the first queued message matching `pred`, blocking until one
     /// arrives.
-    pub async fn recv_match(&self, mut pred: impl FnMut(&M) -> bool + Send) -> Envelope<M> {
+    pub async fn recv_match(&self, mut pred: impl FnMut(&M) -> bool) -> Envelope<M> {
         loop {
             self.catch_up().await;
             if let Some(env) = self.take(&mut pred) {
@@ -890,10 +813,7 @@ impl<M: Send + Clone + 'static> MailCtx<M> {
     }
 
     /// Non-blocking receive of the first queued message matching `pred`.
-    pub async fn try_recv_match(
-        &self,
-        mut pred: impl FnMut(&M) -> bool + Send,
-    ) -> Option<Envelope<M>> {
+    pub async fn try_recv_match(&self, mut pred: impl FnMut(&M) -> bool) -> Option<Envelope<M>> {
         self.catch_up().await;
         let got = self.take(&mut pred);
         if got.is_some() {
@@ -911,7 +831,7 @@ impl<M: Send + Clone + 'static> MailCtx<M> {
     /// reaches `deadline`.
     pub async fn recv_match_deadline(
         &self,
-        mut pred: impl FnMut(&M) -> bool + Send,
+        mut pred: impl FnMut(&M) -> bool,
         deadline: SimTime,
     ) -> Option<Envelope<M>> {
         loop {
@@ -933,52 +853,16 @@ impl<M: Send + Clone + 'static> MailCtx<M> {
     }
 }
 
-/// An actor's state machine. Shipped to a pool worker for polling and
-/// shipped back with the outcome; the `ActorLocal` it runs against stays
-/// reachable from the kernel thread throughout.
-type ActorFuture = Pin<Box<dyn Future<Output = ()> + Send>>;
-
-enum PollOutcome {
-    Ready,
-    Pending,
-    Panicked(Box<dyn std::any::Any + Send>),
-}
-
-/// The kernel never relies on `Waker`: wake-ups travel through virtual-time
-/// events, so the waker handed to polls is inert.
-struct NoopWake;
-
-impl Wake for NoopWake {
-    fn wake(self: Arc<Self>) {}
-}
-
-fn poll_actor(future: &mut ActorFuture, waker: &Waker) -> PollOutcome {
-    let mut cx = Context::from_waker(waker);
-    match catch_unwind(AssertUnwindSafe(|| future.as_mut().poll(&mut cx))) {
-        Ok(Poll::Ready(())) => PollOutcome::Ready,
-        Ok(Poll::Pending) => PollOutcome::Pending,
-        Err(p) => PollOutcome::Panicked(p),
-    }
-}
-
-struct PoolJob {
-    slot: usize,
-    future: ActorFuture,
-}
-
-struct PoolDone {
-    slot: usize,
-    future: ActorFuture,
-    outcome: PollOutcome,
-}
+/// An actor's state machine, polled by the kernel.
+type ActorFuture = Pin<Box<dyn Future<Output = ()>>>;
 
 /// Eagerly-constructed actor body: called once at spawn time to
 /// build the state machine (an `async fn` body runs no user code until its
 /// first poll, which the kernel issues at the t = 0 seed wake).
-type MailFn<M> = Box<dyn FnOnce(MailCtx<M>) -> ActorFuture + Send + 'static>;
+type MailFn<M> = Box<dyn FnOnce(MailCtx<M>) -> ActorFuture>;
 
 /// Builder for a simulation: declare nodes, spawn actors, then [`SimBuilder::run`].
-pub struct SimBuilder<M: Send + Clone + 'static> {
+pub struct SimBuilder<M: Clone + 'static> {
     nodes: Vec<NodeConfig>,
     net: NetConfig,
     actors: Vec<(NodeId, String, MailFn<M>)>,
@@ -987,16 +871,15 @@ pub struct SimBuilder<M: Send + Clone + 'static> {
     fault: Option<FaultPlan>,
     tag: Option<TagFn<M>>,
     record_trace: bool,
-    worker_threads: Option<usize>,
 }
 
-impl<M: Send + Clone + 'static> Default for SimBuilder<M> {
+impl<M: Clone + 'static> Default for SimBuilder<M> {
     fn default() -> Self {
         Self::new()
     }
 }
 
-impl<M: Send + Clone + 'static> SimBuilder<M> {
+impl<M: Clone + 'static> SimBuilder<M> {
     pub fn new() -> Self {
         SimBuilder {
             nodes: Vec::new(),
@@ -1007,16 +890,7 @@ impl<M: Send + Clone + 'static> SimBuilder<M> {
             fault: None,
             tag: None,
             record_trace: false,
-            worker_threads: None,
         }
-    }
-
-    /// Size of the worker pool that polls actors (default
-    /// `min(8, available cores)`; `0` polls inline on the kernel thread).
-    /// Pool size never affects results — only wall-clock time.
-    pub fn worker_threads(mut self, n: usize) -> Self {
-        self.worker_threads = Some(n);
-        self
     }
 
     /// Set the network model (default: [`NetConfig::default`]).
@@ -1040,7 +914,7 @@ impl<M: Send + Clone + 'static> SimBuilder<M> {
     /// Install a message tagger for the event trace: traced `SEND`/`DELIVER`
     /// lines carry `f(msg)` as their tag (None = untagged). Only consulted
     /// while tracing is active.
-    pub fn trace_tag(mut self, f: impl Fn(&M) -> Option<String> + Send + 'static) -> Self {
+    pub fn trace_tag(mut self, f: impl Fn(&M) -> Option<String> + 'static) -> Self {
         self.tag = Some(Box::new(f));
         self
     }
@@ -1071,13 +945,13 @@ impl<M: Send + Clone + 'static> SimBuilder<M> {
         self.node_used[node.0] = true;
     }
 
-    /// Spawn an actor on `node`: an async state machine multiplexed over the
-    /// bounded worker pool. Exactly one actor may run per node: the CPU
-    /// model charges all of a node's application CPU to a single process.
+    /// Spawn an actor on `node`: an async state machine the kernel polls.
+    /// Exactly one actor may run per node: the CPU model charges all of a
+    /// node's application CPU to a single process.
     pub fn spawn_mail<F, Fut>(&mut self, node: NodeId, name: impl Into<String>, f: F) -> ActorId
     where
-        F: FnOnce(MailCtx<M>) -> Fut + Send + 'static,
-        Fut: Future<Output = ()> + Send + 'static,
+        F: FnOnce(MailCtx<M>) -> Fut + 'static,
+        Fut: Future<Output = ()> + 'static,
     {
         self.claim_node(node);
         let body: MailFn<M> = Box::new(move |ctx| {
@@ -1094,10 +968,10 @@ impl<M: Send + Clone + 'static> SimBuilder<M> {
 
     /// Run the simulation to completion and return its report.
     ///
-    /// Panics if an actor panics (the panic is propagated), if the
-    /// simulation deadlocks (all actors blocked with no pending events), or
-    /// if the event budget is exhausted. Crashed nodes do not count as
-    /// deadlocked or panicked: their actors are dropped quietly.
+    /// Panics if an actor panics (the panic unwinds straight out of `run`),
+    /// if the simulation deadlocks (all actors blocked with no pending
+    /// events), or if the event budget is exhausted. Crashed nodes do not
+    /// count as deadlocked or panicked: their actors are dropped quietly.
     pub fn run(self) -> SimReport {
         let n_actors = self.actors.len();
         assert!(n_actors > 0, "no actors spawned");
@@ -1122,9 +996,9 @@ impl<M: Send + Clone + 'static> SimBuilder<M> {
         };
         let mut names: Vec<String> = Vec::with_capacity(n_actors);
         let mut futures: Vec<Option<ActorFuture>> = Vec::with_capacity(n_actors);
-        let mut cells: Vec<Arc<ActorCell<M>>> = Vec::with_capacity(n_actors);
+        let mut cells: Vec<Rc<ActorCell<M>>> = Vec::with_capacity(n_actors);
         for (i, (node, name, f)) in self.actors.into_iter().enumerate() {
-            let cell = Arc::new(ActorCell {
+            let cell = Rc::new(ActorCell {
                 id: ActorId(i),
                 node,
                 n_actors,
@@ -1137,35 +1011,27 @@ impl<M: Send + Clone + 'static> SimBuilder<M> {
                 net: self.net.clone(),
                 traced: tracer.active(),
                 max_events: self.max_events,
-                now: AtomicU64::new(0),
-                ahead: AtomicBool::new(false),
-                app_cpu: AtomicU64::new(0),
-                app_cpu_while_loaded: AtomicU64::new(0),
-                charges: AtomicU64::new(0),
-                catch_ups: AtomicU64::new(0),
-                freeze_deferrals: AtomicU64::new(0),
-                queued: AtomicUsize::new(0),
-                parked: AtomicBool::new(false),
-                wake_on_msg: AtomicBool::new(false),
-                wake_at: AtomicU64::new(NO_WAKE),
-                local: Mutex::new(ActorLocal {
+                now: Cell::new(SimTime::ZERO),
+                ahead: Cell::new(false),
+                tallies: Cell::default(),
+                park: Cell::new(None),
+                local: RefCell::new(ActorLocal {
                     mailbox: VecDeque::new(),
                     effects: Vec::new(),
-                    locks: 0,
                 }),
             });
             // Building the future runs no user code (async bodies are
             // inert until polled); the t = 0 seed wake issues the first
             // poll.
             futures.push(Some(f(MailCtx {
-                cell: Arc::clone(&cell),
+                cell: Rc::clone(&cell),
             })));
             cells.push(cell);
             names.push(name);
         }
 
-        // Owned by this (the kernel) thread alone: actors reach it only
-        // through the effects they buffer in their `ActorLocal`.
+        // Actors reach it only through the effects they buffer in their
+        // `ActorLocal`.
         let mut inner = Inner {
             now: SimTime::ZERO,
             seq: 0,
@@ -1214,67 +1080,22 @@ impl<M: Send + Clone + 'static> SimBuilder<M> {
             }
         }
 
-        // Bounded worker pool for actor polls. Per-worker job channels
-        // (round-robin dispatch) keep job pickup unserialized; one shared
-        // results channel funnels outcomes back to the kernel thread.
-        let pool_size = self.worker_threads.unwrap_or_else(|| {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(8)
-                .min(8)
-        });
-        let (pool_res_tx, pool_res_rx) = channel::<PoolDone>();
-        let mut pool_job_txs: Vec<Sender<PoolJob>> = Vec::with_capacity(pool_size);
-        let mut pool_handles = Vec::with_capacity(pool_size);
-        for w in 0..pool_size {
-            let (job_tx, job_rx) = channel::<PoolJob>();
-            pool_job_txs.push(job_tx);
-            let res_tx = pool_res_tx.clone();
-            pool_handles.push(
-                std::thread::Builder::new()
-                    .name(format!("sim-pool-{w}"))
-                    .spawn(move || {
-                        let waker = Waker::from(Arc::new(NoopWake));
-                        while let Ok(mut job) = job_rx.recv() {
-                            let outcome = poll_actor(&mut job.future, &waker);
-                            if res_tx
-                                .send(PoolDone {
-                                    slot: job.slot,
-                                    future: job.future,
-                                    outcome,
-                                })
-                                .is_err()
-                            {
-                                break;
-                            }
-                        }
-                    })
-                    .expect("spawn pool worker"),
-            );
-        }
-        drop(pool_res_tx);
-
-        let waker = Waker::from(Arc::new(NoopWake));
-        let mut sched = SchedStats {
-            pool_workers: pool_size,
-            os_threads_peak: 1 + pool_size,
-            ..SchedStats::default()
-        };
-        let mut panic: Option<Box<dyn std::any::Any + Send>> = None;
+        // The kernel never relies on `Waker`: wake-ups travel through
+        // virtual-time events, so the waker handed to polls is inert.
+        let mut cx = Context::from_waker(Waker::noop());
+        let mut sched = SchedStats::default();
 
         // Actors neither `Done` nor `Crashed`.
         let mut live = n_actors;
-        // The batch's actors, and what each one's poll returned, by batch
-        // slot; both buffers are reused from batch to batch.
+        // The batch's actors, reused from batch to batch.
         let mut batch: Vec<usize> = Vec::new();
-        let mut results: Vec<Option<(ActorFuture, PollOutcome)>> = Vec::new();
 
-        // Kernel loop: collect the next batch of same-timestamp polls, run
-        // it (inline or on the pool), then apply its buffered effects. Once
-        // every actor has finished (or crashed), stop without draining stale
-        // events (e.g. deadline wakes scheduled past the end of the run) so
-        // they cannot inflate `end_time`.
-        'run: while live > 0 {
+        // Kernel loop: collect the next batch of same-timestamp wakes, then
+        // poll its members one by one, each followed by the apply of its
+        // buffered effects. Once every actor has finished (or crashed), stop
+        // without draining stale events (e.g. deadline wakes scheduled past
+        // the end of the run) so they cannot inflate `end_time`.
+        while live > 0 {
             batch.clear();
             let mut batch_time = SimTime::ZERO;
             while let Some(&Reverse(key)) = inner.queue.peek() {
@@ -1354,12 +1175,7 @@ impl<M: Send + Clone + 'static> SimBuilder<M> {
                             }
                             continue;
                         }
-                        {
-                            let cell = &cells[dst.0];
-                            let mut local = lock_local(cell);
-                            local.mailbox.push_back(env);
-                            cell.queued.store(local.mailbox.len(), Relaxed);
-                        }
+                        cells[dst.0].local.borrow_mut().mailbox.push_back(env);
                         if let ActorState::Waiting {
                             epoch,
                             wake_on_msg: true,
@@ -1385,10 +1201,7 @@ impl<M: Send + Clone + 'static> SimBuilder<M> {
                             // made.
                             futures[a.0] = None;
                             inner.tracer.ahead.retain(|Reverse(n)| n.2 != a.0);
-                            let cell = &cells[a.0];
-                            let mut local = lock_local(cell);
-                            local.mailbox.clear();
-                            cell.queued.store(0, Relaxed);
+                            cells[a.0].local.borrow_mut().mailbox.clear();
                         }
                     }
                 }
@@ -1415,42 +1228,17 @@ impl<M: Send + Clone + 'static> SimBuilder<M> {
             sched.max_batch = sched.max_batch.max(batch.len());
             sched.polls += batch.len() as u64;
 
-            // Polls are pure, so polling inline is semantically identical
-            // to a pool round trip — just cheaper.
-            let inline = batch.len() == 1 || pool_job_txs.is_empty();
-            if !inline {
-                for (slot, &a) in batch.iter().enumerate() {
-                    let future = futures[a].take().expect("batched actor future");
-                    cells[a].now.store(batch_time.0, Relaxed);
-                    pool_job_txs[slot % pool_job_txs.len()]
-                        .send(PoolJob { slot, future })
-                        .expect("pool worker gone");
-                }
-                results.resize_with(batch.len(), || None);
-                for _ in 0..batch.len() {
-                    let done = pool_res_rx.recv().expect("pool worker gone");
-                    results[done.slot] = Some((done.future, done.outcome));
-                }
-            }
-
-            // Apply buffered effects in wake-seq order — the step that
-            // makes a parallel batch observationally identical to polling
-            // its members one at a time. An inline member is polled here,
-            // right before its effects are applied: nothing an apply touches
-            // is visible to a later member's poll.
-            for (slot, &a) in batch.iter().enumerate() {
-                let (future, outcome) = if inline {
-                    let mut future = futures[a].take().expect("batched actor future");
-                    cells[a].now.store(batch_time.0, Relaxed);
-                    let outcome = poll_actor(&mut future, &waker);
-                    (future, outcome)
-                } else {
-                    results[slot].take().expect("every slot reports back")
-                };
-                let mut local = lock_local(&cells[a]);
+            // Poll each member in wake-seq order and apply its buffered
+            // effects right after its poll: nothing an apply touches is
+            // visible to a later member's poll. An actor panic unwinds from
+            // here straight out of `run`.
+            for &a in &batch {
+                cells[a].now.set(batch_time);
+                let future = futures[a].as_mut().expect("batched actor future");
+                let ready = future.as_mut().poll(&mut cx).is_ready();
                 let now = inner.now;
                 inner.tracer.notes_before(SimTime(now.0 + 1));
-                for eff in local.effects.drain(..) {
+                for eff in cells[a].local.borrow_mut().effects.drain(..) {
                     match eff {
                         LocalEffect::Send { dst, msg, bytes } => {
                             inner.enqueue_send(ActorId(a), dst, msg, bytes);
@@ -1465,62 +1253,38 @@ impl<M: Send + Clone + 'static> SimBuilder<M> {
                         }
                     }
                 }
-                match outcome {
-                    PollOutcome::Ready => {
-                        inner.states[a] = ActorState::Done;
-                        live -= 1;
-                        // The future — the state machine — drops here.
-                    }
-                    PollOutcome::Pending => {
-                        let park = cells[a].take_park().expect(
-                            "actor returned Pending without parking: \
-                             only dlb-sim futures may be awaited",
-                        );
-                        inner.epochs[a] = inner.epochs[a].wrapping_add(1);
-                        let epoch = inner.epochs[a];
-                        inner.states[a] = ActorState::Waiting {
-                            epoch,
-                            wake_on_msg: park.wake_on_msg,
-                        };
-                        if let Some(t) = park.wake_at {
-                            inner.schedule_wake(t, ActorId(a), epoch);
-                        }
-                        futures[a] = Some(future);
-                    }
-                    PollOutcome::Panicked(p) => {
-                        // Under the sequential order the members after a
-                        // panic never ran; drop their effects along with
-                        // their futures and stop.
-                        panic = Some(p);
-                        break 'run;
-                    }
+                if ready {
+                    inner.states[a] = ActorState::Done;
+                    live -= 1;
+                    // The state machine drops here.
+                    futures[a] = None;
+                    continue;
+                }
+                let park = cells[a].park.take().expect(
+                    "actor returned Pending without parking: \
+                     only dlb-sim futures may be awaited",
+                );
+                inner.epochs[a] = inner.epochs[a].wrapping_add(1);
+                let epoch = inner.epochs[a];
+                inner.states[a] = ActorState::Waiting {
+                    epoch,
+                    wake_on_msg: park.wake_on_msg,
+                };
+                if let Some(t) = park.wake_at {
+                    inner.schedule_wake(t, ActorId(a), epoch);
                 }
             }
         }
 
-        // Join the pool, then propagate the actor's panic, if any.
-        drop(pool_job_txs);
-        for h in pool_handles {
-            if let Err(p) = h.join() {
-                panic.get_or_insert(p);
-            }
-        }
-        if let Some(p) = panic {
-            std::panic::resume_unwind(p);
-        }
-        // Reading a tally is itself an acquisition, which the run did not make.
-        sched.local_locks = cells.iter().map(|c| lock_local(c).locks - 1).sum();
         // One actor per node: its CPU tallies are the node's.
         let mut nodes = vec![NodeMetrics::default(); n_nodes];
         let mut fault = inner.fault.map(|f| f.stats).unwrap_or_default();
         for c in &cells {
-            nodes[c.node.0] = NodeMetrics {
-                app_cpu: SimDuration(c.app_cpu.load(Relaxed)),
-                app_cpu_while_loaded: SimDuration(c.app_cpu_while_loaded.load(Relaxed)),
-            };
-            sched.charges += c.charges.load(Relaxed);
-            sched.catch_ups += c.catch_ups.load(Relaxed);
-            fault.freeze_deferrals += c.freeze_deferrals.load(Relaxed);
+            let t = c.tallies.get();
+            nodes[c.node.0] = t.cpu;
+            sched.charges += t.charges;
+            sched.catch_ups += t.catch_ups;
+            fault.freeze_deferrals += t.freeze_deferrals;
         }
 
         SimReport {
@@ -1573,8 +1337,6 @@ mod tests {
         assert_eq!(report.actors[1].msgs_received, 1);
         assert!(!report.fault.any());
         assert!(report.sched.polls > 0);
-        // No per-actor threads: kernel + pool only.
-        assert!(report.sched.os_threads_peak <= 1 + report.sched.pool_workers);
     }
 
     #[test]
@@ -1886,8 +1648,8 @@ mod tests {
                 b = b.fault_plan(plan);
             }
             let (n0, n1) = (b.add_node(node.clone()), b.add_node(NodeConfig::default()));
-            let late = Arc::new(Mutex::new(Vec::new()));
-            let log = Arc::clone(&late);
+            let late = Rc::new(RefCell::new(Vec::new()));
+            let log = Rc::clone(&late);
             b.spawn_mail(n0, "charger", move |ctx| async move {
                 let net = NetConfig::default();
                 let (own, own_net) = ctx.costs();
@@ -1897,10 +1659,10 @@ mod tests {
                     let work = CpuWork::from_micros(37 + 45_000 * i as u64);
                     let want = cpu::advance(own, ctx.now(), work).finish;
                     ctx.advance_work(work).await;
-                    log.lock().unwrap().push(ctx.now().saturating_since(want));
+                    log.borrow_mut().push(ctx.now().saturating_since(want));
                     let want = cpu::advance(own, ctx.now(), own_net.send_cpu(bytes)).finish;
                     ctx.send(ActorId(1), (), bytes).await;
-                    log.lock().unwrap().push(ctx.now().saturating_since(want));
+                    log.borrow_mut().push(ctx.now().saturating_since(want));
                 }
             });
             b.spawn_mail(n1, "sink", |ctx| async move {
@@ -1909,7 +1671,7 @@ mod tests {
                 }
             });
             b.run();
-            let late = late.lock().unwrap().clone();
+            let late = late.borrow().clone();
             late
         };
         for load in [LoadModel::Constant(2), oscillating] {
@@ -2105,19 +1867,19 @@ mod tests {
         });
         let n0 = b.add_node(NodeConfig::default());
         let n1 = b.add_node(NodeConfig::default());
-        let got = Arc::new(Mutex::new(None));
-        let seen = Arc::clone(&got);
+        let got = Rc::new(RefCell::new(None));
+        let seen = Rc::clone(&got);
         b.spawn_mail(n0, "runner", move |ctx| async move {
             ctx.advance_work(CpuWork::from_micros(50)).await;
             ctx.advance_work(CpuWork::from_micros(50)).await;
             let env = ctx.try_recv().await;
-            *seen.lock().unwrap() = Some((ctx.now(), env.map(|e| e.msg)));
+            *seen.borrow_mut() = Some((ctx.now(), env.map(|e| e.msg)));
         });
         b.spawn_mail(n1, "sender", |ctx| async move {
             ctx.send(ActorId(0), 7, 8).await;
         });
         let r = b.run();
-        assert_eq!(*got.lock().unwrap(), Some((SimTime(100), None)));
+        assert_eq!(*got.borrow(), Some((SimTime(100), None)));
         assert_eq!((r.sched.charges, r.sched.catch_ups), (2, 1));
     }
 
@@ -2223,11 +1985,9 @@ mod tests {
     /// re-filed at the thaw as it pops, so at 5 000 the first message is
     /// queued, the wake polls the sleeper, which takes it, and the second
     /// message wakes its next receive.
-    fn freeze_defers_wake_and_delivery_scenario(workers: usize) -> (SimTime, u64, u64) {
+    fn freeze_defers_wake_and_delivery_scenario() -> (SimTime, u64, u64) {
         let (b, n0, n1) = two_node_builder();
-        let mut b = b
-            .worker_threads(workers)
-            .fault_plan(FaultPlan::new(0).freeze(1, SimTime(100), SimTime(5_000)));
+        let mut b = b.fault_plan(FaultPlan::new(0).freeze(1, SimTime(100), SimTime(5_000)));
         b.spawn_mail(n0, "src", |ctx| async move {
             ctx.sleep(SimDuration::from_micros(150)).await;
             ctx.send(ActorId(1), 1, 8).await;
@@ -2250,13 +2010,10 @@ mod tests {
     /// deliveries in two heaps merged at every pop.
     #[test]
     fn freeze_defers_wake_and_delivery_in_filing_order() {
-        for workers in [0, 8] {
-            assert_eq!(
-                freeze_defers_wake_and_delivery_scenario(workers),
-                (SimTime(5_000), 8, 0x0fbe_e692_9bb8_cbc8),
-                "pool of {workers}"
-            );
-        }
+        assert_eq!(
+            freeze_defers_wake_and_delivery_scenario(),
+            (SimTime(5_000), 8, 0x0fbe_e692_9bb8_cbc8)
+        );
     }
 
     #[test]
@@ -2385,47 +2142,6 @@ mod tests {
         }
     }
 
-    #[test]
-    fn pool_size_never_changes_results() {
-        let run_with = |workers: usize| {
-            let plan = FaultPlan::new(9)
-                .drop_all(0.1)
-                .dup_all(0.1)
-                .jitter_all(0.2, SimDuration::from_micros(300));
-            let mut b = SimBuilder::<u64>::new()
-                .worker_threads(workers)
-                .fault_plan(plan);
-            let mn = b.add_node(NodeConfig::default());
-            let mut slave_nodes = Vec::new();
-            for _ in 0..16 {
-                slave_nodes.push(b.add_node(NodeConfig::default()));
-            }
-            b.spawn_mail(mn, "master", |ctx| async move {
-                while let Some(env) = ctx
-                    .recv_deadline(ctx.now() + SimDuration::from_millis(20))
-                    .await
-                {
-                    ctx.send(ActorId(env.src), env.msg + 1, 16).await;
-                }
-            });
-            for (i, n) in slave_nodes.into_iter().enumerate() {
-                b.spawn_mail(n, format!("s{i}"), move |ctx| async move {
-                    ctx.advance_work(CpuWork::from_micros(100 * (i as u64 % 5 + 1)))
-                        .await;
-                    ctx.send(ActorId(0), i as u64, 16).await;
-                    let _ = ctx
-                        .recv_deadline(ctx.now() + SimDuration::from_millis(10))
-                        .await;
-                });
-            }
-            let r = b.run();
-            (r.end_time, r.events_processed, r.trace_hash)
-        };
-        let pooled = run_with(8);
-        assert_eq!(run_with(1), pooled, "pool of 1 vs 8");
-        assert_eq!(run_with(0), pooled, "inline vs pool of 8");
-    }
-
     /// Timed wakes at every distance the event queue has to order: 1 µs,
     /// either side of 64 µs and 4 096 µs, 2¹⁸ µs, 2³⁰ µs and one past
     /// 64⁶ µs (≈ 19.1 h), as relative sleeps and as absolute deadlines;
@@ -2433,14 +2149,13 @@ mod tests {
     /// that go stale at each of those distances; a freeze window that
     /// re-pushes a wake. The ideal network puts deliveries on the same
     /// microsecond as the wakes they race.
-    fn wake_order_scenario(workers: usize) -> (SimTime, u64, u64, u64) {
+    fn wake_order_scenario() -> (SimTime, u64, u64, u64) {
         const HORIZON: u64 = 1 << 36; // 64⁶ µs
         const LADDER: [u64; 9] = [1, 63, 64, 65, 4_095, 4_096, 1 << 18, 1 << 30, HORIZON + 7];
         // Node 6 is frozen over the wake it has scheduled at t = 200.
         let plan = FaultPlan::new(0).freeze(6, SimTime(150), SimTime(5_000));
         let mut b = SimBuilder::<u64>::new()
             .net(NetConfig::ideal())
-            .worker_threads(workers)
             .fault_plan(plan);
         let nodes: Vec<NodeId> = (0..8).map(|_| b.add_node(NodeConfig::default())).collect();
         b.spawn_mail(nodes[0], "ladder", |ctx| async move {
@@ -2500,29 +2215,23 @@ mod tests {
 
     /// The constants were recorded from the hierarchical timer wheel that
     /// held the wakes before the binary heap did (at its last commit): the
-    /// `(time, seq)` pop order must never drift from it, whatever the
-    /// pool size.
+    /// `(time, seq)` pop order must never drift from it.
     #[test]
     fn wake_order_pinned_across_time_scales() {
-        for workers in [0, 1, 8] {
-            assert_eq!(
-                wake_order_scenario(workers),
-                (SimTime(69_793_489_095), 59, 0x31b7_62bc_4af4_ac42, 4),
-                "pool of {workers}"
-            );
-        }
+        assert_eq!(
+            wake_order_scenario(),
+            (SimTime(69_793_489_095), 59, 0x31b7_62bc_4af4_ac42, 4)
+        );
     }
 
-    /// The receive paths that answer from the `queued` mirror, each at the
-    /// point where a stale mirror would show: mail that lands while its
-    /// reader sleeps with `wake_on_msg = false`; a predicate that misses
-    /// (the message must stay, and stay visible); a node that crashes with
-    /// mail queued (the end-of-run tally re-checks every mirror under its
-    /// guard, and the cleared mailbox must not read as non-empty).
-    fn read_paths_scenario(workers: usize) -> (SimTime, u64, u64, u64) {
+    /// The receive paths, each where a mailbox out of step with the kernel
+    /// would show: mail that lands while its reader sleeps with
+    /// `wake_on_msg = false`; a predicate that misses (the message must
+    /// stay, and stay visible); a node that crashes with mail queued (the
+    /// cleared mailbox must not read as non-empty).
+    fn read_paths_scenario() -> (SimTime, u64, u64) {
         let mut b = SimBuilder::<u64>::new()
             .net(NetConfig::ideal())
-            .worker_threads(workers)
             .fault_plan(FaultPlan::new(0).crash(2, SimTime(50)));
         let nodes: Vec<NodeId> = (0..3).map(|_| b.add_node(NodeConfig::default())).collect();
         b.spawn_mail(nodes[0], "src", |ctx| async move {
@@ -2552,36 +2261,26 @@ mod tests {
         assert_eq!(r.fault.crashed_nodes, vec![2]);
         assert_eq!(r.actors[1].msgs_received, 2);
         assert_eq!(r.actors[2].msgs_received, 0);
-        (
-            r.end_time,
-            r.events_processed,
-            r.trace_hash,
-            r.sched.local_locks,
-        )
+        (r.end_time, r.events_processed, r.trace_hash)
     }
 
     #[test]
-    fn lock_free_read_paths_see_what_the_kernel_queued() {
-        for workers in [0, 1, 8] {
-            assert_eq!(
-                read_paths_scenario(workers),
-                (SimTime(100), 10, 0xdbc6_d6ce_f431_d75d, 18),
-                "pool of {workers}"
-            );
-        }
+    fn read_paths_see_what_the_kernel_queued() {
+        assert_eq!(
+            read_paths_scenario(),
+            (SimTime(100), 10, 0xdbc6_d6ce_f431_d75d)
+        );
     }
 
-    /// Looking costs no lock: `now`, a receive on an empty mailbox and a
-    /// deadline receive whose deadline has passed leave `local_locks` (and
-    /// the event stream) where a run with one look has it. The first look
-    /// after the charge is an interaction, so it parks once to catch up;
-    /// with no look at all, the sleep's park is the catch-up too.
+    /// Looking makes no event: `now`, a receive on an empty mailbox and a
+    /// deadline receive whose deadline has passed leave the event stream
+    /// where a run with one look has it. The first look after the charge
+    /// is an interaction, so it parks once to catch up; with no look at
+    /// all, the sleep's park is the catch-up too.
     #[test]
-    fn looking_at_an_empty_mailbox_takes_no_lock() {
-        let run_with = |looks: usize, workers: usize| {
-            let mut b = SimBuilder::<u64>::new()
-                .net(NetConfig::ideal())
-                .worker_threads(workers);
+    fn looking_at_an_empty_mailbox_makes_no_event() {
+        let run_with = |looks: usize| {
+            let mut b = SimBuilder::<u64>::new().net(NetConfig::ideal());
             let n = b.add_node(NodeConfig::default());
             b.spawn_mail(n, "solo", move |ctx| async move {
                 ctx.advance_work(CpuWork::from_micros(500)).await;
@@ -2598,41 +2297,34 @@ mod tests {
                 ctx.sleep(SimDuration::from_micros(1)).await;
             });
             let r = b.run();
-            (r.events_processed, r.trace_hash, r.sched.local_locks)
+            (r.end_time, r.events_processed, r.trace_hash)
         };
-        // One lock per kernel apply and none per park: the sleep (two polls)
-        // or the catch-up and the sleep (three).
-        assert_eq!(run_with(0, 0).2, 2);
-        let quiet = run_with(1, 0);
-        assert_eq!(quiet.2, 3);
-        for workers in [0, 1, 8] {
-            assert_eq!(run_with(100, workers), quiet, "pool of {workers}");
-        }
+        // One wake per park: the seed's and the sleep's, or the seed's, the
+        // catch-up's and the sleep's.
+        assert_eq!(run_with(0).1, 2);
+        let quiet = run_with(1);
+        assert_eq!(quiet.1, 3);
+        assert_eq!(run_with(100), quiet);
     }
 
     /// Three actors whose wakes at t = 100 were scheduled in reverse spawn
     /// order: their same-instant notes land in that wake-seq order, after
-    /// the batch's `WAKE`s, and render the same text at every pool size.
+    /// the batch's `WAKE`s.
     #[test]
-    fn same_instant_notes_follow_wake_seq_at_any_pool_size() {
-        let run_with = |workers: usize| {
-            let mut b = SimBuilder::<u64>::new()
-                .net(NetConfig::ideal())
-                .worker_threads(workers)
-                .record_trace(true);
-            for i in 0..3u64 {
-                let n = b.add_node(NodeConfig::default());
-                b.spawn_mail(n, format!("a{i}"), move |ctx| async move {
-                    ctx.sleep(SimDuration::from_micros(10 * (2 - i))).await;
-                    ctx.note(|| format!("parked at {}", ctx.now()));
-                    ctx.sleep(SimTime(100) - ctx.now()).await;
-                    ctx.note(|| format!("actor {i}  woke"));
-                });
-            }
-            render_trace(&b.run().trace)
-        };
-        let text = run_with(0);
-        assert_eq!(run_with(8), text);
+    fn same_instant_notes_follow_wake_seq() {
+        let mut b = SimBuilder::<u64>::new()
+            .net(NetConfig::ideal())
+            .record_trace(true);
+        for i in 0..3u64 {
+            let n = b.add_node(NodeConfig::default());
+            b.spawn_mail(n, format!("a{i}"), move |ctx| async move {
+                ctx.sleep(SimDuration::from_micros(10 * (2 - i))).await;
+                ctx.note(|| format!("parked at {}", ctx.now()));
+                ctx.sleep(SimTime(100) - ctx.now()).await;
+                ctx.note(|| format!("actor {i}  woke"));
+            });
+        }
+        let text = render_trace(&b.run().trace);
         let at_100: Vec<&str> = text.lines().filter(|l| l.starts_with("EV 100 ")).collect();
         assert_eq!(
             at_100,
@@ -2649,21 +2341,21 @@ mod tests {
     }
 
     /// Untraced, a note is a flag load: its text is never built, and the
-    /// run takes the locks, events and hash of a note-free twin.
+    /// run makes the events and hash of a note-free twin.
     #[test]
-    fn an_untraced_note_builds_nothing_and_takes_no_lock() {
-        let built = Arc::new(AtomicUsize::new(0));
+    fn an_untraced_note_builds_nothing() {
+        let built = Rc::new(Cell::new(0));
         let run_with = |notes: bool, traced: bool| {
             let mut b = SimBuilder::<u64>::new()
                 .net(NetConfig::ideal())
                 .record_trace(traced);
             let n = b.add_node(NodeConfig::default());
-            let built = Arc::clone(&built);
+            let built = Rc::clone(&built);
             b.spawn_mail(n, "solo", move |ctx| async move {
                 for _ in 0..3 {
                     if notes {
                         ctx.note(|| {
-                            built.fetch_add(1, Relaxed);
+                            built.set(built.get() + 1);
                             "decided".into()
                         });
                     }
@@ -2671,23 +2363,18 @@ mod tests {
                 }
             });
             let r = b.run();
-            (r.events_processed, r.trace_hash, r.sched.local_locks)
+            (r.end_time, r.events_processed, r.trace_hash)
         };
         let twin = run_with(false, false);
         assert_eq!(run_with(true, false), twin);
-        assert_eq!(built.load(Relaxed), 0, "an untraced note ran its closure");
+        assert_eq!(built.get(), 0, "an untraced note ran its closure");
         let traced = run_with(true, true);
-        assert_eq!(built.load(Relaxed), 3);
-        assert_eq!(
-            (traced.0, traced.1),
-            (twin.0, twin.1),
-            "notes are not events"
-        );
-        assert_eq!(traced.2, twin.2 + 3, "one lock per traced note");
+        assert_eq!(built.get(), 3);
+        assert_eq!(traced, twin, "notes are not events");
     }
 
     #[test]
-    fn wide_mail_sim_bounds_os_threads() {
+    fn wide_mail_sim_batches_same_instant_polls() {
         let mut b = SimBuilder::<u64>::new().net(NetConfig::ideal());
         let master_node = b.add_node(NodeConfig::default());
         let mut slave_nodes = Vec::new();
@@ -2711,11 +2398,6 @@ mod tests {
         }
         let report = b.run();
         assert_eq!(report.actors[0].msgs_received, 64);
-        assert!(
-            report.sched.os_threads_peak <= 9,
-            "65 actors must not cost 65 threads: {:?}",
-            report.sched
-        );
         assert!(report.sched.max_batch > 1, "same-time polls should batch");
     }
 
@@ -2751,20 +2433,16 @@ mod tests {
 
     // --- exit replies ------------------------------------------------------
 
-    /// One node per actor on a 1 ms, 1 byte/µs wire with free marshalling,
-    /// polled by `workers` threads: an 8-byte message arrives 1.008 ms after
-    /// its send.
-    fn wire_builder(actors: usize, workers: usize) -> SimBuilder<u64> {
-        let mut b = SimBuilder::<u64>::new()
-            .worker_threads(workers)
-            .record_trace(true)
-            .net(NetConfig {
-                latency: SimDuration::from_millis(1),
-                bandwidth: 1_000_000,
-                send_cpu_per_msg: CpuWork::ZERO,
-                send_cpu_per_byte_ns: 0,
-                recv_cpu_per_msg: CpuWork::ZERO,
-            });
+    /// One node per actor on a 1 ms, 1 byte/µs wire with free marshalling:
+    /// an 8-byte message arrives 1.008 ms after its send.
+    fn wire_builder(actors: usize) -> SimBuilder<u64> {
+        let mut b = SimBuilder::<u64>::new().record_trace(true).net(NetConfig {
+            latency: SimDuration::from_millis(1),
+            bandwidth: 1_000_000,
+            send_cpu_per_msg: CpuWork::ZERO,
+            send_cpu_per_byte_ns: 0,
+            recv_cpu_per_msg: CpuWork::ZERO,
+        });
         for _ in 0..actors {
             b.add_node(NodeConfig::default());
         }
@@ -2786,7 +2464,7 @@ mod tests {
     fn spawn_straggler(
         b: &mut SimBuilder<u64>,
         at: &'static [u64],
-        got: Arc<Mutex<Vec<(u64, u64)>>>,
+        got: Rc<RefCell<Vec<(u64, u64)>>>,
     ) {
         b.spawn_mail(NodeId(1), "straggler", move |ctx| async move {
             for &t in at {
@@ -2795,7 +2473,7 @@ mod tests {
                 let deadline = ctx.now() + SimDuration::from_millis(5);
                 if let Some(env) = ctx.recv_deadline(deadline).await {
                     assert_eq!(env.src, 0);
-                    got.lock().unwrap().push((ctx.now().0, env.msg));
+                    got.borrow_mut().push((ctx.now().0, env.msg));
                 }
             }
         });
@@ -2805,43 +2483,39 @@ mod tests {
     /// right after the `DELIVER` it answers, one link latency out.
     #[test]
     fn an_exit_reply_crosses_the_link_with_its_latency() {
-        for workers in [0, 8] {
-            let mut b = wire_builder(2, workers);
-            let got = Arc::new(Mutex::new(Vec::new()));
-            spawn_finished(&mut b, true);
-            spawn_straggler(&mut b, &[10_000], Arc::clone(&got));
-            let report = b.run();
-            // 10 ms + 1.008 ms to the finished actor, 1.008 ms back.
-            assert_eq!(*got.lock().unwrap(), [(12_016, 99)], "pool of {workers}");
-            assert_eq!(report.deliveries_after_exit, 1);
-            assert_eq!(report.actors[0].msgs_sent, 1);
-            assert_eq!(report.actors[0].msgs_received, 0);
-            let text = render_trace(&report.trace);
-            assert!(
-                text.contains("EV 11008 DELIVER 1 0 8\nEV 11008 SEND 0 1 8\n"),
-                "{text}"
-            );
-        }
+        let mut b = wire_builder(2);
+        let got = Rc::new(RefCell::new(Vec::new()));
+        spawn_finished(&mut b, true);
+        spawn_straggler(&mut b, &[10_000], Rc::clone(&got));
+        let report = b.run();
+        // 10 ms + 1.008 ms to the finished actor, 1.008 ms back.
+        assert_eq!(*got.borrow(), [(12_016, 99)]);
+        assert_eq!(report.deliveries_after_exit, 1);
+        assert_eq!(report.actors[0].msgs_sent, 1);
+        assert_eq!(report.actors[0].msgs_received, 0);
+        let text = render_trace(&report.trace);
+        assert!(
+            text.contains("EV 11008 DELIVER 1 0 8\nEV 11008 SEND 0 1 8\n"),
+            "{text}"
+        );
     }
 
     /// A reply sent into a partition is lost like any send; the first
     /// message after the heal is answered.
     #[test]
     fn an_exit_reply_into_a_partition_is_dropped_and_the_next_is_answered() {
-        for workers in [0, 8] {
-            let mut b = wire_builder(2, workers);
-            let got = Arc::new(Mutex::new(Vec::new()));
-            spawn_finished(&mut b, true);
-            spawn_straggler(&mut b, &[10_000, 30_000], Arc::clone(&got));
-            // The link is cut after the first request leaves and before its
-            // reply does.
-            let plan = FaultPlan::new(0).partition(SimTime(10_500), SimTime(20_000), vec![vec![1]]);
-            let report = b.fault_plan(plan).run();
-            assert_eq!(*got.lock().unwrap(), [(32_016, 99)], "pool of {workers}");
-            assert_eq!(report.fault.partition_dropped, 1);
-            assert_eq!(report.deliveries_after_exit, 2);
-            assert_eq!(report.actors[0].msgs_sent, 2);
-        }
+        let mut b = wire_builder(2);
+        let got = Rc::new(RefCell::new(Vec::new()));
+        spawn_finished(&mut b, true);
+        spawn_straggler(&mut b, &[10_000, 30_000], Rc::clone(&got));
+        // The link is cut after the first request leaves and before its
+        // reply does.
+        let plan = FaultPlan::new(0).partition(SimTime(10_500), SimTime(20_000), vec![vec![1]]);
+        let report = b.fault_plan(plan).run();
+        assert_eq!(*got.borrow(), [(32_016, 99)]);
+        assert_eq!(report.fault.partition_dropped, 1);
+        assert_eq!(report.deliveries_after_exit, 2);
+        assert_eq!(report.actors[0].msgs_sent, 2);
     }
 
     /// Crash-stop stays silent: a crashed node answers nothing, whether or
@@ -2849,51 +2523,47 @@ mod tests {
     /// crashed node exactly as it would without the reply.
     #[test]
     fn a_crashed_node_answers_nothing() {
-        for workers in [0, 8] {
-            let run = |reply: bool| {
-                let mut b = wire_builder(2, workers);
-                let got = Arc::new(Mutex::new(Vec::new()));
-                spawn_finished(&mut b, reply);
-                spawn_straggler(&mut b, &[10_000], Arc::clone(&got));
-                let report = b
-                    .fault_plan(FaultPlan::new(0).crash(0, SimTime(5_000)))
-                    .run();
-                assert!(got.lock().unwrap().is_empty(), "pool of {workers}");
-                report
-            };
-            let (with, without) = (run(true), run(false));
-            assert_eq!(with.fault.deliveries_to_crashed, 1);
-            assert_eq!(with.deliveries_after_exit, 0);
-            assert_eq!(with.actors[0].msgs_sent, 0);
-            assert_eq!(
-                (
-                    with.trace_hash,
-                    with.events_processed,
-                    with.fault.deliveries_to_crashed
-                ),
-                (
-                    without.trace_hash,
-                    without.events_processed,
-                    without.fault.deliveries_to_crashed
-                )
-            );
-        }
+        let run = |reply: bool| {
+            let mut b = wire_builder(2);
+            let got = Rc::new(RefCell::new(Vec::new()));
+            spawn_finished(&mut b, reply);
+            spawn_straggler(&mut b, &[10_000], Rc::clone(&got));
+            let report = b
+                .fault_plan(FaultPlan::new(0).crash(0, SimTime(5_000)))
+                .run();
+            assert!(got.borrow().is_empty());
+            report
+        };
+        let (with, without) = (run(true), run(false));
+        assert_eq!(with.fault.deliveries_to_crashed, 1);
+        assert_eq!(with.deliveries_after_exit, 0);
+        assert_eq!(with.actors[0].msgs_sent, 0);
+        assert_eq!(
+            (
+                with.trace_hash,
+                with.events_processed,
+                with.fault.deliveries_to_crashed
+            ),
+            (
+                without.trace_hash,
+                without.events_processed,
+                without.fault.deliveries_to_crashed
+            )
+        );
     }
 
     /// An actor that left no reply answers nothing: the delivery is dropped
     /// and counted, never queued.
     #[test]
     fn an_actor_with_no_reply_answers_nothing() {
-        for workers in [0, 8] {
-            let mut b = wire_builder(2, workers);
-            let got = Arc::new(Mutex::new(Vec::new()));
-            spawn_finished(&mut b, false);
-            spawn_straggler(&mut b, &[10_000], Arc::clone(&got));
-            let report = b.run();
-            assert!(got.lock().unwrap().is_empty(), "pool of {workers}");
-            assert_eq!(report.deliveries_after_exit, 1);
-            assert_eq!(report.actors[0].msgs_sent, 0);
-        }
+        let mut b = wire_builder(2);
+        let got = Rc::new(RefCell::new(Vec::new()));
+        spawn_finished(&mut b, false);
+        spawn_straggler(&mut b, &[10_000], Rc::clone(&got));
+        let report = b.run();
+        assert!(got.borrow().is_empty());
+        assert_eq!(report.deliveries_after_exit, 1);
+        assert_eq!(report.actors[0].msgs_sent, 0);
     }
 
     /// A finished sender gets no answer, so two finished actors that both
@@ -2902,20 +2572,18 @@ mod tests {
     /// keeps the run going.
     #[test]
     fn a_finished_sender_gets_no_answer() {
-        for workers in [0, 8] {
-            let mut b = wire_builder(3, workers);
-            spawn_finished(&mut b, true);
-            b.spawn_mail(NodeId(1), "sends and returns", |ctx| async move {
-                ctx.exit_reply(77, 8);
-                ctx.send(ActorId(0), 1, 8).await;
-            });
-            b.spawn_mail(NodeId(2), "keeps the run going", |ctx| async move {
-                ctx.sleep(SimDuration::from_millis(50)).await;
-            });
-            let report = b.run();
-            assert_eq!(report.deliveries_after_exit, 1, "pool of {workers}");
-            assert_eq!(report.actors[0].msgs_sent, 0);
-            assert_eq!(report.end_time, SimTime(50_000));
-        }
+        let mut b = wire_builder(3);
+        spawn_finished(&mut b, true);
+        b.spawn_mail(NodeId(1), "sends and returns", |ctx| async move {
+            ctx.exit_reply(77, 8);
+            ctx.send(ActorId(0), 1, 8).await;
+        });
+        b.spawn_mail(NodeId(2), "keeps the run going", |ctx| async move {
+            ctx.sleep(SimDuration::from_millis(50)).await;
+        });
+        let report = b.run();
+        assert_eq!(report.deliveries_after_exit, 1);
+        assert_eq!(report.actors[0].msgs_sent, 0);
+        assert_eq!(report.end_time, SimTime(50_000));
     }
 }

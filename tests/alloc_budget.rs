@@ -6,11 +6,11 @@
 //! simulator overhead the virtual clock never sees. This file counts it: a
 //! counting `#[global_allocator]` (an integration test is a crate of its
 //! own, so the library crates' `#![forbid(unsafe_code)]` is untouched)
-//! around whole runs polled inline (`worker_threads = Some(0)`), in ONE
-//! `#[test]` so nothing else in the process allocates beside it. Same seed,
-//! same allocations, on any host — the ceilings below are the figures
-//! measured when the shrinking engine stopped copying retired columns and
-//! keeping every pivot (CHANGES.md, PR 23) plus 10 %.
+//! around whole runs, in ONE `#[test]` so nothing else in the process
+//! allocates beside it. Same seed, same allocations, on any host — the
+//! ceilings below are the figures measured when the shrinking engine
+//! stopped copying retired columns and keeping every pivot (CHANGES.md,
+//! PR 23) plus 10 %.
 
 use dlb::apps::{Calibration, Lu};
 use dlb::core::driver::{try_run, AppSpec, RunConfig};
@@ -55,13 +55,12 @@ unsafe impl GlobalAlloc for Counting {
 #[global_allocator]
 static ALLOC: Counting = Counting;
 
-/// An armed LU run, polled inline; the `tests/chaos_wide.rs` shrinking
-/// windows (suspicion 12 s).
+/// An armed LU run under the `tests/chaos_wide.rs` shrinking windows
+/// (suspicion 12 s).
 fn lu_cfg(slaves: usize, plan: FaultPlan, rejoin_attempts: u32) -> RunConfig {
     let mut cfg = RunConfig::homogeneous(slaves);
     cfg.balancer.enabled = true;
     cfg.fault_plan = Some(plan);
-    cfg.worker_threads = Some(0);
     cfg.max_events = Some(50_000_000);
     cfg.fault_tolerance = FaultToleranceConfig::with_suspicion(SimDuration::from_secs(12));
     cfg.fault_tolerance.rejoin_attempts = rejoin_attempts;

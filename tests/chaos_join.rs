@@ -153,14 +153,11 @@ fn late_join_every_engine_exact() {
     assert_joined(&report, "lu", 1);
 }
 
-/// LU under the `tests/chaos_wide.rs` shrinking windows (suspicion 12 s),
-/// polled inline: the two cells below are about which message overtakes
-/// which, not about the pool.
+/// LU under the `tests/chaos_wide.rs` shrinking windows (suspicion 12 s).
 fn lu_wide_cfg(slaves: usize, plan: FaultPlan, rejoin_attempts: u32) -> RunConfig {
     let mut cfg = RunConfig::homogeneous(slaves);
     cfg.balancer.enabled = true;
     cfg.fault_plan = Some(plan);
-    cfg.worker_threads = Some(0);
     cfg.max_events = Some(20_000_000);
     cfg.fault_tolerance = FaultToleranceConfig::with_suspicion(SimDuration::from_secs(12));
     cfg.fault_tolerance.rejoin_attempts = rejoin_attempts;

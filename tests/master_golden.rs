@@ -11,9 +11,8 @@
 //! mid-rollback, mid-transfer, twice, and (LU) inside a dead slave's
 //! suspicion window; slave crash during the gather and
 //! overlapping crashes; late join, partition → evict → heal → rejoin, and a
-//! master crash with a join in flight}, at 4–16 slaves, each run at worker
-//! pool sizes 0 and 8. The master is only armed in fault mode, so the
-//! slave's *unarmed* path — and its first-release wait on a slow wire — get
+//! master crash with a join in flight}, at 4–16 slaves, each run once. The
+//! master is only armed in fault mode, so the slave's *unarmed* path — and its first-release wait on a slow wire — get
 //! rows of their own (`slave_rows`).
 //!
 //! A diff here means an event moved. Re-record (the failure message prints
@@ -162,20 +161,19 @@ impl Apps {
         }
     }
 
-    fn cfg(&self, pool: usize, plan: FaultPlan) -> RunConfig {
+    fn cfg(&self, plan: FaultPlan) -> RunConfig {
         let mut cfg = RunConfig::homogeneous(self.slaves);
         cfg.balancer.enabled = true;
         cfg.fault_plan = Some(plan);
-        cfg.worker_threads = Some(pool);
         cfg
     }
 
     /// `tests/chaos_join.rs`: tolerances tightened so evictions, heals and
     /// rejoins fit inside a short run, elastic membership on.
-    fn join_cfg(&self, pool: usize, plan: FaultPlan, windows_ms: [u64; 5]) -> RunConfig {
+    fn join_cfg(&self, plan: FaultPlan, windows_ms: [u64; 5]) -> RunConfig {
         let [suspicion, speculate_after, nudge, heartbeat, backoff] =
             windows_ms.map(SimDuration::from_millis);
-        let mut cfg = self.cfg(pool, plan);
+        let mut cfg = self.cfg(plan);
         let ft = &mut cfg.fault_tolerance;
         ft.suspicion = suspicion;
         ft.speculate_after = speculate_after;
@@ -219,8 +217,8 @@ fn row(label: String, r: &RunReport) -> Row {
     )
 }
 
-/// Every cell of the matrix at one pool size, in table order.
-fn matrix(pool: usize) -> Vec<Row> {
+/// Every cell of the matrix, in table order.
+fn matrix() -> Vec<Row> {
     let mut rows = Vec::new();
     let small = Apps::small();
     let wide = Apps::wide();
@@ -231,7 +229,7 @@ fn matrix(pool: usize) -> Vec<Row> {
         let at = [200_000, 300_000, 200_000][i];
 
         let label = format!("quiet4/{name}");
-        let r = app.run(&label, small.cfg(pool, FaultPlan::new(seed)));
+        let r = app.run(&label, small.cfg(FaultPlan::new(seed)));
         rows.push(row(label, &r));
 
         let label = format!("wire_crash4/{name}");
@@ -240,14 +238,14 @@ fn matrix(pool: usize) -> Vec<Row> {
             .dup_all(0.02)
             .jitter_all(0.1, SimDuration::from_millis(20))
             .crash(node(1), SimTime(at));
-        let r = app.run(&label, small.cfg(pool, plan));
+        let r = app.run(&label, small.cfg(plan));
         rows.push(row(label, &r));
 
         // Frozen past `speculate_after` (4 s), thawed before `suspicion`
         // (8 s): a speculation is launched and then cancelled.
         let label = format!("freeze4/{name}");
         let plan = FaultPlan::new(seed + 20).freeze(node(2), SimTime(at), SimTime(at + 6_000_000));
-        let r = app.run(&label, small.cfg(pool, plan));
+        let r = app.run(&label, small.cfg(plan));
         rows.push(row(label, &r));
     }
 
@@ -257,14 +255,14 @@ fn matrix(pool: usize) -> Vec<Row> {
 
         let label = format!("master_mid_invocation/{name}");
         let plan = FaultPlan::new(seed).crash(MASTER, SimTime(at));
-        let r = app.run(&label, wide.cfg(pool, plan));
+        let r = app.run(&label, wide.cfg(plan));
         rows.push(row(label, &r));
 
         // The master is only frozen: a deputy is elected meanwhile, and the
         // thawed master must retire silently on the winner's `Promoted`.
         let label = format!("master_frozen_then_superseded/{name}");
         let plan = FaultPlan::new(seed).freeze(MASTER, SimTime(at), SimTime(at + 14_000_000));
-        let r = app.run(&label, wide.cfg(pool, plan));
+        let r = app.run(&label, wide.cfg(plan));
         rows.push(row(label, &r));
 
         // `tests/chaos_scale.rs` wire faults, one flavour per cell.
@@ -278,14 +276,14 @@ fn matrix(pool: usize) -> Vec<Row> {
         ];
         for (fault, plan) in wire {
             let label = format!("{fault}16/{name}");
-            let r = app.run(&label, wide.cfg(pool, plan));
+            let r = app.run(&label, wide.cfg(plan));
             rows.push(row(label, &r));
         }
 
         // Probe runs pin the instant to aim the next fault at: a fault plan
         // is invisible until its first fault fires.
         let first = FaultPlan::new(seed + 1).crash(node(3), SimTime(at));
-        let probe = app.run("probe", wide.cfg(pool, first.clone()));
+        let probe = app.run("probe", wide.cfg(first.clone()));
         let death = probe
             .recovery
             .first_death
@@ -296,7 +294,7 @@ fn matrix(pool: usize) -> Vec<Row> {
         // rollback (or its eviction fence) unacknowledged.
         let label = format!("master_mid_rollback/{name}");
         let plan = first.clone().crash(MASTER, SimTime(death + 300));
-        let r = app.run(&label, wide.cfg(pool, plan));
+        let r = app.run(&label, wide.cfg(plan));
         rows.push(row(label, &r));
 
         // The master dies inside the slave's suspicion window, before it
@@ -307,20 +305,20 @@ fn matrix(pool: usize) -> Vec<Row> {
         if *name == "lu" {
             let label = "master_inside_suspicion/lu".to_string();
             let plan = first.clone().crash(MASTER, SimTime((at + death) / 2));
-            let r = app.run(&label, wide.cfg(pool, plan));
+            let r = app.run(&label, wide.cfg(plan));
             rows.push(row(label, &r));
         }
 
         // A second slave dies with the recovery for the first in flight.
         let label = format!("overlapping_crashes/{name}");
         let plan = first.crash(node(9), SimTime(death + 300));
-        let r = app.run(&label, wide.cfg(pool, plan));
+        let r = app.run(&label, wide.cfg(plan));
         rows.push(row(label, &r));
 
         // Two slow slaves keep the balancer moving units; the master dies
         // just after its first decision, with migrations in flight.
         let slow = |plan| {
-            let mut cfg = wide.cfg(pool, plan);
+            let mut cfg = wide.cfg(plan);
             cfg.slave_nodes[2].speed = 0.3;
             cfg.slave_nodes[9].speed = 0.3;
             cfg.record_timeline = true;
@@ -335,20 +333,20 @@ fn matrix(pool: usize) -> Vec<Row> {
 
         // The election winner (deputy 0) dies mid-reign: second failover.
         let first = FaultPlan::new(seed + 3).crash(MASTER, SimTime(at));
-        let probe = app.run("probe", wide.cfg(pool, first.clone()));
+        let probe = app.run("probe", wide.cfg(first.clone()));
         let latency = probe.recovery.takeover_latency.expect("probe fails over");
         let mid_reign = (at + latency.0 + probe.elapsed.0) / 2;
         let label = format!("double_failover/{name}");
         let plan = first.crash(node(0), SimTime(mid_reign));
-        let r = app.run(&label, wide.cfg(pool, plan));
+        let r = app.run(&label, wide.cfg(plan));
         rows.push(row(label, &r));
 
         // A slave dies just after the master sends `Gather` — on a clean
         // wire, then on one that drops, duplicates and reorders.
-        let probe = app.run("probe", wide.cfg(pool, FaultPlan::new(seed + 4)));
+        let probe = app.run("probe", wide.cfg(FaultPlan::new(seed + 4)));
         let label = format!("crash_in_gather/{name}");
         let plan = FaultPlan::new(seed + 4).crash(node(4), SimTime(probe.compute_time.0 + 50));
-        let r = app.run(&label, wide.cfg(pool, plan));
+        let r = app.run(&label, wide.cfg(plan));
         rows.push(row(label, &r));
 
         let lossy = |plan: FaultPlan| {
@@ -357,22 +355,22 @@ fn matrix(pool: usize) -> Vec<Row> {
                 .jitter_all(0.2, SimDuration::from_millis(20))
         };
         let label = format!("crash_in_gather_lossy/{name}");
-        let probe = app.run("probe", wide.cfg(pool, lossy(FaultPlan::new(seed + 4))));
+        let probe = app.run("probe", wide.cfg(lossy(FaultPlan::new(seed + 4))));
         let plan =
             lossy(FaultPlan::new(seed + 4)).crash(node(4), SimTime(probe.compute_time.0 + 50));
-        let r = app.run(&label, wide.cfg(pool, plan));
+        let r = app.run(&label, wide.cfg(plan));
         rows.push(row(label, &r));
 
         let joiner = 5 + 2 * i;
         let label = format!("late_join/{name}");
-        let mut cfg = wide.join_cfg(pool, FaultPlan::new(seed + 5), JOIN_MS);
+        let mut cfg = wide.join_cfg(FaultPlan::new(seed + 5), JOIN_MS);
         cfg.late_joiners = vec![(joiner, SimTime(at - 50_000))];
         let r = app.run(&label, cfg);
         rows.push(row(label, &r));
 
         let label = format!("master_crash_join_in_flight/{name}");
         let plan = FaultPlan::new(seed + 6).crash(MASTER, SimTime(at - 40_000));
-        let mut cfg = wide.join_cfg(pool, plan, JOIN_MS);
+        let mut cfg = wide.join_cfg(plan, JOIN_MS);
         cfg.late_joiners = vec![(joiner, SimTime(at - 50_000))];
         let r = app.run(&label, cfg);
         rows.push(row(label, &r));
@@ -380,14 +378,14 @@ fn matrix(pool: usize) -> Vec<Row> {
         // The same two shapes on the lossy wire: stale-epoch and
         // previous-life reports straggle in.
         let label = format!("late_join_lossy/{name}");
-        let mut cfg = wide.join_cfg(pool, lossy(FaultPlan::new(seed + 5)), JOIN_MS);
+        let mut cfg = wide.join_cfg(lossy(FaultPlan::new(seed + 5)), JOIN_MS);
         cfg.late_joiners = vec![(joiner, SimTime(at - 50_000))];
         let r = app.run(&label, cfg);
         rows.push(row(label, &r));
 
         let label = format!("master_crash_join_in_flight_lossy/{name}");
         let plan = lossy(FaultPlan::new(seed + 6)).crash(MASTER, SimTime(at - 40_000));
-        let mut cfg = wide.join_cfg(pool, plan, JOIN_MS);
+        let mut cfg = wide.join_cfg(plan, JOIN_MS);
         cfg.late_joiners = vec![(joiner, SimTime(at - 50_000))];
         let r = app.run(&label, cfg);
         rows.push(row(label, &r));
@@ -406,12 +404,12 @@ fn matrix(pool: usize) -> Vec<Row> {
             SimTime(until),
             vec![minority.clone()],
         );
-        let r = long.run(&label, wide.join_cfg(pool, plan.clone(), windows));
+        let r = long.run(&label, wide.join_cfg(plan.clone(), windows));
         rows.push(row(label, &r));
 
         let label = format!("crash_inside_partition/{name}");
         let plan = plan.crash(node(4), SimTime(400_000));
-        let r = long.run(&label, wide.join_cfg(pool, plan, windows));
+        let r = long.run(&label, wide.join_cfg(plan, windows));
         rows.push(row(label, &r));
 
         let label = format!("partition_heal_rejoin_lossy/{name}");
@@ -420,7 +418,7 @@ fn matrix(pool: usize) -> Vec<Row> {
             SimTime(until),
             vec![minority],
         );
-        let r = long.run(&label, wide.join_cfg(pool, plan.clone(), windows));
+        let r = long.run(&label, wide.join_cfg(plan.clone(), windows));
         rows.push(row(label, &r));
 
         // The same cell with `speculate_after` at `suspicion`, which only
@@ -436,7 +434,7 @@ fn matrix(pool: usize) -> Vec<Row> {
             let label = "final_rollback_lost/sor".to_string();
             let [suspicion, _, nudge, heartbeat, backoff] = windows;
             let windows = [suspicion, suspicion, nudge, heartbeat, backoff];
-            let mut cfg = wide.join_cfg(pool, plan, windows);
+            let mut cfg = wide.join_cfg(plan, windows);
             cfg.max_events = Some(50_000);
             let r = long.run(&label, cfg);
             rows.push(row(label, &r));
@@ -453,7 +451,7 @@ fn matrix(pool: usize) -> Vec<Row> {
         ..Default::default()
     };
     let plan = FaultPlan::new(77).link(node(2), node(6), cut);
-    let r = wide.apps[2].1.run(&label, wide.cfg(pool, plan));
+    let r = wide.apps[2].1.run(&label, wide.cfg(plan));
     rows.push(row(label, &r));
 
     // Slaves 13..15 are cut off before their first report and evicted; the
@@ -465,7 +463,7 @@ fn matrix(pool: usize) -> Vec<Row> {
     let plan = FaultPlan::new(250).partition(SimTime(40_000), SimTime(2_000_000), vec![minority]);
     let r = wide.apps[0]
         .1
-        .run(&label, wide.join_cfg(pool, plan, PARTITION_MS));
+        .run(&label, wide.join_cfg(plan, PARTITION_MS));
     assert_eq!(r.sim.deliveries_after_exit, 3, "{label}: one report each");
     rows.push(row(label, &r));
 
@@ -474,7 +472,7 @@ fn matrix(pool: usize) -> Vec<Row> {
     // stops after two of three repetitions, through a slave crash.
     let label = "converges_early4/mm".to_string();
     let plan = FaultPlan::new(130).crash(node(1), SimTime(200_000));
-    let r = Prog::mm_stopping_after(24, 3, 2).run(&label, small.cfg(pool, plan));
+    let r = Prog::mm_stopping_after(24, 3, 2).run(&label, small.cfg(plan));
     rows.push(row(label, &r));
 
     // Armed, quiet, and wide enough that a pipelined slave waiting on its
@@ -485,13 +483,12 @@ fn matrix(pool: usize) -> Vec<Row> {
     let sor = Prog::sor(QUIET_SOR_SLAVES + 12, 3, 0.02 * 76.0 / 300.0);
     let mut cfg = RunConfig::homogeneous(QUIET_SOR_SLAVES);
     cfg.fault_plan = Some(FaultPlan::new(300));
-    cfg.worker_threads = Some(pool);
     let r = sor.run(&label, cfg);
     assert!(r.recovery.start_resends > 0, "{label}: {:?}", r.recovery);
     assert!(!r.sim.fault.any(), "{label}: no fault fired");
     rows.push(row(label, &r));
 
-    slave_rows(pool, &small, &wide, &mut rows);
+    slave_rows(&small, &wide, &mut rows);
     rows
 }
 
@@ -499,14 +496,13 @@ fn matrix(pool: usize) -> Vec<Row> {
 /// the unarmed path every `results/*.txt` table rides (blocking receives,
 /// no heartbeats), and the armed first-release wait under a wire slow
 /// enough to reorder the start-up traffic.
-fn slave_rows(pool: usize, small: &Apps, wide: &Apps, rows: &mut Vec<Row>) {
+fn slave_rows(small: &Apps, wide: &Apps, rows: &mut Vec<Row>) {
     // A competing task lands on slave 1 mid-run, so movement orders execute
     // and `TransferAck`s reach slaves already parked at the barrier.
     let plain = |slaves: usize, mode: InteractionMode, at_ms: u64| {
         let mut cfg = RunConfig::homogeneous(slaves);
         cfg.balancer.mode = mode;
         cfg.slave_nodes[1].load = LoadModel::Trace(vec![(SimTime(at_ms * 1000), 2)]);
-        cfg.worker_threads = Some(pool);
         cfg
     };
     let modes = [
@@ -546,7 +542,6 @@ fn slave_rows(pool: usize, small: &Apps, wide: &Apps, rows: &mut Vec<Row>) {
         let mut cfg = RunConfig::homogeneous(slaves);
         cfg.slave_nodes[1].speed = 0.3;
         cfg.fault_plan = Some(plan);
-        cfg.worker_threads = Some(pool);
         let r = mm.run(&label, cfg);
         rows.push(row(label, &r));
     }
@@ -569,9 +564,9 @@ fn slave_rows(pool: usize, small: &Apps, wide: &Apps, rows: &mut Vec<Row>) {
         };
         plan.link(MASTER, node(3), faults)
     };
-    let probe = sor.run("probe", small.cfg(pool, slow(FaultPlan::new(4))));
+    let probe = sor.run("probe", small.cfg(slow(FaultPlan::new(4))));
     let plan = slow(FaultPlan::new(4)).crash(MASTER, SimTime(probe.compute_time.0 + 2000));
-    let r = sor.run(&label, small.cfg(pool, plan));
+    let r = sor.run(&label, small.cfg(plan));
     assert_eq!(r.recovery.rollbacks, 1, "{label}: the takeover's alone");
     rows.push(row(label, &r));
 }
@@ -582,26 +577,25 @@ const QUIET_SOR_SLAVES: usize = 31;
 
 #[test]
 fn event_streams_match_the_recorded_constants() {
-    for pool in [0, 8] {
-        let rows = matrix(pool);
-        let matches = rows.len() == GOLDEN.len()
-            && rows.iter().zip(GOLDEN).all(|(r, g)| {
-                (r.0.as_str(), r.1, r.2, r.3, r.4.as_str()) == (g.0, g.1, g.2, g.3, g.4)
+    let rows = matrix();
+    let matches = rows.len() == GOLDEN.len()
+        && rows
+            .iter()
+            .zip(GOLDEN)
+            .all(|(r, g)| (r.0.as_str(), r.1, r.2, r.3, r.4.as_str()) == (g.0, g.1, g.2, g.3, g.4));
+    if !matches {
+        let mut table = String::new();
+        for (i, r) in rows.iter().enumerate() {
+            let moved = GOLDEN.get(i).is_none_or(|g| {
+                (r.0.as_str(), r.1, r.2, r.3, r.4.as_str()) != (g.0, g.1, g.2, g.3, g.4)
             });
-        if !matches {
-            let mut table = String::new();
-            for (i, r) in rows.iter().enumerate() {
-                let moved = GOLDEN.get(i).is_none_or(|g| {
-                    (r.0.as_str(), r.1, r.2, r.3, r.4.as_str()) != (g.0, g.1, g.2, g.3, g.4)
-                });
-                let mark = if moved { " // MOVED" } else { "" };
-                table.push_str(&format!(
-                    "    ({:?}, {}, {}, {:#018x}, {:?}),{mark}\n",
-                    r.0, r.1, r.2, r.3, r.4
-                ));
-            }
-            panic!("pool {pool}: the event stream moved; actual rows:\n{table}");
+            let mark = if moved { " // MOVED" } else { "" };
+            table.push_str(&format!(
+                "    ({:?}, {}, {}, {:#018x}, {:?}),{mark}\n",
+                r.0, r.1, r.2, r.3, r.4
+            ));
         }
+        panic!("the event stream moved; actual rows:\n{table}");
     }
 }
 

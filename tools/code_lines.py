@@ -8,8 +8,9 @@ session/model/tests.rs, left out) - the figures a simplification PR quotes
 before and after - and the fault-mode master's pair, master.rs +
 session/master.rs, together; then the settable
 values: the `pub` fields of the three configuration structs a caller fills
-in, their sum, and those no caller outside tests and examples sets (a value
-stays settable only when such a caller varies it) - then the policy
+in, their sum, those no caller outside tests and examples sets (a value
+stays settable only when such a caller varies it), and those no code reads
+(inert: kept only for a caller that still sets them) - then the policy
 decisions: counted lines of crates/core/src outside `impl Policy` that name
 a `Policy` variant or call `rollback_policy()`, plus branches on a
 `rollback` local in master.rs - and the methods of `impl Policy`, the rows
@@ -161,6 +162,16 @@ def never_set(root, fields):
     return [f for names in fields.values() for f in names if f not in written]
 
 
+def never_read(root, fields):
+    """The `fields` of the configuration structs that no code outside tests
+    and examples reads: every `x.field` there is the target of an
+    assignment. Such a field is inert, whoever still sets it."""
+    text = "\n".join(callers(root))
+    read = re.compile(r"\.({})\b(?!\s*[-+*/]?=(?!=))".format("|".join(f for n in fields.values() for f in n)))
+    seen = set(read.findall(text))
+    return [f for names in fields.values() for f in names if f not in seen]
+
+
 # What may follow a variant named in a pattern, after its field block and
 # any closing parentheses: a match arm, an or-pattern, a `let` binding.
 PATTERN_END = re.compile(r"\s*\)*\s*(=>|\|(?!\|)|=(?![=>]))")
@@ -238,6 +249,8 @@ def main():
     print(f"{sum(map(len, fields.values())):7}  settable values")
     unset = never_set(root, fields)
     print(f"{len(unset):7}  set by no caller outside tests and examples: {', '.join(unset)}")
+    inert = never_read(root, fields)
+    print(f"{len(inert):7}  read by no code outside tests and examples (inert, owed): {', '.join(inert)}")
     print()
     decisions, methods = policy_decisions(root)
     print(f"{decisions:7}  policy decisions outside impl Policy")
