@@ -15,8 +15,10 @@
 use dlb_core::kernels::IndependentKernel;
 use dlb_core::msg::UnitData;
 use dlb_sim::{ActorId, NetConfig, NodeConfig, SimBuilder, SimDuration, SimReport, SimTime};
+use std::cell::RefCell;
 use std::collections::VecDeque;
-use std::sync::{Arc, Mutex};
+use std::rc::Rc;
+use std::sync::Arc;
 
 /// Messages of the diffusion runtime.
 #[derive(Clone, Debug)]
@@ -96,10 +98,10 @@ pub fn run_diffusion(
     let coordinator = ActorId(0);
     let slave_ids: Vec<ActorId> = (1..=n_slaves).map(ActorId).collect();
 
-    let outcome: Arc<Mutex<Vec<(usize, UnitData)>>> = Arc::new(Mutex::new(Vec::new()));
+    let outcome: Rc<RefCell<Vec<(usize, UnitData)>>> = Rc::default();
 
     {
-        let outcome = Arc::clone(&outcome);
+        let outcome = Rc::clone(&outcome);
         let slave_ids = slave_ids.clone();
         sim.spawn_mail(c_node, "coordinator", move |ctx| async move {
             let mut done = 0u64;
@@ -124,9 +126,7 @@ pub fn run_diffusion(
                     other => panic!("coordinator gather: unexpected {other:?}"),
                 }
             }
-            // Tolerate a poisoned lock: a panicking peer must not mask
-            // the gathered results.
-            *outcome.lock().unwrap_or_else(|p| p.into_inner()) = results;
+            *outcome.borrow_mut() = results;
         });
     }
 
@@ -230,7 +230,7 @@ pub fn run_diffusion(
     }
 
     let sim_report = sim.run();
-    let mut gathered = std::mem::take(&mut *outcome.lock().unwrap_or_else(|p| p.into_inner()));
+    let mut gathered = outcome.take();
     gathered.sort_by_key(|(id, _)| *id);
     assert_eq!(gathered.len(), n_units, "diffusion lost units");
     DiffReport {

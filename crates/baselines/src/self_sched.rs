@@ -18,8 +18,10 @@ use dlb_core::msg::UnitData;
 use dlb_sim::{
     ActorId, CpuWork, NetConfig, NodeConfig, SimBuilder, SimDuration, SimReport, SimTime,
 };
+use std::cell::RefCell;
 use std::collections::VecDeque;
-use std::sync::{Arc, Mutex};
+use std::rc::Rc;
+use std::sync::Arc;
 
 /// Messages of the self-scheduling runtime.
 #[derive(Clone, Debug)]
@@ -82,13 +84,12 @@ pub fn run_self_scheduled(
     let m_node = sim.add_node(master_node);
     let s_nodes: Vec<_> = slave_nodes.into_iter().map(|nc| sim.add_node(nc)).collect();
 
-    #[allow(clippy::type_complexity)]
-    let outcome: Arc<Mutex<(Vec<(usize, UnitData)>, u64)>> = Arc::new(Mutex::new((Vec::new(), 0)));
+    let outcome = Rc::new(RefCell::new((Vec::new(), 0)));
     let master_id = ActorId(0);
 
     {
         let kernel = Arc::clone(&kernel);
-        let outcome = Arc::clone(&outcome);
+        let outcome = Rc::clone(&outcome);
         let policy = policy.clone();
         sim.spawn_mail(m_node, "queue-master", move |ctx| async move {
             // Build the queue; charge a nominal setup cost.
@@ -129,12 +130,7 @@ pub fn run_self_scheduled(
                     other => panic!("queue master drain: unexpected {other:?}"),
                 }
             }
-            // Tolerate a poisoned lock: a panicking peer must not mask
-            // the outcome this actor computed (the assert below still sees
-            // whatever was gathered).
-            let mut o = outcome.lock().unwrap_or_else(|p| p.into_inner());
-            o.0 = done;
-            o.1 = state.chunks_issued();
+            *outcome.borrow_mut() = (done, state.chunks_issued());
         });
     }
 
@@ -162,14 +158,13 @@ pub fn run_self_scheduled(
     }
 
     let sim_report = sim.run();
-    let mut o = outcome.lock().unwrap_or_else(|p| p.into_inner());
-    let mut gathered = std::mem::take(&mut o.0);
+    let (mut gathered, chunks_issued) = outcome.take();
     gathered.sort_by_key(|(id, _)| *id);
     assert_eq!(gathered.len(), n_units, "self-scheduling lost units");
     SsReport {
         elapsed: sim_report.end_time - SimTime::ZERO,
         result: gathered.into_iter().map(|(_, d)| d).collect(),
-        chunks_issued: o.1,
+        chunks_issued,
         sim: sim_report,
     }
 }

@@ -89,7 +89,7 @@ fn bench_wakeups(width: usize) -> (u64, dlb_sim::SimReport) {
         let n = b.add_node(NodeConfig::default());
         b.spawn_mail(n, format!("sleeper{i}"), move |ctx| async move {
             for k in 0..naps {
-                // 17 staggered periods: same-time batches of ~width/17 polls.
+                // 17 staggered periods: ~width/17 wakes due at each instant.
                 ctx.sleep(SimDuration::from_micros((i as u64 % 17) * 61 + k % 13 + 1))
                     .await;
             }

@@ -19,7 +19,9 @@ use crate::session::slave::{run_slave, SlaveSpec};
 use crate::slave_common::HOOK_CHECK_CPU;
 use dlb_compiler::{grain_iterations, GrainPolicy, ParallelPlan, Pattern, DEFAULT_MAX_OVERHEAD};
 use dlb_sim::{FaultPlan, NetConfig, NodeConfig, SimBuilder, SimDuration, SimReport, SimTime};
-use std::sync::{Arc, Mutex};
+use std::cell::RefCell;
+use std::rc::Rc;
+use std::sync::Arc;
 
 /// The application to run: one kernel per compiler pattern.
 #[derive(Clone)]
@@ -409,14 +411,14 @@ pub fn try_run(
         .map(|nc| sim.add_node(nc.clone()))
         .collect();
 
-    let outcome = Arc::new(Mutex::new(MasterOutcome::default()));
+    let outcome = Rc::new(RefCell::new(MasterOutcome::default()));
     // Spawn order fixes actor ids: master = 0, slaves = 1..=n.
     let master_id = dlb_sim::ActorId(0);
     let slave_ids: Vec<_> = (1..=n_slaves).map(dlb_sim::ActorId).collect();
 
     // In fault mode every slave carries the kit too: the election winner
     // uses it to rebuild the master role in place.
-    let kit = Arc::new(TakeoverKit {
+    let kit = Rc::new(TakeoverKit {
         balancer,
         app: app.clone(),
         record_timeline: cfg.record_timeline,
@@ -425,9 +427,9 @@ pub fn try_run(
         slaves: slave_ids,
         assignment,
         block_rows,
-        outcome: Arc::clone(&outcome),
+        outcome: Rc::clone(&outcome),
     });
-    let takeover_kit = fault_mode.then(|| Arc::clone(&kit));
+    let takeover_kit = fault_mode.then(|| Rc::clone(&kit));
     let slave_ft = kit.ft.clone();
     sim.spawn_mail(master_node, "master", move |ctx| run_master(ctx, kit));
 
@@ -462,7 +464,7 @@ pub fn try_run(
     }
 
     let sim_report = sim.run();
-    let mut o = outcome.lock().unwrap_or_else(|p| p.into_inner());
+    let mut o = outcome.take();
     let elapsed = sim_report.end_time - SimTime::ZERO;
     let fail = |error: ProtocolError, o: &mut MasterOutcome, sim: SimReport| {
         Box::new(RunError {

@@ -165,9 +165,10 @@ use crate::session::master::{channels_settled, merge_max, Effect, Effects, Polic
 use crate::session::membership::Life;
 use crate::session::replica::TakeoverSeed;
 use dlb_sim::{ActorId, CpuWork, MailCtx, SimDuration, SimTime};
+use std::cell::{RefCell, RefMut};
 use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
-use std::sync::{Arc, Mutex};
+use std::rc::Rc;
 
 /// CPU charged on the master per status processed.
 const DECISION_CPU: CpuWork = CpuWork::from_micros(200);
@@ -234,7 +235,7 @@ pub struct TakeoverKit {
     /// The initial block distribution.
     pub assignment: Vec<(usize, usize)>,
     pub block_rows: u64,
-    pub outcome: Arc<Mutex<MasterOutcome>>,
+    pub outcome: Rc<RefCell<MasterOutcome>>,
 }
 
 fn unexpected(context: &'static str, msg: &Msg) -> ProtocolError {
@@ -264,7 +265,7 @@ pub async fn run_takeover(
 
 /// The master actor body: the plain loop without fault-tolerance wiring,
 /// else an original fault-mode reign. The outcome lands in `kit.outcome`.
-pub async fn run_master(ctx: MailCtx<Msg>, kit: Arc<TakeoverKit>) {
+pub async fn run_master(ctx: MailCtx<Msg>, kit: Rc<TakeoverKit>) {
     if let Some(tol) = kit.ft.clone() {
         return reign(&ctx, &kit, tol, None).await;
     }
@@ -658,8 +659,8 @@ struct Master {
 impl TakeoverKit {
     /// The run's shared outcome slot: the outcome a reign concludes with,
     /// and meanwhile the recovery counters the last reign reported.
-    fn slot(&self) -> std::sync::MutexGuard<'_, MasterOutcome> {
-        self.outcome.lock().unwrap_or_else(|p| p.into_inner())
+    fn slot(&self) -> RefMut<'_, MasterOutcome> {
+        self.outcome.borrow_mut()
     }
 
     /// An original reign's opening message.
@@ -1289,6 +1290,7 @@ mod tests {
     use dlb_sim::{NetConfig, NodeConfig, SimBuilder, SimDuration};
     use std::cell::Cell;
     use std::ops::Range;
+    use std::sync::Arc;
 
     /// The kit of a run of `app` on `slaves` split as `assignment`, its
     /// original master `master`, its balancer as built.
@@ -1515,20 +1517,20 @@ mod tests {
 
     /// Opens a reign into the given buffer, as `Master::new` with its
     /// arguments bound.
-    type Opener = Arc<dyn Fn(&mut Effects) -> (Master, Option<Result<(), ProtocolError>>)>;
+    type Opener = Rc<dyn Fn(&mut Effects) -> (Master, Option<Result<(), ProtocolError>>)>;
 
     /// The production shell with a recorder: the same flushes, receives and
     /// `conclude`, and every step's input, clock and effects in `log`.
     async fn recording(
         ctx: MailCtx<Msg>,
-        kit: Arc<TakeoverKit>,
+        kit: Rc<TakeoverKit>,
         open: Opener,
-        log: Arc<Mutex<Log>>,
+        log: Rc<RefCell<Log>>,
     ) {
         let (ctx, mut fx) = (&ctx, effects(&ctx));
         let blank = fx.clone();
         let (mut master, mut end) = open(&mut fx);
-        *log.lock().unwrap() = Log {
+        *log.borrow_mut() = Log {
             blank: Some(blank),
             opening: format!("{fx:?}"),
             steps: Vec::new(),
@@ -1545,7 +1547,7 @@ mod tests {
             fx.at(ctx.now());
             end = master.on(input.clone(), &mut fx);
             let step = (input, ctx.now(), format!("{fx:?}"));
-            log.lock().unwrap().steps.push(step);
+            log.borrow_mut().steps.push(step);
         };
         let (balancer, sc) = master.finish();
         conclude(ctx, &mut fx, &kit, &balancer, sc, res).await;
@@ -1587,17 +1589,17 @@ mod tests {
         let slot0 = if seed.is_some() { master } else { ActorId(2) };
         let (slaves, (lo, hi)) = (vec![slot0, ActorId(1)], assignment[0]);
         let assignment = assignment.to_vec();
-        let kit = Arc::new(kit(app, ActorId(2), slaves, assignment));
-        let outcome = Arc::clone(&kit.outcome);
-        let k = Arc::clone(&kit);
-        let open: Opener = Arc::new(move |fx: &mut Effects| {
+        let kit = Rc::new(kit(app, ActorId(2), slaves, assignment));
+        let outcome = Rc::clone(&kit.outcome);
+        let k = Rc::clone(&kit);
+        let open: Opener = Rc::new(move |fx: &mut Effects| {
             let takeover = seed.clone().map(|seed| (seed, 0));
             Master::new(&k, tol.clone(), takeover, Default::default(), fx)
         });
-        let log = Arc::new(Mutex::new(Log::default()));
+        let log = Rc::new(RefCell::new(Log::default()));
         let mut sim = SimBuilder::<Msg>::new().max_events(20_000);
         let nodes = [(); 3].map(|()| sim.add_node(NodeConfig::default()));
-        let (opener, recorded) = (Arc::clone(&open), Arc::clone(&log));
+        let (opener, recorded) = (Rc::clone(&open), Rc::clone(&log));
         sim.spawn_mail(nodes[0], "master", move |ctx| {
             recording(ctx, kit, opener, recorded)
         });
@@ -1610,9 +1612,8 @@ mod tests {
             }
         });
         sim.run();
-        replay(&log.lock().unwrap(), &open);
-        let mut o = outcome.lock().unwrap();
-        std::mem::take(&mut *o)
+        replay(&log.borrow(), &open);
+        outcome.take()
     }
 
     /// [`reign`] with slot 1 holding every unit in an original reign (slot
@@ -1631,15 +1632,15 @@ mod tests {
         let master = ActorId(0);
         let split = if seed.is_some() { (0, 2) } else { (0, 0) };
         let answer = held(1, 0, holding);
-        let rolled = Arc::new(Mutex::new(Vec::new()));
-        let log = Arc::clone(&rolled);
+        let rolled = Rc::new(RefCell::new(Vec::new()));
+        let log = Rc::clone(&rolled);
         let o = reign(
             Default::default(),
             app,
             seed,
             [split, (split.1, 4)],
             move |ctx, me| {
-                let (answer, log) = (answer.clone(), Arc::clone(&log));
+                let (answer, log) = (answer.clone(), Rc::clone(&log));
                 async move {
                     let (mut epoch, mut restore_seq) = (0, 0);
                     let mut held: Vec<(usize, UnitData)> = (0..4).map(col).collect();
@@ -1659,7 +1660,7 @@ mod tests {
                             } => {
                                 (epoch, restore_seq) = (e, seq);
                                 held = units.into_iter().map(|(u, d)| (u, (*d).clone())).collect();
-                                log.lock().unwrap().push(invocation);
+                                log.borrow_mut().push(invocation);
                                 invocation
                             }
                             Msg::InvocationStart { invocation, .. } => invocation,
@@ -1681,7 +1682,7 @@ mod tests {
                 }
             },
         );
-        let rolled = rolled.lock().unwrap().clone();
+        let rolled = rolled.take();
         (o, rolled)
     }
 
@@ -1762,8 +1763,8 @@ mod tests {
     /// invocations before it.
     #[test]
     fn a_rescatter_takeover_resumes_at_the_newest_invocation_any_held_names() {
-        let heard = Arc::new(Mutex::new(Vec::new()));
-        let log = Arc::clone(&heard);
+        let heard = Rc::new(RefCell::new(Vec::new()));
+        let log = Rc::clone(&heard);
         let app = AppSpec::Independent(Arc::new(Doubler { n: 4, reps: 3 }));
         let split = [(0, 2), (2, 4)];
         let o = reign(
@@ -1772,7 +1773,7 @@ mod tests {
             Some(seed(2, 1, &[])),
             split,
             move |ctx, me| {
-                let log = Arc::clone(&log);
+                let log = Rc::clone(&log);
                 async move {
                     let master = ActorId(0);
                     let (mut answered, mut epoch, mut restore_seq) = (None, 0, 0);
@@ -1796,7 +1797,7 @@ mod tests {
                                 let later = answered.is_some_and(|t| ctx.now() > t);
                                 let values: Vec<_> =
                                     units.iter().map(|(u, d)| (*u, d[0][0])).collect();
-                                log.lock().unwrap().push((later, invocation, values));
+                                log.borrow_mut().push((later, invocation, values));
                                 (epoch, restore_seq) = (e, seq);
                                 mine = units.iter().map(|(u, _)| *u).collect();
                                 invocation
@@ -1818,7 +1819,7 @@ mod tests {
         );
         assert!(o.completed, "{:?}", o.error);
         let recomputed: Vec<_> = (0..4).map(|u| (u, 4.0 * u as f64)).collect();
-        assert_eq!(*heard.lock().unwrap(), [(true, 2, recomputed)]);
+        assert_eq!(*heard.borrow(), [(true, 2, recomputed)]);
     }
 
     /// Slot 1 of a re-scatter takeover pings once a second for twelve
@@ -1902,8 +1903,8 @@ mod tests {
     /// arrives. Returns the outcome and the kinds the stub heard,
     /// `Promoted` (answered with `Held`) left out.
     fn lost_final_rollback(heartbeat: bool) -> (MasterOutcome, Vec<&'static str>) {
-        let heard = Arc::new(Mutex::new(Vec::new()));
-        let log = Arc::clone(&heard);
+        let heard = Rc::new(RefCell::new(Vec::new()));
+        let log = Rc::clone(&heard);
         let app = AppSpec::Shrinking(Arc::new(Cols));
         let split = [(0, 2), (2, 4)];
         let o = reign(
@@ -1912,7 +1913,7 @@ mod tests {
             Some(seed(2, 3, &[(3, 0..2)])),
             split,
             move |ctx, me| {
-                let (master, log) = (ActorId(0), Arc::clone(&log));
+                let (master, log) = (ActorId(0), Rc::clone(&log));
                 async move {
                     let (mut lost, mut rolled) = (false, false);
                     let beat = SimDuration::from_millis(if heartbeat { 500 } else { 3_600_000 });
@@ -1932,19 +1933,19 @@ mod tests {
                         let reply = match env.msg {
                             Msg::Rollback { .. } if !lost => {
                                 lost = true;
-                                log.lock().unwrap().push("lost rollback");
+                                log.borrow_mut().push("lost rollback");
                                 continue;
                             }
                             Msg::Rollback { units, .. } => {
                                 rolled = true;
-                                log.lock().unwrap().push("rollback");
+                                log.borrow_mut().push("rollback");
                                 units.into_iter().map(|(u, d)| (u, (*d).clone())).collect()
                             }
                             Msg::Gather => {
-                                log.lock().unwrap().push("gather");
+                                log.borrow_mut().push("gather");
                                 vec![col(2), col(3)]
                             }
-                            Msg::GatherAck => return log.lock().unwrap().push("ack"),
+                            Msg::GatherAck => return log.borrow_mut().push("ack"),
                             Msg::Failover(FailoverMsg::Promoted { .. }) => {
                                 send(&ctx, master, held(me, 3, &[(3, 2..4)])).await;
                                 continue;
@@ -1956,7 +1957,7 @@ mod tests {
                 }
             },
         );
-        let heard = heard.lock().unwrap().clone();
+        let heard = heard.take();
         (o, heard)
     }
 
@@ -2000,8 +2001,8 @@ mod tests {
     /// later, so the gather is still open when the duplicate lands.
     #[test]
     fn a_rescatter_delivery_is_acked_at_once_and_a_duplicate_ignored() {
-        let acks = Arc::new(Mutex::new(0));
-        let count = Arc::clone(&acks);
+        let acks = Rc::new(RefCell::new(0));
+        let count = Rc::clone(&acks);
         let app = AppSpec::Independent(Arc::new(Doubler { n: 4, reps: 1 }));
         let o = reign(
             Default::default(),
@@ -2009,7 +2010,7 @@ mod tests {
             None,
             [(0, 2), (2, 4)],
             move |ctx, me| {
-                let count = Arc::clone(&count);
+                let count = Rc::clone(&count);
                 async move {
                     let (master, mine) = (ActorId(0), 2 * me..2 * me + 2);
                     let stats = SlaveFaultStats {
@@ -2031,7 +2032,7 @@ mod tests {
                                 continue;
                             }
                             Msg::GatherAck if me == 1 => {
-                                *count.lock().unwrap() += 1;
+                                *count.borrow_mut() += 1;
                                 continue;
                             }
                             _ => continue,
@@ -2043,7 +2044,7 @@ mod tests {
             },
         );
         assert!(o.completed, "{:?}", o.error);
-        assert_eq!(*acks.lock().unwrap(), 2, "each delivery acked at once");
+        assert_eq!(*acks.borrow(), 2, "each delivery acked at once");
         assert_eq!(o.recovery.gather_dups_ignored, 1);
         assert_eq!(o.recovery.transfer_resends, 2, "once per slot");
         assert_eq!(o.result.len(), 4);
@@ -2055,8 +2056,8 @@ mod tests {
     /// to the gathered result.
     #[test]
     fn a_rescatter_reign_rescues_a_wedged_slave() {
-        let rolled = Arc::new(Mutex::new(Vec::new()));
-        let log = Arc::clone(&rolled);
+        let rolled = Rc::new(RefCell::new(Vec::new()));
+        let log = Rc::clone(&rolled);
         let app = AppSpec::Independent(Arc::new(Doubler { n: 4, reps: 2 }));
         let o = reign(
             Default::default(),
@@ -2064,7 +2065,7 @@ mod tests {
             None,
             [(0, 2), (2, 4)],
             move |ctx, me| {
-                let log = Arc::clone(&log);
+                let log = Rc::clone(&log);
                 async move {
                     let master = ActorId(0);
                     let (mut epoch, mut restore_seq, mut wedged) = (0, 0, me == 1);
@@ -2089,7 +2090,7 @@ mod tests {
                                 units,
                                 ..
                             } => {
-                                log.lock().unwrap().push((me, invocation));
+                                log.borrow_mut().push((me, invocation));
                                 (epoch, restore_seq) = (e, seq);
                                 mine = units.iter().map(|(u, _)| *u).collect();
                                 invocation
@@ -2111,7 +2112,7 @@ mod tests {
         assert!(o.completed, "{:?}", o.error);
         assert_eq!(o.recovery.rollbacks, 1);
         assert_eq!(o.recovery.slaves_declared_dead, 0);
-        let mut rolled = rolled.lock().unwrap().clone();
+        let mut rolled = rolled.take();
         rolled.sort();
         assert_eq!(rolled, [(0, 0), (1, 0)]);
         assert_eq!(o.result.len(), 4);
@@ -2249,21 +2250,21 @@ mod tests {
     /// a `Join` stamped `join` when that is given. Returns the outcome and
     /// the kinds slot 1 heard.
     fn joining_run(join: Option<u64>) -> (MasterOutcome, Vec<&'static str>) {
-        let heard = Arc::new(Mutex::new(Vec::new()));
-        let log = Arc::clone(&heard);
+        let heard = Rc::new(RefCell::new(Vec::new()));
+        let log = Rc::clone(&heard);
         let tol = FaultToleranceConfig {
             rejoin_attempts: 3,
             ..Default::default()
         };
         let app = AppSpec::Independent(Arc::new(Doubler { n: 4, reps: 1 }));
         let o = reign(tol, app, None, [(0, 2), (2, 4)], move |ctx, me| {
-            let log = Arc::clone(&log);
+            let log = Rc::clone(&log);
             async move {
                 let (master, mine) = (ActorId(0), 2 * me..2 * me + 2);
                 let quiet = || ctx.now() + SimDuration::from_secs(10);
                 while let Some(env) = ctx.recv_deadline(quiet()).await {
                     if me == 1 {
-                        log.lock().unwrap().push(match &env.msg {
+                        log.borrow_mut().push(match &env.msg {
                             Msg::InvocationStart { .. } => "start",
                             Msg::Gather => "gather",
                             Msg::GatherAck => "ack",
@@ -2297,7 +2298,7 @@ mod tests {
                 }
             }
         });
-        let heard = heard.lock().unwrap().clone();
+        let heard = heard.take();
         (o, heard)
     }
 

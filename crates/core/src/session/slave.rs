@@ -53,7 +53,7 @@ use crate::msg::{Msg, SharedUnits};
 use crate::session::strategy::{BarrierMsg, DistributionStrategy};
 use crate::slave_common::{recv_start, Blocked, RollbackInfo, SlaveCommon, StartInfo, Wait};
 use dlb_sim::{ActorId, MailCtx, SimTime};
-use std::sync::Arc;
+use std::rc::Rc;
 
 /// Static configuration for one slave, whatever its engine.
 pub struct SlaveSpec {
@@ -64,7 +64,7 @@ pub struct SlaveSpec {
     /// Everything a promoted deputy needs to rebuild the master role
     /// (pristine configuration, outcome slot, topology). `None` outside fault
     /// mode.
-    pub takeover: Option<Arc<TakeoverKit>>,
+    pub takeover: Option<Rc<TakeoverKit>>,
     /// Latecomer start time: when set, this slave starts with no units,
     /// idles until the given instant, then joins the running pool via the
     /// [`Msg::Join`] handshake.
@@ -508,7 +508,8 @@ mod tests {
     use crate::msg::{FailoverMsg, UnitData};
     use crate::session::replica::DEPUTIES;
     use dlb_sim::{NodeConfig, SimBuilder, SimDuration};
-    use std::sync::Mutex;
+    use std::cell::RefCell;
+    use std::sync::Arc;
 
     /// The smallest strategy the runner accepts: three invocations that
     /// compute nothing, every barrier message passed back — except a stale
@@ -644,9 +645,9 @@ mod tests {
         }
         let mut assignment = vec![(0, 0); shell.n];
         assignment[shell.rank] = (0, 1);
-        let to_master = Arc::new(Mutex::new(Vec::new()));
-        let to_peers = Arc::new(Mutex::new(Vec::new()));
-        let sink = Arc::clone(&to_master);
+        let to_master = Rc::new(RefCell::new(Vec::new()));
+        let to_peers = Rc::new(RefCell::new(Vec::new()));
+        let sink = Rc::clone(&to_master);
         sim.spawn_mail(nodes[1], "master", move |ctx| async move {
             let start = Msg::Start {
                 slaves,
@@ -656,24 +657,22 @@ mod tests {
             let script = [(0, start)].into_iter().chain(script);
             for (at_ms, msg) in script.chain([(abort_ms, Msg::Abort)]) {
                 while let Some(env) = ctx.recv_deadline(SimTime(at_ms * 1000)).await {
-                    sink.lock().unwrap().push(env.msg);
+                    sink.borrow_mut().push(env.msg);
                 }
                 let bytes = msg.wire_bytes();
                 ctx.send(slave, msg, bytes).await;
             }
         });
         for (&s, &node) in peers.iter().zip(&nodes[2..]) {
-            let sink = Arc::clone(&to_peers);
+            let sink = Rc::clone(&to_peers);
             sim.spawn_mail(node, format!("peer{s}"), move |ctx| async move {
                 while let Some(env) = ctx.recv_deadline(end).await {
-                    sink.lock().unwrap().push((s, env.msg));
+                    sink.borrow_mut().push((s, env.msg));
                 }
             });
         }
         sim.run();
-        let heard = std::mem::take(&mut *to_master.lock().unwrap());
-        let peers_heard = std::mem::take(&mut *to_peers.lock().unwrap());
-        (heard, peers_heard)
+        (to_master.take(), to_peers.take())
     }
 
     /// What the peer stubs heard, slots dropped.

@@ -1,10 +1,12 @@
 //! Deterministic discrete-event kernel.
 //!
 //! Actors are `async` state machines. The kernel owns the event queue and
-//! the virtual clock; on one thread, it polls the actors whose wake time has
-//! come and applies what each did right after its poll, in one fixed order,
-//! so a simulation is a deterministic sequential program: same inputs ⇒
-//! same event order ⇒ same results, regardless of host scheduling.
+//! the virtual clock and runs one step per entry, on one thread: it pops
+//! the earliest entry and handles it — a delivery fills a mailbox, a crash
+//! retires a node's actor, and a live wake polls its actor, then applies
+//! what that poll did before the next pop. So a simulation is a
+//! deterministic sequential program: same inputs ⇒ same event order ⇒ same
+//! results, regardless of host scheduling.
 //!
 //! An actor interacts with virtual time through its [`MailCtx`]:
 //! [`MailCtx::advance_work`] charges CPU work to the node's quantum
@@ -76,10 +78,12 @@ pub struct SchedStats {
     pub wakeups: u64,
     /// Wakes popped whose park epoch had already moved on.
     pub stale_wakes: u64,
-    /// Same-timestamp poll batches: wakes due at one instant, polled one
-    /// after another with no delivery or crash between them.
+    /// Always equal to `polls`: the kernel polls one woken actor per step.
+    /// Inert, and kept only because `e2e_bench/` still reads it for
+    /// `sim.kernel.batches`; the next benchmark change deletes it.
     pub batches: u64,
-    /// Largest single batch.
+    /// Always `min(polls, 1)`. Inert, kept for `e2e_bench/` like
+    /// [`batches`](Self::batches).
     pub max_batch: usize,
     /// CPU charges: [`MailCtx::advance_work`] calls and the marshalling a
     /// send or receive charges. Each runs the node's CPU model on the
@@ -118,7 +122,7 @@ pub struct SimReport {
     /// The recorded event trace ([`crate::trace`] format), empty unless
     /// [`SimBuilder::record_trace`] was enabled.
     pub trace: Vec<TraceEvent>,
-    /// How the scheduler executed the run (polls, wakes, batch sizes).
+    /// How the scheduler executed the run (polls, wakes, charges).
     pub sched: SchedStats,
 }
 
@@ -175,8 +179,6 @@ enum ActorState {
         epoch: u32,
         wake_on_msg: bool,
     },
-    /// Woken and being polled in the current batch.
-    Running,
     Done,
     /// The node fail-stopped; the actor never runs again.
     Crashed,
@@ -405,8 +407,8 @@ impl<M> Inner<M> {
 impl<M: Clone> Inner<M> {
     /// Hand a message (post-marshalling) to the network: link occupancy,
     /// fault draws, FIFO clamp, delivery scheduling. Called only while
-    /// applying buffered send effects, in wake-seq order, so the fault RNG
-    /// is drawn in event order.
+    /// applying a poll's buffered sends or answering with an exit reply,
+    /// both in event order, so the fault RNG is drawn in event order.
     fn enqueue_send(&mut self, src: ActorId, dst: ActorId, msg: M, bytes: u64) {
         let now = self.now;
         let start = now.max(self.link_free[src.0]);
@@ -501,8 +503,8 @@ impl<M: Clone> Inner<M> {
 // an actor touches only its own `ActorCell`. All globally-ordered side
 // effects — network sends, metrics — are buffered as `LocalEffect`s, and the
 // park itself is left in the cell; the kernel applies them right after the
-// poll, in wake-sequence order. A poll and the kernel never run at once, so
-// the cell is split only by who writes what, when:
+// poll, before it pops the next entry. A poll and the kernel never run at
+// once, so the cell is split only by who writes what, when:
 //
 //   field       kernel, actor parked              actor, being polled
 //   ----------  --------------------------------  ----------------------------
@@ -1087,128 +1089,14 @@ impl<M: Clone + 'static> SimBuilder<M> {
 
         // Actors neither `Done` nor `Crashed`.
         let mut live = n_actors;
-        // The batch's actors, reused from batch to batch.
-        let mut batch: Vec<usize> = Vec::new();
 
-        // Kernel loop: collect the next batch of same-timestamp wakes, then
-        // poll its members one by one, each followed by the apply of its
-        // buffered effects. Once every actor has finished (or crashed), stop
-        // without draining stale events (e.g. deadline wakes scheduled past
-        // the end of the run) so they cannot inflate `end_time`.
+        // Kernel loop, one step per entry: pop the earliest key and handle
+        // it. Once every actor has finished (or crashed), stop without
+        // draining stale events (e.g. deadline wakes scheduled past the end
+        // of the run) so they cannot inflate `end_time`.
         while live > 0 {
-            batch.clear();
-            let mut batch_time = SimTime::ZERO;
-            while let Some(&Reverse(key)) = inner.queue.peek() {
-                let slot = inner.slot(key);
-                // A wake joins the batch at its instant; deliveries and
-                // crashes mutate shared state (mailboxes, node liveness), so
-                // they are a batch barrier.
-                if !batch.is_empty() && (slot.is_some() || key.time != batch_time) {
-                    break;
-                }
-                // Freeze windows: a wake or delivery for a frozen node is
-                // re-filed under its own key at the thaw, preserving order.
-                if let Some(t) = inner.thaw(key, slot) {
-                    if !batch.is_empty() {
-                        // The re-filing consumes a seq; pending batch
-                        // effects must claim theirs first.
-                        break;
-                    }
-                    inner.queue.pop();
-                    if let Some(f) = inner.fault.as_mut() {
-                        f.stats.freeze_deferrals += 1;
-                    }
-                    inner.file(t, key.what, key.epoch);
-                    continue;
-                }
-                let Some(slot) = slot else {
-                    let woken = key.what as usize;
-                    // A batched (`Running`) actor's park must be applied
-                    // before a second wake of it can be judged for staleness.
-                    if inner.states[woken] == ActorState::Running {
-                        break;
-                    }
-                    let fresh = matches!(
-                        inner.states[woken],
-                        ActorState::Waiting { epoch, .. } if epoch == key.epoch
-                    );
-                    inner.queue.pop();
-                    inner.process_wake_meta(key.time, ActorId(woken));
-                    if !fresh {
-                        // Superseded park epoch (or crashed actor): a pure
-                        // pop — counted and hashed like any wake, no state
-                        // touched — so consuming it mid-batch is safe.
-                        sched.stale_wakes += 1;
-                        continue;
-                    }
-                    sched.wakeups += 1;
-                    inner.states[woken] = ActorState::Running;
-                    batch_time = key.time;
-                    batch.push(woken);
-                    continue;
-                };
-                inner.queue.pop();
-                let kind = inner.pending[slot].take().expect("a filed slot is full");
-                inner.free.push(slot);
-                inner.process_event_meta(key.time, &kind);
-                match kind {
-                    EventKind::Deliver { dst, env } => {
-                        if inner.crashed_nodes[inner.actor_nodes[dst.0].0] {
-                            if let Some(f) = inner.fault.as_mut() {
-                                f.stats.deliveries_to_crashed += 1;
-                            }
-                            continue;
-                        }
-                        if inner.states[dst.0] == ActorState::Done {
-                            // Nobody reads this mailbox again. A finished
-                            // sender gets no answer, so two finished actors
-                            // that both left replies cannot ping-pong.
-                            inner.deliveries_after_exit += 1;
-                            let src_live = !matches!(
-                                inner.states[env.src],
-                                ActorState::Done | ActorState::Crashed
-                            );
-                            let reply = inner.exit_replies[dst.0].as_ref();
-                            if let Some((reply, bytes)) = reply.filter(|_| src_live) {
-                                let (reply, bytes) = (reply.clone(), *bytes);
-                                inner.enqueue_send(dst, ActorId(env.src), reply, bytes);
-                            }
-                            continue;
-                        }
-                        cells[dst.0].local.borrow_mut().mailbox.push_back(env);
-                        if let ActorState::Waiting {
-                            epoch,
-                            wake_on_msg: true,
-                        } = inner.states[dst.0]
-                        {
-                            inner.schedule_wake(inner.now, dst, epoch);
-                        }
-                    }
-                    EventKind::Crash { node } => {
-                        inner.crashed_nodes[node.0] = true;
-                        if let Some(f) = inner.fault.as_mut() {
-                            f.stats.crashed_nodes.push(node.0);
-                        }
-                        if let Some(a) = inner.node_actor[node.0] {
-                            if !matches!(inner.states[a.0], ActorState::Done | ActorState::Crashed)
-                            {
-                                inner.states[a.0] = ActorState::Crashed;
-                                live -= 1;
-                            }
-                            // Dropping the future drops the state machine;
-                            // anything queued for it will never be read, and
-                            // a note it made ahead, past the crash, was never
-                            // made.
-                            futures[a.0] = None;
-                            inner.tracer.ahead.retain(|Reverse(n)| n.2 != a.0);
-                            cells[a.0].local.borrow_mut().mailbox.clear();
-                        }
-                    }
-                }
-            }
-            if batch.is_empty() {
-                // Nothing pending: everyone must be done (or crashed),
-                // otherwise the simulation deadlocked.
+            let Some(Reverse(key)) = inner.queue.pop() else {
+                // Nothing pending with actors still blocked: a deadlock.
                 let stuck: Vec<String> = inner
                     .states
                     .iter()
@@ -1216,25 +1104,41 @@ impl<M: Clone + 'static> SimBuilder<M> {
                     .filter(|(_, s)| !matches!(s, ActorState::Done | ActorState::Crashed))
                     .map(|(i, s)| format!("{} ({:?})", names[i], s))
                     .collect();
-                assert!(
-                    stuck.is_empty(),
+                panic!(
                     "simulation deadlock at {}: no events pending but actors blocked: {}",
                     inner.now,
                     stuck.join(", ")
                 );
-                break;
+            };
+            let slot = inner.slot(key);
+            // Freeze windows: a wake or delivery for a frozen node is
+            // re-filed under its own key at the thaw, preserving order.
+            if let Some(t) = inner.thaw(key, slot) {
+                if let Some(f) = inner.fault.as_mut() {
+                    f.stats.freeze_deferrals += 1;
+                }
+                inner.file(t, key.what, key.epoch);
+                continue;
             }
-            sched.batches += 1;
-            sched.max_batch = sched.max_batch.max(batch.len());
-            sched.polls += batch.len() as u64;
+            let Some(slot) = slot else {
+                let a = key.what as usize;
+                inner.process_wake_meta(key.time, ActorId(a));
+                if !matches!(
+                    inner.states[a],
+                    ActorState::Waiting { epoch, .. } if epoch == key.epoch
+                ) {
+                    // Superseded park epoch (or finished or crashed actor):
+                    // counted and hashed like any wake, no state touched.
+                    sched.stale_wakes += 1;
+                    continue;
+                }
+                sched.wakeups += 1;
+                sched.polls += 1;
 
-            // Poll each member in wake-seq order and apply its buffered
-            // effects right after its poll: nothing an apply touches is
-            // visible to a later member's poll. An actor panic unwinds from
-            // here straight out of `run`.
-            for &a in &batch {
-                cells[a].now.set(batch_time);
-                let future = futures[a].as_mut().expect("batched actor future");
+                // Poll the actor and apply what it buffered right after. An
+                // actor panic unwinds from here straight out of `run`.
+                cells[a].now.set(key.time);
+                let future = futures[a].as_mut().expect("a waiting actor has its future");
                 let ready = future.as_mut().poll(&mut cx).is_ready();
                 let now = inner.now;
                 inner.tracer.notes_before(SimTime(now.0 + 1));
@@ -1273,8 +1177,66 @@ impl<M: Clone + 'static> SimBuilder<M> {
                 if let Some(t) = park.wake_at {
                     inner.schedule_wake(t, ActorId(a), epoch);
                 }
+                continue;
+            };
+            let kind = inner.pending[slot].take().expect("a filed slot is full");
+            inner.free.push(slot);
+            inner.process_event_meta(key.time, &kind);
+            match kind {
+                EventKind::Deliver { dst, env } => {
+                    if inner.crashed_nodes[inner.actor_nodes[dst.0].0] {
+                        if let Some(f) = inner.fault.as_mut() {
+                            f.stats.deliveries_to_crashed += 1;
+                        }
+                        continue;
+                    }
+                    if inner.states[dst.0] == ActorState::Done {
+                        // Nobody reads this mailbox again. A finished sender
+                        // gets no answer, so two finished actors that both
+                        // left replies cannot ping-pong.
+                        inner.deliveries_after_exit += 1;
+                        let src_live = !matches!(
+                            inner.states[env.src],
+                            ActorState::Done | ActorState::Crashed
+                        );
+                        let reply = inner.exit_replies[dst.0].as_ref();
+                        if let Some((reply, bytes)) = reply.filter(|_| src_live) {
+                            let (reply, bytes) = (reply.clone(), *bytes);
+                            inner.enqueue_send(dst, ActorId(env.src), reply, bytes);
+                        }
+                        continue;
+                    }
+                    cells[dst.0].local.borrow_mut().mailbox.push_back(env);
+                    if let ActorState::Waiting {
+                        epoch,
+                        wake_on_msg: true,
+                    } = inner.states[dst.0]
+                    {
+                        inner.schedule_wake(inner.now, dst, epoch);
+                    }
+                }
+                EventKind::Crash { node } => {
+                    inner.crashed_nodes[node.0] = true;
+                    if let Some(f) = inner.fault.as_mut() {
+                        f.stats.crashed_nodes.push(node.0);
+                    }
+                    if let Some(a) = inner.node_actor[node.0] {
+                        if !matches!(inner.states[a.0], ActorState::Done | ActorState::Crashed) {
+                            inner.states[a.0] = ActorState::Crashed;
+                            live -= 1;
+                        }
+                        // Dropping the future drops the state machine;
+                        // anything queued for it will never be read, and a
+                        // note it made ahead, past the crash, was never made.
+                        futures[a.0] = None;
+                        inner.tracer.ahead.retain(|Reverse(n)| n.2 != a.0);
+                        cells[a.0].local.borrow_mut().mailbox.clear();
+                    }
+                }
             }
         }
+        sched.batches = sched.polls;
+        sched.max_batch = sched.polls.min(1) as usize;
 
         // One actor per node: its CPU tallies are the node's.
         let mut nodes = vec![NodeMetrics::default(); n_nodes];
@@ -2308,8 +2270,8 @@ mod tests {
     }
 
     /// Three actors whose wakes at t = 100 were scheduled in reverse spawn
-    /// order: their same-instant notes land in that wake-seq order, after
-    /// the batch's `WAKE`s.
+    /// order: they are polled in that wake-seq order, one per step, so each
+    /// note lands right after its own actor's `WAKE`.
     #[test]
     fn same_instant_notes_follow_wake_seq() {
         let mut b = SimBuilder::<u64>::new()
@@ -2330,10 +2292,10 @@ mod tests {
             at_100,
             [
                 "EV 100 WAKE 2",
-                "EV 100 WAKE 1",
-                "EV 100 WAKE 0",
                 "EV 100 NOTE 2 actor 2  woke",
+                "EV 100 WAKE 1",
                 "EV 100 NOTE 1 actor 1  woke",
+                "EV 100 WAKE 0",
                 "EV 100 NOTE 0 actor 0  woke",
             ]
         );
@@ -2373,14 +2335,16 @@ mod tests {
         assert_eq!(traced, twin, "notes are not events");
     }
 
+    /// 64 slaves wake at one instant and each sends to the master: one step
+    /// per event, so each `WAKE` is followed by its own poll's `SEND`
+    /// before the next `WAKE`, and every poll is its own step.
     #[test]
-    fn wide_mail_sim_batches_same_instant_polls() {
-        let mut b = SimBuilder::<u64>::new().net(NetConfig::ideal());
+    fn same_instant_wakes_are_polled_one_per_step() {
+        let mut b = SimBuilder::<u64>::new()
+            .net(NetConfig::ideal())
+            .record_trace(true);
         let master_node = b.add_node(NodeConfig::default());
-        let mut slave_nodes = Vec::new();
-        for _ in 0..64 {
-            slave_nodes.push(b.add_node(NodeConfig::default()));
-        }
+        let slave_nodes: Vec<NodeId> = (0..64).map(|_| b.add_node(NodeConfig::default())).collect();
         b.spawn_mail(master_node, "master", |ctx| async move {
             for _ in 0..64 {
                 let env = ctx.recv().await;
@@ -2389,8 +2353,7 @@ mod tests {
         });
         for (i, n) in slave_nodes.into_iter().enumerate() {
             b.spawn_mail(n, format!("s{i}"), move |ctx| async move {
-                ctx.advance_work(CpuWork::from_micros(100 * (i as u64 % 7 + 1)))
-                    .await;
+                ctx.sleep(SimDuration::from_micros(100)).await;
                 ctx.send(ActorId(0), i as u64, 8).await;
                 let env = ctx.recv().await;
                 assert_eq!(env.msg, i as u64 + 1);
@@ -2398,7 +2361,14 @@ mod tests {
         }
         let report = b.run();
         assert_eq!(report.actors[0].msgs_received, 64);
-        assert!(report.sched.max_batch > 1, "same-time polls should batch");
+        let text = render_trace(&report.trace);
+        let at_100: Vec<&str> = text.lines().filter(|l| l.starts_with("EV 100 ")).collect();
+        let expected: Vec<String> = (1..=64)
+            .flat_map(|s| [format!("EV 100 WAKE {s}"), format!("EV 100 SEND {s} 0 8")])
+            .collect();
+        assert_eq!(at_100[..128], expected[..]);
+        assert_eq!(report.sched.batches, report.sched.polls);
+        assert_eq!(report.sched.max_batch, 1);
     }
 
     #[test]
@@ -2414,7 +2384,7 @@ mod tests {
             }
         });
         // Parked mid-`recv` forever, with no timer pending: only the crash
-        // can retire it, or the run would end in the deadlock assert.
+        // can retire it, or the run would end in the deadlock panic.
         b.spawn_mail(nodes[2], "parked", |ctx| async move {
             let _ = ctx.recv().await;
         });

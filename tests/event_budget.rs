@@ -54,7 +54,7 @@ fn events_polls_catch_ups_and_charges_are_pinned() {
     );
 
     // Armed and quiet at 64 slaves (the `tests/alloc_budget.rs` cell):
-    // checkpoints, acks and heartbeats on top, batches up to 65.
+    // checkpoints, acks and heartbeats on top, up to 65 wakes at one instant.
     let lu = Arc::new(Lu::new(68, 7, &Calibration::new(0.1 * 68.0 / 260.0)));
     let mut cfg = cluster(64);
     cfg.fault_plan = Some(FaultPlan::new(7));

@@ -5,7 +5,7 @@
 //! every message still leaves and arrives at the same instant, and `NOTE`s
 //! are narration; both are left out. Records that share an instant are
 //! sorted first, so the pin holds what happened at each instant, not the
-//! order a same-instant batch was applied in.
+//! order the kernel stepped through that instant's events in.
 
 use dlb::apps::{Calibration, Lu, Sor};
 use dlb::core::driver::{try_run, AppSpec, RunConfig};
