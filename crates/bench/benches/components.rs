@@ -83,10 +83,13 @@ fn bench_rate_filter() {
 }
 
 fn bench_allocation() {
+    for (n, total) in [(16, 2000), (64, 8000)] {
+        let rates: Vec<f64> = (0..n).map(|i| 1.0 + (i as f64) * 0.1).collect();
+        bench(&format!("proportional_allocation_{n}"), 100_000, || {
+            proportional_allocation(black_box(total), black_box(&rates), 1)
+        });
+    }
     let rates: Vec<f64> = (0..16).map(|i| 1.0 + (i as f64) * 0.1).collect();
-    bench("proportional_allocation_16", 100_000, || {
-        proportional_allocation(black_box(2000), black_box(&rates), 1)
-    });
     let current: Vec<u64> = vec![125; 16];
     let target = proportional_allocation(2000, &rates, 1);
     bench("plan_direct_moves_16", 100_000, || {
@@ -97,45 +100,47 @@ fn bench_allocation() {
     });
 }
 
-fn warm_balancer() -> Balancer {
+/// One decision of a warm 64-slave balancer, statuses taken in turn. Slave
+/// 0 runs 5 % slow, so every decision computes a new distribution and the
+/// threshold cancels it: the steady state of a wide run.
+fn bench_balancer_decision() {
+    const N: usize = 64;
     let mut bal = Balancer::new(
         BalancerConfig::default(),
-        vec![125; 8],
+        vec![125; N],
         SimDuration::from_millis(100),
         SimDuration::from_millis(2),
         10,
         1.0,
     );
-    // Warm all filters.
-    for i in 0..8 {
-        bal.on_status(&status(i, 100, 125));
+    let statuses: Vec<Status> = (0..N)
+        .map(|slave| Status {
+            slave,
+            invocation: 0,
+            hook_seq: 0,
+            units_done_delta: if slave == 0 { 95 } else { 100 },
+            elapsed: SimDuration::from_secs(1),
+            active_units: 125,
+            last_applied_seq: u64::MAX,
+            epoch: 0,
+            sent_to: vec![0; N],
+            received_from: vec![0; N],
+            move_cost_sample: None,
+            interaction_cost_sample: None,
+        })
+        .collect();
+    for st in &statuses {
+        bal.on_status(st);
     }
-    bal
-}
-
-fn bench_balancer_decision() {
-    // Setup excluded from timing by rebuilding per batch of decisions.
-    bench("balancer_on_status", 2_000, || {
-        let mut bal = warm_balancer();
-        bal.on_status(black_box(&status(0, 60, 125)))
+    let mut next = statuses.iter().cycle();
+    bench("balancer_on_status/64", 64_000, || {
+        bal.on_status(black_box(next.next().unwrap()))
     });
-}
-
-fn status(slave: usize, done: u64, active: u64) -> Status {
-    Status {
-        slave,
-        invocation: 0,
-        hook_seq: 0,
-        units_done_delta: done,
-        elapsed: SimDuration::from_secs(1),
-        active_units: active,
-        last_applied_seq: u64::MAX,
-        epoch: 0,
-        sent_to: vec![0; 8],
-        received_from: vec![0; 8],
-        move_cost_sample: None,
-        interaction_cost_sample: None,
-    }
+    assert_eq!(
+        bal.stats().units_moved,
+        0,
+        "the timed decisions move nothing"
+    );
 }
 
 fn bench_chunking() {

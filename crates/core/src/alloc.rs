@@ -16,10 +16,32 @@ use crate::msg::{Edge, MoveOrder};
 /// Split `total` units proportionally to `rates` using the largest-remainder
 /// method, guaranteeing every slave at least `min_per_slave` (as long as
 /// `total >= n * min_per_slave`). Zero or unmeasured rates fall back to an
-/// equal split.
+/// equal split. The by-value form of [`proportional_allocation_into`].
 pub fn proportional_allocation(total: u64, rates: &[f64], min_per_slave: u64) -> Vec<u64> {
+    let (mut shares, mut order) = (vec![0; rates.len()], vec![(0.0, 0); rates.len()]);
+    proportional_allocation_into(total, rates, min_per_slave, &mut shares, &mut order);
+    shares
+}
+
+/// [`proportional_allocation`] into caller-owned buffers, allocating
+/// nothing: `shares` receives the split and `order` is scratch for the
+/// `(remainder, slave)` pairs; both are `rates.len()` long. Each slave's
+/// exact share, floor and remainder are computed once; the `leftover`
+/// extra units go to the largest remainders (ties to the lower index),
+/// found by selection rather than a full sort.
+pub fn proportional_allocation_into(
+    total: u64,
+    rates: &[f64],
+    min_per_slave: u64,
+    shares: &mut [u64],
+    order: &mut [(f64, usize)],
+) {
     let n = rates.len();
     assert!(n > 0, "no slaves");
+    assert!(
+        shares.len() == n && order.len() == n,
+        "buffers sized to the slaves"
+    );
     let sum: f64 = rates.iter().sum();
     // `!(sum > 0.0)` deliberately catches NaN as well as zero/negative.
     #[allow(clippy::neg_cmp_op_on_partial_ord)]
@@ -27,7 +49,10 @@ pub fn proportional_allocation(total: u64, rates: &[f64], min_per_slave: u64) ->
         // Equal split.
         let base = total / n as u64;
         let rem = (total % n as u64) as usize;
-        return (0..n).map(|i| base + u64::from(i < rem)).collect();
+        for (i, s) in shares.iter_mut().enumerate() {
+            *s = base + u64::from(i < rem);
+        }
+        return;
     }
     let floor_min = if total >= min_per_slave * n as u64 {
         min_per_slave
@@ -36,31 +61,30 @@ pub fn proportional_allocation(total: u64, rates: &[f64], min_per_slave: u64) ->
     };
     let distributable = total - floor_min * n as u64;
     // Largest remainder over the distributable part.
-    let exact: Vec<f64> = rates
-        .iter()
-        .map(|r| distributable as f64 * r / sum)
-        .collect();
-    let mut shares: Vec<u64> = exact.iter().map(|e| e.floor() as u64).collect();
-    let assigned: u64 = shares.iter().sum();
-    let mut order: Vec<usize> = (0..n).collect();
-    order.sort_by(|&a, &b| {
-        let fa = exact[a] - exact[a].floor();
-        let fb = exact[b] - exact[b].floor();
-        fb.partial_cmp(&fa).unwrap().then(a.cmp(&b))
-    });
-    let mut leftover = distributable - assigned;
-    for &i in order.iter().cycle() {
-        if leftover == 0 {
-            break;
-        }
-        shares[i] += 1;
-        leftover -= 1;
+    let mut assigned = 0u64;
+    for (i, ((r, s), o)) in rates.iter().zip(&mut *shares).zip(&mut *order).enumerate() {
+        let exact = distributable as f64 * r / sum;
+        let floor = exact.floor();
+        *s = floor as u64;
+        *o = (exact - floor, i);
+        assigned += *s;
     }
-    for s in &mut shares {
-        *s += floor_min;
+    // Every full round of leftovers gives each slave one more unit; the
+    // rest go to the largest remainders.
+    let leftover = distributable - assigned;
+    let (rounds, extra) = (leftover / n as u64, (leftover % n as u64) as usize);
+    if extra > 0 {
+        let by_remainder =
+            |a: &(f64, usize), b: &(f64, usize)| b.0.total_cmp(&a.0).then(a.1.cmp(&b.1));
+        order.select_nth_unstable_by(extra - 1, by_remainder);
+        for &(_, i) in &order[..extra] {
+            shares[i] += 1;
+        }
+    }
+    for s in shares.iter_mut() {
+        *s += floor_min + rounds;
     }
     debug_assert_eq!(shares.iter().sum::<u64>(), total);
-    shares
 }
 
 /// Plan direct moves turning `current` into `target` (equal sums): greedy

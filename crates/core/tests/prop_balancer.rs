@@ -4,7 +4,9 @@
 //! so the suite is hermetic — no external property-testing dependency —
 //! and every failure reproduces exactly.
 
-use dlb_core::alloc::{plan_adjacent_shifts, plan_direct_moves, proportional_allocation};
+use dlb_core::alloc::{
+    plan_adjacent_shifts, plan_direct_moves, proportional_allocation, proportional_allocation_into,
+};
 use dlb_core::RateFilter;
 use dlb_sim::Pcg32;
 
@@ -145,5 +147,128 @@ fn filter_converges_to_constant() {
             (adj - rate).abs() < rate * 0.01,
             "case {case}: {adj} did not converge to {rate}"
         );
+    }
+}
+
+/// The sort-based largest-remainder allocation as it stood before the
+/// remainders were computed once and selected: kept verbatim as the
+/// reference the current code must match bit for bit.
+fn reference_allocation(total: u64, rates: &[f64], min_per_slave: u64) -> Vec<u64> {
+    let n = rates.len();
+    assert!(n > 0, "no slaves");
+    let sum: f64 = rates.iter().sum();
+    // `!(sum > 0.0)` deliberately catches NaN as well as zero/negative.
+    #[allow(clippy::neg_cmp_op_on_partial_ord)]
+    if !(sum > 0.0) || rates.iter().any(|r| !r.is_finite() || *r < 0.0) {
+        // Equal split.
+        let base = total / n as u64;
+        let rem = (total % n as u64) as usize;
+        return (0..n).map(|i| base + u64::from(i < rem)).collect();
+    }
+    let floor_min = if total >= min_per_slave * n as u64 {
+        min_per_slave
+    } else {
+        0
+    };
+    let distributable = total - floor_min * n as u64;
+    // Largest remainder over the distributable part.
+    let exact: Vec<f64> = rates
+        .iter()
+        .map(|r| distributable as f64 * r / sum)
+        .collect();
+    let mut shares: Vec<u64> = exact.iter().map(|e| e.floor() as u64).collect();
+    let assigned: u64 = shares.iter().sum();
+    let mut order: Vec<usize> = (0..n).collect();
+    order.sort_by(|&a, &b| {
+        let fa = exact[a] - exact[a].floor();
+        let fb = exact[b] - exact[b].floor();
+        fb.partial_cmp(&fa).unwrap().then(a.cmp(&b))
+    });
+    let mut leftover = distributable - assigned;
+    for &i in order.iter().cycle() {
+        if leftover == 0 {
+            break;
+        }
+        shares[i] += 1;
+        leftover -= 1;
+    }
+    for s in &mut shares {
+        *s += floor_min;
+    }
+    debug_assert_eq!(shares.iter().sum::<u64>(), total);
+    shares
+}
+
+/// Rates of one of the shapes the balancer meets: random, all equal, a few
+/// tied values, some zero, or a mix of tiny and large.
+fn rates_of_shape(rng: &mut Pcg32, n: usize, shape: u64) -> Vec<f64> {
+    let tied = [3.0, 7.5, 7.5, 0.25];
+    (0..n)
+        .map(|i| match shape {
+            0 => 0.01 + rng.next_f64() * 99.99,
+            1 => 42.0,
+            2 => tied[rng.gen_index(0, tied.len())],
+            3 => {
+                if rng.chance(0.3) {
+                    0.0
+                } else {
+                    rng.next_f64() * 10.0
+                }
+            }
+            _ => {
+                if i % 3 == 0 {
+                    1e-9 * (1.0 + rng.next_f64())
+                } else {
+                    1e6 * rng.next_f64()
+                }
+            }
+        })
+        .collect()
+}
+
+/// The allocation equals the sort-based reference exactly: widths 1-300,
+/// random / equal / tied / zero / mixed rates, totals below `n *
+/// min_per_slave` and up to 10^6, and the equal-split fallbacks. The
+/// in-place form runs on buffers reused from case to case, so nothing a
+/// previous call left there may leak into the next.
+#[test]
+fn allocation_matches_sorting_reference() {
+    let mut rng = Pcg32::new(0x5E1EC7);
+    let (mut shares, mut order) = (vec![0u64; 300], vec![(0.0, 0usize); 300]);
+    let fallbacks = [f64::NAN, -1.0, 0.0, f64::INFINITY];
+    for case in 0..3_000u64 {
+        let n = 1 + rng.gen_index(0, 300);
+        let min_per_slave = rng.gen_range(0, 3);
+        let total = match case % 3 {
+            0 => rng.gen_range(0, n as u64 * min_per_slave.max(1)),
+            1 => rng.gen_range(0, 5_000),
+            _ => rng.gen_range(0, 1_000_001),
+        };
+        let mut rates = rates_of_shape(&mut rng, n, case % 5);
+        if case % 11 == 0 {
+            // An equal-split fallback: a NaN, a negative, a zero sum or an
+            // infinite rate somewhere.
+            let bad = fallbacks[rng.gen_index(0, fallbacks.len())];
+            if bad == 0.0 {
+                rates.iter_mut().for_each(|r| *r = 0.0);
+            } else {
+                rates[rng.gen_index(0, n)] = bad;
+            }
+        }
+        let expected = reference_allocation(total, &rates, min_per_slave);
+        let label = format!("case {case}: total {total}, n {n}, min {min_per_slave}");
+        assert_eq!(
+            proportional_allocation(total, &rates, min_per_slave),
+            expected,
+            "{label}"
+        );
+        proportional_allocation_into(
+            total,
+            &rates,
+            min_per_slave,
+            &mut shares[..n],
+            &mut order[..n],
+        );
+        assert_eq!(shares[..n], expected[..], "{label} (in place)");
     }
 }
