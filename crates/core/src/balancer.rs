@@ -118,8 +118,12 @@ pub struct Balancer {
     /// Orders issued whose sender has not yet confirmed applying them
     /// (by reporting `last_applied_seq`): `(instruction seq, units)`.
     pending_out: Vec<VecDeque<(u64, u64)>>,
-    /// Last seen per-sender received counters, per receiver.
-    last_received_from: Vec<Vec<u64>>,
+    /// The channel ledger: `sent[a][b]` transfers slave `a` has sent
+    /// toward `b`, `recv[b][a]` those from `a` applied at `b`, each the
+    /// largest count any report has carried. Counters only grow, so a
+    /// duplicated, reordered or stale report changes nothing.
+    sent: Vec<Vec<u64>>,
+    recv: Vec<Vec<u64>>,
     freq: FrequencyController,
     /// Measured per-unit movement time (seconds), exponentially averaged.
     per_unit_move_s: f64,
@@ -170,7 +174,8 @@ impl Balancer {
             pending_in: vec![VecDeque::new(); n],
             pending_out: vec![VecDeque::new(); n],
             acc: vec![(0, SimDuration::ZERO); n],
-            last_received_from: vec![vec![0; n]; n],
+            sent: vec![vec![0; n]; n],
+            recv: vec![vec![0; n]; n],
             freq: FrequencyController::new(quantum),
             per_unit_move_s: per_unit_move_est.as_secs_f64(),
             move_samples: CostAverage::default(),
@@ -209,8 +214,9 @@ impl Balancer {
     /// The named slave (re)joined: make it allocatable again with clean
     /// accounting. The caller follows up with [`Self::rebase`] (the
     /// admission re-scatter bumps the epoch), which installs the joiner's
-    /// new ownership; until its first `Status` report the balancer sees it
-    /// as rate-unknown, exactly like a slave at start-up.
+    /// new ownership and zeroes the ledger, its channels included; until
+    /// its first `Status` report the balancer sees it as rate-unknown,
+    /// exactly like a slave at start-up.
     pub fn admit(&mut self, s: usize) {
         self.dead[s] = false;
         self.relist_alive();
@@ -219,10 +225,6 @@ impl Balancer {
         self.acc[s] = (0, SimDuration::ZERO);
         self.pending_in[s].clear();
         self.pending_out[s].clear();
-        for row in &mut self.last_received_from {
-            row[s] = 0;
-        }
-        self.last_received_from[s].iter_mut().for_each(|v| *v = 0);
     }
 
     /// Rebuild the live list and the position table from `dead`.
@@ -238,7 +240,10 @@ impl Balancer {
 
     /// Rollback: adopt a new epoch (stamped into every instruction so
     /// stale orders are discarded), discard all in-flight accounting, and
-    /// install the post-rollback distribution.
+    /// install the post-rollback distribution. The ledger restarts from
+    /// zero: the slaves reset their channels when they rebase onto the new
+    /// epoch, and their reports from the old one are fenced before they
+    /// reach the balancer.
     pub fn rebase(&mut self, epoch: u64, owned: Vec<u64>) {
         self.epoch = epoch;
         self.reported = owned;
@@ -248,7 +253,7 @@ impl Balancer {
         for q in &mut self.pending_out {
             q.clear();
         }
-        for row in &mut self.last_received_from {
+        for row in self.sent.iter_mut().chain(&mut self.recv) {
             row.iter_mut().for_each(|v| *v = 0);
         }
         for a in &mut self.acc {
@@ -313,35 +318,54 @@ impl Balancer {
         busy
     }
 
-    /// Acknowledge a slave's cumulative per-sender received counters,
-    /// clearing matched in-flight entries. Per-sender matching matters:
-    /// transfers from different senders to the same receiver are unordered,
-    /// and popping the wrong entry would clear a busy boundary early.
-    pub fn ack_transfers(&mut self, slave: usize, received_from: &[u64]) {
-        if self.pending_in[slave].is_empty() {
-            self.last_received_from[slave][..received_from.len()].copy_from_slice(received_from);
-            return;
+    /// Max-merge one slave's report of its channel counters into the
+    /// ledger, and acknowledge as many of the orders toward it from each
+    /// sender as that sender's `recv` entry grew. Per-sender matching
+    /// matters: transfers from different senders to the same receiver are
+    /// unordered, and popping the wrong entry would clear a busy boundary
+    /// early.
+    pub fn merge_channels(&mut self, slave: usize, sent_to: &[u64], received_from: &[u64]) {
+        for (d, &s) in self.sent[slave].iter_mut().zip(sent_to) {
+            *d = (*d).max(s);
         }
-        for (sender, &seen) in received_from.iter().enumerate() {
-            let newly = seen.saturating_sub(self.last_received_from[slave][sender]);
-            self.last_received_from[slave][sender] = seen;
-            for _ in 0..newly {
-                if let Some(pos) = self.pending_in[slave]
+        for (sender, (d, &seen)) in self.recv[slave].iter_mut().zip(received_from).enumerate() {
+            let grown = seen.saturating_sub(*d);
+            *d += grown;
+            for _ in 0..grown {
+                let Some(pos) = self.pending_in[slave]
                     .iter()
                     .position(|&(_, src)| src == sender)
-                {
-                    self.pending_in[slave].remove(pos);
-                }
+                else {
+                    break;
+                };
+                self.pending_in[slave].remove(pos);
             }
         }
     }
 
+    /// The invocation's transfers have all landed: no order is still
+    /// unacknowledged, and `recv[b][a] >= sent[a][b]` for every pair of
+    /// live slaves. Channels touching an evicted slave are exempt — the
+    /// eviction protocol closes them and re-owns what was in flight. The
+    /// master must not release the next invocation before this holds: a
+    /// still-unexecuted order would otherwise fire after the barrier and
+    /// tear the next invocation's bookkeeping apart.
+    pub fn settled(&self) -> bool {
+        let alive = &self.alive;
+        self.outstanding_orders() == 0
+            && alive
+                .iter()
+                .all(|&a| alive.iter().all(|&b| self.recv[b][a] >= self.sent[a][b]))
+    }
+
+    /// Slave `s` takes part in allocation: it is not evicted.
+    pub(crate) fn is_live(&self, s: usize) -> bool {
+        !self.dead[s]
+    }
+
     /// Number of issued move orders whose transfer has not yet been
-    /// acknowledged by the receiver. The master must not settle an
-    /// invocation while this is nonzero: a still-unexecuted order would
-    /// otherwise fire after the barrier and tear the next invocation's
-    /// bookkeeping apart.
-    pub fn outstanding_orders(&self) -> usize {
+    /// acknowledged by the receiver.
+    fn outstanding_orders(&self) -> usize {
         self.pending_in.iter().map(|q| q.len()).sum()
     }
 
@@ -349,7 +373,7 @@ impl Balancer {
     pub fn on_status(&mut self, s: &Status) -> Decision {
         assert!(s.slave < self.n, "unknown slave");
         self.stats.statuses += 1;
-        self.ack_transfers(s.slave, &s.received_from);
+        self.merge_channels(s.slave, &s.sent_to, &s.received_from);
         // Orders the slave has applied are now reflected in its report.
         while let Some(&(seq, _)) = self.pending_out[s.slave].front() {
             if seq <= s.last_applied_seq {
@@ -914,6 +938,37 @@ mod tests_accounting {
     }
 
     #[test]
+    fn a_stale_report_acknowledges_nothing() {
+        let mut b = mk(vec![25, 25]);
+        b.on_status(&status(0, 10, 1.0, 25));
+        // Slave 1 has applied three transfers from slave 0, none of them
+        // ordered by this balancer.
+        let seen = |received| {
+            let mut st = status(1, 10, 1.0, 25);
+            st.received_from = vec![received, 0];
+            st
+        };
+        b.on_status(&seen(3));
+        let mut issued = 0;
+        for _ in 0..4 {
+            let d = b.on_status(&status(0, 3, 1.0, b.owned_view()[0]));
+            issued += d.instructions.moves.len();
+            if issued > 0 {
+                break;
+            }
+            b.on_status(&seen(3));
+        }
+        assert_eq!(issued, 1);
+        // An `InvocationDone` sent before the last status arrives after it,
+        // then the last status's counters come again: neither shows the
+        // order's transfer, so the order stays outstanding.
+        b.merge_channels(1, &[], &[2, 0]);
+        b.on_status(&seen(3));
+        assert_eq!(b.outstanding_orders(), 1);
+        assert!(!b.settled());
+    }
+
+    #[test]
     fn period_bounds_reflect_samples() {
         let mut b = mk(vec![10, 10]);
         let mut st = status(0, 10, 1.0, 10);
@@ -1096,5 +1151,200 @@ mod tests_stream {
         }
         assert_eq!(direct.0, 7_486_196_291_294_151_287, "{direct:?}");
         assert_eq!(adjacent.0, 9_683_552_128_279_107_632, "{adjacent:?}");
+    }
+}
+
+#[cfg(test)]
+mod tests_ledger {
+    use super::*;
+    use dlb_sim::Pcg32;
+
+    /// The slaves as the balancer's orders leave them: what each holds, its
+    /// channel counters (`sent[a][b]` transfers `a` sent toward `b`,
+    /// `received[b][a]` those from `a` applied at `b`) and the transfers on
+    /// the wire, `(due round, from, to, units)`, which land in order per
+    /// channel.
+    struct Slaves {
+        held: Vec<u64>,
+        sent: Vec<Vec<u64>>,
+        received: Vec<Vec<u64>>,
+        applied: Vec<u64>,
+        wire: Vec<(u64, usize, usize, u64)>,
+        last_due: Vec<Vec<u64>>,
+    }
+
+    impl Slaves {
+        fn new(n: usize) -> Slaves {
+            Slaves {
+                held: vec![16; n],
+                sent: vec![vec![0; n]; n],
+                received: vec![vec![0; n]; n],
+                applied: vec![0; n],
+                wire: Vec::new(),
+                last_due: vec![vec![0; n]; n],
+            }
+        }
+
+        /// Slave `s`'s report as it stands now: the counters are a snapshot,
+        /// however late the report is delivered.
+        fn report(&self, s: usize, round: u64, rate: f64, secs: f64) -> Status {
+            Status {
+                slave: s,
+                invocation: 0,
+                hook_seq: round,
+                units_done_delta: (rate * secs) as u64,
+                elapsed: SimDuration::from_secs_f64(secs),
+                active_units: self.held[s],
+                last_applied_seq: self.applied[s],
+                epoch: 0,
+                sent_to: self.sent[s].clone(),
+                received_from: self.received[s].clone(),
+                move_cost_sample: None,
+                interaction_cost_sample: None,
+            }
+        }
+
+        /// Slave `s` executes its orders: each leaves as one transfer (of
+        /// what it still holds, at most the count) that lands 0-3 rounds on.
+        fn apply(&mut self, s: usize, ins: &Instructions, round: u64, rng: &mut Pcg32) {
+            for m in &ins.moves {
+                let count = m.count.min(self.held[s]);
+                self.held[s] -= count;
+                self.sent[s][m.to] += 1;
+                let due = (round + rng.gen_range(0, 4)).max(self.last_due[s][m.to]);
+                self.last_due[s][m.to] = due;
+                self.wire.push((due, s, m.to, count));
+            }
+            self.applied[s] = self.applied[s].max(ins.seq);
+        }
+
+        fn land(&mut self, round: u64) {
+            let (held, received) = (&mut self.held, &mut self.received);
+            self.wire.retain(|&(due, from, to, count)| {
+                if due > round {
+                    return true;
+                }
+                held[to] += count;
+                received[to][from] += 1;
+                false
+            });
+        }
+    }
+
+    /// One run at width `n`: 20 rounds in which every slave reports once
+    /// — a `Status` the balancer answers, or an `InvocationDone` it only
+    /// merges — each report delivered 0-3 rounds after it was sent,
+    /// reordered, and one in five delivered twice; then the wire drains
+    /// and every slave reports once more. After every report, each order
+    /// whose transfer is still on the wire is outstanding, so the balancer
+    /// is not settled; once all have landed and been reported, it is.
+    /// Returns the moves issued and the reports that carried a counter
+    /// below one already delivered.
+    fn ledger_run(
+        rng: &mut Pcg32,
+        n: usize,
+        movement: MovementRule,
+        min_per_slave: u64,
+    ) -> (u64, u64) {
+        let mut b = Balancer::new(
+            BalancerConfig::default(),
+            vec![16; n],
+            SimDuration::from_millis(100),
+            SimDuration::from_millis(5),
+            40,
+            1.0,
+        );
+        b.set_placement(movement, min_per_slave);
+        let mut slaves = Slaves::new(n);
+        let mut rate: Vec<f64> = (0..n).map(|_| 50.0 + rng.next_f64() * 100.0).collect();
+        let mut queue: Vec<(u64, bool, Status)> = Vec::new();
+        let mut newest = vec![vec![0u64; n]; n];
+        let mut stale = 0;
+        let mut round = 0;
+        while round < 20 || !queue.is_empty() || !slaves.wire.is_empty() {
+            if round < 20 {
+                for r in &mut rate {
+                    *r = (*r * (0.8 + 0.4 * rng.next_f64())).clamp(10.0, 400.0);
+                }
+                for (s, &r) in rate.iter().enumerate() {
+                    let report = slaves.report(s, round, r, 0.5 + rng.next_f64());
+                    let is_status = rng.chance(0.7);
+                    let due = round + rng.gen_range(0, 4);
+                    if rng.chance(0.2) {
+                        queue.push((due + rng.gen_range(0, 4), is_status, report.clone()));
+                    }
+                    queue.push((due, is_status, report));
+                }
+            }
+            let mut now;
+            (now, queue) = std::mem::take(&mut queue)
+                .into_iter()
+                .partition(|r| r.0 <= round);
+            for i in (1..now.len()).rev() {
+                now.swap(i, rng.gen_index(0, i + 1));
+            }
+            for (_, is_status, st) in now {
+                let s = st.slave;
+                if st.received_from.iter().zip(&newest[s]).any(|(r, m)| r < m) {
+                    stale += 1;
+                }
+                for (m, &r) in newest[s].iter_mut().zip(&st.received_from) {
+                    *m = (*m).max(r);
+                }
+                if is_status {
+                    let d = b.on_status(&st);
+                    slaves.apply(s, &d.instructions, round, rng);
+                } else {
+                    b.merge_channels(s, &st.sent_to, &st.received_from);
+                }
+                let on_wire = slaves.wire.len();
+                assert!(
+                    b.outstanding_orders() >= on_wire,
+                    "n {n}, {movement:?}, round {round}: {} orders outstanding, {on_wire} on the wire",
+                    b.outstanding_orders()
+                );
+                assert!(
+                    on_wire == 0 || !b.settled(),
+                    "settled with {on_wire} transfers on the wire"
+                );
+            }
+            slaves.land(round);
+            round += 1;
+        }
+        for s in 0..n {
+            b.merge_channels(s, &slaves.sent[s], &slaves.received[s]);
+        }
+        assert!(
+            b.settled(),
+            "n {n}, {movement:?}: unsettled after every transfer landed"
+        );
+        (b.stats().moves_issued, stale)
+    }
+
+    /// The ledger under late, reordered and duplicated reports, at widths
+    /// 2-64 and under both movement rules: an order stays outstanding until
+    /// its transfer has landed and a report says so.
+    #[test]
+    fn late_reports_never_settle_an_order_in_flight() {
+        let mut rng = Pcg32::new(0x1ED6E5);
+        for (movement, min_per_slave) in
+            [(MovementRule::Direct, 0), (MovementRule::AdjacentOnly, 1)]
+        {
+            let (mut moves, mut stale) = (0, 0);
+            for case in 0..8 {
+                let n = match case {
+                    0 => 2,
+                    1 => 64,
+                    _ => 2 + rng.gen_index(0, 63),
+                };
+                let (m, s) = ledger_run(&mut rng, n, movement, min_per_slave);
+                moves += m;
+                stale += s;
+            }
+            assert!(
+                moves > 0 && stale > 0,
+                "{movement:?}: {moves} moves, {stale} stale reports"
+            );
+        }
     }
 }

@@ -6,9 +6,9 @@
 //! distributed loop (MM repetition, SOR sweep, LU step). Within an
 //! invocation it answers every slave status with instructions from the
 //! [`Balancer`], and it releases the next invocation only when every slave
-//! is idle, every transfer channel has settled (`sent_to[a][b] ==
-//! received_from[b][a]` for every live pair), and no movement order is
-//! outstanding — so no unit can be lost, duplicated, or skipped.
+//! is idle, every transfer channel has settled (`recv[b][a] >= sent[a][b]`
+//! for every live pair, in the balancer's channel ledger), and no movement
+//! order is outstanding — so no unit can be lost, duplicated, or skipped.
 //!
 //! The master runs one of two controls:
 //!
@@ -161,7 +161,7 @@ use crate::error::{FaultToleranceConfig, ProtocolError};
 use crate::frequency::PeriodBounds;
 use crate::msg::{FailoverMsg, Instructions, Msg, Status, UnitData};
 use crate::recovery::RecoveryStats;
-use crate::session::master::{channels_settled, merge_max, Effect, Effects, Policy, Session};
+use crate::session::master::{Effect, Effects, Policy, Session};
 use crate::session::membership::Life;
 use crate::session::replica::TakeoverSeed;
 use dlb_sim::{ActorId, CpuWork, MailCtx, SimDuration, SimTime};
@@ -405,12 +405,6 @@ async fn run_plain(
         fx.send(s, kit.start());
     }
 
-    // Per-channel counters: sent[a][b] = transfers a allocated towards b,
-    // recv[b][a] = contiguous transfers from a applied at b.
-    let mut sent = vec![vec![0u64; n]; n];
-    let mut recv = vec![vec![0u64; n]; n];
-    let all_alive = vec![true; n];
-
     let invocations = kit.app.invocations();
     let mut inv = 0;
     while inv < invocations {
@@ -425,11 +419,7 @@ async fn run_plain(
 
         loop {
             // Settlement check.
-            if idle.iter().all(|&b| b)
-                && done_sum >= expected
-                && channels_settled(&all_alive, &sent, &recv)
-                && balancer.outstanding_orders() == 0
-            {
+            if idle.iter().all(|&b| b) && done_sum >= expected && balancer.settled() {
                 if done_sum != expected {
                     return Err(ProtocolError::Inconsistent {
                         detail: format!(
@@ -460,8 +450,6 @@ async fn run_plain(
                     if st.invocation == inv {
                         done_sum += st.units_done_delta;
                     }
-                    merge_max(&mut sent[st.slave], &st.sent_to);
-                    merge_max(&mut recv[st.slave], &st.received_from);
                     idle[st.slave] = false;
                     let instr = decide(fx, balancer, kit.record_timeline, sc, &st, inv);
                     fx.send(slaves[st.slave], Msg::Instructions(instr));
@@ -487,9 +475,7 @@ async fn run_plain(
                         idle[slave] = true;
                         metrics[slave] = metric;
                     }
-                    merge_max(&mut sent[slave], &sent_to);
-                    merge_max(&mut recv[slave], &received_from);
-                    balancer.ack_transfers(slave, &received_from);
+                    balancer.merge_channels(slave, &sent_to, &received_from);
                 }
                 Msg::SlaveError { slave, error } => {
                     return Err(ProtocolError::SlaveFailed {
@@ -898,8 +884,6 @@ impl Master {
                 // arm), where nothing can supersede.
                 let applied = stm.last_applied_seq;
                 st.unacked_instr[s].take_if(|(seq, _, _)| applied >= *seq);
-                merge_max(&mut st.sent[s], &stm.sent_to);
-                merge_max(&mut st.recv[s], &stm.received_from);
                 let instr = decide(fx, &mut st.balancer, *record, sc, &stm, st.inv);
                 st.unacked_instr[s] = Some((instr.seq, instr.clone(), 0));
                 fx.send(st.slaves[s], Msg::Instructions(instr));
@@ -953,9 +937,7 @@ impl Master {
                         detail: format!("InvocationDone from epoch {epoch} while in {}", st.epoch),
                     });
                 }
-                merge_max(&mut st.sent[slave], &sent_to);
-                merge_max(&mut st.recv[slave], &received_from);
-                st.balancer.ack_transfers(slave, &received_from);
+                st.balancer.merge_channels(slave, &sent_to, &received_from);
                 if invocation == st.inv {
                     st.memb.done[slave] = true;
                     st.metrics[slave] = metric;

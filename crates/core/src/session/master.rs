@@ -147,23 +147,6 @@ impl Effects {
     }
 }
 
-/// Elementwise monotone merge of per-channel counters. Counters only grow,
-/// so taking the max makes duplicated or reordered reports harmless.
-pub(crate) fn merge_max(dst: &mut [u64], src: &[u64]) {
-    for (d, &s) in dst.iter_mut().zip(src) {
-        *d = (*d).max(s);
-    }
-}
-
-/// Every transfer channel between live slaves has settled: everything slave
-/// `a` ever sent to slave `b` has been applied at `b`. Channels touching a
-/// dead slave are exempt — they are closed by the eviction protocol, which
-/// re-owns whatever was still in flight.
-pub(crate) fn channels_settled(alive: &[bool], sent: &[Vec<u64>], recv: &[Vec<u64>]) -> bool {
-    let n = alive.len();
-    (0..n).all(|a| !alive[a] || (0..n).all(|b| !alive[b] || recv[b][a] >= sent[a][b]))
-}
-
 /// Unit `id` after `invs` completed invocations, recomputed from its initial
 /// data: seeds a takeover or an admission under re-scatter, and backs the
 /// gather's safety net. Value-deterministic, so bit-identical to the state
@@ -689,9 +672,6 @@ pub(crate) struct Session {
     pub memb: Membership,
     pub last_hook_seq: Vec<u64>,
     pub metrics: Vec<f64>,
-    /// Per-channel transfer settlement matrices (monotone max-merged).
-    pub sent: Vec<Vec<u64>>,
-    pub recv: Vec<Vec<u64>>,
     /// One sender window per destination for all recovery messages
     /// (Restore / Speculate / Rollback),
     /// acknowledged via InvocationDone::restore_seq. The transition rules
@@ -776,8 +756,6 @@ impl Session {
             memb: Membership::new(n, now, tol.nudge),
             last_hook_seq: vec![0u64; n],
             metrics: vec![0.0; n],
-            sent: vec![vec![0u64; n]; n],
-            recv: vec![vec![0u64; n]; n],
             win: vec![SenderWindow::new(); n],
             unacked_instr: (0..n).map(|_| None).collect(),
             epoch: term << 32,
@@ -820,12 +798,14 @@ impl Session {
 
     /// The invocation can be released: every live slave is settled (which
     /// rules out an open eviction — one always awaits a live slave's
-    /// report), every transfer channel has settled and the balancer has no
-    /// movement order outstanding.
+    /// report) and every ordered transfer has landed
+    /// ([`Balancer::settled`], over the balancer's own live set, which
+    /// every eviction and admission keeps equal to the membership's).
     pub fn settled(&self) -> bool {
+        let same = |s| self.balancer.is_live(s) == self.memb.alive[s];
+        debug_assert!((0..self.memb.n()).all(same));
         (0..self.memb.n()).all(|s| !self.memb.alive[s] || self.slave_settled(s))
-            && channels_settled(&self.memb.alive, &self.sent, &self.recv)
-            && self.balancer.outstanding_orders() == 0
+            && self.balancer.settled()
     }
 
     /// Heartbeat the live deputies so their election trigger stays quiet
@@ -957,13 +937,6 @@ impl Session {
         self.rec.rollbacks += 1;
         self.rec.units_rolled_back += self.n_units as u64;
         self.balancer.rebase(self.epoch, counts);
-        // The slaves reset their channels when they rebase onto the new
-        // epoch, so the settlement matrices restart from zero; everything
-        // tracked under the old epoch is void (stale reports are
-        // epoch-fenced before they can re-merge old maxima).
-        for row in self.sent.iter_mut().chain(self.recv.iter_mut()) {
-            row.iter_mut().for_each(|v| *v = 0);
-        }
         self.inv = invocation;
         self.released = true;
         Policy::reranged(self, fx.now(), &survivors);
@@ -1002,17 +975,18 @@ impl Session {
             )
         });
         self.declare_dead(fx, s, now);
-        self.balancer.mark_dead(s);
         // Its per-invocation metric no longer counts: survivors recompute
         // its units and contribute their metric.
         self.metrics[s] = 0.0;
         self.unacked_instr[s] = None;
     }
 
-    /// Slave `s` is dead as of `now`: out of the membership, counted, and
-    /// told so (it may only be cut off, and exit or rejoin).
+    /// Slave `s` is dead as of `now`: out of the membership and the
+    /// balancer's allocation, counted, and told so (it may only be cut off,
+    /// and exit or rejoin).
     fn declare_dead(&mut self, fx: &mut Effects, s: usize, now: SimTime) {
         self.memb.evict(s);
+        self.balancer.mark_dead(s);
         self.rec.slaves_declared_dead += 1;
         self.rec.first_death.get_or_insert(now);
         fx.send(self.slaves[s], Msg::Evict);
@@ -1179,11 +1153,15 @@ pub(crate) mod tests {
         let (mut sess, mut fx) = session(3, rollback());
 
         // Bank a complete checkpoint for invocation 2, then lose slave 0.
+        // Slave 1 has reported five transfers toward slave 2 that slave 2
+        // has not: the channel is open until the re-range voids the ledger.
         sess.inv = 2;
-        sess.sent[0][1] = 5;
+        sess.balancer.merge_channels(1, &[0, 0, 5], &[]);
+        assert!(!sess.balancer.settled());
         bank(&mut sess, 2, checkpoint(3, 10.0));
         sess.evict(&mut fx, 0, SimTime::ZERO).unwrap();
         sess.rerange(&mut fx, &[]).expect("two survivors remain");
+        assert!(sess.balancer.settled(), "the re-range voided the ledger");
         assert_eq!(sess.epoch, 1);
         assert_eq!(sess.inv, 2, "restart at the banked invocation");
         assert!(sess.released);
@@ -1201,8 +1179,6 @@ pub(crate) mod tests {
         assert_eq!(sess.rec.slaves_declared_dead, 2);
         assert_eq!(sess.memb.survivors(), vec![2]);
         assert_eq!(sess.win[2].unacked().count(), 2);
-        // Settlement matrices were voided.
-        assert!(sess.sent.iter().flatten().all(|&v| v == 0));
 
         // Last survivor dies: nothing left to roll back onto.
         sess.evict(&mut fx, 2, SimTime::ZERO).unwrap();

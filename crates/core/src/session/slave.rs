@@ -318,12 +318,13 @@ async fn send_done<S: DistributionStrategy>(
     inv: u64,
 ) {
     let (owned_ids, metric) = strategy.report();
+    let (sent_to, received_from) = common.channel_counts();
     let msg = Msg::InvocationDone {
         slave: common.idx,
         invocation: inv,
         epoch: common.epoch,
-        sent_to: common.sent_to_vec(),
-        received_from: common.recv_watermarks(),
+        sent_to,
+        received_from,
         metric,
         restore_seq: common.master_chan.watermark(),
         owned_ids,

@@ -390,15 +390,13 @@ impl SlaveCommon {
 
     // ---- sequenced transfer channels -----------------------------------
 
-    /// Per-destination transfer sequence counters (for status/settlement).
-    pub fn sent_to_vec(&self) -> Vec<u64> {
-        self.channels.iter().map(|c| c.seq_sent()).collect()
-    }
-
-    /// Per-source applied-transfer watermarks (for status/settlement and
-    /// the master's order acknowledgement).
-    pub fn recv_watermarks(&self) -> Vec<u64> {
-        self.channels.iter().map(|c| c.recv_watermark()).collect()
+    /// The counters a report carries for the master's channel ledger: per
+    /// destination, the transfers sent (`sent_to`); per source, the
+    /// contiguous transfers applied (`received_from`).
+    pub fn channel_counts(&self) -> (Vec<u64>, Vec<u64>) {
+        let sent_to = self.channels.iter().map(|c| c.seq_sent()).collect();
+        let received_from = self.channels.iter().map(|c| c.recv_watermark()).collect();
+        (sent_to, received_from)
     }
 
     /// Execute the master's movement orders: for each order to a live peer,
@@ -1030,6 +1028,7 @@ impl SlaveCommon {
         // queued instructions: `active_units` was measured before any moves
         // execute, so `last_applied_seq` must predate them too — otherwise
         // the master would treat the stale count as already discounted.
+        let (sent_to, received_from) = self.channel_counts();
         let status = Status {
             slave: self.idx,
             invocation,
@@ -1039,8 +1038,8 @@ impl SlaveCommon {
             active_units,
             last_applied_seq: self.last_instr_seq,
             epoch: self.epoch,
-            sent_to: self.sent_to_vec(),
-            received_from: self.recv_watermarks(),
+            sent_to,
+            received_from,
             move_cost_sample: self.move_cost_sample.take(),
             interaction_cost_sample: self.interaction_cost_sample.take(),
         };

@@ -17,7 +17,8 @@ a `Policy` variant or call `rollback_policy()`, plus branches on a
 where the two recovery policies still differ - then the incarnation
 comparisons: counted lines of crates/core/src outside
 session/membership.rs that compare an incarnation with a relational
-operator - then the master's kernel touch points: counted lines of
+operator - then the P x P channel-counter matrices built in crates/core/src
+(`vec![vec![0; n]; n]`) - then the master's kernel touch points: counted lines of
 master.rs and session/master.rs that `.await` or name `MailCtx` - then the
 message kinds: the variants of `Msg`, and of the failover plane's
 `FailoverMsg` - then the items of `DistributionStrategy`, what an engine
@@ -100,6 +101,18 @@ def incarnation_comparisons(root):
     paths = sorted((root / "crates/core/src").glob("**/*.rs"))
     kept = (path for path in paths if path.relative_to(root).as_posix() not in skip)
     return sum(bool(INCARNATION_CMP.search(line)) for path in kept for line in code(path))
+
+
+# A square matrix of counters, one row and one column per slave: the
+# channel ledger's shape.
+SQUARE = re.compile(r"vec!\[vec!\[0(?:u64)?; (\w+)\]; \1\]")
+
+
+def channel_matrices(root):
+    """The P x P counter matrices built in counted lines of
+    crates/core/src: copies of the per-channel transfer counters."""
+    paths = sorted((root / "crates/core/src").glob("**/*.rs"))
+    return sum(len(SQUARE.findall(line)) for path in paths for line in code(path))
 
 
 # A line of the master that touches the kernel: it awaits, or it names the
@@ -256,6 +269,7 @@ def main():
     print(f"{decisions:7}  policy decisions outside impl Policy")
     print(f"{methods:7}  impl Policy methods")
     print(f"{incarnation_comparisons(root):7}  incarnation comparisons outside session/membership.rs")
+    print(f"{channel_matrices(root):7}  P x P channel-counter matrices in crates/core/src")
     print(f"{kernel_touch_points(root):7}  master kernel touch points (lines of {' + '.join(MASTER)} that .await or name MailCtx)")
     msgs = enum_variants(root / "crates/core/src/msg.rs", "Msg")
     print(f"{len(msgs):7}  message kinds (Msg variants)")
