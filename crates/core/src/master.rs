@@ -10,16 +10,18 @@
 //! for every live pair, in the balancer's channel ledger), and no movement
 //! order is outstanding — so no unit can be lost, duplicated, or skipped.
 //!
-//! The master runs one of two controls:
+//! The master runs one of two controls, both step functions under one shell:
 //!
-//! * **plain** (`run_plain`) — no fault plan; trouble is a typed error,
-//!   never a panic. It stays a loop of its own: it is the only one that
-//!   checks unit conservation (`done_sum == expected`), it blocks in
-//!   `recv()` where the fault-mode shell ticks on `recv_deadline` (every
-//!   tick is a wake event: `wide_armed` processes 248 038 events to
-//!   `wide_plain`'s 186 269, 1.5× the wall-clock), and it backs every
-//!   `results/*.txt` table — folding it in would move each of those traces
-//!   or make every shared arm branch on "armed?".
+//! * **plain** (`Plain`) — no fault plan; trouble is a typed error, never
+//!   a panic. It is the only control that checks unit conservation
+//!   (`done_sum == expected`), and it never ticks: the shell blocks in
+//!   `recv()` for it where the fault-mode master waits on `recv_deadline`
+//!   (every tick is a wake event: `wide_armed` processes 248 038 events to
+//!   `wide_plain`'s 186 269, 1.5× the wall-clock). It backs every
+//!   `results/*.txt` table, so it keeps a state of its own — `inv`,
+//!   `expected`, `done_sum`, `idle`, `metrics` and the gather's `got` —
+//!   rather than a `Session`: folding it into the fault-mode master would
+//!   move each of those traces or make every shared arm branch on "armed?".
 //! * **fault mode** (`Master`) — a step function over one `Session`
 //!   (`crate::session::master`): silence-based failure detection, epoch
 //!   fencing, windowed recovery messages, speculation, elastic membership,
@@ -48,24 +50,31 @@
 //!   Under both, a survivable `SlaveError` — a wedged slave — is rescued by
 //!   a re-range.
 //!
-//! ## A step function and its shell
+//! ## Two step functions and one shell
 //!
-//! `Master::new(kit, tol, takeover, rec, fx)` opens a reign — an original
-//! one, or with `takeover` the election winner's — and advances it to its
-//! first receive; `Master::on(input, &mut fx)` takes one `Input` — a
-//! delivery, or a tick with none — runs its receive arm and the `sweep`,
-//! advances the phase to the next receive, and says whether the run ended.
-//! The reign's one [`Session`] holds everything it keeps, the balancer
-//! (a clone of the kit's pristine one) and the failover term included. No
-//! step takes a `MailCtx`: what a step does goes into `Effects` — CPU
-//! charges, sends and notes, in order — which carry the actor's clock, so
-//! `fx.now()` is where the actor's own clock will stand. Only the shell
-//! (`reign`, `flush`, `conclude`) and `run_plain` touch the kernel: receive
-//! until the next `MASTER_TICK`, step, and apply the effects through
-//! `advance_work` / `send` / `note` — the charges, sends and notes of the
-//! loop this replaced, in its order. The one thing the effect clock cannot
-//! see is a freeze over a charge's finish: the actor's clock moves on to
-//! the thaw, and the master sees the late time at its next step.
+//! `Master::new(kit, tol, takeover, fx)` opens a reign — an original one,
+//! or with `takeover` the election winner's — and advances it to its first
+//! receive; `Master::on(input, &mut fx)` takes one `Input` — a delivery,
+//! or a tick with none — runs its receive arm and the `sweep`, advances
+//! the phase to the next receive, and says whether the run ended. The
+//! reign's one [`Session`] holds everything it keeps, the balancer (a
+//! clone of the kit's pristine one) and the failover term included.
+//! `Plain::new(kit, fx)` sends the `Start`s and the first release, and
+//! `Plain::on` takes one delivery the same way: it settles invocation
+//! `inv`, and its `advance` passes each settled one (conservation,
+//! convergence, the next release or the gather) and ends a complete
+//! gather. Both are a `Control`. No step takes a `MailCtx`: what a step
+//! does goes into `Effects` — CPU charges, sends and notes, in order —
+//! which carry the actor's clock, so `fx.now()` is where the actor's own
+//! clock will stand. Only the shell (`shell`, `flush`) touches the
+//! kernel: flush, receive (until the next `MASTER_TICK` in fault mode),
+//! step, and at the end conclude — apply the effects through
+//! `advance_work` / `send` / `note`, the charges, sends and notes of the
+//! loops this replaced, in their order. So a recorded run of either
+//! control replays step by step with no simulator. The one thing the
+//! effect clock cannot see is a freeze over a charge's finish: the actor's
+//! clock moves on to the thaw, and the master sees the late time at its
+//! next step.
 //!
 //! ## The phases of the fault-mode master
 //!
@@ -192,7 +201,7 @@ pub struct TimelineSample {
 }
 
 /// Everything the master hands back to the driver. Threaded through the
-/// control loops as they run (`sc`), so a failed run still surfaces
+/// controls as they step (`sc`), so a failed run still surfaces
 /// everything measured up to the failure.
 #[derive(Debug, Default)]
 pub struct MasterOutcome {
@@ -225,7 +234,7 @@ pub struct TakeoverKit {
     /// state recovery rebuilds from.
     pub app: AppSpec,
     pub record_timeline: bool,
-    /// Fault-mode wiring; `None` selects the plain loop.
+    /// Fault-mode wiring; `None` selects the plain control.
     pub ft: Option<FaultToleranceConfig>,
     /// The original master's actor id (fenced with `Promoted` on takeover
     /// in case it is merely slow, not dead).
@@ -259,57 +268,96 @@ pub async fn run_takeover(
     seed: TakeoverSeed,
     me: usize,
 ) -> Result<(), ProtocolError> {
-    reign(ctx, kit, tol, Some((seed, me))).await;
+    shell(ctx, kit, |fx| Master::new(kit, tol, Some((seed, me)), fx)).await;
     Ok(())
 }
 
-/// The master actor body: the plain loop without fault-tolerance wiring,
-/// else an original fault-mode reign. The outcome lands in `kit.outcome`.
+/// The master actor body: the plain control without fault-tolerance
+/// wiring, else an original fault-mode reign. The outcome lands in
+/// `kit.outcome`.
 pub async fn run_master(ctx: MailCtx<Msg>, kit: Rc<TakeoverKit>) {
-    if let Some(tol) = kit.ft.clone() {
-        return reign(&ctx, &kit, tol, None).await;
-    }
-    let (mut fx, mut balancer) = (effects(&ctx), kit.balancer.clone());
-    let mut sc = MasterOutcome::default();
-    let res = run_plain(&ctx, &mut fx, &mut balancer, &kit, &mut sc).await;
-    conclude(&ctx, &mut fx, &kit, &balancer, sc, res).await;
+    let Some(tol) = kit.ft.clone() else {
+        return shell(&ctx, &kit, |fx| Plain::new(&kit, fx)).await;
+    };
+    shell(&ctx, &kit, |fx| Master::new(&kit, tol, None, fx)).await;
 }
 
-/// The fault-mode shell around a reign under `tol` — an original one, or
-/// the takeover of slot `me` from `seed`: open it, then flush what the
-/// master did, receive until the next tick and step, until the opening or
-/// a step ends the run.
-async fn reign(
+/// A master control as its shell drives it: opened into an effect buffer,
+/// then one [`Input`] per step until a step ends the run.
+trait Control {
+    /// How long the shell waits for a delivery before it steps with a
+    /// [`Input::Tick`]; `None` waits in `recv()`, so no tick — and no wake
+    /// event of one — ever reaches the control.
+    const TICK: Option<SimDuration>;
+
+    /// Take `input`, then advance to the next receive; `Ok(true)` once the
+    /// run completed.
+    fn step(&mut self, input: Input, fx: &mut Effects) -> Result<bool, ProtocolError>;
+
+    /// The balancer and the outcome so far, whether or not the run
+    /// completed.
+    fn finish(self) -> (Balancer, MasterOutcome);
+
+    /// One step, as the shell takes it: `Some` once the run ended —
+    /// completed, failed, or (fault mode) superseded.
+    fn on(&mut self, input: Input, fx: &mut Effects) -> Option<Result<(), ProtocolError>> {
+        ended(self.step(input, fx))
+    }
+}
+
+/// The one shell around either control: open it with `open`, then flush
+/// what the master did, receive — until the next tick, if the control
+/// ticks — and step, until the opening or a step ends the run. Then
+/// conclude: release the slaves if the run failed, leave `Abort` as the
+/// answer to whoever writes to the finished master, and write the outcome.
+/// Every slot but the reign's own actor (a winner's slot) is released —
+/// every blocked wait receives `Abort`, so this cannot deadlock even
+/// outside fault mode. The exit reply reaches the slaves the release
+/// cannot: an orphan whose `Evict` was lost, a joiner whose `Join` lands
+/// after the end. Each stops one round trip after its first message gets
+/// through, instead of waiting out its give-up budget on a silent mailbox.
+async fn shell<C: Control>(
     ctx: &MailCtx<Msg>,
     kit: &TakeoverKit,
-    tol: FaultToleranceConfig,
-    takeover: Option<(TakeoverSeed, usize)>,
+    open: impl FnOnce(&mut Effects) -> (C, Option<Result<(), ProtocolError>>),
 ) {
-    let mut fx = effects(ctx);
-    // The counters the run last reported (none before a takeover), so the
-    // final report covers the whole run.
-    let rec = kit.slot().recovery.clone();
-    let (mut master, mut end) = Master::new(kit, tol, takeover, rec, &mut fx);
+    let (node, net) = ctx.costs();
+    let mut fx = Effects::new(node.clone(), net.clone(), ctx.traced(), ctx.now());
+    #[cfg(test)]
+    let open = tests::logged(open, kit, ctx.now());
+    let (mut control, mut end) = open(&mut fx);
     let res = loop {
         flush(ctx, &mut fx, kit).await;
         if let Some(res) = end {
             break res;
         }
-        let input = match ctx.recv_deadline(ctx.now() + MASTER_TICK).await {
-            Some(env) => Input::Deliver(env.msg),
-            None => Input::Tick,
+        let env = match C::TICK {
+            None => Some(ctx.recv().await),
+            Some(tick) => ctx.recv_deadline(ctx.now() + tick).await,
         };
+        let input = env.map_or(Input::Tick, |env| Input::Deliver(env.msg));
         fx.at(ctx.now());
-        end = master.on(input, &mut fx);
+        end = control.on(input, &mut fx);
     };
-    let (balancer, sc) = master.finish();
-    conclude(ctx, &mut fx, kit, &balancer, sc, res).await;
-}
-
-/// A reign's effect buffer, its clock at `ctx`'s and its costs `ctx`'s.
-fn effects(ctx: &MailCtx<Msg>) -> Effects {
-    let (node, net) = ctx.costs();
-    Effects::new(node.clone(), net.clone(), ctx.traced(), ctx.now())
+    if matches!(res, Err(ProtocolError::Superseded { .. })) {
+        // A promoted deputy owns the run now: it writes the outcome and it
+        // commands the slaves. Aborting them or writing a failed outcome
+        // here would sabotage the legitimate reign — exit silently.
+        return;
+    }
+    if res.is_err() {
+        for &s in kit.slaves.iter().filter(|&&s| s != ctx.id()) {
+            fx.send(s, Msg::Abort);
+        }
+    }
+    flush(ctx, &mut fx, kit).await;
+    ctx.exit_reply(Msg::Abort, Msg::Abort.wire_bytes());
+    let (balancer, mut sc) = control.finish();
+    sc.stats = balancer.stats();
+    sc.bounds = Some(balancer.period_bounds());
+    sc.completed = res.is_ok();
+    sc.error = res.err();
+    *kit.slot() = sc;
 }
 
 /// Apply a step's effects through the kernel, in order, leaving `fx`
@@ -326,58 +374,20 @@ async fn flush(ctx: &MailCtx<Msg>, fx: &mut Effects, kit: &TakeoverKit) {
     }
 }
 
-/// End of a reign: release the slaves if the run failed, leave `Abort` as
-/// the answer to whoever writes to the finished master, and write the
-/// outcome. Every slot but the reign's own actor (a winner's slot) is
-/// released — every blocked wait receives `Abort`, so this cannot deadlock
-/// even outside fault mode.
-/// The exit reply reaches the slaves the release cannot: an orphan whose
-/// `Evict` was lost, a joiner whose `Join` lands after the end. Each stops
-/// one round trip after its first message gets through, instead of waiting
-/// out its give-up budget on a silent mailbox.
-async fn conclude(
-    ctx: &MailCtx<Msg>,
-    fx: &mut Effects,
-    kit: &TakeoverKit,
-    balancer: &Balancer,
-    mut sc: MasterOutcome,
-    res: Result<(), ProtocolError>,
-) {
-    if matches!(res, Err(ProtocolError::Superseded { .. })) {
-        // A promoted deputy owns the run now: it writes the outcome and it
-        // commands the slaves. Aborting them or writing a failed outcome
-        // here would sabotage the legitimate reign — exit silently.
-        return;
-    }
-    if res.is_err() {
-        for &s in kit.slaves.iter().filter(|&&s| s != ctx.id()) {
-            fx.send(s, Msg::Abort);
-        }
-    }
-    flush(ctx, fx, kit).await;
-    ctx.exit_reply(Msg::Abort, Msg::Abort.wire_bytes());
-    sc.stats = balancer.stats();
-    sc.bounds = Some(balancer.period_bounds());
-    sc.completed = res.is_ok();
-    sc.error = res.err();
-    *kit.slot() = sc;
-}
-
 /// One balancing step, the same in both controls: charge the decision CPU,
-/// let the balancer answer the status, log the timeline row if `record`.
-/// The caller sends the instructions.
+/// let the balancer answer the status, log the timeline row into
+/// `timeline` if the run records one. The caller sends the instructions.
 fn decide(
     fx: &mut Effects,
     balancer: &mut Balancer,
-    record: bool,
-    sc: &mut MasterOutcome,
+    timeline: Option<&mut Vec<TimelineSample>>,
     st: &Status,
     inv: u64,
 ) -> Instructions {
     fx.cpu(DECISION_CPU);
     let decision = balancer.on_status(st);
-    if record {
-        sc.timeline.push(TimelineSample {
+    if let Some(timeline) = timeline {
+        timeline.push(TimelineSample {
             t: fx.now(),
             slave: st.slave,
             invocation: inv,
@@ -390,50 +400,104 @@ fn decide(
     decision.instructions
 }
 
-/// Fault-free control loop. Structurally the original master; every
-/// protocol violation is a typed error instead of a panic. It writes into
-/// `fx` like the fault-mode master and flushes before each receive.
-async fn run_plain(
-    ctx: &MailCtx<Msg>,
-    fx: &mut Effects,
-    balancer: &mut Balancer,
-    kit: &TakeoverKit,
-    sc: &mut MasterOutcome,
-) -> Result<(), ProtocolError> {
-    let (slaves, n) = (&kit.slaves[..], kit.slaves.len());
-    for &s in slaves {
-        fx.send(s, kit.start());
+/// The fault-free control, structurally the original master, as a step
+/// function: every protocol violation is a typed error instead of a
+/// panic, and it is the one control that checks unit conservation
+/// (`done_sum == expected`). It settles invocation `inv` until every slave
+/// is idle, the units it expects are done and the balancer has settled,
+/// then releases the next one or — past the last one, or converged —
+/// gathers.
+struct Plain<'k> {
+    kit: &'k TakeoverKit,
+    balancer: Balancer,
+    sc: MasterOutcome,
+    /// The invocation being settled, the units it must complete, and those
+    /// reported done so far.
+    inv: u64,
+    expected: u64,
+    done_sum: u64,
+    /// Which slaves reported it done, with their convergence metrics.
+    idle: Vec<bool>,
+    metrics: Vec<f64>,
+    /// Gathering: which slaves delivered their units.
+    got: Option<Vec<bool>>,
+}
+
+impl<'k> Plain<'k> {
+    /// Send every slave the `Start` and open the first invocation — or,
+    /// with none to run, the gather. `Some` if the opening ended the run.
+    fn new(kit: &'k TakeoverKit, fx: &mut Effects) -> (Self, Option<Result<(), ProtocolError>>) {
+        fx.broadcast(&kit.slaves, kit.start());
+        let mut plain = Plain {
+            kit,
+            balancer: kit.balancer.clone(),
+            sc: MasterOutcome::default(),
+            inv: 0,
+            expected: 0,
+            done_sum: 0,
+            idle: vec![false; kit.slaves.len()],
+            metrics: vec![0.0; kit.slaves.len()],
+            got: None,
+        };
+        plain.release(fx, false);
+        let end = ended(plain.advance(fx));
+        (plain, end)
     }
 
-    let invocations = kit.app.invocations();
-    let mut inv = 0;
-    while inv < invocations {
-        balancer.set_remaining_invocations(invocations - inv);
-        for &s in slaves {
-            fx.send(s, Msg::InvocationStart { invocation: inv });
-        }
-        let expected = kit.app.expected_units(inv);
-        let mut done_sum = 0u64;
-        let mut idle = vec![false; n];
-        let mut metrics = vec![0.0f64; n];
-
+    /// Pass each settled invocation — check that it completed exactly the
+    /// units it expected, then release the next one or the gather — and end
+    /// a complete gather (`Ok(true)`).
+    fn advance(&mut self, fx: &mut Effects) -> Result<bool, ProtocolError> {
         loop {
-            // Settlement check.
-            if idle.iter().all(|&b| b) && done_sum >= expected && balancer.settled() {
-                if done_sum != expected {
-                    return Err(ProtocolError::Inconsistent {
-                        detail: format!(
-                            "invocation {inv}: {done_sum} units completed, expected {expected}"
-                        ),
-                    });
-                }
-                break;
+            if let Some(got) = &self.got {
+                return Ok(got.iter().all(|&g| g));
             }
-            flush(ctx, fx, kit).await;
-            let env = ctx.recv().await;
-            fx.at(ctx.now());
+            let (inv, done_sum, expected) = (self.inv, self.done_sum, self.expected);
+            if !self.idle.iter().all(|&b| b) || done_sum < expected || !self.balancer.settled() {
+                return Ok(false);
+            }
+            if done_sum != expected {
+                let detail =
+                    format!("invocation {inv}: {done_sum} units completed, expected {expected}");
+                return Err(ProtocolError::Inconsistent { detail });
+            }
+            self.inv += 1;
+            self.release(fx, self.kit.app.converged(inv, self.metrics.iter().sum()));
+        }
+    }
+
+    /// Open invocation `inv` — or, past the last one or `converged`, the
+    /// gather.
+    fn release(&mut self, fx: &mut Effects, converged: bool) {
+        let (app, slaves, inv) = (&self.kit.app, &self.kit.slaves, self.inv);
+        if converged || inv >= app.invocations() {
+            self.sc.compute_done = fx.now();
+            fx.broadcast(slaves, Msg::Gather);
+            self.got = Some(vec![false; slaves.len()]);
+            return;
+        }
+        self.balancer
+            .set_remaining_invocations(app.invocations() - inv);
+        fx.broadcast(slaves, Msg::InvocationStart { invocation: inv });
+        (self.expected, self.done_sum) = (app.expected_units(inv), 0);
+        // Each slave's metric is written with its done report.
+        self.idle.fill(false);
+    }
+}
+
+impl Control for Plain<'_> {
+    const TICK: Option<SimDuration> = None;
+
+    /// One delivery (the shell never ticks a plain run).
+    fn step(&mut self, input: Input, fx: &mut Effects) -> Result<bool, ProtocolError> {
+        let Input::Deliver(msg) = input else {
+            return Ok(false);
+        };
+        let (inv, done_sum, expected) = (self.inv, self.done_sum, self.expected);
+        let Plain { idle, got, .. } = self;
+        if got.is_none() {
             fx.note(|| {
-                let got = match &env.msg {
+                let got = match &msg {
                     Msg::Status(s) => format!(
                         "Status(slave {}, delta {}, active {})",
                         s.slave, s.units_done_delta, s.active_units
@@ -442,18 +506,25 @@ async fn run_plain(
                 };
                 format!("inv={inv} got {got:?} (done {done_sum}/{expected}, idle {idle:?})")
             });
-            match env.msg {
-                Msg::Status(st) => {
-                    if st.invocation > inv {
-                        return Err(unexpected("status from the future", &Msg::Status(st)));
-                    }
-                    if st.invocation == inv {
-                        done_sum += st.units_done_delta;
-                    }
-                    idle[st.slave] = false;
-                    let instr = decide(fx, balancer, kit.record_timeline, sc, &st, inv);
-                    fx.send(slaves[st.slave], Msg::Instructions(instr));
+        }
+        match (msg, got) {
+            (Msg::SlaveError { slave, error }, _) => {
+                let error = Box::new(error);
+                return Err(ProtocolError::SlaveFailed { slave, error });
+            }
+            (Msg::Status(st), None) => {
+                if st.invocation > inv {
+                    return Err(unexpected("status from the future", &Msg::Status(st)));
                 }
+                if st.invocation == inv {
+                    self.done_sum += st.units_done_delta;
+                }
+                self.idle[st.slave] = false;
+                let timeline = self.kit.record_timeline.then_some(&mut self.sc.timeline);
+                let instr = decide(fx, &mut self.balancer, timeline, &st, inv);
+                fx.send(self.kit.slaves[st.slave], Msg::Instructions(instr));
+            }
+            (
                 Msg::InvocationDone {
                     slave,
                     invocation,
@@ -461,75 +532,51 @@ async fn run_plain(
                     received_from,
                     metric,
                     ..
-                } => {
-                    if invocation > inv {
-                        return Err(ProtocolError::Inconsistent {
-                            detail: format!("InvocationDone for {invocation} while settling {inv}"),
-                        });
-                    }
-                    // A refreshed report for an earlier invocation (sent
-                    // after executing late balancing moves) can straggle
-                    // into the next settlement; its channel counts still
-                    // matter, its idle claim does not.
-                    if invocation == inv {
-                        idle[slave] = true;
-                        metrics[slave] = metric;
-                    }
-                    balancer.merge_channels(slave, &sent_to, &received_from);
+                },
+                None,
+            ) => {
+                if invocation > inv {
+                    let detail = format!("InvocationDone for {invocation} while settling {inv}");
+                    return Err(ProtocolError::Inconsistent { detail });
                 }
-                Msg::SlaveError { slave, error } => {
-                    return Err(ProtocolError::SlaveFailed {
-                        slave,
-                        error: Box::new(error),
-                    });
+                // A refreshed report for an earlier invocation (sent after
+                // executing late balancing moves) can straggle into the
+                // next settlement; its channel counts still matter, its
+                // idle claim does not.
+                if invocation == inv {
+                    self.idle[slave] = true;
+                    self.metrics[slave] = metric;
                 }
-                other => return Err(unexpected("invocation loop", &other)),
+                let balancer = &mut self.balancer;
+                balancer.merge_channels(slave, &sent_to, &received_from);
             }
-        }
-        let reduced: f64 = metrics.iter().sum();
-        inv += 1;
-        if kit.app.converged(inv - 1, reduced) {
-            break;
-        }
-    }
-
-    sc.compute_done = fx.now();
-
-    // Gather results.
-    for &s in slaves {
-        fx.send(s, Msg::Gather);
-    }
-    let mut got = vec![false; n];
-    while !got.iter().all(|&g| g) {
-        flush(ctx, fx, kit).await;
-        let env = ctx.recv().await;
-        match env.msg {
-            Msg::GatherData {
-                slave,
-                units,
-                fault_stats,
-            } => {
-                if !got[slave] {
-                    got[slave] = true;
-                    sc.recovery.absorb(&fault_stats);
-                    sc.result.extend(units);
+            (other, None) => return Err(unexpected("invocation loop", &other)),
+            (
+                Msg::GatherData {
+                    slave,
+                    units,
+                    fault_stats,
+                },
+                Some(got),
+            ) => {
+                if !std::mem::replace(&mut got[slave], true) {
+                    self.sc.recovery.absorb(&fault_stats);
+                    self.sc.result.extend(units);
                 }
                 // No GatherAck in plain mode: the slave exits right after
                 // replying, so an ack would never be received (and message
                 // conservation is promised without faults).
             }
             // Final statuses racing the gather are harmless.
-            Msg::Status(_) | Msg::InvocationDone { .. } => {}
-            Msg::SlaveError { slave, error } => {
-                return Err(ProtocolError::SlaveFailed {
-                    slave,
-                    error: Box::new(error),
-                });
-            }
-            other => return Err(unexpected("gather", &other)),
+            (Msg::Status(_) | Msg::InvocationDone { .. }, Some(_)) => {}
+            (other, Some(_)) => return Err(unexpected("gather", &other)),
         }
+        self.advance(fx)
     }
-    Ok(())
+
+    fn finish(self) -> (Balancer, MasterOutcome) {
+        (self.balancer, self.sc)
+    }
 }
 
 /// A `SlaveError` arrived, settling or gathering. A non-member's dying
@@ -651,12 +698,10 @@ impl TakeoverKit {
 
     /// An original reign's opening message.
     fn start(&self) -> Msg {
-        let (slaves, assignment) = (self.slaves.clone(), self.assignment.clone());
-        let block_rows = self.block_rows;
         Msg::Start {
-            slaves,
-            assignment,
-            block_rows,
+            slaves: self.slaves.clone(),
+            assignment: self.assignment.clone(),
+            block_rows: self.block_rows,
         }
     }
 }
@@ -672,14 +717,15 @@ impl Master {
     /// the slots reserved for latecomers are gone too — and the winner
     /// itself (it computes no units), and collects the survivors' `Held`
     /// answers, starting with its own fragments and invocation. Either
-    /// counts on from the run's counters `rec`.
+    /// counts on from the counters the run last reported (none before a
+    /// takeover), so the final report covers the whole run.
     fn new(
         kit: &TakeoverKit,
         tol: FaultToleranceConfig,
         takeover: Option<(TakeoverSeed, usize)>,
-        mut rec: RecoveryStats,
         fx: &mut Effects,
     ) -> (Master, Option<Result<(), ProtocolError>>) {
+        let mut rec = kit.slot().recovery.clone();
         let term = takeover.as_ref().map_or(0, |(seed, _)| seed.term);
         let announce = match &takeover {
             None => kit.start(),
@@ -722,9 +768,7 @@ impl Master {
             None => {
                 // Deferred slots get the Start too: it parks in their mailbox
                 // and teaches the latecomer the topology when it wakes to join.
-                for &s in &st.slaves {
-                    fx.send(s, announce.clone());
-                }
+                fx.broadcast(&st.slaves, announce.clone());
                 Phase::Release
             }
         };
@@ -739,31 +783,6 @@ impl Master {
         };
         let end = ended(master.advance(fx));
         (master, end)
-    }
-
-    /// One step: take `input`, then advance to the next receive. `Some`
-    /// once the run ended — gathered, failed, or superseded.
-    fn on(&mut self, input: Input, fx: &mut Effects) -> Option<Result<(), ProtocolError>> {
-        ended(self.step(input, fx))
-    }
-
-    fn step(&mut self, input: Input, fx: &mut Effects) -> Result<bool, ProtocolError> {
-        let timers = match input {
-            Input::Deliver(msg) => self.deliver(msg, fx)?,
-            Input::Tick => true,
-        };
-        if timers && self.sweep(fx)? {
-            self.phase = Phase::Release;
-        }
-        self.advance(fx)
-    }
-
-    /// The balancer and the outcome so far, the session's recovery counters
-    /// surfaced whether or not the run completed.
-    fn finish(self) -> (Balancer, MasterOutcome) {
-        let mut sc = self.sc;
-        sc.recovery = self.st.rec;
-        (self.st.balancer, sc)
     }
 
     /// Advance the phase up to the next receive: close a complete
@@ -845,13 +864,7 @@ impl Master {
     /// The receive arms: one delivery, in the phase the master stands in.
     /// `Ok(false)` skips the sweep.
     fn deliver(&mut self, msg: Msg, fx: &mut Effects) -> Result<bool, ProtocolError> {
-        let Master {
-            st,
-            phase,
-            sc,
-            record,
-            ..
-        } = self;
+        let Master { st, phase, .. } = self;
         let (takeover, nudge) = (self.takeover, st.tol.nudge);
         let gathering = matches!(phase, Phase::Gather { .. });
         match (msg, &mut *phase) {
@@ -884,7 +897,8 @@ impl Master {
                 // arm), where nothing can supersede.
                 let applied = stm.last_applied_seq;
                 st.unacked_instr[s].take_if(|(seq, _, _)| applied >= *seq);
-                let instr = decide(fx, &mut st.balancer, *record, sc, &stm, st.inv);
+                let timeline = self.record.then_some(&mut self.sc.timeline);
+                let instr = decide(fx, &mut st.balancer, timeline, &stm, st.inv);
                 st.unacked_instr[s] = Some((instr.seq, instr.clone(), 0));
                 fx.send(st.slaves[s], Msg::Instructions(instr));
             }
@@ -933,16 +947,20 @@ impl Master {
                 }
                 st.heard_from(fx, slave);
                 if epoch > st.epoch {
-                    return Err(ProtocolError::Inconsistent {
-                        detail: format!("InvocationDone from epoch {epoch} while in {}", st.epoch),
-                    });
+                    let detail = format!("InvocationDone from epoch {epoch} while in {}", st.epoch);
+                    return Err(ProtocolError::Inconsistent { detail });
                 }
                 st.balancer.merge_channels(slave, &sent_to, &received_from);
-                if invocation == st.inv {
+                let inv = st.inv;
+                if invocation > inv {
+                    let detail = format!("InvocationDone for {invocation} while settling {inv}");
+                    return Err(ProtocolError::Inconsistent { detail });
+                }
+                if invocation == inv {
                     st.memb.done[slave] = true;
                     st.metrics[slave] = metric;
                     st.policy.adopt_owned(slave, owned_ids);
-                } else if invocation < st.inv {
+                } else {
                     st.rec.done_dups_ignored += 1;
                     // A heartbeat from a slave stuck at the previous
                     // barrier: its release was lost. The heartbeat itself
@@ -963,13 +981,6 @@ impl Master {
                             }
                         }
                     }
-                } else {
-                    return Err(ProtocolError::Inconsistent {
-                        detail: format!(
-                            "InvocationDone for {invocation} while settling {}",
-                            st.inv
-                        ),
-                    });
                 }
                 // Done but missing windowed messages: they were lost in
                 // flight.
@@ -1008,9 +1019,7 @@ impl Master {
                     // copies are deterministic and identical — keep the
                     // first.
                     match seen.entry(id) {
-                        Entry::Vacant(e) => {
-                            e.insert(data);
-                        }
+                        Entry::Vacant(e) => _ = e.insert(data),
                         Entry::Occupied(_) if !repeat => st.rec.gather_dup_units_dropped += 1,
                         Entry::Occupied(_) => {}
                     }
@@ -1221,9 +1230,7 @@ impl Master {
                 // a duplicate Gather); one without is parked, still waiting for
                 // its Rollback.
                 match (&*phase, self.takeover) {
-                    (Phase::Gather { .. }, _) if st.win[s].fully_acked() => {
-                        st.resend_gather(fx, s);
-                    }
+                    (Phase::Gather { .. }, _) if st.win[s].fully_acked() => st.resend_gather(fx, s),
                     (Phase::Settle | Phase::Collect { .. }, true) => {
                         fx.send(st.slaves[s], self.announce.clone());
                         st.replay_window(fx, s);
@@ -1257,6 +1264,28 @@ impl Master {
             }
         }
         Ok(false)
+    }
+}
+
+impl Control for Master {
+    const TICK: Option<SimDuration> = Some(MASTER_TICK);
+
+    fn step(&mut self, input: Input, fx: &mut Effects) -> Result<bool, ProtocolError> {
+        let timers = match input {
+            Input::Deliver(msg) => self.deliver(msg, fx)?,
+            Input::Tick => true,
+        };
+        if timers && self.sweep(fx)? {
+            self.phase = Phase::Release;
+        }
+        self.advance(fx)
+    }
+
+    /// The session's recovery counters surfaced.
+    fn finish(self) -> (Balancer, MasterOutcome) {
+        let mut sc = self.sc;
+        sc.recovery = self.st.rec;
+        (self.st.balancer, sc)
     }
 }
 
@@ -1322,28 +1351,33 @@ mod tests {
             vec![(0, 1), (1, 2)],
         );
         let mut fx = blank(false);
-        let (mut m, _) = Master::new(&kit, Default::default(), None, Default::default(), &mut fx);
+        let (mut m, _) = Master::new(&kit, Default::default(), None, &mut fx);
         for hook_seq in 1..=3 {
             fx.drain();
-            let status = Status {
-                slave: 0,
-                invocation: 0,
-                hook_seq,
-                units_done_delta: 1,
-                elapsed: SimDuration::from_secs(1),
-                active_units: 1,
-                last_applied_seq: 0,
-                epoch: 0,
-                sent_to: Vec::new(),
-                received_from: Vec::new(),
-                move_cost_sample: None,
-                interaction_cost_sample: None,
-            };
-            m.on(Input::Deliver(Msg::Status(status)), &mut fx);
+            m.on(status(0, 0, hook_seq, 1), &mut fx);
         }
         let (balancer, _) = m.finish();
         assert_eq!(balancer.stats().statuses, 3);
         assert_eq!(kit.balancer.stats(), BalancerStats::default());
+    }
+
+    /// Slot `slave`'s `hook_seq`-th status in `invocation`, `delta` units
+    /// done since its last, after a second's work on one unit.
+    fn status(slave: usize, invocation: u64, hook_seq: u64, delta: u64) -> Input {
+        Input::Deliver(Msg::Status(Status {
+            slave,
+            invocation,
+            hook_seq,
+            units_done_delta: delta,
+            elapsed: SimDuration::from_secs(1),
+            active_units: 1,
+            last_applied_seq: 0,
+            epoch: 0,
+            sent_to: Vec::new(),
+            received_from: Vec::new(),
+            move_cost_sample: None,
+            interaction_cost_sample: None,
+        }))
     }
 
     /// A stub slave's send, with the model's wire size.
@@ -1388,8 +1422,7 @@ mod tests {
                 vec![(0, 2), (2, 4)],
             );
             let mut fx = blank(traced);
-            let (mut m, end) =
-                Master::new(&kit, Default::default(), None, Default::default(), &mut fx);
+            let (mut m, end) = Master::new(&kit, Default::default(), None, &mut fx);
             assert!(end.is_none());
             let opening = [(1, "Start"), (2, "Start")];
             let release = [(1, "InvocationStart"), (2, "InvocationStart")];
@@ -1412,6 +1445,147 @@ mod tests {
             let (_, outcome) = m.finish();
             assert_eq!(outcome.result.len(), 4);
             assert_eq!(NOTES_BUILT.with(Cell::get) > 0, traced, "traced {traced}");
+        }
+    }
+
+    /// A plain run of `Doubler`'s four units on two slots, stepped by hand
+    /// with no simulator: `inputs` in turn, after each slot reported two
+    /// units done when `settle` (so one done report each then passes
+    /// invocation 0 and opens the gather). The last step's end.
+    fn plain_run(settle: bool, inputs: Vec<Input>) -> Option<Result<(), ProtocolError>> {
+        let app = AppSpec::Independent(Arc::new(Doubler { n: 4, reps: 1 }));
+        let kit = kit(
+            app,
+            ActorId(0),
+            vec![ActorId(1), ActorId(2)],
+            vec![(0, 2), (2, 4)],
+        );
+        let mut fx = blank(false);
+        let (mut plain, end) = Plain::new(&kit, &mut fx);
+        let opening = ["Start", "Start", "InvocationStart", "InvocationStart"];
+        assert_eq!(
+            sends(&mut fx).iter().map(|(_, k)| k).collect::<Vec<_>>(),
+            opening
+        );
+        assert_eq!(end, None);
+        let settled = [status(0, 0, 1, 2), status(1, 0, 1, 2)];
+        let inputs = settle
+            .then_some(settled)
+            .into_iter()
+            .flatten()
+            .chain(inputs);
+        let mut end = None;
+        for input in inputs {
+            assert_eq!(end, None, "the run ended before {input:?}");
+            fx.drain();
+            end = plain.on(input, &mut fx);
+        }
+        end
+    }
+
+    /// The error a plain run of `inputs` ends in.
+    fn plain_error(settle: bool, inputs: Vec<Input>) -> ProtocolError {
+        match plain_run(settle, inputs) {
+            Some(Err(e)) => e,
+            end => panic!("ended {end:?}, not in an error"),
+        }
+    }
+
+    /// Deliver `msg`.
+    fn deliver(msg: Msg) -> Input {
+        Input::Deliver(msg)
+    }
+
+    /// The plain control completes by hand: both slots settle invocation 0,
+    /// a final status races the gather, and the second delivery ends it.
+    #[test]
+    fn a_plain_run_steps_to_its_gathered_result() {
+        let units = |ids: Range<usize>| ids.map(col).collect();
+        let gathered = vec![
+            deliver(done(0, 0, 0, 0, Vec::new())),
+            deliver(done(1, 0, 0, 0, Vec::new())),
+            status(0, 0, 2, 0),
+            deliver(data(0, units(0..2), Default::default())),
+            deliver(data(1, units(2..4), Default::default())),
+        ];
+        assert_eq!(plain_run(true, gathered), Some(Ok(())));
+    }
+
+    /// Each typed error of the plain control, settling and gathering.
+    #[test]
+    fn the_plain_control_ends_each_violation_in_its_typed_error() {
+        let unexpected = |e: ProtocolError| match e {
+            ProtocolError::UnexpectedMessage { context, .. } => context,
+            e => panic!("{e:?} is no UnexpectedMessage"),
+        };
+        let inconsistent = |e: ProtocolError| match e {
+            ProtocolError::Inconsistent { detail } => detail,
+            e => panic!("{e:?} is no Inconsistent"),
+        };
+        let future = plain_error(false, vec![status(0, 1, 1, 1)]);
+        assert_eq!(unexpected(future), "status from the future");
+        let early = plain_error(false, vec![deliver(done(0, 1, 0, 0, Vec::new()))]);
+        assert_eq!(inconsistent(early), "InvocationDone for 1 while settling 0");
+        // Slot 1's status delivered twice: six units done of four.
+        let twice = vec![
+            status(1, 0, 1, 2),
+            deliver(done(0, 0, 0, 0, Vec::new())),
+            deliver(done(1, 0, 0, 0, Vec::new())),
+        ];
+        let detail = inconsistent(plain_error(true, twice));
+        assert_eq!(detail, "invocation 0: 6 units completed, expected 4");
+        let stray = plain_error(false, vec![deliver(Msg::Gather)]);
+        assert_eq!(unexpected(stray), "invocation loop");
+        let gathering = || {
+            vec![
+                deliver(done(0, 0, 0, 0, Vec::new())),
+                deliver(done(1, 0, 0, 0, Vec::new())),
+            ]
+        };
+        let stray = [gathering(), vec![deliver(Msg::GatherAck)]].concat();
+        assert_eq!(unexpected(plain_error(true, stray)), "gather");
+        let error = ProtocolError::AllSlavesDead;
+        let failed = deliver(Msg::SlaveError { slave: 1, error });
+        let expect = ProtocolError::SlaveFailed {
+            slave: 1,
+            error: Box::new(ProtocolError::AllSlavesDead),
+        };
+        let settling = plain_error(false, vec![failed.clone()]);
+        assert_eq!(settling, expect, "settling");
+        let gathering = plain_error(true, [gathering(), vec![failed]].concat());
+        assert_eq!(gathering, expect, "gathering");
+    }
+
+    /// A plain run replays without a simulator: `try_run` runs each
+    /// in-crate kernel — `Doubler` (independent) and `Cols` (shrinking) —
+    /// on real slaves under the production shell, one slave five times
+    /// slower than the other so that the balancer moves work (both are
+    /// slow nodes: a rate is sampled only over 100 ms of work, more than
+    /// `Cols` does on a reference node); the logged deliveries, replayed
+    /// through a fresh `Plain`, make every step's logged effects.
+    #[test]
+    fn a_plain_run_replays_step_by_step() {
+        use crate::driver::{try_run, RunConfig};
+        use dlb_compiler::{compile, programs};
+        let runs = [
+            (
+                AppSpec::Independent(Arc::new(Doubler { n: 24, reps: 3 })),
+                programs::matmul(24, 3),
+            ),
+            (AppSpec::Shrinking(Arc::new(Cols)), programs::lu(4)),
+        ];
+        for (app, program) in runs {
+            let plan = compile(&program).unwrap();
+            let mut cfg = RunConfig::homogeneous(2);
+            cfg.slave_nodes[0].speed = 0.1;
+            cfg.slave_nodes[1].speed = 0.02;
+            cfg.record_timeline = true;
+            let (report, log) = recorded(|| try_run(app, &plan, cfg));
+            let report = report.expect("the run completes");
+            assert!(report.stats.moves_issued > 0, "{}", plan.program);
+            let kit = log.kit.as_ref().expect("a logged plain run");
+            assert!(kit.ft.is_none() && !log.steps.is_empty());
+            replay(&log, Plain::new);
         }
     }
 
@@ -1487,64 +1661,111 @@ mod tests {
         }
     }
 
-    /// What a recording shell saw of one reign: the effect buffer it
-    /// opened with, the opening's effects, and each step's input, the clock
-    /// it started at and its effects.
+    /// What the shell saw of one run: the kit it ran (its balancer as
+    /// built), the effect buffer it opened with, the opening's effects, and
+    /// each step's input, the clock it started at and its effects.
     #[derive(Default)]
     struct Log {
+        kit: Option<TakeoverKit>,
         blank: Option<Effects>,
         opening: String,
         steps: Vec<(Input, SimTime, String)>,
     }
 
-    /// Opens a reign into the given buffer, as `Master::new` with its
-    /// arguments bound.
-    type Opener = Rc<dyn Fn(&mut Effects) -> (Master, Option<Result<(), ProtocolError>>)>;
-
-    /// The production shell with a recorder: the same flushes, receives and
-    /// `conclude`, and every step's input, clock and effects in `log`.
-    async fn recording(
-        ctx: MailCtx<Msg>,
-        kit: Rc<TakeoverKit>,
-        open: Opener,
-        log: Rc<RefCell<Log>>,
-    ) {
-        let (ctx, mut fx) = (&ctx, effects(&ctx));
-        let blank = fx.clone();
-        let (mut master, mut end) = open(&mut fx);
-        *log.borrow_mut() = Log {
-            blank: Some(blank),
-            opening: format!("{fx:?}"),
-            steps: Vec::new(),
-        };
-        let res = loop {
-            flush(ctx, &mut fx, &kit).await;
-            if let Some(res) = end {
-                break res;
-            }
-            let input = match ctx.recv_deadline(ctx.now() + MASTER_TICK).await {
-                Some(env) => Input::Deliver(env.msg),
-                None => Input::Tick,
+    impl Log {
+        /// The shell opened a control of `kit` at `now`, into `fx`.
+        fn open(&mut self, kit: &TakeoverKit, now: SimTime, fx: &Effects) {
+            assert!(self.kit.is_none(), "one shell per recorded run");
+            // The counters a takeover opens with, in a slot of its own.
+            let recovery = kit.slot().recovery.clone();
+            let outcome = MasterOutcome {
+                recovery,
+                ..Default::default()
             };
-            fx.at(ctx.now());
-            end = master.on(input.clone(), &mut fx);
-            let step = (input, ctx.now(), format!("{fx:?}"));
-            log.borrow_mut().steps.push(step);
-        };
-        let (balancer, sc) = master.finish();
-        conclude(ctx, &mut fx, &kit, &balancer, sc, res).await;
+            self.kit = Some(TakeoverKit {
+                balancer: kit.balancer.clone(),
+                app: kit.app.clone(),
+                ft: kit.ft.clone(),
+                slaves: kit.slaves.clone(),
+                assignment: kit.assignment.clone(),
+                outcome: Rc::new(RefCell::new(outcome)),
+                ..*kit
+            });
+            let mut blank = fx.clone();
+            blank.drain();
+            blank.at(now);
+            (self.blank, self.opening) = (Some(blank), format!("{fx:?}"));
+        }
+
+        /// A step took `input` at `now` and left `fx`.
+        fn step(&mut self, (input, now): (Input, SimTime), fx: &Effects) {
+            self.steps.push((input, now, format!("{fx:?}")));
+        }
     }
 
-    /// Feed a recorded reign's inputs to a fresh master from the same
-    /// constructor: every step's effects are the recorded ones.
-    fn replay(log: &Log, open: &Opener) {
-        let mut fx = log.blank.clone().expect("a recorded reign");
-        let (mut master, _) = open(&mut fx);
+    /// A control under the log: the shell of a test build runs each
+    /// control so, and its opening and every step's input, clock and
+    /// effects go into this thread's log while a test keeps one.
+    pub(super) struct Logged<C>(C);
+
+    /// `open`, the shell's opener over `kit` at `now`, under the log.
+    pub(super) fn logged<'k, C: Control>(
+        open: impl FnOnce(&mut Effects) -> (C, Option<Result<(), ProtocolError>>) + 'k,
+        kit: &'k TakeoverKit,
+        now: SimTime,
+    ) -> impl FnOnce(&mut Effects) -> (Logged<C>, Option<Result<(), ProtocolError>>) + 'k {
+        move |fx| {
+            let (control, end) = open(fx);
+            record(|log| log.open(kit, now, fx));
+            (Logged(control), end)
+        }
+    }
+
+    impl<C: Control> Control for Logged<C> {
+        const TICK: Option<SimDuration> = C::TICK;
+
+        fn step(&mut self, input: Input, fx: &mut Effects) -> Result<bool, ProtocolError> {
+            let logged = (input.clone(), fx.now());
+            let step = self.0.step(input, fx);
+            record(|log| log.step(logged, fx));
+            step
+        }
+
+        fn finish(self) -> (Balancer, MasterOutcome) {
+            self.0.finish()
+        }
+    }
+
+    thread_local! {
+        /// The shell's log of the run on this thread, while a test keeps one.
+        static RECORDED: RefCell<Option<Log>> = const { RefCell::new(None) };
+    }
+
+    /// Write `write` into this thread's log, if a test keeps one.
+    fn record(write: impl FnOnce(&mut Log)) {
+        RECORDED.with_borrow_mut(|log| log.as_mut().map(write));
+    }
+
+    /// Run `run` with the shell logging: its result, and what it logged.
+    fn recorded<T>(run: impl FnOnce() -> T) -> (T, Log) {
+        RECORDED.set(Some(Log::default()));
+        let out = run();
+        (out, RECORDED.take().expect("a log"))
+    }
+
+    /// Feed a logged run's inputs to a fresh control that `open` opens on
+    /// the logged kit: every step's effects are the logged ones.
+    fn replay<'k, C: Control>(
+        log: &'k Log,
+        open: impl FnOnce(&'k TakeoverKit, &mut Effects) -> (C, Option<Result<(), ProtocolError>>),
+    ) {
+        let mut fx = log.blank.clone().expect("a recorded run");
+        let (mut control, _) = open(log.kit.as_ref().unwrap(), &mut fx);
         assert_eq!(format!("{fx:?}"), log.opening, "the opening moves");
         for (i, (input, now, effects)) in log.steps.iter().enumerate() {
             fx.drain();
             fx.at(*now);
-            master.on(input.clone(), &mut fx);
+            control.on(input.clone(), &mut fx);
             assert_eq!(&format!("{fx:?}"), effects, "step {i}: {input:?}");
         }
     }
@@ -1554,7 +1775,7 @@ mod tests {
     /// units runs `stub(ctx, slot)` — slot 1 as actor 1, slot 0 as actor 2
     /// — unless it is the winner of a takeover from `seed`. A master that
     /// never ends the run exhausts the event budget. The master runs under
-    /// the recording shell, and its recorded inputs replay to the same
+    /// the production shell, and its logged inputs replay to the same
     /// effects.
     fn reign<F, Fut>(
         tol: FaultToleranceConfig,
@@ -1571,19 +1792,18 @@ mod tests {
         let slot0 = if seed.is_some() { master } else { ActorId(2) };
         let (slaves, (lo, hi)) = (vec![slot0, ActorId(1)], assignment[0]);
         let assignment = assignment.to_vec();
-        let kit = Rc::new(kit(app, ActorId(2), slaves, assignment));
+        let mut kit = kit(app, ActorId(2), slaves, assignment);
+        kit.ft = Some(tol.clone());
+        let (kit, takeover) = (Rc::new(kit), seed.clone().map(|seed| (seed, 0)));
         let outcome = Rc::clone(&kit.outcome);
-        let k = Rc::clone(&kit);
-        let open: Opener = Rc::new(move |fx: &mut Effects| {
-            let takeover = seed.clone().map(|seed| (seed, 0));
-            Master::new(&k, tol.clone(), takeover, Default::default(), fx)
-        });
-        let log = Rc::new(RefCell::new(Log::default()));
         let mut sim = SimBuilder::<Msg>::new().max_events(20_000);
         let nodes = [(); 3].map(|()| sim.add_node(NodeConfig::default()));
-        let (opener, recorded) = (Rc::clone(&open), Rc::clone(&log));
-        sim.spawn_mail(nodes[0], "master", move |ctx| {
-            recording(ctx, kit, opener, recorded)
+        let run_tol = tol.clone();
+        sim.spawn_mail(nodes[0], "master", move |ctx| async move {
+            match seed {
+                Some(seed) => _ = run_takeover(&ctx, &kit, run_tol, seed, 0).await,
+                None => run_master(ctx, kit).await,
+            }
         });
         let stub0 = (slot0 != master && lo < hi).then(|| stub.clone());
         sim.spawn_mail(nodes[1], "stub1", move |ctx| stub(ctx, 1));
@@ -1593,8 +1813,8 @@ mod tests {
                 None => ctx.sleep(SimDuration::from_secs(3_600)).await,
             }
         });
-        sim.run();
-        replay(&log.borrow(), &open);
+        let (_, log) = recorded(|| sim.run());
+        replay(&log, |kit, fx| Master::new(kit, tol, takeover, fx));
         outcome.take()
     }
 
@@ -2125,7 +2345,7 @@ mod tests {
             vec![(0, 2), (2, 4)],
         );
         let mut fx = blank(false);
-        let (mut m, _) = Master::new(&kit, Default::default(), None, Default::default(), &mut fx);
+        let (mut m, _) = Master::new(&kit, Default::default(), None, &mut fx);
         let mut step = |m: &mut Master, input: Input, at: u64| {
             fx.drain();
             fx.at(SimTime(at));
@@ -2202,7 +2422,7 @@ mod tests {
             vec![(0, 2), (2, 4)],
         );
         let mut fx = blank(false);
-        let (mut m, _) = Master::new(&kit, Default::default(), None, Default::default(), &mut fx);
+        let (mut m, _) = Master::new(&kit, Default::default(), None, &mut fx);
         let mut step = |input: Input, at: u64| {
             fx.drain();
             fx.at(SimTime(at));

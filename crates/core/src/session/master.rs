@@ -81,13 +81,12 @@ pub(crate) struct Effects {
 
 impl Effects {
     pub fn new(node: NodeConfig, net: NetConfig, traced: bool, now: SimTime) -> Effects {
-        let buf = Vec::new();
         Effects {
             node,
             net,
             traced,
             now,
-            buf,
+            buf: Vec::new(),
         }
     }
 
@@ -114,6 +113,13 @@ impl Effects {
         self.now = advance(&self.node, self.now, self.net.send_cpu(bytes)).finish;
         self.buf.push(Effect::Send(to, msg, bytes));
         bytes
+    }
+
+    /// Send `msg` to each of `to`, in turn.
+    pub(crate) fn broadcast(&mut self, to: &[ActorId], msg: Msg) {
+        for &to in to {
+            self.send(to, msg.clone());
+        }
     }
 
     /// Send `make(seq)` on `win`, `to`'s recovery window, which retains it

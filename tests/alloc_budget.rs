@@ -6,8 +6,9 @@
 //! simulator overhead the virtual clock never sees. This file counts it: a
 //! counting `#[global_allocator]` (an integration test is a crate of its
 //! own, so the library crates' `#![forbid(unsafe_code)]` is untouched)
-//! around whole runs, in ONE `#[test]` so nothing else in the process
-//! allocates beside it. Same seed, same allocations, on any host — the
+//! around whole runs, in ONE `#[test]`. It counts per thread, and the
+//! simulation runs on the test thread, so no other thread's allocation
+//! counts. Same seed, same allocations, on any host — the
 //! ceilings below are the figures measured when the shrinking engine
 //! stopped copying retired columns and keeping every pivot, plus 10 %.
 //! Beside the runs, a balancing decision that moves nothing must request
@@ -19,7 +20,7 @@ use dlb::core::msg::Status;
 use dlb::core::{Balancer, BalancerConfig, FaultToleranceConfig};
 use dlb::sim::{FaultPlan, SimDuration, SimTime};
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 use std::sync::Arc;
 
 /// Ceilings in bytes per delivered message: measured + 10 % when set.
@@ -29,8 +30,23 @@ use std::sync::Arc;
 const REJOIN16_CEILING: u64 = 4_444; // measured 3 869
 const ARMED64_CEILING: u64 = 619; // measured 563
 
-/// Bytes requested from the allocator so far (a statistic: `Relaxed`).
-static REQUESTED: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    /// Bytes this thread requested from the allocator so far. The runs and
+    /// the decisions run on the test thread, so a harness thread's
+    /// allocation never counts. `const`-initialised and without a
+    /// destructor: counting never allocates.
+    static REQUESTED: Cell<u64> = const { Cell::new(0) };
+}
+
+/// Count `bytes` requested on this thread.
+fn count(bytes: usize) {
+    REQUESTED.with(|r| r.set(r.get() + bytes as u64));
+}
+
+/// Bytes this thread requested so far.
+fn bytes_requested() -> u64 {
+    REQUESTED.with(Cell::get)
+}
 
 struct Counting;
 
@@ -38,7 +54,7 @@ struct Counting;
 // upholds the `GlobalAlloc` contract; the counter touches no allocator state.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        REQUESTED.fetch_add(layout.size() as u64, Ordering::Relaxed);
+        count(layout.size());
         // SAFETY: the caller's obligations are passed through as given.
         unsafe { System.alloc(layout) }
     }
@@ -49,8 +65,7 @@ unsafe impl GlobalAlloc for Counting {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        let grown = new_size.saturating_sub(layout.size());
-        REQUESTED.fetch_add(grown as u64, Ordering::Relaxed);
+        count(new_size.saturating_sub(layout.size()));
         // SAFETY: `ptr` came from `System` through this allocator.
         unsafe { System.realloc(ptr, layout, new_size) }
     }
@@ -86,9 +101,9 @@ fn lu_cfg(slaves: usize, plan: FaultPlan, rejoin_attempts: u32) -> RunConfig {
 /// Run one LU cell and return heap bytes requested per delivered message.
 fn bytes_per_delivery(label: &str, lu: &Arc<Lu>, cfg: RunConfig) -> u64 {
     let plan = dlb::compiler::compile(&lu.program()).unwrap();
-    let before = REQUESTED.load(Ordering::Relaxed);
+    let before = bytes_requested();
     let report = try_run(AppSpec::Shrinking(lu.clone()), &plan, cfg).expect("the run completes");
-    let requested = REQUESTED.load(Ordering::Relaxed) - before;
+    let requested = bytes_requested() - before;
     assert_eq!(Lu::result_cols(&report.result), lu.sequential(), "{label}");
     let delivered: u64 = report.sim.actors.iter().map(|a| a.msgs_received).sum();
     let per = requested / delivered;
@@ -133,13 +148,13 @@ fn no_move_decision_bytes(rounds: u64) -> u64 {
         bal.on_status(st);
     }
     let skipped = bal.stats().skipped_balanced;
-    let before = REQUESTED.load(Ordering::Relaxed);
+    let before = bytes_requested();
     for _ in 0..rounds {
         for st in &statuses {
             assert!(bal.on_status(st).instructions.moves.is_empty());
         }
     }
-    let requested = REQUESTED.load(Ordering::Relaxed) - before;
+    let requested = bytes_requested() - before;
     let decisions = rounds * N as u64;
     assert_eq!(bal.stats().skipped_balanced - skipped, decisions);
     println!("alloc_budget no_move64: {requested} B requested over {decisions} decisions");

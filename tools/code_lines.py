@@ -124,7 +124,8 @@ MASTER = ("crates/core/src/master.rs", "crates/core/src/session/master.rs")
 def kernel_touch_points(root):
     """Counted lines of the master's two files that `.await` or name
     `MailCtx`: where the master is async code rather than a step function
-    over its effects (the shell and `run_plain`)."""
+    over its effects (the one shell around both controls, and the entry
+    points that open it)."""
     return sum(bool(KERNEL_TOUCH.search(line)) for f in MASTER for line in code(root / f))
 
 
